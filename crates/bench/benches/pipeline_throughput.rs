@@ -1,5 +1,5 @@
 //! Criterion benchmarks comparing training-engine throughput: the threaded
-//! PB runtime vs threaded fill-and-drain vs the sequential emulator —
+//! PB runtime vs threaded fill-and-drain vs the sequential engine —
 //! the wall-clock version of Eq. 1.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -7,8 +7,7 @@ use pbp_data::spirals;
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule};
-use pbp_pipeline::{PbConfig, PipelinedTrainer, ThreadedConfig, ThreadedPipeline};
-use pbp_tensor::Tensor;
+use pbp_pipeline::{ScheduledConfig, ScheduledTrainer, ThreadedConfig, ThreadedPipeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,40 +22,31 @@ fn fresh_net() -> Network {
     mlp(WIDTHS, &mut rng)
 }
 
-fn sample_set(n: usize) -> Vec<(Tensor, usize)> {
-    let data = spirals(3, 64, 0.05, 1);
-    (0..n)
-        .map(|i| {
-            let (x, l) = data.sample(i % data.len());
-            (x.clone(), l)
-        })
-        .collect()
-}
-
 fn bench_engines(c: &mut Criterion) {
     let n = 128usize;
-    let samples = sample_set(n);
+    let data = spirals(3, 64, 0.05, 1);
+    let order: Vec<usize> = (0..n).map(|i| i % data.len()).collect();
     let mut group = c.benchmark_group("train_128_samples");
     group.throughput(Throughput::Elements(n as u64));
     group.sample_size(10);
 
+    let threaded = |cfg: ThreadedConfig| {
+        let mut engine = ThreadedPipeline::new(fresh_net(), cfg);
+        engine.stream(&data, &order).expect("clean run");
+        engine
+    };
     group.bench_with_input(BenchmarkId::new("threaded", "pb"), &(), |b, _| {
-        b.iter(|| {
-            let cfg = ThreadedConfig::pb(schedule());
-            ThreadedPipeline::train(fresh_net(), &samples, &cfg)
-        })
+        b.iter(|| threaded(ThreadedConfig::pb(schedule())))
     });
     group.bench_with_input(BenchmarkId::new("threaded", "fill_drain"), &(), |b, _| {
-        b.iter(|| {
-            let cfg = ThreadedConfig::fill_drain(schedule());
-            ThreadedPipeline::train(fresh_net(), &samples, &cfg)
-        })
+        b.iter(|| threaded(ThreadedConfig::fill_drain(schedule())))
     });
-    group.bench_with_input(BenchmarkId::new("emulator", "pb"), &(), |b, _| {
+    group.bench_with_input(BenchmarkId::new("sequential", "pb"), &(), |b, _| {
         b.iter(|| {
-            let mut trainer = PipelinedTrainer::new(fresh_net(), PbConfig::plain(schedule()));
-            for (x, l) in &samples {
-                trainer.train_sample(x, *l);
+            let mut trainer = ScheduledTrainer::new(fresh_net(), ScheduledConfig::pb(schedule()));
+            for &i in &order {
+                let (x, l) = data.sample(i);
+                trainer.train_sample(x, l);
             }
             trainer
         })

@@ -6,7 +6,7 @@
 use pbp_bench::{cifar_data, mean_std, Budget, Table};
 use pbp_nn::models::{resnet_cifar, ResNetConfig};
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-use pbp_pipeline::{run_training, EngineSpec, NoHooks, PbConfig, RunConfig};
+use pbp_pipeline::{run_training, EngineSpec, NoHooks, RunConfig, ScheduledConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,7 +37,9 @@ fn main() {
                 if warmup {
                     schedule = schedule.with_warmup(warmup_samples);
                 }
-                let spec = EngineSpec::Pb(PbConfig::plain(schedule).with_mitigation(mitigation));
+                let spec = EngineSpec::Scheduled(
+                    ScheduledConfig::pb(schedule).with_mitigation(mitigation),
+                );
                 let mut rng = StdRng::seed_from_u64(8000 + seed);
                 let mut engine = spec.build(resnet_cifar(config, &mut rng));
                 let run_config = RunConfig::new(budget.epochs, seed).eval_last_only();

@@ -9,8 +9,8 @@ use pbp_bench::{cifar_data, Budget, Table};
 use pbp_nn::models::simple_cnn;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
-    run_training, DelayDistribution, DelayedConfig, EngineSpec, JsonSink, MetricsSink, PbConfig,
-    RunConfig, ScheduledConfig, ThreadedConfig,
+    run_training, DelayDistribution, DelayedConfig, EngineSpec, JsonSink, MetricsSink, RunConfig,
+    ScheduledConfig, ThreadedConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,12 +31,12 @@ fn main() {
         },
         // Fill&drain applies the mean gradient of each N-sample update, so
         // it takes the batch-N hyperparameters, not the per-sample ones.
-        EngineSpec::FillDrain {
-            schedule: LrSchedule::constant(hp_batch),
-            update_size: batch,
-        },
-        EngineSpec::Pb(
-            PbConfig::plain(LrSchedule::constant(hp1)).with_mitigation(Mitigation::lwpv_scd()),
+        EngineSpec::Scheduled(ScheduledConfig::fill_drain(
+            batch,
+            LrSchedule::constant(hp_batch),
+        )),
+        EngineSpec::Scheduled(
+            ScheduledConfig::pb(LrSchedule::constant(hp1)).with_mitigation(Mitigation::lwpv_scd()),
         ),
         EngineSpec::Delayed(DelayedConfig::consistent(
             4,

@@ -23,14 +23,13 @@ use pbp_dist::{
     env_abort_at, launch, rank_snapshot_path, run_rank, splice_owned_stages, DistError, LaunchSpec,
     LinkDir, LinkEndpoint, NetFaultKind, NetFaultPlan, NetFaultSpec, RankOutcome, RankRecovery,
     RankSnapshots, RankSpec, ReconnectPolicy, Topology, Transport, SECTION_DIST,
-    SECTION_DIST_METRICS,
 };
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
-    EngineMetrics, MetricsRecorder, MicrobatchSchedule, ScheduledConfig, ScheduledTrainer,
-    StageCounters, TrainEngine,
+    EngineMetrics, MicrobatchSchedule, ScheduledConfig, ScheduledTrainer, StageCounters,
+    TrainEngine,
 };
 use pbp_snapshot::{SnapshotArchive, Snapshottable, StateReader};
 use rand::rngs::StdRng;
@@ -273,8 +272,6 @@ fn kill_scenario(base: &Baseline) {
         let _rank = r.take_u32().expect("rank");
         let _world = r.take_u32().expect("world");
         let _digest = r.take_u64().expect("digest");
-        let samples = r.take_usize().expect("samples");
-        assert_eq!(samples, total, "rank {rank} final snapshot counter");
         let loss_sum = r.take_f64().expect("loss sum");
         assert_eq!(
             loss_sum.to_bits(),
@@ -282,16 +279,16 @@ fn kill_scenario(base: &Baseline) {
             "[kill] rank {rank} loss sum {loss_sum} != sequential {}",
             base.loss_sum
         );
-        let mut recorder = MetricsRecorder::new(topology.layer_stages());
-        let mut r = StateReader::new(
-            archive
-                .section(SECTION_DIST_METRICS)
-                .expect("metrics section"),
-        );
-        Snapshottable::read_state(&mut recorder, &mut r).expect("metrics state");
-        let metrics = recorder.snapshot("dist", total, None);
+        // The rank's stage-group state: microbatches completed, then the
+        // owned stages' counters (the cells that follow are not needed).
+        let samples = r.take_usize().expect("samples");
+        assert_eq!(samples, total, "rank {rank} final snapshot counter");
+        let owned = r.take_u32().expect("owned stages") as usize;
+        assert_eq!(owned, topology.range(rank).len(), "rank {rank} stage count");
         for s in topology.range(rank) {
-            counters[s] = Some(metrics.stages[s].clone());
+            let mut stage = StageCounters::default();
+            Snapshottable::read_state(&mut stage, &mut r).expect("stage counters");
+            counters[s] = Some(stage);
         }
     }
     let mut net = fresh_net();

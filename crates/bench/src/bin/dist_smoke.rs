@@ -14,7 +14,7 @@ use pbp_dist::{
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
-use pbp_pipeline::{MicrobatchSchedule, PbConfig, PipelinedTrainer};
+use pbp_pipeline::{MicrobatchSchedule, ScheduledConfig, ScheduledTrainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -38,7 +38,7 @@ fn main() {
 
     // Ground truth: the sequential PB emulator, loss accumulated in the
     // same per-microbatch f64 order the distributed loss relay uses.
-    let mut emulator = PipelinedTrainer::new(fresh_net(), PbConfig::plain(schedule.clone()));
+    let mut emulator = ScheduledTrainer::new(fresh_net(), ScheduledConfig::pb(schedule.clone()));
     let mut base_loss = 0.0f64;
     for epoch in 0..EPOCHS {
         for &i in &data.epoch_order(ORDER_SEED, epoch) {

@@ -7,7 +7,7 @@
 use pbp_bench::{cifar_data, mean_std, Budget, Table};
 use pbp_nn::models::{vgg, VggVariant};
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule};
-use pbp_pipeline::{run_training, EngineSpec, NoHooks, RunConfig};
+use pbp_pipeline::{run_training, EngineSpec, NoHooks, RunConfig, ScheduledConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,10 +31,8 @@ fn main() {
         schedule: LrSchedule::constant(hp),
         batch,
     };
-    let fd_spec = EngineSpec::FillDrain {
-        schedule: LrSchedule::constant(hp),
-        update_size: batch,
-    };
+    let fd_spec =
+        EngineSpec::Scheduled(ScheduledConfig::fill_drain(batch, LrSchedule::constant(hp)));
     for seed in 0..budget.seeds as u64 {
         let run_config = RunConfig::new(budget.epochs, seed);
         let mut rng = StdRng::seed_from_u64(6000 + seed);

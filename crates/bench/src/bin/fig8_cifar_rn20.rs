@@ -10,7 +10,7 @@
 use pbp_bench::{cifar_data, Budget, Table};
 use pbp_nn::models::{resnet_cifar, ResNetConfig};
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-use pbp_pipeline::{run_training, EngineSpec, NoHooks, PbConfig, RunConfig, TrainReport};
+use pbp_pipeline::{run_training, EngineSpec, NoHooks, RunConfig, ScheduledConfig, TrainReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,8 +46,8 @@ fn main() {
         Mitigation::scd(),
         Mitigation::lwpv_scd(),
     ] {
-        specs.push(EngineSpec::Pb(
-            PbConfig::plain(LrSchedule::constant(hp1)).with_mitigation(mitigation),
+        specs.push(EngineSpec::Scheduled(
+            ScheduledConfig::pb(LrSchedule::constant(hp1)).with_mitigation(mitigation),
         ));
     }
 

@@ -8,7 +8,7 @@
 use pbp_bench::{imagenet_data, Budget, Table};
 use pbp_nn::models::resnet50_like;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-use pbp_pipeline::{run_training, EngineSpec, NoHooks, PbConfig, RunConfig, TrainReport};
+use pbp_pipeline::{run_training, EngineSpec, NoHooks, RunConfig, ScheduledConfig, TrainReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,8 +30,8 @@ fn main() {
         Mitigation::scd(),
         Mitigation::lwpv_scd(),
     ] {
-        specs.push(EngineSpec::Pb(
-            PbConfig::plain(LrSchedule::constant(hp1)).with_mitigation(mitigation),
+        specs.push(EngineSpec::Scheduled(
+            ScheduledConfig::pb(LrSchedule::constant(hp1)).with_mitigation(mitigation),
         ));
     }
 

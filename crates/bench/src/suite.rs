@@ -4,7 +4,7 @@
 use pbp_data::Dataset;
 use pbp_nn::Network;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-use pbp_pipeline::{run_training, EngineSpec, NoHooks, PbConfig, RunConfig};
+use pbp_pipeline::{run_training, EngineSpec, NoHooks, RunConfig, ScheduledConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -102,11 +102,12 @@ impl MethodSpec {
                 stashing,
             } => {
                 let hp = scale_hyperparams(reference, reference_batch, 1);
-                let mut cfg = PbConfig::plain(LrSchedule::constant(hp)).with_mitigation(mitigation);
+                let mut cfg =
+                    ScheduledConfig::pb(LrSchedule::constant(hp)).with_mitigation(mitigation);
                 if stashing {
                     cfg = cfg.with_weight_stashing();
                 }
-                EngineSpec::Pb(cfg)
+                EngineSpec::Scheduled(cfg)
             }
         }
     }

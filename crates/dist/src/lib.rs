@@ -14,13 +14,13 @@
 //!   fault typing and deadline-based reconnect.
 //! * [`topology`] — the contiguous stage partition and its digest,
 //!   which the [`transport::handshake`] uses to refuse cross-run links.
-//! * [`runner`] — one rank's event loop: greedy forward-first within
-//!   the version-lag bound, backward actions in exact schedule order,
-//!   hyperparameters bound at backward boundaries, snapshot drain
-//!   barriers. Bit-identical to the sequential
+//! * [`runner`] — one rank's event loop: a
+//!   [`StageGroup`](pbp_pipeline::StageGroup) over the rank's stages,
+//!   forwarding while the group allows and retiring backwards otherwise,
+//!   between two reliable links, with snapshot drain barriers.
+//!   Bit-identical to the sequential
 //!   [`ScheduledTrainer`](pbp_pipeline::ScheduledTrainer) by
-//!   construction (both drive the same
-//!   [`StageCell`](pbp_pipeline::StageCell)s — see DESIGN §12).
+//!   construction (a group over all stages — see DESIGN §12).
 //! * [`launch`] — the `pbp-launch` supervisor: spawns one process per
 //!   rank, watches for typed faults (peer death, stalls, nonzero
 //!   exits), and restarts the whole stage group from the newest
@@ -58,7 +58,7 @@ pub use netfault::{
 pub use reliable::{LinkEndpoint, LinkIdentity, LinkOptions, ReconnectPolicy, ReliableConn};
 pub use runner::{
     rank_snapshot_path, run_rank, splice_owned_stages, RankOutcome, RankRecovery, RankSnapshots,
-    RankSpec, SECTION_DIST, SECTION_DIST_METRICS,
+    RankSpec, SECTION_DIST,
 };
 pub use topology::Topology;
 pub use transport::{

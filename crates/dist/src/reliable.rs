@@ -20,7 +20,7 @@
 //!   handshake the sender replays everything past the peer's ack
 //!   horizon. The runner above observes none of this beyond latency:
 //!   delivery is exactly-once and in order, so the Eq. 5 delay contract
-//!   (and therefore bit-identity with `ScheduleCore`) survives.
+//!   (and therefore bit-identity with the sequential engine) survives.
 //! * **Rewind generations.** The epoch's high 32 bits are the group
 //!   rewind generation. A peer announcing a *newer* generation means
 //!   the group rolled back while this rank was out; establishment

@@ -2,28 +2,18 @@
 //! slice of a [`MicrobatchSchedule`] action stream against socket
 //! neighbors.
 //!
-//! ## Bit-identity with the sequential core
+//! ## Bit-identity with the sequential engine
 //!
-//! Every per-stage operation goes through the same
-//! [`StageCell`](pbp_pipeline::StageCell) methods the single-process
-//! [`ScheduleCore`](pbp_pipeline::ScheduledTrainer) calls, in the same
-//! per-stage order: forwards in microbatch order, backward actions in the
-//! plan's exact action-stream order, one `push_next_version` per
-//! microbatch. Cross-stage the runner *interleaves* differently — a rank
-//! runs ahead on forwards while downstream ranks still work on earlier
-//! microbatches — but the cell's ordering contract makes any such
-//! interleaving bit-identical: forwards read only queued weight versions
-//! (popped in push order) and backward actions mutate only that stage's
-//! weights. Two things need care beyond the contract:
-//!
-//! * **Hyperparameters** are applied at the *backward* boundary (before
-//!   the backward actions of each update window's first microbatch), not
-//!   at forward time. They only affect backward-phase operations —
-//!   updates, SpecTrain's re-prediction, the version pushed by
-//!   `push_next_version` — so this matches the sequential core exactly
-//!   even when forwards have run ahead.
-//! * **Run-ahead is bounded** by the smallest version lag among the
-//!   rank's stages: a forward may not outrun its weight-version queue.
+//! A rank is a [`StageGroup`](pbp_pipeline::StageGroup) over
+//! `topology.range(rank)` between two [`ReliableConn`]s: the same
+//! executor of stage semantics the single-process
+//! [`ScheduledTrainer`](pbp_pipeline::ScheduledTrainer) sweeps over all
+//! stages. Cross-stage the runner *interleaves* differently — a rank runs
+//! ahead on forwards, as far as the group's run-ahead rule allows, while
+//! downstream ranks still work on earlier microbatches — but the cell's
+//! ordering contract makes any such interleaving bit-identical: forwards
+//! read only queued weight versions (popped in push order) and backward
+//! actions mutate only that stage's weights.
 //!
 //! ## Dataflow
 //!
@@ -52,28 +42,25 @@ use crate::reliable::{LinkEndpoint, LinkIdentity, LinkOptions, ReconnectPolicy, 
 use crate::topology::{fold, Topology};
 use crate::transport::Connection;
 use pbp_data::Dataset;
-use pbp_nn::loss::softmax_cross_entropy;
 use pbp_nn::Network;
 use pbp_optim::{LrSchedule, Mitigation};
-use pbp_pipeline::{MicrobatchSchedule, StageCell};
+use pbp_pipeline::{MicrobatchSchedule, ScheduledConfig, StageCounters, StageGroup};
 use pbp_snapshot::{
     rank_prefix, snapshot_file_name, SnapshotArchive, SnapshotBuilder, SnapshotError, StateReader,
     StateWriter,
 };
-use pbp_trace::{Lane, TracePhase, Tracer, PID_WALL};
+use pbp_trace::{TracePhase, Tracer};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// Section of a rank snapshot holding the runner's distributed state
-/// (identity, cursors, stage cells).
+/// Section of a rank snapshot holding the runner's distributed state:
+/// identity (rank, world, run digest), the f64 loss sum, then the rank's
+/// [`StageGroup`] state — microbatches completed, the owned stages'
+/// counters (update counts, busy time, Eq. 5 delay histograms) and their
+/// cells. Everything up to and including the counters can be read
+/// without reconstructing stage cells.
 pub const SECTION_DIST: &str = "dist";
-
-/// Section of a rank snapshot holding the rank's metrics recorder
-/// (update counts, busy time, Eq. 5 delay histograms). Kept separate
-/// from [`SECTION_DIST`] so verification harnesses can read the
-/// histograms without reconstructing stage cells.
-pub const SECTION_DIST_METRICS: &str = "dist/metrics";
 
 /// How a rank behaves when the wire misbehaves. The default is the
 /// classic contract: no injected faults, any link fault is terminal for
@@ -298,15 +285,11 @@ pub fn run_rank(
 struct Rank<'a> {
     spec: &'a RankSpec,
     net: Network,
-    /// One cell per owned stage, indexed by `global_stage - range.start`.
-    cells: Vec<StageCell>,
+    /// The owned stages' executor; also holds the microbatch cursors.
+    group: StageGroup,
+    tracer: Tracer,
     upstream: Option<ReliableConn>,
     downstream: Option<ReliableConn>,
-    metrics: pbp_pipeline::MetricsRecorder,
-    lanes: Option<Vec<Lane>>,
-    /// Global microbatch index of the next forward / backward.
-    next_fwd: usize,
-    next_bwd: usize,
     /// Loss gradients computed at forward time, waiting for their
     /// backward turn (last rank only).
     pending: VecDeque<(pbp_tensor::Tensor, f32)>,
@@ -332,30 +315,8 @@ impl<'a> Rank<'a> {
         downstream: Option<LinkEndpoint>,
         tracer: Option<&Tracer>,
     ) -> Result<Self, DistError> {
-        let pipeline_stages = spec.topology.pipeline_stages();
-        let hp = spec.schedule.at(0);
-        let range = spec.topology.range(spec.rank);
-        let cells = range
-            .clone()
-            .map(|s| {
-                StageCell::new(
-                    net.stage(s),
-                    s,
-                    pipeline_stages,
-                    &spec.plan,
-                    spec.mitigation,
-                    spec.weight_stashing,
-                    hp,
-                    None,
-                )
-            })
-            .collect();
-        let lanes = tracer.filter(|t| t.enabled()).map(|t| {
-            range
-                .clone()
-                .map(|s| t.lane(PID_WALL, format!("rank{}/stage-{s}", spec.rank), s as i64))
-                .collect()
-        });
+        let tracer = tracer.cloned().unwrap_or_default();
+        let group = fresh_group(&net, spec, &tracer);
         let digest = spec.digest();
         let world = spec.topology.world() as u32;
         let me = spec.rank as u32;
@@ -402,14 +363,11 @@ impl<'a> Rank<'a> {
         });
         Ok(Rank {
             spec,
-            metrics: pbp_pipeline::MetricsRecorder::new(net.num_stages()),
             net,
-            cells,
+            group,
+            tracer,
             upstream,
             downstream,
-            lanes,
-            next_fwd: 0,
-            next_bwd: 0,
             pending: VecDeque::new(),
             loss_sum: 0.0,
             order: Vec::new(),
@@ -419,10 +377,6 @@ impl<'a> Rank<'a> {
             generation: spec.recovery.generation,
             seen_reconnects: 0,
         })
-    }
-
-    fn range(&self) -> std::ops::Range<usize> {
-        self.spec.topology.range(self.spec.rank)
     }
 
     /// Connects and handshakes both links. Dialing upstream before
@@ -438,36 +392,20 @@ impl<'a> Rank<'a> {
         Ok(())
     }
 
-    /// The run-ahead bound: the smallest version lag among owned stages
-    /// (queues hold `lag + 1` versions; a forward may not outrun them).
-    fn max_inflight(&self) -> usize {
-        self.cells
-            .iter()
-            .map(StageCell::version_lag)
-            .min()
-            .expect("every rank owns at least one stage")
-    }
-
-    fn in_flight(&self) -> usize {
-        self.next_fwd - self.next_bwd
-    }
-
     /// The forward cap: forwards may not cross the next snapshot
     /// boundary until backwards catch up (drain barrier).
     fn fwd_cap(&self) -> usize {
         match &self.spec.snapshots {
-            Some(snaps) => (self.next_bwd / snaps.every + 1) * snaps.every,
+            Some(snaps) => (self.group.completed() / snaps.every + 1) * snaps.every,
             None => usize::MAX,
         }
     }
 
     fn run(&mut self, data: &Dataset) -> Result<(), DistError> {
         let total = self.spec.total_microbatches;
-        let max_inflight = self.max_inflight();
-        while self.next_bwd < total {
-            let can_fwd = self.next_fwd < total
-                && self.next_fwd < self.fwd_cap()
-                && self.in_flight() <= max_inflight;
+        while self.group.completed() < total {
+            let next_fwd = self.group.forwarded();
+            let can_fwd = next_fwd < total && next_fwd < self.fwd_cap() && self.group.can_forward();
             if can_fwd {
                 self.forward_one(data)?;
             } else {
@@ -475,7 +413,7 @@ impl<'a> Rank<'a> {
             }
             self.note_reconnects();
         }
-        self.flush_lanes();
+        self.group.flush_trace();
         // Final snapshot (unconditional): the launcher assembles the full
         // network from every rank's state at the end of the run.
         if self.spec.snapshots.is_some() && self.written.last() != Some(&total) {
@@ -511,21 +449,18 @@ impl<'a> Rank<'a> {
             + self.downstream.as_ref().map_or(0, ReliableConn::reconnects);
         while self.seen_reconnects < total {
             self.seen_reconnects += 1;
-            if let Some(lanes) = self.lanes.as_mut() {
-                lanes[0].instant(
-                    TracePhase::Reconnect,
-                    Some(format!(
-                        "rank {} link reconnect {}",
-                        self.spec.rank, self.seen_reconnects
-                    )),
-                );
-            }
+            self.group.lane().instant(
+                TracePhase::Reconnect,
+                Some(format!(
+                    "rank {} link reconnect {}",
+                    self.spec.rank, self.seen_reconnects
+                )),
+            );
         }
     }
 
     fn forward_one(&mut self, data: &Dataset) -> Result<(), DistError> {
-        let mb = self.next_fwd;
-        let range = self.range();
+        let mb = self.group.forwarded();
         let (mut stack, label) = match self.upstream.as_mut() {
             None => {
                 // Rank 0 feeds from the dataset in the deterministic
@@ -564,35 +499,16 @@ impl<'a> Rank<'a> {
                 }
             },
         };
-        for (local, s) in range.clone().enumerate() {
-            let t0 = Instant::now();
-            if let Some(lanes) = self.lanes.as_mut() {
-                lanes[local].begin(
-                    TracePhase::Forward,
-                    Some(mb as u64),
-                    Some(self.metrics.stage_updates(s)),
-                );
-            }
-            self.cells[local].forward(self.net.stage_mut(s), &mut stack);
-            if let Some(lanes) = self.lanes.as_mut() {
-                lanes[local].end();
-            }
-            self.metrics.add_busy_ns(s, t0.elapsed().as_nanos());
-        }
+        let range = self.group.range();
+        self.group
+            .forward(&mut self.net.stages_mut()[range], &mut stack, mb);
         match self.downstream.as_mut() {
             None => {
                 // Last rank: the loss stage is local. Compute the loss
                 // gradient now and queue it for this microbatch's
                 // backward turn.
                 assert_eq!(stack.len(), 1, "network must reduce to a single lane");
-                let logits = stack.pop().expect("non-empty");
-                let (loss, grad) = softmax_cross_entropy(&logits, &[label]);
-                let m = self.spec.plan.microbatches_per_update();
-                let grad = if m > 1 {
-                    grad.scale(1.0 / m as f32)
-                } else {
-                    grad
-                };
+                let (loss, grad) = self.group.loss(&stack[0], label);
                 self.pending.push_back((grad, loss));
             }
             Some(down) => {
@@ -601,30 +517,17 @@ impl<'a> Rank<'a> {
                 down.send(&Frame::Activation {
                     seq: 0,
                     microbatch: mb as u64,
-                    weight_version: self.metrics.stage_updates(range.end - 1),
+                    weight_version: self.group.counters().last().map_or(0, |c| c.updates),
                     label: label as u32,
                     lanes: stack,
                 })?;
             }
         }
-        self.next_fwd += 1;
         Ok(())
     }
 
     fn backward_one(&mut self) -> Result<(), DistError> {
-        let mb = self.next_bwd;
-        let range = self.range();
-        let m = self.spec.plan.microbatches_per_update();
-        let first_of_update = mb.is_multiple_of(m);
-        if first_of_update {
-            // Hyperparameters bind at the backward boundary: they only
-            // affect backward-phase operations, so this matches the
-            // sequential core even with forward run-ahead.
-            let hp = self.spec.schedule.at(mb);
-            for cell in &mut self.cells {
-                cell.set_hyperparams(hp);
-            }
-        }
+        let mb = self.group.completed();
         let (mut gstack, mb_loss) = match self.downstream.as_mut() {
             None => {
                 let (grad, loss) = self
@@ -657,94 +560,32 @@ impl<'a> Rank<'a> {
             },
         };
         self.loss_sum += mb_loss as f64;
-        let actions = self.spec.plan.stage_actions(mb);
-        for (local, s) in range.clone().enumerate().rev() {
-            let t0 = Instant::now();
-            let mut updated = false;
-            for action in &actions {
-                match *action {
-                    pbp_pipeline::Action::Forward(_) => {}
-                    pbp_pipeline::Action::BackwardInput(i) => {
-                        if let Some(lanes) = self.lanes.as_mut() {
-                            lanes[local].begin(
-                                TracePhase::BackwardInput,
-                                Some(i as u64),
-                                Some(self.metrics.stage_updates(s)),
-                            );
-                        }
-                        self.cells[local].backward_input(
-                            self.net.stage_mut(s),
-                            &mut gstack,
-                            first_of_update,
-                        );
-                        if let Some(lanes) = self.lanes.as_mut() {
-                            lanes[local].end();
-                        }
-                    }
-                    pbp_pipeline::Action::BackwardWeight(j) => {
-                        if let Some(lanes) = self.lanes.as_mut() {
-                            lanes[local].begin(
-                                TracePhase::BackwardWeight,
-                                Some(j as u64),
-                                Some(self.metrics.stage_updates(s)),
-                            );
-                        }
-                        self.cells[local].backward_weight(self.net.stage_mut(s));
-                        if let Some(lanes) = self.lanes.as_mut() {
-                            lanes[local].end();
-                        }
-                    }
-                    pbp_pipeline::Action::Update => {
-                        if self.cells[local].will_update(self.net.stage(s)) {
-                            if let Some(lanes) = self.lanes.as_mut() {
-                                lanes[local].begin(
-                                    TracePhase::Update,
-                                    Some(mb as u64),
-                                    Some(self.metrics.stage_updates(s) + 1),
-                                );
-                            }
-                            self.cells[local]
-                                .update(self.net.stage_mut(s), self.spec.plan.splits_backward());
-                            if let Some(lanes) = self.lanes.as_mut() {
-                                lanes[local].end();
-                            }
-                            updated = true;
-                        }
-                    }
-                }
-            }
-            self.cells[local].push_next_version(self.net.stage(s));
-            if updated {
-                self.metrics
-                    .record_update(s, self.cells[local].delay(), t0.elapsed().as_nanos());
-            } else {
-                self.metrics.add_busy_ns(s, t0.elapsed().as_nanos());
-            }
-        }
+        let range = self.group.range();
+        self.group
+            .backward(&mut self.net.stages_mut()[range], &mut gstack, mb);
         if let Some(up) = self.upstream.as_mut() {
             up.send(&Frame::Gradient {
                 seq: 0,
                 microbatch: mb as u64,
-                weight_version: self.metrics.stage_updates(range.start),
+                weight_version: self.group.counters()[0].updates,
                 loss: mb_loss,
                 lanes: gstack,
             })?;
         }
-        self.next_bwd += 1;
-        if self.spec.abort_after == Some(self.next_bwd) {
+        let done = self.group.completed();
+        if self.spec.abort_after == Some(done) {
             eprintln!(
-                "rank {}: injected abort after {} microbatches",
-                self.spec.rank, self.next_bwd
+                "rank {}: injected abort after {done} microbatches",
+                self.spec.rank
             );
             std::process::abort();
         }
         if let Some(snaps) = &self.spec.snapshots {
-            if self.next_bwd.is_multiple_of(snaps.every)
-                && self.next_bwd > self.spec.resume_at
-                && self.next_bwd < self.spec.total_microbatches
+            if done.is_multiple_of(snaps.every)
+                && done > self.spec.resume_at
+                && done < self.spec.total_microbatches
             {
-                debug_assert_eq!(self.in_flight(), 0, "snapshot requires a drained rank");
-                self.save_snapshot(self.next_bwd)?;
+                self.save_snapshot(done)?;
             }
         }
         Ok(())
@@ -778,16 +619,9 @@ impl<'a> Rank<'a> {
         w.put_u32(self.spec.rank as u32);
         w.put_u32(self.spec.topology.world() as u32);
         w.put_u64(self.spec.digest());
-        w.put_usize(self.next_bwd);
         w.put_f64(self.loss_sum);
-        w.put_u32(self.cells.len() as u32);
-        for cell in &self.cells {
-            cell.write_state(&mut w);
-        }
+        self.group.write_state(&mut w);
         snap.add_section(SECTION_DIST, w.into_bytes());
-        let mut w = StateWriter::new();
-        pbp_snapshot::Snapshottable::write_state(&self.metrics, &mut w);
-        snap.add_section(SECTION_DIST_METRICS, w.into_bytes());
         let path = rank_snapshot_path(&dir, self.spec.rank, counter);
         snap.save_atomic(&path)?;
         self.written.push(counter);
@@ -828,32 +662,16 @@ impl<'a> Rank<'a> {
             ))
             .into());
         }
-        let samples = r.take_usize()?;
+        self.loss_sum = r.take_f64()?;
+        self.group.read_state(&mut r, "dist")?;
+        r.finish()?;
+        let samples = self.group.completed();
         if samples != counter {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot {path:?} covers {samples} microbatches, file name says {counter}"
             ))
             .into());
         }
-        self.loss_sum = r.take_f64()?;
-        let n = r.take_u32()? as usize;
-        if n != self.cells.len() {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot has {n} stage cells, rank owns {}",
-                self.cells.len()
-            ))
-            .into());
-        }
-        let first_owned = self.range().start;
-        for (local, cell) in self.cells.iter_mut().enumerate() {
-            cell.read_state(&mut r, "dist", first_owned + local)?;
-        }
-        r.finish()?;
-        let mut r = StateReader::new(archive.section(SECTION_DIST_METRICS)?);
-        pbp_snapshot::Snapshottable::read_state(&mut self.metrics, &mut r)?;
-        r.finish()?;
-        self.next_fwd = counter;
-        self.next_bwd = counter;
         if !self.written.contains(&counter) {
             self.written.push(counter);
         }
@@ -895,12 +713,10 @@ impl<'a> Rank<'a> {
         }
         let snaps = self.spec.snapshots.as_ref().expect("validated");
         let dir = snaps.dir.clone();
-        if let Some(lanes) = self.lanes.as_mut() {
-            lanes[0].instant(
-                TracePhase::Fault,
-                Some(format!("rank {} parking for rewind: {err}", self.spec.rank)),
-            );
-        }
+        self.group.lane().instant(
+            TracePhase::Fault,
+            Some(format!("rank {} parking for rewind: {err}", self.spec.rank)),
+        );
         eprintln!("rank {}: parking for rewind: {err}", self.spec.rank);
         // Drop both links so neighbors observe EOF immediately instead
         // of waiting out their stall windows, cascading the park down
@@ -911,15 +727,13 @@ impl<'a> Rank<'a> {
         if let Some(down) = self.downstream.as_mut() {
             down.disconnect();
         }
-        if let Some(lanes) = self.lanes.as_mut() {
-            lanes[0].instant(
-                TracePhase::Backoff,
-                Some(format!(
-                    "rank {} awaiting rewind token past generation {}",
-                    self.spec.rank, self.generation
-                )),
-            );
-        }
+        self.group.lane().instant(
+            TracePhase::Backoff,
+            Some(format!(
+                "rank {} awaiting rewind token past generation {}",
+                self.spec.rank, self.generation
+            )),
+        );
         let deadline = Instant::now() + wait;
         let (generation, resume) = loop {
             if let Some((generation, resume)) = read_rewind_token(&dir) {
@@ -932,15 +746,13 @@ impl<'a> Rank<'a> {
             }
             std::thread::sleep(Duration::from_millis(10));
         };
-        if let Some(lanes) = self.lanes.as_mut() {
-            lanes[0].instant(
-                TracePhase::Restart,
-                Some(format!(
-                    "rank {} rewinding to microbatch {resume} at generation {generation}",
-                    self.spec.rank
-                )),
-            );
-        }
+        self.group.lane().instant(
+            TracePhase::Restart,
+            Some(format!(
+                "rank {} rewinding to microbatch {resume} at generation {generation}",
+                self.spec.rank
+            )),
+        );
         eprintln!(
             "rank {}: rewinding to microbatch {resume} at generation {generation}",
             self.spec.rank
@@ -949,36 +761,17 @@ impl<'a> Rank<'a> {
     }
 
     /// Rolls the rank back to `resume` and rejoins the group in
-    /// `generation`: fresh cells and metrics, state restored from the
+    /// `generation`: a fresh stage group (a faulted update window may
+    /// have left deferred gradients behind), state restored from the
     /// rank's own snapshot, links re-established under the new epoch.
     fn rewind_to(&mut self, generation: u64, resume: usize) -> Result<(), DistError> {
         // Forwards that were in flight at the fault stashed activations
         // in the stages and never got their backward; a replayed
         // backward must not pop those stale entries.
         self.net.clear_stash();
-        let spec = self.spec;
-        let pipeline_stages = spec.topology.pipeline_stages();
-        let hp = spec.schedule.at(0);
-        self.cells = self
-            .range()
-            .map(|s| {
-                StageCell::new(
-                    self.net.stage(s),
-                    s,
-                    pipeline_stages,
-                    &spec.plan,
-                    spec.mitigation,
-                    spec.weight_stashing,
-                    hp,
-                    None,
-                )
-            })
-            .collect();
-        self.metrics = pbp_pipeline::MetricsRecorder::new(self.net.num_stages());
+        self.group = fresh_group(&self.net, self.spec, &self.tracer);
         self.pending.clear();
         self.loss_sum = 0.0;
-        self.next_fwd = 0;
-        self.next_bwd = 0;
         self.generation = generation;
         self.restore(resume)?;
         if let Some(up) = self.upstream.as_mut() {
@@ -990,29 +783,44 @@ impl<'a> Rank<'a> {
         self.establish_links()
     }
 
-    fn flush_lanes(&mut self) {
-        if let Some(lanes) = self.lanes.as_mut() {
-            for lane in lanes {
-                lane.flush();
-            }
-        }
-    }
-
     fn finish(self) -> Result<RankOutcome, DistError> {
-        let label = format!(
-            "dist rank {}/{} {}",
-            self.spec.rank,
-            self.spec.topology.world(),
-            self.spec.plan.label()
-        );
-        let metrics = self.metrics.snapshot(label, self.next_bwd, None);
+        let samples_seen = self.group.completed();
+        let mut stages = vec![StageCounters::default(); self.net.num_stages()];
+        stages[self.group.range()].clone_from_slice(self.group.counters());
+        let metrics = pbp_pipeline::EngineMetrics {
+            engine: format!(
+                "dist rank {}/{} {}",
+                self.spec.rank,
+                self.spec.topology.world(),
+                self.spec.plan.label()
+            ),
+            samples: samples_seen,
+            train_ns: 0,
+            occupancy: None,
+            stages,
+        };
         Ok(RankOutcome {
             net: self.net,
-            samples_seen: self.next_bwd,
+            samples_seen,
             loss_sum: self.loss_sum,
             metrics,
         })
     }
+}
+
+/// The rank's executor at microbatch zero: a [`StageGroup`] over the
+/// stages `spec.topology` assigns to `spec.rank`, tracing into
+/// `rank{r}/stage-{s}` lanes.
+fn fresh_group(net: &Network, spec: &RankSpec, tracer: &Tracer) -> StageGroup {
+    let config = ScheduledConfig {
+        plan: spec.plan,
+        mitigation: spec.mitigation,
+        weight_stashing: spec.weight_stashing,
+        schedule: spec.schedule.clone(),
+    };
+    let mut group = StageGroup::new(net, spec.topology.range(spec.rank), &config);
+    group.set_tracer(tracer, &format!("rank{}/", spec.rank));
+    group
 }
 
 /// Splices every rank's owned stages into `target`: stage `s`'s

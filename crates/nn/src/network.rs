@@ -246,6 +246,12 @@ impl Network {
         self.stages.iter()
     }
 
+    /// Mutably borrows all stages as a slice (for executors that own a
+    /// contiguous sub-range).
+    pub fn stages_mut(&mut self) -> &mut [Stage] {
+        &mut self.stages
+    }
+
     /// Full forward pass: single input tensor to logits.
     ///
     /// # Panics

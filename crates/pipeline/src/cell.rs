@@ -1,19 +1,15 @@
-//! The per-stage schedule-execution primitive shared by the sequential
-//! core and the distributed runner.
+//! The per-stage schedule-execution state every substrate shares.
 //!
-//! [`StageCell`] owns everything one pipeline stage needs to execute its
-//! slice of a [`MicrobatchSchedule`](crate::MicrobatchSchedule) action
-//! stream: the stage's optimizer (with its delay-mitigation
-//! configuration), the FIFO of forward weight versions whose length is
-//! the schedule's version lag plus one, and the stash of in-flight
-//! forward weights under weight stashing. The sequential
-//! [`ScheduleCore`](crate::scheduled) sweeps one microbatch through a
-//! `Vec<StageCell>`; the distributed runner in `pbp-dist` drives exactly
-//! one rank's cells against socket neighbors. Because both call the same
-//! methods in the same per-stage order, a multi-process run is
-//! bit-identical to the single-process emulation — the cross-process
-//! bit-identity invariant (DESIGN §12) reduces to this file being the
-//! only implementation of per-stage semantics.
+//! [`StageCell`] owns what one pipeline stage needs to execute its slice
+//! of a [`MicrobatchSchedule`](crate::MicrobatchSchedule) action stream:
+//! the stage's optimizer (with its delay-mitigation configuration), the
+//! FIFO of forward weight versions whose length is the schedule's version
+//! lag plus one, and the stash of in-flight forward weights under weight
+//! stashing. Cells are driven by [`StageGroup`](crate::StageGroup), the
+//! one interpreter of the action stream; this file and `group.rs` are
+//! together the only implementation of per-stage semantics (DESIGN §12,
+//! enforced by a grep lint in `scripts/check.sh`), which is what makes
+//! the sequential, threaded and multi-process substrates bit-identical.
 //!
 //! ## Ordering contract
 //!
@@ -59,10 +55,12 @@ pub struct StageCell {
 impl StageCell {
     /// Builds the cell for stage `s` of a pipeline with
     /// `pipeline_stages` stages under `plan`, deriving the version lag
-    /// and optimizer delay from the schedule (or from `delay_override`,
-    /// which forces both — the PB emulator's testing/ablation knob).
-    /// The queue starts with `lag + 1` copies of the stage's initial
-    /// weights, exactly like a freshly filled pipeline.
+    /// and optimizer delay from the schedule. `delay_override` forces
+    /// both instead; no engine passes it any more
+    /// ([`MicrobatchSchedule::UniformDelay`] expresses the same thing) and
+    /// the parameter stays only because the benchmark harness calls this
+    /// signature. The queue starts with `lag + 1` copies of the stage's
+    /// initial weights, exactly like a freshly filled pipeline.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         stage: &Stage,

@@ -1,8 +1,8 @@
 //! The unified training-engine interface.
 //!
-//! Every engine in this crate — [`SgdmTrainer`], [`FillDrainTrainer`],
-//! [`PipelinedTrainer`], [`DelayedTrainer`], [`AsgdTrainer`] and
-//! [`ThreadedPipeline`] — implements [`TrainEngine`], and the single
+//! Every engine in this crate — [`SgdmTrainer`], [`ScheduledTrainer`],
+//! [`DelayedTrainer`], [`AsgdTrainer`] and [`ThreadedPipeline`] —
+//! implements [`TrainEngine`], and the single
 //! shared [`run_training`] loop owns epoch ordering, evaluation cadence
 //! and record collection for all of them. Observers plug in through
 //! [`TrainHooks`](crate::metrics::TrainHooks); engine construction from a
@@ -14,8 +14,6 @@
 
 use crate::asgd::{AsgdTrainer, DelayDistribution};
 use crate::delayed::{DelayedConfig, DelayedTrainer};
-use crate::emulator::{PbConfig, PipelinedTrainer};
-use crate::filldrain::FillDrainTrainer;
 use crate::metrics::{EngineMetrics, TrainHooks};
 use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
 use crate::threaded::{ThreadedConfig, ThreadedPipeline};
@@ -40,8 +38,17 @@ pub trait TrainEngine {
     fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32;
 
     /// Trains one epoch over `data` in the deterministic order derived
-    /// from `(seed, epoch)`; returns the mean training loss.
-    fn train_epoch(&mut self, data: &Dataset, seed: u64, epoch: usize) -> f64;
+    /// from `(seed, epoch)`; returns the mean training loss. The default
+    /// covers the epoch order with one [`TrainEngine::train_range`] call.
+    fn train_epoch(&mut self, data: &Dataset, seed: u64, epoch: usize) -> f64 {
+        let order = data.epoch_order(seed, epoch);
+        let (total, units) = self.train_range(data, &order);
+        if units == 0 {
+            0.0
+        } else {
+            total / units as f64
+        }
+    }
 
     /// Trains on a contiguous slice of an epoch's sample order; returns
     /// the accumulated loss sum and the number of loss units it covers
@@ -211,15 +218,6 @@ pub enum EngineSpec {
         /// Batch size.
         batch: usize,
     },
-    /// Fill-and-drain pipeline SGDM ([`FillDrainTrainer`]).
-    FillDrain {
-        /// Learning-rate schedule (already scaled for update size one).
-        schedule: LrSchedule,
-        /// Update size `N`.
-        update_size: usize,
-    },
-    /// The cycle-accurate PB emulator ([`PipelinedTrainer`]).
-    Pb(PbConfig),
     /// The uniform delayed-gradient simulator ([`DelayedTrainer`]).
     Delayed(DelayedConfig),
     /// Random-delay ASGD simulation ([`AsgdTrainer`]).
@@ -235,9 +233,9 @@ pub enum EngineSpec {
     },
     /// The thread-per-stage runtime ([`ThreadedPipeline`]).
     Threaded(ThreadedConfig),
-    /// The generic scheduled engine ([`ScheduledTrainer`]) — any
-    /// [`MicrobatchSchedule`](crate::schedule::MicrobatchSchedule),
-    /// notably 1F1B and 2BP.
+    /// The sequential scheduled engine ([`ScheduledTrainer`]) — any
+    /// [`MicrobatchSchedule`](crate::schedule::MicrobatchSchedule): PB,
+    /// fill&drain, 1F1B, 2BP.
     Scheduled(ScheduledConfig),
 }
 
@@ -248,11 +246,6 @@ impl EngineSpec {
             EngineSpec::Sgdm { schedule, batch } => {
                 Box::new(SgdmTrainer::new(net, schedule.clone(), *batch))
             }
-            EngineSpec::FillDrain {
-                schedule,
-                update_size,
-            } => Box::new(FillDrainTrainer::new(net, schedule.clone(), *update_size)),
-            EngineSpec::Pb(config) => Box::new(PipelinedTrainer::new(net, config.clone())),
             EngineSpec::Delayed(config) => Box::new(DelayedTrainer::new(net, config.clone())),
             EngineSpec::Asgd {
                 distribution,
@@ -275,16 +268,6 @@ impl EngineSpec {
     pub fn label(&self) -> String {
         match self {
             EngineSpec::Sgdm { .. } => "SGDM".to_string(),
-            EngineSpec::FillDrain { update_size, .. } => {
-                format!("Fill&Drain SGDM (N={update_size})")
-            }
-            EngineSpec::Pb(config) => {
-                let mut label = config.mitigation.label();
-                if config.weight_stashing {
-                    label.push_str("+WS");
-                }
-                label
-            }
             EngineSpec::Delayed(config) => format!(
                 "{} D={} ({})",
                 config.mitigation.label(),
@@ -296,20 +279,18 @@ impl EngineSpec {
                 }
             ),
             EngineSpec::Asgd { distribution, .. } => format!("ASGD {distribution:?}"),
-            EngineSpec::Threaded(config) => {
-                if config.drains_per_sample() {
-                    "Threaded Fill&Drain".to_string()
-                } else {
-                    let mut label = format!("Threaded {}", config.mitigation.label());
-                    if config.weight_stashing {
-                        label.push_str("+WS");
-                    }
-                    label
-                }
-            }
+            EngineSpec::Threaded(config) => config.label(),
             EngineSpec::Scheduled(config) => config.label(),
         }
     }
+}
+
+/// `x` with a leading batch dimension of one — how the per-sample
+/// engines hand a sample to the batched layer kernels.
+pub(crate) fn batch_of_one(x: &Tensor) -> Tensor {
+    let mut shape = vec![1usize];
+    shape.extend_from_slice(x.shape());
+    x.reshape(&shape).expect("same volume")
 }
 
 /// Splits a batched tensor (leading dimension `n`) into its `n` rows
@@ -355,11 +336,10 @@ mod tests {
                 schedule: schedule(),
                 batch: 4,
             },
-            EngineSpec::FillDrain {
-                schedule: schedule(),
-                update_size: 8,
-            },
-            EngineSpec::Pb(PbConfig::plain(schedule()).with_mitigation(Mitigation::scd())),
+            EngineSpec::Scheduled(ScheduledConfig::fill_drain(8, schedule())),
+            EngineSpec::Scheduled(
+                ScheduledConfig::pb(schedule()).with_mitigation(Mitigation::scd()),
+            ),
             EngineSpec::Delayed(DelayedConfig::inconsistent(3, 4, schedule())),
             EngineSpec::Asgd {
                 distribution: DelayDistribution::Constant(2),
@@ -368,6 +348,11 @@ mod tests {
                 delay_seed: 0,
             },
             EngineSpec::Threaded(ThreadedConfig::fill_drain(schedule())),
+            EngineSpec::Threaded(
+                ThreadedConfig::pb(schedule())
+                    .with_mitigation(Mitigation::scd())
+                    .with_weight_stashing(),
+            ),
             EngineSpec::Scheduled(ScheduledConfig::one_f_one_b(4, schedule())),
             EngineSpec::Scheduled(
                 ScheduledConfig::two_bp(4, schedule()).with_mitigation(Mitigation::scd()),
@@ -389,7 +374,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let net_b = mlp(&[2, 8, 3], &mut rng);
 
-        let mut via_runner = PipelinedTrainer::new(net_a, PbConfig::plain(schedule()));
+        let mut via_runner = ScheduledTrainer::new(net_a, ScheduledConfig::pb(schedule()));
         let report_a = run_training(
             &mut via_runner,
             &train,
@@ -397,7 +382,7 @@ mod tests {
             &RunConfig::new(3, 5),
             &mut NoHooks,
         );
-        let mut via_run = PipelinedTrainer::new(net_b, PbConfig::plain(schedule()));
+        let mut via_run = ScheduledTrainer::new(net_b, ScheduledConfig::pb(schedule()));
         let report_b = via_run.run(&train, &val, 3, 5);
         assert_eq!(report_a.label, report_b.label);
         assert_eq!(report_a.records.len(), report_b.records.len());

@@ -4,43 +4,52 @@
 //! *"Pipelined Backpropagation at Scale"* (Kosson et al., MLSYS 2021),
 //! built from scratch:
 //!
-//! * [`PipelinedTrainer`] — a deterministic, cycle-accurate emulator of
-//!   fine-grained pipelined backpropagation at update size one. Each
-//!   network stage sees forward weights delayed by `D_s = 2(S−1−s)` updates
-//!   (Eq. 5), with optional weight stashing (Harlap et al., 2018) and the
-//!   paper's mitigations (Spike Compensation, Linear Weight Prediction,
-//!   their combination, SpecTrain) applied per stage. This mirrors the
-//!   delayed-gradient emulation the paper itself used (Appendix G.2) and
-//!   reproduces PB's optimization dynamics exactly.
-//! * [`FillDrainTrainer`] — pipeline-parallel mini-batch SGDM that fills
-//!   and drains the pipeline for every update; mathematically identical to
-//!   sequential SGDM (validated bit-for-bit in tests) but paying the
-//!   utilization bound `N/(N+2S)` of Eq. 1.
+//! * [`StageGroup`] — the one executor of per-stage schedule semantics: a
+//!   contiguous range of [`StageCell`]s (optimizer, weight-version FIFO,
+//!   stash) plus their trace lanes and counters, interpreting a
+//!   [`MicrobatchSchedule`]'s action stream. Every substrate below drives
+//!   the same four operations, so they are bit-identical to each other.
+//! * [`ScheduledTrainer`] — the sequential substrate: one group over all
+//!   stages, swept a microbatch at a time. Under
+//!   [`ScheduledConfig::pb`] it is the deterministic, cycle-accurate
+//!   emulation of fine-grained pipelined backpropagation at update size
+//!   one — each stage sees forward weights delayed by `D_s = 2(S−1−s)`
+//!   updates (Eq. 5), with optional weight stashing (Harlap et al., 2018)
+//!   and the paper's mitigations (Spike Compensation, Linear Weight
+//!   Prediction, their combination, SpecTrain) applied per stage, the
+//!   emulation the paper itself used (Appendix G.2). Under
+//!   [`ScheduledConfig::fill_drain`] it is pipeline-parallel mini-batch
+//!   SGDM that fills and drains the pipeline for every update —
+//!   mathematically identical to sequential SGDM (validated bit-for-bit
+//!   in tests) but paying the utilization bound `N/(N+2S)` of Eq. 1. 1F1B
+//!   and 2BP run through the same engine.
+//! * [`ThreadedPipeline`] — the thread-per-stage substrate (one OS thread
+//!   and one single-stage group per stage, crossbeam channels between
+//!   them), demonstrating that PB keeps all workers busy while
+//!   fill-and-drain idles them. The third substrate, process per stage
+//!   group over sockets, lives in `pbp-dist`.
 //! * [`DelayedTrainer`] — the Appendix G.2 simulator: a uniform,
 //!   configurable gradient delay across all layers at arbitrary batch
 //!   size, with consistent or inconsistent weights (Figure 10) and
 //!   mitigation support (Figures 13, 14).
-//! * [`ThreadedPipeline`] — a real multi-threaded pipeline runtime (one OS
-//!   thread per stage, crossbeam channels) demonstrating that PB keeps all
-//!   workers busy while fill-and-drain idles them.
 //! * [`schedule`] — the analytic utilization model behind Figure 2.
 //!
-//! All six engines implement the [`TrainEngine`] trait and share one
-//! observable training loop, [`run_training`], which owns epoch ordering,
-//! evaluation cadence and record collection. Engines report per-stage
-//! [`EngineMetrics`] (updates applied, busy time, effective-delay
-//! histograms, pipeline occupancy); [`TrainHooks`] observe runs and
-//! [`JsonSink`] persists their metrics as JSON. [`EngineSpec`] is a
-//! declarative builder used by the benchmark suite to construct engines
-//! uniformly.
+//! All five engines ([`SgdmTrainer`], [`ScheduledTrainer`],
+//! [`ThreadedPipeline`], [`DelayedTrainer`], [`AsgdTrainer`]) implement
+//! the [`TrainEngine`] trait and share one observable training loop,
+//! [`run_training`], which owns epoch ordering, evaluation cadence and
+//! record collection. Engines report per-stage [`EngineMetrics`] (updates
+//! applied, busy time, effective-delay histograms, pipeline occupancy);
+//! [`TrainHooks`] observe runs and [`JsonSink`] persists their metrics as
+//! JSON. [`EngineSpec`] is a declarative builder used by the benchmark
+//! suite to construct engines uniformly.
 
 pub mod asgd;
 pub mod cell;
 pub mod delayed;
-pub mod emulator;
 pub mod engine;
 pub mod fault;
-pub mod filldrain;
+pub mod group;
 pub mod memory;
 pub mod metrics;
 pub mod resume;
@@ -55,18 +64,17 @@ pub mod trainer;
 pub use asgd::{AsgdTrainer, DelayDistribution};
 pub use cell::StageCell;
 pub use delayed::{DelayedConfig, DelayedTrainer};
-pub use emulator::{PbConfig, PipelinedTrainer};
 pub use engine::{run_training, EngineSpec, RunConfig, TrainEngine};
 pub use fault::{splitmix64, FaultKind, FaultPlan, FaultSpec, PipelineFault, RunError};
-pub use filldrain::FillDrainTrainer;
+pub use group::StageGroup;
 pub use memory::MemoryModel;
 pub use metrics::{
     EngineMetrics, JsonSink, MetricsRecorder, MetricsSink, NoHooks, StageCounters, TraceHooks,
     TrainHooks,
 };
 pub use resume::{
-    latest_snapshot, resume_degraded, resume_training, run_to_crash, run_training_with_snapshots,
-    SnapshotPolicy, SECTION_RUN,
+    latest_snapshot, resume_training, run_to_crash, run_training_with_snapshots, SnapshotPolicy,
+    SECTION_RUN,
 };
 pub use schedule::{
     fill_drain_utilization, pb_utilization, stage_delay, Action, MicrobatchSchedule, ScheduleModel,
@@ -77,6 +85,6 @@ pub use state::SECTION_ENGINE;
 pub use supervisor::{
     degraded_spec, run_supervised, RecoveryPolicy, SupervisedOutcome, SupervisionEvent, Watchdog,
 };
-pub use threaded::{ThreadedConfig, ThreadedPipeline, ThroughputReport};
+pub use threaded::{ThreadedConfig, ThreadedPipeline};
 pub use timeline::{emit_schedule_timeline, schedule_bubble_fraction};
 pub use trainer::{evaluate, EpochRecord, SgdmTrainer, TrainReport};

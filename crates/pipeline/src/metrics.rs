@@ -18,17 +18,18 @@ use std::path::{Path, PathBuf};
 /// The delay histogram maps *effective gradient delay* (updates applied at
 /// this stage between a sample's forward pass and the application of its
 /// gradient) to the number of updates that experienced it. For the
-/// deterministic engines this is the configured delay; for
-/// [`crate::AsgdTrainer`] it is the sampled delay; for the threaded runtime
-/// it is measured from the actual interleaving.
+/// schedule-executing engines — sequential, threaded and distributed
+/// alike — this is the schedule's contracted delay (`⌈D_s/M⌉`, Eq. 5 at
+/// `M = 1`), which the weight-version FIFO enforces; for
+/// [`crate::AsgdTrainer`] it is the sampled delay.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageCounters {
     /// Optimizer updates applied at this stage.
     pub updates: u64,
     /// Wall-clock nanoseconds attributed to this stage's work. Always
-    /// includes optimizer updates; engines that process stages one at a
-    /// time (the PB emulator, the threaded runtime) also attribute their
-    /// per-stage forward/backward compute here.
+    /// includes optimizer updates; engines that execute stage by stage
+    /// (every [`StageGroup`](crate::StageGroup) substrate) also attribute
+    /// their per-stage forward/backward compute here.
     pub busy_ns: u128,
     /// Effective gradient delay → number of updates observing it.
     pub delay_hist: BTreeMap<usize, u64>,
@@ -48,15 +49,6 @@ impl StageCounters {
         self.busy_ns += ns;
     }
 
-    /// Folds another stage's counters into this one.
-    pub fn merge(&mut self, other: &StageCounters) {
-        self.updates += other.updates;
-        self.busy_ns += other.busy_ns;
-        for (&delay, &count) in &other.delay_hist {
-            *self.delay_hist.entry(delay).or_insert(0) += count;
-        }
-    }
-
     /// Mean effective delay over all recorded updates (0 if none).
     pub fn mean_delay(&self) -> f64 {
         if self.updates == 0 {
@@ -68,6 +60,38 @@ impl StageCounters {
             .map(|(&d, &n)| d as f64 * n as f64)
             .sum();
         weighted / self.updates as f64
+    }
+}
+
+impl pbp_snapshot::Snapshottable for StageCounters {
+    // Counters resume monotonically across a restore; the wall-clock
+    // nanosecond totals obviously differ between an interrupted and an
+    // uninterrupted run, but the update counts and delay histograms —
+    // the deterministic part — restore exactly.
+    fn write_state(&self, w: &mut pbp_snapshot::StateWriter) {
+        w.put_u64(self.updates);
+        w.put_u128(self.busy_ns);
+        w.put_u32(self.delay_hist.len() as u32);
+        for (&delay, &count) in &self.delay_hist {
+            w.put_usize(delay);
+            w.put_u64(count);
+        }
+    }
+
+    fn read_state(
+        &mut self,
+        r: &mut pbp_snapshot::StateReader<'_>,
+    ) -> Result<(), pbp_snapshot::SnapshotError> {
+        self.updates = r.take_u64()?;
+        self.busy_ns = r.take_u128()?;
+        let buckets = r.take_u32()? as usize;
+        self.delay_hist.clear();
+        for _ in 0..buckets {
+            let delay = r.take_usize()?;
+            let count = r.take_u64()?;
+            self.delay_hist.insert(delay, count);
+        }
+        Ok(())
     }
 }
 
@@ -178,18 +202,6 @@ impl MetricsRecorder {
         self.train_ns += ns;
     }
 
-    /// Folds externally collected per-stage counters in (used by the
-    /// threaded runtime, whose counters are produced by worker threads).
-    pub fn merge_stage(&mut self, stage: usize, counters: &StageCounters) {
-        self.stages[stage].merge(counters);
-    }
-
-    /// Updates applied at `stage` so far (the weight-version tag tracing
-    /// attaches to spans).
-    pub fn stage_updates(&self, stage: usize) -> u64 {
-        self.stages[stage].updates
-    }
-
     /// Snapshots the counters into an [`EngineMetrics`].
     pub fn snapshot(
         &self,
@@ -208,21 +220,11 @@ impl MetricsRecorder {
 }
 
 impl pbp_snapshot::Snapshottable for MetricsRecorder {
-    // Counters resume monotonically across a restore; the wall-clock
-    // nanosecond totals obviously differ between an interrupted and an
-    // uninterrupted run, but the update counts and delay histograms —
-    // the deterministic part — restore exactly.
     fn write_state(&self, w: &mut pbp_snapshot::StateWriter) {
         w.put_u128(self.train_ns);
         w.put_u32(self.stages.len() as u32);
         for stage in &self.stages {
-            w.put_u64(stage.updates);
-            w.put_u128(stage.busy_ns);
-            w.put_u32(stage.delay_hist.len() as u32);
-            for (&delay, &count) in &stage.delay_hist {
-                w.put_usize(delay);
-                w.put_u64(count);
-            }
+            stage.write_state(w);
         }
     }
 
@@ -239,15 +241,7 @@ impl pbp_snapshot::Snapshottable for MetricsRecorder {
             )));
         }
         for stage in &mut self.stages {
-            stage.updates = r.take_u64()?;
-            stage.busy_ns = r.take_u128()?;
-            let buckets = r.take_u32()? as usize;
-            stage.delay_hist.clear();
-            for _ in 0..buckets {
-                let delay = r.take_usize()?;
-                let count = r.take_u64()?;
-                stage.delay_hist.insert(delay, count);
-            }
+            stage.read_state(r)?;
         }
         Ok(())
     }
@@ -547,11 +541,6 @@ mod tests {
         assert_eq!(c.busy_ns, 160);
         assert_eq!(c.delay_hist[&4], 2);
         assert!((c.mean_delay() - 8.0 / 3.0).abs() < 1e-12);
-        let mut d = StageCounters::default();
-        d.record_update(4, 1);
-        d.merge(&c);
-        assert_eq!(d.updates, 4);
-        assert_eq!(d.delay_hist[&4], 3);
     }
 
     #[test]

@@ -381,49 +381,29 @@ pub fn resume_training(
     snapshot: &Path,
     hooks: &mut dyn TrainHooks,
 ) -> Result<TrainReport, RunError> {
-    let archive = SnapshotArchive::load(snapshot)?;
-    engine.read_state(&archive)?;
-    let state = read_runner_state(&archive, &engine.label(), config.seed)?;
-    match drive(engine, train, val, config, policy, None, state, hooks)? {
-        Outcome::Finished(report) => Ok(report),
-        Outcome::Killed => unreachable!("no kill point configured"),
-    }
+    let label = engine.label();
+    resume_from(engine, train, val, config, policy, snapshot, &label, hooks)
 }
 
-/// Cross-engine resume for the graceful-degradation path: restores only
-/// the **network weights** and the runner's progress (cursor, partial
-/// epoch loss, records) from a snapshot written by a *different* engine —
-/// identified by `from_label` — into a freshly-built fallback `engine`,
-/// then continues the run to completion.
-///
-/// Unlike [`resume_training`] this does **not** restore engine-internal
-/// state: the fallback engine starts with fresh optimizer state (zero
-/// momentum, schedule position at its own `samples_seen`) and empty
-/// pipeline buffers, because the failed engine's internals are
-/// meaningless to it. Weights, data position and collected records carry
-/// over exactly; see DESIGN.md §9 for what determinism this does and
-/// does not preserve.
+/// [`resume_training`] from a snapshot whose run section names the engine
+/// `written_by`. The engine-state section must still be one `engine`
+/// reads: the supervisor's degradation path resumes a threaded engine's
+/// snapshot into the sequential engine of the same configuration, which
+/// shares its state layout but not its label.
 #[allow(clippy::too_many_arguments)]
-pub fn resume_degraded(
+pub(crate) fn resume_from(
     engine: &mut dyn TrainEngine,
     train: &Dataset,
     val: &Dataset,
     config: &RunConfig,
     policy: Option<&SnapshotPolicy>,
     snapshot: &Path,
-    from_label: &str,
+    written_by: &str,
     hooks: &mut dyn TrainHooks,
 ) -> Result<TrainReport, RunError> {
     let archive = SnapshotArchive::load(snapshot)?;
-    pbp_nn::snapshot::read_network(engine.network_mut(), &archive)?;
-    let mut state = read_runner_state(&archive, from_label, config.seed)?;
-    // The fallback engine's update counter starts at zero, so the
-    // recorded cadence position (absolute samples_seen of the old
-    // engine) is meaningless here; restart the cadence clock.
-    if let Some(policy) = policy {
-        state.next_snap =
-            engine.samples_seen() + policy.every_updates * engine.samples_per_update().max(1);
-    }
+    engine.read_state(&archive)?;
+    let state = read_runner_state(&archive, written_by, config.seed)?;
     match drive(engine, train, val, config, policy, None, state, hooks)? {
         Outcome::Finished(report) => Ok(report),
         Outcome::Killed => unreachable!("no kill point configured"),

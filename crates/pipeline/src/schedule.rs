@@ -194,7 +194,7 @@ impl MicrobatchSchedule {
         match self {
             MicrobatchSchedule::PipelinedBackprop => "PB".to_string(),
             MicrobatchSchedule::FillDrain { update_size } => {
-                format!("Fill&Drain (N={update_size})")
+                format!("Fill&Drain SGDM (N={update_size})")
             }
             MicrobatchSchedule::OneFOneB {
                 microbatches_per_update,

@@ -16,18 +16,16 @@
 //!   the snapshot-driven training loop. On a fault it rebuilds the engine
 //!   and resumes from the latest *valid* snapshot with bounded retries and
 //!   exponential backoff; when the fault keeps recurring it degrades to
-//!   the deterministic emulator of the same configuration
-//!   ([`degraded_spec`]) and finishes training there, logging every
+//!   the sequential engine of the same configuration ([`degraded_spec`])
+//!   and finishes training there from the same snapshot, logging every
 //!   fault/restart/degradation through
 //!   [`TrainHooks::on_supervision_event`](crate::metrics::TrainHooks::on_supervision_event).
 
 use crate::engine::{EngineSpec, RunConfig};
 use crate::fault::{PipelineFault, RunError};
-use crate::metrics::{StageCounters, TrainHooks};
-use crate::resume::{
-    resume_degraded, resume_training, run_training_with_snapshots, SnapshotPolicy,
-};
-use crate::threaded::StageSlot;
+use crate::group::StageGroup;
+use crate::metrics::TrainHooks;
+use crate::resume::{resume_from, resume_training, run_training_with_snapshots, SnapshotPolicy};
 use crate::trainer::TrainReport;
 use pbp_nn::{Network, Stage};
 use pbp_snapshot::latest_valid_snapshot;
@@ -78,7 +76,6 @@ impl Watchdog {
 }
 
 /// How a stage worker's run ended.
-#[derive(Debug)]
 pub(crate) enum StageOutcome {
     /// The worker drained its stream and exited its loop.
     Completed,
@@ -86,20 +83,17 @@ pub(crate) enum StageOutcome {
     Panicked(String),
 }
 
-/// A worker's final report: its stage, optimizer slot and counters travel
-/// back to the supervisor by value, so a clean run reassembles the
-/// network without joining on thread results.
-#[derive(Debug)]
+/// A worker's final report: its stage and one-stage group (cell, counters,
+/// trace lane) travel back to the supervisor by value, so a clean run
+/// reassembles the engine state without joining on thread results.
 pub(crate) struct StageDone {
     pub stage_idx: usize,
     pub stage: Stage,
-    pub slot: StageSlot,
-    pub counters: StageCounters,
+    pub group: StageGroup,
     pub outcome: StageOutcome,
 }
 
 /// Worker → supervisor control-plane traffic.
-#[derive(Debug)]
 pub(crate) enum StageEvent {
     /// Rate-limited liveness signal.
     Beat { stage: usize },
@@ -233,9 +227,7 @@ impl StreamSupervisor {
 
     /// Consumes the supervisor: the fault if one was flagged, otherwise
     /// the reassembled per-stage payloads in stage order.
-    pub(crate) fn into_result(
-        self,
-    ) -> Result<Vec<(Stage, StageSlot, StageCounters)>, PipelineFault> {
+    pub(crate) fn into_result(self) -> Result<Vec<(Stage, StageGroup)>, PipelineFault> {
         if let Some(fault) = self.fault {
             return Err(fault);
         }
@@ -244,7 +236,7 @@ impl StreamSupervisor {
             .into_iter()
             .map(|d| {
                 let d = d.expect("no fault implies every stage reported");
-                (d.stage, d.slot, d.counters)
+                (d.stage, d.group)
             })
             .collect())
     }
@@ -258,8 +250,8 @@ pub struct RecoveryPolicy {
     /// Backoff before the first restart; doubles per attempt (capped at
     /// 64×).
     pub backoff: Duration,
-    /// After retries are exhausted, fall back to the deterministic
-    /// emulator ([`degraded_spec`]) instead of failing.
+    /// After retries are exhausted, fall back to the sequential engine
+    /// ([`degraded_spec`]) instead of failing.
     pub degrade: bool,
 }
 
@@ -314,7 +306,7 @@ pub enum SupervisionEvent {
         /// Length of the sleep.
         delay: Duration,
     },
-    /// Retries exhausted; the run switched to the deterministic emulator.
+    /// Retries exhausted; the run switched to the sequential engine.
     Degraded {
         /// Label of the engine taking over.
         to: String,
@@ -355,26 +347,15 @@ pub struct SupervisedOutcome {
     pub degraded: bool,
 }
 
-/// The deterministic emulator equivalent of a threaded spec — where a
-/// supervised run lands when the threaded runtime keeps faulting. The
-/// fill/drain threaded mode maps to [`FillDrainTrainer`](crate::FillDrainTrainer)
-/// at update size one; free-running PB maps to the cycle-accurate
-/// [`PipelinedTrainer`](crate::PipelinedTrainer) with the same mitigation
-/// and stashing. Non-threaded specs have no degraded form.
+/// The sequential equivalent of a threaded spec — where a supervised run
+/// lands when the threaded runtime keeps faulting: the
+/// [`ScheduledTrainer`](crate::ScheduledTrainer) of the same
+/// [`ScheduledConfig`](crate::ScheduledConfig), which executes the same
+/// stage groups on one thread and reads the threaded engine's snapshots.
+/// Non-threaded specs have no degraded form.
 pub fn degraded_spec(spec: &EngineSpec) -> Option<EngineSpec> {
     match spec {
-        EngineSpec::Threaded(cfg) if cfg.drains_per_sample() => Some(EngineSpec::FillDrain {
-            schedule: cfg.schedule.clone(),
-            update_size: 1,
-        }),
-        EngineSpec::Threaded(cfg) => {
-            let mut pb = crate::emulator::PbConfig::plain(cfg.schedule.clone())
-                .with_mitigation(cfg.mitigation);
-            if cfg.weight_stashing {
-                pb = pb.with_weight_stashing();
-            }
-            Some(EngineSpec::Pb(pb))
-        }
+        EngineSpec::Threaded(cfg) => Some(EngineSpec::Scheduled(cfg.run.clone())),
         _ => None,
     }
 }
@@ -387,15 +368,16 @@ pub fn degraded_spec(spec: &EngineSpec) -> Option<EngineSpec> {
 /// from the latest valid snapshot, up to `recovery.max_restarts` times
 /// with doubling backoff. If the fault keeps recurring and
 /// `recovery.degrade` is set, the run switches to [`degraded_spec`] — the
-/// deterministic emulator with the same optimizer configuration — resumes
-/// network weights and run progress from the last valid snapshot (fresh
-/// optimizer state; see DESIGN.md §9), and finishes there, snapshotting
-/// into `policy.dir/degraded`. Every fault, restart and degradation is
-/// reported through `hooks` and returned in the outcome's event log.
+/// sequential engine of the same configuration — restores the full
+/// engine state (weights, optimizers, weight-version FIFOs, counters) and
+/// run progress from the last valid snapshot, and finishes there,
+/// snapshotting into `policy.dir/degraded`. Every fault, restart and
+/// degradation is reported through `hooks` and returned in the outcome's
+/// event log.
 ///
-/// For a deterministic engine (threaded fill/drain), a faulted-and-
-/// resumed run is bit-identical to an uninterrupted one — the same
-/// guarantee [`resume_training`] provides, now applied automatically.
+/// A faulted-and-resumed run — degraded or not — is bit-identical to an
+/// uninterrupted one (DESIGN.md §9): the same guarantee
+/// [`resume_training`] provides, now applied automatically.
 #[allow(clippy::too_many_arguments)]
 pub fn run_supervised(
     spec: &EngineSpec,
@@ -474,7 +456,7 @@ pub fn run_supervised(
 }
 
 /// The degradation tail of [`run_supervised`]: switch the run to the
-/// deterministic emulator and finish it there.
+/// sequential engine and finish it there.
 #[allow(clippy::too_many_arguments)]
 fn run_degraded(
     spec: &EngineSpec,
@@ -497,9 +479,9 @@ fn run_degraded(
     };
     hooks.on_supervision_event(&event);
     events.push(event);
-    // Degraded snapshots go to a subdirectory: the fresh engine's sample
-    // counter restarts, so its snapshot names must not collide with (or be
-    // shadowed by) the faulted run's.
+    // Degraded snapshots go to a subdirectory: they carry the fallback
+    // engine's label, and a later supervised run of the threaded spec
+    // must keep finding its own snapshots in `policy.dir`.
     let degraded_policy = SnapshotPolicy {
         dir: policy.dir.join("degraded"),
         every_updates: policy.every_updates,
@@ -518,7 +500,9 @@ fn run_degraded(
             hooks,
         )?
     } else if let Some(snapshot) = latest_valid_snapshot(&policy.dir)? {
-        resume_degraded(
+        // Both engines write the same engine-state section; only the run
+        // section's label names the threaded engine.
+        resume_from(
             engine.as_mut(),
             train,
             val,
@@ -542,7 +526,7 @@ fn run_degraded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emulator::PbConfig;
+    use crate::scheduled::ScheduledConfig;
     use crate::threaded::ThreadedConfig;
     use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 
@@ -551,27 +535,26 @@ mod tests {
     }
 
     #[test]
-    fn degraded_specs_map_to_deterministic_engines() {
+    fn degraded_specs_map_to_the_sequential_engine() {
         let fd = degraded_spec(&EngineSpec::Threaded(
             ThreadedConfig::fill_drain(schedule()),
-        ));
-        assert!(matches!(
-            fd,
-            Some(EngineSpec::FillDrain { update_size: 1, .. })
-        ));
+        ))
+        .expect("threaded specs degrade");
+        assert_eq!(fd.label(), "Fill&Drain SGDM (N=1)");
         let pb = degraded_spec(&EngineSpec::Threaded(
             ThreadedConfig::pb(schedule())
                 .with_mitigation(Mitigation::scd())
                 .with_weight_stashing(),
         ));
         match pb {
-            Some(EngineSpec::Pb(cfg)) => {
+            Some(EngineSpec::Scheduled(cfg)) => {
                 assert!(cfg.weight_stashing);
-                assert_eq!(cfg.mitigation.label(), Mitigation::scd().label());
+                assert_eq!(cfg.label(), "PB+SCD+WS");
             }
-            other => panic!("expected Pb spec, got {other:?}"),
+            other => panic!("expected a scheduled spec, got {other:?}"),
         }
-        assert!(degraded_spec(&EngineSpec::Pb(PbConfig::plain(schedule()))).is_none());
+        let sequential = EngineSpec::Scheduled(ScheduledConfig::pb(schedule()));
+        assert!(degraded_spec(&sequential).is_none());
     }
 
     #[test]

@@ -3,23 +3,29 @@
 //!
 //! This is the systems half of the paper's claim: pipelined
 //! backpropagation keeps all workers busy after the initial fill, while
-//! fill-and-drain training idles them (Eq. 1). Unlike
-//! [`crate::PipelinedTrainer`] — which emulates PB's weight dynamics
-//! deterministically — this engine runs *actual* concurrent stages: the
-//! gradient delay at each stage emerges from real interleaving rather than
-//! being imposed, mitigations are applied locally per stage exactly as a
-//! hardware pipeline would, and throughput is measured in wall-clock
-//! samples/second.
+//! fill-and-drain training idles them (Eq. 1). Each worker is a one-stage
+//! [`StageGroup`] between two channels — the same executor of stage
+//! semantics the sequential [`ScheduledTrainer`] sweeps and a `pbp-dist`
+//! rank drives between two sockets — so a threaded run of any
+//! [`MicrobatchSchedule`](crate::MicrobatchSchedule) is bit-identical
+//! (weights, f64 loss sum, Eq. 5 delay histograms) to the sequential run
+//! of the same configuration, however the threads interleave. Between
+//! streaming calls the engine's state *is* a [`ScheduledTrainer`]; a call
+//! splits it into per-stage workers and joins it back.
 //!
 //! Design notes:
 //!
-//! * forward channels are **bounded** (back-pressure limits in-flight
-//!   samples to roughly one per stage, the paper's steady state);
-//! * backward channels are **unbounded**, so the forward-blocking chain
-//!   always terminates at the last stage — which computes the loss inline
-//!   and turns straight around into backward — and cannot deadlock;
-//! * each worker drains pending gradients before accepting new forward
-//!   work, which keeps updates flowing and bounds activation stashes;
+//! * each worker forwards whenever its group allows
+//!   ([`StageGroup::can_forward`]) and otherwise retires a backward — the
+//!   rank loop of `pbp-dist`. The in-flight bound is the weight-version
+//!   FIFO (`version_lag + 1` entries), so inter-stage channels are
+//!   unbounded, and a lag-0 plan (fill&drain) drains the pipeline after
+//!   every microbatch by construction;
+//! * the calling thread feeds stage 0 from the [`Dataset`] by index over
+//!   a one-slot channel, so samples are materialized one at a time;
+//! * the last layer stage computes the loss inline and is its own
+//!   downstream neighbour: the loss gradient goes onto its own backward
+//!   channel and waits its turn there;
 //! * every run is **supervised** (DESIGN.md §9): workers run under
 //!   `catch_unwind` on owned (detachable) threads, emit heartbeats to the
 //!   calling thread, and honour a shared abort flag; the calling thread
@@ -29,21 +35,19 @@
 //!   hanging the run. Fault injection for tests is scripted through
 //!   [`FaultPlan`] in the config.
 
-use crate::engine::{batch_rows, TrainEngine};
+use crate::engine::{batch_of_one, batch_rows, TrainEngine};
 use crate::fault::{FaultAction, FaultInjector, FaultPlan, PipelineFault};
-use crate::metrics::{EngineMetrics, MetricsRecorder, StageCounters};
-use crate::schedule::{fill_drain_utilization, pb_utilization, MicrobatchSchedule};
+use crate::group::StageGroup;
+use crate::metrics::EngineMetrics;
+use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
 use crate::supervisor::{StageDone, StageEvent, StageOutcome, StreamSupervisor, Watchdog};
 use crossbeam::channel::{
-    bounded, select2_timeout, unbounded, Receiver, RecvTimeoutError, Select2, SendTimeoutError,
-    Sender,
+    bounded, unbounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender,
 };
 use pbp_data::Dataset;
-use pbp_nn::loss::softmax_cross_entropy;
 use pbp_nn::{Network, Stage};
-use pbp_optim::{LrSchedule, Mitigation, StageOptimizer};
+use pbp_optim::{LrSchedule, Mitigation};
 use pbp_tensor::{pool, Tensor};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,26 +56,15 @@ use std::time::{Duration, Instant};
 /// channel cheap while staying far below any sane stall timeout.
 const BEAT_INTERVAL: Duration = Duration::from_millis(1);
 
+const POISONED: &str = "engine state lost to a pipeline fault; rebuild the engine (see take_fault)";
+
 /// Configuration of the threaded pipeline.
 #[derive(Debug, Clone)]
 pub struct ThreadedConfig {
-    /// Delay-mitigation method, applied per stage with the stage's
-    /// *expected* steady-state delay `D_s = 2(S−1−s)`.
-    pub mitigation: Mitigation,
-    /// Weight stashing: backward uses the exact weights of the forward
-    /// pass.
-    pub weight_stashing: bool,
-    /// Learning-rate schedule (per update applied at each stage).
-    pub schedule: LrSchedule,
-    /// The microbatch schedule the worker threads realize. The runtime
-    /// supports the two plans whose dataflow it physically implements:
-    /// [`MicrobatchSchedule::PipelinedBackprop`] (stream continuously,
-    /// update on every gradient) and [`MicrobatchSchedule::FillDrain`] at
-    /// `update_size == 1` (drain the pipeline after every sample — the
-    /// baseline whose throughput PB beats).
-    pub plan: MicrobatchSchedule,
-    /// Forward-channel capacity (in-flight samples per link).
-    pub channel_capacity: usize,
+    /// What the workers execute: schedule, mitigation, stashing and
+    /// learning-rate schedule — the same value that configures a
+    /// [`ScheduledTrainer`].
+    pub run: ScheduledConfig,
     /// Scripted fault injection (tests and chaos runs); `None` in
     /// production.
     pub fault_plan: Option<FaultPlan>,
@@ -86,42 +79,36 @@ pub struct ThreadedConfig {
 }
 
 impl ThreadedConfig {
-    /// Pipelined backpropagation with the given schedule.
-    pub fn pb(schedule: LrSchedule) -> Self {
+    /// Thread-per-stage execution of `run`.
+    pub fn new(run: ScheduledConfig) -> Self {
         ThreadedConfig {
-            mitigation: Mitigation::None,
-            weight_stashing: false,
-            schedule,
-            plan: MicrobatchSchedule::PipelinedBackprop,
-            channel_capacity: 1,
+            run,
             fault_plan: None,
             watchdog: Watchdog::default(),
             tracer: pbp_trace::Tracer::disabled(),
         }
     }
 
-    /// Fill-and-drain SGD at update size one.
-    pub fn fill_drain(schedule: LrSchedule) -> Self {
-        ThreadedConfig {
-            plan: MicrobatchSchedule::FillDrain { update_size: 1 },
-            ..ThreadedConfig::pb(schedule)
-        }
+    /// Pipelined backpropagation with the given schedule.
+    pub fn pb(schedule: LrSchedule) -> Self {
+        ThreadedConfig::new(ScheduledConfig::pb(schedule))
     }
 
-    /// Whether the plan drains the pipeline after every sample.
-    pub(crate) fn drains_per_sample(&self) -> bool {
-        matches!(self.plan, MicrobatchSchedule::FillDrain { .. })
+    /// Fill-and-drain SGD at update size one — the baseline whose
+    /// throughput PB beats.
+    pub fn fill_drain(schedule: LrSchedule) -> Self {
+        ThreadedConfig::new(ScheduledConfig::fill_drain(1, schedule))
     }
 
     /// Sets the mitigation method.
     pub fn with_mitigation(mut self, mitigation: Mitigation) -> Self {
-        self.mitigation = mitigation;
+        self.run = self.run.with_mitigation(mitigation);
         self
     }
 
     /// Enables weight stashing.
     pub fn with_weight_stashing(mut self) -> Self {
-        self.weight_stashing = true;
+        self.run = self.run.with_weight_stashing();
         self
     }
 
@@ -142,151 +129,75 @@ impl ThreadedConfig {
         self.tracer = tracer;
         self
     }
-}
 
-/// Wall-clock throughput of a threaded run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThroughputReport {
-    /// Samples processed.
-    pub samples: usize,
-    /// Total wall-clock time.
-    pub elapsed: Duration,
-    /// Samples per second.
-    pub samples_per_sec: f64,
+    /// The label the built engine reports.
+    pub(crate) fn label(&self) -> String {
+        format!("Threaded {}", self.run.label())
+    }
 }
 
 struct FwdMsg {
-    id: usize,
-    /// Global microbatch index (the engine's sample counter at send time),
-    /// carried only so trace spans can be tagged across streaming calls.
+    /// Global microbatch index.
     mb: usize,
     stack: Vec<Tensor>,
     label: usize,
 }
 
 struct BwdMsg {
+    mb: usize,
     stack: Vec<Tensor>,
-}
-
-/// Per-stage state that outlives a single streaming call: the stage's
-/// optimizer (velocity, SC/LWP buffers) and its update counter, which
-/// doubles as the stage's schedule position.
-#[derive(Debug)]
-pub(crate) struct StageSlot {
-    pub(crate) opt: StageOptimizer,
-    pub(crate) updates: usize,
-}
-
-/// Everything a successful streaming call hands back to the engine.
-struct StreamOutput {
-    net: Network,
-    losses: Vec<f32>,
-    report: ThroughputReport,
-    counters: Vec<StageCounters>,
-    slots: Vec<StageSlot>,
 }
 
 /// The threaded pipeline runtime (see module docs).
 ///
-/// Use the static [`ThreadedPipeline::train`] /
-/// [`ThreadedPipeline::try_train`] to stream one batch of samples through
-/// a network, or construct a stateful engine with
-/// [`ThreadedPipeline::new`] to drive it through the shared
-/// [`run_training`](crate::engine::run_training) loop. The stateful form
-/// keeps per-stage optimizer state (velocity, SC/LWP buffers, schedule
-/// position) in the engine and lends it to each call's worker threads, so
-/// momentum and the learning-rate schedule carry across epochs exactly as
-/// in the other engines; the static form starts from fresh optimizer
-/// state each call.
+/// [`ThreadedPipeline::stream`] pushes a slice of a dataset through the
+/// worker threads; the [`TrainEngine`] impl drives it through the shared
+/// [`run_training`](crate::engine::run_training) loop. All training state
+/// — weights, per-stage optimizers, weight-version FIFOs, counters — lives
+/// in the engine between calls and is lent to each call's workers, so
+/// momentum, in-flight weight versions and the learning-rate schedule
+/// carry across calls exactly as in the sequential engine.
 ///
-/// On a [`PipelineFault`] the engine is **poisoned**: the network and
-/// optimizer state were lost with the failed workers. The fault is
-/// retrievable once via [`TrainEngine::take_fault`]; recovery means
-/// rebuilding the engine and resuming from a snapshot (see
+/// On a [`PipelineFault`] the engine is **poisoned**: its state was lost
+/// with the failed workers. The fault is retrievable once via
+/// [`TrainEngine::take_fault`]; recovery means rebuilding the engine and
+/// resuming from a snapshot (see
 /// [`run_supervised`](crate::supervisor::run_supervised)).
 pub struct ThreadedPipeline {
-    net: Option<Network>,
+    /// `None` once a fault lost it.
+    state: Option<ScheduledTrainer>,
     config: ThreadedConfig,
-    slots: Vec<StageSlot>,
-    metrics: MetricsRecorder,
-    samples_seen: usize,
-    pipeline_stage_count: usize,
-    last_throughput: Option<ThroughputReport>,
     fault: Option<PipelineFault>,
 }
 
 impl std::fmt::Debug for ThreadedPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ThreadedPipeline({} stages, {}, samples_seen={})",
-            self.pipeline_stage_count,
-            self.config.plan.label(),
-            self.samples_seen
-        )
+        write!(f, "ThreadedPipeline({:?})", self.state)
     }
 }
 
 impl ThreadedPipeline {
-    /// Creates a stateful engine that streams each training call through
-    /// the threaded runtime.
+    /// Creates an engine that streams each training call through one
+    /// worker thread per stage.
     pub fn new(net: Network, config: ThreadedConfig) -> Self {
-        let layer_stages = net.num_stages();
-        let pipeline_stage_count = net.pipeline_stage_count();
-        let slots = Self::fresh_slots(&net, &config);
+        let mut state = ScheduledTrainer::new(net, config.run.clone());
+        state.set_tracer(config.tracer.clone());
         ThreadedPipeline {
-            net: Some(net),
+            state: Some(state),
             config,
-            slots,
-            metrics: MetricsRecorder::new(layer_stages),
-            samples_seen: 0,
-            pipeline_stage_count,
-            last_throughput: None,
             fault: None,
         }
     }
 
-    /// Builds untouched per-stage optimizer slots for `net` under `config`.
-    ///
     /// # Panics
     ///
-    /// Panics if the config's plan is not one the worker threads can
-    /// physically realize.
-    fn fresh_slots(net: &Network, config: &ThreadedConfig) -> Vec<StageSlot> {
-        assert!(
-            matches!(
-                config.plan,
-                MicrobatchSchedule::PipelinedBackprop
-                    | MicrobatchSchedule::FillDrain { update_size: 1 }
-            ),
-            "threaded runtime implements the PB and fill&drain (N=1) dataflows, got {}",
-            config.plan.label()
-        );
-        let pipeline_stages = net.pipeline_stage_count();
-        let hp = config.schedule.at(0);
-        (0..net.num_stages())
-            .map(|s| {
-                let delay = config.plan.stage_delay(s, pipeline_stages);
-                let stage_cfg = config.mitigation.stage_config(delay, s);
-                StageSlot {
-                    opt: StageOptimizer::new(&net.stage(s).params(), stage_cfg, hp),
-                    updates: 0,
-                }
-            })
-            .collect()
+    /// Panics if the engine was poisoned by a [`PipelineFault`].
+    fn state(&self) -> &ScheduledTrainer {
+        self.state.as_ref().expect(POISONED)
     }
 
-    /// Borrows the network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine was poisoned by a [`PipelineFault`] — the
-    /// network was lost with the failed workers; rebuild the engine and
-    /// resume from a snapshot.
-    pub fn network_mut(&mut self) -> &mut Network {
-        self.net
-            .as_mut()
-            .expect("network lost to a pipeline fault; rebuild the engine (see take_fault)")
+    fn state_mut(&mut self) -> &mut ScheduledTrainer {
+        self.state.as_mut().expect(POISONED)
     }
 
     /// Consumes the engine, returning the network.
@@ -295,40 +206,28 @@ impl ThreadedPipeline {
     ///
     /// Panics if the engine was poisoned by a [`PipelineFault`].
     pub fn into_network(self) -> Network {
-        self.net
-            .expect("network lost to a pipeline fault; rebuild the engine (see take_fault)")
+        self.state.expect(POISONED).into_network()
     }
 
-    /// Throughput of the most recent training call, if any.
-    pub fn last_throughput(&self) -> Option<ThroughputReport> {
-        self.last_throughput
-    }
-
-    /// Streams `samples` through the pipeline, accumulating metrics;
-    /// returns per-sample losses in input order. Per-stage optimizer
-    /// state persists across calls (see the type docs). On a fault the
-    /// engine is poisoned and the fault is both returned and stored for
-    /// [`TrainEngine::take_fault`].
-    pub fn try_stream(&mut self, samples: &[(Tensor, usize)]) -> Result<Vec<f32>, PipelineFault> {
-        if samples.is_empty() {
+    /// Streams samples `indices` of `data` through the pipeline, training
+    /// as it goes; returns the per-sample losses in input order. A
+    /// detected stage panic, stall or severed channel returns a typed
+    /// [`PipelineFault`] within the watchdog timeout instead of hanging or
+    /// propagating the panic; the engine is then poisoned and the fault is
+    /// also stored for [`TrainEngine::take_fault`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine was already poisoned.
+    pub fn stream(&mut self, data: &Dataset, indices: &[usize]) -> Result<Vec<f32>, PipelineFault> {
+        if indices.is_empty() {
             return Ok(Vec::new());
         }
-        let net = self
-            .net
-            .take()
-            .expect("network lost to a pipeline fault; rebuild the engine (see take_fault)");
-        let slots = std::mem::take(&mut self.slots);
-        match Self::train_with_slots(net, samples, &self.config, slots, self.samples_seen) {
-            Ok(out) => {
-                self.net = Some(out.net);
-                self.slots = out.slots;
-                for (s, c) in out.counters.iter().enumerate() {
-                    self.metrics.merge_stage(s, c);
-                }
-                self.metrics.add_train_ns(out.report.elapsed.as_nanos());
-                self.samples_seen += samples.len();
-                self.last_throughput = Some(out.report);
-                Ok(out.losses)
+        let state = self.state.take().expect(POISONED);
+        match run_stream(state, data, indices, &self.config) {
+            Ok((state, losses)) => {
+                self.state = Some(state);
+                Ok(losses)
             }
             Err(fault) => {
                 self.fault = Some(fault.clone());
@@ -336,276 +235,191 @@ impl ThreadedPipeline {
             }
         }
     }
+}
 
-    /// [`ThreadedPipeline::try_stream`] with the legacy panic-on-fault
-    /// contract.
-    pub fn stream(&mut self, samples: &[(Tensor, usize)]) -> Vec<f32> {
-        self.try_stream(samples)
-            .unwrap_or_else(|fault| panic!("threaded pipeline fault: {fault}"))
+/// Core supervised runtime: splits `state` into one owned worker thread
+/// per stage, then runs the control plane on the calling thread — feeding
+/// samples with bounded waits, draining heartbeats/losses, checking the
+/// watchdog, and on any fault aborting, draining within the shutdown
+/// grace and detaching whatever will not die. Stage payloads travel back
+/// by value over the events channel, so joins never block on an
+/// unresponsive worker.
+fn run_stream(
+    state: ScheduledTrainer,
+    data: &Dataset,
+    indices: &[usize],
+    config: &ThreadedConfig,
+) -> Result<(ScheduledTrainer, Vec<f32>), PipelineFault> {
+    let ScheduledTrainer {
+        net,
+        group,
+        config: run,
+        train_ns,
+    } = state;
+    let base = group.completed();
+    let end = base + indices.len();
+    let stages = net.into_stages();
+    // Core-aware co-scheduling: the stage workers below are real OS
+    // threads competing with the kernel pool for the same cores. Park
+    // one pool core per *heavy* stage for the duration of the run so
+    // the two layers of parallelism divide the machine instead of
+    // oversubscribing it; the reservation is dropped right after the
+    // run ends. Kernels are bit-identical at any thread count, so
+    // this shifts wall-clock only, never results.
+    let cores = reserve_stage_cores(&stages);
+    let num_layer_stages = stages.len();
+    let poll = config.watchdog.poll.max(Duration::from_millis(1));
+    let mut sup = StreamSupervisor::new(num_layer_stages, config.watchdog.clone());
+    let abort = sup.abort_flag();
+
+    // Backward channels: bwd[s] carries gradients into stage s.
+    let bwd_channels: Vec<(Sender<BwdMsg>, Receiver<BwdMsg>)> =
+        (0..num_layer_stages).map(|_| unbounded()).collect();
+    // Loss results flow out-of-band so reporting a loss never blocks.
+    let (loss_tx, loss_rx) = unbounded::<f32>();
+    // Control plane: heartbeats and final stage reports.
+    let (events_tx, events_rx) = unbounded::<StageEvent>();
+    let (feed_tx, mut next_fwd_rx) = bounded::<FwdMsg>(1);
+
+    let start = Instant::now();
+    let mut handles = Vec::with_capacity(num_layer_stages);
+    for (s, (stage, group)) in stages.into_iter().zip(group.split()).enumerate() {
+        let (fwd_out, fwd_rx) = unbounded::<FwdMsg>();
+        let fwd_in = std::mem::replace(&mut next_fwd_rx, fwd_rx);
+        let last = s + 1 == num_layer_stages;
+        let worker = StageWorker {
+            s,
+            stage,
+            group,
+            end,
+            fwd_in,
+            fwd_out: (!last).then_some(fwd_out),
+            bwd_in: bwd_channels[s].1.clone(),
+            bwd_out: (s > 0).then(|| bwd_channels[s - 1].0.clone()),
+            // The last layer stage terminates the forward pass at the
+            // inline loss instead of forwarding logits: two channel hops
+            // per sample disappear, and with them two context switches on
+            // small cores.
+            loss_out: last.then(|| (loss_tx.clone(), bwd_channels[s].0.clone())),
+            tick: poll,
+            injector: config
+                .fault_plan
+                .as_ref()
+                .map(|p| p.injector_for(s))
+                .unwrap_or_default(),
+            abort: Arc::clone(&abort),
+            events: events_tx.clone(),
+            last_beat: Instant::now(),
+        };
+        handles.push(
+            std::thread::Builder::new()
+                .name(format!("pbp-stage-{s}"))
+                .spawn(move || worker.run_supervised())
+                .expect("spawn stage worker"),
+        );
     }
+    // Drop the original channel endpoints held by this thread so
+    // disconnects propagate once workers finish.
+    drop(next_fwd_rx);
+    drop(bwd_channels);
+    drop(loss_tx);
+    drop(events_tx);
 
-    /// Streams `samples` through the pipeline once, training as it goes.
-    /// Returns the trained network, per-sample losses (in input order) and
-    /// the throughput report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty or the run ends in a
-    /// [`PipelineFault`] (use [`ThreadedPipeline::try_train`] for a typed
-    /// error).
-    pub fn train(
-        net: Network,
-        samples: &[(Tensor, usize)],
-        config: &ThreadedConfig,
-    ) -> (Network, Vec<f32>, ThroughputReport) {
-        Self::try_train(net, samples, config)
-            .unwrap_or_else(|fault| panic!("threaded pipeline fault: {fault}"))
-    }
-
-    /// Fallible [`ThreadedPipeline::train`]: a detected stage panic,
-    /// stall or severed channel returns a typed [`PipelineFault`] within
-    /// the watchdog timeout instead of hanging or propagating the panic.
-    pub fn try_train(
-        net: Network,
-        samples: &[(Tensor, usize)],
-        config: &ThreadedConfig,
-    ) -> Result<(Network, Vec<f32>, ThroughputReport), PipelineFault> {
-        let (net, losses, report, _) = Self::try_train_instrumented(net, samples, config)?;
-        Ok((net, losses, report))
-    }
-
-    /// [`ThreadedPipeline::train`], additionally returning the per-stage
-    /// counters measured by the workers (effective delays included).
-    /// Starts from fresh optimizer state; the stateful engine goes through
-    /// [`ThreadedPipeline::try_stream`] instead, which persists it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`PipelineFault`]; see
-    /// [`ThreadedPipeline::try_train_instrumented`].
-    pub fn train_instrumented(
-        net: Network,
-        samples: &[(Tensor, usize)],
-        config: &ThreadedConfig,
-    ) -> (Network, Vec<f32>, ThroughputReport, Vec<StageCounters>) {
-        Self::try_train_instrumented(net, samples, config)
-            .unwrap_or_else(|fault| panic!("threaded pipeline fault: {fault}"))
-    }
-
-    /// Fallible [`ThreadedPipeline::train_instrumented`].
-    #[allow(clippy::type_complexity)]
-    pub fn try_train_instrumented(
-        net: Network,
-        samples: &[(Tensor, usize)],
-        config: &ThreadedConfig,
-    ) -> Result<(Network, Vec<f32>, ThroughputReport, Vec<StageCounters>), PipelineFault> {
-        let slots = Self::fresh_slots(&net, config);
-        let out = Self::train_with_slots(net, samples, config, slots, 0)?;
-        Ok((out.net, out.losses, out.report, out.counters))
-    }
-
-    /// Core supervised runtime: spawns one owned worker thread per stage,
-    /// then runs the control plane on the calling thread — feeding
-    /// samples with bounded waits, draining heartbeats/losses, checking
-    /// the watchdog, and on any fault aborting, draining within the
-    /// shutdown grace and detaching whatever will not die. Stage payloads
-    /// travel back by value over the events channel, so joins never
-    /// block on an unresponsive worker.
-    fn train_with_slots(
-        net: Network,
-        samples: &[(Tensor, usize)],
-        config: &ThreadedConfig,
-        slots: Vec<StageSlot>,
-        mb_base: usize,
-    ) -> Result<StreamOutput, PipelineFault> {
-        assert!(!samples.is_empty(), "need at least one sample");
-        let stages = net.into_stages();
-        assert_eq!(stages.len(), slots.len(), "one slot per layer stage");
-        // Core-aware co-scheduling: the stage workers below are real OS
-        // threads competing with the kernel pool for the same cores. Park
-        // one pool core per *heavy* stage for the duration of the run so
-        // the two layers of parallelism divide the machine instead of
-        // oversubscribing it; the reservation is dropped right after the
-        // run ends. Kernels are bit-identical at any thread count, so
-        // this shifts wall-clock only, never results.
-        let cores = reserve_stage_cores(&stages);
-        let num_layer_stages = stages.len();
-        let cap = config.channel_capacity.max(1);
-        let poll = config.watchdog.poll.max(Duration::from_millis(1));
-        let mut sup = StreamSupervisor::new(num_layer_stages, config.watchdog.clone());
-        let abort = sup.abort_flag();
-
-        // Backward channels: bwd[s] carries gradients into stage s.
-        let bwd_channels: Vec<(Sender<BwdMsg>, Receiver<BwdMsg>)> =
-            (0..num_layer_stages).map(|_| unbounded()).collect();
-        // Completion channel (fill-and-drain mode only).
-        let (done_tx, done_rx) = unbounded::<()>();
-        // Loss results flow out-of-band on an unbounded channel so
-        // reporting a loss never blocks anyone.
-        let (loss_tx, loss_rx) = unbounded::<(usize, f32)>();
-        // Control plane: heartbeats and final stage reports.
-        let (events_tx, events_rx) = unbounded::<StageEvent>();
-        let (feed_tx, mut next_fwd_rx) = bounded::<FwdMsg>(cap);
-
-        let start = Instant::now();
-        let mut handles = Vec::with_capacity(num_layer_stages);
-        for ((s, stage), slot) in stages.into_iter().enumerate().zip(slots) {
-            let (fwd_out, fwd_rx) = bounded::<FwdMsg>(cap);
-            let fwd_in = std::mem::replace(&mut next_fwd_rx, fwd_rx);
-            let ctx = StageCtx {
-                s,
-                stage,
-                slot,
-                fwd_in,
-                // The last layer stage computes the loss inline instead of
-                // forwarding logits: two channel hops per sample disappear,
-                // and with them two context switches on small cores.
-                fwd_out: (s + 1 != num_layer_stages).then_some(fwd_out),
-                bwd_in: bwd_channels[s].1.clone(),
-                bwd_out: (s > 0).then(|| bwd_channels[s - 1].0.clone()),
-                done: (s == 0 && config.drains_per_sample()).then(|| done_tx.clone()),
-                loss_out: (s + 1 == num_layer_stages).then(|| loss_tx.clone()),
-                config: config.clone(),
-                injector: config
-                    .fault_plan
-                    .as_ref()
-                    .map(|p| p.injector_for(s))
-                    .unwrap_or_default(),
-                abort: Arc::clone(&abort),
-                events: events_tx.clone(),
-            };
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("pbp-stage-{s}"))
-                    .spawn(move || run_stage(ctx))
-                    .expect("spawn stage worker"),
-            );
+    // ---- Control plane (this thread): feeder + watchdog + collector.
+    let mut feed_tx = Some(feed_tx);
+    let mut next = 0usize;
+    let mut pending: Option<FwdMsg> = None;
+    // One producer (the last stage, in microbatch order) on a FIFO
+    // channel: losses arrive in input order.
+    let mut losses: Vec<f32> = Vec::with_capacity(indices.len());
+    loop {
+        while let Ok(event) = events_rx.try_recv() {
+            sup.on_event(event);
         }
-        // Drop the original channel endpoints held by this thread so
-        // disconnects propagate once workers finish.
-        drop(next_fwd_rx);
-        drop(bwd_channels);
-        drop(done_tx);
-        drop(loss_tx);
-        drop(events_tx);
-
-        // ---- Control plane (this thread): feeder + watchdog + collector.
-        let mut feed_tx = Some(feed_tx);
-        let mut next = 0usize;
-        let mut awaiting_drain = false;
-        let mut pending: Option<FwdMsg> = None;
-        let mut loss_pairs: Vec<(usize, f32)> = Vec::new();
-        loop {
-            while let Ok(event) = events_rx.try_recv() {
-                sup.on_event(event);
+        while let Ok(loss) = loss_rx.try_recv() {
+            losses.push(loss);
+        }
+        if sup.all_done() {
+            while let Ok(loss) = loss_rx.try_recv() {
+                losses.push(loss);
             }
-            while let Ok(pair) = loss_rx.try_recv() {
-                loss_pairs.push(pair);
+            if sup.fault().is_none() && losses.len() < indices.len() {
+                sup.flag(PipelineFault::Incomplete {
+                    expected: indices.len(),
+                    completed: losses.len(),
+                });
             }
-            if sup.all_done() {
-                while let Ok(pair) = loss_rx.try_recv() {
-                    loss_pairs.push(pair);
-                }
-                if sup.fault().is_none() && loss_pairs.len() < samples.len() {
-                    sup.flag(PipelineFault::Incomplete {
-                        expected: samples.len(),
-                        completed: loss_pairs.len(),
-                    });
-                }
+            break;
+        }
+        if sup.aborting() {
+            drop(feed_tx.take());
+            if sup.grace_expired() {
                 break;
             }
-            if sup.aborting() {
-                drop(feed_tx.take());
-                if sup.grace_expired() {
-                    break;
-                }
-                if let Ok(event) = events_rx.recv_timeout(poll) {
-                    sup.on_event(event);
-                }
-                continue;
+            if let Ok(event) = events_rx.recv_timeout(poll) {
+                sup.on_event(event);
             }
-            if sup.check_watchdog() {
-                continue;
+            continue;
+        }
+        if sup.check_watchdog() {
+            continue;
+        }
+        if next < indices.len() {
+            let msg = pending.take().unwrap_or_else(|| {
+                let (x, label) = data.sample(indices[next]);
+                FwdMsg {
+                    mb: base + next,
+                    stack: vec![batch_of_one(x)],
+                    label,
+                }
+            });
+            let tx = feed_tx.as_ref().expect("feeder open while not aborting");
+            match tx.send_timeout(msg, poll) {
+                Ok(()) => next += 1,
+                Err(SendTimeoutError::Timeout(m)) => pending = Some(m),
+                Err(SendTimeoutError::Disconnected(_)) => {
+                    sup.flag(PipelineFault::ChannelClosed { stage: 0 })
+                }
             }
-            if awaiting_drain {
-                match done_rx.recv_timeout(poll) {
-                    Ok(()) => awaiting_drain = false,
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        sup.flag(PipelineFault::ChannelClosed { stage: 0 })
-                    }
-                }
-            } else if next < samples.len() {
-                let msg = pending.take().unwrap_or_else(|| {
-                    let (x, label) = &samples[next];
-                    let mut shape = vec![1usize];
-                    shape.extend_from_slice(x.shape());
-                    FwdMsg {
-                        id: next,
-                        mb: mb_base + next,
-                        stack: vec![x.reshape(&shape).expect("same volume")],
-                        label: *label,
-                    }
-                });
-                let tx = feed_tx.as_ref().expect("feeder open while not aborting");
-                match tx.send_timeout(msg, poll) {
-                    Ok(()) => {
-                        next += 1;
-                        if config.drains_per_sample() {
-                            awaiting_drain = true;
-                        }
-                    }
-                    Err(SendTimeoutError::Timeout(m)) => pending = Some(m),
-                    Err(SendTimeoutError::Disconnected(_)) => {
-                        sup.flag(PipelineFault::ChannelClosed { stage: 0 })
-                    }
-                }
-            } else {
-                // End of stream: dropping the feeder starts the shutdown
-                // cascade; park on control-plane events until all report.
-                drop(feed_tx.take());
-                if let Ok(event) = events_rx.recv_timeout(poll) {
-                    sup.on_event(event);
-                }
+        } else {
+            // End of stream: park on control-plane events until all
+            // workers report.
+            drop(feed_tx.take());
+            if let Ok(event) = events_rx.recv_timeout(poll) {
+                sup.on_event(event);
             }
         }
-        drop(feed_tx);
-
-        // Join only workers that already reported in (non-blocking by
-        // construction); the rest are detached and exit on their own once
-        // their blocked operation observes the abort flag or a disconnect.
-        for (s, handle) in handles.into_iter().enumerate() {
-            if sup.is_done(s) {
-                let _ = handle.join();
-            }
-        }
-        drop(cores);
-        let elapsed = start.elapsed();
-
-        let parts = sup.into_result()?;
-        loss_pairs.sort_by_key(|(id, _)| *id);
-        let losses: Vec<f32> = loss_pairs.into_iter().map(|(_, l)| l).collect();
-        let mut net_stages = Vec::with_capacity(num_layer_stages);
-        let mut out_slots = Vec::with_capacity(num_layer_stages);
-        let mut counters = Vec::with_capacity(num_layer_stages);
-        for (stage, slot, c) in parts {
-            net_stages.push(stage);
-            out_slots.push(slot);
-            counters.push(c);
-        }
-        let report = ThroughputReport {
-            samples: samples.len(),
-            elapsed,
-            samples_per_sec: samples.len() as f64 / elapsed.as_secs_f64().max(1e-12),
-        };
-        Ok(StreamOutput {
-            net: Network::new(net_stages),
-            losses,
-            report,
-            counters,
-            slots: out_slots,
-        })
     }
+    drop(feed_tx);
+
+    // Join only workers that already reported in (non-blocking by
+    // construction); the rest are detached and exit on their own once
+    // their blocked operation observes the abort flag or a disconnect.
+    for (s, handle) in handles.into_iter().enumerate() {
+        if sup.is_done(s) {
+            let _ = handle.join();
+        }
+    }
+    drop(cores);
+    let elapsed = start.elapsed();
+
+    let (stages, groups): (Vec<Stage>, Vec<StageGroup>) = sup.into_result()?.into_iter().unzip();
+    // A worker stranded by a severed link can exit early after the last
+    // loss was already reported.
+    let completed = groups.iter().map(StageGroup::completed).min();
+    if completed != Some(end) {
+        return Err(PipelineFault::Incomplete {
+            expected: indices.len(),
+            completed: completed.map_or(0, |c| c - base),
+        });
+    }
+    let state = ScheduledTrainer {
+        net: Network::new(stages),
+        group: StageGroup::join(groups),
+        config: run,
+        train_ns: train_ns + elapsed.as_nanos(),
+    };
+    Ok((state, losses))
 }
 
 /// Counts the stages heavy enough to deserve a dedicated core: those
@@ -638,45 +452,19 @@ fn reserve_stage_cores(stages: &[Stage]) -> Option<pool::CoreReservation> {
 
 impl TrainEngine for ThreadedPipeline {
     fn label(&self) -> String {
-        if self.config.drains_per_sample() {
-            "Threaded Fill&Drain".to_string()
-        } else {
-            let mut label = format!("Threaded {}", self.config.mitigation.label());
-            if self.config.weight_stashing {
-                label.push_str("+WS");
-            }
-            label
-        }
+        self.config.label()
     }
 
     fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
-        let samples: Vec<(Tensor, usize)> = batch_rows(x, labels.len())
-            .into_iter()
-            .zip(labels.iter().copied())
-            .collect();
-        let losses = self.stream(&samples);
-        losses.iter().sum::<f32>() / labels.len() as f32
-    }
-
-    fn train_epoch(&mut self, data: &Dataset, seed: u64, epoch: usize) -> f64 {
-        let order = data.epoch_order(seed, epoch);
-        let (total, samples) = TrainEngine::train_range(self, data, &order);
-        if samples == 0 {
-            0.0
-        } else {
-            total / samples as f64
-        }
+        let classes = labels.iter().max().map_or(0, |&l| l + 1);
+        let batch = Dataset::new(batch_rows(x, labels.len()), labels.to_vec(), classes);
+        let order: Vec<usize> = (0..labels.len()).collect();
+        let (sum, _) = TrainEngine::train_range(self, &batch, &order);
+        (sum / labels.len() as f64) as f32
     }
 
     fn train_range(&mut self, data: &Dataset, indices: &[usize]) -> (f64, usize) {
-        let samples: Vec<(Tensor, usize)> = indices
-            .iter()
-            .map(|&i| {
-                let (x, label) = data.sample(i);
-                (x.clone(), label)
-            })
-            .collect();
-        match self.try_stream(&samples) {
+        match self.stream(data, indices) {
             Ok(losses) => (losses.iter().map(|&l| l as f64).sum::<f64>(), losses.len()),
             // Fault recorded for take_fault; the runner checks it before
             // trusting the (empty) result.
@@ -684,97 +472,61 @@ impl TrainEngine for ThreadedPipeline {
         }
     }
 
+    fn samples_per_update(&self) -> usize {
+        self.state().samples_per_update()
+    }
+
+    fn align_stop(&self, pos: usize, proposed: usize, epoch_len: usize) -> usize {
+        self.state().align_stop(pos, proposed, epoch_len)
+    }
+
+    fn snapshot_ready(&self) -> bool {
+        self.state().snapshot_ready()
+    }
+
     fn take_fault(&mut self) -> Option<PipelineFault> {
         self.fault.take()
     }
 
     fn set_tracer(&mut self, tracer: pbp_trace::Tracer) {
+        if let Some(state) = self.state.as_mut() {
+            state.set_tracer(tracer.clone());
+        }
         self.config.tracer = tracer;
     }
 
+    /// The same engine-state section a [`ScheduledTrainer`] of the same
+    /// [`ScheduledConfig`] writes: either engine resumes the other's
+    /// snapshots.
     fn write_state(&self, snap: &mut pbp_snapshot::SnapshotBuilder) {
-        use pbp_snapshot::Snapshottable;
-        pbp_nn::snapshot::write_network(
-            self.net
-                .as_ref()
-                .expect("cannot snapshot a fault-poisoned engine"),
-            snap,
-        );
-        crate::state::write_engine_section(snap, "threaded", |w| {
-            w.put_usize(self.samples_seen);
-            w.put_u32(self.slots.len() as u32);
-            for slot in &self.slots {
-                w.put_usize(slot.updates);
-                slot.opt.write_state(w);
-            }
-            self.metrics.write_state(w);
-        });
+        self.state().write_state(snap);
     }
 
     fn read_state(
         &mut self,
         archive: &pbp_snapshot::SnapshotArchive,
     ) -> Result<(), pbp_snapshot::SnapshotError> {
-        use pbp_snapshot::Snapshottable;
-        pbp_nn::snapshot::read_network(self.net.as_mut().expect("network present"), archive)?;
-        let mut r = crate::state::engine_reader(archive, "threaded")?;
-        self.samples_seen = r.take_usize()?;
-        let n = r.take_u32()? as usize;
-        if n != self.slots.len() {
-            return Err(pbp_snapshot::SnapshotError::Mismatch(format!(
-                "threaded state for {n} stages, engine has {}",
-                self.slots.len()
-            )));
-        }
-        for slot in &mut self.slots {
-            slot.updates = r.take_usize()?;
-            slot.opt.read_state(&mut r)?;
-        }
-        self.metrics.read_state(&mut r)?;
-        r.finish()
+        self.state_mut().read_state(archive)
     }
 
     fn network_mut(&mut self) -> &mut Network {
-        ThreadedPipeline::network_mut(self)
+        self.state_mut().network_mut()
     }
 
     fn samples_seen(&self) -> usize {
-        self.samples_seen
+        self.state().samples_seen()
     }
 
     fn metrics(&self) -> EngineMetrics {
-        let s = self.pipeline_stage_count;
-        let occupancy = if self.config.drains_per_sample() {
-            Some(fill_drain_utilization(1, s))
-        } else if self.samples_seen > 0 {
-            Some(pb_utilization(self.samples_seen + 2 * s - 2, s))
-        } else {
-            None
-        };
-        self.metrics
-            .snapshot(TrainEngine::label(self), self.samples_seen, occupancy)
+        EngineMetrics {
+            engine: self.config.label(),
+            ..TrainEngine::metrics(self.state())
+        }
     }
 
     fn into_network(self: Box<Self>) -> Network {
         ThreadedPipeline::into_network(*self)
     }
-}
-
-/// Everything one stage worker thread owns.
-struct StageCtx {
-    s: usize,
-    stage: Stage,
-    slot: StageSlot,
-    fwd_in: Receiver<FwdMsg>,
-    fwd_out: Option<Sender<FwdMsg>>,
-    bwd_in: Receiver<BwdMsg>,
-    bwd_out: Option<Sender<BwdMsg>>,
-    done: Option<Sender<()>>,
-    loss_out: Option<Sender<(usize, f32)>>,
-    config: ThreadedConfig,
-    injector: FaultInjector,
-    abort: Arc<AtomicBool>,
-    events: Sender<StageEvent>,
 }
 
 /// Stringifies a `catch_unwind` payload.
@@ -788,118 +540,68 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One stage worker: runs the stream loop under `catch_unwind`, then
-/// ships its stage, optimizer slot, counters and outcome back to the
-/// supervisor over the events channel. Data-plane endpoints are severed
-/// *before* the final report so neighbours unblock even if the body
-/// panicked mid-message.
-fn run_stage(ctx: StageCtx) {
-    let StageCtx {
-        s,
-        stage,
-        slot,
-        fwd_in,
-        fwd_out,
-        bwd_in,
-        bwd_out,
-        done,
-        loss_out,
-        config,
-        injector,
-        abort,
-        events,
-    } = ctx;
-    let lane = config
-        .tracer
-        .lane(pbp_trace::PID_WALL, format!("stage-{s}"), s as i64);
-    let mut worker = StageWorker {
-        s,
-        stage,
-        opt: slot.opt,
-        updates: slot.updates,
-        stash: VecDeque::new(),
-        fwd_marks: VecDeque::new(),
-        mb_marks: VecDeque::new(),
-        counters: StageCounters::default(),
-        fwd_out,
-        bwd_out,
-        done,
-        loss_out,
-        config,
-        injector,
-        abort,
-        events: events.clone(),
-        last_beat: Instant::now(),
-        lane,
-    };
-    let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        worker.run(&fwd_in, &bwd_in)
-    })) {
-        Ok(()) => StageOutcome::Completed,
-        Err(payload) => StageOutcome::Panicked(panic_message(payload.as_ref())),
-    };
-    let StageWorker {
-        stage,
-        opt,
-        updates,
-        counters,
-        fwd_out,
-        bwd_out,
-        done,
-        loss_out,
-        mut lane,
-        ..
-    } = worker;
-    if let StageOutcome::Panicked(msg) = &outcome {
-        lane.instant(pbp_trace::TracePhase::Fault, Some(msg.clone()));
-    }
-    // Dropping the lane flushes the worker's buffered spans into the
-    // shared trace, even after a panic.
-    drop(lane);
-    drop((fwd_out, bwd_out, done, loss_out, fwd_in, bwd_in));
-    let _ = events.send(StageEvent::Done(Box::new(StageDone {
-        stage_idx: s,
-        stage,
-        slot: StageSlot { opt, updates },
-        counters,
-        outcome,
-    })));
-}
-
+/// Everything one stage worker thread owns: a one-stage [`StageGroup`]
+/// and its stage, between two channels.
 struct StageWorker {
     s: usize,
     stage: Stage,
-    opt: StageOptimizer,
-    stash: VecDeque<Vec<Tensor>>,
-    /// Update count at the time of each in-flight forward pass; the
-    /// difference at backward time is the stage's *realized* gradient
-    /// delay (emergent from thread interleaving, not imposed).
-    fwd_marks: VecDeque<usize>,
-    /// Global microbatch index of each in-flight forward, so backward
-    /// trace spans carry the same tag as their forward counterpart.
-    mb_marks: VecDeque<u64>,
-    counters: StageCounters,
-    updates: usize,
-    /// Downstream activation channel; `None` on the last layer stage, which
-    /// terminates the forward pass at the inline loss instead.
+    group: StageGroup,
+    /// Global index one past the last microbatch of this streaming call.
+    end: usize,
+    fwd_in: Receiver<FwdMsg>,
+    /// Downstream activation channel; `None` on the last layer stage.
     fwd_out: Option<Sender<FwdMsg>>,
+    bwd_in: Receiver<BwdMsg>,
     bwd_out: Option<Sender<BwdMsg>>,
-    done: Option<Sender<()>>,
-    /// Per-sample `(id, loss)` reporting channel; `Some` only on the last
-    /// layer stage.
-    loss_out: Option<Sender<(usize, f32)>>,
-    config: ThreadedConfig,
+    /// Last layer stage only: where each loss is reported, and the
+    /// stage's own backward channel — the loss stage is its downstream
+    /// neighbour, so the loss gradient waits its backward turn there like
+    /// any other stage's gradient.
+    loss_out: Option<(Sender<f32>, Sender<BwdMsg>)>,
+    /// Bound on every wait, so the abort flag is observed promptly.
+    tick: Duration,
     injector: FaultInjector,
     abort: Arc<AtomicBool>,
     events: Sender<StageEvent>,
     last_beat: Instant,
-    /// This worker's trace lane (no-op when tracing is disabled).
-    lane: pbp_trace::Lane,
 }
 
 impl StageWorker {
-    fn tick(&self) -> Duration {
-        self.config.watchdog.poll.max(Duration::from_millis(1))
+    /// Runs the stream loop under `catch_unwind`, then ships the stage,
+    /// its group and the outcome back to the supervisor over the events
+    /// channel. Data-plane endpoints are severed *before* the final
+    /// report so neighbours unblock even if the body panicked
+    /// mid-message.
+    fn run_supervised(mut self) {
+        let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run())) {
+            Ok(()) => StageOutcome::Completed,
+            Err(payload) => StageOutcome::Panicked(panic_message(payload.as_ref())),
+        };
+        let StageWorker {
+            s,
+            stage,
+            mut group,
+            fwd_in,
+            fwd_out,
+            bwd_in,
+            bwd_out,
+            loss_out,
+            events,
+            ..
+        } = self;
+        if let StageOutcome::Panicked(msg) = &outcome {
+            group
+                .lane()
+                .instant(pbp_trace::TracePhase::Fault, Some(msg.clone()));
+        }
+        group.flush_trace();
+        drop((fwd_in, fwd_out, bwd_in, bwd_out, loss_out));
+        let _ = events.send(StageEvent::Done(Box::new(StageDone {
+            stage_idx: s,
+            stage,
+            group,
+            outcome,
+        })));
     }
 
     /// Rate-limited liveness signal to the supervisor.
@@ -910,216 +612,87 @@ impl StageWorker {
         }
     }
 
-    /// The stream loop: alternates between draining gradients (update +
-    /// backward send) and accepting forward activations, until the
-    /// upstream closes and all in-flight samples have returned — or the
-    /// supervisor raises the abort flag. All waits are bounded by the
-    /// watchdog poll tick so the abort flag is observed promptly.
-    fn run(&mut self, fwd_in: &Receiver<FwdMsg>, bwd_in: &Receiver<BwdMsg>) {
-        let tick = self.tick();
-        let mut in_flight = 0usize;
-        let mut fwd_open = true;
-        loop {
+    /// The stream loop — the rank loop of `pbp-dist` over channels:
+    /// forward while the group allows, otherwise retire a backward, until
+    /// every microbatch of the call has completed, a neighbour hangs up,
+    /// or the supervisor raises the abort flag.
+    fn run(&mut self) {
+        while self.group.completed() < self.end {
             if self.abort.load(Ordering::Relaxed) {
                 return;
             }
-            // Drain pending gradients first: updates should never wait.
-            while let Ok(msg) = bwd_in.try_recv() {
-                self.handle_bwd(msg);
-                in_flight -= 1;
-            }
-            if !fwd_open && in_flight == 0 {
-                return;
-            }
-            if fwd_open && in_flight > 0 {
-                match select2_timeout(bwd_in, fwd_in, tick) {
-                    Some(Select2::First(Ok(msg))) => {
-                        self.handle_bwd(msg);
-                        in_flight -= 1;
-                    }
-                    // Downstream died with our samples in flight: their
-                    // gradients will never arrive.
-                    Some(Select2::First(Err(_))) => return,
-                    Some(Select2::Second(Ok(msg))) => {
-                        if let Some(grad) = self.handle_fwd(msg) {
-                            self.handle_bwd(grad);
-                        } else {
-                            in_flight += 1;
-                        }
-                    }
-                    Some(Select2::Second(Err(_))) => fwd_open = false,
-                    None => self.beat(),
-                }
-            } else if in_flight > 0 {
-                match bwd_in.recv_timeout(tick) {
-                    Ok(msg) => {
-                        self.handle_bwd(msg);
-                        in_flight -= 1;
-                    }
+            if self.group.forwarded() < self.end && self.group.can_forward() {
+                match self.fwd_in.recv_timeout(self.tick) {
+                    Ok(msg) => self.forward(msg),
                     Err(RecvTimeoutError::Timeout) => self.beat(),
+                    // Upstream died: no more activations will arrive.
                     Err(RecvTimeoutError::Disconnected) => return,
                 }
             } else {
-                match fwd_in.recv_timeout(tick) {
-                    Ok(msg) => {
-                        if let Some(grad) = self.handle_fwd(msg) {
-                            self.handle_bwd(grad);
-                        } else {
-                            in_flight += 1;
-                        }
-                    }
+                match self.bwd_in.recv_timeout(self.tick) {
+                    Ok(msg) => self.backward(msg),
                     Err(RecvTimeoutError::Timeout) => self.beat(),
-                    Err(RecvTimeoutError::Disconnected) => fwd_open = false,
+                    // Downstream died with our samples in flight: their
+                    // gradients will never arrive.
+                    Err(RecvTimeoutError::Disconnected) => return,
                 }
             }
         }
     }
 
-    /// Abort-aware bounded send downstream: retries on back-pressure,
-    /// beating each tick (a full downstream is *their* stall, not ours),
-    /// gives up on disconnect, severed link or abort.
-    fn send_fwd(&mut self, mut msg: FwdMsg) {
-        let tick = self.tick();
-        loop {
-            if self.abort.load(Ordering::Relaxed) {
-                return;
-            }
-            let Some(tx) = &self.fwd_out else {
-                // Severed by fault injection: the sample is silently lost.
-                return;
-            };
-            match tx.send_timeout(msg, tick) {
-                Ok(()) => return,
-                Err(SendTimeoutError::Timeout(m)) => {
-                    msg = m;
-                    self.beat();
-                }
-                Err(SendTimeoutError::Disconnected(_)) => return,
-            }
-        }
-    }
-
-    /// Runs the forward pass and either forwards the activations downstream
-    /// (returning `None`) or — on the last layer stage — computes the loss
-    /// inline and returns the gradient message for an immediate
-    /// [`Self::handle_bwd`] by the caller.
-    fn handle_fwd(&mut self, mut msg: FwdMsg) -> Option<BwdMsg> {
+    /// Runs the forward pass and hands the result on: activations
+    /// downstream, or — on the last layer stage — the loss to the
+    /// collector and its gradient onto this stage's own backward channel.
+    /// A link severed by fault injection silently loses the sample.
+    fn forward(&mut self, mut msg: FwdMsg) {
         self.beat();
-        let start = Instant::now();
-        self.lane.begin(
-            pbp_trace::TracePhase::Forward,
-            Some(msg.mb as u64),
-            Some(self.updates as u64),
+        self.group.forward(
+            std::slice::from_mut(&mut self.stage),
+            &mut msg.stack,
+            msg.mb,
         );
-        self.fwd_marks.push_back(self.updates);
-        self.mb_marks.push_back(msg.mb as u64);
-        let params = self.stage.params();
-        let predicted = if params.is_empty() {
-            None
-        } else {
-            self.opt.forward_weights(&params)
-        };
-        match &predicted {
-            Some(fw) => {
-                let current = self.stage.snapshot();
-                self.stage.load(fw);
-                self.stage.forward(&mut msg.stack);
-                self.stage.load(&current);
-            }
-            None => self.stage.forward(&mut msg.stack),
-        }
-        if self.config.weight_stashing {
-            self.stash
-                .push_back(predicted.unwrap_or_else(|| self.stage.snapshot()));
-        }
-        if let Some(loss_tx) = &self.loss_out {
+        if let Some((report, turn_around)) = &self.loss_out {
             assert_eq!(msg.stack.len(), 1, "loss stage expects a single lane");
-            let (loss, grad) = softmax_cross_entropy(&msg.stack[0], &[msg.label]);
-            let _ = loss_tx.send((msg.id, loss));
-            self.lane.end();
-            self.counters.add_busy_ns(start.elapsed().as_nanos());
-            return Some(BwdMsg { stack: vec![grad] });
+            let (loss, grad) = self.group.loss(&msg.stack[0], msg.label);
+            let _ = report.send(loss);
+            let _ = turn_around.send(BwdMsg {
+                mb: msg.mb,
+                stack: vec![grad],
+            });
+        } else if let Some(tx) = &self.fwd_out {
+            let _ = tx.send(msg);
         }
-        // End the span before the send: downstream back-pressure is the
-        // neighbour's stall, not this stage's compute.
-        self.lane.end();
-        self.counters.add_busy_ns(start.elapsed().as_nanos());
-        self.send_fwd(msg);
-        None
     }
 
-    fn handle_bwd(&mut self, mut msg: BwdMsg) {
+    fn backward(&mut self, mut msg: BwdMsg) {
         self.beat();
         // Fault-injection point: "update N" faults strike while the
         // update is being applied, exactly where a real stage dies.
-        match self.injector.on_update(self.updates) {
+        let update = self.group.completed();
+        match self.injector.on_update(update) {
             FaultAction::None => {}
-            FaultAction::Panic => panic!(
-                "injected fault: stage {} panics at update {}",
-                self.s, self.updates
-            ),
+            FaultAction::Panic => {
+                panic!("injected fault: stage {} panics at update {update}", self.s)
+            }
             FaultAction::Stall(d) => {
-                self.lane.begin(pbp_trace::TracePhase::Stall, None, None);
+                let lane = self.group.lane();
+                lane.begin(pbp_trace::TracePhase::Stall, None, None);
                 std::thread::sleep(d);
-                self.lane.end();
+                lane.end();
             }
             FaultAction::Sever => {
                 self.fwd_out = None;
                 self.bwd_out = None;
-                self.done = None;
                 self.loss_out = None;
             }
         }
-        let start = Instant::now();
-        let mark = self.fwd_marks.pop_front().expect("gradients in fifo order");
-        let mb = self.mb_marks.pop_front();
-        let delay = self.updates - mark;
-        self.lane
-            .begin(pbp_trace::TracePhase::BackwardInput, mb, Some(mark as u64));
-        self.opt
-            .set_hyperparams(self.config.schedule.at(self.updates));
-        self.stage.zero_grads();
-        if self.config.weight_stashing {
-            let stashed = self.stash.pop_front().expect("stash in backward order");
-            if stashed.is_empty() {
-                self.stage.backward(&mut msg.stack);
-            } else {
-                let current = self.stage.snapshot();
-                self.stage.load(&stashed);
-                self.stage.backward(&mut msg.stack);
-                self.stage.load(&current);
-            }
-        } else {
-            self.stage.backward(&mut msg.stack);
-        }
-        let (mut params, grads) = self.stage.params_and_grads();
-        let has_params = !grads.is_empty();
-        self.lane.end();
-        if has_params {
-            self.lane.begin(
-                pbp_trace::TracePhase::Update,
-                mb,
-                Some(self.updates as u64 + 1),
-            );
-            self.opt.step(&mut params, &grads);
-            self.lane.end();
-        }
-        self.updates += 1;
-        if has_params {
-            self.counters
-                .record_update(delay, start.elapsed().as_nanos());
-        } else {
-            self.counters.add_busy_ns(start.elapsed().as_nanos());
-        }
-        match &self.bwd_out {
-            Some(tx) => {
-                let _ = tx.send(msg);
-            }
-            None => {
-                if let Some(done) = &self.done {
-                    let _ = done.send(());
-                }
-            }
+        self.group.backward(
+            std::slice::from_mut(&mut self.stage),
+            &mut msg.stack,
+            msg.mb,
+        );
+        if let Some(tx) = &self.bwd_out {
+            let _ = tx.send(msg);
         }
     }
 }
@@ -1128,10 +701,12 @@ impl StageWorker {
 mod tests {
     use super::*;
     use crate::fault::FaultSpec;
+    use crate::schedule::MicrobatchSchedule;
     use crate::trainer::{evaluate, SgdmTrainer};
     use pbp_data::spirals;
     use pbp_nn::models::mlp;
     use pbp_optim::Hyperparams;
+    use pbp_trace::{TracePhase, Tracer, PID_WALL};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1141,14 +716,9 @@ mod tests {
         LrSchedule::constant(hp)
     }
 
-    fn sample_vec(n: usize) -> Vec<(Tensor, usize)> {
-        let data = spirals(3, n / 3 + 1, 0.05, 3);
-        (0..n)
-            .map(|i| {
-                let (x, l) = data.sample(i % data.len());
-                (x.clone(), l)
-            })
-            .collect()
+    /// `n` sample indices cycling through `data`.
+    fn cyclic(data: &Dataset, n: usize) -> Vec<usize> {
+        (0..n).map(|i| i % data.len()).collect()
     }
 
     #[test]
@@ -1157,16 +727,17 @@ mod tests {
         let net_a = mlp(&[2, 12, 3], &mut rng);
         let mut rng = StdRng::seed_from_u64(0);
         let net_b = mlp(&[2, 12, 3], &mut rng);
-        let samples = sample_vec(40);
-        let cfg = ThreadedConfig::fill_drain(schedule());
-        let (na, losses, _) = ThreadedPipeline::train(net_a, &samples, &cfg);
+        let data = spirals(3, 14, 0.05, 3);
+        let order = cyclic(&data, 40);
+        let mut threaded = ThreadedPipeline::new(net_a, ThreadedConfig::fill_drain(schedule()));
+        let losses = threaded.stream(&data, &order).expect("clean run");
         let mut sgd = SgdmTrainer::new(net_b, schedule(), 1);
         let mut ref_losses = Vec::new();
-        for (x, l) in &samples {
-            let mut shape = vec![1usize];
-            shape.extend_from_slice(x.shape());
-            ref_losses.push(sgd.train_batch(&x.reshape(&shape).unwrap(), &[*l]));
+        for &i in &order {
+            let (x, labels) = data.batch(&[i]);
+            ref_losses.push(sgd.train_batch(&x, &labels));
         }
+        let na = threaded.into_network();
         let nb = sgd.into_network();
         assert_eq!(losses.len(), ref_losses.len());
         for (a, b) in losses.iter().zip(&ref_losses) {
@@ -1174,9 +745,7 @@ mod tests {
         }
         for s in 0..na.num_stages() {
             for (p, q) in na.stage(s).params().iter().zip(nb.stage(s).params()) {
-                for (a, b) in p.as_slice().iter().zip(q.as_slice()) {
-                    assert!((a - b).abs() < 1e-5, "stage {s}");
-                }
+                assert_eq!(p.as_slice(), q.as_slice(), "stage {s}");
             }
         }
     }
@@ -1186,50 +755,75 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let net = mlp(&[2, 16, 16, 3], &mut rng);
         let data = pbp_data::blobs(3, 60, 0.4, 4);
-        let mut samples = Vec::new();
-        for epoch in 0..10 {
-            for &i in &data.epoch_order(5, epoch) {
-                let (x, l) = data.sample(i);
-                samples.push((x.clone(), l));
-            }
-        }
+        let order: Vec<usize> = (0..10).flat_map(|e| data.epoch_order(5, e)).collect();
         let cfg = ThreadedConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd());
-        let (mut net, losses, report) = ThreadedPipeline::train(net, &samples, &cfg);
-        assert_eq!(losses.len(), samples.len());
+        let mut engine = ThreadedPipeline::new(net, cfg);
+        let losses = engine.stream(&data, &order).expect("clean run");
+        assert_eq!(losses.len(), order.len());
         assert!(losses.iter().all(|l| l.is_finite()));
-        assert!(report.samples_per_sec > 0.0);
+        assert!(TrainEngine::metrics(&engine).samples_per_sec() > 0.0);
         // Loss should clearly drop over training.
         let head: f32 = losses[..100].iter().sum::<f32>() / 100.0;
         let tail: f32 = losses[losses.len() - 100..].iter().sum::<f32>() / 100.0;
         assert!(tail < head * 0.8, "head {head} tail {tail}");
-        let (_, acc) = evaluate(&mut net, &data, 16);
+        let (_, acc) = evaluate(engine.network_mut(), &data, 16);
         assert!(acc > 0.8, "threaded PB accuracy {acc}");
     }
 
+    /// Eq. 1 made physical, read off span order instead of a clock: under
+    /// fill&drain no stage begins `Forward(i+1)` before its
+    /// `BackwardInput(i)` has ended (the pipeline drains between
+    /// samples), while under PB stage 0 — always fed — fills its whole
+    /// weight-version FIFO, `version_lag + 1` forwards in flight. A lane
+    /// is recorded by one thread, so its span order is execution order.
     #[test]
-    fn pb_throughput_exceeds_fill_drain() {
-        // Same work, with vs without draining between samples: PB must be
-        // faster in wall-clock terms (this is Eq. 1 made physical). Both
-        // sides are wall-clock measurements racing the rest of the test
-        // binary for cores, so a single sample can invert under scheduler
-        // noise — the claim only has to hold on the best of three.
-        let samples = sample_vec(300);
-        let mut best = (0.0f64, 0.0f64);
-        for _ in 0..3 {
+    fn fill_drain_drains_between_samples_and_pb_fills_its_version_fifo() {
+        let max_in_flight = |config: ThreadedConfig| -> Vec<usize> {
             let mut rng = StdRng::seed_from_u64(2);
-            let net_a = mlp(&[2, 48, 48, 48, 48, 3], &mut rng);
-            let mut rng = StdRng::seed_from_u64(2);
-            let net_b = mlp(&[2, 48, 48, 48, 48, 3], &mut rng);
-            let (_, _, pb) =
-                ThreadedPipeline::train(net_a, &samples, &ThreadedConfig::pb(schedule()));
-            let (_, _, fd) =
-                ThreadedPipeline::train(net_b, &samples, &ThreadedConfig::fill_drain(schedule()));
-            best = (pb.samples_per_sec, fd.samples_per_sec);
-            if pb.samples_per_sec > fd.samples_per_sec {
-                return;
-            }
+            let net = mlp(&[2, 12, 12, 12, 12, 3], &mut rng);
+            let stages = net.num_stages();
+            let data = spirals(3, 20, 0.05, 3);
+            let tracer = Tracer::new();
+            let mut engine = ThreadedPipeline::new(net, config.with_tracer(tracer.clone()));
+            engine.stream(&data, &cyclic(&data, 60)).expect("clean run");
+            let trace = tracer.finish();
+            (0..stages)
+                .map(|s| {
+                    let lane = trace
+                        .lane(PID_WALL, &format!("stage-{s}"))
+                        .expect("stage lane");
+                    let (mut in_flight, mut max) = (0usize, 0usize);
+                    for span in &lane.spans {
+                        match span.phase {
+                            TracePhase::Forward => {
+                                // Forwards and backwards each run in
+                                // microbatch order, so `in_flight` open
+                                // forwards are exactly microbatches
+                                // i-in_flight+1..=i.
+                                in_flight += 1;
+                                max = max.max(in_flight);
+                            }
+                            TracePhase::BackwardInput => in_flight -= 1,
+                            _ => {}
+                        }
+                    }
+                    assert_eq!(in_flight, 0, "stage {s} ends drained");
+                    max
+                })
+                .collect()
+        };
+        let fill_drain = max_in_flight(ThreadedConfig::fill_drain(schedule()));
+        assert!(
+            fill_drain.iter().all(|&m| m == 1),
+            "fill&drain overlapped samples: {fill_drain:?}"
+        );
+        let pb = max_in_flight(ThreadedConfig::pb(schedule()));
+        let lag0 = MicrobatchSchedule::PipelinedBackprop.stage_version_lag(0, pb.len() + 1);
+        assert_eq!(pb[0], lag0 + 1, "stage 0 fills its version FIFO: {pb:?}");
+        for (s, &m) in pb.iter().enumerate() {
+            let lag = MicrobatchSchedule::PipelinedBackprop.stage_version_lag(s, pb.len() + 1);
+            assert!(m <= lag + 1, "stage {s} outran its version FIFO: {pb:?}");
         }
-        panic!("pb {} vs fill&drain {}", best.0, best.1);
     }
 
     #[test]
@@ -1245,26 +839,15 @@ mod tests {
     }
 
     #[test]
-    fn weight_stashing_mode_runs() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let net = mlp(&[2, 16, 3], &mut rng);
-        let samples = sample_vec(60);
-        let cfg = ThreadedConfig::pb(schedule()).with_weight_stashing();
-        let (_, losses, _) = ThreadedPipeline::train(net, &samples, &cfg);
-        assert_eq!(losses.len(), 60);
-        assert!(losses.iter().all(|l| l.is_finite()));
-    }
-
-    #[test]
-    fn injected_panic_poisons_stateful_engine_with_typed_fault() {
+    fn injected_panic_poisons_the_engine_with_a_typed_fault() {
         let mut rng = StdRng::seed_from_u64(4);
         let net = mlp(&[2, 8, 8, 3], &mut rng);
         let cfg = ThreadedConfig::fill_drain(schedule())
             .with_fault_plan(FaultPlan::new(0).with(FaultSpec::panic_at(1, 3)))
             .with_watchdog(Watchdog::fast());
         let mut engine = ThreadedPipeline::new(net, cfg);
-        let samples = sample_vec(20);
-        let err = engine.try_stream(&samples).unwrap_err();
+        let data = spirals(3, 7, 0.05, 3);
+        let err = engine.stream(&data, &cyclic(&data, 20)).unwrap_err();
         assert!(
             matches!(err, PipelineFault::StagePanicked { stage: 1, .. }),
             "{err}"

@@ -6,9 +6,9 @@
 //! * (b) a kill-at-update-N plus supervisor auto-resume of the
 //!   deterministic threaded fill/drain engine is bit-identical to the
 //!   uninterrupted run;
-//! * (c) a repeatedly-failing stage degrades the run to the deterministic
-//!   emulator, which completes training with the switchover recorded in
-//!   the metrics output.
+//! * (c) a repeatedly-failing stage degrades the run to the sequential
+//!   engine, which completes training bit-identically to an unfaulted
+//!   run, with the switchover recorded in the metrics output.
 
 use pbp_data::{blobs, Dataset};
 use pbp_nn::models::mlp;
@@ -20,7 +20,6 @@ use pbp_pipeline::{
     ThreadedConfig, ThreadedPipeline, Watchdog,
 };
 use pbp_snapshot::{latest_valid_snapshot, SnapshotArchive};
-use pbp_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,13 +36,15 @@ fn fresh_net(seed: u64) -> Network {
     mlp(&[2, 8, 8, 3], &mut rng)
 }
 
-fn sample_vec(data: &Dataset, n: usize) -> Vec<(Tensor, usize)> {
-    (0..n)
-        .map(|i| {
-            let (x, l) = data.sample(i % data.len());
-            (x.clone(), l)
-        })
-        .collect()
+/// Streams `n` samples cycling through `data` into a fresh engine.
+fn stream(
+    net: Network,
+    cfg: ThreadedConfig,
+    data: &Dataset,
+    n: usize,
+) -> Result<Vec<f32>, PipelineFault> {
+    let order: Vec<usize> = (0..n).map(|i| i % data.len()).collect();
+    ThreadedPipeline::new(net, cfg).stream(data, &order)
 }
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -58,12 +59,11 @@ fn tmpdir(name: &str) -> PathBuf {
 #[test]
 fn forced_stage_panic_returns_typed_error_not_deadlock() {
     let data = blobs(3, 10, 0.4, 1);
-    let samples = sample_vec(&data, 30);
     let cfg = ThreadedConfig::pb(schedule())
         .with_fault_plan(FaultPlan::new(0).with(FaultSpec::panic_at(1, 5)))
         .with_watchdog(Watchdog::fast());
     let start = Instant::now();
-    let err = ThreadedPipeline::try_train(fresh_net(1), &samples, &cfg).unwrap_err();
+    let err = stream(fresh_net(1), cfg, &data, 30).unwrap_err();
     let elapsed = start.elapsed();
     assert!(
         matches!(err, PipelineFault::StagePanicked { stage: 1, .. }),
@@ -83,7 +83,6 @@ fn forced_stage_panic_returns_typed_error_not_deadlock() {
 #[test]
 fn injected_stall_is_flagged_by_watchdog_within_timeout() {
     let data = blobs(3, 10, 0.4, 2);
-    let samples = sample_vec(&data, 30);
     let cfg = ThreadedConfig::fill_drain(schedule())
         .with_fault_plan(FaultPlan::new(0).with(FaultSpec::stall_at(
             1,
@@ -92,7 +91,7 @@ fn injected_stall_is_flagged_by_watchdog_within_timeout() {
         )))
         .with_watchdog(Watchdog::fast().with_stall_timeout(Duration::from_millis(100)));
     let start = Instant::now();
-    let err = ThreadedPipeline::try_train(fresh_net(2), &samples, &cfg).unwrap_err();
+    let err = stream(fresh_net(2), cfg, &data, 30).unwrap_err();
     let elapsed = start.elapsed();
     match err {
         PipelineFault::StageStalled { stage, stalled_for } => {
@@ -127,16 +126,15 @@ proptest! {
             .with_fault_plan(plan)
             .with_watchdog(Watchdog::fast());
         let data = blobs(3, 10, 0.4, 3);
-        let samples = sample_vec(&data, 40);
         let start = Instant::now();
-        let result = ThreadedPipeline::try_train(net, &samples, &cfg);
+        let result = stream(net, cfg, &data, 40);
         let elapsed = start.elapsed();
         prop_assert!(
             elapsed < Duration::from_secs(20),
             "seed {seed}: near-hang, took {elapsed:?}"
         );
         match result {
-            Ok((_, losses, _)) => prop_assert_eq!(losses.len(), samples.len()),
+            Ok(losses) => prop_assert_eq!(losses.len(), 40),
             Err(fault) => {
                 // Any typed fault is an acceptable terminal state; its
                 // Display must not panic either.
@@ -146,12 +144,30 @@ proptest! {
     }
 }
 
-/// (b) Kill at update N, then supervisor auto-resume: for the
-/// deterministic threaded fill/drain engine the recovered run must be
-/// bit-identical to an uninterrupted one — same epoch records, same
-/// final weights.
+/// Final weights are byte-identical: compares the `net` sections of the
+/// final snapshots two runs wrote on completion.
+fn assert_final_snapshots_match(clean_dir: &std::path::Path, chaos_dir: &std::path::Path) {
+    let clean_snap = latest_valid_snapshot(clean_dir).unwrap().unwrap();
+    let chaos_snap = latest_valid_snapshot(chaos_dir).unwrap().unwrap();
+    assert_eq!(
+        clean_snap.file_name(),
+        chaos_snap.file_name(),
+        "both runs end at the same sample count"
+    );
+    let clean_net = SnapshotArchive::load(&clean_snap).unwrap();
+    let chaos_net = SnapshotArchive::load(&chaos_snap).unwrap();
+    assert_eq!(
+        clean_net.section("net").unwrap(),
+        chaos_net.section("net").unwrap(),
+        "final network weights must be bit-identical"
+    );
+}
+
+/// (b) Kill at update N, then supervisor auto-resume: the recovered run
+/// must be bit-identical to an uninterrupted one — same epoch records,
+/// same final weights.
 #[test]
-fn supervised_recovery_is_bit_identical_for_deterministic_engine() {
+fn supervised_recovery_is_bit_identical() {
     let data = blobs(3, 10, 0.4, 9);
     let (train, val) = data.split(0.25);
     let config = RunConfig::new(2, 17);
@@ -203,40 +219,46 @@ fn supervised_recovery_is_bit_identical_for_deterministic_engine() {
         assert_eq!(a, b, "records diverged after recovery");
     }
 
-    // Final weights are byte-identical: compare the `net` sections of the
-    // final snapshots both runs wrote on completion.
-    let clean_snap = latest_valid_snapshot(&clean_dir).unwrap().unwrap();
-    let chaos_snap = latest_valid_snapshot(&chaos_dir).unwrap().unwrap();
-    assert_eq!(
-        clean_snap.file_name(),
-        chaos_snap.file_name(),
-        "both runs end at the same sample count"
-    );
-    let clean_net = SnapshotArchive::load(&clean_snap).unwrap();
-    let chaos_net = SnapshotArchive::load(&chaos_snap).unwrap();
-    assert_eq!(
-        clean_net.section("net").unwrap(),
-        chaos_net.section("net").unwrap(),
-        "final network weights must be bit-identical"
-    );
+    assert_final_snapshots_match(&clean_dir, &chaos_dir);
 
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&chaos_dir);
 }
 
 /// (c) A hard (recurring) fault exhausts retries and degrades to the
-/// deterministic emulator, which completes the run; the switchover is
-/// visible in the recorded metrics JSON.
+/// sequential engine, which restores the threaded engine's full state —
+/// optimizers and weight-version FIFOs included — and completes the run
+/// bit-identically to an unfaulted one; the switchover is visible in the
+/// recorded metrics JSON. PB with LWP+SC makes the carried-over state
+/// matter: momentum, the prediction buffers and six in-flight weight
+/// versions at stage 0 all cross the engine switch.
 #[test]
 fn repeated_fault_degrades_to_emulator_and_completes() {
     let data = blobs(3, 8, 0.4, 11);
     let (train, val) = data.split(0.25);
     let config = RunConfig::new(2, 23);
+    let threaded = || {
+        ThreadedConfig::pb(schedule())
+            .with_mitigation(pbp_optim::Mitigation::lwpv_scd())
+            .with_watchdog(Watchdog::fast())
+    };
+
+    // Unfaulted reference run with the same snapshot cadence.
+    let clean_dir = tmpdir("degrade_clean");
+    let mut clean_engine = EngineSpec::Threaded(threaded()).build(fresh_net(13));
+    let clean_report = run_training_with_snapshots(
+        clean_engine.as_mut(),
+        &train,
+        &val,
+        &config,
+        &SnapshotPolicy::new(&clean_dir, 2),
+        &mut NoHooks,
+    )
+    .expect("clean run");
+
     let dir = tmpdir("degrade");
     let spec = EngineSpec::Threaded(
-        ThreadedConfig::fill_drain(schedule())
-            .with_fault_plan(FaultPlan::new(0).with(FaultSpec::panic_at(1, 5).recurring()))
-            .with_watchdog(Watchdog::fast()),
+        threaded().with_fault_plan(FaultPlan::new(0).with(FaultSpec::panic_at(1, 5).recurring())),
     );
     let sink_path = dir.join("metrics.json");
     let mut sink = JsonSink::new(&sink_path);
@@ -258,21 +280,19 @@ fn repeated_fault_degrades_to_emulator_and_completes() {
         SupervisionEvent::Degraded { to } => Some(to.clone()),
         _ => None,
     });
-    assert_eq!(degraded_to.as_deref(), Some("Fill&Drain SGDM (N=1)"));
-    // Training finished: one record per epoch, all finite.
-    assert_eq!(outcome.report.records.len(), config.epochs);
-    assert!(outcome
-        .report
-        .records
-        .iter()
-        .all(|r| r.train_loss.is_finite() && r.val_acc.is_finite()));
+    assert_eq!(degraded_to.as_deref(), Some("PB+LWPvD+SCD"));
+    // The degraded run is indistinguishable from the unfaulted one:
+    // f64-exact epoch records, byte-identical final weights.
+    assert_eq!(clean_report.records, outcome.report.records);
+    assert_final_snapshots_match(&clean_dir, &dir.join("degraded"));
 
     // The switchover shows up in the metrics the sink recorded.
     let json = sink.to_json();
     assert!(json.contains("\"supervision\":["), "{json}");
-    assert!(json.contains("degraded to Fill&Drain SGDM (N=1)"), "{json}");
+    assert!(json.contains("degraded to PB+LWPvD+SCD"), "{json}");
     assert!(json.contains("panicked"), "{json}");
 
+    let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

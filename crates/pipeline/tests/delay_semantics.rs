@@ -1,4 +1,4 @@
-//! Verifies Eq. 5 directly: in the PB emulator, the forward pass of sample
+//! Verifies Eq. 5 directly: under the PB plan, the forward pass of sample
 //! `i` at stage `s` must see the weights as they were after exactly
 //! `max(0, i − D_s)` updates, with `D_s = 2(S−1−s)`.
 //!
@@ -10,7 +10,7 @@
 use pbp_nn::layer::{LaneStack, Layer};
 use pbp_nn::{Network, Stage};
 use pbp_optim::{Hyperparams, LrSchedule};
-use pbp_pipeline::{PbConfig, PipelinedTrainer};
+use pbp_pipeline::{ScheduledConfig, ScheduledTrainer};
 use pbp_tensor::Tensor;
 use std::sync::{Arc, Mutex};
 
@@ -108,7 +108,7 @@ fn forward_weight_versions_follow_eq5() {
 
     // lr = 1, m = 0: every update adds exactly +1 to each probe weight.
     let schedule = LrSchedule::constant(Hyperparams::new(1.0, 0.0));
-    let mut trainer = PipelinedTrainer::new(net, PbConfig::plain(schedule));
+    let mut trainer = ScheduledTrainer::new(net, ScheduledConfig::pb(schedule));
 
     let n_samples = 40usize;
     let x = Tensor::zeros(&[1]);
@@ -144,7 +144,8 @@ fn weight_stashing_reuses_the_forward_version_on_backward() {
     ];
     let net = Network::new(stages);
     let schedule = LrSchedule::constant(Hyperparams::new(1.0, 0.0));
-    let mut trainer = PipelinedTrainer::new(net, PbConfig::plain(schedule).with_weight_stashing());
+    let mut trainer =
+        ScheduledTrainer::new(net, ScheduledConfig::pb(schedule).with_weight_stashing());
     let x = Tensor::zeros(&[1]);
     for _ in 0..10 {
         trainer.train_sample(&x, 0);

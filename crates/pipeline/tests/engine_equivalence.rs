@@ -2,9 +2,10 @@
 //! the DESIGN.md §5 equivalences still hold under the unified interface:
 //!
 //! * fill-and-drain at N = 1 is bit-identical to sequential SGDM;
-//! * the PB emulator with all delays forced to 0 is bit-identical to SGDM;
-//! * the threaded fill-and-drain runtime matches sequential SGDM;
-//! * the PB emulator's measured delay histogram is exactly Eq. 5.
+//! * a uniform delay of 0 at every stage is bit-identical to SGDM;
+//! * the thread-per-stage runtime is bit-identical to the sequential
+//!   engine for every plan — weights, f64 loss sums, delay histograms;
+//! * the PB plan's measured delay histogram is exactly Eq. 5.
 
 use pbp_data::{blobs, DatasetSpec, SyntheticImages};
 use pbp_nn::models::{mlp, simple_cnn};
@@ -12,7 +13,7 @@ use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
     run_training, stage_delay, DelayDistribution, DelayedConfig, EngineSpec, JsonSink, MetricsSink,
-    NoHooks, PbConfig, RunConfig, ScheduledConfig, ThreadedConfig,
+    MicrobatchSchedule, NoHooks, RunConfig, ScheduledConfig, ThreadedConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,16 +35,6 @@ fn assert_networks_equal(a: &Network, b: &Network, context: &str) {
     }
 }
 
-fn assert_networks_close(a: &Network, b: &Network, tol: f32, context: &str) {
-    for s in 0..a.num_stages() {
-        for (p, q) in a.stage(s).params().iter().zip(b.stage(s).params()) {
-            for (x, y) in p.as_slice().iter().zip(q.as_slice()) {
-                assert!((x - y).abs() < tol, "{context}: stage {s}: {x} vs {y}");
-            }
-        }
-    }
-}
-
 /// Every engine spec, as the bench suite would construct them.
 fn all_specs() -> Vec<EngineSpec> {
     vec![
@@ -51,11 +42,10 @@ fn all_specs() -> Vec<EngineSpec> {
             schedule: schedule(),
             batch: 4,
         },
-        EngineSpec::FillDrain {
-            schedule: schedule(),
-            update_size: 4,
-        },
-        EngineSpec::Pb(PbConfig::plain(schedule()).with_mitigation(Mitigation::lwpv_scd())),
+        EngineSpec::Scheduled(ScheduledConfig::fill_drain(4, schedule())),
+        EngineSpec::Scheduled(
+            ScheduledConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
+        ),
         EngineSpec::Delayed(DelayedConfig::consistent(2, 4, schedule())),
         EngineSpec::Asgd {
             distribution: DelayDistribution::Uniform { max: 3 },
@@ -108,10 +98,7 @@ fn fill_drain_n1_is_bit_identical_to_sgdm_batch_1() {
         schedule: schedule(),
         batch: 1,
     };
-    let fd_spec = EngineSpec::FillDrain {
-        schedule: schedule(),
-        update_size: 1,
-    };
+    let fd_spec = EngineSpec::Scheduled(ScheduledConfig::fill_drain(1, schedule()));
     let mut sgdm = sgdm_spec.build(fresh_net(21));
     let mut fd = fd_spec.build(fresh_net(21));
     let report_a = run_training(sgdm.as_mut(), &train, &val, &config, &mut NoHooks);
@@ -128,14 +115,14 @@ fn fill_drain_n1_is_bit_identical_to_sgdm_batch_1() {
 }
 
 #[test]
-fn pb_with_zero_delay_is_bit_identical_to_sgdm_batch_1() {
+fn zero_uniform_delay_is_bit_identical_to_sgdm_batch_1() {
     let data = blobs(3, 24, 0.4, 2);
     let (train, val) = data.split(0.25);
     let config = RunConfig::new(3, 6);
 
-    let mut pb_cfg = PbConfig::plain(schedule());
-    pb_cfg.delay_override = Some(0);
-    let mut pb = EngineSpec::Pb(pb_cfg).build(fresh_net(22));
+    let zero_delay =
+        ScheduledConfig::new(MicrobatchSchedule::UniformDelay { delay: 0 }, schedule());
+    let mut pb = EngineSpec::Scheduled(zero_delay).build(fresh_net(22));
     let mut sgdm = EngineSpec::Sgdm {
         schedule: schedule(),
         batch: 1,
@@ -155,17 +142,17 @@ fn pb_with_zero_delay_is_bit_identical_to_sgdm_batch_1() {
     assert_networks_equal(
         &pb.into_network(),
         &sgdm.into_network(),
-        "PB delay_override=0 vs SGDM batch 1",
+        "UniformDelay(0) vs SGDM batch 1",
     );
 }
 
 #[test]
-fn threaded_fill_drain_matches_sgdm_batch_1() {
+fn threaded_fill_drain_is_bit_identical_to_sgdm_batch_1() {
     let data = blobs(3, 30, 0.4, 3);
     let (train, val) = data.split(0.2);
-    // Two epochs: the threaded engine's per-stage optimizer state now
-    // persists across training calls, so momentum carries over epoch
-    // boundaries exactly as in the sequential engines.
+    // Two epochs: the threaded engine's state persists across training
+    // calls, so momentum carries over epoch boundaries exactly as in the
+    // sequential engines.
     let config = RunConfig::new(2, 8);
 
     let mut threaded =
@@ -178,7 +165,7 @@ fn threaded_fill_drain_matches_sgdm_batch_1() {
     run_training(threaded.as_mut(), &train, &val, &config, &mut NoHooks);
     run_training(sgdm.as_mut(), &train, &val, &config, &mut NoHooks);
 
-    // Draining after every sample forces effective delay 0 at every stage.
+    // A lag-0 group drains after every sample: effective delay 0.
     let metrics = threaded.metrics();
     assert!(metrics.total_updates() > 0);
     for (s, stage) in metrics.stages.iter().enumerate() {
@@ -186,60 +173,111 @@ fn threaded_fill_drain_matches_sgdm_batch_1() {
             assert_eq!(delay, 0, "stage {s}");
         }
     }
-    assert_networks_close(
+    assert_networks_equal(
         &threaded.into_network(),
         &sgdm.into_network(),
-        1e-5,
         "threaded fill&drain vs SGDM batch 1",
     );
 }
 
-/// The kernel worker pool must never change training results: a threaded
-/// pipeline run with the pool disabled (`max_threads = 1`, every GEMM
-/// serial) and one with it enabled (8 threads) must land on bit-identical
-/// final weights from the same seed.
-///
-/// Fill-and-drain mode pins the sample/update schedule (the free-running PB
-/// schedule depends on real thread timing), so the kernel pool is the only
-/// variable. The network is sized so its inner conv GEMMs (16 channels on
-/// 12×12 feature maps → m·k·n ≈ 330k elements) cross the parallel-dispatch
-/// threshold — with `max_threads = 8` those products really do fan out
-/// across pool workers *from inside the engine's stage threads*.
-#[test]
-fn threaded_engine_is_bit_identical_with_kernel_pool_on_and_off() {
-    let gen = SyntheticImages::new(DatasetSpec::cifar_sim(12), 0xD15C);
-    let train = gen.generate(12, 0);
-    let val = gen.generate(6, 1);
-    let config = RunConfig::new(1, 13);
-
-    let run = |threads: usize| {
-        pbp_tensor::pool::set_max_threads(threads);
-        let mut rng = StdRng::seed_from_u64(42);
-        let net = simple_cnn(3, 16, 2, train.num_classes(), &mut rng);
-        let mut engine = EngineSpec::Threaded(ThreadedConfig::fill_drain(schedule())).build(net);
-        let report = run_training(engine.as_mut(), &train, &val, &config, &mut NoHooks);
-        pbp_tensor::pool::set_max_threads(1);
-        (engine.into_network(), report)
-    };
-
-    let (net_serial, report_serial) = run(1);
-    let (net_pooled, report_pooled) = run(8);
-    for (a, b) in report_serial.records.iter().zip(&report_pooled.records) {
-        assert_eq!(a.train_loss, b.train_loss, "per-epoch loss must match");
-        assert_eq!(a.val_acc, b.val_acc, "per-epoch accuracy must match");
+/// Runs `run` on one thread and on a thread per stage from the same
+/// initial network and asserts the two are indistinguishable: epoch
+/// records (the f64 training-loss sums included), per-stage update counts
+/// and delay histograms, final weights.
+fn assert_threaded_matches_scheduled(
+    run: ScheduledConfig,
+    make_net: &dyn Fn() -> Network,
+    train: &pbp_data::Dataset,
+    val: &pbp_data::Dataset,
+) {
+    let label = run.label();
+    let config = RunConfig::new(2, 14);
+    let mut scheduled = EngineSpec::Scheduled(run.clone()).build(make_net());
+    let mut threaded = EngineSpec::Threaded(ThreadedConfig::new(run)).build(make_net());
+    let report_s = run_training(scheduled.as_mut(), train, val, &config, &mut NoHooks);
+    let report_t = run_training(threaded.as_mut(), train, val, &config, &mut NoHooks);
+    assert_eq!(report_s.records, report_t.records, "{label}: epoch records");
+    let (metrics_s, metrics_t) = (scheduled.metrics(), threaded.metrics());
+    assert_eq!(metrics_s.occupancy, metrics_t.occupancy, "{label}");
+    for (s, (a, b)) in metrics_s.stages.iter().zip(&metrics_t.stages).enumerate() {
+        assert_eq!(a.updates, b.updates, "{label}: stage {s} update counts");
+        assert_eq!(a.delay_hist, b.delay_hist, "{label}: stage {s} delays");
     }
     assert_networks_equal(
-        &net_serial,
-        &net_pooled,
-        "threaded engine, kernel pool off vs on",
+        &scheduled.into_network(),
+        &threaded.into_network(),
+        &format!("Threaded({label}) vs Scheduled({label})"),
     );
 }
 
+/// The thread-per-stage runtime executes the same stage groups as the
+/// sequential engine, so for every plan — however the threads interleave
+/// — it lands on the same bits. 54 training samples per epoch leave the
+/// M = 4 plans' update windows straddling the epoch boundary.
 #[test]
-fn pb_emulator_delay_histogram_matches_eq5() {
+fn threaded_is_bit_identical_to_scheduled_for_every_plan() {
+    let data = blobs(3, 24, 0.4, 8);
+    let (train, val) = data.split(0.25);
+    let make_net = || {
+        let mut rng = StdRng::seed_from_u64(28);
+        mlp(&[2, 10, 10, 3], &mut rng)
+    };
+    // Batch-8 reference scaled to update size one (Eq. 9), so delayed PB
+    // trains instead of diverging: NaN records would compare unequal.
+    let schedule = || {
+        LrSchedule::constant(pbp_optim::scale_hyperparams(
+            Hyperparams::new(0.1, 0.9),
+            8,
+            1,
+        ))
+    };
+    for run in [
+        ScheduledConfig::pb(schedule()),
+        ScheduledConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
+        ScheduledConfig::pb(schedule()).with_weight_stashing(),
+        ScheduledConfig::one_f_one_b(4, schedule()),
+        ScheduledConfig::two_bp(4, schedule()),
+        ScheduledConfig::fill_drain(4, schedule()),
+    ] {
+        assert_threaded_matches_scheduled(run, &make_net, &train, &val);
+    }
+}
+
+/// The kernel worker pool must never change training results: threaded PB
+/// with the pool disabled (`max_threads = 1`, every GEMM serial) and with
+/// it enabled (8 threads) must both land on the sequential engine's bits.
+///
+/// The network is sized so its inner conv GEMMs (16 channels on 12×12
+/// feature maps → m·k·n ≈ 330k elements) cross the parallel-dispatch
+/// threshold — with `max_threads = 8` those products really do fan out
+/// across pool workers *from inside the engine's stage threads*.
+#[test]
+fn threaded_is_bit_identical_to_scheduled_with_kernel_pool_on_and_off() {
+    let gen = SyntheticImages::new(DatasetSpec::cifar_sim(12), 0xD15C);
+    let train = gen.generate(12, 0);
+    let val = gen.generate(6, 1);
+    let make_net = || {
+        let mut rng = StdRng::seed_from_u64(42);
+        simple_cnn(3, 16, 2, train.num_classes(), &mut rng)
+    };
+    for threads in [1, 8] {
+        pbp_tensor::pool::set_max_threads(threads);
+        assert_threaded_matches_scheduled(
+            ScheduledConfig::pb(LrSchedule::constant(Hyperparams::new(0.005, 0.9)))
+                .with_mitigation(Mitigation::lwpv_scd()),
+            &make_net,
+            &train,
+            &val,
+        );
+        pbp_tensor::pool::set_max_threads(1);
+    }
+}
+
+#[test]
+fn pb_delay_histogram_matches_eq5() {
     let data = blobs(3, 24, 0.4, 4);
     let (train, val) = data.split(0.25);
-    let mut pb = EngineSpec::Pb(PbConfig::plain(schedule())).build(fresh_net(24));
+    let mut pb = EngineSpec::Scheduled(ScheduledConfig::pb(schedule())).build(fresh_net(24));
     let pipeline_stages = pb.network_mut().pipeline_stage_count();
     run_training(
         pb.as_mut(),
@@ -265,15 +303,15 @@ fn pb_emulator_delay_histogram_matches_eq5() {
 }
 
 #[test]
-fn one_f_one_b_at_m1_is_bit_identical_to_pb_emulator() {
+fn one_f_one_b_at_m1_is_bit_identical_to_pb() {
     // 1F1B degenerates to pure PB at M = 1: one update per microbatch,
     // version lag D_s everywhere. Weights and Eq. 5 delay histograms must
-    // both reproduce the emulator's exactly.
+    // both reproduce the PB plan's exactly.
     let data = blobs(3, 24, 0.4, 6);
     let (train, val) = data.split(0.25);
     let config = RunConfig::new(2, 10);
 
-    let mut pb = EngineSpec::Pb(PbConfig::plain(schedule())).build(fresh_net(25));
+    let mut pb = EngineSpec::Scheduled(ScheduledConfig::pb(schedule())).build(fresh_net(25));
     let mut ofob =
         EngineSpec::Scheduled(ScheduledConfig::one_f_one_b(1, schedule())).build(fresh_net(25));
     let pipeline_stages = pb.network_mut().pipeline_stage_count();
@@ -299,11 +337,7 @@ fn one_f_one_b_at_m1_is_bit_identical_to_pb_emulator() {
             );
         }
     }
-    assert_networks_equal(
-        &pb.into_network(),
-        &ofob.into_network(),
-        "PB emulator vs 1F1B(M=1)",
-    );
+    assert_networks_equal(&pb.into_network(), &ofob.into_network(), "PB vs 1F1B(M=1)");
 }
 
 #[test]

@@ -1,13 +1,16 @@
-//! Golden-trace verification: the deterministic engines must emit traces
-//! whose structure is *exactly* derivable from their schedule's action
-//! stream — same span counts, sequential lanes, and bit-identical
-//! structure across same-seed runs. The MFU report built from a traced
-//! run must land in (0, 1].
+//! Golden-trace verification: the schedule-executing engines — one
+//! thread or a thread per stage — must emit traces whose structure is
+//! *exactly* derivable from their schedule's action stream — same span
+//! counts, sequential lanes, and bit-identical structure across same-seed
+//! runs. The MFU report built from a traced run must land in (0, 1].
 
 use pbp_data::spirals;
 use pbp_nn::models::mlp;
 use pbp_optim::{Hyperparams, LrSchedule};
-use pbp_pipeline::{Action, MicrobatchSchedule, ScheduledConfig, ScheduledTrainer, TrainEngine};
+use pbp_pipeline::{
+    Action, EngineSpec, MicrobatchSchedule, ScheduledConfig, ScheduledTrainer, ThreadedConfig,
+    TrainEngine,
+};
 use pbp_trace::analysis::TraceAnalysis;
 use pbp_trace::mfu::{measure_peak_gflops, model_flops, MfuReport};
 use pbp_trace::{Trace, TracePhase, Tracer, PID_WALL};
@@ -33,9 +36,19 @@ fn plans() -> Vec<MicrobatchSchedule> {
     ]
 }
 
-/// Runs `n` microbatches of `plan` under a tracer; returns the trace,
-/// the per-stage has-parameters mask, and the loss sum.
+/// Which substrate executes the plan.
+#[derive(Debug, Clone, Copy)]
+enum Substrate {
+    Sequential,
+    Threaded,
+}
+
+const SUBSTRATES: [Substrate; 2] = [Substrate::Sequential, Substrate::Threaded];
+
+/// Runs `n` microbatches of `plan` on `substrate` under a tracer; returns
+/// the trace, the per-stage has-parameters mask, and the loss sum.
 fn traced_run(
+    substrate: Substrate,
     plan: MicrobatchSchedule,
     widths: &[usize],
     n: usize,
@@ -47,11 +60,17 @@ fn traced_run(
         .map(|s| !net.stage(s).params().is_empty())
         .collect();
     let data = spirals(3, 16, 0.05, 7);
-    let mut engine = ScheduledTrainer::new(net, ScheduledConfig::new(plan, schedule()));
+    let run = ScheduledConfig::new(plan, schedule());
+    let mut engine = match substrate {
+        Substrate::Sequential => EngineSpec::Scheduled(run),
+        Substrate::Threaded => EngineSpec::Threaded(ThreadedConfig::new(run)),
+    }
+    .build(net);
     let tracer = Tracer::new();
     engine.set_tracer(tracer.clone());
     let order: Vec<usize> = (0..n).map(|i| i % data.len()).collect();
-    let (loss, _) = TrainEngine::train_range(&mut engine, &data, &order);
+    let (loss, _) = engine.train_range(&data, &order);
+    assert!(engine.take_fault().is_none(), "{substrate:?} run faulted");
     (tracer.finish(), has_params, loss)
 }
 
@@ -79,44 +98,39 @@ fn phase_count(lane: &pbp_trace::TraceLane, phase: TracePhase) -> usize {
 #[test]
 fn span_counts_match_the_action_stream_exactly() {
     let n = 16;
-    for plan in plans() {
-        let (trace, has_params, _) = traced_run(plan, &[2, 8, 3], n, 1);
+    for (substrate, plan) in SUBSTRATES
+        .into_iter()
+        .flat_map(|s| plans().into_iter().map(move |p| (s, p)))
+    {
+        let what = format!("{substrate:?} {}", plan.label());
+        let (trace, has_params, _) = traced_run(substrate, plan, &[2, 8, 3], n, 1);
         let (f, bi, bw, u) = expected_counts(&plan, n);
         for (s, &params) in has_params.iter().enumerate() {
             let lane = trace
                 .lane(PID_WALL, &format!("stage-{s}"))
-                .unwrap_or_else(|| panic!("{}: no lane for stage {s}", plan.label()));
-            assert_eq!(
-                lane.unmatched_begins,
-                0,
-                "{}: dangling begins",
-                plan.label()
-            );
+                .unwrap_or_else(|| panic!("{what}: no lane for stage {s}"));
+            assert_eq!(lane.unmatched_begins, 0, "{what}: dangling begins");
             assert_eq!(
                 phase_count(lane, TracePhase::Forward),
                 f,
-                "{} stage {s}: forwards",
-                plan.label()
+                "{what} stage {s}: forwards"
             );
             assert_eq!(
                 phase_count(lane, TracePhase::BackwardInput),
                 bi,
-                "{} stage {s}: backward-input halves",
-                plan.label()
+                "{what} stage {s}: backward-input halves"
             );
             assert_eq!(
                 phase_count(lane, TracePhase::BackwardWeight),
                 bw,
-                "{} stage {s}: backward-weight halves",
-                plan.label()
+                "{what} stage {s}: backward-weight halves"
             );
             // Parameterless stages have no optimizer step to record.
             let want_u = if params { u } else { 0 };
             assert_eq!(
                 phase_count(lane, TracePhase::Update),
                 want_u,
-                "{} stage {s}: updates",
-                plan.label()
+                "{what} stage {s}: updates"
             );
         }
     }
@@ -124,20 +138,22 @@ fn span_counts_match_the_action_stream_exactly() {
 
 #[test]
 fn stage_lanes_are_sequential_and_monotonic() {
-    for plan in plans() {
-        let (trace, _, _) = traced_run(plan, &[2, 8, 8, 3], 12, 2);
+    for (substrate, plan) in SUBSTRATES
+        .into_iter()
+        .flat_map(|s| plans().into_iter().map(move |p| (s, p)))
+    {
+        let what = format!("{substrate:?} {}", plan.label());
+        let (trace, _, _) = traced_run(substrate, plan, &[2, 8, 8, 3], 12, 2);
         let analysis = TraceAnalysis::of(&trace, PID_WALL);
         assert!(
             !analysis.any_overlap(),
-            "{}: spans overlap within a stage lane",
-            plan.label()
+            "{what}: spans overlap within a stage lane"
         );
         for lane in trace.lanes_of(PID_WALL) {
             for pair in lane.spans.windows(2) {
                 assert!(
                     pair[1].start_ns >= pair[0].start_ns,
-                    "{} lane {}: spans out of order",
-                    plan.label(),
+                    "{what} lane {}: spans out of order",
                     lane.name
                 );
             }
@@ -148,8 +164,8 @@ fn stage_lanes_are_sequential_and_monotonic() {
 #[test]
 fn same_seed_runs_have_identical_structure() {
     for plan in plans() {
-        let (a, _, loss_a) = traced_run(plan, &[2, 8, 3], 16, 3);
-        let (b, _, loss_b) = traced_run(plan, &[2, 8, 3], 16, 3);
+        let (a, _, loss_a) = traced_run(Substrate::Sequential, plan, &[2, 8, 3], 16, 3);
+        let (b, _, loss_b) = traced_run(Substrate::Sequential, plan, &[2, 8, 3], 16, 3);
         assert_eq!(loss_a, loss_b, "{}: runs diverged", plan.label());
         assert_eq!(
             a.structural_signature(),
@@ -208,7 +224,7 @@ proptest! {
             _ => MicrobatchSchedule::TwoBP { microbatches_per_update: m },
         };
         let n = windows * m;
-        let (trace, _, _) = traced_run(plan, &[2, hidden, 3], n, seed);
+        let (trace, _, _) = traced_run(Substrate::Sequential, plan, &[2, hidden, 3], n, seed);
         let analysis = TraceAnalysis::of(&trace, PID_WALL);
         for lane in trace.lanes_of(PID_WALL) {
             // Every begin was closed.

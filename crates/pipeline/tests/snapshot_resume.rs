@@ -3,11 +3,6 @@
 //! finish with weights bit-identical to an uninterrupted snapshotting
 //! run — and the snapshotting runner itself must not perturb training
 //! relative to the plain [`run_training`] loop.
-//!
-//! The threaded engine participates in fill-and-drain mode, which is
-//! deterministic; its free-running PB mode has a timing-dependent weight
-//! trajectory (the realized delays emerge from thread interleaving), so
-//! no two runs of it are comparable bit-for-bit, snapshots or not.
 
 use pbp_data::blobs;
 use pbp_nn::models::mlp;
@@ -15,7 +10,7 @@ use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
     latest_snapshot, resume_training, run_to_crash, run_training, run_training_with_snapshots,
-    DelayDistribution, DelayedConfig, EngineSpec, NoHooks, PbConfig, RunConfig, ScheduledConfig,
+    DelayDistribution, DelayedConfig, EngineSpec, NoHooks, RunConfig, ScheduledConfig,
     SnapshotPolicy, ThreadedConfig,
 };
 use rand::rngs::StdRng;
@@ -31,19 +26,18 @@ fn fresh_net(seed: u64) -> Network {
     mlp(&[2, 10, 3], &mut rng)
 }
 
-/// Every engine with a deterministic weight trajectory.
+/// Every engine (all have deterministic weight trajectories).
 fn deterministic_specs() -> Vec<EngineSpec> {
     vec![
         EngineSpec::Sgdm {
             schedule: schedule(),
             batch: 4,
         },
-        EngineSpec::FillDrain {
-            schedule: schedule(),
-            update_size: 4,
-        },
-        EngineSpec::Pb(PbConfig::plain(schedule()).with_mitigation(Mitigation::lwpv_scd())),
-        EngineSpec::Pb(PbConfig::plain(schedule()).with_weight_stashing()),
+        EngineSpec::Scheduled(ScheduledConfig::fill_drain(4, schedule())),
+        EngineSpec::Scheduled(
+            ScheduledConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
+        ),
+        EngineSpec::Scheduled(ScheduledConfig::pb(schedule()).with_weight_stashing()),
         EngineSpec::Delayed(DelayedConfig::inconsistent(2, 4, schedule())),
         EngineSpec::Asgd {
             distribution: DelayDistribution::Uniform { max: 3 },
@@ -52,6 +46,9 @@ fn deterministic_specs() -> Vec<EngineSpec> {
             delay_seed: 7,
         },
         EngineSpec::Threaded(ThreadedConfig::fill_drain(schedule())),
+        EngineSpec::Threaded(
+            ThreadedConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
+        ),
         EngineSpec::Scheduled(ScheduledConfig::one_f_one_b(4, schedule())),
         EngineSpec::Scheduled(ScheduledConfig::two_bp(4, schedule())),
     ]
@@ -229,11 +226,8 @@ fn resume_rejects_mismatched_engines() {
         .expect("snapshotting run");
     let snap = latest_snapshot(&dir).expect("list").expect("snapshot");
 
-    let mut other = EngineSpec::FillDrain {
-        schedule: schedule(),
-        update_size: 4,
-    }
-    .build(fresh_net(93));
+    let mut other =
+        EngineSpec::Scheduled(ScheduledConfig::fill_drain(4, schedule())).build(fresh_net(93));
     let err = resume_training(
         other.as_mut(),
         &train,
@@ -263,10 +257,7 @@ fn resuming_a_finished_run_reproduces_its_report() {
     let config = RunConfig::new(2, 31);
     let dir = tmpdir("finished");
     let policy = SnapshotPolicy::new(&dir, 4);
-    let spec = EngineSpec::FillDrain {
-        schedule: schedule(),
-        update_size: 4,
-    };
+    let spec = EngineSpec::Scheduled(ScheduledConfig::fill_drain(4, schedule()));
     let mut engine = spec.build(fresh_net(94));
     let report = run_training_with_snapshots(
         engine.as_mut(),

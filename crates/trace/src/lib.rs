@@ -62,7 +62,7 @@ pub enum TracePhase {
     Backoff,
     /// A rank-to-rank link tore down and re-established with replay.
     Reconnect,
-    /// Switchover to the degraded (deterministic emulator) engine.
+    /// Switchover to the degraded (sequential) engine.
     Degraded,
 }
 

@@ -10,7 +10,7 @@
 use pipelined_backprop::data::{DatasetSpec, SyntheticImages};
 use pipelined_backprop::nn::models::{resnet_cifar, ResNetConfig};
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-use pipelined_backprop::pipeline::{PbConfig, PipelinedTrainer, SgdmTrainer};
+use pipelined_backprop::pipeline::{ScheduledConfig, ScheduledTrainer, SgdmTrainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -61,8 +61,8 @@ fn main() {
     for mitigation in [Mitigation::None, Mitigation::lwpv_scd()] {
         let mut rng = StdRng::seed_from_u64(1);
         let net = resnet_cifar(config, &mut rng);
-        let cfg = PbConfig::plain(LrSchedule::constant(hp1)).with_mitigation(mitigation);
-        let mut trainer = PipelinedTrainer::new(net, cfg);
+        let cfg = ScheduledConfig::pb(LrSchedule::constant(hp1)).with_mitigation(mitigation);
+        let mut trainer = ScheduledTrainer::new(net, cfg);
         let report = trainer.run(&train, &val, epochs, seed);
         for r in &report.records {
             println!(

@@ -7,7 +7,7 @@ use pipelined_backprop::data::blobs;
 use pipelined_backprop::nn::models::mlp;
 use pipelined_backprop::optim::{Hyperparams, LrSchedule, Mitigation};
 use pipelined_backprop::pipeline::{
-    run_training, EngineSpec, JsonSink, MetricsSink, NoHooks, PbConfig, RunConfig,
+    run_training, EngineSpec, JsonSink, MetricsSink, NoHooks, RunConfig, ScheduledConfig,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -23,7 +23,9 @@ fn main() {
             schedule: schedule(),
             batch: 4,
         },
-        EngineSpec::Pb(PbConfig::plain(schedule()).with_mitigation(Mitigation::lwpv_scd())),
+        EngineSpec::Scheduled(
+            ScheduledConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
+        ),
     ];
 
     let metrics_path = std::env::temp_dir().join("engine_demo_metrics.json");

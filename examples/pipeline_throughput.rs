@@ -9,8 +9,9 @@
 use pipelined_backprop::data::spirals;
 use pipelined_backprop::nn::models::mlp;
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-use pipelined_backprop::pipeline::{fill_drain_utilization, ThreadedConfig, ThreadedPipeline};
-use pipelined_backprop::tensor::Tensor;
+use pipelined_backprop::pipeline::{
+    fill_drain_utilization, ThreadedConfig, ThreadedPipeline, TrainEngine,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,12 +23,7 @@ fn main() {
     // drain hurts most.
     let widths = [2usize, 64, 64, 64, 64, 64, 64, 64, 64, 3];
     let data = spirals(3, 200, 0.05, 1);
-    let samples: Vec<(Tensor, usize)> = (0..1200)
-        .map(|i| {
-            let (x, l) = data.sample(i % data.len());
-            (x.clone(), l)
-        })
-        .collect();
+    let order: Vec<usize> = (0..1200).map(|i| i % data.len()).collect();
 
     let stages = widths.len(); // layer stages + loss
     println!("pipeline stages: {stages}");
@@ -36,37 +32,27 @@ fn main() {
         100.0 * fill_drain_utilization(1, stages)
     );
 
-    let mut rng = StdRng::seed_from_u64(3);
-    let net = mlp(&widths, &mut rng);
-    let (_, _, fd) =
-        ThreadedPipeline::train(net, &samples, &ThreadedConfig::fill_drain(schedule.clone()));
-
-    let mut rng = StdRng::seed_from_u64(3);
-    let net = mlp(&widths, &mut rng);
-    let (_, _, pb) = ThreadedPipeline::train(net, &samples, &ThreadedConfig::pb(schedule.clone()));
-
-    let mut rng = StdRng::seed_from_u64(3);
-    let net = mlp(&widths, &mut rng);
-    let cfg = ThreadedConfig::pb(schedule).with_mitigation(Mitigation::lwpv_scd());
-    let (_, losses, pbm) = ThreadedPipeline::train(net, &samples, &cfg);
+    // Streams the samples through a fresh threaded engine; returns the
+    // per-sample losses and the measured samples per second.
+    let run = |config: ThreadedConfig| -> (Vec<f32>, f64) {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut engine = ThreadedPipeline::new(mlp(&widths, &mut rng), config);
+        let losses = engine.stream(&data, &order).expect("clean run");
+        (losses, engine.metrics().samples_per_sec())
+    };
+    let (_, fd) = run(ThreadedConfig::fill_drain(schedule.clone()));
+    let (_, pb) = run(ThreadedConfig::pb(schedule.clone()));
+    let (losses, pbm) = run(ThreadedConfig::pb(schedule).with_mitigation(Mitigation::lwpv_scd()));
 
     println!("{:<28} {:>14} {:>12}", "mode", "samples/sec", "speedup");
-    println!(
-        "{:<28} {:>14.0} {:>11.2}x",
-        "fill&drain (N=1)", fd.samples_per_sec, 1.0
-    );
+    println!("{:<28} {:>14.0} {:>11.2}x", "fill&drain (N=1)", fd, 1.0);
     println!(
         "{:<28} {:>14.0} {:>11.2}x",
         "pipelined backprop",
-        pb.samples_per_sec,
-        pb.samples_per_sec / fd.samples_per_sec
+        pb,
+        pb / fd
     );
-    println!(
-        "{:<28} {:>14.0} {:>11.2}x",
-        "PB + LWPvD+SCD",
-        pbm.samples_per_sec,
-        pbm.samples_per_sec / fd.samples_per_sec
-    );
+    println!("{:<28} {:>14.0} {:>11.2}x", "PB + LWPvD+SCD", pbm, pbm / fd);
 
     let head: f32 = losses[..100].iter().sum::<f32>() / 100.0;
     let tail: f32 = losses[losses.len() - 100..].iter().sum::<f32>() / 100.0;

@@ -9,7 +9,7 @@
 use pipelined_backprop::data::{DatasetSpec, SyntheticImages};
 use pipelined_backprop::nn::models::simple_cnn;
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-use pipelined_backprop::pipeline::{PbConfig, PipelinedTrainer, SgdmTrainer, TrainReport};
+use pipelined_backprop::pipeline::{ScheduledConfig, ScheduledTrainer, SgdmTrainer, TrainReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -72,8 +72,8 @@ fn main() {
             net.pipeline_stage_count(),
             2 * (net.pipeline_stage_count() - 1)
         );
-        let config = PbConfig::plain(LrSchedule::constant(hp1)).with_mitigation(mitigation);
-        let mut trainer = PipelinedTrainer::new(net, config);
+        let config = ScheduledConfig::pb(LrSchedule::constant(hp1)).with_mitigation(mitigation);
+        let mut trainer = ScheduledTrainer::new(net, config);
         reports.push(trainer.run(&train, &val, epochs, seed));
     }
 

@@ -10,6 +10,23 @@ cargo fmt --all -- --check
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== one executor of stage semantics (grep lint) =="
+# Per-stage schedule semantics live in crates/pipeline/src/{cell,group}.rs
+# and nowhere else (DESIGN §12): a second interpreter of the action stream
+# must not reappear unnoticed. delayed.rs is the App. G.2 whole-network,
+# batch-granular simulator — a different machine.
+lint_only_in() {
+  local pattern=$1 allowed=$2 stray
+  stray=$(grep -rlF "$pattern" crates/*/src | grep -Ev "/($allowed)\.rs$" || true)
+  if [[ -n $stray ]]; then
+    echo "'$pattern' outside {$allowed}.rs:" >&2
+    echo "$stray" >&2
+    exit 1
+  fi
+}
+lint_only_in 'push_next_version(' 'cell|group'
+lint_only_in 'Action::BackwardInput' 'schedule|group|delayed'
+
 echo "== release build =="
 cargo build --release
 

@@ -22,7 +22,7 @@
 //! | [`nn`] | `pbp-nn` | layers, VGG/ResNet architectures, stage partitioning |
 //! | [`data`] | `pbp-data` | deterministic synthetic CIFAR/ImageNet stand-ins |
 //! | [`optim`] | `pbp-optim` | SGDM, SC, LWP, SpecTrain, hyperparameter scaling |
-//! | [`pipeline`] | `pbp-pipeline` | PB emulator, fill-and-drain, threaded runtime |
+//! | [`pipeline`] | `pbp-pipeline` | schedule executor (PB, fill-and-drain, 1F1B, 2BP), threaded runtime |
 //! | [`quadratic`] | `pbp-quadratic` | convex-quadratic delay analysis (Figures 4-7) |
 //! | [`snapshot`] | `pbp-snapshot` | fault-tolerant training snapshots, bit-identical resume |
 //!
@@ -35,7 +35,7 @@
 //! use pipelined_backprop::data::blobs;
 //! use pipelined_backprop::nn::models::mlp;
 //! use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-//! use pipelined_backprop::pipeline::{PbConfig, PipelinedTrainer};
+//! use pipelined_backprop::pipeline::{ScheduledConfig, ScheduledTrainer};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
@@ -43,12 +43,12 @@
 //!
 //! // Scale batch-8 reference hyperparameters to update size one (Eq. 9).
 //! let hp = scale_hyperparams(Hyperparams::new(0.1, 0.9), 8, 1);
-//! let config = PbConfig::plain(LrSchedule::constant(hp))
+//! let config = ScheduledConfig::pb(LrSchedule::constant(hp))
 //!     .with_mitigation(Mitigation::lwpv_scd());
 //!
 //! let data = blobs(3, 40, 0.4, 1);
 //! let (train, val) = data.split(0.25);
-//! let mut trainer = PipelinedTrainer::new(net, config);
+//! let mut trainer = ScheduledTrainer::new(net, config);
 //! let report = trainer.run(&train, &val, 5, 42);
 //! assert!(report.final_val_acc() > 0.5);
 //! ```

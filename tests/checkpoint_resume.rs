@@ -5,7 +5,7 @@ use pipelined_backprop::data::blobs;
 use pipelined_backprop::nn::checkpoint;
 use pipelined_backprop::nn::models::mlp;
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule};
-use pipelined_backprop::pipeline::{evaluate, PbConfig, PipelinedTrainer};
+use pipelined_backprop::pipeline::{evaluate, ScheduledConfig, ScheduledTrainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -21,7 +21,7 @@ fn pb_training_resumes_from_a_checkpoint() {
     // Phase 1: train, checkpoint.
     let mut rng = StdRng::seed_from_u64(0);
     let net = mlp(&[2, 16, 3], &mut rng);
-    let mut trainer = PipelinedTrainer::new(net, PbConfig::plain(schedule()));
+    let mut trainer = ScheduledTrainer::new(net, ScheduledConfig::pb(schedule()));
     for epoch in 0..6 {
         trainer.train_epoch(&train, 3, epoch);
     }
@@ -34,7 +34,7 @@ fn pb_training_resumes_from_a_checkpoint() {
     let mut rng = StdRng::seed_from_u64(99);
     let mut net = mlp(&[2, 16, 3], &mut rng);
     checkpoint::load(&mut net, &mut buf.as_slice()).unwrap();
-    let mut resumed = PipelinedTrainer::new(net, PbConfig::plain(schedule()));
+    let mut resumed = ScheduledTrainer::new(net, ScheduledConfig::pb(schedule()));
     let (_, acc_loaded) = evaluate(resumed.network_mut(), &val, 16);
     assert!(
         (acc_loaded - acc_mid).abs() < 1e-12,
@@ -71,7 +71,7 @@ fn checkpoints_transfer_between_engines() {
     let mut rng = StdRng::seed_from_u64(2);
     let mut net = mlp(&[2, 16, 3], &mut rng);
     checkpoint::load(&mut net, &mut buf.as_slice()).unwrap();
-    let mut pb = PipelinedTrainer::new(net, PbConfig::plain(schedule()));
+    let mut pb = ScheduledTrainer::new(net, ScheduledConfig::pb(schedule()));
     for epoch in 0..4 {
         pb.train_epoch(&train, 7, epoch);
     }

@@ -6,8 +6,8 @@ use pipelined_backprop::nn::models::{mlp, resnet_cifar, simple_cnn, ResNetConfig
 use pipelined_backprop::nn::Network;
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
 use pipelined_backprop::pipeline::{
-    evaluate, DelayedConfig, DelayedTrainer, FillDrainTrainer, PbConfig, PipelinedTrainer,
-    SgdmTrainer, ThreadedConfig, ThreadedPipeline,
+    evaluate, DelayedConfig, DelayedTrainer, MicrobatchSchedule, ScheduledConfig, ScheduledTrainer,
+    SgdmTrainer, ThreadedConfig, ThreadedPipeline, TrainEngine,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,11 +54,8 @@ fn pb_with_zero_delay_matches_sgdm_on_a_conv_net() {
     let mut rng = StdRng::seed_from_u64(0);
     let net_b = resnet_cifar(config, &mut rng);
     let data = tiny_images(24);
-    let cfg = PbConfig {
-        delay_override: Some(0),
-        ..PbConfig::plain(schedule1())
-    };
-    let mut pb = PipelinedTrainer::new(net_a, cfg);
+    let cfg = ScheduledConfig::new(MicrobatchSchedule::UniformDelay { delay: 0 }, schedule1());
+    let mut pb = ScheduledTrainer::new(net_a, cfg);
     let mut sgd = SgdmTrainer::new(net_b, schedule1(), 1);
     for epoch in 0..2 {
         pb.train_epoch(&data, 5, epoch);
@@ -80,7 +77,7 @@ fn fill_drain_matches_batch_sgdm_on_a_conv_net() {
     let net_b = simple_cnn(3, 6, 3, 4, &mut rng);
     let data = tiny_images(32);
     let hp = LrSchedule::constant(Hyperparams::new(0.05, 0.9));
-    let mut fd = FillDrainTrainer::new(net_a, hp.clone(), 8);
+    let mut fd = ScheduledTrainer::new(net_a, ScheduledConfig::fill_drain(8, hp.clone()));
     let mut sgd = SgdmTrainer::new(net_b, hp, 8);
     for epoch in 0..2 {
         fd.train_epoch(&data, 3, epoch);
@@ -95,9 +92,10 @@ fn fill_drain_matches_batch_sgdm_on_a_conv_net() {
 }
 
 #[test]
-fn delayed_trainer_with_uniform_delay_matches_pb_emulator_override() {
+fn delayed_trainer_matches_the_uniform_delay_schedule() {
     // The App. G.2 simulator at batch 1 with uniform delay D must produce
-    // the same weights as the PB emulator with its delays overridden to D.
+    // the same weights as the stage executor running the uniform-delay
+    // plan (every stage's version lag and optimizer delay forced to D).
     let mut rng = StdRng::seed_from_u64(2);
     let net_a = mlp(&[2, 12, 3], &mut rng);
     let mut rng = StdRng::seed_from_u64(2);
@@ -105,11 +103,8 @@ fn delayed_trainer_with_uniform_delay_matches_pb_emulator_override() {
     let data = blobs(3, 20, 0.4, 7);
     let delay = 3usize;
 
-    let cfg = PbConfig {
-        delay_override: Some(delay),
-        ..PbConfig::plain(schedule1())
-    };
-    let mut pb = PipelinedTrainer::new(net_a, cfg);
+    let cfg = ScheduledConfig::new(MicrobatchSchedule::UniformDelay { delay }, schedule1());
+    let mut pb = ScheduledTrainer::new(net_a, cfg);
     // Consistent=false matches PB's inconsistent-weight semantics.
     let mut delayed =
         DelayedTrainer::new(net_b, DelayedConfig::inconsistent(delay, 1, schedule1()));
@@ -121,7 +116,7 @@ fn delayed_trainer_with_uniform_delay_matches_pb_emulator_override() {
         &pb.into_network(),
         &delayed.into_network(),
         1e-6,
-        "PB(override D) vs DelayedTrainer",
+        "UniformDelay(D) vs DelayedTrainer",
     );
 }
 
@@ -140,25 +135,24 @@ fn threaded_fill_drain_matches_sequential_sgdm_on_a_residual_net() {
     let mut rng = StdRng::seed_from_u64(3);
     let net_b = resnet_cifar(config, &mut rng);
     let data = tiny_images(16);
-    let samples: Vec<_> = (0..data.len())
-        .map(|i| {
-            let (x, l) = data.sample(i);
-            (x.clone(), l)
-        })
-        .collect();
-    let (na, losses, _) =
-        ThreadedPipeline::train(net_a, &samples, &ThreadedConfig::fill_drain(schedule1()));
+    let order: Vec<usize> = (0..data.len()).collect();
+    let mut threaded = ThreadedPipeline::new(net_a, ThreadedConfig::fill_drain(schedule1()));
+    let losses = threaded.stream(&data, &order).expect("clean run");
     let mut sgd = SgdmTrainer::new(net_b, schedule1(), 1);
     let mut ref_losses = Vec::new();
-    for (x, l) in &samples {
-        let mut shape = vec![1usize];
-        shape.extend_from_slice(x.shape());
-        ref_losses.push(sgd.train_batch(&x.reshape(&shape).unwrap(), &[*l]));
+    for &i in &order {
+        let (x, labels) = data.batch(&[i]);
+        ref_losses.push(sgd.train_batch(&x, &labels));
     }
     for (a, b) in losses.iter().zip(&ref_losses) {
         assert!((a - b).abs() < 1e-4, "{a} vs {b}");
     }
-    assert_networks_equal(&na, &sgd.into_network(), 1e-4, "threaded drain vs SGDM");
+    assert_networks_equal(
+        &threaded.into_network(),
+        &sgd.into_network(),
+        1e-4,
+        "threaded drain vs SGDM",
+    );
 }
 
 #[test]
@@ -174,17 +168,12 @@ fn threaded_pb_trains_a_residual_net_with_in_flight_overlap() {
     let mut rng = StdRng::seed_from_u64(4);
     let net = resnet_cifar(config, &mut rng);
     let data = tiny_images(48);
-    let mut samples = Vec::new();
-    for epoch in 0..6 {
-        for &i in &data.epoch_order(13, epoch) {
-            let (x, l) = data.sample(i);
-            samples.push((x.clone(), l));
-        }
-    }
+    let order: Vec<usize> = (0..6).flat_map(|e| data.epoch_order(13, e)).collect();
     let cfg = ThreadedConfig::pb(schedule1()).with_mitigation(Mitigation::lwpv_scd());
-    let (mut net, losses, _) = ThreadedPipeline::train(net, &samples, &cfg);
+    let mut engine = ThreadedPipeline::new(net, cfg);
+    let losses = engine.stream(&data, &order).expect("clean run");
     assert!(losses.iter().all(|l| l.is_finite()));
-    let (_, acc) = evaluate(&mut net, &data, 16);
+    let (_, acc) = evaluate(engine.network_mut(), &data, 16);
     assert!(acc > 0.5, "threaded residual PB accuracy {acc}");
 }
 
@@ -199,12 +188,12 @@ fn weight_stashing_equals_plain_pb_when_weights_do_not_change() {
     let net_b = mlp(&[2, 8, 3], &mut rng);
     let data = blobs(3, 12, 0.4, 1);
     let sched = LrSchedule::constant(Hyperparams::new(1e-12, 0.9));
-    let mut a = PipelinedTrainer::new(net_a, PbConfig::plain(sched.clone()));
-    let mut b = PipelinedTrainer::new(net_b, PbConfig::plain(sched).with_weight_stashing());
+    let mut a = ScheduledTrainer::new(net_a, ScheduledConfig::pb(sched.clone()));
+    let mut b = ScheduledTrainer::new(net_b, ScheduledConfig::pb(sched).with_weight_stashing());
     for i in 0..data.len() {
         let (x, l) = data.sample(i);
-        let la = a.train_sample(&x.clone(), l);
-        let lb = b.train_sample(&x.clone(), l);
+        let la = a.train_sample(x, l);
+        let lb = b.train_sample(x, l);
         assert!((la - lb).abs() < 1e-6);
     }
 }

@@ -5,7 +5,8 @@ use pipelined_backprop::data::blobs;
 use pipelined_backprop::nn::models::mlp;
 use pipelined_backprop::optim::{Hyperparams, LrSchedule, Mitigation};
 use pipelined_backprop::pipeline::{
-    fill_drain_utilization, stage_delay, PbConfig, PipelinedTrainer, SgdmTrainer,
+    fill_drain_utilization, stage_delay, MicrobatchSchedule, ScheduledConfig, ScheduledTrainer,
+    SgdmTrainer,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -30,8 +31,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(net_seed);
         let net_b = mlp(&[2, hidden, 3], &mut rng);
         let data = blobs(3, 10, 0.4, data_seed);
-        let cfg = PbConfig { delay_override: Some(0), ..PbConfig::plain(schedule.clone()) };
-        let mut pb = PipelinedTrainer::new(net_a, cfg);
+        let cfg = ScheduledConfig::new(MicrobatchSchedule::UniformDelay { delay: 0 }, schedule.clone());
+        let mut pb = ScheduledTrainer::new(net_a, cfg);
         let mut sgd = SgdmTrainer::new(net_b, schedule, 1);
         pb.train_epoch(&data, 1, 0);
         sgd.train_epoch(&data, 1, 0);
@@ -63,8 +64,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = mlp(&[2, 8, 8, 3], &mut rng);
         let data = blobs(3, 12, 0.4, seed);
-        let cfg = PbConfig::plain(schedule).with_mitigation(mitigation);
-        let mut pb = PipelinedTrainer::new(net, cfg);
+        let cfg = ScheduledConfig::pb(schedule).with_mitigation(mitigation);
+        let mut pb = ScheduledTrainer::new(net, cfg);
         for epoch in 0..2 {
             pb.train_epoch(&data, seed, epoch);
         }
