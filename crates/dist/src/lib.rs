@@ -14,13 +14,13 @@
 //!   fault typing and deadline-based reconnect.
 //! * [`topology`] — the contiguous stage partition and its digest,
 //!   which the [`transport::handshake`] uses to refuse cross-run links.
-//! * [`runner`] — one rank's event loop: a
-//!   [`StageGroup`](pbp_pipeline::StageGroup) over the rank's stages,
-//!   forwarding while the group allows and retiring backwards otherwise,
-//!   between two reliable links, with snapshot drain barriers.
-//!   Bit-identical to the sequential
+//! * [`runner`] — one rank: the [`RankLoop`](pbp_pipeline::RankLoop) a
+//!   `pbp-pipeline` stage thread steps between two channels, here over
+//!   the rank's stages between two reliable links, plus rank 0's data
+//!   feed and what happens between steps (snapshot drain barriers, the
+//!   rewind barrier). Bit-identical to the sequential
 //!   [`ScheduledTrainer`](pbp_pipeline::ScheduledTrainer) by
-//!   construction (a group over all stages — see DESIGN §12).
+//!   construction (see DESIGN §12).
 //! * [`launch`] — the `pbp-launch` supervisor: spawns one process per
 //!   rank, watches for typed faults (peer death, stalls, nonzero
 //!   exits), and restarts the whole stage group from the newest
@@ -32,7 +32,9 @@
 //! * [`reliable`] — the session layer chaos is aimed at: sequence
 //!   numbers, cumulative acks, a bounded replay window, and
 //!   reconnect-with-replay behind the same [`Connection`] trait, plus
-//!   rewind-generation epochs for surviving-rank recovery.
+//!   rewind-generation epochs for surviving-rank recovery. A
+//!   [`ReliableConn`] is the rank loop's socket
+//!   [`Link`](pbp_pipeline::Link).
 //! * [`env`] — hardened `PBP_RANK` / `PBP_WORLD` / `PBP_DIST_ABORT_AT`
 //!   / `PBP_NET_FAULTS` parsing (invalid values warn once and fall
 //!   back, like `PBP_THREADS` / `PBP_SIMD`).

@@ -37,6 +37,7 @@ use crate::codec::Frame;
 use crate::error::DistError;
 use crate::netfault::NetFaultInjector;
 use crate::transport::{apply_net_fault, handshake, Connection, LinkListener, Transport};
+use pbp_pipeline::Message;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -555,6 +556,62 @@ impl Connection for ReliableConn {
             if let Some(frame) = self.step_recv(stall)? {
                 return Ok(frame);
             }
+        }
+    }
+}
+
+/// A socket link moves [`Message`]s as data [`Frame`]s. `seq` is a
+/// placeholder the session layer stamps on send, and `weight_version` is
+/// not populated: no receiver reads it (trace spans carry the version).
+impl pbp_pipeline::Link for ReliableConn {
+    type Error = DistError;
+
+    fn send(&mut self, msg: Message) -> Result<(), DistError> {
+        let frame = match msg {
+            Message::Activation { mb, label, lanes } => Frame::Activation {
+                seq: 0,
+                microbatch: mb as u64,
+                weight_version: 0,
+                label: label as u32,
+                lanes,
+            },
+            Message::Gradient { mb, loss, lanes } => Frame::Gradient {
+                seq: 0,
+                microbatch: mb as u64,
+                weight_version: 0,
+                loss,
+                lanes,
+            },
+        };
+        Connection::send(self, &frame)
+    }
+
+    fn recv(&mut self) -> Result<Message, DistError> {
+        match self.recv_data(self.stall)? {
+            Frame::Activation {
+                microbatch,
+                label,
+                lanes,
+                ..
+            } => Ok(Message::Activation {
+                mb: microbatch as usize,
+                label: label as usize,
+                lanes,
+            }),
+            Frame::Gradient {
+                microbatch,
+                loss,
+                lanes,
+                ..
+            } => Ok(Message::Gradient {
+                mb: microbatch as usize,
+                loss,
+                lanes,
+            }),
+            other => Err(DistError::Corrupt(format!(
+                "expected activation or gradient, got {}",
+                other.kind_name()
+            ))),
         }
     }
 }

@@ -1,28 +1,14 @@
 //! The distributed stage runner: one process executes its stage group's
-//! slice of a [`MicrobatchSchedule`] action stream against socket
-//! neighbors.
+//! slice of a [`MicrobatchSchedule`] against socket neighbors.
 //!
-//! ## Bit-identity with the sequential engine
-//!
-//! A rank is a [`StageGroup`](pbp_pipeline::StageGroup) over
-//! `topology.range(rank)` between two [`ReliableConn`]s: the same
-//! executor of stage semantics the single-process
-//! [`ScheduledTrainer`](pbp_pipeline::ScheduledTrainer) sweeps over all
-//! stages. Cross-stage the runner *interleaves* differently — a rank runs
-//! ahead on forwards, as far as the group's run-ahead rule allows, while
-//! downstream ranks still work on earlier microbatches — but the cell's
-//! ordering contract makes any such interleaving bit-identical: forwards
-//! read only queued weight versions (popped in push order) and backward
-//! actions mutate only that stage's weights.
-//!
-//! ## Dataflow
-//!
-//! Rank 0 feeds microbatches from the dataset in the deterministic
-//! `(seed, epoch)` order; activations flow downstream carrying the label,
-//! so only the last rank — which owns the loss stage — needs it.
-//! Gradients flow upstream carrying the microbatch's loss, so every rank
-//! ends the run with the identical loss sum in the identical f64
-//! summation order.
+//! A rank is a [`RankLoop`] over `topology.range(rank)` between two
+//! [`ReliableConn`]s — the rank loop a `pbp-pipeline` stage thread steps
+//! between two channels, and so bit-identical to the sequential
+//! [`ScheduledTrainer`](pbp_pipeline::ScheduledTrainer) however the ranks
+//! interleave (DESIGN §12). This file adds rank 0's feed — the dataset in
+//! the deterministic `(seed, epoch)` order — and what happens between
+//! steps: reconnect trace instants, the injected abort, snapshots, the
+//! rewind barrier.
 //!
 //! ## Drain barriers
 //!
@@ -44,22 +30,24 @@ use crate::transport::Connection;
 use pbp_data::Dataset;
 use pbp_nn::Network;
 use pbp_optim::{LrSchedule, Mitigation};
-use pbp_pipeline::{MicrobatchSchedule, ScheduledConfig, StageCounters, StageGroup};
+use pbp_pipeline::{
+    Message, MicrobatchSchedule, RankError, RankLoop, ScheduledConfig, StageCounters, StageGroup,
+    Step, Upstream,
+};
 use pbp_snapshot::{
     rank_prefix, snapshot_file_name, SnapshotArchive, SnapshotBuilder, SnapshotError, StateReader,
     StateWriter,
 };
 use pbp_trace::{TracePhase, Tracer};
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Section of a rank snapshot holding the runner's distributed state:
-/// identity (rank, world, run digest), the f64 loss sum, then the rank's
-/// [`StageGroup`] state — microbatches completed, the owned stages'
-/// counters (update counts, busy time, Eq. 5 delay histograms) and their
-/// cells. Everything up to and including the counters can be read
-/// without reconstructing stage cells.
+/// identity (rank, world, run digest), then the [`RankLoop`]'s: the f64
+/// loss sum, the [`StageGroup`] state (microbatches completed, the owned
+/// stages' counters — update counts, busy time, Eq. 5 delay histograms —
+/// and their cells) and the step time. Everything up to and including
+/// the counters can be read without reconstructing stage cells.
 pub const SECTION_DIST: &str = "dist";
 
 /// How a rank behaves when the wire misbehaves. The default is the
@@ -261,16 +249,16 @@ pub fn run_rank(
             "exactly the last rank must run without a downstream link".into(),
         ));
     }
-    let mut rank = Rank::new(net, spec, upstream, downstream, tracer)?;
+    let mut rank = Rank::new(net, spec, upstream, downstream, tracer);
     rank.establish_links()?;
     if spec.resume_at > 0 {
         rank.restore(spec.resume_at)?;
     }
-    if spec.recovery.rewind.is_some() {
+    if spec.recovery.rewind.is_some() && !rank.written.contains(&spec.resume_at) {
         // Surviving-rank mode needs a snapshot at the current resume
         // point so a rewind back to it is always possible, even before
         // the first cadence boundary.
-        rank.ensure_rewind_base()?;
+        rank.save_snapshot(spec.resume_at)?;
     }
     loop {
         match rank.run(data) {
@@ -278,22 +266,19 @@ pub fn run_rank(
             Err(e) => rank.rewind_or_fail(e)?,
         }
     }
-    rank.finish()
+    Ok(rank.finish())
 }
 
 /// One rank's execution state.
 struct Rank<'a> {
     spec: &'a RankSpec,
     net: Network,
-    /// The owned stages' executor; also holds the microbatch cursors.
-    group: StageGroup,
+    /// The owned stages' rank loop: executor, microbatch cursors, loss
+    /// sum.
+    rank: RankLoop,
     tracer: Tracer,
     upstream: Option<ReliableConn>,
     downstream: Option<ReliableConn>,
-    /// Loss gradients computed at forward time, waiting for their
-    /// backward turn (last rank only).
-    pending: VecDeque<(pbp_tensor::Tensor, f32)>,
-    loss_sum: f64,
     /// Cached epoch order for rank 0's data feed.
     order: Vec<usize>,
     order_epoch: usize,
@@ -314,106 +299,117 @@ impl<'a> Rank<'a> {
         upstream: Option<LinkEndpoint>,
         downstream: Option<LinkEndpoint>,
         tracer: Option<&Tracer>,
-    ) -> Result<Self, DistError> {
+    ) -> Self {
         let tracer = tracer.cloned().unwrap_or_default();
-        let group = fresh_group(&net, spec, &tracer);
+        let rank = fresh_rank(&net, spec, &tracer);
         let digest = spec.digest();
-        let world = spec.topology.world() as u32;
-        let me = spec.rank as u32;
         // Link `i` joins rank `i` and rank `i+1`; each end applies the
         // faults scripted for frames *arriving* at it — activations
         // travel Down (toward higher ranks), gradients Up.
-        let link_opts = |injector| LinkOptions {
-            policy: spec.recovery.reconnect,
-            injector,
-            stall: spec.stall,
-            generation: spec.recovery.generation,
-            ..LinkOptions::default()
+        let conn = |endpoint, peer: usize, link: usize, dir: LinkDir| {
+            let identity = LinkIdentity {
+                my_rank: spec.rank as u32,
+                peer_rank: peer as u32,
+                world: spec.topology.world() as u32,
+                digest,
+            };
+            let faults = spec.recovery.net_faults.as_ref();
+            let opts = LinkOptions {
+                policy: spec.recovery.reconnect,
+                injector: faults.map(|p| p.injector(link, dir)).unwrap_or_default(),
+                stall: spec.stall,
+                generation: spec.recovery.generation,
+                ..LinkOptions::default()
+            };
+            ReliableConn::new(endpoint, identity, opts)
         };
-        let injector = |link: usize, dir: LinkDir| {
-            spec.recovery
-                .net_faults
-                .as_ref()
-                .map(|p| p.injector(link, dir))
-                .unwrap_or_default()
-        };
-        let upstream = upstream.map(|ep| {
-            ReliableConn::new(
-                ep,
-                LinkIdentity {
-                    my_rank: me,
-                    peer_rank: me - 1,
-                    world,
-                    digest,
-                },
-                link_opts(injector(spec.rank - 1, LinkDir::Down)),
-            )
-        });
-        let downstream = downstream.map(|ep| {
-            ReliableConn::new(
-                ep,
-                LinkIdentity {
-                    my_rank: me,
-                    peer_rank: me + 1,
-                    world,
-                    digest,
-                },
-                link_opts(injector(spec.rank, LinkDir::Up)),
-            )
-        });
-        Ok(Rank {
+        let upstream = upstream.map(|ep| conn(ep, spec.rank - 1, spec.rank - 1, LinkDir::Down));
+        let downstream = downstream.map(|ep| conn(ep, spec.rank + 1, spec.rank, LinkDir::Up));
+        Rank {
             spec,
             net,
-            group,
+            rank,
             tracer,
             upstream,
             downstream,
-            pending: VecDeque::new(),
-            loss_sum: 0.0,
             order: Vec::new(),
             order_epoch: usize::MAX,
             beat: 0,
             written: Vec::new(),
             generation: spec.recovery.generation,
             seen_reconnects: 0,
-        })
+        }
     }
 
     /// Connects and handshakes both links. Dialing upstream before
     /// accepting downstream lets the chain come up from rank 0 without
     /// deadlock.
     fn establish_links(&mut self) -> Result<(), DistError> {
-        if let Some(up) = self.upstream.as_mut() {
-            up.establish()?;
-        }
-        if let Some(down) = self.downstream.as_mut() {
-            down.establish()?;
-        }
-        Ok(())
+        self.links().try_for_each(ReliableConn::establish)
     }
 
-    /// The forward cap: forwards may not cross the next snapshot
-    /// boundary until backwards catch up (drain barrier).
-    fn fwd_cap(&self) -> usize {
+    /// The rank's links, upstream first.
+    fn links(&mut self) -> impl Iterator<Item = &mut ReliableConn> {
+        self.upstream.iter_mut().chain(self.downstream.iter_mut())
+    }
+
+    /// Records one of the rank's own events — "rank r {what}" — on its
+    /// first trace lane; faults and restarts also go to stderr.
+    fn instant(&mut self, phase: TracePhase, what: String) {
+        let detail = format!("rank {} {what}", self.spec.rank);
+        if matches!(phase, TracePhase::Fault | TracePhase::Restart) {
+            eprintln!("{detail}");
+        }
+        self.rank.group.lane().instant(phase, Some(detail));
+    }
+
+    /// Where forwards stop for now: the end of the run, or the next
+    /// snapshot boundary until backwards catch up (drain barrier).
+    fn fwd_limit(&self) -> usize {
+        let total = self.spec.total_microbatches;
         match &self.spec.snapshots {
-            Some(snaps) => (self.group.completed() / snaps.every + 1) * snaps.every,
-            None => usize::MAX,
+            Some(snaps) => total.min((self.rank.group.completed() / snaps.every + 1) * snaps.every),
+            None => total,
         }
     }
 
     fn run(&mut self, data: &Dataset) -> Result<(), DistError> {
         let total = self.spec.total_microbatches;
-        while self.group.completed() < total {
-            let next_fwd = self.group.forwarded();
-            let can_fwd = next_fwd < total && next_fwd < self.fwd_cap() && self.group.can_forward();
-            if can_fwd {
-                self.forward_one(data)?;
-            } else {
-                self.backward_one()?;
-            }
+        let range = self.rank.group.range();
+        loop {
+            let limit = self.fwd_limit();
+            let (seed, order, order_epoch) =
+                (self.spec.seed, &mut self.order, &mut self.order_epoch);
+            // Rank 0 feeds from the dataset in the deterministic
+            // (seed, epoch) order the sequential core uses.
+            let mut feed = |mb: usize| {
+                let epoch = mb / data.len();
+                if epoch != *order_epoch {
+                    *order = data.epoch_order(seed, epoch);
+                    *order_epoch = epoch;
+                }
+                let (x, label) = data.sample(order[mb % data.len()]);
+                Message::sample(mb, x, label)
+            };
+            let up = match self.upstream.as_mut() {
+                Some(link) => Upstream::Link(link),
+                None => Upstream::Feed(&mut feed),
+            };
+            let stages = &mut self.net.stages_mut()[range.clone()];
+            let step = self.rank.step(stages, up, self.downstream.as_mut(), limit);
+            let Some(step) = step.map_err(|e| match e {
+                RankError::Link(e) => e,
+                desync => DistError::Corrupt(format!("link desynchronized: {desync:?}")),
+            })?
+            else {
+                break;
+            };
             self.note_reconnects();
+            if let Step::Backward(mb) = step {
+                self.after_backward(mb + 1)?;
+            }
         }
-        self.group.flush_trace();
+        self.rank.group.flush_trace();
         // Final snapshot (unconditional): the launcher assembles the full
         // network from every rank's state at the end of the run.
         if self.spec.snapshots.is_some() && self.written.last() != Some(&total) {
@@ -427,152 +423,19 @@ impl<'a> Rank<'a> {
         let bye = Frame::Shutdown {
             rank: self.spec.rank as u32,
         };
-        if let Some(up) = self.upstream.as_mut() {
-            let _ = up.send(&bye);
+        for link in self.links() {
+            let _ = link.send(&bye);
         }
-        if let Some(down) = self.downstream.as_mut() {
-            let _ = down.send(&bye);
-        }
-        if let Some(up) = self.upstream.as_mut() {
-            up.drain_shutdown(self.spec.stall);
-        }
-        if let Some(down) = self.downstream.as_mut() {
-            down.drain_shutdown(self.spec.stall);
+        let stall = self.spec.stall;
+        for link in self.links() {
+            link.drain_shutdown(stall);
         }
         Ok(())
     }
 
-    /// Surfaces link reconnects as `Reconnect` trace instants on the
-    /// rank's first lane, one per reconnect since the last check.
-    fn note_reconnects(&mut self) {
-        let total = self.upstream.as_ref().map_or(0, ReliableConn::reconnects)
-            + self.downstream.as_ref().map_or(0, ReliableConn::reconnects);
-        while self.seen_reconnects < total {
-            self.seen_reconnects += 1;
-            self.group.lane().instant(
-                TracePhase::Reconnect,
-                Some(format!(
-                    "rank {} link reconnect {}",
-                    self.spec.rank, self.seen_reconnects
-                )),
-            );
-        }
-    }
-
-    fn forward_one(&mut self, data: &Dataset) -> Result<(), DistError> {
-        let mb = self.group.forwarded();
-        let (mut stack, label) = match self.upstream.as_mut() {
-            None => {
-                // Rank 0 feeds from the dataset in the deterministic
-                // (seed, epoch) order the sequential core uses.
-                let epoch = mb / data.len();
-                if epoch != self.order_epoch {
-                    self.order = data.epoch_order(self.spec.seed, epoch);
-                    self.order_epoch = epoch;
-                }
-                let (x, label) = data.sample(self.order[mb % data.len()]);
-                let mut shape = vec![1usize];
-                shape.extend_from_slice(x.shape());
-                let batched = x.reshape(&shape).expect("same volume");
-                (vec![batched], label)
-            }
-            Some(up) => match up.recv_data(self.spec.stall)? {
-                Frame::Activation {
-                    microbatch,
-                    label,
-                    lanes,
-                    ..
-                } => {
-                    if microbatch != mb as u64 {
-                        return Err(DistError::Corrupt(format!(
-                            "activation for microbatch {microbatch}, expected {mb} \
-                             (link desynchronized)"
-                        )));
-                    }
-                    (lanes, label as usize)
-                }
-                other => {
-                    return Err(DistError::Corrupt(format!(
-                        "expected activation, got {}",
-                        other.kind_name()
-                    )))
-                }
-            },
-        };
-        let range = self.group.range();
-        self.group
-            .forward(&mut self.net.stages_mut()[range], &mut stack, mb);
-        match self.downstream.as_mut() {
-            None => {
-                // Last rank: the loss stage is local. Compute the loss
-                // gradient now and queue it for this microbatch's
-                // backward turn.
-                assert_eq!(stack.len(), 1, "network must reduce to a single lane");
-                let (loss, grad) = self.group.loss(&stack[0], label);
-                self.pending.push_back((grad, loss));
-            }
-            Some(down) => {
-                // seq 0 is a placeholder; the reliable link stamps the
-                // real session sequence number on send.
-                down.send(&Frame::Activation {
-                    seq: 0,
-                    microbatch: mb as u64,
-                    weight_version: self.group.counters().last().map_or(0, |c| c.updates),
-                    label: label as u32,
-                    lanes: stack,
-                })?;
-            }
-        }
-        Ok(())
-    }
-
-    fn backward_one(&mut self) -> Result<(), DistError> {
-        let mb = self.group.completed();
-        let (mut gstack, mb_loss) = match self.downstream.as_mut() {
-            None => {
-                let (grad, loss) = self
-                    .pending
-                    .pop_front()
-                    .expect("backward chosen only with a microbatch in flight");
-                (vec![grad], loss)
-            }
-            Some(down) => match down.recv_data(self.spec.stall)? {
-                Frame::Gradient {
-                    microbatch,
-                    loss,
-                    lanes,
-                    ..
-                } => {
-                    if microbatch != mb as u64 {
-                        return Err(DistError::Corrupt(format!(
-                            "gradient for microbatch {microbatch}, expected {mb} \
-                             (link desynchronized)"
-                        )));
-                    }
-                    (lanes, loss)
-                }
-                other => {
-                    return Err(DistError::Corrupt(format!(
-                        "expected gradient, got {}",
-                        other.kind_name()
-                    )))
-                }
-            },
-        };
-        self.loss_sum += mb_loss as f64;
-        let range = self.group.range();
-        self.group
-            .backward(&mut self.net.stages_mut()[range], &mut gstack, mb);
-        if let Some(up) = self.upstream.as_mut() {
-            up.send(&Frame::Gradient {
-                seq: 0,
-                microbatch: mb as u64,
-                weight_version: self.group.counters()[0].updates,
-                loss: mb_loss,
-                lanes: gstack,
-            })?;
-        }
-        let done = self.group.completed();
+    /// The hooks that follow a backward, `done` microbatches in: the
+    /// injected abort, and a snapshot when `done` is a drain barrier.
+    fn after_backward(&mut self, done: usize) -> Result<(), DistError> {
         if self.spec.abort_after == Some(done) {
             eprintln!(
                 "rank {}: injected abort after {done} microbatches",
@@ -591,6 +454,17 @@ impl<'a> Rank<'a> {
         Ok(())
     }
 
+    /// Surfaces link reconnects as `Reconnect` trace instants on the
+    /// rank's first lane, one per reconnect since the last check.
+    fn note_reconnects(&mut self) {
+        let total: u64 = self.links().map(|link| link.reconnects()).sum();
+        while self.seen_reconnects < total {
+            self.seen_reconnects += 1;
+            let what = format!("link reconnect {}", self.seen_reconnects);
+            self.instant(TracePhase::Reconnect, what);
+        }
+    }
+
     /// Sends a heartbeat on both links — called before slow local work
     /// (snapshot writes) so peers' stall watchdogs keep quiet.
     fn heartbeat(&mut self) {
@@ -599,11 +473,8 @@ impl<'a> Rank<'a> {
             rank: self.spec.rank as u32,
             beat: self.beat,
         };
-        if let Some(up) = self.upstream.as_mut() {
-            let _ = up.send(&frame);
-        }
-        if let Some(down) = self.downstream.as_mut() {
-            let _ = down.send(&frame);
+        for link in self.links() {
+            let _ = link.send(&frame);
         }
     }
 
@@ -619,8 +490,9 @@ impl<'a> Rank<'a> {
         w.put_u32(self.spec.rank as u32);
         w.put_u32(self.spec.topology.world() as u32);
         w.put_u64(self.spec.digest());
-        w.put_f64(self.loss_sum);
-        self.group.write_state(&mut w);
+        w.put_f64(self.rank.loss_sum);
+        self.rank.group.write_state(&mut w);
+        w.put_u128(self.rank.train_ns);
         snap.add_section(SECTION_DIST, w.into_bytes());
         let path = rank_snapshot_path(&dir, self.spec.rank, counter);
         snap.save_atomic(&path)?;
@@ -650,22 +522,19 @@ impl<'a> Rank<'a> {
             || digest != self.spec.digest()
         {
             return Err(SnapshotError::Mismatch(format!(
-                "snapshot belongs to rank {rank}/{world}, this process is rank {}/{} \
-                 (digest {})",
+                "snapshot belongs to rank {rank}/{world} of run {digest:#x}, this process is \
+                 rank {}/{} of run {:#x}",
                 self.spec.rank,
                 self.spec.topology.world(),
-                if digest == self.spec.digest() {
-                    "matches"
-                } else {
-                    "differs"
-                },
+                self.spec.digest(),
             ))
             .into());
         }
-        self.loss_sum = r.take_f64()?;
-        self.group.read_state(&mut r, "dist")?;
+        self.rank.loss_sum = r.take_f64()?;
+        self.rank.group.read_state(&mut r, "dist")?;
+        self.rank.train_ns = r.take_u128()?;
         r.finish()?;
-        let samples = self.group.completed();
+        let samples = self.rank.group.completed();
         if samples != counter {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot {path:?} covers {samples} microbatches, file name says {counter}"
@@ -674,16 +543,6 @@ impl<'a> Rank<'a> {
         }
         if !self.written.contains(&counter) {
             self.written.push(counter);
-        }
-        Ok(())
-    }
-
-    /// Guarantees a snapshot exists at the current resume point so a
-    /// rewind can always land on it (surviving-rank mode only).
-    fn ensure_rewind_base(&mut self) -> Result<(), DistError> {
-        let base = self.spec.resume_at;
-        if !self.written.contains(&base) {
-            self.save_snapshot(base)?;
         }
         Ok(())
     }
@@ -713,27 +572,13 @@ impl<'a> Rank<'a> {
         }
         let snaps = self.spec.snapshots.as_ref().expect("validated");
         let dir = snaps.dir.clone();
-        self.group.lane().instant(
-            TracePhase::Fault,
-            Some(format!("rank {} parking for rewind: {err}", self.spec.rank)),
-        );
-        eprintln!("rank {}: parking for rewind: {err}", self.spec.rank);
+        self.instant(TracePhase::Fault, format!("parking for rewind: {err}"));
         // Drop both links so neighbors observe EOF immediately instead
         // of waiting out their stall windows, cascading the park down
         // the chain.
-        if let Some(up) = self.upstream.as_mut() {
-            up.disconnect();
-        }
-        if let Some(down) = self.downstream.as_mut() {
-            down.disconnect();
-        }
-        self.group.lane().instant(
-            TracePhase::Backoff,
-            Some(format!(
-                "rank {} awaiting rewind token past generation {}",
-                self.spec.rank, self.generation
-            )),
-        );
+        self.links().for_each(ReliableConn::disconnect);
+        let what = format!("awaiting rewind token past generation {}", self.generation);
+        self.instant(TracePhase::Backoff, what);
         let deadline = Instant::now() + wait;
         let (generation, resume) = loop {
             if let Some((generation, resume)) = read_rewind_token(&dir) {
@@ -746,47 +591,34 @@ impl<'a> Rank<'a> {
             }
             std::thread::sleep(Duration::from_millis(10));
         };
-        self.group.lane().instant(
-            TracePhase::Restart,
-            Some(format!(
-                "rank {} rewinding to microbatch {resume} at generation {generation}",
-                self.spec.rank
-            )),
-        );
-        eprintln!(
-            "rank {}: rewinding to microbatch {resume} at generation {generation}",
-            self.spec.rank
-        );
+        let what = format!("rewinding to microbatch {resume} at generation {generation}");
+        self.instant(TracePhase::Restart, what);
         self.rewind_to(generation, resume)
     }
 
     /// Rolls the rank back to `resume` and rejoins the group in
-    /// `generation`: a fresh stage group (a faulted update window may
-    /// have left deferred gradients behind), state restored from the
+    /// `generation`: a fresh rank loop (a faulted update window may have
+    /// left deferred gradients behind), state restored from the
     /// rank's own snapshot, links re-established under the new epoch.
     fn rewind_to(&mut self, generation: u64, resume: usize) -> Result<(), DistError> {
         // Forwards that were in flight at the fault stashed activations
         // in the stages and never got their backward; a replayed
         // backward must not pop those stale entries.
         self.net.clear_stash();
-        self.group = fresh_group(&self.net, self.spec, &self.tracer);
-        self.pending.clear();
-        self.loss_sum = 0.0;
+        self.rank = fresh_rank(&self.net, self.spec, &self.tracer);
         self.generation = generation;
         self.restore(resume)?;
-        if let Some(up) = self.upstream.as_mut() {
-            up.begin_generation(generation);
-        }
-        if let Some(down) = self.downstream.as_mut() {
-            down.begin_generation(generation);
+        for link in self.links() {
+            link.begin_generation(generation);
         }
         self.establish_links()
     }
 
-    fn finish(self) -> Result<RankOutcome, DistError> {
-        let samples_seen = self.group.completed();
+    fn finish(self) -> RankOutcome {
+        let group = self.rank.group;
+        let samples_seen = group.completed();
         let mut stages = vec![StageCounters::default(); self.net.num_stages()];
-        stages[self.group.range()].clone_from_slice(self.group.counters());
+        stages[group.range()].clone_from_slice(group.counters());
         let metrics = pbp_pipeline::EngineMetrics {
             engine: format!(
                 "dist rank {}/{} {}",
@@ -795,23 +627,23 @@ impl<'a> Rank<'a> {
                 self.spec.plan.label()
             ),
             samples: samples_seen,
-            train_ns: 0,
+            train_ns: self.rank.train_ns,
             occupancy: None,
             stages,
         };
-        Ok(RankOutcome {
+        RankOutcome {
             net: self.net,
             samples_seen,
-            loss_sum: self.loss_sum,
+            loss_sum: self.rank.loss_sum,
             metrics,
-        })
+        }
     }
 }
 
-/// The rank's executor at microbatch zero: a [`StageGroup`] over the
-/// stages `spec.topology` assigns to `spec.rank`, tracing into
+/// The rank's loop at microbatch zero: a [`StageGroup`] over the stages
+/// `spec.topology` assigns to `spec.rank`, tracing into
 /// `rank{r}/stage-{s}` lanes.
-fn fresh_group(net: &Network, spec: &RankSpec, tracer: &Tracer) -> StageGroup {
+fn fresh_rank(net: &Network, spec: &RankSpec, tracer: &Tracer) -> RankLoop {
     let config = ScheduledConfig {
         plan: spec.plan,
         mitigation: spec.mitigation,
@@ -820,7 +652,7 @@ fn fresh_group(net: &Network, spec: &RankSpec, tracer: &Tracer) -> StageGroup {
     };
     let mut group = StageGroup::new(net, spec.topology.range(spec.rank), &config);
     group.set_tracer(tracer, &format!("rank{}/", spec.rank));
-    group
+    RankLoop::new(group)
 }
 
 /// Splices every rank's owned stages into `target`: stage `s`'s

@@ -232,6 +232,11 @@ fn check_against_baseline(run: &DistRun, outcomes: Vec<RankOutcome>, context: &s
             outcome.loss_sum,
             base_loss
         );
+        // Both substrates fill `train_ns` from the rank loop's step time.
+        assert!(
+            outcome.metrics.samples_per_sec() > 0.0,
+            "{context}: rank {rank} reports no throughput"
+        );
     }
     let topology = Topology::contiguous(run.layers.len() - 1, run.world).unwrap();
     assert_same_delay_histograms(

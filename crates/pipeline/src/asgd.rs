@@ -8,9 +8,8 @@
 //! master weights (consistent weights — the whole forward/backward runs on
 //! the stale worker copy, as in parameter-server ASGD).
 
-use crate::engine::{run_training, RunConfig, TrainEngine};
-use crate::metrics::{EngineMetrics, MetricsRecorder, NoHooks};
-use crate::trainer::TrainReport;
+use crate::engine::TrainEngine;
+use crate::metrics::{EngineMetrics, MetricsRecorder};
 use pbp_data::Dataset;
 use pbp_nn::loss::softmax_cross_entropy;
 use pbp_nn::Network;
@@ -192,13 +191,7 @@ impl AsgdTrainer {
 
     /// Trains one epoch; returns the mean batch loss.
     pub fn train_epoch(&mut self, data: &Dataset, seed: u64, epoch: usize) -> f64 {
-        let order = data.epoch_order(seed, epoch);
-        let (total, batches) = self.train_range(data, &order);
-        if batches == 0 {
-            0.0
-        } else {
-            total / batches as f64
-        }
+        TrainEngine::train_epoch(self, data, seed, epoch)
     }
 
     /// Trains a contiguous slice of an epoch order; returns the loss sum
@@ -215,17 +208,6 @@ impl AsgdTrainer {
         }
         (total, batches)
     }
-
-    /// Full run with validation after each epoch.
-    pub fn run(&mut self, train: &Dataset, val: &Dataset, epochs: usize, seed: u64) -> TrainReport {
-        run_training(
-            self,
-            train,
-            val,
-            &RunConfig::new(epochs, seed),
-            &mut NoHooks,
-        )
-    }
 }
 
 impl TrainEngine for AsgdTrainer {
@@ -235,10 +217,6 @@ impl TrainEngine for AsgdTrainer {
 
     fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
         AsgdTrainer::train_batch(self, x, labels)
-    }
-
-    fn train_epoch(&mut self, data: &Dataset, seed: u64, epoch: usize) -> f64 {
-        AsgdTrainer::train_epoch(self, data, seed, epoch)
     }
 
     fn train_range(&mut self, data: &Dataset, indices: &[usize]) -> (f64, usize) {

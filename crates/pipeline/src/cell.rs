@@ -52,6 +52,18 @@ pub struct StageCell {
     weight_stashing: bool,
 }
 
+/// Exchanges the stage's live parameter tensors with `version`'s, in
+/// [`Stage::params`] order. Called in pairs around a pass that must run
+/// under another weight version: no weight is copied, and after the
+/// second call both sides hold exactly what they held before.
+fn swap_params(stage: &mut Stage, version: &mut [Tensor]) {
+    let params = stage.params_mut();
+    assert_eq!(params.len(), version.len(), "version layout mismatch");
+    for (p, v) in params.into_iter().zip(version) {
+        std::mem::swap(p, v);
+    }
+}
+
 impl StageCell {
     /// Builds the cell for stage `s` of a pipeline with
     /// `pipeline_stages` stages under `plan`, deriving the version lag
@@ -114,27 +126,23 @@ impl StageCell {
     }
 
     /// Runs the stage's forward pass under the scheduled weight version:
-    /// pops the queue front, loads it (skipping the snapshot/load/restore
-    /// dance when the queued version is bit-identical to the live
-    /// weights — no lag, no forward prediction), and stashes the version
-    /// under weight stashing.
+    /// pops the queue front, swaps it in for the pass (skipped when the
+    /// queued version is bit-identical to the live weights — no lag, no
+    /// forward prediction, which is how fill&drain falls out of the shared
+    /// machinery at full speed), and stashes the version under weight
+    /// stashing.
     pub fn forward(&mut self, stage: &mut Stage, stack: &mut LaneStack) {
-        let fwd_w = self
+        let mut fwd_w = self
             .fwd_queue
             .pop_front()
             .expect("queue maintains lag+1 entries");
-        // With no version lag and no forward prediction the queued
-        // version is bit-identical to the live weights, so the
-        // snapshot/load/restore dance is skipped — fill&drain falls
-        // out of the shared machinery at full speed.
         let live = self.version_lag == 0 && self.opt.config().fwd_horizon == 0.0;
         if fwd_w.is_empty() || live {
             stage.forward(stack);
         } else {
-            let current = stage.snapshot();
-            stage.load(&fwd_w);
+            swap_params(stage, &mut fwd_w);
             stage.forward(stack);
-            stage.load(&current);
+            swap_params(stage, &mut fwd_w);
         }
         if self.weight_stashing {
             self.stash.push_back(fwd_w);
@@ -169,11 +177,10 @@ impl StageCell {
             stage.zero_grads();
         }
         match bwd_override {
-            Some(bw) => {
-                let current = stage.snapshot();
-                stage.load(&bw);
+            Some(mut bw) => {
+                swap_params(stage, &mut bw);
                 stage.backward_input(gstack);
-                stage.load(&current);
+                swap_params(stage, &mut bw);
             }
             None => stage.backward_input(gstack),
         }

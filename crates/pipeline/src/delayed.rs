@@ -12,10 +12,9 @@
 //! forward pass then loading the model with the master weights before doing
 //! the backwards pass."
 
-use crate::engine::{run_training, RunConfig, TrainEngine};
-use crate::metrics::{EngineMetrics, MetricsRecorder, NoHooks};
+use crate::engine::TrainEngine;
+use crate::metrics::{EngineMetrics, MetricsRecorder};
 use crate::schedule::{Action, MicrobatchSchedule};
-use crate::trainer::TrainReport;
 use pbp_data::Dataset;
 use pbp_nn::loss::softmax_cross_entropy;
 use pbp_nn::Network;
@@ -219,13 +218,7 @@ impl DelayedTrainer {
 
     /// Trains one epoch; returns the mean batch loss.
     pub fn train_epoch(&mut self, data: &Dataset, seed: u64, epoch: usize) -> f64 {
-        let order = data.epoch_order(seed, epoch);
-        let (total, batches) = self.train_range(data, &order);
-        if batches == 0 {
-            0.0
-        } else {
-            total / batches as f64
-        }
+        TrainEngine::train_epoch(self, data, seed, epoch)
     }
 
     /// Trains a contiguous slice of an epoch order; returns the loss sum
@@ -240,17 +233,6 @@ impl DelayedTrainer {
             batches += 1;
         }
         (total, batches)
-    }
-
-    /// Full run with validation after each epoch.
-    pub fn run(&mut self, train: &Dataset, val: &Dataset, epochs: usize, seed: u64) -> TrainReport {
-        run_training(
-            self,
-            train,
-            val,
-            &RunConfig::new(epochs, seed),
-            &mut NoHooks,
-        )
     }
 }
 
@@ -270,10 +252,6 @@ impl TrainEngine for DelayedTrainer {
 
     fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
         DelayedTrainer::train_batch(self, x, labels)
-    }
-
-    fn train_epoch(&mut self, data: &Dataset, seed: u64, epoch: usize) -> f64 {
-        DelayedTrainer::train_epoch(self, data, seed, epoch)
     }
 
     fn train_range(&mut self, data: &Dataset, indices: &[usize]) -> (f64, usize) {

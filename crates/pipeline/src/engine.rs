@@ -14,7 +14,7 @@
 
 use crate::asgd::{AsgdTrainer, DelayDistribution};
 use crate::delayed::{DelayedConfig, DelayedTrainer};
-use crate::metrics::{EngineMetrics, TrainHooks};
+use crate::metrics::{EngineMetrics, NoHooks, TrainHooks};
 use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
 use crate::threaded::{ThreadedConfig, ThreadedPipeline};
 use crate::trainer::{evaluate, EpochRecord, SgdmTrainer, TrainReport};
@@ -59,6 +59,16 @@ pub trait TrainEngine {
     /// partial sums associate differently. This is the sub-epoch
     /// primitive the snapshot runner slices training with.
     fn train_range(&mut self, data: &Dataset, indices: &[usize]) -> (f64, usize);
+
+    /// Full run with validation after each epoch: [`run_training`] under
+    /// [`RunConfig::new`] with no hooks.
+    fn run(&mut self, train: &Dataset, val: &Dataset, epochs: usize, seed: u64) -> TrainReport
+    where
+        Self: Sized,
+    {
+        let config = RunConfig::new(epochs, seed);
+        run_training(self, train, val, &config, &mut NoHooks)
+    }
 
     /// Samples consumed per optimizer update, for converting an
     /// every-N-updates snapshot cadence into a sample count.

@@ -4,10 +4,11 @@
 //! with their trace lanes and counters, and interprets the plan's
 //! [`Action`] stream for them. Every substrate drives the same four
 //! operations: the sequential [`ScheduledTrainer`](crate::ScheduledTrainer)
-//! is a group over all stages swept one microbatch at a time, each
-//! `pbp-dist` rank a group over its topology range between two sockets,
-//! and each [`ThreadedPipeline`](crate::ThreadedPipeline) worker a
-//! one-stage group between two channels. Trace spans, metrics, loss
+//! is a group over all stages swept one microbatch at a time; each
+//! `pbp-dist` rank (a group over its topology range) and each
+//! [`ThreadedPipeline`](crate::ThreadedPipeline) worker (a one-stage
+//! group) drives them through the one [`RankLoop`](crate::RankLoop).
+//! Trace spans, metrics, loss
 //! scaling, hyperparameter binding and the run-ahead rule therefore exist
 //! once, and the cell's ordering contract (see [`crate::cell`]) makes the
 //! three bit-identical — weights, f64 loss sums and Eq. 5 delay
@@ -257,28 +258,17 @@ impl StageGroup {
     /// Splits the group into one single-stage group per owned stage, for
     /// thread-per-stage execution; [`StageGroup::join`] is the inverse.
     pub(crate) fn split(self) -> Vec<StageGroup> {
-        let StageGroup {
-            config,
-            first,
-            cells,
-            lanes,
-            counters,
-            next_fwd,
-            next_bwd,
-        } = self;
-        cells
-            .into_iter()
-            .zip(lanes)
-            .zip(counters)
+        let parts = self.cells.into_iter().zip(self.lanes).zip(self.counters);
+        parts
             .enumerate()
             .map(|(local, ((cell, lane), counters))| StageGroup {
-                config: config.clone(),
-                first: first + local,
+                config: self.config.clone(),
+                first: self.first + local,
                 cells: vec![cell],
                 lanes: vec![lane],
                 counters: vec![counters],
-                next_fwd,
-                next_bwd,
+                next_fwd: self.next_fwd,
+                next_bwd: self.next_bwd,
             })
             .collect()
     }

@@ -9,6 +9,11 @@
 //!   stash) plus their trace lanes and counters, interpreting a
 //!   [`MicrobatchSchedule`]'s action stream. Every substrate below drives
 //!   the same four operations, so they are bit-identical to each other.
+//! * [`RankLoop`] — the one rank loop above the executor: forward while
+//!   the group allows, otherwise retire a backward, between two [`Link`]s
+//!   that move an `Activation` downstream and a `Gradient` (with the
+//!   loss) upstream. The stage threads step it between channel links,
+//!   the `pbp-dist` ranks between sockets.
 //! * [`ScheduledTrainer`] — the sequential substrate: one group over all
 //!   stages, swept a microbatch at a time. Under
 //!   [`ScheduledConfig::pb`] it is the deterministic, cycle-accurate
@@ -24,8 +29,8 @@
 //!   in tests) but paying the utilization bound `N/(N+2S)` of Eq. 1. 1F1B
 //!   and 2BP run through the same engine.
 //! * [`ThreadedPipeline`] — the thread-per-stage substrate (one OS thread
-//!   and one single-stage group per stage, crossbeam channels between
-//!   them), demonstrating that PB keeps all workers busy while
+//!   and one single-stage [`RankLoop`] per stage, crossbeam channel links
+//!   between them), demonstrating that PB keeps all workers busy while
 //!   fill-and-drain idles them. The third substrate, process per stage
 //!   group over sockets, lives in `pbp-dist`.
 //! * [`DelayedTrainer`] — the Appendix G.2 simulator: a uniform,
@@ -52,6 +57,7 @@ pub mod fault;
 pub mod group;
 pub mod memory;
 pub mod metrics;
+pub mod rank;
 pub mod resume;
 pub mod schedule;
 pub mod scheduled;
@@ -72,6 +78,7 @@ pub use metrics::{
     EngineMetrics, JsonSink, MetricsRecorder, MetricsSink, NoHooks, StageCounters, TraceHooks,
     TrainHooks,
 };
+pub use rank::{Link, Message, RankError, RankLoop, Step, Upstream};
 pub use resume::{
     latest_snapshot, resume_training, run_to_crash, run_training_with_snapshots, SnapshotPolicy,
     SECTION_RUN,

@@ -1,0 +1,495 @@
+//! The one rank loop (DESIGN §12 is the full description).
+//!
+//! A pipeline worker does one thing (paper §2, Fig. 2): take an
+//! activation from upstream, run its stages, hand the result on, and
+//! later take the gradient back. [`RankLoop`] is that worker — a
+//! [`StageGroup`] plus the one scheduling decision above it,
+//! [`RankLoop::next_step`] — and a [`Link`] is what joins two of them:
+//! in-process channels under [`ThreadedPipeline`](crate::ThreadedPipeline),
+//! sockets under `pbp-dist`. Fill&drain, PB, 1F1B and 2BP differ only in
+//! the version lags the plan hands the group, never in this loop. Waiting
+//! policy (bounded waits, heartbeats, abort flags, stall windows,
+//! reconnects) belongs to the link; fault and snapshot hooks belong to
+//! the caller, keyed off the [`Step`] the loop reports.
+
+use crate::engine::batch_of_one;
+use crate::group::StageGroup;
+use pbp_nn::{LaneStack, Stage};
+use pbp_tensor::Tensor;
+use std::collections::VecDeque;
+use std::time::Instant;
+
+/// What crosses a [`Link`], in microbatch order and exactly once.
+#[derive(Debug)]
+pub enum Message {
+    /// Microbatch `mb`'s forward activations, flowing downstream; the
+    /// label rides along so only the loss-owning rank needs the dataset.
+    Activation {
+        mb: usize,
+        label: usize,
+        lanes: LaneStack,
+    },
+    /// Microbatch `mb`'s input gradients, flowing upstream with its loss,
+    /// so every rank accumulates the identical f64 loss sum.
+    Gradient {
+        mb: usize,
+        loss: f32,
+        lanes: LaneStack,
+    },
+}
+
+impl Message {
+    /// The activation that feeds sample `x` (no batch dimension) into the
+    /// first stage as microbatch `mb`.
+    pub fn sample(mb: usize, x: &Tensor, label: usize) -> Message {
+        Message::Activation {
+            mb,
+            label,
+            lanes: vec![batch_of_one(x)],
+        }
+    }
+
+    /// The step this message is the input of.
+    pub fn step(&self) -> Step {
+        match *self {
+            Message::Activation { mb, .. } => Step::Forward(mb),
+            Message::Gradient { mb, .. } => Step::Backward(mb),
+        }
+    }
+}
+
+/// One end of a connection between adjacent ranks.
+pub trait Link {
+    /// Why a message could not be moved.
+    type Error;
+
+    /// Hands `msg` to the peer.
+    fn send(&mut self, msg: Message) -> Result<(), Self::Error>;
+
+    /// Waits for the peer's next message.
+    fn recv(&mut self) -> Result<Message, Self::Error>;
+}
+
+/// Where a rank's activations come from.
+pub enum Upstream<'a, L> {
+    /// Rank 0: the closure yields microbatch `mb`'s [`Message::sample`].
+    Feed(&'a mut dyn FnMut(usize) -> Message),
+    /// Every other rank: the link to the rank above.
+    Link(&'a mut L),
+}
+
+/// One unit of a rank's work, tagged with its global microbatch index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    Forward(usize),
+    Backward(usize),
+}
+
+/// Why [`RankLoop::step`] did not run.
+#[derive(Debug, PartialEq)]
+pub enum RankError<E> {
+    /// The link failed.
+    Link(E),
+    /// The link delivered `got`'s input where `expected`'s was due;
+    /// nothing was executed.
+    Desync { expected: Step, got: Step },
+}
+
+/// A rank of the pipeline (see the module docs).
+pub struct RankLoop {
+    /// The rank's executor: cursors, counters, cells. Only
+    /// [`RankLoop::step`] runs it; between steps the caller may trace,
+    /// snapshot and — with nothing in flight — restore it.
+    pub group: StageGroup,
+    /// Loss gradients awaiting their backward turn (last rank only).
+    pending: VecDeque<(Tensor, f32)>,
+    /// Sum of the losses of every completed microbatch, in microbatch
+    /// order.
+    pub loss_sum: f64,
+    /// Wall-clock nanoseconds spent in successful [`RankLoop::step`]s,
+    /// link waits included.
+    pub train_ns: u128,
+}
+
+impl RankLoop {
+    /// A rank executing `group`, with nothing in flight.
+    pub fn new(group: StageGroup) -> Self {
+        RankLoop {
+            group,
+            pending: VecDeque::new(),
+            loss_sum: 0.0,
+            train_ns: 0,
+        }
+    }
+
+    /// The scheduling decision: forward microbatch `forwarded()` while it
+    /// is below `fwd_limit` — the end of the call, or an earlier drain
+    /// barrier — and the group's run-ahead rule allows; otherwise retire
+    /// backward `completed()`; `None` once nothing is in flight either.
+    pub fn next_step(&self, fwd_limit: usize) -> Option<Step> {
+        let (fwd, bwd) = (self.group.forwarded(), self.group.completed());
+        if fwd < fwd_limit && self.group.can_forward() {
+            Some(Step::Forward(fwd))
+        } else if bwd < fwd {
+            Some(Step::Backward(bwd))
+        } else {
+            None
+        }
+    }
+
+    /// Runs [`RankLoop::next_step`] on `stages` (the group's slice of the
+    /// network) and reports it. A forward takes its activation from `up`
+    /// and sends the result `down`, or — on the last rank, which has no
+    /// downstream link — computes the loss and queues its gradient; a
+    /// backward takes its gradient from `down` (or the queue) and sends
+    /// the input gradient on to an upstream link.
+    pub fn step<L: Link>(
+        &mut self,
+        stages: &mut [Stage],
+        up: Upstream<'_, L>,
+        down: Option<&mut L>,
+        fwd_limit: usize,
+    ) -> Result<Option<Step>, RankError<L::Error>> {
+        let Some(step) = self.next_step(fwd_limit) else {
+            return Ok(None);
+        };
+        let start = Instant::now();
+        let desync = |msg: Message| RankError::Desync {
+            expected: step,
+            got: msg.step(),
+        };
+        match step {
+            Step::Forward(mb) => {
+                let msg = match up {
+                    Upstream::Feed(feed) => feed(mb),
+                    Upstream::Link(link) => link.recv().map_err(RankError::Link)?,
+                };
+                let (label, mut lanes) = match msg {
+                    Message::Activation {
+                        mb: m,
+                        label,
+                        lanes,
+                    } if m == mb => (label, lanes),
+                    msg => return Err(desync(msg)),
+                };
+                self.group.forward(stages, &mut lanes, mb);
+                if let Some(link) = down {
+                    let msg = Message::Activation { mb, label, lanes };
+                    link.send(msg).map_err(RankError::Link)?;
+                } else {
+                    assert_eq!(lanes.len(), 1, "network must reduce to a single lane");
+                    let (loss, grad) = self.group.loss(&lanes[0], label);
+                    self.pending.push_back((grad, loss));
+                }
+            }
+            Step::Backward(mb) => {
+                let (loss, mut lanes) = match down {
+                    Some(link) => match link.recv().map_err(RankError::Link)? {
+                        Message::Gradient { mb: m, loss, lanes } if m == mb => (loss, lanes),
+                        msg => return Err(desync(msg)),
+                    },
+                    None => {
+                        let queued = self.pending.pop_front();
+                        let (grad, loss) = queued.expect("one queued gradient per microbatch");
+                        (loss, vec![grad])
+                    }
+                };
+                self.loss_sum += loss as f64;
+                self.group.backward(stages, &mut lanes, mb);
+                if let Upstream::Link(link) = up {
+                    let msg = Message::Gradient { mb, loss, lanes };
+                    link.send(msg).map_err(RankError::Link)?;
+                }
+            }
+        }
+        self.train_ns += start.elapsed().as_nanos();
+        Ok(Some(step))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The ordering contract, checked rather than soaked: ranks joined by
+    //! in-memory queues on one thread, stepped in whatever legal order a
+    //! proptest picks, must match the sequential engine bit for bit.
+
+    use super::*;
+    use crate::engine::TrainEngine;
+    use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
+    use pbp_data::{spirals, Dataset};
+    use pbp_nn::models::mlp;
+    use pbp_nn::Network;
+    use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    const LAYERS: [usize; 6] = [2, 8, 8, 8, 8, 3];
+    const SAMPLES: usize = 24;
+
+    type Wire = Rc<RefCell<VecDeque<Message>>>;
+
+    /// One end of an in-memory link; an empty wire is an error, so a rank
+    /// stepped before its input arrived fails the test instead of hanging.
+    struct QueueLink {
+        tx: Wire,
+        rx: Wire,
+    }
+
+    impl Link for QueueLink {
+        type Error = &'static str;
+
+        fn send(&mut self, msg: Message) -> Result<(), Self::Error> {
+            self.tx.borrow_mut().push_back(msg);
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<Message, Self::Error> {
+            self.rx.borrow_mut().pop_front().ok_or("empty wire")
+        }
+    }
+
+    struct World {
+        ranks: Vec<RankLoop>,
+        stages: Vec<Vec<Stage>>,
+        /// `acts[i]` / `grads[i]` join rank `i` and rank `i + 1`.
+        acts: Vec<Wire>,
+        grads: Vec<Wire>,
+    }
+
+    fn schedule() -> LrSchedule {
+        LrSchedule::constant(scale_hyperparams(Hyperparams::new(0.1, 0.9), 8, 1))
+    }
+
+    fn fresh_net() -> Network {
+        mlp(&LAYERS, &mut StdRng::seed_from_u64(5))
+    }
+
+    fn data() -> Dataset {
+        spirals(3, 8, 0.05, 3)
+    }
+
+    fn configs() -> Vec<ScheduledConfig> {
+        vec![
+            ScheduledConfig::pb(schedule()),
+            ScheduledConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
+            ScheduledConfig::pb(schedule()).with_weight_stashing(),
+            ScheduledConfig::one_f_one_b(4, schedule()),
+            ScheduledConfig::two_bp(4, schedule()),
+            ScheduledConfig::fill_drain(4, schedule()),
+        ]
+    }
+
+    impl World {
+        /// `world` ranks over the network's stages, cut at `world - 1`
+        /// boundaries spread evenly.
+        fn new(config: &ScheduledConfig, world: usize) -> World {
+            let net = fresh_net();
+            let n = net.num_stages();
+            let cuts: Vec<usize> = (0..=world).map(|r| r * n / world).collect();
+            let ranks = cuts
+                .windows(2)
+                .map(|w| RankLoop::new(StageGroup::new(&net, w[0]..w[1], config)))
+                .collect();
+            let mut rest = net.into_stages();
+            let mut stages: Vec<Vec<Stage>> = cuts
+                .windows(2)
+                .rev()
+                .map(|w| rest.split_off(w[0]))
+                .collect();
+            stages.reverse();
+            World {
+                ranks,
+                stages,
+                acts: (1..world).map(|_| Wire::default()).collect(),
+                grads: (1..world).map(|_| Wire::default()).collect(),
+            }
+        }
+
+        /// The step rank `r` would take, if its input has arrived.
+        fn ready(&self, r: usize) -> Option<Step> {
+            let step = self.ranks[r].next_step(SAMPLES)?;
+            let arrived = match step {
+                Step::Forward(_) => r == 0 || !self.acts[r - 1].borrow().is_empty(),
+                Step::Backward(_) => {
+                    r + 1 == self.ranks.len() || !self.grads[r].borrow().is_empty()
+                }
+            };
+            arrived.then_some(step)
+        }
+
+        fn step(
+            &mut self,
+            r: usize,
+            feed: &mut dyn FnMut(usize) -> Message,
+        ) -> Result<Option<Step>, RankError<&'static str>> {
+            let mut up = (r > 0).then(|| QueueLink {
+                tx: Rc::clone(&self.grads[r - 1]),
+                rx: Rc::clone(&self.acts[r - 1]),
+            });
+            let mut down = (r + 1 < self.ranks.len()).then(|| QueueLink {
+                tx: Rc::clone(&self.acts[r]),
+                rx: Rc::clone(&self.grads[r]),
+            });
+            let up = match up.as_mut() {
+                Some(link) => Upstream::Link(link),
+                None => Upstream::Feed(feed),
+            };
+            self.ranks[r].step(&mut self.stages[r], up, down.as_mut(), SAMPLES)
+        }
+    }
+
+    /// Which ready rank steps next: `prefer` narrows the choice to ranks
+    /// about to run that kind of step when there are any (`Some(false)` =
+    /// strictly backward-first, `Some(true)` = maximally forward-greedy),
+    /// `picks` breaks the remaining ties.
+    fn run_world(config: &ScheduledConfig, world: usize, prefer: Option<bool>, picks: &[usize]) {
+        let data = data();
+        let mut reference = ScheduledTrainer::new(fresh_net(), config.clone());
+        let mut want_losses = Vec::new();
+        let mut want_sum = 0.0f64;
+        for mb in 0..SAMPLES {
+            let (x, label) = data.sample(mb % data.len());
+            let loss = reference.train_sample(x, label);
+            want_losses.push(loss);
+            want_sum += loss as f64;
+        }
+
+        let context = format!("{} world {world} prefer {prefer:?}", config.label());
+        let mut w = World::new(config, world);
+        let mut feed = |mb: usize| {
+            let (x, label) = data.sample(mb % data.len());
+            Message::sample(mb, x, label)
+        };
+        let mut losses = Vec::new();
+        for turn in 0.. {
+            let ready: Vec<(usize, Step)> = (0..world)
+                .filter_map(|r| w.ready(r).map(|s| (r, s)))
+                .collect();
+            if ready.is_empty() {
+                break;
+            }
+            let preferred: Vec<(usize, Step)> = ready
+                .iter()
+                .copied()
+                .filter(|(_, s)| prefer.is_none_or(|fwd| matches!(s, Step::Forward(_)) == fwd))
+                .collect();
+            let pool = if preferred.is_empty() {
+                &ready
+            } else {
+                &preferred
+            };
+            let (r, step) = pool[picks[turn % picks.len()] % pool.len()];
+            assert_eq!(w.step(r, &mut feed), Ok(Some(step)), "{context}");
+            // The record: each microbatch's loss, as the last link relays
+            // it (or, in a world of one, as the rank sums it).
+            if let (Step::Backward(_), Some(wire)) = (step, w.grads.first()) {
+                if r == 1 {
+                    match wire.borrow().back() {
+                        Some(Message::Gradient { loss, .. }) => losses.push(*loss),
+                        other => panic!("{context}: rank 1 sent {other:?}"),
+                    }
+                }
+            }
+        }
+        // Nothing ready: every rank must be finished, not deadlocked.
+        for (r, rank) in w.ranks.iter().enumerate() {
+            assert_eq!(rank.next_step(SAMPLES), None, "{context}: rank {r} stuck");
+            assert_eq!(rank.group.completed(), SAMPLES, "{context}: rank {r}");
+            assert_eq!(
+                rank.loss_sum.to_bits(),
+                want_sum.to_bits(),
+                "{context}: rank {r} loss sum"
+            );
+        }
+        if world > 1 {
+            assert_eq!(losses, want_losses, "{context}: loss record");
+        }
+        let want = TrainEngine::metrics(&reference);
+        let got = w.ranks.iter().flat_map(|rank| rank.group.counters());
+        for (s, (got, want)) in got.zip(&want.stages).enumerate() {
+            assert_eq!(got.updates, want.updates, "{context}: stage {s} updates");
+            assert_eq!(
+                got.delay_hist, want.delay_hist,
+                "{context}: stage {s} delays"
+            );
+        }
+        let net = reference.into_network();
+        for (s, stage) in w.stages.iter().flatten().enumerate() {
+            for (p, q) in stage.params().iter().zip(net.stage(s).params()) {
+                assert_eq!(p.as_slice(), q.as_slice(), "{context}: stage {s} weights");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn any_legal_interleaving_matches_the_sequential_engine(
+            world in 2usize..=4,
+            prefer in 0usize..3,
+            picks in proptest::collection::vec(0usize..64, 1..48),
+        ) {
+            let prefer = [None, Some(false), Some(true)][prefer];
+            for config in configs() {
+                run_world(&config, world, prefer, &picks);
+            }
+        }
+    }
+
+    #[test]
+    fn a_world_of_one_matches_the_sequential_engine() {
+        for config in configs() {
+            run_world(&config, 1, None, &[0]);
+        }
+    }
+
+    #[test]
+    fn a_desynchronized_link_is_a_typed_error() {
+        let config = ScheduledConfig::pb(schedule());
+        let data = data();
+        let (x, label) = data.sample(0);
+        // The feed hands rank 0 the wrong microbatch.
+        let mut w = World::new(&config, 2);
+        let mut wrong = |mb: usize| Message::sample(mb + 5, x, label);
+        assert_eq!(
+            w.step(0, &mut wrong),
+            Err(RankError::Desync {
+                expected: Step::Forward(0),
+                got: Step::Forward(5),
+            })
+        );
+        // The link hands rank 1 a later activation, then a gradient where
+        // an activation is due.
+        let mut unused = |_: usize| unreachable!("rank 1 has an upstream link");
+        w.acts[0]
+            .borrow_mut()
+            .push_back(Message::sample(3, x, label));
+        assert_eq!(
+            w.step(1, &mut unused),
+            Err(RankError::Desync {
+                expected: Step::Forward(0),
+                got: Step::Forward(3),
+            })
+        );
+        w.acts[0].borrow_mut().push_back(Message::Gradient {
+            mb: 0,
+            loss: 0.0,
+            lanes: Vec::new(),
+        });
+        assert_eq!(
+            w.step(1, &mut unused),
+            Err(RankError::Desync {
+                expected: Step::Forward(0),
+                got: Step::Backward(0),
+            })
+        );
+        // Nothing ran: the group's cursors have not moved.
+        assert_eq!(w.ranks[1].group.forwarded(), 0);
+        // A link failure passes through untouched.
+        assert_eq!(w.step(1, &mut unused), Err(RankError::Link("empty wire")));
+    }
+}

@@ -33,11 +33,10 @@
 //! it at the update boundary, delivering the summed gradients to the
 //! optimizer through its deferred-gradient interface.
 
-use crate::engine::{batch_of_one, batch_rows, run_training, RunConfig, TrainEngine};
+use crate::engine::{batch_of_one, batch_rows, TrainEngine};
 use crate::group::StageGroup;
-use crate::metrics::{EngineMetrics, NoHooks};
+use crate::metrics::EngineMetrics;
 use crate::schedule::{fill_drain_utilization, pb_utilization, MicrobatchSchedule};
-use crate::trainer::TrainReport;
 use pbp_data::Dataset;
 use pbp_nn::Network;
 use pbp_optim::{LrSchedule, Mitigation};
@@ -223,17 +222,6 @@ impl ScheduledTrainer {
     /// returns the mean loss.
     pub fn train_epoch(&mut self, data: &Dataset, seed: u64, epoch: usize) -> f64 {
         TrainEngine::train_epoch(self, data, seed, epoch)
-    }
-
-    /// Full training run with validation after each epoch.
-    pub fn run(&mut self, train: &Dataset, val: &Dataset, epochs: usize, seed: u64) -> TrainReport {
-        run_training(
-            self,
-            train,
-            val,
-            &RunConfig::new(epochs, seed),
-            &mut NoHooks,
-        )
     }
 }
 

@@ -23,8 +23,8 @@
 
 use crate::engine::{EngineSpec, RunConfig};
 use crate::fault::{PipelineFault, RunError};
-use crate::group::StageGroup;
 use crate::metrics::TrainHooks;
+use crate::rank::RankLoop;
 use crate::resume::{resume_from, resume_training, run_training_with_snapshots, SnapshotPolicy};
 use crate::trainer::TrainReport;
 use pbp_nn::{Network, Stage};
@@ -75,22 +75,17 @@ impl Watchdog {
     }
 }
 
-/// How a stage worker's run ended.
-pub(crate) enum StageOutcome {
-    /// The worker drained its stream and exited its loop.
-    Completed,
-    /// The worker's body panicked; caught by `catch_unwind`.
-    Panicked(String),
-}
-
-/// A worker's final report: its stage and one-stage group (cell, counters,
-/// trace lane) travel back to the supervisor by value, so a clean run
-/// reassembles the engine state without joining on thread results.
+/// A worker's final report: its stage and one-stage rank (cell, counters,
+/// trace lane, step time) travel back to the supervisor by value, so a
+/// clean run reassembles the engine state without joining on thread
+/// results.
 pub(crate) struct StageDone {
     pub stage_idx: usize,
     pub stage: Stage,
-    pub group: StageGroup,
-    pub outcome: StageOutcome,
+    pub rank: RankLoop,
+    /// The message of the panic that ended the worker's loop, if one did
+    /// (caught by `catch_unwind`).
+    pub panic: Option<String>,
 }
 
 /// Worker → supervisor control-plane traffic.
@@ -111,7 +106,6 @@ pub(crate) struct StreamSupervisor {
     fault: Option<PipelineFault>,
     abort: Arc<AtomicBool>,
     grace_deadline: Option<Instant>,
-    done_count: usize,
 }
 
 impl StreamSupervisor {
@@ -123,7 +117,6 @@ impl StreamSupervisor {
             fault: None,
             abort: Arc::new(AtomicBool::new(false)),
             grace_deadline: None,
-            done_count: 0,
         }
     }
 
@@ -137,14 +130,11 @@ impl StreamSupervisor {
             StageEvent::Beat { stage } => self.last_beat[stage] = Instant::now(),
             StageEvent::Done(done) => {
                 let s = done.stage_idx;
-                if let StageOutcome::Panicked(message) = &done.outcome {
+                if let Some(message) = &done.panic {
                     self.flag(PipelineFault::StagePanicked {
                         stage: s,
                         message: message.clone(),
                     });
-                }
-                if self.done[s].is_none() {
-                    self.done_count += 1;
                 }
                 self.done[s] = Some(*done);
             }
@@ -153,7 +143,7 @@ impl StreamSupervisor {
 
     /// True once every worker has reported in.
     pub(crate) fn all_done(&self) -> bool {
-        self.done_count == self.done.len()
+        self.done.iter().all(Option::is_some)
     }
 
     /// Whether stage `s` has reported in (and can be joined without
@@ -227,7 +217,7 @@ impl StreamSupervisor {
 
     /// Consumes the supervisor: the fault if one was flagged, otherwise
     /// the reassembled per-stage payloads in stage order.
-    pub(crate) fn into_result(self) -> Result<Vec<(Stage, StageGroup)>, PipelineFault> {
+    pub(crate) fn into_result(self) -> Result<Vec<(Stage, RankLoop)>, PipelineFault> {
         if let Some(fault) = self.fault {
             return Err(fault);
         }
@@ -236,7 +226,7 @@ impl StreamSupervisor {
             .into_iter()
             .map(|d| {
                 let d = d.expect("no fault implies every stage reported");
-                (d.stage, d.group)
+                (d.stage, d.rank)
             })
             .collect())
     }

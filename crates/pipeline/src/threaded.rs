@@ -4,43 +4,36 @@
 //! This is the systems half of the paper's claim: pipelined
 //! backpropagation keeps all workers busy after the initial fill, while
 //! fill-and-drain training idles them (Eq. 1). Each worker is a one-stage
-//! [`StageGroup`] between two channels — the same executor of stage
-//! semantics the sequential [`ScheduledTrainer`] sweeps and a `pbp-dist`
-//! rank drives between two sockets — so a threaded run of any
-//! [`MicrobatchSchedule`](crate::MicrobatchSchedule) is bit-identical
-//! (weights, f64 loss sum, Eq. 5 delay histograms) to the sequential run
-//! of the same configuration, however the threads interleave. Between
-//! streaming calls the engine's state *is* a [`ScheduledTrainer`]; a call
-//! splits it into per-stage workers and joins it back.
+//! [`RankLoop`] between two in-process [`Link`]s — the rank loop a
+//! `pbp-dist` process steps between two sockets (DESIGN §12) — so a
+//! threaded run of any [`MicrobatchSchedule`](crate::MicrobatchSchedule)
+//! is bit-identical (weights, f64 loss sum, Eq. 5 delay histograms) to
+//! the sequential run of the same configuration, however the threads
+//! interleave. Between streaming calls the engine's state *is* a
+//! [`ScheduledTrainer`]; a call splits it into per-stage workers and
+//! joins it back. This file adds:
 //!
-//! Design notes:
-//!
-//! * each worker forwards whenever its group allows
-//!   ([`StageGroup::can_forward`]) and otherwise retires a backward — the
-//!   rank loop of `pbp-dist`. The in-flight bound is the weight-version
-//!   FIFO (`version_lag + 1` entries), so inter-stage channels are
-//!   unbounded, and a lag-0 plan (fill&drain) drains the pipeline after
-//!   every microbatch by construction;
-//! * the calling thread feeds stage 0 from the [`Dataset`] by index over
-//!   a one-slot channel, so samples are materialized one at a time;
-//! * the last layer stage computes the loss inline and is its own
-//!   downstream neighbour: the loss gradient goes onto its own backward
-//!   channel and waits its turn there;
-//! * every run is **supervised** (DESIGN.md §9): workers run under
-//!   `catch_unwind` on owned (detachable) threads, emit heartbeats to the
-//!   calling thread, and honour a shared abort flag; the calling thread
-//!   feeds samples with bounded waits and doubles as the watchdog. A
-//!   panicking, stalling or channel-dropping stage therefore surfaces as
-//!   a typed [`PipelineFault`] within the watchdog timeout instead of
-//!   hanging the run. Fault injection for tests is scripted through
-//!   [`FaultPlan`] in the config.
+//! * the channel link: [`Message`]s cross by move over unbounded
+//!   channels (the in-flight bound is the weight-version FIFO); every
+//!   wait is bounded by the watchdog's poll tick, emits a rate-limited
+//!   heartbeat and honours the shared abort flag;
+//! * the calling thread as the far end of stage 0's upstream link: it
+//!   feeds samples from the [`Dataset`] over a one-slot channel, so they
+//!   are materialized one at a time, and reads each microbatch's loss off
+//!   the gradient stage 0 hands back;
+//! * **supervision** (DESIGN.md §9): workers run under `catch_unwind` on
+//!   owned (detachable) threads and the calling thread doubles as the
+//!   watchdog, so a panicking, stalling or link-severing stage surfaces
+//!   as a typed [`PipelineFault`] within the watchdog timeout instead of
+//!   hanging the run. [`FaultPlan`] scripts such faults for tests.
 
-use crate::engine::{batch_of_one, batch_rows, TrainEngine};
+use crate::engine::{batch_rows, TrainEngine};
 use crate::fault::{FaultAction, FaultInjector, FaultPlan, PipelineFault};
 use crate::group::StageGroup;
 use crate::metrics::EngineMetrics;
+use crate::rank::{Link, Message, RankError, RankLoop, Step, Upstream};
 use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
-use crate::supervisor::{StageDone, StageEvent, StageOutcome, StreamSupervisor, Watchdog};
+use crate::supervisor::{StageDone, StageEvent, StreamSupervisor, Watchdog};
 use crossbeam::channel::{
     bounded, unbounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender,
 };
@@ -136,18 +129,6 @@ impl ThreadedConfig {
     }
 }
 
-struct FwdMsg {
-    /// Global microbatch index.
-    mb: usize,
-    stack: Vec<Tensor>,
-    label: usize,
-}
-
-struct BwdMsg {
-    mb: usize,
-    stack: Vec<Tensor>,
-}
-
 /// The threaded pipeline runtime (see module docs).
 ///
 /// [`ThreadedPipeline::stream`] pushes a slice of a dataset through the
@@ -163,17 +144,12 @@ struct BwdMsg {
 /// [`TrainEngine::take_fault`]; recovery means rebuilding the engine and
 /// resuming from a snapshot (see
 /// [`run_supervised`](crate::supervisor::run_supervised)).
+#[derive(Debug)]
 pub struct ThreadedPipeline {
     /// `None` once a fault lost it.
     state: Option<ScheduledTrainer>,
     config: ThreadedConfig,
     fault: Option<PipelineFault>,
-}
-
-impl std::fmt::Debug for ThreadedPipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ThreadedPipeline({:?})", self.state)
-    }
 }
 
 impl ThreadedPipeline {
@@ -259,57 +235,41 @@ fn run_stream(
     let base = group.completed();
     let end = base + indices.len();
     let stages = net.into_stages();
-    // Core-aware co-scheduling: the stage workers below are real OS
-    // threads competing with the kernel pool for the same cores. Park
-    // one pool core per *heavy* stage for the duration of the run so
-    // the two layers of parallelism divide the machine instead of
-    // oversubscribing it; the reservation is dropped right after the
-    // run ends. Kernels are bit-identical at any thread count, so
-    // this shifts wall-clock only, never results.
+    // The stage workers are real OS threads competing with the kernel
+    // pool: park one pool core per heavy stage while they run.
     let cores = reserve_stage_cores(&stages);
     let num_layer_stages = stages.len();
     let poll = config.watchdog.poll.max(Duration::from_millis(1));
     let mut sup = StreamSupervisor::new(num_layer_stages, config.watchdog.clone());
     let abort = sup.abort_flag();
 
-    // Backward channels: bwd[s] carries gradients into stage s.
-    let bwd_channels: Vec<(Sender<BwdMsg>, Receiver<BwdMsg>)> =
-        (0..num_layer_stages).map(|_| unbounded()).collect();
-    // Loss results flow out-of-band so reporting a loss never blocks.
-    let (loss_tx, loss_rx) = unbounded::<f32>();
     // Control plane: heartbeats and final stage reports.
     let (events_tx, events_rx) = unbounded::<StageEvent>();
-    let (feed_tx, mut next_fwd_rx) = bounded::<FwdMsg>(1);
+    let link = |(tx, rx): LinkEnd, stage: usize| ChannelLink {
+        tx: Some(tx),
+        rx,
+        stage,
+        tick: poll,
+        abort: Arc::clone(&abort),
+        events: events_tx.clone(),
+        last_beat: Instant::now(),
+    };
+    // This thread is the far end of stage 0's upstream link.
+    let ((feed_tx, grad_rx), mut lower) = link_ends(bounded(1));
 
-    let start = Instant::now();
+    let plan = config.fault_plan.as_ref();
     let mut handles = Vec::with_capacity(num_layer_stages);
     for (s, (stage, group)) in stages.into_iter().zip(group.split()).enumerate() {
-        let (fwd_out, fwd_rx) = unbounded::<FwdMsg>();
-        let fwd_in = std::mem::replace(&mut next_fwd_rx, fwd_rx);
-        let last = s + 1 == num_layer_stages;
+        let (upper, next_lower) = link_ends(unbounded());
         let worker = StageWorker {
-            s,
             stage,
-            group,
+            rank: RankLoop::new(group),
             end,
-            fwd_in,
-            fwd_out: (!last).then_some(fwd_out),
-            bwd_in: bwd_channels[s].1.clone(),
-            bwd_out: (s > 0).then(|| bwd_channels[s - 1].0.clone()),
-            // The last layer stage terminates the forward pass at the
-            // inline loss instead of forwarding logits: two channel hops
-            // per sample disappear, and with them two context switches on
-            // small cores.
-            loss_out: last.then(|| (loss_tx.clone(), bwd_channels[s].0.clone())),
-            tick: poll,
-            injector: config
-                .fault_plan
-                .as_ref()
-                .map(|p| p.injector_for(s))
-                .unwrap_or_default(),
-            abort: Arc::clone(&abort),
+            up: link(std::mem::replace(&mut lower, next_lower), s),
+            // The last layer stage owns the loss: no link below it.
+            down: (s + 1 < num_layer_stages).then(|| link(upper, s)),
+            injector: plan.map(|p| p.injector_for(s)).unwrap_or_default(),
             events: events_tx.clone(),
-            last_beat: Instant::now(),
         };
         handles.push(
             std::thread::Builder::new()
@@ -318,31 +278,28 @@ fn run_stream(
                 .expect("spawn stage worker"),
         );
     }
-    // Drop the original channel endpoints held by this thread so
-    // disconnects propagate once workers finish.
-    drop(next_fwd_rx);
-    drop(bwd_channels);
-    drop(loss_tx);
+    // Drop the endpoints held by this thread so disconnects propagate
+    // once workers finish.
+    drop(lower);
     drop(events_tx);
 
     // ---- Control plane (this thread): feeder + watchdog + collector.
-    let mut feed_tx = Some(feed_tx);
     let mut next = 0usize;
-    let mut pending: Option<FwdMsg> = None;
-    // One producer (the last stage, in microbatch order) on a FIFO
-    // channel: losses arrive in input order.
+    let mut pending: Option<Message> = None;
+    // Stage 0 retires backwards in microbatch order and each gradient it
+    // hands up relays that microbatch's loss: losses arrive in input
+    // order, and the last one means every stage has completed the call.
     let mut losses: Vec<f32> = Vec::with_capacity(indices.len());
     loop {
+        // Events first: whatever a worker sent before its final report is
+        // then already in the gradient channel.
         while let Ok(event) = events_rx.try_recv() {
             sup.on_event(event);
         }
-        while let Ok(loss) = loss_rx.try_recv() {
+        while let Ok(Message::Gradient { loss, .. }) = grad_rx.try_recv() {
             losses.push(loss);
         }
         if sup.all_done() {
-            while let Ok(loss) = loss_rx.try_recv() {
-                losses.push(loss);
-            }
             if sup.fault().is_none() && losses.len() < indices.len() {
                 sup.flag(PipelineFault::Incomplete {
                     expected: indices.len(),
@@ -352,7 +309,6 @@ fn run_stream(
             break;
         }
         if sup.aborting() {
-            drop(feed_tx.take());
             if sup.grace_expired() {
                 break;
             }
@@ -367,14 +323,9 @@ fn run_stream(
         if next < indices.len() {
             let msg = pending.take().unwrap_or_else(|| {
                 let (x, label) = data.sample(indices[next]);
-                FwdMsg {
-                    mb: base + next,
-                    stack: vec![batch_of_one(x)],
-                    label,
-                }
+                Message::sample(base + next, x, label)
             });
-            let tx = feed_tx.as_ref().expect("feeder open while not aborting");
-            match tx.send_timeout(msg, poll) {
+            match feed_tx.send_timeout(msg, poll) {
                 Ok(()) => next += 1,
                 Err(SendTimeoutError::Timeout(m)) => pending = Some(m),
                 Err(SendTimeoutError::Disconnected(_)) => {
@@ -384,13 +335,11 @@ fn run_stream(
         } else {
             // End of stream: park on control-plane events until all
             // workers report.
-            drop(feed_tx.take());
             if let Ok(event) = events_rx.recv_timeout(poll) {
                 sup.on_event(event);
             }
         }
     }
-    drop(feed_tx);
 
     // Join only workers that already reported in (non-blocking by
     // construction); the rest are detached and exit on their own once
@@ -401,23 +350,17 @@ fn run_stream(
         }
     }
     drop(cores);
-    let elapsed = start.elapsed();
 
-    let (stages, groups): (Vec<Stage>, Vec<StageGroup>) = sup.into_result()?.into_iter().unzip();
-    // A worker stranded by a severed link can exit early after the last
-    // loss was already reported.
-    let completed = groups.iter().map(StageGroup::completed).min();
-    if completed != Some(end) {
-        return Err(PipelineFault::Incomplete {
-            expected: indices.len(),
-            completed: completed.map_or(0, |c| c - base),
-        });
-    }
+    let (stages, ranks): (Vec<Stage>, Vec<RankLoop>) = sup.into_result()?.into_iter().unzip();
+    // Stage 0 steps from the first sample to the last backward: the
+    // longest rank's step time is the call's wall time.
+    let stream_ns = ranks.iter().map(|rank| rank.train_ns).max().unwrap_or(0);
+    let groups = ranks.into_iter().map(|rank| rank.group).collect();
     let state = ScheduledTrainer {
         net: Network::new(stages),
         group: StageGroup::join(groups),
         config: run,
-        train_ns: train_ns + elapsed.as_nanos(),
+        train_ns: train_ns + stream_ns,
     };
     Ok((state, losses))
 }
@@ -437,7 +380,9 @@ fn heavy_stage_count(flops: &[u64]) -> usize {
 
 /// Parks one kernel-pool core per heavy stage (see [`heavy_stage_count`])
 /// while a streaming run is in flight, capped at the machine's planning
-/// core count. Forward + backward costs roughly 3× the forward FLOPs, a
+/// core count, so the two layers of parallelism divide the machine
+/// instead of oversubscribing it. Kernels are bit-identical at any thread
+/// count, so this shifts wall-clock only, never results. Forward + backward costs roughly 3× the forward FLOPs, a
 /// uniform factor that cancels in the share comparison but keeps the
 /// estimate honest. Returns `None` on single-core machines, where there
 /// is nothing to divide.
@@ -540,159 +485,164 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Everything one stage worker thread owns: a one-stage [`StageGroup`]
-/// and its stage, between two channels.
-struct StageWorker {
-    s: usize,
-    stage: Stage,
-    group: StageGroup,
-    /// Global index one past the last microbatch of this streaming call.
-    end: usize,
-    fwd_in: Receiver<FwdMsg>,
-    /// Downstream activation channel; `None` on the last layer stage.
-    fwd_out: Option<Sender<FwdMsg>>,
-    bwd_in: Receiver<BwdMsg>,
-    bwd_out: Option<Sender<BwdMsg>>,
-    /// Last layer stage only: where each loss is reported, and the
-    /// stage's own backward channel — the loss stage is its downstream
-    /// neighbour, so the loss gradient waits its backward turn there like
-    /// any other stage's gradient.
-    loss_out: Option<(Sender<f32>, Sender<BwdMsg>)>,
-    /// Bound on every wait, so the abort flag is observed promptly.
+/// One end of an in-process link: the sender towards the peer and the
+/// receiver from it.
+type LinkEnd = (Sender<Message>, Receiver<Message>);
+
+/// The two ends of an in-process link, `(upper, lower)`: activations
+/// travel down the given channel, gradients up an unbounded one.
+fn link_ends((act_tx, act_rx): LinkEnd) -> (LinkEnd, LinkEnd) {
+    let (grad_tx, grad_rx) = unbounded();
+    ((act_tx, grad_rx), (grad_tx, act_rx))
+}
+
+/// The peer hung up, or the supervisor raised the abort flag.
+#[derive(Debug)]
+struct Hangup;
+
+/// A stage worker's end of an in-process [`Link`]: messages cross by
+/// move; every wait is bounded so the abort flag is observed promptly and
+/// the supervisor hears a heartbeat while the stage is merely idle.
+struct ChannelLink {
+    /// `None` once severed by fault injection.
+    tx: Option<Sender<Message>>,
+    rx: Receiver<Message>,
+    stage: usize,
     tick: Duration,
-    injector: FaultInjector,
     abort: Arc<AtomicBool>,
     events: Sender<StageEvent>,
     last_beat: Instant,
 }
 
-impl StageWorker {
-    /// Runs the stream loop under `catch_unwind`, then ships the stage,
-    /// its group and the outcome back to the supervisor over the events
-    /// channel. Data-plane endpoints are severed *before* the final
-    /// report so neighbours unblock even if the body panicked
-    /// mid-message.
-    fn run_supervised(mut self) {
-        let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run())) {
-            Ok(()) => StageOutcome::Completed,
-            Err(payload) => StageOutcome::Panicked(panic_message(payload.as_ref())),
-        };
-        let StageWorker {
-            s,
-            stage,
-            mut group,
-            fwd_in,
-            fwd_out,
-            bwd_in,
-            bwd_out,
-            loss_out,
-            events,
-            ..
-        } = self;
-        if let StageOutcome::Panicked(msg) = &outcome {
-            group
-                .lane()
-                .instant(pbp_trace::TracePhase::Fault, Some(msg.clone()));
-        }
-        group.flush_trace();
-        drop((fwd_in, fwd_out, bwd_in, bwd_out, loss_out));
-        let _ = events.send(StageEvent::Done(Box::new(StageDone {
-            stage_idx: s,
-            stage,
-            group,
-            outcome,
-        })));
-    }
-
+impl ChannelLink {
     /// Rate-limited liveness signal to the supervisor.
     fn beat(&mut self) {
         if self.last_beat.elapsed() >= BEAT_INTERVAL {
-            let _ = self.events.send(StageEvent::Beat { stage: self.s });
+            let _ = self.events.send(StageEvent::Beat { stage: self.stage });
             self.last_beat = Instant::now();
         }
     }
+}
 
-    /// The stream loop — the rank loop of `pbp-dist` over channels:
-    /// forward while the group allows, otherwise retire a backward, until
-    /// every microbatch of the call has completed, a neighbour hangs up,
-    /// or the supervisor raises the abort flag.
-    fn run(&mut self) {
-        while self.group.completed() < self.end {
-            if self.abort.load(Ordering::Relaxed) {
-                return;
-            }
-            if self.group.forwarded() < self.end && self.group.can_forward() {
-                match self.fwd_in.recv_timeout(self.tick) {
-                    Ok(msg) => self.forward(msg),
-                    Err(RecvTimeoutError::Timeout) => self.beat(),
-                    // Upstream died: no more activations will arrive.
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-            } else {
-                match self.bwd_in.recv_timeout(self.tick) {
-                    Ok(msg) => self.backward(msg),
-                    Err(RecvTimeoutError::Timeout) => self.beat(),
-                    // Downstream died with our samples in flight: their
-                    // gradients will never arrive.
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-            }
-        }
-    }
+impl Link for ChannelLink {
+    type Error = Hangup;
 
-    /// Runs the forward pass and hands the result on: activations
-    /// downstream, or — on the last layer stage — the loss to the
-    /// collector and its gradient onto this stage's own backward channel.
-    /// A link severed by fault injection silently loses the sample.
-    fn forward(&mut self, mut msg: FwdMsg) {
-        self.beat();
-        self.group.forward(
-            std::slice::from_mut(&mut self.stage),
-            &mut msg.stack,
-            msg.mb,
-        );
-        if let Some((report, turn_around)) = &self.loss_out {
-            assert_eq!(msg.stack.len(), 1, "loss stage expects a single lane");
-            let (loss, grad) = self.group.loss(&msg.stack[0], msg.label);
-            let _ = report.send(loss);
-            let _ = turn_around.send(BwdMsg {
-                mb: msg.mb,
-                stack: vec![grad],
-            });
-        } else if let Some(tx) = &self.fwd_out {
+    /// A severed link, or a peer that already exited, silently loses the
+    /// message: the stages left waiting for it notice the hang-up.
+    fn send(&mut self, msg: Message) -> Result<(), Hangup> {
+        if let Some(tx) = &self.tx {
             let _ = tx.send(msg);
         }
+        Ok(())
     }
 
-    fn backward(&mut self, mut msg: BwdMsg) {
-        self.beat();
-        // Fault-injection point: "update N" faults strike while the
-        // update is being applied, exactly where a real stage dies.
-        let update = self.group.completed();
+    fn recv(&mut self) -> Result<Message, Hangup> {
+        loop {
+            if self.abort.load(Ordering::Relaxed) {
+                return Err(Hangup);
+            }
+            match self.rx.recv_timeout(self.tick) {
+                Ok(msg) => {
+                    self.beat();
+                    return Ok(msg);
+                }
+                Err(RecvTimeoutError::Timeout) => self.beat(),
+                // The peer died: nothing more will arrive.
+                Err(RecvTimeoutError::Disconnected) => return Err(Hangup),
+            }
+        }
+    }
+}
+
+/// Everything one stage worker thread owns: a one-stage [`RankLoop`] and
+/// its stage, between two channel links.
+struct StageWorker {
+    stage: Stage,
+    rank: RankLoop,
+    /// Global index one past the last microbatch of this streaming call.
+    end: usize,
+    up: ChannelLink,
+    /// `None` on the last layer stage.
+    down: Option<ChannelLink>,
+    injector: FaultInjector,
+    events: Sender<StageEvent>,
+}
+
+impl StageWorker {
+    /// Runs the rank loop under `catch_unwind`, then ships the stage, its
+    /// rank and the outcome back to the supervisor over the events
+    /// channel. Links are dropped *before* the final report so neighbours
+    /// unblock even if the body panicked mid-message.
+    fn run_supervised(mut self) {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run()))
+            .err()
+            .map(|payload| panic_message(payload.as_ref()));
+        let StageWorker {
+            stage,
+            mut rank,
+            up,
+            down,
+            events,
+            ..
+        } = self;
+        if panic.is_some() {
+            let lane = rank.group.lane();
+            lane.instant(pbp_trace::TracePhase::Fault, panic.clone());
+        }
+        rank.group.flush_trace();
+        let stage_idx = up.stage;
+        drop((up, down));
+        let _ = events.send(StageEvent::Done(Box::new(StageDone {
+            stage_idx,
+            stage,
+            rank,
+            panic,
+        })));
+    }
+
+    /// Steps the rank until every microbatch of the call has completed, a
+    /// neighbour hangs up, or the supervisor raises the abort flag.
+    fn run(&mut self) {
+        while let Some(next) = self.rank.next_step(self.end) {
+            if let Step::Backward(update) = next {
+                self.inject(update);
+            }
+            match self.rank.step(
+                std::slice::from_mut(&mut self.stage),
+                Upstream::Link(&mut self.up),
+                self.down.as_mut(),
+                self.end,
+            ) {
+                Ok(_) => {}
+                Err(RankError::Link(Hangup)) => return,
+                Err(desync) => panic!("stage {}: {desync:?}", self.up.stage),
+            }
+        }
+    }
+
+    /// Fault-injection point: "update N" faults strike as the stage turns
+    /// to backward N, exactly where a real stage dies.
+    fn inject(&mut self, update: usize) {
         match self.injector.on_update(update) {
             FaultAction::None => {}
             FaultAction::Panic => {
-                panic!("injected fault: stage {} panics at update {update}", self.s)
+                panic!(
+                    "injected fault: stage {} panics at update {update}",
+                    self.up.stage
+                )
             }
             FaultAction::Stall(d) => {
-                let lane = self.group.lane();
+                let lane = self.rank.group.lane();
                 lane.begin(pbp_trace::TracePhase::Stall, None, None);
                 std::thread::sleep(d);
                 lane.end();
             }
             FaultAction::Sever => {
-                self.fwd_out = None;
-                self.bwd_out = None;
-                self.loss_out = None;
+                self.up.tx = None;
+                if let Some(down) = &mut self.down {
+                    down.tx = None;
+                }
             }
-        }
-        self.group.backward(
-            std::slice::from_mut(&mut self.stage),
-            &mut msg.stack,
-            msg.mb,
-        );
-        if let Some(tx) = &self.bwd_out {
-            let _ = tx.send(msg);
         }
     }
 }

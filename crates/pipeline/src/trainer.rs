@@ -166,13 +166,7 @@ impl SgdmTrainer {
     /// Trains one epoch over `data` in the deterministic order derived from
     /// `seed` and `epoch`; returns the mean training loss.
     pub fn train_epoch(&mut self, data: &Dataset, seed: u64, epoch: usize) -> f64 {
-        let order = data.epoch_order(seed, epoch);
-        let (total, batches) = self.train_range(data, &order);
-        if batches == 0 {
-            0.0
-        } else {
-            total / batches as f64
-        }
+        TrainEngine::train_epoch(self, data, seed, epoch)
     }
 
     /// Trains a contiguous slice of an epoch order; returns the loss sum
@@ -227,10 +221,6 @@ impl TrainEngine for SgdmTrainer {
 
     fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
         SgdmTrainer::train_batch(self, x, labels)
-    }
-
-    fn train_epoch(&mut self, data: &Dataset, seed: u64, epoch: usize) -> f64 {
-        SgdmTrainer::train_epoch(self, data, seed, epoch)
     }
 
     fn train_range(&mut self, data: &Dataset, indices: &[usize]) -> (f64, usize) {

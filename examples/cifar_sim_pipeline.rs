@@ -10,7 +10,7 @@
 use pipelined_backprop::data::{DatasetSpec, SyntheticImages};
 use pipelined_backprop::nn::models::{resnet_cifar, ResNetConfig};
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-use pipelined_backprop::pipeline::{ScheduledConfig, ScheduledTrainer, SgdmTrainer};
+use pipelined_backprop::pipeline::{ScheduledConfig, ScheduledTrainer, SgdmTrainer, TrainEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

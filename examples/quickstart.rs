@@ -9,7 +9,9 @@
 use pipelined_backprop::data::{DatasetSpec, SyntheticImages};
 use pipelined_backprop::nn::models::simple_cnn;
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-use pipelined_backprop::pipeline::{ScheduledConfig, ScheduledTrainer, SgdmTrainer, TrainReport};
+use pipelined_backprop::pipeline::{
+    ScheduledConfig, ScheduledTrainer, SgdmTrainer, TrainEngine, TrainReport,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

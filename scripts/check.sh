@@ -10,11 +10,13 @@ cargo fmt --all -- --check
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== one executor of stage semantics (grep lint) =="
+echo "== one executor of stage semantics, one rank loop (grep lint) =="
 # Per-stage schedule semantics live in crates/pipeline/src/{cell,group}.rs
 # and nowhere else (DESIGN §12): a second interpreter of the action stream
 # must not reappear unnoticed. delayed.rs is the App. G.2 whole-network,
-# batch-granular simulator — a different machine.
+# batch-granular simulator — a different machine. Likewise the scheduling
+# decision above the executor lives in rank.rs: only it (and the
+# sequential sweep in scheduled.rs) may drive a group.
 lint_only_in() {
   local pattern=$1 allowed=$2 stray
   stray=$(grep -rlF "$pattern" crates/*/src | grep -Ev "/($allowed)\.rs$" || true)
@@ -26,9 +28,18 @@ lint_only_in() {
 }
 lint_only_in 'push_next_version(' 'cell|group'
 lint_only_in 'Action::BackwardInput' 'schedule|group|delayed'
+lint_only_in 'can_forward(' 'group|rank'
+lint_only_in 'group.forward(' 'scheduled|rank'
+lint_only_in 'group.backward(' 'scheduled|rank'
+lint_only_in '.loss(&' 'scheduled|rank'
 
 echo "== release build =="
 cargo build --release
+
+echo "== ledger build (the APIs benchmark/ pins still exist) =="
+# Same target directory benchmark/run.sh builds into.
+CARGO_TARGET_DIR=${CARGO_TARGET_DIR:-$PWD/target} \
+  cargo build --offline --release --manifest-path benchmark/Cargo.toml
 
 echo "== tier-1 tests (root package) =="
 cargo test -q

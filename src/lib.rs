@@ -35,7 +35,7 @@
 //! use pipelined_backprop::data::blobs;
 //! use pipelined_backprop::nn::models::mlp;
 //! use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-//! use pipelined_backprop::pipeline::{ScheduledConfig, ScheduledTrainer};
+//! use pipelined_backprop::pipeline::{ScheduledConfig, ScheduledTrainer, TrainEngine};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
