@@ -77,13 +77,11 @@ impl TrainEngine for DelayedAdam {
         for s in 0..self.net.num_stages() {
             let step_start = Instant::now();
             let stage = self.net.stage_mut(s);
-            let grads: Vec<Tensor> = stage.grads().into_iter().cloned().collect();
+            let (mut params, grads) = stage.params_and_grads();
             if grads.is_empty() {
                 continue;
             }
-            let grad_refs: Vec<&Tensor> = grads.iter().collect();
-            let mut params = stage.params_mut();
-            self.adam[s].step(&mut params, &grad_refs, self.lr);
+            self.adam[s].step(&mut params, &grads, self.lr);
             self.metrics
                 .record_update(s, self.delay, step_start.elapsed().as_nanos());
         }

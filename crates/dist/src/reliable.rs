@@ -504,6 +504,42 @@ impl ReliableConn {
     }
 }
 
+impl ReliableConn {
+    /// Sends one data frame: stamps the next sequence number in place,
+    /// moves the frame into the replay window and writes it from there —
+    /// the window's copy is the only one.
+    fn send_data(&mut self, mut frame: Frame) -> Result<(), DistError> {
+        let seq = self.next_send_seq;
+        frame.set_seq(seq);
+        self.next_send_seq += 1;
+        self.replay.push_back(frame);
+        // Bounded window: drain acks before adding more in-flight
+        // frames. Data arriving meanwhile parks in the inbox.
+        while self.replay.len() > self.window {
+            if let Some(parked) = self.step_recv(self.stall)? {
+                self.inbox.push_back(parked);
+            }
+        }
+        // A recovery during the drain replays the whole window, this
+        // frame included; if the peer has acked it since, it is gone from
+        // the window and there is nothing left to write.
+        let newest = match self.replay.back() {
+            Some(newest) if newest.seq() == Some(seq) => newest,
+            _ => return Ok(()),
+        };
+        let result = match self.inner.as_mut() {
+            Some(inner) => inner.send(newest),
+            None => Err(DistError::PeerClosed),
+        };
+        match result {
+            Ok(()) => Ok(()),
+            // recover() replays everything unacked — including this
+            // frame, which is already in the window. Nothing to resend.
+            Err(e) => self.recover(e),
+        }
+    }
+}
+
 impl Connection for ReliableConn {
     fn send(&mut self, frame: &Frame) -> Result<(), DistError> {
         if frame.seq().is_none() {
@@ -525,27 +561,9 @@ impl Connection for ReliableConn {
                 }
             };
         }
-        let mut stamped = frame.clone();
-        stamped.set_seq(self.next_send_seq);
-        self.next_send_seq += 1;
-        self.replay.push_back(stamped.clone());
-        // Bounded window: drain acks before adding more in-flight
-        // frames. Data arriving meanwhile parks in the inbox.
-        while self.replay.len() > self.window {
-            if let Some(parked) = self.step_recv(self.stall)? {
-                self.inbox.push_back(parked);
-            }
-        }
-        let result = match self.inner.as_mut() {
-            Some(inner) => inner.send(&stamped),
-            None => Err(DistError::PeerClosed),
-        };
-        match result {
-            Ok(()) => Ok(()),
-            // recover() replays everything unacked — including this
-            // frame, which is already in the window. Nothing to resend.
-            Err(e) => self.recover(e),
-        }
+        // The caller keeps its frame, so the replay window needs a copy;
+        // the rank loop's `Link::send` owns its message and skips this.
+        self.send_data(frame.clone())
     }
 
     fn recv_raw(&mut self, stall: Duration) -> Result<Frame, DistError> {
@@ -583,7 +601,7 @@ impl pbp_pipeline::Link for ReliableConn {
                 lanes,
             },
         };
-        Connection::send(self, &frame)
+        self.send_data(frame)
     }
 
     fn recv(&mut self) -> Result<Message, DistError> {

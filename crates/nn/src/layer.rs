@@ -1,6 +1,6 @@
 //! The [`Layer`] trait: explicit, stack-based forward/backward passes.
 
-use pbp_tensor::Tensor;
+use pbp_tensor::{GradView, Tensor};
 
 /// The activation "stack" flowing between pipeline stages.
 ///
@@ -72,9 +72,13 @@ pub trait Layer: Send {
         Vec::new()
     }
 
-    /// Borrows the accumulated parameter gradients, aligned with
-    /// [`Layer::params`].
-    fn grads(&self) -> Vec<&Tensor> {
+    /// Views of the accumulated parameter gradients, aligned with
+    /// [`Layer::params`]. A layer may hand out a factored
+    /// [`GradView::Outer`] only while it stands, bit for bit, for the dense
+    /// gradient the layer would otherwise have accumulated since
+    /// [`Layer::zero_grads`]; with no contribution since then every view
+    /// reads as zeros.
+    fn grads(&self) -> Vec<GradView<'_>> {
         Vec::new()
     }
 
@@ -86,7 +90,7 @@ pub trait Layer: Send {
     /// without cloning them first. The split borrow across a layer's
     /// parameter and gradient fields is only expressible inside the layer,
     /// so every layer with parameters must override this.
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
         assert!(
             self.params().is_empty(),
             "layer {} has parameters but does not override params_and_grads",

@@ -5,7 +5,7 @@ use pbp_tensor::ops::{
     conv2d_backward_input, conv2d_backward_weight, conv2d_batched_reusing, conv2d_reusing,
     Conv2dSpec, ConvBatchScratch,
 };
-use pbp_tensor::{he_normal, Tensor};
+use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
 use std::collections::VecDeque;
 
@@ -185,17 +185,20 @@ impl Layer for Conv2d {
         }
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
+    fn grads(&self) -> Vec<GradView<'_>> {
         match &self.grad_bias {
-            Some(gb) => vec![&self.grad_weight, gb],
-            None => vec![&self.grad_weight],
+            Some(gb) => vec![(&self.grad_weight).into(), gb.into()],
+            None => vec![(&self.grad_weight).into()],
         }
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
         match (&mut self.bias, &self.grad_bias) {
-            (Some(b), Some(gb)) => vec![(&mut self.weight, &self.grad_weight), (b, gb)],
-            _ => vec![(&mut self.weight, &self.grad_weight)],
+            (Some(b), Some(gb)) => vec![
+                (&mut self.weight, (&self.grad_weight).into()),
+                (b, gb.into()),
+            ],
+            _ => vec![(&mut self.weight, (&self.grad_weight).into())],
         }
     }
 
@@ -258,8 +261,8 @@ mod tests {
         let mut g = vec![Tensor::ones(y.shape())];
         layer.backward(&mut g);
         let gx = g.pop().unwrap();
-        let gw = layer.grads()[0].clone();
-        let gb = layer.grads()[1].clone();
+        let gw = layer.grads()[0].dense().into_owned();
+        let gb = layer.grads()[1].dense().into_owned();
 
         let eps = 1e-2f32;
         for idx in [0usize, 9, 31] {
@@ -326,7 +329,7 @@ mod tests {
             }
         }
         for (a, b) in fused.grads().iter().zip(split.grads()) {
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            for (x, y) in a.dense().as_slice().iter().zip(b.dense().as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
             }
         }
@@ -371,11 +374,11 @@ mod tests {
         // First backward consumes x1's stash: weight grad must be nonzero.
         let mut g = vec![Tensor::ones(&y1_shape)];
         layer.backward(&mut g);
-        assert!(layer.grads()[0].norm() > 0.0);
+        assert!(layer.grads()[0].dense().norm() > 0.0);
         layer.zero_grads();
         // Second backward consumes x2 (zeros): weight grad stays zero.
         let mut g2 = vec![Tensor::ones(&y1_shape)];
         layer.backward(&mut g2);
-        assert_eq!(layer.grads()[0].norm(), 0.0);
+        assert_eq!(layer.grads()[0].dense().norm(), 0.0);
     }
 }

@@ -8,7 +8,7 @@
 //! ReLU with a learned-threshold TLU.
 
 use crate::layer::{LaneStack, Layer};
-use pbp_tensor::Tensor;
+use pbp_tensor::{GradView, Tensor};
 use std::collections::VecDeque;
 
 /// Filter Response Normalization: `y = γ·x/√(ν² + ε) + β` with
@@ -128,14 +128,14 @@ impl Layer for FilterResponseNorm {
         vec![&mut self.gamma, &mut self.beta]
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_gamma, &self.grad_beta]
+    fn grads(&self) -> Vec<GradView<'_>> {
+        vec![(&self.grad_gamma).into(), (&self.grad_beta).into()]
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
         vec![
-            (&mut self.gamma, &self.grad_gamma),
-            (&mut self.beta, &self.grad_beta),
+            (&mut self.gamma, (&self.grad_gamma).into()),
+            (&mut self.beta, (&self.grad_beta).into()),
         ]
     }
 
@@ -243,12 +243,12 @@ impl Layer for Tlu {
         vec![&mut self.tau]
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_tau]
+    fn grads(&self) -> Vec<GradView<'_>> {
+        vec![(&self.grad_tau).into()]
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        vec![(&mut self.tau, &self.grad_tau)]
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
+        vec![(&mut self.tau, (&self.grad_tau).into())]
     }
 
     fn zero_grads(&mut self) {
@@ -325,8 +325,8 @@ mod tests {
             );
         }
         // gamma/beta grads.
-        let gg = frn.grads()[0].clone();
-        let gb = frn.grads()[1].clone();
+        let gg = frn.grads()[0].dense().into_owned();
+        let gb = frn.grads()[1].dense().into_owned();
         for ch in 0..2 {
             let orig = frn.gamma.as_slice()[ch];
             frn.gamma.as_mut_slice()[ch] = orig + eps;
@@ -365,7 +365,7 @@ mod tests {
         let mut g = vec![Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], &[1, 1, 2, 2]).unwrap()];
         tlu.backward(&mut g);
         // Two clamped positions: dτ = 2; pass-through positions get dx = 1.
-        assert_eq!(tlu.grads()[0].as_slice(), &[2.0]);
+        assert_eq!(tlu.grads()[0].dense().as_slice(), &[2.0]);
         assert_eq!(g[0].as_slice(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -384,7 +384,7 @@ mod tests {
         tlu.forward(&mut s);
         let mut g = vec![Tensor::ones(&[1, 1, 2, 2])];
         tlu.backward(&mut g);
-        let gt = tlu.grads()[0].as_slice()[0];
+        let gt = tlu.grads()[0].dense().as_slice()[0];
         let eps = 1e-3f32;
         tlu.tau.as_mut_slice()[0] = 0.5 + eps;
         let lp = run(&mut tlu, &x);

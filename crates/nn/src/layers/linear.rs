@@ -1,7 +1,8 @@
 //! Fully connected layer.
 
 use crate::layer::{LaneStack, Layer};
-use pbp_tensor::{he_normal, Tensor};
+use pbp_tensor::ops::{gemm_tn, matmul_tn_acc};
+use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
 use std::collections::VecDeque;
 
@@ -9,11 +10,32 @@ use std::collections::VecDeque;
 ///
 /// Weight shape is `[out_features, in_features]`; inputs are
 /// `[batch, in_features]`.
+///
+/// ## Weight gradient
+///
+/// At batch size one the weight gradient of an update is the outer
+/// product `δ ⊗ x`, so the layer does not write it out: the first
+/// single-row contribution since [`Layer::zero_grads`] is *held* as its
+/// `(δ, x)` pair and handed to the optimizer as a [`GradView::Outer`]. A
+/// further contribution in the same window (fill&drain, 1F1B, 2BP,
+/// batched SGDM) first materialises the held pair with the overwrite GEMM
+/// — the same `+0.0` fma chain the accumulating GEMM starts on a zeroed
+/// buffer — and accumulates densely from there, so every window's
+/// gradient is bit for bit what dense accumulation alone produces. Which
+/// form is in use follows from the contributions the layer has seen, never
+/// from an option.
 #[derive(Debug)]
 pub struct Linear {
     weight: Tensor,
     bias: Option<Tensor>,
+    /// Dense weight-gradient accumulator; all zeros unless `dense_dirty`.
     grad_weight: Tensor,
+    /// Whether a contribution has been accumulated into `grad_weight`
+    /// since the last [`Layer::zero_grads`].
+    dense_dirty: bool,
+    /// The window's only contribution so far, `(δ [1, out], x [1, in])`;
+    /// implies `!dense_dirty`.
+    held: Option<(Tensor, Tensor)>,
     grad_bias: Option<Tensor>,
     stash: VecDeque<Tensor>,
     /// `(g, x)` pairs deferred by [`Layer::backward_input`], retired in
@@ -23,6 +45,19 @@ pub struct Linear {
     out_features: usize,
 }
 
+/// The weight gradient as the layer holds it: the held pair, else the
+/// dense accumulator. A free function so `params_and_grads` can borrow the
+/// weight mutably beside it.
+fn weight_grad<'a>(held: &'a Option<(Tensor, Tensor)>, dense: &'a Tensor) -> GradView<'a> {
+    match held {
+        Some((g, x)) => GradView::Outer {
+            delta: g.as_slice(),
+            x: x.as_slice(),
+        },
+        None => GradView::Dense(dense),
+    }
+}
+
 impl Linear {
     /// Creates a He-initialized linear layer.
     pub fn new(in_features: usize, out_features: usize, bias: bool, rng: &mut impl Rng) -> Self {
@@ -30,6 +65,8 @@ impl Linear {
             weight: he_normal(&[out_features, in_features], in_features, rng),
             bias: bias.then(|| Tensor::zeros(&[out_features])),
             grad_weight: Tensor::zeros(&[out_features, in_features]),
+            dense_dirty: false,
+            held: None,
             grad_bias: bias.then(|| Tensor::zeros(&[out_features])),
             stash: VecDeque::new(),
             wgrad_pending: VecDeque::new(),
@@ -38,14 +75,13 @@ impl Linear {
         }
     }
 
-    /// Accumulates `grad_weight += gᵀ·x` and the bias gradient — the
-    /// weight half shared by the fused backward and [`Layer::backward_weight`].
-    /// Reads no current weights, so running it at the update boundary
-    /// instead of backward time is exact.
-    fn accumulate_weight_grads(&mut self, g: &Tensor, x: &Tensor) {
-        // grad_weight += gᵀ · x  ([out,N]ᵀ·[N,in] → [out,in]), accumulated
-        // in place by the tiled transpose-A GEMM — no temporary.
-        pbp_tensor::ops::matmul_tn_acc(g, x, &mut self.grad_weight).expect("linear grad shapes");
+    /// Adds one backward pass's `gᵀ·x` to the weight gradient (held
+    /// factored or accumulated densely, see the type docs) and its column
+    /// sums to the bias gradient — the weight half shared by the fused
+    /// backward and [`Layer::backward_weight`]. Reads no current weights,
+    /// so running it at the update boundary instead of backward time is
+    /// exact.
+    fn accumulate_weight_grads(&mut self, g: Tensor, x: Tensor) {
         if let Some(gb) = &mut self.grad_bias {
             let (n, o) = (g.shape()[0], self.out_features);
             let gs = g.as_slice();
@@ -56,6 +92,19 @@ impl Linear {
                 }
             }
         }
+        if !self.dense_dirty && self.held.is_none() && g.shape()[0] == 1 {
+            self.held = Some((g, x));
+            return;
+        }
+        if let Some((g0, x0)) = self.held.take() {
+            let (m, n) = (self.out_features, self.in_features);
+            let gw = self.grad_weight.as_mut_slice();
+            gemm_tn(g0.as_slice(), x0.as_slice(), gw, m, 1, n, false);
+        }
+        // grad_weight += gᵀ · x  ([out,N]ᵀ·[N,in] → [out,in]), accumulated
+        // in place by the tiled transpose-A GEMM — no temporary.
+        matmul_tn_acc(&g, &x, &mut self.grad_weight).expect("linear grad shapes");
+        self.dense_dirty = true;
     }
 
     /// Input feature count.
@@ -101,9 +150,9 @@ impl Layer for Linear {
     fn backward(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("linear: empty grad stack");
         let x = self.stash.pop_front().expect("linear: no stashed input");
-        self.accumulate_weight_grads(&g, &x);
         let gx = g.matmul(&self.weight).expect("linear grad shapes");
         grad_stack.push(gx);
+        self.accumulate_weight_grads(g, x);
     }
 
     fn backward_input(&mut self, grad_stack: &mut LaneStack) {
@@ -122,7 +171,7 @@ impl Layer for Linear {
             .wgrad_pending
             .pop_front()
             .expect("linear: no deferred weight-gradient work");
-        self.accumulate_weight_grads(&g, &x);
+        self.accumulate_weight_grads(g, x);
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -139,22 +188,29 @@ impl Layer for Linear {
         }
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
+    fn grads(&self) -> Vec<GradView<'_>> {
+        let gw = weight_grad(&self.held, &self.grad_weight);
         match &self.grad_bias {
-            Some(gb) => vec![&self.grad_weight, gb],
-            None => vec![&self.grad_weight],
+            Some(gb) => vec![gw, gb.into()],
+            None => vec![gw],
         }
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
+        let gw = weight_grad(&self.held, &self.grad_weight);
         match (&mut self.bias, &self.grad_bias) {
-            (Some(b), Some(gb)) => vec![(&mut self.weight, &self.grad_weight), (b, gb)],
-            _ => vec![(&mut self.weight, &self.grad_weight)],
+            (Some(b), Some(gb)) => vec![(&mut self.weight, gw), (b, gb.into())],
+            _ => vec![(&mut self.weight, gw)],
         }
     }
 
     fn zero_grads(&mut self) {
-        self.grad_weight.fill(0.0);
+        // A window whose gradient stayed factored never touched the dense
+        // accumulator: nothing weight-sized to clear.
+        self.held = None;
+        if std::mem::take(&mut self.dense_dirty) {
+            self.grad_weight.fill(0.0);
+        }
         if let Some(gb) = &mut self.grad_bias {
             gb.fill(0.0);
         }
@@ -220,7 +276,7 @@ mod tests {
             );
         }
         // Weight gradient.
-        let gw = layer.grads()[0].clone();
+        let gw = layer.grads()[0].dense().into_owned();
         for idx in [0usize, 7, 11] {
             let orig = layer.weight.as_slice()[idx];
             layer.weight.as_mut_slice()[idx] = orig + eps;
@@ -260,7 +316,7 @@ mod tests {
         // Backward in FIFO order: first backward must use x1's stash.
         let mut g = vec![Tensor::ones(&[1, 2])];
         layer.backward(&mut g);
-        let gw_after_first = layer.grads()[0].clone();
+        let gw_after_first = layer.grads()[0].dense().into_owned();
         // dW from sample 1 alone: gᵀ·x1 puts mass only in column 0.
         assert!(gw_after_first.as_slice()[0] != 0.0);
         assert_eq!(gw_after_first.as_slice()[1], 0.0);
@@ -306,7 +362,7 @@ mod tests {
             }
         }
         for (a, b) in fused.grads().iter().zip(split.grads()) {
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            for (x, y) in a.dense().as_slice().iter().zip(b.dense().as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
             }
         }
@@ -320,9 +376,125 @@ mod tests {
         layer.forward(&mut s);
         let mut g = vec![Tensor::ones(&[1, 2])];
         layer.backward(&mut g);
-        assert!(layer.grads()[0].norm() > 0.0);
+        assert!(layer.grads()[0].dense().norm() > 0.0);
         layer.zero_grads();
-        assert_eq!(layer.grads()[0].norm(), 0.0);
-        assert_eq!(layer.grads()[1].norm(), 0.0);
+        assert_eq!(layer.grads()[0].dense().norm(), 0.0);
+        assert_eq!(layer.grads()[1].dense().norm(), 0.0);
+    }
+
+    /// Single-row `(g, x)` contributions with signed zeros and a subnormal
+    /// among ordinary values.
+    fn contributions(n: u64) -> Vec<(Tensor, Tensor)> {
+        (0..n)
+            .map(|i| {
+                let mut g =
+                    pbp_tensor::normal(&[1, 3], 0.0, 1.0, &mut StdRng::seed_from_u64(30 + i));
+                let mut x =
+                    pbp_tensor::normal(&[1, 5], 0.0, 1.0, &mut StdRng::seed_from_u64(40 + i));
+                g.as_mut_slice()[0] = -0.0;
+                x.as_mut_slice()[1] = 0.0;
+                x.as_mut_slice()[2] = 1.0e-40;
+                (g, x)
+            })
+            .collect()
+    }
+
+    /// What the layer accumulated before gradients could stay factored:
+    /// every contribution through the accumulating GEMM onto zeros.
+    fn dense_reference(contribs: &[(Tensor, Tensor)]) -> Tensor {
+        let mut want = Tensor::zeros(&[3, 5]);
+        for (g, x) in contribs {
+            matmul_tn_acc(g, x, &mut want).unwrap();
+        }
+        want
+    }
+
+    fn assert_weight_grad_bits(layer: &Linear, want: &Tensor, context: &str) {
+        let got = layer.grads()[0].dense().into_owned();
+        assert_eq!(got.shape(), want.shape(), "{context}");
+        for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{context}");
+        }
+    }
+
+    /// Runs `contribs` through forward + `backward` (fused) or
+    /// `backward_input` … `backward_weight` (split) in one update window.
+    fn run_window(layer: &mut Linear, contribs: &[(Tensor, Tensor)], split: bool) {
+        layer.zero_grads();
+        for (_, x) in contribs {
+            layer.forward(&mut vec![x.clone()]);
+        }
+        for (g, _) in contribs {
+            let mut gstack = vec![g.clone()];
+            if split {
+                layer.backward_input(&mut gstack);
+            } else {
+                layer.backward(&mut gstack);
+            }
+        }
+        if split {
+            contribs.iter().for_each(|_| layer.backward_weight());
+        }
+    }
+
+    #[test]
+    fn one_contribution_stays_factored_and_reads_as_the_dense_gradient() {
+        let mut layer = Linear::new(5, 3, true, &mut StdRng::seed_from_u64(5));
+        for split in [false, true] {
+            let contribs = contributions(1);
+            run_window(&mut layer, &contribs, split);
+            assert!(matches!(layer.grads()[0], GradView::Outer { .. }));
+            assert!(
+                layer
+                    .grad_weight
+                    .as_slice()
+                    .iter()
+                    .all(|v| v.to_bits() == 0),
+                "a factored window leaves the dense accumulator untouched"
+            );
+            assert_weight_grad_bits(&layer, &dense_reference(&contribs), "one contribution");
+        }
+    }
+
+    #[test]
+    fn a_second_contribution_materialises_the_first_and_accumulates() {
+        let mut layer = Linear::new(5, 3, false, &mut StdRng::seed_from_u64(6));
+        for split in [false, true] {
+            for n in [2, 3] {
+                let contribs = contributions(n);
+                run_window(&mut layer, &contribs, split);
+                assert!(matches!(layer.grads()[0], GradView::Dense(_)));
+                assert_weight_grad_bits(&layer, &dense_reference(&contribs), "n contributions");
+            }
+        }
+    }
+
+    #[test]
+    fn a_multi_row_contribution_accumulates_densely() {
+        let mut layer = Linear::new(5, 3, false, &mut StdRng::seed_from_u64(7));
+        let x = pbp_tensor::normal(&[2, 5], 0.0, 1.0, &mut StdRng::seed_from_u64(8));
+        let g = pbp_tensor::normal(&[2, 3], 0.0, 1.0, &mut StdRng::seed_from_u64(9));
+        run_window(&mut layer, &[(g.clone(), x.clone())], false);
+        assert!(matches!(layer.grads()[0], GradView::Dense(_)));
+        assert_weight_grad_bits(&layer, &dense_reference(&[(g, x)]), "batch of two");
+    }
+
+    #[test]
+    fn no_contribution_after_zero_grads_reads_as_zero() {
+        // The ledger's cell probe updates after `backward_input` alone, so
+        // an empty window must read as an all-zero gradient — after a
+        // factored window and after a dense one.
+        let mut layer = Linear::new(5, 3, true, &mut StdRng::seed_from_u64(10));
+        for n in [1, 2] {
+            run_window(&mut layer, &contributions(n), false);
+            layer.zero_grads();
+            let x = contributions(1).remove(0).1;
+            layer.forward(&mut vec![x]);
+            layer.backward_input(&mut vec![Tensor::ones(&[1, 3])]);
+            for g in layer.grads() {
+                assert!(g.dense().as_slice().iter().all(|v| v.to_bits() == 0));
+            }
+            layer.backward_weight();
+        }
     }
 }

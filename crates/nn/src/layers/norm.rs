@@ -7,7 +7,7 @@
 //! comparison (BN appears to mask delay effects relative to GN).
 
 use crate::layer::{LaneStack, Layer};
-use pbp_tensor::Tensor;
+use pbp_tensor::{GradView, Tensor};
 use std::collections::VecDeque;
 
 /// Per-sample stash: normalized activations plus per-group inverse stds.
@@ -194,14 +194,14 @@ impl Layer for GroupNorm {
         vec![&mut self.gamma, &mut self.beta]
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_gamma, &self.grad_beta]
+    fn grads(&self) -> Vec<GradView<'_>> {
+        vec![(&self.grad_gamma).into(), (&self.grad_beta).into()]
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
         vec![
-            (&mut self.gamma, &self.grad_gamma),
-            (&mut self.beta, &self.grad_beta),
+            (&mut self.gamma, (&self.grad_gamma).into()),
+            (&mut self.beta, (&self.grad_beta).into()),
         ]
     }
 
@@ -362,14 +362,14 @@ impl Layer for BatchNorm2d {
         vec![&mut self.gamma, &mut self.beta]
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_gamma, &self.grad_beta]
+    fn grads(&self) -> Vec<GradView<'_>> {
+        vec![(&self.grad_gamma).into(), (&self.grad_beta).into()]
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
         vec![
-            (&mut self.gamma, &self.grad_gamma),
-            (&mut self.beta, &self.grad_beta),
+            (&mut self.gamma, (&self.grad_gamma).into()),
+            (&mut self.beta, (&self.grad_beta).into()),
         ]
     }
 
@@ -478,8 +478,8 @@ mod tests {
             );
         }
         // gamma / beta gradients.
-        let gg = gn.grads()[0].clone();
-        let gb = gn.grads()[1].clone();
+        let gg = gn.grads()[0].dense().into_owned();
+        let gb = gn.grads()[1].dense().into_owned();
         for ch in 0..4 {
             let orig = gn.gamma.as_slice()[ch];
             gn.gamma.as_mut_slice()[ch] = orig + eps;

@@ -19,7 +19,7 @@
 //! statistics.
 
 use crate::layer::{LaneStack, Layer};
-use pbp_tensor::Tensor;
+use pbp_tensor::{GradView, Tensor};
 use std::collections::VecDeque;
 
 /// Online Normalization over `[N, C, H, W]` with per-channel streaming
@@ -211,14 +211,14 @@ impl Layer for OnlineNorm {
         vec![&mut self.gamma, &mut self.beta]
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_gamma, &self.grad_beta]
+    fn grads(&self) -> Vec<GradView<'_>> {
+        vec![(&self.grad_gamma).into(), (&self.grad_beta).into()]
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
         vec![
-            (&mut self.gamma, &self.grad_gamma),
-            (&mut self.beta, &self.grad_beta),
+            (&mut self.gamma, (&self.grad_gamma).into()),
+            (&mut self.beta, (&self.grad_beta).into()),
         ]
     }
 
@@ -377,7 +377,11 @@ mod tests {
             net.backward(&grad);
             for s in 0..net.num_stages() {
                 let stage = net.stage_mut(s);
-                let grads: Vec<Tensor> = stage.grads().into_iter().cloned().collect();
+                let grads: Vec<Tensor> = stage
+                    .grads()
+                    .iter()
+                    .map(|g| g.dense().into_owned())
+                    .collect();
                 for (p, g) in stage.params_mut().into_iter().zip(&grads) {
                     pbp_tensor::ops::axpy(-0.05, g, p);
                 }

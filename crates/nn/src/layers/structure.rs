@@ -5,7 +5,7 @@
 //! pipeline stages of their own; [`AddLanes`] is exactly that stage.
 
 use crate::layer::{LaneStack, Layer};
-use pbp_tensor::Tensor;
+use pbp_tensor::{GradView, Tensor};
 
 /// Duplicates the top lane: `[.., x] → [.., x, x]`.
 ///
@@ -135,11 +135,11 @@ impl Layer for MapLane {
         self.inner.params_mut()
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
+    fn grads(&self) -> Vec<GradView<'_>> {
         self.inner.grads()
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
         self.inner.params_and_grads()
     }
 

@@ -11,7 +11,7 @@ use crate::layer::{LaneStack, Layer};
 use pbp_tensor::ops::{
     conv2d_backward, conv2d_batched_reusing, conv2d_reusing, Conv2dSpec, ConvBatchScratch,
 };
-use pbp_tensor::{he_normal, Tensor};
+use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
 use std::collections::VecDeque;
 
@@ -181,12 +181,12 @@ impl Layer for WsConv2d {
         vec![&mut self.weight]
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_weight]
+    fn grads(&self) -> Vec<GradView<'_>> {
+        vec![(&self.grad_weight).into()]
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        vec![(&mut self.weight, &self.grad_weight)]
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
+        vec![(&mut self.weight, (&self.grad_weight).into())]
     }
 
     fn zero_grads(&mut self) {
@@ -260,7 +260,7 @@ mod tests {
         let mut g = vec![k.clone()];
         layer.backward(&mut g);
         let gx = g.pop().unwrap();
-        let gw = layer.grads()[0].clone();
+        let gw = layer.grads()[0].dense().into_owned();
 
         let eps = 1e-2f32;
         for idx in [0usize, 9, 21, 31] {

@@ -225,7 +225,11 @@ mod tests {
             net.backward(&grad);
             for s in 0..net.num_stages() {
                 let stage = net.stage_mut(s);
-                let grads: Vec<Tensor> = stage.grads().into_iter().cloned().collect();
+                let grads: Vec<Tensor> = stage
+                    .grads()
+                    .iter()
+                    .map(|g| g.dense().into_owned())
+                    .collect();
                 for (p, g) in stage.params_mut().into_iter().zip(&grads) {
                     pbp_tensor::ops::axpy(-0.2, g, p);
                 }

@@ -1,7 +1,7 @@
 //! Stage-partitioned network container.
 
 use crate::layer::{LaneStack, Layer};
-use pbp_tensor::Tensor;
+use pbp_tensor::{GradView, Tensor};
 
 /// One pipeline stage: a named, ordered group of fused layers.
 ///
@@ -91,15 +91,15 @@ impl Stage {
             .collect()
     }
 
-    /// Borrows the accumulated gradients, aligned with [`Stage::params`].
-    pub fn grads(&self) -> Vec<&Tensor> {
+    /// Views of the accumulated gradients, aligned with [`Stage::params`].
+    pub fn grads(&self) -> Vec<GradView<'_>> {
         self.layers.iter().flat_map(|l| l.grads()).collect()
     }
 
     /// Simultaneously borrows the parameters mutably and their gradients,
     /// both in [`Stage::params`] order. This is what optimizers consume:
     /// it allows stepping a stage in place without cloning the gradients.
-    pub fn params_and_grads(&mut self) -> (Vec<&mut Tensor>, Vec<&Tensor>) {
+    pub fn params_and_grads(&mut self) -> (Vec<&mut Tensor>, Vec<GradView<'_>>) {
         self.layers
             .iter_mut()
             .flat_map(|l| l.params_and_grads())
@@ -455,7 +455,11 @@ mod tests {
             net.backward(&grad);
             for s in 0..net.num_stages() {
                 let stage = net.stage_mut(s);
-                let grads: Vec<Tensor> = stage.grads().into_iter().cloned().collect();
+                let grads: Vec<Tensor> = stage
+                    .grads()
+                    .iter()
+                    .map(|g| g.dense().into_owned())
+                    .collect();
                 for (p, g) in stage.params_mut().into_iter().zip(&grads) {
                     pbp_tensor::ops::axpy(-0.1, g, p);
                 }

@@ -65,8 +65,8 @@ fn check_fifo(name: &str, mut make: impl FnMut() -> Box<dyn Layer>, in_shape: &[
     }
     for (pa, pb) in layer_a.grads().iter().zip(layer_b.grads()) {
         assert_eq!(
-            pa.as_slice(),
-            pb.as_slice(),
+            pa.dense().as_slice(),
+            pb.dense().as_slice(),
             "{name}: parameter gradients differ"
         );
     }

@@ -45,7 +45,11 @@ fn gradcheck(layer: &mut dyn Layer, x: &Tensor, seed: u64, tol: f64) -> Result<(
     let mut g = vec![probe.clone()];
     layer.backward(&mut g);
     let gx = g.pop().expect("input grad");
-    let param_grads: Vec<Tensor> = layer.grads().into_iter().cloned().collect();
+    let param_grads: Vec<Tensor> = layer
+        .grads()
+        .iter()
+        .map(|g| g.dense().into_owned())
+        .collect();
 
     let eps = 1e-2f32;
     // Input coordinates.

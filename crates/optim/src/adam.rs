@@ -7,7 +7,7 @@
 //! under delay, not a mitigation target.
 
 use pbp_snapshot::{SnapshotError, Snapshottable, StateReader, StateWriter};
-use pbp_tensor::Tensor;
+use pbp_tensor::{GradView, Tensor};
 
 /// Adam state (first/second moment estimates with bias correction).
 #[derive(Debug, Clone)]
@@ -54,7 +54,7 @@ impl AdamState {
     /// # Panics
     ///
     /// Panics if the tensor lists disagree with the state layout.
-    pub fn step(&mut self, params: &mut [&mut Tensor], grads: &[&Tensor], lr: f32) {
+    pub fn step(&mut self, params: &mut [&mut Tensor], grads: &[GradView<'_>], lr: f32) {
         assert_eq!(params.len(), self.m.len(), "param layout mismatch");
         assert_eq!(grads.len(), self.m.len(), "grad layout mismatch");
         self.t += 1;
@@ -67,6 +67,9 @@ impl AdamState {
             .zip(&mut self.v)
         {
             let ps = p.as_mut_slice();
+            // Adam is off the pipeline's update path: a factored gradient
+            // is simply materialised.
+            let g = g.dense();
             let gs = g.as_slice();
             let ms = m.as_mut_slice();
             let vs = v.as_mut_slice();
@@ -110,7 +113,7 @@ mod tests {
         let mut w = Tensor::from_slice(&[0.0, 0.0]);
         let g = Tensor::from_slice(&[3.0, -0.01]);
         let mut adam = AdamState::new(&[&w]);
-        adam.step(&mut [&mut w], &[&g], 0.1);
+        adam.step(&mut [&mut w], &[(&g).into()], 0.1);
         assert!((w.as_slice()[0] + 0.1).abs() < 1e-3, "{}", w.as_slice()[0]);
         assert!((w.as_slice()[1] - 0.1).abs() < 1e-3, "{}", w.as_slice()[1]);
     }
@@ -122,7 +125,7 @@ mod tests {
         let mut adam = AdamState::new(&[&w]);
         for _ in 0..2000 {
             let g = Tensor::from_slice(&[w.as_slice()[0] - 3.0]);
-            adam.step(&mut [&mut w], &[&g], 0.05);
+            adam.step(&mut [&mut w], &[(&g).into()], 0.05);
         }
         assert!((w.as_slice()[0] - 3.0).abs() < 0.05, "{}", w.as_slice()[0]);
     }
@@ -134,7 +137,7 @@ mod tests {
         assert_eq!(adam.steps(), 0);
         let mut w = w;
         let g = Tensor::from_slice(&[1.0]);
-        adam.step(&mut [&mut w], &[&g], 0.01);
+        adam.step(&mut [&mut w], &[(&g).into()], 0.01);
         assert_eq!(adam.steps(), 1);
     }
 

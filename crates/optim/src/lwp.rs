@@ -84,7 +84,7 @@ mod tests {
         let mut prev = w.clone();
         for _ in 0..3 {
             prev = w.clone();
-            state.step(&mut [&mut w], &[&g], hp);
+            state.step(&mut [&mut w], &[(&g).into()], hp);
         }
         let t = 5.0;
         let via_v = predict_velocity_form(&[&w], state.velocity(), hp.lr, t);
@@ -105,7 +105,7 @@ mod tests {
         let mut prev = w.clone();
         for _ in 0..3 {
             prev = w.clone();
-            state.step_with_spike(&mut [&mut w], &[&g], hp, 0.5, 2.0);
+            state.step_with_spike(&mut [&mut w], &[(&g).into()], hp, 0.5, 2.0);
         }
         let t = 5.0;
         let via_v = predict_velocity_form(&[&w], state.velocity(), hp.lr, t);

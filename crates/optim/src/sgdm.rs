@@ -1,8 +1,9 @@
-//! SGD with (heavy-ball or Nesterov) momentum.
+//! SGD with (heavy-ball or Nesterov) momentum, and the one sweep every
+//! update in the project is.
 
 use crate::Hyperparams;
 use pbp_snapshot::{SnapshotError, Snapshottable, StateReader, StateWriter};
-use pbp_tensor::Tensor;
+use pbp_tensor::{GradView, Tensor};
 
 /// Velocity state for SGD with momentum over a list of parameter tensors
 /// (Eqs. 7-8 of the paper):
@@ -14,13 +15,108 @@ use pbp_tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct SgdmState {
     velocity: Vec<Tensor>,
+    /// Where a factored gradient's current row is computed
+    /// ([`GradView::row`]); reused across updates.
+    row: Vec<f32>,
 }
+
+/// The scalars of one [`SgdmState::sweep`]:
+/// `v ← m·v + s·g; w ← w − η(a·v + b·g)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sweep {
+    pub hp: Hyperparams,
+    /// Spike-compensation coefficients (Eqs. 10-12); `a = 1, b = 0` is
+    /// plain SGDM.
+    pub a: f32,
+    pub b: f32,
+    /// Gradient multiplier (gradient shrinking; 1 otherwise).
+    pub grad_scale: f32,
+}
+
+/// The forward weight version a sweep writes beside the update, from the
+/// values it just computed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Predict {
+    /// `ŵ = w`: no prediction, the next version is the updated weights.
+    Copy,
+    /// `ŵ = w + alpha·v` with `alpha = −η·T` (Eq. 18).
+    Velocity { alpha: f32 },
+    /// `ŵ = w + T·(w − w_old)` (Eq. 19), `w_old` being the weight the
+    /// sweep read.
+    WeightDiff { horizon: f32 },
+}
+
+/// The loop: one pass over one contiguous run of a parameter. Reads `g`,
+/// `v`, `w` once, writes `v`, `w` once, and hands `(i, w_old, w_new,
+/// v_new)` to `emit` for whatever else the caller derives from them. The
+/// arithmetic is written in the order the separate update and prediction
+/// passes used to perform it and contains no fused multiply-add, so the
+/// results are theirs bit for bit.
+#[inline(always)]
+fn sweep_run(
+    k: Sweep,
+    g: &[f32],
+    v: &mut [f32],
+    w: &mut [f32],
+    mut emit: impl FnMut(usize, f32, f32, f32),
+) {
+    let n = g.len();
+    let (v, w) = (&mut v[..n], &mut w[..n]);
+    for i in 0..n {
+        let gi = g[i] * k.grad_scale;
+        let w_old = w[i];
+        let vi = k.hp.momentum * v[i] + gi;
+        let wi = w_old - k.hp.lr * (k.a * vi + k.b * gi);
+        v[i] = vi;
+        w[i] = wi;
+        emit(i, w_old, wi, vi);
+    }
+}
+
+/// [`sweep_run`] with the requested side outputs: `prev` receives the
+/// pre-update weights, `next` the forward version `predict` describes.
+fn sweep_run_into(
+    k: Sweep,
+    g: &[f32],
+    v: &mut [f32],
+    w: &mut [f32],
+    prev: Option<&mut [f32]>,
+    next: Option<(&mut [f32], Predict)>,
+) {
+    let n = g.len();
+    // The copy lands while the run is on its way into cache for the sweep
+    // that follows; it is not a second pass over memory.
+    if let Some(prev) = prev {
+        prev[..n].copy_from_slice(&w[..n]);
+    }
+    match next {
+        None => sweep_run(k, g, v, w, |_, _, _, _| {}),
+        Some((next, predict)) => {
+            let next = &mut next[..n];
+            match predict {
+                Predict::Copy => sweep_run(k, g, v, w, |i, _, wi, _| next[i] = wi),
+                Predict::Velocity { alpha } => {
+                    sweep_run(k, g, v, w, |i, _, wi, vi| next[i] = wi + alpha * vi)
+                }
+                Predict::WeightDiff { horizon } => sweep_run(k, g, v, w, |i, w_old, wi, _| {
+                    next[i] = wi + horizon * (wi - w_old)
+                }),
+            }
+        }
+    }
+}
+
+/// Runs are swept in pieces of at most this many elements so the
+/// pre-update copy into `prev` (weight-difference LWP) reads lines the
+/// sweep is about to read anyway.
+const RUN: usize = 4096;
 
 impl SgdmState {
     /// Creates zeroed velocity matching the given parameter shapes.
     pub fn new(params: &[&Tensor]) -> Self {
         SgdmState {
             velocity: params.iter().map(|p| Tensor::zeros(p.shape())).collect(),
+            row: Vec::new(),
         }
     }
 
@@ -34,7 +130,7 @@ impl SgdmState {
     /// # Panics
     ///
     /// Panics if the tensor lists disagree with the state layout.
-    pub fn step(&mut self, params: &mut [&mut Tensor], grads: &[&Tensor], hp: Hyperparams) {
+    pub fn step(&mut self, params: &mut [&mut Tensor], grads: &[GradView<'_>], hp: Hyperparams) {
         self.step_with_spike(params, grads, hp, 1.0, 0.0);
     }
 
@@ -49,7 +145,7 @@ impl SgdmState {
     pub fn step_nesterov(
         &mut self,
         params: &mut [&mut Tensor],
-        grads: &[&Tensor],
+        grads: &[GradView<'_>],
         hp: Hyperparams,
     ) {
         self.step_with_spike(params, grads, hp, hp.momentum, 1.0);
@@ -70,30 +166,67 @@ impl SgdmState {
     pub fn step_with_spike(
         &mut self,
         params: &mut [&mut Tensor],
-        grads: &[&Tensor],
+        grads: &[GradView<'_>],
         hp: Hyperparams,
         a: f32,
         b: f32,
     ) {
-        assert_eq!(
-            params.len(),
-            self.velocity.len(),
-            "param/velocity layout mismatch"
-        );
-        assert_eq!(
-            grads.len(),
-            self.velocity.len(),
-            "grad/velocity layout mismatch"
-        );
-        for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-            debug_assert_eq!(p.shape(), v.shape());
-            debug_assert_eq!(g.shape(), v.shape());
-            let vs = v.as_mut_slice();
-            let gs = g.as_slice();
-            let ps = p.as_mut_slice();
-            for i in 0..vs.len() {
-                vs[i] = hp.momentum * vs[i] + gs[i];
-                ps[i] -= hp.lr * (a * vs[i] + b * gs[i]);
+        let k = Sweep {
+            hp,
+            a,
+            b,
+            grad_scale: 1.0,
+        };
+        self.sweep(params, grads, k, None, None);
+    }
+
+    /// The update every optimizer entry point is: for each parameter, one
+    /// pass over its gradient (dense, or factored and read row by row),
+    /// velocity and weights that also writes, when asked, the pre-update
+    /// weights into `prev` and the forward weight version `predict`
+    /// describes into `next` — see [`sweep_run`] for the arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tensor list disagrees with the state layout.
+    pub(crate) fn sweep(
+        &mut self,
+        params: &mut [&mut Tensor],
+        grads: &[GradView<'_>],
+        k: Sweep,
+        mut prev: Option<&mut [Tensor]>,
+        mut next: Option<(&mut [Tensor], Predict)>,
+    ) {
+        let n = self.velocity.len();
+        assert_eq!(params.len(), n, "param/velocity layout mismatch");
+        assert_eq!(grads.len(), n, "grad/velocity layout mismatch");
+        for (t, ((p, g), v)) in params
+            .iter_mut()
+            .zip(grads)
+            .zip(&mut self.velocity)
+            .enumerate()
+        {
+            let (vs, ps) = (v.as_mut_slice(), p.as_mut_slice());
+            assert_eq!(ps.len(), vs.len(), "param/velocity shape mismatch");
+            assert_eq!(g.len(), vs.len(), "grad/velocity shape mismatch");
+            let mut prev = prev.as_mut().map(|p| p[t].as_mut_slice());
+            let mut next = next.as_mut().map(|(n, f)| (n[t].as_mut_slice(), *f));
+            for side in prev.iter().chain(next.iter().map(|(n, _)| n)) {
+                assert_eq!(side.len(), vs.len(), "prev/next shape mismatch");
+            }
+            for r in 0..g.rows() {
+                let row = g.row(r, &mut self.row);
+                for (c, g) in row.chunks(RUN).enumerate() {
+                    let at = r * row.len() + c * RUN;
+                    sweep_run_into(
+                        k,
+                        g,
+                        &mut vs[at..],
+                        &mut ps[at..],
+                        prev.as_mut().map(|p| &mut p[at..]),
+                        next.as_mut().map(|(n, f)| (&mut n[at..], *f)),
+                    );
+                }
             }
         }
     }
@@ -133,12 +266,12 @@ mod tests {
         let (mut w, g) = setup();
         let mut state = SgdmState::new(&[&w]);
         let hp = Hyperparams::new(0.1, 0.9);
-        state.step(&mut [&mut w], &[&g], hp);
+        state.step(&mut [&mut w], &[(&g).into()], hp);
         // v = g; w -= 0.1 * g
         assert!((w.as_slice()[0] - (1.0 - 0.05)).abs() < 1e-6);
         assert!((w.as_slice()[1] - (2.0 + 0.05)).abs() < 1e-6);
         // Second step accumulates momentum: v = 0.9 g + g = 1.9 g.
-        state.step(&mut [&mut w], &[&g], hp);
+        state.step(&mut [&mut w], &[(&g).into()], hp);
         assert!((w.as_slice()[0] - (0.95 - 0.1 * 1.9 * 0.5)).abs() < 1e-6);
     }
 
@@ -151,8 +284,8 @@ mod tests {
         let mut w2 = w0.clone();
         let mut s2 = SgdmState::new(&[&w2]);
         for _ in 0..5 {
-            s1.step(&mut [&mut w1], &[&g], hp);
-            s2.step_with_spike(&mut [&mut w2], &[&g], hp, 1.0, 0.0);
+            s1.step(&mut [&mut w1], &[(&g).into()], hp);
+            s2.step_with_spike(&mut [&mut w2], &[(&g).into()], hp, 1.0, 0.0);
         }
         assert_eq!(w1.as_slice(), w2.as_slice());
     }
@@ -165,8 +298,8 @@ mod tests {
         let mut s1 = SgdmState::new(&[&w1]);
         let mut w2 = w0.clone();
         let mut s2 = SgdmState::new(&[&w2]);
-        s1.step(&mut [&mut w1], &[&g], hp);
-        s2.step_nesterov(&mut [&mut w2], &[&g], hp);
+        s1.step(&mut [&mut w1], &[(&g).into()], hp);
+        s2.step_nesterov(&mut [&mut w2], &[(&g).into()], hp);
         // First step: heavy-ball moves by ηg, Nesterov by η(1+m)g.
         assert!(
             (w0.as_slice()[0] - w2.as_slice()[0]) / (w0.as_slice()[0] - w1.as_slice()[0]) > 1.5
@@ -177,7 +310,7 @@ mod tests {
     fn reset_zeroes_velocity() {
         let (mut w, g) = setup();
         let mut state = SgdmState::new(&[&w]);
-        state.step(&mut [&mut w], &[&g], Hyperparams::new(0.1, 0.9));
+        state.step(&mut [&mut w], &[(&g).into()], Hyperparams::new(0.1, 0.9));
         assert!(state.velocity()[0].norm() > 0.0);
         state.reset();
         assert_eq!(state.velocity()[0].norm(), 0.0);

@@ -1,24 +1,29 @@
 //! Per-stage optimizer combining SGDM, spike compensation and weight
 //! prediction.
 
+use crate::sgdm::{Predict, Sweep};
 use crate::{
     predict_velocity_form, predict_weight_form, Hyperparams, LwpForm, SgdmState, SpikeCoeffs,
     StageConfig,
 };
 use pbp_snapshot::{SnapshotError, Snapshottable, StateReader, StateWriter};
-use pbp_tensor::Tensor;
+use pbp_tensor::{GradView, Tensor};
 
 /// Optimizer state for one pipeline stage.
 ///
 /// The pipeline engines call three operations per stage:
 ///
-/// 1. [`StageOptimizer::forward_weights`] — predicted weights for the
-///    forward pass (Linear Weight Prediction / SpecTrain), or `None` when
-///    no prediction is configured;
-/// 2. [`StageOptimizer::backward_weights`] — SpecTrain's backward
-///    re-prediction;
-/// 3. [`StageOptimizer::step`] — the (possibly spike-compensated) update
-///    with the gradient that just arrived.
+/// 1. [`StageOptimizer::step_into`] — the (possibly spike-compensated)
+///    update with the gradient that just arrived, writing the forward
+///    weight version the update implies (Linear Weight Prediction /
+///    SpecTrain, or the updated weights themselves) into a buffer the
+///    caller recycles; [`StageOptimizer::step`] is the same sweep with
+///    that output absent;
+/// 2. [`StageOptimizer::forward_weights`] — the same forward version,
+///    allocated, for a microbatch that closes no update; `None` when no
+///    prediction is configured;
+/// 3. [`StageOptimizer::backward_weights`] — SpecTrain's backward
+///    re-prediction.
 ///
 /// Schedules that split backward (2BP) instead deliver weight gradients at
 /// the update boundary through [`StageOptimizer::accumulate_deferred`] /
@@ -110,29 +115,61 @@ impl StageOptimizer {
     /// # Panics
     ///
     /// Panics if the tensor layouts disagree with construction.
-    pub fn step(&mut self, params: &mut [&mut Tensor], grads: &[&Tensor]) {
-        if let Some(prev) = &mut self.prev_weights {
-            for (dst, src) in prev.iter_mut().zip(params.iter()) {
-                dst.as_mut_slice().copy_from_slice(src.as_slice());
-            }
-        }
+    pub fn step(&mut self, params: &mut [&mut Tensor], grads: &[GradView<'_>]) {
+        self.sweep(params, grads, None);
+    }
+
+    /// [`StageOptimizer::step`], additionally overwriting `next` with the
+    /// forward weight version a pipeline enqueues after this update —
+    /// bit for bit what [`StageOptimizer::forward_weights`] (or, with no
+    /// prediction configured, a copy of the updated weights) would return
+    /// if called right after, computed in the same pass over the weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor layouts disagree with construction.
+    pub fn step_into(
+        &mut self,
+        params: &mut [&mut Tensor],
+        grads: &[GradView<'_>],
+        next: &mut [Tensor],
+    ) {
+        self.sweep(params, grads, Some(next));
+    }
+
+    fn sweep(
+        &mut self,
+        params: &mut [&mut Tensor],
+        grads: &[GradView<'_>],
+        next: Option<&mut [Tensor]>,
+    ) {
         let coeffs = if self.config.spike_delay > 0.0 {
             SpikeCoeffs::scd(self.hp.momentum, self.config.spike_delay)
         } else {
             SpikeCoeffs::identity()
         };
-        if self.config.grad_scale != 1.0 {
-            let scaled: Vec<Tensor> = grads
-                .iter()
-                .map(|g| g.scale(self.config.grad_scale))
-                .collect();
-            let refs: Vec<&Tensor> = scaled.iter().collect();
-            self.state
-                .step_with_spike(params, &refs, self.hp, coeffs.a, coeffs.b);
+        let k = Sweep {
+            hp: self.hp,
+            a: coeffs.a,
+            b: coeffs.b,
+            grad_scale: self.config.grad_scale,
+        };
+        let horizon = self.config.fwd_horizon;
+        let predict = if horizon == 0.0 {
+            Predict::Copy
+        } else if self.config.lwp_form == LwpForm::Velocity {
+            let alpha = -self.hp.lr * horizon;
+            Predict::Velocity { alpha }
         } else {
-            self.state
-                .step_with_spike(params, grads, self.hp, coeffs.a, coeffs.b);
-        }
+            Predict::WeightDiff { horizon }
+        };
+        self.state.sweep(
+            params,
+            grads,
+            k,
+            self.prev_weights.as_deref_mut(),
+            next.map(|next| (next, predict)),
+        );
     }
 
     /// Folds one batch of *deferred* weight gradients into the
@@ -146,15 +183,15 @@ impl StageOptimizer {
     /// # Panics
     ///
     /// Panics if the gradient layout disagrees with an earlier call.
-    pub fn accumulate_deferred(&mut self, grads: &[&Tensor]) {
+    pub fn accumulate_deferred(&mut self, grads: &[GradView<'_>]) {
         match &mut self.deferred {
             Some(acc) => {
                 assert_eq!(acc.len(), grads.len(), "deferred gradient layout");
                 for (a, g) in acc.iter_mut().zip(grads) {
-                    pbp_tensor::ops::axpy(1.0, g, a);
+                    pbp_tensor::ops::axpy(1.0, &g.dense(), a);
                 }
             }
-            None => self.deferred = Some(grads.iter().map(|g| (*g).clone()).collect()),
+            None => self.deferred = Some(grads.iter().map(|g| g.dense().into_owned()).collect()),
         }
     }
 
@@ -176,8 +213,8 @@ impl StageOptimizer {
             .deferred
             .take()
             .expect("step_deferred without accumulated gradients");
-        let refs: Vec<&Tensor> = grads.iter().collect();
-        self.step(params, &refs);
+        let views: Vec<GradView<'_>> = grads.iter().map(GradView::from).collect();
+        self.step(params, &views);
     }
 }
 
@@ -250,8 +287,8 @@ mod tests {
         let mut opt = StageOptimizer::new(&[&w1], Mitigation::None.stage_config(4, 0), hp());
         let mut raw = SgdmState::new(&[&w2]);
         for _ in 0..5 {
-            opt.step(&mut [&mut w1], &[&g]);
-            raw.step(&mut [&mut w2], &[&g], hp());
+            opt.step(&mut [&mut w1], &[(&g).into()]);
+            raw.step(&mut [&mut w2], &[(&g).into()], hp());
         }
         assert_eq!(w1.as_slice(), w2.as_slice());
     }
@@ -264,8 +301,8 @@ mod tests {
         let mut opt = StageOptimizer::new(&[&w1], Mitigation::scd().stage_config(0, 0), hp());
         let mut raw = SgdmState::new(&[&w2]);
         for _ in 0..4 {
-            opt.step(&mut [&mut w1], &[&g]);
-            raw.step(&mut [&mut w2], &[&g], hp());
+            opt.step(&mut [&mut w1], &[(&g).into()]);
+            raw.step(&mut [&mut w2], &[(&g).into()], hp());
         }
         assert_eq!(w1.as_slice(), w2.as_slice());
     }
@@ -282,7 +319,7 @@ mod tests {
         let mut w = Tensor::from_slice(&[1.0]);
         let g = Tensor::from_slice(&[1.0]);
         let mut opt = StageOptimizer::new(&[&w], Mitigation::lwpd().stage_config(5, 0), hp());
-        opt.step(&mut [&mut w], &[&g]); // v = 1, w = 1 - 0.1 = 0.9
+        opt.step(&mut [&mut w], &[(&g).into()]); // v = 1, w = 1 - 0.1 = 0.9
         let fw = opt.forward_weights(&[&w]).expect("prediction configured");
         // ŵ = 0.9 − 0.1·5·1 = 0.4
         assert!((fw[0].as_slice()[0] - 0.4).abs() < 1e-6);
@@ -297,7 +334,7 @@ mod tests {
             scale: 1.0,
         };
         let mut opt = StageOptimizer::new(&[&w], mit.stage_config(3, 0), hp());
-        opt.step(&mut [&mut w], &[&g]); // prev = 1.0, w = 0.9
+        opt.step(&mut [&mut w], &[(&g).into()]); // prev = 1.0, w = 0.9
         let fw = opt.forward_weights(&[&w]).unwrap();
         // ŵ = 0.9 + 3·(0.9 − 1.0) = 0.6
         assert!((fw[0].as_slice()[0] - 0.6).abs() < 1e-6);
@@ -308,7 +345,7 @@ mod tests {
         let mut w = Tensor::from_slice(&[1.0]);
         let g = Tensor::from_slice(&[1.0]);
         let mut opt = StageOptimizer::new(&[&w], Mitigation::SpecTrain.stage_config(4, 2), hp());
-        opt.step(&mut [&mut w], &[&g]);
+        opt.step(&mut [&mut w], &[(&g).into()]);
         let fw = opt.forward_weights(&[&w]).unwrap();
         let bw = opt.backward_weights(&[&w]).unwrap();
         // fwd horizon 6, bwd horizon 2; both along −η·v from w = 0.9.
@@ -324,10 +361,10 @@ mod tests {
         let mit = Mitigation::GradShrink { factor: 0.5 };
         // delay 2 → grad scale 0.25.
         let mut opt = StageOptimizer::new(&[&w1], mit.stage_config(2, 0), hp());
-        opt.step(&mut [&mut w1], &[&g]);
+        opt.step(&mut [&mut w1], &[(&g).into()]);
         let mut plain = StageOptimizer::new(&[&w2], Mitigation::None.stage_config(2, 0), hp());
         let g_scaled = Tensor::from_slice(&[0.25]);
-        plain.step(&mut [&mut w2], &[&g_scaled]);
+        plain.step(&mut [&mut w2], &[(&g_scaled).into()]);
         assert_eq!(w1.as_slice(), w2.as_slice());
     }
 
@@ -339,8 +376,8 @@ mod tests {
         let mut direct = StageOptimizer::new(&[&w1], Mitigation::scd().stage_config(3, 0), hp());
         let mut deferred = StageOptimizer::new(&[&w2], Mitigation::scd().stage_config(3, 0), hp());
         for _ in 0..4 {
-            direct.step(&mut [&mut w1], &[&g]);
-            deferred.accumulate_deferred(&[&g]);
+            direct.step(&mut [&mut w1], &[(&g).into()]);
+            deferred.accumulate_deferred(&[(&g).into()]);
             assert!(deferred.has_deferred());
             deferred.step_deferred(&mut [&mut w2]);
             assert!(!deferred.has_deferred());
@@ -357,10 +394,10 @@ mod tests {
         let mut sum = g1.clone();
         pbp_tensor::ops::axpy(1.0, &g2, &mut sum);
         let mut direct = StageOptimizer::new(&[&w1], Mitigation::None.stage_config(0, 0), hp());
-        direct.step(&mut [&mut w1], &[&sum]);
+        direct.step(&mut [&mut w1], &[(&sum).into()]);
         let mut deferred = StageOptimizer::new(&[&w2], Mitigation::None.stage_config(0, 0), hp());
-        deferred.accumulate_deferred(&[&g1]);
-        deferred.accumulate_deferred(&[&g2]);
+        deferred.accumulate_deferred(&[(&g1).into()]);
+        deferred.accumulate_deferred(&[(&g2).into()]);
         deferred.step_deferred(&mut [&mut w2]);
         assert_eq!(w1.as_slice(), w2.as_slice());
     }
@@ -374,7 +411,7 @@ mod tests {
             let g = Tensor::from_slice(&[0.3, -0.1, 0.7]);
             let mut opt = StageOptimizer::new(&[&w], mit.stage_config(3, 0), hp());
             for _ in 0..4 {
-                opt.step(&mut [&mut w], &[&g]);
+                opt.step(&mut [&mut w], &[(&g).into()]);
             }
 
             let mut writer = pbp_snapshot::StateWriter::new();
@@ -397,8 +434,8 @@ mod tests {
                     (None, None) => {}
                     _ => panic!("prediction presence diverged"),
                 }
-                opt.step(&mut [&mut w], &[&g]);
-                restored.step(&mut [&mut w2], &[&g]);
+                opt.step(&mut [&mut w], &[(&g).into()]);
+                restored.step(&mut [&mut w2], &[(&g).into()]);
                 assert_eq!(w.as_slice(), w2.as_slice());
             }
         }

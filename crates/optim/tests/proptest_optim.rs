@@ -2,11 +2,59 @@
 //! paper's analysis relies on.
 
 use pbp_optim::{
-    predict_velocity_form, predict_weight_form, scale_hyperparams, Hyperparams, Mitigation,
-    SgdmState, SpikeCoeffs, StageOptimizer,
+    predict_velocity_form, predict_weight_form, scale_hyperparams, Hyperparams, LwpForm,
+    Mitigation, SgdmState, SpikeCoeffs, StageOptimizer,
 };
-use pbp_tensor::Tensor;
+use pbp_tensor::{GradView, Tensor};
 use proptest::prelude::*;
+
+/// Every mitigation the experiments run, both LWP forms where one applies.
+fn mitigations() -> Vec<Mitigation> {
+    let mut all = vec![
+        Mitigation::None,
+        Mitigation::scd(),
+        Mitigation::Sc { scale: 2.0 },
+        Mitigation::SpecTrain,
+        Mitigation::GradShrink { factor: 0.7 },
+    ];
+    for form in [LwpForm::Velocity, LwpForm::WeightDiff] {
+        all.push(Mitigation::Lwp { form, scale: 1.0 });
+        all.push(Mitigation::LwpSc {
+            form,
+            lwp_scale: 1.0,
+            sc_scale: 1.0,
+        });
+    }
+    all
+}
+
+/// Replaces `values[i]` by a signed zero or a subnormal where `kinds[i]`
+/// asks for one (about half the entries stay ordinary).
+fn with_edge_values(values: &[f32], kinds: &[usize]) -> Vec<f32> {
+    let pick = |(&v, &kind): (&f32, &usize)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 1.0e-40,
+        3 => -3.0e-41,
+        _ => v,
+    };
+    values.iter().zip(kinds).map(pick).collect()
+}
+
+fn assert_bits_eq(got: &[Tensor], want: &[Tensor], context: &str) {
+    assert_eq!(got.len(), want.len(), "{context}: tensor count");
+    for (g, w) in got.iter().zip(want) {
+        let (g, w) = (g.as_slice(), w.as_slice());
+        assert_eq!(g.len(), w.len(), "{context}: length");
+        for (i, (a, b)) in g.iter().zip(w).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{context}: element {i}: {a:e} vs {b:e}"
+            );
+        }
+    }
+}
 
 fn grads_strategy(steps: usize, dim: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
     proptest::collection::vec(proptest::collection::vec(-1.0f32..1.0, dim), steps)
@@ -44,8 +92,8 @@ proptest! {
         let mut opt = StageOptimizer::new(&[&w2], Mitigation::scd().stage_config(0, 0), hp);
         for g in &grads {
             let gt = Tensor::from_slice(g);
-            plain.step(&mut [&mut w1], &[&gt], hp);
-            opt.step(&mut [&mut w2], &[&gt]);
+            plain.step(&mut [&mut w1], &[(&gt).into()], hp);
+            opt.step(&mut [&mut w2], &[(&gt).into()]);
         }
         prop_assert_eq!(w1.as_slice(), w2.as_slice());
     }
@@ -66,7 +114,7 @@ proptest! {
         for g in &grads {
             let gt = Tensor::from_slice(g);
             prev = w.clone();
-            state.step(&mut [&mut w], &[&gt], hp);
+            state.step(&mut [&mut w], &[(&gt).into()], hp);
         }
         let via_v = predict_velocity_form(&[&w], state.velocity(), lr, horizon);
         let via_w = predict_weight_form(&[&w], &[prev], horizon);
@@ -132,9 +180,94 @@ proptest! {
         let gt = Tensor::from_slice(&g);
         let mut a = StageOptimizer::new(&[&w_shrunk], mit.stage_config(d, 0), hp);
         let mut b = StageOptimizer::new(&[&w_plain], Mitigation::None.stage_config(d, 0), hp);
-        a.step(&mut [&mut w_shrunk], &[&gt]);
-        b.step(&mut [&mut w_plain], &[&gt]);
+        a.step(&mut [&mut w_shrunk], &[(&gt).into()]);
+        b.step(&mut [&mut w_plain], &[(&gt).into()]);
         prop_assert!(w_shrunk.norm() <= w_plain.norm() + 1e-9);
+    }
+
+    /// The fused sweep against the passes it replaced: `step_into` (dense
+    /// or factored gradient) leaves the weights, the velocity and the
+    /// version buffer exactly as `step` on the dense gradient followed by
+    /// `forward_weights` does, and both match the update arithmetic
+    /// written out as it stood before the sweep — scale the gradient, then
+    /// `v ← m·v + g; w ← w − η(a·v + b·g)` — for every mitigation, both
+    /// LWP forms and a gradient scale other than one.
+    #[test]
+    fn fused_sweep_matches_step_then_forward_weights_bitwise(
+        delta in proptest::collection::vec(-2.0f32..2.0, 3),
+        x in proptest::collection::vec(-2.0f32..2.0, 5),
+        delta_kinds in proptest::collection::vec(0usize..8, 3),
+        x_kinds in proptest::collection::vec(0usize..8, 5),
+        bias_grad in proptest::collection::vec(-1.0f32..1.0, 3),
+        lr in 0.001f32..0.3,
+        m in 0.0f32..0.99,
+        delay in 0usize..6,
+        stage in 0usize..4,
+    ) {
+        let hp = Hyperparams::new(lr, m);
+        let delta = with_edge_values(&delta, &delta_kinds);
+        let x = with_edge_values(&x, &x_kinds);
+        let factored = GradView::Outer { delta: &delta, x: &x };
+        let dense = factored.dense().into_owned();
+        let bias_grad = Tensor::from_slice(&bias_grad);
+        let w0 = [
+            Tensor::from_fn(&[3, 5], |i| (i as f32 * 0.37).sin()),
+            Tensor::from_fn(&[3], |i| 0.5 - i as f32),
+        ];
+        for mitigation in mitigations() {
+            for grad_scale in [None, Some(0.3f32)] {
+                let mut config = mitigation.stage_config(delay, stage);
+                config.grad_scale = grad_scale.unwrap_or(config.grad_scale);
+                let context = format!("{mitigation:?} grad_scale={}", config.grad_scale);
+                let coeffs = if config.spike_delay > 0.0 {
+                    SpikeCoeffs::scd(m, config.spike_delay)
+                } else {
+                    SpikeCoeffs::identity()
+                };
+
+                // [fused, factored], [fused, dense], [separate passes].
+                let mut w = [w0.clone(), w0.clone(), w0.clone()];
+                let mut opts: Vec<StageOptimizer> = w
+                    .iter()
+                    .map(|w| StageOptimizer::new(&[&w[0], &w[1]], config, hp))
+                    .collect();
+                let mut by_hand_w = w0.clone();
+                let mut by_hand_v = [Tensor::zeros(&[3, 5]), Tensor::zeros(&[3])];
+                // Several updates, so velocity and (weight-difference
+                // form) the previous weights are in play.
+                for _ in 0..3 {
+                    let mut next = [w0.clone(), w0.clone()];
+                    for (i, grad) in [factored, (&dense).into()].into_iter().enumerate() {
+                        let [p0, p1] = &mut w[i];
+                        let grads = [grad, (&bias_grad).into()];
+                        opts[i].step_into(&mut [p0, p1], &grads, &mut next[i]);
+                    }
+                    let [p0, p1] = &mut w[2];
+                    opts[2].step(&mut [p0, p1], &[(&dense).into(), (&bias_grad).into()]);
+                    let params = [&w[2][0], &w[2][1]];
+                    let separate = opts[2]
+                        .forward_weights(&params)
+                        .unwrap_or_else(|| w[2].to_vec());
+
+                    for ((w, v), g) in by_hand_w.iter_mut().zip(&mut by_hand_v).zip([&dense, &bias_grad]) {
+                        let g = if config.grad_scale != 1.0 { g.scale(config.grad_scale) } else { g.clone() };
+                        let (ws, vs, gs) = (w.as_mut_slice(), v.as_mut_slice(), g.as_slice());
+                        for i in 0..ws.len() {
+                            vs[i] = m * vs[i] + gs[i];
+                            ws[i] -= lr * (coeffs.a * vs[i] + coeffs.b * gs[i]);
+                        }
+                    }
+
+                    for i in 0..2 {
+                        assert_bits_eq(&w[i], &w[2], &format!("{context}: weights {i}"));
+                        assert_bits_eq(opts[i].velocity(), opts[2].velocity(), &format!("{context}: velocity {i}"));
+                        assert_bits_eq(&next[i], &separate, &format!("{context}: next version {i}"));
+                    }
+                    assert_bits_eq(&w[2], &by_hand_w, &format!("{context}: weights by hand"));
+                    assert_bits_eq(opts[2].velocity(), &by_hand_v, &format!("{context}: velocity by hand"));
+                }
+            }
+        }
     }
 
     #[test]

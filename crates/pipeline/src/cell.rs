@@ -5,7 +5,11 @@
 //! the stage's optimizer (with its delay-mitigation configuration), the
 //! FIFO of forward weight versions whose length is the schedule's version
 //! lag plus one, and the stash of in-flight forward weights under weight
-//! stashing. Cells are driven by [`StageGroup`](crate::StageGroup), the
+//! stashing. Version buffers circulate: the one a microbatch's forward
+//! consumed is the one its update writes the next version into, in the
+//! same sweep that applies the update, so a running pipeline allocates no
+//! weight-sized memory. Cells are driven by
+//! [`StageGroup`](crate::StageGroup), the
 //! one interpreter of the action stream; this file and `group.rs` are
 //! together the only implementation of per-stage semantics (DESIGN §12,
 //! enforced by a grep lint in `scripts/check.sh`), which is what makes
@@ -50,6 +54,14 @@ pub struct StageCell {
     /// stashing only).
     stash: VecDeque<Vec<Tensor>>,
     weight_stashing: bool,
+    /// Version buffers whose contents are spent — popped by a forward
+    /// (or, under weight stashing, by the backward that ran under them) and
+    /// not yet rewritten: one per in-flight microbatch, none between
+    /// drained microbatches.
+    spares: Vec<Vec<Tensor>>,
+    /// The next forward version, written by `update` and waiting for this
+    /// microbatch's `push_next_version`.
+    next: Option<Vec<Tensor>>,
 }
 
 /// Exchanges the stage's live parameter tensors with `version`'s, in
@@ -96,6 +108,8 @@ impl StageCell {
             fwd_queue,
             stash: VecDeque::new(),
             weight_stashing,
+            spares: Vec::new(),
+            next: None,
         }
     }
 
@@ -130,7 +144,7 @@ impl StageCell {
     /// queued version is bit-identical to the live weights — no lag, no
     /// forward prediction, which is how fill&drain falls out of the shared
     /// machinery at full speed), and stashes the version under weight
-    /// stashing.
+    /// stashing; otherwise its buffer is spent and becomes a spare.
     pub fn forward(&mut self, stage: &mut Stage, stack: &mut LaneStack) {
         let mut fwd_w = self
             .fwd_queue
@@ -146,6 +160,8 @@ impl StageCell {
         }
         if self.weight_stashing {
             self.stash.push_back(fwd_w);
+        } else {
+            self.spares.push(fwd_w);
         }
     }
 
@@ -181,6 +197,9 @@ impl StageCell {
                 swap_params(stage, &mut bw);
                 stage.backward_input(gstack);
                 swap_params(stage, &mut bw);
+                if self.weight_stashing {
+                    self.spares.push(bw);
+                }
             }
             None => stage.backward_input(gstack),
         }
@@ -199,32 +218,41 @@ impl StageCell {
         !stage.grads().is_empty()
     }
 
-    /// Applies the optimizer update. Schedules that split backward
-    /// deliver the deferred weight-gradient halves through the
-    /// optimizer's deferred interface. Returns whether a step fired
-    /// (parameterless stages never update).
-    pub fn update(&mut self, stage: &mut Stage, split_backward: bool) -> bool {
+    /// Applies the optimizer update and, in the same sweep over the
+    /// weights, writes the forward version it implies into a spent version
+    /// buffer for [`StageCell::push_next_version`] to enqueue. Returns
+    /// whether a step fired (parameterless stages never update).
+    /// `split_backward` no longer selects anything — by the update
+    /// boundary a split schedule's layers hold the same accumulated
+    /// gradients a fused one's do — and stays only because the benchmark
+    /// harness calls this signature.
+    pub fn update(&mut self, stage: &mut Stage, _split_backward: bool) -> bool {
         let (mut params, grads) = stage.params_and_grads();
         if grads.is_empty() {
             return false;
         }
-        if split_backward {
-            self.opt.accumulate_deferred(&grads);
-            self.opt.step_deferred(&mut params);
-        } else {
-            self.opt.step(&mut params, &grads);
-        }
+        let mut next = self
+            .spares
+            .pop()
+            .expect("a spent version buffer precedes every update");
+        self.opt.step_into(&mut params, &grads, &mut next);
+        self.next = Some(next);
         true
     }
 
-    /// Enqueues the forward weight version a future microbatch will see
-    /// (post-update when one fired, predicted when LWP is configured).
+    /// Enqueues the forward weight version a future microbatch will see:
+    /// the one this microbatch's update wrote, else (no update closed)
+    /// the current weights, predicted when LWP is configured.
     pub fn push_next_version(&mut self, stage: &Stage) {
-        let params = stage.params();
-        let next_fwd = self
-            .opt
-            .forward_weights(&params)
-            .unwrap_or_else(|| params.into_iter().cloned().collect());
+        let next_fwd = self.next.take().unwrap_or_else(|| {
+            // This microbatch's spent buffer is not needed: the
+            // allocating prediction serves the rare no-update case.
+            self.spares.pop();
+            let params = stage.params();
+            self.opt
+                .forward_weights(&params)
+                .unwrap_or_else(|| params.into_iter().cloned().collect())
+        });
         self.fwd_queue.push_back(next_fwd);
     }
 
@@ -256,6 +284,144 @@ impl StageCell {
         }
         self.fwd_queue = queue;
         self.stash = crate::state::read_version_queue(r)?;
+        // Snapshots are of drained pipelines: nothing is in flight.
+        self.spares.clear();
+        self.next = None;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pbp_nn::loss::softmax_cross_entropy;
+    use pbp_nn::models::mlp;
+    use pbp_nn::Network;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const PLAN: MicrobatchSchedule = MicrobatchSchedule::PipelinedBackprop;
+
+    fn net() -> Network {
+        mlp(&[4, 6, 5, 3], &mut StdRng::seed_from_u64(7))
+    }
+
+    fn cells(net: &Network, weight_stashing: bool) -> Vec<StageCell> {
+        let (stages, hp) = (net.pipeline_stage_count(), Hyperparams::new(0.05, 0.9));
+        let mitigation = Mitigation::lwpv_scd();
+        (0..net.num_stages())
+            .map(|s| {
+                StageCell::new(
+                    net.stage(s),
+                    s,
+                    stages,
+                    &PLAN,
+                    mitigation,
+                    weight_stashing,
+                    hp,
+                    None,
+                )
+            })
+            .collect()
+    }
+
+    /// One microbatch through every cell, forward then backward — the
+    /// sequential sweep. Returns the loss.
+    fn microbatch(net: &mut Network, cells: &mut [StageCell], i: usize) -> f32 {
+        let mut stack = vec![Tensor::from_fn(&[1, 4], |j| {
+            ((i * 4 + j) as f32 * 0.3).sin()
+        })];
+        for (s, cell) in cells.iter_mut().enumerate() {
+            cell.forward(net.stage_mut(s), &mut stack);
+        }
+        let (loss, grad) = softmax_cross_entropy(&stack.pop().expect("logits"), &[i % 3]);
+        let mut gstack = vec![grad];
+        for (s, cell) in cells.iter_mut().enumerate().rev() {
+            cell.backward_input(net.stage_mut(s), &mut gstack, true);
+            cell.backward_weight(net.stage_mut(s));
+            if cell.will_update(net.stage(s)) {
+                cell.update(net.stage_mut(s), false);
+            }
+            cell.push_next_version(net.stage(s));
+        }
+        loss
+    }
+
+    /// Where the newest queued version's tensors live.
+    fn newest_version(cell: &StageCell) -> Vec<*const f32> {
+        let newest = cell.fwd_queue.back().expect("lag + 1 versions");
+        newest.iter().map(|t| t.as_slice().as_ptr()).collect()
+    }
+
+    #[test]
+    fn steady_state_recycles_version_buffers() {
+        for weight_stashing in [false, true] {
+            let mut net = net();
+            let mut cells = cells(&net, weight_stashing);
+            let mut pushed: Vec<Vec<Vec<*const f32>>> = Vec::new();
+            for i in 0..24 {
+                microbatch(&mut net, &mut cells, i);
+                pushed.push(cells.iter().map(newest_version).collect());
+                for cell in &cells {
+                    assert_eq!(cell.fwd_queue_len(), cell.version_lag() + 1);
+                    assert!(cell.spares.is_empty() && cell.next.is_none());
+                    assert_eq!(cell.stash_len(), 0);
+                }
+            }
+            // The version a microbatch pushes is written into the buffer
+            // its forward popped — the one pushed `lag + 1` microbatches
+            // earlier: the queue's allocations circulate, none is new.
+            for (s, cell) in cells.iter().enumerate() {
+                let period = cell.version_lag() + 1;
+                if net.stage(s).params().is_empty() {
+                    continue;
+                }
+                for i in period..pushed.len() {
+                    assert_eq!(
+                        pushed[i][s],
+                        pushed[i - period][s],
+                        "stage {s} microbatch {i} stashing={weight_stashing}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_mid_run_resumes_bit_identically() {
+        for weight_stashing in [false, true] {
+            let mut net_a = net();
+            let mut cells_a = cells(&net_a, weight_stashing);
+            for i in 0..9 {
+                microbatch(&mut net_a, &mut cells_a, i);
+            }
+            let mut w = StateWriter::new();
+            cells_a.iter().for_each(|cell| cell.write_state(&mut w));
+            let bytes = w.into_bytes();
+
+            // The restored side starts from the same weights but other
+            // buffers: fresh cells, then the stored state.
+            let mut net_b = net();
+            for s in 0..net_b.num_stages() {
+                net_b.stage_mut(s).load(&net_a.stage(s).snapshot());
+            }
+            let mut cells_b = cells(&net_b, weight_stashing);
+            let mut r = StateReader::new(&bytes);
+            for (s, cell) in cells_b.iter_mut().enumerate() {
+                cell.read_state(&mut r, "test", s).expect("matching layout");
+            }
+            r.finish().expect("whole state consumed");
+
+            for i in 9..20 {
+                let loss_a = microbatch(&mut net_a, &mut cells_a, i);
+                let loss_b = microbatch(&mut net_b, &mut cells_b, i);
+                assert_eq!(loss_a.to_bits(), loss_b.to_bits(), "microbatch {i}");
+            }
+            for s in 0..net_a.num_stages() {
+                for (a, b) in net_a.stage(s).params().iter().zip(net_b.stage(s).params()) {
+                    assert_eq!(a.as_slice(), b.as_slice(), "stage {s}");
+                }
+            }
+        }
     }
 }

@@ -30,8 +30,8 @@
 //! utilization (Eq. 1). Schedules that split backward defer each
 //! microbatch's weight-gradient half as pending work inside the layers
 //! ([`Layer::backward_input`](pbp_nn::Layer::backward_input)) and retire
-//! it at the update boundary, delivering the summed gradients to the
-//! optimizer through its deferred-gradient interface.
+//! it at the update boundary, where the summed gradients meet the same
+//! optimizer sweep a fused schedule's do.
 
 use crate::engine::{batch_of_one, batch_rows, TrainEngine};
 use crate::group::StageGroup;

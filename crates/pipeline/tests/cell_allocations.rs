@@ -1,0 +1,112 @@
+//! A running `StageCell` allocates no weight-sized memory: the version
+//! buffer a microbatch's forward consumed is the one its update writes the
+//! next version into. Pointer identity (checked in `cell.rs`) cannot tell
+//! a recycled buffer from a freed-and-reallocated one, so this suite
+//! counts allocations instead, through a global allocator that forwards
+//! to the system one.
+
+use pbp_nn::loss::softmax_cross_entropy;
+use pbp_nn::models::mlp;
+use pbp_nn::Network;
+use pbp_optim::{Hyperparams, Mitigation};
+use pbp_pipeline::{MicrobatchSchedule, StageCell};
+use pbp_tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Layer widths: every weight matrix is 48 × 48 floats = 9 KiB, every
+/// activation, gradient row and bias 192 B.
+const WIDTH: usize = 48;
+/// Anything at least this large is weight-sized.
+const WEIGHT_SIZED: usize = 4096;
+
+thread_local! {
+    /// Weight-sized allocations made by this thread (tests run one per
+    /// thread, so counts do not mix).
+    static LARGE_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialised thread-local
+// `Cell` without a destructor, so touching it neither allocates nor
+// re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout.size() >= WEIGHT_SIZED {
+            LARGE_ALLOCS.with(|n| n.set(n.get() + 1));
+        }
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn microbatch(net: &mut Network, cells: &mut [StageCell], i: usize) {
+    let mut stack = vec![Tensor::from_fn(&[1, WIDTH], |j| ((i + j) as f32).sin())];
+    for (s, cell) in cells.iter_mut().enumerate() {
+        cell.forward(net.stage_mut(s), &mut stack);
+    }
+    let (_, grad) = softmax_cross_entropy(&stack.pop().expect("logits"), &[i % WIDTH]);
+    let mut gstack = vec![grad];
+    for (s, cell) in cells.iter_mut().enumerate().rev() {
+        cell.backward_input(net.stage_mut(s), &mut gstack, true);
+        cell.backward_weight(net.stage_mut(s));
+        if cell.will_update(net.stage(s)) {
+            cell.update(net.stage_mut(s), false);
+        }
+        cell.push_next_version(net.stage(s));
+    }
+}
+
+#[test]
+fn a_running_cell_allocates_nothing_weight_sized() {
+    let plan = MicrobatchSchedule::PipelinedBackprop;
+    let hp = Hyperparams::new(0.05, 0.9);
+    for mitigation in [
+        Mitigation::None,
+        Mitigation::lwpv_scd(),
+        Mitigation::lwpw_scd(),
+    ] {
+        for weight_stashing in [false, true] {
+            let mut net = mlp(&[WIDTH; 4], &mut StdRng::seed_from_u64(3));
+            let stages = net.pipeline_stage_count();
+            let mut cells: Vec<StageCell> = (0..net.num_stages())
+                .map(|s| {
+                    let stage = net.stage(s);
+                    StageCell::new(
+                        stage,
+                        s,
+                        stages,
+                        &plan,
+                        mitigation,
+                        weight_stashing,
+                        hp,
+                        None,
+                    )
+                })
+                .collect();
+            // Warm-up: scratch buffers (the optimizer's gradient row, the
+            // GEMM packing buffer) reach their final size.
+            for i in 0..4 {
+                microbatch(&mut net, &mut cells, i);
+            }
+            let before = LARGE_ALLOCS.with(Cell::get);
+            for i in 4..40 {
+                microbatch(&mut net, &mut cells, i);
+            }
+            let during = LARGE_ALLOCS.with(Cell::get) - before;
+            assert_eq!(during, 0, "{mitigation:?} stashing={weight_stashing}");
+        }
+    }
+}

@@ -11,7 +11,7 @@ use pbp_nn::layer::{LaneStack, Layer};
 use pbp_nn::{Network, Stage};
 use pbp_optim::{Hyperparams, LrSchedule};
 use pbp_pipeline::{ScheduledConfig, ScheduledTrainer};
-use pbp_tensor::Tensor;
+use pbp_tensor::{GradView, Tensor};
 use std::sync::{Arc, Mutex};
 
 /// A layer with one scalar parameter that logs the weight value used by
@@ -58,12 +58,12 @@ impl Layer for ProbeLayer {
         vec![&mut self.weight]
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad]
+    fn grads(&self) -> Vec<GradView<'_>> {
+        vec![(&self.grad).into()]
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        vec![(&mut self.weight, &self.grad)]
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
+        vec![(&mut self.weight, (&self.grad).into())]
     }
 
     fn zero_grads(&mut self) {

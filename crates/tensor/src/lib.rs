@@ -31,6 +31,7 @@
 #![allow(clippy::needless_range_loop)]
 
 mod error;
+mod grad;
 mod init;
 mod tensor;
 
@@ -38,6 +39,7 @@ pub mod ops;
 pub mod pool;
 
 pub use error::TensorError;
+pub use grad::GradView;
 pub use init::{he_normal, normal, uniform, xavier_uniform};
 pub use tensor::Tensor;
 

@@ -457,6 +457,22 @@ fn micro_scalar<const AT: bool, const MRL: usize>(
     }
 }
 
+/// `W` adjacent outputs `crow[j..j + W]` of an `A·Bᵀ` row: `W` independent
+/// dots of `arow` with rows `j..j + W` of `b`, each one left-to-right fma
+/// chain in increasing `k` from the existing output value.
+#[inline(always)]
+fn nt_chains<const W: usize>(arow: &[f32], b: &[f32], crow: &mut [f32], j: usize) {
+    let k = arow.len();
+    let brows: [&[f32]; W] = std::array::from_fn(|l| &b[(j + l) * k..][..k]);
+    let mut s: [f32; W] = std::array::from_fn(|l| crow[j + l]);
+    for (kk, &av) in arow.iter().enumerate() {
+        for l in 0..W {
+            s[l] = av.mul_add(brows[l][kk], s[l]);
+        }
+    }
+    crow[j..j + W].copy_from_slice(&s);
+}
+
 /// Simple accumulating kernels for small products. Loop orders are chosen
 /// per layout so the innermost loop either vectorizes across `j` or runs
 /// several independent `k` chains, while each element still accumulates in
@@ -474,38 +490,24 @@ fn simple<const AT: bool, const BT: bool>(
     n: usize,
 ) {
     if BT {
-        // A·Bᵀ: per output element a dot of two contiguous rows; four
-        // independent chains at a time for instruction-level parallelism.
+        // A·Bᵀ: per output element a dot of two contiguous rows. Each dot
+        // is one latency-bound fma chain, so eight independent chains run
+        // per pass (two FMA ports × four cycles of latency), then four,
+        // then one at a time for the remainder.
         for i in 0..m {
             let arow = &a[i * k..][..k];
             let crow = &mut c[i * n..][..n];
             let mut j = 0;
-            while j + 4 <= n {
-                let b0 = &b[j * k..][..k];
-                let b1 = &b[(j + 1) * k..][..k];
-                let b2 = &b[(j + 2) * k..][..k];
-                let b3 = &b[(j + 3) * k..][..k];
-                let (mut s0, mut s1, mut s2, mut s3) =
-                    (crow[j], crow[j + 1], crow[j + 2], crow[j + 3]);
-                for (kk, &av) in arow.iter().enumerate() {
-                    s0 = av.mul_add(b0[kk], s0);
-                    s1 = av.mul_add(b1[kk], s1);
-                    s2 = av.mul_add(b2[kk], s2);
-                    s3 = av.mul_add(b3[kk], s3);
-                }
-                crow[j] = s0;
-                crow[j + 1] = s1;
-                crow[j + 2] = s2;
-                crow[j + 3] = s3;
+            while j + 8 <= n {
+                nt_chains::<8>(arow, b, crow, j);
+                j += 8;
+            }
+            if j + 4 <= n {
+                nt_chains::<4>(arow, b, crow, j);
                 j += 4;
             }
             while j < n {
-                let brow = &b[j * k..][..k];
-                let mut s = crow[j];
-                for (kk, &av) in arow.iter().enumerate() {
-                    s = av.mul_add(brow[kk], s);
-                }
-                crow[j] = s;
+                nt_chains::<1>(arow, b, crow, j);
                 j += 1;
             }
         }

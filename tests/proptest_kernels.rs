@@ -93,6 +93,28 @@ proptest! {
         pool::set_max_threads(1);
     }
 
+    /// The batch-1 `A·Bᵀ` path (`m = 1`: every `Linear::forward` at batch
+    /// one) runs 8, then 4, then 1 dot chains per pass; output widths on
+    /// both sides of each boundary exercise every combination of passes.
+    #[test]
+    fn nt_at_batch_one_matches_reference_across_chain_widths(
+        k in 1usize..300,
+        seed in 0u64..10_000,
+    ) {
+        for n in [7usize, 8, 9, 15, 17] {
+            let a = rand_vec(k, seed);
+            let b = rand_vec(n * k, seed ^ 1);
+            let init = rand_vec(n, seed ^ 2);
+            for acc in [false, true] {
+                let mut want = if acc { init.clone() } else { vec![0.0; n] };
+                let mut got = want.clone();
+                gemm_nt(&a, &b, &mut got, 1, k, n, acc);
+                reference::matmul_nt_acc_ref(&a, &b, &mut want, 1, k, n);
+                assert_bits_eq(&got, &want, &format!("nt 1x{k}x{n} acc={acc}"));
+            }
+        }
+    }
+
     /// Conv forward over random geometry (kernel, stride, padding, spatial
     /// size, channels): GEMM-lowered im2col path vs the six-loop direct
     /// reference, at every thread count.
