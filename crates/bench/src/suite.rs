@@ -143,18 +143,6 @@ impl RunOutcome {
     }
 }
 
-/// Nearest-rank percentile of an unsorted sample: `q` in `[0, 1]`
-/// (`0.5` = median, `0.99` = p99). Returns `0.0` for an empty sample.
-pub fn percentile(xs: &[f64], q: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// Sample mean and standard deviation.
 pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     if xs.is_empty() {

@@ -158,13 +158,13 @@ pub fn snapshot_params(layer: &dyn Layer) -> Vec<Tensor> {
 ///
 /// Panics if the snapshot does not match the layer's parameter layout.
 pub fn load_params(layer: &mut dyn Layer, snapshot: &[Tensor]) {
+    let name = layer.name();
     let mut params = layer.params_mut();
     assert_eq!(
         params.len(),
         snapshot.len(),
-        "snapshot has {} tensors but layer {} has {} parameters",
+        "snapshot has {} tensors but layer {name} has {} parameters",
         snapshot.len(),
-        "?",
         params.len()
     );
     for (p, s) in params.iter_mut().zip(snapshot) {
@@ -194,6 +194,16 @@ mod tests {
         for (p, s) in layer.params().iter().zip(&snap) {
             assert_eq!(p.as_slice(), s.as_slice());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot has 3 tensors but layer linear(3→2) has 2 parameters")]
+    fn load_params_names_the_layer_on_a_layout_mismatch() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut layer = Linear::new(3, 2, true, &mut rng);
+        let mut snap = snapshot_params(&layer);
+        snap.push(snap[0].clone());
+        load_params(&mut layer, &snap);
     }
 
     #[test]

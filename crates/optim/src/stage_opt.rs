@@ -24,20 +24,12 @@ use pbp_tensor::{GradView, Tensor};
 ///    prediction is configured;
 /// 3. [`StageOptimizer::backward_weights`] — SpecTrain's backward
 ///    re-prediction.
-///
-/// Schedules that split backward (2BP) instead deliver weight gradients at
-/// the update boundary through [`StageOptimizer::accumulate_deferred`] /
-/// [`StageOptimizer::step_deferred`].
 #[derive(Debug)]
 pub struct StageOptimizer {
     state: SgdmState,
     /// Previous weight snapshot, kept only when the weight-difference LWP
     /// form needs it.
     prev_weights: Option<Vec<Tensor>>,
-    /// Deferred weight gradients accumulated between updates; always drained
-    /// by the update that closes the accumulation window, so it is empty
-    /// whenever an engine snapshots (see [`Snapshottable`] impl below).
-    deferred: Option<Vec<Tensor>>,
     config: StageConfig,
     hp: Hyperparams,
 }
@@ -50,7 +42,6 @@ impl StageOptimizer {
         StageOptimizer {
             state: SgdmState::new(params),
             prev_weights: needs_prev.then(|| params.iter().map(|p| (*p).clone()).collect()),
-            deferred: None,
             config,
             hp,
         }
@@ -171,65 +162,14 @@ impl StageOptimizer {
             next.map(|next| (next, predict)),
         );
     }
-
-    /// Folds one batch of *deferred* weight gradients into the
-    /// optimizer-held accumulator. Split-backward schedules (2BP) produce
-    /// weight gradients at the update boundary — possibly after the stage
-    /// weights have moved on — so the optimizer accepts them detached from
-    /// any particular backward pass: the first call clones the gradients,
-    /// later calls add element-wise, and [`StageOptimizer::step_deferred`]
-    /// applies the sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gradient layout disagrees with an earlier call.
-    pub fn accumulate_deferred(&mut self, grads: &[GradView<'_>]) {
-        match &mut self.deferred {
-            Some(acc) => {
-                assert_eq!(acc.len(), grads.len(), "deferred gradient layout");
-                for (a, g) in acc.iter_mut().zip(grads) {
-                    pbp_tensor::ops::axpy(1.0, &g.dense(), a);
-                }
-            }
-            None => self.deferred = Some(grads.iter().map(|g| g.dense().into_owned()).collect()),
-        }
-    }
-
-    /// True when deferred weight gradients are waiting to be applied.
-    pub fn has_deferred(&self) -> bool {
-        self.deferred.is_some()
-    }
-
-    /// Applies one update with the accumulated deferred gradients and
-    /// clears the accumulator. A single [`StageOptimizer::accumulate_deferred`]
-    /// followed by this call is bit-identical to [`StageOptimizer::step`]
-    /// with the same gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no deferred gradients were accumulated.
-    pub fn step_deferred(&mut self, params: &mut [&mut Tensor]) {
-        let grads = self
-            .deferred
-            .take()
-            .expect("step_deferred without accumulated gradients");
-        let views: Vec<GradView<'_>> = grads.iter().map(GradView::from).collect();
-        self.step(params, &views);
-    }
 }
 
 impl Snapshottable for StageOptimizer {
     // The stage config is *not* serialized: a restored optimizer is
     // rebuilt from the same engine spec, so the config is re-derived and
     // only the evolving state (velocity, prev-weight snapshot, current
-    // schedule point) travels in the snapshot. Deferred gradients are not
-    // serialized either: engines only snapshot at update boundaries, where
-    // the accumulator has been drained.
+    // schedule point) travels in the snapshot.
     fn write_state(&self, w: &mut StateWriter) {
-        debug_assert!(
-            self.deferred.is_none(),
-            "snapshotting mid-accumulation: deferred gradients would be lost"
-        );
         self.state.write_state(w);
         match &self.prev_weights {
             Some(prev) => {
@@ -365,40 +305,6 @@ mod tests {
         let mut plain = StageOptimizer::new(&[&w2], Mitigation::None.stage_config(2, 0), hp());
         let g_scaled = Tensor::from_slice(&[0.25]);
         plain.step(&mut [&mut w2], &[(&g_scaled).into()]);
-        assert_eq!(w1.as_slice(), w2.as_slice());
-    }
-
-    #[test]
-    fn single_deferred_accumulation_matches_step_bitwise() {
-        let mut w1 = Tensor::from_slice(&[1.0, 2.0]);
-        let mut w2 = w1.clone();
-        let g = Tensor::from_slice(&[0.5, -0.2]);
-        let mut direct = StageOptimizer::new(&[&w1], Mitigation::scd().stage_config(3, 0), hp());
-        let mut deferred = StageOptimizer::new(&[&w2], Mitigation::scd().stage_config(3, 0), hp());
-        for _ in 0..4 {
-            direct.step(&mut [&mut w1], &[(&g).into()]);
-            deferred.accumulate_deferred(&[(&g).into()]);
-            assert!(deferred.has_deferred());
-            deferred.step_deferred(&mut [&mut w2]);
-            assert!(!deferred.has_deferred());
-        }
-        assert_eq!(w1.as_slice(), w2.as_slice());
-    }
-
-    #[test]
-    fn deferred_accumulation_sums_microbatch_gradients() {
-        let mut w1 = Tensor::from_slice(&[1.0]);
-        let mut w2 = Tensor::from_slice(&[1.0]);
-        let g1 = Tensor::from_slice(&[0.25]);
-        let g2 = Tensor::from_slice(&[0.5]);
-        let mut sum = g1.clone();
-        pbp_tensor::ops::axpy(1.0, &g2, &mut sum);
-        let mut direct = StageOptimizer::new(&[&w1], Mitigation::None.stage_config(0, 0), hp());
-        direct.step(&mut [&mut w1], &[(&sum).into()]);
-        let mut deferred = StageOptimizer::new(&[&w2], Mitigation::None.stage_config(0, 0), hp());
-        deferred.accumulate_deferred(&[(&g1).into()]);
-        deferred.accumulate_deferred(&[(&g2).into()]);
-        deferred.step_deferred(&mut [&mut w2]);
         assert_eq!(w1.as_slice(), w2.as_slice());
     }
 

@@ -412,11 +412,6 @@ impl JsonSink {
         }
     }
 
-    /// The output path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Number of runs recorded so far.
     pub fn len(&self) -> usize {
         self.runs.len()

@@ -423,19 +423,26 @@ mod tests {
 
     #[test]
     fn delay_histograms_match_the_contracted_staleness() {
-        // 1F1B(M)'s measured histogram must put every update at the
-        // bounded staleness ⌈D_s/M⌉ predicted by the schedule.
-        let mut rng = StdRng::seed_from_u64(6);
-        let net = mlp(&[2, 8, 8, 3], &mut rng); // S = 4, D_s = 6, 4, 2
+        // The measured histogram of 1F1B(M), and of its 2BP split, must
+        // put every update at the bounded staleness ⌈D_s/M⌉ predicted by
+        // the schedule.
         let data = spirals(3, 16, 0.05, 7);
-        let mut t = ScheduledTrainer::new(net, ScheduledConfig::two_bp(4, schedule()));
-        t.train_epoch(&data, 8, 0);
-        let metrics = TrainEngine::metrics(&t);
         let expected = [2usize, 1, 1];
-        for (s, stage) in metrics.stages.iter().enumerate() {
-            let keys: Vec<usize> = stage.delay_hist.keys().copied().collect();
-            assert_eq!(keys, vec![expected[s]], "stage {s} histogram {keys:?}");
-            assert_eq!(stage.updates, (16 * 3 / 4) as u64, "stage {s} updates");
+        for config in [
+            ScheduledConfig::one_f_one_b(4, schedule()),
+            ScheduledConfig::two_bp(4, schedule()),
+        ] {
+            let label = config.label();
+            let mut rng = StdRng::seed_from_u64(6);
+            let net = mlp(&[2, 8, 8, 3], &mut rng); // S = 4, D_s = 6, 4, 2
+            let mut t = ScheduledTrainer::new(net, config);
+            t.train_epoch(&data, 8, 0);
+            let metrics = TrainEngine::metrics(&t);
+            for (s, stage) in metrics.stages.iter().enumerate() {
+                let keys: Vec<usize> = stage.delay_hist.keys().copied().collect();
+                assert_eq!(keys, vec![expected[s]], "{label}: stage {s} histogram");
+                assert_eq!(stage.updates, (16 * 3 / 4) as u64, "{label}: stage {s}");
+            }
         }
     }
 

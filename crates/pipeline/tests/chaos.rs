@@ -163,9 +163,9 @@ fn assert_final_snapshots_match(clean_dir: &std::path::Path, chaos_dir: &std::pa
     );
 }
 
-/// (b) Kill at update N, then supervisor auto-resume: the recovered run
-/// must be bit-identical to an uninterrupted one — same epoch records,
-/// same final weights.
+/// (b) Kill at update N and stall at update M, then supervisor
+/// auto-resume: the recovered run must be bit-identical to an
+/// uninterrupted one — same epoch records, same final weights.
 #[test]
 fn supervised_recovery_is_bit_identical() {
     let data = blobs(3, 10, 0.4, 9);
@@ -186,12 +186,18 @@ fn supervised_recovery_is_bit_identical() {
     )
     .expect("clean run");
 
-    // Same engine, same data, but stage 1 panics once at update 12 — a
-    // transient fault the supervisor must absorb via snapshot resume.
+    // Same engine, same data, but stage 1 panics once at update 12 and
+    // stage 0 stalls once at update 30, well past the watchdog's 200 ms —
+    // two transient faults of different kinds in one run, each of which
+    // the supervisor must absorb via snapshot resume.
     let chaos_dir = tmpdir("recover");
     let faulty_spec = EngineSpec::Threaded(
         ThreadedConfig::fill_drain(schedule())
-            .with_fault_plan(FaultPlan::new(0).with(FaultSpec::panic_at(1, 12)))
+            .with_fault_plan(
+                FaultPlan::new(0)
+                    .with(FaultSpec::panic_at(1, 12))
+                    .with(FaultSpec::stall_at(0, 30, Duration::from_millis(600))),
+            )
             .with_watchdog(Watchdog::fast()),
     );
     let outcome = run_supervised(
@@ -201,17 +207,31 @@ fn supervised_recovery_is_bit_identical() {
         &val,
         &config,
         &SnapshotPolicy::new(&chaos_dir, 4),
-        &RecoveryPolicy::immediate(3),
+        &RecoveryPolicy::immediate(4),
         &mut NoHooks,
     )
     .expect("supervised run recovers");
 
-    assert!(outcome.restarts >= 1, "the fault must actually have fired");
+    assert!(
+        outcome.restarts >= 2,
+        "both faults must actually have fired (restarts = {})",
+        outcome.restarts
+    );
     assert!(!outcome.degraded);
-    assert!(outcome
+    let faults: Vec<&PipelineFault> = outcome
         .events
         .iter()
-        .any(|e| matches!(e, SupervisionEvent::Fault { .. })));
+        .filter_map(|e| match e {
+            SupervisionEvent::Fault { fault, .. } => Some(fault),
+            _ => None,
+        })
+        .collect();
+    for want in [
+        |f: &PipelineFault| matches!(f, PipelineFault::StagePanicked { stage: 1, .. }),
+        |f: &PipelineFault| matches!(f, PipelineFault::StageStalled { stage: 0, .. }),
+    ] {
+        assert!(faults.iter().any(|f| want(f)), "{faults:?}");
+    }
 
     // Records (train loss, val loss, val acc) are f64-exact.
     assert_eq!(clean_report.records.len(), outcome.report.records.len());

@@ -53,9 +53,9 @@ const KC: usize = 256;
 const TILED_MIN_ELEMS: usize = 16 * 1024;
 /// Minimum `m·k·n` elements *per resolved thread* before parallel dispatch
 /// pays for its synchronization. Scaling the cutoff with the thread count
-/// keeps small products serial on wide machines (BENCH_kernels showed the
-/// pool losing to single-threaded tiled up to n=128 GEMM at 8 threads)
-/// while still splitting mid-size work on narrow ones.
+/// keeps small products serial on wide machines (the pool lost to
+/// single-threaded tiled up to n=128 GEMM at 8 threads when this was
+/// tuned) while still splitting mid-size work on narrow ones.
 const PAR_MIN_ELEMS_PER_THREAD: usize = 512 * 1024;
 /// Rows (or columns) of `C` per parallel chunk. Shape-derived only, so the
 /// partition — and therefore the result — is independent of thread count.

@@ -6,9 +6,8 @@
 //! *fused* multiply-add chain (`f32::mul_add`) per output element, in
 //! increasing reduction order. An IEEE 754 fma rounds once, so these
 //! chains are the same function the SIMD `vfmadd` micro-kernels compute.
-//! They are deliberately slow — scalar, no blocking, no packing — and serve
-//! as both the correctness oracle and the "naive" baseline for
-//! `results/BENCH_kernels.json`.
+//! They are deliberately slow — scalar, no blocking, no packing: a
+//! correctness oracle, not a baseline anything is timed against.
 //!
 //! The accumulation convention (documented in [`super::gemm`]) is what
 //! makes bit-identity between these references and the tiled/parallel

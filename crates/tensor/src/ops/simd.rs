@@ -59,7 +59,7 @@ pub enum SimdTier {
 }
 
 impl SimdTier {
-    /// Stable lowercase name, as reported by benchmarks and `BENCH_*.json`.
+    /// Stable lowercase name, as the ledger's provenance block reports it.
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",

@@ -725,6 +725,17 @@ mod tests {
             .expect("traceEvents array");
         // 2 lanes × 2 metadata + 2 spans + 1 instant + 2 process names.
         assert_eq!(events.len(), 9);
+        // The trace-event schema Perfetto expects, on every event.
+        let num = |ev: &json::Json, key: &str| ev.get(key).and_then(|v| v.as_f64()).is_some();
+        for ev in events {
+            assert!(num(ev, "pid") && ev.get("name").is_some(), "{ev:?}");
+            match ev.get("ph").and_then(|p| p.as_str()) {
+                Some("X") => assert!(["tid", "ts", "dur"].iter().all(|k| num(ev, k)), "{ev:?}"),
+                Some("i") => assert!(num(ev, "ts"), "{ev:?}"),
+                Some("M") => {}
+                other => panic!("unexpected event phase {other:?}"),
+            }
+        }
         let span = events
             .iter()
             .find(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))

@@ -10,17 +10,16 @@
 //!
 //! The per-machine peak is not a datasheet number: it is estimated by
 //! running the repo's own best GEMM kernel (the SIMD micro-kernels behind
-//! [`pbp_tensor::ops::gemm_nn`]) on a compute-bound 256³ multiply, the
-//! same shape the `bench_kernels` lane reports. That makes MFU a "percent
-//! of what this binary can actually reach on this box" — a roofline
-//! calibrated to the measured kernel, so scheduling overheads and
-//! pipeline bubbles are isolated from kernel quality.
+//! [`pbp_tensor::ops::gemm_nn`]) on a compute-bound 256³ multiply (the
+//! ledger's `tensor.peak_gflops`). That makes MFU a "percent of what this
+//! binary can actually reach on this box" — a roofline calibrated to the
+//! measured kernel, so scheduling overheads and pipeline bubbles are
+//! isolated from kernel quality.
 
-use crate::{json_f64, json_string};
+use crate::json_f64;
 use std::time::Instant;
 
-/// Default problem size for the peak probe: 256³ is comfortably
-/// compute-bound and matches the `bench_kernels` headline shape.
+/// Problem size for the peak probe: 256³ is comfortably compute-bound.
 const PEAK_PROBE_DIM: usize = 256;
 /// Repetitions of the probe; the best (minimum-time) rep is the peak.
 const PEAK_PROBE_REPS: usize = 4;
@@ -103,28 +102,6 @@ impl MfuReport {
             json_f64(self.mfu)
         )
     }
-
-    /// One human-readable line for bench tables.
-    pub fn summary(&self, label: &str) -> String {
-        format!(
-            "{label}: {:.2} GFLOP/s of {:.2} peak — MFU {:.4}",
-            self.achieved_gflops, self.peak_gflops, self.mfu
-        )
-    }
-}
-
-/// Serializes a labelled set of reports into one JSON document (used by
-/// the `bench_trace` binary).
-pub fn reports_to_json(reports: &[(String, String)]) -> String {
-    let mut out = String::from("{\"runs\":[");
-    for (i, (label, body)) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"label\":{},{}}}", json_string(label), body));
-    }
-    out.push_str("]}\n");
-    out
 }
 
 #[cfg(test)]
