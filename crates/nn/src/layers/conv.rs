@@ -2,15 +2,12 @@
 
 use crate::layer::{LaneStack, Layer};
 use pbp_tensor::ops::{
-    conv2d_backward_input, conv2d_backward_weight, conv2d_batched_reusing, conv2d_reusing,
-    Conv2dSpec, ConvBatchScratch,
+    conv2d_batched_reusing, conv2d_direct, conv2d_direct_backward_input,
+    conv2d_direct_backward_weight, Conv2dSpec, ConvBatchScratch,
 };
 use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
 use std::collections::VecDeque;
-
-/// Per-sample stash: im2col buffers plus the input spatial size.
-type ConvStash = (Vec<Vec<f32>>, (usize, usize));
 
 /// 2-D convolution layer (NCHW) with optional bias.
 #[derive(Debug)]
@@ -20,22 +17,22 @@ pub struct Conv2d {
     bias: Option<Tensor>,
     grad_weight: Tensor,
     grad_bias: Option<Tensor>,
-    /// Per-in-flight-sample stash: im2col buffers + input spatial size.
-    stash: VecDeque<ConvStash>,
-    /// `(g, cols)` pairs deferred by [`Layer::backward_input`], retired in
+    /// Per-in-flight-sample stash: the input activation itself, moved in
+    /// off the lane stack — one activation per sample, the unit the
+    /// paper's Appendix A memory model counts.
+    stash: VecDeque<Tensor>,
+    /// `(g, x)` pairs deferred by [`Layer::backward_input`], retired in
     /// FIFO order by [`Layer::backward_weight`] (2BP split backward).
-    wgrad_pending: VecDeque<(Tensor, Vec<Vec<f32>>)>,
-    /// Retired im2col buffers recycled by later forwards.
-    spare: Vec<Vec<f32>>,
+    wgrad_pending: VecDeque<(Tensor, Tensor)>,
     /// Recycled wide-lowering buffers for the eval-mode batched path.
     batch_scratch: ConvBatchScratch,
     /// Input spatial size seen by the most recent forward pass; lets
     /// [`Layer::flops_per_sample`] report the spatially-resolved cost.
     last_hw: Option<(usize, usize)>,
-    /// In eval mode no backward will consume the stash, so forward lowers
-    /// the whole batch into one wide GEMM via
-    /// [`conv2d_batched_reusing`] (bit-identical to the per-sample path)
-    /// instead of stashing per-sample column buffers.
+    /// Training runs the direct batch-of-one kernels and stashes the
+    /// input. In eval mode no backward will consume a stash, so forward
+    /// lowers the whole batch into one wide GEMM via
+    /// [`conv2d_batched_reusing`] (bit-identical) instead.
     training: bool,
 }
 
@@ -63,7 +60,6 @@ impl Conv2d {
             grad_bias: bias.then(|| Tensor::zeros(&[out_channels])),
             stash: VecDeque::new(),
             wgrad_pending: VecDeque::new(),
-            spare: Vec::new(),
             batch_scratch: ConvBatchScratch::default(),
             last_hw: None,
             training: true,
@@ -76,12 +72,19 @@ impl Conv2d {
         &self.spec
     }
 
-    /// Accumulates `grad_weight += dY·colsᵀ` and the bias gradient — the
-    /// weight half shared by the fused backward and
+    /// Input gradient of `g` under the current weights; of the stashed
+    /// input only the spatial size is read.
+    fn input_grad(&self, g: &Tensor, x: &Tensor) -> Tensor {
+        let hw = (x.shape()[2], x.shape()[3]);
+        conv2d_direct_backward_input(g, &self.weight, hw, &self.spec).expect("conv2d shapes")
+    }
+
+    /// Accumulates the weight gradient of `(g, x)` and the bias gradient —
+    /// the weight half shared by the fused backward and
     /// [`Layer::backward_weight`]. Reads no current weights, so running it
     /// at the update boundary instead of backward time is exact.
-    fn accumulate_weight_grads(&mut self, g: &Tensor, cols: &[Vec<f32>]) {
-        let gw = conv2d_backward_weight(g, cols, &self.spec).expect("conv2d grad shapes");
+    fn accumulate_weight_grads(&mut self, g: &Tensor, x: &Tensor) {
+        let gw = conv2d_direct_backward_weight(g, x, &self.spec).expect("conv2d grad shapes");
         pbp_tensor::ops::axpy(1.0, &gw, &mut self.grad_weight);
         if let Some(gb) = &mut self.grad_bias {
             let [n, oc, oh, ow] = [g.shape()[0], g.shape()[1], g.shape()[2], g.shape()[3]];
@@ -115,12 +118,10 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, stack: &mut LaneStack) {
         let x = stack.pop().expect("conv2d: empty stack");
-        let (h, w) = (x.shape()[2], x.shape()[3]);
-        self.last_hw = Some((h, w));
+        self.last_hw = Some((x.shape()[2], x.shape()[3]));
         let mut y = if self.training {
-            let (y, cols) = conv2d_reusing(&x, &self.weight, &self.spec, &mut self.spare)
-                .expect("conv2d shapes");
-            self.stash.push_back((cols, (h, w)));
+            let y = conv2d_direct(&x, &self.weight, &self.spec).expect("conv2d shapes");
+            self.stash.push_back(x);
             y
         } else {
             conv2d_batched_reusing(&x, &self.weight, &self.spec, &mut self.batch_scratch)
@@ -144,31 +145,27 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("conv2d: empty grad stack");
-        let (cols, hw) = self.stash.pop_front().expect("conv2d: no stashed input");
-        let gx = conv2d_backward_input(&g, &self.weight, hw, &self.spec).expect("conv2d shapes");
-        self.accumulate_weight_grads(&g, &cols);
-        self.spare.extend(cols);
-        grad_stack.push(gx);
+        let x = self.stash.pop_front().expect("conv2d: no stashed input");
+        grad_stack.push(self.input_grad(&g, &x));
+        self.accumulate_weight_grads(&g, &x);
     }
 
     fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("conv2d: empty grad stack");
-        let (cols, hw) = self.stash.pop_front().expect("conv2d: no stashed input");
+        let x = self.stash.pop_front().expect("conv2d: no stashed input");
         // The input gradient reads the *current* weights, so it stays on
-        // the critical path; the weight half depends only on (g, cols) and
-        // is deferred (cols return to `spare` once it retires).
-        let gx = conv2d_backward_input(&g, &self.weight, hw, &self.spec).expect("conv2d shapes");
-        grad_stack.push(gx);
-        self.wgrad_pending.push_back((g, cols));
+        // the critical path; the weight half depends only on (g, x) and is
+        // deferred.
+        grad_stack.push(self.input_grad(&g, &x));
+        self.wgrad_pending.push_back((g, x));
     }
 
     fn backward_weight(&mut self) {
-        let (g, cols) = self
+        let (g, x) = self
             .wgrad_pending
             .pop_front()
             .expect("conv2d: no deferred weight-gradient work");
-        self.accumulate_weight_grads(&g, &cols);
-        self.spare.extend(cols);
+        self.accumulate_weight_grads(&g, &x);
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -336,10 +333,58 @@ mod tests {
     }
 
     #[test]
+    fn batch_of_n_step_is_bit_identical_to_n_batch_of_one_steps() {
+        // The Fig. 16 invariant at the layer: one batch-of-N forward and
+        // backward leaves the outputs, input gradients and accumulated
+        // parameter gradients N batch-of-one passes leave (per-sample
+        // weight-gradient subtotals either way).
+        let (n, c, h, w) = (3usize, 3usize, 6usize, 5usize);
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut batched = Conv2d::new(c, 4, 3, 2, 1, true, &mut rng);
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut single = Conv2d::new(c, 4, 3, 2, 1, true, &mut rng);
+        let x = pbp_tensor::normal(&[n, c, h, w], 0.0, 1.0, &mut rng);
+        let mut s = vec![x.clone()];
+        batched.forward(&mut s);
+        let y = s.pop().unwrap();
+        let g = pbp_tensor::normal(y.shape(), 0.0, 1.0, &mut rng);
+        let mut gs = vec![g.clone()];
+        batched.backward(&mut gs);
+        let gx = gs.pop().unwrap();
+
+        let rows = |t: &Tensor, i: usize| {
+            let len = t.len() / n;
+            let shape = [&[1], &t.shape()[1..]].concat();
+            Tensor::from_vec(t.as_slice()[i * len..(i + 1) * len].to_vec(), &shape).unwrap()
+        };
+        let (mut ys, mut gxs) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            let mut s = vec![rows(&x, i)];
+            single.forward(&mut s);
+            ys.extend_from_slice(s[0].as_slice());
+        }
+        for i in 0..n {
+            let mut gs = vec![rows(&g, i)];
+            single.backward(&mut gs);
+            gxs.extend_from_slice(gs[0].as_slice());
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(y.as_slice()), bits(&ys), "outputs");
+        assert_eq!(bits(gx.as_slice()), bits(&gxs), "input gradients");
+        for (a, b) in batched.grads().iter().zip(single.grads()) {
+            assert_eq!(
+                bits(a.dense().as_slice()),
+                bits(b.dense().as_slice()),
+                "parameter gradients"
+            );
+        }
+    }
+
+    #[test]
     fn eval_batched_forward_matches_training_forward_bitwise() {
         // Eval mode lowers the whole batch into one wide GEMM; training
-        // mode lowers per sample. Same bits either way — batched lowering
-        // only widens the GEMM output, never re-associates a k chain.
+        // mode runs the direct kernel per sample. Same bits either way —
+        // both run one fma chain per output element in (ci, ki, kj) order.
         let mut rng = StdRng::seed_from_u64(8);
         let mut layer = Conv2d::new(3, 5, 3, 2, 1, true, &mut rng);
         for n in [1usize, 2, 6] {

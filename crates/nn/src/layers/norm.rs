@@ -72,6 +72,68 @@ impl GroupNorm {
     }
 }
 
+/// Independent add chains stepped together per pass: a dependent add has
+/// a latency of several cycles and the core retires two a cycle, so one
+/// chain at a time leaves the adders idle seven cycles in eight.
+const CHAINS: usize = 8;
+
+/// `Σ f(j, v)` over each consecutive run `j` of `len` values of `xs`: one
+/// `f64` chain per run, left to right from the `-0.0` that `Iterator::sum`
+/// starts at — so bit for bit `run.iter().map(f).sum::<f64>()` — with
+/// [`CHAINS`] runs' chains advancing in the same loop.
+fn run_sums(xs: &[f32], len: usize, f: impl Fn(usize, f32) -> f64) -> Vec<f64> {
+    let mut sums = vec![-0.0f64; xs.len() / len];
+    let mut j = 0;
+    while j + CHAINS <= sums.len() {
+        let runs: [&[f32]; CHAINS] = std::array::from_fn(|l| &xs[(j + l) * len..][..len]);
+        let mut acc = [-0.0f64; CHAINS];
+        for i in 0..len {
+            for l in 0..CHAINS {
+                acc[l] += f(j + l, runs[l][i]);
+            }
+        }
+        sums[j..j + CHAINS].copy_from_slice(&acc);
+        j += CHAINS;
+    }
+    for (j, sum) in sums.iter_mut().enumerate().skip(j) {
+        for &v in &xs[j * len..][..len] {
+            *sum += f(j, v);
+        }
+    }
+    sums
+}
+
+/// Per consecutive run of `len` values: `(Σ g, Σ g·x)`, each one `f32`
+/// chain left to right from `+0.0`, the chains of [`CHAINS`]` / 2` runs
+/// advancing in the same loop.
+fn channel_sums(gs: &[f32], xs: &[f32], len: usize) -> (Vec<f32>, Vec<f32>) {
+    const W: usize = CHAINS / 2;
+    let runs = gs.len() / len;
+    let (mut sum_g, mut sum_gx) = (vec![0.0f32; runs], vec![0.0f32; runs]);
+    let mut j = 0;
+    while j + W <= runs {
+        let g: [&[f32]; W] = std::array::from_fn(|l| &gs[(j + l) * len..][..len]);
+        let x: [&[f32]; W] = std::array::from_fn(|l| &xs[(j + l) * len..][..len]);
+        let (mut sb, mut sg) = ([0.0f32; W], [0.0f32; W]);
+        for i in 0..len {
+            for l in 0..W {
+                sg[l] += g[l][i] * x[l][i];
+                sb[l] += g[l][i];
+            }
+        }
+        sum_g[j..j + W].copy_from_slice(&sb);
+        sum_gx[j..j + W].copy_from_slice(&sg);
+        j += W;
+    }
+    for j in j..runs {
+        for (&gv, &xv) in gs[j * len..][..len].iter().zip(&xs[j * len..][..len]) {
+            sum_gx[j] += gv * xv;
+            sum_g[j] += gv;
+        }
+    }
+    (sum_g, sum_gx)
+}
+
 impl Layer for GroupNorm {
     fn name(&self) -> String {
         format!("groupnorm(g={},c={})", self.groups, self.channels)
@@ -80,50 +142,39 @@ impl Layer for GroupNorm {
     fn forward(&mut self, stack: &mut LaneStack) {
         let x = stack.pop().expect("groupnorm: empty stack");
         assert_eq!(x.rank(), 4, "groupnorm expects NCHW");
-        let [n, c, h, w] = [x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]];
+        let [_, c, h, w] = [x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]];
         assert_eq!(c, self.channels, "groupnorm channel mismatch");
         let cg = c / self.groups;
-        let group_len = cg * h * w;
         let hw = h * w;
+        let group_len = cg * hw;
         let xs = x.as_slice();
-        let mut xhat = Tensor::zeros(x.shape());
-        let mut y = Tensor::zeros(x.shape());
-        let mut inv_stds = Vec::with_capacity(n * self.groups);
-        {
-            let xh = xhat.as_mut_slice();
-            let ys = y.as_mut_slice();
-            let gs = self.gamma.as_slice();
-            let bs = self.beta.as_slice();
-            for ni in 0..n {
-                for g in 0..self.groups {
-                    let start = ni * c * hw + g * group_len;
-                    let seg = &xs[start..start + group_len];
-                    let mean = seg.iter().map(|&v| v as f64).sum::<f64>() / group_len as f64;
-                    let var = (seg
-                        .iter()
-                        .map(|&v| {
-                            let d = v as f64 - mean;
-                            d * d
-                        })
-                        .sum::<f64>()
-                        / group_len as f64)
-                        .max(0.0);
-                    let inv_std = 1.0 / (var + self.eps as f64).sqrt();
-                    inv_stds.push(inv_std as f32);
-                    let (mean, inv_std) = (mean as f32, inv_std as f32);
-                    for ci in 0..cg {
-                        let ch = g * cg + ci;
-                        let (gam, bet) = (gs[ch], bs[ch]);
-                        let cbase = start + ci * hw;
-                        for p in 0..hw {
-                            let xn = (xs[cbase + p] - mean) * inv_std;
-                            xh[cbase + p] = xn;
-                            ys[cbase + p] = gam * xn + bet;
-                        }
-                    }
-                }
+        // The groups of all samples are consecutive runs of `group_len`.
+        let mut means = run_sums(xs, group_len, |_, v| v as f64);
+        means.iter_mut().for_each(|m| *m /= group_len as f64);
+        let vars = run_sums(xs, group_len, |j, v| {
+            let d = v as f64 - means[j];
+            d * d
+        });
+        let mut xh = Vec::with_capacity(xs.len());
+        let mut ys = Vec::with_capacity(xs.len());
+        let mut inv_stds = Vec::with_capacity(means.len());
+        for (j, group) in xs.chunks_exact(group_len).enumerate() {
+            let var = (vars[j] / group_len as f64).max(0.0);
+            let inv_std = 1.0 / (var + self.eps as f64).sqrt();
+            inv_stds.push(inv_std as f32);
+            let (mean, inv_std) = (means[j] as f32, inv_std as f32);
+            let first = j % self.groups * cg;
+            let affine = self.gamma.as_slice()[first..][..cg]
+                .iter()
+                .zip(&self.beta.as_slice()[first..][..cg]);
+            for (chan, (&gam, &bet)) in group.chunks_exact(hw).zip(affine) {
+                let at = xh.len();
+                xh.extend(chan.iter().map(|&v| (v - mean) * inv_std));
+                ys.extend(xh[at..].iter().map(|&xn| gam * xn + bet));
             }
         }
+        let xhat = Tensor::from_vec(xh, x.shape()).expect("groupnorm: one value per input");
+        let y = Tensor::from_vec(ys, x.shape()).expect("groupnorm: one value per input");
         self.stash.push_back((xhat, inv_stds));
         stack.push(y);
     }
@@ -131,10 +182,10 @@ impl Layer for GroupNorm {
     fn backward(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("groupnorm: empty grad stack");
         let (xhat, inv_stds) = self.stash.pop_front().expect("groupnorm: no stash");
-        let [n, c, h, w] = [g.shape()[0], g.shape()[1], g.shape()[2], g.shape()[3]];
+        let [_, c, h, w] = [g.shape()[0], g.shape()[1], g.shape()[2], g.shape()[3]];
         let cg = c / self.groups;
-        let group_len = cg * h * w;
         let hw = h * w;
+        let group_len = cg * hw;
         let gs = g.as_slice();
         let xh = xhat.as_slice();
         let gam = self.gamma.as_slice();
@@ -143,46 +194,37 @@ impl Layer for GroupNorm {
         // The per-channel sums Σg and Σg·xhat serve double duty: they are the
         // parameter gradients, and weighted by gamma they give the two group
         // means above — so one pass over the data replaces three.
-        let mut gx = Tensor::zeros(g.shape());
-        {
-            let gxs = gx.as_mut_slice();
-            let gg = self.grad_gamma.as_mut_slice();
-            let gb = self.grad_beta.as_mut_slice();
-            for ni in 0..n {
-                for grp in 0..self.groups {
-                    let start = ni * c * hw + grp * group_len;
-                    let inv_std = inv_stds[ni * self.groups + grp];
-                    let mut sum_dxhat = 0.0f64;
-                    let mut sum_dxhat_xhat = 0.0f64;
-                    for ci in 0..cg {
-                        let ch = grp * cg + ci;
-                        let cbase = start + ci * hw;
-                        let mut sg = 0.0f32;
-                        let mut sb = 0.0f32;
-                        for p in 0..hw {
-                            sg += gs[cbase + p] * xh[cbase + p];
-                            sb += gs[cbase + p];
-                        }
-                        gg[ch] += sg;
-                        gb[ch] += sb;
-                        sum_dxhat += (gam[ch] * sb) as f64;
-                        sum_dxhat_xhat += (gam[ch] * sg) as f64;
-                    }
-                    let mean_dxhat = (sum_dxhat / group_len as f64) as f32;
-                    let mean_dxhat_xhat = (sum_dxhat_xhat / group_len as f64) as f32;
-                    for ci in 0..cg {
-                        let ch = grp * cg + ci;
-                        let scale = inv_std * gam[ch];
-                        let shift = inv_std * mean_dxhat;
-                        let coeff = inv_std * mean_dxhat_xhat;
-                        let cbase = start + ci * hw;
-                        for p in 0..hw {
-                            gxs[cbase + p] = scale * gs[cbase + p] - shift - coeff * xh[cbase + p];
-                        }
-                    }
-                }
+        let (sum_g, sum_gx) = channel_sums(gs, xh, hw);
+        let mut gxs = Vec::with_capacity(gs.len());
+        let gg = self.grad_gamma.as_mut_slice();
+        let gb = self.grad_beta.as_mut_slice();
+        for (j, &inv_std) in inv_stds.iter().enumerate() {
+            let first = j % self.groups * cg;
+            let mut sum_dxhat = 0.0f64;
+            let mut sum_dxhat_xhat = 0.0f64;
+            for ci in 0..cg {
+                let (sg, sb) = (sum_gx[j * cg + ci], sum_g[j * cg + ci]);
+                gg[first + ci] += sg;
+                gb[first + ci] += sb;
+                sum_dxhat += (gam[first + ci] * sb) as f64;
+                sum_dxhat_xhat += (gam[first + ci] * sg) as f64;
+            }
+            let mean_dxhat = (sum_dxhat / group_len as f64) as f32;
+            let mean_dxhat_xhat = (sum_dxhat_xhat / group_len as f64) as f32;
+            let shift = inv_std * mean_dxhat;
+            let coeff = inv_std * mean_dxhat_xhat;
+            for ci in 0..cg {
+                let scale = inv_std * gam[first + ci];
+                let at = (j * cg + ci) * hw;
+                gxs.extend(
+                    gs[at..at + hw]
+                        .iter()
+                        .zip(&xh[at..at + hw])
+                        .map(|(&gv, &xv)| scale * gv - shift - coeff * xv),
+                );
             }
         }
+        let gx = Tensor::from_vec(gxs, g.shape()).expect("groupnorm: one value per gradient");
         grad_stack.push(gx);
     }
 
@@ -497,6 +539,164 @@ mod tests {
             gn.beta.as_mut_slice()[ch] = origb;
             let num = (lp - lm) / (2.0 * eps);
             assert!((num - gb.as_slice()[ch]).abs() < 3e-2, "beta grad {ch}");
+        }
+    }
+
+    /// `GroupNorm::forward` as it was before the chains were stepped
+    /// together: each group's mean and variance one serial `f64` chain.
+    fn forward_single_chain(gn: &GroupNorm, x: &Tensor) -> (Tensor, Tensor, Vec<f32>) {
+        let [n, c, h, w] = [x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]];
+        let cg = c / gn.groups;
+        let group_len = cg * h * w;
+        let hw = h * w;
+        let xs = x.as_slice();
+        let mut xhat = Tensor::zeros(x.shape());
+        let mut y = Tensor::zeros(x.shape());
+        let mut inv_stds = Vec::new();
+        let xh = xhat.as_mut_slice();
+        let ys = y.as_mut_slice();
+        for ni in 0..n {
+            for g in 0..gn.groups {
+                let start = ni * c * hw + g * group_len;
+                let seg = &xs[start..start + group_len];
+                let mean = seg.iter().map(|&v| v as f64).sum::<f64>() / group_len as f64;
+                let var = (seg
+                    .iter()
+                    .map(|&v| {
+                        let d = v as f64 - mean;
+                        d * d
+                    })
+                    .sum::<f64>()
+                    / group_len as f64)
+                    .max(0.0);
+                let inv_std = 1.0 / (var + gn.eps as f64).sqrt();
+                inv_stds.push(inv_std as f32);
+                let (mean, inv_std) = (mean as f32, inv_std as f32);
+                for ci in 0..cg {
+                    let ch = g * cg + ci;
+                    let (gam, bet) = (gn.gamma.as_slice()[ch], gn.beta.as_slice()[ch]);
+                    let cbase = start + ci * hw;
+                    for p in 0..hw {
+                        let xn = (xs[cbase + p] - mean) * inv_std;
+                        xh[cbase + p] = xn;
+                        ys[cbase + p] = gam * xn + bet;
+                    }
+                }
+            }
+        }
+        (y, xhat, inv_stds)
+    }
+
+    /// `GroupNorm::backward` as it was: one `Σg` / `Σg·x̂` chain pair per
+    /// channel at a time. Returns `(gx, grad_gamma, grad_beta)`.
+    fn backward_single_chain(
+        gn: &GroupNorm,
+        g: &Tensor,
+        xhat: &Tensor,
+        inv_stds: &[f32],
+    ) -> (Tensor, Vec<f32>, Vec<f32>) {
+        let [n, c, h, w] = [g.shape()[0], g.shape()[1], g.shape()[2], g.shape()[3]];
+        let cg = c / gn.groups;
+        let group_len = cg * h * w;
+        let hw = h * w;
+        let (gs, xh, gam) = (g.as_slice(), xhat.as_slice(), gn.gamma.as_slice());
+        let mut gx = Tensor::zeros(g.shape());
+        let gxs = gx.as_mut_slice();
+        let (mut gg, mut gb) = (vec![0.0f32; c], vec![0.0f32; c]);
+        for ni in 0..n {
+            for grp in 0..gn.groups {
+                let start = ni * c * hw + grp * group_len;
+                let inv_std = inv_stds[ni * gn.groups + grp];
+                let mut sum_dxhat = 0.0f64;
+                let mut sum_dxhat_xhat = 0.0f64;
+                for ci in 0..cg {
+                    let ch = grp * cg + ci;
+                    let cbase = start + ci * hw;
+                    let mut sg = 0.0f32;
+                    let mut sb = 0.0f32;
+                    for p in 0..hw {
+                        sg += gs[cbase + p] * xh[cbase + p];
+                        sb += gs[cbase + p];
+                    }
+                    gg[ch] += sg;
+                    gb[ch] += sb;
+                    sum_dxhat += (gam[ch] * sb) as f64;
+                    sum_dxhat_xhat += (gam[ch] * sg) as f64;
+                }
+                let mean_dxhat = (sum_dxhat / group_len as f64) as f32;
+                let mean_dxhat_xhat = (sum_dxhat_xhat / group_len as f64) as f32;
+                for ci in 0..cg {
+                    let ch = grp * cg + ci;
+                    let scale = inv_std * gam[ch];
+                    let shift = inv_std * mean_dxhat;
+                    let coeff = inv_std * mean_dxhat_xhat;
+                    let cbase = start + ci * hw;
+                    for p in 0..hw {
+                        gxs[cbase + p] = scale * gs[cbase + p] - shift - coeff * xh[cbase + p];
+                    }
+                }
+            }
+        }
+        (gx, gg, gb)
+    }
+
+    #[test]
+    fn groupnorm_stepped_chains_match_the_single_chain_code_bitwise() {
+        fn bits(t: &[f32]) -> Vec<u32> {
+            t.iter().map(|v| v.to_bits()).collect()
+        }
+        // Runs of groups / channels on both sides of the block sizes: 16
+        // groups (two whole blocks), 3 and 5 (tail only), 9 and 10 (a
+        // block plus a tail; 20 channels = five blocks of four).
+        for &(n, c, groups, h, w) in &[
+            (2usize, 16usize, 8usize, 5usize, 3usize),
+            (1, 6, 3, 4, 4),
+            (1, 10, 5, 3, 7),
+            (3, 6, 3, 2, 5),
+            (1, 20, 10, 6, 6),
+        ] {
+            let mut rng = StdRng::seed_from_u64((n * 100 + c) as u64);
+            let mut gn = GroupNorm::new(groups, c);
+            gn.gamma = pbp_tensor::normal(&[c], 1.0, 0.5, &mut rng);
+            gn.beta = pbp_tensor::normal(&[c], 0.0, 0.5, &mut rng);
+            // An offset makes the mean chains round at every step.
+            let x = pbp_tensor::normal(&[n, c, h, w], 3.0, 2.0, &mut rng);
+            let g = pbp_tensor::normal(&[n, c, h, w], 0.0, 1.0, &mut rng);
+            let (want_y, want_xhat, want_inv) = forward_single_chain(&gn, &x);
+            let (want_gx, want_gg, want_gb) = backward_single_chain(&gn, &g, &want_xhat, &want_inv);
+
+            let mut stack = vec![x];
+            gn.forward(&mut stack);
+            let ctx = format!("n={n} c={c} groups={groups} {h}x{w}");
+            assert_eq!(
+                bits(stack[0].as_slice()),
+                bits(want_y.as_slice()),
+                "{ctx}: y"
+            );
+            let (xhat, inv) = gn.stash.back().expect("stashed");
+            assert_eq!(
+                bits(xhat.as_slice()),
+                bits(want_xhat.as_slice()),
+                "{ctx}: xhat"
+            );
+            assert_eq!(bits(inv), bits(&want_inv), "{ctx}: inv_std");
+            let mut gstack = vec![g];
+            gn.backward(&mut gstack);
+            assert_eq!(
+                bits(gstack[0].as_slice()),
+                bits(want_gx.as_slice()),
+                "{ctx}: gx"
+            );
+            assert_eq!(
+                bits(gn.grad_gamma.as_slice()),
+                bits(&want_gg),
+                "{ctx}: dgamma"
+            );
+            assert_eq!(
+                bits(gn.grad_beta.as_slice()),
+                bits(&want_gb),
+                "{ctx}: dbeta"
+            );
         }
     }
 

@@ -9,16 +9,17 @@
 
 use crate::layer::{LaneStack, Layer};
 use pbp_tensor::ops::{
-    conv2d_backward, conv2d_batched_reusing, conv2d_reusing, Conv2dSpec, ConvBatchScratch,
+    conv2d_batched_reusing, conv2d_direct, conv2d_direct_backward_input,
+    conv2d_direct_backward_weight, Conv2dSpec, ConvBatchScratch,
 };
 use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
 use std::collections::VecDeque;
 
-/// Per-sample stash: im2col buffers, input spatial size, and the
-/// standardized weight used on the forward pass (needed to back-propagate
-/// through the standardization).
-type WsStash = (Vec<Vec<f32>>, (usize, usize), Tensor);
+/// Per-sample stash: the input activation and the standardized weight
+/// used on the forward pass (needed to back-propagate through the
+/// standardization).
+type WsStash = (Tensor, Tensor);
 
 /// 2-D convolution whose effective kernel is standardized per output
 /// channel: `ŵ_o = (w_o − μ_o) / (σ_o + ε)`.
@@ -29,16 +30,15 @@ pub struct WsConv2d {
     grad_weight: Tensor,
     eps: f32,
     stash: VecDeque<WsStash>,
-    /// Retired im2col buffers recycled by later forwards.
-    spare: Vec<Vec<f32>>,
     /// Recycled wide-lowering buffers for the eval-mode batched path.
     batch_scratch: ConvBatchScratch,
     /// Input spatial size seen by the most recent forward pass; lets
     /// [`Layer::flops_per_sample`] report the spatially-resolved cost.
     last_hw: Option<(usize, usize)>,
-    /// In eval mode no backward will consume the stash, so forward lowers
-    /// the whole batch into one wide GEMM over the standardized weight
-    /// (see [`Conv2d`] — bit-identical to the per-sample path).
+    /// Training runs the direct batch-of-one kernels over the standardized
+    /// weight; in eval mode no backward will consume a stash, so forward
+    /// lowers the whole batch into one wide GEMM (see [`Conv2d`] —
+    /// bit-identical).
     ///
     /// [`Conv2d`]: crate::layers::Conv2d
     training: bool,
@@ -68,7 +68,6 @@ impl WsConv2d {
             eps: 1e-5,
             spec,
             stash: VecDeque::new(),
-            spare: Vec::new(),
             batch_scratch: ConvBatchScratch::default(),
             last_hw: None,
             training: true,
@@ -79,15 +78,15 @@ impl WsConv2d {
     /// `(ŵ, per-row inverse std)`.
     fn standardized(&self) -> (Tensor, Vec<f32>) {
         let rows = self.spec.out_channels;
-        let cols = self.spec.fan_in();
+        let fan_in = self.spec.fan_in();
         let w = self.weight.as_slice();
         let mut out = Tensor::zeros(self.weight.shape());
         let mut inv_stds = Vec::with_capacity(rows);
         {
             let os = out.as_mut_slice();
             for r in 0..rows {
-                let seg = &w[r * cols..(r + 1) * cols];
-                let mean = seg.iter().map(|&v| v as f64).sum::<f64>() / cols as f64;
+                let seg = &w[r * fan_in..(r + 1) * fan_in];
+                let mean = seg.iter().map(|&v| v as f64).sum::<f64>() / fan_in as f64;
                 let var = seg
                     .iter()
                     .map(|&v| {
@@ -95,11 +94,11 @@ impl WsConv2d {
                         d * d
                     })
                     .sum::<f64>()
-                    / cols as f64;
+                    / fan_in as f64;
                 let inv = 1.0 / (var.sqrt() + self.eps as f64);
                 inv_stds.push(inv as f32);
                 for (j, &v) in seg.iter().enumerate() {
-                    os[r * cols + j] = ((v as f64 - mean) * inv) as f32;
+                    os[r * fan_in + j] = ((v as f64 - mean) * inv) as f32;
                 }
             }
         }
@@ -121,13 +120,11 @@ impl Layer for WsConv2d {
 
     fn forward(&mut self, stack: &mut LaneStack) {
         let x = stack.pop().expect("ws_conv: empty stack");
-        let (h, w) = (x.shape()[2], x.shape()[3]);
-        self.last_hw = Some((h, w));
+        self.last_hw = Some((x.shape()[2], x.shape()[3]));
         let (what, _) = self.standardized();
         let y = if self.training {
-            let (y, cols) =
-                conv2d_reusing(&x, &what, &self.spec, &mut self.spare).expect("ws_conv shapes");
-            self.stash.push_back((cols, (h, w), what));
+            let y = conv2d_direct(&x, &what, &self.spec).expect("ws_conv shapes");
+            self.stash.push_back((x, what));
             y
         } else {
             conv2d_batched_reusing(&x, &what, &self.spec, &mut self.batch_scratch)
@@ -138,10 +135,12 @@ impl Layer for WsConv2d {
 
     fn backward(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("ws_conv: empty grad stack");
-        let (cols, hw, what) = self.stash.pop_front().expect("ws_conv: no stash");
-        let (gx, g_what) =
-            conv2d_backward(&g, &what, &cols, hw, &self.spec).expect("ws_conv grad shapes");
-        self.spare.extend(cols);
+        let (x, what) = self.stash.pop_front().expect("ws_conv: no stash");
+        let hw = (x.shape()[2], x.shape()[3]);
+        let gx =
+            conv2d_direct_backward_input(&g, &what, hw, &self.spec).expect("ws_conv grad shapes");
+        let g_what =
+            conv2d_direct_backward_weight(&g, &x, &self.spec).expect("ws_conv grad shapes");
         // Back-propagate through ŵ = (w − μ)/(σ + ε), per output channel:
         // dw = inv·(dŵ − mean(dŵ) − ŵ·mean(dŵ ⊙ ŵ)·σ/(σ+ε)). For ε ≪ σ we
         // use the standard normalization backward (σ/(σ+ε) ≈ 1).
@@ -225,11 +224,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let conv = WsConv2d::new(3, 4, 3, 1, 1, &mut rng);
         let (what, _) = conv.standardized();
-        let cols = conv.spec.fan_in();
+        let fan_in = conv.spec.fan_in();
         for r in 0..4 {
-            let seg = &what.as_slice()[r * cols..(r + 1) * cols];
-            let mean: f32 = seg.iter().sum::<f32>() / cols as f32;
-            let var: f32 = seg.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+            let seg = &what.as_slice()[r * fan_in..(r + 1) * fan_in];
+            let mean: f32 = seg.iter().sum::<f32>() / fan_in as f32;
+            let var: f32 = seg.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / fan_in as f32;
             assert!(mean.abs() < 1e-5, "row {r} mean {mean}");
             assert!((var - 1.0).abs() < 1e-2, "row {r} var {var}");
         }
@@ -288,6 +287,40 @@ mod tests {
                 "weight grad {idx}: {num} vs {}",
                 gw.as_slice()[idx]
             );
+        }
+    }
+
+    #[test]
+    fn split_backward_is_bit_identical_to_fused() {
+        // Two samples in flight, the 2BP call pattern: `backward_input`
+        // twice, then both deferred weight halves.
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut fused = WsConv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut split = WsConv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let xs: Vec<Tensor> = (0..2)
+            .map(|_| pbp_tensor::normal(&[1, 2, 5, 4], 0.0, 1.0, &mut rng))
+            .collect();
+        let gs: Vec<Tensor> = (0..2)
+            .map(|_| pbp_tensor::normal(&[1, 3, 5, 4], 0.0, 1.0, &mut rng))
+            .collect();
+        for x in &xs {
+            fused.forward(&mut vec![x.clone()]);
+            split.forward(&mut vec![x.clone()]);
+        }
+        for g in &gs {
+            let (mut a, mut b) = (vec![g.clone()], vec![g.clone()]);
+            fused.backward(&mut a);
+            split.backward_input(&mut b);
+            for (x, y) in a[0].as_slice().iter().zip(b[0].as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "input grads differ");
+            }
+        }
+        split.backward_weight();
+        split.backward_weight();
+        let (a, b) = (fused.grads()[0].dense(), split.grads()[0].dense());
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
         }
     }
 

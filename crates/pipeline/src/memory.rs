@@ -8,6 +8,11 @@
 //! for `2(S − s)` pipeline steps at the front of the pipeline down to ~1
 //! at the back. Weights, conversely, exist once in the pipeline and `W`
 //! times under data parallelism.
+//!
+//! An activation slot here is what a layer really keeps per in-flight
+//! sample: a training conv layer stashes the one input activation it
+//! consumed (it used to stash the `k²`-fold im2col expansion of it), a
+//! normalization layer its normalized output, a linear layer its input row.
 
 /// Analytic per-worker memory accounting for an `L`-layer network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

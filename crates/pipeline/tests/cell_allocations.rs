@@ -3,10 +3,12 @@
 //! next version into. Pointer identity (checked in `cell.rs`) cannot tell
 //! a recycled buffer from a freed-and-reallocated one, so this suite
 //! counts allocations instead, through a global allocator that forwards
-//! to the system one.
+//! to the system one. The same allocator records the largest single
+//! request, which is how the conv row shows that a training conv stage
+//! never holds a column matrix.
 
 use pbp_nn::loss::softmax_cross_entropy;
-use pbp_nn::models::mlp;
+use pbp_nn::models::{mlp, vgg_cnn};
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, Mitigation};
 use pbp_pipeline::{MicrobatchSchedule, StageCell};
@@ -26,19 +28,22 @@ thread_local! {
     /// Weight-sized allocations made by this thread (tests run one per
     /// thread, so counts do not mix).
     static LARGE_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Largest single allocation this thread has made, in bytes.
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is a const-initialised thread-local
-// `Cell` without a destructor, so touching it neither allocates nor
-// re-enters the allocator.
+// `Cell` without a destructor (as is the largest-request one), so touching
+// it neither allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if layout.size() >= WEIGHT_SIZED {
             LARGE_ALLOCS.with(|n| n.set(n.get() + 1));
         }
+        LARGEST_ALLOC.with(|n| n.set(n.get().max(layout.size())));
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
@@ -53,11 +58,16 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 fn microbatch(net: &mut Network, cells: &mut [StageCell], i: usize) {
-    let mut stack = vec![Tensor::from_fn(&[1, WIDTH], |j| ((i + j) as f32).sin())];
+    let input = Tensor::from_fn(&[1, WIDTH], |j| ((i + j) as f32).sin());
+    microbatch_of(net, cells, input, i % WIDTH);
+}
+
+fn microbatch_of(net: &mut Network, cells: &mut [StageCell], input: Tensor, label: usize) {
+    let mut stack = vec![input];
     for (s, cell) in cells.iter_mut().enumerate() {
         cell.forward(net.stage_mut(s), &mut stack);
     }
-    let (_, grad) = softmax_cross_entropy(&stack.pop().expect("logits"), &[i % WIDTH]);
+    let (_, grad) = softmax_cross_entropy(&stack.pop().expect("logits"), &[label]);
     let mut gstack = vec![grad];
     for (s, cell) in cells.iter_mut().enumerate().rev() {
         cell.backward_input(net.stage_mut(s), &mut gstack, true);
@@ -109,4 +119,45 @@ fn a_running_cell_allocates_nothing_weight_sized() {
             assert_eq!(during, 0, "{mitigation:?} stashing={weight_stashing}");
         }
     }
+}
+
+#[test]
+fn a_training_conv_stage_never_allocates_a_column_matrix() {
+    // Two conv stages on 12 × 12 images, then a small classifier head: the
+    // second conv's im2col matrix (8·3·3 rows × 144 pixels) is the largest
+    // buffer a lowered training step would touch — 41 KiB, nine times its
+    // 4.5 KiB input — and larger than every weight, activation and scratch
+    // buffer of this net. Counted from the first microbatch, warm-up
+    // included: a conv layer stashes its input, never its columns.
+    const SIDE: usize = 12;
+    const CHANNELS: usize = 8;
+    const COLUMN_MATRIX: usize = CHANNELS * 3 * 3 * SIDE * SIDE * 4;
+    let mut net = vgg_cnn(3, CHANNELS, 2, SIDE, 4, 4, &mut StdRng::seed_from_u64(5));
+    let stages = net.pipeline_stage_count();
+    let mut cells: Vec<StageCell> = (0..net.num_stages())
+        .map(|s| {
+            StageCell::new(
+                net.stage(s),
+                s,
+                stages,
+                &MicrobatchSchedule::PipelinedBackprop,
+                Mitigation::lwpv_scd(),
+                false,
+                Hyperparams::new(0.05, 0.9),
+                None,
+            )
+        })
+        .collect();
+    LARGEST_ALLOC.with(|n| n.set(0));
+    for i in 0..12 {
+        let input = Tensor::from_fn(&[1, 3, SIDE, SIDE], |j| ((i * 7 + j) as f32).sin());
+        microbatch_of(&mut net, &mut cells, input, i % 4);
+    }
+    let largest = LARGEST_ALLOC.with(Cell::get);
+    // The counter saw the run: a conv activation is 8 · 144 floats.
+    assert!(largest >= CHANNELS * SIDE * SIDE * 4, "largest {largest}");
+    assert!(
+        largest < COLUMN_MATRIX,
+        "an allocation of {largest} B reaches the column matrix ({COLUMN_MATRIX} B)"
+    );
 }

@@ -343,7 +343,7 @@ fn one_f_one_b_at_m1_is_bit_identical_to_pb() {
 #[test]
 fn two_bp_split_backward_is_bit_identical_to_fused_on_a_conv_net() {
     // 2BP only reorders when the weight-gradient halves run; through conv
-    // im2col buffers, group norm and the layers' deferred weight-gradient
+    // input stashes, group norm and the layers' deferred weight-gradient
     // units the final weights must still match fused 1F1B bit for bit.
     let gen = SyntheticImages::new(
         DatasetSpec {

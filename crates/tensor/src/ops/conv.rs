@@ -1,12 +1,28 @@
-//! 2-D convolution via im2col/col2im.
+//! 2-D convolution: the im2col/col2im lowering and the direct batch-of-one
+//! kernels.
 //!
-//! Layout is NCHW. The forward pass lowers each image to a column matrix and
+//! Layout is NCHW. The *lowered* path ([`conv2d`], [`conv2d_batched`],
+//! [`conv2d_backward`]) turns each image into a column matrix and
 //! multiplies by the flattened kernel bank, mirroring how cuDNN implements
-//! the convolutions used in the paper's GProp framework. The backward pass
-//! produces both the input gradient (col2im of `Wᵀ·dY`) and the weight
-//! gradient (`dY·colsᵀ`).
+//! the convolutions used in the paper's GProp framework; its backward
+//! produces the input gradient as col2im of `Wᵀ·dY` and the weight gradient
+//! as `dY·colsᵀ`. It is what evaluation and serving run (wide batched
+//! GEMMs) and what the differential tests and the ledger's probes call.
+//!
+//! The *direct* path ([`conv2d_direct`], [`conv2d_direct_backward_input`],
+//! [`conv2d_direct_backward_weight`]) is what a training layer runs, one
+//! sample at a time: no column matrix is built, written or stashed. Each
+//! kernel works on a *staged* copy of one image — zero-padded, and for
+//! `stride > 1` split into `stride²` phase planes so that every tap of
+//! every output pixel is a unit-stride read — which costs one pass over the
+//! image instead of `k²` and turns kernel size, stride and padding into
+//! entries of a tap-offset table rather than cases. Both paths compute each
+//! result element as the same fma chain (see [`super::gemm`] for the
+//! contract), so they are bit-identical to one another and to
+//! [`super::reference`].
 
 use super::gemm::{gemm_nn, gemm_nt, gemm_tn};
+use super::simd::{self, MAX_LANES};
 use crate::{Result, Tensor, TensorError};
 use std::cell::RefCell;
 
@@ -15,6 +31,17 @@ thread_local! {
     /// [`conv2d_backward`] — overwritten by the GEMM each call, so reuse
     /// across calls (and across pipeline stages on the same thread) is free.
     static DCOLS_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+
+    /// Per-thread scratch of the direct kernels, grown to the largest
+    /// geometry the thread has run and reused verbatim afterwards.
+    static DIRECT_BUF: RefCell<DirectScratch> = const {
+        RefCell::new(DirectScratch {
+            staged: Vec::new(),
+            side: Vec::new(),
+            gwt: Vec::new(),
+            off: Vec::new(),
+        })
+    };
 }
 
 /// Geometry of a 2-D convolution.
@@ -212,7 +239,65 @@ pub fn col2im(cols: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, out
     }
 }
 
-/// Forward 2-D convolution.
+/// `[N, C, H, W]` of a convolution input, checked against `spec` and the
+/// kernel bank.
+fn input_dims(
+    input: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+    op: &'static str,
+) -> Result<[usize; 4]> {
+    if input.rank() != 4 {
+        return Err(TensorError::RankMismatch {
+            expected: 4,
+            actual: input.rank(),
+            op,
+        });
+    }
+    let dims = [
+        input.shape()[0],
+        input.shape()[1],
+        input.shape()[2],
+        input.shape()[3],
+    ];
+    if dims[1] != spec.in_channels || weight.shape() != spec.weight_shape() {
+        return Err(TensorError::ShapeMismatch {
+            lhs: input.shape().to_vec(),
+            rhs: weight.shape().to_vec(),
+            op,
+        });
+    }
+    Ok(dims)
+}
+
+/// Batch size of an output gradient, checked to be `[N, OC, OH, OW]` for
+/// `spec` over an `h×w` input.
+fn grad_batch(
+    grad_out: &Tensor,
+    (h, w): (usize, usize),
+    spec: &Conv2dSpec,
+    op: &'static str,
+) -> Result<usize> {
+    if grad_out.rank() != 4 {
+        return Err(TensorError::RankMismatch {
+            expected: 4,
+            actual: grad_out.rank(),
+            op,
+        });
+    }
+    let n = grad_out.shape()[0];
+    let want = [n, spec.out_channels, spec.out_size(h), spec.out_size(w)];
+    if grad_out.shape() != want {
+        return Err(TensorError::ShapeMismatch {
+            lhs: grad_out.shape().to_vec(),
+            rhs: want.to_vec(),
+            op,
+        });
+    }
+    Ok(n)
+}
+
+/// Forward 2-D convolution, lowered to one GEMM per sample.
 ///
 /// `input` is `[N, C, H, W]`, `weight` is `[OC, C, k, k]`; the result is
 /// `[N, OC, OH, OW]`. Also returns the per-sample im2col buffers so the
@@ -226,45 +311,7 @@ pub fn conv2d(
     weight: &Tensor,
     spec: &Conv2dSpec,
 ) -> Result<(Tensor, Vec<Vec<f32>>)> {
-    conv2d_reusing(input, weight, spec, &mut Vec::new())
-}
-
-/// [`conv2d`] that recycles im2col buffers.
-///
-/// Buffers are popped from `spare` (resized as needed) instead of freshly
-/// allocated, and layers return them to their spare list once
-/// [`conv2d_backward`] has consumed the stash — so a steady-state pipeline
-/// does no per-sample column allocations.
-///
-/// # Errors
-///
-/// Returns a shape error if `input`/`weight` disagree with `spec`.
-pub fn conv2d_reusing(
-    input: &Tensor,
-    weight: &Tensor,
-    spec: &Conv2dSpec,
-    spare: &mut Vec<Vec<f32>>,
-) -> Result<(Tensor, Vec<Vec<f32>>)> {
-    if input.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: input.rank(),
-            op: "conv2d",
-        });
-    }
-    let [n, c, h, w] = [
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    ];
-    if c != spec.in_channels || weight.shape() != spec.weight_shape() {
-        return Err(TensorError::ShapeMismatch {
-            lhs: input.shape().to_vec(),
-            rhs: weight.shape().to_vec(),
-            op: "conv2d",
-        });
-    }
+    let [n, c, h, w] = input_dims(input, weight, spec, "conv2d")?;
     let (oh, ow) = (spec.out_size(h), spec.out_size(w));
     let rows = spec.fan_in();
     let mut out = Tensor::zeros(&[n, spec.out_channels, oh, ow]);
@@ -272,7 +319,7 @@ pub fn conv2d_reusing(
     let wslice = weight.as_slice();
     for ni in 0..n {
         let img = &input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w];
-        let mut cols = spare.pop().unwrap_or_default();
+        let mut cols = Vec::new();
         im2col(img, c, h, w, spec, &mut cols);
         let dst = &mut out.as_mut_slice()
             [ni * spec.out_channels * oh * ow..(ni + 1) * spec.out_channels * oh * ow];
@@ -326,8 +373,8 @@ const COLS_STRIP_FLOATS: usize = 192 * 1024;
 /// strip-mining (see [`COLS_STRIP_FLOATS`]) keeps the column matrix
 /// cache-resident where the monolithic layout would thrash.
 ///
-/// Does not return column buffers — this is the inference path; use
-/// [`conv2d_reusing`] when a backward pass will need the stash.
+/// Does not return column buffers — this is the inference path; a
+/// training layer runs [`conv2d_direct`] and stashes its input.
 ///
 /// # Errors
 ///
@@ -348,26 +395,7 @@ pub fn conv2d_batched_reusing(
     spec: &Conv2dSpec,
     scratch: &mut ConvBatchScratch,
 ) -> Result<Tensor> {
-    if input.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: input.rank(),
-            op: "conv2d_batched",
-        });
-    }
-    let [n, c, h, w] = [
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    ];
-    if c != spec.in_channels || weight.shape() != spec.weight_shape() {
-        return Err(TensorError::ShapeMismatch {
-            lhs: input.shape().to_vec(),
-            rhs: weight.shape().to_vec(),
-            op: "conv2d_batched",
-        });
-    }
+    let [n, c, h, w] = input_dims(input, weight, spec, "conv2d_batched")?;
     let (oh, ow) = (spec.out_size(h), spec.out_size(w));
     let rows = spec.fan_in();
     let oc = spec.out_channels;
@@ -471,23 +499,9 @@ pub fn conv2d_backward_input(
     input_hw: (usize, usize),
     spec: &Conv2dSpec,
 ) -> Result<Tensor> {
-    if grad_out.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: grad_out.rank(),
-            op: "conv2d_backward",
-        });
-    }
+    let n = grad_batch(grad_out, input_hw, spec, "conv2d_backward")?;
     let (h, w) = input_hw;
-    let n = grad_out.shape()[0];
     let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    if grad_out.shape() != [n, spec.out_channels, oh, ow] {
-        return Err(TensorError::ShapeMismatch {
-            lhs: grad_out.shape().to_vec(),
-            rhs: vec![n, spec.out_channels, oh, ow],
-            op: "conv2d_backward",
-        });
-    }
     let rows = spec.fan_in();
     let c = spec.in_channels;
     let p = oh * ow;
@@ -591,12 +605,357 @@ pub fn conv2d_backward_weight(
     Ok(grad_w)
 }
 
+/// Scratch of the direct kernels (see [`DIRECT_BUF`]).
+struct DirectScratch {
+    /// The staged image: the input being convolved, or the input gradient
+    /// being accumulated.
+    staged: Vec<f32>,
+    /// The output-side operand in the layout its kernel wants: `y` or `dY`
+    /// at the staged pitch, or `dY` transposed to pixel-major.
+    side: Vec<f32>,
+    /// The weight gradient as its kernel writes it, `[taps, oc]`.
+    gwt: Vec<f32>,
+    /// Tap-offset table.
+    off: Vec<usize>,
+}
+
+/// Where a `spec` convolution over an `h×w` image lands in the staged
+/// layout the direct kernels work on.
+///
+/// A staged channel holds the zero-padded image split into `s × s` phase
+/// planes: padded pixel `(r, c)` lives in plane `(r mod s, c mod s)` at
+/// `(r div s, c div s)`. Tap `(ki, kj)` of output pixel `(oi, oj)` reads
+/// padded pixel `(oi·s + ki, oj·s + kj)`, i.e. plane `(ki mod s, kj mod s)`
+/// at `(oi + ki div s, oj + kj div s)`: numbering output pixels at the
+/// plane's own pitch, `q = oi·pw + oj`, makes that `off(ki, kj) + q` for a
+/// per-tap constant — a unit-stride read for every stride, with padding
+/// already in the data. Planes are cut to the `oh + (k−1) div s` rows and
+/// `ow + (k−1) div s` columns the taps can reach.
+struct DirectGeom {
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    s: usize,
+    p: usize,
+    oh: usize,
+    ow: usize,
+    /// Plane rows and pitch.
+    ph: usize,
+    pw: usize,
+    /// Floats per staged channel: `s²` planes.
+    chan: usize,
+    /// Flat output extent `(oh−1)·pw + ow`, rounded up to whole vectors.
+    /// Positions `q` whose column `q mod pw` is `≥ ow` are not pixels; the
+    /// kernels compute them alongside and the callers drop them.
+    qr: usize,
+}
+
+impl DirectGeom {
+    fn new(spec: &Conv2dSpec, h: usize, w: usize) -> Self {
+        let (k, s) = (spec.kernel, spec.stride);
+        let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+        let reach = (k - 1) / s;
+        let (ph, pw) = (oh + reach, ow + reach);
+        DirectGeom {
+            c: spec.in_channels,
+            h,
+            w,
+            k,
+            s,
+            p: spec.padding,
+            oh,
+            ow,
+            ph,
+            pw,
+            chan: s * s * ph * pw,
+            qr: ((oh - 1) * pw + ow).next_multiple_of(MAX_LANES),
+        }
+    }
+
+    /// Staged image length: the channels plus the overhang of the last
+    /// vector of flat positions.
+    fn staged_len(&self) -> usize {
+        self.c * self.chan + MAX_LANES
+    }
+
+    /// Fills `off` with the tap offsets of `channels` channels in
+    /// `(ci, ki, kj)` order — the im2col row order, which is the order
+    /// every chain over taps runs in.
+    fn tap_offsets(&self, channels: usize, off: &mut Vec<usize>) {
+        let (k, s, plane) = (self.k, self.s, self.ph * self.pw);
+        off.clear();
+        for ci in 0..channels {
+            for ki in 0..k {
+                for kj in 0..k {
+                    let phase = (ki % s) * s + kj % s;
+                    off.push(ci * self.chan + phase * plane + (ki / s) * self.pw + kj / s);
+                }
+            }
+        }
+    }
+
+    /// Calls `f(image index, staged index, n)` for every run of `n` image
+    /// elements `image[i + t·s]` that are consecutive in the staged layout
+    /// (`staged[j + t]`): one run per image row and column phase. Image
+    /// pixels no tap reaches (beyond the cut planes) are in no run.
+    fn for_each_run(&self, mut f: impl FnMut(usize, usize, usize)) {
+        let (s, p, plane) = (self.s, self.p, self.ph * self.pw);
+        for b in 0..s {
+            // First image column whose padded column is in phase `b`.
+            let iw0 = (b + s - p % s) % s;
+            if iw0 >= self.w {
+                continue;
+            }
+            let j0 = (iw0 + p) / s;
+            let n = (self.w - iw0).div_ceil(s).min(self.pw.saturating_sub(j0));
+            if n == 0 {
+                continue;
+            }
+            for ci in 0..self.c {
+                // Padded row `ih + p` is row `i` of row phase `a`.
+                let (mut a, mut i) = (p % s, p / s);
+                for ih in 0..self.h {
+                    if i >= self.ph {
+                        break;
+                    }
+                    f(
+                        (ci * self.h + ih) * self.w + iw0,
+                        ci * self.chan + (a * s + b) * plane + i * self.pw + j0,
+                        n,
+                    );
+                    a += 1;
+                    if a == s {
+                        a = 0;
+                        i += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Stages one image `[C, H, W]`: padding and unreached positions
+    /// `+0.0`, every other position the pixel it holds.
+    fn stage(&self, image: &[f32], staged: &mut Vec<f32>) {
+        staged.clear();
+        staged.resize(self.staged_len(), 0.0);
+        let s = self.s;
+        self.for_each_run(|i, j, n| {
+            if s == 1 {
+                staged[j..j + n].copy_from_slice(&image[i..i + n]);
+            } else {
+                for (d, &v) in staged[j..j + n]
+                    .iter_mut()
+                    .zip(image[i..].iter().step_by(s))
+                {
+                    *d = v;
+                }
+            }
+        });
+    }
+
+    /// The inverse of [`Self::stage`] for a staged gradient: copies every
+    /// staged pixel back to its place in `image`, which the caller hands
+    /// in zeroed (pixels no tap reaches have no gradient).
+    fn unstage(&self, staged: &[f32], image: &mut [f32]) {
+        let s = self.s;
+        self.for_each_run(|i, j, n| {
+            if s == 1 {
+                image[i..i + n].copy_from_slice(&staged[j..j + n]);
+            } else {
+                for (d, &v) in image[i..].iter_mut().step_by(s).zip(&staged[j..j + n]) {
+                    *d = v;
+                }
+            }
+        });
+    }
+}
+
+/// Forward 2-D convolution by the direct batch-of-one kernel, sample by
+/// sample: the training-mode forward.
+///
+/// Same contract as [`conv2d`] minus the column buffers — the backward
+/// halves take the input itself — and bit-identical to it: each output
+/// element is one fma chain over `(ci, ki, kj)` from `+0.0`.
+///
+/// # Errors
+///
+/// Returns a shape error if `input`/`weight` disagree with `spec`.
+pub fn conv2d_direct(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
+    let [n, c, h, w] = input_dims(input, weight, spec, "conv2d_direct")?;
+    let g = DirectGeom::new(spec, h, w);
+    let oc = spec.out_channels;
+    let mut out = Vec::with_capacity(n * oc * g.oh * g.ow);
+    DIRECT_BUF.with(|buf| {
+        let buf = &mut *buf.borrow_mut();
+        g.tap_offsets(c, &mut buf.off);
+        // Fully overwritten by the kernel; only the length matters.
+        buf.side.resize(oc * g.qr, 0.0);
+        // (`max(1)`: an image without pixels is no image, not a zero chunk.)
+        for image in input.as_slice().chunks_exact((c * h * w).max(1)) {
+            g.stage(image, &mut buf.staged);
+            simd::conv_forward(
+                &buf.staged,
+                &buf.off,
+                weight.as_slice(),
+                oc,
+                g.qr,
+                &mut buf.side,
+            );
+            for rows in buf.side.chunks_exact(g.qr) {
+                for row in rows.chunks(g.pw).take(g.oh) {
+                    out.extend_from_slice(&row[..g.ow]);
+                }
+            }
+        }
+    });
+    Tensor::from_vec(out, &[n, oc, g.oh, g.ow])
+}
+
+/// Input-gradient half of the direct backward, the counterpart of
+/// [`conv2d_backward_input`] and bit-identical to it: reads only the
+/// weights and the output gradient.
+///
+/// # Errors
+///
+/// Returns a shape error if the gradient shape disagrees with `spec`.
+pub fn conv2d_direct_backward_input(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    input_hw: (usize, usize),
+    spec: &Conv2dSpec,
+) -> Result<Tensor> {
+    let n = grad_batch(grad_out, input_hw, spec, "conv2d_direct_backward")?;
+    if weight.shape() != spec.weight_shape() {
+        return Err(TensorError::ShapeMismatch {
+            lhs: grad_out.shape().to_vec(),
+            rhs: weight.shape().to_vec(),
+            op: "conv2d_direct_backward",
+        });
+    }
+    let (h, w) = input_hw;
+    let g = DirectGeom::new(spec, h, w);
+    let (c, oc) = (spec.in_channels, spec.out_channels);
+    let mut grad_in = Tensor::zeros(&[n, c, h, w]);
+    DIRECT_BUF.with(|buf| {
+        let buf = &mut *buf.borrow_mut();
+        g.tap_offsets(1, &mut buf.off);
+        let samples = grad_out.as_slice().chunks_exact(oc * g.oh * g.ow);
+        let images = grad_in.as_mut_slice().chunks_exact_mut((c * h * w).max(1));
+        for (dy, image) in samples.zip(images) {
+            // dY at the staged pitch, every position that is not a pixel
+            // +0.0: such a position adds +0.0 somewhere, which is no-op.
+            buf.side.clear();
+            buf.side.resize(oc * g.qr, 0.0);
+            for (rows, dst) in dy
+                .chunks_exact(g.oh * g.ow)
+                .zip(buf.side.chunks_exact_mut(g.qr))
+            {
+                for (row, dst) in rows.chunks_exact(g.ow).zip(dst.chunks_mut(g.pw)) {
+                    dst[..g.ow].copy_from_slice(row);
+                }
+            }
+            buf.staged.clear();
+            buf.staged.resize(g.staged_len(), 0.0);
+            simd::conv_backward_input(
+                &buf.side,
+                weight.as_slice(),
+                &buf.off,
+                (c, oc),
+                g.chan,
+                g.qr,
+                &mut buf.staged,
+            );
+            g.unstage(&buf.staged, image);
+        }
+    });
+    Ok(grad_in)
+}
+
+/// Weight-gradient half of the direct backward, the counterpart of
+/// [`conv2d_backward_weight`] and bit-identical to it: reads only the
+/// output gradient and the layer's input — the one activation a training
+/// layer stashes per in-flight sample — never the weights, which is what
+/// makes deferring it to the update boundary exact.
+///
+/// # Errors
+///
+/// Returns a shape error if `input` or `grad_out` disagrees with `spec`.
+pub fn conv2d_direct_backward_weight(
+    grad_out: &Tensor,
+    input: &Tensor,
+    spec: &Conv2dSpec,
+) -> Result<Tensor> {
+    let op = "conv2d_direct_backward";
+    if input.rank() != 4 || input.shape()[1] != spec.in_channels {
+        return Err(TensorError::ShapeMismatch {
+            lhs: input.shape().to_vec(),
+            rhs: spec.weight_shape().to_vec(),
+            op,
+        });
+    }
+    let [n, c, h, w] = [
+        input.shape()[0],
+        input.shape()[1],
+        input.shape()[2],
+        input.shape()[3],
+    ];
+    if grad_batch(grad_out, (h, w), spec, op)? != n {
+        return Err(TensorError::ShapeMismatch {
+            lhs: grad_out.shape().to_vec(),
+            rhs: input.shape().to_vec(),
+            op,
+        });
+    }
+    let g = DirectGeom::new(spec, h, w);
+    let (oc, taps, pixels) = (spec.out_channels, spec.fan_in(), g.oh * g.ow);
+    let ocp = oc.next_multiple_of(MAX_LANES);
+    let mut grad_w = Tensor::zeros(&spec.weight_shape());
+    DIRECT_BUF.with(|buf| {
+        let buf = &mut *buf.borrow_mut();
+        g.tap_offsets(c, &mut buf.off);
+        // Fully overwritten by the kernel; only the length matters.
+        buf.gwt.resize(taps * ocp, 0.0);
+        let samples = grad_out.as_slice().chunks_exact(oc * pixels);
+        let images = input.as_slice().chunks_exact((c * h * w).max(1));
+        for (ni, (dy, image)) in samples.zip(images).enumerate() {
+            g.stage(image, &mut buf.staged);
+            // dY pixel-major, channels in the lanes; lanes past `oc` +0.0.
+            buf.side.clear();
+            buf.side.resize(pixels * ocp, 0.0);
+            for (px, lanes) in buf.side.chunks_exact_mut(ocp).enumerate() {
+                for (o, lane) in lanes[..oc].iter_mut().enumerate() {
+                    *lane = dy[o * pixels + px];
+                }
+            }
+            simd::conv_backward_weight(
+                &buf.side,
+                &buf.staged,
+                &buf.off,
+                (g.oh, g.ow, g.pw),
+                ocp,
+                &mut buf.gwt,
+            );
+            // Per-sample completed subtotals, as in `conv2d_backward_weight`:
+            // the first sample's chains are the gradient, later samples' are
+            // added to it.
+            for (o, gw) in grad_w.as_mut_slice().chunks_exact_mut(taps).enumerate() {
+                for (t, gw) in gw.iter_mut().enumerate() {
+                    let v = buf.gwt[t * ocp + o];
+                    *gw = if ni == 0 { v } else { *gw + v };
+                }
+            }
+        }
+    });
+    Ok(grad_w)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Direct (naive) convolution used as a reference implementation.
-    fn conv2d_direct(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Tensor {
+    /// Naive six-loop convolution used as a reference implementation.
+    fn conv2d_naive(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Tensor {
         let [n, c, h, w] = [
             input.shape()[0],
             input.shape()[1],
@@ -641,7 +1000,7 @@ mod tests {
     }
 
     #[test]
-    fn conv2d_matches_direct_convolution() {
+    fn conv2d_matches_naive_convolution() {
         for &(c, oc, k, s, p, h) in &[
             (1, 1, 3, 1, 1, 5),
             (2, 3, 3, 1, 1, 6),
@@ -652,7 +1011,7 @@ mod tests {
             let input = rand_tensor(&[2, c, h, h], 1);
             let weight = rand_tensor(&spec.weight_shape(), 2);
             let (got, _) = conv2d(&input, &weight, &spec).unwrap();
-            let expect = conv2d_direct(&input, &weight, &spec);
+            let expect = conv2d_naive(&input, &weight, &spec);
             assert_eq!(got.shape(), expect.shape());
             for (a, b) in got.as_slice().iter().zip(expect.as_slice()) {
                 assert!((a - b).abs() < 1e-4, "spec {spec:?}: {a} vs {b}");
@@ -743,6 +1102,53 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "grad_weight n={n}");
             }
         }
+    }
+
+    #[test]
+    fn direct_kernels_match_lowered_when_the_kernel_overhangs_the_image() {
+        // `out_size` never reports less than one output pixel, even for an
+        // image smaller than the kernel: the lowered path then sums the
+        // taps that exist, and the staged planes (cut to what one output
+        // pixel's taps reach, unreached pixels dropped) must do the same.
+        for &(k, s, p, h, w) in &[(3, 1, 0, 2, 5), (5, 2, 1, 2, 2), (3, 2, 0, 7, 1)] {
+            let spec = Conv2dSpec::new(2, 3, k, s, p).unwrap();
+            let x = rand_tensor(&[2, 2, h, w], 14);
+            let weight = rand_tensor(&spec.weight_shape(), 15);
+            let (want_y, cols) = conv2d(&x, &weight, &spec).unwrap();
+            let g = rand_tensor(want_y.shape(), 16);
+            let (want_gx, want_gw) = conv2d_backward(&g, &weight, &cols, (h, w), &spec).unwrap();
+            let y = conv2d_direct(&x, &weight, &spec).unwrap();
+            let gx = conv2d_direct_backward_input(&g, &weight, (h, w), &spec).unwrap();
+            let gw = conv2d_direct_backward_weight(&g, &x, &spec).unwrap();
+            for (got, want, what) in [(y, want_y, "y"), (gx, want_gx, "gx"), (gw, want_gw, "gw")] {
+                assert_eq!(
+                    got.shape(),
+                    want.shape(),
+                    "k={k} s={s} p={p} {h}x{w}: {what}"
+                );
+                for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "k={k} s={s} p={p} {h}x{w}: {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn direct_rejects_bad_shapes() {
+        let spec = Conv2dSpec::new(2, 3, 3, 1, 1).unwrap();
+        let weight = rand_tensor(&spec.weight_shape(), 17);
+        let x = rand_tensor(&[2, 2, 5, 5], 18);
+        let g = rand_tensor(&[2, 3, 5, 5], 19);
+        assert!(conv2d_direct(&rand_tensor(&[2, 3, 5, 5], 20), &weight, &spec).is_err());
+        assert!(conv2d_direct(&x, &rand_tensor(&[3, 2, 3, 2], 21), &spec).is_err());
+        assert!(conv2d_direct_backward_input(&g, &weight, (5, 6), &spec).is_err());
+        assert!(conv2d_direct_backward_input(&g, &x, (5, 5), &spec).is_err());
+        assert!(conv2d_direct_backward_weight(&g, &rand_tensor(&[1, 2, 5, 5], 22), &spec).is_err());
+        assert!(conv2d_direct_backward_weight(&g, &rand_tensor(&[2, 2, 5, 6], 23), &spec).is_err());
     }
 
     #[test]

@@ -155,23 +155,32 @@ fn gemm_dispatch<const AT: bool, const BT: bool>(
     let extent = if by_rows { m } else { n };
     let chunks = extent.div_ceil(PAR_CHUNK);
     let cp = CPtr(c.as_mut_ptr());
-    let run_chunk = |ci: usize| {
-        let lo = ci * PAR_CHUNK;
-        let hi = extent.min(lo + PAR_CHUNK);
-        let (rows, cols) = if by_rows {
-            ((lo, hi), (0, n))
-        } else {
-            ((0, m), (lo, hi))
-        };
-        if AT && !BT && k <= TN_AXPY_MAX_K {
+    let short_tn = AT && !BT && k <= TN_AXPY_MAX_K;
+    let run_region = |rows: (usize, usize), cols: (usize, usize)| {
+        if short_tn {
             tn_axpy_region(a, b, cp, m, k, n, rows, cols, acc);
         } else {
             tiled_region::<AT, BT>(a, b, cp, m, k, n, rows, cols, acc);
         }
     };
+    let run_chunk = |ci: usize| {
+        let lo = ci * PAR_CHUNK;
+        let hi = extent.min(lo + PAR_CHUNK);
+        if by_rows {
+            run_region((lo, hi), (0, n));
+        } else {
+            run_region((0, m), (lo, hi));
+        }
+    };
     let threads = pool::max_threads();
     if threads > 1 && chunks > 1 && elems >= PAR_MIN_ELEMS_PER_THREAD.saturating_mul(threads) {
         pool::parallel_for(chunks, &run_chunk);
+    } else if short_tn {
+        // Serial short-reduction product: the chunk grid only partitions
+        // output columns, so one region over the whole extent runs the
+        // same chain per element while each axpy sweeps a full row rather
+        // than a `PAR_CHUNK`-wide sliver of it.
+        run_region((0, m), (0, n));
     } else {
         for ci in 0..chunks {
             run_chunk(ci);

@@ -322,10 +322,492 @@ pub(crate) fn axpy_row(av: f32, b: &[f32], c: &mut [f32], zero_init: bool) -> bo
     }
 }
 
+/// A vector of `f32` lanes the direct convolution kernels are written
+/// over: `f32` itself on the scalar tier (plain `mul_add` loops), `__m256`
+/// and `__m512` on the SIMD tiers. Lanes never interact — every method is
+/// element-wise — and `fma` is the one exactly-rounded fused multiply-add
+/// on every implementation, so a kernel written once over `Lanes` computes
+/// the same bits at every width.
+///
+/// # Safety
+///
+/// `load`/`store` touch `N` floats at `p`; the SIMD implementations also
+/// require their CPU feature, which the tier dispatch below establishes.
+trait Lanes: Copy {
+    /// Lanes per vector.
+    const N: usize;
+    /// Independent accumulator vectors a kernel block keeps live: enough
+    /// chains to cover fma latency without spilling the register file.
+    const ROWS: usize;
+    unsafe fn zero() -> Self;
+    unsafe fn splat(v: f32) -> Self;
+    unsafe fn load(p: *const f32) -> Self;
+    unsafe fn store(self, p: *mut f32);
+    /// `a * b + c`, rounded once.
+    unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
+    unsafe fn add(a: Self, b: Self) -> Self;
+}
+
+impl Lanes for f32 {
+    const N: usize = 1;
+    const ROWS: usize = 8;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        0.0
+    }
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        v
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        *p
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        *p = self;
+    }
+    #[inline(always)]
+    unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+        a.mul_add(b, c)
+    }
+    #[inline(always)]
+    unsafe fn add(a: Self, b: Self) -> Self {
+        a + b
+    }
+}
+
+/// Widest vector any tier uses, in floats. The staged layouts the direct
+/// convolution kernels read and write are sized in whole multiples of
+/// this on every tier, so buffer shapes do not depend on the tier.
+pub(crate) const MAX_LANES: usize = 16;
+
+/// Splits `total` rows into blocks of 16 (where `V::ROWS` allows), 8, 4 and
+/// then 1, calling the block body with the block's first row and its
+/// compile-time height.
+macro_rules! row_blocks {
+    ($v:ty, $total:expr, $r0:ident, $body:ident ( $($arg:expr),* )) => {{
+        let total = $total;
+        let mut $r0 = 0usize;
+        while $r0 < total {
+            let left = total - $r0;
+            if <$v>::ROWS == 16 && left >= 16 {
+                $body::<$v, 16>($($arg),*);
+                $r0 += 16;
+            } else if left >= 8 {
+                $body::<$v, 8>($($arg),*);
+                $r0 += 8;
+            } else if left >= 4 {
+                $body::<$v, 4>($($arg),*);
+                $r0 += 4;
+            } else {
+                $body::<$v, 1>($($arg),*);
+                $r0 += 1;
+            }
+        }
+    }};
+}
+
+/// Arguments of the direct forward kernel; see [`conv_forward`].
+#[derive(Clone, Copy)]
+struct FwdArgs<'a> {
+    xs: &'a [f32],
+    off: &'a [usize],
+    w: &'a [f32],
+    qr: usize,
+    yp: *mut f32,
+}
+
+/// `R` output channels × one vector of flat output positions: one fma
+/// chain per output element over the taps in table order.
+#[inline(always)]
+unsafe fn fwd_block<V: Lanes, const R: usize>(a: FwdArgs<'_>, oc0: usize, q0: usize) {
+    let taps = a.off.len();
+    let wrows: [*const f32; R] = std::array::from_fn(|r| a.w.as_ptr().add((oc0 + r) * taps));
+    let mut acc = [V::zero(); R];
+    let xq = a.xs.as_ptr().add(q0);
+    for (t, &o) in a.off.iter().enumerate() {
+        let xv = V::load(xq.add(o));
+        for r in 0..R {
+            acc[r] = V::fma(V::splat(*wrows[r].add(t)), xv, acc[r]);
+        }
+    }
+    for r in 0..R {
+        acc[r].store(a.yp.add((oc0 + r) * a.qr + q0));
+    }
+}
+
+#[inline(always)]
+unsafe fn fwd_kernel<V: Lanes>(a: FwdArgs<'_>, oc: usize) {
+    let mut q0 = 0;
+    while q0 < a.qr {
+        row_blocks!(V, oc, oc0, fwd_block(a, oc0, q0));
+        q0 += V::N;
+    }
+}
+
+/// Direct convolution forward over a staged image.
+///
+/// `xs` is the zero-padded, phase-split image (see `ops::conv`), `off` the
+/// tap table in `(ci, ki, kj)` order — tap `t` of flat output position `q`
+/// reads `xs[off[t] + q]` — and `w` the `[oc, taps]` kernel bank. Writes
+/// `yp[o * qr + q] = Σ_t w[o, t] · xs[off[t] + q]` for every `q < qr`, each
+/// element one left-to-right fma chain from `+0.0` in table order: the
+/// chain [`super::reference::conv2d_ref`] runs, with the taps that
+/// reference skips at the border present as exact zero products.
+///
+/// # Panics
+///
+/// Panics if `qr` is not a multiple of [`MAX_LANES`] or a buffer is too
+/// short for the addressed region.
+pub(crate) fn conv_forward(
+    xs: &[f32],
+    off: &[usize],
+    w: &[f32],
+    oc: usize,
+    qr: usize,
+    yp: &mut [f32],
+) {
+    assert_eq!(qr % MAX_LANES, 0, "conv_forward: ragged flat extent");
+    assert_eq!(w.len(), oc * off.len(), "conv_forward: kernel bank");
+    assert_eq!(yp.len(), oc * qr, "conv_forward: output");
+    let reach = off.iter().max().map_or(0, |&o| o + qr);
+    assert!(xs.len() >= reach, "conv_forward: staged image too short");
+    let a = FwdArgs {
+        xs,
+        off,
+        w,
+        qr,
+        yp: yp.as_mut_ptr(),
+    };
+    // SAFETY: the asserts above bound every access: `xs[off[t] + q]` for
+    // `q < qr`, `w[o * taps + t]`, `yp[o * qr + q]`; `qr` is a whole number
+    // of vectors on every tier; the tier match proves the CPU feature.
+    unsafe {
+        match active_tier() {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512Fma => x86::conv_forward_avx512(a, oc),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2Fma => x86::conv_forward_avx2(a, oc),
+            _ => fwd_kernel::<f32>(a, oc),
+        }
+    }
+}
+
+/// Arguments of the direct input-gradient kernel; see
+/// [`conv_backward_input`].
+#[derive(Clone, Copy)]
+struct BwdInputArgs<'a> {
+    dyp: &'a [f32],
+    w: &'a [f32],
+    off: &'a [usize],
+    c: usize,
+    oc: usize,
+    chan: usize,
+    qr: usize,
+    gxs: *mut f32,
+}
+
+/// `R` input channels × one vector of flat output positions of one tap:
+/// a completed `oc`-chain per element, added into the staged gradient.
+#[inline(always)]
+unsafe fn bwd_input_block<V: Lanes, const R: usize>(
+    a: BwdInputArgs<'_>,
+    ci0: usize,
+    t: usize,
+    q0: usize,
+) {
+    let kk = a.off.len();
+    let mut s = [V::zero(); R];
+    let dq = a.dyp.as_ptr().add(q0);
+    let wt = a.w.as_ptr().add(ci0 * kk + t);
+    for o in 0..a.oc {
+        let dv = V::load(dq.add(o * a.qr));
+        let wo = wt.add(o * a.c * kk);
+        for r in 0..R {
+            s[r] = V::fma(V::splat(*wo.add(r * kk)), dv, s[r]);
+        }
+    }
+    for r in 0..R {
+        let g = a.gxs.add((ci0 + r) * a.chan + a.off[t] + q0);
+        V::add(V::load(g), s[r]).store(g);
+    }
+}
+
+#[inline(always)]
+unsafe fn bwd_input_kernel<V: Lanes>(a: BwdInputArgs<'_>) {
+    for t in 0..a.off.len() {
+        let mut q0 = 0;
+        while q0 < a.qr {
+            row_blocks!(V, a.c, ci0, bwd_input_block(a, ci0, t, q0));
+            q0 += V::N;
+        }
+    }
+}
+
+/// Direct convolution input gradient into a staged (zero-padded,
+/// phase-split) gradient image.
+///
+/// `dyp` is the output gradient at the staged pitch, `[oc, qr]` with every
+/// position that is not an output pixel `+0.0`; `w` the `[oc, c, k·k]`
+/// kernel bank; `off` the `k·k` per-channel tap offsets in `(ki, kj)`
+/// order; `chan` the floats per staged channel. For every channel, tap and
+/// flat position, `gxs[ci·chan + off[t] + q] += Σ_o w[o, ci, t] · dyp[o, q]`
+/// — one completed fma chain over `o` from `+0.0` per addend, addends
+/// arriving at any one element in `(ki, kj)` order: the association
+/// `col2im(Wᵀ·dY)` and [`super::reference::conv2d_backward_ref`] use.
+/// Non-pixel positions contribute `+0.0`, which changes no bit of a sum
+/// that started at `+0.0`.
+///
+/// # Panics
+///
+/// Panics if `qr` is not a multiple of [`MAX_LANES`] or a buffer is too
+/// short for the addressed region.
+pub(crate) fn conv_backward_input(
+    dyp: &[f32],
+    w: &[f32],
+    off: &[usize],
+    (c, oc): (usize, usize),
+    chan: usize,
+    qr: usize,
+    gxs: &mut [f32],
+) {
+    let kk = off.len();
+    assert_eq!(qr % MAX_LANES, 0, "conv_backward_input: ragged flat extent");
+    assert_eq!(w.len(), oc * c * kk, "conv_backward_input: kernel bank");
+    assert_eq!(dyp.len(), oc * qr, "conv_backward_input: gradient");
+    assert!(c > 0, "conv_backward_input: no channels");
+    let reach = off.iter().max().map_or(0, |&o| (c - 1) * chan + o + qr);
+    assert!(gxs.len() >= reach, "conv_backward_input: staged image");
+    let a = BwdInputArgs {
+        dyp,
+        w,
+        off,
+        c,
+        oc,
+        chan,
+        qr,
+        gxs: gxs.as_mut_ptr(),
+    };
+    // SAFETY: the asserts above bound every access: `dyp[o * qr + q]`,
+    // `w[(o * c + ci) * kk + t]`, `gxs[ci * chan + off[t] + q]` for
+    // `q < qr`; the tier match proves the CPU feature.
+    unsafe {
+        match active_tier() {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512Fma => x86::conv_backward_input_avx512(a),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2Fma => x86::conv_backward_input_avx2(a),
+            _ => bwd_input_kernel::<f32>(a),
+        }
+    }
+}
+
+/// Arguments of the direct weight-gradient kernel; see
+/// [`conv_backward_weight`].
+#[derive(Clone, Copy)]
+struct BwdWeightArgs<'a> {
+    dyt: &'a [f32],
+    xs: &'a [f32],
+    off: &'a [usize],
+    oh: usize,
+    ow: usize,
+    pw: usize,
+    ocp: usize,
+    gwt: *mut f32,
+}
+
+/// `R` taps × one vector of output channels: one fma chain per weight
+/// over the output pixels in row-major order.
+#[inline(always)]
+unsafe fn bwd_weight_block<V: Lanes, const R: usize>(a: BwdWeightArgs<'_>, t0: usize, v0: usize) {
+    let xt: [*const f32; R] = std::array::from_fn(|r| a.xs.as_ptr().add(a.off[t0 + r]));
+    let mut acc = [V::zero(); R];
+    let mut dp = a.dyt.as_ptr().add(v0);
+    for oi in 0..a.oh {
+        let row = oi * a.pw;
+        for oj in 0..a.ow {
+            let dv = V::load(dp);
+            for r in 0..R {
+                acc[r] = V::fma(dv, V::splat(*xt[r].add(row + oj)), acc[r]);
+            }
+            dp = dp.add(a.ocp);
+        }
+    }
+    for r in 0..R {
+        acc[r].store(a.gwt.add((t0 + r) * a.ocp + v0));
+    }
+}
+
+#[inline(always)]
+unsafe fn bwd_weight_kernel<V: Lanes>(a: BwdWeightArgs<'_>) {
+    let mut v0 = 0;
+    while v0 < a.ocp {
+        row_blocks!(V, a.off.len(), t0, bwd_weight_block(a, t0, v0));
+        v0 += V::N;
+    }
+}
+
+/// Direct convolution weight gradient, output channels in the lanes.
+///
+/// `dyt` is the output gradient transposed to `[oh·ow, ocp]` (channels
+/// past the real ones `+0.0`), `xs`/`off` the staged image and tap table
+/// [`conv_forward`] takes, `pw` the staged pitch. Writes
+/// `gwt[t · ocp + o] = Σ_(oi,oj) dyt[(oi, oj), o] · xs[off[t] + oi·pw + oj]`,
+/// each weight one left-to-right fma chain from `+0.0` over the output
+/// pixels in row-major order — the chain `dY·colsᵀ` and
+/// [`super::reference::conv2d_backward_ref`] run, border taps again as
+/// exact zero products.
+///
+/// # Panics
+///
+/// Panics if `ocp` is not a multiple of [`MAX_LANES`] or a buffer is too
+/// short for the addressed region.
+pub(crate) fn conv_backward_weight(
+    dyt: &[f32],
+    xs: &[f32],
+    off: &[usize],
+    (oh, ow, pw): (usize, usize, usize),
+    ocp: usize,
+    gwt: &mut [f32],
+) {
+    assert_eq!(ocp % MAX_LANES, 0, "conv_backward_weight: ragged channels");
+    assert_eq!(dyt.len(), oh * ow * ocp, "conv_backward_weight: gradient");
+    assert_eq!(gwt.len(), off.len() * ocp, "conv_backward_weight: output");
+    assert!(
+        oh > 0 && ow > 0 && ow <= pw,
+        "conv_backward_weight: geometry"
+    );
+    let reach = off.iter().max().map_or(0, |&o| o + (oh - 1) * pw + ow);
+    assert!(xs.len() >= reach, "conv_backward_weight: staged image");
+    let a = BwdWeightArgs {
+        dyt,
+        xs,
+        off,
+        oh,
+        ow,
+        pw,
+        ocp,
+        gwt: gwt.as_mut_ptr(),
+    };
+    // SAFETY: the asserts above bound every access: `dyt[p * ocp + o]`,
+    // `xs[off[t] + oi * pw + oj]`, `gwt[t * ocp + o]`; `ocp` is a whole
+    // number of vectors on every tier; the tier match proves the feature.
+    unsafe {
+        match active_tier() {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512Fma => x86::conv_backward_weight_avx512(a),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2Fma => x86::conv_backward_weight_avx2(a),
+            _ => bwd_weight_kernel::<f32>(a),
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::super::gemm::NR;
+    use super::{BwdInputArgs, BwdWeightArgs, FwdArgs, Lanes};
     use std::arch::x86_64::*;
+
+    impl Lanes for __m256 {
+        const N: usize = 8;
+        const ROWS: usize = 8;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm256_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm256_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+            _mm256_fmadd_ps(a, b, c)
+        }
+        #[inline(always)]
+        unsafe fn add(a: Self, b: Self) -> Self {
+            _mm256_add_ps(a, b)
+        }
+    }
+
+    impl Lanes for __m512 {
+        const N: usize = 16;
+        const ROWS: usize = 16;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm512_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm512_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm512_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+            _mm512_fmadd_ps(a, b, c)
+        }
+        #[inline(always)]
+        unsafe fn add(a: Self, b: Self) -> Self {
+            _mm512_add_ps(a, b)
+        }
+    }
+
+    /// The direct convolution kernels of [`super`] instantiated per tier.
+    ///
+    /// # Safety
+    ///
+    /// The named CPU features must be available at runtime, and the bounds
+    /// the safe wrappers in [`super`] assert must hold.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn conv_forward_avx2(a: FwdArgs<'_>, oc: usize) {
+        super::fwd_kernel::<__m256>(a, oc)
+    }
+
+    /// See [`conv_forward_avx2`].
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn conv_forward_avx512(a: FwdArgs<'_>, oc: usize) {
+        super::fwd_kernel::<__m512>(a, oc)
+    }
+
+    /// See [`conv_forward_avx2`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn conv_backward_input_avx2(a: BwdInputArgs<'_>) {
+        super::bwd_input_kernel::<__m256>(a)
+    }
+
+    /// See [`conv_forward_avx2`].
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn conv_backward_input_avx512(a: BwdInputArgs<'_>) {
+        super::bwd_input_kernel::<__m512>(a)
+    }
+
+    /// See [`conv_forward_avx2`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn conv_backward_weight_avx2(a: BwdWeightArgs<'_>) {
+        super::bwd_weight_kernel::<__m256>(a)
+    }
+
+    /// See [`conv_forward_avx2`].
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn conv_backward_weight_avx512(a: BwdWeightArgs<'_>) {
+        super::bwd_weight_kernel::<__m512>(a)
+    }
 
     /// AVX2+FMA `MRL × NR` tile: two 256-bit accumulators per row, one
     /// `vfmadd` chain per output element in increasing `k` order — the

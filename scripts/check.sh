@@ -38,6 +38,17 @@ lint_only_in '.loss(&' 'scheduled|rank'
 # behind StageOptimizer::forward_weights and may not be called around it.
 lint_only_in 'predict_velocity_form(' 'lwp|stage_opt'
 
+echo "== a training conv layer stashes its input, not columns (grep lint) =="
+# Conv2d / WsConv2d run the direct batch-of-one kernels and keep the input
+# activation they popped (DESIGN §7): the k²-fold column stash of the
+# lowered path must not regrow in a training layer.
+stray=$(grep -rnwE 'im2col|conv2d_reusing|cols' crates/nn/src/layers || true)
+if [[ -n $stray ]]; then
+  echo "column lowering named under crates/nn/src/layers:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+
 echo "== one correctness gate, one speed gate (no second measurement path) =="
 # `cargo test` decides correctness and benchmark/ decides speed: timing
 # lanes, smoke binaries that re-run an integration test and criterion
@@ -47,7 +58,7 @@ stray=$(
   ls -d crates/bench/benches shims/criterion 2>/dev/null || true
   # The needle is split so this file does not contain it.
   git grep -lF 'results/BENCH''_' -- . \
-    ':!ISSUE.md' ':!CHANGES.md' ':!CHANGELOG.md' ':!ROADMAP.md' ':!benchmark' || true
+    ':!ISSUE.md' ':!CHANGES.md' ':!ROADMAP.md' ':!benchmark' || true
 )
 if [[ -n $stray ]]; then
   echo "pre-ledger measurement path is back:" >&2

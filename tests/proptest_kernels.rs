@@ -1,7 +1,8 @@
 //! Differential kernel-equivalence suite.
 //!
 //! The optimized kernels (tiled/parallel GEMM in `pbp_tensor::ops::gemm`,
-//! GEMM-lowered im2col convolution in `pbp_tensor::ops::conv`) must be
+//! GEMM-lowered im2col convolution and the direct batch-of-one convolution
+//! kernels in `pbp_tensor::ops::conv`) must be
 //! **bit-identical** to the retained naive references in
 //! `pbp_tensor::ops::reference` — not merely close. The kernels uphold a
 //! single-fma-chain-per-element accumulation contract (see the `gemm`
@@ -19,12 +20,27 @@
 
 use pipelined_backprop::tensor::ops::simd::{detected_tier, set_tier, SimdTier};
 use pipelined_backprop::tensor::ops::{
-    conv2d, conv2d_backward, gemm_nn, gemm_nt, gemm_tn, reference, Conv2dSpec,
+    conv2d, conv2d_backward, conv2d_direct, conv2d_direct_backward_input,
+    conv2d_direct_backward_weight, gemm_nn, gemm_nt, gemm_tn, reference, Conv2dSpec,
 };
 use pipelined_backprop::tensor::{pool, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
+
+/// Serializes the tests that sweep the process-wide SIMD tier, so each
+/// sweep runs the tier it names (every tier yields the same bits, so the
+/// other tests need no lock).
+static TIER_LOCK: Mutex<()> = Mutex::new(());
+
+/// The tiers this CPU can run, weakest first.
+fn supported_tiers() -> Vec<SimdTier> {
+    [SimdTier::Scalar, SimdTier::Avx2Fma, SimdTier::Avx512Fma]
+        .into_iter()
+        .filter(|&t| t <= detected_tier())
+        .collect()
+}
 
 /// Thread counts every kernel is swept over (1 = forced serial, 2 and 8
 /// exercise the worker pool with fewer and more workers than chunks).
@@ -192,10 +208,8 @@ proptest! {
 /// worker) — same bytes either side of the boundary.
 #[test]
 fn large_gemm_is_bitwise_exact_across_threads_and_tiers() {
-    let tiers: Vec<SimdTier> = [SimdTier::Scalar, SimdTier::Avx2Fma, SimdTier::Avx512Fma]
-        .into_iter()
-        .filter(|&t| t <= detected_tier())
-        .collect();
+    let _tier = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let tiers = supported_tiers();
     for &(m, k, n) in &[(256usize, 128usize, 256usize), (251, 67, 233)] {
         let a = rand_vec(m * k, 77);
         let b = rand_vec(k * n, 78);
@@ -254,4 +268,105 @@ fn padded_conv_zero_products_do_not_perturb_bits() {
     let want = reference::conv2d_ref(&x, &wt, &spec);
     let (got, _) = conv2d(&x, &wt, &spec).unwrap();
     assert_bits_eq(got.as_slice(), want.as_slice(), "padded all-negative conv");
+}
+
+/// Inputs for the direct-kernel grid: plain random values, the all-negative
+/// case of the test above, and a mix salted with `+0.0`, `-0.0` and
+/// subnormals of both signs (around 1e-40: their products with the O(1)
+/// weights are subnormal too, and exact).
+fn flavoured(len: usize, seed: u64, flavour: usize) -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| {
+            let v = rng.gen_range(-2.0f32..2.0);
+            match flavour {
+                0 => v,
+                1 => -v.abs(),
+                _ => match rng.gen_range(0u32..8) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => v * 1e-40,
+                    _ => v,
+                },
+            }
+        })
+        .collect()
+}
+
+/// The three direct batch-of-one kernels against the six-loop reference
+/// *and* the GEMM-lowered path, bitwise, on every tier: channel counts on
+/// both sides of every block height and vector width (1, 3, 5, 16, 17),
+/// kernels 1/3/5, strides 1/2, paddings 0/1/2, non-square images, two
+/// samples (the weight gradient adds the second as a completed subtotal).
+#[test]
+fn direct_conv_matches_reference_and_lowered_bitwise_on_every_tier() {
+    let _tier = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let tiers = supported_tiers();
+    let mut case = 0u64;
+    for &cin in &[1usize, 3, 5, 16, 17] {
+        for &cout in &[1usize, 3, 5, 16, 17] {
+            for &kernel in &[1usize, 3, 5] {
+                for &stride in &[1usize, 2] {
+                    for &padding in &[0usize, 1, 2] {
+                        case += 1;
+                        let flavour = (case % 3) as usize;
+                        let (n, h, w) = (2, kernel + 2 + (case % 3) as usize, kernel + 6);
+                        let spec = Conv2dSpec::new(cin, cout, kernel, stride, padding).unwrap();
+                        let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+                        let x = Tensor::from_vec(
+                            flavoured(n * cin * h * w, case, flavour),
+                            &[n, cin, h, w],
+                        )
+                        .unwrap();
+                        let wt = Tensor::from_vec(
+                            rand_vec(cout * spec.fan_in(), case ^ 0x100),
+                            &spec.weight_shape(),
+                        )
+                        .unwrap();
+                        let g = Tensor::from_vec(
+                            flavoured(n * cout * oh * ow, case ^ 0x200, flavour),
+                            &[n, cout, oh, ow],
+                        )
+                        .unwrap();
+                        let want_y = reference::conv2d_ref(&x, &wt, &spec);
+                        let (want_gx, want_gw) = reference::conv2d_backward_ref(&g, &x, &wt, &spec);
+                        let (low_y, cols) = conv2d(&x, &wt, &spec).unwrap();
+                        let (low_gx, low_gw) =
+                            conv2d_backward(&g, &wt, &cols, (h, w), &spec).unwrap();
+                        for &tier in &tiers {
+                            set_tier(tier);
+                            let ctx = format!(
+                                "direct conv {cin}->{cout} k={kernel} s={stride} p={padding} \
+                                 {h}x{w} flavour={flavour} tier={}",
+                                tier.name()
+                            );
+                            let y = conv2d_direct(&x, &wt, &spec).unwrap();
+                            let gx = conv2d_direct_backward_input(&g, &wt, (h, w), &spec).unwrap();
+                            let gw = conv2d_direct_backward_weight(&g, &x, &spec).unwrap();
+                            assert_eq!(y.shape(), want_y.shape(), "{ctx}");
+                            assert_eq!(gx.shape(), want_gx.shape(), "{ctx}");
+                            assert_eq!(gw.shape(), want_gw.shape(), "{ctx}");
+                            for (got, want, low, what) in [
+                                (&y, &want_y, &low_y, "forward"),
+                                (&gx, &want_gx, &low_gx, "grad_in"),
+                                (&gw, &want_gw, &low_gw, "grad_w"),
+                            ] {
+                                assert_bits_eq(
+                                    got.as_slice(),
+                                    want.as_slice(),
+                                    &format!("{ctx}: {what} vs reference"),
+                                );
+                                assert_bits_eq(
+                                    got.as_slice(),
+                                    low.as_slice(),
+                                    &format!("{ctx}: {what} vs lowered"),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    set_tier(detected_tier());
 }
