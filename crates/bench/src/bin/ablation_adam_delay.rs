@@ -2,203 +2,16 @@
 //! increase delay tolerance." Compares SGDM vs Adam under increasing
 //! uniform, consistent gradient delay.
 //!
-//! The delayed-Adam trainer lives in this binary but implements the
-//! shared [`TrainEngine`] trait, so both methods run through the same
-//! [`run_training`] loop — demonstrating that downstream crates can plug
-//! custom engines into the unified runner.
+//! Both columns are rows of the one Appendix G.2 simulator
+//! ([`DelayedConfig::consistent`] and [`DelayedConfig::adam`]): same
+//! delay ring, same loop, only the update rule differs.
 
 use pbp_bench::{cifar_data, mean_std, Budget, Table};
-use pbp_data::Dataset;
-use pbp_nn::loss::softmax_cross_entropy;
 use pbp_nn::models::simple_cnn;
-use pbp_nn::Network;
-use pbp_optim::{scale_hyperparams, AdamState, Hyperparams, LrSchedule};
-use pbp_pipeline::{
-    run_training, DelayedConfig, EngineMetrics, EngineSpec, MetricsRecorder, NoHooks, RunConfig,
-    TrainEngine, SECTION_ENGINE,
-};
-use pbp_snapshot::{
-    SnapshotArchive, SnapshotBuilder, SnapshotError, Snapshottable, StateReader, StateWriter,
-};
-use pbp_tensor::Tensor;
+use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule};
+use pbp_pipeline::{run_training, DelayedConfig, EngineSpec, NoHooks, RunConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
-use std::time::Instant;
-
-/// Delayed-gradient Adam training (consistent weights), mirroring
-/// [`pbp_pipeline::DelayedTrainer`] with an Adam update rule.
-struct DelayedAdam {
-    net: Network,
-    adam: Vec<AdamState>,
-    history: VecDeque<Vec<Vec<Tensor>>>,
-    delay: usize,
-    batch: usize,
-    lr: f32,
-    samples_seen: usize,
-    metrics: MetricsRecorder,
-}
-
-impl DelayedAdam {
-    fn new(net: Network, delay: usize, batch: usize, lr: f32) -> Self {
-        let adam = (0..net.num_stages())
-            .map(|s| AdamState::new(&net.stage(s).params()))
-            .collect();
-        let history = (0..=delay).map(|_| net.snapshot()).collect();
-        let metrics = MetricsRecorder::new(net.num_stages());
-        DelayedAdam {
-            net,
-            adam,
-            history,
-            delay,
-            batch,
-            lr,
-            samples_seen: 0,
-            metrics,
-        }
-    }
-}
-
-impl TrainEngine for DelayedAdam {
-    fn label(&self) -> String {
-        format!("Adam D={}", self.delay)
-    }
-
-    fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
-        let start = Instant::now();
-        let master = self.net.snapshot();
-        let stale = self.history.pop_front().expect("pre-filled");
-        self.net.load(&stale);
-        self.net.zero_grads();
-        let logits = self.net.forward(x);
-        let (loss, grad) = softmax_cross_entropy(&logits, labels);
-        self.net.backward(&grad);
-        self.net.load(&master);
-        for s in 0..self.net.num_stages() {
-            let step_start = Instant::now();
-            let stage = self.net.stage_mut(s);
-            let (mut params, grads) = stage.params_and_grads();
-            if grads.is_empty() {
-                continue;
-            }
-            self.adam[s].step(&mut params, &grads, self.lr);
-            self.metrics
-                .record_update(s, self.delay, step_start.elapsed().as_nanos());
-        }
-        self.history.push_back(self.net.snapshot());
-        self.samples_seen += labels.len();
-        self.metrics.add_train_ns(start.elapsed().as_nanos());
-        loss
-    }
-
-    fn train_epoch(&mut self, data: &Dataset, seed: u64, epoch: usize) -> f64 {
-        let order = data.epoch_order(seed, epoch);
-        let (total, batches) = TrainEngine::train_range(self, data, &order);
-        if batches == 0 {
-            0.0
-        } else {
-            total / batches as f64
-        }
-    }
-
-    fn train_range(&mut self, data: &Dataset, indices: &[usize]) -> (f64, usize) {
-        let mut total = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in indices.chunks(self.batch) {
-            let (x, labels) = data.batch(chunk);
-            total += self.train_batch(&x, &labels) as f64;
-            batches += 1;
-        }
-        (total, batches)
-    }
-
-    fn samples_per_update(&self) -> usize {
-        self.batch
-    }
-
-    fn align_stop(&self, _pos: usize, proposed: usize, epoch_len: usize) -> usize {
-        (proposed.div_ceil(self.batch) * self.batch).min(epoch_len)
-    }
-
-    // Custom downstream engines participate in fault-tolerant snapshots
-    // through the same public API the in-tree engines use.
-    fn write_state(&self, snap: &mut SnapshotBuilder) {
-        pbp_nn::snapshot::write_network(&self.net, snap);
-        let mut w = StateWriter::new();
-        w.put_str("adam-ablation");
-        w.put_usize(self.samples_seen);
-        w.put_u32(self.adam.len() as u32);
-        for adam in &self.adam {
-            adam.write_state(&mut w);
-        }
-        w.put_u32(self.history.len() as u32);
-        for version in &self.history {
-            w.put_u32(version.len() as u32);
-            for stage in version {
-                w.put_tensor_list(stage);
-            }
-        }
-        self.metrics.write_state(&mut w);
-        snap.add_section(SECTION_ENGINE, w.into_bytes());
-    }
-
-    fn read_state(&mut self, archive: &SnapshotArchive) -> Result<(), SnapshotError> {
-        pbp_nn::snapshot::read_network(&mut self.net, archive)?;
-        let mut r = StateReader::new(archive.section(SECTION_ENGINE)?);
-        let tag = r.take_str()?;
-        if tag != "adam-ablation" {
-            return Err(SnapshotError::Mismatch(format!(
-                "engine state tagged {tag:?}, engine expects \"adam-ablation\""
-            )));
-        }
-        self.samples_seen = r.take_usize()?;
-        let n = r.take_u32()? as usize;
-        if n != self.adam.len() {
-            return Err(SnapshotError::Mismatch(format!(
-                "adam state for {n} stages, engine has {}",
-                self.adam.len()
-            )));
-        }
-        for adam in &mut self.adam {
-            adam.read_state(&mut r)?;
-        }
-        let versions = r.take_u32()? as usize;
-        if versions != self.delay + 1 {
-            return Err(SnapshotError::Mismatch(format!(
-                "history holds {versions} versions, delay requires {}",
-                self.delay + 1
-            )));
-        }
-        let mut history = VecDeque::with_capacity(versions);
-        for _ in 0..versions {
-            let stages = r.take_u32()? as usize;
-            let mut version = Vec::with_capacity(stages.min(1 << 16));
-            for _ in 0..stages {
-                version.push(r.take_tensor_list()?);
-            }
-            history.push_back(version);
-        }
-        self.history = history;
-        self.metrics.read_state(&mut r)?;
-        r.finish()
-    }
-
-    fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
-    fn samples_seen(&self) -> usize {
-        self.samples_seen
-    }
-
-    fn metrics(&self) -> EngineMetrics {
-        self.metrics.snapshot(self.label(), self.samples_seen, None)
-    }
-
-    fn into_network(self: Box<Self>) -> Network {
-        self.net
-    }
-}
 
 fn main() {
     let budget = Budget::new(1200, 300, 8, 2);
@@ -220,20 +33,17 @@ fn main() {
             batch,
             LrSchedule::constant(sgdm_hp),
         ));
+        let adam_spec = EngineSpec::Delayed(DelayedConfig::adam(delay, batch, adam_lr));
         let mut sgdm_accs = Vec::new();
         let mut adam_accs = Vec::new();
         for seed in 0..budget.seeds as u64 {
             let run_config = RunConfig::new(budget.epochs, seed).eval_last_only();
-            let mut rng = StdRng::seed_from_u64(9500 + seed);
-            let mut sgdm = sgdm_spec.build(simple_cnn(3, 12, 6, 10, &mut rng));
-            let report = run_training(sgdm.as_mut(), &train, &val, &run_config, &mut NoHooks);
-            sgdm_accs.push(report.final_val_acc());
-
-            let mut rng = StdRng::seed_from_u64(9500 + seed);
-            let mut adam =
-                DelayedAdam::new(simple_cnn(3, 12, 6, 10, &mut rng), delay, batch, adam_lr);
-            let report = run_training(&mut adam, &train, &val, &run_config, &mut NoHooks);
-            adam_accs.push(report.final_val_acc());
+            for (spec, accs) in [(&sgdm_spec, &mut sgdm_accs), (&adam_spec, &mut adam_accs)] {
+                let mut rng = StdRng::seed_from_u64(9500 + seed);
+                let mut engine = spec.build(simple_cnn(3, 12, 6, 10, &mut rng));
+                let report = run_training(engine.as_mut(), &train, &val, &run_config, &mut NoHooks);
+                accs.push(report.final_val_acc());
+            }
             eprint!(".");
         }
         let (ms, ss) = mean_std(&sgdm_accs);

@@ -5,7 +5,9 @@
 use pbp_bench::{cifar_data, mean_std, Budget, Table};
 use pbp_nn::models::simple_cnn;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule};
-use pbp_pipeline::{run_training, DelayDistribution, EngineSpec, NoHooks, RunConfig};
+use pbp_pipeline::{
+    run_training, DelayDistribution, DelayedConfig, EngineSpec, NoHooks, RunConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,12 +36,12 @@ fn main() {
     for (name, dist) in cases {
         let mut accs = Vec::new();
         for seed in 0..budget.seeds as u64 {
-            let spec = EngineSpec::Asgd {
-                distribution: dist,
+            let spec = EngineSpec::Delayed(DelayedConfig::asgd(
+                dist,
                 batch,
-                schedule: LrSchedule::constant(hp),
-                delay_seed: 31 + seed,
-            };
+                LrSchedule::constant(hp),
+                31 + seed,
+            ));
             let mut rng = StdRng::seed_from_u64(9700 + seed);
             let mut engine = spec.build(simple_cnn(3, 12, 6, 10, &mut rng));
             let run_config = RunConfig::new(budget.epochs, seed).eval_last_only();

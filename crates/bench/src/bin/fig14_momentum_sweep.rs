@@ -28,13 +28,13 @@ fn run(
     val: &pbp_data::Dataset,
 ) -> f64 {
     let hp = Hyperparams::new(lr_for(m, batch), m);
-    let spec = EngineSpec::Delayed(DelayedConfig {
-        delay,
-        batch_size: batch,
-        consistent,
-        mitigation,
-        schedule: LrSchedule::constant(hp),
-    });
+    let schedule = LrSchedule::constant(hp);
+    let config = if consistent {
+        DelayedConfig::consistent(delay, batch, schedule)
+    } else {
+        DelayedConfig::inconsistent(delay, batch, schedule)
+    };
+    let spec = EngineSpec::Delayed(config.with_mitigation(mitigation));
     let mut accs = Vec::new();
     for seed in 0..budget.seeds as u64 {
         let mut rng = StdRng::seed_from_u64(5000 + seed);

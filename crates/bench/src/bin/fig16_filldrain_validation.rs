@@ -2,12 +2,12 @@
 //! and fill-and-drain pipeline SGD must optimize identically (they are the
 //! same algorithm on different schedules). The paper validated GProp's two
 //! SGD modes against PyTorch; here the reference implementation is the
-//! sequential [`SgdmTrainer`].
+//! sequential SGDM (`DelayedConfig::sgdm`).
 
 use pbp_bench::{cifar_data, mean_std, Budget, Table};
 use pbp_nn::models::{vgg, VggVariant};
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule};
-use pbp_pipeline::{run_training, EngineSpec, NoHooks, RunConfig, ScheduledConfig};
+use pbp_pipeline::{run_training, DelayedConfig, EngineSpec, NoHooks, RunConfig, ScheduledConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,10 +27,7 @@ fn main() {
         .collect();
     let mut util = 0.0;
 
-    let sgd_spec = EngineSpec::Sgdm {
-        schedule: LrSchedule::constant(hp),
-        batch,
-    };
+    let sgd_spec = EngineSpec::Delayed(DelayedConfig::sgdm(batch, LrSchedule::constant(hp)));
     let fd_spec =
         EngineSpec::Scheduled(ScheduledConfig::fill_drain(batch, LrSchedule::constant(hp)));
     for seed in 0..budget.seeds as u64 {

@@ -5,7 +5,7 @@
 use pbp_bench::{cifar_data, mean_std, Budget, Table};
 use pbp_nn::models::simple_cnn;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule};
-use pbp_pipeline::{run_training, EngineSpec, NoHooks, RunConfig};
+use pbp_pipeline::{run_training, DelayedConfig, EngineSpec, NoHooks, RunConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,14 +25,11 @@ fn main() {
     let mut per_epoch: Vec<(Vec<f64>, Vec<f64>)> = (0..budget.epochs)
         .map(|_| (Vec::new(), Vec::new()))
         .collect();
-    let big_spec = EngineSpec::Sgdm {
-        schedule: LrSchedule::constant(reference),
-        batch: reference_batch,
-    };
-    let one_spec = EngineSpec::Sgdm {
-        schedule: LrSchedule::constant(scaled),
-        batch: 1,
-    };
+    let big_spec = EngineSpec::Delayed(DelayedConfig::sgdm(
+        reference_batch,
+        LrSchedule::constant(reference),
+    ));
+    let one_spec = EngineSpec::Delayed(DelayedConfig::sgdm(1, LrSchedule::constant(scaled)));
     for seed in 0..budget.seeds as u64 {
         let run_config = RunConfig::new(budget.epochs, seed);
         let mut rng = StdRng::seed_from_u64(7000 + seed);

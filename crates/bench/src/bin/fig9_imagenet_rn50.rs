@@ -8,7 +8,9 @@
 use pbp_bench::{imagenet_data, Budget, Table};
 use pbp_nn::models::resnet50_like;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-use pbp_pipeline::{run_training, EngineSpec, NoHooks, RunConfig, ScheduledConfig, TrainReport};
+use pbp_pipeline::{
+    run_training, DelayedConfig, EngineSpec, NoHooks, RunConfig, ScheduledConfig, TrainReport,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -20,10 +22,10 @@ fn main() {
 
     let hp32 = scale_hyperparams(reference, 128, 32);
     let hp1 = scale_hyperparams(reference, 128, 1);
-    let mut specs = vec![EngineSpec::Sgdm {
-        schedule: LrSchedule::constant(hp32),
-        batch: 32,
-    }];
+    let mut specs = vec![EngineSpec::Delayed(DelayedConfig::sgdm(
+        32,
+        LrSchedule::constant(hp32),
+    ))];
     for mitigation in [
         Mitigation::None,
         Mitigation::lwpd(),

@@ -4,7 +4,7 @@
 use pbp_data::Dataset;
 use pbp_nn::Network;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-use pbp_pipeline::{run_training, EngineSpec, NoHooks, RunConfig, ScheduledConfig};
+use pbp_pipeline::{run_training, DelayedConfig, EngineSpec, NoHooks, RunConfig, ScheduledConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -92,10 +92,7 @@ impl MethodSpec {
                 } else {
                     scale_hyperparams(reference, reference_batch, batch)
                 };
-                EngineSpec::Sgdm {
-                    schedule: LrSchedule::constant(hp),
-                    batch,
-                }
+                EngineSpec::Delayed(DelayedConfig::sgdm(batch, LrSchedule::constant(hp)))
             }
             MethodSpec::Pb {
                 mitigation,

@@ -16,10 +16,12 @@ use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
 use std::collections::VecDeque;
 
-/// Per-sample stash: the input activation and the standardized weight
-/// used on the forward pass (needed to back-propagate through the
-/// standardization).
-type WsStash = (Tensor, Tensor);
+/// Per-sample stash: the input activation, and the standardized weight
+/// with its per-channel inverse stds as the forward pass computed them.
+/// Under pipelined backpropagation the raw weight has taken `D_s` updates
+/// by the time the gradient returns, so the standardization Jacobian must
+/// come from here and not from the layer's current weight.
+type WsStash = (Tensor, Tensor, Vec<f32>);
 
 /// 2-D convolution whose effective kernel is standardized per output
 /// channel: `ŵ_o = (w_o − μ_o) / (σ_o + ε)`.
@@ -121,10 +123,10 @@ impl Layer for WsConv2d {
     fn forward(&mut self, stack: &mut LaneStack) {
         let x = stack.pop().expect("ws_conv: empty stack");
         self.last_hw = Some((x.shape()[2], x.shape()[3]));
-        let (what, _) = self.standardized();
+        let (what, inv_stds) = self.standardized();
         let y = if self.training {
             let y = conv2d_direct(&x, &what, &self.spec).expect("ws_conv shapes");
-            self.stash.push_back((x, what));
+            self.stash.push_back((x, what, inv_stds));
             y
         } else {
             conv2d_batched_reusing(&x, &what, &self.spec, &mut self.batch_scratch)
@@ -135,7 +137,7 @@ impl Layer for WsConv2d {
 
     fn backward(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("ws_conv: empty grad stack");
-        let (x, what) = self.stash.pop_front().expect("ws_conv: no stash");
+        let (x, what, inv_stds) = self.stash.pop_front().expect("ws_conv: no stash");
         let hw = (x.shape()[2], x.shape()[3]);
         let gx =
             conv2d_direct_backward_input(&g, &what, hw, &self.spec).expect("ws_conv grad shapes");
@@ -146,10 +148,6 @@ impl Layer for WsConv2d {
         // use the standard normalization backward (σ/(σ+ε) ≈ 1).
         let rows = self.spec.out_channels;
         let ncols = self.spec.fan_in();
-        // Recompute inverse stds from the *current* raw weight (identical
-        // to forward-time values because the weight is untouched between
-        // our forward and backward within one stash entry).
-        let (_, inv_stds) = self.standardized();
         let gw_hat = g_what.as_slice();
         let ws = what.as_slice();
         let gwr = self.grad_weight.as_mut_slice();
@@ -287,6 +285,32 @@ mod tests {
                 "weight grad {idx}: {num} vs {}",
                 gw.as_slice()[idx]
             );
+        }
+    }
+
+    #[test]
+    fn backward_uses_the_forward_time_standardization() {
+        // The pipelined call pattern: the stage's raw weight is swapped or
+        // updated between a sample's forward and its backward. The weight
+        // gradient must be the one an untouched twin computes.
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut twin = WsConv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut layer = WsConv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let x = pbp_tensor::normal(&[1, 2, 5, 4], 0.0, 1.0, &mut rng);
+        let g = pbp_tensor::normal(&[1, 3, 5, 4], 0.0, 1.0, &mut rng);
+        twin.forward(&mut vec![x.clone()]);
+        layer.forward(&mut vec![x]);
+        layer.weight.map_in_place(|v| 0.5 * v * v - 0.3);
+        let (mut a, mut b) = (vec![g.clone()], vec![g]);
+        twin.backward(&mut a);
+        layer.backward(&mut b);
+        for (x, y) in a[0].as_slice().iter().zip(b[0].as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "input grads differ");
+        }
+        let (a, b) = (twin.grads()[0].dense(), layer.grads()[0].dense());
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
         }
     }
 

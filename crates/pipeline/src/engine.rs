@@ -1,26 +1,24 @@
 //! The unified training-engine interface.
 //!
-//! Every engine in this crate — [`SgdmTrainer`], [`ScheduledTrainer`],
-//! [`DelayedTrainer`], [`AsgdTrainer`] and [`ThreadedPipeline`] —
-//! implements [`TrainEngine`], and the single
-//! shared [`run_training`] loop owns epoch ordering, evaluation cadence
-//! and record collection for all of them. Observers plug in through
-//! [`TrainHooks`](crate::metrics::TrainHooks); engine construction from a
-//! declarative description goes through [`EngineSpec`].
-//!
-//! The runner reproduces the engines' historical `run()` behaviour
-//! exactly (per-epoch `train_epoch` followed by `evaluate` at batch 16),
-//! so weight trajectories and reports are unchanged by the refactor.
+//! The three engines in this crate — [`DelayedTrainer`] (the
+//! whole-network Appendix G.2 simulator: SGDM, fixed and sampled delays,
+//! Adam), [`ScheduledTrainer`] and [`ThreadedPipeline`] (the stage
+//! executor, sequential and thread-per-stage) — implement
+//! [`TrainEngine`], and the single shared [`run_training`] loop owns epoch
+//! ordering, evaluation cadence and record collection for all of them.
+//! Observers plug in through [`TrainHooks`](crate::metrics::TrainHooks);
+//! engine construction from a declarative description goes through
+//! [`EngineSpec`].
 
-use crate::asgd::{AsgdTrainer, DelayDistribution};
 use crate::delayed::{DelayedConfig, DelayedTrainer};
+use crate::fault::RunError;
 use crate::metrics::{EngineMetrics, NoHooks, TrainHooks};
+use crate::resume::{drive, Outcome, RunnerState};
 use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
 use crate::threaded::{ThreadedConfig, ThreadedPipeline};
-use crate::trainer::{evaluate, EpochRecord, SgdmTrainer, TrainReport};
+use crate::trainer::TrainReport;
 use pbp_data::Dataset;
 use pbp_nn::Network;
-use pbp_optim::LrSchedule;
 use pbp_tensor::Tensor;
 
 /// A training engine the shared [`run_training`] loop can drive.
@@ -189,31 +187,18 @@ pub fn run_training(
     config: &RunConfig,
     hooks: &mut dyn TrainHooks,
 ) -> TrainReport {
-    assert!(config.eval_batch > 0, "eval batch must be positive");
-    assert!(config.eval_every > 0, "eval cadence must be positive");
-    let mut report = TrainReport::new(engine.label());
-    for epoch in 0..config.epochs {
-        hooks.on_epoch_start(epoch);
-        let train_loss = engine.train_epoch(train, config.seed, epoch);
-        if let Some(fault) = engine.take_fault() {
-            panic!("engine faulted in epoch {epoch}: {fault} (use run_supervised to recover)");
-        }
-        let is_last = epoch + 1 == config.epochs;
-        if (epoch + 1) % config.eval_every == 0 || is_last {
-            let (val_loss, val_acc) = evaluate(engine.network_mut(), val, config.eval_batch);
-            let record = EpochRecord {
-                epoch,
-                train_loss,
-                val_loss,
-                val_acc,
-            };
-            hooks.on_epoch_end(&record);
-            report.records.push(record);
-        }
+    // The snapshot runner's loop with no policy and no kill point: one
+    // `train_range` slice per epoch, exactly what `train_epoch` runs.
+    let mut state = RunnerState::fresh(config.seed, 0);
+    match drive(engine, train, val, config, None, None, &mut state, hooks) {
+        Ok(Outcome::Finished(report)) => report,
+        Ok(Outcome::Killed) => unreachable!("no kill point configured"),
+        Err(RunError::Fault(fault)) => panic!(
+            "engine faulted in epoch {}: {fault} (use run_supervised to recover)",
+            state.cursor.epoch
+        ),
+        Err(RunError::Snapshot(e)) => unreachable!("no snapshot policy configured: {e}"),
     }
-    let metrics = engine.metrics();
-    hooks.on_run_end(&report, &metrics);
-    report
 }
 
 /// Declarative engine description: which engine to run and how, minus the
@@ -221,26 +206,9 @@ pub fn run_training(
 /// network, so sweeps can construct identical engines across seeds.
 #[derive(Debug, Clone)]
 pub enum EngineSpec {
-    /// Mini-batch SGDM ([`SgdmTrainer`]).
-    Sgdm {
-        /// Learning-rate schedule (already scaled for this batch size).
-        schedule: LrSchedule,
-        /// Batch size.
-        batch: usize,
-    },
-    /// The uniform delayed-gradient simulator ([`DelayedTrainer`]).
+    /// The whole-network delayed-gradient simulator ([`DelayedTrainer`]):
+    /// SGDM, fixed-delay, ASGD and Adam rows.
     Delayed(DelayedConfig),
-    /// Random-delay ASGD simulation ([`AsgdTrainer`]).
-    Asgd {
-        /// Delay distribution.
-        distribution: DelayDistribution,
-        /// Batch size per update.
-        batch: usize,
-        /// Learning-rate schedule.
-        schedule: LrSchedule,
-        /// Seed of the delay-sampling RNG.
-        delay_seed: u64,
-    },
     /// The thread-per-stage runtime ([`ThreadedPipeline`]).
     Threaded(ThreadedConfig),
     /// The sequential scheduled engine ([`ScheduledTrainer`]) — any
@@ -253,22 +221,7 @@ impl EngineSpec {
     /// Instantiates the engine for `net`.
     pub fn build(&self, net: Network) -> Box<dyn TrainEngine> {
         match self {
-            EngineSpec::Sgdm { schedule, batch } => {
-                Box::new(SgdmTrainer::new(net, schedule.clone(), *batch))
-            }
             EngineSpec::Delayed(config) => Box::new(DelayedTrainer::new(net, config.clone())),
-            EngineSpec::Asgd {
-                distribution,
-                batch,
-                schedule,
-                delay_seed,
-            } => Box::new(AsgdTrainer::new(
-                net,
-                *distribution,
-                *batch,
-                schedule.clone(),
-                *delay_seed,
-            )),
             EngineSpec::Threaded(config) => Box::new(ThreadedPipeline::new(net, config.clone())),
             EngineSpec::Scheduled(config) => Box::new(ScheduledTrainer::new(net, config.clone())),
         }
@@ -277,18 +230,7 @@ impl EngineSpec {
     /// The label the built engine will report (without building it).
     pub fn label(&self) -> String {
         match self {
-            EngineSpec::Sgdm { .. } => "SGDM".to_string(),
-            EngineSpec::Delayed(config) => format!(
-                "{} D={} ({})",
-                config.mitigation.label(),
-                config.delay,
-                if config.consistent {
-                    "consistent"
-                } else {
-                    "inconsistent"
-                }
-            ),
-            EngineSpec::Asgd { distribution, .. } => format!("ASGD {distribution:?}"),
+            EngineSpec::Delayed(config) => config.label(),
             EngineSpec::Threaded(config) => config.label(),
             EngineSpec::Scheduled(config) => config.label(),
         }
@@ -329,9 +271,11 @@ pub(crate) fn batch_rows(x: &Tensor, n: usize) -> Vec<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delayed::DelayDistribution;
     use crate::metrics::NoHooks;
+    use crate::trainer::EpochRecord;
     use pbp_nn::models::mlp;
-    use pbp_optim::{Hyperparams, Mitigation};
+    use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -342,21 +286,19 @@ mod tests {
     #[test]
     fn spec_labels_match_engine_labels() {
         let specs = [
-            EngineSpec::Sgdm {
-                schedule: schedule(),
-                batch: 4,
-            },
+            EngineSpec::Delayed(DelayedConfig::sgdm(4, schedule())),
             EngineSpec::Scheduled(ScheduledConfig::fill_drain(8, schedule())),
             EngineSpec::Scheduled(
                 ScheduledConfig::pb(schedule()).with_mitigation(Mitigation::scd()),
             ),
             EngineSpec::Delayed(DelayedConfig::inconsistent(3, 4, schedule())),
-            EngineSpec::Asgd {
-                distribution: DelayDistribution::Constant(2),
-                batch: 4,
-                schedule: schedule(),
-                delay_seed: 0,
-            },
+            EngineSpec::Delayed(DelayedConfig::asgd(
+                DelayDistribution::Constant(2),
+                4,
+                schedule(),
+                0,
+            )),
+            EngineSpec::Delayed(DelayedConfig::adam(4, 4, 1e-3)),
             EngineSpec::Threaded(ThreadedConfig::fill_drain(schedule())),
             EngineSpec::Threaded(
                 ThreadedConfig::pb(schedule())
@@ -406,7 +348,10 @@ mod tests {
         let data = pbp_data::blobs(3, 18, 0.4, 2);
         let (train, val) = data.split(0.34);
         let mut rng = StdRng::seed_from_u64(0);
-        let mut engine = SgdmTrainer::new(mlp(&[2, 6, 3], &mut rng), schedule(), 4);
+        let mut engine = DelayedTrainer::new(
+            mlp(&[2, 6, 3], &mut rng),
+            DelayedConfig::sgdm(4, schedule()),
+        );
         let config = RunConfig::new(5, 1).eval_last_only();
         let report = run_training(&mut engine, &train, &val, &config, &mut NoHooks);
         assert_eq!(report.records.len(), 1);
@@ -438,7 +383,10 @@ mod tests {
         let data = pbp_data::blobs(3, 18, 0.4, 4);
         let (train, val) = data.split(0.34);
         let mut rng = StdRng::seed_from_u64(1);
-        let mut engine = SgdmTrainer::new(mlp(&[2, 6, 3], &mut rng), schedule(), 4);
+        let mut engine = DelayedTrainer::new(
+            mlp(&[2, 6, 3], &mut rng),
+            DelayedConfig::sgdm(4, schedule()),
+        );
         let mut hooks = Counting::default();
         run_training(&mut engine, &train, &val, &RunConfig::new(4, 2), &mut hooks);
         assert_eq!(hooks.starts, 4);

@@ -33,23 +33,26 @@
 //!   between them), demonstrating that PB keeps all workers busy while
 //!   fill-and-drain idles them. The third substrate, process per stage
 //!   group over sockets, lives in `pbp-dist`.
-//! * [`DelayedTrainer`] — the Appendix G.2 simulator: a uniform,
-//!   configurable gradient delay across all layers at arbitrary batch
-//!   size, with consistent or inconsistent weights (Figure 10) and
-//!   mitigation support (Figures 13, 14).
+//! * [`DelayedTrainer`] — the Appendix G.2 simulator, whole-network at
+//!   arbitrary batch size: per batch it draws a gradient delay `D`, runs
+//!   forward under the weights of `D` updates ago and backward under the
+//!   same (or, for weight inconsistency, the master) weights, and updates
+//!   the master copy. [`DelayedConfig`] names its rows: `sgdm` (`D = 0`,
+//!   the paper's SGDM baseline and the reference the stage executor is
+//!   compared against), `consistent` / `inconsistent` (Figure 10, with
+//!   mitigations Figures 13 and 14), `asgd` (`D` a random variable) and
+//!   `adam` (the Discussion's delay-tolerance ablation).
 //! * [`schedule`] — the analytic utilization model behind Figure 2.
 //!
-//! All five engines ([`SgdmTrainer`], [`ScheduledTrainer`],
-//! [`ThreadedPipeline`], [`DelayedTrainer`], [`AsgdTrainer`]) implement
-//! the [`TrainEngine`] trait and share one observable training loop,
-//! [`run_training`], which owns epoch ordering, evaluation cadence and
-//! record collection. Engines report per-stage [`EngineMetrics`] (updates
+//! All three engines ([`DelayedTrainer`], [`ScheduledTrainer`],
+//! [`ThreadedPipeline`]) implement the [`TrainEngine`] trait and share one
+//! observable training loop, [`run_training`], which owns epoch ordering,
+//! evaluation cadence and record collection. Engines report per-stage [`EngineMetrics`] (updates
 //! applied, busy time, effective-delay histograms, pipeline occupancy);
 //! [`TrainHooks`] observe runs and [`JsonSink`] persists their metrics as
 //! JSON. [`EngineSpec`] is a declarative builder used by the benchmark
 //! suite to construct engines uniformly.
 
-pub mod asgd;
 pub mod cell;
 pub mod delayed;
 pub mod engine;
@@ -67,16 +70,14 @@ pub mod threaded;
 pub mod timeline;
 pub mod trainer;
 
-pub use asgd::{AsgdTrainer, DelayDistribution};
 pub use cell::StageCell;
-pub use delayed::{DelayedConfig, DelayedTrainer};
+pub use delayed::{DelayDistribution, DelayedConfig, DelayedTrainer};
 pub use engine::{run_training, EngineSpec, RunConfig, TrainEngine};
 pub use fault::{splitmix64, FaultKind, FaultPlan, FaultSpec, PipelineFault, RunError};
 pub use group::StageGroup;
 pub use memory::MemoryModel;
 pub use metrics::{
-    EngineMetrics, JsonSink, MetricsRecorder, MetricsSink, NoHooks, StageCounters, TraceHooks,
-    TrainHooks,
+    EngineMetrics, JsonSink, MetricsSink, NoHooks, StageCounters, TraceHooks, TrainHooks,
 };
 pub use rank::{Link, Message, RankError, RankLoop, Step, Upstream};
 pub use resume::{
@@ -94,4 +95,4 @@ pub use supervisor::{
 };
 pub use threaded::{ThreadedConfig, ThreadedPipeline};
 pub use timeline::{emit_schedule_timeline, schedule_bubble_fraction};
-pub use trainer::{evaluate, EpochRecord, SgdmTrainer, TrainReport};
+pub use trainer::{evaluate, EpochRecord, TrainReport};

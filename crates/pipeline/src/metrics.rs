@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 /// schedule-executing engines — sequential, threaded and distributed
 /// alike — this is the schedule's contracted delay (`⌈D_s/M⌉`, Eq. 5 at
 /// `M = 1`), which the weight-version FIFO enforces; for
-/// [`crate::AsgdTrainer`] it is the sampled delay.
+/// [`crate::DelayedTrainer`] it is the configured or sampled delay.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageCounters {
     /// Optimizer updates applied at this stage.
@@ -167,83 +167,6 @@ impl EngineMetrics {
         }
         out.push_str("]}");
         out
-    }
-}
-
-/// The mutable recorder engines carry while training; snapshot with
-/// [`MetricsRecorder::snapshot`] to produce an [`EngineMetrics`].
-#[derive(Debug, Clone)]
-pub struct MetricsRecorder {
-    stages: Vec<StageCounters>,
-    train_ns: u128,
-}
-
-impl MetricsRecorder {
-    /// Creates a recorder for `num_stages` layer stages.
-    pub fn new(num_stages: usize) -> Self {
-        MetricsRecorder {
-            stages: vec![StageCounters::default(); num_stages],
-            train_ns: 0,
-        }
-    }
-
-    /// Records one optimizer update at `stage`.
-    pub fn record_update(&mut self, stage: usize, delay: usize, busy_ns: u128) {
-        self.stages[stage].record_update(delay, busy_ns);
-    }
-
-    /// Attributes wall time to `stage` without counting an update.
-    pub fn add_busy_ns(&mut self, stage: usize, ns: u128) {
-        self.stages[stage].add_busy_ns(ns);
-    }
-
-    /// Adds wall time spent training (across all stages).
-    pub fn add_train_ns(&mut self, ns: u128) {
-        self.train_ns += ns;
-    }
-
-    /// Snapshots the counters into an [`EngineMetrics`].
-    pub fn snapshot(
-        &self,
-        engine: impl Into<String>,
-        samples: usize,
-        occupancy: Option<f64>,
-    ) -> EngineMetrics {
-        EngineMetrics {
-            engine: engine.into(),
-            samples,
-            train_ns: self.train_ns,
-            occupancy,
-            stages: self.stages.clone(),
-        }
-    }
-}
-
-impl pbp_snapshot::Snapshottable for MetricsRecorder {
-    fn write_state(&self, w: &mut pbp_snapshot::StateWriter) {
-        w.put_u128(self.train_ns);
-        w.put_u32(self.stages.len() as u32);
-        for stage in &self.stages {
-            stage.write_state(w);
-        }
-    }
-
-    fn read_state(
-        &mut self,
-        r: &mut pbp_snapshot::StateReader<'_>,
-    ) -> Result<(), pbp_snapshot::SnapshotError> {
-        self.train_ns = r.take_u128()?;
-        let n = r.take_u32()? as usize;
-        if n != self.stages.len() {
-            return Err(pbp_snapshot::SnapshotError::Mismatch(format!(
-                "metrics for {n} stages, recorder has {}",
-                self.stages.len()
-            )));
-        }
-        for stage in &mut self.stages {
-            stage.read_state(r)?;
-        }
-        Ok(())
     }
 }
 
@@ -538,24 +461,32 @@ mod tests {
         assert!((c.mean_delay() - 8.0 / 3.0).abs() < 1e-12);
     }
 
+    /// Metrics of a run whose one update per stage saw `delays[stage]`.
+    fn metrics(engine: &str, samples: usize, train_ns: u128, delays: &[usize]) -> EngineMetrics {
+        let stages = delays.iter().map(|&delay| {
+            let mut c = StageCounters::default();
+            c.record_update(delay, 500);
+            c
+        });
+        EngineMetrics {
+            engine: engine.to_string(),
+            samples,
+            train_ns,
+            occupancy: None,
+            stages: stages.collect(),
+        }
+    }
+
     #[test]
-    fn recorder_snapshot_reports_throughput() {
-        let mut rec = MetricsRecorder::new(2);
-        rec.record_update(0, 2, 500);
-        rec.record_update(1, 0, 500);
-        rec.add_train_ns(2_000_000_000); // 2 s
-        let m = rec.snapshot("test", 100, Some(0.5));
+    fn metrics_report_throughput() {
+        let m = metrics("test", 100, 2_000_000_000, &[2, 0]); // 2 s
         assert_eq!(m.total_updates(), 2);
         assert!((m.samples_per_sec() - 50.0).abs() < 1e-9);
-        assert_eq!(m.occupancy, Some(0.5));
     }
 
     #[test]
     fn json_output_is_well_formed() {
-        let mut rec = MetricsRecorder::new(1);
-        rec.record_update(0, 3, 10);
-        rec.add_train_ns(1_000);
-        let metrics = rec.snapshot("Fill&Drain SGDM (N=8)", 8, None);
+        let metrics = metrics("Fill&Drain SGDM (N=8)", 8, 1_000, &[3]);
         let json = metrics.to_json();
         assert!(json.contains("\"occupancy\":null"));
         assert!(json.contains("\"delay_hist\":{\"3\":1}"));
@@ -585,8 +516,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("pbp_metrics_test_{}.json", std::process::id()));
         let mut sink = JsonSink::new(&path);
-        let rec = MetricsRecorder::new(0);
-        sink.record(&TrainReport::new("SGDM"), &rec.snapshot("SGDM", 0, None));
+        sink.record(&TrainReport::new("SGDM"), &metrics("SGDM", 0, 0, &[]));
         sink.write().expect("write json");
         let body = std::fs::read_to_string(&path).expect("read back");
         assert!(body.contains("\"engine\":\"SGDM\""));

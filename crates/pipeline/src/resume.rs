@@ -1,9 +1,8 @@
 //! Fault-tolerant training runs: periodic full-state snapshots and
 //! bit-identical resume.
 //!
-//! [`run_training_with_snapshots`] mirrors the shared
-//! [`run_training`](crate::engine::run_training) loop's epoch and
-//! evaluation cadence exactly, but slices each epoch with
+//! [`run_training_with_snapshots`] runs the same loop as the shared
+//! [`run_training`](crate::engine::run_training), but slices each epoch with
 //! [`TrainEngine::train_range`] so that every `every_updates` optimizer
 //! updates it can persist a complete [`pbp_snapshot`] container: the
 //! engine's full state (network parameters and layer state, per-stage
@@ -83,8 +82,8 @@ impl SnapshotPolicy {
 }
 
 /// The runner's own progress, serialized alongside the engine state.
-struct RunnerState {
-    cursor: StreamCursor,
+pub(crate) struct RunnerState {
+    pub(crate) cursor: StreamCursor,
     epoch_sum: f64,
     epoch_units: usize,
     /// Absolute `samples_seen` value at which the next snapshot is due.
@@ -93,7 +92,7 @@ struct RunnerState {
 }
 
 impl RunnerState {
-    fn fresh(seed: u64, next_snap: usize) -> Self {
+    pub(crate) fn fresh(seed: u64, next_snap: usize) -> Self {
         RunnerState {
             cursor: StreamCursor::start(seed),
             epoch_sum: 0.0,
@@ -208,25 +207,26 @@ fn prune(policy: &SnapshotPolicy) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-enum Outcome {
+pub(crate) enum Outcome {
     Finished(TrainReport),
     Killed,
 }
 
-/// The sliced training loop shared by all three entry points. Epoch
-/// ordering, evaluation cadence and hook invocation replicate
-/// [`run_training`](crate::engine::run_training); the only difference is
-/// that epochs advance in aligned sub-epoch slices between which
-/// snapshots (and the injected crash) can happen.
+/// The one training loop: epoch ordering, evaluation cadence and hook
+/// invocation for [`run_training`](crate::engine::run_training) and the
+/// three entry points here. Epochs advance in aligned sub-epoch slices
+/// between which snapshots (and the injected crash) can happen; with no
+/// policy and no kill point a slice is the whole epoch. `state` is left
+/// where the loop stopped.
 #[allow(clippy::too_many_arguments)]
-fn drive(
+pub(crate) fn drive(
     engine: &mut dyn TrainEngine,
     train: &Dataset,
     val: &Dataset,
     config: &RunConfig,
     policy: Option<&SnapshotPolicy>,
     kill_at_samples: Option<usize>,
-    mut state: RunnerState,
+    state: &mut RunnerState,
     hooks: &mut dyn TrainHooks,
 ) -> Result<Outcome, RunError> {
     assert!(config.eval_batch > 0, "eval batch must be positive");
@@ -251,7 +251,7 @@ fn drive(
                     // points at the *next* snapshot, letting a resumed run
                     // fall into the same rhythm.
                     state.next_snap = here + policy.every_updates * spu;
-                    save_snapshot(engine, policy, &state, here, hooks)?;
+                    save_snapshot(engine, policy, state, here, hooks)?;
                 }
             }
             let pos = state.cursor.pos;
@@ -303,11 +303,11 @@ fn drive(
         if engine.snapshot_ready() {
             let here = engine.samples_seen();
             state.next_snap = here + policy.every_updates * spu;
-            save_snapshot(engine, policy, &state, here, hooks)?;
+            save_snapshot(engine, policy, state, here, hooks)?;
         }
     }
     let mut report = TrainReport::new(engine.label());
-    report.records = state.records;
+    report.records = std::mem::take(&mut state.records);
     let metrics = engine.metrics();
     hooks.on_run_end(&report, &metrics);
     Ok(Outcome::Finished(report))
@@ -327,8 +327,17 @@ pub fn run_training_with_snapshots(
     hooks: &mut dyn TrainHooks,
 ) -> Result<TrainReport, RunError> {
     let next = engine.samples_seen() + policy.every_updates * engine.samples_per_update().max(1);
-    let state = RunnerState::fresh(config.seed, next);
-    match drive(engine, train, val, config, Some(policy), None, state, hooks)? {
+    let mut state = RunnerState::fresh(config.seed, next);
+    match drive(
+        engine,
+        train,
+        val,
+        config,
+        Some(policy),
+        None,
+        &mut state,
+        hooks,
+    )? {
         Outcome::Finished(report) => Ok(report),
         Outcome::Killed => unreachable!("no kill point configured"),
     }
@@ -350,7 +359,7 @@ pub fn run_to_crash(
 ) -> Result<Option<TrainReport>, RunError> {
     let spu = engine.samples_per_update().max(1);
     let start = engine.samples_seen();
-    let state = RunnerState::fresh(config.seed, start + policy.every_updates * spu);
+    let mut state = RunnerState::fresh(config.seed, start + policy.every_updates * spu);
     let kill = start + kill_after_updates * spu;
     match drive(
         engine,
@@ -359,7 +368,7 @@ pub fn run_to_crash(
         config,
         Some(policy),
         Some(kill),
-        state,
+        &mut state,
         hooks,
     )? {
         Outcome::Finished(report) => Ok(Some(report)),
@@ -403,8 +412,8 @@ pub(crate) fn resume_from(
 ) -> Result<TrainReport, RunError> {
     let archive = SnapshotArchive::load(snapshot)?;
     engine.read_state(&archive)?;
-    let state = read_runner_state(&archive, written_by, config.seed)?;
-    match drive(engine, train, val, config, policy, None, state, hooks)? {
+    let mut state = read_runner_state(&archive, written_by, config.seed)?;
+    match drive(engine, train, val, config, policy, None, &mut state, hooks)? {
         Outcome::Finished(report) => Ok(report),
         Outcome::Killed => unreachable!("no kill point configured"),
     }

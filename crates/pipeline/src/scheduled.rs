@@ -346,7 +346,7 @@ impl TrainEngine for ScheduledTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::SgdmTrainer;
+    use crate::delayed::{DelayedConfig, DelayedTrainer};
     use pbp_data::spirals;
     use pbp_nn::models::{mlp, simple_cnn};
     use pbp_optim::{Hyperparams, LwpForm};
@@ -500,7 +500,7 @@ mod tests {
 
         let cfg = ScheduledConfig::new(MicrobatchSchedule::UniformDelay { delay: 0 }, schedule());
         let mut pb = ScheduledTrainer::new(net_a, cfg);
-        let mut sgd = SgdmTrainer::new(net_b, schedule(), 1);
+        let mut sgd = DelayedTrainer::new(net_b, DelayedConfig::sgdm(1, schedule()));
         for epoch in 0..2 {
             pb.train_epoch(&data, 9, epoch);
             sgd.train_epoch(&data, 9, epoch);
@@ -621,7 +621,7 @@ mod tests {
         let net_b = mlp(&[2, 16, 3], &mut rng);
         let data = spirals(3, 32, 0.05, 1);
         let mut fd = ScheduledTrainer::new(net_a, ScheduledConfig::fill_drain(8, batch_schedule()));
-        let mut sgd = SgdmTrainer::new(net_b, batch_schedule(), 8);
+        let mut sgd = DelayedTrainer::new(net_b, DelayedConfig::sgdm(8, batch_schedule()));
         for epoch in 0..3 {
             fd.train_epoch(&data, 4, epoch);
             sgd.train_epoch(&data, 4, epoch);
@@ -652,7 +652,7 @@ mod tests {
         );
         let data = gen.generate(24, 0);
         let mut fd = ScheduledTrainer::new(net_a, ScheduledConfig::fill_drain(4, batch_schedule()));
-        let mut sgd = SgdmTrainer::new(net_b, batch_schedule(), 4);
+        let mut sgd = DelayedTrainer::new(net_b, DelayedConfig::sgdm(4, batch_schedule()));
         for epoch in 0..2 {
             fd.train_epoch(&data, 4, epoch);
             sgd.train_epoch(&data, 4, epoch);

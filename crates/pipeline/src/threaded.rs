@@ -650,9 +650,10 @@ impl StageWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delayed::{DelayedConfig, DelayedTrainer};
     use crate::fault::FaultSpec;
     use crate::schedule::MicrobatchSchedule;
-    use crate::trainer::{evaluate, SgdmTrainer};
+    use crate::trainer::evaluate;
     use pbp_data::spirals;
     use pbp_nn::models::mlp;
     use pbp_optim::Hyperparams;
@@ -681,7 +682,7 @@ mod tests {
         let order = cyclic(&data, 40);
         let mut threaded = ThreadedPipeline::new(net_a, ThreadedConfig::fill_drain(schedule()));
         let losses = threaded.stream(&data, &order).expect("clean run");
-        let mut sgd = SgdmTrainer::new(net_b, schedule(), 1);
+        let mut sgd = DelayedTrainer::new(net_b, DelayedConfig::sgdm(1, schedule()));
         let mut ref_losses = Vec::new();
         for &i in &order {
             let (x, labels) = data.batch(&[i]);

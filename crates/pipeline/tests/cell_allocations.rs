@@ -10,8 +10,8 @@
 use pbp_nn::loss::softmax_cross_entropy;
 use pbp_nn::models::{mlp, vgg_cnn};
 use pbp_nn::Network;
-use pbp_optim::{Hyperparams, Mitigation};
-use pbp_pipeline::{MicrobatchSchedule, StageCell};
+use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
+use pbp_pipeline::{DelayedConfig, DelayedTrainer, MicrobatchSchedule, StageCell, TrainEngine};
 use pbp_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -119,6 +119,36 @@ fn a_running_cell_allocates_nothing_weight_sized() {
             assert_eq!(during, 0, "{mitigation:?} stashing={weight_stashing}");
         }
     }
+}
+
+/// The whole-network simulator at `D_max = 0` is the SGDM baseline: it
+/// keeps no version ring and never copies the weights, so a batch costs
+/// what forward, backward and the in-place sweep cost. Any delay brings
+/// the ring back, which the same counter sees.
+#[test]
+fn the_zero_delay_simulator_allocates_nothing_weight_sized() {
+    let schedule = || LrSchedule::constant(Hyperparams::new(0.05, 0.9));
+    let large_allocs = |config: DelayedConfig| {
+        let net = mlp(&[WIDTH; 4], &mut StdRng::seed_from_u64(3));
+        let mut trainer = DelayedTrainer::new(net, config);
+        let mut batch = |i: usize| {
+            let x = Tensor::from_fn(&[4, WIDTH], |j| ((i + j) as f32).sin());
+            trainer.train_batch(&x, &[i % WIDTH, 1, 2, 3]);
+        };
+        (0..4).for_each(&mut batch);
+        let before = LARGE_ALLOCS.with(Cell::get);
+        (4..40).for_each(&mut batch);
+        LARGE_ALLOCS.with(Cell::get) - before
+    };
+    for config in [
+        DelayedConfig::sgdm(4, schedule()),
+        DelayedConfig::consistent(0, 4, schedule()).with_mitigation(Mitigation::lwpv_scd()),
+        DelayedConfig::inconsistent(0, 4, schedule()),
+    ] {
+        let label = config.label();
+        assert_eq!(large_allocs(config), 0, "{label}");
+    }
+    assert!(large_allocs(DelayedConfig::consistent(1, 4, schedule())) >= 36);
 }
 
 #[test]

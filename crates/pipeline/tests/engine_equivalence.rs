@@ -38,21 +38,19 @@ fn assert_networks_equal(a: &Network, b: &Network, context: &str) {
 /// Every engine spec, as the bench suite would construct them.
 fn all_specs() -> Vec<EngineSpec> {
     vec![
-        EngineSpec::Sgdm {
-            schedule: schedule(),
-            batch: 4,
-        },
+        EngineSpec::Delayed(DelayedConfig::sgdm(4, schedule())),
         EngineSpec::Scheduled(ScheduledConfig::fill_drain(4, schedule())),
         EngineSpec::Scheduled(
             ScheduledConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
         ),
         EngineSpec::Delayed(DelayedConfig::consistent(2, 4, schedule())),
-        EngineSpec::Asgd {
-            distribution: DelayDistribution::Uniform { max: 3 },
-            batch: 4,
-            schedule: schedule(),
-            delay_seed: 7,
-        },
+        EngineSpec::Delayed(DelayedConfig::asgd(
+            DelayDistribution::Uniform { max: 3 },
+            4,
+            schedule(),
+            7,
+        )),
+        EngineSpec::Delayed(DelayedConfig::adam(4, 4, 0.01)),
         EngineSpec::Threaded(ThreadedConfig::pb(schedule())),
         EngineSpec::Scheduled(ScheduledConfig::one_f_one_b(4, schedule())),
         EngineSpec::Scheduled(ScheduledConfig::two_bp(4, schedule())),
@@ -94,10 +92,7 @@ fn fill_drain_n1_is_bit_identical_to_sgdm_batch_1() {
     let (train, val) = data.split(0.25);
     let config = RunConfig::new(3, 5);
 
-    let sgdm_spec = EngineSpec::Sgdm {
-        schedule: schedule(),
-        batch: 1,
-    };
+    let sgdm_spec = EngineSpec::Delayed(DelayedConfig::sgdm(1, schedule()));
     let fd_spec = EngineSpec::Scheduled(ScheduledConfig::fill_drain(1, schedule()));
     let mut sgdm = sgdm_spec.build(fresh_net(21));
     let mut fd = fd_spec.build(fresh_net(21));
@@ -123,11 +118,7 @@ fn zero_uniform_delay_is_bit_identical_to_sgdm_batch_1() {
     let zero_delay =
         ScheduledConfig::new(MicrobatchSchedule::UniformDelay { delay: 0 }, schedule());
     let mut pb = EngineSpec::Scheduled(zero_delay).build(fresh_net(22));
-    let mut sgdm = EngineSpec::Sgdm {
-        schedule: schedule(),
-        batch: 1,
-    }
-    .build(fresh_net(22));
+    let mut sgdm = EngineSpec::Delayed(DelayedConfig::sgdm(1, schedule())).build(fresh_net(22));
     run_training(pb.as_mut(), &train, &val, &config, &mut NoHooks);
     run_training(sgdm.as_mut(), &train, &val, &config, &mut NoHooks);
 
@@ -157,11 +148,7 @@ fn threaded_fill_drain_is_bit_identical_to_sgdm_batch_1() {
 
     let mut threaded =
         EngineSpec::Threaded(ThreadedConfig::fill_drain(schedule())).build(fresh_net(23));
-    let mut sgdm = EngineSpec::Sgdm {
-        schedule: schedule(),
-        batch: 1,
-    }
-    .build(fresh_net(23));
+    let mut sgdm = EngineSpec::Delayed(DelayedConfig::sgdm(1, schedule())).build(fresh_net(23));
     run_training(threaded.as_mut(), &train, &val, &config, &mut NoHooks);
     run_training(sgdm.as_mut(), &train, &val, &config, &mut NoHooks);
 
@@ -178,6 +165,173 @@ fn threaded_fill_drain_is_bit_identical_to_sgdm_batch_1() {
         &sgdm.into_network(),
         "threaded fill&drain vs SGDM batch 1",
     );
+}
+
+/// What one of the four pre-fold trainers produced, recorded at the commit
+/// before they became [`DelayedConfig`] rows: 2 epochs on
+/// `blobs(3, 24, 0.4, 0)` (25 % held out) from `fresh_net(11)` through
+/// `run_training` at data seed 3.
+struct Golden {
+    spec: EngineSpec,
+    label: &'static str,
+    /// `pbp_snapshot::Crc32` over the final weights' little-endian bits.
+    weights_crc: u32,
+    /// Per epoch: the bits of `train_loss`, `val_loss`, `val_acc`.
+    records: [[u64; 3]; 2],
+    /// The `(delay, count)` histogram every stage recorded.
+    delay_hist: &'static [(usize, u64)],
+}
+
+#[test]
+fn the_g2_simulator_reproduces_the_four_trainers_it_replaced() {
+    let asgd = |d| EngineSpec::Delayed(DelayedConfig::asgd(d, 4, schedule(), 7));
+    let goldens = [
+        // The mini-batch SGDM trainer, batch 4.
+        Golden {
+            spec: EngineSpec::Delayed(DelayedConfig::sgdm(4, schedule())),
+            label: "SGDM",
+            weights_crc: 0x42736359,
+            records: [
+                [0x3fe03387825db6db, 0x3f5ad0d7305ddb1b, 0x3ff0000000000000],
+                [0x3f44134e92edb6db, 0x3f2c028395a7c095, 0x3ff0000000000000],
+            ],
+            delay_hist: &[(0, 28)],
+        },
+        // The fixed-delay trainer, D = 2, batch 4.
+        Golden {
+            spec: EngineSpec::Delayed(DelayedConfig::consistent(2, 4, schedule())),
+            label: "PB D=2 (consistent)",
+            weights_crc: 0xac5c7c39,
+            records: [
+                [0x3ff0a3323a1e0000, 0x3f367fe908a79894, 0x3ff0000000000000],
+                [0x3f268b8a36a92492, 0x3ef37ec5a54da890, 0x3ff0000000000000],
+            ],
+            delay_hist: &[(2, 28)],
+        },
+        Golden {
+            spec: EngineSpec::Delayed(DelayedConfig::inconsistent(2, 4, schedule())),
+            label: "PB D=2 (inconsistent)",
+            weights_crc: 0x5ecb752f,
+            records: [
+                [0x3ff006a72ce14925, 0x3f25f825f0af5984, 0x3ff0000000000000],
+                [0x3f10f5626b712492, 0x3ed30cce0078e6a1, 0x3ff0000000000000],
+            ],
+            delay_hist: &[(2, 28)],
+        },
+        Golden {
+            spec: EngineSpec::Delayed(
+                DelayedConfig::consistent(2, 4, schedule()).with_mitigation(Mitigation::lwpv_scd()),
+            ),
+            label: "PB+LWPvD+SCD D=2 (consistent)",
+            weights_crc: 0x715150c4,
+            records: [
+                [0x3feee1023372db6e, 0x3f6e8a138310f094, 0x3ff0000000000000],
+                [0x3f5d48f9d9e49249, 0x3f57d6c8662f998c, 0x3ff0000000000000],
+            ],
+            delay_hist: &[(2, 28)],
+        },
+        Golden {
+            spec: EngineSpec::Delayed(
+                DelayedConfig::inconsistent(2, 4, schedule())
+                    .with_mitigation(Mitigation::lwpv_scd()),
+            ),
+            label: "PB+LWPvD+SCD D=2 (inconsistent)",
+            weights_crc: 0x7d86c144,
+            records: [
+                [0x3fee651ec8de4925, 0x3f629db65cca0f67, 0x3ff0000000000000],
+                [0x3f48432b77db6db7, 0x3f400e014e8de4d4, 0x3ff0000000000000],
+            ],
+            delay_hist: &[(2, 28)],
+        },
+        // The ASGD trainer, batch 4, delay seed 7.
+        Golden {
+            spec: asgd(DelayDistribution::Constant(2)),
+            label: "ASGD Constant(2)",
+            weights_crc: 0xac5c7c39,
+            records: [
+                [0x3ff0a3323a1e0000, 0x3f367fe908a79894, 0x3ff0000000000000],
+                [0x3f268b8a36a92492, 0x3ef37ec5a54da890, 0x3ff0000000000000],
+            ],
+            delay_hist: &[(2, 28)],
+        },
+        Golden {
+            spec: asgd(DelayDistribution::Uniform { max: 3 }),
+            label: "ASGD Uniform { max: 3 }",
+            weights_crc: 0xf231c7a0,
+            records: [
+                [0x3fe9398d8c06db6e, 0x3f58b4aeeb113717, 0x3ff0000000000000],
+                [0x3f4d57186f612492, 0x3f2cbc55d59fd770, 0x3ff0000000000000],
+            ],
+            delay_hist: &[(0, 8), (1, 9), (2, 6), (3, 5)],
+        },
+        Golden {
+            spec: asgd(DelayDistribution::Geometric { p: 0.5, max: 4 }),
+            label: "ASGD Geometric { p: 0.5, max: 4 }",
+            weights_crc: 0x330e9291,
+            records: [
+                [0x3fea3f17eb4adb6e, 0x3f5133bf18888141, 0x3ff0000000000000],
+                [0x3f40273508676db7, 0x3f343121aff7f7dd, 0x3ff0000000000000],
+            ],
+            delay_hist: &[(0, 10), (1, 10), (2, 3), (3, 3), (4, 2)],
+        },
+        // The bench crate's delayed-Adam engine, D = 4, batch 4, lr 0.01.
+        Golden {
+            spec: EngineSpec::Delayed(DelayedConfig::adam(4, 4, 0.01)),
+            label: "Adam D=4",
+            weights_crc: 0x9360096f,
+            records: [
+                [0x3ffd0f8221249249, 0x3fe734796f027478, 0x3fe5555555555555],
+                [0x3fe656c49c000000, 0x3fd18283172f9c58, 0x3fee38e38e38e38e],
+            ],
+            delay_hist: &[(4, 28)],
+        },
+    ];
+    let data = blobs(3, 24, 0.4, 0);
+    let (train, val) = data.split(0.25);
+    for golden in goldens {
+        let label = golden.label;
+        let mut engine = golden.spec.build(fresh_net(11));
+        let config = RunConfig::new(2, 3);
+        let report = run_training(engine.as_mut(), &train, &val, &config, &mut NoHooks);
+        assert_eq!(report.label, label);
+        let records: Vec<[u64; 3]> = (report.records.iter())
+            .map(|r| [r.train_loss, r.val_loss, r.val_acc].map(f64::to_bits))
+            .collect();
+        assert_eq!(records, golden.records, "{label}: epoch records");
+        for (s, stage) in engine.metrics().stages.iter().enumerate() {
+            let hist: Vec<(usize, u64)> = stage.delay_hist.iter().map(|(&d, &n)| (d, n)).collect();
+            assert_eq!(hist, golden.delay_hist, "{label}: stage {s} delays");
+        }
+        let net = engine.into_network();
+        let mut crc = pbp_snapshot::Crc32::new();
+        for s in 0..net.num_stages() {
+            for v in net.stage(s).params().iter().flat_map(|p| p.as_slice()) {
+                crc.update(&v.to_bits().to_le_bytes());
+            }
+        }
+        assert_eq!(crc.finish(), golden.weights_crc, "{label}: final weights");
+    }
+}
+
+#[test]
+fn a_constant_sampled_delay_is_the_fixed_delay() {
+    let data = blobs(3, 24, 0.4, 4);
+    let (train, val) = data.split(0.25);
+    let config = RunConfig::new(2, 9);
+    for d in [0, 1, 3] {
+        let sampled = DelayedConfig::asgd(DelayDistribution::Constant(d), 4, schedule(), 5);
+        let mut sampled = EngineSpec::Delayed(sampled).build(fresh_net(24));
+        let fixed = DelayedConfig::consistent(d, 4, schedule());
+        let mut fixed = EngineSpec::Delayed(fixed).build(fresh_net(24));
+        let report_s = run_training(sampled.as_mut(), &train, &val, &config, &mut NoHooks);
+        let report_f = run_training(fixed.as_mut(), &train, &val, &config, &mut NoHooks);
+        assert_eq!(report_s.records, report_f.records, "D={d}: epoch records");
+        assert_networks_equal(
+            &sampled.into_network(),
+            &fixed.into_network(),
+            &format!("ASGD Constant({d}) vs consistent({d})"),
+        );
+    }
 }
 
 /// Runs `run` on one thread and on a thread per stage from the same

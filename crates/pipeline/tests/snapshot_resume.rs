@@ -29,22 +29,20 @@ fn fresh_net(seed: u64) -> Network {
 /// Every engine (all have deterministic weight trajectories).
 fn deterministic_specs() -> Vec<EngineSpec> {
     vec![
-        EngineSpec::Sgdm {
-            schedule: schedule(),
-            batch: 4,
-        },
+        EngineSpec::Delayed(DelayedConfig::sgdm(4, schedule())),
         EngineSpec::Scheduled(ScheduledConfig::fill_drain(4, schedule())),
         EngineSpec::Scheduled(
             ScheduledConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
         ),
         EngineSpec::Scheduled(ScheduledConfig::pb(schedule()).with_weight_stashing()),
         EngineSpec::Delayed(DelayedConfig::inconsistent(2, 4, schedule())),
-        EngineSpec::Asgd {
-            distribution: DelayDistribution::Uniform { max: 3 },
-            batch: 4,
-            schedule: schedule(),
-            delay_seed: 7,
-        },
+        EngineSpec::Delayed(DelayedConfig::asgd(
+            DelayDistribution::Uniform { max: 3 },
+            4,
+            schedule(),
+            7,
+        )),
+        EngineSpec::Delayed(DelayedConfig::adam(3, 4, 0.01)),
         EngineSpec::Threaded(ThreadedConfig::fill_drain(schedule())),
         EngineSpec::Threaded(
             ThreadedConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
@@ -187,10 +185,7 @@ fn retention_prunes_old_snapshots() {
     let (train, val) = data.split(0.25);
     let dir = tmpdir("retention");
     let policy = SnapshotPolicy::new(&dir, 2).with_keep(2);
-    let spec = EngineSpec::Sgdm {
-        schedule: schedule(),
-        batch: 4,
-    };
+    let spec = EngineSpec::Delayed(DelayedConfig::sgdm(4, schedule()));
     let mut engine = spec.build(fresh_net(92));
     run_training_with_snapshots(
         engine.as_mut(),
@@ -217,11 +212,7 @@ fn resume_rejects_mismatched_engines() {
     let config = RunConfig::new(2, 29);
     let dir = tmpdir("mismatch");
     let policy = SnapshotPolicy::new(&dir, 2);
-    let mut sgdm = EngineSpec::Sgdm {
-        schedule: schedule(),
-        batch: 4,
-    }
-    .build(fresh_net(93));
+    let mut sgdm = EngineSpec::Delayed(DelayedConfig::sgdm(4, schedule())).build(fresh_net(93));
     run_training_with_snapshots(sgdm.as_mut(), &train, &val, &config, &policy, &mut NoHooks)
         .expect("snapshotting run");
     let snap = latest_snapshot(&dir).expect("list").expect("snapshot");
@@ -246,6 +237,43 @@ fn resume_rejects_mismatched_engines() {
         "typed mismatch, got {err:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The simulator's rows share one engine tag, so its own state section
+/// says which row wrote it: restoring into a row with another `D_max`,
+/// update rule or consistency is a typed mismatch, never a panic or a
+/// silent load.
+#[test]
+fn delayed_state_is_not_restored_across_configs() {
+    let data = blobs(3, 24, 0.4, 45);
+    let rows = || {
+        [
+            DelayedConfig::sgdm(4, schedule()),
+            DelayedConfig::consistent(2, 4, schedule()),
+            DelayedConfig::consistent(3, 4, schedule()),
+            DelayedConfig::inconsistent(2, 4, schedule()),
+            DelayedConfig::consistent(2, 4, schedule()).with_mitigation(Mitigation::lwpv_scd()),
+            DelayedConfig::consistent(2, 2, schedule()),
+            DelayedConfig::asgd(DelayDistribution::Constant(2), 4, schedule(), 7),
+            DelayedConfig::adam(2, 4, 0.01),
+        ]
+    };
+    for (i, written) in rows().into_iter().enumerate() {
+        let mut writer = EngineSpec::Delayed(written).build(fresh_net(95));
+        writer.train_epoch(&data, 1, 0);
+        let mut snap = pbp_snapshot::SnapshotBuilder::new();
+        writer.write_state(&mut snap);
+        let archive = pbp_snapshot::SnapshotArchive::from_bytes(&snap.to_bytes()).expect("archive");
+        for (j, read) in rows().into_iter().enumerate() {
+            let mut reader = EngineSpec::Delayed(read).build(fresh_net(95));
+            let context = format!("{} into {}", writer.label(), reader.label());
+            match reader.read_state(&archive) {
+                Ok(()) => assert_eq!(i, j, "{context}: silently loaded"),
+                Err(pbp_snapshot::SnapshotError::Mismatch(_)) => assert_ne!(i, j, "{context}"),
+                Err(other) => panic!("{context}: typed mismatch, got {other:?}"),
+            }
+        }
+    }
 }
 
 /// A completed snapshotting run leaves a final snapshot; resuming from

@@ -10,7 +10,9 @@
 use pipelined_backprop::data::{DatasetSpec, SyntheticImages};
 use pipelined_backprop::nn::models::{resnet_cifar, ResNetConfig};
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-use pipelined_backprop::pipeline::{ScheduledConfig, ScheduledTrainer, SgdmTrainer, TrainEngine};
+use pipelined_backprop::pipeline::{
+    DelayedConfig, DelayedTrainer, ScheduledConfig, ScheduledTrainer, TrainEngine,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,10 +42,13 @@ fn main() {
         hp1.lr, hp1.momentum
     );
 
-    // SGDM baseline at batch 32.
+    // SGDM baseline at batch 32: the whole-network simulator at delay 0.
     let mut rng = StdRng::seed_from_u64(1);
     let net = resnet_cifar(config, &mut rng);
-    let mut sgdm = SgdmTrainer::new(net, LrSchedule::constant(reference), 32);
+    let mut sgdm = DelayedTrainer::new(
+        net,
+        DelayedConfig::sgdm(32, LrSchedule::constant(reference)),
+    );
     let mut sgdm_acc = 0.0;
     for epoch in 0..epochs {
         let loss = sgdm.train_epoch(&train, seed, epoch);

@@ -1,5 +1,6 @@
-//! The Appendix G.2 toolkit: uniform delays, weight inconsistency, random
-//! (ASGD-style) delays, and mitigation — on a small CNN.
+//! The Appendix G.2 simulator, one row at a time: uniform delays, weight
+//! inconsistency, mitigation, random (ASGD-style) delays and Adam — all
+//! `DelayedConfig`s of the one `DelayedTrainer`, on a small CNN.
 //!
 //! ```sh
 //! cargo run --release --example delayed_gradients
@@ -9,7 +10,7 @@ use pipelined_backprop::data::{DatasetSpec, SyntheticImages};
 use pipelined_backprop::nn::models::simple_cnn;
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
 use pipelined_backprop::pipeline::{
-    evaluate, AsgdTrainer, DelayDistribution, DelayedConfig, DelayedTrainer,
+    evaluate, DelayDistribution, DelayedConfig, DelayedTrainer, TrainEngine,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,12 +33,10 @@ fn main() {
     println!("{:<44} {:>8}", "configuration", "val acc");
     println!("{}", "-".repeat(54));
 
-    // Constant delays, consistent vs inconsistent weights (Figure 10).
+    // Constant delays, consistent vs inconsistent weights (Figure 10);
+    // random delays (ASGD simulation); Adam under the same delay.
     for (label, cfg) in [
-        (
-            "no delay",
-            DelayedConfig::consistent(0, batch, schedule.clone()),
-        ),
+        ("no delay", DelayedConfig::sgdm(batch, schedule.clone())),
         (
             "delay 12, consistent weights",
             DelayedConfig::consistent(12, batch, schedule.clone()),
@@ -51,27 +50,27 @@ fn main() {
             DelayedConfig::consistent(12, batch, schedule.clone())
                 .with_mitigation(Mitigation::lwpv_scd()),
         ),
-    ] {
-        let mut trainer = DelayedTrainer::new(fresh(), cfg);
-        for epoch in 0..epochs {
-            trainer.train_epoch(&train, 7, epoch);
-        }
-        let (_, acc) = evaluate(trainer.network_mut(), &val, 16);
-        println!("{label:<44} {:>7.1}%", 100.0 * acc);
-    }
-
-    // Random delays (ASGD simulation, Appendix G.2).
-    for (label, dist) in [
         (
             "ASGD: uniform delay 0..=24",
-            DelayDistribution::Uniform { max: 24 },
+            DelayedConfig::asgd(
+                DelayDistribution::Uniform { max: 24 },
+                batch,
+                schedule.clone(),
+                5,
+            ),
         ),
         (
             "ASGD: straggler tail (mean 12)",
-            DelayDistribution::Geometric { p: 0.926, max: 96 },
+            DelayedConfig::asgd(
+                DelayDistribution::Geometric { p: 0.926, max: 96 },
+                batch,
+                schedule.clone(),
+                5,
+            ),
         ),
+        ("delay 12, Adam", DelayedConfig::adam(12, batch, 1e-3)),
     ] {
-        let mut trainer = AsgdTrainer::new(fresh(), dist, batch, schedule.clone(), 5);
+        let mut trainer = DelayedTrainer::new(fresh(), cfg);
         for epoch in 0..epochs {
             trainer.train_epoch(&train, 7, epoch);
         }

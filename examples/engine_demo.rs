@@ -7,7 +7,8 @@ use pipelined_backprop::data::blobs;
 use pipelined_backprop::nn::models::mlp;
 use pipelined_backprop::optim::{Hyperparams, LrSchedule, Mitigation};
 use pipelined_backprop::pipeline::{
-    run_training, EngineSpec, JsonSink, MetricsSink, NoHooks, RunConfig, ScheduledConfig,
+    run_training, DelayedConfig, EngineSpec, JsonSink, MetricsSink, NoHooks, RunConfig,
+    ScheduledConfig,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -19,10 +20,10 @@ fn main() {
     // Every engine is constructed the same way and runs through the same
     // loop; swap the spec to swap the training algorithm.
     let specs = [
-        EngineSpec::Sgdm {
-            schedule: schedule(),
-            batch: 4,
-        },
+        EngineSpec::Delayed(DelayedConfig::sgdm(4, schedule())),
+        // Another row of the same whole-network simulator: Adam, with
+        // every gradient two updates stale.
+        EngineSpec::Delayed(DelayedConfig::adam(2, 4, 0.01)),
         EngineSpec::Scheduled(
             ScheduledConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
         ),
@@ -48,11 +49,8 @@ fn main() {
     println!("per-stage metrics written to {}", metrics_path.display());
 
     // Hooks are optional: pass `&mut NoHooks` when you only want the report.
-    let mut engine = EngineSpec::Sgdm {
-        schedule: schedule(),
-        batch: 4,
-    }
-    .build(mlp(&[2, 16, 3], &mut StdRng::seed_from_u64(0)));
+    let mut engine = EngineSpec::Delayed(DelayedConfig::sgdm(4, schedule()))
+        .build(mlp(&[2, 16, 3], &mut StdRng::seed_from_u64(0)));
     let report = run_training(
         engine.as_mut(),
         &train,

@@ -10,7 +10,7 @@ use pipelined_backprop::data::{DatasetSpec, SyntheticImages};
 use pipelined_backprop::nn::models::simple_cnn;
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
 use pipelined_backprop::pipeline::{
-    ScheduledConfig, ScheduledTrainer, SgdmTrainer, TrainEngine, TrainReport,
+    DelayedConfig, DelayedTrainer, ScheduledConfig, ScheduledTrainer, TrainEngine, TrainReport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,11 +42,15 @@ fn main() {
     let seed = 42;
     let mut reports: Vec<TrainReport> = Vec::new();
 
-    // --- SGDM baseline at the reference batch size.
+    // --- SGDM baseline at the reference batch size: the whole-network
+    // simulator at delay 0.
     {
         let mut rng = StdRng::seed_from_u64(1);
         let net = simple_cnn(3, 12, 6, spec.num_classes, &mut rng);
-        let mut sgdm = SgdmTrainer::new(net, LrSchedule::constant(reference), 32);
+        let mut sgdm = DelayedTrainer::new(
+            net,
+            DelayedConfig::sgdm(32, LrSchedule::constant(reference)),
+        );
         let mut report = TrainReport::new("SGDM (batch 32)");
         for epoch in 0..epochs {
             let train_loss = sgdm.train_epoch(&train, seed, epoch);

@@ -11,13 +11,14 @@ cargo fmt --all -- --check
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== one executor of stage semantics, one rank loop (grep lint) =="
+echo "== one executor of stage semantics, one rank loop, three engines (grep lint) =="
 # Per-stage schedule semantics live in crates/pipeline/src/{cell,group}.rs
 # and nowhere else (DESIGN §12): a second interpreter of the action stream
 # must not reappear unnoticed. delayed.rs is the App. G.2 whole-network,
-# batch-granular simulator — a different machine. Likewise the scheduling
-# decision above the executor lives in rank.rs: only it (and the
-# sequential sweep in scheduled.rs) may drive a group.
+# batch-granular simulator (SGDM, fixed and sampled delays, Adam) — a
+# different machine, written straight-line with no action stream at all.
+# Likewise the scheduling decision above the executor lives in rank.rs:
+# only it (and the sequential sweep in scheduled.rs) may drive a group.
 lint_only_in() {
   local pattern=$1 allowed=$2 stray
   stray=$(grep -rlF "$pattern" crates/*/src | grep -Ev "/($allowed)\.rs$" || true)
@@ -28,7 +29,7 @@ lint_only_in() {
   fi
 }
 lint_only_in 'push_next_version(' 'cell|group'
-lint_only_in 'Action::BackwardInput' 'schedule|group|delayed'
+lint_only_in 'Action::BackwardInput' 'schedule|group'
 lint_only_in 'can_forward(' 'group|rank'
 lint_only_in 'group.forward(' 'scheduled|rank'
 lint_only_in 'group.backward(' 'scheduled|rank'
@@ -37,6 +38,11 @@ lint_only_in '.loss(&' 'scheduled|rank'
 # sweep (DESIGN §optimizer): the allocating clone+axpy prediction stays
 # behind StageOptimizer::forward_weights and may not be called around it.
 lint_only_in 'predict_velocity_form(' 'lwp|stage_opt'
+# Three engines: the whole-network simulator and the stage executor's two
+# substrates. A further training loop, in a bench binary (crates/*/src
+# covers crates/bench/src/bin) or anywhere else, is a DelayedConfig row
+# or a MicrobatchSchedule plan first.
+lint_only_in 'impl TrainEngine for' 'delayed|scheduled|threaded'
 
 echo "== a training conv layer stashes its input, not columns (grep lint) =="
 # Conv2d / WsConv2d run the direct batch-of-one kernels and keep the input

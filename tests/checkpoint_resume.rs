@@ -55,12 +55,15 @@ fn pb_training_resumes_from_a_checkpoint() {
 fn checkpoints_transfer_between_engines() {
     // Weights trained by SGDM load into a PB engine (a realistic
     // fine-tune-with-PB scenario).
-    use pipelined_backprop::pipeline::SgdmTrainer;
+    use pipelined_backprop::pipeline::{DelayedConfig, DelayedTrainer, TrainEngine};
     let data = blobs(3, 40, 0.4, 2);
     let (train, val) = data.split(0.25);
     let mut rng = StdRng::seed_from_u64(1);
     let net = mlp(&[2, 16, 3], &mut rng);
-    let mut sgdm = SgdmTrainer::new(net, LrSchedule::constant(Hyperparams::new(0.1, 0.9)), 8);
+    let mut sgdm = DelayedTrainer::new(
+        net,
+        DelayedConfig::sgdm(8, LrSchedule::constant(Hyperparams::new(0.1, 0.9))),
+    );
     for epoch in 0..10 {
         sgdm.train_epoch(&train, 5, epoch);
     }

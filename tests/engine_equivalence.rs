@@ -7,7 +7,7 @@ use pipelined_backprop::nn::Network;
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
 use pipelined_backprop::pipeline::{
     evaluate, DelayedConfig, DelayedTrainer, MicrobatchSchedule, ScheduledConfig, ScheduledTrainer,
-    SgdmTrainer, ThreadedConfig, ThreadedPipeline, TrainEngine,
+    ThreadedConfig, ThreadedPipeline, TrainEngine,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,7 +56,7 @@ fn pb_with_zero_delay_matches_sgdm_on_a_conv_net() {
     let data = tiny_images(24);
     let cfg = ScheduledConfig::new(MicrobatchSchedule::UniformDelay { delay: 0 }, schedule1());
     let mut pb = ScheduledTrainer::new(net_a, cfg);
-    let mut sgd = SgdmTrainer::new(net_b, schedule1(), 1);
+    let mut sgd = DelayedTrainer::new(net_b, DelayedConfig::sgdm(1, schedule1()));
     for epoch in 0..2 {
         pb.train_epoch(&data, 5, epoch);
         sgd.train_epoch(&data, 5, epoch);
@@ -78,7 +78,7 @@ fn fill_drain_matches_batch_sgdm_on_a_conv_net() {
     let data = tiny_images(32);
     let hp = LrSchedule::constant(Hyperparams::new(0.05, 0.9));
     let mut fd = ScheduledTrainer::new(net_a, ScheduledConfig::fill_drain(8, hp.clone()));
-    let mut sgd = SgdmTrainer::new(net_b, hp, 8);
+    let mut sgd = DelayedTrainer::new(net_b, DelayedConfig::sgdm(8, hp));
     for epoch in 0..2 {
         fd.train_epoch(&data, 3, epoch);
         sgd.train_epoch(&data, 3, epoch);
@@ -138,7 +138,7 @@ fn threaded_fill_drain_matches_sequential_sgdm_on_a_residual_net() {
     let order: Vec<usize> = (0..data.len()).collect();
     let mut threaded = ThreadedPipeline::new(net_a, ThreadedConfig::fill_drain(schedule1()));
     let losses = threaded.stream(&data, &order).expect("clean run");
-    let mut sgd = SgdmTrainer::new(net_b, schedule1(), 1);
+    let mut sgd = DelayedTrainer::new(net_b, DelayedConfig::sgdm(1, schedule1()));
     let mut ref_losses = Vec::new();
     for &i in &order {
         let (x, labels) = data.batch(&[i]);

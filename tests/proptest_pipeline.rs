@@ -5,8 +5,8 @@ use pipelined_backprop::data::blobs;
 use pipelined_backprop::nn::models::mlp;
 use pipelined_backprop::optim::{Hyperparams, LrSchedule, Mitigation};
 use pipelined_backprop::pipeline::{
-    fill_drain_utilization, stage_delay, MicrobatchSchedule, ScheduledConfig, ScheduledTrainer,
-    SgdmTrainer,
+    fill_drain_utilization, stage_delay, DelayedConfig, DelayedTrainer, MicrobatchSchedule,
+    ScheduledConfig, ScheduledTrainer, TrainEngine,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -33,7 +33,7 @@ proptest! {
         let data = blobs(3, 10, 0.4, data_seed);
         let cfg = ScheduledConfig::new(MicrobatchSchedule::UniformDelay { delay: 0 }, schedule.clone());
         let mut pb = ScheduledTrainer::new(net_a, cfg);
-        let mut sgd = SgdmTrainer::new(net_b, schedule, 1);
+        let mut sgd = DelayedTrainer::new(net_b, DelayedConfig::sgdm(1, schedule));
         pb.train_epoch(&data, 1, 0);
         sgd.train_epoch(&data, 1, 0);
         let na = pb.into_network();
