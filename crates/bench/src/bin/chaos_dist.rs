@@ -6,7 +6,7 @@
 //! sequential [`ScheduledTrainer`] core — final weights bit-for-bit,
 //! f64 loss sums, and Eq. 5 delay histograms:
 //!
-//! 1. **Randomized fault plans** — seeded [`NetFaultPlan::random`]
+//! 1. **Randomized fault plans** — seeded [`FaultPlan::random`] wire
 //!    schedules (drops, truncations, bit flips, duplicates, delays,
 //!    partitions) over 4-rank PB and 1F1B runs on real Unix sockets,
 //!    recovered by reconnect-with-replay alone.
@@ -14,22 +14,22 @@
 //!    both directions; the session layer reconnects and replays the
 //!    unacked window.
 //! 3. **Single-rank kill** — this binary re-executes itself under the
-//!    fine-grained supervisor (`pbp_dist::launch`), aborts one rank
-//!    mid-run, and verifies the respawn-one/rewind-survivors arc from
-//!    the final rank snapshots.
+//!    fine-grained supervisor (`pbp_dist::launch`), crashes one rank
+//!    mid-run (`rank:2:crash@30`), and verifies the
+//!    respawn-one/rewind-survivors arc from the final rank snapshots.
 
 use pbp_data::{spirals, Dataset};
 use pbp_dist::{
-    env_abort_at, launch, rank_snapshot_path, run_rank, splice_owned_stages, DistError, LaunchSpec,
-    LinkDir, LinkEndpoint, NetFaultKind, NetFaultPlan, NetFaultSpec, RankOutcome, RankRecovery,
-    RankSnapshots, RankSpec, ReconnectPolicy, Topology, Transport, SECTION_DIST,
+    env_net_faults, launch, rank_snapshot_path, run_rank, splice_owned_stages, DistError,
+    LaunchSpec, LinkEndpoint, RankOutcome, RankRecovery, RankSnapshots, RankSpec, ReconnectPolicy,
+    Topology, Transport, SECTION_DIST,
 };
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
-    EngineMetrics, MicrobatchSchedule, ScheduledConfig, ScheduledTrainer, StageCounters,
-    TrainEngine,
+    EngineMetrics, FaultPlan, FaultSpec, LinkDir, LinkFault, MicrobatchSchedule, ScheduledConfig,
+    ScheduledTrainer, StageCounters, SupervisionEvent, TrainEngine,
 };
 use pbp_snapshot::{SnapshotArchive, Snapshottable, StateReader};
 use rand::rngs::StdRng;
@@ -93,7 +93,7 @@ fn baseline(plan: MicrobatchSchedule) -> Baseline {
 
 /// Runs a 4-rank group as threads over real Unix sockets with the given
 /// wire chaos, recovering through reconnect-with-replay only.
-fn run_faulted(plan: MicrobatchSchedule, faults: &NetFaultPlan, tag: &str) -> Vec<RankOutcome> {
+fn run_faulted(plan: MicrobatchSchedule, faults: &FaultPlan, tag: &str) -> Vec<RankOutcome> {
     let dir = scratch(tag);
     let transport = Transport::Unix { dir: dir.clone() };
     let topology = Topology::contiguous(LAYERS.len() - 1, WORLD).expect("valid partition");
@@ -200,7 +200,7 @@ fn assert_matches_baseline(outcomes: Vec<RankOutcome>, base: &Baseline, context:
 }
 
 /// Scenario 1+2 driver: one plan flavor under one fault schedule.
-fn soak_one(plan: MicrobatchSchedule, base: &Baseline, faults: &NetFaultPlan, tag: &str) {
+fn soak_one(plan: MicrobatchSchedule, base: &Baseline, faults: &FaultPlan, tag: &str) {
     eprintln!("  [{tag}] faults: {}", faults.spec_string());
     let outcomes = run_faulted(plan, faults, tag);
     assert_matches_baseline(outcomes, base, tag);
@@ -209,20 +209,11 @@ fn soak_one(plan: MicrobatchSchedule, base: &Baseline, faults: &NetFaultPlan, ta
 
 /// The scripted mid-run partition of the acceptance criteria: the
 /// interior link 1 goes dark in both directions.
-fn partition_plan() -> NetFaultPlan {
-    NetFaultPlan::new(0)
-        .with(NetFaultSpec::new(
-            1,
-            LinkDir::Down,
-            40,
-            NetFaultKind::Partition { count: 5 },
-        ))
-        .with(NetFaultSpec::new(
-            1,
-            LinkDir::Up,
-            43,
-            NetFaultKind::Partition { count: 5 },
-        ))
+fn partition_plan() -> FaultPlan {
+    let dark = |at| FaultSpec::new(at, LinkFault::Partition(5));
+    FaultPlan::new(0)
+        .at_link(1, LinkDir::Down, dark(40))
+        .at_link(1, LinkDir::Up, dark(43))
 }
 
 /// Scenario 3: re-execute this binary under the fine-grained
@@ -244,16 +235,20 @@ fn kill_scenario(base: &Baseline) {
         attempt_timeout: Some(Duration::from_secs(120)),
         fine_grained: true,
     };
-    // The supervisor strips the one-shot abort from the respawn's env.
-    std::env::set_var("PBP_DIST_ABORT_AT", "2:30");
+    // The supervisor hands the respawn the plan minus the spent crash.
+    std::env::set_var("PBP_NET_FAULTS", "rank:2:crash@30");
     let report = launch(&spec).expect("fine-grained launch must recover");
-    std::env::remove_var("PBP_DIST_ABORT_AT");
+    std::env::remove_var("PBP_NET_FAULTS");
     for event in &report.events {
         eprintln!("  [kill] supervisor: {event}");
     }
+    let respawned_rank_2_alone = |e: &SupervisionEvent<String>| {
+        matches!(e, SupervisionEvent::Restart { from_snapshot: Some(from), .. }
+            if from.ends_with("(rank 2 only)"))
+    };
     assert!(
-        report.events.iter().any(|e| e.starts_with("fine restart")),
-        "the injected abort must have forced a fine-grained restart: {:?}",
+        report.events.iter().any(respawned_rank_2_alone),
+        "the injected crash must have forced a fine-grained restart: {:?}",
         report.events
     );
 
@@ -335,6 +330,9 @@ fn run_child(argv: &[String]) -> Result<(), DistError> {
     // Every rewind point must stay on disk for the survivors' rollback.
     let mut snapshots = RankSnapshots::new(&snap_dir, 24);
     snapshots.keep = usize::MAX;
+    let faults = env_net_faults();
+    // A plan this process cannot honour is refused by `run_rank`.
+    let abort_after = faults.as_ref().and_then(|p| p.process_crash(rank).ok()?);
     let spec = RankSpec {
         rank,
         topology,
@@ -347,9 +345,9 @@ fn run_child(argv: &[String]) -> Result<(), DistError> {
         stall,
         snapshots: Some(snapshots),
         resume_at,
-        abort_after: env_abort_at(rank),
+        abort_after,
         recovery: RankRecovery {
-            net_faults: None,
+            net_faults: faults,
             reconnect: Some(ReconnectPolicy {
                 deadline: stall,
                 backoff: Duration::from_millis(10),
@@ -409,7 +407,7 @@ fn parent(base_dir: &Path) -> usize {
     // PBP_NET_FAULTS replays one explicit schedule (the spec string a
     // failing soak logged) instead of the random sweep.
     if let Ok(raw) = std::env::var("PBP_NET_FAULTS") {
-        let faults = NetFaultPlan::parse(&raw).expect("PBP_NET_FAULTS");
+        let faults = FaultPlan::parse(&raw).expect("PBP_NET_FAULTS");
         soak_one(
             MicrobatchSchedule::PipelinedBackprop,
             &pb,
@@ -421,7 +419,7 @@ fn parent(base_dir: &Path) -> usize {
 
     // Scenario 1: randomized seeded fault plans, both plan flavors.
     for &seed in &random_seeds {
-        let faults = NetFaultPlan::random(seed, WORLD - 1, 64);
+        let faults = FaultPlan::random(seed, 0, WORLD - 1, 64);
         soak_one(
             MicrobatchSchedule::PipelinedBackprop,
             &pb,
@@ -429,7 +427,7 @@ fn parent(base_dir: &Path) -> usize {
             &format!("pb/seed{seed}"),
         );
         runs += 1;
-        let faults = NetFaultPlan::random(seed ^ 0x5A5A, WORLD - 1, 64);
+        let faults = FaultPlan::random(seed ^ 0x5A5A, 0, WORLD - 1, 64);
         soak_one(
             MicrobatchSchedule::OneFOneB {
                 microbatches_per_update: 4,

@@ -5,7 +5,7 @@
 //! * **Parent** (no `--rank`): spawns `--world` copies of itself, one
 //!   per stage group, and supervises them — any child failure kills the
 //!   group and respawns it from the newest snapshot counter all ranks
-//!   hold (see `pbp_dist::launch`).
+//!   hold, under the workspace's one retry loop (see `pbp_dist::launch`).
 //! * **Child** (`--rank R`, appended by the parent): binds its
 //!   downstream link, connects upstream (with retry, which doubles as
 //!   the reconnect path after a restart), and runs its stage slice via
@@ -16,16 +16,16 @@
 //!     --layers 2,16,16,3 --data spirals:3,24,0.05,2 --plan pb
 //! ```
 //!
-//! Fault injection for tests: `PBP_DIST_ABORT_AT=rank:count` makes that
-//! rank abort after `count` microbatches; the parent clears the variable
-//! on respawn so the injection fires exactly once. `PBP_NET_FAULTS`
-//! scripts wire chaos (see `pbp_dist::netfault`); with `--fine-grained`
-//! the supervisor respawns only the dead rank and survivors rewind in
-//! place instead of being killed.
+//! Fault injection for tests: `PBP_NET_FAULTS` holds the one fault
+//! script (`pbp_pipeline::fault`) — `1:down:drop@7` scripts wire chaos,
+//! `rank:<r>:crash@<k>` makes rank `r` abort as it turns to backward `k`
+//! (once: the parent hands a respawn the plan minus that clause). With
+//! `--fine-grained` the supervisor respawns only the dead rank and
+//! survivors rewind in place instead of being killed.
 
 use pbp_dist::{
-    env_abort_at, env_net_faults, env_rank, env_world, launch, DistError, LaunchSpec, LinkEndpoint,
-    RankRecovery, RankSnapshots, RankSpec, ReconnectPolicy, Topology, Transport,
+    env_net_faults, env_rank, env_world, launch, DistError, LaunchSpec, LinkEndpoint, RankRecovery,
+    RankSnapshots, RankSpec, ReconnectPolicy, Topology, Transport,
 };
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::MicrobatchSchedule;
@@ -204,6 +204,9 @@ fn run_child(args: &Args, rank: usize) -> Result<(), DistError> {
         },
     };
     let stall = Duration::from_millis(args.stall_ms);
+    let faults = env_net_faults();
+    // A plan this process cannot honour is refused by `run_rank`.
+    let abort_after = faults.as_ref().and_then(|p| p.process_crash(rank).ok()?);
     // Fine-grained mode needs every rewind point on disk, so pruning is
     // off; the supervisor wipes the snapshot directory between runs.
     let mut snapshots = RankSnapshots::new(&args.snap_dir, every);
@@ -222,9 +225,9 @@ fn run_child(args: &Args, rank: usize) -> Result<(), DistError> {
         stall,
         snapshots: Some(snapshots),
         resume_at: args.resume_at,
-        abort_after: env_abort_at(rank),
+        abort_after,
         recovery: RankRecovery {
-            net_faults: env_net_faults(),
+            net_faults: faults,
             reconnect: Some(ReconnectPolicy {
                 deadline: stall.min(Duration::from_secs(5)),
                 backoff: Duration::from_millis(10),

@@ -1,10 +1,10 @@
 //! Hardened parsing of the distributed layer's environment variables
-//! (`PBP_RANK`, `PBP_WORLD`, `PBP_DIST_ABORT_AT`, `PBP_NET_FAULTS`),
+//! (`PBP_RANK`, `PBP_WORLD`, `PBP_NET_FAULTS`),
 //! mirroring the `PBP_THREADS` / `PBP_SIMD` treatment in `pbp-tensor`:
 //! an invalid value is ignored with a one-time warning and the caller's
 //! fallback applies, instead of a panic or a silently wrong rank.
 
-use crate::netfault::NetFaultPlan;
+use pbp_pipeline::FaultPlan;
 use std::sync::Once;
 
 /// Reads `var` and runs it through `parse`. Unset returns `None`; a
@@ -42,18 +42,8 @@ fn parse_world(raw: &str) -> Option<usize> {
     raw.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
-/// Parses a `PBP_DIST_ABORT_AT` value (`rank:count`) into its parts.
-fn parse_abort_at(raw: &str) -> Option<(usize, usize)> {
-    let (rank, count) = raw.split_once(':')?;
-    Some((
-        rank.trim().parse::<usize>().ok()?,
-        count.trim().parse::<usize>().ok()?,
-    ))
-}
-
 static RANK_WARNING: Once = Once::new();
 static WORLD_WARNING: Once = Once::new();
-static ABORT_WARNING: Once = Once::new();
 static FAULTS_WARNING: Once = Once::new();
 
 /// Reads `PBP_RANK` from the environment. Unset returns `None`; an
@@ -79,30 +69,17 @@ pub fn env_world() -> Option<usize> {
     )
 }
 
-/// Reads the `PBP_DIST_ABORT_AT=rank:count` crash injection: `Some
-/// (count)` when it names `rank`. A malformed value warns once and
-/// injects nothing — a chaos run with a typo'd knob must not silently
-/// become a clean run on *some* ranks.
-pub fn env_abort_at(rank: usize) -> Option<usize> {
-    env_parsed(
-        "PBP_DIST_ABORT_AT",
-        &ABORT_WARNING,
-        "rank:count with non-negative integers",
-        parse_abort_at,
-    )
-    .and_then(|(r, count)| (r == rank).then_some(count))
-}
-
-/// Reads the `PBP_NET_FAULTS` wire-chaos plan (see
-/// [`NetFaultPlan::parse`] for the grammar). Unset returns `None`; an
+/// Reads the `PBP_NET_FAULTS` fault script — link clauses for the wire,
+/// `rank:<r>:crash@<k>` to kill rank `r` as it turns to backward `k`
+/// (see [`FaultPlan::parse`] for the grammar). Unset returns `None`; an
 /// invalid spec warns once with the parser's diagnosis and returns
 /// `None`, so the run proceeds un-faulted.
-pub fn env_net_faults() -> Option<NetFaultPlan> {
+pub fn env_net_faults() -> Option<FaultPlan> {
     env_parsed(
         "PBP_NET_FAULTS",
         &FAULTS_WARNING,
-        "a net-fault spec",
-        |raw| match NetFaultPlan::parse(raw) {
+        "a fault script",
+        |raw| match FaultPlan::parse(raw) {
             Ok(plan) => Some(plan),
             Err(msg) => {
                 eprintln!("warning: PBP_NET_FAULTS rejected: {msg}");
@@ -137,16 +114,5 @@ mod tests {
         assert_eq!(parse_world("four"), None);
         assert_eq!(parse_world(""), None);
         assert_eq!(parse_world("2.0"), None);
-    }
-
-    #[test]
-    fn parse_abort_at_wants_rank_colon_count() {
-        assert_eq!(parse_abort_at("1:24"), Some((1, 24)));
-        assert_eq!(parse_abort_at(" 0 : 7 "), Some((0, 7)));
-        assert_eq!(parse_abort_at("1"), None);
-        assert_eq!(parse_abort_at("1:"), None);
-        assert_eq!(parse_abort_at(":24"), None);
-        assert_eq!(parse_abort_at("one:24"), None);
-        assert_eq!(parse_abort_at("1:-3"), None);
     }
 }

@@ -1,26 +1,26 @@
 //! The stage-group launcher: spawn one process per rank, supervise,
 //! restart from the newest common snapshot.
 //!
-//! This is the PR5 supervisor lifted from threads to processes. The
-//! parent spawns `world` children of the same executable (each told its
-//! rank), then polls their exit statuses. Inside a run, liveness is
-//! enforced *between* the children themselves — every rank watches its
-//! socket neighbors with the [`transport`](crate::transport) stall
-//! window, so a killed or hung peer surfaces as a typed
-//! [`DistError`](crate::DistError) and a nonzero exit in the rank that
-//! observed it. The parent's job is the recovery arc: when any child
-//! fails, kill the whole stage group (a pipeline chain cannot run with a
-//! hole in it), back off exponentially, compute the newest snapshot
-//! counter *every* rank holds a valid snapshot for, and respawn the
-//! group with `--resume-at` pointing there. Ranks that had advanced
-//! further simply discard the work past the common point — the price of
-//! not coordinating snapshot barriers across failures — and the restart
-//! converges to bit-identical final weights because resume is
-//! bit-identical per rank.
+//! This is the thread supervisor lifted to processes, running the same
+//! restart loop ([`supervise_retries`]). The parent spawns `world` children of
+//! the same executable (each told its rank), then polls their exit
+//! statuses. Inside a run, liveness is enforced *between* the children
+//! themselves — every rank watches its socket neighbors with the
+//! [`transport`](crate::transport) stall window, so a killed or hung peer
+//! surfaces as a typed [`DistError`](crate::DistError) and a nonzero exit
+//! in the rank that observed it. The parent's job is the recovery arc,
+//! the loop's attempt closure: when any child fails, kill the whole stage
+//! group (a pipeline chain cannot run with a hole in it), compute the
+//! newest snapshot counter *every* rank holds a valid snapshot for, back
+//! off, and respawn the group with `--resume-at` pointing there. Ranks
+//! that had advanced further simply discard the work past the common
+//! point — the price of not coordinating snapshot barriers across
+//! failures — and the restart converges to bit-identical final weights
+//! because resume is bit-identical per rank.
 //!
 //! ## Fine-grained mode
 //!
-//! With [`LaunchSpec::fine_grained`] the parent keeps surviving ranks
+//! With [`LaunchSpec::fine_grained`] the attempt keeps surviving ranks
 //! alive across a single-rank death: it bumps the group's *rewind
 //! generation*, writes a [`rewind token`](rewind_token_path) naming the
 //! newest common snapshot counter, and respawns only the dead rank at
@@ -29,9 +29,18 @@
 //! common counter from their own snapshots, and re-establish links at
 //! the new generation — see `crate::runner`. The whole-group kill
 //! remains the fallback: restart-budget exhaustion or an attempt
-//! timeout still tears everything down.
+//! timeout still tears everything down. Whatever way `launch` returns,
+//! every child it spawned has been killed and reaped: the group is owned
+//! by a guard that does so on drop.
+//!
+//! Fault injection (`PBP_NET_FAULTS`) reaches the children through the
+//! environment. A crashed process cannot carry a one-shot charge over, so
+//! a respawn is handed the plan minus its one-shot rank clauses:
+//! `rank:1:crash@30` kills rank 1 exactly once.
 
+use crate::env::env_net_faults;
 use crate::error::DistError;
+use pbp_pipeline::{supervise_retries, SupervisionEvent};
 use pbp_snapshot::{
     rank_prefix, valid_snapshot_counters, SnapshotArchive, SnapshotBuilder, StateReader,
     StateWriter,
@@ -53,9 +62,11 @@ pub struct LaunchSpec {
     pub snapshot_dir: PathBuf,
     /// Restart budget: the group is respawned at most this many times.
     pub max_restarts: usize,
-    /// Base backoff between restarts; doubles per consecutive restart.
+    /// Backoff before the first restart; doubles per restart, capped at
+    /// 64× ([`pbp_pipeline::backoff_delay`]).
     pub backoff: Duration,
-    /// Kill the whole attempt if it runs longer than this.
+    /// Kill the whole attempt if it runs longer than this (fine-grained:
+    /// the whole launch — one attempt spans every single-rank respawn).
     pub attempt_timeout: Option<Duration>,
     /// Surviving-rank recovery: respawn a dead rank alone and rewind
     /// the survivors in place instead of killing the whole group.
@@ -63,12 +74,13 @@ pub struct LaunchSpec {
 }
 
 /// What the supervision loop did.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LaunchReport {
     /// Spawn rounds (1 = no restart was needed).
     pub attempts: usize,
-    /// Human-readable fault/restart log, in order.
-    pub events: Vec<String>,
+    /// The fault/backoff/restart log, in order; a fault reads
+    /// `rank 1 exited with signal: 6` or `attempt exceeded 120000 ms`.
+    pub events: Vec<SupervisionEvent<String>>,
     /// The resume counter each attempt started from.
     pub resume_points: Vec<usize>,
 }
@@ -127,14 +139,14 @@ pub fn read_rewind_token(dir: &Path) -> Option<(u64, usize)> {
 }
 
 /// Spawns one rank process. `generation` is appended only in
-/// fine-grained mode; `clear_abort` strips the one-shot crash injection
-/// on respawns.
+/// fine-grained mode; a `respawn` runs under the fault plan minus its
+/// spent rank clauses.
 fn spawn_rank(
     spec: &LaunchSpec,
     rank: usize,
     resume: usize,
     generation: Option<u64>,
-    clear_abort: bool,
+    respawn: bool,
 ) -> Result<std::process::Child, DistError> {
     let mut cmd = std::process::Command::new(&spec.program);
     cmd.args(&spec.args)
@@ -145,10 +157,15 @@ fn spawn_rank(
     if let Some(generation) = generation {
         cmd.arg("--generation").arg(generation.to_string());
     }
-    if clear_abort {
-        // One-shot fault injection: a child that aborted once must not
-        // re-abort after the supervised restart.
-        cmd.env_remove("PBP_DIST_ABORT_AT");
+    if let Some(plan) = respawn.then(env_net_faults).flatten() {
+        // One-shot fault injection: a child that crashed once must not
+        // crash again after the supervised restart.
+        let plan = plan.for_respawn();
+        if plan.is_empty() {
+            cmd.env_remove("PBP_NET_FAULTS");
+        } else {
+            cmd.env("PBP_NET_FAULTS", plan.spec_string());
+        }
     }
     cmd.spawn().map_err(|e| DistError::Rank {
         rank,
@@ -156,10 +173,55 @@ fn spawn_rank(
     })
 }
 
-fn kill_group(children: &mut [std::process::Child]) {
-    for c in children.iter_mut() {
-        let _ = c.kill();
-        let _ = c.wait();
+/// The rank processes of one launch, by rank. Teardown is structural:
+/// however `launch` exits, dropping the group kills and reaps every
+/// child still in it.
+struct Group(Vec<std::process::Child>);
+
+impl Group {
+    fn kill(&mut self) {
+        for mut child in self.0.drain(..) {
+            let _ = (child.kill(), child.wait());
+        }
+    }
+}
+
+impl Drop for Group {
+    fn drop(&mut self) {
+        self.kill();
+    }
+}
+
+/// Polls the children until all have exited cleanly (`None`) or a fault
+/// is observed, returned with its description: the first rank found dead
+/// or unwaitable, or — against rank `children.len()`, the group —
+/// `timeout` passing since `started`. Exited children are reaped as they
+/// are polled.
+fn poll(
+    children: &mut [std::process::Child],
+    started: Instant,
+    timeout: Option<Duration>,
+) -> Option<(usize, String)> {
+    loop {
+        let mut running = false;
+        for (rank, child) in children.iter_mut().enumerate() {
+            match child.try_wait() {
+                Ok(Some(status)) if status.success() => {}
+                Ok(Some(status)) => {
+                    return Some((rank, format!("rank {rank} exited with {status}")))
+                }
+                Ok(None) => running = true,
+                Err(e) => return Some((rank, format!("rank {rank} unwaitable: {e}"))),
+            }
+        }
+        if !running {
+            return None;
+        }
+        if let Some(t) = timeout.filter(|&t| started.elapsed() > t) {
+            let detail = format!("attempt exceeded {} ms", t.as_millis());
+            return Some((children.len(), detail));
+        }
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -167,6 +229,8 @@ fn kill_group(children: &mut [std::process::Child]) {
 /// mode any child failure kills and respawns the whole group from the
 /// newest common snapshot; in [fine-grained](LaunchSpec::fine_grained)
 /// mode only the dead rank respawns while survivors rewind in place.
+/// Either way it is one [`supervise_retries`] loop, and no child
+/// outlives the call.
 pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, DistError> {
     if spec.world == 0 {
         return Err(DistError::Spec("world size must be at least 1".into()));
@@ -178,177 +242,80 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, DistError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
         Err(e) => return Err(e.into()),
     }
-    if spec.fine_grained {
-        launch_fine(spec)
-    } else {
-        launch_group(spec)
-    }
-}
-
-fn launch_group(spec: &LaunchSpec) -> Result<LaunchReport, DistError> {
-    let mut report = LaunchReport {
-        attempts: 0,
-        events: Vec::new(),
-        resume_points: Vec::new(),
-    };
-    loop {
-        let attempt = report.attempts;
-        report.attempts += 1;
-        let resume = common_resume_point(&spec.snapshot_dir, spec.world);
-        report.resume_points.push(resume);
-        if attempt > 0 {
-            report
-                .events
-                .push(format!("restart {attempt}: resuming all ranks at {resume}"));
-        }
-        let mut children = Vec::with_capacity(spec.world);
-        for rank in 0..spec.world {
-            match spawn_rank(spec, rank, resume, None, attempt > 0) {
-                Ok(child) => children.push(child),
-                Err(e) => {
-                    kill_group(&mut children);
-                    return Err(e);
-                }
-            }
-        }
-
-        let started = Instant::now();
-        let fault = supervise(&mut children, spec.attempt_timeout, started);
-        match fault {
-            None => return Ok(report),
-            Some(detail) => {
-                kill_group(&mut children);
-                report.events.push(format!("fault: {detail}"));
-                if attempt >= spec.max_restarts {
-                    return Err(DistError::Rank {
-                        rank: spec.world, // group-level failure
-                        detail: format!("restart budget exhausted after: {detail}"),
-                    });
-                }
-                std::thread::sleep(spec.backoff * 2u32.pow(attempt.min(8) as u32));
-            }
-        }
-    }
-}
-
-/// Fine-grained supervision: survivors stay up through a single-rank
-/// death. The recovery arc per death: bump the rewind generation,
-/// publish the rewind token at the newest common counter, respawn only
-/// the dead rank there. Budget exhaustion and the attempt timeout fall
-/// back to killing the whole group, exactly like classic mode's
-/// terminal paths.
-fn launch_fine(spec: &LaunchSpec) -> Result<LaunchReport, DistError> {
-    let mut report = LaunchReport {
-        attempts: 1,
-        events: Vec::new(),
-        resume_points: Vec::new(),
-    };
+    let mut group = Group(Vec::with_capacity(spec.world));
+    let mut events = Vec::new();
+    let mut resume_points = Vec::new();
     let mut generation = 0u64;
-    let mut restarts = 0usize;
-    let resume = common_resume_point(&spec.snapshot_dir, spec.world);
-    report.resume_points.push(resume);
-    let mut children = Vec::with_capacity(spec.world);
-    for rank in 0..spec.world {
-        match spawn_rank(spec, rank, resume, Some(generation), false) {
-            Ok(child) => children.push(child),
-            Err(e) => {
-                kill_group(&mut children);
-                return Err(e);
-            }
-        }
-    }
-    let mut done = vec![false; spec.world];
-    let started = Instant::now();
-    loop {
-        let mut all_done = true;
-        for rank in 0..spec.world {
-            if done[rank] {
-                continue;
-            }
-            match children[rank].try_wait() {
-                Ok(Some(status)) if status.success() => done[rank] = true,
-                Ok(Some(status)) => {
-                    restarts += 1;
-                    if restarts > spec.max_restarts {
-                        kill_group(&mut children);
-                        return Err(DistError::Rank {
-                            rank: spec.world,
-                            detail: format!(
-                                "fine-grained restart budget exhausted after rank {rank} \
-                                 exited with {status}"
-                            ),
-                        });
-                    }
+    let mut started = Instant::now();
+    // What the previous attempt's fault left to do: the rank that died
+    // and the common counter the restart resumes at.
+    let mut pending: Option<(usize, usize)> = None;
+    let outcome = supervise_retries(
+        &mut group,
+        spec.max_restarts,
+        spec.backoff,
+        |_, event| events.push(event),
+        |group, restart| {
+            let (dead, resume) = match pending.take() {
+                Some((dead, resume)) => (Some(dead), resume),
+                None => (None, common_resume_point(&spec.snapshot_dir, spec.world)),
+            };
+            resume_points.push(resume);
+            match dead.filter(|_| spec.fine_grained) {
+                Some(rank) => {
                     generation += 1;
-                    let resume = common_resume_point(&spec.snapshot_dir, spec.world);
                     write_rewind_token(&spec.snapshot_dir, generation, resume)?;
-                    report.events.push(format!(
-                        "fine restart {restarts}: rank {rank} exited with {status}; \
-                         rewinding group to {resume} at generation {generation}"
-                    ));
-                    report.resume_points.push(resume);
-                    report.attempts += 1;
-                    std::thread::sleep(spec.backoff);
-                    children[rank] = spawn_rank(spec, rank, resume, Some(generation), true)?;
-                    all_done = false;
+                    let respawned = spawn_rank(spec, rank, resume, Some(generation), true)?;
+                    // Already reaped unless it was unwaitable.
+                    let mut dead = std::mem::replace(&mut group.0[rank], respawned);
+                    let _ = (dead.kill(), dead.wait());
                 }
-                Ok(None) => all_done = false,
-                Err(e) => {
-                    kill_group(&mut children);
-                    return Err(DistError::Rank {
-                        rank,
-                        detail: format!("unwaitable: {e}"),
-                    });
+                None => {
+                    let generation = spec.fine_grained.then_some(generation);
+                    for rank in 0..spec.world {
+                        let child = spawn_rank(spec, rank, resume, generation, restart > 0)?;
+                        group.0.push(child);
+                    }
+                    started = Instant::now();
                 }
             }
-        }
-        if all_done {
-            return Ok(report);
-        }
-        if let Some(t) = spec.attempt_timeout {
-            if started.elapsed() > t {
-                kill_group(&mut children);
+            let Some((rank, fault)) = poll(&mut group.0, started, spec.attempt_timeout) else {
+                return Ok(Ok(()));
+            };
+            if !spec.fine_grained {
+                // A chain cannot run with a hole in it, and no rank may be
+                // mid-write when the common counter is read.
+                group.kill();
+            } else if rank == spec.world {
+                // One attempt spans every single-rank respawn: its
+                // timeout ends the launch.
                 return Err(DistError::Rank {
-                    rank: spec.world,
-                    detail: format!("attempt exceeded {} ms", t.as_millis()),
+                    rank,
+                    detail: fault,
                 });
             }
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-/// Polls the children until all exit cleanly (returns `None`) or a fault
-/// is observed (returns its description). Children that exited are
-/// reaped as they finish.
-fn supervise(
-    children: &mut [std::process::Child],
-    timeout: Option<Duration>,
-    started: Instant,
-) -> Option<String> {
-    let mut done = vec![false; children.len()];
-    loop {
-        let mut all_done = true;
-        for (rank, child) in children.iter_mut().enumerate() {
-            if done[rank] {
-                continue;
-            }
-            match child.try_wait() {
-                Ok(Some(status)) if status.success() => done[rank] = true,
-                Ok(Some(status)) => return Some(format!("rank {rank} exited with {status}")),
-                Ok(None) => all_done = false,
-                Err(e) => return Some(format!("rank {rank} unwaitable: {e}")),
-            }
-        }
-        if all_done {
-            return None;
-        }
-        if let Some(t) = timeout {
-            if started.elapsed() > t {
-                return Some(format!("attempt exceeded {} ms", t.as_millis()));
-            }
-        }
-        std::thread::sleep(Duration::from_millis(20));
+            let resume = common_resume_point(&spec.snapshot_dir, spec.world);
+            pending = Some((rank, resume));
+            let from = match spec.fine_grained {
+                true => format!(
+                    "counter {resume} at generation {} (rank {rank} only)",
+                    generation + 1
+                ),
+                false => format!("counter {resume} (all ranks)"),
+            };
+            Ok(Err((fault, Some(from))))
+        },
+    )?;
+    match outcome {
+        Ok(()) => Ok(LaunchReport {
+            attempts: resume_points.len(),
+            events,
+            resume_points,
+        }),
+        Err(fault) => Err(DistError::Rank {
+            rank: spec.world, // group-level failure
+            detail: format!("restart budget exhausted after: {fault}"),
+        }),
     }
 }
 
@@ -422,6 +389,51 @@ mod tests {
         bytes[mid] ^= 0x01;
         std::fs::write(&path, bytes).unwrap();
         assert_eq!(read_rewind_token(&dir), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    /// Every exit path tears the group down: a fine-grained recovery arc
+    /// that fails half-way (the rewind token cannot be written) returns
+    /// `Err` with the surviving rank killed and reaped, not orphaned.
+    #[test]
+    fn failed_fine_grained_recovery_leaves_no_orphans() {
+        let dir = std::env::temp_dir().join(format!("pbp_launch_orphan_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let snaps = dir.join("snaps");
+        std::fs::create_dir_all(&snaps).unwrap();
+        // Every rank records its pid. Rank 0 then outlives the test unless
+        // killed; rank 1 waits for rank 0's record, replaces the snapshot
+        // directory with a plain file — so the token write of its own
+        // recovery fails — and dies.
+        let script = r#"
+            dir=$0
+            while [ $# -gt 0 ]; do [ "$1" = --rank ] && rank=$2; shift; done
+            echo $$ > "$dir/pid.$rank.tmp" && mv "$dir/pid.$rank.tmp" "$dir/pid.$rank"
+            [ "$rank" = 0 ] && exec sleep 60
+            until [ -f "$dir/pid.0" ]; do sleep 0.02; done
+            rm -rf "$dir/snaps" && : > "$dir/snaps"
+            exit 1
+        "#;
+        let spec = LaunchSpec {
+            program: "/bin/sh".into(),
+            args: vec!["-c".into(), script.into(), dir.display().to_string()],
+            world: 2,
+            snapshot_dir: snaps,
+            max_restarts: 3,
+            backoff: Duration::ZERO,
+            attempt_timeout: Some(Duration::from_secs(30)),
+            fine_grained: true,
+        };
+        let err = launch(&spec).expect_err("the recovery arc cannot succeed");
+        assert!(matches!(err, DistError::Io(_)), "{err}");
+        for rank in 0..2 {
+            let pid = std::fs::read_to_string(dir.join(format!("pid.{rank}"))).unwrap();
+            let proc_dir = Path::new("/proc").join(pid.trim());
+            assert!(
+                !proc_dir.exists(),
+                "rank {rank} (pid {}) outlived a failed launch",
+                pid.trim()
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -23,40 +23,36 @@
 //!   construction (see DESIGN §12).
 //! * [`launch`] — the `pbp-launch` supervisor: spawns one process per
 //!   rank, watches for typed faults (peer death, stalls, nonzero
-//!   exits), and restarts the whole stage group from the newest
-//!   snapshot counter *all* ranks hold, with exponential backoff.
-//! * [`netfault`] — deterministic, seeded network fault plans
-//!   (`PBP_NET_FAULTS`): drop, truncate, bit-flip, duplicate, delay,
-//!   and partition frames per-link per-direction, mirroring the thread
-//!   runtime's `FaultPlan`.
+//!   exits), and restarts the whole stage group — or, fine-grained,
+//!   only the dead rank — from the newest snapshot counter *all* ranks
+//!   hold, under the workspace's one retry loop
+//!   ([`pbp_pipeline::supervise_retries`]).
 //! * [`reliable`] — the session layer chaos is aimed at: sequence
 //!   numbers, cumulative acks, a bounded replay window, and
 //!   reconnect-with-replay behind the same [`Connection`] trait, plus
 //!   rewind-generation epochs for surviving-rank recovery. A
 //!   [`ReliableConn`] is the rank loop's socket
-//!   [`Link`](pbp_pipeline::Link).
-//! * [`env`] — hardened `PBP_RANK` / `PBP_WORLD` / `PBP_DIST_ABORT_AT`
-//!   / `PBP_NET_FAULTS` parsing (invalid values warn once and fall
-//!   back, like `PBP_THREADS` / `PBP_SIMD`).
+//!   [`Link`](pbp_pipeline::Link), and its receive path is the one
+//!   place the link clauses of a [`FaultPlan`](pbp_pipeline::FaultPlan)
+//!   — the workspace's one fault script, `PBP_NET_FAULTS` — are applied.
+//! * [`env`] — hardened `PBP_RANK` / `PBP_WORLD` / `PBP_NET_FAULTS`
+//!   parsing (invalid values warn once and fall back, like
+//!   `PBP_THREADS` / `PBP_SIMD`).
 
 pub mod codec;
 pub mod env;
 pub mod error;
 pub mod launch;
-pub mod netfault;
 pub mod reliable;
 pub mod runner;
 pub mod topology;
 pub mod transport;
 
 pub use codec::{Frame, MAX_FRAME_BYTES};
-pub use env::{env_abort_at, env_net_faults, env_rank, env_world};
+pub use env::{env_net_faults, env_rank, env_world};
 pub use error::DistError;
 pub use launch::{launch, LaunchReport, LaunchSpec};
 pub use launch::{read_rewind_token, rewind_token_path, write_rewind_token};
-pub use netfault::{
-    LinkDir, NetFaultAction, NetFaultInjector, NetFaultKind, NetFaultPlan, NetFaultSpec,
-};
 pub use reliable::{LinkEndpoint, LinkIdentity, LinkOptions, ReconnectPolicy, ReliableConn};
 pub use runner::{
     rank_snapshot_path, run_rank, splice_owned_stages, RankOutcome, RankRecovery, RankSnapshots,
@@ -64,6 +60,5 @@ pub use runner::{
 };
 pub use topology::Topology;
 pub use transport::{
-    handshake, loopback_pair, Connection, FaultyConn, LinkListener, PeerHello, StreamConn,
-    Transport,
+    handshake, loopback_pair, Connection, LinkListener, PeerHello, StreamConn, Transport,
 };

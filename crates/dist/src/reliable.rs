@@ -1,7 +1,8 @@
 //! Reconnect-with-replay: exactly-once data links over faulty wires.
 //!
 //! [`ReliableConn`] wraps one rank-to-rank link with the session layer
-//! the chaos plans (`crate::netfault`) are designed to attack:
+//! the link clauses of a [`FaultPlan`](pbp_pipeline::FaultPlan) are
+//! designed to attack:
 //!
 //! * **Sequencing.** Every data frame (activation / gradient) is
 //!   stamped with a per-link, per-direction sequence number starting
@@ -35,9 +36,8 @@
 
 use crate::codec::Frame;
 use crate::error::DistError;
-use crate::netfault::NetFaultInjector;
 use crate::transport::{apply_net_fault, handshake, Connection, LinkListener, Transport};
-use pbp_pipeline::Message;
+use pbp_pipeline::{FaultInjector, LinkFault, Message};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -96,7 +96,7 @@ pub struct LinkOptions {
     /// (classic kill-group recovery).
     pub policy: Option<ReconnectPolicy>,
     /// Scripted faults applied to this end's received data frames.
-    pub injector: NetFaultInjector,
+    pub injector: FaultInjector<LinkFault>,
     /// Stall window for handshake receives during establishment.
     pub stall: Duration,
     /// Maximum unacked data frames held for replay before the sender
@@ -110,7 +110,7 @@ impl Default for LinkOptions {
     fn default() -> Self {
         LinkOptions {
             policy: None,
-            injector: NetFaultInjector::none(),
+            injector: FaultInjector::default(),
             stall: Duration::from_secs(5),
             window: DEFAULT_WINDOW,
             generation: 0,
@@ -136,7 +136,7 @@ pub struct ReliableConn {
     reattach: Reattach,
     identity: LinkIdentity,
     policy: Option<ReconnectPolicy>,
-    injector: NetFaultInjector,
+    injector: FaultInjector<LinkFault>,
     fault_pending: VecDeque<Frame>,
     stall: Duration,
     window: usize,
@@ -418,7 +418,9 @@ impl ReliableConn {
     }
 
     /// Receives one frame off the live connection, applying this end's
-    /// scripted faults to data frames.
+    /// scripted faults to data frames — the one place wire faults are
+    /// injected. Control traffic passes through unfaulted and uncounted,
+    /// so the recovery machinery itself stays observable.
     fn pull_frame(&mut self, stall: Duration) -> Result<Frame, DistError> {
         if let Some(frame) = self.fault_pending.pop_front() {
             return Ok(frame);
@@ -429,8 +431,8 @@ impl ReliableConn {
             if !matches!(frame, Frame::Activation { .. } | Frame::Gradient { .. }) {
                 return Ok(frame);
             }
-            let action = self.injector.on_data_frame();
-            if let Some(result) = apply_net_fault(frame, action, &mut self.fault_pending) {
+            let fault = self.injector.on_frame();
+            if let Some(result) = apply_net_fault(frame, fault, &mut self.fault_pending) {
                 return result;
             }
         }
@@ -637,8 +639,8 @@ impl pbp_pipeline::Link for ReliableConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netfault::{LinkDir, NetFaultKind, NetFaultPlan, NetFaultSpec};
     use crate::transport::loopback_pair;
+    use pbp_pipeline::{FaultPlan, FaultSpec, LinkDir};
     use pbp_tensor::Tensor;
 
     const STALL: Duration = Duration::from_millis(500);
@@ -679,63 +681,6 @@ mod tests {
             }
             other => panic!("expected data frame, got {}", other.kind_name()),
         }
-    }
-
-    #[test]
-    fn loopback_session_acks_and_discards_duplicates() {
-        let (a_end, b_end) = loopback_pair();
-        // B's receive side duplicates data frames 1 and 3.
-        let plan = NetFaultPlan::new(0)
-            .with(NetFaultSpec::new(
-                0,
-                LinkDir::Down,
-                1,
-                NetFaultKind::Duplicate,
-            ))
-            .with(NetFaultSpec::new(
-                0,
-                LinkDir::Down,
-                3,
-                NetFaultKind::Duplicate,
-            ));
-        let b_injector = plan.injector(0, LinkDir::Down);
-        let b_thread = std::thread::spawn(move || {
-            let mut b = ReliableConn::new(
-                LinkEndpoint::Conn(Box::new(b_end)),
-                identity(1, 0),
-                LinkOptions {
-                    injector: b_injector,
-                    stall: STALL,
-                    ..LinkOptions::default()
-                },
-            );
-            b.establish().unwrap();
-            let mut got = Vec::new();
-            for _ in 0..5 {
-                got.push(microbatch_of(&b.recv_data(STALL).unwrap()));
-            }
-            b.send(&gradient(0)).unwrap();
-            got
-        });
-        let mut a = ReliableConn::new(
-            LinkEndpoint::Conn(Box::new(a_end)),
-            identity(0, 1),
-            LinkOptions {
-                stall: STALL,
-                ..LinkOptions::default()
-            },
-        );
-        a.establish().unwrap();
-        for mb in 0..5 {
-            a.send(&activation(mb)).unwrap();
-        }
-        // Receiving the gradient forces A through the ack stream.
-        let grad = a.recv_data(STALL).unwrap();
-        assert_eq!(microbatch_of(&grad), 0);
-        assert_eq!(b_thread.join().unwrap(), vec![0, 1, 2, 3, 4]);
-        // All five activations acked: the replay window drained.
-        assert_eq!(a.replay_len(), 0);
-        assert_eq!(a.reconnects(), 0);
     }
 
     #[test]
@@ -790,9 +735,8 @@ mod tests {
         };
         // The dial side's receive path silently loses data frame 2; the
         // gap at frame 3 must force a reconnect that replays it.
-        let plan =
-            NetFaultPlan::new(0).with(NetFaultSpec::new(0, LinkDir::Down, 2, NetFaultKind::Drop));
-        let b_injector = plan.injector(0, LinkDir::Down);
+        let plan = FaultPlan::new(0).at_link(0, LinkDir::Down, FaultSpec::new(2, LinkFault::Drop));
+        let b_injector = plan.link_injector(0, LinkDir::Down);
         let t2 = transport.clone();
         let b_thread = std::thread::spawn(move || {
             let mut b = ReliableConn::new(

@@ -23,7 +23,6 @@
 use crate::codec::Frame;
 use crate::error::DistError;
 use crate::launch::read_rewind_token;
-use crate::netfault::{LinkDir, NetFaultPlan};
 use crate::reliable::{LinkEndpoint, LinkIdentity, LinkOptions, ReconnectPolicy, ReliableConn};
 use crate::topology::{fold, Topology};
 use crate::transport::Connection;
@@ -31,8 +30,8 @@ use pbp_data::Dataset;
 use pbp_nn::Network;
 use pbp_optim::{LrSchedule, Mitigation};
 use pbp_pipeline::{
-    Message, MicrobatchSchedule, RankError, RankLoop, ScheduledConfig, StageCounters, StageGroup,
-    Step, Upstream,
+    FaultPlan, LinkDir, Message, MicrobatchSchedule, RankError, RankLoop, ScheduledConfig,
+    StageCounters, StageGroup, Step, Upstream,
 };
 use pbp_snapshot::{
     rank_prefix, snapshot_file_name, SnapshotArchive, SnapshotBuilder, SnapshotError, StateReader,
@@ -55,9 +54,10 @@ pub const SECTION_DIST: &str = "dist";
 /// the process, and the launcher restarts the whole group.
 #[derive(Debug, Clone, Default)]
 pub struct RankRecovery {
-    /// Scripted wire chaos (`PBP_NET_FAULTS`); each link end applies
-    /// its own slice.
-    pub net_faults: Option<NetFaultPlan>,
+    /// The fault script (`PBP_NET_FAULTS`): each link end applies its own
+    /// slice of the link clauses. A rank process can only `crash` (via
+    /// [`RankSpec::abort_after`]); any other kind for it is a bad spec.
+    pub net_faults: Option<FaultPlan>,
     /// Reconnect-with-replay budget per link fault; `None` keeps wire
     /// faults terminal.
     pub reconnect: Option<ReconnectPolicy>,
@@ -126,7 +126,8 @@ pub struct RankSpec {
     /// existing snapshot of this rank's family.
     pub resume_at: usize,
     /// Fault injection: abort the process (as a crash would) right after
-    /// this many microbatches have completed backward.
+    /// this many microbatches have completed backward
+    /// ([`FaultPlan::process_crash`]: the clause `rank:<r>:crash@<k>`).
     pub abort_after: Option<usize>,
     /// Chaos-hardening knobs: wire fault injection, reconnect budget,
     /// and the surviving-rank rewind barrier.
@@ -177,6 +178,9 @@ impl RankSpec {
             if snaps.keep == 0 {
                 return Err(DistError::Spec("must keep at least one snapshot".into()));
             }
+        }
+        if let Some(plan) = &self.recovery.net_faults {
+            plan.process_crash(self.rank).map_err(DistError::Spec)?;
         }
         if self.recovery.rewind.is_some() && self.snapshots.is_none() {
             return Err(DistError::Spec(
@@ -316,7 +320,9 @@ impl<'a> Rank<'a> {
             let faults = spec.recovery.net_faults.as_ref();
             let opts = LinkOptions {
                 policy: spec.recovery.reconnect,
-                injector: faults.map(|p| p.injector(link, dir)).unwrap_or_default(),
+                injector: faults
+                    .map(|p| p.link_injector(link, dir))
+                    .unwrap_or_default(),
                 stall: spec.stall,
                 generation: spec.recovery.generation,
                 ..LinkOptions::default()

@@ -18,15 +18,15 @@
 //! that comes up first (or comes back after a supervised restart) simply
 //! waits for its neighbor to bind the link again.
 //!
-//! Chaos: [`FaultyConn`] wraps any connection and applies a
-//! [`NetFaultInjector`](crate::netfault::NetFaultInjector)'s scripted
-//! faults on the receive path. Corruptions are injected into the *wire
-//! bytes* (re-encoded, mutated, re-decoded), so they surface through the
-//! exact codec error paths a hostile network would hit.
+//! Chaos: `apply_net_fault` turns one scripted
+//! [`LinkFault`](pbp_pipeline::LinkFault) into what a receiver sees, for
+//! the session layer's receive path (`crate::reliable`). Corruptions are
+//! injected into the *wire bytes*, so they surface through the exact
+//! codec error paths a hostile network would hit.
 
 use crate::codec::{decode_frame, encode_frame, read_frame, write_frame, Frame};
 use crate::error::DistError;
-use crate::netfault::{NetFaultAction, NetFaultInjector};
+use pbp_pipeline::LinkFault;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -165,45 +165,22 @@ impl Connection for LoopbackConn {
     }
 }
 
-/// A connection decorator that applies one link-end's slice of a
-/// [`NetFaultPlan`](crate::netfault::NetFaultPlan) to received frames.
-///
-/// Only data frames (activations, gradients) are faulted; control
-/// traffic passes through so the recovery machinery itself stays
-/// observable. `Truncate`/`BitFlip` re-encode the frame, damage the
-/// wire bytes, and decode the wreckage — the resulting
-/// [`DistError::Corrupt`]/[`DistError::ChecksumMismatch`] is the same
-/// typed error a genuinely hostile network produces.
-pub struct FaultyConn {
-    inner: Box<dyn Connection>,
-    injector: NetFaultInjector,
-    pending: VecDeque<Frame>,
-}
-
-impl FaultyConn {
-    /// Wraps `inner`, faulting its received data frames per `injector`.
-    pub fn new(inner: Box<dyn Connection>, injector: NetFaultInjector) -> Self {
-        FaultyConn {
-            inner,
-            injector,
-            pending: VecDeque::new(),
-        }
-    }
-}
-
-/// Applies one fault action to a received data frame. Returns `None`
-/// when the frame should be treated as never having arrived (dropped);
-/// otherwise the (possibly corrupted-on-decode) delivery result. A
-/// duplicate's second copy lands in `pending` for the next receive.
+/// Applies the fault (if any) scripted for a received data frame.
+/// Returns `None` when the frame should be treated as never having
+/// arrived (dropped, or inside a partition); otherwise the (possibly
+/// corrupted-on-decode) delivery result — `Truncate`/`BitFlip` yield the
+/// same typed [`DistError::Corrupt`]/[`DistError::ChecksumMismatch`] a
+/// genuinely hostile network produces. A duplicate's second copy lands
+/// in `pending` for the next receive.
 pub(crate) fn apply_net_fault(
     frame: Frame,
-    action: NetFaultAction,
+    fault: Option<LinkFault>,
     pending: &mut VecDeque<Frame>,
 ) -> Option<Result<Frame, DistError>> {
-    match action {
-        NetFaultAction::None => Some(Ok(frame)),
-        NetFaultAction::Drop => None,
-        NetFaultAction::Truncate => {
+    match fault {
+        None => Some(Ok(frame)),
+        Some(LinkFault::Drop | LinkFault::Partition(_)) => None,
+        Some(LinkFault::Truncate) => {
             let mut wire = encode_frame(&frame);
             let keep = wire.len().saturating_sub(wire.len() / 3).max(4);
             wire.truncate(keep);
@@ -216,7 +193,7 @@ pub(crate) fn apply_net_fault(
                 other => other,
             })
         }
-        NetFaultAction::BitFlip => {
+        Some(LinkFault::BitFlip) => {
             let mut wire = encode_frame(&frame);
             // Flip inside the body (past the length prefix, before the
             // trailing CRC) so the damage reads as a checksum mismatch,
@@ -225,35 +202,13 @@ pub(crate) fn apply_net_fault(
             wire[mid] ^= 0x40;
             Some(decode_frame(&wire))
         }
-        NetFaultAction::Duplicate => {
+        Some(LinkFault::Duplicate) => {
             pending.push_back(frame.clone());
             Some(Ok(frame))
         }
-        NetFaultAction::Delay(pause) => {
+        Some(LinkFault::Delay(pause)) => {
             std::thread::sleep(pause);
             Some(Ok(frame))
-        }
-    }
-}
-
-impl Connection for FaultyConn {
-    fn send(&mut self, frame: &Frame) -> Result<(), DistError> {
-        self.inner.send(frame)
-    }
-
-    fn recv_raw(&mut self, stall: Duration) -> Result<Frame, DistError> {
-        if let Some(frame) = self.pending.pop_front() {
-            return Ok(frame);
-        }
-        loop {
-            let frame = self.inner.recv_raw(stall)?;
-            if !matches!(frame, Frame::Activation { .. } | Frame::Gradient { .. }) {
-                return Ok(frame);
-            }
-            let action = self.injector.on_data_frame();
-            if let Some(result) = apply_net_fault(frame, action, &mut self.pending) {
-                return result;
-            }
         }
     }
 }
@@ -621,56 +576,35 @@ mod tests {
     }
 
     #[test]
-    fn faulty_conn_drops_duplicates_and_corrupts_typed() {
-        use crate::netfault::{LinkDir, NetFaultKind, NetFaultPlan, NetFaultSpec};
+    fn net_faults_drop_duplicate_delay_and_corrupt_typed() {
         use pbp_tensor::Tensor;
 
-        let data = |seq: u64| Frame::Activation {
-            seq,
-            microbatch: seq,
+        let data = Frame::Activation {
+            seq: 4,
+            microbatch: 4,
             weight_version: 0,
             label: 0,
-            lanes: vec![Tensor::from_vec(vec![seq as f32; 3], &[3]).unwrap()],
+            lanes: vec![Tensor::from_vec(vec![4.0; 3], &[3]).unwrap()],
         };
-        let plan = NetFaultPlan::new(0)
-            .with(NetFaultSpec::new(0, LinkDir::Down, 1, NetFaultKind::Drop))
-            .with(NetFaultSpec::new(
-                0,
-                LinkDir::Down,
-                2,
-                NetFaultKind::Duplicate,
-            ))
-            .with(NetFaultSpec::new(
-                0,
-                LinkDir::Down,
-                4,
-                NetFaultKind::BitFlip,
-            ))
-            .with(NetFaultSpec::new(
-                0,
-                LinkDir::Down,
-                5,
-                NetFaultKind::Truncate,
-            ));
-        let (mut tx, rx) = loopback_pair();
-        let mut faulty = FaultyConn::new(Box::new(rx), plan.injector(0, LinkDir::Down));
-        for seq in 0..6 {
-            tx.send(&data(seq)).unwrap();
-        }
-        // Heartbeats pass through un-faulted and un-counted.
-        tx.send(&beat(0, 9)).unwrap();
-
-        assert_eq!(faulty.recv_raw(STALL).unwrap(), data(0));
-        // Frame 1 dropped; frame 2 delivered twice.
-        assert_eq!(faulty.recv_raw(STALL).unwrap(), data(2));
-        assert_eq!(faulty.recv_raw(STALL).unwrap(), data(2));
-        assert_eq!(faulty.recv_raw(STALL).unwrap(), data(3));
+        let mut pending = VecDeque::new();
+        let mut apply = |fault| apply_net_fault(data.clone(), fault, &mut pending);
+        assert_eq!(apply(None).unwrap().unwrap(), data);
+        assert!(apply(Some(LinkFault::Drop)).is_none());
+        assert!(apply(Some(LinkFault::Partition(3))).is_none());
+        let late = apply(Some(LinkFault::Delay(Duration::from_millis(1))));
+        assert_eq!(late.unwrap().unwrap(), data);
         assert!(matches!(
-            faulty.recv_raw(STALL),
-            Err(DistError::ChecksumMismatch)
+            apply(Some(LinkFault::BitFlip)),
+            Some(Err(DistError::ChecksumMismatch))
         ));
-        assert!(matches!(faulty.recv_raw(STALL), Err(DistError::Corrupt(_))));
-        assert_eq!(faulty.recv_raw(STALL).unwrap(), beat(0, 9));
+        assert!(matches!(
+            apply(Some(LinkFault::Truncate)),
+            Some(Err(DistError::Corrupt(_)))
+        ));
+        // Only a duplicate queues anything, its second copy — last, so
+        // the queue holds exactly that.
+        assert_eq!(apply(Some(LinkFault::Duplicate)).unwrap().unwrap(), data);
+        assert_eq!(pending, [data]);
     }
 
     #[test]

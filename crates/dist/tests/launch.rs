@@ -126,7 +126,7 @@ fn two_rank_launch_matches_the_sequential_core() {
     let output = Command::new(launch_bin())
         .args(common_args(&dir))
         .env_remove("PBP_RANK") // never inherit child identity
-        .env_remove("PBP_DIST_ABORT_AT")
+        .env_remove("PBP_NET_FAULTS")
         .output()
         .expect("spawn pbp-launch");
     let stderr = String::from_utf8_lossy(&output.stderr);
@@ -156,7 +156,7 @@ fn killed_rank_restarts_from_common_snapshot_and_converges() {
         .args(common_args(&dir))
         .args(["--snap-every", "24"])
         .env_remove("PBP_RANK")
-        .env("PBP_DIST_ABORT_AT", "1:30")
+        .env("PBP_NET_FAULTS", "rank:1:crash@30")
         .output()
         .expect("spawn pbp-launch");
     let stderr = String::from_utf8_lossy(&output.stderr);
@@ -170,7 +170,7 @@ fn killed_rank_restarts_from_common_snapshot_and_converges() {
         "fault injection must have fired:\n{stderr}"
     );
     assert!(
-        stderr.contains("restart 1: resuming all ranks at 24"),
+        stderr.contains("restart 1 from counter 24 (all ranks)"),
         "supervisor must restart from the common snapshot 24:\n{stderr}"
     );
     let net = assemble_from_snapshots(&dir, 2);
@@ -190,7 +190,7 @@ fn fine_grained_restart_respawns_one_rank_and_rewinds_survivors() {
         .args(common_args(&dir))
         .args(["--snap-every", "24", "--fine-grained"])
         .env_remove("PBP_RANK")
-        .env("PBP_DIST_ABORT_AT", "1:30")
+        .env("PBP_NET_FAULTS", "rank:1:crash@30")
         .output()
         .expect("spawn pbp-launch");
     let stderr = String::from_utf8_lossy(&output.stderr);
@@ -204,15 +204,15 @@ fn fine_grained_restart_respawns_one_rank_and_rewinds_survivors() {
         "fault injection must have fired:\n{stderr}"
     );
     assert!(
-        stderr.contains("fine restart 1: rank 1 exited with"),
-        "supervisor must respawn only the dead rank:\n{stderr}"
+        stderr.contains("attempt 0 faulted: rank 1 exited with"),
+        "supervisor must see rank 1 die:\n{stderr}"
     );
     assert!(
-        stderr.contains("rewinding group to 24 at generation 1"),
-        "survivors must rewind to the common snapshot 24:\n{stderr}"
+        stderr.contains("restart 1 from counter 24 at generation 1 (rank 1 only)"),
+        "only the dead rank respawns; survivors rewind to the common snapshot 24:\n{stderr}"
     );
     assert!(
-        !stderr.contains("resuming all ranks"),
+        !stderr.contains("(all ranks)"),
         "fine-grained mode must not fall back to a group restart:\n{stderr}"
     );
     let net = assemble_from_snapshots(&dir, 2);

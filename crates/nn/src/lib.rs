@@ -48,7 +48,6 @@
 // suggestion obscures the stride arithmetic there.
 #![allow(clippy::needless_range_loop)]
 
-pub mod checkpoint;
 pub mod layer;
 pub mod layers;
 pub mod loss;

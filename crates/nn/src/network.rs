@@ -342,11 +342,6 @@ impl Network {
         self.stages.iter().map(|s| s.param_count()).sum()
     }
 
-    /// Names of all stages, in order.
-    pub fn stage_names(&self) -> Vec<String> {
-        self.stages.iter().map(|s| s.name().to_string()).collect()
-    }
-
     /// Copies all parameters into per-stage snapshots.
     pub fn snapshot(&self) -> Vec<Vec<Tensor>> {
         self.stages.iter().map(Stage::snapshot).collect()

@@ -2,10 +2,11 @@
 //!
 //! Two sections describe a network completely:
 //!
-//! * `"net"` — the parameters, stored as the legacy `PBPCKPT1` byte
-//!   stream verbatim. Old checkpoints stay loadable and the embedded
-//!   section can be extracted and read by [`crate::checkpoint::load`]
-//!   directly.
+//! * `"net"` — the parameters, in the snapshot codec every other
+//!   section uses: stage count, then per stage a count-prefixed tensor
+//!   list (rank, dims, bit-exact `f32` data). Only parameters are stored
+//!   here; optimizer state (velocities, weight-version queues) travels in
+//!   the engines' own sections.
 //! * `"net.state"` — per-layer non-parameter state (batch-norm running
 //!   statistics, online-norm streaming control variables, dropout RNG
 //!   position), keyed positionally: stage count, then per stage the
@@ -15,11 +16,10 @@
 //! with an empty pipeline (nothing in flight), which every engine
 //! guarantees between training calls.
 
-use crate::checkpoint;
 use crate::network::Network;
 use pbp_snapshot::{SnapshotArchive, SnapshotBuilder, SnapshotError, StateReader, StateWriter};
 
-/// Section holding the legacy `PBPCKPT1` parameter checkpoint.
+/// Section holding the parameters.
 pub const SECTION_NET: &str = "net";
 
 /// Section holding per-layer non-parameter state.
@@ -27,9 +27,12 @@ pub const SECTION_NET_STATE: &str = "net.state";
 
 /// Adds the `"net"` and `"net.state"` sections for `net` to a builder.
 pub fn write_network(net: &Network, snap: &mut SnapshotBuilder) {
-    let mut params = Vec::new();
-    checkpoint::save(net, &mut params).expect("in-memory checkpoint write cannot fail");
-    snap.add_section(SECTION_NET, params);
+    let mut w = StateWriter::new();
+    w.put_u32(net.num_stages() as u32);
+    for stage in net.stages() {
+        w.put_tensor_refs(&stage.params());
+    }
+    snap.add_section(SECTION_NET, w.into_bytes());
 
     let mut w = StateWriter::new();
     w.put_u32(net.num_stages() as u32);
@@ -53,14 +56,36 @@ pub fn write_network(net: &Network, snap: &mut SnapshotBuilder) {
 /// The network must have the same architecture the snapshot was taken
 /// from; layout disagreements are reported as typed errors.
 pub fn read_network(net: &mut Network, archive: &SnapshotArchive) -> Result<(), SnapshotError> {
-    let mut params = archive.section(SECTION_NET)?;
-    checkpoint::load(net, &mut params).map_err(|e| match e {
-        checkpoint::CheckpointError::Io(io) => SnapshotError::from(io),
-        checkpoint::CheckpointError::BadMagic => {
-            SnapshotError::Corrupt("net section is not a PBPCKPT1 checkpoint".into())
+    let mut r = StateReader::new(archive.section(SECTION_NET)?);
+    let stages = r.take_u32()? as usize;
+    if stages != net.num_stages() {
+        return Err(SnapshotError::Mismatch(format!(
+            "checkpoint has {stages} stages, network has {}",
+            net.num_stages()
+        )));
+    }
+    for s in 0..stages {
+        let mut params = net.stage_mut(s).params_mut();
+        let stored = r.take_u32()? as usize;
+        if stored != params.len() {
+            return Err(SnapshotError::Mismatch(format!(
+                "stage {s}: checkpoint has {stored} tensors, network has {}",
+                params.len()
+            )));
         }
-        checkpoint::CheckpointError::LayoutMismatch(what) => SnapshotError::Mismatch(what),
-    })?;
+        for (i, param) in params.iter_mut().enumerate() {
+            let tensor = r.take_tensor()?;
+            if tensor.shape() != param.shape() {
+                return Err(SnapshotError::Mismatch(format!(
+                    "stage {s} param {i}: checkpoint shape {:?} vs network {:?}",
+                    tensor.shape(),
+                    param.shape()
+                )));
+            }
+            param.as_mut_slice().copy_from_slice(tensor.as_slice());
+        }
+    }
+    r.finish()?;
 
     let mut r = StateReader::new(archive.section(SECTION_NET_STATE)?);
     let stages = r.take_u32()? as usize;
@@ -152,12 +177,8 @@ mod tests {
         let mut net = stateful_net(1);
         drive_stateful_layers(&mut net);
 
-        let mut builder = SnapshotBuilder::new();
-        write_network(&net, &mut builder);
-        let archive = SnapshotArchive::from_bytes(&builder.to_bytes()).unwrap();
-
         let mut restored = stateful_net(1);
-        read_network(&mut restored, &archive).unwrap();
+        read_network(&mut restored, &archived(&net)).unwrap();
 
         // Every stateful layer must report byte-identical state, and the
         // restored dropout RNG must continue the original's sequence.
@@ -175,36 +196,76 @@ mod tests {
         }
     }
 
-    #[test]
-    fn embedded_net_section_is_a_loadable_legacy_checkpoint() {
-        let mut net = stateful_net(2);
-        drive_stateful_layers(&mut net);
+    /// Builds an archive holding `net`.
+    fn archived(net: &Network) -> SnapshotArchive {
         let mut builder = SnapshotBuilder::new();
-        write_network(&net, &mut builder);
-        let archive = SnapshotArchive::from_bytes(&builder.to_bytes()).unwrap();
+        write_network(net, &mut builder);
+        SnapshotArchive::from_bytes(&builder.to_bytes()).unwrap()
+    }
 
-        // The "net" section bytes ARE a PBPCKPT1 checkpoint.
-        let mut legacy = stateful_net(3);
-        let mut bytes = archive.section(SECTION_NET).unwrap();
-        checkpoint::load(&mut legacy, &mut bytes).unwrap();
+    #[test]
+    fn parameters_round_trip_bit_exactly() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let net = crate::models::simple_cnn(3, 6, 3, 4, &mut rng);
+        let mut rng = StdRng::seed_from_u64(999); // different init
+        let mut other = crate::models::simple_cnn(3, 6, 3, 4, &mut rng);
+        read_network(&mut other, &archived(&net)).unwrap();
         for s in 0..net.num_stages() {
-            for (p, q) in net.stage(s).params().iter().zip(legacy.stage(s).params()) {
-                assert_eq!(p.as_slice(), q.as_slice());
+            for (p, q) in net.stage(s).params().iter().zip(other.stage(s).params()) {
+                assert_eq!(p.as_slice(), q.as_slice(), "stage {s}");
             }
         }
     }
 
+    /// A `"net"` section that is not one — foreign bytes, or a real one
+    /// cut short — is typed corruption, whatever the bytes claim.
+    #[test]
+    fn foreign_or_truncated_net_sections_are_typed_errors() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let net = crate::models::mlp(&[2, 4, 2], &mut rng);
+        let good = archived(&net);
+        let whole = good.section(SECTION_NET).unwrap();
+        let sections: [&[u8]; 3] = [
+            b"definitely not a checkpoint",
+            &whole[..whole.len() / 2],
+            &[whole, &[0u8][..]].concat(),
+        ];
+        for bytes in sections {
+            let mut builder = SnapshotBuilder::new();
+            builder.add_section(SECTION_NET, bytes.to_vec());
+            builder.add_section(
+                SECTION_NET_STATE,
+                good.section(SECTION_NET_STATE).unwrap().to_vec(),
+            );
+            let archive = SnapshotArchive::from_bytes(&builder.to_bytes()).unwrap();
+            let mut target = crate::models::mlp(&[2, 4, 2], &mut rng);
+            let err = read_network(&mut target, &archive).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Corrupt(_) | SnapshotError::Mismatch(_)),
+                "{err}"
+            );
+        }
+    }
+
+    /// Each layout check, by its message: stage count, tensor count,
+    /// shape per tensor.
     #[test]
     fn architecture_mismatch_is_typed_error() {
-        let net = stateful_net(4);
-        let mut builder = SnapshotBuilder::new();
-        write_network(&net, &mut builder);
-        let archive = SnapshotArchive::from_bytes(&builder.to_bytes()).unwrap();
-
         let mut rng = StdRng::seed_from_u64(5);
-        let mut other = crate::models::mlp(&[4, 6, 2], &mut rng);
-        let err = read_network(&mut other, &archive).unwrap_err();
-        assert!(matches!(err, SnapshotError::Mismatch(_)), "{err}");
+        let mut linear = |width: usize, bias: bool| {
+            let layer = Linear::new(4, width, bias, &mut rng);
+            Network::new(vec![Stage::new("fc", vec![Box::new(layer)])])
+        };
+        let cases = [
+            (archived(&stateful_net(4)), linear(6, true), "2 stages"),
+            (archived(&linear(6, true)), linear(6, false), "2 tensors"),
+            (archived(&linear(6, true)), linear(8, true), "shape"),
+        ];
+        for (archive, mut other, what) in cases {
+            let err = read_network(&mut other, &archive).unwrap_err();
+            assert!(matches!(err, SnapshotError::Mismatch(_)), "{err}");
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
     }
 
     #[test]

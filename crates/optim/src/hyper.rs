@@ -193,124 +193,3 @@ mod tests {
         Hyperparams::new(0.1, 1.0);
     }
 }
-
-/// Cosine-annealed learning-rate schedule over a fixed horizon, with
-/// optional warmup: `η(t) = η_min + (η_base − η_min)·(1 + cos(πt/T))/2`.
-#[derive(Debug, Clone)]
-pub struct CosineSchedule {
-    base: Hyperparams,
-    min_lr: f32,
-    total_samples: usize,
-    warmup_samples: usize,
-}
-
-impl CosineSchedule {
-    /// Creates a cosine schedule decaying from `base.lr` to `min_lr` over
-    /// `total_samples`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_samples == 0` or `min_lr > base.lr`.
-    pub fn new(base: Hyperparams, min_lr: f32, total_samples: usize) -> Self {
-        assert!(total_samples > 0, "total samples must be positive");
-        assert!(min_lr <= base.lr, "min_lr must not exceed the base lr");
-        CosineSchedule {
-            base,
-            min_lr,
-            total_samples,
-            warmup_samples: 0,
-        }
-    }
-
-    /// Adds a linear warmup over the first `samples` samples.
-    pub fn with_warmup(mut self, samples: usize) -> Self {
-        self.warmup_samples = samples;
-        self
-    }
-
-    /// Hyperparameters after `samples_seen` training samples.
-    pub fn at(&self, samples_seen: usize) -> Hyperparams {
-        if self.warmup_samples > 0 && samples_seen < self.warmup_samples {
-            return Hyperparams {
-                lr: self.base.lr * (samples_seen + 1) as f32 / self.warmup_samples as f32,
-                momentum: self.base.momentum,
-            };
-        }
-        let t = (samples_seen.min(self.total_samples)) as f32 / self.total_samples as f32;
-        let lr = self.min_lr
-            + (self.base.lr - self.min_lr) * (1.0 + (std::f32::consts::PI * t).cos()) / 2.0;
-        Hyperparams {
-            lr,
-            momentum: self.base.momentum,
-        }
-    }
-}
-
-/// Scales `grads` in place so their global L2 norm does not exceed
-/// `max_norm`; returns the pre-clip norm. A standard stabilizer for
-/// un-normalized networks under gradient delay.
-///
-/// # Panics
-///
-/// Panics if `max_norm` is not positive.
-pub fn clip_grad_norm(grads: &mut [pbp_tensor::Tensor], max_norm: f64) -> f64 {
-    assert!(max_norm > 0.0, "max_norm must be positive");
-    let norm: f64 = grads.iter().map(|g| g.norm_sq()).sum::<f64>().sqrt();
-    if norm > max_norm {
-        let scale = (max_norm / norm) as f32;
-        for g in grads {
-            g.scale_assign(scale);
-        }
-    }
-    norm
-}
-
-#[cfg(test)]
-mod extra_tests {
-    use super::*;
-    use pbp_tensor::Tensor;
-
-    #[test]
-    fn cosine_decays_from_base_to_min() {
-        let sched = CosineSchedule::new(Hyperparams::new(1.0, 0.9), 0.1, 1000);
-        assert!((sched.at(0).lr - 1.0).abs() < 1e-5);
-        let mid = sched.at(500).lr;
-        assert!((mid - 0.55).abs() < 1e-3, "midpoint {mid}");
-        assert!((sched.at(1000).lr - 0.1).abs() < 1e-5);
-        // Clamps past the horizon.
-        assert!((sched.at(5000).lr - 0.1).abs() < 1e-5);
-    }
-
-    #[test]
-    fn cosine_warmup_ramps_first() {
-        let sched = CosineSchedule::new(Hyperparams::new(1.0, 0.9), 0.0, 100).with_warmup(10);
-        assert!(sched.at(0).lr < 0.2);
-        assert!(sched.at(9).lr <= 1.0);
-        assert!((sched.at(10).lr - sched.at(10).lr).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clip_leaves_small_gradients_alone() {
-        let mut grads = vec![Tensor::from_slice(&[0.3, 0.4])]; // norm 0.5
-        let norm = clip_grad_norm(&mut grads, 1.0);
-        assert!((norm - 0.5).abs() < 1e-6);
-        assert_eq!(grads[0].as_slice(), &[0.3, 0.4]);
-    }
-
-    #[test]
-    fn clip_rescales_large_gradients_to_max_norm() {
-        let mut grads = vec![Tensor::from_slice(&[3.0, 4.0])]; // norm 5
-        let norm = clip_grad_norm(&mut grads, 1.0);
-        assert!((norm - 5.0).abs() < 1e-6);
-        let after: f64 = grads.iter().map(|g| g.norm_sq()).sum::<f64>().sqrt();
-        assert!((after - 1.0).abs() < 1e-5, "clipped norm {after}");
-    }
-
-    #[test]
-    fn clip_handles_multiple_tensors_globally() {
-        let mut grads = vec![Tensor::from_slice(&[3.0]), Tensor::from_slice(&[4.0])];
-        clip_grad_norm(&mut grads, 2.5); // global norm 5 → scale 0.5
-        assert!((grads[0].as_slice()[0] - 1.5).abs() < 1e-5);
-        assert!((grads[1].as_slice()[0] - 2.0).abs() < 1e-5);
-    }
-}

@@ -31,7 +31,7 @@ mod spike;
 mod stage_opt;
 
 pub use adam::AdamState;
-pub use hyper::{clip_grad_norm, scale_hyperparams, CosineSchedule, Hyperparams, LrSchedule};
+pub use hyper::{scale_hyperparams, Hyperparams, LrSchedule};
 pub use lwp::{predict_velocity_form, predict_weight_form, LwpForm};
 pub use mitigation::{Mitigation, StageConfig};
 pub use sgdm::SgdmState;

@@ -73,12 +73,12 @@ pub mod trainer;
 pub use cell::StageCell;
 pub use delayed::{DelayDistribution, DelayedConfig, DelayedTrainer};
 pub use engine::{run_training, EngineSpec, RunConfig, TrainEngine};
-pub use fault::{splitmix64, FaultKind, FaultPlan, FaultSpec, PipelineFault, RunError};
+pub use fault::{
+    FaultInjector, FaultPlan, FaultSpec, LinkDir, LinkFault, PipelineFault, RankFault, RunError,
+};
 pub use group::StageGroup;
 pub use memory::MemoryModel;
-pub use metrics::{
-    EngineMetrics, JsonSink, MetricsSink, NoHooks, StageCounters, TraceHooks, TrainHooks,
-};
+pub use metrics::{EngineMetrics, JsonSink, NoHooks, StageCounters, TraceHooks, TrainHooks};
 pub use rank::{Link, Message, RankError, RankLoop, Step, Upstream};
 pub use resume::{
     latest_snapshot, resume_training, run_to_crash, run_training_with_snapshots, SnapshotPolicy,
@@ -91,7 +91,8 @@ pub use schedule::{
 pub use scheduled::{ScheduledConfig, ScheduledTrainer};
 pub use state::SECTION_ENGINE;
 pub use supervisor::{
-    degraded_spec, run_supervised, RecoveryPolicy, SupervisedOutcome, SupervisionEvent, Watchdog,
+    backoff_delay, degraded_spec, run_supervised, supervise_retries, Attempt, RecoveryPolicy,
+    SupervisedOutcome, SupervisionEvent, Watchdog,
 };
 pub use threaded::{ThreadedConfig, ThreadedPipeline};
 pub use timeline::{emit_schedule_timeline, schedule_bubble_fraction};

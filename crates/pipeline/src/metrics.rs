@@ -10,6 +10,7 @@
 //! engine's run into the same machine-readable schema.
 
 use crate::trainer::{EpochRecord, TrainReport};
+use pbp_trace::json::{json_f64, json_string};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -283,15 +284,7 @@ pub struct NoHooks;
 
 impl TrainHooks for NoHooks {}
 
-/// A sink that renders runs into machine-readable JSON.
-pub trait MetricsSink {
-    /// Records one finished run.
-    fn record(&mut self, report: &TrainReport, metrics: &EngineMetrics);
-    /// Flushes everything recorded so far to durable storage.
-    fn write(&self) -> std::io::Result<()>;
-}
-
-/// [`MetricsSink`] writing a JSON document of all recorded runs.
+/// A sink rendering finished runs into one machine-readable JSON document.
 ///
 /// Schema:
 ///
@@ -357,10 +350,9 @@ impl JsonSink {
         out.push_str("]}\n");
         out
     }
-}
 
-impl MetricsSink for JsonSink {
-    fn record(&mut self, report: &TrainReport, metrics: &EngineMetrics) {
+    /// Records one finished run.
+    pub fn record(&mut self, report: &TrainReport, metrics: &EngineMetrics) {
         let mut run = String::from("{");
         run.push_str(&format!("\"label\":{},", json_string(&report.label)));
         run.push_str(&format!(
@@ -397,7 +389,8 @@ impl MetricsSink for JsonSink {
         self.runs.push(run);
     }
 
-    fn write(&self) -> std::io::Result<()> {
+    /// Writes everything recorded so far to the sink's path.
+    pub fn write(&self) -> std::io::Result<()> {
         if let Some(parent) = self.path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
@@ -415,34 +408,6 @@ impl TrainHooks for JsonSink {
     fn on_supervision_event(&mut self, event: &crate::supervisor::SupervisionEvent) {
         self.supervision.push(event.to_string());
     }
-}
-
-/// JSON number: finite floats print as-is, non-finite become `null`.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -521,12 +486,5 @@ mod tests {
         let body = std::fs::read_to_string(&path).expect("read back");
         assert!(body.contains("\"engine\":\"SGDM\""));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.5");
     }
 }

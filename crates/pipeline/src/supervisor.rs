@@ -1,7 +1,7 @@
 //! Supervision of the threaded pipeline runtime: stall watchdog, panic
 //! containment, and recover-or-degrade orchestration.
 //!
-//! Two layers:
+//! Two layers (detection and containment below, retry arithmetic above):
 //!
 //! * **Stream supervision** ([`Watchdog`], [`StreamSupervisor`]): while a
 //!   threaded run is streaming, the calling thread doubles as a
@@ -12,14 +12,15 @@
 //!   flag, drains what it can within a shutdown grace period, joins the
 //!   workers that reported in, detaches the rest, and surfaces a typed
 //!   [`PipelineFault`] instead of hanging.
-//! * **Run supervision** ([`run_supervised`], [`RecoveryPolicy`]): wraps
-//!   the snapshot-driven training loop. On a fault it rebuilds the engine
-//!   and resumes from the latest *valid* snapshot with bounded retries and
-//!   exponential backoff; when the fault keeps recurring it degrades to
-//!   the sequential engine of the same configuration ([`degraded_spec`])
-//!   and finishes training there from the same snapshot, logging every
-//!   fault/restart/degradation through
-//!   [`TrainHooks::on_supervision_event`](crate::metrics::TrainHooks::on_supervision_event).
+//! * **Run supervision** ([`supervise_retries`]): the one restart loop —
+//!   attempt, and on a fault check the budget, back off, go again —
+//!   generic over the fault type and over how an attempt is made, logging
+//!   typed [`SupervisionEvent`]s. [`run_supervised`] passes it the attempt
+//!   that rebuilds the engine and resumes from the latest *valid*
+//!   snapshot, and when the budget is spent degrades to the sequential
+//!   engine of the same configuration ([`degraded_spec`]), finishing
+//!   training there from the same snapshot; `pbp_dist::launch` passes it
+//!   the attempt that respawns rank processes.
 
 use crate::engine::{EngineSpec, RunConfig};
 use crate::fault::{PipelineFault, RunError};
@@ -237,8 +238,8 @@ impl StreamSupervisor {
 pub struct RecoveryPolicy {
     /// Restart (resume-from-snapshot) attempts after the initial run.
     pub max_restarts: usize,
-    /// Backoff before the first restart; doubles per attempt (capped at
-    /// 64×).
+    /// Backoff before the first restart; doubles per restart
+    /// ([`backoff_delay`]).
     pub backoff: Duration,
     /// After retries are exhausted, fall back to the sequential engine
     /// ([`degraded_spec`]) instead of failing.
@@ -272,21 +273,24 @@ impl RecoveryPolicy {
     }
 }
 
-/// One entry in the supervision log.
+/// One entry in the supervision log of a run whose attempts end in
+/// faults of type `F`: a [`PipelineFault`] under [`run_supervised`], the
+/// launcher's rank-exit error under `pbp_dist::launch`.
 #[derive(Debug, Clone)]
-pub enum SupervisionEvent {
-    /// An attempt ended in a pipeline fault.
+pub enum SupervisionEvent<F = PipelineFault> {
+    /// An attempt ended in a fault.
     Fault {
         /// 0 = the initial run, n = the n-th restart.
         attempt: usize,
         /// The typed fault.
-        fault: PipelineFault,
+        fault: F,
     },
     /// A restart is beginning.
     Restart {
         /// Restart number (1-based).
         attempt: usize,
-        /// Snapshot file the restart resumes from, if any.
+        /// Where the restart resumes from — a snapshot file, or the
+        /// launcher's common counter — if anywhere.
         from_snapshot: Option<String>,
     },
     /// The supervisor is sleeping (exponential backoff) before a restart.
@@ -303,7 +307,7 @@ pub enum SupervisionEvent {
     },
 }
 
-impl std::fmt::Display for SupervisionEvent {
+impl<F: std::fmt::Display> std::fmt::Display for SupervisionEvent<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SupervisionEvent::Fault { attempt, fault } => {
@@ -321,6 +325,68 @@ impl std::fmt::Display for SupervisionEvent {
             }
             SupervisionEvent::Degraded { to } => write!(f, "degraded to {to}"),
         }
+    }
+}
+
+/// The one backoff rule: `base` before the first restart, doubling per
+/// restart, capped at 64×.
+pub fn backoff_delay(base: Duration, restart: usize) -> Duration {
+    base * (1u32 << restart.saturating_sub(1).min(6))
+}
+
+/// What one attempt of a supervised run came to: done, or a fault plus
+/// where a restart would resume from (the `Restart` event's label).
+pub type Attempt<T, F> = Result<T, (F, Option<String>)>;
+
+/// The one supervised-retry loop: attempt, and on a fault check the
+/// budget, back off, go again. It owns the restart budget, the backoff
+/// rule and the typed log; *how* an attempt is made — rebuild an engine
+/// and resume its newest valid snapshot, respawn a group of rank
+/// processes at their common counter — is the `attempt` closure, called
+/// with the restart number (0 = the initial run). Every event goes to
+/// `log` as it happens. `state` is lent to both closures in turn (the
+/// hooks observing a training run also observe its supervision; the
+/// launcher's process group outlives each attempt).
+///
+/// Returns `Ok(Ok(done))`, `Ok(Err(fault))` once `max_restarts` restarts
+/// are spent (the last fault, already logged), or `Err` as soon as an
+/// attempt fails with something that is not a fault.
+pub fn supervise_retries<S: ?Sized, T, F: Clone, E>(
+    state: &mut S,
+    max_restarts: usize,
+    backoff: Duration,
+    mut log: impl FnMut(&mut S, SupervisionEvent<F>),
+    mut attempt: impl FnMut(&mut S, usize) -> Result<Attempt<T, F>, E>,
+) -> Result<Result<T, F>, E> {
+    let mut restart = 0usize;
+    loop {
+        let (fault, from_snapshot) = match attempt(state, restart)? {
+            Ok(done) => return Ok(Ok(done)),
+            Err(faulted) => faulted,
+        };
+        let event = SupervisionEvent::Fault {
+            attempt: restart,
+            fault: fault.clone(),
+        };
+        log(state, event);
+        if restart >= max_restarts {
+            return Ok(Err(fault));
+        }
+        restart += 1;
+        let delay = backoff_delay(backoff, restart);
+        if !delay.is_zero() {
+            let event = SupervisionEvent::Backoff {
+                attempt: restart,
+                delay,
+            };
+            log(state, event);
+            std::thread::sleep(delay);
+        }
+        let event = SupervisionEvent::Restart {
+            attempt: restart,
+            from_snapshot,
+        };
+        log(state, event);
     }
 }
 
@@ -356,14 +422,14 @@ pub fn degraded_spec(spec: &EngineSpec) -> Option<EngineSpec> {
 /// snapshot, a resume of it) trains with periodic snapshots. On a
 /// [`RunError::Fault`] the engine is rebuilt from `make_net` and resumed
 /// from the latest valid snapshot, up to `recovery.max_restarts` times
-/// with doubling backoff. If the fault keeps recurring and
-/// `recovery.degrade` is set, the run switches to [`degraded_spec`] — the
-/// sequential engine of the same configuration — restores the full
-/// engine state (weights, optimizers, weight-version FIFOs, counters) and
-/// run progress from the last valid snapshot, and finishes there,
-/// snapshotting into `policy.dir/degraded`. Every fault, restart and
-/// degradation is reported through `hooks` and returned in the outcome's
-/// event log.
+/// with doubling backoff ([`supervise_retries`]). If the fault keeps
+/// recurring and `recovery.degrade` is set, the run switches to
+/// [`degraded_spec`] — the sequential engine of the same configuration —
+/// restores the full engine state (weights, optimizers, weight-version
+/// FIFOs, counters) and run progress from the last valid snapshot, and
+/// finishes there, snapshotting into `policy.dir/degraded`. Every fault,
+/// restart and degradation is reported through `hooks` and returned in
+/// the outcome's event log.
 ///
 /// A faulted-and-resumed run — degraded or not — is bit-identical to an
 /// uninterrupted one (DESIGN.md §9): the same guarantee
@@ -380,68 +446,47 @@ pub fn run_supervised(
     hooks: &mut dyn TrainHooks,
 ) -> Result<SupervisedOutcome, RunError> {
     let mut events: Vec<SupervisionEvent> = Vec::new();
-    let mut attempt = 0usize;
-    loop {
-        let mut engine = spec.build(make_net());
-        let snapshot = latest_valid_snapshot(&policy.dir)?;
-        let result = match &snapshot {
-            Some(path) => resume_training(
-                engine.as_mut(),
-                train,
-                val,
-                config,
-                Some(policy),
-                path,
-                hooks,
-            ),
-            None => run_training_with_snapshots(engine.as_mut(), train, val, config, policy, hooks),
-        };
-        match result {
-            Ok(report) => {
-                return Ok(SupervisedOutcome {
-                    report,
-                    events,
-                    restarts: attempt,
-                    degraded: false,
-                })
-            }
-            Err(RunError::Fault(fault)) => {
-                let event = SupervisionEvent::Fault {
-                    attempt,
-                    fault: fault.clone(),
-                };
-                hooks.on_supervision_event(&event);
-                events.push(event);
-                if attempt >= recovery.max_restarts {
-                    if !recovery.degrade {
-                        return Err(RunError::Fault(fault));
-                    }
-                    return run_degraded(
-                        spec, make_net, train, val, config, policy, hooks, events, attempt, fault,
-                    );
+    let mut restarts = 0usize;
+    let outcome = supervise_retries(
+        hooks,
+        recovery.max_restarts,
+        recovery.backoff,
+        |hooks, event| {
+            hooks.on_supervision_event(&event);
+            events.push(event);
+        },
+        |hooks, restart| {
+            restarts = restart;
+            let mut engine = spec.build(make_net());
+            let engine = engine.as_mut();
+            let result = match latest_valid_snapshot(&policy.dir)? {
+                Some(path) => {
+                    resume_training(engine, train, val, config, Some(policy), &path, hooks)
                 }
-                attempt += 1;
-                let backoff = recovery.backoff * (1u32 << (attempt - 1).min(6) as u32);
-                if !backoff.is_zero() {
-                    let event = SupervisionEvent::Backoff {
-                        attempt,
-                        delay: backoff,
-                    };
-                    hooks.on_supervision_event(&event);
-                    events.push(event);
-                    std::thread::sleep(backoff);
+                None => run_training_with_snapshots(engine, train, val, config, policy, hooks),
+            };
+            match result {
+                Ok(report) => Ok(Ok(report)),
+                Err(RunError::Fault(fault)) => {
+                    let from_snapshot = latest_valid_snapshot(&policy.dir)?
+                        .map(|p| p.file_name().unwrap_or_default().to_string_lossy().into());
+                    Ok(Err((fault, from_snapshot)))
                 }
-                let from_snapshot = latest_valid_snapshot(&policy.dir)?
-                    .map(|p| p.file_name().unwrap_or_default().to_string_lossy().into());
-                let event = SupervisionEvent::Restart {
-                    attempt,
-                    from_snapshot,
-                };
-                hooks.on_supervision_event(&event);
-                events.push(event);
+                Err(other) => Err(other),
             }
-            Err(other) => return Err(other),
-        }
+        },
+    )?;
+    match outcome {
+        Ok(report) => Ok(SupervisedOutcome {
+            report,
+            events,
+            restarts,
+            degraded: false,
+        }),
+        Err(fault) if !recovery.degrade => Err(RunError::Fault(fault)),
+        Err(fault) => run_degraded(
+            spec, make_net, train, val, config, policy, hooks, events, restarts, fault,
+        ),
     }
 }
 
@@ -545,6 +590,69 @@ mod tests {
         }
         let sequential = EngineSpec::Scheduled(ScheduledConfig::pb(schedule()));
         assert!(degraded_spec(&sequential).is_none());
+    }
+
+    /// The retry loop against a scripted attempt (fault, fault, ok) and a
+    /// zero base, so nothing sleeps: the exact log, the budget, and the
+    /// one doubling rule.
+    #[test]
+    fn retry_loop_logs_fault_restart_pairs_and_spends_its_budget() {
+        let run = |max_restarts: usize| {
+            let mut seen = Vec::new();
+            let mut events = Vec::new();
+            let outcome = supervise_retries(
+                &mut seen,
+                max_restarts,
+                Duration::ZERO,
+                |seen: &mut Vec<String>, event| {
+                    seen.push(event.to_string());
+                    events.push(event);
+                },
+                |seen, restart| {
+                    seen.push(format!("attempt {restart}"));
+                    Ok::<_, ()>(match restart {
+                        0 => Err(("flaky", None)),
+                        1 => Err(("flaky again", Some("snap-4".to_string()))),
+                        n => Ok(n),
+                    })
+                },
+            );
+            (outcome, seen, events)
+        };
+        let (outcome, seen, events) = run(2);
+        assert_eq!(outcome, Ok(Ok(2)));
+        let want = [
+            "attempt 0",
+            "attempt 0 faulted: flaky",
+            "restart 1 from scratch",
+            "attempt 1",
+            "attempt 1 faulted: flaky again",
+            "restart 2 from snap-4",
+            "attempt 2",
+        ];
+        assert_eq!(seen, want, "each event is logged as it happens");
+        assert_eq!(events.len(), 4);
+
+        // One restart allowed: the second fault is logged, then returned.
+        let (outcome, _, events) = run(1);
+        assert_eq!((outcome, events.len()), (Ok(Err("flaky again")), 3));
+
+        // An attempt that fails with something other than a fault ends
+        // the loop at once, unlogged.
+        let fatal = supervise_retries(
+            &mut (),
+            5,
+            Duration::ZERO,
+            |_, event: SupervisionEvent<&str>| panic!("logged {event}"),
+            |_, _| Err::<Attempt<(), &str>, _>("disk full"),
+        );
+        assert_eq!(fatal, Err("disk full"));
+
+        let base = Duration::from_millis(50);
+        let delays: Vec<u32> = (1..=9)
+            .map(|restart| (backoff_delay(base, restart).as_millis() / 50) as u32)
+            .collect();
+        assert_eq!(delays, [1, 2, 4, 8, 16, 32, 64, 64, 64]);
     }
 
     #[test]

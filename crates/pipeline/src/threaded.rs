@@ -25,10 +25,11 @@
 //!   owned (detachable) threads and the calling thread doubles as the
 //!   watchdog, so a panicking, stalling or link-severing stage surfaces
 //!   as a typed [`PipelineFault`] within the watchdog timeout instead of
-//!   hanging the run. [`FaultPlan`] scripts such faults for tests.
+//!   hanging the run. A [`FaultPlan`]'s rank clauses script such faults
+//!   for tests: stage `s` is rank `s` of the plan.
 
 use crate::engine::{batch_rows, TrainEngine};
-use crate::fault::{FaultAction, FaultInjector, FaultPlan, PipelineFault};
+use crate::fault::{FaultInjector, FaultPlan, PipelineFault, RankFault};
 use crate::group::StageGroup;
 use crate::metrics::EngineMetrics;
 use crate::rank::{Link, Message, RankError, RankLoop, Step, Upstream};
@@ -268,7 +269,7 @@ fn run_stream(
             up: link(std::mem::replace(&mut lower, next_lower), s),
             // The last layer stage owns the loss: no link below it.
             down: (s + 1 < num_layer_stages).then(|| link(upper, s)),
-            injector: plan.map(|p| p.injector_for(s)).unwrap_or_default(),
+            injector: plan.map(|p| p.rank_injector(s)).unwrap_or_default(),
             events: events_tx.clone(),
         };
         handles.push(
@@ -564,7 +565,7 @@ struct StageWorker {
     up: ChannelLink,
     /// `None` on the last layer stage.
     down: Option<ChannelLink>,
-    injector: FaultInjector,
+    injector: FaultInjector<RankFault>,
     events: Sender<StageEvent>,
 }
 
@@ -620,24 +621,25 @@ impl StageWorker {
         }
     }
 
-    /// Fault-injection point: "update N" faults strike as the stage turns
-    /// to backward N, exactly where a real stage dies.
+    /// Fault-injection point: an `@N` rank fault strikes as the stage —
+    /// rank `stage` of the plan — turns to backward N, exactly where a
+    /// real stage dies.
     fn inject(&mut self, update: usize) {
-        match self.injector.on_update(update) {
-            FaultAction::None => {}
-            FaultAction::Panic => {
+        match self.injector.on_backward(update as u64) {
+            None => {}
+            Some(RankFault::Crash) => {
                 panic!(
                     "injected fault: stage {} panics at update {update}",
                     self.up.stage
                 )
             }
-            FaultAction::Stall(d) => {
+            Some(RankFault::Stall(d) | RankFault::Jitter(d)) => {
                 let lane = self.rank.group.lane();
                 lane.begin(pbp_trace::TracePhase::Stall, None, None);
                 std::thread::sleep(d);
                 lane.end();
             }
-            FaultAction::Sever => {
+            Some(RankFault::Sever) => {
                 self.up.tx = None;
                 if let Some(down) = &mut self.down {
                     down.tx = None;
@@ -794,7 +796,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let net = mlp(&[2, 8, 8, 3], &mut rng);
         let cfg = ThreadedConfig::fill_drain(schedule())
-            .with_fault_plan(FaultPlan::new(0).with(FaultSpec::panic_at(1, 3)))
+            .with_fault_plan(FaultPlan::new(0).at_rank(1, FaultSpec::new(3, RankFault::Crash)))
             .with_watchdog(Watchdog::fast());
         let mut engine = ThreadedPipeline::new(net, cfg);
         let data = spirals(3, 7, 0.05, 3);

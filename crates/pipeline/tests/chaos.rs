@@ -16,8 +16,8 @@ use pbp_nn::Network;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule};
 use pbp_pipeline::{
     run_supervised, run_training_with_snapshots, EngineSpec, FaultPlan, FaultSpec, JsonSink,
-    NoHooks, PipelineFault, RecoveryPolicy, RunConfig, RunError, SnapshotPolicy, SupervisionEvent,
-    ThreadedConfig, ThreadedPipeline, Watchdog,
+    NoHooks, PipelineFault, RankFault, RecoveryPolicy, RunConfig, RunError, SnapshotPolicy,
+    SupervisionEvent, ThreadedConfig, ThreadedPipeline, Watchdog,
 };
 use pbp_snapshot::{latest_valid_snapshot, SnapshotArchive};
 use proptest::prelude::*;
@@ -60,7 +60,7 @@ fn tmpdir(name: &str) -> PathBuf {
 fn forced_stage_panic_returns_typed_error_not_deadlock() {
     let data = blobs(3, 10, 0.4, 1);
     let cfg = ThreadedConfig::pb(schedule())
-        .with_fault_plan(FaultPlan::new(0).with(FaultSpec::panic_at(1, 5)))
+        .with_fault_plan(FaultPlan::new(0).at_rank(1, FaultSpec::new(5, RankFault::Crash)))
         .with_watchdog(Watchdog::fast());
     let start = Instant::now();
     let err = stream(fresh_net(1), cfg, &data, 30).unwrap_err();
@@ -84,11 +84,10 @@ fn forced_stage_panic_returns_typed_error_not_deadlock() {
 fn injected_stall_is_flagged_by_watchdog_within_timeout() {
     let data = blobs(3, 10, 0.4, 2);
     let cfg = ThreadedConfig::fill_drain(schedule())
-        .with_fault_plan(FaultPlan::new(0).with(FaultSpec::stall_at(
+        .with_fault_plan(FaultPlan::new(0).at_rank(
             1,
-            3,
-            Duration::from_millis(800),
-        )))
+            FaultSpec::new(3, RankFault::Stall(Duration::from_millis(800))),
+        ))
         .with_watchdog(Watchdog::fast().with_stall_timeout(Duration::from_millis(100)));
     let start = Instant::now();
     let err = stream(fresh_net(2), cfg, &data, 30).unwrap_err();
@@ -106,7 +105,7 @@ fn injected_stall_is_flagged_by_watchdog_within_timeout() {
 }
 
 // (a) Zero deadlocks across random fault plans: whatever combination of
-// panics, stalls, channel drops and jitter a seed produces, on either
+// crashes, stalls, severed links and jitter a seed produces, on either
 // threaded mode, the run terminates promptly with success or a typed
 // fault.
 proptest! {
@@ -116,7 +115,7 @@ proptest! {
     fn random_fault_plans_always_terminate(seed in 0u64..10_000) {
         let net = fresh_net(seed);
         let stages = net.num_stages();
-        let plan = FaultPlan::random(seed, stages, 40);
+        let plan = FaultPlan::random(seed, stages, 0, 40);
         let base = if seed % 2 == 0 {
             ThreadedConfig::pb(schedule())
         } else {
@@ -195,8 +194,11 @@ fn supervised_recovery_is_bit_identical() {
         ThreadedConfig::fill_drain(schedule())
             .with_fault_plan(
                 FaultPlan::new(0)
-                    .with(FaultSpec::panic_at(1, 12))
-                    .with(FaultSpec::stall_at(0, 30, Duration::from_millis(600))),
+                    .at_rank(1, FaultSpec::new(12, RankFault::Crash))
+                    .at_rank(
+                        0,
+                        FaultSpec::new(30, RankFault::Stall(Duration::from_millis(600))),
+                    ),
             )
             .with_watchdog(Watchdog::fast()),
     );
@@ -277,9 +279,9 @@ fn repeated_fault_degrades_to_emulator_and_completes() {
     .expect("clean run");
 
     let dir = tmpdir("degrade");
-    let spec = EngineSpec::Threaded(
-        threaded().with_fault_plan(FaultPlan::new(0).with(FaultSpec::panic_at(1, 5).recurring())),
-    );
+    let spec = EngineSpec::Threaded(threaded().with_fault_plan(
+        FaultPlan::new(0).at_rank(1, FaultSpec::new(5, RankFault::Crash).recurring()),
+    ));
     let sink_path = dir.join("metrics.json");
     let mut sink = JsonSink::new(&sink_path);
     let outcome = run_supervised(
@@ -326,7 +328,9 @@ fn no_degrade_policy_surfaces_fault_after_retries() {
     let dir = tmpdir("nodegrade");
     let spec = EngineSpec::Threaded(
         ThreadedConfig::fill_drain(schedule())
-            .with_fault_plan(FaultPlan::new(0).with(FaultSpec::panic_at(0, 2).recurring()))
+            .with_fault_plan(
+                FaultPlan::new(0).at_rank(0, FaultSpec::new(2, RankFault::Crash).recurring()),
+            )
             .with_watchdog(Watchdog::fast()),
     );
     let err = run_supervised(

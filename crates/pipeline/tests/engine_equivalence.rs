@@ -12,7 +12,7 @@ use pbp_nn::models::{mlp, simple_cnn};
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
-    run_training, stage_delay, DelayDistribution, DelayedConfig, EngineSpec, JsonSink, MetricsSink,
+    run_training, stage_delay, DelayDistribution, DelayedConfig, EngineSpec, JsonSink,
     MicrobatchSchedule, NoHooks, RunConfig, ScheduledConfig, ThreadedConfig,
 };
 use rand::rngs::StdRng;

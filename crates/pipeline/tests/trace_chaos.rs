@@ -9,8 +9,8 @@ use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule};
 use pbp_pipeline::{
-    run_supervised, EngineSpec, FaultPlan, FaultSpec, NoHooks, RecoveryPolicy, RunConfig,
-    SnapshotPolicy, ThreadedConfig, TraceHooks, Watchdog,
+    run_supervised, EngineSpec, FaultPlan, FaultSpec, NoHooks, RankFault, RecoveryPolicy,
+    RunConfig, SnapshotPolicy, ThreadedConfig, TraceHooks, Watchdog,
 };
 use pbp_trace::{TraceLane, TracePhase, Tracer, PID_WALL};
 use rand::rngs::StdRng;
@@ -63,7 +63,7 @@ fn trace_orders_fault_backoff_restart_and_resumes_at_cursor() {
     let tracer = Tracer::new();
     let spec = EngineSpec::Threaded(
         ThreadedConfig::fill_drain(schedule())
-            .with_fault_plan(FaultPlan::new(0).with(FaultSpec::panic_at(1, 12)))
+            .with_fault_plan(FaultPlan::new(0).at_rank(1, FaultSpec::new(12, RankFault::Crash)))
             .with_watchdog(Watchdog::fast())
             // The tracer rides in the config so rebuilt engines keep
             // recording into the same lanes after each restart.
@@ -159,7 +159,9 @@ fn recurring_fault_trace_ends_in_degradation_switchover() {
     let tracer = Tracer::new();
     let spec = EngineSpec::Threaded(
         ThreadedConfig::fill_drain(schedule())
-            .with_fault_plan(FaultPlan::new(0).with(FaultSpec::panic_at(1, 5).recurring()))
+            .with_fault_plan(
+                FaultPlan::new(0).at_rank(1, FaultSpec::new(5, RankFault::Crash).recurring()),
+            )
             .with_watchdog(Watchdog::fast())
             .with_tracer(tracer.clone()),
     );

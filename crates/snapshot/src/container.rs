@@ -201,11 +201,6 @@ impl SnapshotArchive {
             .map(|(_, payload)| payload.as_slice())
             .ok_or_else(|| SnapshotError::MissingSection(name.to_string()))
     }
-
-    /// True if the archive contains a section with this name.
-    pub fn has_section(&self, name: &str) -> bool {
-        self.sections.iter().any(|(n, _)| n == name)
-    }
 }
 
 /// The default snapshot file-name prefix; single-process runs write

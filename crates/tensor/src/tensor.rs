@@ -148,23 +148,6 @@ impl Tensor {
         })
     }
 
-    /// Reshapes in place without copying data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the volumes differ.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) -> Result<()> {
-        let volume: usize = shape.iter().product();
-        if volume != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: volume,
-                actual: self.data.len(),
-            });
-        }
-        self.shape = shape.to_vec();
-        Ok(())
-    }
-
     /// Returns the element at a multi-dimensional index.
     ///
     /// # Panics

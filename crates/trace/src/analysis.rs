@@ -133,11 +133,6 @@ impl TraceAnalysis {
         (1.0 - busy / area).max(0.0)
     }
 
-    /// Total busy nanoseconds across lanes.
-    pub fn total_busy_ns(&self) -> u64 {
-        self.lanes.iter().map(|l| l.busy_ns).sum()
-    }
-
     /// Whether any analyzed lane has overlapping top-level spans.
     pub fn any_overlap(&self) -> bool {
         self.lanes.iter().any(|l| l.overlapping)

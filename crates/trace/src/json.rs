@@ -1,7 +1,36 @@
-//! A minimal recursive-descent JSON parser, just enough to validate and
-//! inspect the trace documents this crate emits (the workspace is built
-//! offline, so no serde). Numbers parse as `f64`; objects preserve key
-//! order; no streaming.
+//! The workspace's JSON (built offline, so no serde): the string/number
+//! writer pair every emitter shares — trace documents, MFU reports, the
+//! pipeline's metrics sink — and a minimal recursive-descent parser, just
+//! enough to validate and inspect what they emit. Numbers parse as `f64`;
+//! objects preserve key order; no streaming.
+
+/// Minimal JSON string escaping (quotes, backslashes, control chars).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// JSON number: finite floats print as-is, non-finite become `null`.
+pub fn json_f64(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "null".to_string()
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -269,6 +298,13 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn writers_escape_strings_and_null_out_non_finite_numbers() {
+        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(1.5), "1.5");
+    }
 
     #[test]
     fn parses_scalars_and_containers() {

@@ -29,6 +29,7 @@ pub mod mfu;
 pub use analysis::{LaneStats, TraceAnalysis};
 pub use mfu::{measure_peak_gflops, model_flops, MfuReport};
 
+use json::json_string;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -603,34 +604,6 @@ fn micros(ns: u64) -> String {
         format!("{}", ns / 1_000)
     } else {
         format!("{}.{:03}", ns / 1_000, ns % 1_000)
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number: finite floats print as-is, non-finite become `null`.
-pub(crate) fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
     }
 }
 

@@ -16,7 +16,7 @@
 //! measured kernel, so scheduling overheads and pipeline bubbles are
 //! isolated from kernel quality.
 
-use crate::json_f64;
+use crate::json::json_f64;
 use std::time::Instant;
 
 /// Problem size for the peak probe: 256³ is comfortably compute-bound.

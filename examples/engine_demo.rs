@@ -7,8 +7,7 @@ use pipelined_backprop::data::blobs;
 use pipelined_backprop::nn::models::mlp;
 use pipelined_backprop::optim::{Hyperparams, LrSchedule, Mitigation};
 use pipelined_backprop::pipeline::{
-    run_training, DelayedConfig, EngineSpec, JsonSink, MetricsSink, NoHooks, RunConfig,
-    ScheduledConfig,
+    run_training, DelayedConfig, EngineSpec, JsonSink, NoHooks, RunConfig, ScheduledConfig,
 };
 use rand::{rngs::StdRng, SeedableRng};
 

@@ -44,6 +44,27 @@ lint_only_in 'predict_velocity_form(' 'lwp|stage_opt'
 # or a MicrobatchSchedule plan first.
 lint_only_in 'impl TrainEngine for' 'delayed|scheduled|threaded'
 
+echo "== one fault script, one restart loop, one snapshot codec (grep lint) =="
+# The fault vocabulary lives in crates/pipeline/src/fault.rs and the retry
+# arithmetic in supervisor.rs::supervise_retries (DESIGN §9): a second
+# one-shot flag, seeded plan generator or `random:` parser is a second
+# script, and a second place that polls child processes is a second
+# restart loop.
+lint_only_in 'fired.swap(' 'fault'
+lint_only_in 'fn splitmix64' 'fault'
+lint_only_in 'strip_prefix("random:")' 'fault'
+lint_only_in '.try_wait()' 'launch'
+# The retired spellings: the crash-injection variable, the wire-only plan
+# type and the pre-container checkpoint magic. Needles are split so this
+# file does not contain them.
+stray=$(git grep -lE 'PBP_DIST_''ABORT_AT|NetFault''Plan|PBP''CKPT1' -- . \
+  ':!ISSUE.md' ':!CHANGES.md' ':!ROADMAP.md' || true)
+if [[ -n $stray ]]; then
+  echo "a retired fault/checkpoint vocabulary is back:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+
 echo "== a training conv layer stashes its input, not columns (grep lint) =="
 # Conv2d / WsConv2d run the direct batch-of-one kernels and keep the input
 # activation they popped (DESIGN §7): the k²-fold column stash of the

@@ -1,13 +1,28 @@
-//! Checkpoint/resume across training engines: weights saved mid-run load
-//! into a fresh engine and continue training sensibly.
+//! Checkpoint/resume across training engines: weights saved mid-run (the
+//! network sections of a snapshot) load into a fresh engine and continue
+//! training sensibly.
 
 use pipelined_backprop::data::blobs;
-use pipelined_backprop::nn::checkpoint;
 use pipelined_backprop::nn::models::mlp;
+use pipelined_backprop::nn::snapshot::{read_network, write_network};
+use pipelined_backprop::nn::Network;
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule};
 use pipelined_backprop::pipeline::{evaluate, ScheduledConfig, ScheduledTrainer};
+use pipelined_backprop::snapshot::{SnapshotArchive, SnapshotBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The network's weights as snapshot bytes.
+fn save(net: &Network) -> Vec<u8> {
+    let mut builder = SnapshotBuilder::new();
+    write_network(net, &mut builder);
+    builder.to_bytes()
+}
+
+fn load(net: &mut Network, bytes: &[u8]) {
+    let archive = SnapshotArchive::from_bytes(bytes).expect("snapshot bytes");
+    read_network(net, &archive).expect("same architecture");
+}
 
 fn schedule() -> LrSchedule {
     LrSchedule::constant(scale_hyperparams(Hyperparams::new(0.1, 0.9), 8, 1))
@@ -26,14 +41,13 @@ fn pb_training_resumes_from_a_checkpoint() {
         trainer.train_epoch(&train, 3, epoch);
     }
     let (_, acc_mid) = evaluate(trainer.network_mut(), &val, 16);
-    let mut buf = Vec::new();
-    checkpoint::save(trainer.network_mut(), &mut buf).unwrap();
+    let buf = save(trainer.network_mut());
 
     // Phase 2: fresh engine (velocity and weight-version queues reset, as
     // documented), resumed weights.
     let mut rng = StdRng::seed_from_u64(99);
     let mut net = mlp(&[2, 16, 3], &mut rng);
-    checkpoint::load(&mut net, &mut buf.as_slice()).unwrap();
+    load(&mut net, &buf);
     let mut resumed = ScheduledTrainer::new(net, ScheduledConfig::pb(schedule()));
     let (_, acc_loaded) = evaluate(resumed.network_mut(), &val, 16);
     assert!(
@@ -68,12 +82,11 @@ fn checkpoints_transfer_between_engines() {
         sgdm.train_epoch(&train, 5, epoch);
     }
     let (_, sgdm_acc) = evaluate(sgdm.network_mut(), &val, 16);
-    let mut buf = Vec::new();
-    checkpoint::save(sgdm.network_mut(), &mut buf).unwrap();
+    let buf = save(sgdm.network_mut());
 
     let mut rng = StdRng::seed_from_u64(2);
     let mut net = mlp(&[2, 16, 3], &mut rng);
-    checkpoint::load(&mut net, &mut buf.as_slice()).unwrap();
+    load(&mut net, &buf);
     let mut pb = ScheduledTrainer::new(net, ScheduledConfig::pb(schedule()));
     for epoch in 0..4 {
         pb.train_epoch(&train, 7, epoch);
