@@ -1,21 +1,24 @@
 //! # pbp-bench
 //!
-//! Experiment harness for the reproduction of *"Pipelined Backpropagation
-//! at Scale"* (Kosson et al., MLSYS 2021). Each binary under `src/bin/`
-//! regenerates one table, figure or ablation of the paper (see `DESIGN.md`
-//! for the index), plus the multi-process `chaos_dist` soak; this library
-//! holds the shared machinery: experiment budgets, the method-comparison
-//! runner, and plain-text table/heatmap rendering. Correctness is decided
-//! by `cargo test` and speed by the `benchmark/` ledger, not here.
+//! The paper's evaluation as one checked registry. Every table, figure
+//! and ablation of *"Pipelined Backpropagation at Scale"* (Kosson et al.,
+//! MLSYS 2021) is a row of [`EXPERIMENTS`]: how to run it, and the paper's
+//! claim about the result as a predicate. One binary drives them —
+//! `pbp-experiments list | <name>… | --all [--record] | --check` — and
+//! `tests/paper_claims.rs` at the workspace root holds every committed
+//! `results/<name>.txt` record to its claim. The crate's other binary is
+//! the multi-process `chaos_dist` soak. Correctness is decided by
+//! `cargo test` and speed by the `benchmark/` ledger, not here.
 //!
-//! All experiments are deterministic given their seeds. Budgets scale with
-//! the `PBP_SCALE` environment variable (e.g. `PBP_SCALE=0.25` for a quick
-//! pass, `PBP_SCALE=2` for tighter statistics).
+//! All experiments are deterministic given their seeds. `PBP_SCALE`
+//! (e.g. `0.25` for a quick pass, `2` for tighter statistics) sizes a run;
+//! records are made at scale 1.
 
+pub mod experiments;
 pub mod families;
-pub mod fmt;
+pub mod report;
 pub mod suite;
 
-pub use families::{cifar_data, family_data, imagenet_data, Family};
-pub use fmt::{print_heatmap, print_table, Table};
-pub use suite::{mean_std, Budget, MethodSpec, RunOutcome};
+pub use experiments::{Experiment, EXPERIMENTS};
+pub use report::{results_dir, RecordError, Report, Table};
+pub use suite::Scale;

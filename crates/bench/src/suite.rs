@@ -1,14 +1,46 @@
-//! Shared experiment runner: budgets, method specifications and the
-//! train-and-evaluate loop used by the table/figure binaries.
+//! The shared experiment machinery: the size [`Scale`], per-experiment
+//! [`Budget`]s, the one seeded train-and-evaluate loop ([`sweep`]) and the
+//! `SGDM` / `PB` method rows every network experiment starts from.
 
 use pbp_data::Dataset;
 use pbp_nn::Network;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
-use pbp_pipeline::{run_training, DelayedConfig, EngineSpec, NoHooks, RunConfig, ScheduledConfig};
+use pbp_pipeline::{
+    run_training, DelayedConfig, EngineSpec, NoHooks, RunConfig, ScheduledConfig, TrainReport,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Experiment budget, scalable via the `PBP_SCALE` environment variable.
+/// How much of its full size an experiment runs at. Parsed once, from
+/// `PBP_SCALE`, by the `pbp-experiments` binary and passed down.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Scale(f64);
+
+impl Scale {
+    /// The size the committed records are made at.
+    pub const FULL: Scale = Scale(1.0);
+    /// Every size at its floor — 16 train / 16 validation samples, one
+    /// epoch, one seed: the size `tests/paper_claims.rs` executes every
+    /// training experiment at.
+    pub const SMOKE: Scale = Scale(0.0);
+
+    /// Parses a `PBP_SCALE` value: a finite number above zero.
+    pub fn parse(value: &str) -> Result<Scale, String> {
+        match value.trim().parse::<f64>() {
+            Ok(s) if s.is_finite() && s > 0.0 => Ok(Scale(s)),
+            _ => Err(format!(
+                "PBP_SCALE must be a number above zero, got '{value}'"
+            )),
+        }
+    }
+
+    /// `n` scaled, rounded, and no smaller than `floor`.
+    pub fn apply(self, n: usize, floor: usize) -> usize {
+        ((n as f64 * self.0).round() as usize).max(floor)
+    }
+}
+
+/// Experiment budget at a given [`Scale`].
 #[derive(Debug, Clone, Copy)]
 pub struct Budget {
     /// Training-set size.
@@ -22,204 +54,104 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// Creates a budget, then applies `PBP_SCALE` (if set) to the sample
-    /// counts and epochs.
-    pub fn new(train_samples: usize, val_samples: usize, epochs: usize, seeds: usize) -> Self {
-        let scale: f64 = std::env::var("PBP_SCALE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1.0);
+    /// The budget `[train, val, epochs, seeds]` scaled: sample counts floor
+    /// at 16, epochs and seeds at 1, and a scale above one adds no seeds.
+    pub fn new([train, val, epochs, seeds]: [usize; 4], scale: Scale) -> Self {
         Budget {
-            train_samples: ((train_samples as f64 * scale) as usize).max(16),
-            val_samples: ((val_samples as f64 * scale) as usize).max(16),
-            epochs: ((epochs as f64 * scale).round() as usize).max(1),
-            seeds: seeds.max(1),
+            train_samples: scale.apply(train, 16),
+            val_samples: scale.apply(val, 16),
+            epochs: scale.apply(epochs, 1),
+            seeds: scale.apply(seeds, 1).min(seeds.max(1)),
         }
     }
 }
 
-/// One method column in a comparison (a row group in the paper's tables).
-#[derive(Debug, Clone, Copy)]
-pub enum MethodSpec {
-    /// Mini-batch SGDM at the reference batch size (the `SGDM` rows).
-    Sgdm {
-        /// Batch size.
-        batch: usize,
-    },
-    /// Pipelined backpropagation at update size one with optional
-    /// mitigation and weight stashing.
-    Pb {
-        /// Delay mitigation.
-        mitigation: Mitigation,
-        /// Weight stashing on/off.
-        stashing: bool,
-    },
-}
-
-impl MethodSpec {
-    /// Plain PB.
-    pub fn pb(mitigation: Mitigation) -> Self {
-        MethodSpec::Pb {
-            mitigation,
-            stashing: false,
-        }
-    }
-
-    /// Display label matching the paper.
-    pub fn label(&self) -> String {
-        match self {
-            MethodSpec::Sgdm { .. } => "SGDM".to_string(),
-            MethodSpec::Pb {
-                mitigation,
-                stashing,
-            } => {
-                let mut l = mitigation.label();
-                if *stashing {
-                    l.push_str("+WS");
-                }
-                l
-            }
-        }
-    }
-
-    /// Lowers this method to an [`EngineSpec`], scaling the reference
-    /// hyperparameters per Eq. 9 for the method's effective batch size.
-    pub fn engine_spec(&self, reference: Hyperparams, reference_batch: usize) -> EngineSpec {
-        match *self {
-            MethodSpec::Sgdm { batch } => {
-                let hp = if batch == reference_batch {
-                    reference
-                } else {
-                    scale_hyperparams(reference, reference_batch, batch)
-                };
-                EngineSpec::Delayed(DelayedConfig::sgdm(batch, LrSchedule::constant(hp)))
-            }
-            MethodSpec::Pb {
-                mitigation,
-                stashing,
-            } => {
-                let hp = scale_hyperparams(reference, reference_batch, 1);
-                let mut cfg =
-                    ScheduledConfig::pb(LrSchedule::constant(hp)).with_mitigation(mitigation);
-                if stashing {
-                    cfg = cfg.with_weight_stashing();
-                }
-                EngineSpec::Scheduled(cfg)
-            }
-        }
-    }
-}
-
-/// Result of one method over several seeds.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Method label.
-    pub label: String,
-    /// Final validation accuracy per seed.
-    pub accuracies: Vec<f64>,
-}
-
-impl RunOutcome {
-    /// Mean final accuracy.
-    pub fn mean(&self) -> f64 {
-        mean_std(&self.accuracies).0
-    }
-
-    /// Standard deviation of final accuracy.
-    pub fn std(&self) -> f64 {
-        mean_std(&self.accuracies).1
-    }
-
-    /// Formats as `mean±std` percentages, like the paper's tables.
-    pub fn formatted(&self) -> String {
-        if self.accuracies.len() > 1 {
-            format!("{:.2}±{:.2}", 100.0 * self.mean(), 100.0 * self.std())
-        } else {
-            format!("{:.2}", 100.0 * self.mean())
-        }
-    }
-}
-
-/// Sample mean and standard deviation.
+/// Sample mean and standard deviation (zero for fewer than two samples).
 pub fn mean_std(xs: &[f64]) -> (f64, f64) {
-    if xs.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-    if xs.len() == 1 {
-        return (mean, 0.0);
-    }
-    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (xs.len() - 1) as f64;
+    let n = xs.len().max(1) as f64;
+    let mean = xs.iter().sum::<f64>() / n;
+    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0).max(1.0);
     (mean, var.sqrt())
 }
 
-/// Trains `method` on `(train, val)` for every seed in the budget with the
-/// given reference hyperparameters (scaled per Eq. 9 for PB), returning the
-/// final accuracies. `build` constructs a freshly initialized network from
-/// an RNG.
-pub fn run_method(
-    build: &dyn Fn(&mut StdRng) -> Network,
-    train: &Dataset,
-    val: &Dataset,
-    method: MethodSpec,
-    reference: Hyperparams,
-    reference_batch: usize,
-    budget: Budget,
-) -> RunOutcome {
-    let spec = method.engine_spec(reference, reference_batch);
-    let mut accuracies = Vec::with_capacity(budget.seeds);
-    for seed in 0..budget.seeds as u64 {
-        let mut rng = StdRng::seed_from_u64(1000 + seed);
-        let mut engine = spec.build(build(&mut rng));
-        let config = RunConfig::new(budget.epochs, seed).eval_last_only();
-        let report = run_training(engine.as_mut(), train, val, &config, &mut NoHooks);
-        accuracies.push(report.final_val_acc());
-    }
-    RunOutcome {
-        label: method.label(),
-        accuracies,
-    }
+/// Mean of `f` over the reports (one per seed).
+pub fn mean_of(reports: &[TrainReport], f: impl Fn(&TrainReport) -> f64) -> f64 {
+    mean_std(&reports.iter().map(f).collect::<Vec<_>>()).0
 }
 
-/// Runs a full family × method comparison (the shape of Tables 1-6) and
-/// prints a table with stage counts and `mean±std` final accuracies.
-pub fn run_family_table(
-    families: &[crate::families::Family],
-    methods: &[MethodSpec],
-    reference: Hyperparams,
-    reference_batch: usize,
-    budget: Budget,
-) {
-    let mut headers = vec!["network".to_string(), "stages".to_string()];
-    headers.extend(methods.iter().map(MethodSpec::label));
-    let mut table = crate::fmt::Table::new(headers);
-    for family in families {
-        let (train, val) =
-            crate::families::family_data(*family, budget.train_samples, budget.val_samples);
-        let build = |rng: &mut StdRng| family.build(train.num_classes(), rng);
-        let mut row = vec![family.name(), family.stage_count().to_string()];
-        for &method in methods {
-            let out = run_method(
-                &build,
-                &train,
-                &val,
-                method,
-                reference,
-                reference_batch,
-                budget,
-            );
-            row.push(out.formatted());
+/// `mean±std` of `f` over the reports, in percent with `decimals` places.
+pub fn pct_pm(reports: &[TrainReport], decimals: usize, f: impl Fn(&TrainReport) -> f64) -> String {
+    let (m, s) = mean_std(&reports.iter().map(f).collect::<Vec<_>>());
+    format!("{:.decimals$}±{:.decimals$}", 100.0 * m, 100.0 * s)
+}
+
+/// The one train-and-evaluate loop: trains `spec` on `data = (train, val)`
+/// once per seed. Seed `i` initialises its network from `StdRng(init + i)`
+/// and runs under `run` — epochs and validation cadence — with its epochs
+/// ordered by `run.seed + i`.
+pub fn sweep(
+    spec: &EngineSpec,
+    build: &dyn Fn(&mut StdRng) -> Network,
+    data: &(Dataset, Dataset),
+    seeds: usize,
+    init: u64,
+    run: RunConfig,
+) -> Vec<TrainReport> {
+    (0..seeds as u64)
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(init + i);
+            let mut engine = spec.build(build(&mut rng));
+            let seed = run.seed + i;
+            let config = RunConfig { seed, ..run };
             eprint!(".");
-        }
-        table.row(row);
-        eprintln!(" {}", family.name());
-    }
-    table.print();
+            run_training(engine.as_mut(), &data.0, &data.1, &config, &mut NoHooks)
+        })
+        .collect()
+}
+
+/// He et al.'s (η, m) = (0.1, 0.9) at batch 128, scaled to `batch` by
+/// Eq. 9 — the reference every network experiment starts from.
+pub fn reference_hp(batch: usize) -> Hyperparams {
+    scale_hyperparams(Hyperparams::new(0.1, 0.9), 128, batch)
+}
+
+/// The `SGDM` rows: mini-batch SGDM at `batch`.
+pub fn sgdm(batch: usize) -> EngineSpec {
+    let schedule = LrSchedule::constant(reference_hp(batch));
+    EngineSpec::Delayed(DelayedConfig::sgdm(batch, schedule))
+}
+
+/// The `PB…` rows: pipelined backpropagation at update size one.
+pub fn pb(mitigation: Mitigation) -> ScheduledConfig {
+    ScheduledConfig::pb(LrSchedule::constant(reference_hp(1))).with_mitigation(mitigation)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_parser_rejects_everything_but_a_finite_positive_number() {
+        for bad in ["", "abc", "0", "-1", "nan", "inf", "-0.0"] {
+            let err = Scale::parse(bad).unwrap_err();
+            assert!(err.contains(&format!("'{bad}'")), "{err}");
+        }
+        assert_eq!(Scale::parse("0.25"), Ok(Scale(0.25)));
+        assert_eq!(Scale::parse("2"), Ok(Scale(2.0)));
+        assert_eq!(Scale::parse(" 1 "), Ok(Scale::FULL));
+    }
+
+    #[test]
+    fn budgets_scale_with_floors_and_never_gain_seeds() {
+        let b = |scale| {
+            let b = Budget::new([1500, 300, 6, 3], scale);
+            (b.train_samples, b.val_samples, b.epochs, b.seeds)
+        };
+        assert_eq!(b(Scale::FULL), (1500, 300, 6, 3));
+        assert_eq!(b(Scale(0.25)), (375, 75, 2, 1));
+        assert_eq!(b(Scale(2.0)), (3000, 600, 12, 3));
+        assert_eq!(b(Scale::SMOKE), (16, 16, 1, 1));
+    }
 
     #[test]
     fn mean_std_basics() {
@@ -231,36 +163,14 @@ mod tests {
     }
 
     #[test]
-    fn labels_include_stashing() {
-        let m = MethodSpec::Pb {
-            mitigation: Mitigation::None,
-            stashing: true,
-        };
-        assert_eq!(m.label(), "PB+WS");
-        assert_eq!(MethodSpec::Sgdm { batch: 32 }.label(), "SGDM");
-    }
-
-    #[test]
-    fn run_method_trains_a_tiny_mlp() {
+    fn sweep_trains_a_tiny_mlp_once_per_seed() {
         let build = |rng: &mut StdRng| pbp_nn::models::mlp(&[2, 16, 3], rng);
-        let data = pbp_data::blobs(3, 30, 0.4, 0);
-        let (train, val) = data.split(0.3);
-        let budget = Budget {
-            train_samples: 0,
-            val_samples: 0,
-            epochs: 8,
-            seeds: 2,
-        };
-        let out = run_method(
-            &build,
-            &train,
-            &val,
-            MethodSpec::pb(Mitigation::scd()),
-            Hyperparams::new(0.1, 0.9),
-            8,
-            budget,
-        );
-        assert_eq!(out.accuracies.len(), 2);
-        assert!(out.mean() > 0.6, "accuracy {}", out.mean());
+        let data = pbp_data::blobs(3, 30, 0.4, 0).split(0.3);
+        let spec = EngineSpec::Scheduled(pb(Mitigation::scd()));
+        let reports = sweep(&spec, &build, &data, 2, 1000, RunConfig::new(8, 0));
+        assert_eq!(reports.len(), 2);
+        assert!(reports.iter().all(|r| r.records.len() == 8));
+        let acc = mean_of(&reports, TrainReport::final_val_acc);
+        assert!(acc > 0.6, "accuracy {acc}");
     }
 }

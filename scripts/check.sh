@@ -39,9 +39,10 @@ lint_only_in '.loss(&' 'scheduled|rank'
 # behind StageOptimizer::forward_weights and may not be called around it.
 lint_only_in 'predict_velocity_form(' 'lwp|stage_opt'
 # Three engines: the whole-network simulator and the stage executor's two
-# substrates. A further training loop, in a bench binary (crates/*/src
-# covers crates/bench/src/bin) or anywhere else, is a DelayedConfig row
-# or a MicrobatchSchedule plan first.
+# substrates. A further training loop, in the experiment registry
+# (crates/*/src covers crates/bench/src/experiments, whose every run goes
+# through suite.rs::sweep) or anywhere else, is a DelayedConfig row or a
+# MicrobatchSchedule plan first.
 lint_only_in 'impl TrainEngine for' 'delayed|scheduled|threaded'
 
 echo "== one fault script, one restart loop, one snapshot codec (grep lint) =="
@@ -76,19 +77,20 @@ if [[ -n $stray ]]; then
   exit 1
 fi
 
-echo "== one correctness gate, one speed gate (no second measurement path) =="
+echo "== one correctness gate, one speed gate, one experiment runner (no second path) =="
 # `cargo test` decides correctness and benchmark/ decides speed: timing
 # lanes, smoke binaries that re-run an integration test and criterion
-# benches do not come back beside them.
+# benches do not come back beside them, and a table, figure or ablation
+# is a row of pbp_bench::EXPERIMENTS, not a binary of its own.
 stray=$(
-  ls crates/bench/src/bin | grep -E '^bench_.*\.rs$|_smoke\.rs$' || true
+  ls crates/bench/src/bin | grep -vxE 'chaos_dist\.rs|pbp-experiments\.rs' || true
   ls -d crates/bench/benches shims/criterion 2>/dev/null || true
   # The needle is split so this file does not contain it.
   git grep -lF 'results/BENCH''_' -- . \
     ':!ISSUE.md' ':!CHANGES.md' ':!ROADMAP.md' ':!benchmark' || true
 )
 if [[ -n $stray ]]; then
-  echo "pre-ledger measurement path is back:" >&2
+  echo "a per-experiment binary or a pre-ledger measurement path is back:" >&2
   echo "$stray" >&2
   exit 1
 fi
@@ -104,6 +106,11 @@ CARGO_TARGET_DIR=${CARGO_TARGET_DIR:-$PWD/target} \
 echo "== ledger smoke (fmt + clippy on the harness, all 7 workloads at 1/16 size, every output check live) =="
 # Writes only under git-ignored benchmark/out/; appends no history line.
 benchmark/run.sh --smoke
+
+echo "== paper claims on the committed records (trains nothing) =="
+# Every results/<name>.txt against its registered verdict; tier-1's
+# tests/paper_claims.rs also re-runs the experiments behind them.
+cargo run --release -q -p pbp-bench --bin pbp-experiments -- --check
 
 echo "== tier-1 tests (root package) =="
 cargo test -q
