@@ -383,10 +383,17 @@ fn heavy_stage_count(flops: &[u64]) -> usize {
 /// while a streaming run is in flight, capped at the machine's planning
 /// core count, so the two layers of parallelism divide the machine
 /// instead of oversubscribing it. Kernels are bit-identical at any thread
-/// count, so this shifts wall-clock only, never results. Forward + backward costs roughly 3× the forward FLOPs, a
-/// uniform factor that cancels in the share comparison but keeps the
-/// estimate honest. Returns `None` on single-core machines, where there
-/// is nothing to divide.
+/// count, so this shifts wall-clock only, never results.
+///
+/// Forward + backward costs roughly 3× the forward FLOPs, a uniform factor
+/// that cancels in the share comparison but keeps the estimate honest. The
+/// estimate is only as good as [`Stage::flops_per_sample`]:
+/// `Conv2d::flops_per_sample` is parameter-based until a first forward has
+/// set its `last_hw` (it misses the output-pixel factor), so a fresh
+/// engine's first `stream` call counts its conv stages as light.
+///
+/// Returns `None` on single-core machines, where there is nothing to
+/// divide.
 fn reserve_stage_cores(stages: &[Stage]) -> Option<pool::CoreReservation> {
     let cores = pool::configured_threads();
     if cores <= 1 {

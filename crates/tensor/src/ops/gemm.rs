@@ -15,15 +15,21 @@
 //! largest are additionally partitioned across the [`crate::pool`] worker
 //! pool along whichever output dimension is longer.
 //!
+//! This file is the policy: size dispatch, `KC` blocking, packing, the chunk
+//! grid, and the `A·Bᵀ` dot chains. The arithmetic of every other path is
+//! two micro-kernels of [`super::simd`] — the register tile
+//! ([`simd::tile`]) and the row axpy sweep ([`simd::axpy_row`]) — each
+//! written once and instantiated per SIMD tier.
+//!
 //! # Bit-exact accumulation contract
 //!
 //! Every path — naive reference, simple, tiled, SIMD, parallel at any
 //! thread count — computes each output element as a single left-to-right
 //! chain of *fused* multiply-adds (`f32::mul_add`) in increasing `k` order,
 //! starting from the existing value of `C` (accumulate mode) or from `0.0`
-//! (overwrite mode). An IEEE 754 fma rounds exactly once, so the scalar
-//! `mul_add` chain and the `vfmadd` chains in the [`super::simd`]
-//! micro-kernels compute the same function bit for bit — there is no
+//! (overwrite mode). An IEEE 754 fma rounds exactly once, so `mul_add` and
+//! `vfmadd` — the lane types the [`super::simd`] micro-kernels are
+//! instantiated at — compute the same function bit for bit: there is no
 //! contracted-vs-uncontracted ambiguity for the compiler to exploit.
 //! Blocking and packing only reorder *memory traffic*, never the
 //! per-element floating-point association; partitions split the *output*
@@ -41,10 +47,9 @@ use std::cell::RefCell;
 /// `NR` = 8 vector accumulators — enough independent FMA chains to cover
 /// FMA latency without spilling the register file (8 rows spill).
 pub(crate) const MR: usize = 4;
-/// Columns of `C` computed per register tile: one AVX-512 lane set, two
-/// AVX2 lanes. Full-width tiles dispatch to the explicit micro-kernels in
-/// [`super::simd`]; ragged right edges (`nr < NR`) dispatch to the masked
-/// variants, falling back to the scalar tile on the scalar tier.
+/// Columns of `C` computed per register tile: one `__m512`, two `__m256`,
+/// one portable `[f32; 16]`. A ragged right edge (`nr < NR`) is the same
+/// tile with masked loads and stores of `C`, on every tier.
 pub(crate) const NR: usize = 16;
 /// `k`-panel depth: a packed `KC × NR` tile of `B` stays L1-resident.
 const KC: usize = 256;
@@ -64,8 +69,7 @@ const PAR_CHUNK: usize = 32;
 /// `k = out_channels`; the deferred weight-grad GEMMs of split-backward
 /// schedules have `k = microbatch rows`) skip the register-tiling
 /// machinery: a row-wise axpy keeps the whole working set L1-resident and
-/// avoids hundreds of short-panel micro-kernel invocations. The sweeps
-/// dispatch to [`simd::axpy_row`] per tier.
+/// avoids hundreds of short-panel micro-kernel invocations.
 const TN_AXPY_MAX_K: usize = 24;
 
 thread_local! {
@@ -81,11 +85,11 @@ thread_local! {
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) if slice lengths disagree with `m`, `k`, `n`.
+/// Panics if slice lengths disagree with `m`, `k`, `n`.
 pub fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
+    assert_eq!(a.len(), m * k, "gemm_nn: A is m×k");
+    assert_eq!(b.len(), k * n, "gemm_nn: B is k×n");
+    assert_eq!(c.len(), m * n, "gemm_nn: C is m×n");
     gemm_dispatch::<false, false>(a, b, c, m, k, n, acc);
 }
 
@@ -93,11 +97,11 @@ pub fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) if slice lengths disagree with `m`, `k`, `n`.
+/// Panics if slice lengths disagree with `m`, `k`, `n`.
 pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
+    assert_eq!(a.len(), m * k, "gemm_nt: A is m×k");
+    assert_eq!(b.len(), n * k, "gemm_nt: B is n×k");
+    assert_eq!(c.len(), m * n, "gemm_nt: C is m×n");
     gemm_dispatch::<false, true>(a, b, c, m, k, n, acc);
 }
 
@@ -105,11 +109,11 @@ pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) if slice lengths disagree with `m`, `k`, `n`.
+/// Panics if slice lengths disagree with `m`, `k`, `n`.
 pub fn gemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
+    assert_eq!(a.len(), k * m, "gemm_tn: A is k×m");
+    assert_eq!(b.len(), k * n, "gemm_tn: B is k×n");
+    assert_eq!(c.len(), m * n, "gemm_tn: C is m×n");
     gemm_dispatch::<true, false>(a, b, c, m, k, n, acc);
 }
 
@@ -190,11 +194,9 @@ fn gemm_dispatch<const AT: bool, const BT: bool>(
 
 /// Short-reduction `Aᵀ·B` kernel over the output region `rows × cols`:
 /// each `C` row is swept `k` times by fma axpys while it (and all `k` rows
-/// of `B`) stay L1-resident. Sweeps dispatch to the [`simd::axpy_row`]
-/// micro-kernels on the active tier (scalar fallback below). Per element
-/// the fused multiply-add chain still runs in increasing `k` order from
-/// `+0.0` (overwrite) or the existing value (accumulate), so results match
-/// the tiled path — and every SIMD tier — bit for bit.
+/// of `B`) stay L1-resident. Per element the fused multiply-add chain still
+/// runs in increasing `k` order from `+0.0` (overwrite) or the existing
+/// value (accumulate), so results match the tiled path bit for bit.
 #[allow(clippy::too_many_arguments)]
 fn tn_axpy_region(
     a: &[f32],
@@ -218,23 +220,11 @@ fn tn_axpy_region(
         if !acc {
             // The `kk == 0` sweep starts every chain at literal `+0.0`,
             // replacing a separate zero-fill pass over `C`.
-            let av = a[i];
-            let brow = &b[col0..col0 + width];
-            if !simd::axpy_row(av, brow, crow, true) {
-                for (cj, &bv) in crow.iter_mut().zip(brow) {
-                    *cj = av.mul_add(bv, 0.0);
-                }
-            }
+            simd::axpy_row(a[i], &b[col0..col0 + width], crow, true);
             kk = 1;
         }
         while kk < k {
-            let av = a[kk * m + i];
-            let brow = &b[kk * n + col0..][..width];
-            if !simd::axpy_row(av, brow, crow, false) {
-                for (cj, &bv) in crow.iter_mut().zip(brow) {
-                    *cj = av.mul_add(bv, *cj);
-                }
-            }
+            simd::axpy_row(a[kk * m + i], &b[kk * n + col0..][..width], crow, false);
             kk += 1;
         }
     }
@@ -245,6 +235,9 @@ fn tn_axpy_region(
 /// `B` panels are packed per (`j`-tile, `k`-panel) into an L1-resident
 /// `kc × NR` buffer; `A` is read in place (its accesses are contiguous in
 /// the non-transposed case and 4-wide contiguous in the transposed case).
+/// Each `MR × NR` (or ragged-edge `mr × nr`) register tile of the region is
+/// one [`simd::tile`] call on the active tier; which tier runs is
+/// unobservable in the output bits.
 ///
 /// In overwrite mode (`acc == false`) the first `k`-panel starts its
 /// register tile from literal zeros instead of reading freshly-zeroed `C`
@@ -288,18 +281,33 @@ fn tiled_region<const AT: bool, const BT: bool>(
                 let mut i0 = row0;
                 while i0 < row1 {
                     let mr = MR.min(row1 - i0);
-                    match mr {
-                        4 => {
-                            micro::<AT, 4>(a, lda, i0, p0, kc, panel, bstride, c, n, j0, nr, load_c)
-                        }
-                        3 => {
-                            micro::<AT, 3>(a, lda, i0, p0, kc, panel, bstride, c, n, j0, nr, load_c)
-                        }
-                        2 => {
-                            micro::<AT, 2>(a, lda, i0, p0, kc, panel, bstride, c, n, j0, nr, load_c)
-                        }
-                        _ => {
-                            micro::<AT, 1>(a, lda, i0, p0, kc, panel, bstride, c, n, j0, nr, load_c)
+                    let tile = simd::Tile {
+                        a,
+                        lda,
+                        i0,
+                        p0,
+                        kc,
+                        bp: panel,
+                        bstride,
+                        c: c.0,
+                        ldc: n,
+                        j0,
+                        nr,
+                        load_c,
+                    };
+                    // SAFETY: rows `i0..i0 + mr` and columns `j0..j0 + nr`
+                    // lie inside this call's region of `C`, whose length
+                    // the public entry points assert along with `A`'s and
+                    // `B`'s, so `A` is indexable at every (`i0 + r`,
+                    // `p0 + kk`); `panel` holds `kc` rows of `NR` floats at
+                    // stride `bstride` — in place only when `nr == NR`,
+                    // otherwise the zero-padded pack.
+                    unsafe {
+                        match mr {
+                            4 => simd::tile::<AT, 4>(tile),
+                            3 => simd::tile::<AT, 3>(tile),
+                            2 => simd::tile::<AT, 2>(tile),
+                            _ => simd::tile::<AT, 1>(tile),
                         }
                     }
                     i0 += mr;
@@ -342,130 +350,6 @@ fn pack_b<const BT: bool>(
     }
 }
 
-/// `MRL × NR` register tile: loads the current `C` values (or starts from
-/// zeros when `load_c` is false — the first panel in overwrite mode),
-/// extends each element's fused multiply-add chain across the `kc` panel
-/// in increasing `k` order, and stores the tile back. Loading-then-storing
-/// (rather than keeping per-panel partial sums) is what preserves the
-/// bit-exact association across `KC` blocking.
-///
-/// Full-width tiles (`nr == NR`) dispatch to the explicit SIMD
-/// micro-kernels in [`super::simd`] when a tier is active; ragged
-/// right-edge tiles (`nr < NR`) dispatch to the masked variants, which
-/// read the zero-padded packed `B` panel at full width and mask only the
-/// `C` loads/stores. Both compute the identical fma chains with `vfmadd`,
-/// so which path runs is unobservable in the output bits; the scalar loop
-/// below is the fallback on the scalar tier.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn micro<const AT: bool, const MRL: usize>(
-    a: &[f32],
-    lda: usize,
-    i0: usize,
-    p0: usize,
-    kc: usize,
-    bp: &[f32],
-    bstride: usize,
-    c: CPtr,
-    ldc: usize,
-    j0: usize,
-    nr: usize,
-    load_c: bool,
-) {
-    if nr == NR {
-        // SAFETY: the caller's region contract covers rows `i0..i0 + MRL`
-        // and columns `j0..j0 + NR` of `C`; `bp` holds `kc` panel rows of
-        // `NR` floats at stride `bstride`, and `A` indices stay in bounds
-        // exactly as in the scalar loop below.
-        let dispatched = unsafe {
-            simd::tile_full_width::<AT, MRL>(a, lda, i0, p0, kc, bp, bstride, c.0, ldc, j0, load_c)
-        };
-        if dispatched {
-            return;
-        }
-    } else {
-        // SAFETY: same region contract as above; ragged tiles always come
-        // from `tiled_region`'s packing branch, so `bp` is a zero-padded
-        // `kc × NR` panel the masked kernels may read at full width.
-        let dispatched = unsafe {
-            simd::tile_ragged::<AT, MRL>(a, lda, i0, p0, kc, bp, bstride, c.0, ldc, j0, nr, load_c)
-        };
-        if dispatched {
-            return;
-        }
-    }
-    micro_scalar::<AT, MRL>(a, lda, i0, p0, kc, bp, bstride, c, ldc, j0, nr, load_c);
-}
-
-/// The scalar register tile behind [`micro`]. Kept out-of-line (`micro`
-/// itself is inlined into a very large region loop, where LLVM's SLP
-/// vectorizer gives up on the 16 independent fma chains); as a small
-/// standalone function the `j` loop vectorizes to packed `vfmadd`.
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn micro_scalar<const AT: bool, const MRL: usize>(
-    a: &[f32],
-    lda: usize,
-    i0: usize,
-    p0: usize,
-    kc: usize,
-    bp: &[f32],
-    bstride: usize,
-    c: CPtr,
-    ldc: usize,
-    j0: usize,
-    nr: usize,
-    load_c: bool,
-) {
-    let mut acc = [[0.0f32; NR]; MRL];
-    if load_c {
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            // SAFETY: rows `i0..i0 + MRL` and columns `j0..j0 + nr` lie
-            // inside this call's output region; regions are disjoint across
-            // pool chunks.
-            let crow = unsafe {
-                std::slice::from_raw_parts((c.0 as *const f32).add((i0 + r) * ldc + j0), nr)
-            };
-            acc_row[..nr].copy_from_slice(crow);
-        }
-    }
-    if AT {
-        // `A` is k×m: one contiguous `MRL`-wide slice of row `p0 + kk`
-        // feeds all accumulator rows.
-        let mut boff = 0;
-        for kk in 0..kc {
-            let brow = &bp[boff..][..NR];
-            let arow = &a[(p0 + kk) * lda + i0..][..MRL];
-            for (acc_row, &av) in acc.iter_mut().zip(arow) {
-                for j in 0..NR {
-                    acc_row[j] = av.mul_add(brow[j], acc_row[j]);
-                }
-            }
-            boff += bstride;
-        }
-    } else {
-        // Hoist each row's contiguous `kc` slice of `A` out of the k loop
-        // so the inner loads are bounds-check-free.
-        let arows: [&[f32]; MRL] = std::array::from_fn(|r| &a[(i0 + r) * lda + p0..][..kc]);
-        let mut boff = 0;
-        for kk in 0..kc {
-            let brow = &bp[boff..][..NR];
-            for (acc_row, arow) in acc.iter_mut().zip(&arows) {
-                let av = arow[kk];
-                for j in 0..NR {
-                    acc_row[j] = av.mul_add(brow[j], acc_row[j]);
-                }
-            }
-            boff += bstride;
-        }
-    }
-    for (r, acc_row) in acc.iter().enumerate() {
-        // SAFETY: same region as the load above.
-        let crow = unsafe { std::slice::from_raw_parts_mut(c.0.add((i0 + r) * ldc + j0), nr) };
-        crow.copy_from_slice(&acc_row[..nr]);
-    }
-}
-
 /// `W` adjacent outputs `crow[j..j + W]` of an `A·Bᵀ` row: `W` independent
 /// dots of `arow` with rows `j..j + W` of `b`, each one left-to-right fma
 /// chain in increasing `k` from the existing output value.
@@ -485,11 +369,10 @@ fn nt_chains<const W: usize>(arow: &[f32], b: &[f32], crow: &mut [f32], j: usize
 /// Simple accumulating kernels for small products. Loop orders are chosen
 /// per layout so the innermost loop either vectorizes across `j` or runs
 /// several independent `k` chains, while each element still accumulates in
-/// increasing `k` order. The `nn` and `tn` row sweeps dispatch to the
-/// [`simd::axpy_row`] micro-kernels on the active tier, so small
-/// (batch-1-sized) products hit AVX2/AVX-512 too; the `nt` path keeps its
-/// scalar dot products — vectorizing across `k` would break the
-/// single-chain accumulation contract.
+/// increasing `k` order. The `nn` and `tn` row sweeps are
+/// [`simd::axpy_row`], so small (batch-1-sized) products run on the active
+/// tier too; the `nt` path keeps its scalar dot products — vectorizing
+/// across `k` would break the single-chain accumulation contract.
 fn simple<const AT: bool, const BT: bool>(
     a: &[f32],
     b: &[f32],
@@ -522,56 +405,41 @@ fn simple<const AT: bool, const BT: bool>(
         }
     } else if AT {
         // Aᵀ·B: axpy with `k` outermost, so each element's chain still runs
-        // in increasing `k`; each row sweep dispatches to the
-        // [`simd::axpy_row`] micro-kernels (scalar fallback vectorizes
-        // across `j`).
+        // in increasing `k`.
         for kk in 0..k {
             let arow = &a[kk * m..][..m];
             let brow = &b[kk * n..][..n];
-            for i in 0..m {
-                let av = arow[i];
-                let crow = &mut c[i * n..][..n];
-                if !simd::axpy_row(av, brow, crow, false) {
-                    for j in 0..n {
-                        crow[j] = av.mul_add(brow[j], crow[j]);
-                    }
-                }
+            for (i, &av) in arow.iter().enumerate() {
+                simd::axpy_row(av, brow, &mut c[i * n..][..n], false);
             }
         }
     } else {
-        // A·B: the classic i-k-j axpy order; each row sweep dispatches to
-        // the [`simd::axpy_row`] micro-kernels (scalar fallback vectorizes
-        // across `j`). This is the batch-1 serving hot path: conv layers at
-        // batch one lower to products below `TILED_MIN_ELEMS` that land
-        // here instead of the tiled kernels.
+        // A·B: the classic i-k-j axpy order. This is the batch-1 serving hot
+        // path: conv layers at batch one lower to products below
+        // `TILED_MIN_ELEMS` that land here instead of the tiled kernels.
         for i in 0..m {
             let arow = &a[i * k..][..k];
             let crow = &mut c[i * n..][..n];
             for (kk, &av) in arow.iter().enumerate() {
-                let brow = &b[kk * n..][..n];
-                if !simd::axpy_row(av, brow, crow, false) {
-                    for j in 0..n {
-                        crow[j] = av.mul_add(brow[j], crow[j]);
-                    }
-                }
+                simd::axpy_row(av, &b[kk * n..][..n], crow, false);
             }
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::ops::reference;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
+    pub(crate) fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
     }
 
-    fn assert_bits_eq(got: &[f32], want: &[f32], context: &str) {
+    pub(crate) fn assert_bits_eq(got: &[f32], want: &[f32], context: &str) {
         assert_eq!(got.len(), want.len(), "{context}: length");
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
             assert_eq!(
@@ -649,6 +517,48 @@ mod tests {
             assert_bits_eq(&par, &serial, &format!("threads={threads}"));
         }
         pool::set_max_threads(1);
+    }
+
+    // The tiled path ends in raw-pointer tile writes: a slice shorter than
+    // `m`, `k`, `n` promise must stop at the entry point, in release too.
+    #[test]
+    #[should_panic(expected = "gemm_nn: A is m×k")]
+    fn short_a_panics() {
+        let (m, k, n) = (32, 32, 32);
+        let mut c = vec![0.0; m * n];
+        gemm_nn(
+            &vec![0.0; m * k - 1],
+            &vec![0.0; k * n],
+            &mut c,
+            m,
+            k,
+            n,
+            false,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_nt: B is n×k")]
+    fn short_b_panics() {
+        let (m, k, n) = (32, 32, 32);
+        let mut c = vec![0.0; m * n];
+        gemm_nt(
+            &vec![0.0; m * k],
+            &vec![0.0; n * k - 1],
+            &mut c,
+            m,
+            k,
+            n,
+            false,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_tn: C is m×n")]
+    fn short_c_panics() {
+        let (m, k, n) = (32, 32, 32);
+        let mut c = vec![0.0; m * n - 1];
+        gemm_tn(&vec![0.0; k * m], &vec![0.0; k * n], &mut c, m, k, n, true);
     }
 
     #[test]

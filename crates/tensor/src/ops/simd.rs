@@ -1,13 +1,19 @@
-//! Explicit SIMD micro-kernels for the GEMM register tile.
+//! The micro-kernel layer: every hot inner loop of the crate, written once
+//! over `Lanes` and instantiated per SIMD tier.
 //!
-//! The scalar register tile in [`super::gemm`] accumulates every output
-//! element as one fused-multiply-add chain in increasing `k` order. An IEEE
-//! 754 fused multiply-add rounds exactly once, so `f32::mul_add` on the
-//! scalar path and the `vfmadd` vector instructions here compute *the same
-//! function* — the kernels in this module are bit-identical to the scalar
-//! tile, on every input, by construction rather than by tolerance. That is
-//! what lets runtime dispatch pick the fastest tier without perturbing the
-//! differential contract against [`super::reference`].
+//! Five kernels live here — the GEMM register tile (`tile`), the row axpy
+//! sweep (`axpy_row`) and the three direct convolution kernels
+//! (`conv_forward`, `conv_backward_input`, `conv_backward_weight`).
+//! Each is one generic function over a lane type: lanes never interact, and
+//! the only arithmetic is `Lanes::fma` (plus one `Lanes::add` in the
+//! input-gradient kernel), so every output element is one left-to-right
+//! chain of fused multiply-adds whatever the vector width. An IEEE 754
+//! fused multiply-add rounds exactly once, so `f32::mul_add` and the
+//! `vfmadd` instructions compute *the same function*: the instantiations
+//! are bit-identical to one another and to [`super::reference`], on every
+//! input, by construction rather than by tolerance. That is what lets
+//! runtime dispatch pick the fastest tier without perturbing the
+//! differential contract.
 //!
 //! # Dispatch
 //!
@@ -15,46 +21,43 @@
 //! environment variable and CPU feature detection
 //! (`is_x86_feature_detected!`), best tier wins:
 //!
-//! * `PBP_SIMD=0` / `off` / `scalar` — force the scalar tile (escape hatch);
+//! * `PBP_SIMD=0` / `off` / `scalar` — force the portable instantiations
+//!   (escape hatch);
 //! * `PBP_SIMD=avx2` — cap at AVX2+FMA even when AVX-512 is available;
 //! * unset / `1` / `on` / `auto` / `avx512` — best tier the CPU supports.
 //!
 //! [`set_tier`] overrides the choice at runtime (clamped to what the CPU
-//! supports); benchmarks and the differential tests use it to sweep tiers
-//! inside one process. On non-x86-64 targets every query answers
-//! [`SimdTier::Scalar`] and the scalar tile runs unconditionally.
+//! supports); the differential tests use it to sweep tiers inside one
+//! process. Every safe entry point ends in the same
+//! `match active_tier()`: the `__m512` and `__m256` instantiations behind
+//! `#[target_feature]` wrappers, and a `_ =>` arm running the portable
+//! instantiation (`[f32; 16]` for the tile, `f32` for the axpy sweep and
+//! the convolution kernels) — which is also all a non-x86-64 target
+//! compiles.
 //!
-//! Full-width tiles (`nr == NR`) dispatch through [`tile_full_width`];
-//! ragged right-edge tiles (`nr < NR`) dispatch through [`tile_ragged`],
-//! whose kernels mask the loads and stores of `C` down to the `nr` live
-//! columns (`vmaskmov` on AVX2, a `__mmask16` on AVX-512) while reading the
-//! zero-padded packed `B` panel at full width. Masked-off lanes are
-//! computed but never stored, and each live lane runs the identical fma
-//! chain — so ragged tiles are bit-identical across tiers too, and the
-//! batch-one conv shapes whose output widths are not multiples of `NR`
-//! stay on the vector units instead of falling back to scalar.
+//! # The ragged edge
 //!
-//! Besides the register tiles, the short-reduction `tn` axpy path (conv
-//! input gradients and the deferred weight-gradient GEMMs of split-backward
-//! schedules, see `TN_AXPY_MAX_K` in [`super::gemm`]) dispatches its row
-//! sweeps through [`axpy_row`] — the same per-element fma chains, vectorized
-//! across the row instead of across a tile. The small-shape `simple`
-//! kernels (products under the tiled threshold: the tiny per-stage GEMMs a
-//! batch-one latency-critical request runs) route their `nn` and `tn`
-//! row sweeps through [`axpy_row`] as well, so even sub-threshold products
-//! hit AVX2/AVX-512.
+//! A tile narrower than `NR` columns runs the same kernel with the loads
+//! and stores of `C` cut down to the live columns by
+//! `Lanes::load_first` / `Lanes::store_first` (`vmaskmov` on AVX2, a
+//! `__mmask16` on AVX-512, a bounded copy on the portable type), while the
+//! zero-padded packed `B` panel is read at full width. Masked-off lanes
+//! accumulate on the padding and are never stored; each live lane runs the
+//! identical fma chain. A row sweep's ragged tail is the axpy kernel again
+//! at the one-lane type `f32`.
 
+use super::gemm::NR;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// SIMD capability tier for the GEMM register tile, ordered from weakest
-/// to strongest so clamping is `min`.
+/// The lane type the micro-kernels of this module are instantiated at,
+/// ordered from weakest to strongest so clamping is `min`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum SimdTier {
-    /// Scalar `f32::mul_add` tile (the compiler may still autovectorize).
+    /// Portable `f32::mul_add` lanes (the compiler may still autovectorize).
     Scalar,
-    /// 256-bit `vfmadd` tile (`avx2` + `fma`).
+    /// 256-bit `vfmadd` lanes (`avx2` + `fma`).
     Avx2Fma,
-    /// 512-bit `vfmadd` tile (`avx512f`).
+    /// 512-bit `vfmadd` lanes (`avx512f`).
     Avx512Fma,
 }
 
@@ -142,7 +145,7 @@ fn env_tier() -> SimdTier {
     }
 }
 
-/// The tier full-width register tiles currently dispatch to. Resolved once
+/// The tier every micro-kernel currently dispatches to. Resolved once
 /// from `PBP_SIMD` / CPU detection; override with [`set_tier`]. Every tier
 /// computes bit-identical results, so this is a performance knob only.
 pub fn active_tier() -> SimdTier {
@@ -167,182 +170,34 @@ pub fn set_tier(tier: SimdTier) {
     TIER.store(tier.min(detected_tier()).to_u8(), Ordering::Relaxed);
 }
 
-/// Runs a full-width (`nr == NR`) register tile on the active SIMD tier.
-/// Returns `false` when the caller should run the scalar tile instead
-/// (scalar tier active, or a non-x86-64 target).
-///
-/// Arguments mirror the scalar `micro` kernel in [`super::gemm`]: `a` is
-/// the whole `A` slice (`k×m` when `AT`, else `m×k`, leading dimension
-/// `lda`), `bp` the packed or in-place `B` panel whose rows are `bstride`
-/// apart, and the tile writes rows `i0..i0 + MRL`, columns `j0..j0 + NR`
-/// of the output at `c` (leading dimension `ldc`).
-///
-/// # Safety
-///
-/// The caller must guarantee the same bounds the scalar tile relies on:
-/// `kc` panel rows of `bp` each with `NR` readable floats, `A` indices in
-/// bounds for all `MRL` rows across `kc` steps, and the `MRL × NR` output
-/// tile inside the region this call may write.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) unsafe fn tile_full_width<const AT: bool, const MRL: usize>(
-    a: &[f32],
-    lda: usize,
-    i0: usize,
-    p0: usize,
-    kc: usize,
-    bp: &[f32],
-    bstride: usize,
-    c: *mut f32,
-    ldc: usize,
-    j0: usize,
-    load_c: bool,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match active_tier() {
-            SimdTier::Avx512Fma => {
-                // SAFETY: tier selection proved avx512f; bounds are the
-                // caller's contract above.
-                x86::tile_avx512::<AT, MRL>(a, lda, i0, p0, kc, bp, bstride, c, ldc, j0, load_c);
-                true
-            }
-            SimdTier::Avx2Fma => {
-                // SAFETY: tier selection proved avx2+fma; bounds are the
-                // caller's contract above.
-                x86::tile_avx2::<AT, MRL>(a, lda, i0, p0, kc, bp, bstride, c, ldc, j0, load_c);
-                true
-            }
-            SimdTier::Scalar => false,
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (a, lda, i0, p0, kc, bp, bstride, c, ldc, j0, load_c);
-        false
-    }
-}
-
-/// Runs a ragged (`nr < NR`) register tile on the active SIMD tier.
-/// Returns `false` when the caller should run the scalar tile instead
-/// (scalar tier active, or a non-x86-64 target).
-///
-/// `bp` must be the *packed* `B` panel (ragged tiles always pack, see
-/// [`super::gemm`]): `kc` rows of `NR` floats, columns past `nr`
-/// zero-padded. The kernels read `B` at full vector width — safe because
-/// of the padding — and mask the `C` loads and stores down to the `nr`
-/// live columns, so each stored element runs the same fma chain as the
-/// scalar tile. Masked-off lanes accumulate on the zero padding and are
-/// discarded.
-///
-/// # Safety
-///
-/// Same bounds contract as [`tile_full_width`], with the output tile
-/// `MRL × nr` (only the first `nr` columns are written) and `bp`
-/// guaranteed to hold `kc` full `NR`-float rows at stride `bstride`.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) unsafe fn tile_ragged<const AT: bool, const MRL: usize>(
-    a: &[f32],
-    lda: usize,
-    i0: usize,
-    p0: usize,
-    kc: usize,
-    bp: &[f32],
-    bstride: usize,
-    c: *mut f32,
-    ldc: usize,
-    j0: usize,
-    nr: usize,
-    load_c: bool,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match active_tier() {
-            SimdTier::Avx512Fma => {
-                // SAFETY: tier selection proved avx512f; bounds are the
-                // caller's contract above.
-                x86::tile_avx512_ragged::<AT, MRL>(
-                    a, lda, i0, p0, kc, bp, bstride, c, ldc, j0, nr, load_c,
-                );
-                true
-            }
-            SimdTier::Avx2Fma => {
-                // SAFETY: tier selection proved avx2+fma; bounds are the
-                // caller's contract above.
-                x86::tile_avx2_ragged::<AT, MRL>(
-                    a, lda, i0, p0, kc, bp, bstride, c, ldc, j0, nr, load_c,
-                );
-                true
-            }
-            SimdTier::Scalar => false,
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (a, lda, i0, p0, kc, bp, bstride, c, ldc, j0, nr, load_c);
-        false
-    }
-}
-
-/// Runs one fused-multiply-add axpy sweep of the short-reduction `tn`
-/// path on the active SIMD tier: `c[j] = fma(av, b[j], c[j])`, or
-/// `c[j] = fma(av, b[j], 0.0)` when `zero_init` (the first sweep in
-/// overwrite mode — note `fma(·, ·, +0.0)`, not a bare multiply, so the
-/// `−0.0` products round identically to the scalar `mul_add` sweep).
-/// Elements are independent and `vfmadd` computes the same exactly-rounded
-/// fma as `f32::mul_add`, so every tier is bit-identical by construction.
-/// Returns `false` when the caller should run the scalar sweep instead
-/// (scalar tier active, or a non-x86-64 target).
-#[inline(always)]
-pub(crate) fn axpy_row(av: f32, b: &[f32], c: &mut [f32], zero_init: bool) -> bool {
-    debug_assert_eq!(b.len(), c.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        match active_tier() {
-            SimdTier::Avx512Fma => {
-                // SAFETY: tier selection proved avx512f; `b` and `c` are
-                // equal-length slices.
-                unsafe { x86::axpy_avx512(av, b, c, zero_init) };
-                true
-            }
-            SimdTier::Avx2Fma => {
-                // SAFETY: tier selection proved avx2+fma; `b` and `c` are
-                // equal-length slices.
-                unsafe { x86::axpy_avx2(av, b, c, zero_init) };
-                true
-            }
-            SimdTier::Scalar => false,
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (av, b, c, zero_init);
-        false
-    }
-}
-
-/// A vector of `f32` lanes the direct convolution kernels are written
-/// over: `f32` itself on the scalar tier (plain `mul_add` loops), `__m256`
-/// and `__m512` on the SIMD tiers. Lanes never interact — every method is
+/// A vector of `f32` lanes the micro-kernels are written over: `f32` itself
+/// and `[f32; 16]` on the scalar tier (plain `mul_add` loops), `__m256` and
+/// `__m512` on the SIMD tiers. Lanes never interact — every method is
 /// element-wise — and `fma` is the one exactly-rounded fused multiply-add
 /// on every implementation, so a kernel written once over `Lanes` computes
 /// the same bits at every width.
 ///
 /// # Safety
 ///
-/// `load`/`store` touch `N` floats at `p`; the SIMD implementations also
-/// require their CPU feature, which the tier dispatch below establishes.
+/// `load`/`store` touch `N` floats at `p`, `load_first`/`store_first` the
+/// first `w <= N` of them and nothing past `p + w`; the SIMD
+/// implementations also require their CPU feature, which the tier dispatch
+/// below establishes.
 trait Lanes: Copy {
     /// Lanes per vector.
     const N: usize;
-    /// Independent accumulator vectors a kernel block keeps live: enough
-    /// chains to cover fma latency without spilling the register file.
-    const ROWS: usize;
+    /// Independent accumulator vectors a convolution block keeps live:
+    /// enough chains to cover fma latency without spilling the register
+    /// file.
+    const ROWS: usize = 8;
     unsafe fn zero() -> Self;
     unsafe fn splat(v: f32) -> Self;
     unsafe fn load(p: *const f32) -> Self;
     unsafe fn store(self, p: *mut f32);
+    /// Lanes `0..w` from `p`, the rest `+0.0`.
+    unsafe fn load_first(p: *const f32, w: usize) -> Self;
+    /// Lanes `0..w` to `p`.
+    unsafe fn store_first(self, p: *mut f32, w: usize);
     /// `a * b + c`, rounded once.
     unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
     unsafe fn add(a: Self, b: Self) -> Self;
@@ -350,7 +205,6 @@ trait Lanes: Copy {
 
 impl Lanes for f32 {
     const N: usize = 1;
-    const ROWS: usize = 8;
     #[inline(always)]
     unsafe fn zero() -> Self {
         0.0
@@ -368,6 +222,20 @@ impl Lanes for f32 {
         *p = self;
     }
     #[inline(always)]
+    unsafe fn load_first(p: *const f32, w: usize) -> Self {
+        if w > 0 {
+            *p
+        } else {
+            0.0
+        }
+    }
+    #[inline(always)]
+    unsafe fn store_first(self, p: *mut f32, w: usize) {
+        if w > 0 {
+            *p = self;
+        }
+    }
+    #[inline(always)]
     unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
         a.mul_add(b, c)
     }
@@ -377,10 +245,247 @@ impl Lanes for f32 {
     }
 }
 
+/// The portable full-width lane type: what the scalar tier runs the
+/// register tile at. Sixteen one-lane `f32` "vectors" per tile row do not
+/// autovectorize; one sixteen-lane array per row does.
+impl Lanes for [f32; MAX_LANES] {
+    const N: usize = MAX_LANES;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        [0.0; MAX_LANES]
+    }
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        [v; MAX_LANES]
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        p.cast::<Self>().read()
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        p.cast::<Self>().write(self)
+    }
+    #[inline(always)]
+    unsafe fn load_first(p: *const f32, w: usize) -> Self {
+        let mut v = [0.0; MAX_LANES];
+        v[..w].copy_from_slice(std::slice::from_raw_parts(p, w));
+        v
+    }
+    #[inline(always)]
+    unsafe fn store_first(self, p: *mut f32, w: usize) {
+        std::slice::from_raw_parts_mut(p, w).copy_from_slice(&self[..w]);
+    }
+    #[inline(always)]
+    unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+        std::array::from_fn(|l| a[l].mul_add(b[l], c[l]))
+    }
+    #[inline(always)]
+    unsafe fn add(a: Self, b: Self) -> Self {
+        std::array::from_fn(|l| a[l] + b[l])
+    }
+}
+
 /// Widest vector any tier uses, in floats. The staged layouts the direct
 /// convolution kernels read and write are sized in whole multiples of
 /// this on every tier, so buffer shapes do not depend on the tier.
 pub(crate) const MAX_LANES: usize = 16;
+
+/// Operands of one `MRL × nr` register tile of a blocked GEMM: `a` is the
+/// whole `A` slice (`k×m` when `AT`, else `m×k`, leading dimension `lda`),
+/// `bp` the packed or in-place `B` panel whose `kc` rows are `bstride`
+/// apart, and the tile covers rows `i0..i0 + MRL`, columns `j0..j0 + nr` of
+/// the output at `c` (leading dimension `ldc`), reducing over
+/// `p0..p0 + kc`. With `load_c` the chains extend the values already in
+/// `C`; without it they start from `+0.0`.
+#[derive(Clone, Copy)]
+pub(crate) struct Tile<'a> {
+    pub a: &'a [f32],
+    pub lda: usize,
+    pub i0: usize,
+    pub p0: usize,
+    pub kc: usize,
+    pub bp: &'a [f32],
+    pub bstride: usize,
+    pub c: *mut f32,
+    pub ldc: usize,
+    pub j0: usize,
+    pub nr: usize,
+    pub load_c: bool,
+}
+
+/// The register tile: `MRL` rows of `VR` vectors (`VR · V::N == NR`, a
+/// const parameter because `NR / V::N` cannot size an array in generic
+/// code). Loads the current `C` values (or zeros), extends each element's
+/// fma chain across the panel in increasing `k`, and stores the tile back —
+/// loading-then-storing rather than keeping per-panel partial sums is what
+/// keeps the association intact across `KC` blocking. `FULL` tiles
+/// (`nr == NR`) move whole vectors of `C`; ragged ones move the first `nr`
+/// columns through [`Lanes::load_first`] / [`Lanes::store_first`] and read
+/// the zero-padded panel at full width all the same. `FULL` is a const
+/// parameter so full-width tiles carry no mask arithmetic: tested per
+/// vector at run time it cost AVX2 3–4 % at 256³ and 64×256×256.
+#[inline(always)]
+unsafe fn tile_kernel<
+    V: Lanes,
+    const VR: usize,
+    const AT: bool,
+    const MRL: usize,
+    const FULL: bool,
+>(
+    t: Tile<'_>,
+) {
+    assert!(VR * V::N == NR, "tile_kernel: VR vectors must span NR");
+    debug_assert!(t.nr > 0 && (t.nr == NR) == FULL);
+    debug_assert!(t.bp.len() >= (t.kc - 1) * t.bstride + NR);
+    // Live columns of vector `v` of a row, and its address in row `r`. A
+    // vector wholly past `nr` is skipped: its address may lie outside `C`.
+    let live = |v: usize| t.nr.saturating_sub(v * V::N).min(V::N);
+    let cvec = |r: usize, v: usize| t.c.add((t.i0 + r) * t.ldc + t.j0 + v * V::N);
+    let mut acc = [[V::zero(); VR]; MRL];
+    if t.load_c {
+        for r in 0..MRL {
+            for v in 0..VR {
+                if FULL {
+                    acc[r][v] = V::load(cvec(r, v));
+                } else if live(v) > 0 {
+                    acc[r][v] = V::load_first(cvec(r, v), live(v));
+                }
+            }
+        }
+    }
+    let ap = t.a.as_ptr();
+    let mut bk = t.bp.as_ptr();
+    for kk in 0..t.kc {
+        let bv: [V; VR] = std::array::from_fn(|v| V::load(bk.add(v * V::N)));
+        for r in 0..MRL {
+            // `A` is k×m when `AT`: the `MRL` values sit side by side in
+            // row `p0 + kk`.
+            let av = V::splat(*if AT {
+                ap.add((t.p0 + kk) * t.lda + t.i0 + r)
+            } else {
+                ap.add((t.i0 + r) * t.lda + t.p0 + kk)
+            });
+            for v in 0..VR {
+                acc[r][v] = V::fma(av, bv[v], acc[r][v]);
+            }
+        }
+        bk = bk.add(t.bstride);
+    }
+    for r in 0..MRL {
+        for v in 0..VR {
+            if FULL {
+                acc[r][v].store(cvec(r, v));
+            } else if live(v) > 0 {
+                acc[r][v].store_first(cvec(r, v), live(v));
+            }
+        }
+    }
+}
+
+/// [`tile_kernel`] at full width or ragged, by `nr`.
+#[inline(always)]
+unsafe fn tile_any<V: Lanes, const VR: usize, const AT: bool, const MRL: usize>(t: Tile<'_>) {
+    if t.nr == NR {
+        tile_kernel::<V, VR, AT, MRL, true>(t)
+    } else {
+        tile_kernel::<V, VR, AT, MRL, false>(t)
+    }
+}
+
+/// The scalar tier's tile. Kept out of line: inlined into the blocked
+/// region loop the sixteen independent chains per row stop vectorizing; as
+/// a small standalone function the lane loops become packed `vfmadd`.
+#[inline(never)]
+unsafe fn tile_portable<const AT: bool, const MRL: usize>(t: Tile<'_>) {
+    tile_any::<[f32; MAX_LANES], 1, AT, MRL>(t)
+}
+
+/// Runs one register tile on the active tier.
+///
+/// # Safety
+///
+/// `t.bp` must hold `kc >= 1` panel rows of `NR` readable floats at stride
+/// `bstride` (a ragged tile's panel is the packed one, zero-padded past
+/// `nr`), `A` must be indexable for all `MRL` rows across the `kc` steps,
+/// `0 < nr <= NR`, and the `MRL × nr` output tile must lie inside the
+/// region of `C` this call may write.
+#[inline(always)]
+pub(crate) unsafe fn tile<const AT: bool, const MRL: usize>(t: Tile<'_>) {
+    match active_tier() {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512Fma => x86::tile_avx512::<AT, MRL>(t),
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2Fma => x86::tile_avx2::<AT, MRL>(t),
+        _ => tile_portable::<AT, MRL>(t),
+    }
+}
+
+/// The axpy sweep over whole vectors: `c[j] = fma(av, b[j], c[j])` — or
+/// `fma(av, b[j], +0.0)` when `ZERO`, a fused multiply-add and not a bare
+/// multiply so `−0.0` products round as they do mid-chain — for the
+/// `n / V::N` whole vectors of the row. Returns the elements swept. `ZERO`
+/// is a const parameter like the tile's `FULL`: as a run-time flag it cost
+/// the AVX2 batch-one sweep 7 %.
+#[inline(always)]
+unsafe fn axpy_kernel<V: Lanes, const ZERO: bool>(
+    av: f32,
+    b: *const f32,
+    c: *mut f32,
+    n: usize,
+) -> usize {
+    let a = V::splat(av);
+    let mut j = 0;
+    while j + V::N <= n {
+        let cv = if ZERO { V::zero() } else { V::load(c.add(j)) };
+        V::fma(a, V::load(b.add(j)), cv).store(c.add(j));
+        j += V::N;
+    }
+    j
+}
+
+/// [`axpy_kernel`] at `V`, then at `f32` for the tail. Takes slices, and so
+/// must the per-tier wrappers: the `noalias` they carry is what lets the
+/// compiler keep `b` and `c` apart in the batch-one sweeps.
+#[inline(always)]
+unsafe fn axpy_sweep<V: Lanes>(av: f32, b: &[f32], c: &mut [f32], zero_init: bool) {
+    let (n, bp, cp) = (c.len(), b.as_ptr(), c.as_mut_ptr());
+    if zero_init {
+        let j = axpy_kernel::<V, true>(av, bp, cp, n);
+        axpy_kernel::<f32, true>(av, bp.add(j), cp.add(j), n - j);
+    } else {
+        let j = axpy_kernel::<V, false>(av, bp, cp, n);
+        axpy_kernel::<f32, false>(av, bp.add(j), cp.add(j), n - j);
+    }
+}
+
+/// One fused-multiply-add axpy sweep of a row on the active tier:
+/// `c[j] = fma(av, b[j], c[j])`, from `+0.0` instead of `c[j]` when
+/// `zero_init` (the first sweep in overwrite mode). Elements are
+/// independent, so the chain an element runs is the caller's order of
+/// sweeps — increasing `k` in [`super::gemm`].
+///
+/// # Panics
+///
+/// Panics if `b` and `c` differ in length.
+#[inline(always)]
+pub(crate) fn axpy_row(av: f32, b: &[f32], c: &mut [f32], zero_init: bool) {
+    assert_eq!(b.len(), c.len(), "axpy_row: row lengths");
+    // SAFETY: `b` and `c` are equal-length slices, which bounds every
+    // access of the sweep; the tier match proves the CPU feature.
+    unsafe {
+        match active_tier() {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512Fma => x86::axpy_avx512(av, b, c, zero_init),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2Fma => x86::axpy_avx2(av, b, c, zero_init),
+            // One lane per step reaches the end of the row on its own (the
+            // tail is empty), and is the form of this loop the compiler
+            // vectorizes.
+            _ => axpy_sweep::<f32>(av, b, c, zero_init),
+        }
+    }
+}
 
 /// Splits `total` rows into blocks of 16 (where `V::ROWS` allows), 8, 4 and
 /// then 1, calling the block body with the block's first row and its
@@ -706,13 +811,27 @@ pub(crate) fn conv_backward_weight(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::super::gemm::NR;
-    use super::{BwdInputArgs, BwdWeightArgs, FwdArgs, Lanes};
+    use super::{BwdInputArgs, BwdWeightArgs, FwdArgs, Lanes, Tile};
     use std::arch::x86_64::*;
+
+    /// `MASK_TABLE[8 - w..][..8]` is `w` all-ones lanes then zeros: the
+    /// mask `vmaskmovps` wants for the first `w <= 8` lanes.
+    const MASK_TABLE: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+    #[inline(always)]
+    unsafe fn first_lanes_256(w: usize) -> __m256i {
+        debug_assert!(w <= 8);
+        _mm256_loadu_si256(MASK_TABLE.as_ptr().add(8 - w).cast())
+    }
+
+    #[inline(always)]
+    fn first_lanes_512(w: usize) -> __mmask16 {
+        debug_assert!(w <= 16);
+        ((1u32 << w) - 1) as __mmask16
+    }
 
     impl Lanes for __m256 {
         const N: usize = 8;
-        const ROWS: usize = 8;
         #[inline(always)]
         unsafe fn zero() -> Self {
             _mm256_setzero_ps()
@@ -730,6 +849,14 @@ mod x86 {
             _mm256_storeu_ps(p, self)
         }
         #[inline(always)]
+        unsafe fn load_first(p: *const f32, w: usize) -> Self {
+            _mm256_maskload_ps(p, first_lanes_256(w))
+        }
+        #[inline(always)]
+        unsafe fn store_first(self, p: *mut f32, w: usize) {
+            _mm256_maskstore_ps(p, first_lanes_256(w), self)
+        }
+        #[inline(always)]
         unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
             _mm256_fmadd_ps(a, b, c)
         }
@@ -741,6 +868,7 @@ mod x86 {
 
     impl Lanes for __m512 {
         const N: usize = 16;
+        /// Thirty-two registers: twice the chains.
         const ROWS: usize = 16;
         #[inline(always)]
         unsafe fn zero() -> Self {
@@ -759,6 +887,14 @@ mod x86 {
             _mm512_storeu_ps(p, self)
         }
         #[inline(always)]
+        unsafe fn load_first(p: *const f32, w: usize) -> Self {
+            _mm512_maskz_loadu_ps(first_lanes_512(w), p)
+        }
+        #[inline(always)]
+        unsafe fn store_first(self, p: *mut f32, w: usize) {
+            _mm512_mask_storeu_ps(p, first_lanes_512(w), self)
+        }
+        #[inline(always)]
         unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
             _mm512_fmadd_ps(a, b, c)
         }
@@ -768,12 +904,12 @@ mod x86 {
         }
     }
 
-    /// The direct convolution kernels of [`super`] instantiated per tier.
+    /// The kernels of [`super`] instantiated per tier.
     ///
     /// # Safety
     ///
     /// The named CPU features must be available at runtime, and the bounds
-    /// the safe wrappers in [`super`] assert must hold.
+    /// the entry points in [`super`] assert or require must hold.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn conv_forward_avx2(a: FwdArgs<'_>, oc: usize) {
         super::fwd_kernel::<__m256>(a, oc)
@@ -809,350 +945,39 @@ mod x86 {
         super::bwd_weight_kernel::<__m512>(a)
     }
 
-    /// AVX2+FMA `MRL × NR` tile: two 256-bit accumulators per row, one
-    /// `vfmadd` chain per output element in increasing `k` order — the
-    /// same exactly-rounded chain as the scalar `mul_add` tile.
-    ///
-    /// # Safety
-    ///
-    /// `avx2` and `fma` must be available at runtime, and the bounds
-    /// contract of [`super::tile_full_width`] must hold.
-    #[allow(clippy::too_many_arguments)]
+    /// See [`conv_forward_avx2`]. Two `__m256` per tile row. The inline hint
+    /// lets a build whose baseline already has the feature fold the tile
+    /// into the region loop, as it did the hand-written ones: out of line
+    /// the call costs 2 % at 64×256×256.
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn tile_avx2<const AT: bool, const MRL: usize>(
-        a: &[f32],
-        lda: usize,
-        i0: usize,
-        p0: usize,
-        kc: usize,
-        bp: &[f32],
-        bstride: usize,
-        c: *mut f32,
-        ldc: usize,
-        j0: usize,
-        load_c: bool,
-    ) {
-        debug_assert!(bp.len() >= (kc - 1) * bstride + NR);
-        let mut acc = [[_mm256_setzero_ps(); 2]; MRL];
-        if load_c {
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                let crow = c.add((i0 + r) * ldc + j0) as *const f32;
-                acc_row[0] = _mm256_loadu_ps(crow);
-                acc_row[1] = _mm256_loadu_ps(crow.add(8));
-            }
-        }
-        let ap = a.as_ptr();
-        let bpp = bp.as_ptr();
-        let mut boff = 0usize;
-        for kk in 0..kc {
-            let b0 = _mm256_loadu_ps(bpp.add(boff));
-            let b1 = _mm256_loadu_ps(bpp.add(boff + 8));
-            if AT {
-                // `A` is k×m: the `MRL` values live contiguously in row
-                // `p0 + kk`.
-                let arow = ap.add((p0 + kk) * lda + i0);
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*arow.add(r));
-                    acc_row[0] = _mm256_fmadd_ps(av, b0, acc_row[0]);
-                    acc_row[1] = _mm256_fmadd_ps(av, b1, acc_row[1]);
-                }
-            } else {
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add((i0 + r) * lda + p0 + kk));
-                    acc_row[0] = _mm256_fmadd_ps(av, b0, acc_row[0]);
-                    acc_row[1] = _mm256_fmadd_ps(av, b1, acc_row[1]);
-                }
-            }
-            boff += bstride;
-        }
-        for (r, acc_row) in acc.iter().enumerate() {
-            let crow = c.add((i0 + r) * ldc + j0);
-            _mm256_storeu_ps(crow, acc_row[0]);
-            _mm256_storeu_ps(crow.add(8), acc_row[1]);
-        }
+    pub(super) unsafe fn tile_avx2<const AT: bool, const MRL: usize>(t: Tile<'_>) {
+        super::tile_any::<__m256, 2, AT, MRL>(t)
     }
 
-    /// AVX-512F `MRL × NR` tile: one 512-bit accumulator per row — `NR`
-    /// is exactly one zmm lane set. Same exactly-rounded fma chains as
-    /// the scalar and AVX2 tiles.
-    ///
-    /// # Safety
-    ///
-    /// `avx512f` must be available at runtime, and the bounds contract of
-    /// [`super::tile_full_width`] must hold.
-    #[allow(clippy::too_many_arguments)]
+    /// See [`conv_forward_avx2`]. `NR` is exactly one `__m512`.
+    #[inline]
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn tile_avx512<const AT: bool, const MRL: usize>(
-        a: &[f32],
-        lda: usize,
-        i0: usize,
-        p0: usize,
-        kc: usize,
-        bp: &[f32],
-        bstride: usize,
-        c: *mut f32,
-        ldc: usize,
-        j0: usize,
-        load_c: bool,
-    ) {
-        debug_assert!(bp.len() >= (kc - 1) * bstride + NR);
-        let mut acc = [_mm512_setzero_ps(); MRL];
-        if load_c {
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                *acc_row = _mm512_loadu_ps(c.add((i0 + r) * ldc + j0) as *const f32);
-            }
-        }
-        let ap = a.as_ptr();
-        let bpp = bp.as_ptr();
-        let mut boff = 0usize;
-        for kk in 0..kc {
-            let bv = _mm512_loadu_ps(bpp.add(boff));
-            if AT {
-                let arow = ap.add((p0 + kk) * lda + i0);
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let av = _mm512_set1_ps(*arow.add(r));
-                    *acc_row = _mm512_fmadd_ps(av, bv, *acc_row);
-                }
-            } else {
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let av = _mm512_set1_ps(*ap.add((i0 + r) * lda + p0 + kk));
-                    *acc_row = _mm512_fmadd_ps(av, bv, *acc_row);
-                }
-            }
-            boff += bstride;
-        }
-        for (r, acc_row) in acc.iter().enumerate() {
-            _mm512_storeu_ps(c.add((i0 + r) * ldc + j0), *acc_row);
-        }
+    pub(super) unsafe fn tile_avx512<const AT: bool, const MRL: usize>(t: Tile<'_>) {
+        super::tile_any::<__m512, 1, AT, MRL>(t)
     }
 
-    /// Lane-mask table for AVX2 masked loads/stores: `mask_avx2(w)` reads
-    /// an eight-lane window with exactly `w` leading all-ones lanes.
-    const MASK_TABLE: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
-
-    /// A `__m256i` whose first `w` (≤ 8) lanes are all-ones — the mask
-    /// `vmaskmovps` wants for a `w`-lane partial row.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx` (callers are `avx2`-gated) and `w <= 8`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn mask_avx2(w: usize) -> __m256i {
-        debug_assert!(w <= 8);
-        _mm256_loadu_si256(MASK_TABLE.as_ptr().add(8 - w) as *const __m256i)
-    }
-
-    /// AVX2+FMA ragged `MRL × nr` tile (`nr < NR`): `B` panel rows are
-    /// read at full width (the pack zero-pads them), `C` rows are loaded
-    /// and stored through lane masks covering the `nr` live columns. Each
-    /// stored element runs the same exactly-rounded fma chain as the
-    /// scalar edge tile; masked-off lanes accumulate on the zero padding
-    /// and are never written back.
-    ///
-    /// # Safety
-    ///
-    /// `avx2` and `fma` must be available at runtime, and the bounds
-    /// contract of [`super::tile_ragged`] must hold.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn tile_avx2_ragged<const AT: bool, const MRL: usize>(
-        a: &[f32],
-        lda: usize,
-        i0: usize,
-        p0: usize,
-        kc: usize,
-        bp: &[f32],
-        bstride: usize,
-        c: *mut f32,
-        ldc: usize,
-        j0: usize,
-        nr: usize,
-        load_c: bool,
-    ) {
-        debug_assert!(nr > 0 && nr < NR);
-        debug_assert!(bp.len() >= (kc - 1) * bstride + NR);
-        let lo = nr.min(8);
-        let hi = nr - lo;
-        let mask_lo = mask_avx2(lo);
-        let mask_hi = mask_avx2(hi);
-        let mut acc = [[_mm256_setzero_ps(); 2]; MRL];
-        if load_c {
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                let crow = c.add((i0 + r) * ldc + j0) as *const f32;
-                acc_row[0] = _mm256_maskload_ps(crow, mask_lo);
-                if hi > 0 {
-                    acc_row[1] = _mm256_maskload_ps(crow.add(8), mask_hi);
-                }
-            }
-        }
-        let ap = a.as_ptr();
-        let bpp = bp.as_ptr();
-        let mut boff = 0usize;
-        for kk in 0..kc {
-            let b0 = _mm256_loadu_ps(bpp.add(boff));
-            let b1 = _mm256_loadu_ps(bpp.add(boff + 8));
-            if AT {
-                let arow = ap.add((p0 + kk) * lda + i0);
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*arow.add(r));
-                    acc_row[0] = _mm256_fmadd_ps(av, b0, acc_row[0]);
-                    acc_row[1] = _mm256_fmadd_ps(av, b1, acc_row[1]);
-                }
-            } else {
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add((i0 + r) * lda + p0 + kk));
-                    acc_row[0] = _mm256_fmadd_ps(av, b0, acc_row[0]);
-                    acc_row[1] = _mm256_fmadd_ps(av, b1, acc_row[1]);
-                }
-            }
-            boff += bstride;
-        }
-        for (r, acc_row) in acc.iter().enumerate() {
-            let crow = c.add((i0 + r) * ldc + j0);
-            _mm256_maskstore_ps(crow, mask_lo, acc_row[0]);
-            if hi > 0 {
-                _mm256_maskstore_ps(crow.add(8), mask_hi, acc_row[1]);
-            }
-        }
-    }
-
-    /// AVX-512F ragged `MRL × nr` tile (`nr < NR`): one masked zmm
-    /// accumulator per row, `__mmask16` covering the `nr` live columns.
-    /// Same exactly-rounded fma chains as the scalar edge tile.
-    ///
-    /// # Safety
-    ///
-    /// `avx512f` must be available at runtime, and the bounds contract of
-    /// [`super::tile_ragged`] must hold.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn tile_avx512_ragged<const AT: bool, const MRL: usize>(
-        a: &[f32],
-        lda: usize,
-        i0: usize,
-        p0: usize,
-        kc: usize,
-        bp: &[f32],
-        bstride: usize,
-        c: *mut f32,
-        ldc: usize,
-        j0: usize,
-        nr: usize,
-        load_c: bool,
-    ) {
-        debug_assert!(nr > 0 && nr < NR);
-        debug_assert!(bp.len() >= (kc - 1) * bstride + NR);
-        let mask: __mmask16 = ((1u32 << nr) - 1) as __mmask16;
-        let mut acc = [_mm512_setzero_ps(); MRL];
-        if load_c {
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                *acc_row = _mm512_maskz_loadu_ps(mask, c.add((i0 + r) * ldc + j0) as *const f32);
-            }
-        }
-        let ap = a.as_ptr();
-        let bpp = bp.as_ptr();
-        let mut boff = 0usize;
-        for kk in 0..kc {
-            let bv = _mm512_loadu_ps(bpp.add(boff));
-            if AT {
-                let arow = ap.add((p0 + kk) * lda + i0);
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let av = _mm512_set1_ps(*arow.add(r));
-                    *acc_row = _mm512_fmadd_ps(av, bv, *acc_row);
-                }
-            } else {
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let av = _mm512_set1_ps(*ap.add((i0 + r) * lda + p0 + kk));
-                    *acc_row = _mm512_fmadd_ps(av, bv, *acc_row);
-                }
-            }
-            boff += bstride;
-        }
-        for (r, acc_row) in acc.iter().enumerate() {
-            _mm512_mask_storeu_ps(c.add((i0 + r) * ldc + j0), mask, *acc_row);
-        }
-    }
-
-    /// AVX2+FMA axpy sweep for [`super::axpy_row`]: 256-bit `vfmadd`
-    /// across the row, scalar `mul_add` tail — per element the same single
-    /// exactly-rounded fma as the scalar sweep.
-    ///
-    /// # Safety
-    ///
-    /// `avx2` and `fma` must be available at runtime; `b.len() == c.len()`.
+    /// See [`conv_forward_avx2`]; `b.len() == c.len()`.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn axpy_avx2(av: f32, b: &[f32], c: &mut [f32], zero_init: bool) {
-        let n = c.len();
-        let av8 = _mm256_set1_ps(av);
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
-        let mut j = 0usize;
-        if zero_init {
-            let zero = _mm256_setzero_ps();
-            while j + 8 <= n {
-                let bv = _mm256_loadu_ps(bp.add(j));
-                _mm256_storeu_ps(cp.add(j), _mm256_fmadd_ps(av8, bv, zero));
-                j += 8;
-            }
-            while j < n {
-                *cp.add(j) = av.mul_add(*bp.add(j), 0.0);
-                j += 1;
-            }
-        } else {
-            while j + 8 <= n {
-                let bv = _mm256_loadu_ps(bp.add(j));
-                let cv = _mm256_loadu_ps(cp.add(j));
-                _mm256_storeu_ps(cp.add(j), _mm256_fmadd_ps(av8, bv, cv));
-                j += 8;
-            }
-            while j < n {
-                *cp.add(j) = av.mul_add(*bp.add(j), *cp.add(j));
-                j += 1;
-            }
-        }
+        super::axpy_sweep::<__m256>(av, b, c, zero_init)
     }
 
-    /// AVX-512F axpy sweep for [`super::axpy_row`]: 512-bit `vfmadd`
-    /// across the row, scalar `mul_add` tail.
-    ///
-    /// # Safety
-    ///
-    /// `avx512f` must be available at runtime; `b.len() == c.len()`.
+    /// See [`conv_forward_avx2`]; `b.len() == c.len()`.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn axpy_avx512(av: f32, b: &[f32], c: &mut [f32], zero_init: bool) {
-        let n = c.len();
-        let av16 = _mm512_set1_ps(av);
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
-        let mut j = 0usize;
-        if zero_init {
-            let zero = _mm512_setzero_ps();
-            while j + 16 <= n {
-                let bv = _mm512_loadu_ps(bp.add(j));
-                _mm512_storeu_ps(cp.add(j), _mm512_fmadd_ps(av16, bv, zero));
-                j += 16;
-            }
-            while j < n {
-                *cp.add(j) = av.mul_add(*bp.add(j), 0.0);
-                j += 1;
-            }
-        } else {
-            while j + 16 <= n {
-                let bv = _mm512_loadu_ps(bp.add(j));
-                let cv = _mm512_loadu_ps(cp.add(j));
-                _mm512_storeu_ps(cp.add(j), _mm512_fmadd_ps(av16, bv, cv));
-                j += 16;
-            }
-            while j < n {
-                *cp.add(j) = av.mul_add(*bp.add(j), *cp.add(j));
-                j += 1;
-            }
-        }
+        super::axpy_sweep::<__m512>(av, b, c, zero_init)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::gemm::tests::{assert_bits_eq, rand_vec};
     use super::*;
 
     #[test]
@@ -1195,5 +1020,178 @@ mod tests {
             let trimmed_ok = raw.trim() == "avx2";
             assert_eq!(parse_simd(raw).is_none(), !trimmed_ok, "{raw:?}");
         }
+    }
+
+    /// Written where no kernel may write, and never a value a kernel
+    /// computes from the inputs below.
+    const SENTINEL: f32 = -12345.0;
+
+    /// Runs a check at every lane type this CPU supports, with the
+    /// vectors-per-tile-row each one takes.
+    macro_rules! on_every_lane_type {
+        ($check:ident) => {{
+            $check::<f32, NR>("f32");
+            $check::<[f32; MAX_LANES], 1>("[f32; 16]");
+            #[cfg(target_arch = "x86_64")]
+            {
+                use std::arch::x86_64::{__m256, __m512};
+                if detected_tier() >= SimdTier::Avx2Fma {
+                    $check::<__m256, 2>("__m256");
+                }
+                if detected_tier() >= SimdTier::Avx512Fma {
+                    $check::<__m512, 1>("__m512");
+                }
+            }
+        }};
+    }
+
+    fn masked_pair_stays_inside_w<V: Lanes, const VR: usize>(ty: &str) {
+        let n = V::N;
+        let src = rand_vec(n, 1);
+        for w in 0..=n {
+            // Past `p + w` the source holds NaN: a lane read from there
+            // would not come back `+0.0`.
+            let mut from = vec![f32::NAN; 3 * n];
+            from[n..n + w].copy_from_slice(&src[..w]);
+            let mut lanes = vec![SENTINEL; n];
+            let mut to = vec![SENTINEL; 3 * n];
+            // SAFETY: `from` and `to` hold a whole vector either side of
+            // `n`, `lanes` exactly one; the macro proved the CPU feature.
+            unsafe {
+                let v = V::load_first(from.as_ptr().add(n), w);
+                v.store(lanes.as_mut_ptr());
+                V::load(src.as_ptr()).store_first(to.as_mut_ptr().add(n), w);
+            }
+            let mut want = vec![0.0; n];
+            want[..w].copy_from_slice(&src[..w]);
+            assert_bits_eq(&lanes, &want, &format!("{ty} load_first w={w}"));
+            let mut want = vec![SENTINEL; 3 * n];
+            want[n..n + w].copy_from_slice(&src[..w]);
+            assert_bits_eq(&to, &want, &format!("{ty} store_first w={w}"));
+        }
+    }
+
+    #[test]
+    fn load_first_and_store_first_touch_exactly_w_lanes() {
+        on_every_lane_type!(masked_pair_stays_inside_w);
+    }
+
+    /// [`tile_any`] with `AT` and `MRL` chosen at run time.
+    unsafe fn tile_at<V: Lanes, const VR: usize>(at: bool, mrl: usize, t: Tile<'_>) {
+        match (at, mrl) {
+            (false, 1) => tile_any::<V, VR, false, 1>(t),
+            (false, 2) => tile_any::<V, VR, false, 2>(t),
+            (false, 3) => tile_any::<V, VR, false, 3>(t),
+            (false, 4) => tile_any::<V, VR, false, 4>(t),
+            (true, 1) => tile_any::<V, VR, true, 1>(t),
+            (true, 2) => tile_any::<V, VR, true, 2>(t),
+            (true, 3) => tile_any::<V, VR, true, 3>(t),
+            (true, 4) => tile_any::<V, VR, true, 4>(t),
+            _ => unreachable!("MRL is 1..=4"),
+        }
+    }
+
+    /// The tile at `V` against the tile at sixteen one-lane `f32` vectors
+    /// per row, on one set of operands: same bits inside the tile, nothing
+    /// written outside it.
+    fn tile_matches_the_one_lane_tile<V: Lanes, const VR: usize>(ty: &str) {
+        // The tile sits at an offset in every operand; `C` is wider than
+        // the tile and one row taller either side.
+        let (i0, p0, j0, kc, ldc) = (1, 2, 3, 7, NR + 5);
+        for nr in 1..=NR {
+            for mrl in 1..=4 {
+                for at in [false, true] {
+                    for load_c in [false, true] {
+                        let (m, k) = (i0 + mrl, p0 + kc);
+                        let a = rand_vec(m * k, 2);
+                        // The packed panel: zero-padded past `nr`.
+                        let mut bp = rand_vec(kc * NR, 3);
+                        for row in bp.chunks_exact_mut(NR) {
+                            row[nr..].fill(0.0);
+                        }
+                        let mut c0 = rand_vec((m + 1) * ldc, 4);
+                        for (i, row) in c0.chunks_exact_mut(ldc).enumerate() {
+                            for (j, x) in row.iter_mut().enumerate() {
+                                if !(i0..m).contains(&i) || !(j0..j0 + nr).contains(&j) {
+                                    *x = SENTINEL;
+                                }
+                            }
+                        }
+                        let run = |c: &mut [f32], one_lane: bool| {
+                            let t = Tile {
+                                a: &a,
+                                lda: if at { m } else { k },
+                                i0,
+                                p0,
+                                kc,
+                                bp: &bp,
+                                bstride: NR,
+                                c: c.as_mut_ptr(),
+                                ldc,
+                                j0,
+                                nr,
+                                load_c,
+                            };
+                            // SAFETY: `a` is `m×k` (or `k×m`), `bp` a packed
+                            // `kc × NR` panel, and the tile's rows
+                            // `i0..m` and columns `j0..j0 + nr <= ldc` lie
+                            // inside `c`; the macro proved the CPU feature.
+                            unsafe {
+                                if one_lane {
+                                    tile_at::<f32, NR>(at, mrl, t)
+                                } else {
+                                    tile_at::<V, VR>(at, mrl, t)
+                                }
+                            }
+                        };
+                        let (mut got, mut want) = (c0.clone(), c0.clone());
+                        run(&mut got, false);
+                        run(&mut want, true);
+                        let context = format!("{ty} nr={nr} MRL={mrl} AT={at} load_c={load_c}");
+                        assert_bits_eq(&got, &want, &context);
+                        for (i, x) in want.iter().enumerate() {
+                            let inside =
+                                (i0..m).contains(&(i / ldc)) && (j0..j0 + nr).contains(&(i % ldc));
+                            assert_eq!(*x == SENTINEL, !inside, "{context}: [{i}]");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_kernel_is_bit_identical_at_every_lane_type() {
+        on_every_lane_type!(tile_matches_the_one_lane_tile);
+    }
+
+    /// The sweep at `V` (whole vectors, then the `f32` tail) against the
+    /// kernel at `f32` over the whole row.
+    fn axpy_matches_the_one_lane_sweep<V: Lanes, const VR: usize>(ty: &str) {
+        for n in 0..=2 * V::N + 1 {
+            for zero_init in [false, true] {
+                let b = rand_vec(n, 5);
+                let mut c0 = rand_vec(n + 1, 6);
+                c0[n] = SENTINEL;
+                let (mut got, mut want) = (c0.clone(), c0);
+                // SAFETY: `b` and the first `n` floats of both outputs are
+                // in bounds; the macro proved the CPU feature.
+                unsafe {
+                    axpy_sweep::<V>(0.75, &b, &mut got[..n], zero_init);
+                    axpy_sweep::<f32>(0.75, &b, &mut want[..n], zero_init);
+                }
+                let context = format!("{ty} n={n} zero_init={zero_init}");
+                assert_bits_eq(&got, &want, &context);
+                assert_eq!(want[n], SENTINEL, "{context}: wrote past the row");
+                if zero_init && n > 0 {
+                    assert_eq!(want[0].to_bits(), 0.75f32.mul_add(b[0], 0.0).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn axpy_kernel_is_bit_identical_at_every_lane_type() {
+        on_every_lane_type!(axpy_matches_the_one_lane_sweep);
     }
 }

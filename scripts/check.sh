@@ -77,6 +77,34 @@ if [[ -n $stray ]]; then
   exit 1
 fi
 
+echo "== one source per micro-kernel (grep lint) =="
+# The register tile, the axpy sweep and the three direct convolution kernels
+# are each written once over `Lanes` in crates/tensor/src/ops/simd.rs
+# (DESIGN §7): the only vfmadd intrinsics are the two `impl Lanes` blocks',
+# the hand-written tiles and the "did it dispatch?" shims stay retired, and
+# the one fma chain gemm.rs spells out itself is the `A·Bᵀ` dot in nt_chains.
+fma_sites=$(grep -rE '_mm256_fmadd_ps|_mm512_fmadd_ps' crates | wc -l)
+if [[ $fma_sites -ne 2 ]]; then
+  echo "vfmadd intrinsic call sites under crates/: $fma_sites, want the 2 in impl Lanes:" >&2
+  grep -rnE '_mm256_fmadd_ps|_mm512_fmadd_ps' crates >&2
+  exit 1
+fi
+# Needles are split so this file does not contain them.
+stray=$(git grep -lE 'tile_full''_width|tile''_ragged|micro''_scalar|tile_avx2''_ragged|tile_avx512''_ragged' -- . \
+  ':!ISSUE.md' ':!CHANGES.md' ':!ROADMAP.md' || true)
+if [[ -n $stray ]]; then
+  echo "a retired hand-written kernel or dispatch shim is named again:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+stray=$(awk '/^fn nt_chains</,/^}/ {next} {print FNR": "$0}' crates/tensor/src/ops/gemm.rs |
+  grep -F 'mul_add(' | grep -vE '^[0-9]+: *//' || true)
+if [[ -n $stray ]]; then
+  echo "gemm.rs spells out an fma chain outside nt_chains (a row sweep is simd::axpy_row):" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+
 echo "== one correctness gate, one speed gate, one experiment runner (no second path) =="
 # `cargo test` decides correctness and benchmark/ decides speed: timing
 # lanes, smoke binaries that re-run an integration test and criterion
@@ -120,9 +148,11 @@ cargo test --workspace -q
 
 echo "== env escape hatches (PBP_SIMD / PBP_THREADS read from the environment, not set_tier / set_max_threads) =="
 # Two suites whose bit-identity asserts run on whatever tier / thread cap
-# the process resolves first: the kernel differentials on the default tier,
-# batched evaluation on the default pool.
+# the process resolves first: the kernel differentials on the default tier
+# (so the portable and, on an AVX-512 box, the middle tier are reached
+# through the environment too), batched evaluation on the default pool.
 PBP_SIMD=0 cargo test -q --test proptest_kernels
+PBP_SIMD=avx2 cargo test -q --test proptest_kernels
 PBP_THREADS=2 cargo test -q -p pbp-pipeline --test batched_eval
 
 echo "== chaos dist soak (4 rank processes: drops/dups/partition + single-rank kill) =="
