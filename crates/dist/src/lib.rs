@@ -15,7 +15,7 @@
 //! * [`topology`] — the contiguous stage partition and its digest,
 //!   which the [`transport::handshake`] uses to refuse cross-run links.
 //! * [`runner`] — one rank: the [`RankLoop`](pbp_pipeline::RankLoop) a
-//!   `pbp-pipeline` stage thread steps between two channels, here over
+//!   `pbp-pipeline` worker thread steps between two channels, here over
 //!   the rank's stages between two reliable links, plus rank 0's data
 //!   feed and what happens between steps (snapshot drain barriers, the
 //!   rewind barrier). Bit-identical to the sequential

@@ -2,7 +2,7 @@
 //! slice of a [`MicrobatchSchedule`] against socket neighbors.
 //!
 //! A rank is a [`RankLoop`] over `topology.range(rank)` between two
-//! [`ReliableConn`]s — the rank loop a `pbp-pipeline` stage thread steps
+//! [`ReliableConn`]s — the rank loop a `pbp-pipeline` worker thread steps
 //! between two channels, and so bit-identical to the sequential
 //! [`ScheduledTrainer`](pbp_pipeline::ScheduledTrainer) however the ranks
 //! interleave (DESIGN §12). This file adds rank 0's feed — the dataset in
@@ -366,7 +366,8 @@ impl<'a> Rank<'a> {
         if matches!(phase, TracePhase::Fault | TracePhase::Restart) {
             eprintln!("{detail}");
         }
-        self.rank.group.lane().instant(phase, Some(detail));
+        let first = self.rank.group.range().start;
+        self.rank.group.lane(first).instant(phase, Some(detail));
     }
 
     /// Where forwards stop for now: the end of the run, or the next

@@ -22,9 +22,9 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Balanced contiguous partition: every rank gets
-    /// `layer_stages / world` stages, the first `layer_stages % world`
-    /// ranks one extra. Errors when a rank would own nothing.
+    /// Balanced contiguous partition — the one by-count rule,
+    /// [`pbp_pipeline::contiguous_bounds`], that also cuts a threaded
+    /// run into workers. Errors when a rank would own nothing.
     pub fn contiguous(layer_stages: usize, world: usize) -> Result<Self, DistError> {
         if world == 0 {
             return Err(DistError::Spec("world size must be at least 1".into()));
@@ -34,18 +34,9 @@ impl Topology {
                 "world {world} exceeds {layer_stages} layer stages; every rank must own a stage"
             )));
         }
-        let base = layer_stages / world;
-        let extra = layer_stages % world;
-        let mut bounds = Vec::with_capacity(world + 1);
-        let mut next = 0usize;
-        bounds.push(0);
-        for r in 0..world {
-            next += base + usize::from(r < extra);
-            bounds.push(next);
-        }
         Ok(Topology {
             layer_stages,
-            bounds,
+            bounds: pbp_pipeline::contiguous_bounds(layer_stages, world),
         })
     }
 

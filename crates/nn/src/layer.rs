@@ -114,14 +114,12 @@ pub trait Layer: Send {
         self.params().iter().map(|p| p.len()).sum()
     }
 
-    /// Estimated forward-pass multiply-add FLOPs for one sample, used by
-    /// the threaded engine to divide cores between stage workers and the
-    /// kernel pool. The default — two FLOPs per parameter — is exact for
-    /// dense matmuls and a deliberate *underestimate* for convolutions
-    /// (which reuse each weight across every output pixel); conv layers
-    /// override this with their spatially-resolved cost once a forward
-    /// pass has told them the input size. Only relative magnitudes
-    /// between stages matter, so a rough estimate is fine.
+    /// Estimated forward-pass multiply-add FLOPs for one sample, the
+    /// numerator of MFU accounting. The default — two FLOPs per parameter
+    /// — is exact for dense matmuls and a deliberate *underestimate* for
+    /// convolutions (which reuse each weight across every output pixel);
+    /// conv layers override this with their spatially-resolved cost once
+    /// a forward pass has told them the input size.
     fn flops_per_sample(&self) -> u64 {
         2 * self.param_count() as u64
     }

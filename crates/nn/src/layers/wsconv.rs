@@ -198,6 +198,9 @@ impl Layer for WsConv2d {
         self.stash.clear();
     }
 
+    /// Parameter-based — it misses the output-pixel factor — until a
+    /// first forward has set `last_hw`: an MFU read off a network that
+    /// has not run yet undercounts its conv stages.
     fn flops_per_sample(&self) -> u64 {
         match self.last_hw {
             // Each standardized weight is reused across every output pixel.

@@ -133,9 +133,9 @@ impl Stage {
     }
 
     /// Estimated forward-pass FLOPs for one sample (sum of the stage's
-    /// layers — see [`Layer::flops_per_sample`]). The threaded engine uses
-    /// the *relative* magnitudes to decide how many cores its stage
-    /// workers deserve versus the kernel pool.
+    /// layers — see [`Layer::flops_per_sample`]). Nothing schedules on it:
+    /// it is the numerator of MFU accounting (`pbp_trace::mfu`) and the
+    /// benchmark ledger's `tensor.flops_per_sample`.
     pub fn flops_per_sample(&self) -> u64 {
         self.layers.iter().map(|l| l.flops_per_sample()).sum()
     }

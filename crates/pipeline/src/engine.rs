@@ -3,7 +3,7 @@
 //! The three engines in this crate — [`DelayedTrainer`] (the
 //! whole-network Appendix G.2 simulator: SGDM, fixed and sampled delays,
 //! Adam), [`ScheduledTrainer`] and [`ThreadedPipeline`] (the stage
-//! executor, sequential and thread-per-stage) — implement
+//! executor, as one rank or as a thread per stage group) — implement
 //! [`TrainEngine`], and the single shared [`run_training`] loop owns epoch
 //! ordering, evaluation cadence and record collection for all of them.
 //! Observers plug in through [`TrainHooks`](crate::metrics::TrainHooks);
@@ -209,7 +209,8 @@ pub enum EngineSpec {
     /// The whole-network delayed-gradient simulator ([`DelayedTrainer`]):
     /// SGDM, fixed-delay, ASGD and Adam rows.
     Delayed(DelayedConfig),
-    /// The thread-per-stage runtime ([`ThreadedPipeline`]).
+    /// The threaded runtime ([`ThreadedPipeline`]): as many workers as
+    /// the thread budget holds, at most one per stage.
     Threaded(ThreadedConfig),
     /// The sequential scheduled engine ([`ScheduledTrainer`]) — any
     /// [`MicrobatchSchedule`](crate::schedule::MicrobatchSchedule): PB,

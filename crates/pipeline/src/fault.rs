@@ -5,9 +5,10 @@
 //! *site*, an *index* and a *kind*, and the kind is tied to its site by
 //! type:
 //!
-//! * **rank `r`** (a threaded stage worker is a one-stage rank) at `@k`,
-//!   the backward the rank is turning to — the `Step::Backward(k)` its
-//!   [`RankLoop`](crate::RankLoop) reports: [`RankFault`] `crash`
+//! * **rank `r`** (under threads, *stage* `r`, whichever worker hosts
+//!   it) at `@k`, the backward the rank is turning to — the
+//!   `Step::Backward(k)` its [`RankLoop`](crate::RankLoop) reports:
+//!   [`RankFault`] `crash`
 //!   (a panic under threads, `process::abort` under processes),
 //!   `stall:<ms>`, `sever` (drop every outgoing link end) or
 //!   `jitter:<ms>` (every backward from `k` on sleeps a seeded draw in
@@ -57,7 +58,7 @@ pub enum LinkDir {
 /// backward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankFault {
-    /// A panic in a stage thread, `process::abort` in a rank process.
+    /// A panic in a worker thread, `process::abort` in a rank process.
     Crash,
     /// The rank sleeps this long first.
     Stall(Duration),
@@ -489,19 +490,20 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// never a hang, never a propagated worker panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineFault {
-    /// A stage worker panicked; the payload message is preserved.
+    /// A worker panicked; the payload message is preserved.
     StagePanicked {
-        /// Layer-stage index of the panicked worker.
+        /// The layer stage an injected crash struck, otherwise the first
+        /// stage of the panicked worker.
         stage: usize,
         /// The panic payload, stringified.
         message: String,
     },
-    /// The watchdog saw no heartbeat from a live stage for longer than
+    /// The watchdog saw no heartbeat from a live worker for longer than
     /// its stall timeout while work was still outstanding.
     StageStalled {
-        /// Layer-stage index with the oldest heartbeat.
+        /// The layer stage the silent worker was last heard from.
         stage: usize,
-        /// How long the stage had been silent when flagged.
+        /// How long the worker had been silent when flagged.
         stalled_for: Duration,
     },
     /// A channel the supervisor feeds or drains disconnected while work

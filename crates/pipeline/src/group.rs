@@ -3,12 +3,11 @@
 //! A [`StageGroup`] owns a contiguous range of [`StageCell`]s together
 //! with their trace lanes and counters, and interprets the plan's
 //! [`Action`] stream for them. Every substrate drives the same four
-//! operations: the sequential [`ScheduledTrainer`](crate::ScheduledTrainer)
-//! is a group over all stages swept one microbatch at a time; each
-//! `pbp-dist` rank (a group over its topology range) and each
-//! [`ThreadedPipeline`](crate::ThreadedPipeline) worker (a one-stage
-//! group) drives them through the one [`RankLoop`](crate::RankLoop).
-//! Trace spans, metrics, loss
+//! operations through the one [`RankLoop`](crate::RankLoop): the
+//! sequential [`ScheduledTrainer`](crate::ScheduledTrainer) over a group
+//! of all stages, each [`ThreadedPipeline`](crate::ThreadedPipeline)
+//! worker and each `pbp-dist` rank over its run of
+//! [`contiguous_bounds`]. Trace spans, metrics, loss
 //! scaling, hyperparameter binding and the run-ahead rule therefore exist
 //! once, and the cell's ordering contract (see [`crate::cell`]) makes the
 //! three bit-identical — weights, f64 loss sums and Eq. 5 delay
@@ -42,9 +41,19 @@ use pbp_trace::{Lane, TracePhase, Tracer, PID_WALL};
 use std::ops::Range;
 use std::time::Instant;
 
+/// The one by-count partition rule: the `workers + 1` ascending bounds
+/// that cut `layer_stages` stages into `workers ≥ 1` contiguous runs of
+/// `layer_stages / workers`, the first `layer_stages % workers` runs one
+/// longer. Threaded workers and `pbp-dist` ranks both own run `w`,
+/// `bounds[w]..bounds[w + 1]`.
+pub fn contiguous_bounds(layer_stages: usize, workers: usize) -> Vec<usize> {
+    let (base, extra) = (layer_stages / workers, layer_stages % workers);
+    (0..=workers).map(|w| w * base + w.min(extra)).collect()
+}
+
 /// A contiguous range of pipeline stages executing one schedule (see the
 /// module docs). The stages themselves stay with the caller — a
-/// [`Network`] or a worker's single [`Stage`] — and are lent to each
+/// [`Network`] or a worker's run of [`Stage`]s — and are lent to each
 /// operation as the slice matching [`StageGroup::range`].
 pub struct StageGroup {
     config: ScheduledConfig,
@@ -113,10 +122,10 @@ impl StageGroup {
         }
     }
 
-    /// The first owned stage's lane, for the owner's own events (stalls,
+    /// Owned stage `stage`'s lane, for the owner's own events (stalls,
     /// faults, reconnects).
-    pub fn lane(&mut self) -> &mut Lane {
-        &mut self.lanes[0]
+    pub fn lane(&mut self, stage: usize) -> &mut Lane {
+        &mut self.lanes[stage - self.first]
     }
 
     /// The global stage indices this group owns.
@@ -255,22 +264,23 @@ impl StageGroup {
         self.next_bwd += 1;
     }
 
-    /// Splits the group into one single-stage group per owned stage, for
-    /// thread-per-stage execution; [`StageGroup::join`] is the inverse.
-    pub(crate) fn split(self) -> Vec<StageGroup> {
-        let parts = self.cells.into_iter().zip(self.lanes).zip(self.counters);
+    /// Splits the group at `bounds` (ascending global stage indices, from
+    /// the group's first to one past its last), one group per run;
+    /// [`StageGroup::join`] is the inverse.
+    pub(crate) fn split(mut self, bounds: &[usize]) -> Vec<StageGroup> {
+        // Last run first: each `split_off` leaves the runs before it.
+        let runs = bounds.windows(2).rev().map(|run| StageGroup {
+            config: self.config.clone(),
+            first: run[0],
+            cells: self.cells.split_off(run[0] - self.first),
+            lanes: self.lanes.split_off(run[0] - self.first),
+            counters: self.counters.split_off(run[0] - self.first),
+            next_fwd: self.next_fwd,
+            next_bwd: self.next_bwd,
+        });
+        let mut parts: Vec<StageGroup> = runs.collect();
+        parts.reverse();
         parts
-            .enumerate()
-            .map(|(local, ((cell, lane), counters))| StageGroup {
-                config: self.config.clone(),
-                first: self.first + local,
-                cells: vec![cell],
-                lanes: vec![lane],
-                counters: vec![counters],
-                next_fwd: self.next_fwd,
-                next_bwd: self.next_bwd,
-            })
-            .collect()
     }
 
     /// Reassembles adjacent drained groups, in stage order, into one.

@@ -12,10 +12,12 @@
 //! * [`RankLoop`] — the one rank loop above the executor: forward while
 //!   the group allows, otherwise retire a backward, between two [`Link`]s
 //!   that move an `Activation` downstream and a `Gradient` (with the
-//!   loss) upstream. The stage threads step it between channel links,
-//!   the `pbp-dist` ranks between sockets.
-//! * [`ScheduledTrainer`] — the sequential substrate: one group over all
-//!   stages, swept a microbatch at a time. Under
+//!   loss) upstream. The threaded workers step it between channel
+//!   links, the `pbp-dist` ranks between sockets, the sequential engine
+//!   with no link at all; [`contiguous_bounds`] is the one rule that
+//!   cuts the stages into their contiguous groups.
+//! * [`ScheduledTrainer`] — the sequential substrate, the world of one:
+//!   a [`RankLoop`] over all stages, stepped a microbatch at a time. Under
 //!   [`ScheduledConfig::pb`] it is the deterministic, cycle-accurate
 //!   emulation of fine-grained pipelined backpropagation at update size
 //!   one — each stage sees forward weights delayed by `D_s = 2(S−1−s)`
@@ -28,11 +30,12 @@
 //!   mathematically identical to sequential SGDM (validated bit-for-bit
 //!   in tests) but paying the utilization bound `N/(N+2S)` of Eq. 1. 1F1B
 //!   and 2BP run through the same engine.
-//! * [`ThreadedPipeline`] — the thread-per-stage substrate (one OS thread
-//!   and one single-stage [`RankLoop`] per stage, crossbeam channel links
-//!   between them), demonstrating that PB keeps all workers busy while
-//!   fill-and-drain idles them. The third substrate, process per stage
-//!   group over sockets, lives in `pbp-dist`.
+//! * [`ThreadedPipeline`] — the threaded substrate (`min(S, thread
+//!   budget)` OS threads, each a [`RankLoop`] over a contiguous run of
+//!   the `S` stages — one thread per stage where the cores allow —
+//!   crossbeam channel links between them), demonstrating that PB keeps
+//!   all workers busy while fill-and-drain idles them. The third
+//!   substrate, process per stage group over sockets, lives in `pbp-dist`.
 //! * [`DelayedTrainer`] — the Appendix G.2 simulator, whole-network at
 //!   arbitrary batch size: per batch it draws a gradient delay `D`, runs
 //!   forward under the weights of `D` updates ago and backward under the
@@ -76,7 +79,7 @@ pub use engine::{run_training, EngineSpec, RunConfig, TrainEngine};
 pub use fault::{
     FaultInjector, FaultPlan, FaultSpec, LinkDir, LinkFault, PipelineFault, RankFault, RunError,
 };
-pub use group::StageGroup;
+pub use group::{contiguous_bounds, StageGroup};
 pub use memory::MemoryModel;
 pub use metrics::{EngineMetrics, JsonSink, NoHooks, StageCounters, TraceHooks, TrainHooks};
 pub use rank::{Link, Message, RankError, RankLoop, Step, Upstream};

@@ -6,7 +6,9 @@
 //! [`StageGroup`] plus the one scheduling decision above it,
 //! [`RankLoop::next_step`] — and a [`Link`] is what joins two of them:
 //! in-process channels under [`ThreadedPipeline`](crate::ThreadedPipeline),
-//! sockets under `pbp-dist`. Fill&drain, PB, 1F1B and 2BP differ only in
+//! sockets under `pbp-dist`, nothing at all in the world of one that is
+//! [`ScheduledTrainer`](crate::ScheduledTrainer). Only [`RankLoop::step`]
+//! drives a group. Fill&drain, PB, 1F1B and 2BP differ only in
 //! the version lags the plan hands the group, never in this loop. Waiting
 //! policy (bounded waits, heartbeats, abort flags, stall windows,
 //! reconnects) belongs to the link; fault and snapshot hooks belong to
@@ -106,6 +108,8 @@ pub struct RankLoop {
     /// Sum of the losses of every completed microbatch, in microbatch
     /// order.
     pub loss_sum: f64,
+    /// The loss of the microbatch the latest backward retired.
+    pub last_loss: f32,
     /// Wall-clock nanoseconds spent in successful [`RankLoop::step`]s,
     /// link waits included.
     pub train_ns: u128,
@@ -118,6 +122,7 @@ impl RankLoop {
             group,
             pending: VecDeque::new(),
             loss_sum: 0.0,
+            last_loss: 0.0,
             train_ns: 0,
         }
     }
@@ -195,6 +200,7 @@ impl RankLoop {
                     }
                 };
                 self.loss_sum += loss as f64;
+                self.last_loss = loss;
                 self.group.backward(stages, &mut lanes, mb);
                 if let Upstream::Link(link) = up {
                     let msg = Message::Gradient { mb, loss, lanes };
@@ -211,10 +217,14 @@ impl RankLoop {
 mod tests {
     //! The ordering contract, checked rather than soaked: ranks joined by
     //! in-memory queues on one thread, stepped in whatever legal order a
-    //! proptest picks, must match the sequential engine bit for bit.
+    //! proptest picks, must match a plain sweep of the whole network bit
+    //! for bit. The sweep is this module's own ([`Reference`]): every
+    //! engine, the sequential one included, is a `RankLoop`, so none of
+    //! them can be the yardstick.
 
     use super::*;
     use crate::engine::TrainEngine;
+    use crate::metrics::StageCounters;
     use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
     use pbp_data::{spirals, Dataset};
     use pbp_nn::models::mlp;
@@ -341,21 +351,65 @@ mod tests {
         }
     }
 
+    /// What `SAMPLES` microbatches must come to, computed without
+    /// [`RankLoop::step`]: the three direct calls on a whole-network group,
+    /// one microbatch at a time.
+    struct Reference {
+        losses: Vec<f32>,
+        net: Network,
+        group: StageGroup,
+    }
+
+    impl Reference {
+        fn run(config: &ScheduledConfig) -> Reference {
+            let data = data();
+            let mut net = fresh_net();
+            let mut group = StageGroup::new(&net, 0..net.num_stages(), config);
+            let mut losses = Vec::new();
+            for mb in 0..SAMPLES {
+                let (x, label) = data.sample(mb % data.len());
+                let mut stack = vec![batch_of_one(x)];
+                group.forward(net.stages_mut(), &mut stack, mb);
+                let (loss, grad) = group.loss(&stack[0], label);
+                group.backward(net.stages_mut(), &mut vec![grad], mb);
+                losses.push(loss);
+            }
+            Reference { losses, net, group }
+        }
+
+        /// Per-microbatch f32 losses, update counts, Eq. 5 histograms and
+        /// weights, all bit for bit.
+        fn assert_matches<'a>(
+            &self,
+            context: &str,
+            losses: &[f32],
+            counters: impl Iterator<Item = &'a StageCounters>,
+            stages: impl Iterator<Item = &'a Stage>,
+        ) {
+            assert_eq!(losses, self.losses, "{context}: loss record");
+            for (s, (got, want)) in counters.zip(self.group.counters()).enumerate() {
+                assert_eq!(got.updates, want.updates, "{context}: stage {s} updates");
+                assert_eq!(
+                    got.delay_hist, want.delay_hist,
+                    "{context}: stage {s} delays"
+                );
+            }
+            for (s, stage) in stages.enumerate() {
+                for (p, q) in stage.params().iter().zip(self.net.stage(s).params()) {
+                    assert_eq!(p.as_slice(), q.as_slice(), "{context}: stage {s} weights");
+                }
+            }
+        }
+    }
+
     /// Which ready rank steps next: `prefer` narrows the choice to ranks
     /// about to run that kind of step when there are any (`Some(false)` =
     /// strictly backward-first, `Some(true)` = maximally forward-greedy),
     /// `picks` breaks the remaining ties.
     fn run_world(config: &ScheduledConfig, world: usize, prefer: Option<bool>, picks: &[usize]) {
         let data = data();
-        let mut reference = ScheduledTrainer::new(fresh_net(), config.clone());
-        let mut want_losses = Vec::new();
-        let mut want_sum = 0.0f64;
-        for mb in 0..SAMPLES {
-            let (x, label) = data.sample(mb % data.len());
-            let loss = reference.train_sample(x, label);
-            want_losses.push(loss);
-            want_sum += loss as f64;
-        }
+        let reference = Reference::run(config);
+        let want_sum: f64 = reference.losses.iter().map(|&l| l as f64).sum();
 
         let context = format!("{} world {world} prefer {prefer:?}", config.label());
         let mut w = World::new(config, world);
@@ -383,15 +437,10 @@ mod tests {
             };
             let (r, step) = pool[picks[turn % picks.len()] % pool.len()];
             assert_eq!(w.step(r, &mut feed), Ok(Some(step)), "{context}");
-            // The record: each microbatch's loss, as the last link relays
-            // it (or, in a world of one, as the rank sums it).
-            if let (Step::Backward(_), Some(wire)) = (step, w.grads.first()) {
-                if r == 1 {
-                    match wire.borrow().back() {
-                        Some(Message::Gradient { loss, .. }) => losses.push(*loss),
-                        other => panic!("{context}: rank 1 sent {other:?}"),
-                    }
-                }
+            // The record: each microbatch's loss as rank 0 retires it —
+            // relayed up every link, or, in a world of one, its own.
+            if let (0, Step::Backward(_)) = (r, step) {
+                losses.push(w.ranks[0].last_loss);
             }
         }
         // Nothing ready: every rank must be finished, not deadlocked.
@@ -404,31 +453,15 @@ mod tests {
                 "{context}: rank {r} loss sum"
             );
         }
-        if world > 1 {
-            assert_eq!(losses, want_losses, "{context}: loss record");
-        }
-        let want = TrainEngine::metrics(&reference);
-        let got = w.ranks.iter().flat_map(|rank| rank.group.counters());
-        for (s, (got, want)) in got.zip(&want.stages).enumerate() {
-            assert_eq!(got.updates, want.updates, "{context}: stage {s} updates");
-            assert_eq!(
-                got.delay_hist, want.delay_hist,
-                "{context}: stage {s} delays"
-            );
-        }
-        let net = reference.into_network();
-        for (s, stage) in w.stages.iter().flatten().enumerate() {
-            for (p, q) in stage.params().iter().zip(net.stage(s).params()) {
-                assert_eq!(p.as_slice(), q.as_slice(), "{context}: stage {s} weights");
-            }
-        }
+        let counters = w.ranks.iter().flat_map(|rank| rank.group.counters());
+        reference.assert_matches(&context, &losses, counters, w.stages.iter().flatten());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         #[test]
-        fn any_legal_interleaving_matches_the_sequential_engine(
+        fn any_legal_interleaving_matches_the_reference_sweep(
             world in 2usize..=4,
             prefer in 0usize..3,
             picks in proptest::collection::vec(0usize..64, 1..48),
@@ -441,9 +474,30 @@ mod tests {
     }
 
     #[test]
-    fn a_world_of_one_matches_the_sequential_engine() {
+    fn a_world_of_one_matches_the_reference_sweep() {
         for config in configs() {
             run_world(&config, 1, None, &[0]);
+        }
+    }
+
+    /// The sequential engine is that world of one: `train_sample` returns
+    /// the reference's f32 losses and leaves its weights and histograms.
+    #[test]
+    fn the_sequential_engine_matches_the_reference_sweep() {
+        let data = data();
+        for config in configs() {
+            let reference = Reference::run(&config);
+            let mut engine = ScheduledTrainer::new(fresh_net(), config.clone());
+            let losses: Vec<f32> = (0..SAMPLES)
+                .map(|mb| {
+                    let (x, label) = data.sample(mb % data.len());
+                    engine.train_sample(x, label)
+                })
+                .collect();
+            let metrics = TrainEngine::metrics(&engine);
+            let net = engine.into_network();
+            let stages = (0..net.num_stages()).map(|s| net.stage(s));
+            reference.assert_matches(&config.label(), &losses, metrics.stages.iter(), stages);
         }
     }
 

@@ -1,9 +1,10 @@
 //! The sequential schedule-execution engine.
 //!
-//! [`ScheduledTrainer`] is the single-threaded substrate of the one
-//! executor of stage semantics: a [`StageGroup`] over *all* of the
-//! network's stages, swept one microbatch at a time — forward through
-//! every stage, the loss, backward through every stage. It runs every
+//! [`ScheduledTrainer`] is the world of one: the [`RankLoop`] every
+//! threaded worker and `pbp-dist` rank steps, here over a [`StageGroup`]
+//! of *all* of the network's stages with the caller as its feed and no
+//! link at either end, so each microbatch is one forward step (every
+//! stage, then the loss) and one backward step (every stage). It runs every
 //! [`MicrobatchSchedule`]: pure pipelined backpropagation
 //! ([`ScheduledConfig::pb`]), fill-and-drain SGD
 //! ([`ScheduledConfig::fill_drain`]), 1F1B gradient accumulation, 2BP
@@ -33,21 +34,22 @@
 //! it at the update boundary, where the summed gradients meet the same
 //! optimizer sweep a fused schedule's do.
 
-use crate::engine::{batch_of_one, batch_rows, TrainEngine};
+use crate::engine::{batch_rows, TrainEngine};
 use crate::group::StageGroup;
 use crate::metrics::EngineMetrics;
+use crate::rank::{Message, RankLoop, Upstream};
 use crate::schedule::{fill_drain_utilization, pb_utilization, MicrobatchSchedule};
+use crate::threaded::ChannelLink;
 use pbp_data::Dataset;
 use pbp_nn::Network;
 use pbp_optim::{LrSchedule, Mitigation};
 use pbp_tensor::Tensor;
-use std::time::Instant;
 
 /// What a run executes: the schedule plus the delay-mitigation and
 /// weight-stashing settings. One value configures every substrate — the
 /// sequential [`ScheduledTrainer`], each stage group of a distributed
-/// rank, and (inside [`ThreadedConfig`](crate::ThreadedConfig)) the
-/// thread-per-stage runtime.
+/// rank, and (inside [`ThreadedConfig`](crate::ThreadedConfig)) each
+/// worker of the threaded runtime.
 #[derive(Debug, Clone)]
 pub struct ScheduledConfig {
     /// The microbatch schedule to execute.
@@ -145,15 +147,15 @@ impl ScheduledConfig {
     }
 }
 
-/// The sequential engine: one [`StageGroup`] over all stages (see the
+/// The sequential engine: one [`RankLoop`] over all stages (see the
 /// module docs). Fields are crate-visible so the threaded runtime can
-/// take the state apart into per-stage workers and put it back.
+/// split the state into its workers' ranks and join it back.
 pub struct ScheduledTrainer {
     pub(crate) net: Network,
-    pub(crate) group: StageGroup,
+    /// The whole-network rank; its `train_ns` is the wall-clock time
+    /// spent inside training calls.
+    pub(crate) rank: RankLoop,
     pub(crate) config: ScheduledConfig,
-    /// Wall-clock nanoseconds spent inside training calls.
-    pub(crate) train_ns: u128,
 }
 
 impl std::fmt::Debug for ScheduledTrainer {
@@ -163,7 +165,7 @@ impl std::fmt::Debug for ScheduledTrainer {
             "ScheduledTrainer({}, {} stages, samples_seen={})",
             self.config.label(),
             self.net.pipeline_stage_count(),
-            self.group.completed()
+            self.rank.group.completed()
         )
     }
 }
@@ -172,18 +174,13 @@ impl ScheduledTrainer {
     /// Creates the engine for a network under the configured schedule,
     /// setting up per-stage delays, optimizers and weight-version queues.
     pub fn new(net: Network, config: ScheduledConfig) -> Self {
-        let group = StageGroup::new(&net, 0..net.num_stages(), &config);
-        ScheduledTrainer {
-            net,
-            group,
-            config,
-            train_ns: 0,
-        }
+        let rank = RankLoop::new(StageGroup::new(&net, 0..net.num_stages(), &config));
+        ScheduledTrainer { net, rank, config }
     }
 
     /// The per-stage gradient delays (in updates) in effect.
     pub fn delays(&self) -> Vec<usize> {
-        self.group.cells().iter().map(|c| c.delay()).collect()
+        self.rank.group.cells().iter().map(|c| c.delay()).collect()
     }
 
     /// Borrows the network (for evaluation etc.). Evaluation uses the
@@ -199,23 +196,23 @@ impl ScheduledTrainer {
 
     /// Number of microbatches trained on so far.
     pub fn samples_seen(&self) -> usize {
-        self.group.completed()
+        self.rank.group.completed()
     }
 
-    /// Trains on one microbatch (`x` without batch dimension): forward
-    /// through every stage, the loss stage, then the plan's backward
-    /// actions through every stage. Returns the loss.
+    /// Trains on one microbatch (`x` without batch dimension): two steps
+    /// of the rank, held to one microbatch in flight — forward through
+    /// every stage and the loss stage, then the plan's backward actions
+    /// through every stage. Returns the loss.
     pub fn train_sample(&mut self, x: &Tensor, label: usize) -> f32 {
-        let start = Instant::now();
-        let mb = self.group.completed();
-        let mut stack = vec![batch_of_one(x)];
-        self.group.forward(self.net.stages_mut(), &mut stack, mb);
-        assert_eq!(stack.len(), 1, "network must reduce to a single lane");
-        let (loss, grad) = self.group.loss(&stack[0], label);
-        let mut gstack = vec![grad];
-        self.group.backward(self.net.stages_mut(), &mut gstack, mb);
-        self.train_ns += start.elapsed().as_nanos();
-        loss
+        let fwd_limit = self.rank.group.completed() + 1;
+        let mut feed = |mb: usize| Message::sample(mb, x, label);
+        for _ in 0..2 {
+            // No link at either end; the type only names what one would be.
+            let up = Upstream::<ChannelLink>::Feed(&mut feed);
+            let step = self.rank.step(self.net.stages_mut(), up, None, fwd_limit);
+            step.expect("a world of one has no link to fail");
+        }
+        self.rank.last_loss
     }
 
     /// Trains one epoch in the deterministic order for `(seed, epoch)`;
@@ -248,7 +245,7 @@ impl TrainEngine for ScheduledTrainer {
             let (x, label) = data.sample(i);
             total += self.train_sample(x, label) as f64;
         }
-        self.group.flush_trace();
+        self.rank.group.flush_trace();
         (total, indices.len())
     }
 
@@ -263,7 +260,7 @@ impl TrainEngine for ScheduledTrainer {
         // always allowed (the update then stays pending, and
         // `snapshot_ready` gates there).
         let m = self.config.plan.microbatches_per_update();
-        let pending = self.group.completed() % m;
+        let pending = self.rank.group.completed() % m;
         let rem = (pending + (proposed - pos)) % m;
         let aligned = if rem == 0 {
             proposed
@@ -274,20 +271,21 @@ impl TrainEngine for ScheduledTrainer {
     }
 
     fn snapshot_ready(&self) -> bool {
-        self.group
+        self.rank
+            .group
             .completed()
             .is_multiple_of(self.config.plan.microbatches_per_update())
     }
 
     fn set_tracer(&mut self, tracer: pbp_trace::Tracer) {
-        self.group.set_tracer(&tracer, "");
+        self.rank.group.set_tracer(&tracer, "");
     }
 
     fn write_state(&self, snap: &mut pbp_snapshot::SnapshotBuilder) {
         pbp_nn::snapshot::write_network(&self.net, snap);
         crate::state::write_engine_section(snap, "sched", |w| {
-            self.group.write_state(w);
-            w.put_u128(self.train_ns);
+            self.rank.group.write_state(w);
+            w.put_u128(self.rank.train_ns);
         });
     }
 
@@ -297,15 +295,15 @@ impl TrainEngine for ScheduledTrainer {
     ) -> Result<(), pbp_snapshot::SnapshotError> {
         pbp_nn::snapshot::read_network(&mut self.net, archive)?;
         let mut r = crate::state::engine_reader(archive, "sched")?;
-        self.group.read_state(&mut r, "sched")?;
-        self.train_ns = r.take_u128()?;
+        self.rank.group.read_state(&mut r, "sched")?;
+        self.rank.train_ns = r.take_u128()?;
         if !self.snapshot_ready() {
             // Snapshots are only written at update boundaries: a partial
             // window would also require the accumulated layer gradients,
             // which are deliberately not serialized.
             return Err(pbp_snapshot::SnapshotError::Corrupt(format!(
                 "snapshot taken mid-update ({} microbatches into windows of {})",
-                self.group.completed(),
+                self.rank.group.completed(),
                 self.config.plan.microbatches_per_update()
             )));
         }
@@ -317,12 +315,12 @@ impl TrainEngine for ScheduledTrainer {
     }
 
     fn samples_seen(&self) -> usize {
-        self.group.completed()
+        self.rank.group.completed()
     }
 
     fn metrics(&self) -> EngineMetrics {
         let s = self.net.pipeline_stage_count();
-        let samples = self.group.completed();
+        let samples = self.rank.group.completed();
         let occupancy = (samples > 0).then(|| match self.config.plan {
             MicrobatchSchedule::FillDrain { update_size } => fill_drain_utilization(update_size, s),
             // The 1F1B/2BP/PB dataflows keep every stage busy after the
@@ -332,9 +330,9 @@ impl TrainEngine for ScheduledTrainer {
         EngineMetrics {
             engine: self.config.label(),
             samples,
-            train_ns: self.train_ns,
+            train_ns: self.rank.train_ns,
             occupancy,
-            stages: self.group.counters().to_vec(),
+            stages: self.rank.group.counters().to_vec(),
         }
     }
 
@@ -567,7 +565,7 @@ mod tests {
         let cfg = ScheduledConfig::pb(schedule()).with_weight_stashing();
         let mut pb = ScheduledTrainer::new(net, cfg);
         pb.train_epoch(&data, 1, 0);
-        for (s, cell) in pb.group.cells().iter().enumerate() {
+        for (s, cell) in pb.rank.group.cells().iter().enumerate() {
             assert_eq!(cell.fwd_queue_len(), cell.delay() + 1, "stage {s}");
             assert_eq!(cell.stash_len(), 0, "stage {s}");
         }

@@ -8,7 +8,7 @@
 //!   supervisor. Workers emit rate-limited heartbeats and a final
 //!   completion report over an events channel; the supervisor feeds
 //!   samples with bounded waits, tracks the oldest heartbeat, and on a
-//!   panic report / silent stage / severed channel flips a shared abort
+//!   panic report / silent worker / severed channel flips a shared abort
 //!   flag, drains what it can within a shutdown grace period, joins the
 //!   workers that reported in, detaches the rest, and surfaces a typed
 //!   [`PipelineFault`] instead of hanging.
@@ -37,8 +37,8 @@ use std::time::{Duration, Instant};
 /// Liveness policy of a supervised streaming run.
 #[derive(Debug, Clone)]
 pub struct Watchdog {
-    /// A live stage silent for longer than this (while work is
-    /// outstanding) is declared stalled.
+    /// A live worker silent for longer than this (while work is
+    /// outstanding) is declared stalled, at its last-heard stage.
     pub stall_timeout: Duration,
     /// Supervisor bounded-wait tick: how long any single feed/park wait
     /// blocks before liveness is re-checked.
@@ -76,13 +76,15 @@ impl Watchdog {
     }
 }
 
-/// A worker's final report: its stage and one-stage rank (cell, counters,
-/// trace lane, step time) travel back to the supervisor by value, so a
+/// A worker's final report: its stages and their rank (cells, counters,
+/// trace lanes, step time) travel back to the supervisor by value, so a
 /// clean run reassembles the engine state without joining on thread
 /// results.
 pub(crate) struct StageDone {
+    /// The stage the report speaks for: the one an injected fault struck,
+    /// otherwise the worker's first.
     pub stage_idx: usize,
-    pub stage: Stage,
+    pub stages: Vec<Stage>,
     pub rank: RankLoop,
     /// The message of the panic that ended the worker's loop, if one did
     /// (caught by `catch_unwind`).
@@ -91,18 +93,21 @@ pub(crate) struct StageDone {
 
 /// Worker → supervisor control-plane traffic.
 pub(crate) enum StageEvent {
-    /// Rate-limited liveness signal.
+    /// Liveness signal from the worker hosting `stage`.
     Beat { stage: usize },
-    /// Final report; boxed because it carries the whole stage.
+    /// Final report; boxed because it carries the worker's stages.
     Done(Box<StageDone>),
 }
 
 /// The control-plane state machine the calling thread runs while workers
-/// stream. Tracks heartbeats, collects final reports, decides when the
-/// run has failed and owns the abort/grace protocol.
+/// stream. Tracks heartbeats and collects final reports per worker,
+/// decides when the run has failed and owns the abort/grace protocol.
 pub(crate) struct StreamSupervisor {
     watchdog: Watchdog,
-    last_beat: Vec<Instant>,
+    /// Worker `w` hosts stages `bounds[w]..bounds[w + 1]`.
+    bounds: Vec<usize>,
+    /// Per worker: when it was last heard from, and from which stage.
+    last_beat: Vec<(Instant, usize)>,
     done: Vec<Option<StageDone>>,
     fault: Option<PipelineFault>,
     abort: Arc<AtomicBool>,
@@ -110,11 +115,15 @@ pub(crate) struct StreamSupervisor {
 }
 
 impl StreamSupervisor {
-    pub(crate) fn new(stages: usize, watchdog: Watchdog) -> Self {
+    pub(crate) fn new(bounds: Vec<usize>, watchdog: Watchdog) -> Self {
         StreamSupervisor {
             watchdog,
-            last_beat: vec![Instant::now(); stages],
-            done: (0..stages).map(|_| None).collect(),
+            last_beat: bounds
+                .windows(2)
+                .map(|run| (Instant::now(), run[0]))
+                .collect(),
+            done: bounds.windows(2).map(|_| None).collect(),
+            bounds,
             fault: None,
             abort: Arc::new(AtomicBool::new(false)),
             grace_deadline: None,
@@ -127,17 +136,18 @@ impl StreamSupervisor {
     }
 
     pub(crate) fn on_event(&mut self, event: StageEvent) {
+        let host = |stage: usize| self.bounds.partition_point(|&b| b <= stage) - 1;
         match event {
-            StageEvent::Beat { stage } => self.last_beat[stage] = Instant::now(),
+            StageEvent::Beat { stage } => self.last_beat[host(stage)] = (Instant::now(), stage),
             StageEvent::Done(done) => {
-                let s = done.stage_idx;
+                let w = host(done.stage_idx);
                 if let Some(message) = &done.panic {
                     self.flag(PipelineFault::StagePanicked {
-                        stage: s,
+                        stage: done.stage_idx,
                         message: message.clone(),
                     });
                 }
-                self.done[s] = Some(*done);
+                self.done[w] = Some(*done);
             }
         }
     }
@@ -147,10 +157,10 @@ impl StreamSupervisor {
         self.done.iter().all(Option::is_some)
     }
 
-    /// Whether stage `s` has reported in (and can be joined without
+    /// Whether worker `w` has reported in (and can be joined without
     /// blocking).
-    pub(crate) fn is_done(&self, s: usize) -> bool {
-        self.done[s].is_some()
+    pub(crate) fn is_done(&self, w: usize) -> bool {
+        self.done[w].is_some()
     }
 
     /// Records `fault` and starts the abort protocol. Root causes beat
@@ -189,18 +199,19 @@ impl StreamSupervisor {
         self.grace_deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Stall detection: flags the live stage with the oldest heartbeat
-    /// once it exceeds the stall timeout. Returns `true` if a fault was
-    /// (or already had been) flagged.
+    /// Stall detection: flags the live worker with the oldest heartbeat,
+    /// at the stage it came from, once it exceeds the stall timeout.
+    /// Returns `true` if a fault was (or already had been) flagged.
     pub(crate) fn check_watchdog(&mut self) -> bool {
         if self.fault.is_some() {
             return true;
         }
         let oldest = (0..self.done.len())
-            .filter(|&s| self.done[s].is_none())
-            .min_by_key(|&s| self.last_beat[s]);
-        if let Some(stage) = oldest {
-            let silent = self.last_beat[stage].elapsed();
+            .filter(|&w| self.done[w].is_none())
+            .map(|w| self.last_beat[w])
+            .min();
+        if let Some((heard, stage)) = oldest {
+            let silent = heard.elapsed();
             if silent > self.watchdog.stall_timeout {
                 self.flag(PipelineFault::StageStalled {
                     stage,
@@ -217,8 +228,8 @@ impl StreamSupervisor {
     }
 
     /// Consumes the supervisor: the fault if one was flagged, otherwise
-    /// the reassembled per-stage payloads in stage order.
-    pub(crate) fn into_result(self) -> Result<Vec<(Stage, RankLoop)>, PipelineFault> {
+    /// the per-worker payloads in stage order.
+    pub(crate) fn into_result(self) -> Result<Vec<(Vec<Stage>, RankLoop)>, PipelineFault> {
         if let Some(fault) = self.fault {
             return Err(fault);
         }
@@ -226,8 +237,8 @@ impl StreamSupervisor {
             .done
             .into_iter()
             .map(|d| {
-                let d = d.expect("no fault implies every stage reported");
-                (d.stage, d.rank)
+                let d = d.expect("no fault implies every worker reported");
+                (d.stages, d.rank)
             })
             .collect())
     }
@@ -655,10 +666,13 @@ mod tests {
         assert_eq!(delays, [1, 2, 4, 8, 16, 32, 64, 64, 64]);
     }
 
+    /// Liveness is per worker, attribution per stage: of three workers
+    /// over five stages, the silent one is flagged at the stage it was
+    /// last heard from.
     #[test]
-    fn watchdog_flags_oldest_silent_stage() {
+    fn watchdog_flags_oldest_silent_worker_at_its_last_stage() {
         let mut sup = StreamSupervisor::new(
-            3,
+            vec![0, 2, 4, 5],
             Watchdog {
                 stall_timeout: Duration::from_millis(10),
                 poll: Duration::from_millis(1),
@@ -666,13 +680,14 @@ mod tests {
             },
         );
         assert!(!sup.check_watchdog());
-        std::thread::sleep(Duration::from_millis(15));
         sup.on_event(StageEvent::Beat { stage: 1 });
-        sup.on_event(StageEvent::Beat { stage: 2 });
+        std::thread::sleep(Duration::from_millis(15));
+        sup.on_event(StageEvent::Beat { stage: 3 });
+        sup.on_event(StageEvent::Beat { stage: 4 });
         assert!(sup.check_watchdog());
         match sup.fault() {
-            Some(PipelineFault::StageStalled { stage: 0, .. }) => {}
-            other => panic!("expected stage-0 stall, got {other:?}"),
+            Some(PipelineFault::StageStalled { stage: 1, .. }) => {}
+            other => panic!("expected a stall at stage 1, got {other:?}"),
         }
         assert!(sup.aborting());
         assert!(sup.abort_flag().load(Ordering::Relaxed));
@@ -680,7 +695,7 @@ mod tests {
 
     #[test]
     fn root_cause_faults_beat_symptoms() {
-        let mut sup = StreamSupervisor::new(1, Watchdog::fast());
+        let mut sup = StreamSupervisor::new(vec![0, 1], Watchdog::fast());
         sup.flag(PipelineFault::ChannelClosed { stage: 0 });
         // A lower-priority symptom cannot displace it...
         sup.flag(PipelineFault::Incomplete {

@@ -1,23 +1,25 @@
-//! Real multi-threaded pipeline runtime: one OS thread per stage,
+//! Real multi-threaded pipeline runtime: `W = min(S, thread budget)` OS
+//! threads, each hosting a contiguous run of the `S` layer stages,
 //! activations and gradients flowing over channels, under supervision.
 //!
 //! This is the systems half of the paper's claim: pipelined
 //! backpropagation keeps all workers busy after the initial fill, while
-//! fill-and-drain training idles them (Eq. 1). Each worker is a one-stage
-//! [`RankLoop`] between two in-process [`Link`]s — the rank loop a
-//! `pbp-dist` process steps between two sockets (DESIGN §12) — so a
-//! threaded run of any [`MicrobatchSchedule`](crate::MicrobatchSchedule)
-//! is bit-identical (weights, f64 loss sum, Eq. 5 delay histograms) to
-//! the sequential run of the same configuration, however the threads
-//! interleave. Between streaming calls the engine's state *is* a
-//! [`ScheduledTrainer`]; a call splits it into per-stage workers and
-//! joins it back. This file adds:
+//! fill-and-drain training idles them (Eq. 1). Each worker is a
+//! [`RankLoop`] over its run of [`contiguous_bounds`] between two
+//! in-process [`Link`]s — the rank loop a `pbp-dist` process steps
+//! between two sockets (DESIGN §12) — so a threaded run of any
+//! [`MicrobatchSchedule`](crate::MicrobatchSchedule) is bit-identical
+//! (weights, f64 loss sum, Eq. 5 delay histograms) to the sequential run
+//! of the same configuration at every `W`, a thread per stage or a single
+//! worker, however the threads interleave. Between streaming calls the
+//! engine's state *is* a [`ScheduledTrainer`]; a call splits its rank
+//! into the workers' and joins it back. This file adds:
 //!
 //! * the channel link: [`Message`]s cross by move over unbounded
 //!   channels (the in-flight bound is the weight-version FIFO); every
 //!   wait is bounded by the watchdog's poll tick, emits a rate-limited
 //!   heartbeat and honours the shared abort flag;
-//! * the calling thread as the far end of stage 0's upstream link: it
+//! * the calling thread as the far end of worker 0's upstream link: it
 //!   feeds samples from the [`Dataset`] over a one-slot channel, so they
 //!   are materialized one at a time, and reads each microbatch's loss off
 //!   the gradient stage 0 hands back;
@@ -26,11 +28,12 @@
 //!   watchdog, so a panicking, stalling or link-severing stage surfaces
 //!   as a typed [`PipelineFault`] within the watchdog timeout instead of
 //!   hanging the run. A [`FaultPlan`]'s rank clauses script such faults
-//!   for tests: stage `s` is rank `s` of the plan.
+//!   for tests: stage `s` is rank `s` of the plan, whichever worker
+//!   hosts it.
 
 use crate::engine::{batch_rows, TrainEngine};
 use crate::fault::{FaultInjector, FaultPlan, PipelineFault, RankFault};
-use crate::group::StageGroup;
+use crate::group::{contiguous_bounds, StageGroup};
 use crate::metrics::EngineMetrics;
 use crate::rank::{Link, Message, RankError, RankLoop, Step, Upstream};
 use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
@@ -46,7 +49,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Minimum interval between heartbeats from one worker; keeps the events
+/// Minimum interval between heartbeats from one link; keeps the events
 /// channel cheap while staying far below any sane stall timeout.
 const BEAT_INTERVAL: Duration = Duration::from_millis(1);
 
@@ -65,7 +68,7 @@ pub struct ThreadedConfig {
     /// Liveness policy: stall timeout, supervisor poll tick, shutdown
     /// grace.
     pub watchdog: Watchdog,
-    /// Trace recorder the stage workers report spans into (disabled by
+    /// Trace recorder the workers report spans into (disabled by
     /// default). Living in the config — rather than only on the engine —
     /// means a supervisor that rebuilds the engine from its
     /// [`EngineSpec`](crate::EngineSpec) keeps tracing across restarts.
@@ -73,7 +76,7 @@ pub struct ThreadedConfig {
 }
 
 impl ThreadedConfig {
-    /// Thread-per-stage execution of `run`.
+    /// Threaded execution of `run`.
     pub fn new(run: ScheduledConfig) -> Self {
         ThreadedConfig {
             run,
@@ -154,8 +157,9 @@ pub struct ThreadedPipeline {
 }
 
 impl ThreadedPipeline {
-    /// Creates an engine that streams each training call through one
-    /// worker thread per stage.
+    /// Creates an engine that streams each training call through its
+    /// worker threads: one per stage where the thread budget
+    /// ([`pool::configured_threads`]) allows, fewer and wider otherwise.
     pub fn new(net: Network, config: ThreadedConfig) -> Self {
         let mut state = ScheduledTrainer::new(net, config.run.clone());
         state.set_tracer(config.tracer.clone());
@@ -215,10 +219,11 @@ impl ThreadedPipeline {
 }
 
 /// Core supervised runtime: splits `state` into one owned worker thread
-/// per stage, then runs the control plane on the calling thread — feeding
-/// samples with bounded waits, draining heartbeats/losses, checking the
-/// watchdog, and on any fault aborting, draining within the shutdown
-/// grace and detaching whatever will not die. Stage payloads travel back
+/// per run of [`contiguous_bounds`] — as many as the thread budget holds,
+/// at most one per stage — then runs the control plane on the calling
+/// thread: feeding samples with bounded waits, draining heartbeats/losses,
+/// checking the watchdog, and on any fault aborting, draining within the
+/// shutdown grace and detaching whatever will not die. Payloads travel back
 /// by value over the events channel, so joins never block on an
 /// unresponsive worker.
 fn run_stream(
@@ -229,22 +234,23 @@ fn run_stream(
 ) -> Result<(ScheduledTrainer, Vec<f32>), PipelineFault> {
     let ScheduledTrainer {
         net,
-        group,
+        mut rank,
         config: run,
-        train_ns,
     } = state;
-    let base = group.completed();
+    let base = rank.group.completed();
     let end = base + indices.len();
-    let stages = net.into_stages();
-    // The stage workers are real OS threads competing with the kernel
-    // pool: park one pool core per heavy stage while they run.
-    let cores = reserve_stage_cores(&stages);
-    let num_layer_stages = stages.len();
+    let mut stages = net.into_stages().into_iter();
+    let workers = stages.len().min(pool::configured_threads());
+    let bounds = contiguous_bounds(stages.len(), workers);
+    // The workers are real OS threads competing with the kernel pool: park
+    // one pool core each while they run (kernels are bit-identical at any
+    // thread count, so this shifts wall-clock only).
+    let cores = pool::reserve(workers);
     let poll = config.watchdog.poll.max(Duration::from_millis(1));
-    let mut sup = StreamSupervisor::new(num_layer_stages, config.watchdog.clone());
+    let mut sup = StreamSupervisor::new(bounds.clone(), config.watchdog.clone());
     let abort = sup.abort_flag();
 
-    // Control plane: heartbeats and final stage reports.
+    // Control plane: heartbeats and final worker reports.
     let (events_tx, events_rx) = unbounded::<StageEvent>();
     let link = |(tx, rx): LinkEnd, stage: usize| ChannelLink {
         tx: Some(tx),
@@ -255,28 +261,32 @@ fn run_stream(
         events: events_tx.clone(),
         last_beat: Instant::now(),
     };
-    // This thread is the far end of stage 0's upstream link.
+    // This thread is the far end of worker 0's upstream link.
     let ((feed_tx, grad_rx), mut lower) = link_ends(bounded(1));
 
     let plan = config.fault_plan.as_ref();
-    let mut handles = Vec::with_capacity(num_layer_stages);
-    for (s, (stage, group)) in stages.into_iter().zip(group.split()).enumerate() {
+    let mut handles = Vec::with_capacity(workers);
+    for (w, group) in rank.group.split(&bounds).into_iter().enumerate() {
+        let owned = group.range();
         let (upper, next_lower) = link_ends(unbounded());
         let worker = StageWorker {
-            stage,
+            stages: stages.by_ref().take(owned.len()).collect(),
             rank: RankLoop::new(group),
             end,
-            up: link(std::mem::replace(&mut lower, next_lower), s),
-            // The last layer stage owns the loss: no link below it.
-            down: (s + 1 < num_layer_stages).then(|| link(upper, s)),
-            injector: plan.map(|p| p.rank_injector(s)).unwrap_or_default(),
+            up: link(std::mem::replace(&mut lower, next_lower), owned.start),
+            // The last worker owns the loss: no link below it.
+            down: (w + 1 < workers).then(|| link(upper, owned.start)),
+            struck: owned.start,
+            injectors: plan
+                .map(|p| owned.map(|s| p.rank_injector(s)).collect())
+                .unwrap_or_default(),
             events: events_tx.clone(),
         };
         handles.push(
             std::thread::Builder::new()
-                .name(format!("pbp-stage-{s}"))
+                .name(format!("pbp-worker-{w}"))
                 .spawn(move || worker.run_supervised())
-                .expect("spawn stage worker"),
+                .expect("spawn pipeline worker"),
         );
     }
     // Drop the endpoints held by this thread so disconnects propagate
@@ -287,7 +297,7 @@ fn run_stream(
     // ---- Control plane (this thread): feeder + watchdog + collector.
     let mut next = 0usize;
     let mut pending: Option<Message> = None;
-    // Stage 0 retires backwards in microbatch order and each gradient it
+    // Worker 0 retires backwards in microbatch order and each gradient it
     // hands up relays that microbatch's loss: losses arrive in input
     // order, and the last one means every stage has completed the call.
     let mut losses: Vec<f32> = Vec::with_capacity(indices.len());
@@ -345,62 +355,27 @@ fn run_stream(
     // Join only workers that already reported in (non-blocking by
     // construction); the rest are detached and exit on their own once
     // their blocked operation observes the abort flag or a disconnect.
-    for (s, handle) in handles.into_iter().enumerate() {
-        if sup.is_done(s) {
+    for (w, handle) in handles.into_iter().enumerate() {
+        if sup.is_done(w) {
             let _ = handle.join();
         }
     }
     drop(cores);
 
-    let (stages, ranks): (Vec<Stage>, Vec<RankLoop>) = sup.into_result()?.into_iter().unzip();
-    // Stage 0 steps from the first sample to the last backward: the
-    // longest rank's step time is the call's wall time.
-    let stream_ns = ranks.iter().map(|rank| rank.train_ns).max().unwrap_or(0);
-    let groups = ranks.into_iter().map(|rank| rank.group).collect();
+    let (stages, ranks): (Vec<Vec<Stage>>, Vec<RankLoop>) = sup.into_result()?.into_iter().unzip();
+    // Worker 0 steps from the first sample to the last backward: the
+    // longest rank's step time is the call's wall time. Every rank summed
+    // the same losses.
+    rank.train_ns += ranks.iter().map(|part| part.train_ns).max().unwrap_or(0);
+    rank.loss_sum += ranks[0].loss_sum;
+    rank.last_loss = ranks[0].last_loss;
+    rank.group = StageGroup::join(ranks.into_iter().map(|part| part.group).collect());
     let state = ScheduledTrainer {
-        net: Network::new(stages),
-        group: StageGroup::join(groups),
+        net: Network::new(stages.into_iter().flatten().collect()),
+        rank,
         config: run,
-        train_ns: train_ns + stream_ns,
     };
     Ok((state, losses))
-}
-
-/// Counts the stages heavy enough to deserve a dedicated core: those
-/// carrying at least half their fair share (`total / (2·S)`) of the
-/// network's per-sample FLOPs. Floored at 1 — a pipeline always has at
-/// least one working stage.
-fn heavy_stage_count(flops: &[u64]) -> usize {
-    let total: u64 = flops.iter().sum();
-    if total == 0 {
-        return 1;
-    }
-    let threshold = (total / (2 * flops.len() as u64)).max(1);
-    flops.iter().filter(|&&f| f >= threshold).count().max(1)
-}
-
-/// Parks one kernel-pool core per heavy stage (see [`heavy_stage_count`])
-/// while a streaming run is in flight, capped at the machine's planning
-/// core count, so the two layers of parallelism divide the machine
-/// instead of oversubscribing it. Kernels are bit-identical at any thread
-/// count, so this shifts wall-clock only, never results.
-///
-/// Forward + backward costs roughly 3× the forward FLOPs, a uniform factor
-/// that cancels in the share comparison but keeps the estimate honest. The
-/// estimate is only as good as [`Stage::flops_per_sample`]:
-/// `Conv2d::flops_per_sample` is parameter-based until a first forward has
-/// set its `last_hw` (it misses the output-pixel factor), so a fresh
-/// engine's first `stream` call counts its conv stages as light.
-///
-/// Returns `None` on single-core machines, where there is nothing to
-/// divide.
-fn reserve_stage_cores(stages: &[Stage]) -> Option<pool::CoreReservation> {
-    let cores = pool::configured_threads();
-    if cores <= 1 {
-        return None;
-    }
-    let flops: Vec<u64> = stages.iter().map(|s| s.flops_per_sample() * 3).collect();
-    Some(pool::reserve(heavy_stage_count(&flops).min(cores)))
 }
 
 impl TrainEngine for ThreadedPipeline {
@@ -506,15 +481,16 @@ fn link_ends((act_tx, act_rx): LinkEnd) -> (LinkEnd, LinkEnd) {
 
 /// The peer hung up, or the supervisor raised the abort flag.
 #[derive(Debug)]
-struct Hangup;
+pub(crate) struct Hangup;
 
-/// A stage worker's end of an in-process [`Link`]: messages cross by
+/// A worker's end of an in-process [`Link`]: messages cross by
 /// move; every wait is bounded so the abort flag is observed promptly and
-/// the supervisor hears a heartbeat while the stage is merely idle.
-struct ChannelLink {
+/// the supervisor hears a heartbeat while the worker is merely idle.
+pub(crate) struct ChannelLink {
     /// `None` once severed by fault injection.
     tx: Option<Sender<Message>>,
     rx: Receiver<Message>,
+    /// The worker's first stage, which its heartbeats name.
     stage: usize,
     tick: Duration,
     abort: Arc<AtomicBool>,
@@ -536,7 +512,7 @@ impl Link for ChannelLink {
     type Error = Hangup;
 
     /// A severed link, or a peer that already exited, silently loses the
-    /// message: the stages left waiting for it notice the hang-up.
+    /// message: the workers left waiting for it notice the hang-up.
     fn send(&mut self, msg: Message) -> Result<(), Hangup> {
         if let Some(tx) = &self.tx {
             let _ = tx.send(msg);
@@ -562,23 +538,27 @@ impl Link for ChannelLink {
     }
 }
 
-/// Everything one stage worker thread owns: a one-stage [`RankLoop`] and
-/// its stage, between two channel links.
+/// Everything one worker thread owns — what a `pbp-dist` rank holds: a
+/// [`RankLoop`] and its run of stages, between two channel links.
 struct StageWorker {
-    stage: Stage,
+    stages: Vec<Stage>,
     rank: RankLoop,
     /// Global index one past the last microbatch of this streaming call.
     end: usize,
     up: ChannelLink,
-    /// `None` on the last layer stage.
+    /// `None` on the last worker.
     down: Option<ChannelLink>,
-    injector: FaultInjector<RankFault>,
+    /// The stage a panic report names: the one an injected crash struck,
+    /// otherwise the first owned.
+    struck: usize,
+    /// One per owned stage, none without a plan: plan rank `s` is stage `s`.
+    injectors: Vec<FaultInjector<RankFault>>,
     events: Sender<StageEvent>,
 }
 
 impl StageWorker {
-    /// Runs the rank loop under `catch_unwind`, then ships the stage, its
-    /// rank and the outcome back to the supervisor over the events
+    /// Runs the rank loop under `catch_unwind`, then ships the stages,
+    /// their rank and the outcome back to the supervisor over the events
     /// channel. Links are dropped *before* the final report so neighbours
     /// unblock even if the body panicked mid-message.
     fn run_supervised(mut self) {
@@ -586,23 +566,23 @@ impl StageWorker {
             .err()
             .map(|payload| panic_message(payload.as_ref()));
         let StageWorker {
-            stage,
+            stages,
             mut rank,
             up,
             down,
+            struck,
             events,
             ..
         } = self;
         if panic.is_some() {
-            let lane = rank.group.lane();
+            let lane = rank.group.lane(struck);
             lane.instant(pbp_trace::TracePhase::Fault, panic.clone());
         }
         rank.group.flush_trace();
-        let stage_idx = up.stage;
         drop((up, down));
         let _ = events.send(StageEvent::Done(Box::new(StageDone {
-            stage_idx,
-            stage,
+            stage_idx: struck,
+            stages,
             rank,
             panic,
         })));
@@ -616,40 +596,43 @@ impl StageWorker {
                 self.inject(update);
             }
             match self.rank.step(
-                std::slice::from_mut(&mut self.stage),
+                &mut self.stages,
                 Upstream::Link(&mut self.up),
                 self.down.as_mut(),
                 self.end,
             ) {
                 Ok(_) => {}
                 Err(RankError::Link(Hangup)) => return,
-                Err(desync) => panic!("stage {}: {desync:?}", self.up.stage),
+                Err(desync) => panic!("stage {}: {desync:?}", self.struck),
             }
         }
     }
 
-    /// Fault-injection point: an `@N` rank fault strikes as the stage —
-    /// rank `stage` of the plan — turns to backward N, exactly where a
-    /// real stage dies.
+    /// Fault-injection point: an `@N` rank fault strikes as the worker
+    /// hosting its stage — rank `stage` of the plan — turns to backward N,
+    /// exactly where a real stage dies; the owned stages are consulted in
+    /// backward order, last to first.
     fn inject(&mut self, update: usize) {
-        match self.injector.on_backward(update as u64) {
-            None => {}
-            Some(RankFault::Crash) => {
-                panic!(
-                    "injected fault: stage {} panics at update {update}",
-                    self.up.stage
-                )
-            }
-            Some(RankFault::Stall(d) | RankFault::Jitter(d)) => {
-                let lane = self.rank.group.lane();
-                lane.begin(pbp_trace::TracePhase::Stall, None, None);
-                std::thread::sleep(d);
-                lane.end();
-            }
-            Some(RankFault::Sever) => {
-                self.up.tx = None;
-                if let Some(down) = &mut self.down {
-                    down.tx = None;
+        for (stage, injector) in self.rank.group.range().zip(&self.injectors).rev() {
+            match injector.on_backward(update as u64) {
+                None => {}
+                Some(RankFault::Crash) => {
+                    self.struck = stage;
+                    panic!("injected fault: stage {stage} panics at update {update}")
+                }
+                Some(RankFault::Stall(d) | RankFault::Jitter(d)) => {
+                    // The silence that follows is this stage's.
+                    let _ = self.events.send(StageEvent::Beat { stage });
+                    let lane = self.rank.group.lane(stage);
+                    lane.begin(pbp_trace::TracePhase::Stall, None, None);
+                    std::thread::sleep(d);
+                    lane.end();
+                }
+                Some(RankFault::Sever) => {
+                    self.up.tx = None;
+                    if let Some(down) = &mut self.down {
+                        down.tx = None;
+                    }
                 }
             }
         }
@@ -730,12 +713,15 @@ mod tests {
         assert!(acc > 0.8, "threaded PB accuracy {acc}");
     }
 
-    /// Eq. 1 made physical, read off span order instead of a clock: under
-    /// fill&drain no stage begins `Forward(i+1)` before its
-    /// `BackwardInput(i)` has ended (the pipeline drains between
-    /// samples), while under PB stage 0 — always fed — fills its whole
-    /// weight-version FIFO, `version_lag + 1` forwards in flight. A lane
-    /// is recorded by one thread, so its span order is execution order.
+    /// Eq. 1 made physical, read off span order instead of a clock, at
+    /// whatever worker count the thread budget gives: under fill&drain no
+    /// stage begins `Forward(i+1)` before its `BackwardInput(i)` has ended
+    /// (the pipeline drains between samples), while under PB no stage
+    /// outruns its own weight-version FIFO (`version_lag + 1` forwards in
+    /// flight) and each worker's first stage — fed as fast as the worker
+    /// above allows — fills the shallowest FIFO of its worker's run, the
+    /// run-ahead rule of the group. A lane is recorded by one thread, so
+    /// its span order is execution order.
     #[test]
     fn fill_drain_drains_between_samples_and_pb_fills_its_version_fifo() {
         let max_in_flight = |config: ThreadedConfig| -> Vec<usize> {
@@ -778,24 +764,20 @@ mod tests {
             "fill&drain overlapped samples: {fill_drain:?}"
         );
         let pb = max_in_flight(ThreadedConfig::pb(schedule()));
-        let lag0 = MicrobatchSchedule::PipelinedBackprop.stage_version_lag(0, pb.len() + 1);
-        assert_eq!(pb[0], lag0 + 1, "stage 0 fills its version FIFO: {pb:?}");
+        let lag = |s| MicrobatchSchedule::PipelinedBackprop.stage_version_lag(s, pb.len() + 1);
         for (s, &m) in pb.iter().enumerate() {
-            let lag = MicrobatchSchedule::PipelinedBackprop.stage_version_lag(s, pb.len() + 1);
-            assert!(m <= lag + 1, "stage {s} outran its version FIFO: {pb:?}");
+            assert!(m <= lag(s) + 1, "stage {s} outran its version FIFO: {pb:?}");
         }
-    }
-
-    #[test]
-    fn heavy_stage_counting_tracks_flop_shares() {
-        // Uniform shares: every stage clears half the fair share.
-        assert_eq!(heavy_stage_count(&[10, 10, 10, 10]), 4);
-        // One dominant stage starves the rest below threshold.
-        assert_eq!(heavy_stage_count(&[1000, 1, 1, 1]), 1);
-        // Parameterless pipeline (e.g. all-activation stages): floor at 1.
-        assert_eq!(heavy_stage_count(&[0, 0]), 1);
-        // Mixed: total 211, fair half-share 26 → the two 100s qualify.
-        assert_eq!(heavy_stage_count(&[100, 100, 10, 1]), 2);
+        let workers = pb.len().min(pool::configured_threads());
+        for run in contiguous_bounds(pb.len(), workers).windows(2) {
+            let shallowest = (run[0]..run[1]).map(lag).min().expect("non-empty run");
+            let first = run[0];
+            assert_eq!(
+                pb[first],
+                shallowest + 1,
+                "stage {first} fills its worker's version FIFO: {pb:?}"
+            );
+        }
     }
 
     #[test]

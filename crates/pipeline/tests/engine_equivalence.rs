@@ -3,8 +3,9 @@
 //!
 //! * fill-and-drain at N = 1 is bit-identical to sequential SGDM;
 //! * a uniform delay of 0 at every stage is bit-identical to SGDM;
-//! * the thread-per-stage runtime is bit-identical to the sequential
-//!   engine for every plan — weights, f64 loss sums, delay histograms;
+//! * the threaded runtime is bit-identical to the sequential engine for
+//!   every plan at every worker count — weights, f64 loss sums, delay
+//!   histograms;
 //! * the PB plan's measured delay histogram is exactly Eq. 5.
 
 use pbp_data::{blobs, DatasetSpec, SyntheticImages};
@@ -334,7 +335,7 @@ fn a_constant_sampled_delay_is_the_fixed_delay() {
     }
 }
 
-/// Runs `run` on one thread and on a thread per stage from the same
+/// Runs `run` on one thread and on the threaded runtime from the same
 /// initial network and asserts the two are indistinguishable: epoch
 /// records (the f64 training-loss sums included), per-stage update counts
 /// and delay histograms, final weights.
@@ -364,9 +365,10 @@ fn assert_threaded_matches_scheduled(
     );
 }
 
-/// The thread-per-stage runtime executes the same stage groups as the
-/// sequential engine, so for every plan — however the threads interleave
-/// — it lands on the same bits. 54 training samples per epoch leave the
+/// The threaded runtime steps the same rank loop over the same stage
+/// cells as the sequential engine, so for every plan — however many
+/// workers the thread budget gives and however they interleave — it
+/// lands on the same bits. 54 training samples per epoch leave the
 /// M = 4 plans' update windows straddling the epoch boundary.
 #[test]
 fn threaded_is_bit_identical_to_scheduled_for_every_plan() {

@@ -1,5 +1,5 @@
 //! Golden-trace verification: the schedule-executing engines — one
-//! thread or a thread per stage — must emit traces whose structure is
+//! thread or threaded workers, however few — must emit traces whose structure is
 //! *exactly* derivable from their schedule's action stream — same span
 //! counts, sequential lanes, and bit-identical structure across same-seed
 //! runs. The MFU report built from a traced run must land in (0, 1].

@@ -33,8 +33,8 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Cores currently reserved away from the kernel pool by [`reserve`] (the
-/// threaded pipeline engine parks one reservation per busy stage worker
-/// while a stream is in flight).
+/// threaded pipeline engine parks one core per worker thread while a
+/// stream is in flight).
 static RESERVED: AtomicUsize = AtomicUsize::new(0);
 
 struct PoolState {

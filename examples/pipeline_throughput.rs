@@ -12,6 +12,7 @@ use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Miti
 use pipelined_backprop::pipeline::{
     fill_drain_utilization, ThreadedConfig, ThreadedPipeline, TrainEngine,
 };
+use pipelined_backprop::tensor::pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,8 +26,12 @@ fn main() {
     let data = spirals(3, 200, 0.05, 1);
     let order: Vec<usize> = (0..1200).map(|i| i % data.len()).collect();
 
-    let stages = widths.len(); // layer stages + loss
-    println!("pipeline stages: {stages}");
+    // Layer stages + loss.
+    let stages = widths.len();
+    // The threaded engine's rule: one worker per layer stage, or as many
+    // as the thread budget (`PBP_THREADS`, else the core count) holds.
+    let workers = (stages - 1).min(pool::configured_threads());
+    println!("pipeline stages: {stages} (on {workers} worker threads)");
     println!(
         "analytic fill&drain utilization at N=1 (Eq. 1): {:.1}%\n",
         100.0 * fill_drain_utilization(1, stages)

@@ -197,3 +197,45 @@ fn weight_stashing_equals_plain_pb_when_weights_do_not_change() {
         assert!((la - lb).abs() < 1e-6);
     }
 }
+
+#[test]
+fn threaded_pb_matches_the_sequential_engine_at_the_papers_depth() {
+    // RN20's shape — 33 layer stages plus the loss, the paper's
+    // one-layer-per-worker regime — on however many workers the thread
+    // budget gives (`PBP_THREADS`): the threaded run is the sequential
+    // one, bit for bit, whatever the cut.
+    let config = ResNetConfig {
+        depth: 20,
+        base_width: 4,
+        in_channels: 3,
+        num_classes: 4,
+    };
+    let net = || resnet_cifar(config, &mut StdRng::seed_from_u64(6));
+    assert_eq!(net().pipeline_stage_count(), 34);
+    let data = tiny_images(64);
+    let order: Vec<usize> = (0..8).flat_map(|e| data.epoch_order(17, e)).collect();
+    let run = ScheduledConfig::pb(schedule1()).with_mitigation(Mitigation::lwpv_scd());
+
+    let mut threaded = ThreadedPipeline::new(net(), ThreadedConfig::new(run.clone()));
+    let losses = threaded.stream(&data, &order).expect("clean run");
+    let mut sequential = ScheduledTrainer::new(net(), run);
+    let want: Vec<f32> = order
+        .iter()
+        .map(|&i| {
+            let (x, label) = data.sample(i);
+            sequential.train_sample(x, label)
+        })
+        .collect();
+    assert_eq!(losses, want);
+    let delays = |engine: &dyn TrainEngine| -> Vec<_> {
+        let stages = engine.metrics().stages;
+        stages.into_iter().map(|s| s.delay_hist).collect()
+    };
+    assert_eq!(delays(&threaded), delays(&sequential));
+    assert_networks_equal(
+        &threaded.into_network(),
+        &sequential.into_network(),
+        0.0,
+        "threaded PB vs sequential at 34 stages",
+    );
+}
