@@ -22,9 +22,10 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Balanced contiguous partition — the one by-count rule,
-    /// [`pbp_pipeline::contiguous_bounds`], that also cuts a threaded
-    /// run into workers. Errors when a rank would own nothing.
+    /// Balanced contiguous partition by count —
+    /// [`pbp_pipeline::contiguous_bounds`], the uniform-cost case of the
+    /// one rule ([`pbp_pipeline::partition_bounds`]) that also cuts a
+    /// threaded run into workers. Errors when a rank would own nothing.
     pub fn contiguous(layer_stages: usize, world: usize) -> Result<Self, DistError> {
         if world == 0 {
             return Err(DistError::Spec("world size must be at least 1".into()));

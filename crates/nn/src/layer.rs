@@ -114,12 +114,17 @@ pub trait Layer: Send {
         self.params().iter().map(|p| p.len()).sum()
     }
 
-    /// Estimated forward-pass multiply-add FLOPs for one sample, the
-    /// numerator of MFU accounting. The default — two FLOPs per parameter
-    /// — is exact for dense matmuls and a deliberate *underestimate* for
-    /// convolutions (which reuse each weight across every output pixel);
-    /// conv layers override this with their spatially-resolved cost once
-    /// a forward pass has told them the input size.
+    /// Estimated forward-pass multiply-add FLOPs for one sample: the
+    /// numerator of MFU accounting and the arithmetic term of the cost the
+    /// threaded pipeline cuts its workers by (`pbp_pipeline::stage_cost`).
+    /// The default — two FLOPs per parameter — is exact for dense matmuls
+    /// and a deliberate *underestimate* for convolutions (which reuse each
+    /// weight across every output pixel); conv layers override this with
+    /// their spatially-resolved cost once their builder
+    /// (`Conv2d::with_input_size`: `vgg_cnn`, `vgg`, `vgg_gn`) or a first
+    /// forward pass has told them the input size. Builders that take any
+    /// image size (`resnet_cifar`, `simple_cnn*`) leave it to the forward,
+    /// so a fresh network of theirs and a warmed one report differently.
     fn flops_per_sample(&self) -> u64 {
         2 * self.param_count() as u64
     }

@@ -26,8 +26,10 @@ pub struct Conv2d {
     wgrad_pending: VecDeque<(Tensor, Tensor)>,
     /// Recycled wide-lowering buffers for the eval-mode batched path.
     batch_scratch: ConvBatchScratch,
-    /// Input spatial size seen by the most recent forward pass; lets
-    /// [`Layer::flops_per_sample`] report the spatially-resolved cost.
+    /// Input spatial size, as the builder declared it
+    /// ([`Conv2d::with_input_size`]) or the most recent forward pass saw
+    /// it; lets [`Layer::flops_per_sample`] report the spatially-resolved
+    /// cost.
     last_hw: Option<(usize, usize)>,
     /// Training runs the direct batch-of-one kernels and stashes the
     /// input. In eval mode no backward will consume a stash, so forward
@@ -65,6 +67,14 @@ impl Conv2d {
             training: true,
             spec,
         }
+    }
+
+    /// Declares the `h × w` input this layer will see, so that
+    /// [`Layer::flops_per_sample`] — and the partition that reads it — is
+    /// the same before the first forward as after it.
+    pub fn with_input_size(mut self, h: usize, w: usize) -> Self {
+        self.last_hw = Some((h, w));
+        self
     }
 
     /// The convolution geometry.
@@ -217,9 +227,10 @@ impl Layer for Conv2d {
         self.stash.clear();
     }
 
-    /// Parameter-based — it misses the output-pixel factor — until a
-    /// first forward has set `last_hw`: an MFU read off a network that
-    /// has not run yet undercounts its conv stages.
+    /// Parameter-based — it misses the output-pixel factor — until the
+    /// builder ([`Conv2d::with_input_size`]) or a first forward has set
+    /// `last_hw`: an MFU or a stage cost read off such a network before it
+    /// has run undercounts its conv stages.
     fn flops_per_sample(&self) -> u64 {
         match self.last_hw {
             // Each weight is reused across every output pixel; the bias
@@ -229,7 +240,7 @@ impl Layer for Conv2d {
                 let bias = self.bias.as_ref().map_or(0, |b| b.len() as u64) * pixels;
                 2 * self.weight.len() as u64 * pixels + bias
             }
-            // No forward seen yet: fall back to the parameter-based default.
+            // Size not known yet: fall back to the parameter-based default.
             None => 2 * self.param_count() as u64,
         }
     }

@@ -80,10 +80,12 @@ pub fn simple_cnn(
 ///
 /// `image` is the input side length, needed to size the flatten; `hidden`
 /// is the width of the first fc layer. Unlike [`simple_cnn`]'s global
-/// average pool, the wide fc head makes batch-1 inference memory-bound on
-/// the fc weight matrix — the shape where batched evaluation (one matrix
-/// product for the whole batch) pays off most, which is why the serving
-/// benchmarks use this family.
+/// average pool, the wide fc head makes batch-1 inference read the whole
+/// fc weight matrix per sample — the shape where batched evaluation (one
+/// matrix product for the whole batch) pays off most, which is why the
+/// serving benchmarks use this family. Knowing the image side, the builder
+/// also tells each conv its input size, so the network's
+/// `flops_per_sample` is the same before its first forward as after.
 ///
 /// # Panics
 ///
@@ -103,10 +105,11 @@ pub fn vgg_cnn(
     let mut side = image;
     for i in 0..depth {
         let stride = if i > 0 && i % 2 == 0 { 2 } else { 1 };
+        let conv = Conv2d::new(c, width, 3, stride, 1, false, rng).with_input_size(side, side);
         stages.push(Stage::new(
             format!("conv{i}"),
             vec![
-                Box::new(Conv2d::new(c, width, 3, stride, 1, false, rng)) as Box<dyn crate::Layer>,
+                Box::new(conv) as Box<dyn crate::Layer>,
                 Box::new(GroupNorm::with_group_size_two(width)),
                 Box::new(Relu::new()),
             ],

@@ -137,6 +137,8 @@ fn vgg_impl(
     assert!(width_divisor > 0, "width divisor must be positive");
     let mut stages: Vec<Stage> = Vec::new();
     let mut c = in_channels;
+    // The input is 32×32 by contract; each pool halves it.
+    let mut side = 32usize;
     let mut conv_idx = 0usize;
     for step in variant.plan() {
         match step {
@@ -147,9 +149,10 @@ fn vgg_impl(
                     "width divisor {width_divisor} must divide {base_out}"
                 );
                 let out = base_out / width_divisor;
+                let conv = Conv2d::new(c, out, 3, 1, 1, true, rng).with_input_size(side, side);
                 stages.push(Stage::new(
                     format!("conv{conv_idx}"),
-                    vec![Box::new(Conv2d::new(c, out, 3, 1, 1, true, rng)) as Box<dyn Layer>],
+                    vec![Box::new(conv) as Box<dyn Layer>],
                 ));
                 if group_norm {
                     stages.push(Stage::new(
@@ -170,6 +173,7 @@ fn vgg_impl(
             }
             None => {
                 stages.push(Stage::single(Box::new(MaxPool2d::new(2, 2))));
+                side /= 2;
             }
         }
     }

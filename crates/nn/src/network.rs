@@ -133,9 +133,11 @@ impl Stage {
     }
 
     /// Estimated forward-pass FLOPs for one sample (sum of the stage's
-    /// layers — see [`Layer::flops_per_sample`]). Nothing schedules on it:
-    /// it is the numerator of MFU accounting (`pbp_trace::mfu`) and the
-    /// benchmark ledger's `tensor.flops_per_sample`.
+    /// layers — see [`Layer::flops_per_sample`]): the numerator of MFU
+    /// accounting (`pbp_trace::mfu`), the benchmark ledger's
+    /// `tensor.flops_per_sample`, and the arithmetic half of the cost the
+    /// threaded pipeline partitions its stages by
+    /// (`pbp_pipeline::stage_cost`).
     pub fn flops_per_sample(&self) -> u64 {
         self.layers.iter().map(|l| l.flops_per_sample()).sum()
     }

@@ -1,9 +1,10 @@
 //! Hand-computed FLOP counts for the layers whose `flops_per_sample`
-//! feeds the MFU report (pbp-trace) and the threaded engine's core
-//! division. Each expected value is derived from the layer's arithmetic,
-//! not from the implementation.
+//! feeds the MFU report (pbp-trace) and the threaded engine's partition
+//! of stages into workers. Each expected value is derived from the
+//! layer's arithmetic, not from the implementation.
 
 use pbp_nn::layers::{Conv2d, Linear, WsConv2d};
+use pbp_nn::models::vgg_cnn;
 use pbp_nn::Layer;
 use pbp_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -63,4 +64,21 @@ fn strided_conv_counts_the_reduced_output_grid() {
     let mut stack = vec![x];
     conv.forward(&mut stack);
     assert_eq!(conv.flops_per_sample(), 576);
+}
+
+#[test]
+fn a_builder_that_knows_the_image_counts_the_same_fresh_and_warmed() {
+    // The ledger's cnn: `vgg_cnn` sizes its flatten from the image side, so
+    // it tells each conv its input too, and the cost a partition reads off
+    // a fresh network is the one it would read after the first sample.
+    let mut net = vgg_cnn(3, 16, 4, 16, 256, 10, &mut StdRng::seed_from_u64(4));
+    let flops = |net: &pbp_nn::Network| -> Vec<u64> {
+        net.stages().map(|s| s.flops_per_sample()).collect()
+    };
+    let fresh = flops(&net);
+    // conv1, 16→16 on 16×16: 2·(16·16·9)·256 for the convolution, plus the
+    // parameter-based 2·32 of its group norm.
+    assert_eq!(fresh[1], 2 * 2304 * 256 + 64);
+    net.forward(&Tensor::zeros(&[1, 3, 16, 16]));
+    assert_eq!(flops(&net), fresh);
 }

@@ -7,7 +7,7 @@
 //! sequential [`ScheduledTrainer`](crate::ScheduledTrainer) over a group
 //! of all stages, each [`ThreadedPipeline`](crate::ThreadedPipeline)
 //! worker and each `pbp-dist` rank over its run of
-//! [`contiguous_bounds`]. Trace spans, metrics, loss
+//! [`partition_bounds`]. Trace spans, metrics, loss
 //! scaling, hyperparameter binding and the run-ahead rule therefore exist
 //! once, and the cell's ordering contract (see [`crate::cell`]) makes the
 //! three bit-identical — weights, f64 loss sums and Eq. 5 delay
@@ -41,14 +41,94 @@ use pbp_trace::{Lane, TracePhase, Tracer, PID_WALL};
 use std::ops::Range;
 use std::time::Instant;
 
-/// The one by-count partition rule: the `workers + 1` ascending bounds
-/// that cut `layer_stages` stages into `workers ≥ 1` contiguous runs of
-/// `layer_stages / workers`, the first `layer_stages % workers` runs one
-/// longer. Threaded workers and `pbp-dist` ranks both own run `w`,
-/// `bounds[w]..bounds[w + 1]`.
+/// Flop-equivalents one parameter costs a stage per sample: what the seven
+/// weight-sized streams of an update (the table of DESIGN §15) take, at
+/// the rate the stage's arithmetic goes. Read off `fc0` (1024×256,
+/// 262 400 parameters) and `conv1` (3 × 1.18 MFLOP) of the ledger's traced
+/// `cnn.seq` runs: `fc0`'s spans less its own 1.57 MFLOP at `conv1`'s rate,
+/// times that rate, per parameter — (224 − 24) µs × 65 GFLOP/s = 50 with
+/// the reference box in its fast mode, (264 − 41) µs × 38.5 GFLOP/s = 33
+/// in its slow one. Any value from 14 up cuts the ledger's cnn before
+/// `fc0`.
+const FLOPS_PER_PARAM: u64 = 45;
+
+/// What one sample costs `stage`, in flop-equivalents, read off the model
+/// alone: forward plus the two backward halves at the forward's
+/// [`Stage::flops_per_sample`] each, plus the update's memory streams per
+/// parameter. A convolution whose builder did not say its input size
+/// counts parameter-based until its first forward (see
+/// `Layer::flops_per_sample`), so only builders that do — `vgg_cnn`,
+/// `vgg`, `vgg_gn` — are cut the same fresh and warmed.
+pub fn stage_cost(stage: &Stage) -> u64 {
+    3 * stage.flops_per_sample() + FLOPS_PER_PARAM * stage.param_count() as u64
+}
+
+/// The one partition rule: the `workers + 1` ascending bounds that cut
+/// stages costing `costs` into `workers` non-empty contiguous runs with the
+/// least possible maximum summed cost. Threaded workers and `pbp-dist`
+/// ranks both own run `w`, `bounds[w]..bounds[w + 1]`. Among the cuts that
+/// reach that least maximum, run 0 is the longest that fits under it and
+/// the rest are cut the same way for their own least maximum — which, for
+/// uniform costs, is [`contiguous_bounds`].
+///
+/// # Panics
+///
+/// Panics unless `1 <= workers <= costs.len()`.
+pub fn partition_bounds(costs: &[u64], workers: usize) -> Vec<usize> {
+    assert!(
+        (1..=costs.len()).contains(&workers),
+        "{workers} workers cannot each own one of {} stages",
+        costs.len()
+    );
+    let mut bounds = vec![0];
+    for later in (0..workers).rev() {
+        let first = bounds[bounds.len() - 1];
+        let rest = &costs[first..];
+        let cap = least_max_run(rest, later + 1);
+        // Every later run keeps a stage; `cap` is at least any one cost,
+        // so this run is not empty either.
+        let (mut len, mut sum) = (0, 0u64);
+        while len < rest.len() - later && sum + rest[len] <= cap {
+            sum += rest[len];
+            len += 1;
+        }
+        bounds.push(first + len);
+    }
+    bounds
+}
+
+/// The least `cap` under which `costs` fits in at most `runs` contiguous
+/// runs (splitting a run never raises the maximum, so also in exactly
+/// `runs` non-empty ones): a bisection over the greedy fit.
+fn least_max_run(costs: &[u64], runs: usize) -> u64 {
+    let fits = |cap: u64| {
+        let (mut used, mut sum) = (1, 0u64);
+        for &cost in costs {
+            if sum + cost > cap {
+                used += 1;
+                sum = 0;
+            }
+            sum += cost;
+        }
+        used <= runs
+    };
+    let mut lo = costs.iter().copied().max().unwrap_or(0);
+    let mut hi = costs.iter().sum();
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if fits(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// [`partition_bounds`] by count — every stage costs the same: runs of
+/// `layer_stages / workers`, the first `layer_stages % workers` one longer.
 pub fn contiguous_bounds(layer_stages: usize, workers: usize) -> Vec<usize> {
-    let (base, extra) = (layer_stages / workers, layer_stages % workers);
-    (0..=workers).map(|w| w * base + w.min(extra)).collect()
+    partition_bounds(&vec![1; layer_stages], workers)
 }
 
 /// A contiguous range of pipeline stages executing one schedule (see the
@@ -349,5 +429,89 @@ impl StageGroup {
         self.next_fwd = completed;
         self.next_bwd = completed;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pbp_nn::models::{mlp, vgg_cnn};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn max_run(costs: &[u64], bounds: &[usize]) -> u64 {
+        let run = |w: &[usize]| costs[w[0]..w[1]].iter().sum::<u64>();
+        bounds.windows(2).map(run).max().expect("a run")
+    }
+
+    /// Every way to cut `n` stages into `workers` non-empty runs.
+    fn all_cuts(n: usize, workers: usize) -> Vec<Vec<usize>> {
+        let mut cuts = vec![vec![0]];
+        for later in (0..workers).rev() {
+            cuts = cuts
+                .into_iter()
+                .flat_map(|cut| {
+                    let first = cut[cut.len() - 1];
+                    let ends = if later == 0 {
+                        n..=n
+                    } else {
+                        first + 1..=n - later
+                    };
+                    ends.map(move |end| [&cut[..], &[end]].concat())
+                })
+                .collect();
+        }
+        cuts
+    }
+
+    #[test]
+    fn uniform_costs_cut_by_count() {
+        for n in 1..=12usize {
+            for w in 1..=n {
+                let (base, extra) = (n / w, n % w);
+                let by_count: Vec<usize> = (0..=w).map(|r| r * base + r.min(extra)).collect();
+                assert_eq!(contiguous_bounds(n, w), by_count, "{n} stages, {w} workers");
+                assert_eq!(partition_bounds(&vec![7; n], w), by_count, "cost 7 each");
+            }
+        }
+    }
+
+    #[test]
+    fn random_costs_reach_the_brute_force_least_maximum() {
+        let mut rng = StdRng::seed_from_u64(22);
+        for case in 0..300 {
+            let n = rng.gen_range(1..10usize);
+            let w = rng.gen_range(1..n + 1);
+            // Zero-cost (parameterless) stages and heavy outliers included.
+            let costs: Vec<u64> = (0..n)
+                .map(|_| match rng.gen_range(0..4u32) {
+                    0 => 0,
+                    1 => rng.gen_range(1_000..5_000u64),
+                    _ => rng.gen_range(1..50u64),
+                })
+                .collect();
+            let bounds = partition_bounds(&costs, w);
+            let what = format!("case {case}: {costs:?} over {w}: {bounds:?}");
+            assert_eq!((bounds[0], bounds[w]), (0, n), "{what}");
+            assert!(bounds.windows(2).all(|run| run[0] < run[1]), "{what}");
+            let least = all_cuts(n, w).iter().map(|cut| max_run(&costs, cut)).min();
+            assert_eq!(Some(max_run(&costs, &bounds)), least, "{what}");
+            assert_eq!(partition_bounds(&costs, w), bounds, "{what}: deterministic");
+        }
+    }
+
+    #[test]
+    fn the_ledgers_models_cut_where_the_spans_say() {
+        let costs = |net: &Network| net.stages().map(stage_cost).collect::<Vec<_>>();
+        // Four conv stages against `fc0`'s 1 MB of weights: cut before `fc0`.
+        let cnn = vgg_cnn(3, 16, 4, 16, 256, 10, &mut StdRng::seed_from_u64(0));
+        assert_eq!(partition_bounds(&costs(&cnn), 2), [0, 4, 6]);
+        // Seven equal 64×64 layers between two light ends: as by count.
+        let fine = mlp(
+            &[2, 64, 64, 64, 64, 64, 64, 64, 64, 3],
+            &mut StdRng::seed_from_u64(0),
+        );
+        assert_eq!(partition_bounds(&costs(&fine), 2), contiguous_bounds(9, 2));
+        assert_eq!(partition_bounds(&costs(&fine), 9), contiguous_bounds(9, 9));
     }
 }

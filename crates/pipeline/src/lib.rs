@@ -14,8 +14,10 @@
 //!   that move an `Activation` downstream and a `Gradient` (with the
 //!   loss) upstream. The threaded workers step it between channel
 //!   links, the `pbp-dist` ranks between sockets, the sequential engine
-//!   with no link at all; [`contiguous_bounds`] is the one rule that
-//!   cuts the stages into their contiguous groups.
+//!   with no link at all; [`partition_bounds`] is the one rule that
+//!   cuts the stages into their contiguous groups — by [`stage_cost`]
+//!   for the threaded workers, by count ([`contiguous_bounds`], its
+//!   uniform case) for the `pbp-dist` ranks.
 //! * [`ScheduledTrainer`] — the sequential substrate, the world of one:
 //!   a [`RankLoop`] over all stages, stepped a microbatch at a time. Under
 //!   [`ScheduledConfig::pb`] it is the deterministic, cycle-accurate
@@ -79,7 +81,7 @@ pub use engine::{run_training, EngineSpec, RunConfig, TrainEngine};
 pub use fault::{
     FaultInjector, FaultPlan, FaultSpec, LinkDir, LinkFault, PipelineFault, RankFault, RunError,
 };
-pub use group::{contiguous_bounds, StageGroup};
+pub use group::{contiguous_bounds, partition_bounds, stage_cost, StageGroup};
 pub use memory::MemoryModel;
 pub use metrics::{EngineMetrics, JsonSink, NoHooks, StageCounters, TraceHooks, TrainHooks};
 pub use rank::{Link, Message, RankError, RankLoop, Step, Upstream};

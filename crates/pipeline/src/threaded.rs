@@ -5,7 +5,8 @@
 //! This is the systems half of the paper's claim: pipelined
 //! backpropagation keeps all workers busy after the initial fill, while
 //! fill-and-drain training idles them (Eq. 1). Each worker is a
-//! [`RankLoop`] over its run of [`contiguous_bounds`] between two
+//! [`RankLoop`] over its run of [`partition_bounds`] — cut by
+//! [`stage_cost`], so the workers carry like loads — between two
 //! in-process [`Link`]s — the rank loop a `pbp-dist` process steps
 //! between two sockets (DESIGN §12) — so a threaded run of any
 //! [`MicrobatchSchedule`](crate::MicrobatchSchedule) is bit-identical
@@ -33,7 +34,7 @@
 
 use crate::engine::{batch_rows, TrainEngine};
 use crate::fault::{FaultInjector, FaultPlan, PipelineFault, RankFault};
-use crate::group::{contiguous_bounds, StageGroup};
+use crate::group::{partition_bounds, stage_cost, StageGroup};
 use crate::metrics::EngineMetrics;
 use crate::rank::{Link, Message, RankError, RankLoop, Step, Upstream};
 use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
@@ -181,6 +182,16 @@ impl ThreadedPipeline {
         self.state.as_mut().expect(POISONED)
     }
 
+    /// The cut every [`ThreadedPipeline::stream`] call makes: worker `w`
+    /// hosts stages `bounds[w]..bounds[w + 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine was poisoned by a [`PipelineFault`].
+    pub fn worker_bounds(&self) -> Vec<usize> {
+        worker_bounds(&self.state().net)
+    }
+
     /// Consumes the engine, returning the network.
     ///
     /// # Panics
@@ -218,9 +229,18 @@ impl ThreadedPipeline {
     }
 }
 
+/// One worker per layer stage where the thread budget
+/// ([`pool::configured_threads`]) allows, fewer and wider otherwise, cut
+/// so the costliest worker's [`stage_cost`] sum is the least possible.
+/// Static costs: a fresh engine, every later call and every host derive
+/// the same cut from the model alone.
+fn worker_bounds(net: &Network) -> Vec<usize> {
+    let costs: Vec<u64> = net.stages().map(stage_cost).collect();
+    partition_bounds(&costs, costs.len().min(pool::configured_threads()))
+}
+
 /// Core supervised runtime: splits `state` into one owned worker thread
-/// per run of [`contiguous_bounds`] — as many as the thread budget holds,
-/// at most one per stage — then runs the control plane on the calling
+/// per run of [`worker_bounds`], then runs the control plane on the calling
 /// thread: feeding samples with bounded waits, draining heartbeats/losses,
 /// checking the watchdog, and on any fault aborting, draining within the
 /// shutdown grace and detaching whatever will not die. Payloads travel back
@@ -239,9 +259,9 @@ fn run_stream(
     } = state;
     let base = rank.group.completed();
     let end = base + indices.len();
+    let bounds = worker_bounds(&net);
+    let workers = bounds.len() - 1;
     let mut stages = net.into_stages().into_iter();
-    let workers = stages.len().min(pool::configured_threads());
-    let bounds = contiguous_bounds(stages.len(), workers);
     // The workers are real OS threads competing with the kernel pool: park
     // one pool core each while they run (kernels are bit-identical at any
     // thread count, so this shifts wall-clock only).
@@ -266,8 +286,12 @@ fn run_stream(
 
     let plan = config.fault_plan.as_ref();
     let mut handles = Vec::with_capacity(workers);
-    for (w, group) in rank.group.split(&bounds).into_iter().enumerate() {
+    for (w, mut group) in rank.group.split(&bounds).into_iter().enumerate() {
         let owned = group.range();
+        // Which cut this call's spans were measured under.
+        let cut = format!("worker {w} of bounds {bounds:?}");
+        let lane = group.lane(owned.start);
+        lane.instant(pbp_trace::TracePhase::Partition, Some(cut));
         let (upper, next_lower) = link_ends(unbounded());
         let worker = StageWorker {
             stages: stages.by_ref().take(owned.len()).collect(),
@@ -724,7 +748,9 @@ mod tests {
     /// its span order is execution order.
     #[test]
     fn fill_drain_drains_between_samples_and_pb_fills_its_version_fifo() {
-        let max_in_flight = |config: ThreadedConfig| -> Vec<usize> {
+        // Per stage, the most forwards ever in flight; and the cut the
+        // engine made, which each worker's first lane also records.
+        let max_in_flight = |config: ThreadedConfig| -> (Vec<usize>, Vec<usize>) {
             let mut rng = StdRng::seed_from_u64(2);
             let net = mlp(&[2, 12, 12, 12, 12, 3], &mut rng);
             let stages = net.num_stages();
@@ -733,7 +759,20 @@ mod tests {
             let mut engine = ThreadedPipeline::new(net, config.with_tracer(tracer.clone()));
             engine.stream(&data, &cyclic(&data, 60)).expect("clean run");
             let trace = tracer.finish();
-            (0..stages)
+            let bounds = engine.worker_bounds();
+            for (w, run) in bounds.windows(2).enumerate() {
+                let lane = trace.lane(PID_WALL, &format!("stage-{}", run[0]));
+                let cut: Vec<_> = lane
+                    .expect("stage lane")
+                    .instants
+                    .iter()
+                    .filter(|i| i.phase == TracePhase::Partition)
+                    .map(|i| i.detail.clone())
+                    .collect();
+                let want = format!("worker {w} of bounds {bounds:?}");
+                assert_eq!(cut, [Some(want)], "one record of the cut per call");
+            }
+            let in_flight = (0..stages)
                 .map(|s| {
                     let lane = trace
                         .lane(PID_WALL, &format!("stage-{s}"))
@@ -756,20 +795,20 @@ mod tests {
                     assert_eq!(in_flight, 0, "stage {s} ends drained");
                     max
                 })
-                .collect()
+                .collect();
+            (in_flight, bounds)
         };
-        let fill_drain = max_in_flight(ThreadedConfig::fill_drain(schedule()));
+        let (fill_drain, _) = max_in_flight(ThreadedConfig::fill_drain(schedule()));
         assert!(
             fill_drain.iter().all(|&m| m == 1),
             "fill&drain overlapped samples: {fill_drain:?}"
         );
-        let pb = max_in_flight(ThreadedConfig::pb(schedule()));
+        let (pb, bounds) = max_in_flight(ThreadedConfig::pb(schedule()));
         let lag = |s| MicrobatchSchedule::PipelinedBackprop.stage_version_lag(s, pb.len() + 1);
         for (s, &m) in pb.iter().enumerate() {
             assert!(m <= lag(s) + 1, "stage {s} outran its version FIFO: {pb:?}");
         }
-        let workers = pb.len().min(pool::configured_threads());
-        for run in contiguous_bounds(pb.len(), workers).windows(2) {
+        for run in bounds.windows(2) {
             let shallowest = (run[0]..run[1]).map(lag).min().expect("non-empty run");
             let first = run[0];
             assert_eq!(

@@ -15,11 +15,11 @@
 //! largest are additionally partitioned across the [`crate::pool`] worker
 //! pool along whichever output dimension is longer.
 //!
-//! This file is the policy: size dispatch, `KC` blocking, packing, the chunk
-//! grid, and the `A·Bᵀ` dot chains. The arithmetic of every other path is
-//! two micro-kernels of [`super::simd`] — the register tile
-//! ([`simd::tile`]) and the row axpy sweep ([`simd::axpy_row`]) — each
-//! written once and instantiated per SIMD tier.
+//! This file is the policy: size dispatch, `KC` blocking, packing and the
+//! chunk grid. The arithmetic of every path is three micro-kernels of
+//! [`super::simd`] — the register tile ([`simd::tile`]), the row axpy
+//! sweep ([`simd::axpy_row`]) and the lane-per-output `A·Bᵀ` row
+//! ([`simd::nt_row`]) — each written once and instantiated per SIMD tier.
 //!
 //! # Bit-exact accumulation contract
 //!
@@ -350,29 +350,14 @@ fn pack_b<const BT: bool>(
     }
 }
 
-/// `W` adjacent outputs `crow[j..j + W]` of an `A·Bᵀ` row: `W` independent
-/// dots of `arow` with rows `j..j + W` of `b`, each one left-to-right fma
-/// chain in increasing `k` from the existing output value.
-#[inline(always)]
-fn nt_chains<const W: usize>(arow: &[f32], b: &[f32], crow: &mut [f32], j: usize) {
-    let k = arow.len();
-    let brows: [&[f32]; W] = std::array::from_fn(|l| &b[(j + l) * k..][..k]);
-    let mut s: [f32; W] = std::array::from_fn(|l| crow[j + l]);
-    for (kk, &av) in arow.iter().enumerate() {
-        for l in 0..W {
-            s[l] = av.mul_add(brows[l][kk], s[l]);
-        }
-    }
-    crow[j..j + W].copy_from_slice(&s);
-}
-
 /// Simple accumulating kernels for small products. Loop orders are chosen
-/// per layout so the innermost loop either vectorizes across `j` or runs
-/// several independent `k` chains, while each element still accumulates in
-/// increasing `k` order. The `nn` and `tn` row sweeps are
-/// [`simd::axpy_row`], so small (batch-1-sized) products run on the active
-/// tier too; the `nt` path keeps its scalar dot products — vectorizing
-/// across `k` would break the single-chain accumulation contract.
+/// per layout so the innermost loop vectorizes across the outputs `j`
+/// while each element still accumulates in increasing `k` order: the `nn`
+/// and `tn` row sweeps are [`simd::axpy_row`] and an `nt` row is
+/// [`simd::nt_row`], so small (batch-1-sized) products run on the active
+/// tier in every layout. The `nt` dots vectorize across `j` too — a lane
+/// per output over transposed blocks of `B` — never across `k`, which
+/// would break the single-chain accumulation contract.
 fn simple<const AT: bool, const BT: bool>(
     a: &[f32],
     b: &[f32],
@@ -382,26 +367,10 @@ fn simple<const AT: bool, const BT: bool>(
     n: usize,
 ) {
     if BT {
-        // A·Bᵀ: per output element a dot of two contiguous rows. Each dot
-        // is one latency-bound fma chain, so eight independent chains run
-        // per pass (two FMA ports × four cycles of latency), then four,
-        // then one at a time for the remainder.
+        // A·Bᵀ: per output element a dot of two contiguous rows, a lane
+        // per output. At `m = 1` this is every batch-1 `Linear::forward`.
         for i in 0..m {
-            let arow = &a[i * k..][..k];
-            let crow = &mut c[i * n..][..n];
-            let mut j = 0;
-            while j + 8 <= n {
-                nt_chains::<8>(arow, b, crow, j);
-                j += 8;
-            }
-            if j + 4 <= n {
-                nt_chains::<4>(arow, b, crow, j);
-                j += 4;
-            }
-            while j < n {
-                nt_chains::<1>(arow, b, crow, j);
-                j += 1;
-            }
+            simd::nt_row(&a[i * k..][..k], b, &mut c[i * n..][..n]);
         }
     } else if AT {
         // Aᵀ·B: axpy with `k` outermost, so each element's chain still runs

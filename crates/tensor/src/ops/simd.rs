@@ -1,10 +1,13 @@
 //! The micro-kernel layer: every hot inner loop of the crate, written once
 //! over `Lanes` and instantiated per SIMD tier.
 //!
-//! Five kernels live here — the GEMM register tile (`tile`), the row axpy
-//! sweep (`axpy_row`) and the three direct convolution kernels
-//! (`conv_forward`, `conv_backward_input`, `conv_backward_weight`).
-//! Each is one generic function over a lane type: lanes never interact, and
+//! Six kernels live here — the GEMM register tile (`tile`), the row axpy
+//! sweep (`axpy_row`), the `A·Bᵀ` row (`nt_row`) and the three direct
+//! convolution kernels (`conv_forward`, `conv_backward_input`,
+//! `conv_backward_weight`).
+//! Each is one generic function over a lane type: lanes never interact —
+//! the one cross-lane operation, `Lanes::transpose` in the `A·Bᵀ` row,
+//! moves data and computes nothing — and
 //! the only arithmetic is `Lanes::fma` (plus one `Lanes::add` in the
 //! input-gradient kernel), so every output element is one left-to-right
 //! chain of fused multiply-adds whatever the vector width. An IEEE 754
@@ -31,9 +34,9 @@
 //! process. Every safe entry point ends in the same
 //! `match active_tier()`: the `__m512` and `__m256` instantiations behind
 //! `#[target_feature]` wrappers, and a `_ =>` arm running the portable
-//! instantiation (`[f32; 16]` for the tile, `f32` for the axpy sweep and
-//! the convolution kernels) — which is also all a non-x86-64 target
-//! compiles.
+//! instantiation (`[f32; 16]` for the tile, `f32` for the axpy sweep, the
+//! `A·Bᵀ` row and the convolution kernels) — which is also all a
+//! non-x86-64 target compiles.
 //!
 //! # The ragged edge
 //!
@@ -44,7 +47,11 @@
 //! zero-padded packed `B` panel is read at full width. Masked-off lanes
 //! accumulate on the padding and are never stored; each live lane runs the
 //! identical fma chain. A row sweep's ragged tail is the axpy kernel again
-//! at the one-lane type `f32`.
+//! at the one-lane type `f32`, and an `A·Bᵀ` row hands what is left of it —
+//! fewer than a vector of outputs, or a reduction shorter than one — to the
+//! next narrower lane type, down to `f32`; the ragged end of its reduction
+//! is a `load_first` block of which only the live columns are multiplied
+//! in.
 
 use super::gemm::NR;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -172,8 +179,9 @@ pub fn set_tier(tier: SimdTier) {
 
 /// A vector of `f32` lanes the micro-kernels are written over: `f32` itself
 /// and `[f32; 16]` on the scalar tier (plain `mul_add` loops), `__m256` and
-/// `__m512` on the SIMD tiers. Lanes never interact — every method is
-/// element-wise — and `fma` is the one exactly-rounded fused multiply-add
+/// `__m512` on the SIMD tiers. Lanes never interact in arithmetic — every
+/// method but the data-moving `transpose` is element-wise — and `fma` is
+/// the one exactly-rounded fused multiply-add
 /// on every implementation, so a kernel written once over `Lanes` computes
 /// the same bits at every width.
 ///
@@ -201,6 +209,10 @@ trait Lanes: Copy {
     /// `a * b + c`, rounded once.
     unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
     unsafe fn add(a: Self, b: Self) -> Self;
+    /// Transposes the leading `N × N` block of `rows` in registers: lane
+    /// `l` of `rows[p]` and lane `p` of `rows[l]` change places, for
+    /// `l, p < N`. Pure data movement; entries past `N` are not touched.
+    unsafe fn transpose(rows: &mut [Self; MAX_LANES]);
 }
 
 impl Lanes for f32 {
@@ -243,6 +255,9 @@ impl Lanes for f32 {
     unsafe fn add(a: Self, b: Self) -> Self {
         a + b
     }
+    /// One lane: the block is its own transpose.
+    #[inline(always)]
+    unsafe fn transpose(_rows: &mut [Self; MAX_LANES]) {}
 }
 
 /// The portable full-width lane type: what the scalar tier runs the
@@ -283,6 +298,16 @@ impl Lanes for [f32; MAX_LANES] {
     #[inline(always)]
     unsafe fn add(a: Self, b: Self) -> Self {
         std::array::from_fn(|l| a[l] + b[l])
+    }
+    #[inline(always)]
+    unsafe fn transpose(rows: &mut [Self; MAX_LANES]) {
+        for p in 0..MAX_LANES {
+            for l in 0..p {
+                let upper = rows[l][p];
+                rows[l][p] = rows[p][l];
+                rows[p][l] = upper;
+            }
+        }
     }
 }
 
@@ -511,6 +536,143 @@ macro_rules! row_blocks {
             }
         }
     }};
+}
+
+/// Operands of one row of `C (+)= A·Bᵀ`; see [`nt_row`]. `b` is `n×k`
+/// row-major for `k = a.len()`, `c` the row's `n` outputs.
+#[derive(Clone, Copy)]
+struct NtArgs<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    c: *mut f32,
+    n: usize,
+}
+
+/// The `V::N × V::N` block of `B` whose first row starts at `p`, rows
+/// `stride` apart, transposed: vector `q` of the result holds column `q` of
+/// the block, one row of `B` per lane. A ragged block (`!FULL`) reads only
+/// the first `w < V::N` columns of each row, the rest come back `+0.0`.
+#[inline(always)]
+unsafe fn load_transposed<V: Lanes, const FULL: bool>(
+    p: *const f32,
+    stride: usize,
+    w: usize,
+) -> [V; MAX_LANES] {
+    let mut block = [V::zero(); MAX_LANES];
+    for (l, row) in block.iter_mut().enumerate().take(V::N) {
+        *row = if FULL {
+            V::load(p.add(l * stride))
+        } else {
+            V::load_first(p.add(l * stride), w)
+        };
+    }
+    V::transpose(&mut block);
+    block
+}
+
+/// One block of an `A·Bᵀ` row folded into `acc`, a lane per output: the
+/// `w` columns of `B` at `b` (`V::N` rows, `k` apart) times `a[..w]`, in
+/// increasing `k`. Of a ragged block (`!FULL`, `w < V::N`) only the live
+/// columns are multiplied in — a `+0.0` product is not a no-op on a `−0.0`
+/// sum.
+#[inline(always)]
+unsafe fn nt_fold<V: Lanes, const FULL: bool>(
+    mut acc: V,
+    a: *const f32,
+    b: *const f32,
+    k: usize,
+    w: usize,
+) -> V {
+    let cols = load_transposed::<V, FULL>(b, k, w);
+    for (q, &col) in cols.iter().enumerate().take(w) {
+        acc = V::fma(V::splat(*a.add(q)), col, acc);
+    }
+    acc
+}
+
+/// `R` vectors of adjacent outputs `c[j0..j0 + R · V::N]` of an `A·Bᵀ`
+/// row, a lane per output: each lane runs the dot of `a` with its own row
+/// of `B` as one fma chain in increasing `k` from the existing output
+/// value. `B` is read a transposed block at a time, so the loads stay
+/// contiguous along `k`; the last `k mod V::N` columns are a ragged block.
+#[inline(always)]
+unsafe fn nt_block<V: Lanes, const R: usize>(t: NtArgs<'_>, j0: usize) {
+    let k = t.a.len();
+    let ap = t.a.as_ptr();
+    let rows: [*const f32; R] = std::array::from_fn(|r| t.b.as_ptr().add((j0 + r * V::N) * k));
+    let mut acc: [V; R] = std::array::from_fn(|r| V::load(t.c.add(j0 + r * V::N)));
+    let mut kk = 0;
+    while kk + V::N <= k {
+        for r in 0..R {
+            acc[r] = nt_fold::<V, true>(acc[r], ap.add(kk), rows[r].add(kk), k, V::N);
+        }
+        kk += V::N;
+    }
+    if kk < k {
+        for r in 0..R {
+            acc[r] = nt_fold::<V, false>(acc[r], ap.add(kk), rows[r].add(kk), k, k - kk);
+        }
+    }
+    for r in 0..R {
+        acc[r].store(t.c.add(j0 + r * V::N));
+    }
+}
+
+/// The outputs from `j0` on that fill whole vectors of `V`, a vector at a
+/// time: the transpose of the next block overlaps the chain of this one, so
+/// one accumulator covers the fma latency. Returns the first output not
+/// computed — `j0` itself when the reduction is shorter than a vector.
+#[inline(always)]
+unsafe fn nt_vectors<V: Lanes>(t: NtArgs<'_>, j0: usize) -> usize {
+    let mut j = j0;
+    if t.a.len() >= V::N {
+        while j + V::N <= t.n {
+            nt_block::<V, 1>(t, j);
+            j += V::N;
+        }
+    }
+    j
+}
+
+/// The outputs from `j0` to the end of the row at the one-lane type: eight
+/// independent chains per pass (two fma ports × four cycles of latency),
+/// then four, then one. The whole row on the portable tier, and what the
+/// vector types leave: fewer than a vector of outputs, or a reduction
+/// shorter than one.
+#[inline(always)]
+unsafe fn nt_one_lane(t: NtArgs<'_>, j0: usize) {
+    row_blocks!(f32, t.n - j0, r0, nt_block(t, j0 + r0));
+}
+
+/// One row of `C (+)= A·Bᵀ` on the active tier: `c[j] = c[j] + a · b[j]`
+/// for row `j` of the `c.len() × a.len()` matrix `b`, each output one
+/// left-to-right fma chain in increasing `k` from the value already in
+/// `c` — the chain [`super::reference::matmul_nt_acc_ref`] runs. This is
+/// every batch-one `Linear::forward`.
+///
+/// # Panics
+///
+/// Panics if `b` is not `c.len() × a.len()`.
+pub(crate) fn nt_row(a: &[f32], b: &[f32], c: &mut [f32]) {
+    assert_eq!(b.len(), c.len() * a.len(), "nt_row: B is n×k");
+    let t = NtArgs {
+        a,
+        b,
+        c: c.as_mut_ptr(),
+        n: c.len(),
+    };
+    // SAFETY: the assert bounds every access: `a[kk]`, `b[j * k + kk]` and
+    // `c[j]` for `j < n`, `kk < k`; a ragged block reads only its live
+    // columns; the tier match proves the CPU feature.
+    unsafe {
+        match active_tier() {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512Fma => x86::nt_row_avx512(t),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2Fma => x86::nt_row_avx2(t),
+            _ => nt_one_lane(t, 0),
+        }
+    }
 }
 
 /// Arguments of the direct forward kernel; see [`conv_forward`].
@@ -811,7 +973,7 @@ pub(crate) fn conv_backward_weight(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{BwdInputArgs, BwdWeightArgs, FwdArgs, Lanes, Tile};
+    use super::{BwdInputArgs, BwdWeightArgs, FwdArgs, Lanes, NtArgs, Tile, MAX_LANES};
     use std::arch::x86_64::*;
 
     /// `MASK_TABLE[8 - w..][..8]` is `w` all-ones lanes then zeros: the
@@ -864,6 +1026,31 @@ mod x86 {
         unsafe fn add(a: Self, b: Self) -> Self {
             _mm256_add_ps(a, b)
         }
+        /// 8×8: 4×4 transposes inside the 128-bit halves (unpack, then
+        /// shuffle), then the halves of rows `c` and `4 + c` regrouped.
+        #[inline(always)]
+        unsafe fn transpose(rows: &mut [Self; MAX_LANES]) {
+            let mut cols = [_mm256_setzero_ps(); 8];
+            for g in 0..2 {
+                let r = &rows[4 * g..4 * g + 4];
+                let (t0, t1) = (
+                    _mm256_unpacklo_ps(r[0], r[1]),
+                    _mm256_unpackhi_ps(r[0], r[1]),
+                );
+                let (t2, t3) = (
+                    _mm256_unpacklo_ps(r[2], r[3]),
+                    _mm256_unpackhi_ps(r[2], r[3]),
+                );
+                cols[4 * g] = _mm256_shuffle_ps::<0x44>(t0, t2);
+                cols[4 * g + 1] = _mm256_shuffle_ps::<0xEE>(t0, t2);
+                cols[4 * g + 2] = _mm256_shuffle_ps::<0x44>(t1, t3);
+                cols[4 * g + 3] = _mm256_shuffle_ps::<0xEE>(t1, t3);
+            }
+            for c in 0..4 {
+                rows[c] = _mm256_permute2f128_ps::<0x20>(cols[c], cols[4 + c]);
+                rows[4 + c] = _mm256_permute2f128_ps::<0x31>(cols[c], cols[4 + c]);
+            }
+        }
     }
 
     impl Lanes for __m512 {
@@ -901,6 +1088,38 @@ mod x86 {
         #[inline(always)]
         unsafe fn add(a: Self, b: Self) -> Self {
             _mm512_add_ps(a, b)
+        }
+        /// 16×16: 4×4 transposes inside the 128-bit quarters (unpack, then
+        /// shuffle), then a 4×4 transpose of whole quarters among rows
+        /// `c`, `4 + c`, `8 + c`, `12 + c` — 64 shuffles for 256 floats.
+        #[inline(always)]
+        unsafe fn transpose(rows: &mut [Self; MAX_LANES]) {
+            let mut cols = [_mm512_setzero_ps(); 16];
+            for g in 0..4 {
+                let r = &rows[4 * g..4 * g + 4];
+                let (t0, t1) = (
+                    _mm512_unpacklo_ps(r[0], r[1]),
+                    _mm512_unpackhi_ps(r[0], r[1]),
+                );
+                let (t2, t3) = (
+                    _mm512_unpacklo_ps(r[2], r[3]),
+                    _mm512_unpackhi_ps(r[2], r[3]),
+                );
+                cols[4 * g] = _mm512_shuffle_ps::<0x44>(t0, t2);
+                cols[4 * g + 1] = _mm512_shuffle_ps::<0xEE>(t0, t2);
+                cols[4 * g + 2] = _mm512_shuffle_ps::<0x44>(t1, t3);
+                cols[4 * g + 3] = _mm512_shuffle_ps::<0xEE>(t1, t3);
+            }
+            for c in 0..4 {
+                let even_lo = _mm512_shuffle_f32x4::<0x88>(cols[c], cols[4 + c]);
+                let odd_lo = _mm512_shuffle_f32x4::<0xDD>(cols[c], cols[4 + c]);
+                let even_hi = _mm512_shuffle_f32x4::<0x88>(cols[8 + c], cols[12 + c]);
+                let odd_hi = _mm512_shuffle_f32x4::<0xDD>(cols[8 + c], cols[12 + c]);
+                rows[c] = _mm512_shuffle_f32x4::<0x88>(even_lo, even_hi);
+                rows[4 + c] = _mm512_shuffle_f32x4::<0x88>(odd_lo, odd_hi);
+                rows[8 + c] = _mm512_shuffle_f32x4::<0xDD>(even_lo, even_hi);
+                rows[12 + c] = _mm512_shuffle_f32x4::<0xDD>(odd_lo, odd_hi);
+            }
         }
     }
 
@@ -943,6 +1162,22 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn conv_backward_weight_avx512(a: BwdWeightArgs<'_>) {
         super::bwd_weight_kernel::<__m512>(a)
+    }
+
+    /// See [`conv_forward_avx2`]. Outputs sixteen at a time while a whole
+    /// `__m512` of them (and of `k`) is left, then eight, then one lane.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn nt_row_avx512(t: NtArgs<'_>) {
+        let j = super::nt_vectors::<__m512>(t, 0);
+        let j = super::nt_vectors::<__m256>(t, j);
+        super::nt_one_lane(t, j)
+    }
+
+    /// See [`conv_forward_avx2`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn nt_row_avx2(t: NtArgs<'_>) {
+        let j = super::nt_vectors::<__m256>(t, 0);
+        super::nt_one_lane(t, j)
     }
 
     /// See [`conv_forward_avx2`]. Two `__m256` per tile row. The inline hint
@@ -1074,6 +1309,86 @@ mod tests {
     #[test]
     fn load_first_and_store_first_touch_exactly_w_lanes() {
         on_every_lane_type!(masked_pair_stays_inside_w);
+    }
+
+    /// The transposing block load at `V` against a one-lane gather of the
+    /// same block, full and at every ragged width: vector `q` is column
+    /// `q`, dead columns `+0.0`, and nothing outside the block is read —
+    /// everything around it is NaN.
+    fn block_load_matches_the_gather<V: Lanes, const VR: usize>(ty: &str) {
+        let n = V::N;
+        // Rows `stride` apart, the block one float in from the left edge.
+        let stride = n + 3;
+        let src = rand_vec(n * n, 7);
+        for w in 0..=n {
+            let mut b = vec![f32::NAN; (n + 1) * stride];
+            for (l, row) in src.chunks_exact(n).enumerate() {
+                b[l * stride + 1..][..w].copy_from_slice(&row[..w]);
+            }
+            let mut got = vec![SENTINEL; n * n];
+            // SAFETY: rows `0..n` of `b` hold `1 + w <= stride` floats
+            // each, `got` a whole vector per column; the macro proved the
+            // CPU feature.
+            unsafe {
+                let cols = if w == n {
+                    load_transposed::<V, true>(b.as_ptr().add(1), stride, w)
+                } else {
+                    load_transposed::<V, false>(b.as_ptr().add(1), stride, w)
+                };
+                for (q, col) in cols.iter().enumerate().take(n) {
+                    col.store(got.as_mut_ptr().add(q * n));
+                }
+            }
+            let want: Vec<f32> = (0..n * n)
+                .map(|i| {
+                    if i / n < w {
+                        src[(i % n) * n + i / n]
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            assert_bits_eq(&got, &want, &format!("{ty} block load w={w}"));
+        }
+    }
+
+    #[test]
+    fn transposing_block_load_equals_the_gather_and_stays_inside_the_block() {
+        on_every_lane_type!(block_load_matches_the_gather);
+    }
+
+    /// An `A·Bᵀ` row with its whole vectors of outputs at `V` (the rest at
+    /// one lane) against the whole row at one lane.
+    fn nt_row_matches_the_one_lane_row<V: Lanes, const VR: usize>(ty: &str) {
+        for k in [1, V::N - 1, V::N, V::N + 1, 2 * V::N + 3] {
+            for n in [1, V::N, 2 * V::N + 1] {
+                let (a, b) = (rand_vec(k, 8), rand_vec(n * k, 9));
+                let mut c0 = rand_vec(n + 1, 10);
+                c0[n] = SENTINEL;
+                let (mut got, mut want) = (c0.clone(), c0);
+                let row = |c: &mut [f32]| NtArgs {
+                    a: &a,
+                    b: &b,
+                    c: c.as_mut_ptr(),
+                    n,
+                };
+                // SAFETY: `b` is `n×k` and both outputs hold `n` floats;
+                // the macro proved the CPU feature.
+                unsafe {
+                    let t = row(&mut got);
+                    nt_one_lane(t, nt_vectors::<V>(t, 0));
+                    nt_one_lane(row(&mut want), 0);
+                }
+                let context = format!("{ty} k={k} n={n}");
+                assert_bits_eq(&got, &want, &context);
+                assert_eq!(want[n], SENTINEL, "{context}: wrote past the row");
+            }
+        }
+    }
+
+    #[test]
+    fn nt_row_kernel_is_bit_identical_at_every_lane_type() {
+        on_every_lane_type!(nt_row_matches_the_one_lane_row);
     }
 
     /// [`tile_any`] with `AT` and `MRL` chosen at run time.

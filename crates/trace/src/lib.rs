@@ -65,6 +65,9 @@ pub enum TracePhase {
     Reconnect,
     /// Switchover to the degraded (sequential) engine.
     Degraded,
+    /// The cut of stages into workers a streaming call ran under, on each
+    /// worker's first stage lane.
+    Partition,
 }
 
 impl TracePhase {
@@ -82,6 +85,7 @@ impl TracePhase {
             TracePhase::Backoff => "backoff",
             TracePhase::Reconnect => "reconnect",
             TracePhase::Degraded => "degraded",
+            TracePhase::Partition => "partition",
         }
     }
 

@@ -10,9 +10,8 @@ use pipelined_backprop::data::spirals;
 use pipelined_backprop::nn::models::mlp;
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
 use pipelined_backprop::pipeline::{
-    fill_drain_utilization, ThreadedConfig, ThreadedPipeline, TrainEngine,
+    fill_drain_utilization, stage_cost, ThreadedConfig, ThreadedPipeline, TrainEngine,
 };
-use pipelined_backprop::tensor::pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,9 +28,25 @@ fn main() {
     // Layer stages + loss.
     let stages = widths.len();
     // The threaded engine's rule: one worker per layer stage, or as many
-    // as the thread budget (`PBP_THREADS`, else the core count) holds.
-    let workers = (stages - 1).min(pool::configured_threads());
-    println!("pipeline stages: {stages} (on {workers} worker threads)");
+    // as the thread budget (`PBP_THREADS`, else the core count) holds, cut
+    // so that the costliest worker carries as little as possible.
+    let engine = ThreadedPipeline::new(
+        mlp(&widths, &mut StdRng::seed_from_u64(3)),
+        ThreadedConfig::pb(schedule.clone()),
+    );
+    let bounds = engine.worker_bounds();
+    let costs: Vec<u64> = engine.into_network().stages().map(stage_cost).collect();
+    let total: u64 = costs.iter().sum();
+    let shares: Vec<String> = bounds
+        .windows(2)
+        .map(|run| costs[run[0]..run[1]].iter().sum::<u64>())
+        .map(|cost| format!("{:.0}%", 100.0 * cost as f64 / total as f64))
+        .collect();
+    println!(
+        "pipeline stages: {stages} (on {} worker threads, cut at {bounds:?}: {} of the cost)",
+        bounds.len() - 1,
+        shares.join(" / ")
+    );
     println!(
         "analytic fill&drain utilization at N=1 (Eq. 1): {:.1}%\n",
         100.0 * fill_drain_utilization(1, stages)

@@ -2,7 +2,7 @@
 //! each other in the regimes where the paper's math says they coincide.
 
 use pipelined_backprop::data::{blobs, DatasetSpec, SyntheticImages};
-use pipelined_backprop::nn::models::{mlp, resnet_cifar, simple_cnn, ResNetConfig};
+use pipelined_backprop::nn::models::{mlp, resnet_cifar, simple_cnn, vgg_cnn, ResNetConfig};
 use pipelined_backprop::nn::Network;
 use pipelined_backprop::optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
 use pipelined_backprop::pipeline::{
@@ -198,6 +198,43 @@ fn weight_stashing_equals_plain_pb_when_weights_do_not_change() {
     }
 }
 
+/// Streams `order` through a threaded PB + LWPvD + SCD engine over `net()`
+/// and trains a sequential one on the same samples: per-sample losses,
+/// Eq. 5 delay histograms and weights must be equal bit for bit, whatever
+/// cut the threaded engine made — which is returned.
+fn assert_threaded_pb_is_the_sequential_run(
+    net: impl Fn() -> Network,
+    data: &pipelined_backprop::data::Dataset,
+    order: &[usize],
+    what: &str,
+) -> Vec<usize> {
+    let run = ScheduledConfig::pb(schedule1()).with_mitigation(Mitigation::lwpv_scd());
+    let mut threaded = ThreadedPipeline::new(net(), ThreadedConfig::new(run.clone()));
+    let bounds = threaded.worker_bounds();
+    let losses = threaded.stream(data, order).expect("clean run");
+    let mut sequential = ScheduledTrainer::new(net(), run);
+    let want: Vec<f32> = order
+        .iter()
+        .map(|&i| {
+            let (x, label) = data.sample(i);
+            sequential.train_sample(x, label)
+        })
+        .collect();
+    assert_eq!(losses, want, "{what}");
+    let delays = |engine: &dyn TrainEngine| -> Vec<_> {
+        let stages = engine.metrics().stages;
+        stages.into_iter().map(|s| s.delay_hist).collect()
+    };
+    assert_eq!(delays(&threaded), delays(&sequential), "{what}");
+    assert_networks_equal(
+        &threaded.into_network(),
+        &sequential.into_network(),
+        0.0,
+        what,
+    );
+    bounds
+}
+
 #[test]
 fn threaded_pb_matches_the_sequential_engine_at_the_papers_depth() {
     // RN20's shape — 33 layer stages plus the loss, the paper's
@@ -214,28 +251,26 @@ fn threaded_pb_matches_the_sequential_engine_at_the_papers_depth() {
     assert_eq!(net().pipeline_stage_count(), 34);
     let data = tiny_images(64);
     let order: Vec<usize> = (0..8).flat_map(|e| data.epoch_order(17, e)).collect();
-    let run = ScheduledConfig::pb(schedule1()).with_mitigation(Mitigation::lwpv_scd());
-
-    let mut threaded = ThreadedPipeline::new(net(), ThreadedConfig::new(run.clone()));
-    let losses = threaded.stream(&data, &order).expect("clean run");
-    let mut sequential = ScheduledTrainer::new(net(), run);
-    let want: Vec<f32> = order
-        .iter()
-        .map(|&i| {
-            let (x, label) = data.sample(i);
-            sequential.train_sample(x, label)
-        })
-        .collect();
-    assert_eq!(losses, want);
-    let delays = |engine: &dyn TrainEngine| -> Vec<_> {
-        let stages = engine.metrics().stages;
-        stages.into_iter().map(|s| s.delay_hist).collect()
-    };
-    assert_eq!(delays(&threaded), delays(&sequential));
-    assert_networks_equal(
-        &threaded.into_network(),
-        &sequential.into_network(),
-        0.0,
+    assert_threaded_pb_is_the_sequential_run(
+        net,
+        &data,
+        &order,
         "threaded PB vs sequential at 34 stages",
     );
+}
+
+#[test]
+fn threaded_pb_matches_the_sequential_engine_at_an_uneven_cut() {
+    // The ledger's cnn in small: four conv stages, then an `fc0` whose
+    // weights cost more than the whole trunk. Two workers cut it 4 + 2 by
+    // cost, not 3 + 3 by count; the threaded run is still the sequential
+    // one, bit for bit.
+    let net = || vgg_cnn(3, 4, 4, 8, 64, 4, &mut StdRng::seed_from_u64(7));
+    let data = tiny_images(48);
+    let order: Vec<usize> = (0..5).flat_map(|e| data.epoch_order(19, e)).collect();
+    let what = "threaded PB vs sequential on a vgg_cnn";
+    let bounds = assert_threaded_pb_is_the_sequential_run(net, &data, &order, what);
+    if bounds.len() == 3 {
+        assert_eq!(bounds, [0, 4, 6], "two workers cut before fc0");
+    }
 }

@@ -110,8 +110,9 @@ proptest! {
     }
 
     /// The batch-1 `A·Bᵀ` path (`m = 1`: every `Linear::forward` at batch
-    /// one) runs 8, then 4, then 1 dot chains per pass; output widths on
-    /// both sides of each boundary exercise every combination of passes.
+    /// one) leaves fewer than a vector of outputs to one-lane passes of 8,
+    /// then 4, then 1 dot chains; output widths on both sides of each
+    /// boundary exercise every combination of passes.
     #[test]
     fn nt_at_batch_one_matches_reference_across_chain_widths(
         k in 1usize..300,
@@ -127,6 +128,32 @@ proptest! {
                 gemm_nt(&a, &b, &mut got, 1, k, n, acc);
                 reference::matmul_nt_acc_ref(&a, &b, &mut want, 1, k, n);
                 assert_bits_eq(&got, &want, &format!("nt 1x{k}x{n} acc={acc}"));
+            }
+        }
+    }
+
+    /// The lane-per-output `A·Bᵀ` row kernel on the grid of its boundaries:
+    /// reductions and output widths one short of, at and one past a vector
+    /// of every lane type, a ragged `k` tail after many whole blocks, and
+    /// `m = 3` for the rows after the first (below the tiled threshold
+    /// wherever `3·k·n` is). Overwrite and accumulate, on whatever tier
+    /// the process resolved.
+    #[test]
+    fn nt_row_kernel_matches_reference_on_the_lane_boundary_grid(seed in 0u64..10_000) {
+        for m in [1usize, 3] {
+            for k in [1usize, 2, 15, 16, 17, 64, 1027] {
+                for n in [1usize, 3, 10, 15, 16, 17, 64, 256] {
+                    let a = rand_vec(m * k, seed);
+                    let b = rand_vec(n * k, seed ^ 1);
+                    let init = rand_vec(m * n, seed ^ 2);
+                    for acc in [false, true] {
+                        let mut want = if acc { init.clone() } else { vec![0.0; m * n] };
+                        let mut got = want.clone();
+                        gemm_nt(&a, &b, &mut got, m, k, n, acc);
+                        reference::matmul_nt_acc_ref(&a, &b, &mut want, m, k, n);
+                        assert_bits_eq(&got, &want, &format!("nt {m}x{k}x{n} acc={acc}"));
+                    }
+                }
             }
         }
     }
