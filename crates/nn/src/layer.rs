@@ -1,6 +1,7 @@
 //! The [`Layer`] trait: explicit, stack-based forward/backward passes.
 
 use pbp_tensor::{GradView, Tensor};
+use std::collections::VecDeque;
 
 /// The activation "stack" flowing between pipeline stages.
 ///
@@ -14,8 +15,9 @@ pub type LaneStack = Vec<Tensor>;
 /// ## Contract
 ///
 /// * [`Layer::forward`] pops its inputs from the top of the stack, pushes
-///   its outputs, and **stashes** whatever it needs for the corresponding
-///   backward pass in an internal FIFO.
+///   its outputs, and — in training mode, see [`Layer::set_training`] —
+///   **stashes** whatever it needs for the corresponding backward pass in
+///   an internal FIFO.
 /// * [`Layer::backward`] pops the gradients for its forward *outputs* from
 ///   the gradient stack (same positions), pushes the gradients for its
 ///   forward *inputs*, pops the oldest stashed activation, and accumulates
@@ -103,10 +105,28 @@ pub trait Layer: Send {
     fn zero_grads(&mut self) {}
 
     /// Switches between training and evaluation behaviour (dropout,
-    /// batch-norm statistics). Default: no-op.
+    /// batch-norm statistics — and the stash). Default: no-op, for layers
+    /// that stash nothing in either mode.
+    ///
+    /// After `set_training(false)` a forward owes its caller the output and
+    /// nothing else: it may consume the tensor it popped (normalize or
+    /// rectify it in place, move its buffer on) and stashes no activation,
+    /// so an eval-mode forward leaves nothing behind for
+    /// [`Layer::clear_stash`] to drop, and a [`Layer::backward`] after it
+    /// meets the layer's "no stash" panic. The output is bit for bit the
+    /// training-mode one wherever the two modes compute the same function.
+    /// Layers get the stash half of this by keeping their operands in a
+    /// `Stash`, which drops what it is handed in eval mode. Two layers keep
+    /// an eval-mode backward, as identity or frozen maps, on a plain
+    /// `VecDeque`: `Dropout` queues a mask-less marker per forward and
+    /// `OnlineNorm` its normalized output, so callers that evaluate still
+    /// call [`Layer::clear_stash`].
     fn set_training(&mut self, _training: bool) {}
 
-    /// Drops all stashed activations (e.g. when a pipeline is flushed).
+    /// Drops all stashed activations: when a pipeline is flushed, or after
+    /// a forward whose backward will not come (a panic part-way through a
+    /// training-mode network; see [`Layer::set_training`] for what an
+    /// eval-mode forward leaves).
     fn clear_stash(&mut self) {}
 
     /// Number of scalar parameters in this layer.
@@ -147,6 +167,55 @@ pub trait Layer: Send {
             "layer {} is stateless but a state buffer was stored for it",
             self.name()
         )))
+    }
+}
+
+/// A layer's FIFO of per-sample backward operands. It holds the stash half
+/// of [`Layer::set_training`]'s rule for every layer that has one: in eval
+/// mode `push_back` drops what it is given, so a later `pop_front` finds
+/// nothing and the layer's "no stash" `expect` fires.
+#[derive(Debug)]
+pub(crate) struct Stash<T> {
+    items: VecDeque<T>,
+    training: bool,
+}
+
+impl<T> Default for Stash<T> {
+    fn default() -> Self {
+        Stash {
+            items: VecDeque::new(),
+            training: true,
+        }
+    }
+}
+
+impl<T> Stash<T> {
+    pub(crate) fn push_back(&mut self, item: T) {
+        if self.training {
+            self.items.push_back(item);
+        }
+    }
+
+    pub(crate) fn pop_front(&mut self) -> Option<T> {
+        self.items.pop_front()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+    }
+
+    pub(crate) fn set_training(&mut self, training: bool) {
+        self.training = training;
+    }
+
+    /// The mode in force, for layers whose forward differs by it.
+    pub(crate) fn training(&self) -> bool {
+        self.training
+    }
+
+    #[cfg(test)]
+    pub(crate) fn back(&self) -> Option<&T> {
+        self.items.back()
     }
 }
 

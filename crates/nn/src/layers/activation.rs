@@ -1,6 +1,6 @@
 //! Pointwise activation layers: ReLU and (inverted) dropout.
 
-use crate::layer::{LaneStack, Layer};
+use crate::layer::{LaneStack, Layer, Stash};
 use pbp_tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -9,8 +9,9 @@ use std::collections::VecDeque;
 /// Rectified linear unit.
 #[derive(Debug, Default)]
 pub struct Relu {
-    /// FIFO of masks (1.0 where input > 0) for in-flight samples.
-    stash: VecDeque<Tensor>,
+    /// FIFO of masks (1.0 where input > 0) for in-flight samples; eval
+    /// mode rectifies the popped tensor in place and keeps no mask.
+    stash: Stash<Tensor>,
 }
 
 impl Relu {
@@ -20,14 +21,29 @@ impl Relu {
     }
 }
 
+/// The ReLU mask value of `v`; the output is `v` times it, so `-0.0`,
+/// negatives and NaN come out as that product leaves them.
+fn relu_mask(v: f32) -> f32 {
+    if v > 0.0 {
+        1.0
+    } else {
+        0.0
+    }
+}
+
 impl Layer for Relu {
     fn name(&self) -> String {
         "relu".to_string()
     }
 
     fn forward(&mut self, stack: &mut LaneStack) {
-        let x = stack.pop().expect("relu: empty stack");
-        let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+        let mut x = stack.pop().expect("relu: empty stack");
+        if !self.stash.training() {
+            x.map_in_place(|v| v * relu_mask(v));
+            stack.push(x);
+            return;
+        }
+        let mask = x.map(relu_mask);
         let y = x.mul(&mask).expect("same shape");
         self.stash.push_back(mask);
         stack.push(y);
@@ -37,6 +53,10 @@ impl Layer for Relu {
         let g = grad_stack.pop().expect("relu: empty grad stack");
         let mask = self.stash.pop_front().expect("relu: no stashed mask");
         grad_stack.push(g.mul(&mask).expect("same shape"));
+    }
+
+    fn set_training(&mut self, training: bool) {
+        self.stash.set_training(training);
     }
 
     fn clear_stash(&mut self) {

@@ -1,9 +1,8 @@
 //! Convolutional layer.
 
-use crate::layer::{LaneStack, Layer};
+use crate::layer::{LaneStack, Layer, Stash};
 use pbp_tensor::ops::{
-    conv2d_batched_reusing, conv2d_direct, conv2d_direct_backward_input,
-    conv2d_direct_backward_weight, Conv2dSpec, ConvBatchScratch,
+    conv2d_direct, conv2d_direct_backward_input, conv2d_direct_backward_weight, Conv2dSpec,
 };
 use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
@@ -19,23 +18,17 @@ pub struct Conv2d {
     grad_bias: Option<Tensor>,
     /// Per-in-flight-sample stash: the input activation itself, moved in
     /// off the lane stack — one activation per sample, the unit the
-    /// paper's Appendix A memory model counts.
-    stash: VecDeque<Tensor>,
+    /// paper's Appendix A memory model counts. Both modes run the direct
+    /// kernels; in eval mode no backward will come and nothing is kept.
+    stash: Stash<Tensor>,
     /// `(g, x)` pairs deferred by [`Layer::backward_input`], retired in
     /// FIFO order by [`Layer::backward_weight`] (2BP split backward).
     wgrad_pending: VecDeque<(Tensor, Tensor)>,
-    /// Recycled wide-lowering buffers for the eval-mode batched path.
-    batch_scratch: ConvBatchScratch,
     /// Input spatial size, as the builder declared it
     /// ([`Conv2d::with_input_size`]) or the most recent forward pass saw
     /// it; lets [`Layer::flops_per_sample`] report the spatially-resolved
     /// cost.
     last_hw: Option<(usize, usize)>,
-    /// Training runs the direct batch-of-one kernels and stashes the
-    /// input. In eval mode no backward will consume a stash, so forward
-    /// lowers the whole batch into one wide GEMM via
-    /// [`conv2d_batched_reusing`] (bit-identical) instead.
-    training: bool,
 }
 
 impl Conv2d {
@@ -60,11 +53,9 @@ impl Conv2d {
             bias: bias.then(|| Tensor::zeros(&[out_channels])),
             grad_weight: Tensor::zeros(&spec.weight_shape()),
             grad_bias: bias.then(|| Tensor::zeros(&[out_channels])),
-            stash: VecDeque::new(),
+            stash: Stash::default(),
             wgrad_pending: VecDeque::new(),
-            batch_scratch: ConvBatchScratch::default(),
             last_hw: None,
-            training: true,
             spec,
         }
     }
@@ -129,14 +120,8 @@ impl Layer for Conv2d {
     fn forward(&mut self, stack: &mut LaneStack) {
         let x = stack.pop().expect("conv2d: empty stack");
         self.last_hw = Some((x.shape()[2], x.shape()[3]));
-        let mut y = if self.training {
-            let y = conv2d_direct(&x, &self.weight, &self.spec).expect("conv2d shapes");
-            self.stash.push_back(x);
-            y
-        } else {
-            conv2d_batched_reusing(&x, &self.weight, &self.spec, &mut self.batch_scratch)
-                .expect("conv2d shapes")
-        };
+        let mut y = conv2d_direct(&x, &self.weight, &self.spec).expect("conv2d shapes");
+        self.stash.push_back(x);
         if let Some(b) = &self.bias {
             let [n, oc, oh, ow] = [y.shape()[0], y.shape()[1], y.shape()[2], y.shape()[3]];
             let ys = y.as_mut_slice();
@@ -217,7 +202,7 @@ impl Layer for Conv2d {
     }
 
     fn set_training(&mut self, training: bool) {
-        self.training = training;
+        self.stash.set_training(training);
     }
 
     fn clear_stash(&mut self) {
@@ -391,31 +376,6 @@ mod tests {
                 bits(b.dense().as_slice()),
                 "parameter gradients"
             );
-        }
-    }
-
-    #[test]
-    fn eval_batched_forward_matches_training_forward_bitwise() {
-        // Eval mode lowers the whole batch into one wide GEMM; training
-        // mode runs the direct kernel per sample. Same bits either way —
-        // both run one fma chain per output element in (ci, ki, kj) order.
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut layer = Conv2d::new(3, 5, 3, 2, 1, true, &mut rng);
-        for n in [1usize, 2, 6] {
-            let x = pbp_tensor::normal(&[n, 3, 7, 7], 0.0, 1.0, &mut rng);
-            let mut s = vec![x.clone()];
-            layer.forward(&mut s);
-            let y_train = s.pop().unwrap();
-            layer.clear_stash();
-            layer.set_training(false);
-            let mut s = vec![x];
-            layer.forward(&mut s);
-            let y_eval = s.pop().unwrap();
-            layer.set_training(true);
-            assert_eq!(y_train.shape(), y_eval.shape());
-            for (a, b) in y_train.as_slice().iter().zip(y_eval.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "batch {n}");
-            }
         }
     }
 

@@ -7,9 +7,8 @@
 //! dimensions — no batch statistics, no mean subtraction — and replaces
 //! ReLU with a learned-threshold TLU.
 
-use crate::layer::{LaneStack, Layer};
+use crate::layer::{LaneStack, Layer, Stash};
 use pbp_tensor::{GradView, Tensor};
-use std::collections::VecDeque;
 
 /// Filter Response Normalization: `y = γ·x/√(ν² + ε) + β` with
 /// `ν² = mean_{H,W}(x²)` per (sample, channel).
@@ -22,7 +21,7 @@ pub struct FilterResponseNorm {
     grad_gamma: Tensor,
     grad_beta: Tensor,
     /// FIFO of (input, per-(n,c) inverse rms) for in-flight samples.
-    stash: VecDeque<(Tensor, Vec<f32>)>,
+    stash: Stash<(Tensor, Vec<f32>)>,
 }
 
 impl FilterResponseNorm {
@@ -35,7 +34,7 @@ impl FilterResponseNorm {
             beta: Tensor::zeros(&[channels]),
             grad_gamma: Tensor::zeros(&[channels]),
             grad_beta: Tensor::zeros(&[channels]),
-            stash: VecDeque::new(),
+            stash: Stash::default(),
         }
     }
 }
@@ -144,6 +143,10 @@ impl Layer for FilterResponseNorm {
         self.grad_beta.fill(0.0);
     }
 
+    fn set_training(&mut self, training: bool) {
+        self.stash.set_training(training);
+    }
+
     fn clear_stash(&mut self) {
         self.stash.clear();
     }
@@ -156,7 +159,7 @@ pub struct Tlu {
     channels: usize,
     tau: Tensor,
     grad_tau: Tensor,
-    stash: VecDeque<Tensor>,
+    stash: Stash<Tensor>,
 }
 
 impl Tlu {
@@ -166,7 +169,7 @@ impl Tlu {
             channels,
             tau: Tensor::zeros(&[channels]),
             grad_tau: Tensor::zeros(&[channels]),
-            stash: VecDeque::new(),
+            stash: Stash::default(),
         }
     }
 }
@@ -253,6 +256,10 @@ impl Layer for Tlu {
 
     fn zero_grads(&mut self) {
         self.grad_tau.fill(0.0);
+    }
+
+    fn set_training(&mut self, training: bool) {
+        self.stash.set_training(training);
     }
 
     fn clear_stash(&mut self) {

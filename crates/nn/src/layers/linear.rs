@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use crate::layer::{LaneStack, Layer};
+use crate::layer::{LaneStack, Layer, Stash};
 use pbp_tensor::ops::{gemm_tn, matmul_tn_acc};
 use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
@@ -37,7 +37,7 @@ pub struct Linear {
     /// implies `!dense_dirty`.
     held: Option<(Tensor, Tensor)>,
     grad_bias: Option<Tensor>,
-    stash: VecDeque<Tensor>,
+    stash: Stash<Tensor>,
     /// `(g, x)` pairs deferred by [`Layer::backward_input`], retired in
     /// FIFO order by [`Layer::backward_weight`] (2BP split backward).
     wgrad_pending: VecDeque<(Tensor, Tensor)>,
@@ -68,7 +68,7 @@ impl Linear {
             dense_dirty: false,
             held: None,
             grad_bias: bias.then(|| Tensor::zeros(&[out_features])),
-            stash: VecDeque::new(),
+            stash: Stash::default(),
             wgrad_pending: VecDeque::new(),
             in_features,
             out_features,
@@ -126,11 +126,12 @@ impl Layer for Linear {
     fn forward(&mut self, stack: &mut LaneStack) {
         let x = stack.pop().expect("linear: empty stack");
         let x2 = if x.rank() == 2 {
-            x.clone()
+            x
         } else {
             // Accept [N, C, H, W] or [features]; flatten to [N, features].
             let n = if x.rank() >= 2 { x.shape()[0] } else { 1 };
-            x.reshape(&[n, x.len() / n]).expect("flattenable input")
+            let features = x.len() / n;
+            x.into_shape(&[n, features]).expect("flattenable input")
         };
         let mut y = x2.matmul_transpose_b(&self.weight).expect("linear shapes");
         if let Some(b) = &self.bias {
@@ -226,6 +227,10 @@ impl Layer for Linear {
             } else {
                 0
             }
+    }
+
+    fn set_training(&mut self, training: bool) {
+        self.stash.set_training(training);
     }
 
     fn clear_stash(&mut self) {

@@ -6,9 +6,8 @@
 //! experiments that run at batch size > 1 and for the discussion-section
 //! comparison (BN appears to mask delay effects relative to GN).
 
-use crate::layer::{LaneStack, Layer};
+use crate::layer::{LaneStack, Layer, Stash};
 use pbp_tensor::{GradView, Tensor};
-use std::collections::VecDeque;
 
 /// Per-sample stash: normalized activations plus per-group inverse stds.
 type NormStash = (Tensor, Vec<f32>);
@@ -26,8 +25,9 @@ pub struct GroupNorm {
     beta: Tensor,
     grad_gamma: Tensor,
     grad_beta: Tensor,
-    /// FIFO of (normalized activations, per-group inverse std, input shape).
-    stash: VecDeque<NormStash>,
+    /// FIFO of (normalized activations, per-group inverse std); eval mode
+    /// normalizes the popped tensor in place and stashes nothing.
+    stash: Stash<NormStash>,
 }
 
 impl GroupNorm {
@@ -51,7 +51,7 @@ impl GroupNorm {
             beta: Tensor::zeros(&[channels]),
             grad_gamma: Tensor::zeros(&[channels]),
             grad_beta: Tensor::zeros(&[channels]),
-            stash: VecDeque::new(),
+            stash: Stash::default(),
         }
     }
 
@@ -140,7 +140,7 @@ impl Layer for GroupNorm {
     }
 
     fn forward(&mut self, stack: &mut LaneStack) {
-        let x = stack.pop().expect("groupnorm: empty stack");
+        let mut x = stack.pop().expect("groupnorm: empty stack");
         assert_eq!(x.rank(), 4, "groupnorm expects NCHW");
         let [_, c, h, w] = [x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]];
         assert_eq!(c, self.channels, "groupnorm channel mismatch");
@@ -155,19 +155,39 @@ impl Layer for GroupNorm {
             let d = v as f64 - means[j];
             d * d
         });
+        let eps = self.eps as f64;
+        // Group `j`'s mean and inverse std, as the normalization reads them.
+        let stats = |j: usize| {
+            let var = (vars[j] / group_len as f64).max(0.0);
+            let inv_std = 1.0 / (var + eps).sqrt();
+            (means[j] as f32, inv_std as f32)
+        };
+        let (groups, gamma, beta) = (self.groups, self.gamma.as_slice(), self.beta.as_slice());
+        // `(γ, β)` of each channel of group `j`.
+        let affine = |j: usize| {
+            let first = j % groups * cg;
+            gamma[first..][..cg].iter().zip(&beta[first..][..cg])
+        };
+        if !self.stash.training() {
+            // The training branch's two expressions composed, per element.
+            for (j, group) in x.as_mut_slice().chunks_exact_mut(group_len).enumerate() {
+                let (mean, inv_std) = stats(j);
+                for (chan, (&gam, &bet)) in group.chunks_exact_mut(hw).zip(affine(j)) {
+                    for v in chan {
+                        *v = gam * ((*v - mean) * inv_std) + bet;
+                    }
+                }
+            }
+            stack.push(x);
+            return;
+        }
         let mut xh = Vec::with_capacity(xs.len());
         let mut ys = Vec::with_capacity(xs.len());
         let mut inv_stds = Vec::with_capacity(means.len());
         for (j, group) in xs.chunks_exact(group_len).enumerate() {
-            let var = (vars[j] / group_len as f64).max(0.0);
-            let inv_std = 1.0 / (var + self.eps as f64).sqrt();
-            inv_stds.push(inv_std as f32);
-            let (mean, inv_std) = (means[j] as f32, inv_std as f32);
-            let first = j % self.groups * cg;
-            let affine = self.gamma.as_slice()[first..][..cg]
-                .iter()
-                .zip(&self.beta.as_slice()[first..][..cg]);
-            for (chan, (&gam, &bet)) in group.chunks_exact(hw).zip(affine) {
+            let (mean, inv_std) = stats(j);
+            inv_stds.push(inv_std);
+            for (chan, (&gam, &bet)) in group.chunks_exact(hw).zip(affine(j)) {
                 let at = xh.len();
                 xh.extend(chan.iter().map(|&v| (v - mean) * inv_std));
                 ys.extend(xh[at..].iter().map(|&xn| gam * xn + bet));
@@ -252,6 +272,10 @@ impl Layer for GroupNorm {
         self.grad_beta.fill(0.0);
     }
 
+    fn set_training(&mut self, training: bool) {
+        self.stash.set_training(training);
+    }
+
     fn clear_stash(&mut self) {
         self.stash.clear();
     }
@@ -264,14 +288,14 @@ pub struct BatchNorm2d {
     channels: usize,
     eps: f32,
     momentum: f32,
-    training: bool,
     gamma: Tensor,
     beta: Tensor,
     grad_gamma: Tensor,
     grad_beta: Tensor,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    stash: VecDeque<NormStash>,
+    /// Also the mode: batch statistics when training, running ones in eval.
+    stash: Stash<NormStash>,
 }
 
 impl BatchNorm2d {
@@ -281,14 +305,13 @@ impl BatchNorm2d {
             channels,
             eps: 1e-5,
             momentum: 0.1,
-            training: true,
             gamma: Tensor::ones(&[channels]),
             beta: Tensor::zeros(&[channels]),
             grad_gamma: Tensor::zeros(&[channels]),
             grad_beta: Tensor::zeros(&[channels]),
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
-            stash: VecDeque::new(),
+            stash: Stash::default(),
         }
     }
 }
@@ -312,7 +335,7 @@ impl Layer for BatchNorm2d {
             let xh = xhat.as_mut_slice();
             let ys = y.as_mut_slice();
             for ch in 0..c {
-                let (mean, var) = if self.training {
+                let (mean, var) = if self.stash.training() {
                     let mut mean = 0.0f64;
                     for ni in 0..n {
                         let base = (ni * c + ch) * h * w;
@@ -421,7 +444,7 @@ impl Layer for BatchNorm2d {
     }
 
     fn set_training(&mut self, training: bool) {
-        self.training = training;
+        self.stash.set_training(training);
     }
 
     fn clear_stash(&mut self) {

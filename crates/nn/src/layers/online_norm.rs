@@ -16,7 +16,10 @@
 //! Note: because the statistics are streaming, ON is *stateful across
 //! samples* — exactly like its reference implementation — so unlike
 //! GroupNorm its outputs depend on sample order. Evaluation freezes the
-//! statistics.
+//! statistics — and, unlike every other layer (`Layer::set_training`),
+//! still stashes: with the statistics and the control process frozen the
+//! layer is a fixed affine-normalizing map whose backward is well defined,
+//! and the gradient check runs against exactly that.
 
 use crate::layer::{LaneStack, Layer};
 use pbp_tensor::{GradView, Tensor};

@@ -1,15 +1,14 @@
 //! Pooling layers.
 
-use crate::layer::{LaneStack, Layer};
+use crate::layer::{LaneStack, Layer, Stash};
 use pbp_tensor::ops::{avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, PoolSpec};
 use pbp_tensor::Tensor;
-use std::collections::VecDeque;
 
 /// Max pooling layer.
 #[derive(Debug)]
 pub struct MaxPool2d {
     spec: PoolSpec,
-    stash: VecDeque<(Vec<usize>, Vec<usize>)>,
+    stash: Stash<(Vec<usize>, Vec<usize>)>,
 }
 
 impl MaxPool2d {
@@ -21,7 +20,7 @@ impl MaxPool2d {
     pub fn new(kernel: usize, stride: usize) -> Self {
         MaxPool2d {
             spec: PoolSpec::new(kernel, stride).expect("valid pool geometry"),
-            stash: VecDeque::new(),
+            stash: Stash::default(),
         }
     }
 }
@@ -44,6 +43,10 @@ impl Layer for MaxPool2d {
         grad_stack.push(max_pool2d_backward(&g, &argmax, &shape).expect("maxpool grad shapes"));
     }
 
+    fn set_training(&mut self, training: bool) {
+        self.stash.set_training(training);
+    }
+
     fn clear_stash(&mut self) {
         self.stash.clear();
     }
@@ -53,7 +56,7 @@ impl Layer for MaxPool2d {
 #[derive(Debug)]
 pub struct AvgPool2d {
     spec: PoolSpec,
-    stash: VecDeque<Vec<usize>>,
+    stash: Stash<Vec<usize>>,
 }
 
 impl AvgPool2d {
@@ -65,7 +68,7 @@ impl AvgPool2d {
     pub fn new(kernel: usize, stride: usize) -> Self {
         AvgPool2d {
             spec: PoolSpec::new(kernel, stride).expect("valid pool geometry"),
-            stash: VecDeque::new(),
+            stash: Stash::default(),
         }
     }
 }
@@ -88,6 +91,10 @@ impl Layer for AvgPool2d {
         grad_stack.push(avg_pool2d_backward(&g, &self.spec, &shape).expect("avgpool grad shapes"));
     }
 
+    fn set_training(&mut self, training: bool) {
+        self.stash.set_training(training);
+    }
+
     fn clear_stash(&mut self) {
         self.stash.clear();
     }
@@ -96,7 +103,7 @@ impl Layer for AvgPool2d {
 /// Global average pooling: `[N, C, H, W] → [N, C]`.
 #[derive(Debug, Default)]
 pub struct GlobalAvgPool2d {
-    stash: VecDeque<Vec<usize>>,
+    stash: Stash<Vec<usize>>,
 }
 
 impl GlobalAvgPool2d {
@@ -146,6 +153,10 @@ impl Layer for GlobalAvgPool2d {
             }
         }
         grad_stack.push(gx);
+    }
+
+    fn set_training(&mut self, training: bool) {
+        self.stash.set_training(training);
     }
 
     fn clear_stash(&mut self) {

@@ -4,7 +4,7 @@
 //! The paper's pipeline treats the sum nodes between residual blocks as
 //! pipeline stages of their own; [`AddLanes`] is exactly that stage.
 
-use crate::layer::{LaneStack, Layer};
+use crate::layer::{LaneStack, Layer, Stash};
 use pbp_tensor::{GradView, Tensor};
 
 /// Duplicates the top lane: `[.., x] → [.., x, x]`.
@@ -156,10 +156,11 @@ impl Layer for MapLane {
     }
 }
 
-/// Flattens `[N, C, H, W] → [N, C*H*W]`.
+/// Flattens `[N, C, H, W] → [N, C*H*W]`; the buffer moves through in both
+/// directions, only the shape changes.
 #[derive(Debug, Default)]
 pub struct Flatten {
-    stash: std::collections::VecDeque<Vec<usize>>,
+    stash: Stash<Vec<usize>>,
 }
 
 impl Flatten {
@@ -179,13 +180,17 @@ impl Layer for Flatten {
         let n = x.shape()[0];
         let rest = x.len() / n;
         self.stash.push_back(x.shape().to_vec());
-        stack.push(x.reshape(&[n, rest]).expect("same volume"));
+        stack.push(x.into_shape(&[n, rest]).expect("same volume"));
     }
 
     fn backward(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("flatten: empty grad stack");
         let shape = self.stash.pop_front().expect("flatten: no stash");
-        grad_stack.push(g.reshape(&shape).expect("same volume"));
+        grad_stack.push(g.into_shape(&shape).expect("same volume"));
+    }
+
+    fn set_training(&mut self, training: bool) {
+        self.stash.set_training(training);
     }
 
     fn clear_stash(&mut self) {

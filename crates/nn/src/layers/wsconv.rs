@@ -7,14 +7,12 @@
 //! standardization, so it composes with group normalization at batch size
 //! one.
 
-use crate::layer::{LaneStack, Layer};
+use crate::layer::{LaneStack, Layer, Stash};
 use pbp_tensor::ops::{
-    conv2d_batched_reusing, conv2d_direct, conv2d_direct_backward_input,
-    conv2d_direct_backward_weight, Conv2dSpec, ConvBatchScratch,
+    conv2d_direct, conv2d_direct_backward_input, conv2d_direct_backward_weight, Conv2dSpec,
 };
 use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
-use std::collections::VecDeque;
 
 /// Per-sample stash: the input activation, and the standardized weight
 /// with its per-channel inverse stds as the forward pass computed them.
@@ -31,19 +29,12 @@ pub struct WsConv2d {
     weight: Tensor,
     grad_weight: Tensor,
     eps: f32,
-    stash: VecDeque<WsStash>,
-    /// Recycled wide-lowering buffers for the eval-mode batched path.
-    batch_scratch: ConvBatchScratch,
+    /// Both modes run the direct kernels over the standardized weight; in
+    /// eval mode no backward will come and nothing is kept.
+    stash: Stash<WsStash>,
     /// Input spatial size seen by the most recent forward pass; lets
     /// [`Layer::flops_per_sample`] report the spatially-resolved cost.
     last_hw: Option<(usize, usize)>,
-    /// Training runs the direct batch-of-one kernels over the standardized
-    /// weight; in eval mode no backward will consume a stash, so forward
-    /// lowers the whole batch into one wide GEMM (see [`Conv2d`] —
-    /// bit-identical).
-    ///
-    /// [`Conv2d`]: crate::layers::Conv2d
-    training: bool,
 }
 
 impl WsConv2d {
@@ -69,10 +60,8 @@ impl WsConv2d {
             grad_weight: Tensor::zeros(&spec.weight_shape()),
             eps: 1e-5,
             spec,
-            stash: VecDeque::new(),
-            batch_scratch: ConvBatchScratch::default(),
+            stash: Stash::default(),
             last_hw: None,
-            training: true,
         }
     }
 
@@ -124,14 +113,8 @@ impl Layer for WsConv2d {
         let x = stack.pop().expect("ws_conv: empty stack");
         self.last_hw = Some((x.shape()[2], x.shape()[3]));
         let (what, inv_stds) = self.standardized();
-        let y = if self.training {
-            let y = conv2d_direct(&x, &what, &self.spec).expect("ws_conv shapes");
-            self.stash.push_back((x, what, inv_stds));
-            y
-        } else {
-            conv2d_batched_reusing(&x, &what, &self.spec, &mut self.batch_scratch)
-                .expect("ws_conv shapes")
-        };
+        let y = conv2d_direct(&x, &what, &self.spec).expect("ws_conv shapes");
+        self.stash.push_back((x, what, inv_stds));
         stack.push(y);
     }
 
@@ -191,7 +174,7 @@ impl Layer for WsConv2d {
     }
 
     fn set_training(&mut self, training: bool) {
-        self.training = training;
+        self.stash.set_training(training);
     }
 
     fn clear_stash(&mut self) {
@@ -348,27 +331,6 @@ mod tests {
         let (a, b) = (fused.grads()[0].dense(), split.grads()[0].dense());
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
-        }
-    }
-
-    #[test]
-    fn eval_batched_forward_matches_training_forward_bitwise() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut layer = WsConv2d::new(2, 4, 3, 1, 1, &mut rng);
-        for n in [1usize, 3, 5] {
-            let x = pbp_tensor::normal(&[n, 2, 6, 6], 0.0, 1.0, &mut rng);
-            let mut s = vec![x.clone()];
-            layer.forward(&mut s);
-            let y_train = s.pop().unwrap();
-            layer.clear_stash();
-            layer.set_training(false);
-            let mut s = vec![x];
-            layer.forward(&mut s);
-            let y_eval = s.pop().unwrap();
-            layer.set_training(true);
-            for (a, b) in y_train.as_slice().iter().zip(y_eval.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "batch {n}");
-            }
         }
     }
 

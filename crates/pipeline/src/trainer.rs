@@ -17,11 +17,17 @@ use pbp_nn::Network;
 /// same bits at any batch size; metrics are then accumulated per sample
 /// (`f64` loss terms summed in dataset order, integer correct counts)
 /// rather than per batch. Large batches are purely a throughput win:
-/// linear layers run one `batch`-row GEMM, and conv layers in eval mode
-/// lower the whole batch into one wide im2col GEMM
-/// (`pbp_tensor::ops::conv2d_batched`) — wider GEMMs tile and parallelize
-/// better without re-associating any accumulation chain. `batched_eval.rs`
-/// enforces the invariance.
+/// linear layers run one `batch`-row GEMM (wider GEMMs tile and
+/// parallelize better without re-associating any accumulation chain) and
+/// conv layers run the direct kernel a training step runs over each image
+/// in turn, its tap table and scratch set up once per batch.
+/// `batched_eval.rs` enforces the invariance.
+///
+/// An eval-mode forward computes the output and nothing else
+/// (`pbp_nn::Layer::set_training`): no layer of the paper's networks
+/// stashes, normalization and ReLU rewrite the activation in place. The
+/// `clear_stash` after each batch is for the two layers that keep an
+/// eval-mode backward (`Dropout`'s markers, `OnlineNorm`).
 pub fn evaluate(net: &mut Network, data: &Dataset, batch: usize) -> (f64, f64) {
     assert!(batch > 0, "batch must be positive");
     let was_training = net.is_training();

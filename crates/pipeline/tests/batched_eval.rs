@@ -18,7 +18,7 @@
 
 use pbp_data::Dataset;
 use pbp_nn::layers::{BatchNorm2d, Conv2d, Flatten, GlobalAvgPool2d, Linear, Relu};
-use pbp_nn::models::{mlp, simple_cnn, simple_cnn_ws};
+use pbp_nn::models::{mlp, resnet_cifar, simple_cnn, simple_cnn_ws, vgg, ResNetConfig, VggVariant};
 use pbp_nn::{Layer, Network, Stage};
 use pbp_pipeline::evaluate;
 use pbp_tensor::normal;
@@ -80,13 +80,47 @@ fn cnn_eval_metrics_are_batch_size_invariant() {
 
 #[test]
 fn wsconv_cnn_eval_metrics_are_batch_size_invariant() {
-    // Weight-standardized convolutions share the batched eval lowering
-    // (one wide GEMM over the standardized kernel), so they must show the
-    // same exact batch-size invariance as plain convs.
+    // Weight-standardized convolutions run the same direct kernels over
+    // the standardized weight, so they must show the same exact
+    // batch-size invariance as plain convs.
     let mut rng = StdRng::seed_from_u64(21);
     let mut net = simple_cnn_ws(3, 8, 3, 4, &mut rng);
     let data = image_dataset(41, 3, 6, 6, 4, 22);
     let (loss, _) = assert_batch_invariant(&mut net, &data, "wsconv cnn");
+    assert!(loss.is_finite() && loss > 0.0);
+}
+
+#[test]
+fn resnet_eval_metrics_are_batch_size_invariant() {
+    // The residual builder: `Dup` / `AddLanes` / `MapLane` (the strided
+    // 1×1 projections on the skip lane) and in-place GroupNorm + ReLU on a
+    // stack of two lanes.
+    let config = ResNetConfig {
+        depth: 8,
+        base_width: 4,
+        in_channels: 3,
+        num_classes: 4,
+    };
+    let mut net = resnet_cifar(config, &mut StdRng::seed_from_u64(31));
+    let data = image_dataset(23, 3, 8, 8, 4, 32);
+    let (loss, _) = assert_batch_invariant(&mut net, &data, "resnet");
+    assert!(loss.is_finite() && loss > 0.0);
+}
+
+#[test]
+fn vgg_eval_metrics_are_batch_size_invariant() {
+    // The VGG builder: `MaxPool2d` stages between the conv blocks and
+    // eval-mode `Dropout` in the classifier.
+    let mut net = vgg(
+        VggVariant::Vgg11,
+        16,
+        3,
+        4,
+        0.5,
+        &mut StdRng::seed_from_u64(33),
+    );
+    let data = image_dataset(15, 3, 32, 32, 4, 34);
+    let (loss, _) = assert_batch_invariant(&mut net, &data, "vgg");
     assert!(loss.is_finite() && loss > 0.0);
 }
 

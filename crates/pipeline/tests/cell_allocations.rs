@@ -5,7 +5,8 @@
 //! counts allocations instead, through a global allocator that forwards
 //! to the system one. The same allocator records the largest single
 //! request, which is how the conv row shows that a training conv stage
-//! never holds a column matrix.
+//! never holds a column matrix, and the bytes the thread holds, which is
+//! how the eval row shows that an eval-mode forward keeps nothing.
 
 use pbp_nn::loss::softmax_cross_entropy;
 use pbp_nn::models::{mlp, vgg_cnn};
@@ -25,30 +26,46 @@ const WIDTH: usize = 48;
 const WEIGHT_SIZED: usize = 4096;
 
 thread_local! {
-    /// Weight-sized allocations made by this thread (tests run one per
-    /// thread, so counts do not mix).
+    /// Allocations of at least `LARGE_FROM` bytes made by this thread
+    /// (tests run one per thread, so counts do not mix).
     static LARGE_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// What this thread counts as large: weight-sized unless a test says
+    /// otherwise.
+    static LARGE_FROM: Cell<usize> = const { Cell::new(WEIGHT_SIZED) };
     /// Largest single allocation this thread has made, in bytes.
     static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread has allocated minus bytes it has freed, in
+    /// weight-sized or larger pieces: tensors live and die on the thread
+    /// that runs the network, while the kernel pool's job boxes (a few
+    /// hundred bytes) are freed by whichever worker ran them.
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is a const-initialised thread-local
-// `Cell` without a destructor (as is the largest-request one), so touching
-// it neither allocates nor re-enters the allocator.
+// `Cell` without a destructor (as are the threshold, the largest-request
+// and the live-bytes ones), so touching it neither allocates nor re-enters
+// the allocator. `realloc` is the trait's default: an `alloc`, a copy and a
+// `dealloc` through this impl, so it is counted as those.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if layout.size() >= WEIGHT_SIZED {
+        if layout.size() >= LARGE_FROM.with(Cell::get) {
             LARGE_ALLOCS.with(|n| n.set(n.get() + 1));
         }
         LARGEST_ALLOC.with(|n| n.set(n.get().max(layout.size())));
+        if layout.size() >= WEIGHT_SIZED {
+            LIVE_BYTES.with(|n| n.set(n.get() + layout.size() as isize));
+        }
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if layout.size() >= WEIGHT_SIZED {
+            LIVE_BYTES.with(|n| n.set(n.get() - layout.size() as isize));
+        }
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -190,4 +207,37 @@ fn a_training_conv_stage_never_allocates_a_column_matrix() {
         largest < COLUMN_MATRIX,
         "an allocation of {largest} B reaches the column matrix ({COLUMN_MATRIX} B)"
     );
+}
+
+#[test]
+fn an_eval_forward_allocates_its_outputs_and_keeps_nothing() {
+    // The serving net at the serving batch: every tensor that crosses a
+    // layer boundary before `fc1` is at least 64 KiB (the input 192 KiB,
+    // each conv activation 1 MiB, `fc0`'s output exactly 64 KiB), and
+    // nothing else a forward touches is: the logits are 2.5 KiB, the
+    // GroupNorm statistics 4 KiB. An eval-mode forward owes its caller the
+    // output only, so it makes one such allocation per product — conv0,
+    // conv1, fc0 — plus `Network::forward`'s copy of the caller's input;
+    // GroupNorm and ReLU rewrite the tensor they popped, Flatten moves it,
+    // and no layer keeps a thing once the logits are gone.
+    const ACTIVATION_SIZED: usize = 64 * 1024;
+    const BATCH: usize = 64;
+    let mut net = vgg_cnn(3, 16, 2, 16, 256, 10, &mut StdRng::seed_from_u64(7));
+    net.set_training(false);
+    let x = Tensor::from_fn(&[BATCH, 3, 16, 16], |j| (j as f32 * 0.37).sin());
+    // Warm-up: the kernels' per-thread scratch reaches its final size.
+    drop(net.forward(&x));
+    LARGE_FROM.with(|n| n.set(ACTIVATION_SIZED));
+    let (allocs_before, live_before) = (LARGE_ALLOCS.with(Cell::get), LIVE_BYTES.with(Cell::get));
+    let logits = net.forward(&x);
+    let allocs = LARGE_ALLOCS.with(Cell::get) - allocs_before;
+    assert_eq!(logits.shape(), &[BATCH, 10]);
+    assert_eq!(
+        allocs, 4,
+        "input copy + conv0 + conv1 + fc0, nothing in groupnorm / relu / flatten"
+    );
+    drop(logits);
+    // No `clear_stash`: there is nothing for it to drop.
+    let kept = LIVE_BYTES.with(Cell::get) - live_before;
+    assert_eq!(kept, 0, "bytes still held after the logits were dropped");
 }

@@ -14,9 +14,13 @@
 //! Every kernel in `pbp-tensor` keeps the bit-exact accumulation contract
 //! (see `pbp_tensor::ops::gemm`): each output element is one fused
 //! multiply-add chain whose value is independent of dispatch path, SIMD
-//! tier, thread count — and, through the batched conv lowering
-//! (`pbp_tensor::ops::conv2d_batched`), of how many samples share the
-//! forward pass. Eval mode makes every layer act row-wise. So the reply
+//! tier, thread count — and of how many samples share the forward pass: a
+//! convolution is the direct batch-of-one kernel run over each image of
+//! the batch in turn (`pbp_tensor::ops::conv2d_direct`), the same code a
+//! training step runs. Eval mode makes every layer act row-wise, and
+//! makes it compute the output only: normalization and ReLU rewrite the
+//! activation in place, nothing is stashed for a backward that will not
+//! come (`pbp_nn::Layer::set_training`). So the reply
 //! for a given input tensor is **bit-identical** no matter which worker
 //! ran it, which requests it shared a batch with, or how the coalescing
 //! timer happened to fire. Batch composition is purely a throughput knob,

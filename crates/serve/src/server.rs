@@ -180,8 +180,8 @@ pub struct Server {
 
 impl Server {
     /// Starts a server with one worker thread per network in `nets`.
-    /// Networks are switched to eval mode (running statistics, batched
-    /// conv lowering); their training flag is restored on
+    /// Networks are switched to eval mode (running statistics, no
+    /// stashes); their training flag is restored on
     /// [`Server::shutdown`].
     ///
     /// # Panics
@@ -371,8 +371,11 @@ fn worker_loop(mut net: Network, work: Receiver<Vec<Request>>, stats: Arc<StatsI
         }
         let x = Tensor::from_vec(data, &shape).expect("batcher guarantees uniform sample shapes");
         let result = catch_unwind(AssertUnwindSafe(|| net.forward(&x)));
-        // A panic can leave half-stashed activations behind; clearing makes
-        // the network reusable for the next batch either way.
+        // Eval-mode layers stash no activation (`Layer::set_training`), so
+        // after a forward that returned this has nothing to drop bar
+        // `Dropout`'s markers and `OnlineNorm`'s frozen-map stash. It stays
+        // for the caught panic: whatever the unwound forward left behind,
+        // the next batch starts from a clean network.
         net.clear_stash();
         match result {
             Ok(y) => {

@@ -93,9 +93,10 @@ fn coalesced_batches_reply_identically_to_solo_requests() {
 }
 
 #[test]
-fn cnn_serving_uses_batched_lowering_bit_identically() {
-    // Conv nets exercise the batched im2col lowering in eval mode; the
-    // served reply must match the reference forward exactly.
+fn coalesced_cnn_replies_match_solo_forwards_bit_identically() {
+    // A conv net's eval forward runs the direct kernels over whatever batch
+    // the batcher coalesced and normalizes and rectifies it in place: each
+    // served reply must still be exactly the solo forward of its own input.
     let build = || simple_cnn(2, 6, 2, 3, &mut StdRng::seed_from_u64(5));
     let mut reference = build();
     let server = Server::start(

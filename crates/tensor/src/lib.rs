@@ -6,7 +6,8 @@
 //!
 //! The crate provides a contiguous, row-major `f32` [`Tensor`] with exactly
 //! the operations the neural-network and pipeline crates need: elementwise
-//! arithmetic, matrix multiplication, 2-D convolution (via im2col), pooling,
+//! arithmetic, matrix multiplication, 2-D convolution (direct kernels, and
+//! an im2col lowering the tests hold them to), pooling,
 //! reductions and seeded random initialization. It deliberately avoids
 //! autograd — backward passes in this project are explicit per-layer
 //! functions, because fine-grained pipelined backpropagation needs direct

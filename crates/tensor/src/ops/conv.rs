@@ -1,24 +1,25 @@
 //! 2-D convolution: the im2col/col2im lowering and the direct batch-of-one
 //! kernels.
 //!
-//! Layout is NCHW. The *lowered* path ([`conv2d`], [`conv2d_batched`],
-//! [`conv2d_backward`]) turns each image into a column matrix and
-//! multiplies by the flattened kernel bank, mirroring how cuDNN implements
-//! the convolutions used in the paper's GProp framework; its backward
-//! produces the input gradient as col2im of `Wᵀ·dY` and the weight gradient
-//! as `dY·colsᵀ`. It is what evaluation and serving run (wide batched
-//! GEMMs) and what the differential tests and the ledger's probes call.
+//! Layout is NCHW. The *direct* path ([`conv2d_direct`],
+//! [`conv2d_direct_backward_input`], [`conv2d_direct_backward_weight`]) is
+//! the one every layer runs, training, evaluation and serving alike, one
+//! image of the batch after another: no column matrix is built, written or
+//! stashed. Each kernel works on a *staged* copy of one image — zero-padded,
+//! and for `stride > 1` split into `stride²` phase planes so that every tap
+//! of every output pixel is a unit-stride read — which costs one pass over
+//! the image instead of `k²` and turns kernel size, stride and padding into
+//! entries of a tap-offset table rather than cases.
 //!
-//! The *direct* path ([`conv2d_direct`], [`conv2d_direct_backward_input`],
-//! [`conv2d_direct_backward_weight`]) is what a training layer runs, one
-//! sample at a time: no column matrix is built, written or stashed. Each
-//! kernel works on a *staged* copy of one image — zero-padded, and for
-//! `stride > 1` split into `stride²` phase planes so that every tap of
-//! every output pixel is a unit-stride read — which costs one pass over the
-//! image instead of `k²` and turns kernel size, stride and padding into
-//! entries of a tap-offset table rather than cases. Both paths compute each
-//! result element as the same fma chain (see [`super::gemm`] for the
-//! contract), so they are bit-identical to one another and to
+//! The *lowered* path ([`conv2d`], [`conv2d_backward`]) turns each image
+//! into a column matrix and multiplies by the flattened kernel bank,
+//! mirroring how cuDNN implements the convolutions used in the paper's
+//! GProp framework; its backward produces the input gradient as col2im of
+//! `Wᵀ·dY` and the weight gradient as `dY·colsᵀ`. No layer calls it: it is
+//! the second implementation the differential tests hold the direct kernels
+//! to and the one the ledger's `tensor.conv_*_cnn` probes time. Both paths
+//! compute each result element as the same fma chain (see [`super::gemm`]
+//! for the contract), so they are bit-identical to one another and to
 //! [`super::reference`].
 
 use super::gemm::{gemm_nn, gemm_nt, gemm_tn};
@@ -132,45 +133,14 @@ fn valid_out_range(
 /// Lowers one image `[C, H, W]` (flat slice) to columns
 /// `[C*k*k, OH*OW]` (flat, row-major), honoring stride and zero padding.
 pub fn im2col(input: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, cols: &mut Vec<f32>) {
-    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    let rows = c * spec.kernel * spec.kernel;
-    cols.clear();
-    cols.resize(rows * oh * ow, 0.0);
-    im2col_into(input, c, h, w, spec, cols, oh * ow, 0);
-}
-
-/// [`im2col`] into a caller-provided destination with an arbitrary row
-/// stride and column offset: logical row `r` of this sample's column matrix
-/// lands at `out[r * row_stride + col_offset ..][..OH*OW]`.
-///
-/// This is the batched-lowering workhorse: a batch's per-sample column
-/// matrices are written side by side into one wide `[C*k*k, N*OH*OW]`
-/// buffer (`row_stride = N*OH*OW`, `col_offset = ni*OH*OW`), which a single
-/// [`super::gemm_nn`] then multiplies. The values written are bit-identical
-/// to [`im2col`] — only the destination addressing differs — and the
-/// stride-1 contiguous-row fast path is preserved.
-///
-/// Positions a padded window never reads (the zero entries of the column
-/// matrix) are *not* written; the caller must hand in a zeroed region.
-///
-/// # Panics
-///
-/// Panics if `out` is too short for the addressed region.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col_into(
-    input: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    out: &mut [f32],
-    row_stride: usize,
-    col_offset: usize,
-) {
     let k = spec.kernel;
     let s = spec.stride;
     let p = spec.padding;
     let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+    // Zero-fill then overwrite the valid windows: the zeros a padded window
+    // contributes are part of the column matrix.
+    cols.clear();
+    cols.resize(c * k * k * oh * ow, 0.0);
     for ci in 0..c {
         let chan = &input[ci * h * w..(ci + 1) * h * w];
         for ki in 0..k {
@@ -178,7 +148,7 @@ pub fn im2col_into(
             for kj in 0..k {
                 let (oj_lo, oj_hi) = valid_out_range(w, kj, s, p, ow);
                 let row = (ci * k + ki) * k + kj;
-                let out_row = &mut out[row * row_stride + col_offset..][..oh * ow];
+                let out_row = &mut cols[row * oh * ow..][..oh * ow];
                 for oi in oi_lo..oi_hi {
                     let ii = oi * s + ki - p;
                     let irow = &chan[ii * w..(ii + 1) * w];
@@ -329,132 +299,15 @@ pub fn conv2d(
     Ok((out, all_cols))
 }
 
-/// Recycled scratch for [`conv2d_batched_reusing`]: the strip-mined im2col
-/// buffer (`[C*k*k, G*OH*OW]` for a sample group of `G`) and the strip GEMM
-/// output (`[OC, G*OH*OW]`).
-///
-/// Holding one of these per conv layer turns steady-state batched
-/// evaluation into a zero-allocation path: the buffers grow to the largest
-/// strip seen and are reused verbatim afterwards.
-#[derive(Debug, Default)]
-pub struct ConvBatchScratch {
-    /// Column strip for the current sample group, samples side by side.
-    cols: Vec<f32>,
-    /// Strip GEMM output, scattered back to NCHW after the product.
-    out: Vec<f32>,
-}
-
-/// Column-strip budget for the batched lowering, in floats (768 KiB).
-///
-/// One monolithic `[C*k*k, N*OH*OW]` matrix is the *logical* lowering, but
-/// executing it in one piece is memory-bound at real batch sizes: the
-/// column matrix of e.g. a 16-channel 3×3 conv over 64 12×12 images is
-/// 5.3 MB, so the im2col scatter writes and the GEMM's B-panel reads all
-/// miss L2 (measured ~28 GF/s monolithic vs ~80 GF/s on an L2-resident
-/// strip of the same product). Strip-mining the batch into sample groups
-/// whose column strip fits this budget keeps every pass cache-resident
-/// while leaving each output element's fma chain untouched — the group
-/// boundaries partition GEMM *output columns*, never the `k` reduction, so
-/// the result stays bit-identical to both the monolithic product and the
-/// per-sample loop at every group size.
-const COLS_STRIP_FLOATS: usize = 192 * 1024;
-
-/// Batched forward 2-D convolution: one wide GEMM for the whole batch,
-/// strip-mined into L2-resident sample groups.
-///
-/// Semantically identical to [`conv2d`] — and *bit*-identical, at every
-/// batch size: the per-sample column matrices are laid side by side into
-/// one wide `[C*k*k, N*OH*OW]` matrix, so each output element's fused
-/// multiply-add chain over the reduction dimension is exactly the chain
-/// the per-sample GEMM would have run (the kernels never split the `k`
-/// reduction, whatever the output width — see [`super::gemm`]). What
-/// changes is throughput: wide `OC × (C·k²) × (G·OH·OW)` strips tile and
-/// vectorize far better than `N` narrow per-sample products, and the
-/// strip-mining (see [`COLS_STRIP_FLOATS`]) keeps the column matrix
-/// cache-resident where the monolithic layout would thrash.
-///
-/// Does not return column buffers — this is the inference path; a
-/// training layer runs [`conv2d_direct`] and stashes its input.
+/// Batched forward 2-D convolution: [`conv2d_direct`] under the name the
+/// ledger's `tensor.conv_batched_gflops_b64` probe calls, so that the probe
+/// times what evaluation and serving run.
 ///
 /// # Errors
 ///
 /// Returns a shape error if `input`/`weight` disagree with `spec`.
 pub fn conv2d_batched(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
-    conv2d_batched_reusing(input, weight, spec, &mut ConvBatchScratch::default())
-}
-
-/// [`conv2d_batched`] with caller-owned scratch buffers (see
-/// [`ConvBatchScratch`]).
-///
-/// # Errors
-///
-/// Returns a shape error if `input`/`weight` disagree with `spec`.
-pub fn conv2d_batched_reusing(
-    input: &Tensor,
-    weight: &Tensor,
-    spec: &Conv2dSpec,
-    scratch: &mut ConvBatchScratch,
-) -> Result<Tensor> {
-    let [n, c, h, w] = input_dims(input, weight, spec, "conv2d_batched")?;
-    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    let rows = spec.fan_in();
-    let oc = spec.out_channels;
-    let p = oh * ow;
-    let mut out = Tensor::zeros(&[n, oc, oh, ow]);
-    if n == 0 || p == 0 {
-        return Ok(out);
-    }
-    // Sample-group width: as many samples as keep the column strip inside
-    // the L2 budget. Small feature maps get wide groups (amortizing packing
-    // and de-ragging the GEMM edge); large ones degrade gracefully toward
-    // the per-sample strip.
-    let group = (COLS_STRIP_FLOATS / (rows * p)).clamp(1, n);
-    let wslice = weight.as_slice();
-    let os = out.as_mut_slice();
-    let mut n0 = 0;
-    while n0 < n {
-        let g = group.min(n - n0);
-        let gp = g * p;
-        // Zero-fill then overwrite the valid windows: the zeros a padded
-        // window contributes are part of the column matrix, and
-        // `im2col_into` only writes the in-bounds positions.
-        let cols = &mut scratch.cols;
-        cols.clear();
-        cols.resize(rows * gp, 0.0);
-        for gi in 0..g {
-            let img = &input.as_slice()[(n0 + gi) * c * h * w..][..c * h * w];
-            im2col_into(img, c, h, w, spec, cols, gp, gi * p);
-        }
-        if g == 1 {
-            // Single-sample strip: the wide layout *is* the `[OC, OH*OW]`
-            // output — multiply straight into the tensor, no scatter.
-            gemm_nn(
-                wslice,
-                cols,
-                &mut os[n0 * oc * p..][..oc * p],
-                oc,
-                rows,
-                p,
-                false,
-            );
-        } else {
-            let wide = &mut scratch.out;
-            // Contents are fully overwritten by the GEMM; only the length
-            // matters here.
-            wide.resize(oc * gp, 0.0);
-            gemm_nn(wslice, cols, wide, oc, rows, gp, false);
-            // Scatter `[OC, G*P]` → `[G, OC, P]`: contiguous P-long runs,
-            // pure data movement.
-            for gi in 0..g {
-                for ci in 0..oc {
-                    os[((n0 + gi) * oc + ci) * p..][..p]
-                        .copy_from_slice(&wide[ci * gp + gi * p..][..p]);
-                }
-            }
-        }
-        n0 += g;
-    }
-    Ok(out)
+    conv2d_direct(input, weight, spec)
 }
 
 /// Backward 2-D convolution.
@@ -772,7 +625,8 @@ impl DirectGeom {
 }
 
 /// Forward 2-D convolution by the direct batch-of-one kernel, sample by
-/// sample: the training-mode forward.
+/// sample with the tap table and the output scratch shared across the
+/// batch: every layer's forward, in training and in eval mode.
 ///
 /// Same contract as [`conv2d`] minus the column buffers — the backward
 /// halves take the input itself — and bit-identical to it: each output
@@ -1152,24 +1006,26 @@ mod tests {
     }
 
     #[test]
-    fn batched_lowering_is_bit_identical_to_per_sample() {
-        // The whole point of the wide GEMM: batch size must be a pure
-        // throughput knob. Geometry sweep covers stride 2, no padding,
-        // 1x1 kernels, and output widths that leave ragged GEMM tiles.
+    fn a_batch_is_bit_identical_to_the_per_sample_lowering() {
+        // Batch size must be a pure throughput knob: the direct kernel
+        // looped over a batch against the lowered path one sample at a
+        // time. Geometry sweep covers stride 2, no padding, 1x1 kernels,
+        // and output widths that leave ragged vectors; the batches run
+        // largest geometry first and shrink, so a stale tail of the
+        // thread's recycled scratch would show.
         for &(c, oc, k, s, p, h) in &[
-            (1, 1, 3, 1, 1, 5),
-            (2, 3, 3, 1, 1, 6),
-            (3, 4, 3, 2, 1, 8),
-            (2, 2, 1, 1, 0, 4),
             (4, 8, 3, 1, 1, 12),
+            (3, 4, 3, 2, 1, 8),
+            (2, 3, 3, 1, 1, 6),
+            (1, 1, 3, 1, 1, 5),
+            (2, 2, 1, 1, 0, 4),
         ] {
             let spec = Conv2dSpec::new(c, oc, k, s, p).unwrap();
             let weight = rand_tensor(&spec.weight_shape(), 2);
-            let mut scratch = ConvBatchScratch::default();
-            for n in [1usize, 3, 7] {
+            for n in [7usize, 3, 1] {
                 let input = rand_tensor(&[n, c, h, h], n as u64);
                 let (want, _) = conv2d(&input, &weight, &spec).unwrap();
-                let got = conv2d_batched_reusing(&input, &weight, &spec, &mut scratch).unwrap();
+                let got = conv2d_batched(&input, &weight, &spec).unwrap();
                 assert_eq!(got.shape(), want.shape());
                 for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
                     assert_eq!(
@@ -1179,23 +1035,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn batched_scratch_recycles_across_shrinking_batches() {
-        // A recycled (larger) scratch buffer must not leak stale columns
-        // into a smaller batch: zero-fill plus overwrite is per call.
-        let spec = Conv2dSpec::new(2, 3, 3, 1, 1).unwrap();
-        let weight = rand_tensor(&spec.weight_shape(), 8);
-        let mut scratch = ConvBatchScratch::default();
-        let big = rand_tensor(&[6, 2, 5, 5], 9);
-        conv2d_batched_reusing(&big, &weight, &spec, &mut scratch).unwrap();
-        let small = rand_tensor(&[2, 2, 5, 5], 10);
-        let got = conv2d_batched_reusing(&small, &weight, &spec, &mut scratch).unwrap();
-        let (want, _) = conv2d(&small, &weight, &spec).unwrap();
-        for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -15,8 +15,7 @@ pub mod simd;
 
 pub use conv::{
     col2im, conv2d, conv2d_backward, conv2d_backward_input, conv2d_backward_weight, conv2d_batched,
-    conv2d_batched_reusing, conv2d_direct, conv2d_direct_backward_input,
-    conv2d_direct_backward_weight, im2col, im2col_into, Conv2dSpec, ConvBatchScratch,
+    conv2d_direct, conv2d_direct_backward_input, conv2d_direct_backward_weight, im2col, Conv2dSpec,
 };
 pub use elementwise::{axpy, lerp_into, scale_add_into};
 pub use gemm::{gemm_nn, gemm_nt, gemm_tn};

@@ -129,23 +129,23 @@ impl Tensor {
         self.data
     }
 
-    /// Reinterprets the tensor with a new shape of equal volume.
+    /// A copy of the tensor with a new shape of equal volume.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::LengthMismatch`] if the volumes differ.
     pub fn reshape(&self, shape: &[usize]) -> Result<Tensor> {
-        let volume: usize = shape.iter().product();
-        if volume != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: volume,
-                actual: self.data.len(),
-            });
-        }
-        Ok(Tensor {
-            data: self.data.clone(),
-            shape: shape.to_vec(),
-        })
+        Tensor::from_vec(self.data.clone(), shape)
+    }
+
+    /// The tensor itself under a new shape of equal volume: the buffer
+    /// moves, no element is copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] if the volumes differ.
+    pub fn into_shape(self, shape: &[usize]) -> Result<Tensor> {
+        Tensor::from_vec(self.data, shape)
     }
 
     /// Returns the element at a multi-dimensional index.
@@ -327,6 +327,17 @@ mod tests {
         assert_eq!(r.shape(), &[3, 2]);
         assert_eq!(r.as_slice(), t.as_slice());
         assert!(t.reshape(&[4, 2]).is_err());
+    }
+
+    #[test]
+    fn into_shape_moves_the_buffer() {
+        let t = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]).unwrap();
+        let at = t.as_slice().as_ptr();
+        let r = t.into_shape(&[3, 2]).unwrap();
+        assert_eq!(r.shape(), &[3, 2]);
+        assert_eq!(r.as_slice().as_ptr(), at, "same allocation");
+        assert_eq!(r.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert!(r.into_shape(&[4, 2]).is_err());
     }
 
     #[test]
