@@ -7,7 +7,7 @@
 //! comparison (BN appears to mask delay effects relative to GN).
 
 use crate::layer::{LaneStack, Layer, Stash};
-use pbp_tensor::{GradView, Tensor};
+use pbp_tensor::{pool, GradView, Tensor};
 
 /// Per-sample stash: normalized activations plus per-group inverse stds.
 type NormStash = (Tensor, Vec<f32>);
@@ -103,6 +103,25 @@ fn run_sums(xs: &[f32], len: usize, f: impl Fn(usize, f32) -> f64) -> Vec<f64> {
     sums
 }
 
+/// Group `j`'s mean and inverse std, as the normalization reads them, for
+/// the groups of `xs` — consecutive runs of `group_len`, every sample's
+/// groups in turn. Each group's statistics are its own `f64` chains, so
+/// they are the same bits whatever slice of whole groups `xs` is.
+fn group_stats(xs: &[f32], group_len: usize, eps: f32) -> impl Fn(usize) -> (f32, f32) {
+    let mut means = run_sums(xs, group_len, |_, v| v as f64);
+    means.iter_mut().for_each(|m| *m /= group_len as f64);
+    let vars = run_sums(xs, group_len, |j, v| {
+        let d = v as f64 - means[j];
+        d * d
+    });
+    let eps = eps as f64;
+    move |j| {
+        let var = (vars[j] / group_len as f64).max(0.0);
+        let inv_std = 1.0 / (var + eps).sqrt();
+        (means[j] as f32, inv_std as f32)
+    }
+}
+
 /// Per consecutive run of `len` values: `(Σ g, Σ g·x)`, each one `f32`
 /// chain left to right from `+0.0`, the chains of [`CHAINS`]` / 2` runs
 /// advancing in the same loop.
@@ -147,43 +166,37 @@ impl Layer for GroupNorm {
         let cg = c / self.groups;
         let hw = h * w;
         let group_len = cg * hw;
-        let xs = x.as_slice();
-        // The groups of all samples are consecutive runs of `group_len`.
-        let mut means = run_sums(xs, group_len, |_, v| v as f64);
-        means.iter_mut().for_each(|m| *m /= group_len as f64);
-        let vars = run_sums(xs, group_len, |j, v| {
-            let d = v as f64 - means[j];
-            d * d
-        });
-        let eps = self.eps as f64;
-        // Group `j`'s mean and inverse std, as the normalization reads them.
-        let stats = |j: usize| {
-            let var = (vars[j] / group_len as f64).max(0.0);
-            let inv_std = 1.0 / (var + eps).sqrt();
-            (means[j] as f32, inv_std as f32)
-        };
-        let (groups, gamma, beta) = (self.groups, self.gamma.as_slice(), self.beta.as_slice());
+        let (groups, eps) = (self.groups, self.eps);
+        let (gamma, beta) = (self.gamma.as_slice(), self.beta.as_slice());
         // `(γ, β)` of each channel of group `j`.
         let affine = |j: usize| {
             let first = j % groups * cg;
             gamma[first..][..cg].iter().zip(&beta[first..][..cg])
         };
         if !self.stash.training() {
-            // The training branch's two expressions composed, per element.
-            for (j, group) in x.as_mut_slice().chunks_exact_mut(group_len).enumerate() {
-                let (mean, inv_std) = stats(j);
-                for (chan, (&gam, &bet)) in group.chunks_exact_mut(hw).zip(affine(j)) {
-                    for v in chan {
-                        *v = gam * ((*v - mean) * inv_std) + bet;
+            // Samples normalise independently, so whole samples at a time
+            // go to the kernel pool; a group's index within a chunk of
+            // whole samples names the same channels as in the batch.
+            pool::for_each_sample_chunk(x.as_mut_slice(), c * hw, &|_, part| {
+                let stats = group_stats(part, group_len, eps);
+                // The training branch's two expressions composed, per element.
+                for (j, group) in part.chunks_exact_mut(group_len).enumerate() {
+                    let (mean, inv_std) = stats(j);
+                    for (chan, (&gam, &bet)) in group.chunks_exact_mut(hw).zip(affine(j)) {
+                        for v in chan {
+                            *v = gam * ((*v - mean) * inv_std) + bet;
+                        }
                     }
                 }
-            }
+            });
             stack.push(x);
             return;
         }
+        let xs = x.as_slice();
+        let stats = group_stats(xs, group_len, eps);
         let mut xh = Vec::with_capacity(xs.len());
         let mut ys = Vec::with_capacity(xs.len());
-        let mut inv_stds = Vec::with_capacity(means.len());
+        let mut inv_stds = Vec::with_capacity(xs.len() / group_len);
         for (j, group) in xs.chunks_exact(group_len).enumerate() {
             let (mean, inv_std) = stats(j);
             inv_stds.push(inv_std);

@@ -5,23 +5,36 @@
 //! be, bit for bit, what the training-mode forward returns wherever the two
 //! modes compute the same function: that is the guard serving and
 //! `evaluate` rest on, since a training-mode forward is the code every
-//! golden record was taken with. Held here per layer, at batch 1, 3 and 17,
-//! on inputs that carry the values an in-place rewrite is most likely to
-//! treat differently: `-0.0`, negatives, subnormals and NaN. The kernels
+//! golden record was taken with. Held here per layer against the
+//! training-mode forward of each sample alone, at batch sizes on both
+//! sides of the pool's four-sample chunk (1, 3, 4, 5, 17, 64) and kernel
+//! thread caps 1, 2 and 64 — eval-mode convolution and group normalisation
+//! split a batch into chunks of samples over the pool — on inputs that
+//! carry the values an in-place rewrite is most likely to treat
+//! differently: `-0.0`, negatives, subnormals and NaN. The kernels
 //! underneath dispatch on `PBP_SIMD`; `scripts/check.sh` runs this suite on
-//! the portable and the AVX2 tier as well as the default one.
+//! the portable and the AVX2 tier as well as the default one, and under
+//! `PBP_THREADS=1` and `=64`.
 
 use pbp_nn::layer::Layer;
 use pbp_nn::layers::{
     AvgPool2d, Conv2d, FilterResponseNorm, Flatten, GlobalAvgPool2d, GroupNorm, Linear, MaxPool2d,
     Relu, Tlu, WsConv2d,
 };
-use pbp_tensor::Tensor;
+use pbp_tensor::{pool, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 
-const BATCHES: [usize; 3] = [1, 3, 17];
+const BATCHES: [usize; 6] = [1, 3, 4, 5, 17, 64];
+/// Kernel thread caps: inline, the caller and one helper, more helpers
+/// than a batch has chunks.
+const THREADS: [usize; 3] = [1, 2, 64];
+
+/// The thread cap is process-wide and the tests run concurrently: each
+/// holds this while it sweeps the cap.
+static CAP: Mutex<()> = Mutex::new(());
 
 /// A random batch of `sample`-shaped inputs with the awkward values written
 /// over the head of the first sample and the tail of the last.
@@ -46,34 +59,69 @@ fn forward(layer: &mut dyn Layer, x: &Tensor) -> Tensor {
     stack.pop().expect("output")
 }
 
+/// The training-mode forward of each sample of `x` alone, one thread,
+/// stacked back into a batch.
+fn per_sample_forward(layer: &mut dyn Layer, x: &Tensor) -> Tensor {
+    let n = x.shape()[0];
+    let sample_shape = [&[1], &x.shape()[1..]].concat();
+    let mut values = Vec::new();
+    let mut shape = Vec::new();
+    layer.set_training(true);
+    for row in x.as_slice().chunks_exact(x.len() / n) {
+        let y = forward(
+            layer,
+            &Tensor::from_vec(row.to_vec(), &sample_shape).unwrap(),
+        );
+        layer.clear_stash();
+        values.extend_from_slice(y.as_slice());
+        shape = [&[n], &y.shape()[1..]].concat();
+    }
+    Tensor::from_vec(values, &shape).unwrap()
+}
+
+fn assert_same_bits(got: &Tensor, want: &Tensor, context: &str) {
+    assert_eq!(got.shape(), want.shape(), "{context}");
+    for (j, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{context}, element {j}: {a} vs per-sample {b}"
+        );
+    }
+}
+
 /// Training-mode and eval-mode forwards of `layer` over `sample`-shaped
-/// inputs agree `to_bits` at every batch size, and the eval-mode forward
-/// leaves no stash: a backward after it meets the layer's "no stash" panic
-/// (every layer here keeps something per training-mode forward).
+/// inputs agree `to_bits` with the per-sample training-mode forward at
+/// every batch size and thread cap, and the eval-mode forward leaves no
+/// stash: a backward after it meets the layer's "no stash" panic (every
+/// layer here keeps something per training-mode forward).
 fn assert_eval_is_training_forward(what: &str, layer: &mut dyn Layer, sample: &[usize]) {
+    let _cap = CAP.lock().unwrap_or_else(PoisonError::into_inner);
+    let configured = pool::configured_threads();
     for (i, &n) in BATCHES.iter().enumerate() {
         let x = awkward_input(n, sample, 40 + i as u64);
-        layer.set_training(true);
-        let want = forward(layer, &x);
-        layer.clear_stash();
-        layer.set_training(false);
-        let got = forward(layer, &x);
-        assert_eq!(got.shape(), want.shape(), "{what}, batch {n}");
-        for (j, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{what}, batch {n}, element {j}: eval {a} vs training {b}"
+        pool::set_max_threads(1);
+        let want = per_sample_forward(layer, &x);
+        for threads in THREADS {
+            pool::set_max_threads(threads);
+            let context = format!("{what}, batch {n}, {threads} threads");
+            layer.set_training(true);
+            let trained = forward(layer, &x);
+            layer.clear_stash();
+            assert_same_bits(&trained, &want, &format!("{context}, training mode"));
+            layer.set_training(false);
+            let got = forward(layer, &x);
+            assert_same_bits(&got, &want, &format!("{context}, eval mode"));
+            let mut grads = vec![Tensor::ones(got.shape())];
+            let backward = catch_unwind(AssertUnwindSafe(|| layer.backward(&mut grads)));
+            assert!(
+                backward.is_err(),
+                "{context}: an eval-mode forward left a stash behind"
             );
         }
-        let mut grads = vec![Tensor::ones(got.shape())];
-        let backward = catch_unwind(AssertUnwindSafe(|| layer.backward(&mut grads)));
-        assert!(
-            backward.is_err(),
-            "{what}, batch {n}: an eval-mode forward left a stash behind"
-        );
         layer.set_training(true);
     }
+    pool::set_max_threads(configured);
 }
 
 /// Moves every parameter off its initial value (γ = 1, β = 0, zero biases

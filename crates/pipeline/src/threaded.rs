@@ -262,10 +262,11 @@ fn run_stream(
     let bounds = worker_bounds(&net);
     let workers = bounds.len() - 1;
     let mut stages = net.into_stages().into_iter();
-    // The workers are real OS threads competing with the kernel pool: park
-    // one pool core each while they run (kernels are bit-identical at any
-    // thread count, so this shifts wall-clock only).
-    let cores = pool::reserve(workers);
+    // The workers are real OS threads, each calling kernels: park one pool
+    // core for each beyond the first while they run (`pool::reserve`'s
+    // rule; kernels are bit-identical at any thread count, so this shifts
+    // wall-clock only).
+    let cores = pool::reserve(workers.saturating_sub(1));
     let poll = config.watchdog.poll.max(Duration::from_millis(1));
     let mut sup = StreamSupervisor::new(bounds.clone(), config.watchdog.clone());
     let abort = sup.abort_flag();

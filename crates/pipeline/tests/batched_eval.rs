@@ -7,7 +7,9 @@
 //! layer row-wise), losses are summed as per-sample `f64` terms in dataset
 //! order, and accuracy is an integer count. So loss and accuracy must be
 //! *exactly* equal — `to_bits` on the loss, `==` on the accuracy — at
-//! batch sizes 1, 7 and 64, on dense and convolutional networks alike.
+//! batch sizes 1, 3, 4, 5, 17 and 64 (both sides of the pool's four-sample
+//! chunk) and kernel thread caps 1, 2 and 64, on dense and convolutional
+//! networks alike.
 //!
 //! The batch-stat trap is the reason eval mode matters here: a BatchNorm
 //! layer left in training mode would normalize each batch by its own
@@ -21,28 +23,46 @@ use pbp_nn::layers::{BatchNorm2d, Conv2d, Flatten, GlobalAvgPool2d, Linear, Relu
 use pbp_nn::models::{mlp, resnet_cifar, simple_cnn, simple_cnn_ws, vgg, ResNetConfig, VggVariant};
 use pbp_nn::{Layer, Network, Stage};
 use pbp_pipeline::evaluate;
-use pbp_tensor::normal;
+use pbp_tensor::{normal, pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, PoisonError};
 
-const BATCHES: [usize; 3] = [1, 7, 64];
+const BATCHES: [usize; 6] = [1, 3, 4, 5, 17, 64];
+/// Kernel thread caps: inline, the caller and one helper, more helpers
+/// than a batch has chunks.
+const THREADS: [usize; 3] = [1, 2, 64];
 
-/// Evaluates `net` at every batch size in `BATCHES` and asserts the
-/// metrics are exactly equal (loss by bits, accuracy by integer-backed
-/// equality); returns the common `(loss, accuracy)`.
+/// The thread cap is process-wide and the tests run concurrently: each
+/// holds this while it sweeps the cap.
+static CAP: Mutex<()> = Mutex::new(());
+
+/// Evaluates `net` at every batch size in `BATCHES` and thread cap in
+/// `THREADS` and asserts the metrics are exactly equal to batch 1 on one
+/// thread (loss by bits, accuracy by integer-backed equality); returns the
+/// common `(loss, accuracy)`.
 fn assert_batch_invariant(net: &mut Network, data: &Dataset, context: &str) -> (f64, f64) {
-    let (loss_1, acc_1) = evaluate(net, data, BATCHES[0]);
-    for &batch in &BATCHES[1..] {
-        let (loss_b, acc_b) = evaluate(net, data, batch);
-        assert!(
-            loss_b.to_bits() == loss_1.to_bits(),
-            "{context}: loss at batch {batch} is {loss_b:?}, batch 1 gave {loss_1:?}"
-        );
-        assert!(
-            acc_b == acc_1,
-            "{context}: accuracy at batch {batch} is {acc_b}, batch 1 gave {acc_1}"
-        );
+    let _cap = CAP.lock().unwrap_or_else(PoisonError::into_inner);
+    let configured = pool::configured_threads();
+    pool::set_max_threads(1);
+    let (loss_1, acc_1) = evaluate(net, data, 1);
+    for threads in THREADS {
+        pool::set_max_threads(threads);
+        for batch in BATCHES {
+            let (loss_b, acc_b) = evaluate(net, data, batch);
+            assert!(
+                loss_b.to_bits() == loss_1.to_bits(),
+                "{context}: loss at batch {batch}, {threads} threads is {loss_b:?}, \
+                 batch 1 gave {loss_1:?}"
+            );
+            assert!(
+                acc_b == acc_1,
+                "{context}: accuracy at batch {batch}, {threads} threads is {acc_b}, \
+                 batch 1 gave {acc_1}"
+            );
+        }
     }
+    pool::set_max_threads(configured);
     (loss_1, acc_1)
 }
 
@@ -61,8 +81,8 @@ fn image_dataset(n: usize, c: usize, h: usize, w: usize, classes: usize, seed: u
 fn mlp_eval_metrics_are_batch_size_invariant() {
     let mut rng = StdRng::seed_from_u64(7);
     let mut net = mlp(&[2, 24, 24, 3], &mut rng);
-    // 75 samples: not a multiple of 7 or 64, so every batch size sees a
-    // trailing partial batch.
+    // 75 samples: not a multiple of 4, 17 or 64, so those batch sizes see
+    // a trailing partial batch.
     let data = pbp_data::spirals(3, 25, 0.08, 9);
     let (loss, acc) = assert_batch_invariant(&mut net, &data, "mlp");
     assert!(loss.is_finite() && loss > 0.0);

@@ -219,25 +219,40 @@ fn an_eval_forward_allocates_its_outputs_and_keeps_nothing() {
     // output only, so it makes one such allocation per product — conv0,
     // conv1, fc0 — plus `Network::forward`'s copy of the caller's input;
     // GroupNorm and ReLU rewrite the tensor they popped, Flatten moves it,
-    // and no layer keeps a thing once the logits are gone.
+    // and no layer keeps a thing once the logits are gone. The same holds
+    // with the batch split over two threads: each chunk writes its slice
+    // of the one output, no chunk allocates an output of its own, and no
+    // chunk's result is copied into place.
     const ACTIVATION_SIZED: usize = 64 * 1024;
     const BATCH: usize = 64;
     let mut net = vgg_cnn(3, 16, 2, 16, 256, 10, &mut StdRng::seed_from_u64(7));
     net.set_training(false);
     let x = Tensor::from_fn(&[BATCH, 3, 16, 16], |j| (j as f32 * 0.37).sin());
-    // Warm-up: the kernels' per-thread scratch reaches its final size.
+    // Warm-up on this thread alone: its kernel scratch reaches its final
+    // size, whichever chunks it runs later.
+    let configured = pbp_tensor::pool::configured_threads();
+    pbp_tensor::pool::set_max_threads(1);
     drop(net.forward(&x));
     LARGE_FROM.with(|n| n.set(ACTIVATION_SIZED));
-    let (allocs_before, live_before) = (LARGE_ALLOCS.with(Cell::get), LIVE_BYTES.with(Cell::get));
-    let logits = net.forward(&x);
-    let allocs = LARGE_ALLOCS.with(Cell::get) - allocs_before;
-    assert_eq!(logits.shape(), &[BATCH, 10]);
-    assert_eq!(
-        allocs, 4,
-        "input copy + conv0 + conv1 + fc0, nothing in groupnorm / relu / flatten"
-    );
-    drop(logits);
-    // No `clear_stash`: there is nothing for it to drop.
-    let kept = LIVE_BYTES.with(Cell::get) - live_before;
-    assert_eq!(kept, 0, "bytes still held after the logits were dropped");
+    for threads in [1, 2] {
+        pbp_tensor::pool::set_max_threads(threads);
+        let (allocs_before, live_before) =
+            (LARGE_ALLOCS.with(Cell::get), LIVE_BYTES.with(Cell::get));
+        let logits = net.forward(&x);
+        let allocs = LARGE_ALLOCS.with(Cell::get) - allocs_before;
+        assert_eq!(logits.shape(), &[BATCH, 10]);
+        assert_eq!(
+            allocs, 4,
+            "{threads} threads: input copy + conv0 + conv1 + fc0, nothing in groupnorm / relu \
+             / flatten"
+        );
+        drop(logits);
+        // No `clear_stash`: there is nothing for it to drop.
+        let kept = LIVE_BYTES.with(Cell::get) - live_before;
+        assert_eq!(
+            kept, 0,
+            "{threads} threads: bytes still held after the logits were dropped"
+        );
+    }
+    pbp_tensor::pool::set_max_threads(configured);
 }

@@ -16,7 +16,7 @@
 //! multiply-add chain whose value is independent of dispatch path, SIMD
 //! tier, thread count — and of how many samples share the forward pass: a
 //! convolution is the direct batch-of-one kernel run over each image of
-//! the batch in turn (`pbp_tensor::ops::conv2d_direct`), the same code a
+//! the batch on its own (`pbp_tensor::ops::conv2d_direct`), the same code a
 //! training step runs. Eval mode makes every layer act row-wise, and
 //! makes it compute the output only: normalization and ReLU rewrite the
 //! activation in place, nothing is stashed for a backward that will not
@@ -29,11 +29,16 @@
 //!
 //! # Co-scheduling
 //!
-//! Worker threads park one kernel-pool core each via
-//! `pbp_tensor::pool::reserve` for the server's lifetime, so the GEMM pool
-//! and the serving pool divide the machine instead of oversubscribing it —
-//! the same arrangement the threaded pipeline engine uses for its stage
-//! workers.
+//! A worker thread is a kernel caller, and a kernel's caller works its own
+//! share of the chunks (`pbp_tensor::pool::parallel_for`). So the server
+//! follows `pbp_tensor::pool::reserve`'s rule for its lifetime: it parks
+//! one kernel-pool core per worker *beyond the first*, the threaded
+//! pipeline's arrangement for its stage workers. A one-net server parks
+//! nothing, and its batch-64 forward runs on every core: eval-mode
+//! convolution and group normalisation split the batch into chunks of
+//! whole samples over the pool, a wide `Linear`'s GEMM its output.
+//! Splits never cut a sample's chain, so a reply is the same bits at any
+//! thread count.
 //!
 //! ```
 //! use pbp_serve::{Server, ServeConfig};

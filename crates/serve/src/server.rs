@@ -174,7 +174,8 @@ pub struct Server {
     stats: Arc<StatsInner>,
     batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<Network>>,
-    /// Parks one kernel-pool core per worker for the server's lifetime.
+    /// Parks one kernel-pool core per worker beyond the first for the
+    /// server's lifetime (`pool::reserve`'s rule).
     _cores: pool::CoreReservation,
 }
 
@@ -199,7 +200,7 @@ impl Server {
         let (work_tx, work_rx) = unbounded::<Vec<Request>>();
         let stats = Arc::new(StatsInner::default());
 
-        let cores = pool::reserve(nets.len());
+        let cores = pool::reserve(nets.len() - 1);
         let workers = nets
             .into_iter()
             .enumerate()

@@ -477,6 +477,7 @@ pub(super) mod tests {
         let a = rand_vec(m * k, 10);
         let b = rand_vec(k * n, 11);
         let mut serial = vec![0.0; m * n];
+        let _cap = pool::tests::cap_lock();
         pool::set_max_threads(1);
         gemm_nn(&a, &b, &mut serial, m, k, n, false);
         for threads in [2, 4, 8] {

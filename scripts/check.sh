@@ -132,6 +132,21 @@ if [[ -n $stray ]]; then
   exit 1
 fi
 
+echo "== one hand-off of an output across threads (grep lint) =="
+# Batch kernels share their output with the pool through
+# pool::for_each_sample_chunk, the GEMM through its tile pointer in gemm.rs,
+# and parallel_for shares its body through pool.rs's Region (DESIGN §7): a
+# Send/Sync wrapper anywhere else is a second, unreviewed way of handing
+# one buffer to several threads. The needle is split so this file does not
+# contain it.
+stray=$(git grep -lE 'unsafe ''impl(<[^>]*>)? +(Send|Sync)\b' -- crates src tests examples shims \
+  | grep -vE '^crates/tensor/src/(pool|ops/gemm)\.rs$' || true)
+if [[ -n $stray ]]; then
+  echo "a Send/Sync pointer wrapper outside pool.rs / gemm.rs:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+
 echo "== one correctness gate, one speed gate, one experiment runner (no second path) =="
 # `cargo test` decides correctness and benchmark/ decides speed: timing
 # lanes, smoke binaries that re-run an integration test and criterion
@@ -186,6 +201,14 @@ for tier in 0 avx2; do
   PBP_SIMD=$tier cargo test -q -p pbp-pipeline --test batched_eval
 done
 PBP_THREADS=2 cargo test -q -p pbp-pipeline --test batched_eval
+# Eval-mode batch kernels split the batch over the pool: per-layer eval
+# equivalence and serving's bit-identical replies start from one thread
+# and from more threads than chunks (the suites sweep 1|2|64 themselves;
+# batched_eval runs in the pipeline lanes below).
+for threads in 1 64; do
+  PBP_THREADS=$threads cargo test -q -p pbp-nn --test eval_equivalence
+  PBP_THREADS=$threads cargo test -q -p pbp-serve
+done
 # The threaded runtime's worker count is the thread budget: one worker,
 # the host's count (the default lanes above) and one worker per stage are
 # all reached through the environment on any box, and every bit-identity,
