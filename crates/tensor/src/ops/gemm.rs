@@ -11,15 +11,17 @@
 //! Each dispatches by problem size: small products use simple loops tuned
 //! for the tiny per-stage matrices the pipeline trains at batch size one;
 //! larger ones take a packed, blocked path (`KC`-blocked panels of `B`
-//! packed into an L1-resident tile, `MR`×`NR` register accumulators); the
-//! largest are additionally partitioned across the [`crate::pool`] worker
-//! pool along whichever output dimension is longer.
+//! packed into an L1-resident tile, register tiles of `NR` columns and
+//! [`simd::tile_rows`] rows); the largest are additionally partitioned
+//! across the [`crate::pool`] worker pool along whichever output dimension
+//! is longer.
 //!
-//! This file is the policy: size dispatch, `KC` blocking, packing and the
-//! chunk grid. The arithmetic of every path is three micro-kernels of
-//! [`super::simd`] — the register tile ([`simd::tile`]), the row axpy
-//! sweep ([`simd::axpy_row`]) and the lane-per-output `A·Bᵀ` row
-//! ([`simd::nt_row`]) — each written once and instantiated per SIMD tier.
+//! This file is the policy: size dispatch, `KC` blocking, the plain
+//! `B` pack and the chunk grid. The arithmetic of every path is three
+//! micro-kernels of [`super::simd`] — the register tile ([`simd::tile`]),
+//! the row axpy sweep ([`simd::axpy_row`]) and the lane-per-output `A·Bᵀ`
+//! row ([`simd::nt_row`]) — each written once and instantiated per SIMD
+//! tier, and so is the register-transposing `Bᵀ` pack ([`simd::pack_bt`]).
 //!
 //! # Bit-exact accumulation contract
 //!
@@ -43,10 +45,6 @@ use super::simd;
 use crate::pool;
 use std::cell::RefCell;
 
-/// Rows of `C` computed per register tile. With 256-bit lanes, 4 rows ×
-/// `NR` = 8 vector accumulators — enough independent FMA chains to cover
-/// FMA latency without spilling the register file (8 rows spill).
-pub(crate) const MR: usize = 4;
 /// Columns of `C` computed per register tile: one `__m512`, two `__m256`,
 /// one portable `[f32; 16]`. A ragged right edge (`nr < NR`) is the same
 /// tile with masked loads and stores of `C`, on every tier.
@@ -73,7 +71,8 @@ const PAR_CHUNK: usize = 32;
 const TN_AXPY_MAX_K: usize = 24;
 
 thread_local! {
-    /// Per-thread reusable packing buffer (`KC × NR` floats when full).
+    /// Per-thread reusable packing buffer (`KC × NR` floats when full). It
+    /// only grows: every pack writes each float of the panel it hands on.
     static PACK_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -233,11 +232,12 @@ fn tn_axpy_region(
 /// Blocked kernel over the output region `rows × cols` of `C`.
 ///
 /// `B` panels are packed per (`j`-tile, `k`-panel) into an L1-resident
-/// `kc × NR` buffer; `A` is read in place (its accesses are contiguous in
-/// the non-transposed case and 4-wide contiguous in the transposed case).
-/// Each `MR × NR` (or ragged-edge `mr × nr`) register tile of the region is
-/// one [`simd::tile`] call on the active tier; which tier runs is
-/// unobservable in the output bits.
+/// `kc × NR` buffer — a transposed `B` by [`simd::pack_bt`]'s register
+/// transposes — and `A` is read in place (its accesses are contiguous in
+/// the non-transposed case and tile-row-wide contiguous in the transposed
+/// case). Each `mr × nr` register tile of the region, `mr` up to the active
+/// tier's [`simd::tile_rows`], is one [`simd::tile`] call; which tier runs
+/// is unobservable in the output bits.
 ///
 /// In overwrite mode (`acc == false`) the first `k`-panel starts its
 /// register tile from literal zeros instead of reading freshly-zeroed `C`
@@ -259,6 +259,7 @@ fn tiled_region<const AT: bool, const BT: bool>(
     let ldb = if BT { k } else { n };
     let (row0, row1) = rows;
     let (col0, col1) = cols;
+    let tile_rows = simd::tile_rows();
     PACK_BUF.with(|buf| {
         let bp = &mut *buf.borrow_mut();
         let mut j0 = col0;
@@ -275,12 +276,20 @@ fn tiled_region<const AT: bool, const BT: bool>(
                 let (panel, bstride): (&[f32], usize) = if !BT && nr == NR {
                     (&b[p0 * ldb + j0..], ldb)
                 } else {
-                    pack_b::<BT>(b, ldb, p0, kc, j0, nr, bp);
-                    (&bp[..], NR)
+                    if bp.len() < kc * NR {
+                        bp.resize(kc * NR, 0.0);
+                    }
+                    let panel = &mut bp[..kc * NR];
+                    if BT {
+                        simd::pack_bt(b, ldb, (p0, kc), (j0, nr), panel);
+                    } else {
+                        pack_b(b, ldb, p0, j0, nr, panel);
+                    }
+                    (panel, NR)
                 };
                 let mut i0 = row0;
                 while i0 < row1 {
-                    let mr = MR.min(row1 - i0);
+                    let mr = tile_rows.min(row1 - i0);
                     let tile = simd::Tile {
                         a,
                         lda,
@@ -304,6 +313,10 @@ fn tiled_region<const AT: bool, const BT: bool>(
                     // otherwise the zero-padded pack.
                     unsafe {
                         match mr {
+                            8 => simd::tile::<AT, 8>(tile),
+                            7 => simd::tile::<AT, 7>(tile),
+                            6 => simd::tile::<AT, 6>(tile),
+                            5 => simd::tile::<AT, 5>(tile),
                             4 => simd::tile::<AT, 4>(tile),
                             3 => simd::tile::<AT, 3>(tile),
                             2 => simd::tile::<AT, 2>(tile),
@@ -319,34 +332,13 @@ fn tiled_region<const AT: bool, const BT: bool>(
     });
 }
 
-/// Packs the `kc × nr` panel of `B` starting at (`p0`, `j0`) into `bp` as a
-/// dense `kc × NR` tile, zero-padding columns past `nr`. Pure data movement:
-/// values are copied bit-exactly.
-fn pack_b<const BT: bool>(
-    b: &[f32],
-    ldb: usize,
-    p0: usize,
-    kc: usize,
-    j0: usize,
-    nr: usize,
-    bp: &mut Vec<f32>,
-) {
-    bp.clear();
-    bp.resize(kc * NR, 0.0);
-    if BT {
-        // `B` is n×k; column `j` of the logical Bᵀ is row `j0 + j` of `B`.
-        // Iterating packed rows with `chunks_exact_mut` keeps the strided
-        // writes bounds-check-free.
-        for j in 0..nr {
-            let col = &b[(j0 + j) * ldb + p0..][..kc];
-            for (dst, &v) in bp.chunks_exact_mut(NR).zip(col) {
-                dst[j] = v;
-            }
-        }
-    } else {
-        for (dst, src) in bp.chunks_exact_mut(NR).zip(b[p0 * ldb..].chunks_exact(ldb)) {
-            dst[..nr].copy_from_slice(&src[j0..j0 + nr]);
-        }
+/// Packs the `kc × nr` panel of a row-major `k × n` `B` starting at (`p0`,
+/// `j0`) into `bp`, `kc` rows of `NR` floats, zero-padding columns past
+/// `nr`. Pure data movement: values are copied bit-exactly.
+fn pack_b(b: &[f32], ldb: usize, p0: usize, j0: usize, nr: usize, bp: &mut [f32]) {
+    for (dst, src) in bp.chunks_exact_mut(NR).zip(b[p0 * ldb..].chunks_exact(ldb)) {
+        dst[..nr].copy_from_slice(&src[j0..j0 + nr]);
+        dst[nr..].fill(0.0);
     }
 }
 
@@ -383,9 +375,8 @@ fn simple<const AT: bool, const BT: bool>(
             }
         }
     } else {
-        // A·B: the classic i-k-j axpy order. This is the batch-1 serving hot
-        // path: conv layers at batch one lower to products below
-        // `TILED_MIN_ELEMS` that land here instead of the tiled kernels.
+        // A·B: the classic i-k-j axpy order. At `m = 1` this is every
+        // batch-1 `Linear::backward_input`, `δ·W`.
         for i in 0..m {
             let arow = &a[i * k..][..k];
             let crow = &mut c[i * n..][..n];

@@ -4,10 +4,11 @@
 //! Six kernels live here — the GEMM register tile (`tile`), the row axpy
 //! sweep (`axpy_row`), the `A·Bᵀ` row (`nt_row`) and the three direct
 //! convolution kernels (`conv_forward`, `conv_backward_input`,
-//! `conv_backward_weight`).
+//! `conv_backward_weight`) — beside the tile's `Bᵀ` panel pack
+//! (`pack_bt`), which computes nothing.
 //! Each is one generic function over a lane type: lanes never interact —
-//! the one cross-lane operation, `Lanes::transpose` in the `A·Bᵀ` row,
-//! moves data and computes nothing — and
+//! the one cross-lane operation, `Lanes::transpose` in the `A·Bᵀ` row and
+//! the pack, moves data and computes nothing — and
 //! the only arithmetic is `Lanes::fma` (plus one `Lanes::add` in the
 //! input-gradient kernel), so every output element is one left-to-right
 //! chain of fused multiply-adds whatever the vector width. An IEEE 754
@@ -35,7 +36,7 @@
 //! `match active_tier()`: the `__m512` and `__m256` instantiations behind
 //! `#[target_feature]` wrappers, and a `_ =>` arm running the portable
 //! instantiation (`[f32; 16]` for the tile, `f32` for the axpy sweep, the
-//! `A·Bᵀ` row and the convolution kernels) — which is also all a
+//! `A·Bᵀ` row, the pack and the convolution kernels) — which is also all a
 //! non-x86-64 target compiles.
 //!
 //! # The ragged edge
@@ -198,6 +199,11 @@ trait Lanes: Copy {
     /// enough chains to cover fma latency without spilling the register
     /// file.
     const ROWS: usize = 8;
+    /// Rows of the GEMM register tile at this lane type. Two fma ports at
+    /// four cycles of latency want eight chains in flight: four rows of two
+    /// `__m256` (eight of sixteen ymm; eight rows spill) or of one
+    /// `[f32; 16]`.
+    const TILE_ROWS: usize = 4;
     unsafe fn zero() -> Self;
     unsafe fn splat(v: f32) -> Self;
     unsafe fn load(p: *const f32) -> Self;
@@ -426,6 +432,19 @@ unsafe fn tile_portable<const AT: bool, const MRL: usize>(t: Tile<'_>) {
     tile_any::<[f32; MAX_LANES], 1, AT, MRL>(t)
 }
 
+/// Rows of the register tile on the active tier ([`Lanes::TILE_ROWS`]):
+/// the `MRL` a full-height tile of [`tile`] should be run at. Any
+/// `MRL` in `1..=8` computes the same bits on any tier; this is speed only.
+pub(crate) fn tile_rows() -> usize {
+    match active_tier() {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512Fma => <std::arch::x86_64::__m512 as Lanes>::TILE_ROWS,
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2Fma => <std::arch::x86_64::__m256 as Lanes>::TILE_ROWS,
+        _ => <[f32; MAX_LANES] as Lanes>::TILE_ROWS,
+    }
+}
+
 /// Runs one register tile on the active tier.
 ///
 /// # Safety
@@ -552,14 +571,18 @@ struct NtArgs<'a> {
 /// `stride` apart, transposed: vector `q` of the result holds column `q` of
 /// the block, one row of `B` per lane. A ragged block (`!FULL`) reads only
 /// the first `w < V::N` columns of each row, the rest come back `+0.0`.
+/// Only the first `rows <= V::N` rows are read; lanes past them come back
+/// `+0.0`.
 #[inline(always)]
 unsafe fn load_transposed<V: Lanes, const FULL: bool>(
     p: *const f32,
     stride: usize,
     w: usize,
+    rows: usize,
 ) -> [V; MAX_LANES] {
+    debug_assert!(rows <= V::N);
     let mut block = [V::zero(); MAX_LANES];
-    for (l, row) in block.iter_mut().enumerate().take(V::N) {
+    for (l, row) in block.iter_mut().enumerate().take(rows) {
         *row = if FULL {
             V::load(p.add(l * stride))
         } else {
@@ -583,7 +606,7 @@ unsafe fn nt_fold<V: Lanes, const FULL: bool>(
     k: usize,
     w: usize,
 ) -> V {
-    let cols = load_transposed::<V, FULL>(b, k, w);
+    let cols = load_transposed::<V, FULL>(b, k, w, V::N);
     for (q, &col) in cols.iter().enumerate().take(w) {
         acc = V::fma(V::splat(*a.add(q)), col, acc);
     }
@@ -671,6 +694,120 @@ pub(crate) fn nt_row(a: &[f32], b: &[f32], c: &mut [f32]) {
             #[cfg(target_arch = "x86_64")]
             SimdTier::Avx2Fma => x86::nt_row_avx2(t),
             _ => nt_one_lane(t, 0),
+        }
+    }
+}
+
+/// Operands of one `Bᵀ` panel pack; see [`pack_bt`]. `b` is the panel's
+/// first float, its `nr` rows `ldb` apart, `bp` the `kc × NR` destination.
+#[derive(Clone, Copy)]
+struct PackArgs {
+    b: *const f32,
+    ldb: usize,
+    kc: usize,
+    nr: usize,
+    bp: *mut f32,
+}
+
+/// The pack at `V`: each group of `V::N` rows of `B` goes through
+/// [`load_transposed`] a block of `V::N` columns at a time, the last
+/// `kc mod V::N` a ragged block, and vector `q` of a block is stored as the
+/// group's lanes of packed row `kk + q`. Lanes of a group past `nr` come
+/// back `+0.0`, and groups wholly past `nr` (a ragged panel's only) are
+/// stored `+0.0`: every float of the panel is written.
+///
+/// # Safety
+///
+/// `t.b` must point at `nr <= NR` rows of `kc` readable floats, `ldb`
+/// apart, and `t.bp` at `kc · NR` writable ones; `FULL` must mean
+/// `nr == NR`, and `V`'s CPU feature must be available.
+#[inline(always)]
+unsafe fn pack_bt_kernel<V: Lanes, const FULL: bool>(t: PackArgs) {
+    let mut g = 0;
+    while g < t.nr {
+        // A constant on a full panel, so the block stays in registers.
+        let rows = if FULL { V::N } else { (t.nr - g).min(V::N) };
+        let (src, dst) = (t.b.add(g * t.ldb), t.bp.add(g));
+        let mut kk = 0;
+        while kk + V::N <= t.kc {
+            let cols = load_transposed::<V, true>(src.add(kk), t.ldb, V::N, rows);
+            for (q, col) in cols.iter().enumerate().take(V::N) {
+                col.store(dst.add((kk + q) * NR));
+            }
+            kk += V::N;
+        }
+        if kk < t.kc {
+            let w = t.kc - kk;
+            let cols = load_transposed::<V, false>(src.add(kk), t.ldb, w, rows);
+            for (q, col) in cols.iter().enumerate().take(w) {
+                col.store(dst.add((kk + q) * NR));
+            }
+        }
+        g += V::N;
+    }
+    while g < NR {
+        for kk in 0..t.kc {
+            V::zero().store(t.bp.add(kk * NR + g));
+        }
+        g += V::N;
+    }
+}
+
+/// [`pack_bt_kernel`] at full width or ragged, by `nr`.
+///
+/// # Safety
+///
+/// As [`pack_bt_kernel`], `FULL` aside.
+#[inline(always)]
+unsafe fn pack_bt_any<V: Lanes>(t: PackArgs) {
+    if t.nr == NR {
+        pack_bt_kernel::<V, true>(t)
+    } else {
+        pack_bt_kernel::<V, false>(t)
+    }
+}
+
+/// Packs the `kc × nr` panel of `Bᵀ` at (`p0`, `j0`) — rows `j0..j0 + nr`
+/// of the row-major `B`, `ldb` floats apart, columns `p0..p0 + kc` — into
+/// `bp` as the dense `kc × NR` panel [`tile`] reads:
+/// `bp[kk · NR + j] = b[(j0 + j) · ldb + p0 + kk]`, and `+0.0` for
+/// `nr <= j < NR`. Register transposes on the vector tiers, a plain copy
+/// on the portable one; pure data movement, so every tier writes the
+/// source's bits. Nothing past `bp[kc · NR]` is written.
+///
+/// # Panics
+///
+/// Panics if `nr` is not in `1..=NR`, the block reaches past a row or past
+/// `B`, or `bp` is shorter than the panel.
+pub(crate) fn pack_bt(
+    b: &[f32],
+    ldb: usize,
+    (p0, kc): (usize, usize),
+    (j0, nr): (usize, usize),
+    bp: &mut [f32],
+) {
+    assert!((1..=NR).contains(&nr), "pack_bt: panel width");
+    assert!(p0 + kc <= ldb, "pack_bt: columns past the row");
+    assert!((j0 + nr) * ldb <= b.len(), "pack_bt: rows past B");
+    assert!(bp.len() >= kc * NR, "pack_bt: panel buffer");
+    let t = PackArgs {
+        b: b[j0 * ldb + p0..].as_ptr(),
+        ldb,
+        kc,
+        nr,
+        bp: bp.as_mut_ptr(),
+    };
+    // SAFETY: the asserts bound every access: `b[(j0 + j) · ldb + p0 + kk]`
+    // for `j < nr`, `kk < kc` (a ragged block reads only its live columns,
+    // `load_transposed` only its live rows), and `bp[kk · NR + j]` for
+    // `j < NR`; the tier match proves the CPU feature.
+    unsafe {
+        match active_tier() {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512Fma => x86::pack_bt_avx512(t),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2Fma => x86::pack_bt_avx2(t),
+            _ => pack_bt_any::<f32>(t),
         }
     }
 }
@@ -973,7 +1110,7 @@ pub(crate) fn conv_backward_weight(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{BwdInputArgs, BwdWeightArgs, FwdArgs, Lanes, NtArgs, Tile, MAX_LANES};
+    use super::{BwdInputArgs, BwdWeightArgs, FwdArgs, Lanes, NtArgs, PackArgs, Tile, MAX_LANES};
     use std::arch::x86_64::*;
 
     /// `MASK_TABLE[8 - w..][..8]` is `w` all-ones lanes then zeros: the
@@ -1057,6 +1194,9 @@ mod x86 {
         const N: usize = 16;
         /// Thirty-two registers: twice the chains.
         const ROWS: usize = 16;
+        /// One `__m512` per row: eight rows are the eight chains, in eight
+        /// of thirty-two zmm.
+        const TILE_ROWS: usize = 8;
         #[inline(always)]
         unsafe fn zero() -> Self {
             _mm512_setzero_ps()
@@ -1178,6 +1318,18 @@ mod x86 {
     pub(super) unsafe fn nt_row_avx2(t: NtArgs<'_>) {
         let j = super::nt_vectors::<__m256>(t, 0);
         super::nt_one_lane(t, j)
+    }
+
+    /// See [`conv_forward_avx2`]. Sixteen rows of `B` a block.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn pack_bt_avx512(t: PackArgs) {
+        super::pack_bt_any::<__m512>(t)
+    }
+
+    /// See [`conv_forward_avx2`]. Two groups of eight rows of `B`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn pack_bt_avx2(t: PackArgs) {
+        super::pack_bt_any::<__m256>(t)
     }
 
     /// See [`conv_forward_avx2`]. Two `__m256` per tile row. The inline hint
@@ -1312,44 +1464,105 @@ mod tests {
     }
 
     /// The transposing block load at `V` against a one-lane gather of the
-    /// same block, full and at every ragged width: vector `q` is column
-    /// `q`, dead columns `+0.0`, and nothing outside the block is read —
-    /// everything around it is NaN.
+    /// same block, full and at every ragged width and row count: vector
+    /// `q` is column `q`, dead columns and dead rows' lanes `+0.0`, and
+    /// nothing outside the live block is read — everything around it is
+    /// NaN.
     fn block_load_matches_the_gather<V: Lanes, const VR: usize>(ty: &str) {
         let n = V::N;
         // Rows `stride` apart, the block one float in from the left edge.
         let stride = n + 3;
         let src = rand_vec(n * n, 7);
-        for w in 0..=n {
-            let mut b = vec![f32::NAN; (n + 1) * stride];
-            for (l, row) in src.chunks_exact(n).enumerate() {
-                b[l * stride + 1..][..w].copy_from_slice(&row[..w]);
+        for rows in 0..=n {
+            for w in 0..=n {
+                let mut b = vec![f32::NAN; (n + 1) * stride];
+                for (l, row) in src.chunks_exact(n).enumerate().take(rows) {
+                    b[l * stride + 1..][..w].copy_from_slice(&row[..w]);
+                }
+                let mut got = vec![SENTINEL; n * n];
+                // SAFETY: rows `0..n` of `b` hold `1 + w <= stride` floats
+                // each, `got` a whole vector per column; the macro proved
+                // the CPU feature.
+                unsafe {
+                    let p = b.as_ptr().add(1);
+                    let cols = if w == n {
+                        load_transposed::<V, true>(p, stride, w, rows)
+                    } else {
+                        load_transposed::<V, false>(p, stride, w, rows)
+                    };
+                    for (q, col) in cols.iter().enumerate().take(n) {
+                        col.store(got.as_mut_ptr().add(q * n));
+                    }
+                }
+                let want: Vec<f32> = (0..n * n)
+                    .map(|i| {
+                        let (q, l) = (i / n, i % n);
+                        if q < w && l < rows {
+                            src[l * n + q]
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                assert_bits_eq(&got, &want, &format!("{ty} block load rows={rows} w={w}"));
             }
-            let mut got = vec![SENTINEL; n * n];
-            // SAFETY: rows `0..n` of `b` hold `1 + w <= stride` floats
-            // each, `got` a whole vector per column; the macro proved the
-            // CPU feature.
-            unsafe {
-                let cols = if w == n {
-                    load_transposed::<V, true>(b.as_ptr().add(1), stride, w)
-                } else {
-                    load_transposed::<V, false>(b.as_ptr().add(1), stride, w)
+        }
+    }
+
+    /// The `Bᵀ` pack at `V` against the scalar loop it replaced, on one
+    /// `B` whose panel sits inside NaN rows and columns (`ldb > kc`), into
+    /// a buffer that runs on past the panel: same bits as the loop, `+0.0`
+    /// past `nr`, nothing written past `kc · NR`.
+    fn bt_pack_matches_the_scalar_pack<V: Lanes, const VR: usize>(ty: &str) {
+        let (j0, p0) = (2, 3);
+        for nr in 1..=NR {
+            for kc in [1, 7, 15, 16, 17, 33, 256] {
+                let ldb = p0 + kc + 5;
+                let mut b = vec![f32::NAN; (j0 + nr + 2) * ldb];
+                let src = rand_vec(nr * kc, 11);
+                for (j, row) in src.chunks_exact(kc).enumerate() {
+                    b[(j0 + j) * ldb + p0..][..kc].copy_from_slice(row);
+                }
+                // The scalar reference: a zeroed panel, one strided store
+                // per element.
+                let mut want = vec![0.0; kc * NR];
+                for j in 0..nr {
+                    let col = &b[(j0 + j) * ldb + p0..][..kc];
+                    for (dst, &v) in want.chunks_exact_mut(NR).zip(col) {
+                        dst[j] = v;
+                    }
+                }
+                want.extend([SENTINEL; NR]);
+                // Stale values all over the panel, padding included: the
+                // pack writes every float of it and nothing is zeroed
+                // first.
+                let mut got = rand_vec(kc * NR, 12);
+                got.extend([SENTINEL; NR]);
+                let t = PackArgs {
+                    b: b[j0 * ldb + p0..].as_ptr(),
+                    ldb,
+                    kc,
+                    nr,
+                    bp: got.as_mut_ptr(),
                 };
-                for (q, col) in cols.iter().enumerate().take(n) {
-                    col.store(got.as_mut_ptr().add(q * n));
+                // SAFETY: rows `j0..j0 + nr` of `b` hold columns
+                // `p0..p0 + kc`, `got` a `kc × NR` panel; the macro proved
+                // the CPU feature.
+                unsafe { pack_bt_any::<V>(t) };
+                let context = format!("{ty} nr={nr} kc={kc}");
+                assert_bits_eq(&got, &want, &context);
+                for (i, x) in got[..kc * NR].iter().enumerate() {
+                    if i % NR >= nr {
+                        assert_eq!(x.to_bits(), 0, "{context}: padding [{i}]");
+                    }
                 }
             }
-            let want: Vec<f32> = (0..n * n)
-                .map(|i| {
-                    if i / n < w {
-                        src[(i % n) * n + i / n]
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            assert_bits_eq(&got, &want, &format!("{ty} block load w={w}"));
         }
+    }
+
+    #[test]
+    fn bt_pack_matches_the_scalar_pack_at_every_lane_type() {
+        on_every_lane_type!(bt_pack_matches_the_scalar_pack);
     }
 
     #[test]
@@ -1398,11 +1611,19 @@ mod tests {
             (false, 2) => tile_any::<V, VR, false, 2>(t),
             (false, 3) => tile_any::<V, VR, false, 3>(t),
             (false, 4) => tile_any::<V, VR, false, 4>(t),
+            (false, 5) => tile_any::<V, VR, false, 5>(t),
+            (false, 6) => tile_any::<V, VR, false, 6>(t),
+            (false, 7) => tile_any::<V, VR, false, 7>(t),
+            (false, 8) => tile_any::<V, VR, false, 8>(t),
             (true, 1) => tile_any::<V, VR, true, 1>(t),
             (true, 2) => tile_any::<V, VR, true, 2>(t),
             (true, 3) => tile_any::<V, VR, true, 3>(t),
             (true, 4) => tile_any::<V, VR, true, 4>(t),
-            _ => unreachable!("MRL is 1..=4"),
+            (true, 5) => tile_any::<V, VR, true, 5>(t),
+            (true, 6) => tile_any::<V, VR, true, 6>(t),
+            (true, 7) => tile_any::<V, VR, true, 7>(t),
+            (true, 8) => tile_any::<V, VR, true, 8>(t),
+            _ => unreachable!("MRL is 1..=8"),
         }
     }
 
@@ -1414,7 +1635,7 @@ mod tests {
         // the tile and one row taller either side.
         let (i0, p0, j0, kc, ldc) = (1, 2, 3, 7, NR + 5);
         for nr in 1..=NR {
-            for mrl in 1..=4 {
+            for mrl in 1..=8 {
                 for at in [false, true] {
                     for load_c in [false, true] {
                         let (m, k) = (i0 + mrl, p0 + kc);

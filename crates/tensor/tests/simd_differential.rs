@@ -5,12 +5,12 @@
 //! IEEE 754 fma rounds exactly once — so the tiers are the *same function*
 //! and every comparison here is `to_bits` equality, never a tolerance (see
 //! `pbp_tensor::ops::simd`). The shapes are chosen to hit the dispatch
-//! edges: full `MR×NR` register tiles, ragged `nr < NR` right-edge tiles
-//! (masked SIMD variants — every width 1..NR swept below), ragged `mr < MR`
-//! row remainders, single and multiple `KC` panels, the short-reduction
-//! `tn` path, the small-shape `simple` path (whose `nn`/`tn` row sweeps
-//! also dispatch to the per-tier axpy micro-kernels), and non-finite
-//! inputs.
+//! edges: full-height register tiles (8 rows on AVX-512, 4 on the other
+//! tiers, `NR` columns), ragged `nr < NR` right-edge tiles (masked SIMD
+//! variants — every width 1..NR swept below), shorter row remainders,
+//! single and multiple `KC` panels, the short-reduction `tn` path, the
+//! small-shape `simple` path (whose `nn`/`tn` row sweeps also dispatch to
+//! the per-tier axpy micro-kernels), and non-finite inputs.
 //!
 //! Tier and thread caps are process globals; `GLOBALS_LOCK` serializes the
 //! tests that flip them so each test measures the configuration it names.
@@ -55,20 +55,22 @@ fn assert_bits_eq(got: &[f32], want: &[f32], context: &str) {
     }
 }
 
-/// Shapes straddling every micro-kernel edge. `MR = 4`, `NR = 16`,
-/// `KC = 256`, tiled threshold 16·1024 elements (see `ops::gemm`).
+/// Shapes straddling every micro-kernel edge. Tile rows 8 (AVX-512) or 4,
+/// `NR = 16`, `KC = 256`, tiled threshold 16·1024 elements (see
+/// `ops::gemm`).
 const EDGE_SHAPES: [(usize, usize, usize, &str); 6] = [
     // Below the tiled threshold: the `simple` path, no SIMD dispatch at
     // all — pins that the dispatch *boundary* is also tier-independent.
     (4, 16, 16, "simple-path"),
-    // Exactly one full MR×NR tile, k = KC exactly (one full panel).
-    (4, 256, 16, "one-full-tile"),
-    // Ragged rows (9 = 2·MR + 1) and columns (150 = 9·NR + 6), k < KC:
-    // SIMD tiles and scalar edge tiles meet in one output.
+    // Exactly one full 8×NR tile (two 4-row ones), k = KC exactly (one
+    // full panel).
+    (8, 256, 16, "one-full-tile"),
+    // Ragged rows (9 = 8 + 1 = 2·4 + 1) and columns (150 = 9·NR + 6),
+    // k < KC: SIMD tiles and scalar edge tiles meet in one output.
     (9, 120, 150, "ragged-both"),
     // k > KC: two k-panels accumulate into the same tile (load_c path).
     (8, 300, 32, "two-panels"),
-    // mr < MR everywhere, exactly NR wide, multi-panel.
+    // Fewer rows than a tile everywhere, exactly NR wide, multi-panel.
     (3, 400, 16, "short-rows"),
     // Everything at once: ragged rows, ragged columns, two panels.
     (5, 260, 47, "ragged-multi-panel"),
@@ -224,14 +226,14 @@ fn tn_axpy_micro_kernel_edges_match_reference_per_tier() {
 /// width and mask only the `C` loads/stores — masked-off lanes may compute
 /// on the padding but are never stored, so each width must match the
 /// scalar tile (and the naive reference) bit for bit. `n = NR + nr` gives
-/// one full-width tile followed by the ragged edge; `m = MR + 1` adds a
-/// ragged row remainder on top; `k` spans two `KC` panels so the masked
+/// one full-width tile followed by the ragged edge; `m = 9` adds a one-row
+/// remainder after full-height tiles on every tier; `k` spans two `KC` panels so the masked
 /// `load_c` path (accumulating the second panel onto the first) runs too.
 #[test]
 fn every_ragged_edge_width_matches_reference_per_tier() {
     let _g = lock();
     pool::set_max_threads(1);
-    let (m, k) = (5usize, 300usize);
+    let (m, k) = (9usize, 300usize);
     for nr in 1..16usize {
         let n = 16 + nr;
         let a_nn = rand_vec(m * k, 100 + nr as u64);
@@ -266,7 +268,7 @@ fn every_ragged_edge_width_matches_reference_per_tier() {
 }
 
 /// The small-shape `simple` path — everything under the tiled threshold,
-/// the batch-1 serving hot path — now dispatches its `nn` and `tn` row
+/// every batch-1 training product — dispatches its `nn` and `tn` row
 /// sweeps to the per-tier axpy micro-kernels. Sweep widths covering full
 /// AVX-512/AVX2 lanes, sub-lane tails, and single columns, per tier,
 /// bitwise against the reference.

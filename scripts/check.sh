@@ -194,11 +194,13 @@ echo "== env escape hatches (PBP_SIMD / PBP_THREADS read from the environment, n
 # (so the portable and, on an AVX-512 box, the middle tier are reached
 # through the environment too), eval ≡ training-mode forward per layer and
 # batch-size invariance per builder on those tiers as well, batched
-# evaluation on the default pool.
+# evaluation on the default pool, and serving's coalesced reply ≡ solo
+# forward, whose batched `Linear` runs the tier's own pack and tile height.
 for tier in 0 avx2; do
   PBP_SIMD=$tier cargo test -q --test proptest_kernels
   PBP_SIMD=$tier cargo test -q -p pbp-nn --test eval_equivalence
   PBP_SIMD=$tier cargo test -q -p pbp-pipeline --test batched_eval
+  PBP_SIMD=$tier cargo test -q -p pbp-serve
 done
 PBP_THREADS=2 cargo test -q -p pbp-pipeline --test batched_eval
 # Eval-mode batch kernels split the batch over the pool: per-layer eval

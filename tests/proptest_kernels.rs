@@ -226,33 +226,53 @@ proptest! {
     }
 }
 
-/// Large products swept across the parallel-dispatch boundary *and* every
-/// SIMD tier this CPU supports, bitwise against the scalar reference. The
-/// cutoff is per-thread work (`PAR_MIN_ELEMS_PER_THREAD`), so the sweep
-/// deliberately crosses it both ways: 256·128·256 = 8.4M elems goes
-/// parallel at 2 and 8 threads, while the ragged 251·67·233 = 3.9M goes
-/// parallel at 2 threads but stays serial at 8 (too little work per
-/// worker) — same bytes either side of the boundary.
+/// Large products in all three layouts, swept across the parallel-dispatch
+/// boundary *and* every SIMD tier this CPU supports, bitwise against the
+/// scalar reference. The cutoff is per-thread work
+/// (`PAR_MIN_ELEMS_PER_THREAD`), so the sweep deliberately crosses it both
+/// ways: 256·128·256 = 8.4M elems goes parallel at 2 and 8 threads, while
+/// the ragged 251·67·233 = 3.9M goes parallel at 2 threads but stays
+/// serial at 8 (too little work per worker) — same bytes either side of
+/// the boundary. 67·300·45 reaches the ragged ends of the tile and the
+/// pack at once: a 3-row tile after eight 8-row ones (four-row tiers: after
+/// sixteen), a second, 44-deep `KC` panel (two 16-column transposed blocks
+/// and a ragged one) and a 13-wide last column tile.
 #[test]
 fn large_gemm_is_bitwise_exact_across_threads_and_tiers() {
     let _tier = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let tiers = supported_tiers();
-    for &(m, k, n) in &[(256usize, 128usize, 256usize), (251, 67, 233)] {
+    for &(m, k, n) in &[
+        (256usize, 128usize, 256usize),
+        (251, 67, 233),
+        (67, 300, 45),
+    ] {
         let a = rand_vec(m * k, 77);
         let b = rand_vec(k * n, 78);
-        let mut want = vec![0.0; m * n];
-        reference::matmul_ref(&a, &b, &mut want, m, k, n);
+        let bt = rand_vec(n * k, 79);
+        let at = rand_vec(k * m, 80);
+        let mut want_nn = vec![0.0; m * n];
+        reference::matmul_ref(&a, &b, &mut want_nn, m, k, n);
+        let mut want_nt = vec![0.0; m * n];
+        reference::matmul_nt_ref(&a, &bt, &mut want_nt, m, k, n);
+        let mut want_tn = vec![0.0; m * n];
+        reference::matmul_tn_ref(&at, &b, &mut want_tn, m, k, n);
         for &threads in &THREAD_SWEEP {
             pool::set_max_threads(threads);
             for &tier in &tiers {
                 set_tier(tier);
+                let ctx = |layout: &str| {
+                    format!(
+                        "large {layout} {m}x{k}x{n} t={threads} tier={}",
+                        tier.name()
+                    )
+                };
                 let mut got = vec![0.0; m * n];
                 gemm_nn(&a, &b, &mut got, m, k, n, false);
-                assert_bits_eq(
-                    &got,
-                    &want,
-                    &format!("large nn {m}x{k}x{n} t={threads} tier={}", tier.name()),
-                );
+                assert_bits_eq(&got, &want_nn, &ctx("nn"));
+                gemm_nt(&a, &bt, &mut got, m, k, n, false);
+                assert_bits_eq(&got, &want_nt, &ctx("nt"));
+                gemm_tn(&at, &b, &mut got, m, k, n, false);
+                assert_bits_eq(&got, &want_tn, &ctx("tn"));
             }
         }
     }
