@@ -31,6 +31,7 @@
 
 use crate::cell::StageCell;
 use crate::metrics::StageCounters;
+use crate::rank::Step;
 use crate::schedule::Action;
 use crate::scheduled::ScheduledConfig;
 use pbp_nn::loss::softmax_cross_entropy;
@@ -52,15 +53,35 @@ use std::time::Instant;
 /// `fc0`.
 const FLOPS_PER_PARAM: u64 = 45;
 
+/// The phases of one microbatch's actions at a stage, whose costs
+/// [`stage_cost`] sums.
+pub(crate) const ACTION_PHASES: [TracePhase; 4] = [
+    TracePhase::Forward,
+    TracePhase::BackwardInput,
+    TracePhase::BackwardWeight,
+    TracePhase::Update,
+];
+
+/// What the action of `phase` costs `stage` per sample, in
+/// flop-equivalents: the update its memory streams per parameter, the
+/// forward and each backward half the forward's
+/// [`Stage::flops_per_sample`].
+pub fn action_cost(stage: &Stage, phase: TracePhase) -> u64 {
+    match phase {
+        TracePhase::Update => FLOPS_PER_PARAM * stage.param_count() as u64,
+        _ => stage.flops_per_sample(),
+    }
+}
+
 /// What one sample costs `stage`, in flop-equivalents, read off the model
-/// alone: forward plus the two backward halves at the forward's
-/// [`Stage::flops_per_sample`] each, plus the update's memory streams per
-/// parameter. A convolution whose builder did not say its input size
+/// alone: the [`action_cost`] of its forward, its two backward halves and
+/// its update. A convolution whose builder did not say its input size
 /// counts parameter-based until its first forward (see
 /// `Layer::flops_per_sample`), so only builders that do — `vgg_cnn`,
 /// `vgg`, `vgg_gn` — are cut the same fresh and warmed.
 pub fn stage_cost(stage: &Stage) -> u64 {
-    3 * stage.flops_per_sample() + FLOPS_PER_PARAM * stage.param_count() as u64
+    let costs = ACTION_PHASES.map(|phase| action_cost(stage, phase));
+    costs.iter().sum()
 }
 
 /// The one partition rule: the `workers + 1` ascending bounds that cut
@@ -342,6 +363,34 @@ impl StageGroup {
             }
         }
         self.next_bwd += 1;
+    }
+
+    /// The spans `step` records, in the order it runs them, as (global
+    /// stage, phase, microbatch, weight version): what
+    /// [`StageGroup::forward`] or [`StageGroup::backward`] would run on
+    /// `stages`, read without running it.
+    pub(crate) fn spans(
+        &self,
+        stages: &[Stage],
+        step: Step,
+    ) -> Vec<(usize, TracePhase, usize, u64)> {
+        let (Step::Forward(mb) | Step::Backward(mb)) = step;
+        let fwd = step == Step::Forward(mb);
+        let actions = self.config.plan.stage_actions(mb);
+        let (n, mut spans) = (self.cells.len(), Vec::new());
+        for k in 0..n {
+            let local = if fwd { k } else { n - 1 - k };
+            let (s, v) = (self.first + local, self.counters[local].updates);
+            let updates = self.cells[local].will_update(&stages[local]);
+            spans.extend(actions.iter().filter_map(|&action| match action {
+                Action::Forward(i) if fwd => Some((s, TracePhase::Forward, i, v)),
+                Action::BackwardInput(i) if !fwd => Some((s, TracePhase::BackwardInput, i, v)),
+                Action::BackwardWeight(j) if !fwd => Some((s, TracePhase::BackwardWeight, j, v)),
+                Action::Update if !fwd && updates => Some((s, TracePhase::Update, mb, v + 1)),
+                _ => None,
+            }));
+        }
+        spans
     }
 
     /// Splits the group at `bounds` (ascending global stage indices, from

@@ -47,6 +47,12 @@
 //!   compared against), `consistent` / `inconsistent` (Figure 10, with
 //!   mitigations Figures 13 and 14), `asgd` (`D` a random variable) and
 //!   `adam` (the Discussion's delay-tolerance ablation).
+//! * [`VirtualHost`] — the fourth host of [`RankLoop`]s, and the Figure 2
+//!   diagram: W loops on one thread joined by in-memory queue links,
+//!   stepped earliest-first on a virtual clock that charges each action
+//!   its [`action_cost`], drawn one span per action into the trace's
+//!   virtual process with the run's bubble fraction. It is also the
+//!   harness that steps the loops in arbitrary ready orders in tests.
 //! * [`schedule`] — the analytic utilization model behind Figure 2.
 //!
 //! All three engines ([`DelayedTrainer`], [`ScheduledTrainer`],
@@ -81,7 +87,7 @@ pub use engine::{run_training, EngineSpec, RunConfig, TrainEngine};
 pub use fault::{
     FaultInjector, FaultPlan, FaultSpec, LinkDir, LinkFault, PipelineFault, RankFault, RunError,
 };
-pub use group::{contiguous_bounds, partition_bounds, stage_cost, StageGroup};
+pub use group::{action_cost, contiguous_bounds, partition_bounds, stage_cost, StageGroup};
 pub use memory::MemoryModel;
 pub use metrics::{EngineMetrics, JsonSink, NoHooks, StageCounters, TraceHooks, TrainHooks};
 pub use rank::{Link, Message, RankError, RankLoop, Step, Upstream};
@@ -100,5 +106,5 @@ pub use supervisor::{
     SupervisedOutcome, SupervisionEvent, Watchdog,
 };
 pub use threaded::{ThreadedConfig, ThreadedPipeline};
-pub use timeline::{emit_schedule_timeline, schedule_bubble_fraction};
+pub use timeline::VirtualHost;
 pub use trainer::{evaluate, EpochRecord, TrainReport};

@@ -6,13 +6,14 @@
 //! [`StageGroup`] plus the one scheduling decision above it,
 //! [`RankLoop::next_step`] — and a [`Link`] is what joins two of them:
 //! in-process channels under [`ThreadedPipeline`](crate::ThreadedPipeline),
-//! sockets under `pbp-dist`, nothing at all in the world of one that is
-//! [`ScheduledTrainer`](crate::ScheduledTrainer). Only [`RankLoop::step`]
-//! drives a group. Fill&drain, PB, 1F1B and 2BP differ only in
-//! the version lags the plan hands the group, never in this loop. Waiting
-//! policy (bounded waits, heartbeats, abort flags, stall windows,
-//! reconnects) belongs to the link; fault and snapshot hooks belong to
-//! the caller, keyed off the [`Step`] the loop reports.
+//! sockets under `pbp-dist`, in-memory queues on a virtual cost clock under
+//! [`VirtualHost`](crate::VirtualHost), which draws the schedule, nothing
+//! at all in the world of one that is [`ScheduledTrainer`](crate::ScheduledTrainer).
+//! Only [`RankLoop::step`] drives a group. Fill&drain, PB, 1F1B and 2BP
+//! differ only in the version lags the plan hands the group, never in this
+//! loop. Waiting policy (bounded waits, heartbeats, abort flags, stall
+//! windows, reconnects) belongs to the link; fault and snapshot hooks
+//! belong to the caller, keyed off the [`Step`] the loop reports.
 
 use crate::engine::batch_of_one;
 use crate::group::StageGroup;
@@ -215,9 +216,9 @@ impl RankLoop {
 
 #[cfg(test)]
 mod tests {
-    //! The ordering contract, checked rather than soaked: ranks joined by
-    //! in-memory queues on one thread, stepped in whatever legal order a
-    //! proptest picks, must match a plain sweep of the whole network bit
+    //! The ordering contract, checked rather than soaked: the loops of a
+    //! [`VirtualHost`], stepped on its cost clock or in whatever legal order
+    //! a proptest picks, must match a plain sweep of the whole network bit
     //! for bit. The sweep is this module's own ([`Reference`]): every
     //! engine, the sequential one included, is a `RankLoop`, so none of
     //! them can be the yardstick.
@@ -226,48 +227,18 @@ mod tests {
     use crate::engine::TrainEngine;
     use crate::metrics::StageCounters;
     use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
+    use crate::timeline::VirtualHost;
     use pbp_data::{spirals, Dataset};
     use pbp_nn::models::mlp;
     use pbp_nn::Network;
     use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
+    use pbp_trace::Tracer;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     const LAYERS: [usize; 6] = [2, 8, 8, 8, 8, 3];
     const SAMPLES: usize = 24;
-
-    type Wire = Rc<RefCell<VecDeque<Message>>>;
-
-    /// One end of an in-memory link; an empty wire is an error, so a rank
-    /// stepped before its input arrived fails the test instead of hanging.
-    struct QueueLink {
-        tx: Wire,
-        rx: Wire,
-    }
-
-    impl Link for QueueLink {
-        type Error = &'static str;
-
-        fn send(&mut self, msg: Message) -> Result<(), Self::Error> {
-            self.tx.borrow_mut().push_back(msg);
-            Ok(())
-        }
-
-        fn recv(&mut self) -> Result<Message, Self::Error> {
-            self.rx.borrow_mut().pop_front().ok_or("empty wire")
-        }
-    }
-
-    struct World {
-        ranks: Vec<RankLoop>,
-        stages: Vec<Vec<Stage>>,
-        /// `acts[i]` / `grads[i]` join rank `i` and rank `i + 1`.
-        acts: Vec<Wire>,
-        grads: Vec<Wire>,
-    }
 
     fn schedule() -> LrSchedule {
         LrSchedule::constant(scale_hyperparams(Hyperparams::new(0.1, 0.9), 8, 1))
@@ -292,62 +263,16 @@ mod tests {
         ]
     }
 
-    impl World {
-        /// `world` ranks over the network's stages, cut at `world - 1`
-        /// boundaries spread evenly.
-        fn new(config: &ScheduledConfig, world: usize) -> World {
-            let net = fresh_net();
-            let n = net.num_stages();
-            let cuts: Vec<usize> = (0..=world).map(|r| r * n / world).collect();
-            let ranks = cuts
-                .windows(2)
-                .map(|w| RankLoop::new(StageGroup::new(&net, w[0]..w[1], config)))
-                .collect();
-            let mut rest = net.into_stages();
-            let mut stages: Vec<Vec<Stage>> = cuts
-                .windows(2)
-                .rev()
-                .map(|w| rest.split_off(w[0]))
-                .collect();
-            stages.reverse();
-            World {
-                ranks,
-                stages,
-                acts: (1..world).map(|_| Wire::default()).collect(),
-                grads: (1..world).map(|_| Wire::default()).collect(),
-            }
-        }
+    /// `workers` loops over a fresh network, to run `SAMPLES` microbatches.
+    fn host(config: &ScheduledConfig, workers: usize) -> VirtualHost {
+        VirtualHost::new(fresh_net(), config, workers, SAMPLES, &Tracer::disabled())
+    }
 
-        /// The step rank `r` would take, if its input has arrived.
-        fn ready(&self, r: usize) -> Option<Step> {
-            let step = self.ranks[r].next_step(SAMPLES)?;
-            let arrived = match step {
-                Step::Forward(_) => r == 0 || !self.acts[r - 1].borrow().is_empty(),
-                Step::Backward(_) => {
-                    r + 1 == self.ranks.len() || !self.grads[r].borrow().is_empty()
-                }
-            };
-            arrived.then_some(step)
-        }
-
-        fn step(
-            &mut self,
-            r: usize,
-            feed: &mut dyn FnMut(usize) -> Message,
-        ) -> Result<Option<Step>, RankError<&'static str>> {
-            let mut up = (r > 0).then(|| QueueLink {
-                tx: Rc::clone(&self.grads[r - 1]),
-                rx: Rc::clone(&self.acts[r - 1]),
-            });
-            let mut down = (r + 1 < self.ranks.len()).then(|| QueueLink {
-                tx: Rc::clone(&self.acts[r]),
-                rx: Rc::clone(&self.grads[r]),
-            });
-            let up = match up.as_mut() {
-                Some(link) => Upstream::Link(link),
-                None => Upstream::Feed(feed),
-            };
-            self.ranks[r].step(&mut self.stages[r], up, down.as_mut(), SAMPLES)
+    /// Loop 0's feed: microbatch `mb` is sample `mb` of `data`, cyclically.
+    fn feed(data: &Dataset) -> impl FnMut(usize) -> Message + '_ {
+        |mb| {
+            let (x, label) = data.sample(mb % data.len());
+            Message::sample(mb, x, label)
         }
     }
 
@@ -402,49 +327,13 @@ mod tests {
         }
     }
 
-    /// Which ready rank steps next: `prefer` narrows the choice to ranks
-    /// about to run that kind of step when there are any (`Some(false)` =
-    /// strictly backward-first, `Some(true)` = maximally forward-greedy),
-    /// `picks` breaks the remaining ties.
-    fn run_world(config: &ScheduledConfig, world: usize, prefer: Option<bool>, picks: &[usize]) {
-        let data = data();
+    /// Holds a host whose loops stopped to the reference sweep: every loop
+    /// done, with the reference's f64 loss sum, and loop 0's loss record,
+    /// the histograms and the weights bit for bit.
+    fn assert_finished(host: &VirtualHost, config: &ScheduledConfig, context: &str) {
         let reference = Reference::run(config);
         let want_sum: f64 = reference.losses.iter().map(|&l| l as f64).sum();
-
-        let context = format!("{} world {world} prefer {prefer:?}", config.label());
-        let mut w = World::new(config, world);
-        let mut feed = |mb: usize| {
-            let (x, label) = data.sample(mb % data.len());
-            Message::sample(mb, x, label)
-        };
-        let mut losses = Vec::new();
-        for turn in 0.. {
-            let ready: Vec<(usize, Step)> = (0..world)
-                .filter_map(|r| w.ready(r).map(|s| (r, s)))
-                .collect();
-            if ready.is_empty() {
-                break;
-            }
-            let preferred: Vec<(usize, Step)> = ready
-                .iter()
-                .copied()
-                .filter(|(_, s)| prefer.is_none_or(|fwd| matches!(s, Step::Forward(_)) == fwd))
-                .collect();
-            let pool = if preferred.is_empty() {
-                &ready
-            } else {
-                &preferred
-            };
-            let (r, step) = pool[picks[turn % picks.len()] % pool.len()];
-            assert_eq!(w.step(r, &mut feed), Ok(Some(step)), "{context}");
-            // The record: each microbatch's loss as rank 0 retires it —
-            // relayed up every link, or, in a world of one, its own.
-            if let (0, Step::Backward(_)) = (r, step) {
-                losses.push(w.ranks[0].last_loss);
-            }
-        }
-        // Nothing ready: every rank must be finished, not deadlocked.
-        for (r, rank) in w.ranks.iter().enumerate() {
+        for (r, rank) in host.loops.iter().enumerate() {
             assert_eq!(rank.next_step(SAMPLES), None, "{context}: rank {r} stuck");
             assert_eq!(rank.group.completed(), SAMPLES, "{context}: rank {r}");
             assert_eq!(
@@ -453,13 +342,18 @@ mod tests {
                 "{context}: rank {r} loss sum"
             );
         }
-        let counters = w.ranks.iter().flat_map(|rank| rank.group.counters());
-        reference.assert_matches(&context, &losses, counters, w.stages.iter().flatten());
+        let counters = host.loops.iter().flat_map(|rank| rank.group.counters());
+        let stages = host.stages.iter().flatten();
+        reference.assert_matches(context, &host.losses, counters, stages);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
+        // Which ready loop steps next: `prefer` narrows the choice to loops
+        // about to run that kind of step when there are any (`Some(false)`
+        // = strictly backward-first, `Some(true)` = maximally
+        // forward-greedy), `picks` breaks the remaining ties.
         #[test]
         fn any_legal_interleaving_matches_the_reference_sweep(
             world in 2usize..=4,
@@ -467,16 +361,43 @@ mod tests {
             picks in proptest::collection::vec(0usize..64, 1..48),
         ) {
             let prefer = [None, Some(false), Some(true)][prefer];
+            let data = data();
             for config in configs() {
-                run_world(&config, world, prefer, &picks);
+                let context = format!("{} world {world} prefer {prefer:?}", config.label());
+                let mut host = host(&config, world);
+                for turn in 0.. {
+                    let ready: Vec<(usize, Step)> =
+                        (0..world).filter_map(|r| Some((r, host.ready(r)?.0))).collect();
+                    let forward = |&(_, step): &(usize, Step)| matches!(step, Step::Forward(_));
+                    let preferred: Vec<(usize, Step)> = ready
+                        .iter()
+                        .copied()
+                        .filter(|pick| prefer.is_none_or(|fwd| forward(pick) == fwd))
+                        .collect();
+                    let pool = if preferred.is_empty() { &ready } else { &preferred };
+                    if pool.is_empty() {
+                        break;
+                    }
+                    let (r, step) = pool[picks[turn % picks.len()] % pool.len()];
+                    assert_eq!(host.step(r, &mut feed(&data)), Ok(Some(step)), "{context}");
+                }
+                assert_finished(&host, &config, &context);
             }
         }
     }
 
+    /// Stepped earliest-first on the cost clock — one loop, two, and one
+    /// per stage — the host's run is a run of the executor.
     #[test]
-    fn a_world_of_one_matches_the_reference_sweep() {
+    fn the_virtual_clock_run_matches_the_reference_sweep() {
+        let data = data();
         for config in configs() {
-            run_world(&config, 1, None, &[0]);
+            for world in [1, 2, LAYERS.len() - 1] {
+                let mut host = host(&config, world);
+                host.run(&mut feed(&data));
+                let context = format!("{} on the clock, world {world}", config.label());
+                assert_finished(&host, &config, &context);
+            }
         }
     }
 
@@ -507,10 +428,10 @@ mod tests {
         let data = data();
         let (x, label) = data.sample(0);
         // The feed hands rank 0 the wrong microbatch.
-        let mut w = World::new(&config, 2);
+        let mut host = host(&config, 2);
         let mut wrong = |mb: usize| Message::sample(mb + 5, x, label);
         assert_eq!(
-            w.step(0, &mut wrong),
+            host.step(0, &mut wrong),
             Err(RankError::Desync {
                 expected: Step::Forward(0),
                 got: Step::Forward(5),
@@ -519,31 +440,34 @@ mod tests {
         // The link hands rank 1 a later activation, then a gradient where
         // an activation is due.
         let mut unused = |_: usize| unreachable!("rank 1 has an upstream link");
-        w.acts[0]
-            .borrow_mut()
-            .push_back(Message::sample(3, x, label));
+        let later = Message::sample(3, x, label);
+        host.acts[0].borrow_mut().push_back((0, later));
         assert_eq!(
-            w.step(1, &mut unused),
+            host.step(1, &mut unused),
             Err(RankError::Desync {
                 expected: Step::Forward(0),
                 got: Step::Forward(3),
             })
         );
-        w.acts[0].borrow_mut().push_back(Message::Gradient {
+        let gradient = Message::Gradient {
             mb: 0,
             loss: 0.0,
             lanes: Vec::new(),
-        });
+        };
+        host.acts[0].borrow_mut().push_back((0, gradient));
         assert_eq!(
-            w.step(1, &mut unused),
+            host.step(1, &mut unused),
             Err(RankError::Desync {
                 expected: Step::Forward(0),
                 got: Step::Backward(0),
             })
         );
         // Nothing ran: the group's cursors have not moved.
-        assert_eq!(w.ranks[1].group.forwarded(), 0);
+        assert_eq!(host.loops[1].group.forwarded(), 0);
         // A link failure passes through untouched.
-        assert_eq!(w.step(1, &mut unused), Err(RankError::Link("empty wire")));
+        assert_eq!(
+            host.step(1, &mut unused),
+            Err(RankError::Link("empty wire"))
+        );
     }
 }

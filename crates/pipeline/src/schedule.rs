@@ -291,7 +291,11 @@ pub enum StageActivity {
 }
 
 /// Step-by-step occupancy simulation of a pipeline, reproducing the
-/// schedule diagrams of Figure 2 and their utilization numbers.
+/// schedule diagrams of Figure 2 and their utilization numbers. It is the
+/// paper's analytic model: its fill&drain streams a whole update window
+/// before draining, where the executor's (version lag 0) drains after
+/// every microbatch. [`VirtualHost`](crate::VirtualHost) draws what the
+/// executor runs.
 #[derive(Debug, Clone)]
 pub struct ScheduleModel {
     /// Number of pipeline stages.

@@ -232,8 +232,13 @@ impl ThreadedPipeline {
 /// One worker per layer stage where the thread budget
 /// ([`pool::configured_threads`]) allows, fewer and wider otherwise, cut
 /// so the costliest worker's [`stage_cost`] sum is the least possible.
-/// Static costs: a fresh engine, every later call and every host derive
-/// the same cut from the model alone.
+/// Each call derives the cut afresh from its stages' costs, and a
+/// convolution whose builder did not state its input size is costed by
+/// its parameters until its first forward. Such a net is cut differently
+/// by its first call than by later ones: `resnet_cifar` at depth 20 and
+/// width 4 cuts `[0, 24, 33]` on two workers fresh, `[0, 20, 33]` after
+/// one call on 8×8 images. Builders that state it — `vgg_cnn`, `vgg`,
+/// `vgg_gn` — are cut the same by every call and every host.
 fn worker_bounds(net: &Network) -> Vec<usize> {
     let costs: Vec<u64> = net.stages().map(stage_cost).collect();
     partition_bounds(&costs, costs.len().min(pool::configured_threads()))
@@ -671,8 +676,8 @@ mod tests {
     use crate::fault::FaultSpec;
     use crate::schedule::MicrobatchSchedule;
     use crate::trainer::evaluate;
-    use pbp_data::spirals;
-    use pbp_nn::models::mlp;
+    use pbp_data::{spirals, DatasetSpec, SyntheticImages};
+    use pbp_nn::models::{mlp, vgg_cnn};
     use pbp_optim::Hyperparams;
     use pbp_trace::{TracePhase, Tracer, PID_WALL};
     use rand::rngs::StdRng;
@@ -818,6 +823,24 @@ mod tests {
                 "stage {first} fills its worker's version FIFO: {pb:?}"
             );
         }
+    }
+
+    /// The ledger's cnn states its input size, so its costs, and with them
+    /// its cut before `fc0`, are the same before a call as after it.
+    #[test]
+    fn a_net_that_states_its_input_size_cuts_the_same_before_and_after_a_call() {
+        let net = vgg_cnn(3, 16, 4, 16, 256, 10, &mut StdRng::seed_from_u64(0));
+        let cut = |net: &Network| {
+            let costs: Vec<u64> = net.stages().map(stage_cost).collect();
+            partition_bounds(&costs, 2)
+        };
+        assert_eq!(cut(&net), [0, 4, 6]);
+        let mut engine = ThreadedPipeline::new(net, ThreadedConfig::pb(schedule()));
+        let bounds = engine.worker_bounds();
+        let data = SyntheticImages::new(DatasetSpec::cifar_sim(16), 1).generate(4, 0);
+        engine.stream(&data, &[0, 1, 2, 3]).expect("clean run");
+        assert_eq!(engine.worker_bounds(), bounds);
+        assert_eq!(cut(&engine.into_network()), [0, 4, 6]);
     }
 
     #[test]

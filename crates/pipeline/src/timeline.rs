@@ -1,359 +1,335 @@
-//! Virtual schedule timelines: ideal-hardware renderings of the
-//! microbatch schedules on the trace's virtual process
-//! ([`pbp_trace::PID_VIRTUAL`]).
+//! The schedule diagram as a run of the executor: [`VirtualHost`] steps W
+//! [`RankLoop`]s on one thread, on a virtual cost clock, and draws what
+//! they ran into the trace's virtual process ([`pbp_trace::PID_VIRTUAL`]).
 //!
-//! The sequential emulation engines execute every stage on one thread, so
-//! their wall-clock traces cannot show the *pipeline* bubbles a schedule
-//! would cost on real parallel hardware. This module closes that gap: it
-//! replays a [`MicrobatchSchedule`]'s dataflow on `S` idealized stage
-//! lanes with unit task costs and emits the resulting spans at virtual
-//! timestamps (1 tick = 1 µs), one lane per stage. Loaded in Perfetto
-//! next to the wall-clock lanes, the virtual process is the Figure 2
-//! schedule diagram; fed to [`pbp_trace::analysis::TraceAnalysis`], its
-//! gaps are the schedule's bubble fraction.
+//! A wall-clock trace cannot show the bubbles a schedule costs W workers.
+//! The host runs them: W loops over [`partition_bounds`] of the
+//! [`stage_cost`]s, joined by in-memory queue links whose every message
+//! carries the virtual time it was sent. It always steps the loop whose
+//! [`RankLoop::next_step`] can start earliest — the later of its previous
+//! step's end and its input's arrival — and charges each action its
+//! [`action_cost`] (flop-equivalents, drawn as nanoseconds) as one span on
+//! its stage's lane `sched-stage-{s}`, tagged like the wall-clock span
+//! [`StageGroup`] records for it: Figure 2, drawn by the code that runs it.
+//! [`VirtualHost::bubble_fraction`] is the idle share of W loops × the
+//! makespan.
 //!
-//! The simulation is dependency-driven list scheduling:
+//! Fill&drain (version lag 0) drains after every microbatch, here as in the
+//! executor: at W = S its bubble is exactly `1 − 1/S`, whatever the update
+//! size. The Eq. 1 grids of [`ScheduleModel`](crate::ScheduleModel), which
+//! stream an update window before draining, stay the analytic model.
 //!
-//! * `F(i, s)` waits for `F(i, s−1)` (activations flow downstream);
-//! * `BI(i, s)` waits for `BI(i, s+1)` (gradients flow upstream), and for
-//!   the stage's own `F(i, s)` (the stash must exist);
-//! * `BW` and `Update` are local work, forced to run right after the
-//!   `BackwardInput` (fused backward) or at the window close (2BP);
-//! * fill-and-drain additionally gates `F(i, s)` on the stage's update of
-//!   the previous window — its defining lag-0 barrier. The pipelined
-//!   schedules keep streaming across update boundaries on stale weight
-//!   versions, which is exactly why their bubbles are smaller.
-//!
-//! Each lane drains gradient work before taking new forward work
-//! (backward priority), mirroring the threaded runtime's worker loop.
+//! Costs are read once, before the first step: a convolution whose builder
+//! did not say its input size is costed by its parameters for the whole
+//! run (see [`stage_cost`]). `rank.rs`'s interleaving proptest steps the
+//! same host in whatever ready order it picks.
 
-use crate::schedule::MicrobatchSchedule;
+use crate::group::{action_cost, partition_bounds, stage_cost, StageGroup, ACTION_PHASES};
+use crate::rank::{Link, Message, RankError, RankLoop, Step, Upstream};
+use crate::scheduled::ScheduledConfig;
+use pbp_nn::{Network, Stage};
 use pbp_trace::{Lane, TracePhase, Tracer, PID_VIRTUAL};
-use std::collections::VecDeque;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
-/// Nanoseconds per virtual tick: 1 µs, so Perfetto renders ticks at
-/// microsecond granularity.
-pub const TICK_NS: u64 = 1_000;
+/// One direction of a queue link: messages in send order, each with the
+/// virtual time it was sent.
+pub(crate) type Wire = Rc<RefCell<VecDeque<(u64, Message)>>>;
 
-/// Task costs in ticks. Forward and the two backward halves are modeled
-/// at equal cost (a GEMM each); the optimizer update is element-wise and
-/// cheaper.
-const COST_FWD: u64 = 2;
-const COST_BWD_INPUT: u64 = 2;
-const COST_BWD_WEIGHT: u64 = 2;
-const COST_UPDATE: u64 = 1;
-
-/// Local follow-up work a lane owes after a `BackwardInput` (fused
-/// weight half, deferred 2BP window, update at the window close).
-struct ForcedTask {
-    phase: TracePhase,
-    cost: u64,
-    microbatch: Option<u64>,
+/// A loop's end of a queue link for one step, stamping what it sends with
+/// the step's end. An empty wire is an error, so a loop stepped before its
+/// input arrived fails instead of hanging.
+struct QueueLink {
+    tx: Wire,
+    rx: Wire,
+    sent: u64,
 }
 
-struct LaneSim {
-    lane: Lane,
-    cursor: u64,
-    next_fwd: usize,
-    next_bwd: usize,
-    forced: VecDeque<ForcedTask>,
-    updates: u64,
-    /// Finish tick of each completed update, in order (the fill&drain
-    /// barrier reads the previous window's entry).
-    update_finish: Vec<u64>,
-}
+impl Link for QueueLink {
+    type Error = &'static str;
 
-/// What a lane would schedule next, and when it could start.
-enum Candidate {
-    Forced(u64),
-    BwdInput(u64),
-    Fwd(u64),
-}
-
-impl Candidate {
-    fn start(&self) -> u64 {
-        match self {
-            Candidate::Forced(t) | Candidate::BwdInput(t) | Candidate::Fwd(t) => *t,
-        }
+    fn send(&mut self, msg: Message) -> Result<(), Self::Error> {
+        self.tx.borrow_mut().push_back((self.sent, msg));
+        Ok(())
     }
 
-    /// Scheduling priority on a start-time tie: local forced work, then
-    /// gradients, then new forwards (backward priority).
-    fn rank(&self) -> u8 {
-        match self {
-            Candidate::Forced(_) => 0,
-            Candidate::BwdInput(_) => 1,
-            Candidate::Fwd(_) => 2,
-        }
+    fn recv(&mut self) -> Result<Message, Self::Error> {
+        let front = self.rx.borrow_mut().pop_front();
+        front.map(|(_, msg)| msg).ok_or("empty wire")
     }
 }
 
-/// Emits the virtual timeline of `plan` over `num_stages` stage lanes and
-/// `microbatches` microbatches into `tracer`'s virtual process. Lanes are
-/// named `sched-stage-{s}`.
-///
-/// # Panics
-///
-/// Panics if `num_stages == 0`, `microbatches == 0`, or `microbatches` is
-/// not a multiple of the plan's update size (a trailing partial window
-/// would never close).
-pub fn emit_schedule_timeline(
-    tracer: &Tracer,
-    plan: &MicrobatchSchedule,
-    num_stages: usize,
-    microbatches: usize,
-) {
-    let s_count = num_stages;
-    let n = microbatches;
-    let m = plan.microbatches_per_update();
-    assert!(s_count > 0, "pipeline needs at least one stage");
-    assert!(n > 0, "need at least one microbatch");
-    assert!(
-        n.is_multiple_of(m),
-        "microbatches ({n}) must be a whole number of update windows (M={m})"
-    );
-    let barrier = matches!(plan, MicrobatchSchedule::FillDrain { .. });
-    let split = plan.splits_backward();
-
-    let mut lanes: Vec<LaneSim> = (0..s_count)
-        .map(|s| LaneSim {
-            lane: tracer.lane(PID_VIRTUAL, format!("sched-stage-{s}"), s as i64),
-            cursor: 0,
-            next_fwd: 0,
-            next_bwd: 0,
-            forced: VecDeque::new(),
-            updates: 0,
-            update_finish: Vec::new(),
-        })
-        .collect();
-    let mut fwd_finish: Vec<Vec<Option<u64>>> = vec![vec![None; n]; s_count];
-    let mut bwd_finish: Vec<Vec<Option<u64>>> = vec![vec![None; n]; s_count];
-
-    // One F, BI and BW per microbatch plus one update per window, at
-    // every stage.
-    let total_tasks = s_count * (3 * n + n / m);
-    for _ in 0..total_tasks {
-        // Pick, over all lanes, the schedulable task with the earliest
-        // start (ties: backward priority, then the lower stage).
-        let mut best: Option<(usize, Candidate)> = None;
-        for (s, sim) in lanes.iter().enumerate() {
-            let cand = if !sim.forced.is_empty() {
-                Some(Candidate::Forced(sim.cursor))
-            } else {
-                let bwd = (sim.next_bwd < n).then(|| {
-                    let i = sim.next_bwd;
-                    let upstream = if s + 1 == s_count {
-                        fwd_finish[s][i]
-                    } else {
-                        bwd_finish[s + 1][i]
-                    };
-                    Some(Candidate::BwdInput(
-                        sim.cursor.max(upstream?).max(fwd_finish[s][i]?),
-                    ))
-                });
-                let fwd = (sim.next_fwd < n).then(|| {
-                    let i = sim.next_fwd;
-                    let mut ready = if s == 0 { 0 } else { fwd_finish[s - 1][i]? };
-                    if barrier && i >= m {
-                        // Lag-0 semantics: the forward must see the
-                        // weights of the previous window's update.
-                        ready = ready.max(*sim.update_finish.get(i / m - 1)?);
-                    }
-                    Some(Candidate::Fwd(sim.cursor.max(ready)))
-                });
-                match (bwd.flatten(), fwd.flatten()) {
-                    (Some(b), Some(f)) if f.start() < b.start() => Some(f),
-                    (Some(b), _) => Some(b),
-                    (None, f) => f,
-                }
-            };
-            let better = match (&cand, &best) {
-                (Some(c), Some((_, b))) => (c.start(), c.rank()) < (b.start(), b.rank()),
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if better {
-                best = cand.map(|c| (s, c));
-            }
-        }
-        let (s, cand) = best.expect("virtual timeline deadlocked (dependency cycle)");
-        let sim = &mut lanes[s];
-        let start = cand.start();
-        match cand {
-            Candidate::Forced(_) => {
-                let task = sim.forced.pop_front().expect("forced candidate");
-                let end = start + task.cost;
-                let wv = if task.phase == TracePhase::Update {
-                    sim.updates + 1
-                } else {
-                    sim.updates
-                };
-                sim.lane.span_at(
-                    start * TICK_NS,
-                    end * TICK_NS,
-                    task.phase,
-                    task.microbatch,
-                    Some(wv),
-                );
-                if task.phase == TracePhase::Update {
-                    sim.updates += 1;
-                    sim.update_finish.push(end);
-                }
-                sim.cursor = end;
-            }
-            Candidate::BwdInput(_) => {
-                let i = sim.next_bwd;
-                let end = start + COST_BWD_INPUT;
-                sim.lane.span_at(
-                    start * TICK_NS,
-                    end * TICK_NS,
-                    TracePhase::BackwardInput,
-                    Some(i as u64),
-                    Some(sim.updates),
-                );
-                bwd_finish[s][i] = Some(end);
-                sim.next_bwd = i + 1;
-                sim.cursor = end;
-                let closes = (i + 1).is_multiple_of(m);
-                if split {
-                    if closes {
-                        for j in i + 1 - m..=i {
-                            sim.forced.push_back(ForcedTask {
-                                phase: TracePhase::BackwardWeight,
-                                cost: COST_BWD_WEIGHT,
-                                microbatch: Some(j as u64),
-                            });
-                        }
-                    }
-                } else {
-                    sim.forced.push_back(ForcedTask {
-                        phase: TracePhase::BackwardWeight,
-                        cost: COST_BWD_WEIGHT,
-                        microbatch: Some(i as u64),
-                    });
-                }
-                if closes {
-                    sim.forced.push_back(ForcedTask {
-                        phase: TracePhase::Update,
-                        cost: COST_UPDATE,
-                        microbatch: Some(i as u64),
-                    });
-                }
-            }
-            Candidate::Fwd(_) => {
-                let i = sim.next_fwd;
-                let end = start + COST_FWD;
-                sim.lane.span_at(
-                    start * TICK_NS,
-                    end * TICK_NS,
-                    TracePhase::Forward,
-                    Some(i as u64),
-                    Some(sim.updates),
-                );
-                fwd_finish[s][i] = Some(end);
-                sim.next_fwd = i + 1;
-                sim.cursor = end;
-            }
-        }
-    }
-    for sim in &mut lanes {
-        sim.lane.flush();
-    }
+/// W rank loops on a virtual cost clock (see the module docs).
+pub struct VirtualHost {
+    /// The loops, first to last; loop `r` runs `stages[r]`.
+    pub(crate) loops: Vec<RankLoop>,
+    pub(crate) stages: Vec<Vec<Stage>>,
+    /// `acts[r]` / `grads[r]` join loop `r` and loop `r + 1`.
+    pub(crate) acts: Vec<Wire>,
+    pub(crate) grads: Vec<Wire>,
+    /// Every (stage, action phase)'s [`action_cost`], read before the
+    /// first step.
+    costs: BTreeMap<(usize, TracePhase), u64>,
+    /// One virtual lane per stage.
+    lanes: Vec<Lane>,
+    /// Per loop: when its latest step ended, and its steps' summed cost.
+    free: Vec<u64>,
+    busy: Vec<u64>,
+    /// Microbatches the run forwards.
+    end: usize,
+    /// Each microbatch's loss, as loop 0 retires it.
+    pub(crate) losses: Vec<f32>,
 }
 
-/// Bubble fraction of `plan`'s virtual timeline: the idle share of the
-/// `num_stages × makespan` area, computed by rendering the timeline into
-/// a throwaway tracer and analyzing the virtual process.
-pub fn schedule_bubble_fraction(
-    plan: &MicrobatchSchedule,
-    num_stages: usize,
-    microbatches: usize,
-) -> f64 {
-    let tracer = Tracer::new();
-    emit_schedule_timeline(&tracer, plan, num_stages, microbatches);
-    let trace = tracer.finish();
-    pbp_trace::analysis::TraceAnalysis::of(&trace, PID_VIRTUAL).bubble_fraction()
+impl VirtualHost {
+    /// `workers` loops over `net`'s stages under `config`, cut by
+    /// [`partition_bounds`] of their [`stage_cost`]s, to run
+    /// `microbatches` microbatches. `tracer` receives the virtual lanes
+    /// and each loop group's wall-clock ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= workers <= net.num_stages()`.
+    pub fn new(
+        net: Network,
+        config: &ScheduledConfig,
+        workers: usize,
+        microbatches: usize,
+        tracer: &Tracer,
+    ) -> Self {
+        let bounds = partition_bounds(&net.stages().map(stage_cost).collect::<Vec<_>>(), workers);
+        let loops = bounds.windows(2).map(|run| {
+            let mut group = StageGroup::new(&net, run[0]..run[1], config);
+            group.set_tracer(tracer, "");
+            RankLoop::new(group)
+        });
+        let costs = net.stages().enumerate().flat_map(|(s, stage)| {
+            ACTION_PHASES.map(|phase| ((s, phase), action_cost(stage, phase)))
+        });
+        let lanes = (0..net.num_stages())
+            .map(|s| tracer.lane(PID_VIRTUAL, format!("sched-stage-{s}"), s as i64))
+            .collect();
+        let (loops, costs) = (loops.collect(), costs.collect());
+        let mut rest = net.into_stages().into_iter();
+        let run = |w: &[usize]| rest.by_ref().take(w[1] - w[0]).collect();
+        let stages = bounds.windows(2).map(run).collect();
+        let wires = || (1..workers).map(|_| Wire::default()).collect();
+        VirtualHost {
+            loops,
+            stages,
+            acts: wires(),
+            grads: wires(),
+            costs,
+            lanes,
+            free: vec![0; workers],
+            busy: vec![0; workers],
+            end: microbatches,
+            losses: Vec::new(),
+        }
+    }
+
+    /// When the input of loop `r`'s `step` was sent: at once for loop 0's
+    /// samples and the last loop's own loss gradients, at the stamp of the
+    /// message at the front of its wire otherwise; `None` while that wire
+    /// is empty.
+    fn arrival(&self, r: usize, step: Step) -> Option<u64> {
+        let wire = match step {
+            Step::Forward(_) if r > 0 => &self.acts[r - 1],
+            Step::Backward(_) if r + 1 < self.loops.len() => &self.grads[r],
+            _ => return Some(0),
+        };
+        wire.borrow().front().map(|&(sent, _)| sent)
+    }
+
+    /// The step loop `r` takes next and the virtual time it can start, or
+    /// `None` while its input has not arrived and once it is done.
+    pub(crate) fn ready(&self, r: usize) -> Option<(Step, u64)> {
+        let step = self.loops[r].next_step(self.end)?;
+        Some((step, self.arrival(r, step)?.max(self.free[r])))
+    }
+
+    /// Runs loop `r`'s [`RankLoop::step`] — loop 0 takes microbatch `mb`
+    /// as `feed(mb)` — at the virtual time it can start, then draws each
+    /// action it ran at that action's cost.
+    pub(crate) fn step(
+        &mut self,
+        r: usize,
+        feed: &mut dyn FnMut(usize) -> Message,
+    ) -> Result<Option<Step>, RankError<&'static str>> {
+        let Some(next) = self.loops[r].next_step(self.end) else {
+            return Ok(None);
+        };
+        let start = self.arrival(r, next).unwrap_or(0).max(self.free[r]);
+        let spans = self.loops[r].group.spans(&self.stages[r], next);
+        let cost = |&(s, phase, ..): &(usize, TracePhase, usize, u64)| self.costs[&(s, phase)];
+        let end = start + spans.iter().map(cost).sum::<u64>();
+        let link = |tx: &Wire, rx: &Wire| QueueLink {
+            tx: Rc::clone(tx),
+            rx: Rc::clone(rx),
+            sent: end,
+        };
+        let mut up = (r > 0).then(|| link(&self.grads[r - 1], &self.acts[r - 1]));
+        let mut down = (r + 1 < self.loops.len()).then(|| link(&self.acts[r], &self.grads[r]));
+        let up = match up.as_mut() {
+            Some(link) => Upstream::Link(link),
+            None => Upstream::Feed(feed),
+        };
+        let ran = self.loops[r].step(&mut self.stages[r], up, down.as_mut(), self.end)?;
+        let mut t = start;
+        for (s, phase, mb, version) in spans {
+            let cost = self.costs[&(s, phase)];
+            self.lanes[s].span_at(t, t + cost, phase, Some(mb as u64), Some(version));
+            t += cost;
+        }
+        self.free[r] = end;
+        self.busy[r] += end - start;
+        if r == 0 && matches!(next, Step::Backward(_)) {
+            self.losses.push(self.loops[0].last_loss);
+        }
+        Ok(ran)
+    }
+
+    /// Steps the loop that can start earliest (the first, on a tie) until
+    /// every loop is done.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a loop fails, or none is ready before all are done.
+    pub fn run(&mut self, feed: &mut dyn FnMut(usize) -> Message) {
+        let earliest = |host: &Self| {
+            let ready = (0..host.loops.len()).filter_map(|r| Some((host.ready(r)?.1, r)));
+            ready.min().map(|(_, r)| r)
+        };
+        while let Some(r) = earliest(self) {
+            self.step(r, feed).expect("a ready loop steps");
+        }
+        let done = self.loops.iter().all(|l| l.next_step(self.end).is_none());
+        assert!(done, "no loop is ready, yet not every loop is done");
+    }
+
+    /// The share of W loops × the makespan that no step covers (0 before
+    /// the first step).
+    pub fn bubble_fraction(&self) -> f64 {
+        let makespan = self.free.iter().copied().max().unwrap_or(0);
+        let area = self.loops.len() as f64 * makespan as f64;
+        if area == 0.0 {
+            return 0.0;
+        }
+        1.0 - self.busy.iter().sum::<u64>() as f64 / area
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::MicrobatchSchedule::{
+        self, FillDrain, OneFOneB, PipelinedBackprop, TwoBP,
+    };
+    use pbp_nn::models::mlp;
+    use pbp_optim::{Hyperparams, LrSchedule};
+    use pbp_tensor::Tensor;
     use pbp_trace::analysis::TraceAnalysis;
+    use pbp_trace::{Span, Trace, TraceLane, PID_WALL};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// In descending order of bubble.
+    const PLANS: [MicrobatchSchedule; 4] = [
+        FillDrain { update_size: 8 },
+        TwoBP {
+            microbatches_per_update: 8,
+        },
+        OneFOneB {
+            microbatches_per_update: 8,
+        },
+        PipelinedBackprop,
+    ];
+
+    /// `mlp(layers)` under `plan` on `workers` loops, 64 microbatches on
+    /// the clock: the host's bubble fraction and the trace it drew.
+    fn run(layers: &[usize], plan: MicrobatchSchedule, workers: usize) -> (f64, Trace) {
+        let tracer = Tracer::new();
+        let net = mlp(layers, &mut StdRng::seed_from_u64(3));
+        let config = ScheduledConfig::new(plan, LrSchedule::constant(Hyperparams::new(0.01, 0.9)));
+        let mut host = VirtualHost::new(net, &config, workers, 64, &tracer);
+        let x = Tensor::from_vec(vec![0.5, -1.0], &[2]).expect("a sample");
+        host.run(&mut |mb| Message::sample(mb, &x, mb % 3));
+        let bubble = host.bubble_fraction();
+        drop(host);
+        (bubble, tracer.finish())
+    }
 
     #[test]
-    fn timeline_emits_the_full_action_stream_per_stage() {
-        let tracer = Tracer::new();
-        let plan = MicrobatchSchedule::OneFOneB {
-            microbatches_per_update: 4,
+    fn fill_drain_on_a_loop_per_stage_idles_all_but_one_and_one_loop_never_idles() {
+        for stages in [4, 8] {
+            let hidden = [2].into_iter().chain([8; 7]).take(stages);
+            let layers: Vec<usize> = hidden.chain([3]).collect();
+            let (bubble, _) = run(&layers, PLANS[0], stages);
+            assert_eq!(bubble, 1.0 - 1.0 / stages as f64, "{stages} stages");
+        }
+        for plan in PLANS {
+            assert_eq!(run(&[2, 8, 8, 8, 3], plan, 1).0, 0.0, "{plan:?}");
+        }
+    }
+
+    #[test]
+    fn bubbles_order_the_plans_and_repeat_to_the_timestamp() {
+        let virtual_spans = |trace: &Trace| {
+            let lanes = trace.lanes_of(PID_VIRTUAL);
+            lanes.map(|lane| lane.spans.clone()).collect::<Vec<_>>()
         };
-        emit_schedule_timeline(&tracer, &plan, 3, 8);
-        let trace = tracer.finish();
-        for s in 0..3 {
-            let lane = trace
-                .lane(PID_VIRTUAL, &format!("sched-stage-{s}"))
-                .expect("stage lane");
-            let count = |p: TracePhase| lane.spans.iter().filter(|sp| sp.phase == p).count();
-            assert_eq!(count(TracePhase::Forward), 8);
-            assert_eq!(count(TracePhase::BackwardInput), 8);
-            assert_eq!(count(TracePhase::BackwardWeight), 8);
-            assert_eq!(count(TracePhase::Update), 2);
-            assert_eq!(lane.unmatched_begins, 0);
-        }
-        let analysis = TraceAnalysis::of(&trace, PID_VIRTUAL);
-        assert!(!analysis.any_overlap(), "lanes must be sequential");
+        let bubbles: Vec<f64> = PLANS
+            .iter()
+            .map(|&plan| {
+                let (bubble, trace) = run(&[2, 8, 8, 8, 3], plan, 4);
+                let again = run(&[2, 8, 8, 8, 3], plan, 4).1;
+                assert_eq!(virtual_spans(&trace), virtual_spans(&again), "{plan:?}");
+                bubble
+            })
+            .collect();
+        assert!(bubbles.windows(2).all(|w| w[0] > w[1]), "{bubbles:?}");
     }
 
+    /// Each stage's virtual lane is its wall-clock lane on the cost clock:
+    /// the same spans, none overlapping, each forward after the one that
+    /// fed it and each input gradient after the one it was fed — at W = S
+    /// and where one loop runs two stages.
     #[test]
-    fn forwards_respect_the_downstream_staircase() {
-        let tracer = Tracer::new();
-        emit_schedule_timeline(&tracer, &MicrobatchSchedule::PipelinedBackprop, 4, 16);
-        let trace = tracer.finish();
-        for s in 1..4 {
-            let up = trace
-                .lane(PID_VIRTUAL, &format!("sched-stage-{}", s - 1))
-                .unwrap();
-            let down = trace
-                .lane(PID_VIRTUAL, &format!("sched-stage-{s}"))
-                .unwrap();
-            for i in 0..16u64 {
-                let f_up = up
-                    .spans
-                    .iter()
-                    .find(|sp| sp.phase == TracePhase::Forward && sp.microbatch == Some(i))
-                    .unwrap();
-                let f_down = down
-                    .spans
-                    .iter()
-                    .find(|sp| sp.phase == TracePhase::Forward && sp.microbatch == Some(i))
-                    .unwrap();
-                assert!(
-                    f_down.start_ns >= f_up.end_ns(),
-                    "stage {s} ran microbatch {i} before its input existed"
-                );
+    fn each_virtual_lane_draws_its_wall_lanes_spans() {
+        let tags = |lane: &TraceLane| -> Vec<_> {
+            let tag = |sp: &Span| (sp.phase, sp.microbatch, sp.weight_version);
+            lane.spans.iter().map(tag).collect()
+        };
+        let of = |lane: &TraceLane, phase| -> Vec<Span> {
+            let spans = lane.spans.iter().filter(|sp| sp.phase == phase);
+            spans.cloned().collect()
+        };
+        let ordered = |first: Vec<Span>, then: Vec<Span>| {
+            let mut pairs = first.iter().zip(&then);
+            pairs.all(|(a, b)| b.start_ns >= a.end_ns())
+        };
+        for (plan, workers) in PLANS.into_iter().flat_map(|p| [(p, 2), (p, 4)]) {
+            let (bubble, trace) = run(&[2, 8, 8, 8, 3], plan, workers);
+            let analysis = TraceAnalysis::of(&trace, PID_VIRTUAL);
+            assert!(!analysis.any_overlap(), "{plan:?}");
+            if workers == 4 {
+                let lanes_bubble = analysis.bubble_fraction();
+                assert!((lanes_bubble - bubble).abs() < 1e-12, "{plan:?}");
             }
-        }
-    }
-
-    #[test]
-    fn bubble_fractions_order_fill_drain_above_1f1b_above_pb() {
-        let stages = 4;
-        let n = 64;
-        let fd =
-            schedule_bubble_fraction(&MicrobatchSchedule::FillDrain { update_size: 8 }, stages, n);
-        let ofob = schedule_bubble_fraction(
-            &MicrobatchSchedule::OneFOneB {
-                microbatches_per_update: 8,
-            },
-            stages,
-            n,
-        );
-        let pb = schedule_bubble_fraction(&MicrobatchSchedule::PipelinedBackprop, stages, n);
-        assert!(
-            fd > ofob && ofob > pb,
-            "bubble ordering violated: fill&drain {fd:.4} vs 1F1B {ofob:.4} vs PB {pb:.4}"
-        );
-        for b in [fd, ofob, pb] {
-            assert!(b > 0.0 && b < 1.0, "bubble fraction {b} out of range");
+            let lane = |pid, name: String| trace.lane(pid, &name).expect("a lane");
+            let drawn = |s| lane(PID_VIRTUAL, format!("sched-stage-{s}"));
+            for s in 0..4 {
+                let wall = lane(PID_WALL, format!("stage-{s}"));
+                assert_eq!(tags(drawn(s)), tags(wall), "{plan:?} W={workers} stage {s}");
+            }
+            for s in 1..4 {
+                let (up, down) = (drawn(s - 1), drawn(s));
+                let what = format!("{plan:?} W={workers} stages {} and {s}", s - 1);
+                let (fwd, bwd) = (TracePhase::Forward, TracePhase::BackwardInput);
+                assert!(ordered(of(up, fwd), of(down, fwd)), "{what}: forwards");
+                assert!(ordered(of(down, bwd), of(up, bwd)), "{what}: gradients");
+            }
         }
     }
 }

@@ -12,11 +12,11 @@
 //!
 //! * [`PID_WALL`] — wall-clock lanes, timestamped from a shared epoch with
 //!   [`std::time::Instant`]: what each stage *actually did* and when.
-//! * [`PID_VIRTUAL`] — virtual-timeline lanes, timestamped in abstract
-//!   ticks by a schedule simulator through [`Lane::begin_at`] /
-//!   [`Lane::end_at`]: what the schedule's dataflow *implies*, with unit
-//!   task costs, so fill/drain bubbles are visible even when the engine
-//!   executing the schedule is a sequential emulator.
+//! * [`PID_VIRTUAL`] — virtual-timeline lanes, timestamped on a cost
+//!   clock through [`Lane::span_at`] by the pipeline crate's virtual host,
+//!   which runs the schedule's rank loops on one thread: what W workers
+//!   running it would do, so fill/drain bubbles are visible whichever
+//!   engine trained.
 //!
 //! A disabled tracer (the default everywhere) reduces every recording call
 //! to one branch on an `Option`, so instrumented hot loops pay nothing
@@ -36,7 +36,7 @@ use std::time::Instant;
 
 /// Process id of wall-clock lanes (real measured time).
 pub const PID_WALL: u32 = 0;
-/// Process id of virtual schedule-timeline lanes (abstract ticks).
+/// Process id of virtual schedule-timeline lanes (a cost clock).
 pub const PID_VIRTUAL: u32 = 1;
 
 /// The kind of work (or event) a span/instant describes. Span names in the

@@ -36,6 +36,11 @@ lint_only_in 'can_forward(' 'group|rank'
 lint_only_in 'group.forward(' 'rank'
 lint_only_in 'group.backward(' 'rank'
 lint_only_in '.loss(&' 'rank'
+# Only the virtual host (timeline.rs) writes virtual spans, each for an
+# action a RankLoop::step it just ran executed: a second scheduler drawing
+# the schedule from its own rules must not reappear. pbp-trace's lib.rs and
+# analysis.rs define and read the process.
+lint_only_in 'PID_VIRTUAL' 'timeline|lib|analysis'
 # One host shape: a threaded worker is a rank over its run of
 # partition_bounds, as many as the thread budget holds. The FLOP
 # heuristic that guessed which of S stage threads deserved a core stays
