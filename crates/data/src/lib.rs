@@ -30,14 +30,17 @@ pub use images::{DatasetSpec, SyntheticImages};
 pub use spiral::{blobs, spirals};
 
 use pbp_tensor::Tensor;
+use std::sync::Arc;
 
-/// A labelled classification dataset kept fully in memory.
+/// A labelled classification dataset kept fully in memory. A clone shares
+/// the samples, so a worker thread can own its view of a dataset for the
+/// cost of a reference count.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// Sample tensors (each `[C, H, W]` or `[features]`).
-    samples: Vec<Tensor>,
+    samples: Arc<Vec<Tensor>>,
     /// Class label per sample.
-    labels: Vec<usize>,
+    labels: Arc<Vec<usize>>,
     /// Number of classes.
     num_classes: usize,
 }
@@ -59,8 +62,8 @@ impl Dataset {
             "label out of range"
         );
         Dataset {
-            samples,
-            labels,
+            samples: Arc::new(samples),
+            labels: Arc::new(labels),
             num_classes,
         }
     }
@@ -132,18 +135,20 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics unless `0.0 < val_fraction < 1.0`.
-    pub fn split(mut self, val_fraction: f64) -> (Dataset, Dataset) {
+    pub fn split(self, val_fraction: f64) -> (Dataset, Dataset) {
         assert!(
             val_fraction > 0.0 && val_fraction < 1.0,
             "val fraction must be in (0, 1)"
         );
         let val_len = ((self.len() as f64) * val_fraction).round() as usize;
         let train_len = self.len() - val_len;
-        let val_samples = self.samples.split_off(train_len);
-        let val_labels = self.labels.split_off(train_len);
+        let mut samples = Arc::unwrap_or_clone(self.samples);
+        let mut labels = Arc::unwrap_or_clone(self.labels);
+        let val_samples = samples.split_off(train_len);
+        let val_labels = labels.split_off(train_len);
         let classes = self.num_classes;
         (
-            Dataset::new(self.samples, self.labels, classes),
+            Dataset::new(samples, labels, classes),
             Dataset::new(val_samples, val_labels, classes),
         )
     }
@@ -231,6 +236,13 @@ mod tests {
         let mut sorted = a.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_clone_shares_the_samples() {
+        let d = tiny();
+        let view = d.clone();
+        assert!(std::ptr::eq(d.sample(3).0, view.sample(3).0));
     }
 
     #[test]

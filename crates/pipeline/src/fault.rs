@@ -506,18 +506,12 @@ pub enum PipelineFault {
         /// How long the worker had been silent when flagged.
         stalled_for: Duration,
     },
-    /// A channel the supervisor feeds or drains disconnected while work
-    /// was outstanding (a worker dropped its endpoints and exited).
-    ChannelClosed {
-        /// Layer-stage index adjacent to the closed channel.
-        stage: usize,
-    },
-    /// All workers exited cleanly but fewer losses than samples came
-    /// back — in-flight work was stranded by a severed link.
+    /// All workers exited cleanly but worker 0 retired fewer microbatches
+    /// than the call held — in-flight work was stranded by a severed link.
     Incomplete {
-        /// Samples fed into the pipeline.
+        /// Samples in the call.
         expected: usize,
-        /// Losses actually reported.
+        /// Microbatches worker 0 retired.
         completed: usize,
     },
 }
@@ -530,9 +524,6 @@ impl std::fmt::Display for PipelineFault {
             }
             PipelineFault::StageStalled { stage, stalled_for } => {
                 write!(f, "stage {stage} stalled for {stalled_for:?}")
-            }
-            PipelineFault::ChannelClosed { stage } => {
-                write!(f, "pipeline channel at stage {stage} closed unexpectedly")
             }
             PipelineFault::Incomplete {
                 expected,

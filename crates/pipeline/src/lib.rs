@@ -14,7 +14,8 @@
 //!   that move an `Activation` downstream and a `Gradient` (with the
 //!   loss) upstream. The threaded workers step it between channel
 //!   links, the `pbp-dist` ranks between sockets, the sequential engine
-//!   with no link at all; [`partition_bounds`] is the one rule that
+//!   with no link at all; rank 0 of every host feeds itself through
+//!   [`Upstream::Feed`]; [`partition_bounds`] is the one rule that
 //!   cuts the stages into their contiguous groups — by [`stage_cost`]
 //!   for the threaded workers, by count ([`contiguous_bounds`], its
 //!   uniform case) for the `pbp-dist` ranks.

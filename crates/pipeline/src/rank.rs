@@ -75,7 +75,9 @@ pub trait Link {
 
 /// Where a rank's activations come from.
 pub enum Upstream<'a, L> {
-    /// Rank 0: the closure yields microbatch `mb`'s [`Message::sample`].
+    /// Rank 0, on every host: the closure yields microbatch `mb`'s
+    /// [`Message::sample`], so no thread or process but the rank's own
+    /// handles a sample on its way in.
     Feed(&'a mut dyn FnMut(usize) -> Message),
     /// Every other rank: the link to the rank above.
     Link(&'a mut L),

@@ -4,14 +4,14 @@
 //! Two layers (detection and containment below, retry arithmetic above):
 //!
 //! * **Stream supervision** ([`Watchdog`], [`StreamSupervisor`]): while a
-//!   threaded run is streaming, the calling thread doubles as a
-//!   supervisor. Workers emit rate-limited heartbeats and a final
-//!   completion report over an events channel; the supervisor feeds
-//!   samples with bounded waits, tracks the oldest heartbeat, and on a
-//!   panic report / silent worker / severed channel flips a shared abort
-//!   flag, drains what it can within a shutdown grace period, joins the
-//!   workers that reported in, detaches the rest, and surfaces a typed
-//!   [`PipelineFault`] instead of hanging.
+//!   threaded run is streaming, the calling thread is its supervisor and
+//!   nothing else (worker 0 feeds itself). Workers emit rate-limited
+//!   heartbeats and a final completion report over an events channel;
+//!   the supervisor tracks the oldest heartbeat, and on a panic report or
+//!   a silent worker flips a shared abort flag, drains what it can within
+//!   a shutdown grace period, joins the workers that reported in,
+//!   detaches the rest, and surfaces a typed [`PipelineFault`] instead of
+//!   hanging.
 //! * **Run supervision** ([`supervise_retries`]): the one restart loop —
 //!   attempt, and on a fault check the budget, back off, go again —
 //!   generic over the fault type and over how an attempt is made, logging
@@ -40,8 +40,8 @@ pub struct Watchdog {
     /// A live worker silent for longer than this (while work is
     /// outstanding) is declared stalled, at its last-heard stage.
     pub stall_timeout: Duration,
-    /// Supervisor bounded-wait tick: how long any single feed/park wait
-    /// blocks before liveness is re-checked.
+    /// Bounded-wait tick: how long the supervisor, or a worker waiting on
+    /// a link, blocks before liveness is re-checked.
     pub poll: Duration,
     /// After a fault is flagged, how long the supervisor waits for
     /// workers to acknowledge the abort before detaching them.
@@ -86,6 +86,9 @@ pub(crate) struct StageDone {
     pub stage_idx: usize,
     pub stages: Vec<Stage>,
     pub rank: RankLoop,
+    /// The loss of each microbatch the worker retired, in order; worker 0
+    /// records them, the others leave this empty.
+    pub losses: Vec<f32>,
     /// The message of the panic that ended the worker's loop, if one did
     /// (caught by `catch_unwind`).
     pub panic: Option<String>,
@@ -163,25 +166,16 @@ impl StreamSupervisor {
         self.done[w].is_some()
     }
 
-    /// Records `fault` and starts the abort protocol. Root causes beat
-    /// symptoms: a stage panic or stall detected *after* a secondary
-    /// channel-closed/incomplete fault replaces it (the disconnect a dead
-    /// stage leaves behind often reaches the supervisor before the
-    /// worker's own panic report does). Among equal-priority faults the
-    /// first one wins.
+    /// Records `fault` and starts the abort protocol. The root cause beats
+    /// its symptom: a stage panic reported *after* a stall replaces it (the
+    /// watchdog can hear a failing worker's silence before its report).
+    /// Otherwise the first fault wins.
     pub(crate) fn flag(&mut self, fault: PipelineFault) {
-        fn priority(f: &PipelineFault) -> u8 {
-            match f {
-                PipelineFault::StagePanicked { .. } => 3,
-                PipelineFault::StageStalled { .. } => 2,
-                PipelineFault::ChannelClosed { .. } => 1,
-                PipelineFault::Incomplete { .. } => 0,
-            }
-        }
+        let panicked = |f: &PipelineFault| matches!(f, PipelineFault::StagePanicked { .. });
         if self
             .fault
             .as_ref()
-            .is_none_or(|old| priority(&fault) > priority(old))
+            .is_none_or(|old| panicked(&fault) && !panicked(old))
         {
             self.fault = Some(fault);
         }
@@ -189,10 +183,6 @@ impl StreamSupervisor {
         if self.grace_deadline.is_none() {
             self.grace_deadline = Some(Instant::now() + self.watchdog.shutdown_grace);
         }
-    }
-
-    pub(crate) fn aborting(&self) -> bool {
-        self.grace_deadline.is_some()
     }
 
     pub(crate) fn grace_expired(&self) -> bool {
@@ -223,23 +213,15 @@ impl StreamSupervisor {
         false
     }
 
-    pub(crate) fn fault(&self) -> Option<&PipelineFault> {
-        self.fault.as_ref()
-    }
-
     /// Consumes the supervisor: the fault if one was flagged, otherwise
-    /// the per-worker payloads in stage order.
-    pub(crate) fn into_result(self) -> Result<Vec<(Vec<Stage>, RankLoop)>, PipelineFault> {
+    /// the per-worker reports in stage order.
+    pub(crate) fn into_result(self) -> Result<Vec<StageDone>, PipelineFault> {
         if let Some(fault) = self.fault {
             return Err(fault);
         }
-        Ok(self
-            .done
-            .into_iter()
-            .map(|d| {
-                let d = d.expect("no fault implies every worker reported");
-                (d.stages, d.rank)
-            })
+        let done = self.done.into_iter();
+        Ok(done
+            .map(|d| d.expect("no fault implies every worker reported"))
             .collect())
     }
 }
@@ -685,27 +667,28 @@ mod tests {
         sup.on_event(StageEvent::Beat { stage: 3 });
         sup.on_event(StageEvent::Beat { stage: 4 });
         assert!(sup.check_watchdog());
-        match sup.fault() {
+        match &sup.fault {
             Some(PipelineFault::StageStalled { stage: 1, .. }) => {}
             other => panic!("expected a stall at stage 1, got {other:?}"),
         }
-        assert!(sup.aborting());
+        assert!(sup.grace_deadline.is_some());
         assert!(sup.abort_flag().load(Ordering::Relaxed));
     }
 
     #[test]
     fn root_cause_faults_beat_symptoms() {
         let mut sup = StreamSupervisor::new(vec![0, 1], Watchdog::fast());
-        sup.flag(PipelineFault::ChannelClosed { stage: 0 });
-        // A lower-priority symptom cannot displace it...
-        sup.flag(PipelineFault::Incomplete {
-            expected: 5,
-            completed: 1,
+        let stalled = PipelineFault::StageStalled {
+            stage: 0,
+            stalled_for: Duration::from_millis(300),
+        };
+        sup.flag(stalled.clone());
+        // A later stall cannot displace it...
+        sup.flag(PipelineFault::StageStalled {
+            stage: 1,
+            stalled_for: Duration::from_millis(400),
         });
-        assert!(matches!(
-            sup.fault(),
-            Some(PipelineFault::ChannelClosed { stage: 0 })
-        ));
+        assert_eq!(sup.fault, Some(stalled));
         // ...but the late-arriving root cause (a worker's panic report)
         // upgrades the recorded fault.
         sup.flag(PipelineFault::StagePanicked {
@@ -713,7 +696,7 @@ mod tests {
             message: "boom".into(),
         });
         assert!(matches!(
-            sup.fault(),
+            sup.fault,
             Some(PipelineFault::StagePanicked { stage: 2, .. })
         ));
         // Equal priority: first wins.
@@ -722,7 +705,7 @@ mod tests {
             message: "late".into(),
         });
         assert!(matches!(
-            sup.fault(),
+            sup.fault,
             Some(PipelineFault::StagePanicked { stage: 2, .. })
         ));
     }

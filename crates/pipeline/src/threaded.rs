@@ -20,17 +20,17 @@
 //!   channels (the in-flight bound is the weight-version FIFO); every
 //!   wait is bounded by the watchdog's poll tick, emits a rate-limited
 //!   heartbeat and honours the shared abort flag;
-//! * the calling thread as the far end of worker 0's upstream link: it
-//!   feeds samples from the [`Dataset`] over a one-slot channel, so they
-//!   are materialized one at a time, and reads each microbatch's loss off
-//!   the gradient stage 0 hands back;
+//! * worker 0's feed, as on every host: [`Upstream::Feed`] over the call's
+//!   slice of the [`Dataset`] (a clone, which shares the samples), so each
+//!   sample is materialized by the worker whose forward takes it, and
+//!   worker 0 records the loss of each microbatch it retires;
 //! * **supervision** (DESIGN.md §9): workers run under `catch_unwind` on
-//!   owned (detachable) threads and the calling thread doubles as the
-//!   watchdog, so a panicking, stalling or link-severing stage surfaces
-//!   as a typed [`PipelineFault`] within the watchdog timeout instead of
-//!   hanging the run. A [`FaultPlan`]'s rank clauses script such faults
-//!   for tests: stage `s` is rank `s` of the plan, whichever worker
-//!   hosts it.
+//!   owned (detachable) threads and the calling thread is the watchdog —
+//!   it feeds nothing, only supervises and collects — so a panicking,
+//!   stalling or link-severing stage surfaces as a typed [`PipelineFault`]
+//!   within the watchdog timeout instead of hanging the run. A
+//!   [`FaultPlan`]'s rank clauses script such faults for tests: stage `s`
+//!   is rank `s` of the plan, whichever worker hosts it.
 
 use crate::engine::{batch_rows, TrainEngine};
 use crate::fault::{FaultInjector, FaultPlan, PipelineFault, RankFault};
@@ -39,9 +39,7 @@ use crate::metrics::EngineMetrics;
 use crate::rank::{Link, Message, RankError, RankLoop, Step, Upstream};
 use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
 use crate::supervisor::{StageDone, StageEvent, StreamSupervisor, Watchdog};
-use crossbeam::channel::{
-    bounded, unbounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender,
-};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pbp_data::Dataset;
 use pbp_nn::{Network, Stage};
 use pbp_optim::{LrSchedule, Mitigation};
@@ -50,8 +48,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Minimum interval between heartbeats from one link; keeps the events
-/// channel cheap while staying far below any sane stall timeout.
+/// Minimum interval between heartbeats from one worker, and the shortest
+/// wait tick; keeps the events channel cheap while staying far below any
+/// sane stall timeout.
 const BEAT_INTERVAL: Duration = Duration::from_millis(1);
 
 const POISONED: &str = "engine state lost to a pipeline fault; rebuild the engine (see take_fault)";
@@ -245,12 +244,12 @@ fn worker_bounds(net: &Network) -> Vec<usize> {
 }
 
 /// Core supervised runtime: splits `state` into one owned worker thread
-/// per run of [`worker_bounds`], then runs the control plane on the calling
-/// thread: feeding samples with bounded waits, draining heartbeats/losses,
-/// checking the watchdog, and on any fault aborting, draining within the
-/// shutdown grace and detaching whatever will not die. Payloads travel back
-/// by value over the events channel, so joins never block on an
-/// unresponsive worker.
+/// per run of [`worker_bounds`] — worker 0 feeding itself `indices` — then
+/// runs the control plane on the calling thread: draining heartbeats and
+/// final reports, checking the watchdog, and on any fault aborting,
+/// draining within the shutdown grace and detaching whatever will not die.
+/// Payloads, worker 0's losses among them, travel back by value over the
+/// events channel, so joins never block on an unresponsive worker.
 fn run_stream(
     state: ScheduledTrainer,
     data: &Dataset,
@@ -272,7 +271,7 @@ fn run_stream(
     // rule; kernels are bit-identical at any thread count, so this shifts
     // wall-clock only).
     let cores = pool::reserve(workers.saturating_sub(1));
-    let poll = config.watchdog.poll.max(Duration::from_millis(1));
+    let poll = config.watchdog.poll.max(BEAT_INTERVAL);
     let mut sup = StreamSupervisor::new(bounds.clone(), config.watchdog.clone());
     let abort = sup.abort_flag();
 
@@ -285,10 +284,14 @@ fn run_stream(
         tick: poll,
         abort: Arc::clone(&abort),
         events: events_tx.clone(),
-        last_beat: Instant::now(),
     };
-    // This thread is the far end of worker 0's upstream link.
-    let ((feed_tx, grad_rx), mut lower) = link_ends(bounded(1));
+    // Worker 0 feeds itself the call's samples, each materialized when a
+    // forward takes it.
+    let (data, order) = (data.clone(), indices.to_vec());
+    let mut up = Source::Feed(Box::new(move |mb| {
+        let (x, label) = data.sample(order[mb - base]);
+        Message::sample(mb, x, label)
+    }));
 
     let plan = config.fault_plan.as_ref();
     let mut handles = Vec::with_capacity(workers);
@@ -298,18 +301,20 @@ fn run_stream(
         let cut = format!("worker {w} of bounds {bounds:?}");
         let lane = group.lane(owned.start);
         lane.instant(pbp_trace::TracePhase::Partition, Some(cut));
-        let (upper, next_lower) = link_ends(unbounded());
+        let (upper, lower) = link_ends();
         let worker = StageWorker {
             stages: stages.by_ref().take(owned.len()).collect(),
             rank: RankLoop::new(group),
             end,
-            up: link(std::mem::replace(&mut lower, next_lower), owned.start),
+            up: std::mem::replace(&mut up, Source::Link(link(lower, owned.end))),
             // The last worker owns the loss: no link below it.
             down: (w + 1 < workers).then(|| link(upper, owned.start)),
+            losses: Vec::new(),
             struck: owned.start,
             injectors: plan
                 .map(|p| owned.map(|s| p.rank_injector(s)).collect())
                 .unwrap_or_default(),
+            abort: Arc::clone(&abort),
             events: events_tx.clone(),
         };
         handles.push(
@@ -319,67 +324,16 @@ fn run_stream(
                 .expect("spawn pipeline worker"),
         );
     }
-    // Drop the endpoints held by this thread so disconnects propagate
-    // once workers finish.
-    drop(lower);
-    drop(events_tx);
+    // Drop the link end past the last worker and this thread's event
+    // sender, so nothing outlives the workers but their reports.
+    drop((up, events_tx));
 
-    // ---- Control plane (this thread): feeder + watchdog + collector.
-    let mut next = 0usize;
-    let mut pending: Option<Message> = None;
-    // Worker 0 retires backwards in microbatch order and each gradient it
-    // hands up relays that microbatch's loss: losses arrive in input
-    // order, and the last one means every stage has completed the call.
-    let mut losses: Vec<f32> = Vec::with_capacity(indices.len());
-    loop {
-        // Events first: whatever a worker sent before its final report is
-        // then already in the gradient channel.
-        while let Ok(event) = events_rx.try_recv() {
+    // ---- Control plane (this thread): watchdog + collector.
+    while !sup.all_done() && !sup.grace_expired() {
+        if let Ok(event) = events_rx.recv_timeout(poll) {
             sup.on_event(event);
         }
-        while let Ok(Message::Gradient { loss, .. }) = grad_rx.try_recv() {
-            losses.push(loss);
-        }
-        if sup.all_done() {
-            if sup.fault().is_none() && losses.len() < indices.len() {
-                sup.flag(PipelineFault::Incomplete {
-                    expected: indices.len(),
-                    completed: losses.len(),
-                });
-            }
-            break;
-        }
-        if sup.aborting() {
-            if sup.grace_expired() {
-                break;
-            }
-            if let Ok(event) = events_rx.recv_timeout(poll) {
-                sup.on_event(event);
-            }
-            continue;
-        }
-        if sup.check_watchdog() {
-            continue;
-        }
-        if next < indices.len() {
-            let msg = pending.take().unwrap_or_else(|| {
-                let (x, label) = data.sample(indices[next]);
-                Message::sample(base + next, x, label)
-            });
-            match feed_tx.send_timeout(msg, poll) {
-                Ok(()) => next += 1,
-                Err(SendTimeoutError::Timeout(m)) => pending = Some(m),
-                Err(SendTimeoutError::Disconnected(_)) => {
-                    sup.flag(PipelineFault::ChannelClosed { stage: 0 })
-                }
-            }
-        } else {
-            // End of stream: park on control-plane events until all
-            // workers report.
-            if let Ok(event) = events_rx.recv_timeout(poll) {
-                sup.on_event(event);
-            }
-        }
+        sup.check_watchdog();
     }
 
     // Join only workers that already reported in (non-blocking by
@@ -392,7 +346,19 @@ fn run_stream(
     }
     drop(cores);
 
-    let (stages, ranks): (Vec<Vec<Stage>>, Vec<RankLoop>) = sup.into_result()?.into_iter().unzip();
+    let mut done = sup.into_result()?;
+    // Worker 0 retires backwards in microbatch order, last of all the
+    // workers: its losses are the call's, in input order, and a short
+    // record means the call did not complete.
+    let losses = std::mem::take(&mut done[0].losses);
+    if losses.len() < indices.len() {
+        return Err(PipelineFault::Incomplete {
+            expected: indices.len(),
+            completed: losses.len(),
+        });
+    }
+    let (stages, ranks): (Vec<Vec<Stage>>, Vec<RankLoop>) =
+        done.into_iter().map(|d| (d.stages, d.rank)).unzip();
     // Worker 0 steps from the first sample to the last backward: the
     // longest rank's step time is the call's wall time. Every rank summed
     // the same losses.
@@ -503,8 +469,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 type LinkEnd = (Sender<Message>, Receiver<Message>);
 
 /// The two ends of an in-process link, `(upper, lower)`: activations
-/// travel down the given channel, gradients up an unbounded one.
-fn link_ends((act_tx, act_rx): LinkEnd) -> (LinkEnd, LinkEnd) {
+/// travel down one unbounded channel, gradients up another.
+fn link_ends() -> (LinkEnd, LinkEnd) {
+    let (act_tx, act_rx) = unbounded();
     let (grad_tx, grad_rx) = unbounded();
     ((act_tx, grad_rx), (grad_tx, act_rx))
 }
@@ -515,27 +482,18 @@ pub(crate) struct Hangup;
 
 /// A worker's end of an in-process [`Link`]: messages cross by
 /// move; every wait is bounded so the abort flag is observed promptly and
-/// the supervisor hears a heartbeat while the worker is merely idle.
+/// the supervisor hears a heartbeat, one per tick, while the worker is
+/// merely idle.
 pub(crate) struct ChannelLink {
     /// `None` once severed by fault injection.
     tx: Option<Sender<Message>>,
     rx: Receiver<Message>,
     /// The worker's first stage, which its heartbeats name.
     stage: usize,
+    /// At least [`BEAT_INTERVAL`].
     tick: Duration,
     abort: Arc<AtomicBool>,
     events: Sender<StageEvent>,
-    last_beat: Instant,
-}
-
-impl ChannelLink {
-    /// Rate-limited liveness signal to the supervisor.
-    fn beat(&mut self) {
-        if self.last_beat.elapsed() >= BEAT_INTERVAL {
-            let _ = self.events.send(StageEvent::Beat { stage: self.stage });
-            self.last_beat = Instant::now();
-        }
-    }
 }
 
 impl Link for ChannelLink {
@@ -556,11 +514,10 @@ impl Link for ChannelLink {
                 return Err(Hangup);
             }
             match self.rx.recv_timeout(self.tick) {
-                Ok(msg) => {
-                    self.beat();
-                    return Ok(msg);
+                Ok(msg) => return Ok(msg),
+                Err(RecvTimeoutError::Timeout) => {
+                    let _ = self.events.send(StageEvent::Beat { stage: self.stage });
                 }
-                Err(RecvTimeoutError::Timeout) => self.beat(),
                 // The peer died: nothing more will arrive.
                 Err(RecvTimeoutError::Disconnected) => return Err(Hangup),
             }
@@ -568,21 +525,34 @@ impl Link for ChannelLink {
     }
 }
 
+/// Where a worker's activations come from: the owned form of the
+/// [`Upstream`] a step borrows.
+enum Source {
+    /// Worker 0: yields microbatch `mb`'s [`Message::sample`].
+    Feed(Box<dyn FnMut(usize) -> Message + Send>),
+    /// Every other worker: the link to the worker above.
+    Link(ChannelLink),
+}
+
 /// Everything one worker thread owns — what a `pbp-dist` rank holds: a
-/// [`RankLoop`] and its run of stages, between two channel links.
+/// [`RankLoop`] and its run of stages, between its feed or the link above
+/// and the link below.
 struct StageWorker {
     stages: Vec<Stage>,
     rank: RankLoop,
     /// Global index one past the last microbatch of this streaming call.
     end: usize,
-    up: ChannelLink,
+    up: Source,
     /// `None` on the last worker.
     down: Option<ChannelLink>,
+    /// The loss of each microbatch retired, in order (worker 0 only).
+    losses: Vec<f32>,
     /// The stage a panic report names: the one an injected crash struck,
     /// otherwise the first owned.
     struck: usize,
     /// One per owned stage, none without a plan: plan rank `s` is stage `s`.
     injectors: Vec<FaultInjector<RankFault>>,
+    abort: Arc<AtomicBool>,
     events: Sender<StageEvent>,
 }
 
@@ -600,6 +570,7 @@ impl StageWorker {
             mut rank,
             up,
             down,
+            losses,
             struck,
             events,
             ..
@@ -614,23 +585,41 @@ impl StageWorker {
             stage_idx: struck,
             stages,
             rank,
+            losses,
             panic,
         })));
     }
 
     /// Steps the rank until every microbatch of the call has completed, a
-    /// neighbour hangs up, or the supervisor raises the abort flag.
+    /// neighbour hangs up, or the supervisor raises the abort flag. A
+    /// stepping worker beats in its first stage's name, at its first step
+    /// and then at most once per [`BEAT_INTERVAL`]: alive whether or not it
+    /// has a link to wait on.
     fn run(&mut self) {
+        let mut beat: Option<Instant> = None;
         while let Some(next) = self.rank.next_step(self.end) {
+            if self.abort.load(Ordering::Relaxed) {
+                return;
+            }
+            if beat.is_none_or(|at| at.elapsed() >= BEAT_INTERVAL) {
+                let stage = self.rank.group.range().start;
+                let _ = self.events.send(StageEvent::Beat { stage });
+                beat = Some(Instant::now());
+            }
             if let Step::Backward(update) = next {
                 self.inject(update);
             }
-            match self.rank.step(
-                &mut self.stages,
-                Upstream::Link(&mut self.up),
-                self.down.as_mut(),
-                self.end,
-            ) {
+            let up = match &mut self.up {
+                Source::Feed(feed) => Upstream::Feed(feed.as_mut()),
+                Source::Link(link) => Upstream::Link(link),
+            };
+            match self
+                .rank
+                .step(&mut self.stages, up, self.down.as_mut(), self.end)
+            {
+                Ok(Some(Step::Backward(_))) if matches!(self.up, Source::Feed(_)) => {
+                    self.losses.push(self.rank.last_loss)
+                }
                 Ok(_) => {}
                 Err(RankError::Link(Hangup)) => return,
                 Err(desync) => panic!("stage {}: {desync:?}", self.struck),
@@ -659,7 +648,9 @@ impl StageWorker {
                     lane.end();
                 }
                 Some(RankFault::Sever) => {
-                    self.up.tx = None;
+                    if let Source::Link(up) = &mut self.up {
+                        up.tx = None;
+                    }
                     if let Some(down) = &mut self.down {
                         down.tx = None;
                     }
@@ -823,6 +814,80 @@ mod tests {
                 "stage {first} fills its worker's version FIFO: {pb:?}"
             );
         }
+    }
+
+    /// Worker 0 feeds itself from the call's slice of the dataset and
+    /// records each loss it retires: over two calls (the second starting
+    /// mid-run, so its feed is offset by the first's microbatches), every
+    /// plan's streamed losses are the sequential engine's f32s bit for bit.
+    #[test]
+    fn worker_0_feeds_itself_the_sequential_engines_samples() {
+        let data = spirals(3, 9, 0.05, 3);
+        let calls = [
+            cyclic(&data, 13),
+            (0..11).map(|i| (5 * i) % data.len()).collect(),
+        ];
+        for run in [
+            ScheduledConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
+            ScheduledConfig::one_f_one_b(4, schedule()),
+            ScheduledConfig::two_bp(4, schedule()),
+            ScheduledConfig::fill_drain(4, schedule()),
+        ] {
+            let net = || mlp(&[2, 8, 8, 8, 3], &mut StdRng::seed_from_u64(6));
+            let mut threaded = ThreadedPipeline::new(net(), ThreadedConfig::new(run.clone()));
+            let mut sequential = ScheduledTrainer::new(net(), run.clone());
+            for order in &calls {
+                let streamed = threaded.stream(&data, order).expect("clean run");
+                let want: Vec<f32> = order
+                    .iter()
+                    .map(|&i| {
+                        let (x, label) = data.sample(i);
+                        sequential.train_sample(x, label)
+                    })
+                    .collect();
+                let bits = |losses: &[f32]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&streamed), bits(&want), "{}", run.label());
+            }
+        }
+    }
+
+    /// A worker with no link — worker 0 of one, feeding itself — waits on
+    /// nothing, so it beats as it steps; and a raised abort stops it
+    /// before its next step: it takes no further sample, and a detached
+    /// worker cannot train on alone.
+    #[test]
+    fn a_lone_worker_beats_as_it_steps_and_stops_at_an_abort() {
+        let lone = |abort: bool| {
+            let net = mlp(&[2, 8, 3], &mut StdRng::seed_from_u64(7));
+            let config = ScheduledConfig::pb(schedule());
+            let group = StageGroup::new(&net, 0..net.num_stages(), &config);
+            let x = Tensor::from_vec(vec![0.5, -1.0], &[2]).expect("a sample");
+            let (events, beats) = unbounded();
+            let mut worker = StageWorker {
+                stages: net.into_stages(),
+                rank: RankLoop::new(group),
+                end: 3,
+                up: Source::Feed(Box::new(move |mb| Message::sample(mb, &x, 1))),
+                down: None,
+                losses: Vec::new(),
+                struck: 0,
+                injectors: Vec::new(),
+                abort: Arc::new(AtomicBool::new(abort)),
+                events,
+            };
+            worker.run();
+            let events = std::iter::from_fn(|| beats.try_recv().ok());
+            let beats = events.filter(|e| matches!(e, StageEvent::Beat { stage: 0 }));
+            (
+                worker.rank.group.completed(),
+                worker.losses.len(),
+                beats.count(),
+            )
+        };
+        let (completed, losses, beats) = lone(false);
+        assert_eq!((completed, losses), (3, 3));
+        assert!(beats >= 1, "a lone worker is heard from");
+        assert_eq!(lone(true), (0, 0, 0), "an aborted worker steps no more");
     }
 
     /// The ledger's cnn states its input size, so its costs, and with them

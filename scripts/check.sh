@@ -41,6 +41,16 @@ lint_only_in '.loss(&' 'rank'
 # the schedule from its own rules must not reappear. pbp-trace's lib.rs and
 # analysis.rs define and read the process.
 lint_only_in 'PID_VIRTUAL' 'timeline|lib|analysis'
+# One way into rank 0: every host — the sequential engine, a threaded
+# worker 0, a dist rank 0, the virtual host — feeds it through
+# Upstream::Feed, a closure the rank's own thread calls. The threaded
+# engine's calling thread only supervises and collects: a feeder handing
+# samples to worker 0 over a channel, with its timed sends, stays retired.
+lint_only_in 'Message::sample(' 'rank|scheduled|threaded|runner|timeline'
+if grep -rnF 'send_timeout(' crates/pipeline/src >&2; then
+  echo "a timed send is back in crates/pipeline/src: worker 0 feeds itself" >&2
+  exit 1
+fi
 # One host shape: a threaded worker is a rank over its run of
 # partition_bounds, as many as the thread budget holds. The FLOP
 # heuristic that guessed which of S stage threads deserved a core stays
