@@ -1,6 +1,7 @@
 //! The [`Layer`] trait: explicit, stack-based forward/backward passes.
 
 use pbp_tensor::{GradView, Tensor};
+use std::any::Any;
 use std::collections::VecDeque;
 
 /// The activation "stack" flowing between pipeline stages.
@@ -29,8 +30,9 @@ pub type LaneStack = Vec<Tensor>;
 ///
 /// Parameter access ([`Layer::params`]/[`Layer::params_mut`]) is positional
 /// and stable, which the pipeline engines rely on to snapshot, predict and
-/// restore weight versions.
-pub trait Layer: Send {
+/// restore weight versions. `Any` lets a [`crate::Stage`] recognise the
+/// layer pairs it runs as one pass in eval mode ([`crate::Stage::forward`]).
+pub trait Layer: Send + Any {
     /// Human-readable layer name (used in stage listings and diagnostics).
     fn name(&self) -> String;
 

@@ -23,7 +23,7 @@ impl Relu {
 
 /// The ReLU mask value of `v`; the output is `v` times it, so `-0.0`,
 /// negatives and NaN come out as that product leaves them.
-fn relu_mask(v: f32) -> f32 {
+pub(crate) fn relu_mask(v: f32) -> f32 {
     if v > 0.0 {
         1.0
     } else {

@@ -6,7 +6,9 @@
 //! experiments that run at batch size > 1 and for the discussion-section
 //! comparison (BN appears to mask delay effects relative to GN).
 
+use super::activation::relu_mask;
 use crate::layer::{LaneStack, Layer, Stash};
+use pbp_tensor::ops::simd;
 use pbp_tensor::{pool, GradView, Tensor};
 
 /// Per-sample stash: normalized activations plus per-group inverse stds.
@@ -70,57 +72,87 @@ impl GroupNorm {
     pub fn groups(&self) -> usize {
         self.groups
     }
+
+    /// In eval mode, this layer's forward and a following [`Relu`]'s in
+    /// the one pass over the activation: each output `y` leaves as
+    /// `y * relu_mask(y)`, the bits the ReLU would have written, and the
+    /// caller skips that layer. Returns `false` and touches nothing in
+    /// training mode, where the ReLU keeps the mask its backward reads.
+    ///
+    /// [`Relu`]: crate::layers::Relu
+    pub(crate) fn forward_relu(&mut self, stack: &mut LaneStack) -> bool {
+        if self.stash.training() {
+            return false;
+        }
+        let x = stack.pop().expect("groupnorm: empty stack");
+        stack.push(self.eval_forward::<true>(x));
+        true
+    }
+
+    /// `(group_len, h·w)` of an `[N, C, H, W]` input, checked against the
+    /// layer.
+    fn geometry(&self, x: &Tensor) -> (usize, usize) {
+        assert_eq!(x.rank(), 4, "groupnorm expects NCHW");
+        let [c, h, w] = [x.shape()[1], x.shape()[2], x.shape()[3]];
+        assert_eq!(c, self.channels, "groupnorm channel mismatch");
+        (c / self.groups * h * w, h * w)
+    }
+
+    /// `(γ, β)` of each channel of group `j`.
+    fn affine(&self, j: usize) -> impl Iterator<Item = (&f32, &f32)> {
+        let cg = self.channels / self.groups;
+        let first = j % self.groups * cg;
+        self.gamma.as_slice()[first..][..cg]
+            .iter()
+            .zip(&self.beta.as_slice()[first..][..cg])
+    }
+
+    /// The eval-mode forward, normalising `x` in place; with `RELU` each
+    /// output rectified as it is written. Samples normalise independently,
+    /// so whole samples at a time go to the kernel pool; a group's index
+    /// within a chunk of whole samples names the same channels as in the
+    /// batch.
+    fn eval_forward<const RELU: bool>(&self, mut x: Tensor) -> Tensor {
+        let (group_len, hw) = self.geometry(&x);
+        let sample_len = self.channels * hw;
+        pool::for_each_sample_chunk(x.as_mut_slice(), sample_len, &|_, part| {
+            let stats = group_stats(part, group_len, self.eps);
+            // The training branch's two expressions composed, per element.
+            for (j, group) in part.chunks_exact_mut(group_len).enumerate() {
+                let (mean, inv_std) = stats(j);
+                for (chan, (&gam, &bet)) in group.chunks_exact_mut(hw).zip(self.affine(j)) {
+                    for v in chan {
+                        let y = gam * ((*v - mean) * inv_std) + bet;
+                        *v = if RELU { y * relu_mask(y) } else { y };
+                    }
+                }
+            }
+        });
+        x
+    }
+}
+
+/// Group `j`'s mean and inverse std, as the normalization reads them, for
+/// the groups of `xs` — consecutive runs of `group_len`, every sample's
+/// groups in turn. Each group's statistics are its own `f64` chains
+/// ([`simd::group_moments`]), so they are the same bits whatever slice of
+/// whole groups `xs` is.
+fn group_stats(xs: &[f32], group_len: usize, eps: f32) -> impl Fn(usize) -> (f32, f32) {
+    let groups = xs.len() / group_len;
+    let (mut means, mut sq_devs) = (vec![0.0; groups], vec![0.0; groups]);
+    simd::group_moments(xs, group_len, &mut means, &mut sq_devs);
+    let eps = eps as f64;
+    move |j| {
+        let var = (sq_devs[j] / group_len as f64).max(0.0);
+        let inv_std = 1.0 / (var + eps).sqrt();
+        (means[j] as f32, inv_std as f32)
+    }
 }
 
 /// Independent add chains stepped together per pass: a dependent add has
 /// a latency of several cycles and the core retires two a cycle, so one
 /// chain at a time leaves the adders idle seven cycles in eight.
 const CHAINS: usize = 8;
-
-/// `Σ f(j, v)` over each consecutive run `j` of `len` values of `xs`: one
-/// `f64` chain per run, left to right from the `-0.0` that `Iterator::sum`
-/// starts at — so bit for bit `run.iter().map(f).sum::<f64>()` — with
-/// [`CHAINS`] runs' chains advancing in the same loop.
-fn run_sums(xs: &[f32], len: usize, f: impl Fn(usize, f32) -> f64) -> Vec<f64> {
-    let mut sums = vec![-0.0f64; xs.len() / len];
-    let mut j = 0;
-    while j + CHAINS <= sums.len() {
-        let runs: [&[f32]; CHAINS] = std::array::from_fn(|l| &xs[(j + l) * len..][..len]);
-        let mut acc = [-0.0f64; CHAINS];
-        for i in 0..len {
-            for l in 0..CHAINS {
-                acc[l] += f(j + l, runs[l][i]);
-            }
-        }
-        sums[j..j + CHAINS].copy_from_slice(&acc);
-        j += CHAINS;
-    }
-    for (j, sum) in sums.iter_mut().enumerate().skip(j) {
-        for &v in &xs[j * len..][..len] {
-            *sum += f(j, v);
-        }
-    }
-    sums
-}
-
-/// Group `j`'s mean and inverse std, as the normalization reads them, for
-/// the groups of `xs` — consecutive runs of `group_len`, every sample's
-/// groups in turn. Each group's statistics are its own `f64` chains, so
-/// they are the same bits whatever slice of whole groups `xs` is.
-fn group_stats(xs: &[f32], group_len: usize, eps: f32) -> impl Fn(usize) -> (f32, f32) {
-    let mut means = run_sums(xs, group_len, |_, v| v as f64);
-    means.iter_mut().for_each(|m| *m /= group_len as f64);
-    let vars = run_sums(xs, group_len, |j, v| {
-        let d = v as f64 - means[j];
-        d * d
-    });
-    let eps = eps as f64;
-    move |j| {
-        let var = (vars[j] / group_len as f64).max(0.0);
-        let inv_std = 1.0 / (var + eps).sqrt();
-        (means[j] as f32, inv_std as f32)
-    }
-}
 
 /// Per consecutive run of `len` values: `(Σ g, Σ g·x)`, each one `f32`
 /// chain left to right from `+0.0`, the chains of [`CHAINS`]` / 2` runs
@@ -159,48 +191,21 @@ impl Layer for GroupNorm {
     }
 
     fn forward(&mut self, stack: &mut LaneStack) {
-        let mut x = stack.pop().expect("groupnorm: empty stack");
-        assert_eq!(x.rank(), 4, "groupnorm expects NCHW");
-        let [_, c, h, w] = [x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]];
-        assert_eq!(c, self.channels, "groupnorm channel mismatch");
-        let cg = c / self.groups;
-        let hw = h * w;
-        let group_len = cg * hw;
-        let (groups, eps) = (self.groups, self.eps);
-        let (gamma, beta) = (self.gamma.as_slice(), self.beta.as_slice());
-        // `(γ, β)` of each channel of group `j`.
-        let affine = |j: usize| {
-            let first = j % groups * cg;
-            gamma[first..][..cg].iter().zip(&beta[first..][..cg])
-        };
+        let x = stack.pop().expect("groupnorm: empty stack");
         if !self.stash.training() {
-            // Samples normalise independently, so whole samples at a time
-            // go to the kernel pool; a group's index within a chunk of
-            // whole samples names the same channels as in the batch.
-            pool::for_each_sample_chunk(x.as_mut_slice(), c * hw, &|_, part| {
-                let stats = group_stats(part, group_len, eps);
-                // The training branch's two expressions composed, per element.
-                for (j, group) in part.chunks_exact_mut(group_len).enumerate() {
-                    let (mean, inv_std) = stats(j);
-                    for (chan, (&gam, &bet)) in group.chunks_exact_mut(hw).zip(affine(j)) {
-                        for v in chan {
-                            *v = gam * ((*v - mean) * inv_std) + bet;
-                        }
-                    }
-                }
-            });
-            stack.push(x);
+            stack.push(self.eval_forward::<false>(x));
             return;
         }
+        let (group_len, hw) = self.geometry(&x);
         let xs = x.as_slice();
-        let stats = group_stats(xs, group_len, eps);
+        let stats = group_stats(xs, group_len, self.eps);
         let mut xh = Vec::with_capacity(xs.len());
         let mut ys = Vec::with_capacity(xs.len());
         let mut inv_stds = Vec::with_capacity(xs.len() / group_len);
         for (j, group) in xs.chunks_exact(group_len).enumerate() {
             let (mean, inv_std) = stats(j);
             inv_stds.push(inv_std);
-            for (chan, (&gam, &bet)) in group.chunks_exact(hw).zip(affine(j)) {
+            for (chan, (&gam, &bet)) in group.chunks_exact(hw).zip(self.affine(j)) {
                 let at = xh.len();
                 xh.extend(chan.iter().map(|&v| (v - mean) * inv_std));
                 ys.extend(xh[at..].iter().map(|&xn| gam * xn + bet));

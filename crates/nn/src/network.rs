@@ -1,7 +1,9 @@
 //! Stage-partitioned network container.
 
 use crate::layer::{LaneStack, Layer};
+use crate::layers::{GroupNorm, Relu};
 use pbp_tensor::{GradView, Tensor};
+use std::any::Any;
 
 /// One pipeline stage: a named, ordered group of fused layers.
 ///
@@ -45,9 +47,27 @@ impl Stage {
     }
 
     /// Runs the stage's forward transformation on the lane stack.
+    ///
+    /// In eval mode a [`GroupNorm`] directly followed by a [`Relu`] is one
+    /// pass: the normalisation rectifies each value as it writes it, with
+    /// the ReLU's own product, and the ReLU's separate pass over the
+    /// activation is skipped. The output bits are the two layers' in turn;
+    /// the layer list, and every training-mode forward, are unchanged.
     pub fn forward(&mut self, stack: &mut LaneStack) {
-        for layer in &mut self.layers {
-            layer.forward(stack);
+        let mut layers = self.layers.iter_mut().peekable();
+        while let Some(layer) = layers.next() {
+            let relu_next = layers
+                .peek()
+                .is_some_and(|next| (&***next as &dyn Any).is::<Relu>());
+            let folded = relu_next
+                && (&mut **layer as &mut dyn Any)
+                    .downcast_mut::<GroupNorm>()
+                    .is_some_and(|norm| norm.forward_relu(stack));
+            if folded {
+                layers.next();
+            } else {
+                layer.forward(stack);
+            }
         }
     }
 

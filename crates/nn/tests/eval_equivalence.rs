@@ -21,6 +21,7 @@ use pbp_nn::layers::{
     AvgPool2d, Conv2d, FilterResponseNorm, Flatten, GlobalAvgPool2d, GroupNorm, Linear, MaxPool2d,
     Relu, Tlu, WsConv2d,
 };
+use pbp_nn::Stage;
 use pbp_tensor::{pool, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -220,4 +221,119 @@ fn filter_response_norm_and_tlu() {
     let mut tlu = Tlu::new(4);
     perturb_params(&mut tlu);
     assert_eval_is_training_forward("tlu", &mut tlu, &[4, 3, 3]);
+}
+
+/// The training-mode forward of each sample of `x` alone through `stage`,
+/// one thread, stacked back into a batch.
+fn per_sample_stage_forward(stage: &mut Stage, x: &Tensor) -> Tensor {
+    let n = x.shape()[0];
+    let sample_shape = [&[1], &x.shape()[1..]].concat();
+    let (mut values, mut shape) = (Vec::new(), Vec::new());
+    stage.set_training(true);
+    for row in x.as_slice().chunks_exact(x.len() / n) {
+        let mut stack = vec![Tensor::from_vec(row.to_vec(), &sample_shape).unwrap()];
+        stage.forward(&mut stack);
+        stage.clear_stash();
+        let y = stack.pop().expect("output");
+        values.extend_from_slice(y.as_slice());
+        shape = [&[n], &y.shape()[1..]].concat();
+    }
+    Tensor::from_vec(values, &shape).unwrap()
+}
+
+/// A stage's eval-mode forward — with a GroupNorm directly followed by a
+/// ReLU folded into one pass — against its per-sample training-mode
+/// forward, which runs every layer on its own, `to_bits`, at every batch
+/// size and thread cap.
+fn assert_stage_eval_is_training_forward(what: &str, stage: &mut Stage, sample: &[usize]) {
+    let _cap = CAP.lock().unwrap_or_else(PoisonError::into_inner);
+    let configured = pool::configured_threads();
+    for (i, &n) in BATCHES.iter().enumerate() {
+        let x = awkward_input(n, sample, 70 + i as u64);
+        pool::set_max_threads(1);
+        let want = per_sample_stage_forward(stage, &x);
+        stage.set_training(false);
+        for threads in THREADS {
+            pool::set_max_threads(threads);
+            let mut stack = vec![x.clone()];
+            stage.forward(&mut stack);
+            let got = stack.pop().expect("output");
+            let context = format!("{what}, batch {n}, {threads} threads, eval mode");
+            assert_same_bits(&got, &want, &context);
+        }
+    }
+    pool::set_max_threads(configured);
+}
+
+/// A GroupNorm whose first channel maps every value to `-0.0` (γ = 0,
+/// β = −0.0 — a negative `x̂` times `+0.0` is `-0.0`, plus `-0.0`) and
+/// whose other parameters are moved off their initial values.
+fn group_norm_with_a_signed_zero_channel(groups: usize, channels: usize) -> GroupNorm {
+    let mut norm = GroupNorm::new(groups, channels);
+    perturb_params(&mut norm);
+    let mut params = norm.params_mut();
+    params[0].as_mut_slice()[0] = 0.0;
+    params[1].as_mut_slice()[0] = -0.0;
+    norm
+}
+
+#[test]
+fn a_stage_folds_relu_into_group_norm_in_eval_mode_with_the_same_bits() {
+    let mut rng = StdRng::seed_from_u64(3);
+    let conv = |rng: &mut StdRng| {
+        let mut conv = Conv2d::new(3, 16, 3, 1, 1, false, rng);
+        perturb_params(&mut conv);
+        Box::new(conv) as Box<dyn Layer>
+    };
+    let norm = |groups, channels| {
+        Box::new(group_norm_with_a_signed_zero_channel(groups, channels)) as Box<dyn Layer>
+    };
+    // The serving net's conv stage, folded: eight groups of two channels.
+    let mut stage = Stage::new(
+        "conv+gn+relu",
+        vec![conv(&mut rng), norm(8, 16), Box::new(Relu::new())],
+    );
+    assert_stage_eval_is_training_forward("[conv, gn, relu]", &mut stage, &[3, 7, 6]);
+    // The awkward values straight into the fold: −0.0, subnormals and NaN
+    // reach the normalisation, and the γ = 0 channel writes −0.0 for the
+    // ReLU product to keep.
+    let mut stage = Stage::new("gn+relu", vec![norm(2, 4), Box::new(Relu::new())]);
+    assert_stage_eval_is_training_forward("[gn, relu]", &mut stage, &[4, 5, 3]);
+    // Two folds in one stage, the second after a ReLU of its own.
+    let mut stage = Stage::new(
+        "gn+relu+gn+relu",
+        vec![
+            norm(1, 4),
+            Box::new(Relu::new()),
+            norm(4, 4),
+            Box::new(Relu::new()),
+        ],
+    );
+    assert_stage_eval_is_training_forward("[gn, relu, gn, relu]", &mut stage, &[4, 3, 3]);
+}
+
+#[test]
+fn a_group_norm_not_directly_followed_by_relu_is_not_folded() {
+    let mut rng = StdRng::seed_from_u64(4);
+    let norm = |groups, channels| {
+        Box::new(group_norm_with_a_signed_zero_channel(groups, channels)) as Box<dyn Layer>
+    };
+    // GroupNorm last: the ReLU that would follow is in the next stage.
+    let mut conv = Conv2d::new(3, 8, 3, 1, 1, false, &mut rng);
+    perturb_params(&mut conv);
+    let mut stage = Stage::new("conv+gn", vec![Box::new(conv), norm(4, 8)]);
+    assert_stage_eval_is_training_forward("[conv, gn]", &mut stage, &[3, 7, 6]);
+    // Something other than a ReLU between the normalisation and a ReLU.
+    let mut stage = Stage::new(
+        "gn+pool+relu",
+        vec![
+            norm(2, 4),
+            Box::new(MaxPool2d::new(2, 2)),
+            Box::new(Relu::new()),
+        ],
+    );
+    assert_stage_eval_is_training_forward("[gn, maxpool, relu]", &mut stage, &[4, 6, 6]);
+    // A ReLU first, then the normalisation last.
+    let mut stage = Stage::new("relu+gn", vec![Box::new(Relu::new()), norm(2, 4)]);
+    assert_stage_eval_is_training_forward("[relu, gn]", &mut stage, &[4, 5, 3]);
 }

@@ -42,6 +42,7 @@ thread_local! {
             staged: Vec::new(),
             side: Vec::new(),
             gwt: Vec::new(),
+            bank: Vec::new(),
             off: Vec::new(),
         })
     };
@@ -470,6 +471,10 @@ struct DirectScratch {
     side: Vec<f32>,
     /// The weight gradient as its kernel writes it, `[taps, oc]`.
     gwt: Vec<f32>,
+    /// The forward's kernel bank tap-major, `[taps, oc]`: the calling
+    /// thread's, taken out of the scratch for the call so every chunk of
+    /// the batch reads the one transpose.
+    bank: Vec<f32>,
     /// Tap-offset table.
     off: Vec<usize>,
 }
@@ -651,6 +656,16 @@ pub fn conv2d_direct(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Resu
         // is empty, as the shape check of an empty buffer reports.
         return Tensor::from_vec(Vec::new(), &[n, oc, g.oh, g.ow]);
     }
+    // The `[oc, taps]` bank transposed once per call: the kernel reads a
+    // tap's weights for neighbouring channels from one pointer.
+    let taps = spec.fan_in();
+    let mut bank = DIRECT_BUF.with(|buf| std::mem::take(&mut buf.borrow_mut().bank));
+    bank.resize(taps * oc, 0.0);
+    for (t, dst) in bank.chunks_exact_mut(oc).enumerate() {
+        for (d, row) in dst.iter_mut().zip(weight.as_slice().chunks_exact(taps)) {
+            *d = row[t];
+        }
+    }
     // Written in place uninitialised, not zero-filled first: a zero pass
     // costs ≈ 20 µs per 1 MiB activation here, and every element is
     // overwritten anyway.
@@ -667,14 +682,7 @@ pub fn conv2d_direct(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Resu
                 let images = input.as_slice()[first * image_len..].chunks_exact(image_len);
                 for (image, dst) in images.zip(part.chunks_exact_mut(sample_len)) {
                     g.stage(image, &mut buf.staged);
-                    simd::conv_forward(
-                        &buf.staged,
-                        &buf.off,
-                        weight.as_slice(),
-                        oc,
-                        g.qr,
-                        &mut buf.side,
-                    );
+                    simd::conv_forward(&buf.staged, &buf.off, &bank, oc, g.qr, &mut buf.side);
                     let rows = buf
                         .side
                         .chunks_exact(g.qr)
@@ -692,6 +700,7 @@ pub fn conv2d_direct(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Resu
             });
         },
     );
+    DIRECT_BUF.with(|buf| buf.borrow_mut().bank = bank);
     // SAFETY: the `n * sample_len` elements are the parts the chunks above
     // were handed, whole samples each; a part of `k` samples zips with `k`
     // images (the input holds `n · image_len` floats, `image_len > 0`),

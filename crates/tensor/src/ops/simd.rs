@@ -5,7 +5,9 @@
 //! sweep (`axpy_row`), the `A·Bᵀ` row (`nt_row`) and the three direct
 //! convolution kernels (`conv_forward`, `conv_backward_input`,
 //! `conv_backward_weight`) — beside the tile's `Bᵀ` panel pack
-//! (`pack_bt`), which computes nothing.
+//! (`pack_bt`), which computes nothing, and GroupNorm's statistics
+//! ([`group_moments`]), the one `f64` kernel, written over `Chains`
+//! under the same rule with plain adds, subtractions and products.
 //! Each is one generic function over a lane type: lanes never interact —
 //! the one cross-lane operation, `Lanes::transpose` in the `A·Bᵀ` row and
 //! the pack, moves data and computes nothing — and
@@ -266,18 +268,19 @@ impl Lanes for f32 {
     unsafe fn transpose(_rows: &mut [Self; MAX_LANES]) {}
 }
 
-/// The portable full-width lane type: what the scalar tier runs the
-/// register tile at. Sixteen one-lane `f32` "vectors" per tile row do not
-/// autovectorize; one sixteen-lane array per row does.
-impl Lanes for [f32; MAX_LANES] {
-    const N: usize = MAX_LANES;
+/// The portable vector types: `[f32; 16]` is what the scalar tier runs the
+/// register tile at (sixteen one-lane `f32` "vectors" per tile row do not
+/// autovectorize; one sixteen-lane array per row does), `[f32; 8]` what it
+/// feeds the group-moment chains from. `L <= MAX_LANES`.
+impl<const L: usize> Lanes for [f32; L] {
+    const N: usize = L;
     #[inline(always)]
     unsafe fn zero() -> Self {
-        [0.0; MAX_LANES]
+        [0.0; L]
     }
     #[inline(always)]
     unsafe fn splat(v: f32) -> Self {
-        [v; MAX_LANES]
+        [v; L]
     }
     #[inline(always)]
     unsafe fn load(p: *const f32) -> Self {
@@ -289,7 +292,7 @@ impl Lanes for [f32; MAX_LANES] {
     }
     #[inline(always)]
     unsafe fn load_first(p: *const f32, w: usize) -> Self {
-        let mut v = [0.0; MAX_LANES];
+        let mut v = [0.0; L];
         v[..w].copy_from_slice(std::slice::from_raw_parts(p, w));
         v
     }
@@ -307,7 +310,7 @@ impl Lanes for [f32; MAX_LANES] {
     }
     #[inline(always)]
     unsafe fn transpose(rows: &mut [Self; MAX_LANES]) {
-        for p in 0..MAX_LANES {
+        for p in 0..L {
             for l in 0..p {
                 let upper = rows[l][p];
                 rows[l][p] = rows[p][l];
@@ -817,23 +820,27 @@ pub(crate) fn pack_bt(
 struct FwdArgs<'a> {
     xs: &'a [f32],
     off: &'a [usize],
-    w: &'a [f32],
+    wt: &'a [f32],
+    oc: usize,
     qr: usize,
     yp: *mut f32,
 }
 
 /// `R` output channels × one vector of flat output positions: one fma
-/// chain per output element over the taps in table order.
+/// chain per output element over the taps in table order. The bank is
+/// tap-major, so a tap's `R` weights sit side by side behind one pointer
+/// that steps by `oc` a tap (`R` row pointers, one per channel, cost a
+/// register each and spilled the sixteen-row `__m512` block).
 #[inline(always)]
 unsafe fn fwd_block<V: Lanes, const R: usize>(a: FwdArgs<'_>, oc0: usize, q0: usize) {
-    let taps = a.off.len();
-    let wrows: [*const f32; R] = std::array::from_fn(|r| a.w.as_ptr().add((oc0 + r) * taps));
+    let w = a.wt.as_ptr().add(oc0);
     let mut acc = [V::zero(); R];
     let xq = a.xs.as_ptr().add(q0);
     for (t, &o) in a.off.iter().enumerate() {
         let xv = V::load(xq.add(o));
+        let wt = w.add(t * a.oc);
         for r in 0..R {
-            acc[r] = V::fma(V::splat(*wrows[r].add(t)), xv, acc[r]);
+            acc[r] = V::fma(V::splat(*wt.add(r)), xv, acc[r]);
         }
     }
     for r in 0..R {
@@ -842,10 +849,10 @@ unsafe fn fwd_block<V: Lanes, const R: usize>(a: FwdArgs<'_>, oc0: usize, q0: us
 }
 
 #[inline(always)]
-unsafe fn fwd_kernel<V: Lanes>(a: FwdArgs<'_>, oc: usize) {
+unsafe fn fwd_kernel<V: Lanes>(a: FwdArgs<'_>) {
     let mut q0 = 0;
     while q0 < a.qr {
-        row_blocks!(V, oc, oc0, fwd_block(a, oc0, q0));
+        row_blocks!(V, a.oc, oc0, fwd_block(a, oc0, q0));
         q0 += V::N;
     }
 }
@@ -854,11 +861,12 @@ unsafe fn fwd_kernel<V: Lanes>(a: FwdArgs<'_>, oc: usize) {
 ///
 /// `xs` is the zero-padded, phase-split image (see `ops::conv`), `off` the
 /// tap table in `(ci, ki, kj)` order — tap `t` of flat output position `q`
-/// reads `xs[off[t] + q]` — and `w` the `[oc, taps]` kernel bank. Writes
-/// `yp[o * qr + q] = Σ_t w[o, t] · xs[off[t] + q]` for every `q < qr`, each
-/// element one left-to-right fma chain from `+0.0` in table order: the
-/// chain [`super::reference::conv2d_ref`] runs, with the taps that
-/// reference skips at the border present as exact zero products.
+/// reads `xs[off[t] + q]` — and `wt` the kernel bank tap-major,
+/// `[taps, oc]`. Writes `yp[o * qr + q] = Σ_t wt[t, o] · xs[off[t] + q]`
+/// for every `q < qr`, each element one left-to-right fma chain from
+/// `+0.0` in table order: the chain [`super::reference::conv2d_ref`] runs,
+/// with the taps that reference skips at the border present as exact zero
+/// products.
 ///
 /// # Panics
 ///
@@ -867,33 +875,34 @@ unsafe fn fwd_kernel<V: Lanes>(a: FwdArgs<'_>, oc: usize) {
 pub(crate) fn conv_forward(
     xs: &[f32],
     off: &[usize],
-    w: &[f32],
+    wt: &[f32],
     oc: usize,
     qr: usize,
     yp: &mut [f32],
 ) {
     assert_eq!(qr % MAX_LANES, 0, "conv_forward: ragged flat extent");
-    assert_eq!(w.len(), oc * off.len(), "conv_forward: kernel bank");
+    assert_eq!(wt.len(), oc * off.len(), "conv_forward: kernel bank");
     assert_eq!(yp.len(), oc * qr, "conv_forward: output");
     let reach = off.iter().max().map_or(0, |&o| o + qr);
     assert!(xs.len() >= reach, "conv_forward: staged image too short");
     let a = FwdArgs {
         xs,
         off,
-        w,
+        wt,
+        oc,
         qr,
         yp: yp.as_mut_ptr(),
     };
     // SAFETY: the asserts above bound every access: `xs[off[t] + q]` for
-    // `q < qr`, `w[o * taps + t]`, `yp[o * qr + q]`; `qr` is a whole number
+    // `q < qr`, `wt[t * oc + o]`, `yp[o * qr + q]`; `qr` is a whole number
     // of vectors on every tier; the tier match proves the CPU feature.
     unsafe {
         match active_tier() {
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx512Fma => x86::conv_forward_avx512(a, oc),
+            SimdTier::Avx512Fma => x86::conv_forward_avx512(a),
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2Fma => x86::conv_forward_avx2(a, oc),
-            _ => fwd_kernel::<f32>(a, oc),
+            SimdTier::Avx2Fma => x86::conv_forward_avx2(a),
+            _ => fwd_kernel::<f32>(a),
         }
     }
 }
@@ -1108,9 +1117,234 @@ pub(crate) fn conv_backward_weight(
     }
 }
 
+/// Runs in one block of the group-moment kernel: the lanes of one
+/// [`Chains`] value.
+const CHAINS: usize = 8;
+
+/// Eight `f64` lanes, each the running sum of one run of a group-moment
+/// block: `[f64; 8]` on the portable tier, `__m512d` and a pair of
+/// `__m256d` on the vector tiers. The only arithmetic is `add`, `sub` and
+/// `mul`, each rounded on its own — never fused — so a lane runs the chain
+/// a scalar `f64` loop runs, whatever the width.
+///
+/// # Safety
+///
+/// `load`/`store` touch eight `f64` at `p`; the SIMD implementations also
+/// require their CPU feature.
+trait Chains: Copy {
+    /// The eight-lane `f32` vector a block's values arrive in, one lane per
+    /// chain: [`Lanes::transpose`] turns eight runs' next eight values into
+    /// eight vectors of one value from each run.
+    type Feed: Lanes;
+    unsafe fn splat(v: f64) -> Self;
+    unsafe fn load(p: *const f64) -> Self;
+    unsafe fn store(self, p: *mut f64);
+    /// The lanes of `v` as `f64`: exact.
+    unsafe fn widen(v: Self::Feed) -> Self;
+    unsafe fn add(a: Self, b: Self) -> Self;
+    unsafe fn sub(a: Self, b: Self) -> Self;
+    unsafe fn mul(a: Self, b: Self) -> Self;
+}
+
+impl Chains for [f64; CHAINS] {
+    type Feed = [f32; CHAINS];
+    #[inline(always)]
+    unsafe fn splat(v: f64) -> Self {
+        [v; CHAINS]
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        p.cast::<Self>().read()
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        p.cast::<Self>().write(self)
+    }
+    #[inline(always)]
+    unsafe fn widen(v: Self::Feed) -> Self {
+        v.map(|x| x as f64)
+    }
+    #[inline(always)]
+    unsafe fn add(a: Self, b: Self) -> Self {
+        std::array::from_fn(|l| a[l] + b[l])
+    }
+    #[inline(always)]
+    unsafe fn sub(a: Self, b: Self) -> Self {
+        std::array::from_fn(|l| a[l] - b[l])
+    }
+    #[inline(always)]
+    unsafe fn mul(a: Self, b: Self) -> Self {
+        std::array::from_fn(|l| a[l] * b[l])
+    }
+}
+
+/// Operands of the group-moment kernel; see [`group_moments`]. `xs` holds
+/// `runs` consecutive runs of `len` values; the plain pass writes a sum
+/// per run to `means` (then divided into the mean), the `CENTRED` pass
+/// reads those means and writes a squared-deviation sum per run to
+/// `sq_devs`.
+#[derive(Clone, Copy)]
+struct MomentArgs {
+    xs: *const f32,
+    len: usize,
+    runs: usize,
+    means: *mut f64,
+    sq_devs: *mut f64,
+}
+
+impl MomentArgs {
+    /// Where a pass writes its sums.
+    fn sums<const CENTRED: bool>(self) -> *mut f64 {
+        if CENTRED {
+            self.sq_devs
+        } else {
+            self.means
+        }
+    }
+}
+
+/// Extends run `j`'s chain `acc` over its values `from..len`, one at a
+/// time: the value, or with `CENTRED` its squared deviation from the
+/// run's mean.
+#[inline(always)]
+unsafe fn moment_chain<const CENTRED: bool>(a: MomentArgs, j: usize, from: usize, acc: f64) -> f64 {
+    let mean = if CENTRED { *a.means.add(j) } else { 0.0 };
+    let run = a.xs.add(j * a.len);
+    (from..a.len).fold(acc, |acc, i| {
+        let v = *run.add(i) as f64;
+        let term = if CENTRED {
+            let d = v - mean;
+            d * d
+        } else {
+            v
+        };
+        acc + term
+    })
+}
+
+/// `B` blocks of [`CHAINS`] runs from run `j0`, each block's chains in one
+/// `C`: eight values of every run of a block are loaded and transposed at
+/// a time, and vector `q` of the transpose extends every chain of the block
+/// by its run's value `i + q` — widened, and with `CENTRED` its squared
+/// deviation from the run's mean, the subtraction and the square each
+/// rounded. The blocks' chains are independent, so stepping `B` of them in
+/// one loop covers the adder's latency. The last `len mod 8` values of
+/// every run are its chain one value at a time.
+#[inline(always)]
+unsafe fn moment_blocks<C: Chains, const B: usize, const CENTRED: bool>(a: MomentArgs, j0: usize) {
+    debug_assert_eq!(C::Feed::N, CHAINS);
+    let block = |b: usize| j0 + b * CHAINS;
+    let mean: [C; B] = std::array::from_fn(|b| {
+        if CENTRED {
+            C::load(a.means.add(block(b)))
+        } else {
+            C::splat(0.0)
+        }
+    });
+    let mut acc = [C::splat(-0.0); B];
+    let mut i = 0;
+    while i + CHAINS <= a.len {
+        for b in 0..B {
+            let p = a.xs.add(block(b) * a.len + i);
+            let cols = load_transposed::<C::Feed, true>(p, a.len, CHAINS, CHAINS);
+            for &col in cols.iter().take(CHAINS) {
+                let v = C::widen(col);
+                let term = if CENTRED {
+                    let d = C::sub(v, mean[b]);
+                    C::mul(d, d)
+                } else {
+                    v
+                };
+                acc[b] = C::add(acc[b], term);
+            }
+        }
+        i += CHAINS;
+    }
+    let sums = a.sums::<CENTRED>();
+    for (b, acc) in acc.into_iter().enumerate() {
+        acc.store(sums.add(block(b)));
+    }
+    if i < a.len {
+        for j in j0..block(B) {
+            *sums.add(j) = moment_chain::<CENTRED>(a, j, i, *sums.add(j));
+        }
+    }
+}
+
+/// One pass over every run: two blocks at a time, then one, then the runs
+/// that fill no block each as its own chain.
+#[inline(always)]
+unsafe fn moment_pass<C: Chains, const CENTRED: bool>(a: MomentArgs) {
+    let mut j = 0;
+    while j + 2 * CHAINS <= a.runs {
+        moment_blocks::<C, 2, CENTRED>(a, j);
+        j += 2 * CHAINS;
+    }
+    if j + CHAINS <= a.runs {
+        moment_blocks::<C, 1, CENTRED>(a, j);
+        j += CHAINS;
+    }
+    for j in j..a.runs {
+        *a.sums::<CENTRED>().add(j) = moment_chain::<CENTRED>(a, j, 0, -0.0);
+    }
+}
+
+/// The two passes of [`group_moments`] at `C`: the sums, turned into means
+/// in place, then the squared deviations from them.
+#[inline(always)]
+unsafe fn moments_kernel<C: Chains>(a: MomentArgs) {
+    moment_pass::<C, false>(a);
+    for j in 0..a.runs {
+        *a.means.add(j) /= a.len as f64;
+    }
+    moment_pass::<C, true>(a);
+}
+
+/// The moments of every run of `len` consecutive values of `xs` — the
+/// groups of a GroupNorm, every sample's in turn: `means[j]` is run `j`'s
+/// sum over `len`, `sq_devs[j]` the sum of its values' squared deviations
+/// from that mean, both in `f64`. Each sum is one chain from `-0.0` in
+/// element order with every operation rounded on its own, so bit for bit
+/// `run.iter().map(f).sum::<f64>()` for `f` the value, or its `d * d` for
+/// `d = v as f64 - mean`, on every tier and whatever slice of whole runs
+/// `xs` is.
+///
+/// # Panics
+///
+/// Panics if `len` is zero or `xs`, `means` and `sq_devs` do not hold the
+/// same number of runs.
+pub fn group_moments(xs: &[f32], len: usize, means: &mut [f64], sq_devs: &mut [f64]) {
+    assert!(len > 0, "group_moments: empty runs");
+    assert_eq!(xs.len(), means.len() * len, "group_moments: whole runs");
+    assert_eq!(sq_devs.len(), means.len(), "group_moments: one sum per run");
+    let a = MomentArgs {
+        xs: xs.as_ptr(),
+        len,
+        runs: means.len(),
+        means: means.as_mut_ptr(),
+        sq_devs: sq_devs.as_mut_ptr(),
+    };
+    // SAFETY: the asserts bound every access: `xs[j * len + i]` for
+    // `i < len`, `means[j]` and `sq_devs[j]` for `j < runs`, a block's
+    // eight runs only when they all exist; the centred pass reads the means
+    // the first one wrote; the tier match proves the CPU feature.
+    unsafe {
+        match active_tier() {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512Fma => x86::moments_avx512(a),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2Fma => x86::moments_avx2(a),
+            _ => moments_kernel::<[f64; CHAINS]>(a),
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{BwdInputArgs, BwdWeightArgs, FwdArgs, Lanes, NtArgs, PackArgs, Tile, MAX_LANES};
+    use super::{
+        BwdInputArgs, BwdWeightArgs, Chains, FwdArgs, Lanes, MomentArgs, NtArgs, PackArgs, Tile,
+        MAX_LANES,
+    };
     use std::arch::x86_64::*;
 
     /// `MASK_TABLE[8 - w..][..8]` is `w` all-ones lanes then zeros: the
@@ -1263,6 +1497,77 @@ mod x86 {
         }
     }
 
+    /// Eight chains in one vector.
+    impl Chains for __m512d {
+        type Feed = __m256;
+        #[inline(always)]
+        unsafe fn splat(v: f64) -> Self {
+            _mm512_set1_pd(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            _mm512_loadu_pd(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64) {
+            _mm512_storeu_pd(p, self)
+        }
+        #[inline(always)]
+        unsafe fn widen(v: __m256) -> Self {
+            _mm512_cvtps_pd(v)
+        }
+        #[inline(always)]
+        unsafe fn add(a: Self, b: Self) -> Self {
+            _mm512_add_pd(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: Self, b: Self) -> Self {
+            _mm512_sub_pd(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: Self, b: Self) -> Self {
+            _mm512_mul_pd(a, b)
+        }
+    }
+
+    /// Eight chains in two vectors of four: chains `0..4` in the first,
+    /// `4..8` in the second.
+    impl Chains for [__m256d; 2] {
+        type Feed = __m256;
+        #[inline(always)]
+        unsafe fn splat(v: f64) -> Self {
+            [_mm256_set1_pd(v); 2]
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            [_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4))]
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64) {
+            _mm256_storeu_pd(p, self[0]);
+            _mm256_storeu_pd(p.add(4), self[1]);
+        }
+        #[inline(always)]
+        unsafe fn widen(v: __m256) -> Self {
+            [
+                _mm256_cvtps_pd(_mm256_castps256_ps128(v)),
+                _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)),
+            ]
+        }
+        #[inline(always)]
+        unsafe fn add(a: Self, b: Self) -> Self {
+            [_mm256_add_pd(a[0], b[0]), _mm256_add_pd(a[1], b[1])]
+        }
+        #[inline(always)]
+        unsafe fn sub(a: Self, b: Self) -> Self {
+            [_mm256_sub_pd(a[0], b[0]), _mm256_sub_pd(a[1], b[1])]
+        }
+        #[inline(always)]
+        unsafe fn mul(a: Self, b: Self) -> Self {
+            [_mm256_mul_pd(a[0], b[0]), _mm256_mul_pd(a[1], b[1])]
+        }
+    }
+
     /// The kernels of [`super`] instantiated per tier.
     ///
     /// # Safety
@@ -1270,14 +1575,14 @@ mod x86 {
     /// The named CPU features must be available at runtime, and the bounds
     /// the entry points in [`super`] assert or require must hold.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn conv_forward_avx2(a: FwdArgs<'_>, oc: usize) {
-        super::fwd_kernel::<__m256>(a, oc)
+    pub(super) unsafe fn conv_forward_avx2(a: FwdArgs<'_>) {
+        super::fwd_kernel::<__m256>(a)
     }
 
     /// See [`conv_forward_avx2`].
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn conv_forward_avx512(a: FwdArgs<'_>, oc: usize) {
-        super::fwd_kernel::<__m512>(a, oc)
+    pub(super) unsafe fn conv_forward_avx512(a: FwdArgs<'_>) {
+        super::fwd_kernel::<__m512>(a)
     }
 
     /// See [`conv_forward_avx2`].
@@ -1347,6 +1652,19 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn tile_avx512<const AT: bool, const MRL: usize>(t: Tile<'_>) {
         super::tile_any::<__m512, 1, AT, MRL>(t)
+    }
+
+    /// See [`conv_forward_avx2`]. A block's chains in one `__m512d`, fed
+    /// by `__m256` transposes.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn moments_avx512(a: MomentArgs) {
+        super::moments_kernel::<__m512d>(a)
+    }
+
+    /// See [`conv_forward_avx2`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn moments_avx2(a: MomentArgs) {
+        super::moments_kernel::<[__m256d; 2]>(a)
     }
 
     /// See [`conv_forward_avx2`]; `b.len() == c.len()`.

@@ -1,6 +1,9 @@
 //! What the host is, in the two rates the pipeline's stages are bound by:
-//! fused multiply-adds from registers and streams from memory, on one
-//! thread alone and on two at once.
+//! fused multiply-adds and streams from memory, on one thread alone and on
+//! two at once. The fused multiply-adds are timed twice: through the
+//! repository's GEMM (`fma`, what `tensor.peak_gflops` — the MFU
+//! denominator — measures too) and from registers alone (`peak`, the
+//! core's own ceiling, which the GEMM's rate sits well below).
 //!
 //! Two threads that each keep their solo rate are two cores; two that
 //! halve it are SMT siblings of one. README §Performance and DESIGN §15
@@ -51,6 +54,91 @@ fn fma(gate: &Barrier) -> f64 {
     (2 * m * k * n * REPS) as f64 / start.elapsed().as_secs_f64() / 1e9
 }
 
+/// Independent accumulators of [`peak`].
+const CHAINS: usize = 12;
+
+/// Steps every chain of `acc` by `$step` `reps / 8` times to warm up, then
+/// past the gate `reps` times, and returns the seconds the second run took.
+/// A macro, not a function taking a closure: a closure does not inherit
+/// its caller's `#[target_feature]`, and an intrinsic it calls would not
+/// be inlined.
+macro_rules! chains {
+    ($gate:expr, $reps:expr, $acc:ident, |$c:ident| $step:expr) => {{
+        let mut $acc = $acc;
+        let mut secs = 0.0;
+        for (round, reps) in [$reps / 8, $reps].into_iter().enumerate() {
+            if round == 1 {
+                $gate.wait();
+            }
+            let start = Instant::now();
+            for _ in 0..reps {
+                for $c in $acc.iter_mut() {
+                    *$c = $step;
+                }
+            }
+            black_box(&mut $acc);
+            secs = start.elapsed().as_secs_f64();
+        }
+        secs
+    }};
+}
+
+/// Fused multiply-adds from registers alone, in GFLOP/s: twelve
+/// independent vector chains (enough to cover the FMA latency on two ports)
+/// stepped with no load or store in the loop, at the widest vector the CPU
+/// has — `__m512` or `__m256` (the build's `target-cpu=native` alone
+/// leaves a portable loop at 256 bits), sixteen `f32` lanes elsewhere.
+fn peak(gate: &Barrier) -> f64 {
+    const REPS: usize = 4_000_000;
+    let rate = |lanes: usize, secs: f64| (2 * lanes * CHAINS * REPS) as f64 / secs / 1e9;
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU has the feature the function enables.
+            return rate(16, unsafe { x86::peak_avx512(gate, REPS) });
+        }
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            // SAFETY: as above.
+            return rate(8, unsafe { x86::peak_avx2(gate, REPS) });
+        }
+    }
+    let (a, b) = (black_box([0.999f32; 16]), black_box([0.001f32; 16]));
+    let acc = [[0.0f32; 16]; CHAINS];
+    let secs = chains!(gate, REPS, acc, |c| std::array::from_fn(
+        |l| a[l].mul_add(c[l], b[l])
+    ));
+    rate(16, secs)
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::CHAINS;
+    use std::arch::x86_64::*;
+    use std::hint::black_box;
+    use std::sync::Barrier;
+    use std::time::Instant;
+
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn peak_avx512(gate: &Barrier, reps: usize) -> f64 {
+        let (a, b) = (
+            black_box(_mm512_set1_ps(0.999)),
+            black_box(_mm512_set1_ps(0.001)),
+        );
+        let acc = [_mm512_setzero_ps(); CHAINS];
+        chains!(gate, reps, acc, |c| _mm512_fmadd_ps(a, *c, b))
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn peak_avx2(gate: &Barrier, reps: usize) -> f64 {
+        let (a, b) = (
+            black_box(_mm256_set1_ps(0.999)),
+            black_box(_mm256_set1_ps(0.001)),
+        );
+        let acc = [_mm256_setzero_ps(); CHAINS];
+        chains!(gate, reps, acc, |c| _mm256_fmadd_ps(a, *c, b))
+    }
+}
+
 /// STREAM triad `a = b + s·c` over three 16 MB arrays (two reads and one
 /// write per element, as STREAM counts them): GB/s.
 fn triad(gate: &Barrier) -> f64 {
@@ -76,7 +164,11 @@ fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     println!("logical CPUs: {cpus}");
     type Load = fn(&Barrier) -> f64;
-    let rows: [(&str, &str, Load); 2] = [("fma", "GFLOP/s", fma), ("triad", "GB/s", triad)];
+    let rows: [(&str, &str, Load); 3] = [
+        ("fma", "GFLOP/s", fma),
+        ("peak", "GFLOP/s", peak),
+        ("triad", "GB/s", triad),
+    ];
     for (name, unit, work) in rows {
         let alone = at_once(1, work)[0];
         let both = at_once(2, work);

@@ -147,6 +147,29 @@ if [[ -n $stray ]]; then
   exit 1
 fi
 
+echo "== one source for the GroupNorm statistics (grep lint) =="
+# A group's mean and squared deviation are f64 chains in element order,
+# computed by one per-tier kernel, simd::group_moments (DESIGN §7), which
+# GroupNorm reaches only through norm.rs's group_stats — the training
+# forward and the eval pass alike. A second chain loop over a group, the
+# retired stepped-chain helper among them, must not regrow beside it.
+lint_only_in 'group_moments(' 'simd|norm'
+if ! awk '/^fn group_stats/ { inside = 1 }
+          /group_moments\(/ { calls++; if (inside) ours++ }
+          inside && /^}/ { inside = 0 }
+          END { exit !(calls == 1 && ours == 1) }' crates/nn/src/layers/norm.rs; then
+  echo "norm.rs calls group_moments( other than once, from group_stats:" >&2
+  grep -n 'group_moments(' crates/nn/src/layers/norm.rs >&2
+  exit 1
+fi
+# The needle is split so this file does not contain it.
+stray=$(git grep -lF 'run''_sums' -- crates src tests examples shims scripts benchmark || true)
+if [[ -n $stray ]]; then
+  echo "the retired GroupNorm chain helper is named again:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+
 echo "== one hand-off of an output across threads (grep lint) =="
 # Batch kernels share their output with the pool through
 # pool::for_each_sample_chunk, the GEMM through its tile pointer in gemm.rs,

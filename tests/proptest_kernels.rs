@@ -18,7 +18,7 @@
 //! baseline: the contract says the optimized result is the same bytes at
 //! *any* cap and tier.
 
-use pipelined_backprop::tensor::ops::simd::{detected_tier, set_tier, SimdTier};
+use pipelined_backprop::tensor::ops::simd::{detected_tier, group_moments, set_tier, SimdTier};
 use pipelined_backprop::tensor::ops::{
     conv2d, conv2d_backward, conv2d_direct, conv2d_direct_backward_input,
     conv2d_direct_backward_weight, gemm_nn, gemm_nt, gemm_tn, reference, Conv2dSpec,
@@ -342,22 +342,27 @@ fn flavoured(len: usize, seed: u64, flavour: usize) -> Vec<f32> {
 
 /// The three direct batch-of-one kernels against the six-loop reference
 /// *and* the GEMM-lowered path, bitwise, on every tier: channel counts on
-/// both sides of every block height and vector width (1, 3, 5, 16, 17),
-/// kernels 1/3/5, strides 1/2, paddings 0/1/2, non-square images, two
-/// samples (the weight gradient adds the second as a completed subtotal).
+/// both sides of every block height and vector width (1, 3, 5, 16, 17;
+/// output channels also 12 = 8 + 4 and 29 = 16 + 8 + 4 + 1, which reach
+/// the forward's eight- and four-row blocks of the tap-major bank on every
+/// tier), kernels 1/3/5, strides 1/2, paddings 0/1/2, non-square images,
+/// two samples (the weight gradient adds the second as a completed
+/// subtotal) or, every fourth case, nine: two whole four-sample chunks of
+/// the batch-parallel forward and a ragged one.
 #[test]
 fn direct_conv_matches_reference_and_lowered_bitwise_on_every_tier() {
     let _tier = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let tiers = supported_tiers();
     let mut case = 0u64;
     for &cin in &[1usize, 3, 5, 16, 17] {
-        for &cout in &[1usize, 3, 5, 16, 17] {
+        for &cout in &[1usize, 3, 5, 12, 16, 17, 29] {
             for &kernel in &[1usize, 3, 5] {
                 for &stride in &[1usize, 2] {
                     for &padding in &[0usize, 1, 2] {
                         case += 1;
                         let flavour = (case % 3) as usize;
-                        let (n, h, w) = (2, kernel + 2 + (case % 3) as usize, kernel + 6);
+                        let n = if case.is_multiple_of(4) { 9 } else { 2 };
+                        let (h, w) = (kernel + 2 + (case % 3) as usize, kernel + 6);
                         let spec = Conv2dSpec::new(cin, cout, kernel, stride, padding).unwrap();
                         let (oh, ow) = (spec.out_size(h), spec.out_size(w));
                         let x = Tensor::from_vec(
@@ -412,6 +417,92 @@ fn direct_conv_matches_reference_and_lowered_bitwise_on_every_tier() {
                         }
                     }
                 }
+            }
+        }
+    }
+    set_tier(detected_tier());
+}
+
+/// One run of group-moment inputs in one of six flavours: offset normals
+/// (every add of a chain rounds), signed zeros and subnormals, a mix of
+/// ±1e30 and ±1e-30 (an association change moves the sum), a NaN among
+/// normals, ±inf among normals (both signs: the mean is the NaN `inf − inf`
+/// makes), and all `-0.0`. NaN and infinities never share a run, so a run
+/// that goes NaN has one NaN to propagate.
+fn moment_run(len: usize, seed: u64, flavour: usize) -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut run: Vec<f32> = (0..len)
+        .map(|_| {
+            let v = rng.gen_range(-2.0f32..2.0);
+            match flavour {
+                0 => 3.0 + 2.0 * v,
+                1 => match rng.gen_range(0u32..5) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => v * 1e-40,
+                    _ => v * 1e-3,
+                },
+                2 => match rng.gen_range(0u32..4) {
+                    0 => 1e30,
+                    1 => -1e30,
+                    2 => v * 1e-30,
+                    _ => v,
+                },
+                5 => -0.0,
+                _ => v,
+            }
+        })
+        .collect();
+    match flavour {
+        3 => run[rng.gen_range(0..len)] = f32::NAN,
+        4 => {
+            run[rng.gen_range(0..len)] = f32::INFINITY;
+            run[rng.gen_range(0..len)] = f32::NEG_INFINITY;
+        }
+        _ => {}
+    }
+    run
+}
+
+/// GroupNorm's statistics kernel against the sums it stands for, bitwise,
+/// on every tier: each group's mean is `run.iter().map(|&v| v as f64)
+/// .sum::<f64>() / len` and its squared deviation the same sum over
+/// `d * d`, `d = v as f64 − mean`. Group counts 1..=17 cover no whole
+/// block of eight, one, one and a tail, and two blocks stepped together
+/// with a tail; run lengths 1, 7, 9, 98 and 512 cover runs shorter than
+/// the eight-value transpose, a transpose and a tail, and the serving
+/// net's groups (2 × 7² and 2 × 16²).
+#[test]
+fn group_moments_equal_the_per_group_sums_bitwise_on_every_tier() {
+    let _tier = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for groups in 1..=17usize {
+        for len in [1usize, 7, 9, 98, 512] {
+            let seed = (groups * 1000 + len) as u64;
+            let xs: Vec<f32> = (0..groups)
+                .flat_map(|j| moment_run(len, seed + j as u64, (j + groups) % 6))
+                .collect();
+            let (mut want_means, mut want_sq) = (Vec::new(), Vec::new());
+            for run in xs.chunks_exact(len) {
+                let mean = run.iter().map(|&v| v as f64).sum::<f64>() / len as f64;
+                let sq = run
+                    .iter()
+                    .map(|&v| {
+                        let d = v as f64 - mean;
+                        d * d
+                    })
+                    .sum::<f64>();
+                want_means.push(mean.to_bits());
+                want_sq.push(sq.to_bits());
+            }
+            for tier in supported_tiers() {
+                set_tier(tier);
+                // Stale values in the outputs: the kernel writes them all.
+                let (mut means, mut sq) = (vec![7.5f64; groups], vec![-7.5f64; groups]);
+                group_moments(&xs, len, &mut means, &mut sq);
+                let ctx = format!("{groups} groups of {len}, tier {}", tier.name());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&means), want_means, "{ctx}: means");
+                assert_eq!(bits(&sq), want_sq, "{ctx}: squared deviations");
             }
         }
     }
