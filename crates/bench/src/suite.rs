@@ -6,7 +6,7 @@ use pbp_data::Dataset;
 use pbp_nn::Network;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
-    run_training, DelayedConfig, EngineSpec, NoHooks, RunConfig, ScheduledConfig, TrainReport,
+    run_training, DelayedConfig, EngineSpec, RunConfig, ScheduledConfig, TrainReport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,7 +104,7 @@ pub fn sweep(
             let seed = run.seed + i;
             let config = RunConfig { seed, ..run };
             eprint!(".");
-            run_training(engine.as_mut(), &data.0, &data.1, &config, &mut NoHooks)
+            run_training(engine.as_mut(), &data.0, &data.1, &config)
         })
         .collect()
 }

@@ -6,14 +6,15 @@
 //! executor, as one rank or as a thread per stage group) — implement
 //! [`TrainEngine`], and the single shared [`run_training`] loop owns epoch
 //! ordering, evaluation cadence and record collection for all of them.
-//! Observers plug in through [`TrainHooks`](crate::metrics::TrainHooks);
-//! engine construction from a declarative description goes through
-//! [`EngineSpec`].
+//! A run reports through its returned [`TrainReport`], the engine's
+//! [`EngineMetrics`] and, for stage spans, the [`Tracer`](pbp_trace::Tracer)
+//! installed with [`TrainEngine::set_tracer`]; engine construction from a
+//! declarative description goes through [`EngineSpec`].
 
 use crate::delayed::{DelayedConfig, DelayedTrainer};
 use crate::fault::RunError;
-use crate::metrics::{EngineMetrics, NoHooks, TrainHooks};
-use crate::resume::{drive, Outcome, RunnerState};
+use crate::metrics::EngineMetrics;
+use crate::resume::{drive, unwatched, Outcome, RunnerState};
 use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
 use crate::threaded::{ThreadedConfig, ThreadedPipeline};
 use crate::trainer::TrainReport;
@@ -59,13 +60,13 @@ pub trait TrainEngine {
     fn train_range(&mut self, data: &Dataset, indices: &[usize]) -> (f64, usize);
 
     /// Full run with validation after each epoch: [`run_training`] under
-    /// [`RunConfig::new`] with no hooks.
+    /// [`RunConfig::new`].
     fn run(&mut self, train: &Dataset, val: &Dataset, epochs: usize, seed: u64) -> TrainReport
     where
         Self: Sized,
     {
         let config = RunConfig::new(epochs, seed);
-        run_training(self, train, val, &config, &mut NoHooks)
+        run_training(self, train, val, &config)
     }
 
     /// Samples consumed per optimizer update, for converting an
@@ -170,8 +171,8 @@ impl RunConfig {
 }
 
 /// The shared training loop: trains `engine` for `config.epochs` epochs,
-/// evaluating on `val` at the configured cadence, invoking `hooks` at
-/// epoch and run boundaries, and returning the labelled curve.
+/// evaluating on `val` at the configured cadence, and returning the
+/// labelled curve.
 ///
 /// # Panics
 ///
@@ -185,12 +186,11 @@ pub fn run_training(
     train: &Dataset,
     val: &Dataset,
     config: &RunConfig,
-    hooks: &mut dyn TrainHooks,
 ) -> TrainReport {
     // The snapshot runner's loop with no policy and no kill point: one
     // `train_range` slice per epoch, exactly what `train_epoch` runs.
-    let mut state = RunnerState::fresh(config.seed, 0);
-    match drive(engine, train, val, config, None, None, &mut state, hooks) {
+    let (mut state, lane) = (RunnerState::fresh(config.seed, 0), &mut unwatched());
+    match drive(engine, train, val, config, None, None, &mut state, lane) {
         Ok(Outcome::Finished(report)) => report,
         Ok(Outcome::Killed) => unreachable!("no kill point configured"),
         Err(RunError::Fault(fault)) => panic!(
@@ -273,8 +273,6 @@ pub(crate) fn batch_rows(x: &Tensor, n: usize) -> Vec<Tensor> {
 mod tests {
     use super::*;
     use crate::delayed::DelayDistribution;
-    use crate::metrics::NoHooks;
-    use crate::trainer::EpochRecord;
     use pbp_nn::models::mlp;
     use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
     use rand::rngs::StdRng;
@@ -328,13 +326,7 @@ mod tests {
         let net_b = mlp(&[2, 8, 3], &mut rng);
 
         let mut via_runner = ScheduledTrainer::new(net_a, ScheduledConfig::pb(schedule()));
-        let report_a = run_training(
-            &mut via_runner,
-            &train,
-            &val,
-            &RunConfig::new(3, 5),
-            &mut NoHooks,
-        );
+        let report_a = run_training(&mut via_runner, &train, &val, &RunConfig::new(3, 5));
         let mut via_run = ScheduledTrainer::new(net_b, ScheduledConfig::pb(schedule()));
         let report_b = via_run.run(&train, &val, 3, 5);
         assert_eq!(report_a.label, report_b.label);
@@ -354,46 +346,10 @@ mod tests {
             DelayedConfig::sgdm(4, schedule()),
         );
         let config = RunConfig::new(5, 1).eval_last_only();
-        let report = run_training(&mut engine, &train, &val, &config, &mut NoHooks);
+        let report = run_training(&mut engine, &train, &val, &config);
         assert_eq!(report.records.len(), 1);
         assert_eq!(report.records[0].epoch, 4);
         assert_eq!(engine.samples_seen(), 5 * train.len());
-    }
-
-    #[test]
-    fn hooks_see_every_epoch() {
-        #[derive(Default)]
-        struct Counting {
-            starts: usize,
-            ends: usize,
-            runs: usize,
-            final_updates: u64,
-        }
-        impl TrainHooks for Counting {
-            fn on_epoch_start(&mut self, _epoch: usize) {
-                self.starts += 1;
-            }
-            fn on_epoch_end(&mut self, _record: &EpochRecord) {
-                self.ends += 1;
-            }
-            fn on_run_end(&mut self, _report: &TrainReport, metrics: &EngineMetrics) {
-                self.runs += 1;
-                self.final_updates = metrics.total_updates();
-            }
-        }
-        let data = pbp_data::blobs(3, 18, 0.4, 4);
-        let (train, val) = data.split(0.34);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut engine = DelayedTrainer::new(
-            mlp(&[2, 6, 3], &mut rng),
-            DelayedConfig::sgdm(4, schedule()),
-        );
-        let mut hooks = Counting::default();
-        run_training(&mut engine, &train, &val, &RunConfig::new(4, 2), &mut hooks);
-        assert_eq!(hooks.starts, 4);
-        assert_eq!(hooks.ends, 4);
-        assert_eq!(hooks.runs, 1);
-        assert!(hooks.final_updates > 0);
     }
 
     #[test]

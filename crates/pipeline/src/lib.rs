@@ -58,11 +58,15 @@
 //!
 //! All three engines ([`DelayedTrainer`], [`ScheduledTrainer`],
 //! [`ThreadedPipeline`]) implement the [`TrainEngine`] trait and share one
-//! observable training loop, [`run_training`], which owns epoch ordering,
-//! evaluation cadence and record collection. Engines report per-stage [`EngineMetrics`] (updates
-//! applied, busy time, effective-delay histograms, pipeline occupancy);
-//! [`TrainHooks`] observe runs and [`JsonSink`] persists their metrics as
-//! JSON. [`EngineSpec`] is a declarative builder used by the benchmark
+//! training loop, [`run_training`], which owns epoch ordering,
+//! evaluation cadence and record collection. A run reports through its
+//! [`TrainReport`], the engine's per-stage [`EngineMetrics`] (updates
+//! applied, busy time, effective-delay histograms, pipeline occupancy;
+//! [`EngineMetrics::to_json`] renders them) and one
+//! [`Tracer`](pbp_trace::Tracer): stage spans from
+//! [`TrainEngine::set_tracer`], and under [`run_supervised`] the
+//! `supervisor` lane of faults, backoffs, restarts, degradation and
+//! snapshot writes. [`EngineSpec`] is a declarative builder used by the benchmark
 //! suite to construct engines uniformly.
 
 pub mod cell;
@@ -90,7 +94,7 @@ pub use fault::{
 };
 pub use group::{action_cost, contiguous_bounds, partition_bounds, stage_cost, StageGroup};
 pub use memory::MemoryModel;
-pub use metrics::{EngineMetrics, JsonSink, NoHooks, StageCounters, TraceHooks, TrainHooks};
+pub use metrics::{EngineMetrics, StageCounters};
 pub use rank::{Link, Message, RankError, RankLoop, Step, Upstream};
 pub use resume::{
     latest_snapshot, resume_training, run_to_crash, run_training_with_snapshots, SnapshotPolicy,

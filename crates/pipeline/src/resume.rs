@@ -23,15 +23,20 @@
 //! index is reached — deliberately *not* aligned to the snapshot cadence
 //! — discarding all work since the last snapshot, exactly like a process
 //! kill would.
+//!
+//! Every runner here is one loop underneath, which records each snapshot
+//! write as a `snapshot` span on a trace lane: under
+//! [`run_supervised`](crate::supervisor::run_supervised) the `supervisor`
+//! lane, for the public runners a lane that records nothing.
 
 use crate::engine::{RunConfig, TrainEngine};
 use crate::fault::RunError;
-use crate::metrics::TrainHooks;
 use crate::trainer::{evaluate, EpochRecord, TrainReport};
 use pbp_data::{Dataset, StreamCursor};
 use pbp_snapshot::{
     SnapshotArchive, SnapshotBuilder, SnapshotError, Snapshottable, StateReader, StateWriter,
 };
+use pbp_trace::{Lane, TracePhase, Tracer, PID_WALL};
 use std::path::{Path, PathBuf};
 
 pub use pbp_snapshot::latest_snapshot;
@@ -161,14 +166,21 @@ fn read_runner_state(
     })
 }
 
+/// The lane of a run nobody supervises: it records nothing.
+pub(crate) fn unwatched() -> Lane {
+    Tracer::disabled().lane(PID_WALL, "", 0)
+}
+
+/// Writes one snapshot, recorded on `lane` as a span tagged with the
+/// sample cursor it covers.
 fn save_snapshot(
     engine: &dyn TrainEngine,
     policy: &SnapshotPolicy,
     state: &RunnerState,
     samples: usize,
-    hooks: &mut dyn TrainHooks,
+    lane: &mut Lane,
 ) -> Result<(), SnapshotError> {
-    let started = std::time::Instant::now();
+    lane.begin(TracePhase::Snapshot, Some(samples as u64), None);
     let mut snap = SnapshotBuilder::new();
     engine.write_state(&mut snap);
     let mut w = StateWriter::new();
@@ -178,8 +190,9 @@ fn save_snapshot(
         pbp_snapshot::SNAP_PREFIX,
         samples,
     ));
-    snap.save_atomic(&path)?;
-    hooks.on_snapshot(samples, &path, started.elapsed());
+    let saved = snap.save_atomic(&path);
+    lane.end();
+    saved?;
     prune(policy)
 }
 
@@ -212,8 +225,8 @@ pub(crate) enum Outcome {
     Killed,
 }
 
-/// The one training loop: epoch ordering, evaluation cadence and hook
-/// invocation for [`run_training`](crate::engine::run_training) and the
+/// The one training loop: epoch ordering, evaluation cadence and record
+/// collection for [`run_training`](crate::engine::run_training) and the
 /// three entry points here. Epochs advance in aligned sub-epoch slices
 /// between which snapshots (and the injected crash) can happen; with no
 /// policy and no kill point a slice is the whole epoch. `state` is left
@@ -227,7 +240,7 @@ pub(crate) fn drive(
     policy: Option<&SnapshotPolicy>,
     kill_at_samples: Option<usize>,
     state: &mut RunnerState,
-    hooks: &mut dyn TrainHooks,
+    lane: &mut Lane,
 ) -> Result<Outcome, RunError> {
     assert!(config.eval_batch > 0, "eval batch must be positive");
     assert!(config.eval_every > 0, "eval cadence must be positive");
@@ -235,9 +248,6 @@ pub(crate) fn drive(
     while state.cursor.epoch < config.epochs {
         let epoch = state.cursor.epoch;
         let order = state.cursor.order(train);
-        if state.cursor.pos == 0 {
-            hooks.on_epoch_start(epoch);
-        }
         while state.cursor.pos < order.len() {
             let here = engine.samples_seen();
             if let Some(kill) = kill_at_samples {
@@ -251,7 +261,7 @@ pub(crate) fn drive(
                     // points at the *next* snapshot, letting a resumed run
                     // fall into the same rhythm.
                     state.next_snap = here + policy.every_updates * spu;
-                    save_snapshot(engine, policy, state, here, hooks)?;
+                    save_snapshot(engine, policy, state, here, lane)?;
                 }
             }
             let pos = state.cursor.pos;
@@ -283,14 +293,12 @@ pub(crate) fn drive(
         let is_last = epoch + 1 == config.epochs;
         if (epoch + 1).is_multiple_of(config.eval_every) || is_last {
             let (val_loss, val_acc) = evaluate(engine.network_mut(), val, config.eval_batch);
-            let record = EpochRecord {
+            state.records.push(EpochRecord {
                 epoch,
                 train_loss,
                 val_loss,
                 val_acc,
-            };
-            hooks.on_epoch_end(&record);
-            state.records.push(record);
+            });
         }
         state.cursor.epoch += 1;
         state.cursor.pos = 0;
@@ -303,13 +311,11 @@ pub(crate) fn drive(
         if engine.snapshot_ready() {
             let here = engine.samples_seen();
             state.next_snap = here + policy.every_updates * spu;
-            save_snapshot(engine, policy, state, here, hooks)?;
+            save_snapshot(engine, policy, state, here, lane)?;
         }
     }
     let mut report = TrainReport::new(engine.label());
     report.records = std::mem::take(&mut state.records);
-    let metrics = engine.metrics();
-    hooks.on_run_end(&report, &metrics);
     Ok(Outcome::Finished(report))
 }
 
@@ -324,23 +330,9 @@ pub fn run_training_with_snapshots(
     val: &Dataset,
     config: &RunConfig,
     policy: &SnapshotPolicy,
-    hooks: &mut dyn TrainHooks,
 ) -> Result<TrainReport, RunError> {
-    let next = engine.samples_seen() + policy.every_updates * engine.samples_per_update().max(1);
-    let mut state = RunnerState::fresh(config.seed, next);
-    match drive(
-        engine,
-        train,
-        val,
-        config,
-        Some(policy),
-        None,
-        &mut state,
-        hooks,
-    )? {
-        Outcome::Finished(report) => Ok(report),
-        Outcome::Killed => unreachable!("no kill point configured"),
-    }
+    let (policy, lane) = (Some(policy), &mut unwatched());
+    run_snapshotted(engine, train, val, config, policy, None, lane)
 }
 
 /// Crash injection: trains like [`run_training_with_snapshots`] but
@@ -355,12 +347,12 @@ pub fn run_to_crash(
     config: &RunConfig,
     policy: &SnapshotPolicy,
     kill_after_updates: usize,
-    hooks: &mut dyn TrainHooks,
 ) -> Result<Option<TrainReport>, RunError> {
     let spu = engine.samples_per_update().max(1);
     let start = engine.samples_seen();
     let mut state = RunnerState::fresh(config.seed, start + policy.every_updates * spu);
     let kill = start + kill_after_updates * spu;
+    let lane = &mut unwatched();
     match drive(
         engine,
         train,
@@ -369,7 +361,7 @@ pub fn run_to_crash(
         Some(policy),
         Some(kill),
         &mut state,
-        hooks,
+        lane,
     )? {
         Outcome::Finished(report) => Ok(Some(report)),
         Outcome::Killed => Ok(None),
@@ -388,32 +380,41 @@ pub fn resume_training(
     config: &RunConfig,
     policy: Option<&SnapshotPolicy>,
     snapshot: &Path,
-    hooks: &mut dyn TrainHooks,
 ) -> Result<TrainReport, RunError> {
-    let label = engine.label();
-    resume_from(engine, train, val, config, policy, snapshot, &label, hooks)
+    let from = Some((snapshot.to_path_buf(), engine.label()));
+    run_snapshotted(engine, train, val, config, policy, from, &mut unwatched())
 }
 
-/// [`resume_training`] from a snapshot whose run section names the engine
-/// `written_by`. The engine-state section must still be one `engine`
-/// reads: the supervisor's degradation path resumes a threaded engine's
-/// snapshot into the sequential engine of the same configuration, which
-/// shares its state layout but not its label.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn resume_from(
+/// The runner behind [`run_training_with_snapshots`], [`resume_training`]
+/// and the supervisor: resumes `from` — a snapshot and the label of the
+/// engine whose run it holds — or starts afresh, recording every snapshot
+/// write on `lane`. The label may differ from `engine`'s own, as long as
+/// the engine-state section is one `engine` reads: the supervisor's
+/// degradation path resumes a threaded engine's snapshot into the
+/// sequential engine of the same configuration, which shares its state
+/// layout but not its label.
+pub(crate) fn run_snapshotted(
     engine: &mut dyn TrainEngine,
     train: &Dataset,
     val: &Dataset,
     config: &RunConfig,
     policy: Option<&SnapshotPolicy>,
-    snapshot: &Path,
-    written_by: &str,
-    hooks: &mut dyn TrainHooks,
+    from: Option<(PathBuf, String)>,
+    lane: &mut Lane,
 ) -> Result<TrainReport, RunError> {
-    let archive = SnapshotArchive::load(snapshot)?;
-    engine.read_state(&archive)?;
-    let mut state = read_runner_state(&archive, written_by, config.seed)?;
-    match drive(engine, train, val, config, policy, None, &mut state, hooks)? {
+    let mut state = match from {
+        Some((snapshot, written_by)) => {
+            let archive = SnapshotArchive::load(&snapshot)?;
+            engine.read_state(&archive)?;
+            read_runner_state(&archive, &written_by, config.seed)?
+        }
+        None => {
+            let every = policy.map_or(0, |p| p.every_updates);
+            let next = engine.samples_seen() + every * engine.samples_per_update().max(1);
+            RunnerState::fresh(config.seed, next)
+        }
+    };
+    match drive(engine, train, val, config, policy, None, &mut state, lane)? {
         Outcome::Finished(report) => Ok(report),
         Outcome::Killed => unreachable!("no kill point configured"),
     }

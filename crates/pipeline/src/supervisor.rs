@@ -21,15 +21,20 @@
 //!   engine of the same configuration ([`degraded_spec`]), finishing
 //!   training there from the same snapshot; `pbp_dist::launch` passes it
 //!   the attempt that respawns rank processes.
+//!
+//! A supervised run is watched through one [`Tracer`]: [`run_supervised`]
+//! installs it on every engine it builds, the degraded fallback included,
+//! and records its own events and snapshot writes on the `supervisor`
+//! lane.
 
 use crate::engine::{EngineSpec, RunConfig};
 use crate::fault::{PipelineFault, RunError};
-use crate::metrics::TrainHooks;
 use crate::rank::RankLoop;
-use crate::resume::{resume_from, resume_training, run_training_with_snapshots, SnapshotPolicy};
+use crate::resume::{run_snapshotted, SnapshotPolicy};
 use crate::trainer::TrainReport;
 use pbp_nn::{Network, Stage};
 use pbp_snapshot::latest_valid_snapshot;
+use pbp_trace::{Lane, TracePhase, Tracer, PID_WALL};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -337,9 +342,9 @@ pub type Attempt<T, F> = Result<T, (F, Option<String>)>;
 /// and resume its newest valid snapshot, respawn a group of rank
 /// processes at their common counter — is the `attempt` closure, called
 /// with the restart number (0 = the initial run). Every event goes to
-/// `log` as it happens. `state` is lent to both closures in turn (the
-/// hooks observing a training run also observe its supervision; the
-/// launcher's process group outlives each attempt).
+/// `log` as it happens. `state` is lent to both closures in turn (a
+/// training run's supervisor lane records its events and its snapshot
+/// writes; the launcher's process group outlives each attempt).
 ///
 /// Returns `Ok(Ok(done))`, `Ok(Err(fault))` once `max_restarts` restarts
 /// are spent (the last fault, already logged), or `Err` as soon as an
@@ -420,13 +425,17 @@ pub fn degraded_spec(spec: &EngineSpec) -> Option<EngineSpec> {
 /// [`degraded_spec`] — the sequential engine of the same configuration —
 /// restores the full engine state (weights, optimizers, weight-version
 /// FIFOs, counters) and run progress from the last valid snapshot, and
-/// finishes there, snapshotting into `policy.dir/degraded`. Every fault,
-/// restart and degradation is reported through `hooks` and returned in
-/// the outcome's event log.
+/// finishes there, snapshotting into `policy.dir/degraded`.
+///
+/// Every engine it builds records its stage spans into `tracer`. Every
+/// fault, backoff, restart and degradation is an instant on the
+/// `supervisor` lane (sorted above the stage lanes), every snapshot write
+/// a span there, and each is returned in the outcome's event log.
 ///
 /// A faulted-and-resumed run — degraded or not — is bit-identical to an
 /// uninterrupted one (DESIGN.md §9): the same guarantee
-/// [`resume_training`] provides, now applied automatically.
+/// [`resume_training`](crate::resume::resume_training) provides, now
+/// applied automatically.
 #[allow(clippy::too_many_arguments)]
 pub fn run_supervised(
     spec: &EngineSpec,
@@ -436,29 +445,27 @@ pub fn run_supervised(
     config: &RunConfig,
     policy: &SnapshotPolicy,
     recovery: &RecoveryPolicy,
-    hooks: &mut dyn TrainHooks,
+    tracer: &Tracer,
 ) -> Result<SupervisedOutcome, RunError> {
+    let mut build = |spec: &EngineSpec| {
+        let mut engine = spec.build(make_net());
+        engine.set_tracer(tracer.clone());
+        engine
+    };
+    let mut lane = tracer.lane(PID_WALL, "supervisor", -1);
     let mut events: Vec<SupervisionEvent> = Vec::new();
     let mut restarts = 0usize;
     let outcome = supervise_retries(
-        hooks,
+        &mut lane,
         recovery.max_restarts,
         recovery.backoff,
-        |hooks, event| {
-            hooks.on_supervision_event(&event);
-            events.push(event);
-        },
-        |hooks, restart| {
+        |lane, event| log(lane, &mut events, event),
+        |lane, restart| {
             restarts = restart;
-            let mut engine = spec.build(make_net());
+            let from = latest_valid_snapshot(&policy.dir)?.map(|p| (p, spec.label()));
+            let mut engine = build(spec);
             let engine = engine.as_mut();
-            let result = match latest_valid_snapshot(&policy.dir)? {
-                Some(path) => {
-                    resume_training(engine, train, val, config, Some(policy), &path, hooks)
-                }
-                None => run_training_with_snapshots(engine, train, val, config, policy, hooks),
-            };
-            match result {
+            match run_snapshotted(engine, train, val, config, Some(policy), from, lane) {
                 Ok(report) => Ok(Ok(report)),
                 Err(RunError::Fault(fault)) => {
                     let from_snapshot = latest_valid_snapshot(&policy.dir)?
@@ -469,86 +476,57 @@ pub fn run_supervised(
             }
         },
     )?;
-    match outcome {
-        Ok(report) => Ok(SupervisedOutcome {
-            report,
-            events,
-            restarts,
-            degraded: false,
-        }),
-        Err(fault) if !recovery.degrade => Err(RunError::Fault(fault)),
-        Err(fault) => run_degraded(
-            spec, make_net, train, val, config, policy, hooks, events, restarts, fault,
-        ),
-    }
-}
-
-/// The degradation tail of [`run_supervised`]: switch the run to the
-/// sequential engine and finish it there.
-#[allow(clippy::too_many_arguments)]
-fn run_degraded(
-    spec: &EngineSpec,
-    make_net: &mut dyn FnMut() -> Network,
-    train: &pbp_data::Dataset,
-    val: &pbp_data::Dataset,
-    config: &RunConfig,
-    policy: &SnapshotPolicy,
-    hooks: &mut dyn TrainHooks,
-    mut events: Vec<SupervisionEvent>,
-    restarts: usize,
-    last_fault: PipelineFault,
-) -> Result<SupervisedOutcome, RunError> {
-    let Some(fallback) = degraded_spec(spec) else {
-        // Nothing deterministic to fall back to — surface the fault.
-        return Err(RunError::Fault(last_fault));
+    let fallback = match (outcome, degraded_spec(spec)) {
+        (Ok(report), _) => {
+            return Ok(SupervisedOutcome {
+                report,
+                events,
+                restarts,
+                degraded: false,
+            })
+        }
+        (Err(_), Some(fallback)) if recovery.degrade => fallback,
+        // Nothing (allowed) to fall back to — surface the fault.
+        (Err(fault), _) => return Err(RunError::Fault(fault)),
     };
-    let event = SupervisionEvent::Degraded {
-        to: fallback.label(),
-    };
-    hooks.on_supervision_event(&event);
-    events.push(event);
+    let to = fallback.label();
+    log(&mut lane, &mut events, SupervisionEvent::Degraded { to });
     // Degraded snapshots go to a subdirectory: they carry the fallback
     // engine's label, and a later supervised run of the threaded spec
     // must keep finding its own snapshots in `policy.dir`.
     let degraded_policy = SnapshotPolicy {
         dir: policy.dir.join("degraded"),
-        every_updates: policy.every_updates,
-        keep: policy.keep,
+        ..policy.clone()
     };
-    let mut engine = fallback.build(make_net());
-    let report = if let Some(own) = latest_valid_snapshot(&degraded_policy.dir)? {
+    let from = match latest_valid_snapshot(&degraded_policy.dir)? {
         // An earlier degraded attempt got this far — continue it.
-        resume_training(
-            engine.as_mut(),
-            train,
-            val,
-            config,
-            Some(&degraded_policy),
-            &own,
-            hooks,
-        )?
-    } else if let Some(snapshot) = latest_valid_snapshot(&policy.dir)? {
+        Some(own) => Some((own, fallback.label())),
         // Both engines write the same engine-state section; only the run
         // section's label names the threaded engine.
-        resume_from(
-            engine.as_mut(),
-            train,
-            val,
-            config,
-            Some(&degraded_policy),
-            &snapshot,
-            &spec.label(),
-            hooks,
-        )?
-    } else {
-        run_training_with_snapshots(engine.as_mut(), train, val, config, &degraded_policy, hooks)?
+        None => latest_valid_snapshot(&policy.dir)?.map(|p| (p, spec.label())),
     };
+    let mut engine = build(&fallback);
+    let policy = Some(&degraded_policy);
+    let report = run_snapshotted(engine.as_mut(), train, val, config, policy, from, &mut lane)?;
     Ok(SupervisedOutcome {
         report,
         events,
         restarts,
         degraded: true,
     })
+}
+
+/// Appends `event` to the run's log and records it on the supervisor lane
+/// as an instant of its phase, detailed by its `Display`.
+fn log(lane: &mut Lane, events: &mut Vec<SupervisionEvent>, event: SupervisionEvent) {
+    let phase = match event {
+        SupervisionEvent::Fault { .. } => TracePhase::Fault,
+        SupervisionEvent::Restart { .. } => TracePhase::Restart,
+        SupervisionEvent::Backoff { .. } => TracePhase::Backoff,
+        SupervisionEvent::Degraded { .. } => TracePhase::Degraded,
+    };
+    lane.instant(phase, Some(event.to_string()));
+    events.push(event);
 }
 
 #[cfg(test)]

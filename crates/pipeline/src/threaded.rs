@@ -68,11 +68,6 @@ pub struct ThreadedConfig {
     /// Liveness policy: stall timeout, supervisor poll tick, shutdown
     /// grace.
     pub watchdog: Watchdog,
-    /// Trace recorder the workers report spans into (disabled by
-    /// default). Living in the config — rather than only on the engine —
-    /// means a supervisor that rebuilds the engine from its
-    /// [`EngineSpec`](crate::EngineSpec) keeps tracing across restarts.
-    pub tracer: pbp_trace::Tracer,
 }
 
 impl ThreadedConfig {
@@ -82,7 +77,6 @@ impl ThreadedConfig {
             run,
             fault_plan: None,
             watchdog: Watchdog::default(),
-            tracer: pbp_trace::Tracer::disabled(),
         }
     }
 
@@ -121,12 +115,6 @@ impl ThreadedConfig {
         self
     }
 
-    /// Installs a trace recorder.
-    pub fn with_tracer(mut self, tracer: pbp_trace::Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
     /// The label the built engine reports.
     pub(crate) fn label(&self) -> String {
         format!("Threaded {}", self.run.label())
@@ -161,10 +149,8 @@ impl ThreadedPipeline {
     /// worker threads: one per stage where the thread budget
     /// ([`pool::configured_threads`]) allows, fewer and wider otherwise.
     pub fn new(net: Network, config: ThreadedConfig) -> Self {
-        let mut state = ScheduledTrainer::new(net, config.run.clone());
-        state.set_tracer(config.tracer.clone());
         ThreadedPipeline {
-            state: Some(state),
+            state: Some(ScheduledTrainer::new(net, config.run.clone())),
             config,
             fault: None,
         }
@@ -414,9 +400,8 @@ impl TrainEngine for ThreadedPipeline {
 
     fn set_tracer(&mut self, tracer: pbp_trace::Tracer) {
         if let Some(state) = self.state.as_mut() {
-            state.set_tracer(tracer.clone());
+            state.set_tracer(tracer);
         }
-        self.config.tracer = tracer;
     }
 
     /// The same engine-state section a [`ScheduledTrainer`] of the same
@@ -753,7 +738,8 @@ mod tests {
             let stages = net.num_stages();
             let data = spirals(3, 20, 0.05, 3);
             let tracer = Tracer::new();
-            let mut engine = ThreadedPipeline::new(net, config.with_tracer(tracer.clone()));
+            let mut engine = ThreadedPipeline::new(net, config);
+            engine.set_tracer(tracer.clone());
             engine.stream(&data, &cyclic(&data, 60)).expect("clean run");
             let trace = tracer.finish();
             let bounds = engine.worker_bounds();

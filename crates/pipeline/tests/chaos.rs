@@ -8,18 +8,19 @@
 //!   uninterrupted run;
 //! * (c) a repeatedly-failing stage degrades the run to the sequential
 //!   engine, which completes training bit-identically to an unfaulted
-//!   run, with the switchover recorded in the metrics output.
+//!   run, with the switchover recorded in the supervision log.
 
 use pbp_data::{blobs, Dataset};
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule};
 use pbp_pipeline::{
-    run_supervised, run_training_with_snapshots, EngineSpec, FaultPlan, FaultSpec, JsonSink,
-    NoHooks, PipelineFault, RankFault, RecoveryPolicy, RunConfig, RunError, SnapshotPolicy,
-    SupervisionEvent, ThreadedConfig, ThreadedPipeline, Watchdog,
+    run_supervised, run_training_with_snapshots, EngineSpec, FaultPlan, FaultSpec, PipelineFault,
+    RankFault, RecoveryPolicy, RunConfig, RunError, SnapshotPolicy, SupervisionEvent,
+    ThreadedConfig, ThreadedPipeline, Watchdog,
 };
 use pbp_snapshot::{latest_valid_snapshot, SnapshotArchive};
+use pbp_trace::Tracer;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -181,7 +182,6 @@ fn supervised_recovery_is_bit_identical() {
         &val,
         &config,
         &SnapshotPolicy::new(&clean_dir, 4),
-        &mut NoHooks,
     )
     .expect("clean run");
 
@@ -210,7 +210,7 @@ fn supervised_recovery_is_bit_identical() {
         &config,
         &SnapshotPolicy::new(&chaos_dir, 4),
         &RecoveryPolicy::immediate(4),
-        &mut NoHooks,
+        &Tracer::disabled(),
     )
     .expect("supervised run recovers");
 
@@ -251,7 +251,7 @@ fn supervised_recovery_is_bit_identical() {
 /// sequential engine, which restores the threaded engine's full state —
 /// optimizers and weight-version FIFOs included — and completes the run
 /// bit-identically to an unfaulted one; the switchover is visible in the
-/// recorded metrics JSON. PB with LWP+SC makes the carried-over state
+/// outcome's event log. PB with LWP+SC makes the carried-over state
 /// matter: momentum, the prediction buffers and six in-flight weight
 /// versions at stage 0 all cross the engine switch.
 #[test]
@@ -274,7 +274,6 @@ fn repeated_fault_degrades_to_emulator_and_completes() {
         &val,
         &config,
         &SnapshotPolicy::new(&clean_dir, 2),
-        &mut NoHooks,
     )
     .expect("clean run");
 
@@ -282,8 +281,6 @@ fn repeated_fault_degrades_to_emulator_and_completes() {
     let spec = EngineSpec::Threaded(threaded().with_fault_plan(
         FaultPlan::new(0).at_rank(1, FaultSpec::new(5, RankFault::Crash).recurring()),
     ));
-    let sink_path = dir.join("metrics.json");
-    let mut sink = JsonSink::new(&sink_path);
     let outcome = run_supervised(
         &spec,
         &mut || fresh_net(13),
@@ -292,7 +289,7 @@ fn repeated_fault_degrades_to_emulator_and_completes() {
         &config,
         &SnapshotPolicy::new(&dir, 2),
         &RecoveryPolicy::immediate(1),
-        &mut sink,
+        &Tracer::disabled(),
     )
     .expect("degraded run completes");
 
@@ -308,11 +305,13 @@ fn repeated_fault_degrades_to_emulator_and_completes() {
     assert_eq!(clean_report.records, outcome.report.records);
     assert_final_snapshots_match(&clean_dir, &dir.join("degraded"));
 
-    // The switchover shows up in the metrics the sink recorded.
-    let json = sink.to_json();
-    assert!(json.contains("\"supervision\":["), "{json}");
-    assert!(json.contains("degraded to PB+LWPvD+SCD"), "{json}");
-    assert!(json.contains("panicked"), "{json}");
+    // The switchover shows up in the outcome's printed log.
+    let log: Vec<String> = outcome.events.iter().map(|e| e.to_string()).collect();
+    assert!(log.iter().any(|e| e.contains("panicked")), "{log:?}");
+    assert!(
+        log.iter().any(|e| e == "degraded to PB+LWPvD+SCD"),
+        "{log:?}"
+    );
 
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&dir);
@@ -341,7 +340,7 @@ fn no_degrade_policy_surfaces_fault_after_retries() {
         &config,
         &SnapshotPolicy::new(&dir, 2),
         &RecoveryPolicy::immediate(1).no_degrade(),
-        &mut NoHooks,
+        &Tracer::disabled(),
     )
     .expect_err("must fail without a degradation path");
     match err {

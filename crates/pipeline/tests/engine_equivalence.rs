@@ -13,8 +13,8 @@ use pbp_nn::models::{mlp, simple_cnn};
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
-    run_training, stage_delay, DelayDistribution, DelayedConfig, EngineSpec, JsonSink,
-    MicrobatchSchedule, NoHooks, RunConfig, ScheduledConfig, ThreadedConfig,
+    run_training, stage_delay, DelayDistribution, DelayedConfig, EngineSpec, MicrobatchSchedule,
+    RunConfig, ScheduledConfig, ThreadedConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,7 +66,7 @@ fn every_engine_runs_through_the_shared_loop() {
     for spec in all_specs() {
         let mut engine = spec.build(fresh_net(11));
         let config = RunConfig::new(epochs, 3);
-        let report = run_training(engine.as_mut(), &train, &val, &config, &mut NoHooks);
+        let report = run_training(engine.as_mut(), &train, &val, &config);
         assert_eq!(report.label, spec.label());
         assert_eq!(report.records.len(), epochs, "{}", spec.label());
         for r in &report.records {
@@ -97,8 +97,8 @@ fn fill_drain_n1_is_bit_identical_to_sgdm_batch_1() {
     let fd_spec = EngineSpec::Scheduled(ScheduledConfig::fill_drain(1, schedule()));
     let mut sgdm = sgdm_spec.build(fresh_net(21));
     let mut fd = fd_spec.build(fresh_net(21));
-    let report_a = run_training(sgdm.as_mut(), &train, &val, &config, &mut NoHooks);
-    let report_b = run_training(fd.as_mut(), &train, &val, &config, &mut NoHooks);
+    let report_a = run_training(sgdm.as_mut(), &train, &val, &config);
+    let report_b = run_training(fd.as_mut(), &train, &val, &config);
     for (a, b) in report_a.records.iter().zip(&report_b.records) {
         assert_eq!(a.val_acc, b.val_acc);
         assert_eq!(a.val_loss, b.val_loss);
@@ -120,8 +120,8 @@ fn zero_uniform_delay_is_bit_identical_to_sgdm_batch_1() {
         ScheduledConfig::new(MicrobatchSchedule::UniformDelay { delay: 0 }, schedule());
     let mut pb = EngineSpec::Scheduled(zero_delay).build(fresh_net(22));
     let mut sgdm = EngineSpec::Delayed(DelayedConfig::sgdm(1, schedule())).build(fresh_net(22));
-    run_training(pb.as_mut(), &train, &val, &config, &mut NoHooks);
-    run_training(sgdm.as_mut(), &train, &val, &config, &mut NoHooks);
+    run_training(pb.as_mut(), &train, &val, &config);
+    run_training(sgdm.as_mut(), &train, &val, &config);
 
     // All effective delays must have been recorded as zero.
     let metrics = pb.metrics();
@@ -150,8 +150,8 @@ fn threaded_fill_drain_is_bit_identical_to_sgdm_batch_1() {
     let mut threaded =
         EngineSpec::Threaded(ThreadedConfig::fill_drain(schedule())).build(fresh_net(23));
     let mut sgdm = EngineSpec::Delayed(DelayedConfig::sgdm(1, schedule())).build(fresh_net(23));
-    run_training(threaded.as_mut(), &train, &val, &config, &mut NoHooks);
-    run_training(sgdm.as_mut(), &train, &val, &config, &mut NoHooks);
+    run_training(threaded.as_mut(), &train, &val, &config);
+    run_training(sgdm.as_mut(), &train, &val, &config);
 
     // A lag-0 group drains after every sample: effective delay 0.
     let metrics = threaded.metrics();
@@ -293,7 +293,7 @@ fn the_g2_simulator_reproduces_the_four_trainers_it_replaced() {
         let label = golden.label;
         let mut engine = golden.spec.build(fresh_net(11));
         let config = RunConfig::new(2, 3);
-        let report = run_training(engine.as_mut(), &train, &val, &config, &mut NoHooks);
+        let report = run_training(engine.as_mut(), &train, &val, &config);
         assert_eq!(report.label, label);
         let records: Vec<[u64; 3]> = (report.records.iter())
             .map(|r| [r.train_loss, r.val_loss, r.val_acc].map(f64::to_bits))
@@ -324,8 +324,8 @@ fn a_constant_sampled_delay_is_the_fixed_delay() {
         let mut sampled = EngineSpec::Delayed(sampled).build(fresh_net(24));
         let fixed = DelayedConfig::consistent(d, 4, schedule());
         let mut fixed = EngineSpec::Delayed(fixed).build(fresh_net(24));
-        let report_s = run_training(sampled.as_mut(), &train, &val, &config, &mut NoHooks);
-        let report_f = run_training(fixed.as_mut(), &train, &val, &config, &mut NoHooks);
+        let report_s = run_training(sampled.as_mut(), &train, &val, &config);
+        let report_f = run_training(fixed.as_mut(), &train, &val, &config);
         assert_eq!(report_s.records, report_f.records, "D={d}: epoch records");
         assert_networks_equal(
             &sampled.into_network(),
@@ -349,8 +349,8 @@ fn assert_threaded_matches_scheduled(
     let config = RunConfig::new(2, 14);
     let mut scheduled = EngineSpec::Scheduled(run.clone()).build(make_net());
     let mut threaded = EngineSpec::Threaded(ThreadedConfig::new(run)).build(make_net());
-    let report_s = run_training(scheduled.as_mut(), train, val, &config, &mut NoHooks);
-    let report_t = run_training(threaded.as_mut(), train, val, &config, &mut NoHooks);
+    let report_s = run_training(scheduled.as_mut(), train, val, &config);
+    let report_t = run_training(threaded.as_mut(), train, val, &config);
     assert_eq!(report_s.records, report_t.records, "{label}: epoch records");
     let (metrics_s, metrics_t) = (scheduled.metrics(), threaded.metrics());
     assert_eq!(metrics_s.occupancy, metrics_t.occupancy, "{label}");
@@ -435,13 +435,7 @@ fn pb_delay_histogram_matches_eq5() {
     let (train, val) = data.split(0.25);
     let mut pb = EngineSpec::Scheduled(ScheduledConfig::pb(schedule())).build(fresh_net(24));
     let pipeline_stages = pb.network_mut().pipeline_stage_count();
-    run_training(
-        pb.as_mut(),
-        &train,
-        &val,
-        &RunConfig::new(2, 9),
-        &mut NoHooks,
-    );
+    run_training(pb.as_mut(), &train, &val, &RunConfig::new(2, 9));
     let metrics = pb.metrics();
     assert_eq!(metrics.occupancy.map(|o| o > 0.0 && o <= 1.0), Some(true));
     for (s, stage) in metrics.stages.iter().enumerate() {
@@ -471,8 +465,8 @@ fn one_f_one_b_at_m1_is_bit_identical_to_pb() {
     let mut ofob =
         EngineSpec::Scheduled(ScheduledConfig::one_f_one_b(1, schedule())).build(fresh_net(25));
     let pipeline_stages = pb.network_mut().pipeline_stage_count();
-    run_training(pb.as_mut(), &train, &val, &config, &mut NoHooks);
-    run_training(ofob.as_mut(), &train, &val, &config, &mut NoHooks);
+    run_training(pb.as_mut(), &train, &val, &config);
+    run_training(ofob.as_mut(), &train, &val, &config);
 
     let pb_metrics = pb.metrics();
     let ofob_metrics = ofob.metrics();
@@ -528,8 +522,8 @@ fn two_bp_split_backward_is_bit_identical_to_fused_on_a_conv_net() {
         4,
         schedule(),
     )));
-    let report_a = run_training(fused.as_mut(), &train, &val, &config, &mut NoHooks);
-    let report_b = run_training(split.as_mut(), &train, &val, &config, &mut NoHooks);
+    let report_a = run_training(fused.as_mut(), &train, &val, &config);
+    let report_b = run_training(split.as_mut(), &train, &val, &config);
     for (a, b) in report_a.records.iter().zip(&report_b.records) {
         assert_eq!(a.train_loss, b.train_loss);
         assert_eq!(a.val_acc, b.val_acc);
@@ -554,13 +548,7 @@ fn accumulating_schedules_record_ceil_eq5_over_m_delays() {
     ] {
         let mut engine = spec.build(fresh_net(27));
         let pipeline_stages = engine.network_mut().pipeline_stage_count();
-        run_training(
-            engine.as_mut(),
-            &train,
-            &val,
-            &RunConfig::new(2, 12),
-            &mut NoHooks,
-        );
+        run_training(engine.as_mut(), &train, &val, &RunConfig::new(2, 12));
         let metrics = engine.metrics();
         assert_eq!(metrics.occupancy.map(|o| o > 0.0 && o <= 1.0), Some(true));
         for (s, stage) in metrics.stages.iter().enumerate() {
@@ -579,37 +567,20 @@ fn accumulating_schedules_record_ceil_eq5_over_m_delays() {
 }
 
 #[test]
-fn json_sink_captures_every_engine() {
+fn metrics_json_names_every_engine() {
     let data = blobs(3, 18, 0.4, 5);
     let (train, val) = data.split(0.34);
-    let path = std::env::temp_dir().join(format!(
-        "pbp_engine_equivalence_{}.json",
-        std::process::id()
-    ));
-    let mut sink = JsonSink::new(&path);
-    let specs = all_specs();
-    for spec in &specs {
+    for spec in &all_specs() {
         let mut engine = spec.build(fresh_net(31));
-        run_training(
-            engine.as_mut(),
-            &train,
-            &val,
-            &RunConfig::new(1, 2),
-            &mut sink,
-        );
-    }
-    assert_eq!(sink.len(), specs.len());
-    sink.write().expect("write metrics json");
-    let body = std::fs::read_to_string(&path).expect("read back");
-    for spec in &specs {
+        run_training(engine.as_mut(), &train, &val, &RunConfig::new(1, 2));
+        let json = engine.metrics().to_json();
         assert!(
-            body.contains(&format!("\"engine\":\"{}\"", spec.label())),
-            "missing {}",
+            json.contains(&format!("\"engine\":\"{}\"", spec.label())),
+            "missing {}: {json}",
             spec.label()
         );
+        let opens = json.matches('{').count() + json.matches('[').count();
+        let closes = json.matches('}').count() + json.matches(']').count();
+        assert_eq!(opens, closes, "{json}");
     }
-    let opens = body.matches('{').count() + body.matches('[').count();
-    let closes = body.matches('}').count() + body.matches(']').count();
-    assert_eq!(opens, closes);
-    let _ = std::fs::remove_file(&path);
 }

@@ -10,8 +10,8 @@ use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
     latest_snapshot, resume_training, run_to_crash, run_training, run_training_with_snapshots,
-    DelayDistribution, DelayedConfig, EngineSpec, NoHooks, RunConfig, ScheduledConfig,
-    SnapshotPolicy, ThreadedConfig,
+    DelayDistribution, DelayedConfig, EngineSpec, RunConfig, ScheduledConfig, SnapshotPolicy,
+    ThreadedConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -83,30 +83,16 @@ fn every_engine_resumes_bit_identically_after_a_crash() {
         let dir_a = tmpdir(&format!("ref{i}"));
         let policy_a = SnapshotPolicy::new(&dir_a, 3);
         let mut reference = spec.build(fresh_net(90));
-        let report_a = run_training_with_snapshots(
-            reference.as_mut(),
-            &train,
-            &val,
-            &config,
-            &policy_a,
-            &mut NoHooks,
-        )
-        .expect("reference run");
+        let report_a =
+            run_training_with_snapshots(reference.as_mut(), &train, &val, &config, &policy_a)
+                .expect("reference run");
 
         // Crashed run: killed at update 7, snapshots every 3 updates.
         let dir_b = tmpdir(&format!("crash{i}"));
         let policy_b = SnapshotPolicy::new(&dir_b, 3);
         let mut victim = spec.build(fresh_net(90));
-        let outcome = run_to_crash(
-            victim.as_mut(),
-            &train,
-            &val,
-            &config,
-            &policy_b,
-            7,
-            &mut NoHooks,
-        )
-        .expect("crash run");
+        let outcome =
+            run_to_crash(victim.as_mut(), &train, &val, &config, &policy_b, 7).expect("crash run");
         assert!(outcome.is_none(), "{label}: kill point inside the run");
 
         // Restart: fresh engine of the same spec, state from the latest
@@ -122,7 +108,6 @@ fn every_engine_resumes_bit_identically_after_a_crash() {
             &config,
             Some(&policy_b),
             &snap,
-            &mut NoHooks,
         )
         .expect("resume run");
 
@@ -148,20 +133,14 @@ fn snapshotting_does_not_perturb_training() {
     for (i, spec) in deterministic_specs().into_iter().enumerate() {
         let label = spec.label();
         let mut plain = spec.build(fresh_net(91));
-        let report_plain = run_training(plain.as_mut(), &train, &val, &config, &mut NoHooks);
+        let report_plain = run_training(plain.as_mut(), &train, &val, &config);
 
         let dir = tmpdir(&format!("noperturb{i}"));
         let policy = SnapshotPolicy::new(&dir, 2);
         let mut snapped = spec.build(fresh_net(91));
-        let report_snap = run_training_with_snapshots(
-            snapped.as_mut(),
-            &train,
-            &val,
-            &config,
-            &policy,
-            &mut NoHooks,
-        )
-        .expect("snapshotting run");
+        let report_snap =
+            run_training_with_snapshots(snapped.as_mut(), &train, &val, &config, &policy)
+                .expect("snapshotting run");
 
         assert_eq!(report_plain.records.len(), report_snap.records.len());
         for (a, b) in report_plain.records.iter().zip(&report_snap.records) {
@@ -193,7 +172,6 @@ fn retention_prunes_old_snapshots() {
         &val,
         &RunConfig::new(3, 23),
         &policy,
-        &mut NoHooks,
     )
     .expect("snapshotting run");
     let snaps: Vec<_> = std::fs::read_dir(&dir)
@@ -213,22 +191,14 @@ fn resume_rejects_mismatched_engines() {
     let dir = tmpdir("mismatch");
     let policy = SnapshotPolicy::new(&dir, 2);
     let mut sgdm = EngineSpec::Delayed(DelayedConfig::sgdm(4, schedule())).build(fresh_net(93));
-    run_training_with_snapshots(sgdm.as_mut(), &train, &val, &config, &policy, &mut NoHooks)
+    run_training_with_snapshots(sgdm.as_mut(), &train, &val, &config, &policy)
         .expect("snapshotting run");
     let snap = latest_snapshot(&dir).expect("list").expect("snapshot");
 
     let mut other =
         EngineSpec::Scheduled(ScheduledConfig::fill_drain(4, schedule())).build(fresh_net(93));
-    let err = resume_training(
-        other.as_mut(),
-        &train,
-        &val,
-        &config,
-        None,
-        &snap,
-        &mut NoHooks,
-    )
-    .expect_err("resuming an SGDM snapshot into fill&drain must fail");
+    let err = resume_training(other.as_mut(), &train, &val, &config, None, &snap)
+        .expect_err("resuming an SGDM snapshot into fill&drain must fail");
     assert!(
         matches!(
             err,
@@ -287,28 +257,13 @@ fn resuming_a_finished_run_reproduces_its_report() {
     let policy = SnapshotPolicy::new(&dir, 4);
     let spec = EngineSpec::Scheduled(ScheduledConfig::fill_drain(4, schedule()));
     let mut engine = spec.build(fresh_net(94));
-    let report = run_training_with_snapshots(
-        engine.as_mut(),
-        &train,
-        &val,
-        &config,
-        &policy,
-        &mut NoHooks,
-    )
-    .expect("snapshotting run");
+    let report = run_training_with_snapshots(engine.as_mut(), &train, &val, &config, &policy)
+        .expect("snapshotting run");
 
     let snap = latest_snapshot(&dir).expect("list").expect("snapshot");
     let mut redux = spec.build(fresh_net(94));
-    let report_redux = resume_training(
-        redux.as_mut(),
-        &train,
-        &val,
-        &config,
-        None,
-        &snap,
-        &mut NoHooks,
-    )
-    .expect("resume of finished run");
+    let report_redux = resume_training(redux.as_mut(), &train, &val, &config, None, &snap)
+        .expect("resume of finished run");
     assert_eq!(report.records, report_redux.records);
     assert_networks_equal(
         &engine.into_network(),

@@ -1,16 +1,18 @@
 //! Chaos-trace satellite: a `FaultPlan` run under the supervisor must
 //! leave a coherent trace — the stage panic, supervisor backoff, restart
 //! and degradation switchover all appear as instant events in causal
-//! order, and the post-restart stage lanes resume at exactly the sample
-//! cursor named by the restart's snapshot.
+//! order, the post-restart stage lanes resume at exactly the sample
+//! cursor named by the restart's snapshot, and a degraded run's tail stays
+//! on the timeline. The tracer reaches the run through `run_supervised`
+//! alone, which installs it on every engine it builds.
 
 use pbp_data::blobs;
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule};
 use pbp_pipeline::{
-    run_supervised, EngineSpec, FaultPlan, FaultSpec, NoHooks, RankFault, RecoveryPolicy,
-    RunConfig, SnapshotPolicy, ThreadedConfig, TraceHooks, Watchdog,
+    run_supervised, EngineSpec, FaultPlan, FaultSpec, RankFault, RecoveryPolicy, RunConfig,
+    SnapshotPolicy, ThreadedConfig, Watchdog,
 };
 use pbp_trace::{TraceLane, TracePhase, Tracer, PID_WALL};
 use rand::rngs::StdRng;
@@ -64,12 +66,8 @@ fn trace_orders_fault_backoff_restart_and_resumes_at_cursor() {
     let spec = EngineSpec::Threaded(
         ThreadedConfig::fill_drain(schedule())
             .with_fault_plan(FaultPlan::new(0).at_rank(1, FaultSpec::new(12, RankFault::Crash)))
-            .with_watchdog(Watchdog::fast())
-            // The tracer rides in the config so rebuilt engines keep
-            // recording into the same lanes after each restart.
-            .with_tracer(tracer.clone()),
+            .with_watchdog(Watchdog::fast()),
     );
-    let mut hooks = TraceHooks::new(&tracer, NoHooks);
     let outcome = run_supervised(
         &spec,
         &mut || fresh_net(7),
@@ -82,11 +80,10 @@ fn trace_orders_fault_backoff_restart_and_resumes_at_cursor() {
             backoff: Duration::from_millis(1),
             degrade: true,
         },
-        &mut hooks,
+        &tracer,
     )
     .expect("supervised run recovers");
     assert!(outcome.restarts >= 1, "the fault must actually have fired");
-    drop(hooks);
     let trace = tracer.finish();
 
     let sup = trace
@@ -149,7 +146,8 @@ fn trace_orders_fault_backoff_restart_and_resumes_at_cursor() {
 
 /// A recurring fault exhausts the single retry and degrades: the
 /// supervisor lane records exactly fault → backoff → restart → fault →
-/// degraded, in that order.
+/// degraded, in that order, and the fallback engine keeps recording into
+/// the stage lanes to the run's last sample.
 #[test]
 fn recurring_fault_trace_ends_in_degradation_switchover() {
     let data = blobs(3, 8, 0.4, 11);
@@ -162,10 +160,8 @@ fn recurring_fault_trace_ends_in_degradation_switchover() {
             .with_fault_plan(
                 FaultPlan::new(0).at_rank(1, FaultSpec::new(5, RankFault::Crash).recurring()),
             )
-            .with_watchdog(Watchdog::fast())
-            .with_tracer(tracer.clone()),
+            .with_watchdog(Watchdog::fast()),
     );
-    let mut hooks = TraceHooks::new(&tracer, NoHooks);
     let outcome = run_supervised(
         &spec,
         &mut || fresh_net(13),
@@ -178,11 +174,10 @@ fn recurring_fault_trace_ends_in_degradation_switchover() {
             backoff: Duration::from_millis(1),
             degrade: true,
         },
-        &mut hooks,
+        &tracer,
     )
     .expect("degraded run completes");
     assert!(outcome.degraded, "run must have degraded");
-    drop(hooks);
     let trace = tracer.finish();
 
     let sup = trace
@@ -210,6 +205,18 @@ fn recurring_fault_trace_ends_in_degradation_switchover() {
         "switchover names the fallback engine: {:?}",
         degraded.detail
     );
+
+    // The sequential fallback traces too: stage-0 forwards continue past
+    // the switchover, up to the last sample of the last epoch.
+    let stage0 = trace.lane(PID_WALL, "stage-0").expect("stage-0 lane");
+    let tail = stage0
+        .spans
+        .iter()
+        .filter(|s| s.phase == TracePhase::Forward && s.start_ns >= degraded.t_ns)
+        .max_by_key(|s| s.start_ns)
+        .expect("the degraded engine records forward spans");
+    let last_sample = (config.epochs * train.len() - 1) as u64;
+    assert_eq!(tail.microbatch, Some(last_sample), "{tail:?}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -82,9 +82,9 @@ static DEADLINE_WARNING: std::sync::Once = std::sync::Once::new();
 static QUEUE_WARNING: std::sync::Once = std::sync::Once::new();
 
 impl ServeConfig {
-    /// Builds a config from `PBP_SERVE_BATCH` and `PBP_SERVE_DEADLINE_US`,
-    /// falling back to the defaults (with a one-time warning) for unset or
-    /// invalid values.
+    /// Builds a config from `PBP_SERVE_BATCH`, `PBP_SERVE_DEADLINE_US` and
+    /// `PBP_SERVE_QUEUE`, falling back to the defaults (with a one-time
+    /// warning) for unset or invalid values.
     pub fn from_env() -> Self {
         let mut cfg = ServeConfig::default();
         if let Ok(raw) = std::env::var("PBP_SERVE_BATCH") {

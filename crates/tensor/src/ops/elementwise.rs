@@ -73,11 +73,6 @@ impl Tensor {
     pub fn scale(&self, s: f32) -> Tensor {
         self.map(|x| x * s)
     }
-
-    /// Multiplies every element by a scalar in place.
-    pub fn scale_assign(&mut self, s: f32) {
-        self.map_in_place(|x| x * s);
-    }
 }
 
 /// `y ← y + alpha * x` over flat data (the BLAS `axpy` primitive).

@@ -1,5 +1,5 @@
 //! The unified engine interface: build any engine from an [`EngineSpec`],
-//! drive it through the shared [`run_training`] loop, and export the
+//! drive it through the shared [`run_training`] loop, and print the
 //! per-stage instrumentation (updates, busy time, effective-delay
 //! histograms, occupancy) as JSON.
 
@@ -7,7 +7,7 @@ use pipelined_backprop::data::blobs;
 use pipelined_backprop::nn::models::mlp;
 use pipelined_backprop::optim::{Hyperparams, LrSchedule, Mitigation};
 use pipelined_backprop::pipeline::{
-    run_training, DelayedConfig, EngineSpec, JsonSink, NoHooks, RunConfig, ScheduledConfig,
+    run_training, DelayedConfig, EngineSpec, RunConfig, ScheduledConfig,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -28,13 +28,11 @@ fn main() {
         ),
     ];
 
-    let metrics_path = std::env::temp_dir().join("engine_demo_metrics.json");
-    let mut sink = JsonSink::new(&metrics_path);
     for spec in &specs {
         let mut rng = StdRng::seed_from_u64(0);
         let mut engine = spec.build(mlp(&[2, 16, 3], &mut rng));
         let config = RunConfig::new(6, 0);
-        let report = run_training(engine.as_mut(), &train, &val, &config, &mut sink);
+        let report = run_training(engine.as_mut(), &train, &val, &config);
         let m = engine.metrics();
         println!(
             "{:<14} final acc {:>5.1}%   {:>6.0} samples/s   {} stage updates",
@@ -43,11 +41,10 @@ fn main() {
             m.samples_per_sec(),
             m.total_updates(),
         );
+        println!("  {}", m.to_json());
     }
-    sink.write().expect("write metrics json");
-    println!("per-stage metrics written to {}", metrics_path.display());
 
-    // Hooks are optional: pass `&mut NoHooks` when you only want the report.
+    // Evaluation is a cadence: here only after the final epoch.
     let mut engine = EngineSpec::Delayed(DelayedConfig::sgdm(4, schedule()))
         .build(mlp(&[2, 16, 3], &mut StdRng::seed_from_u64(0)));
     let report = run_training(
@@ -55,7 +52,6 @@ fn main() {
         &train,
         &val,
         &RunConfig::new(2, 0).eval_last_only(),
-        &mut NoHooks,
     );
     println!(
         "eval_last_only: 2 epochs trained, {} record(s) kept",

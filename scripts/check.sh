@@ -95,6 +95,22 @@ if [[ -n $stray ]]; then
   exit 1
 fi
 
+echo "== one way to watch a run (grep lint) =="
+# A run reports through its return values and one Tracer (DESIGN §11):
+# run_supervised installs it on every engine it builds and is the only
+# author of the supervisor lane. The observer callbacks, their adapters,
+# the JSON run sink and the tracer carried in the threaded config stay
+# retired. Needles are split so this file does not contain them;
+# benchmark/ is frozen and its README still names the config's tracer.
+lint_only_in '"supervisor"' 'supervisor'
+stray=$(git grep -lE 'Train''Hooks|No''Hooks|Trace''Hooks|Json''Sink|on_supervision''_event|with''_tracer' \
+  -- crates src tests examples shims scripts README.md DESIGN.md || true)
+if [[ -n $stray ]]; then
+  echo "a retired observer or tracer hand-off is named again:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+
 echo "== one conv path per direction: layers name no lowered entry point (grep lint) =="
 # Conv2d / WsConv2d run the direct kernels in both modes and, when
 # training, keep the input activation they popped (DESIGN §7): neither the
