@@ -3,7 +3,11 @@
 
 use crate::Hyperparams;
 use pbp_snapshot::{SnapshotError, Snapshottable, StateReader, StateWriter};
+use pbp_tensor::ops::simd::{sgdm_sweep, SweepScalars};
 use pbp_tensor::{GradView, Tensor};
+
+/// The forward weight version a sweep writes beside the update.
+pub(crate) use pbp_tensor::ops::simd::Predict;
 
 /// Velocity state for SGD with momentum over a list of parameter tensors
 /// (Eqs. 7-8 of the paper):
@@ -15,9 +19,6 @@ use pbp_tensor::{GradView, Tensor};
 #[derive(Debug, Clone)]
 pub struct SgdmState {
     velocity: Vec<Tensor>,
-    /// Where a factored gradient's current row is computed
-    /// ([`GradView::row`]); reused across updates.
-    row: Vec<f32>,
 }
 
 /// The scalars of one [`SgdmState::sweep`]:
@@ -33,90 +34,23 @@ pub(crate) struct Sweep {
     pub grad_scale: f32,
 }
 
-/// The forward weight version a sweep writes beside the update, from the
-/// values it just computed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Predict {
-    /// `ŵ = w`: no prediction, the next version is the updated weights.
-    Copy,
-    /// `ŵ = w + alpha·v` with `alpha = −η·T` (Eq. 18).
-    Velocity { alpha: f32 },
-    /// `ŵ = w + T·(w − w_old)` (Eq. 19), `w_old` being the weight the
-    /// sweep read.
-    WeightDiff { horizon: f32 },
-}
-
-/// The loop: one pass over one contiguous run of a parameter. Reads `g`,
-/// `v`, `w` once, writes `v`, `w` once, and hands `(i, w_old, w_new,
-/// v_new)` to `emit` for whatever else the caller derives from them. The
-/// arithmetic is written in the order the separate update and prediction
-/// passes used to perform it and contains no fused multiply-add, so the
-/// results are theirs bit for bit.
-#[inline(always)]
-fn sweep_run(
-    k: Sweep,
-    g: &[f32],
-    v: &mut [f32],
-    w: &mut [f32],
-    mut emit: impl FnMut(usize, f32, f32, f32),
-) {
-    let n = g.len();
-    let (v, w) = (&mut v[..n], &mut w[..n]);
-    for i in 0..n {
-        let gi = g[i] * k.grad_scale;
-        let w_old = w[i];
-        let vi = k.hp.momentum * v[i] + gi;
-        let wi = w_old - k.hp.lr * (k.a * vi + k.b * gi);
-        v[i] = vi;
-        w[i] = wi;
-        emit(i, w_old, wi, vi);
-    }
-}
-
-/// [`sweep_run`] with the requested side outputs: `prev` receives the
-/// pre-update weights, `next` the forward version `predict` describes.
-fn sweep_run_into(
-    k: Sweep,
-    g: &[f32],
-    v: &mut [f32],
-    w: &mut [f32],
-    prev: Option<&mut [f32]>,
-    next: Option<(&mut [f32], Predict)>,
-) {
-    let n = g.len();
-    // The copy lands while the run is on its way into cache for the sweep
-    // that follows; it is not a second pass over memory.
-    if let Some(prev) = prev {
-        prev[..n].copy_from_slice(&w[..n]);
-    }
-    match next {
-        None => sweep_run(k, g, v, w, |_, _, _, _| {}),
-        Some((next, predict)) => {
-            let next = &mut next[..n];
-            match predict {
-                Predict::Copy => sweep_run(k, g, v, w, |i, _, wi, _| next[i] = wi),
-                Predict::Velocity { alpha } => {
-                    sweep_run(k, g, v, w, |i, _, wi, vi| next[i] = wi + alpha * vi)
-                }
-                Predict::WeightDiff { horizon } => sweep_run(k, g, v, w, |i, w_old, wi, _| {
-                    next[i] = wi + horizon * (wi - w_old)
-                }),
-            }
+impl Sweep {
+    fn scalars(self) -> SweepScalars {
+        SweepScalars {
+            grad_scale: self.grad_scale,
+            momentum: self.hp.momentum,
+            lr: self.hp.lr,
+            a: self.a,
+            b: self.b,
         }
     }
 }
-
-/// Runs are swept in pieces of at most this many elements so the
-/// pre-update copy into `prev` (weight-difference LWP) reads lines the
-/// sweep is about to read anyway.
-const RUN: usize = 4096;
 
 impl SgdmState {
     /// Creates zeroed velocity matching the given parameter shapes.
     pub fn new(params: &[&Tensor]) -> Self {
         SgdmState {
             velocity: params.iter().map(|p| Tensor::zeros(p.shape())).collect(),
-            row: Vec::new(),
         }
     }
 
@@ -181,10 +115,10 @@ impl SgdmState {
     }
 
     /// The update every optimizer entry point is: for each parameter, one
-    /// pass over its gradient (dense, or factored and read row by row),
-    /// velocity and weights that also writes, when asked, the pre-update
-    /// weights into `prev` and the forward weight version `predict`
-    /// describes into `next` — see [`sweep_run`] for the arithmetic.
+    /// [`sgdm_sweep`] over its gradient (dense, or factored and read row by
+    /// row), velocity and weights that also writes, when asked, the
+    /// pre-update weights into `prev` and the forward weight version
+    /// `predict` describes into `next`.
     ///
     /// # Panics
     ///
@@ -206,28 +140,14 @@ impl SgdmState {
             .zip(&mut self.velocity)
             .enumerate()
         {
-            let (vs, ps) = (v.as_mut_slice(), p.as_mut_slice());
-            assert_eq!(ps.len(), vs.len(), "param/velocity shape mismatch");
-            assert_eq!(g.len(), vs.len(), "grad/velocity shape mismatch");
-            let mut prev = prev.as_mut().map(|p| p[t].as_mut_slice());
-            let mut next = next.as_mut().map(|(n, f)| (n[t].as_mut_slice(), *f));
-            for side in prev.iter().chain(next.iter().map(|(n, _)| n)) {
-                assert_eq!(side.len(), vs.len(), "prev/next shape mismatch");
-            }
-            for r in 0..g.rows() {
-                let row = g.row(r, &mut self.row);
-                for (c, g) in row.chunks(RUN).enumerate() {
-                    let at = r * row.len() + c * RUN;
-                    sweep_run_into(
-                        k,
-                        g,
-                        &mut vs[at..],
-                        &mut ps[at..],
-                        prev.as_mut().map(|p| &mut p[at..]),
-                        next.as_mut().map(|(n, f)| (&mut n[at..], *f)),
-                    );
-                }
-            }
+            sgdm_sweep(
+                k.scalars(),
+                *g,
+                v.as_mut_slice(),
+                p.as_mut_slice(),
+                prev.as_mut().map(|p| p[t].as_mut_slice()),
+                next.as_mut().map(|(n, f)| (n[t].as_mut_slice(), *f)),
+            );
         }
     }
 

@@ -191,13 +191,15 @@ proptest! {
     /// `forward_weights` does, and both match the update arithmetic
     /// written out as it stood before the sweep — scale the gradient, then
     /// `v ← m·v + g; w ← w − η(a·v + b·g)` — for every mitigation, both
-    /// LWP forms and a gradient scale other than one.
+    /// LWP forms and a gradient scale other than one. A `[3, 5]` weight's
+    /// rows are shorter than every vector; a `[3, 37]` one's are two
+    /// `__m512` (four `__m256`) and a ragged tail.
     #[test]
     fn fused_sweep_matches_step_then_forward_weights_bitwise(
         delta in proptest::collection::vec(-2.0f32..2.0, 3),
-        x in proptest::collection::vec(-2.0f32..2.0, 5),
+        x in proptest::collection::vec(-2.0f32..2.0, 37),
         delta_kinds in proptest::collection::vec(0usize..8, 3),
-        x_kinds in proptest::collection::vec(0usize..8, 5),
+        x_kinds in proptest::collection::vec(0usize..8, 37),
         bias_grad in proptest::collection::vec(-1.0f32..1.0, 3),
         lr in 0.001f32..0.3,
         m in 0.0f32..0.99,
@@ -207,64 +209,67 @@ proptest! {
         let hp = Hyperparams::new(lr, m);
         let delta = with_edge_values(&delta, &delta_kinds);
         let x = with_edge_values(&x, &x_kinds);
-        let factored = GradView::Outer { delta: &delta, x: &x };
-        let dense = factored.dense().into_owned();
         let bias_grad = Tensor::from_slice(&bias_grad);
-        let w0 = [
-            Tensor::from_fn(&[3, 5], |i| (i as f32 * 0.37).sin()),
-            Tensor::from_fn(&[3], |i| 0.5 - i as f32),
-        ];
-        for mitigation in mitigations() {
-            for grad_scale in [None, Some(0.3f32)] {
-                let mut config = mitigation.stage_config(delay, stage);
-                config.grad_scale = grad_scale.unwrap_or(config.grad_scale);
-                let context = format!("{mitigation:?} grad_scale={}", config.grad_scale);
-                let coeffs = if config.spike_delay > 0.0 {
-                    SpikeCoeffs::scd(m, config.spike_delay)
-                } else {
-                    SpikeCoeffs::identity()
-                };
+        for cols in [5, 37] {
+            let x = &x[..cols];
+            let factored = GradView::Outer { delta: &delta, x };
+            let dense = factored.dense().into_owned();
+            let w0 = [
+                Tensor::from_fn(&[3, cols], |i| (i as f32 * 0.37).sin()),
+                Tensor::from_fn(&[3], |i| 0.5 - i as f32),
+            ];
+            for mitigation in mitigations() {
+                for grad_scale in [None, Some(0.3f32)] {
+                    let mut config = mitigation.stage_config(delay, stage);
+                    config.grad_scale = grad_scale.unwrap_or(config.grad_scale);
+                    let context = format!("[3, {cols}] {mitigation:?} grad_scale={}", config.grad_scale);
+                    let coeffs = if config.spike_delay > 0.0 {
+                        SpikeCoeffs::scd(m, config.spike_delay)
+                    } else {
+                        SpikeCoeffs::identity()
+                    };
 
-                // [fused, factored], [fused, dense], [separate passes].
-                let mut w = [w0.clone(), w0.clone(), w0.clone()];
-                let mut opts: Vec<StageOptimizer> = w
-                    .iter()
-                    .map(|w| StageOptimizer::new(&[&w[0], &w[1]], config, hp))
-                    .collect();
-                let mut by_hand_w = w0.clone();
-                let mut by_hand_v = [Tensor::zeros(&[3, 5]), Tensor::zeros(&[3])];
-                // Several updates, so velocity and (weight-difference
-                // form) the previous weights are in play.
-                for _ in 0..3 {
-                    let mut next = [w0.clone(), w0.clone()];
-                    for (i, grad) in [factored, (&dense).into()].into_iter().enumerate() {
-                        let [p0, p1] = &mut w[i];
-                        let grads = [grad, (&bias_grad).into()];
-                        opts[i].step_into(&mut [p0, p1], &grads, &mut next[i]);
-                    }
-                    let [p0, p1] = &mut w[2];
-                    opts[2].step(&mut [p0, p1], &[(&dense).into(), (&bias_grad).into()]);
-                    let params = [&w[2][0], &w[2][1]];
-                    let separate = opts[2]
-                        .forward_weights(&params)
-                        .unwrap_or_else(|| w[2].to_vec());
-
-                    for ((w, v), g) in by_hand_w.iter_mut().zip(&mut by_hand_v).zip([&dense, &bias_grad]) {
-                        let g = if config.grad_scale != 1.0 { g.scale(config.grad_scale) } else { g.clone() };
-                        let (ws, vs, gs) = (w.as_mut_slice(), v.as_mut_slice(), g.as_slice());
-                        for i in 0..ws.len() {
-                            vs[i] = m * vs[i] + gs[i];
-                            ws[i] -= lr * (coeffs.a * vs[i] + coeffs.b * gs[i]);
+                    // [fused, factored], [fused, dense], [separate passes].
+                    let mut w = [w0.clone(), w0.clone(), w0.clone()];
+                    let mut opts: Vec<StageOptimizer> = w
+                        .iter()
+                        .map(|w| StageOptimizer::new(&[&w[0], &w[1]], config, hp))
+                        .collect();
+                    let mut by_hand_w = w0.clone();
+                    let mut by_hand_v = [Tensor::zeros(&[3, cols]), Tensor::zeros(&[3])];
+                    // Several updates, so velocity and (weight-difference
+                    // form) the previous weights are in play.
+                    for _ in 0..3 {
+                        let mut next = [w0.clone(), w0.clone()];
+                        for (i, grad) in [factored, (&dense).into()].into_iter().enumerate() {
+                            let [p0, p1] = &mut w[i];
+                            let grads = [grad, (&bias_grad).into()];
+                            opts[i].step_into(&mut [p0, p1], &grads, &mut next[i]);
                         }
-                    }
+                        let [p0, p1] = &mut w[2];
+                        opts[2].step(&mut [p0, p1], &[(&dense).into(), (&bias_grad).into()]);
+                        let params = [&w[2][0], &w[2][1]];
+                        let separate = opts[2]
+                            .forward_weights(&params)
+                            .unwrap_or_else(|| w[2].to_vec());
 
-                    for i in 0..2 {
-                        assert_bits_eq(&w[i], &w[2], &format!("{context}: weights {i}"));
-                        assert_bits_eq(opts[i].velocity(), opts[2].velocity(), &format!("{context}: velocity {i}"));
-                        assert_bits_eq(&next[i], &separate, &format!("{context}: next version {i}"));
+                        for ((w, v), g) in by_hand_w.iter_mut().zip(&mut by_hand_v).zip([&dense, &bias_grad]) {
+                            let g = if config.grad_scale != 1.0 { g.scale(config.grad_scale) } else { g.clone() };
+                            let (ws, vs, gs) = (w.as_mut_slice(), v.as_mut_slice(), g.as_slice());
+                            for i in 0..ws.len() {
+                                vs[i] = m * vs[i] + gs[i];
+                                ws[i] -= lr * (coeffs.a * vs[i] + coeffs.b * gs[i]);
+                            }
+                        }
+
+                        for i in 0..2 {
+                            assert_bits_eq(&w[i], &w[2], &format!("{context}: weights {i}"));
+                            assert_bits_eq(opts[i].velocity(), opts[2].velocity(), &format!("{context}: velocity {i}"));
+                            assert_bits_eq(&next[i], &separate, &format!("{context}: next version {i}"));
+                        }
+                        assert_bits_eq(&w[2], &by_hand_w, &format!("{context}: weights by hand"));
+                        assert_bits_eq(opts[2].velocity(), &by_hand_v, &format!("{context}: velocity by hand"));
                     }
-                    assert_bits_eq(&w[2], &by_hand_w, &format!("{context}: weights by hand"));
-                    assert_bits_eq(opts[2].velocity(), &by_hand_v, &format!("{context}: velocity by hand"));
                 }
             }
         }

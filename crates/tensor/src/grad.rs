@@ -15,8 +15,10 @@ use std::borrow::Cow;
 ///   `gemm_tn(δ, x)` stores (one fused multiply-add chain of length one
 ///   from `+0.0`, see `ops::gemm`), so a consumer cannot tell a factored
 ///   gradient from the dense one it stands for.
-/// * Hot paths read a view row by row through [`GradView::row`] and never
-///   materialise it; [`GradView::dense`] allocates for a factored view and
+/// * Hot paths read a view row by row and never materialise it: the
+///   update sweep ([`crate::ops::simd::sgdm_sweep`]) forms a factored row
+///   in registers, [`GradView::row`] into a scratch row for anyone else;
+///   [`GradView::dense`] allocates for a factored view and
 ///   is for tests, diagnostics and optimizers off the pipeline's update
 ///   path (Adam, gradient clipping).
 #[derive(Debug, Clone, Copy)]

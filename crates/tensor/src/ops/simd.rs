@@ -5,21 +5,25 @@
 //! sweep (`axpy_row`), the `A·Bᵀ` row (`nt_row`) and the three direct
 //! convolution kernels (`conv_forward`, `conv_backward_input`,
 //! `conv_backward_weight`) — beside the tile's `Bᵀ` panel pack
-//! (`pack_bt`), which computes nothing, and GroupNorm's statistics
+//! (`pack_bt`), which computes nothing, GroupNorm's statistics
 //! ([`group_moments`]), the one `f64` kernel, written over `Chains`
-//! under the same rule with plain adds, subtractions and products.
+//! under the same rule with plain adds, subtractions and products, and
+//! the optimizer's update ([`sgdm_sweep`]), element-wise products, sums
+//! and differences in the scalar loop's order, nothing fused.
 //! Each is one generic function over a lane type: lanes never interact —
 //! the one cross-lane operation, `Lanes::transpose` in the `A·Bᵀ` row and
 //! the pack, moves data and computes nothing — and
-//! the only arithmetic is `Lanes::fma` (plus one `Lanes::add` in the
-//! input-gradient kernel), so every output element is one left-to-right
-//! chain of fused multiply-adds whatever the vector width. An IEEE 754
-//! fused multiply-add rounds exactly once, so `f32::mul_add` and the
-//! `vfmadd` instructions compute *the same function*: the instantiations
-//! are bit-identical to one another and to [`super::reference`], on every
-//! input, by construction rather than by tolerance. That is what lets
-//! runtime dispatch pick the fastest tier without perturbing the
-//! differential contract.
+//! the only arithmetic of the GEMM and convolution kernels is
+//! `Lanes::fma` (plus one `Lanes::add` in the input-gradient kernel), so
+//! every output element is one left-to-right chain of fused multiply-adds
+//! whatever the vector width. An IEEE 754 operation — a fused
+//! multiply-add, a product, a sum — rounds exactly once, so `f32::mul_add`
+//! and the `vfmadd` instructions, `*` and `vmulps`, compute *the same
+//! function*: the instantiations are bit-identical to one another and to
+//! [`super::reference`] (the sweep: to its scalar loop), on every input,
+//! by construction rather than by tolerance. That is what lets runtime
+//! dispatch pick the fastest tier without perturbing the differential
+//! contract.
 //!
 //! # Dispatch
 //!
@@ -38,8 +42,8 @@
 //! `match active_tier()`: the `__m512` and `__m256` instantiations behind
 //! `#[target_feature]` wrappers, and a `_ =>` arm running the portable
 //! instantiation (`[f32; 16]` for the tile, `f32` for the axpy sweep, the
-//! `A·Bᵀ` row, the pack and the convolution kernels) — which is also all a
-//! non-x86-64 target compiles.
+//! `A·Bᵀ` row, the pack, the convolution kernels and the update sweep) —
+//! which is also all a non-x86-64 target compiles.
 //!
 //! # The ragged edge
 //!
@@ -49,14 +53,15 @@
 //! `__mmask16` on AVX-512, a bounded copy on the portable type), while the
 //! zero-padded packed `B` panel is read at full width. Masked-off lanes
 //! accumulate on the padding and are never stored; each live lane runs the
-//! identical fma chain. A row sweep's ragged tail is the axpy kernel again
-//! at the one-lane type `f32`, and an `A·Bᵀ` row hands what is left of it —
-//! fewer than a vector of outputs, or a reduction shorter than one — to the
-//! next narrower lane type, down to `f32`; the ragged end of its reduction
-//! is a `load_first` block of which only the live columns are multiplied
-//! in.
+//! identical fma chain. A row sweep's ragged tail — the axpy kernel's, the
+//! update sweep's — is the kernel again at the one-lane type `f32`, and an
+//! `A·Bᵀ` row hands what is left of it — fewer than a vector of outputs, or
+//! a reduction shorter than one — to the next narrower lane type, down to
+//! `f32`; the ragged end of its reduction is a `load_first` block of which
+//! only the live columns are multiplied in.
 
 use super::gemm::NR;
+use crate::GradView;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// The lane type the micro-kernels of this module are instantiated at,
@@ -217,6 +222,17 @@ trait Lanes: Copy {
     /// `a * b + c`, rounded once.
     unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
     unsafe fn add(a: Self, b: Self) -> Self;
+    unsafe fn sub(a: Self, b: Self) -> Self;
+    unsafe fn mul(a: Self, b: Self) -> Self;
+    /// Hints that the cache line holding `p` is about to be read. A hint
+    /// only: `p` may lie past the end of its buffer, and the portable types
+    /// leave it to the hardware prefetcher.
+    #[inline(always)]
+    unsafe fn prefetch(_p: *const f32) {}
+    /// Hints that the cache line holding `p` is about to be written, as
+    /// [`Lanes::prefetch`].
+    #[inline(always)]
+    unsafe fn prefetch_write(_p: *mut f32) {}
     /// Transposes the leading `N × N` block of `rows` in registers: lane
     /// `l` of `rows[p]` and lane `p` of `rows[l]` change places, for
     /// `l, p < N`. Pure data movement; entries past `N` are not touched.
@@ -263,6 +279,14 @@ impl Lanes for f32 {
     unsafe fn add(a: Self, b: Self) -> Self {
         a + b
     }
+    #[inline(always)]
+    unsafe fn sub(a: Self, b: Self) -> Self {
+        a - b
+    }
+    #[inline(always)]
+    unsafe fn mul(a: Self, b: Self) -> Self {
+        a * b
+    }
     /// One lane: the block is its own transpose.
     #[inline(always)]
     unsafe fn transpose(_rows: &mut [Self; MAX_LANES]) {}
@@ -307,6 +331,14 @@ impl<const L: usize> Lanes for [f32; L] {
     #[inline(always)]
     unsafe fn add(a: Self, b: Self) -> Self {
         std::array::from_fn(|l| a[l] + b[l])
+    }
+    #[inline(always)]
+    unsafe fn sub(a: Self, b: Self) -> Self {
+        std::array::from_fn(|l| a[l] - b[l])
+    }
+    #[inline(always)]
+    unsafe fn mul(a: Self, b: Self) -> Self {
+        std::array::from_fn(|l| a[l] * b[l])
     }
     #[inline(always)]
     unsafe fn transpose(rows: &mut [Self; MAX_LANES]) {
@@ -1339,12 +1371,302 @@ pub fn group_moments(xs: &[f32], len: usize, means: &mut [f64], sq_devs: &mut [f
     }
 }
 
+/// The scalars of one [`sgdm_sweep`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SweepScalars {
+    /// `s`, the gradient multiplier (gradient shrinking; 1 otherwise).
+    pub grad_scale: f32,
+    /// `m`.
+    pub momentum: f32,
+    /// `η`.
+    pub lr: f32,
+    /// Spike-compensation coefficients (Eqs. 10-12); `a = 1, b = 0` is
+    /// plain SGDM.
+    pub a: f32,
+    pub b: f32,
+}
+
+/// The forward weight version an [`sgdm_sweep`] writes beside the update,
+/// from the values it just computed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Predict {
+    /// `ŵ = w'`: no prediction, the next version is the updated weights.
+    Copy,
+    /// `ŵ = w' + alpha·v'` with `alpha = −η·T` (Eq. 18).
+    Velocity { alpha: f32 },
+    /// `ŵ = w' + T·(w' − w)` (Eq. 19), `w` being the weight the sweep read.
+    WeightDiff { horizon: f32 },
+}
+
+/// Floats ahead of the element being swept at which the vector tiers
+/// prefetch `v`, `w` (to read) and the side outputs (to write): 2 KiB, 32
+/// cache lines of every stream. On a two-vCPU AVX-512 Xeon 256 to 1024
+/// floats timed the same and 2048 was slower; no lookahead at all (0)
+/// timed within the noise of 512 there, in `fc0`'s sweep alone and in the
+/// pipeline. The written lines are prefetched into the cache (`prefetchw`)
+/// rather than streamed past it: the next forward reads `ŵ`, and from DRAM
+/// it would pay for that.
+const SWEEP_PREFETCH: usize = 512;
+
+/// Floats the sweep steps between prefetches: one 64-byte cache line.
+const LINE: usize = 16;
+
+/// The side output forms of [`sweep_kernel`], as its `NEXT` parameter.
+const NO_NEXT: u8 = 0;
+const NEXT_COPY: u8 = 1;
+const NEXT_VELOCITY: u8 = 2;
+const NEXT_WEIGHT_DIFF: u8 = 3;
+
+/// One contiguous run of an [`sgdm_sweep`]: `n` elements of `v` and `w`,
+/// and of `prev` and `next` unless they are null, from the dense gradient
+/// at `g` or, for a factored row, from `delta` and the `x` at `g`.
+#[derive(Clone, Copy)]
+struct SweepArgs {
+    k: SweepScalars,
+    g: *const f32,
+    delta: f32,
+    v: *mut f32,
+    w: *mut f32,
+    prev: *mut f32,
+    next: *mut f32,
+    predict: Option<Predict>,
+    n: usize,
+}
+
+impl SweepArgs {
+    /// The run of `n` elements `at` elements in, reading `g`.
+    fn run(self, at: usize, n: usize, g: *const f32, delta: f32) -> SweepArgs {
+        // `wrapping_add`: `prev` and `next` may be null, and are then never
+        // dereferenced.
+        SweepArgs {
+            g,
+            delta,
+            v: self.v.wrapping_add(at),
+            w: self.w.wrapping_add(at),
+            prev: self.prev.wrapping_add(at),
+            next: self.next.wrapping_add(at),
+            n,
+            ..self
+        }
+    }
+}
+
+/// The scalars of one sweep run, one per lane: `s`, `m`, `η`, `a`, `b`,
+/// the side output's `alpha` or `T`, and a factored row's `δ`.
+#[derive(Clone, Copy)]
+struct SweepLanes<V> {
+    s: V,
+    m: V,
+    lr: V,
+    a: V,
+    b: V,
+    t: V,
+    delta: V,
+}
+
+/// One vector of the run at element `j`. Every lane computes, each
+/// operation rounded on its own and none fused,
+///
+/// ```text
+/// g  = s·∇            ∇ = run[j], or fma(δ, x[j], +0.0) when ROW
+/// v' = m·v + g
+/// w' = w − η·(a·v' + b·g)
+/// ```
+///
+/// then stores `v'`, `w'`, `w` to `prev` when `PREV`, and `ŵ` to `next` in
+/// the form `NEXT` names — the scalar loop's operations in the scalar
+/// loop's order. A function and not a closure: a closure does not inherit
+/// the `#[target_feature]` of the wrapper it is inlined into, and the
+/// intrinsics it called would not be inlined.
+#[inline(always)]
+unsafe fn sweep_step<V: Lanes, const ROW: bool, const PREV: bool, const NEXT: u8>(
+    a: &SweepArgs,
+    c: &SweepLanes<V>,
+    j: usize,
+) {
+    let g = if ROW {
+        V::fma(c.delta, V::load(a.g.add(j)), V::zero())
+    } else {
+        V::load(a.g.add(j))
+    };
+    let g = V::mul(g, c.s);
+    let w_old = V::load(a.w.add(j));
+    let v = V::add(V::mul(c.m, V::load(a.v.add(j))), g);
+    let w = V::sub(w_old, V::mul(c.lr, V::add(V::mul(c.a, v), V::mul(c.b, g))));
+    v.store(a.v.add(j));
+    w.store(a.w.add(j));
+    if PREV {
+        w_old.store(a.prev.add(j));
+    }
+    match NEXT {
+        NEXT_COPY => w.store(a.next.add(j)),
+        NEXT_VELOCITY => V::add(w, V::mul(c.t, v)).store(a.next.add(j)),
+        NEXT_WEIGHT_DIFF => V::add(w, V::mul(c.t, V::sub(w, w_old))).store(a.next.add(j)),
+        _ => {}
+    }
+}
+
+/// [`sweep_step`] over the whole vectors of the run from element `from`
+/// on; returns where they end. One cache line of every stream a step,
+/// each prefetched [`SWEEP_PREFETCH`] floats ahead.
+#[inline(always)]
+unsafe fn sweep_kernel<V: Lanes, const ROW: bool, const PREV: bool, const NEXT: u8>(
+    a: SweepArgs,
+    from: usize,
+) -> usize {
+    let t = match a.predict {
+        Some(Predict::Velocity { alpha }) => alpha,
+        Some(Predict::WeightDiff { horizon }) => horizon,
+        _ => 0.0,
+    };
+    let c = SweepLanes {
+        s: V::splat(a.k.grad_scale),
+        m: V::splat(a.k.momentum),
+        lr: V::splat(a.k.lr),
+        a: V::splat(a.k.a),
+        b: V::splat(a.k.b),
+        t: V::splat(t),
+        delta: V::splat(a.delta),
+    };
+    let mut j = from;
+    while j + LINE <= a.n {
+        let ahead = j + SWEEP_PREFETCH;
+        V::prefetch(a.v.wrapping_add(ahead));
+        V::prefetch(a.w.wrapping_add(ahead));
+        if PREV {
+            V::prefetch_write(a.prev.wrapping_add(ahead));
+        }
+        if NEXT != NO_NEXT {
+            V::prefetch_write(a.next.wrapping_add(ahead));
+        }
+        for q in 0..LINE / V::N {
+            sweep_step::<V, ROW, PREV, NEXT>(&a, &c, j + q * V::N);
+        }
+        j += LINE;
+    }
+    while j + V::N <= a.n {
+        sweep_step::<V, ROW, PREV, NEXT>(&a, &c, j);
+        j += V::N;
+    }
+    j
+}
+
+/// [`sweep_kernel`] at `V`, then at `f32` for the tail.
+#[inline(always)]
+unsafe fn sweep_whole<V: Lanes, const ROW: bool, const PREV: bool, const NEXT: u8>(a: SweepArgs) {
+    let j = sweep_kernel::<V, ROW, PREV, NEXT>(a, 0);
+    sweep_kernel::<f32, ROW, PREV, NEXT>(a, j);
+}
+
+/// [`sweep_whole`] with the side outputs `a` asks for.
+#[inline(always)]
+unsafe fn sweep_sides<V: Lanes, const ROW: bool, const PREV: bool>(a: SweepArgs) {
+    match a.predict {
+        None => sweep_whole::<V, ROW, PREV, NO_NEXT>(a),
+        Some(Predict::Copy) => sweep_whole::<V, ROW, PREV, NEXT_COPY>(a),
+        Some(Predict::Velocity { .. }) => sweep_whole::<V, ROW, PREV, NEXT_VELOCITY>(a),
+        Some(Predict::WeightDiff { .. }) => sweep_whole::<V, ROW, PREV, NEXT_WEIGHT_DIFF>(a),
+    }
+}
+
+/// The sweep of one parameter at `V`: its dense gradient as one run, or a
+/// factored one row by row.
+#[inline(always)]
+unsafe fn sweep_any<V: Lanes>(a: SweepArgs, g: GradView<'_>) {
+    let prev = !a.prev.is_null();
+    match g {
+        GradView::Dense(t) => {
+            let a = a.run(0, a.n, t.as_slice().as_ptr(), 0.0);
+            if prev {
+                sweep_sides::<V, false, true>(a)
+            } else {
+                sweep_sides::<V, false, false>(a)
+            }
+        }
+        GradView::Outer { delta, x } => {
+            for (r, &d) in delta.iter().enumerate() {
+                let a = a.run(r * x.len(), x.len(), x.as_ptr(), d);
+                if prev {
+                    sweep_sides::<V, true, true>(a)
+                } else {
+                    sweep_sides::<V, true, false>(a)
+                }
+            }
+        }
+    }
+}
+
+/// The update every optimizer step in the project is (SGDM with spike
+/// compensation, Eqs. 7-8 and 10-12): one pass over a parameter's gradient
+/// `g` — dense, or factored and formed row by row as
+/// [`GradView`]'s contract states — its velocity `v` and weights `w`,
+/// writing, when asked, the pre-update weights into `prev` and the forward
+/// weight version `next` describes beside them. Each element runs
+/// `g = s·∇; v' = m·v + g; w' = w − η(a·v' + b·g)` and its `ŵ`, with no
+/// fused multiply-add and in that order, so it is bit for bit the scalar
+/// loop that once stood here, on every tier.
+///
+/// # Panics
+///
+/// Panics if `g`, `w`, `prev` or `next` differs in length from `v`.
+pub fn sgdm_sweep(
+    k: SweepScalars,
+    g: GradView<'_>,
+    v: &mut [f32],
+    w: &mut [f32],
+    prev: Option<&mut [f32]>,
+    next: Option<(&mut [f32], Predict)>,
+) {
+    let n = v.len();
+    assert_eq!(w.len(), n, "sgdm_sweep: param/velocity shape mismatch");
+    assert_eq!(g.len(), n, "sgdm_sweep: grad/velocity shape mismatch");
+    let prev = prev.map_or(std::ptr::null_mut(), |p| {
+        assert_eq!(p.len(), n, "sgdm_sweep: prev shape mismatch");
+        p.as_mut_ptr()
+    });
+    let (next, predict) = match next {
+        Some((next, predict)) => {
+            assert_eq!(next.len(), n, "sgdm_sweep: next shape mismatch");
+            (next.as_mut_ptr(), Some(predict))
+        }
+        None => (std::ptr::null_mut(), None),
+    };
+    let a = SweepArgs {
+        k,
+        g: std::ptr::null(),
+        delta: 0.0,
+        v: v.as_mut_ptr(),
+        w: w.as_mut_ptr(),
+        prev,
+        next,
+        predict,
+        n,
+    };
+    // SAFETY: the asserts bound every access: element `j < n` of `v`, `w`
+    // and of `prev` / `next` when given, of a dense `g`, and for a factored
+    // row `r` elements `r·cols + j` with `j < cols`, and `x[j]`; a null
+    // side output is never dereferenced; the tier match proves the CPU
+    // feature.
+    unsafe {
+        match active_tier() {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512Fma => x86::sweep_avx512(a, g),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2Fma => x86::sweep_avx2(a, g),
+            // One lane per step, as the axpy sweep: the form the compiler
+            // vectorizes.
+            _ => sweep_any::<f32>(a, g),
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        BwdInputArgs, BwdWeightArgs, Chains, FwdArgs, Lanes, MomentArgs, NtArgs, PackArgs, Tile,
-        MAX_LANES,
+        BwdInputArgs, BwdWeightArgs, Chains, FwdArgs, Lanes, MomentArgs, NtArgs, PackArgs,
+        SweepArgs, Tile, MAX_LANES,
     };
+    use crate::GradView;
     use std::arch::x86_64::*;
 
     /// `MASK_TABLE[8 - w..][..8]` is `w` all-ones lanes then zeros: the
@@ -1361,6 +1683,14 @@ mod x86 {
     fn first_lanes_512(w: usize) -> __mmask16 {
         debug_assert!(w <= 16);
         ((1u32 << w) - 1) as __mmask16
+    }
+
+    /// The one prefetch both vector types issue: `T0` to read,
+    /// `_MM_HINT_ET0` (`prefetchw`) to own the line for a write. A
+    /// prefetch neither faults nor dereferences, so `p` may point anywhere.
+    #[inline(always)]
+    unsafe fn prefetch_line<const HINT: i32>(p: *const f32) {
+        _mm_prefetch::<HINT>(p.cast())
     }
 
     impl Lanes for __m256 {
@@ -1396,6 +1726,22 @@ mod x86 {
         #[inline(always)]
         unsafe fn add(a: Self, b: Self) -> Self {
             _mm256_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: Self, b: Self) -> Self {
+            _mm256_sub_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: Self, b: Self) -> Self {
+            _mm256_mul_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn prefetch(p: *const f32) {
+            prefetch_line::<_MM_HINT_T0>(p)
+        }
+        #[inline(always)]
+        unsafe fn prefetch_write(p: *mut f32) {
+            prefetch_line::<_MM_HINT_ET0>(p)
         }
         /// 8×8: 4×4 transposes inside the 128-bit halves (unpack, then
         /// shuffle), then the halves of rows `c` and `4 + c` regrouped.
@@ -1462,6 +1808,22 @@ mod x86 {
         #[inline(always)]
         unsafe fn add(a: Self, b: Self) -> Self {
             _mm512_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: Self, b: Self) -> Self {
+            _mm512_sub_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: Self, b: Self) -> Self {
+            _mm512_mul_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn prefetch(p: *const f32) {
+            prefetch_line::<_MM_HINT_T0>(p)
+        }
+        #[inline(always)]
+        unsafe fn prefetch_write(p: *mut f32) {
+            prefetch_line::<_MM_HINT_ET0>(p)
         }
         /// 16×16: 4×4 transposes inside the 128-bit quarters (unpack, then
         /// shuffle), then a 4×4 transpose of whole quarters among rows
@@ -1678,15 +2040,29 @@ mod x86 {
     pub(super) unsafe fn axpy_avx512(av: f32, b: &[f32], c: &mut [f32], zero_init: bool) {
         super::axpy_sweep::<__m512>(av, b, c, zero_init)
     }
+
+    /// See [`conv_forward_avx2`]. Two `__m256` a cache line.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn sweep_avx2(a: SweepArgs, g: GradView<'_>) {
+        super::sweep_any::<__m256>(a, g)
+    }
+
+    /// See [`conv_forward_avx2`]. One `__m512` a cache line.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn sweep_avx512(a: SweepArgs, g: GradView<'_>) {
+        super::sweep_any::<__m512>(a, g)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::gemm::tests::{assert_bits_eq, rand_vec};
     use super::*;
+    use crate::Tensor;
 
     #[test]
     fn tiers_order_and_clamp() {
+        let _g = tier_lock();
         assert!(SimdTier::Scalar < SimdTier::Avx2Fma);
         assert!(SimdTier::Avx2Fma < SimdTier::Avx512Fma);
         // set_tier clamps to the CPU's capability and round-trips.
@@ -2047,5 +2423,171 @@ mod tests {
     #[test]
     fn axpy_kernel_is_bit_identical_at_every_lane_type() {
         on_every_lane_type!(axpy_matches_the_one_lane_sweep);
+    }
+
+    /// Serializes the tests that flip the process's tier, so each checks
+    /// the tier it set.
+    static TIER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn tier_lock() -> std::sync::MutexGuard<'static, ()> {
+        TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The NaN an x86 core makes itself (`0·∞`, `∞ − ∞`), and the only one
+    /// the sweep's inputs hold: which of two NaN operands an operation
+    /// returns follows its operand order, which the compiler may swap for a
+    /// product or a sum, so with one NaN in play every lane's bits are
+    /// fixed.
+    const NAN: f32 = f32::from_bits(0xFFC0_0000);
+
+    /// Ordinary values with every eighth one an edge case: ±0, a
+    /// subnormal, ±∞ or NaN.
+    fn with_edges(len: usize, seed: u64) -> Vec<f32> {
+        let edges = [
+            0.0,
+            -0.0,
+            1.0e-40,
+            -3.0e-41,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            NAN,
+        ];
+        let mut xs = rand_vec(len, seed);
+        for (i, x) in xs.iter_mut().enumerate().skip(seed as usize % 8).step_by(8) {
+            *x = edges[(i / 8) % edges.len()];
+        }
+        xs
+    }
+
+    /// The scalar loop the sweep kernel replaced: the reference it answers
+    /// to, operation for operation.
+    fn reference_sweep(
+        k: SweepScalars,
+        g: &[f32],
+        v: &mut [f32],
+        w: &mut [f32],
+        mut prev: Option<&mut [f32]>,
+        mut next: Option<(&mut [f32], Predict)>,
+    ) {
+        for i in 0..g.len() {
+            let gi = g[i] * k.grad_scale;
+            let w_old = w[i];
+            let vi = k.momentum * v[i] + gi;
+            let wi = w_old - k.lr * (k.a * vi + k.b * gi);
+            v[i] = vi;
+            w[i] = wi;
+            if let Some(prev) = prev.as_deref_mut() {
+                prev[i] = w_old;
+            }
+            if let Some((next, predict)) = next.as_mut() {
+                next[i] = match *predict {
+                    Predict::Copy => wi,
+                    Predict::Velocity { alpha } => wi + alpha * vi,
+                    Predict::WeightDiff { horizon } => wi + horizon * (wi - w_old),
+                };
+            }
+        }
+    }
+
+    /// Fresh `v`, `w`, `prev` and `next` buffers of `n` floats, each with a
+    /// sentinel one float past its end, after `sweep` has run on the first
+    /// `n` of each.
+    fn swept(
+        n: usize,
+        sweep: impl FnOnce(&mut [f32], &mut [f32], &mut [f32], &mut [f32]),
+    ) -> [Vec<f32>; 4] {
+        let mut bufs = [
+            with_edges(n, 4),
+            with_edges(n, 5),
+            rand_vec(n, 6),
+            rand_vec(n, 6),
+        ];
+        for b in &mut bufs {
+            b.push(SENTINEL);
+        }
+        let [v, w, prev, next] = &mut bufs;
+        sweep(&mut v[..n], &mut w[..n], &mut prev[..n], &mut next[..n]);
+        bufs
+    }
+
+    /// [`sgdm_sweep`] on every tier the CPU has, through `set_tier`,
+    /// against [`reference_sweep`]: every side output with and without the
+    /// `prev` copy, dense runs and factored rows, runs of every length to
+    /// past two `__m512` cache lines and one long enough to reach the
+    /// prefetch distance, edge-case inputs, a gradient scale of one and of
+    /// 0.3, and plain SGDM's and SCD's `a`, `b`. Same bits everywhere,
+    /// nothing written past the run.
+    #[test]
+    fn sgdm_sweep_matches_the_scalar_loop_on_every_tier() {
+        let _g = tier_lock();
+        let tiers: Vec<SimdTier> = [SimdTier::Scalar, SimdTier::Avx2Fma, SimdTier::Avx512Fma]
+            .into_iter()
+            .filter(|&t| t <= detected_tier())
+            .collect();
+        let predicts = [
+            None,
+            Some(Predict::Copy),
+            Some(Predict::Velocity { alpha: -0.35 }),
+            Some(Predict::WeightDiff { horizon: 2.0 }),
+        ];
+        // Plain SGDM, then SCD's coefficients at m = 0.9 and a delay of 4.
+        let coeffs = [(1.0, 0.0), (0.6561, 3.439)];
+        let mut cases = Vec::new();
+        for grad_scale in [1.0, 0.3] {
+            for (a, b) in coeffs {
+                for with_prev in [false, true] {
+                    for predict in predicts {
+                        let k = SweepScalars {
+                            grad_scale,
+                            momentum: 0.9,
+                            lr: 0.05,
+                            a,
+                            b,
+                        };
+                        cases.push((k, with_prev, predict));
+                    }
+                }
+            }
+        }
+        for cols in (0..=40).chain([1031]) {
+            for rows in [None, Some(3)] {
+                let n = rows.unwrap_or(1) * cols;
+                let (delta, x) = (with_edges(rows.unwrap_or(0), 1), with_edges(cols, 2));
+                let dense = Tensor::from_vec(with_edges(n, 3), &[n]).expect("n values");
+                let g = match rows {
+                    Some(_) => GradView::Outer {
+                        delta: &delta,
+                        x: &x,
+                    },
+                    None => GradView::Dense(&dense),
+                };
+                let g_ref = g.dense();
+                for &(k, with_prev, predict) in &cases {
+                    let want = swept(n, |v, w, prev, next| {
+                        let prev = with_prev.then_some(prev);
+                        let next = predict.map(|p| (next, p));
+                        reference_sweep(k, g_ref.as_slice(), v, w, prev, next)
+                    });
+                    for &tier in &tiers {
+                        set_tier(tier);
+                        assert_eq!(active_tier(), tier);
+                        let got = swept(n, |v, w, prev, next| {
+                            let prev = with_prev.then_some(prev);
+                            sgdm_sweep(k, g, v, w, prev, predict.map(|p| (next, p)))
+                        });
+                        let context = format!(
+                            "{} rows={rows:?} cols={cols} {k:?} prev={with_prev} next={predict:?}",
+                            tier.name()
+                        );
+                        for (buf, (got, want)) in
+                            ["v", "w", "prev", "next"].iter().zip(got.iter().zip(&want))
+                        {
+                            assert_bits_eq(got, want, &format!("{context}: {buf}"));
+                        }
+                    }
+                }
+            }
+        }
+        set_tier(detected_tier());
     }
 }

@@ -5,6 +5,9 @@
 //! denominator — measures too) and from registers alone (`peak`, the
 //! core's own ceiling, which the GEMM's rate sits well below).
 //!
+//! Beside the memory rate a plain loop reaches (`triad`) stands the one
+//! the optimizer's update sweep reaches on `fc0`'s shape (`sweep`).
+//!
 //! Two threads that each keep their solo rate are two cores; two that
 //! halve it are SMT siblings of one. README §Performance and DESIGN §15
 //! read the ledger's Eq. 1 ratios against what this prints.
@@ -14,6 +17,8 @@
 //! ```
 
 use pipelined_backprop::tensor::ops::gemm_nn;
+use pipelined_backprop::tensor::ops::simd::{sgdm_sweep, Predict, SweepScalars};
+use pipelined_backprop::tensor::GradView;
 use std::hint::black_box;
 use std::sync::Barrier;
 use std::time::Instant;
@@ -160,14 +165,56 @@ fn triad(gate: &Barrier) -> f64 {
     (12 * N * REPS) as f64 / start.elapsed().as_secs_f64() / 1e9
 }
 
+/// The update sweep on `fc0`'s shape, through the optimizer's kernel: a
+/// `256×1024` weight's SGDM + SCD step that also writes the velocity-form
+/// forward version (LWPvD + SCD, as the ledger trains), its gradient the
+/// factored outer product a batch-of-one `Linear` leaves, each step writing
+/// the next of four version buffers as a pipeline's version queue does.
+/// Five 1 MB streams a step (`v` and `w` read and written, `ŵ` written):
+/// GB/s, to read beside `triad`.
+fn sweep(gate: &Barrier) -> f64 {
+    const ROWS: usize = 256;
+    const COLS: usize = 1024;
+    const VERSIONS: usize = 4;
+    const REPS: usize = 2_000;
+    let n = ROWS * COLS;
+    let (delta, x) = (vec![1e-3f32; ROWS], vec![0.5f32; COLS]);
+    let (mut v, mut w) = (vec![0.0f32; n], vec![0.1f32; n]);
+    let mut versions = vec![vec![0.0f32; n]; VERSIONS];
+    let k = SweepScalars {
+        grad_scale: 1.0,
+        momentum: 0.9,
+        lr: 1e-3,
+        a: 0.6561,
+        b: 3.439,
+    };
+    let grad = GradView::Outer {
+        delta: &delta,
+        x: &x,
+    };
+    let predict = Predict::Velocity { alpha: -4e-3 };
+    let mut run = |reps: usize| {
+        for r in 0..reps {
+            let next = &mut versions[r % VERSIONS];
+            sgdm_sweep(k, grad, &mut v, &mut w, None, Some((next, predict)));
+        }
+    };
+    run(REPS / 8);
+    gate.wait();
+    let start = Instant::now();
+    run(REPS);
+    (5 * 4 * n * REPS) as f64 / start.elapsed().as_secs_f64() / 1e9
+}
+
 fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     println!("logical CPUs: {cpus}");
     type Load = fn(&Barrier) -> f64;
-    let rows: [(&str, &str, Load); 3] = [
+    let rows: [(&str, &str, Load); 4] = [
         ("fma", "GFLOP/s", fma),
         ("peak", "GFLOP/s", peak),
         ("triad", "GB/s", triad),
+        ("sweep", "GB/s", sweep),
     ];
     for (name, unit, work) in rows {
         let alone = at_once(1, work)[0];

@@ -163,6 +163,14 @@ if [[ -n $stray ]]; then
   exit 1
 fi
 
+echo "== one source for the update sweep (grep lint) =="
+# Every optimizer step is one per-tier kernel, simd::sgdm_sweep (DESIGN
+# §15), reached only through SgdmState::sweep in sgdm.rs: a second update
+# loop beside it would be a second rounding of SGDM + SC + LWP. Prefetch
+# hints are the kernels' business, issued through `Lanes` in simd.rs.
+lint_only_in 'sgdm_sweep(' 'simd|sgdm'
+lint_only_in '_mm_prefetch' 'simd'
+
 echo "== one source for the GroupNorm statistics (grep lint) =="
 # A group's mean and squared deviation are f64 chains in element order,
 # computed by one per-tier kernel, simd::group_moments (DESIGN §7), which
@@ -250,8 +258,12 @@ echo "== env escape hatches (PBP_SIMD / PBP_THREADS read from the environment, n
 # batch-size invariance per builder on those tiers as well, batched
 # evaluation on the default pool, and serving's coalesced reply ≡ solo
 # forward, whose batched `Linear` runs the tier's own pack and tile height.
+# Every optimizer step is the tier's own update sweep, so the optimizer
+# suite and the engines' bit-identity run on each tier too.
 for tier in 0 avx2; do
   PBP_SIMD=$tier cargo test -q --test proptest_kernels
+  PBP_SIMD=$tier cargo test -q -p pbp-optim
+  PBP_SIMD=$tier cargo test -q --test engine_equivalence
   PBP_SIMD=$tier cargo test -q -p pbp-nn --test eval_equivalence
   PBP_SIMD=$tier cargo test -q -p pbp-pipeline --test batched_eval
   PBP_SIMD=$tier cargo test -q -p pbp-serve
