@@ -664,10 +664,9 @@ fn fresh_rank(net: &Network, spec: &RankSpec, tracer: &Tracer) -> RankLoop {
 
 /// Splices every rank's owned stages into `target`: stage `s`'s
 /// parameters are copied from the outcome network of the rank owning
-/// `s`. Layer running state (batch-norm statistics etc.) follows the
-/// parameters via the per-stage snapshot/load path, which copies
-/// parameters only — matching the MLP scope of the distributed smoke
-/// runs; stateful layers additionally travel inside rank snapshots.
+/// `s`. The per-stage snapshot/load path copies parameters only — matching
+/// the MLP scope of the distributed smoke runs; non-parameter layer state
+/// (a dropout RNG position) travels inside rank snapshots.
 pub fn splice_owned_stages(target: &mut Network, topology: &Topology, rank_nets: &[Network]) {
     assert_eq!(rank_nets.len(), topology.world(), "one network per rank");
     for (rank, net) in rank_nets.iter().enumerate() {

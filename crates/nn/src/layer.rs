@@ -106,9 +106,9 @@ pub trait Layer: Send + Any {
     /// Resets the accumulated parameter gradients to zero.
     fn zero_grads(&mut self) {}
 
-    /// Switches between training and evaluation behaviour (dropout,
-    /// batch-norm statistics — and the stash). Default: no-op, for layers
-    /// that stash nothing in either mode.
+    /// Switches between training and evaluation behaviour (dropout and
+    /// the stash). Default: no-op, for layers that stash nothing in either
+    /// mode.
     ///
     /// After `set_training(false)` a forward owes its caller the output and
     /// nothing else: it may consume the tensor it popped (normalize or
@@ -118,11 +118,7 @@ pub trait Layer: Send + Any {
     /// meets the layer's "no stash" panic. The output is bit for bit the
     /// training-mode one wherever the two modes compute the same function.
     /// Layers get the stash half of this by keeping their operands in a
-    /// `Stash`, which drops what it is handed in eval mode. Two layers keep
-    /// an eval-mode backward, as identity or frozen maps, on a plain
-    /// `VecDeque`: `Dropout` queues a mask-less marker per forward and
-    /// `OnlineNorm` its normalized output, so callers that evaluate still
-    /// call [`Layer::clear_stash`].
+    /// `Stash`, which drops what it is handed in eval mode.
     fn set_training(&mut self, _training: bool) {}
 
     /// Drops all stashed activations: when a pipeline is flushed, or after
@@ -143,19 +139,19 @@ pub trait Layer: Send + Any {
     /// and a deliberate *underestimate* for convolutions (which reuse each
     /// weight across every output pixel); conv layers override this with
     /// their spatially-resolved cost once their builder
-    /// (`Conv2d::with_input_size`: `vgg_cnn`, `vgg`, `vgg_gn`) or a first
-    /// forward pass has told them the input size. Builders that take any
+    /// (`Conv2d::with_input_size`: `vgg_cnn`, `vgg`) or a first forward
+    /// pass has told them the input size. Builders that take any
     /// image size (`resnet_cifar`, `simple_cnn*`) leave it to the forward,
     /// so a fresh network of theirs and a warmed one report differently.
     fn flops_per_sample(&self) -> u64 {
         2 * self.param_count() as u64
     }
 
-    /// Serialized non-parameter state: running statistics, streaming
-    /// normalizer control variables, RNG positions — anything besides the
-    /// parameters that influences future computation. `None` (the
-    /// default) marks the layer stateless; activation stashes are *not*
-    /// state, because snapshots are only taken with empty pipelines.
+    /// Serialized non-parameter state: anything besides the parameters
+    /// that influences future computation, such as `Dropout`'s RNG
+    /// position. `None` (the default) marks the layer stateless; activation
+    /// stashes are *not* state, because snapshots are only taken with empty
+    /// pipelines.
     fn state_bytes(&self) -> Option<Vec<u8>> {
         None
     }

@@ -6,20 +6,16 @@
 
 mod activation;
 mod conv;
-mod frn;
 mod linear;
 mod norm;
-mod online_norm;
 mod pool;
 mod structure;
 mod wsconv;
 
 pub use activation::{Dropout, Relu};
 pub use conv::Conv2d;
-pub use frn::{FilterResponseNorm, Tlu};
 pub use linear::Linear;
-pub use norm::{BatchNorm2d, GroupNorm};
-pub use online_norm::OnlineNorm;
+pub use norm::GroupNorm;
 pub use pool::{AvgPool2d, GlobalAvgPool2d, MaxPool2d};
 pub use structure::{AddLanes, Dup, Flatten, MapLane};
 pub use wsconv::WsConv2d;

@@ -1,18 +1,13 @@
-//! Normalization layers.
+//! Group normalization.
 //!
-//! The paper trains at a per-worker batch size of one, which rules out batch
-//! normalization; it substitutes group normalization (Wu & He, 2018).
-//! [`BatchNorm2d`] is still provided for the delayed-gradient simulation
-//! experiments that run at batch size > 1 and for the discussion-section
-//! comparison (BN appears to mask delay effects relative to GN).
+//! The paper trains at a per-worker batch size of one, where batch
+//! statistics do not exist; it normalizes with group normalization
+//! (Wu & He, 2018), which needs only the sample itself.
 
 use super::activation::relu_mask;
 use crate::layer::{LaneStack, Layer, Stash};
 use pbp_tensor::ops::simd;
 use pbp_tensor::{pool, GradView, Tensor};
-
-/// Per-sample stash: normalized activations plus per-group inverse stds.
-type NormStash = (Tensor, Vec<f32>);
 
 /// Group normalization over `[N, C, H, W]`.
 ///
@@ -29,7 +24,7 @@ pub struct GroupNorm {
     grad_beta: Tensor,
     /// FIFO of (normalized activations, per-group inverse std); eval mode
     /// normalizes the popped tensor in place and stashes nothing.
-    stash: Stash<NormStash>,
+    stash: Stash<(Tensor, Vec<f32>)>,
 }
 
 impl GroupNorm {
@@ -299,201 +294,6 @@ impl Layer for GroupNorm {
     }
 }
 
-/// Batch normalization over `[N, C, H, W]` (statistics over N, H, W per
-/// channel). Requires batch parallelism; provided for reference experiments.
-#[derive(Debug)]
-pub struct BatchNorm2d {
-    channels: usize,
-    eps: f32,
-    momentum: f32,
-    gamma: Tensor,
-    beta: Tensor,
-    grad_gamma: Tensor,
-    grad_beta: Tensor,
-    running_mean: Vec<f32>,
-    running_var: Vec<f32>,
-    /// Also the mode: batch statistics when training, running ones in eval.
-    stash: Stash<NormStash>,
-}
-
-impl BatchNorm2d {
-    /// Creates a batch-norm layer with default momentum 0.1.
-    pub fn new(channels: usize) -> Self {
-        BatchNorm2d {
-            channels,
-            eps: 1e-5,
-            momentum: 0.1,
-            gamma: Tensor::ones(&[channels]),
-            beta: Tensor::zeros(&[channels]),
-            grad_gamma: Tensor::zeros(&[channels]),
-            grad_beta: Tensor::zeros(&[channels]),
-            running_mean: vec![0.0; channels],
-            running_var: vec![1.0; channels],
-            stash: Stash::default(),
-        }
-    }
-}
-
-impl Layer for BatchNorm2d {
-    fn name(&self) -> String {
-        format!("batchnorm(c={})", self.channels)
-    }
-
-    fn forward(&mut self, stack: &mut LaneStack) {
-        let x = stack.pop().expect("batchnorm: empty stack");
-        assert_eq!(x.rank(), 4, "batchnorm expects NCHW");
-        let [n, c, h, w] = [x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]];
-        assert_eq!(c, self.channels, "batchnorm channel mismatch");
-        let m = n * h * w;
-        let xs = x.as_slice();
-        let mut xhat = Tensor::zeros(x.shape());
-        let mut y = Tensor::zeros(x.shape());
-        let mut inv_stds = vec![0.0f32; c];
-        {
-            let xh = xhat.as_mut_slice();
-            let ys = y.as_mut_slice();
-            for ch in 0..c {
-                let (mean, var) = if self.stash.training() {
-                    let mut mean = 0.0f64;
-                    for ni in 0..n {
-                        let base = (ni * c + ch) * h * w;
-                        for p in 0..h * w {
-                            mean += xs[base + p] as f64;
-                        }
-                    }
-                    mean /= m as f64;
-                    let mut var = 0.0f64;
-                    for ni in 0..n {
-                        let base = (ni * c + ch) * h * w;
-                        for p in 0..h * w {
-                            let d = xs[base + p] as f64 - mean;
-                            var += d * d;
-                        }
-                    }
-                    var /= m as f64;
-                    self.running_mean[ch] =
-                        (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean as f32;
-                    self.running_var[ch] =
-                        (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var as f32;
-                    (mean, var)
-                } else {
-                    (self.running_mean[ch] as f64, self.running_var[ch] as f64)
-                };
-                let inv_std = 1.0 / (var + self.eps as f64).sqrt();
-                inv_stds[ch] = inv_std as f32;
-                let (gam, bet) = (self.gamma.as_slice()[ch], self.beta.as_slice()[ch]);
-                for ni in 0..n {
-                    let base = (ni * c + ch) * h * w;
-                    for p in 0..h * w {
-                        let xn = ((xs[base + p] as f64 - mean) * inv_std) as f32;
-                        xh[base + p] = xn;
-                        ys[base + p] = gam * xn + bet;
-                    }
-                }
-            }
-        }
-        self.stash.push_back((xhat, inv_stds));
-        stack.push(y);
-    }
-
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
-        let g = grad_stack.pop().expect("batchnorm: empty grad stack");
-        let (xhat, inv_stds) = self.stash.pop_front().expect("batchnorm: no stash");
-        let [n, c, h, w] = [g.shape()[0], g.shape()[1], g.shape()[2], g.shape()[3]];
-        let m = n * h * w;
-        let gs = g.as_slice();
-        let xh = xhat.as_slice();
-        let mut gx = Tensor::zeros(g.shape());
-        {
-            let gxs = gx.as_mut_slice();
-            let gg = self.grad_gamma.as_mut_slice();
-            let gb = self.grad_beta.as_mut_slice();
-            for ch in 0..c {
-                let gam = self.gamma.as_slice()[ch];
-                let mut sum_dy = 0.0f64;
-                let mut sum_dy_xhat = 0.0f64;
-                for ni in 0..n {
-                    let base = (ni * c + ch) * h * w;
-                    for p in 0..h * w {
-                        sum_dy += gs[base + p] as f64;
-                        sum_dy_xhat += gs[base + p] as f64 * xh[base + p] as f64;
-                    }
-                }
-                gg[ch] += sum_dy_xhat as f32;
-                gb[ch] += sum_dy as f32;
-                let mean_dxhat = gam as f64 * sum_dy / m as f64;
-                let mean_dxhat_xhat = gam as f64 * sum_dy_xhat / m as f64;
-                for ni in 0..n {
-                    let base = (ni * c + ch) * h * w;
-                    for p in 0..h * w {
-                        let dxhat = gs[base + p] as f64 * gam as f64;
-                        gxs[base + p] = (inv_stds[ch] as f64
-                            * (dxhat - mean_dxhat - xh[base + p] as f64 * mean_dxhat_xhat))
-                            as f32;
-                    }
-                }
-            }
-        }
-        grad_stack.push(gx);
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.gamma, &self.beta]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.gamma, &mut self.beta]
-    }
-
-    fn grads(&self) -> Vec<GradView<'_>> {
-        vec![(&self.grad_gamma).into(), (&self.grad_beta).into()]
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
-        vec![
-            (&mut self.gamma, (&self.grad_gamma).into()),
-            (&mut self.beta, (&self.grad_beta).into()),
-        ]
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_gamma.fill(0.0);
-        self.grad_beta.fill(0.0);
-    }
-
-    fn set_training(&mut self, training: bool) {
-        self.stash.set_training(training);
-    }
-
-    fn clear_stash(&mut self) {
-        self.stash.clear();
-    }
-
-    fn state_bytes(&self) -> Option<Vec<u8>> {
-        let mut w = pbp_snapshot::StateWriter::new();
-        w.put_f32_slice(&self.running_mean);
-        w.put_f32_slice(&self.running_var);
-        Some(w.into_bytes())
-    }
-
-    fn load_state_bytes(&mut self, bytes: &[u8]) -> Result<(), pbp_snapshot::SnapshotError> {
-        let mut r = pbp_snapshot::StateReader::new(bytes);
-        let mean = r.take_f32_vec()?;
-        let var = r.take_f32_vec()?;
-        r.finish()?;
-        if mean.len() != self.channels || var.len() != self.channels {
-            return Err(pbp_snapshot::SnapshotError::Mismatch(format!(
-                "batchnorm state for {} channels, layer has {}",
-                mean.len(),
-                self.channels
-            )));
-        }
-        self.running_mean = mean;
-        self.running_var = var;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -749,44 +549,6 @@ mod tests {
         let mut s = vec![x];
         gn.forward(&mut s);
         assert!(s[0].all_finite());
-    }
-
-    #[test]
-    fn batchnorm_train_normalizes_per_channel() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let x = pbp_tensor::normal(&[8, 3, 4, 4], 2.0, 2.0, &mut rng);
-        let mut bn = BatchNorm2d::new(3);
-        let mut s = vec![x];
-        bn.forward(&mut s);
-        let y = s.pop().unwrap();
-        for ch in 0..3 {
-            let mut vals = Vec::new();
-            for ni in 0..8 {
-                let base = (ni * 3 + ch) * 16;
-                vals.extend_from_slice(&y.as_slice()[base..base + 16]);
-            }
-            let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
-            assert!(mean.abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn batchnorm_eval_uses_running_stats() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut bn = BatchNorm2d::new(2);
-        // Train on several batches so running stats move toward N(3, 1).
-        for _ in 0..200 {
-            let x = pbp_tensor::normal(&[16, 2, 2, 2], 3.0, 1.0, &mut rng);
-            let mut s = vec![x];
-            bn.forward(&mut s);
-            bn.clear_stash();
-        }
-        bn.set_training(false);
-        let x = Tensor::full(&[1, 2, 2, 2], 3.0);
-        let mut s = vec![x];
-        bn.forward(&mut s);
-        // Input at the running mean should map to roughly zero.
-        assert!(s[0].as_slice().iter().all(|v| v.abs() < 0.2));
     }
 
     #[test]

@@ -27,4 +27,4 @@ mod vgg;
 
 pub use mlp::{mlp, simple_cnn, simple_cnn_ws, vgg_cnn};
 pub use resnet::{resnet50_like, resnet_cifar, ResNetConfig};
-pub use vgg::{vgg, vgg_gn, VggVariant};
+pub use vgg::{vgg, VggVariant};

@@ -4,13 +4,12 @@
 //! in the classifier.
 //!
 //! Stage partitioning: each convolution is two pipeline stages (conv, then
-//! relu — optionally with a group norm fused into the relu stage via
-//! [`vgg_gn`]), one stage per max-pool, and a seven-stage classifier. This
+//! relu), one stage per max-pool, and a seven-stage classifier. This
 //! reproduces Table 1's counts exactly (VGG11 = 29, VGG13 = 33, VGG16 = 39
 //! including the loss stage).
 
 use crate::layer::Layer;
-use crate::layers::{Conv2d, Dropout, Flatten, GroupNorm, Linear, MaxPool2d, Relu};
+use crate::layers::{Conv2d, Dropout, Flatten, Linear, MaxPool2d, Relu};
 use crate::network::{Network, Stage};
 use rand::Rng;
 
@@ -50,7 +49,7 @@ impl VggVariant {
     }
 
     /// Pipeline stage count (incl. the loss stage) this variant produces:
-    /// `2·convs (conv, gn+relu) + 5 pools + 7 classifier + 1 loss`,
+    /// `2·convs (conv, relu) + 5 pools + 7 classifier + 1 loss`,
     /// matching Table 1 (29 / 33 / 39).
     pub fn expected_stage_count(&self) -> usize {
         2 * self.conv_count() + 5 + 7 + 1
@@ -89,51 +88,6 @@ pub fn vgg(
     dropout_p: f32,
     rng: &mut impl Rng,
 ) -> Network {
-    vgg_impl(
-        variant,
-        width_divisor,
-        in_channels,
-        num_classes,
-        dropout_p,
-        false,
-        rng,
-    )
-}
-
-/// [`vgg`] with a group normalization fused into each post-conv stage —
-/// the batch-size-one-friendly variant. Same stage counts.
-///
-/// # Panics
-///
-/// Panics if `width_divisor == 0` or it does not divide the base widths.
-pub fn vgg_gn(
-    variant: VggVariant,
-    width_divisor: usize,
-    in_channels: usize,
-    num_classes: usize,
-    dropout_p: f32,
-    rng: &mut impl Rng,
-) -> Network {
-    vgg_impl(
-        variant,
-        width_divisor,
-        in_channels,
-        num_classes,
-        dropout_p,
-        true,
-        rng,
-    )
-}
-
-fn vgg_impl(
-    variant: VggVariant,
-    width_divisor: usize,
-    in_channels: usize,
-    num_classes: usize,
-    dropout_p: f32,
-    group_norm: bool,
-    rng: &mut impl Rng,
-) -> Network {
     assert!(width_divisor > 0, "width divisor must be positive");
     let mut stages: Vec<Stage> = Vec::new();
     let mut c = in_channels;
@@ -154,20 +108,10 @@ fn vgg_impl(
                     format!("conv{conv_idx}"),
                     vec![Box::new(conv) as Box<dyn Layer>],
                 ));
-                if group_norm {
-                    stages.push(Stage::new(
-                        format!("gnrelu{conv_idx}"),
-                        vec![
-                            Box::new(GroupNorm::with_group_size_two(out)) as Box<dyn Layer>,
-                            Box::new(Relu::new()),
-                        ],
-                    ));
-                } else {
-                    stages.push(Stage::new(
-                        format!("relu{conv_idx}"),
-                        vec![Box::new(Relu::new()) as Box<dyn Layer>],
-                    ));
-                }
+                stages.push(Stage::new(
+                    format!("relu{conv_idx}"),
+                    vec![Box::new(Relu::new()) as Box<dyn Layer>],
+                ));
                 c = out;
                 conv_idx += 1;
             }
@@ -262,7 +206,6 @@ mod tests {
         net.set_training(false);
         let x = pbp_tensor::normal(&[1, 3, 32, 32], 0.0, 1.0, &mut rng);
         let a = net.forward(&x);
-        net.clear_stash();
         let b = net.forward(&x);
         assert_eq!(a.as_slice(), b.as_slice());
     }

@@ -7,10 +7,9 @@
 //!   list (rank, dims, bit-exact `f32` data). Only parameters are stored
 //!   here; optimizer state (velocities, weight-version queues) travels in
 //!   the engines' own sections.
-//! * `"net.state"` — per-layer non-parameter state (batch-norm running
-//!   statistics, online-norm streaming control variables, dropout RNG
-//!   position), keyed positionally: stage count, then per stage the
-//!   layer count and one optional byte buffer per layer.
+//! * `"net.state"` — per-layer non-parameter state (a dropout layer's RNG
+//!   position), keyed positionally: stage count, then per stage the layer
+//!   count and one optional byte buffer per layer.
 //!
 //! Activation stashes are deliberately absent: snapshots are only taken
 //! with an empty pipeline (nothing in flight), which every engine
@@ -131,7 +130,7 @@ pub fn read_network(net: &mut Network, archive: &SnapshotArchive) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{BatchNorm2d, Dropout, Linear, OnlineNorm, Relu};
+    use crate::layers::{Dropout, Linear, Relu};
     use crate::network::Stage;
     use pbp_tensor::Tensor;
     use rand::rngs::StdRng;
@@ -148,12 +147,8 @@ mod tests {
                 ],
             ),
             Stage::new(
-                "norms",
-                vec![
-                    Box::new(BatchNorm2d::new(2)),
-                    Box::new(OnlineNorm::new(2)),
-                    Box::new(Relu::new()),
-                ],
+                "relu-drop",
+                vec![Box::new(Relu::new()), Box::new(Dropout::new(0.5, 7))],
             ),
         ])
     }
@@ -165,7 +160,7 @@ mod tests {
             let mut stack = vec![pbp_tensor::normal(&[1, 8], 0.0, 1.0, &mut rng)];
             net.stage_mut(0).forward(&mut stack);
             net.stage_mut(0).clear_stash();
-            // Stage 1 path: NCHW image through the norm layers.
+            // Stage 1 path: NCHW image through relu + a second dropout.
             let mut stack = vec![pbp_tensor::normal(&[1, 2, 3, 3], 1.0, 2.0, &mut rng)];
             net.stage_mut(1).forward(&mut stack);
             net.stage_mut(1).clear_stash();

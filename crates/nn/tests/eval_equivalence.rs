@@ -18,8 +18,8 @@
 
 use pbp_nn::layer::Layer;
 use pbp_nn::layers::{
-    AvgPool2d, Conv2d, FilterResponseNorm, Flatten, GlobalAvgPool2d, GroupNorm, Linear, MaxPool2d,
-    Relu, Tlu, WsConv2d,
+    AvgPool2d, Conv2d, Dropout, Flatten, GlobalAvgPool2d, GroupNorm, Linear, MaxPool2d, Relu,
+    WsConv2d,
 };
 use pbp_nn::Stage;
 use pbp_tensor::{pool, Tensor};
@@ -213,14 +213,13 @@ fn pooling_layers() {
     assert_eval_is_training_forward("global avgpool", &mut GlobalAvgPool2d::new(), &[3, 4, 5]);
 }
 
+/// At `p = 0` both modes are the identity; the training-mode forward
+/// still queues a mask-less marker for its backward, the eval-mode one
+/// nothing.
 #[test]
-fn filter_response_norm_and_tlu() {
-    let mut frn = FilterResponseNorm::new(4);
-    perturb_params(&mut frn);
-    assert_eval_is_training_forward("frn", &mut frn, &[4, 3, 3]);
-    let mut tlu = Tlu::new(4);
-    perturb_params(&mut tlu);
-    assert_eval_is_training_forward("tlu", &mut tlu, &[4, 3, 3]);
+fn dropout_at_rate_zero() {
+    let mut dropout = Dropout::new(0.0, 3);
+    assert_eval_is_training_forward("dropout p=0", &mut dropout, &[4, 3, 3]);
 }
 
 /// The training-mode forward of each sample of `x` alone through `stage`,

@@ -5,9 +5,7 @@
 //! differences of a random linear functional of the output.
 
 use pbp_nn::layer::Layer;
-use pbp_nn::layers::{
-    Conv2d, FilterResponseNorm, GroupNorm, Linear, OnlineNorm, Relu, Tlu, WsConv2d,
-};
+use pbp_nn::layers::{Conv2d, GroupNorm, Linear, Relu, WsConv2d};
 use pbp_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -185,38 +183,11 @@ proptest! {
     }
 
     #[test]
-    fn frn_gradcheck(channels in 1usize..4, seed in 0u64..500) {
-        let mut layer = FilterResponseNorm::new(channels);
-        let x = rand_input(&[1, channels, 4, 4], seed ^ 1);
-        gradcheck(&mut layer, &x, seed ^ 2, 0.08).map_err(TestCaseError::fail)?;
-    }
-
-    #[test]
-    fn tlu_gradcheck(channels in 1usize..4, seed in 0u64..500) {
-        let mut layer = Tlu::new(channels);
-        // Keep inputs away from the threshold kink (fd is invalid there).
-        let mut x = rand_input(&[1, channels, 4, 4], seed ^ 1);
-        x.map_in_place(|v| if v.abs() < 0.1 { v + 0.2 } else { v });
-        gradcheck(&mut layer, &x, seed ^ 2, 0.08).map_err(TestCaseError::fail)?;
-    }
-
-    #[test]
     fn relu_gradcheck(seed in 0u64..500) {
         let mut layer = Relu::new();
         let mut x = rand_input(&[1, 12], seed ^ 1);
         // Avoid the kink at zero.
         x.map_in_place(|v| if v.abs() < 0.1 { v + 0.2 } else { v });
         gradcheck(&mut layer, &x, seed ^ 2, 0.05).map_err(TestCaseError::fail)?;
-    }
-
-    #[test]
-    fn online_norm_eval_gradcheck(channels in 1usize..3, seed in 0u64..500) {
-        // In training mode ON's statistics move during the fd probes, so
-        // gradcheck is run in eval mode (frozen statistics, control process
-        // frozen too) where the layer is a fixed affine-normalizing map.
-        let mut layer = OnlineNorm::new(channels);
-        layer.set_training(false);
-        let x = rand_input(&[1, channels, 3, 3], seed ^ 1);
-        gradcheck(&mut layer, &x, seed ^ 2, 0.08).map_err(TestCaseError::fail)?;
     }
 }

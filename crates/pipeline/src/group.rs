@@ -78,7 +78,7 @@ pub fn action_cost(stage: &Stage, phase: TracePhase) -> u64 {
 /// its update. A convolution whose builder did not say its input size
 /// counts parameter-based until its first forward (see
 /// `Layer::flops_per_sample`), so only builders that do — `vgg_cnn`,
-/// `vgg`, `vgg_gn` — are cut the same fresh and warmed.
+/// `vgg` — are cut the same fresh and warmed.
 pub fn stage_cost(stage: &Stage) -> u64 {
     let costs = ACTION_PHASES.map(|phase| action_cost(stage, phase));
     costs.iter().sum()

@@ -222,8 +222,8 @@ impl ThreadedPipeline {
 /// its parameters until its first forward. Such a net is cut differently
 /// by its first call than by later ones: `resnet_cifar` at depth 20 and
 /// width 4 cuts `[0, 24, 33]` on two workers fresh, `[0, 20, 33]` after
-/// one call on 8×8 images. Builders that state it — `vgg_cnn`, `vgg`,
-/// `vgg_gn` — are cut the same by every call and every host.
+/// one call on 8×8 images. Builders that state it — `vgg_cnn`, `vgg` —
+/// are cut the same by every call and every host.
 fn worker_bounds(net: &Network) -> Vec<usize> {
     let costs: Vec<u64> = net.stages().map(stage_cost).collect();
     partition_bounds(&costs, costs.len().min(pool::configured_threads()))

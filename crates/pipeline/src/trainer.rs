@@ -5,8 +5,7 @@ use pbp_nn::loss::{correct_count, softmax_cross_entropy_losses};
 use pbp_nn::Network;
 
 /// Evaluates classification loss and accuracy over a dataset, in eval mode
-/// (dropout off, batch-norm running statistics). The mode in force before
-/// the call is restored afterwards.
+/// (dropout off). The mode in force before the call is restored afterwards.
 ///
 /// # Batch-size invariance
 ///
@@ -24,10 +23,10 @@ use pbp_nn::Network;
 /// `batched_eval.rs` enforces the invariance.
 ///
 /// An eval-mode forward computes the output and nothing else
-/// (`pbp_nn::Layer::set_training`): no layer of the paper's networks
-/// stashes, normalization and ReLU rewrite the activation in place. The
-/// `clear_stash` after each batch is for the two layers that keep an
-/// eval-mode backward (`Dropout`'s markers, `OnlineNorm`).
+/// (`pbp_nn::Layer::set_training`): no layer stashes, normalization and
+/// ReLU rewrite the activation in place, so the batches leave nothing
+/// behind. The one `clear_stash`, at entry, drops what earlier
+/// training-mode forwards left in flight.
 pub fn evaluate(net: &mut Network, data: &Dataset, batch: usize) -> (f64, f64) {
     assert!(batch > 0, "batch must be positive");
     let was_training = net.is_training();
@@ -47,7 +46,6 @@ pub fn evaluate(net: &mut Network, data: &Dataset, batch: usize) -> (f64, f64) {
         }
         total_correct += correct_count(&logits, &labels);
         seen += labels.len();
-        net.clear_stash();
         i = hi;
     }
     net.set_training(was_training);

@@ -11,15 +11,16 @@
 //! chunk) and kernel thread caps 1, 2 and 64, on dense and convolutional
 //! networks alike.
 //!
-//! The batch-stat trap is the reason eval mode matters here: a BatchNorm
-//! layer left in training mode would normalize each batch by its own
-//! statistics, making the logits depend on who shares the batch. The tests
-//! below run a BatchNorm network through `evaluate` and demand batch-size
-//! invariance — which only holds if `evaluate` really switches to running
-//! statistics — and then check the prior mode is restored either way.
+//! Dropout is the reason eval mode matters here: a `Dropout` layer left in
+//! training mode draws a fresh mask per forward from its RNG, making the
+//! logits depend on which draws a sample meets, and so on the batch size
+//! and on every earlier call. The tests below run a dropout network through
+//! `evaluate` and demand batch-size invariance — which only holds if
+//! `evaluate` really switches dropout off — and then check the prior mode
+//! is restored either way.
 
 use pbp_data::Dataset;
-use pbp_nn::layers::{BatchNorm2d, Conv2d, Flatten, GlobalAvgPool2d, Linear, Relu};
+use pbp_nn::layers::{Conv2d, Dropout, Flatten, GlobalAvgPool2d, Linear, Relu};
 use pbp_nn::models::{mlp, resnet_cifar, simple_cnn, simple_cnn_ws, vgg, ResNetConfig, VggVariant};
 use pbp_nn::{Layer, Network, Stage};
 use pbp_pipeline::evaluate;
@@ -144,18 +145,18 @@ fn vgg_eval_metrics_are_batch_size_invariant() {
     assert!(loss.is_finite() && loss > 0.0);
 }
 
-/// A conv net with BatchNorm — the layer whose training mode breaks batch
-/// invariance. Fresh running stats (mean 0, var 1) differ wildly from any
-/// batch's own statistics, so these assertions fail loudly if `evaluate`
-/// forgets to switch to eval mode.
-fn batchnorm_net(rng: &mut StdRng) -> Network {
+/// A conv net with a half-rate `Dropout` — the layer whose training mode
+/// breaks batch invariance. Half of every feature map is zeroed by masks
+/// that differ from call to call, so these assertions fail loudly if
+/// `evaluate` forgets to switch to eval mode.
+fn dropout_net(rng: &mut StdRng) -> Network {
     Network::new(vec![
         Stage::new(
-            "conv+bn",
+            "conv+drop",
             vec![
                 Box::new(Conv2d::new(2, 6, 3, 1, 1, false, rng)) as Box<dyn Layer>,
-                Box::new(BatchNorm2d::new(6)),
                 Box::new(Relu::new()),
+                Box::new(Dropout::new(0.5, 5)),
             ],
         ),
         Stage::single(Box::new(GlobalAvgPool2d::new())),
@@ -170,17 +171,17 @@ fn batchnorm_net(rng: &mut StdRng) -> Network {
 }
 
 #[test]
-fn evaluate_switches_batchnorm_to_running_stats() {
+fn evaluate_switches_dropout_off() {
     let mut rng = StdRng::seed_from_u64(11);
-    let mut net = batchnorm_net(&mut rng);
+    let mut net = dropout_net(&mut rng);
     let data = image_dataset(33, 2, 5, 5, 3, 12);
-    assert_batch_invariant(&mut net, &data, "batchnorm net");
+    assert_batch_invariant(&mut net, &data, "dropout net");
 }
 
 #[test]
 fn evaluate_restores_the_prior_training_mode() {
     let mut rng = StdRng::seed_from_u64(13);
-    let mut net = batchnorm_net(&mut rng);
+    let mut net = dropout_net(&mut rng);
     let data = image_dataset(9, 2, 5, 5, 3, 14);
 
     assert!(net.is_training(), "networks start in training mode");

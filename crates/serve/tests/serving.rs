@@ -23,7 +23,6 @@ fn direct_logits(net: &mut Network, x: &Tensor) -> Tensor {
     shape.extend_from_slice(x.shape());
     let batched = Tensor::from_vec(x.as_slice().to_vec(), &shape).unwrap();
     let y = net.forward(&batched);
-    net.clear_stash();
     Tensor::from_vec(y.as_slice().to_vec(), &y.shape()[1..]).unwrap()
 }
 

@@ -15,12 +15,11 @@ use std::borrow::Cow;
 ///   `gemm_tn(δ, x)` stores (one fused multiply-add chain of length one
 ///   from `+0.0`, see `ops::gemm`), so a consumer cannot tell a factored
 ///   gradient from the dense one it stands for.
-/// * Hot paths read a view row by row and never materialise it: the
-///   update sweep ([`crate::ops::simd::sgdm_sweep`]) forms a factored row
-///   in registers, [`GradView::row`] into a scratch row for anyone else;
-///   [`GradView::dense`] allocates for a factored view and
-///   is for tests, diagnostics and optimizers off the pipeline's update
-///   path (Adam, gradient clipping).
+/// * The hot path never materialises a view: the update sweep
+///   ([`crate::ops::simd::sgdm_sweep`]) forms a factored row in registers.
+///   [`GradView::dense`] allocates for a factored view and is for tests,
+///   diagnostics and optimizers off the pipeline's update path (Adam,
+///   gradient clipping).
 #[derive(Debug, Clone, Copy)]
 pub enum GradView<'a> {
     /// A materialised gradient tensor.
@@ -54,38 +53,6 @@ impl<'a> GradView<'a> {
         self.len() == 0
     }
 
-    /// Number of equal-length contiguous runs [`GradView::row`] serves the
-    /// gradient in: the matrix rows of a factored view, one run covering
-    /// everything for a dense one.
-    pub fn rows(&self) -> usize {
-        match self {
-            GradView::Dense(_) => 1,
-            GradView::Outer { delta, .. } => delta.len(),
-        }
-    }
-
-    /// The values of run `r` (see [`GradView::rows`]), in flat order. A
-    /// dense view lends its storage; a factored view computes the row into
-    /// `scratch` (resized as needed) and lends that.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    pub fn row<'s>(&'s self, r: usize, scratch: &'s mut Vec<f32>) -> &'s [f32] {
-        match *self {
-            GradView::Dense(t) => {
-                assert_eq!(r, 0, "a dense gradient is one run");
-                t.as_slice()
-            }
-            GradView::Outer { delta, x } => {
-                let d = delta[r];
-                scratch.clear();
-                scratch.extend(x.iter().map(|&xi| d.mul_add(xi, 0.0)));
-                scratch
-            }
-        }
-    }
-
     /// The gradient as a tensor: borrowed when dense, materialised (an
     /// allocation the size of the weight) when factored. See the type's
     /// contract for who may call this.
@@ -94,9 +61,8 @@ impl<'a> GradView<'a> {
             GradView::Dense(t) => Cow::Borrowed(t),
             GradView::Outer { delta, x } => {
                 let mut data = Vec::with_capacity(self.len());
-                let mut scratch = Vec::new();
-                for r in 0..delta.len() {
-                    data.extend_from_slice(self.row(r, &mut scratch));
+                for &d in delta {
+                    data.extend(x.iter().map(|&xi| d.mul_add(xi, 0.0)));
                 }
                 Cow::Owned(
                     Tensor::from_vec(data, &[delta.len(), x.len()]).expect("rows × cols values"),
@@ -122,7 +88,7 @@ mod tests {
             delta: &delta,
             x: &x,
         };
-        assert_eq!((view.len(), view.rows()), (want.len(), delta.len()));
+        assert_eq!(view.len(), want.len());
         let dense = view.dense();
         assert_eq!(dense.shape(), &[delta.len(), x.len()]);
         for (got, want) in dense.as_slice().iter().zip(&want) {
@@ -134,8 +100,6 @@ mod tests {
     fn dense_view_lends_its_tensor() {
         let t = Tensor::from_slice(&[1.0, -2.0, 3.0]);
         let view = GradView::from(&t);
-        assert_eq!(view.rows(), 1);
-        assert_eq!(view.row(0, &mut Vec::new()), t.as_slice());
         assert!(matches!(view.dense(), Cow::Borrowed(_)));
     }
 }

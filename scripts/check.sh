@@ -111,6 +111,20 @@ if [[ -n $stray ]]; then
   exit 1
 fi
 
+echo "== batch size one has no batch statistics (grep lint) =="
+# Every net normalizes with GroupNorm (DESIGN §2), and in eval mode no
+# layer stashes anything (Layer::set_training). The batch- and
+# streaming-statistics normalizers, the response normalizer with its
+# thresholded unit, and the group-norm VGG builder stay retired. Needles
+# are split so this file does not contain them.
+stray=$(git grep -lE 'Batch''Norm2d|Online''Norm|FilterResponse''Norm|Tlu''::|vgg''_gn' \
+  -- crates src tests examples shims scripts README.md DESIGN.md || true)
+if [[ -n $stray ]]; then
+  echo "a retired normalizer or builder is named again:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+
 echo "== one conv path per direction: layers name no lowered entry point (grep lint) =="
 # Conv2d / WsConv2d run the direct kernels in both modes and, when
 # training, keep the input activation they popped (DESIGN §7): neither the
