@@ -20,18 +20,17 @@
 
 use pbp_data::{spirals, Dataset};
 use pbp_dist::{
-    env_net_faults, launch, rank_snapshot_path, run_rank, splice_owned_stages, DistError,
-    LaunchSpec, LinkEndpoint, RankOutcome, RankRecovery, RankSnapshots, RankSpec, ReconnectPolicy,
-    Topology, Transport, SECTION_DIST,
+    env_net_faults, launch, load_rank_snapshot, run_rank, splice_owned_stages, DistError,
+    LaunchSpec, LinkEndpoint, RankOutcome, RankRecovery, RankSpec, ReconnectPolicy, Topology,
+    Transport,
 };
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
     EngineMetrics, FaultPlan, FaultSpec, LinkDir, LinkFault, MicrobatchSchedule, ScheduledConfig,
-    ScheduledTrainer, StageCounters, SupervisionEvent, TrainEngine,
+    ScheduledTrainer, SnapshotPolicy, StageCounters, SupervisionEvent, TrainEngine,
 };
-use pbp_snapshot::{SnapshotArchive, Snapshottable, StateReader};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
@@ -252,50 +251,47 @@ fn kill_scenario(base: &Baseline) {
         report.events
     );
 
+    // Every rank's final snapshot, read back as the outcome it records.
     let total = EPOCHS * dataset().len();
-    let topology = Topology::contiguous(LAYERS.len() - 1, WORLD).expect("valid partition");
-    let mut nets = Vec::with_capacity(WORLD);
-    let mut counters: Vec<Option<StageCounters>> = vec![None; topology.layer_stages()];
-    for rank in 0..WORLD {
-        let path = rank_snapshot_path(&dir, rank, total);
-        let archive = SnapshotArchive::load(&path)
-            .unwrap_or_else(|e| panic!("final snapshot {path:?} unreadable: {e}"));
-        let mut net = fresh_net();
-        pbp_nn::snapshot::read_network(&mut net, &archive).expect("network section");
-        nets.push(net);
-        let mut r = StateReader::new(archive.section(SECTION_DIST).expect("dist section"));
-        let _rank = r.take_u32().expect("rank");
-        let _world = r.take_u32().expect("world");
-        let _digest = r.take_u64().expect("digest");
-        let loss_sum = r.take_f64().expect("loss sum");
-        assert_eq!(
-            loss_sum.to_bits(),
-            base.loss_sum.to_bits(),
-            "[kill] rank {rank} loss sum {loss_sum} != sequential {}",
-            base.loss_sum
-        );
-        // The rank's stage-group state: microbatches completed, then the
-        // owned stages' counters (the cells that follow are not needed).
-        let samples = r.take_usize().expect("samples");
-        assert_eq!(samples, total, "rank {rank} final snapshot counter");
-        let owned = r.take_u32().expect("owned stages") as usize;
-        assert_eq!(owned, topology.range(rank).len(), "rank {rank} stage count");
-        for s in topology.range(rank) {
-            let mut stage = StageCounters::default();
-            Snapshottable::read_state(&mut stage, &mut r).expect("stage counters");
-            counters[s] = Some(stage);
-        }
-    }
-    let mut net = fresh_net();
-    splice_owned_stages(&mut net, &topology, &nets);
-    assert_bit_identical_nets(&net, &base.net, "[kill] fine-grained recovery");
-    let counters: Vec<StageCounters> = counters
-        .into_iter()
-        .map(|c| c.expect("every stage has an owner"))
+    let outcomes: Vec<RankOutcome> = (0..WORLD)
+        .map(|rank| {
+            load_rank_snapshot(fresh_net(), &kill_spec(rank, &dir), total)
+                .unwrap_or_else(|e| panic!("rank {rank}'s final snapshot: {e}"))
+        })
         .collect();
-    assert_same_delay_histograms(&counters, &base.metrics.stages, "[kill]");
+    assert_matches_baseline(outcomes, base, "[kill] fine-grained recovery");
     let _ = std::fs::remove_dir_all(&dir);
     eprintln!("  [kill] bit-identical: weights, loss sums, delay histograms");
+}
+
+/// Rank `rank` of the kill scenario's group, fresh and fault-free: what
+/// every incarnation shares, and what the final snapshots are read with.
+fn kill_spec(rank: usize, snap_dir: &Path) -> RankSpec {
+    let stall = Duration::from_secs(5);
+    RankSpec {
+        rank,
+        topology: Topology::contiguous(LAYERS.len() - 1, WORLD).expect("valid partition"),
+        plan: MicrobatchSchedule::PipelinedBackprop,
+        mitigation: Mitigation::None,
+        weight_stashing: false,
+        schedule: schedule(),
+        seed: ORDER_SEED,
+        total_microbatches: EPOCHS * dataset().len(),
+        stall,
+        // Every rewind point must stay on disk for the survivors' rollback.
+        snapshots: Some(SnapshotPolicy::new(snap_dir, 24).with_keep(usize::MAX)),
+        resume_at: 0,
+        abort_after: None,
+        recovery: RankRecovery {
+            net_faults: None,
+            reconnect: Some(ReconnectPolicy {
+                deadline: stall,
+                backoff: Duration::from_millis(10),
+            }),
+            rewind: Some(Duration::from_secs(30)),
+            generation: 0,
+        },
+    }
 }
 
 /// Child mode for the kill scenario: one rank of the supervised group,
@@ -323,39 +319,13 @@ fn run_child(argv: &[String]) -> Result<(), DistError> {
     }
     let rank = rank.ok_or_else(|| DistError::Spec("child needs --rank".into()))?;
     let snap_dir = snap_dir.ok_or_else(|| DistError::Spec("child needs --snap-dir".into()))?;
-    let topology = Topology::contiguous(LAYERS.len() - 1, WORLD)?;
-    let data = dataset();
-    let total = EPOCHS * data.len();
-    let stall = Duration::from_secs(5);
-    // Every rewind point must stay on disk for the survivors' rollback.
-    let mut snapshots = RankSnapshots::new(&snap_dir, 24);
-    snapshots.keep = usize::MAX;
-    let faults = env_net_faults();
+    let mut spec = kill_spec(rank, &snap_dir);
+    spec.resume_at = resume_at;
+    spec.recovery.generation = generation;
     // A plan this process cannot honour is refused by `run_rank`.
-    let abort_after = faults.as_ref().and_then(|p| p.process_crash(rank).ok()?);
-    let spec = RankSpec {
-        rank,
-        topology,
-        plan: MicrobatchSchedule::PipelinedBackprop,
-        mitigation: Mitigation::None,
-        weight_stashing: false,
-        schedule: schedule(),
-        seed: ORDER_SEED,
-        total_microbatches: total,
-        stall,
-        snapshots: Some(snapshots),
-        resume_at,
-        abort_after,
-        recovery: RankRecovery {
-            net_faults: faults,
-            reconnect: Some(ReconnectPolicy {
-                deadline: stall,
-                backoff: Duration::from_millis(10),
-            }),
-            rewind: Some(Duration::from_secs(30)),
-            generation,
-        },
-    };
+    spec.recovery.net_faults = env_net_faults();
+    let faults = spec.recovery.net_faults.as_ref();
+    spec.abort_after = faults.and_then(|p| p.process_crash(rank).ok()?);
     let transport = Transport::Unix {
         dir: snap_dir.join("links"),
     };
@@ -366,7 +336,7 @@ fn run_child(argv: &[String]) -> Result<(), DistError> {
         transport: transport.clone(),
         link: rank - 1,
     });
-    let outcome = run_rank(fresh_net(), &data, &spec, upstream, downstream, None)?;
+    let outcome = run_rank(fresh_net(), &dataset(), &spec, upstream, downstream, None)?;
     eprintln!(
         "  [kill] rank {rank}: done, {} microbatches, loss sum {:.6}",
         outcome.samples_seen, outcome.loss_sum

@@ -13,8 +13,14 @@
 //!
 //! ```text
 //! pbp-launch --world 4 --snap-dir /tmp/run --epochs 2 \
-//!     --layers 2,16,16,3 --data spirals:3,24,0.05,2 --plan pb
+//!     --layers 2,16,16,3 --data spirals:3,24,0.05,2 --plan pb --snap-every 48
 //! ```
+//!
+//! `--snap-every` counts optimizer updates, as an engine's
+//! `SnapshotPolicy` does: a rank snapshots every that many updates, which
+//! is that many microbatches under `--plan pb` and `M` times as many under
+//! `1f1b:M`, `2bp:M` or `filldrain:M`. Without it a rank snapshots once,
+//! at the end of the run.
 //!
 //! Fault injection for tests: `PBP_NET_FAULTS` holds the one fault
 //! script (`pbp_pipeline::fault`) — `1:down:drop@7` scripts wire chaos,
@@ -25,10 +31,10 @@
 
 use pbp_dist::{
     env_net_faults, env_rank, env_world, launch, DistError, LaunchSpec, LinkEndpoint, RankRecovery,
-    RankSnapshots, RankSpec, ReconnectPolicy, Topology, Transport,
+    RankSpec, ReconnectPolicy, Topology, Transport,
 };
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
-use pbp_pipeline::MicrobatchSchedule;
+use pbp_pipeline::{MicrobatchSchedule, SnapshotPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -195,8 +201,6 @@ fn run_child(args: &Args, rank: usize) -> Result<(), DistError> {
     let data = parse_data(&args.data).map_err(DistError::Spec)?;
     let plan = parse_plan(&args.plan).map_err(DistError::Spec)?;
     let total = args.epochs * data.len();
-    let m = plan.microbatches_per_update();
-    let every = args.snap_every.unwrap_or(total.div_ceil(m).max(1) * m);
     let transport = match &args.transport {
         Some(raw) => Transport::parse(raw)?,
         None => Transport::Unix {
@@ -207,12 +211,16 @@ fn run_child(args: &Args, rank: usize) -> Result<(), DistError> {
     let faults = env_net_faults();
     // A plan this process cannot honour is refused by `run_rank`.
     let abort_after = faults.as_ref().and_then(|p| p.process_crash(rank).ok()?);
-    // Fine-grained mode needs every rewind point on disk, so pruning is
-    // off; the supervisor wipes the snapshot directory between runs.
-    let mut snapshots = RankSnapshots::new(&args.snap_dir, every);
-    if args.fine_grained {
-        snapshots.keep = usize::MAX;
-    }
+    let snapshots = SnapshotPolicy {
+        dir: args.snap_dir.clone(),
+        // By default one snapshot, at the end of the run.
+        every_updates: args
+            .snap_every
+            .unwrap_or(total.div_ceil(plan.microbatches_per_update()).max(1)),
+        // Fine-grained mode needs every rewind point on disk, so pruning
+        // is off.
+        keep: if args.fine_grained { usize::MAX } else { 3 },
+    };
     let spec = RankSpec {
         rank,
         topology,

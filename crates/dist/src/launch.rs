@@ -41,10 +41,7 @@
 use crate::env::env_net_faults;
 use crate::error::DistError;
 use pbp_pipeline::{supervise_retries, SupervisionEvent};
-use pbp_snapshot::{
-    rank_prefix, valid_snapshot_counters, SnapshotArchive, SnapshotBuilder, StateReader,
-    StateWriter,
-};
+use pbp_snapshot::{SnapshotArchive, SnapshotBuilder, SnapshotFamily, StateReader, StateWriter};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -88,23 +85,18 @@ pub struct LaunchReport {
 /// The newest snapshot counter for which **all** `world` ranks hold a
 /// valid snapshot — the only point the whole group can restart from.
 /// Returns 0 (fresh start) when no common counter exists. Validity is
-/// the snapshot crate's bar ([`valid_snapshot_counters`]): the file
-/// fully loads with every CRC verified.
+/// the snapshot crate's bar ([`SnapshotFamily::valid_counters`]): the
+/// file fully loads with every CRC verified.
 pub fn common_resume_point(dir: &Path, world: usize) -> usize {
-    let mut common: Option<Vec<usize>> = None;
-    for rank in 0..world {
-        let counters = valid_snapshot_counters(dir, &rank_prefix(rank));
-        common = Some(match common {
-            None => counters,
-            Some(prev) => prev.into_iter().filter(|c| counters.contains(c)).collect(),
-        });
-    }
-    common.and_then(|c| c.into_iter().max()).unwrap_or(0)
+    (0..world)
+        .map(|rank| SnapshotFamily::rank(dir, rank).valid_counters())
+        .reduce(|common, mine| common.into_iter().filter(|c| mine.contains(c)).collect())
+        .and_then(|common| common.last().copied())
+        .unwrap_or(0)
 }
 
-/// Where the group's rewind token lives. The name is outside every
-/// snapshot family's `{prefix}-{digits}.pbps` shape, so resume scans
-/// never mistake it for a snapshot.
+/// Where the group's rewind token lives. The name belongs to no
+/// [`SnapshotFamily`], so resume scans never mistake it for a snapshot.
 pub fn rewind_token_path(dir: &Path) -> PathBuf {
     dir.join("rewind.token")
 }
@@ -322,13 +314,12 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, DistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbp_snapshot::{snapshot_file_name, SnapshotBuilder};
 
     fn write_snap(dir: &Path, rank: usize, counter: usize) {
         let mut b = SnapshotBuilder::new();
         b.add_section("x", vec![1, 2, 3]);
-        b.save_atomic(&dir.join(snapshot_file_name(&rank_prefix(rank), counter)))
-            .unwrap();
+        let family = SnapshotFamily::rank(dir, rank);
+        family.save(&b, counter, usize::MAX).unwrap();
     }
 
     #[test]
@@ -356,7 +347,7 @@ mod tests {
         write_snap(&dir, 0, 48);
         write_snap(&dir, 1, 48);
         // Corrupt rank 1's copy: flip a byte in the middle.
-        let path = dir.join(snapshot_file_name(&rank_prefix(1), 48));
+        let path = SnapshotFamily::rank(&dir, 1).path(48);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;

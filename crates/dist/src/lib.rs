@@ -55,8 +55,7 @@ pub use launch::{launch, LaunchReport, LaunchSpec};
 pub use launch::{read_rewind_token, rewind_token_path, write_rewind_token};
 pub use reliable::{LinkEndpoint, LinkIdentity, LinkOptions, ReconnectPolicy, ReliableConn};
 pub use runner::{
-    rank_snapshot_path, run_rank, splice_owned_stages, RankOutcome, RankRecovery, RankSnapshots,
-    RankSpec, SECTION_DIST,
+    load_rank_snapshot, run_rank, splice_owned_stages, RankOutcome, RankRecovery, RankSpec,
 };
 pub use topology::Topology;
 pub use transport::{

@@ -31,23 +31,21 @@ use pbp_nn::Network;
 use pbp_optim::{LrSchedule, Mitigation};
 use pbp_pipeline::{
     FaultPlan, LinkDir, Message, MicrobatchSchedule, RankError, RankLoop, ScheduledConfig,
-    StageCounters, StageGroup, Step, Upstream,
+    SnapshotPolicy, StageCounters, StageGroup, Step, Upstream,
 };
 use pbp_snapshot::{
-    rank_prefix, snapshot_file_name, SnapshotArchive, SnapshotBuilder, SnapshotError, StateReader,
-    StateWriter,
+    SnapshotArchive, SnapshotBuilder, SnapshotError, SnapshotFamily, StateReader, StateWriter,
 };
 use pbp_trace::{TracePhase, Tracer};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Section of a rank snapshot holding the runner's distributed state:
 /// identity (rank, world, run digest), then the [`RankLoop`]'s: the f64
 /// loss sum, the [`StageGroup`] state (microbatches completed, the owned
 /// stages' counters — update counts, busy time, Eq. 5 delay histograms —
-/// and their cells) and the step time. Everything up to and including
-/// the counters can be read without reconstructing stage cells.
-pub const SECTION_DIST: &str = "dist";
+/// and their cells) and the step time. `Rank::save_snapshot` writes it and
+/// `Rank::restore` reads it; nothing else spells its layout.
+const SECTION_DIST: &str = "dist";
 
 /// How a rank behaves when the wire misbehaves. The default is the
 /// classic contract: no injected faults, any link fault is terminal for
@@ -69,31 +67,6 @@ pub struct RankRecovery {
     /// Rewind generation this process starts in (0 for a first launch;
     /// the launcher's `--generation` after a fine-grained respawn).
     pub generation: u64,
-}
-
-/// When and where a rank writes its snapshots.
-#[derive(Debug, Clone)]
-pub struct RankSnapshots {
-    /// Directory shared by all ranks; files are rank-prefixed so
-    /// concurrent writers never collide.
-    pub dir: PathBuf,
-    /// Snapshot every this many microbatches. Must be a multiple of the
-    /// plan's microbatches-per-update so no accumulation window is open.
-    pub every: usize,
-    /// Most-recent snapshots retained per rank (older files this run
-    /// wrote are pruned).
-    pub keep: usize,
-}
-
-impl RankSnapshots {
-    /// Snapshots into `dir` every `every` microbatches, keeping 3.
-    pub fn new(dir: impl Into<PathBuf>, every: usize) -> Self {
-        RankSnapshots {
-            dir: dir.into(),
-            every,
-            keep: 3,
-        }
-    }
 }
 
 /// The full specification of one rank's slice of a distributed run.
@@ -120,8 +93,10 @@ pub struct RankSpec {
     pub total_microbatches: usize,
     /// Watchdog window: a neighbor silent past this is a typed fault.
     pub stall: Duration,
-    /// Snapshot cadence; `None` disables snapshots (and resume).
-    pub snapshots: Option<RankSnapshots>,
+    /// Snapshot cadence and retention, in updates as for an engine; the
+    /// directory is shared by all ranks, each writing its own
+    /// [`SnapshotFamily::rank`]. `None` disables snapshots (and resume).
+    pub snapshots: Option<SnapshotPolicy>,
     /// Microbatch counter to resume from (0 = fresh start). Must name an
     /// existing snapshot of this rank's family.
     pub resume_at: usize,
@@ -151,6 +126,20 @@ impl RankSpec {
         h
     }
 
+    /// The snapshot cadence in microbatches: the policy's updates, each
+    /// the plan's microbatches per update, so no accumulation window is
+    /// open at a snapshot.
+    fn snap_every(&self) -> Option<usize> {
+        let m = self.plan.microbatches_per_update();
+        self.snapshots.as_ref().map(|p| p.every_updates * m)
+    }
+
+    /// This rank's snapshot family.
+    fn family(&self) -> SnapshotFamily {
+        let policy = self.snapshots.as_ref().expect("snapshots enabled");
+        SnapshotFamily::rank(&policy.dir, self.rank)
+    }
+
     fn validate(&self, net: &Network) -> Result<(), DistError> {
         if self.rank >= self.topology.world() {
             return Err(DistError::Spec(format!(
@@ -166,17 +155,11 @@ impl RankSpec {
                 net.num_stages()
             )));
         }
-        let m = self.plan.microbatches_per_update();
-        if let Some(snaps) = &self.snapshots {
-            if snaps.every == 0 || !snaps.every.is_multiple_of(m) {
-                return Err(DistError::Spec(format!(
-                    "snapshot cadence {} must be a positive multiple of the \
-                     plan's {m} microbatches per update",
-                    snaps.every
-                )));
-            }
-            if snaps.keep == 0 {
-                return Err(DistError::Spec("must keep at least one snapshot".into()));
+        if let Some(policy) = &self.snapshots {
+            if policy.every_updates == 0 || policy.keep == 0 {
+                return Err(DistError::Spec(
+                    "snapshot cadence and retention must be positive".into(),
+                ));
             }
         }
         if let Some(plan) = &self.recovery.net_faults {
@@ -188,15 +171,13 @@ impl RankSpec {
             ));
         }
         if self.resume_at > 0 {
-            let snaps = self.snapshots.as_ref().ok_or_else(|| {
+            let every = self.snap_every().ok_or_else(|| {
                 DistError::Spec("resume requested but snapshots are disabled".into())
             })?;
-            if !self.resume_at.is_multiple_of(snaps.every)
-                && self.resume_at != self.total_microbatches
-            {
+            if !self.resume_at.is_multiple_of(every) && self.resume_at != self.total_microbatches {
                 return Err(DistError::Spec(format!(
-                    "resume point {} is not on the snapshot cadence {}",
-                    self.resume_at, snaps.every
+                    "resume point {} is not on the snapshot cadence of {every} microbatches",
+                    self.resume_at
                 )));
             }
         }
@@ -219,11 +200,6 @@ pub struct RankOutcome {
     /// Per-stage counters, indexed by *global* stage; only this rank's
     /// owned stages are populated.
     pub metrics: pbp_pipeline::EngineMetrics,
-}
-
-/// The path of rank `rank`'s snapshot at microbatch counter `counter`.
-pub fn rank_snapshot_path(dir: &std::path::Path, rank: usize, counter: usize) -> PathBuf {
-    dir.join(snapshot_file_name(&rank_prefix(rank), counter))
 }
 
 /// Runs one rank's slice of the distributed run to completion.
@@ -258,11 +234,11 @@ pub fn run_rank(
     if spec.resume_at > 0 {
         rank.restore(spec.resume_at)?;
     }
-    if spec.recovery.rewind.is_some() && !rank.written.contains(&spec.resume_at) {
+    if spec.recovery.rewind.is_some() && spec.resume_at == 0 {
         // Surviving-rank mode needs a snapshot at the current resume
         // point so a rewind back to it is always possible, even before
-        // the first cadence boundary.
-        rank.save_snapshot(spec.resume_at)?;
+        // the first cadence boundary; a resumed rank just read one.
+        rank.save_snapshot(0)?;
     }
     loop {
         match rank.run(data) {
@@ -270,6 +246,21 @@ pub fn run_rank(
             Err(e) => rank.rewind_or_fail(e)?,
         }
     }
+    Ok(rank.finish())
+}
+
+/// Reads rank `spec.rank`'s snapshot at `counter` back into `net` and
+/// returns it as the outcome it records: the rank's stages, microbatches
+/// completed, loss sum and owned stages' counters. This is the reader a
+/// resuming rank restores through.
+pub fn load_rank_snapshot(
+    net: Network,
+    spec: &RankSpec,
+    counter: usize,
+) -> Result<RankOutcome, DistError> {
+    spec.validate(&net)?;
+    let mut rank = Rank::new(net, spec, None, None, None);
+    rank.restore(counter)?;
     Ok(rank.finish())
 }
 
@@ -288,8 +279,6 @@ struct Rank<'a> {
     order_epoch: usize,
     /// Heartbeat counter (monotonic per link pair).
     beat: u64,
-    /// Snapshot counters this process wrote, oldest first (for pruning).
-    written: Vec<usize>,
     /// Rewind generation this rank is executing in.
     generation: u64,
     /// Link reconnects already surfaced as trace instants.
@@ -341,7 +330,6 @@ impl<'a> Rank<'a> {
             order: Vec::new(),
             order_epoch: usize::MAX,
             beat: 0,
-            written: Vec::new(),
             generation: spec.recovery.generation,
             seen_reconnects: 0,
         }
@@ -374,8 +362,8 @@ impl<'a> Rank<'a> {
     /// snapshot boundary until backwards catch up (drain barrier).
     fn fwd_limit(&self) -> usize {
         let total = self.spec.total_microbatches;
-        match &self.spec.snapshots {
-            Some(snaps) => total.min((self.rank.group.completed() / snaps.every + 1) * snaps.every),
+        match self.spec.snap_every() {
+            Some(every) => total.min((self.rank.group.completed() / every + 1) * every),
             None => total,
         }
     }
@@ -419,7 +407,7 @@ impl<'a> Rank<'a> {
         self.rank.group.flush_trace();
         // Final snapshot (unconditional): the launcher assembles the full
         // network from every rank's state at the end of the run.
-        if self.spec.snapshots.is_some() && self.written.last() != Some(&total) {
+        if self.spec.snapshots.is_some() {
             self.save_snapshot(total)?;
         }
         // Courteous shutdown; a peer that already exited is fine. Send
@@ -450,8 +438,8 @@ impl<'a> Rank<'a> {
             );
             std::process::abort();
         }
-        if let Some(snaps) = &self.spec.snapshots {
-            if done.is_multiple_of(snaps.every)
+        if let Some(every) = self.spec.snap_every() {
+            if done.is_multiple_of(every)
                 && done > self.spec.resume_at
                 && done < self.spec.total_microbatches
             {
@@ -486,11 +474,7 @@ impl<'a> Rank<'a> {
     }
 
     fn save_snapshot(&mut self, counter: usize) -> Result<(), DistError> {
-        let snaps = self.spec.snapshots.as_ref().expect("caller checked");
-        let dir = snaps.dir.clone();
-        let keep = snaps.keep;
         self.heartbeat();
-        std::fs::create_dir_all(&dir)?;
         let mut snap = SnapshotBuilder::new();
         pbp_nn::snapshot::write_network(&self.net, &mut snap);
         let mut w = StateWriter::new();
@@ -501,23 +485,13 @@ impl<'a> Rank<'a> {
         self.rank.group.write_state(&mut w);
         w.put_u128(self.rank.train_ns);
         snap.add_section(SECTION_DIST, w.into_bytes());
-        let path = rank_snapshot_path(&dir, self.spec.rank, counter);
-        snap.save_atomic(&path)?;
-        self.written.push(counter);
-        while self.written.len() > keep {
-            let old = self.written.remove(0);
-            match std::fs::remove_file(rank_snapshot_path(&dir, self.spec.rank, old)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let keep = self.spec.snapshots.as_ref().expect("caller checked").keep;
+        self.spec.family().save(&snap, counter, keep)?;
         Ok(())
     }
 
     fn restore(&mut self, counter: usize) -> Result<(), DistError> {
-        let snaps = self.spec.snapshots.as_ref().expect("validated");
-        let path = rank_snapshot_path(&snaps.dir, self.spec.rank, counter);
+        let path = self.spec.family().path(counter);
         let archive = SnapshotArchive::load(&path)?;
         pbp_nn::snapshot::read_network(&mut self.net, &archive)?;
         let mut r = StateReader::new(archive.section(SECTION_DIST)?);
@@ -548,9 +522,6 @@ impl<'a> Rank<'a> {
             ))
             .into());
         }
-        if !self.written.contains(&counter) {
-            self.written.push(counter);
-        }
         Ok(())
     }
 
@@ -577,8 +548,7 @@ impl<'a> Rank<'a> {
         if !rewindable {
             return Err(err);
         }
-        let snaps = self.spec.snapshots.as_ref().expect("validated");
-        let dir = snaps.dir.clone();
+        let dir = &self.spec.snapshots.as_ref().expect("validated").dir;
         self.instant(TracePhase::Fault, format!("parking for rewind: {err}"));
         // Drop both links so neighbors observe EOF immediately instead
         // of waiting out their stall windows, cascading the park down
@@ -588,7 +558,7 @@ impl<'a> Rank<'a> {
         self.instant(TracePhase::Backoff, what);
         let deadline = Instant::now() + wait;
         let (generation, resume) = loop {
-            if let Some((generation, resume)) = read_rewind_token(&dir) {
+            if let Some((generation, resume)) = read_rewind_token(dir) {
                 if generation > self.generation {
                     break (generation, resume);
                 }

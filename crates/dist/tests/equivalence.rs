@@ -11,14 +11,16 @@
 use pbp_data::{spirals, Dataset};
 use pbp_dist::{
     loopback_pair, run_rank, splice_owned_stages, LinkEndpoint, RankOutcome, RankRecovery,
-    RankSnapshots, RankSpec, Topology, Transport,
+    RankSpec, Topology, Transport,
 };
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
-    MicrobatchSchedule, ScheduledConfig, ScheduledTrainer, StageCounters, TrainEngine,
+    MicrobatchSchedule, ScheduledConfig, ScheduledTrainer, SnapshotPolicy, StageCounters,
+    TrainEngine,
 };
+use pbp_snapshot::SnapshotFamily;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -80,7 +82,7 @@ struct DistRun {
     plan: MicrobatchSchedule,
     weight_stashing: bool,
     epochs: usize,
-    snapshots: Option<RankSnapshots>,
+    snapshots: Option<SnapshotPolicy>,
     resume_at: usize,
 }
 
@@ -319,11 +321,11 @@ fn snapshot_resume_reproduces_the_uninterrupted_run() {
     // same bits as the run that never stopped.
     let dir = scratch_dir("resume");
     let mut run = DistRun::pb(&[2, 16, 12, 8, 3], 4, 2);
-    run.snapshots = Some(RankSnapshots::new(&dir, 24));
+    run.snapshots = Some(SnapshotPolicy::new(&dir, 24));
     let full = run.run(Links::Loopback);
 
     let mut resumed_run = DistRun::pb(&[2, 16, 12, 8, 3], 4, 2);
-    resumed_run.snapshots = Some(RankSnapshots::new(&dir, 24));
+    resumed_run.snapshots = Some(SnapshotPolicy::new(&dir, 24));
     resumed_run.resume_at = 48;
     let resumed = resumed_run.run(Links::Loopback);
 
@@ -343,6 +345,76 @@ fn snapshot_resume_reproduces_the_uninterrupted_run() {
     let net_full = assemble(&run.layers, run.world, full);
     let net_resumed = assemble(&run.layers, run.world, resumed);
     assert_bit_identical(&net_full, &net_resumed, "resume at 48");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A rank's snapshot cadence counts optimizer updates, as an engine's
+/// does: under 1F1B with four microbatches an update, every 3 updates is
+/// every 12 microbatches, and a resume from one reproduces the run.
+#[test]
+fn snapshot_cadence_counts_updates() {
+    let dir = scratch_dir("cadence");
+    let mut run = DistRun::pb(&[2, 16, 12, 3], 2, 1);
+    run.plan = MicrobatchSchedule::OneFOneB {
+        microbatches_per_update: 4,
+    };
+    run.snapshots = Some(SnapshotPolicy::new(&dir, 3));
+    let full = run.run(Links::Loopback);
+    for rank in 0..2 {
+        let counters = SnapshotFamily::rank(&dir, rank).valid_counters();
+        assert_eq!(
+            counters,
+            vec![24, 36, 48],
+            "rank {rank}: keep 3 of 12/24/36/48"
+        );
+    }
+    run.resume_at = 24;
+    let resumed = run.run(Links::Loopback);
+    for (a, b) in full.iter().zip(&resumed) {
+        assert_eq!(a.loss_sum.to_bits(), b.loss_sum.to_bits(), "loss sums");
+    }
+    let net_full = assemble(&run.layers, run.world, full);
+    let net_resumed = assemble(&run.layers, run.world, resumed);
+    assert_bit_identical(&net_full, &net_resumed, "1F1B resume at 24");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Retention is the family's, not the process's: a rank respawned at 16
+/// with `keep = 2` prunes the files an earlier incarnation wrote below
+/// its resume point as well as its own, leaving exactly the newest two.
+#[test]
+fn a_respawned_rank_prunes_what_its_predecessor_wrote() {
+    let dir = scratch_dir("respawn");
+    let mut run = DistRun::pb(&[2, 8, 3], 1, 1);
+    let topology = Topology::contiguous(2, 1).unwrap();
+    let data = dataset();
+    let mut policy = SnapshotPolicy::new(&dir, 8);
+    policy.keep = usize::MAX;
+    run.snapshots = Some(policy.clone());
+    run_rank(
+        fresh_net(&run.layers),
+        &data,
+        &run.spec(0, &topology, 32),
+        None,
+        None,
+        None,
+    )
+    .expect("first incarnation");
+    let family = SnapshotFamily::rank(&dir, 0);
+    assert_eq!(family.valid_counters(), vec![8, 16, 24, 32]);
+
+    run.snapshots = Some(policy.with_keep(2));
+    run.resume_at = 16;
+    run_rank(
+        fresh_net(&run.layers),
+        &data,
+        &run.spec(0, &topology, 32),
+        None,
+        None,
+        None,
+    )
+    .expect("respawned incarnation");
+    assert_eq!(family.valid_counters(), vec![24, 32]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -5,12 +5,12 @@
 //! convergence to the same final weights.
 
 use pbp_data::spirals;
-use pbp_dist::{rank_snapshot_path, splice_owned_stages, Topology};
+use pbp_dist::{splice_owned_stages, Topology};
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule};
 use pbp_pipeline::{MicrobatchSchedule, ScheduledConfig, ScheduledTrainer};
-use pbp_snapshot::SnapshotArchive;
+use pbp_snapshot::{SnapshotArchive, SnapshotFamily};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
@@ -91,7 +91,7 @@ fn assemble_from_snapshots(dir: &Path, world: usize) -> Network {
     let topology = Topology::contiguous(LAYERS.len() - 1, world).unwrap();
     let nets: Vec<Network> = (0..world)
         .map(|rank| {
-            let path = rank_snapshot_path(dir, rank, TOTAL);
+            let path = SnapshotFamily::rank(dir, rank).path(TOTAL);
             let archive = SnapshotArchive::load(&path)
                 .unwrap_or_else(|e| panic!("final snapshot {path:?} unreadable: {e}"));
             let mut rng = StdRng::seed_from_u64(NET_SEED);

@@ -97,8 +97,7 @@ pub use memory::MemoryModel;
 pub use metrics::{EngineMetrics, StageCounters};
 pub use rank::{Link, Message, RankError, RankLoop, Step, Upstream};
 pub use resume::{
-    latest_snapshot, resume_training, run_to_crash, run_training_with_snapshots, SnapshotPolicy,
-    SECTION_RUN,
+    resume_training, run_to_crash, run_training_with_snapshots, SnapshotPolicy, SECTION_RUN,
 };
 pub use schedule::{
     fill_drain_utilization, pb_utilization, stage_delay, Action, MicrobatchSchedule, ScheduleModel,

@@ -34,28 +34,29 @@ use crate::fault::RunError;
 use crate::trainer::{evaluate, EpochRecord, TrainReport};
 use pbp_data::{Dataset, StreamCursor};
 use pbp_snapshot::{
-    SnapshotArchive, SnapshotBuilder, SnapshotError, Snapshottable, StateReader, StateWriter,
+    SnapshotArchive, SnapshotBuilder, SnapshotError, SnapshotFamily, Snapshottable, StateReader,
+    StateWriter,
 };
 use pbp_trace::{Lane, TracePhase, Tracer, PID_WALL};
 use std::path::{Path, PathBuf};
-
-pub use pbp_snapshot::latest_snapshot;
 
 /// Section holding the runner's progress (stream cursor, partial epoch
 /// loss, snapshot cadence position, collected records).
 pub const SECTION_RUN: &str = "run";
 
-/// When and where to write training snapshots.
+/// When and where to write training snapshots — for an engine here and
+/// for a `pbp-dist` rank alike.
 #[derive(Debug, Clone)]
 pub struct SnapshotPolicy {
-    /// Directory receiving `snap-<samples>.pbps` files (created on first
+    /// Directory holding the host's [`SnapshotFamily`] (created on first
     /// save).
     pub dir: PathBuf,
-    /// Snapshot every this many optimizer updates (converted to samples
-    /// via [`TrainEngine::samples_per_update`]).
+    /// Snapshot every this many optimizer updates: an engine converts them
+    /// to samples through [`TrainEngine::samples_per_update`], a rank to
+    /// microbatches through its plan's microbatches per update.
     pub every_updates: usize,
-    /// Number of most-recent snapshots to retain; older ones are pruned
-    /// after each save.
+    /// Number of the family's newest snapshots to retain; older ones are
+    /// pruned after each save.
     pub keep: usize,
 }
 
@@ -186,38 +187,9 @@ fn save_snapshot(
     let mut w = StateWriter::new();
     write_runner_state(&mut w, state, &engine.label());
     snap.add_section(SECTION_RUN, w.into_bytes());
-    let path = policy.dir.join(pbp_snapshot::snapshot_file_name(
-        pbp_snapshot::SNAP_PREFIX,
-        samples,
-    ));
-    let saved = snap.save_atomic(&path);
+    let saved = SnapshotFamily::engine(&policy.dir).save(&snap, samples, policy.keep);
     lane.end();
-    saved?;
-    prune(policy)
-}
-
-/// Deletes all but the `keep` lexicographically-newest snapshot files.
-fn prune(policy: &SnapshotPolicy) -> Result<(), SnapshotError> {
-    let mut snaps: Vec<PathBuf> = std::fs::read_dir(&policy.dir)?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("snap-") && n.ends_with(".pbps"))
-        })
-        .collect();
-    snaps.sort();
-    let excess = snaps.len().saturating_sub(policy.keep);
-    for old in &snaps[..excess] {
-        match std::fs::remove_file(old) {
-            Ok(()) => {}
-            // Another process pruning the same directory may win the
-            // race; the file being gone is exactly what we wanted.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(())
+    saved
 }
 
 pub(crate) enum Outcome {

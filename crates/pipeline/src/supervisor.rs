@@ -33,7 +33,7 @@ use crate::rank::RankLoop;
 use crate::resume::{run_snapshotted, SnapshotPolicy};
 use crate::trainer::TrainReport;
 use pbp_nn::{Network, Stage};
-use pbp_snapshot::latest_valid_snapshot;
+use pbp_snapshot::SnapshotFamily;
 use pbp_trace::{Lane, TracePhase, Tracer, PID_WALL};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -455,6 +455,7 @@ pub fn run_supervised(
     let mut lane = tracer.lane(PID_WALL, "supervisor", -1);
     let mut events: Vec<SupervisionEvent> = Vec::new();
     let mut restarts = 0usize;
+    let family = SnapshotFamily::engine(&policy.dir);
     let outcome = supervise_retries(
         &mut lane,
         recovery.max_restarts,
@@ -462,13 +463,14 @@ pub fn run_supervised(
         |lane, event| log(lane, &mut events, event),
         |lane, restart| {
             restarts = restart;
-            let from = latest_valid_snapshot(&policy.dir)?.map(|p| (p, spec.label()));
+            let from = family.latest_valid()?.map(|p| (p, spec.label()));
             let mut engine = build(spec);
             let engine = engine.as_mut();
             match run_snapshotted(engine, train, val, config, Some(policy), from, lane) {
                 Ok(report) => Ok(Ok(report)),
                 Err(RunError::Fault(fault)) => {
-                    let from_snapshot = latest_valid_snapshot(&policy.dir)?
+                    let from_snapshot = family
+                        .latest_valid()?
                         .map(|p| p.file_name().unwrap_or_default().to_string_lossy().into());
                     Ok(Err((fault, from_snapshot)))
                 }
@@ -498,12 +500,12 @@ pub fn run_supervised(
         dir: policy.dir.join("degraded"),
         ..policy.clone()
     };
-    let from = match latest_valid_snapshot(&degraded_policy.dir)? {
+    let from = match SnapshotFamily::engine(&degraded_policy.dir).latest_valid()? {
         // An earlier degraded attempt got this far — continue it.
         Some(own) => Some((own, fallback.label())),
         // Both engines write the same engine-state section; only the run
         // section's label names the threaded engine.
-        None => latest_valid_snapshot(&policy.dir)?.map(|p| (p, spec.label())),
+        None => family.latest_valid()?.map(|p| (p, spec.label())),
     };
     let mut engine = build(&fallback);
     let policy = Some(&degraded_policy);

@@ -19,7 +19,7 @@ use pbp_pipeline::{
     RankFault, RecoveryPolicy, RunConfig, RunError, SnapshotPolicy, SupervisionEvent,
     ThreadedConfig, ThreadedPipeline, Watchdog,
 };
-use pbp_snapshot::{latest_valid_snapshot, SnapshotArchive};
+use pbp_snapshot::{SnapshotArchive, SnapshotFamily};
 use pbp_trace::Tracer;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -147,8 +147,8 @@ proptest! {
 /// Final weights are byte-identical: compares the `net` sections of the
 /// final snapshots two runs wrote on completion.
 fn assert_final_snapshots_match(clean_dir: &std::path::Path, chaos_dir: &std::path::Path) {
-    let clean_snap = latest_valid_snapshot(clean_dir).unwrap().unwrap();
-    let chaos_snap = latest_valid_snapshot(chaos_dir).unwrap().unwrap();
+    let latest = |dir| SnapshotFamily::engine(dir).latest_valid().unwrap().unwrap();
+    let (clean_snap, chaos_snap) = (latest(clean_dir), latest(chaos_dir));
     assert_eq!(
         clean_snap.file_name(),
         chaos_snap.file_name(),

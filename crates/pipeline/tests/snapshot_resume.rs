@@ -9,10 +9,10 @@ use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
-    latest_snapshot, resume_training, run_to_crash, run_training, run_training_with_snapshots,
-    DelayDistribution, DelayedConfig, EngineSpec, RunConfig, ScheduledConfig, SnapshotPolicy,
-    ThreadedConfig,
+    resume_training, run_to_crash, run_training, run_training_with_snapshots, DelayDistribution,
+    DelayedConfig, EngineSpec, RunConfig, ScheduledConfig, SnapshotPolicy, ThreadedConfig,
 };
+use pbp_snapshot::SnapshotFamily;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -97,7 +97,8 @@ fn every_engine_resumes_bit_identically_after_a_crash() {
 
         // Restart: fresh engine of the same spec, state from the latest
         // surviving snapshot.
-        let snap = latest_snapshot(&dir_b)
+        let snap = SnapshotFamily::engine(&dir_b)
+            .latest_valid()
             .expect("list snapshots")
             .expect("at least one snapshot written before the kill");
         let mut resumed = spec.build(fresh_net(90));
@@ -174,12 +175,43 @@ fn retention_prunes_old_snapshots() {
         &policy,
     )
     .expect("snapshotting run");
-    let snaps: Vec<_> = std::fs::read_dir(&dir)
-        .expect("snapshot dir exists")
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("snap-"))
-        .collect();
+    let snaps = SnapshotFamily::engine(&dir).valid_counters();
     assert_eq!(snaps.len(), 2, "keep=2 must prune older snapshots");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Retention counts and deletes the family's own files only: with a stray
+/// `snap-notes.pbps`, a rank's snapshot and a foreign file in the
+/// directory, snapshots at 2, 4 and 6 samples with `keep = 2` leave
+/// exactly the two newest and every other file untouched.
+#[test]
+fn retention_keeps_the_two_newest_snapshots_and_touches_nothing_else() {
+    let data = blobs(3, 2, 0.4, 46); // 6 samples: snapshots at 2, 4 and 6
+    let dir = tmpdir("membership");
+    std::fs::create_dir_all(&dir).expect("snapshot dir");
+    let others = [
+        "snap-notes.pbps",
+        "rank000-snap-000000000001.pbps",
+        "notes.txt",
+    ];
+    for name in others {
+        std::fs::write(dir.join(name), b"not this engine's").expect("stray file");
+    }
+    let policy = SnapshotPolicy::new(&dir, 2).with_keep(2);
+    let spec = EngineSpec::Scheduled(ScheduledConfig::pb(schedule()));
+    let mut engine = spec.build(fresh_net(96));
+    let config = RunConfig::new(1, 37);
+    run_training_with_snapshots(engine.as_mut(), &data, &data, &config, &policy)
+        .expect("snapshotting run");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("snapshot dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    let mut want = vec!["snap-000000000004.pbps", "snap-000000000006.pbps"];
+    want.extend(others);
+    want.sort();
+    assert_eq!(files, want);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -193,7 +225,10 @@ fn resume_rejects_mismatched_engines() {
     let mut sgdm = EngineSpec::Delayed(DelayedConfig::sgdm(4, schedule())).build(fresh_net(93));
     run_training_with_snapshots(sgdm.as_mut(), &train, &val, &config, &policy)
         .expect("snapshotting run");
-    let snap = latest_snapshot(&dir).expect("list").expect("snapshot");
+    let snap = SnapshotFamily::engine(&dir)
+        .latest_valid()
+        .expect("list")
+        .expect("snapshot");
 
     let mut other =
         EngineSpec::Scheduled(ScheduledConfig::fill_drain(4, schedule())).build(fresh_net(93));
@@ -260,7 +295,10 @@ fn resuming_a_finished_run_reproduces_its_report() {
     let report = run_training_with_snapshots(engine.as_mut(), &train, &val, &config, &policy)
         .expect("snapshotting run");
 
-    let snap = latest_snapshot(&dir).expect("list").expect("snapshot");
+    let snap = SnapshotFamily::engine(&dir)
+        .latest_valid()
+        .expect("list")
+        .expect("snapshot");
     let mut redux = spec.build(fresh_net(94));
     let report_redux = resume_training(redux.as_mut(), &train, &val, &config, None, &snap)
         .expect("resume of finished run");

@@ -3,7 +3,7 @@
 use crate::crc::Crc32;
 use crate::error::SnapshotError;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -203,141 +203,140 @@ impl SnapshotArchive {
     }
 }
 
-/// The default snapshot file-name prefix; single-process runs write
-/// `snap-{samples:012}.pbps`.
-pub const SNAP_PREFIX: &str = "snap";
-
-/// The file-name prefix for one rank of a multi-process run. Rank
-/// prefixes embed the rank *before* the `snap` marker
-/// (`rank003-snap-…`), so rank snapshots sharing a directory are
-/// invisible to the default-prefix scans and two ranks never shadow
-/// each other's progress.
-pub fn rank_prefix(rank: usize) -> String {
-    format!("rank{rank:03}-snap")
+/// One host's snapshot files: `{prefix}-{counter:012}.pbps` in one
+/// directory, the counter being the host's progress (samples for an
+/// engine, microbatches for a rank). A file belongs to the family exactly
+/// when its name is the one the family gives some counter, and the family
+/// saves, prunes and scans its members only: families sharing a directory
+/// — an engine's and the ranks', or two ranks' — never shadow or delete
+/// one another's files, and no other file there is ever touched.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotFamily {
+    dir: PathBuf,
+    prefix: String,
 }
 
-/// The canonical snapshot file name for `prefix` at a progress counter:
-/// `{prefix}-{counter:012}.pbps`. Zero padding keeps lexicographic and
-/// numeric order identical, which the `latest_*` scans rely on.
-pub fn snapshot_file_name(prefix: &str, counter: usize) -> String {
-    format!("{prefix}-{counter:012}.pbps")
-}
-
-/// True if `name` is a snapshot file for `prefix`: exactly
-/// `{prefix}-{digits}.pbps`. The digit check keeps prefixes that extend
-/// one another (e.g. `snap` vs `rank000-snap`) from matching each
-/// other's files.
-fn matches_prefix(name: &str, prefix: &str) -> bool {
-    name.strip_prefix(prefix)
-        .and_then(|rest| rest.strip_prefix('-'))
-        .and_then(|rest| rest.strip_suffix(".pbps"))
-        .is_some_and(|digits| !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()))
-}
-
-/// Collects `{prefix}-{digits}.pbps` files in `dir`, sorted ascending by
-/// name (= ascending by progress counter). Entries that vanish while
-/// scanning (a concurrent writer pruning its retention window) are
-/// skipped, not errors. Returns an empty list for a missing directory.
-fn snapshot_candidates(dir: &Path, prefix: &str) -> Result<Vec<PathBuf>, SnapshotError> {
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(SnapshotError::Io(e)),
-    };
-    let mut candidates: Vec<PathBuf> = Vec::new();
-    for entry in entries {
-        let path = match entry {
-            Ok(entry) => entry.path(),
-            // A concurrently pruned entry can surface as a NotFound
-            // while iterating; losing a candidate another writer chose
-            // to delete is the correct outcome.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(SnapshotError::Io(e)),
-        };
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if matches_prefix(name, prefix) {
-            candidates.push(path);
-        }
+impl SnapshotFamily {
+    /// A training engine's family in `dir`: `snap-{samples:012}.pbps`.
+    pub fn engine(dir: impl Into<PathBuf>) -> Self {
+        let (dir, prefix) = (dir.into(), "snap".into());
+        SnapshotFamily { dir, prefix }
     }
-    candidates.sort();
-    Ok(candidates)
-}
 
-/// Finds the newest snapshot (`snap-*.pbps`, lexicographically greatest
-/// name — file names embed a zero-padded progress counter) in `dir`.
-/// Returns `Ok(None)` if the directory is missing or holds no snapshots.
-pub fn latest_snapshot(dir: &Path) -> Result<Option<PathBuf>, SnapshotError> {
-    latest_snapshot_with_prefix(dir, SNAP_PREFIX)
-}
+    /// Rank `rank`'s family in a directory the ranks share:
+    /// `rank{rank:03}-snap-{microbatches:012}.pbps`.
+    pub fn rank(dir: impl Into<PathBuf>, rank: usize) -> Self {
+        let (dir, prefix) = (dir.into(), format!("rank{rank:03}-snap"));
+        SnapshotFamily { dir, prefix }
+    }
 
-/// [`latest_snapshot`] for an arbitrary file-name prefix — used by
-/// multi-process runs where every rank owns a [`rank_prefix`] family in
-/// a shared directory.
-pub fn latest_snapshot_with_prefix(
-    dir: &Path,
-    prefix: &str,
-) -> Result<Option<PathBuf>, SnapshotError> {
-    Ok(snapshot_candidates(dir, prefix)?.pop())
-}
+    /// The file of the family's snapshot at `counter`. Zero padding keeps
+    /// the order of names that of counters.
+    pub fn path(&self, counter: usize) -> PathBuf {
+        self.dir.join(self.file_name(counter))
+    }
 
-/// Finds the newest snapshot in `dir` that actually **loads** — magic,
-/// version, every section checksum and the framing all verify. Corrupted
-/// or truncated files (a crash mid-write outside the atomic rename path,
-/// disk damage, manual truncation) are skipped with a warning on stderr
-/// and the next-newest candidate is tried, so one bad file never aborts a
-/// resume while an older good snapshot exists. Returns `Ok(None)` if the
-/// directory is missing or holds no loadable snapshot.
-pub fn latest_valid_snapshot(dir: &Path) -> Result<Option<PathBuf>, SnapshotError> {
-    latest_valid_snapshot_with_prefix(dir, SNAP_PREFIX)
-}
+    fn file_name(&self, counter: usize) -> String {
+        format!("{}-{counter:012}.pbps", self.prefix)
+    }
 
-/// [`latest_valid_snapshot`] for an arbitrary file-name prefix. Safe
-/// against concurrent writers in the same directory: candidates deleted
-/// between the scan and the load (a neighboring rank pruning its own
-/// files) are skipped like corrupt ones instead of aborting the resume.
-pub fn latest_valid_snapshot_with_prefix(
-    dir: &Path,
-    prefix: &str,
-) -> Result<Option<PathBuf>, SnapshotError> {
-    for path in snapshot_candidates(dir, prefix)?.into_iter().rev() {
-        match SnapshotArchive::load(&path) {
-            Ok(_) => return Ok(Some(path)),
-            Err(SnapshotError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                eprintln!(
-                    "warning: skipping unreadable snapshot {}: {e}",
-                    path.display()
-                );
+    /// The counter `name` holds, if it is a member's name.
+    fn counter_of(&self, name: &str) -> Option<usize> {
+        let digits = name
+            .strip_prefix(self.prefix.as_str())?
+            .strip_prefix('-')?
+            .strip_suffix(".pbps")?;
+        let counter = digits.parse().ok()?;
+        (self.file_name(counter) == name).then_some(counter)
+    }
+
+    /// The family's files, ascending by counter; none if the directory is
+    /// missing. An entry that vanishes during the scan (another writer
+    /// pruning) is skipped, not an error.
+    fn members(&self) -> Result<Vec<(usize, PathBuf)>, SnapshotError> {
+        let entries = match fs::read_dir(&self.dir) {
+            Ok(entries) => entries,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(e.into()),
+        };
+        let mut members = Vec::new();
+        for entry in entries {
+            let path = match entry {
+                Ok(entry) => entry.path(),
+                Err(e) if e.kind() == ErrorKind::NotFound => continue,
+                Err(e) => return Err(e.into()),
+            };
+            let name = path.file_name().and_then(|n| n.to_str());
+            if let Some(counter) = name.and_then(|n| self.counter_of(n)) {
+                members.push((counter, path));
             }
         }
+        members.sort();
+        Ok(members)
     }
-    Ok(None)
-}
 
-/// The progress counters for which `prefix`'s family in `dir` holds a
-/// *valid* snapshot — every candidate is fully loaded, so magic,
-/// version, and all section CRCs verify — ascending. Corrupt,
-/// truncated, or concurrently-pruned files are silently skipped: a
-/// counter in this list is a counter the family can genuinely resume
-/// from. Distributed launchers intersect these lists across ranks to
-/// find the group's common rewind point.
-pub fn valid_snapshot_counters(dir: &Path, prefix: &str) -> Vec<usize> {
-    let Ok(candidates) = snapshot_candidates(dir, prefix) else {
-        return Vec::new();
-    };
-    let marker = format!("{prefix}-");
-    candidates
-        .into_iter()
-        .filter_map(|path| {
-            let name = path.file_name()?.to_str()?;
-            let digits = name.strip_prefix(&marker)?.strip_suffix(".pbps")?;
-            let counter = digits.parse::<usize>().ok()?;
-            SnapshotArchive::load(&path).ok()?;
-            Some(counter)
-        })
-        .collect()
+    /// Writes `snap` atomically as the family's snapshot at `counter`,
+    /// then deletes all but the `keep` newest members, whoever wrote them
+    /// (`usize::MAX` keeps every one).
+    pub fn save(
+        &self,
+        snap: &SnapshotBuilder,
+        counter: usize,
+        keep: usize,
+    ) -> Result<(), SnapshotError> {
+        snap.save_atomic(&self.path(counter))?;
+        let members = self.members()?;
+        let excess = members.len().saturating_sub(keep);
+        for (_, old) in &members[..excess] {
+            match fs::remove_file(old) {
+                Ok(()) => {}
+                // Another writer pruning the same family won the race.
+                Err(e) if e.kind() == ErrorKind::NotFound => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
+    }
+
+    /// The validated scan: members that fully load — magic, version, every
+    /// section checksum, the framing — newest first, each loaded only when
+    /// the iterator reaches it. A corrupt or truncated member is skipped
+    /// with a warning on stderr; one deleted since the listing, silently.
+    fn valid(&self) -> Result<impl Iterator<Item = (usize, PathBuf)>, SnapshotError> {
+        let members = self.members()?.into_iter().rev();
+        Ok(
+            members.filter(|(_, path)| match SnapshotArchive::load(path) {
+                Ok(_) => true,
+                Err(SnapshotError::Io(e)) if e.kind() == ErrorKind::NotFound => false,
+                Err(e) => {
+                    eprintln!(
+                        "warning: skipping unreadable snapshot {}: {e}",
+                        path.display()
+                    );
+                    false
+                }
+            }),
+        )
+    }
+
+    /// The newest member that loads, so one damaged file never aborts a
+    /// resume while an older good one exists; `None` if there is none.
+    pub fn latest_valid(&self) -> Result<Option<PathBuf>, SnapshotError> {
+        Ok(self.valid()?.next().map(|(_, path)| path))
+    }
+
+    /// The counters the family holds a snapshot that loads for, ascending:
+    /// the counters it can genuinely resume from. An unreadable directory
+    /// holds none. Launchers intersect these lists across ranks to find
+    /// the group's common rewind point.
+    pub fn valid_counters(&self) -> Vec<usize> {
+        let Ok(valid) = self.valid() else {
+            return Vec::new();
+        };
+        let mut counters: Vec<usize> = valid.map(|(counter, _)| counter).collect();
+        counters.reverse();
+        counters
+    }
 }
 
 /// Section checksum: covers the name bytes and the payload, so flips in
@@ -456,20 +455,22 @@ mod tests {
         }
     }
 
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pbp_snap_{tag}_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn atomic_save_and_latest_snapshot() {
-        let dir = std::env::temp_dir().join(format!("pbp_snap_test_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-
-        assert!(latest_snapshot(&dir).unwrap().is_none());
+        let dir = scratch("save");
+        let family = SnapshotFamily::engine(&dir);
+        assert!(family.latest_valid().unwrap().is_none());
         let b = sample_builder();
-        b.save_atomic(&dir.join("snap-000000000010.pbps")).unwrap();
-        b.save_atomic(&dir.join("snap-000000000002.pbps")).unwrap();
-        let latest = latest_snapshot(&dir).unwrap().unwrap();
-        assert_eq!(
-            latest.file_name().unwrap().to_str().unwrap(),
-            "snap-000000000010.pbps"
-        );
+        family.save(&b, 10, usize::MAX).unwrap();
+        family.save(&b, 2, usize::MAX).unwrap();
+        let latest = family.latest_valid().unwrap().unwrap();
+        assert_eq!(latest, dir.join("snap-000000000010.pbps"));
         let ar = SnapshotArchive::load(&latest).unwrap();
         assert_eq!(ar.section("net").unwrap(), &[1, 2, 3, 4, 5]);
         // No temp files left behind.
@@ -485,79 +486,73 @@ mod tests {
 
     #[test]
     fn prefix_matching_is_digit_strict_and_family_scoped() {
-        assert!(matches_prefix("snap-000000000010.pbps", "snap"));
-        assert!(matches_prefix(
-            "rank003-snap-000000000010.pbps",
-            "rank003-snap"
-        ));
-        // Rank families and the default family never see each other.
-        assert!(!matches_prefix("rank003-snap-000000000010.pbps", "snap"));
-        assert!(!matches_prefix("snap-000000000010.pbps", "rank003-snap"));
-        // Non-digit counters, missing separators, foreign suffixes.
-        assert!(!matches_prefix("snap-final.pbps", "snap"));
-        assert!(!matches_prefix("snap-.pbps", "snap"));
-        assert!(!matches_prefix("snap000000000010.pbps", "snap"));
-        assert!(!matches_prefix("snap-000000000010.tmp", "snap"));
-        assert!(!matches_prefix(".snap-000000000010.pbps.tmp-1-2", "snap"));
+        let (engine, rank3) = (SnapshotFamily::engine("d"), SnapshotFamily::rank("d", 3));
+        assert_eq!(engine.counter_of("snap-000000000010.pbps"), Some(10));
+        assert_eq!(rank3.counter_of("rank003-snap-000000000010.pbps"), Some(10));
+        // Rank families and the engine family never see each other.
+        assert_eq!(engine.counter_of("rank003-snap-000000000010.pbps"), None);
+        assert_eq!(rank3.counter_of("snap-000000000010.pbps"), None);
+        // Non-digit or non-canonical counters, missing separators, foreign
+        // suffixes, temp files.
+        for name in [
+            "snap-final.pbps",
+            "snap-notes.pbps",
+            "snap-.pbps",
+            "snap-10.pbps",
+            "snap-+00000000010.pbps",
+            "snap000000000010.pbps",
+            "snap-000000000010.tmp",
+            ".snap-000000000010.pbps.tmp-1-2",
+        ] {
+            assert_eq!(engine.counter_of(name), None, "{name}");
+        }
+        // A counter past twelve digits keeps its name.
+        let big = 1 << 50;
+        assert_eq!(engine.counter_of(&engine.file_name(big)), Some(big));
     }
 
     #[test]
     fn rank_prefixed_families_resolve_independently() {
-        let dir = std::env::temp_dir().join(format!("pbp_rank_test_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let dir = scratch("rank");
         let b = sample_builder();
-        for (rank, counter) in [(0usize, 10usize), (0, 20), (1, 10)] {
-            let name = snapshot_file_name(&rank_prefix(rank), counter);
-            b.save_atomic(&dir.join(name)).unwrap();
+        let (engine, rank) = (SnapshotFamily::engine(&dir), |r| {
+            SnapshotFamily::rank(&dir, r)
+        });
+        for (r, counter) in [(0, 10), (0, 20), (1, 10)] {
+            rank(r).save(&b, counter, usize::MAX).unwrap();
         }
-        b.save_atomic(&dir.join(snapshot_file_name(SNAP_PREFIX, 30)))
-            .unwrap();
+        engine.save(&b, 30, usize::MAX).unwrap();
 
-        let newest_r0 = latest_valid_snapshot_with_prefix(&dir, &rank_prefix(0))
-            .unwrap()
-            .unwrap();
-        assert_eq!(
-            newest_r0.file_name().unwrap().to_str().unwrap(),
-            "rank000-snap-000000000020.pbps"
-        );
-        let newest_r1 = latest_snapshot_with_prefix(&dir, &rank_prefix(1))
-            .unwrap()
-            .unwrap();
-        assert_eq!(
-            newest_r1.file_name().unwrap().to_str().unwrap(),
-            "rank001-snap-000000000010.pbps"
-        );
-        // The default scan is blind to every rank family.
-        let default = latest_snapshot(&dir).unwrap().unwrap();
-        assert_eq!(
-            default.file_name().unwrap().to_str().unwrap(),
-            "snap-000000000030.pbps"
-        );
-        assert!(latest_valid_snapshot_with_prefix(&dir, &rank_prefix(2))
-            .unwrap()
-            .is_none());
+        let newest_r0 = rank(0).latest_valid().unwrap().unwrap();
+        assert_eq!(newest_r0, dir.join("rank000-snap-000000000020.pbps"));
+        assert_eq!(rank(1).valid_counters(), vec![10]);
+        // The engine's scan is blind to every rank family.
+        assert_eq!(engine.valid_counters(), vec![30]);
+        assert!(rank(2).latest_valid().unwrap().is_none());
+        // Retention, too, stays inside its family.
+        engine.save(&b, 40, 1).unwrap();
+        rank(0).save(&b, 30, 2).unwrap();
+        assert_eq!(engine.valid_counters(), vec![40]);
+        assert_eq!(rank(0).valid_counters(), vec![20, 30]);
+        assert_eq!(rank(1).valid_counters(), vec![10]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn concurrent_writers_in_one_directory_never_collide() {
-        // Two "ranks" (threads) hammer the same directory, each writing
-        // its own prefixed family via the temp+rename path, while a
-        // reader polls for the newest valid snapshot of each family.
-        // Every write must survive with valid contents and no stray
-        // temp files — the satellite fix this PR makes to the snapshot
-        // layer (per-writer temp names, prefix-scoped scans).
-        let dir = std::env::temp_dir().join(format!("pbp_concwr_test_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        // Two "ranks" (threads) hammer the same directory, each saving and
+        // pruning its own family through the temp+rename path. Every write
+        // must survive with valid contents, each family keep exactly its
+        // own newest three, and no temp file may be left behind.
+        let dir = scratch("concwr");
         fs::create_dir_all(&dir).unwrap();
         let writers: Vec<_> = (0..2usize)
             .map(|rank| {
-                let dir = dir.clone();
+                let family = SnapshotFamily::rank(&dir, rank);
                 std::thread::spawn(move || {
                     let b = sample_builder();
                     for counter in 1..=20usize {
-                        let name = snapshot_file_name(&rank_prefix(rank), counter);
-                        b.save_atomic(&dir.join(name)).unwrap();
+                        family.save(&b, counter, 3).unwrap();
                     }
                 })
             })
@@ -566,14 +561,9 @@ mod tests {
             w.join().unwrap();
         }
         for rank in 0..2usize {
-            let newest = latest_valid_snapshot_with_prefix(&dir, &rank_prefix(rank))
-                .unwrap()
-                .unwrap();
-            assert_eq!(
-                newest.file_name().unwrap().to_str().unwrap(),
-                snapshot_file_name(&rank_prefix(rank), 20)
-            );
-            let ar = SnapshotArchive::load(&newest).unwrap();
+            let family = SnapshotFamily::rank(&dir, rank);
+            assert_eq!(family.valid_counters(), vec![18, 19, 20]);
+            let ar = SnapshotArchive::load(&family.path(20)).unwrap();
             assert_eq!(ar.section("net").unwrap(), &[1, 2, 3, 4, 5]);
         }
         for entry in fs::read_dir(&dir).unwrap() {
@@ -594,45 +584,41 @@ mod tests {
 
     #[test]
     fn latest_valid_skips_bit_flipped_newest() {
-        let dir = std::env::temp_dir().join(format!("pbp_valid_test_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        assert!(latest_valid_snapshot(&dir).unwrap().is_none());
+        let dir = scratch("valid");
+        let family = SnapshotFamily::engine(&dir);
+        assert!(family.latest_valid().unwrap().is_none());
 
         let b = sample_builder();
-        let good = dir.join("snap-000000000010.pbps");
-        let bad = dir.join("snap-000000000020.pbps");
-        b.save_atomic(&good).unwrap();
-        b.save_atomic(&bad).unwrap();
-        // The plain loader picks the newest file regardless of damage...
-        assert_eq!(latest_snapshot(&dir).unwrap().unwrap(), bad);
-        // ...so flip one bit inside a section payload of the newest file
-        // and confirm the valid loader falls back to the older one.
+        family.save(&b, 10, usize::MAX).unwrap();
+        family.save(&b, 20, usize::MAX).unwrap();
+        // Flip one bit inside a section payload of the newest file and
+        // confirm the scan falls back to the older one.
+        let bad = family.path(20);
         let mut bytes = fs::read(&bad).unwrap();
         let pos = bytes.len() / 2;
         bytes[pos] ^= 0x01;
         fs::write(&bad, &bytes).unwrap();
         assert!(SnapshotArchive::load(&bad).is_err());
-        assert_eq!(latest_valid_snapshot(&dir).unwrap().unwrap(), good);
+        assert_eq!(family.latest_valid().unwrap(), Some(family.path(10)));
+        assert_eq!(family.valid_counters(), vec![10]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn latest_valid_skips_truncated_newest_and_reports_none_when_all_bad() {
-        let dir = std::env::temp_dir().join(format!("pbp_trunc_test_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-
+        let dir = scratch("trunc");
+        let family = SnapshotFamily::engine(&dir);
         let b = sample_builder();
-        let good = dir.join("snap-000000000005.pbps");
-        let torn = dir.join("snap-000000000009.pbps");
-        b.save_atomic(&good).unwrap();
+        family.save(&b, 5, usize::MAX).unwrap();
         // A torn write: only half the container made it to disk.
         let bytes = b.to_bytes();
-        fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
-        assert_eq!(latest_valid_snapshot(&dir).unwrap().unwrap(), good);
+        fs::write(family.path(9), &bytes[..bytes.len() / 2]).unwrap();
+        assert_eq!(family.latest_valid().unwrap(), Some(family.path(5)));
 
         // With the good one gone, nothing in the directory loads.
-        fs::remove_file(&good).unwrap();
-        assert!(latest_valid_snapshot(&dir).unwrap().is_none());
+        fs::remove_file(family.path(5)).unwrap();
+        assert!(family.latest_valid().unwrap().is_none());
+        assert!(family.valid_counters().is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

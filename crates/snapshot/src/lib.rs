@@ -39,11 +39,7 @@ mod crc;
 mod error;
 
 pub use codec::{StateReader, StateWriter};
-pub use container::{
-    latest_snapshot, latest_snapshot_with_prefix, latest_valid_snapshot,
-    latest_valid_snapshot_with_prefix, rank_prefix, snapshot_file_name, valid_snapshot_counters,
-    SnapshotArchive, SnapshotBuilder, MAGIC, SNAP_PREFIX, VERSION,
-};
+pub use container::{SnapshotArchive, SnapshotBuilder, SnapshotFamily, MAGIC, VERSION};
 pub use crc::{crc32, Crc32};
 pub use error::SnapshotError;
 

@@ -95,6 +95,22 @@ if [[ -n $stray ]]; then
   exit 1
 fi
 
+echo "== one snapshot family for every host (grep lint) =="
+# Every host's snapshot files — an engine's, each rank's — are one
+# SnapshotFamily (pbp-snapshot's container.rs, DESIGN §8), which alone
+# names, saves, prunes and scans them: the file-name format is spelled
+# nowhere else in crates/*/src, and the rank-only policy, the per-rank
+# path helper and the prefix-taking scans stay retired. Needles are split
+# so this file does not contain them.
+lint_only_in '.pbps' 'container'
+stray=$(git grep -lE 'RankSnap''shots|rank_snapshot''_path|latest_snapshot''_with_prefix|latest_valid_snapshot''_with_prefix' \
+  -- . ':(exclude,glob)*.md' || true)
+if [[ -n $stray ]]; then
+  echo "a retired snapshot helper is named again:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+
 echo "== one way to watch a run (grep lint) =="
 # A run reports through its return values and one Tracer (DESIGN §11):
 # run_supervised installs it on every engine it builds and is the only
