@@ -311,14 +311,11 @@ impl DelayedTrainer {
     pub fn into_network(self) -> Network {
         self.net
     }
-}
 
-impl TrainEngine for DelayedTrainer {
-    fn label(&self) -> String {
-        self.config.label()
-    }
-
-    fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
+    /// Trains on one explicit batch (`x` has a leading batch dimension)
+    /// at the next delay the configured distribution draws; returns the
+    /// mean loss.
+    pub fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
         let start = Instant::now();
         let hp = self.config.schedule.at(self.samples_seen);
         let delay = self.config.delay.sample(&mut self.delay_rng);
@@ -375,6 +372,12 @@ impl TrainEngine for DelayedTrainer {
         self.samples_seen += labels.len();
         self.train_ns += start.elapsed().as_nanos();
         loss
+    }
+}
+
+impl TrainEngine for DelayedTrainer {
+    fn label(&self) -> String {
+        self.config.label()
     }
 
     /// Returns the loss sum and the number of batches covered. Slice

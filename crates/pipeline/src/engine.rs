@@ -31,11 +31,6 @@ pub trait TrainEngine {
     /// Display label for reports (matches the paper's table rows).
     fn label(&self) -> String;
 
-    /// Trains on one explicit batch (`x` has a leading batch dimension);
-    /// returns the mean loss. Per-sample engines process the batch one
-    /// sample at a time under their own update semantics.
-    fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32;
-
     /// Trains one epoch over `data` in the deterministic order derived
     /// from `(seed, epoch)`; returns the mean training loss. The default
     /// covers the epoch order with one [`TrainEngine::train_range`] call.
@@ -139,26 +134,17 @@ pub struct RunConfig {
     pub epochs: usize,
     /// Seed for the per-epoch data order.
     pub seed: u64,
-    /// Evaluation batch size. Purely a throughput knob: `evaluate` is
-    /// batch-size-invariant (per-sample metric accumulation over
-    /// bit-identical forward kernels), so any value reports the same
-    /// metrics — larger batches just tile into faster GEMMs.
-    pub eval_batch: usize,
     /// Evaluate every `eval_every` epochs (the final epoch is always
     /// evaluated). 1 = every epoch, matching the engines' old `run()`.
     pub eval_every: usize,
 }
 
 impl RunConfig {
-    /// Per-epoch evaluation at batch 64. The historical engines evaluated
-    /// at batch 16; since `evaluate` became batch-size-invariant the
-    /// reported metrics are identical, and 64 amortizes per-batch
-    /// overhead into larger, better-tiling GEMM calls.
+    /// Per-epoch evaluation.
     pub fn new(epochs: usize, seed: u64) -> Self {
         RunConfig {
             epochs,
             seed,
-            eval_batch: 64,
             eval_every: 1,
         }
     }
@@ -176,9 +162,9 @@ impl RunConfig {
 ///
 /// # Panics
 ///
-/// Panics if `config.eval_batch == 0` or `config.eval_every == 0`, or if
-/// the engine reports a [`PipelineFault`](crate::fault::PipelineFault)
-/// mid-run — this plain loop has no recovery story; use
+/// Panics if `config.eval_every == 0`, or if the engine reports a
+/// [`PipelineFault`](crate::fault::PipelineFault) mid-run — this plain
+/// loop has no recovery story; use
 /// [`run_supervised`](crate::supervisor::run_supervised) for runs that
 /// should survive faults.
 pub fn run_training(
@@ -244,29 +230,6 @@ pub(crate) fn batch_of_one(x: &Tensor) -> Tensor {
     let mut shape = vec![1usize];
     shape.extend_from_slice(x.shape());
     x.reshape(&shape).expect("same volume")
-}
-
-/// Splits a batched tensor (leading dimension `n`) into its `n` rows
-/// without the batch dimension — used by the per-sample engines to
-/// satisfy [`TrainEngine::train_batch`].
-pub(crate) fn batch_rows(x: &Tensor, n: usize) -> Vec<Tensor> {
-    assert!(n > 0, "batch must be non-empty");
-    assert_eq!(
-        x.shape().first().copied(),
-        Some(n),
-        "leading dimension must match label count"
-    );
-    let volume = x.len() / n;
-    let row_shape: Vec<usize> = x.shape()[1..].to_vec();
-    (0..n)
-        .map(|i| {
-            Tensor::from_vec(
-                x.as_slice()[i * volume..(i + 1) * volume].to_vec(),
-                &row_shape,
-            )
-            .expect("row volume matches shape")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -350,14 +313,5 @@ mod tests {
         assert_eq!(report.records.len(), 1);
         assert_eq!(report.records[0].epoch, 4);
         assert_eq!(engine.samples_seen(), 5 * train.len());
-    }
-
-    #[test]
-    fn batch_rows_roundtrips() {
-        let x = Tensor::from_vec((0..12).map(|i| i as f32).collect(), &[3, 2, 2]).unwrap();
-        let rows = batch_rows(&x, 3);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[1].shape(), &[2, 2]);
-        assert_eq!(rows[1].as_slice(), &[4.0, 5.0, 6.0, 7.0]);
     }
 }

@@ -197,6 +197,12 @@ pub(crate) enum Outcome {
     Killed,
 }
 
+/// Evaluation batch size. Purely a throughput knob: `evaluate` is
+/// batch-size-invariant (per-sample metric accumulation over bit-identical
+/// forward kernels), so any value reports the same metrics, and 64
+/// amortizes per-batch overhead into larger, better-tiling GEMM calls.
+const EVAL_BATCH: usize = 64;
+
 /// The one training loop: epoch ordering, evaluation cadence and record
 /// collection for [`run_training`](crate::engine::run_training) and the
 /// three entry points here. Epochs advance in aligned sub-epoch slices
@@ -214,7 +220,6 @@ pub(crate) fn drive(
     state: &mut RunnerState,
     lane: &mut Lane,
 ) -> Result<Outcome, RunError> {
-    assert!(config.eval_batch > 0, "eval batch must be positive");
     assert!(config.eval_every > 0, "eval cadence must be positive");
     let spu = engine.samples_per_update().max(1);
     while state.cursor.epoch < config.epochs {
@@ -264,7 +269,7 @@ pub(crate) fn drive(
         };
         let is_last = epoch + 1 == config.epochs;
         if (epoch + 1).is_multiple_of(config.eval_every) || is_last {
-            let (val_loss, val_acc) = evaluate(engine.network_mut(), val, config.eval_batch);
+            let (val_loss, val_acc) = evaluate(engine.network_mut(), val, EVAL_BATCH);
             state.records.push(EpochRecord {
                 epoch,
                 train_loss,

@@ -34,7 +34,7 @@
 //! it at the update boundary, where the summed gradients meet the same
 //! optimizer sweep a fused schedule's do.
 
-use crate::engine::{batch_rows, TrainEngine};
+use crate::engine::TrainEngine;
 use crate::group::StageGroup;
 use crate::metrics::EngineMetrics;
 use crate::rank::{Message, RankLoop, Upstream};
@@ -225,16 +225,6 @@ impl ScheduledTrainer {
 impl TrainEngine for ScheduledTrainer {
     fn label(&self) -> String {
         self.config.label()
-    }
-
-    fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
-        let rows = batch_rows(x, labels.len());
-        let total: f32 = rows
-            .iter()
-            .zip(labels)
-            .map(|(row, &label)| self.train_sample(row, label))
-            .sum();
-        total / labels.len() as f32
     }
 
     /// All pipeline state (weight version queues, stashes, partially

@@ -32,7 +32,7 @@
 //!   [`FaultPlan`]'s rank clauses script such faults for tests: stage `s`
 //!   is rank `s` of the plan, whichever worker hosts it.
 
-use crate::engine::{batch_rows, TrainEngine};
+use crate::engine::TrainEngine;
 use crate::fault::{FaultInjector, FaultPlan, PipelineFault, RankFault};
 use crate::group::{partition_bounds, stage_cost, StageGroup};
 use crate::metrics::EngineMetrics;
@@ -43,7 +43,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pbp_data::Dataset;
 use pbp_nn::{Network, Stage};
 use pbp_optim::{LrSchedule, Mitigation};
-use pbp_tensor::{pool, Tensor};
+use pbp_tensor::pool;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -365,14 +365,6 @@ impl TrainEngine for ThreadedPipeline {
         self.config.label()
     }
 
-    fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
-        let classes = labels.iter().max().map_or(0, |&l| l + 1);
-        let batch = Dataset::new(batch_rows(x, labels.len()), labels.to_vec(), classes);
-        let order: Vec<usize> = (0..labels.len()).collect();
-        let (sum, _) = TrainEngine::train_range(self, &batch, &order);
-        (sum / labels.len() as f64) as f32
-    }
-
     fn train_range(&mut self, data: &Dataset, indices: &[usize]) -> (f64, usize) {
         match self.stream(data, indices) {
             Ok(losses) => (losses.iter().map(|&l| l as f64).sum::<f64>(), losses.len()),
@@ -655,6 +647,7 @@ mod tests {
     use pbp_data::{spirals, DatasetSpec, SyntheticImages};
     use pbp_nn::models::{mlp, vgg_cnn};
     use pbp_optim::Hyperparams;
+    use pbp_tensor::Tensor;
     use pbp_trace::{TracePhase, Tracer, PID_WALL};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -12,7 +12,7 @@ use pbp_nn::loss::softmax_cross_entropy;
 use pbp_nn::models::{mlp, vgg_cnn};
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
-use pbp_pipeline::{DelayedConfig, DelayedTrainer, MicrobatchSchedule, StageCell, TrainEngine};
+use pbp_pipeline::{DelayedConfig, DelayedTrainer, MicrobatchSchedule, StageCell};
 use pbp_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

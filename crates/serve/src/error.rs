@@ -13,10 +13,10 @@ pub enum ServeError {
     /// on an input whose shape the network rejects). The worker survives
     /// and keeps serving later batches.
     WorkerPanicked,
-    /// The pending-request queue is full (`PBP_SERVE_QUEUE` /
-    /// [`crate::ServeConfig::queue`] slots): the request was rejected at
-    /// submission without queueing. The caller owns the retry policy —
-    /// back off and resubmit, or shed the load.
+    /// The pending-request queue is full ([`crate::ServeConfig::queue`]
+    /// slots): the request was rejected at submission without queueing.
+    /// The caller owns the retry policy — back off and resubmit, or shed
+    /// the load.
     Overloaded,
 }
 

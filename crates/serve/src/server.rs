@@ -2,23 +2,30 @@
 //!
 //! # Batcher state machine
 //!
-//! The batcher thread cycles through three states (documented in DESIGN.md
-//! §13):
+//! The batcher thread waits on one queue, the ingress FIFO, and cycles
+//! through three states (documented in DESIGN.md §13):
 //!
-//! 1. **Idle** — blocked on `select2(control, ingress)`. A control message
-//!    moves it to *Draining*; an ingress request opens a batch and moves it
-//!    to *Coalescing*.
+//! 1. **Idle** — blocked in one `ingress.recv()`. A request opens a batch
+//!    and moves it to *Coalescing*; a drain order moves it to *Draining*.
 //! 2. **Coalescing** — holds an open batch and a deadline (`open time +
 //!    config.deadline`). It keeps receiving with `recv_timeout` until the
 //!    batch is full (`max_batch`), the deadline passes, or a request with a
 //!    different sample shape arrives — which flushes the open batch and
 //!    opens a new one (shape cohorts never mix inside a forward pass).
-//!    Every exit from this state dispatches the open batch to the worker
-//!    queue and returns to *Idle*.
+//!    Each of these dispatches the open batch to the worker queue and
+//!    returns to *Idle*. A drain order dispatches it and moves on to
+//!    *Draining* at once.
 //! 3. **Draining** — consumes whatever is still queued without waiting
 //!    (`try_recv`), dispatches it in shape-uniform, budget-sized batches,
 //!    drops the worker queue sender, and exits. Workers finish the
 //!    remaining batches and exit when the queue disconnects.
+//!
+//! The drain order is an item of the ingress queue itself
+//! (`Inbound::Drain`): shutdown sets the submission flag, then queues it
+//! with a blocking send behind every request already accepted. So every
+//! accepted request is served, and shutdown never waits out the
+//! coalescing deadline of an open batch: the batcher sees the order as
+//! soon as it reaches the head of the queue.
 //!
 //! Shutdown visibility is a flag checked at submission, so a client racing
 //! a shutdown can lose: its request may enter the ingress queue after the
@@ -27,9 +34,7 @@
 //! [`ServeError::ShuttingDown`] instead of hanging.
 
 use crate::{ServeConfig, ServeError};
-use crossbeam::channel::{
-    bounded, select2, unbounded, Receiver, RecvTimeoutError, Select2, Sender, TrySendError,
-};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use pbp_nn::Network;
 use pbp_tensor::{pool, Tensor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,6 +48,15 @@ use std::time::Instant;
 struct Request {
     x: Tensor,
     reply: Sender<Result<Tensor, ServeError>>,
+}
+
+/// An item of the ingress queue.
+enum Inbound {
+    /// A client's request.
+    Request(Request),
+    /// Shutdown's drain order: dispatch everything queued before it, and
+    /// exit.
+    Drain,
 }
 
 /// Counters shared by clients, the batcher, and the workers.
@@ -121,7 +135,7 @@ impl Pending {
 /// [`ServeError::ShuttingDown`].
 #[derive(Clone)]
 pub struct Client {
-    ingress: Sender<Request>,
+    ingress: Sender<Inbound>,
     shutting_down: Arc<AtomicBool>,
     stats: Arc<StatsInner>,
 }
@@ -137,7 +151,10 @@ impl Client {
             return Err(ServeError::ShuttingDown);
         }
         let (reply, rx) = bounded(1);
-        match self.ingress.try_send(Request { x, reply }) {
+        match self
+            .ingress
+            .try_send(Inbound::Request(Request { x, reply }))
+        {
             Ok(()) => {
                 self.stats.submitted.fetch_add(1, Ordering::Relaxed);
                 Ok(Pending { rx })
@@ -159,17 +176,10 @@ impl Client {
     }
 }
 
-/// Control messages from [`Server`] to the batcher thread.
-enum Control {
-    /// Drain the ingress queue, dispatch everything, and exit.
-    Drain,
-}
-
 /// An inference server: one batcher thread plus one worker thread per
 /// network replica. See the module docs for the batcher state machine.
 pub struct Server {
-    ingress: Sender<Request>,
-    control: Sender<Control>,
+    ingress: Sender<Inbound>,
     shutting_down: Arc<AtomicBool>,
     stats: Arc<StatsInner>,
     batcher: Option<JoinHandle<()>>,
@@ -194,8 +204,7 @@ impl Server {
             queue: config.queue.max(1),
             ..config
         };
-        let (ingress_tx, ingress_rx) = bounded::<Request>(config.queue);
-        let (control_tx, control_rx) = unbounded::<Control>();
+        let (ingress_tx, ingress_rx) = bounded::<Inbound>(config.queue);
         let (work_tx, work_rx) = unbounded::<Vec<Request>>();
         let stats = Arc::new(StatsInner::default());
 
@@ -218,13 +227,12 @@ impl Server {
             let stats = Arc::clone(&stats);
             std::thread::Builder::new()
                 .name("pbp-serve-batcher".into())
-                .spawn(move || batcher_loop(ingress_rx, control_rx, work_tx, config, stats))
+                .spawn(move || batcher_loop(ingress_rx, work_tx, config, stats))
                 .expect("spawn serve batcher")
         };
 
         Server {
             ingress: ingress_tx,
-            control: control_tx,
             shutting_down: Arc::new(AtomicBool::new(false)),
             stats,
             batcher: Some(batcher),
@@ -257,7 +265,10 @@ impl Server {
 
     fn shutdown_inner(&mut self) -> Vec<Network> {
         self.shutting_down.store(true, Ordering::Release);
-        let _ = self.control.send(Control::Drain);
+        // Behind every accepted request; blocks only while the queue is
+        // full, which the running batcher empties. It fails only if the
+        // batcher is already gone.
+        let _ = self.ingress.send(Inbound::Drain);
         if let Some(b) = self.batcher.take() {
             let _ = b.join();
         }
@@ -296,22 +307,16 @@ fn dispatch(work_tx: &Sender<Vec<Request>>, batch: Vec<Request>, stats: &StatsIn
 }
 
 fn batcher_loop(
-    ingress: Receiver<Request>,
-    control: Receiver<Control>,
+    ingress: Receiver<Inbound>,
     work_tx: Sender<Vec<Request>>,
     config: ServeConfig,
     stats: Arc<StatsInner>,
 ) {
-    loop {
-        // Idle: wait for a request or a drain order (control has priority).
-        let first = match select2(&control, &ingress) {
-            Select2::First(_) => break, // Drain, or Server dropped its control sender
-            Select2::Second(Ok(req)) => req,
-            Select2::Second(Err(_)) => break, // every ingress sender gone
-        };
-
-        // Coalescing: fill the open batch until budget, deadline, or a
-        // shape change.
+    // Idle: wait for a request or the drain order (a disconnect, which the
+    // server's own sender rules out, ends the loop the same way).
+    'idle: while let Ok(Inbound::Request(first)) = ingress.recv() {
+        // Coalescing: fill the open batch until budget, deadline, a shape
+        // change or the drain order.
         let mut batch = vec![first];
         let mut deadline = Instant::now() + config.deadline;
         while batch.len() < config.max_batch {
@@ -320,7 +325,7 @@ fn batcher_loop(
                 break;
             }
             match ingress.recv_timeout(deadline - now) {
-                Ok(req) => {
+                Ok(Inbound::Request(req)) => {
                     if req.x.shape() != batch[0].x.shape() {
                         // Shape cohorts never share a forward pass: flush
                         // the open batch and open a new one around `req`.
@@ -330,20 +335,21 @@ fn batcher_loop(
                         batch.push(req);
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
+                Ok(Inbound::Drain) | Err(RecvTimeoutError::Disconnected) => {
                     dispatch(&work_tx, batch, &stats);
-                    return; // work_tx drops; workers drain and exit
+                    break 'idle;
                 }
+                Err(RecvTimeoutError::Timeout) => break,
             }
         }
         dispatch(&work_tx, batch, &stats);
     }
 
-    // Draining: dispatch everything still queued, in shape-uniform,
-    // budget-sized batches, without waiting for more.
+    // Draining: behind the drain order sit only requests from clients
+    // that raced the shutdown flag. Dispatch everything still queued, in
+    // shape-uniform, budget-sized batches, without waiting for more.
     let mut batch: Vec<Request> = Vec::new();
-    while let Ok(req) = ingress.try_recv() {
+    while let Ok(Inbound::Request(req)) = ingress.try_recv() {
         if !batch.is_empty()
             && (batch.len() >= config.max_batch || req.x.shape() != batch[0].x.shape())
         {
@@ -414,7 +420,7 @@ mod tests {
     /// empty the queue.
     #[test]
     fn full_ingress_queue_rejects_with_overloaded() {
-        let (ingress, ingress_rx) = bounded::<Request>(1);
+        let (ingress, ingress_rx) = bounded::<Inbound>(1);
         let client = Client {
             ingress,
             shutting_down: Arc::new(AtomicBool::new(false)),
@@ -431,7 +437,7 @@ mod tests {
         assert_eq!(stats.rejected, 0);
 
         // Draining the slot re-opens admission.
-        drop(ingress_rx.recv().expect("queued request"));
+        assert!(matches!(ingress_rx.recv(), Ok(Inbound::Request(_))));
         client.submit(x()).expect("slot freed");
 
         // Receiver gone entirely: that is shutdown, not overload.

@@ -1,5 +1,5 @@
 //! End-to-end serving behavior: bit-exact replies, coalescing, shape
-//! cohorts, typed worker failures, and graceful shutdown.
+//! cohorts, typed worker failures, and graceful, prompt shutdown.
 
 use pbp_nn::models::{mlp, simple_cnn};
 use pbp_nn::Network;
@@ -7,7 +7,7 @@ use pbp_serve::{ServeConfig, ServeError, Server};
 use pbp_tensor::{normal, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Two structurally-identical networks from the same seed: one to serve,
 /// one to compute reference logits directly.
@@ -158,6 +158,42 @@ fn shape_cohorts_are_batched_separately() {
         "mixed shapes need at least two batches, got {}",
         stats.batches
     );
+}
+
+#[test]
+fn shutdown_dispatches_an_open_batch_without_waiting_out_its_deadline() {
+    // The drain order queues behind the requests, so the batcher sees it
+    // while it coalesces: the open batch goes out at once instead of at
+    // its 30 s deadline.
+    let build = || simple_cnn(2, 6, 2, 3, &mut StdRng::seed_from_u64(6));
+    let mut reference = build();
+    let server = Server::start(
+        vec![build()],
+        ServeConfig {
+            max_batch: 8,
+            deadline: Duration::from_secs(30),
+            ..ServeConfig::default()
+        },
+    );
+    let client = server.client();
+    let mut rng = StdRng::seed_from_u64(16);
+    let small = normal(&[2, 5, 5], 0.0, 1.0, &mut rng);
+    let large = normal(&[2, 7, 7], 0.0, 1.0, &mut rng);
+    let p_small = client.submit(small).unwrap();
+    let p_large = client.submit(large.clone()).unwrap();
+    // The small sample's batch is dispatched only when the large one opens
+    // a new batch, so once this reply is here the batcher is coalescing.
+    p_small.wait().expect("small reply");
+    let start = Instant::now();
+    let (_, stats) = server.shutdown();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(3),
+        "shutdown waited {took:?} on an open batch"
+    );
+    let got = p_large.wait().expect("large reply");
+    assert_bits_eq(&got, &direct_logits(&mut reference, &large), "large");
+    assert_eq!(stats.replied, 2);
 }
 
 #[test]

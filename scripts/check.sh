@@ -45,12 +45,9 @@ lint_only_in 'PID_VIRTUAL' 'timeline|lib|analysis'
 # worker 0, a dist rank 0, the virtual host — feeds it through
 # Upstream::Feed, a closure the rank's own thread calls. The threaded
 # engine's calling thread only supervises and collects: a feeder handing
-# samples to worker 0 over a channel, with its timed sends, stays retired.
+# samples to worker 0 over a channel, with its timed sends, stays retired
+# (the channel shim has no timed send: see the one-queue lint below).
 lint_only_in 'Message::sample(' 'rank|scheduled|threaded|runner|timeline'
-if grep -rnF 'send_timeout(' crates/pipeline/src >&2; then
-  echo "a timed send is back in crates/pipeline/src: worker 0 feeds itself" >&2
-  exit 1
-fi
 # One host shape: a threaded worker is a rank over its run of
 # partition_bounds, as many as the thread budget holds. The FLOP
 # heuristic that guessed which of S stage threads deserved a core stays
@@ -123,6 +120,23 @@ stray=$(git grep -lE 'Train''Hooks|No''Hooks|Trace''Hooks|Json''Sink|on_supervis
   -- crates src tests examples shims scripts README.md DESIGN.md || true)
 if [[ -n $stray ]]; then
   echo "a retired observer or tracer hand-off is named again:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+
+echo "== one queue per batcher (grep lint) =="
+# Every receiver in the workspace, the serving batcher included, waits on
+# one channel (DESIGN §13): shutdown's drain order rides the ingress FIFO
+# behind the requests. The two-channel select with its waiter latch, the
+# timed send and the serving env knobs stay retired, in the channel shim
+# and everywhere else. Needles are split so this file does not contain
+# them. Markdown is scanned only in the documents that describe the
+# current program; the change log and roadmap name the retired items.
+needles='select''2|Select''2|Select''Signal|send''_timeout|SendTimeout''Error|macro_rules! ''select|from''_env|PBP''_SERVE_'
+stray=$({ git grep -lE "$needles" -- . ':!*.md'
+          git grep -lE "$needles" -- README.md DESIGN.md EXPERIMENTS.md; } || true)
+if [[ -n $stray ]]; then
+  echo "a second wait, a timed send or a serving env knob is back:" >&2
   echo "$stray" >&2
   exit 1
 fi

@@ -4,18 +4,18 @@
 //! The build environment has no network access, so external crates cannot be
 //! fetched. This shim provides the `crossbeam::channel` API subset the
 //! workspace uses: `bounded`/`unbounded` MPMC channels with disconnect
-//! semantics, plus a two-arm `select!` macro. Channels are a `Mutex<VecDeque>`
-//! with condvars — not lock-free like the real crate, but the pipeline moves
-//! whole activation tensors per message, so channel overhead is negligible.
+//! semantics and blocking, timed and non-blocking receives. Every receiver
+//! in the workspace waits on one channel at a time, so there is no
+//! `select!`. Channels are a `Mutex<VecDeque>` with condvars — not
+//! lock-free like the real crate, but the pipeline moves whole activation
+//! tensors per message, so channel overhead is negligible.
 
 /// MPMC channels with `Sender`/`Receiver` endpoints and disconnect semantics.
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex, Weak};
+    use std::sync::{Arc, Condvar, Mutex};
     use std::time::{Duration, Instant};
-
-    pub use crate::select;
 
     /// Sending failed because every `Receiver` was dropped. Returns the
     /// unsent message.
@@ -103,104 +103,11 @@ pub mod channel {
         }
     }
 
-    /// Bounded-wait send outcome when the message was not enqueued; carries
-    /// the message back like the real crate.
-    #[derive(PartialEq, Eq)]
-    pub enum SendTimeoutError<T> {
-        /// The deadline passed with the channel still full.
-        Timeout(T),
-        /// Every `Receiver` was dropped.
-        Disconnected(T),
-    }
-
-    impl<T> fmt::Debug for SendTimeoutError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                SendTimeoutError::Timeout(_) => write!(f, "SendTimeoutError::Timeout(..)"),
-                SendTimeoutError::Disconnected(_) => {
-                    write!(f, "SendTimeoutError::Disconnected(..)")
-                }
-            }
-        }
-    }
-
-    impl<T> fmt::Display for SendTimeoutError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                SendTimeoutError::Timeout(_) => write!(f, "timed out waiting on send operation"),
-                SendTimeoutError::Disconnected(_) => {
-                    write!(f, "sending on a disconnected channel")
-                }
-            }
-        }
-    }
-
-    /// Wakeup latch shared between `select2` and the channels it watches.
-    pub(crate) struct SelectSignal {
-        fired: Mutex<bool>,
-        cond: Condvar,
-    }
-
-    impl SelectSignal {
-        fn new() -> Self {
-            SelectSignal {
-                fired: Mutex::new(false),
-                cond: Condvar::new(),
-            }
-        }
-
-        fn reset(&self) {
-            *self.fired.lock().unwrap() = false;
-        }
-
-        pub(crate) fn notify(&self) {
-            *self.fired.lock().unwrap() = true;
-            self.cond.notify_all();
-        }
-
-        /// Waits until notified. The timeout is a belt-and-braces guard; the
-        /// registration protocol re-checks readiness after registering, so a
-        /// wakeup cannot be lost.
-        fn wait(&self) {
-            let guard = self.fired.lock().unwrap();
-            let _unused = self
-                .cond
-                .wait_timeout_while(guard, Duration::from_millis(50), |fired| !*fired)
-                .unwrap();
-        }
-
-        /// Waits until notified or `deadline` passes, whichever is first.
-        fn wait_until(&self, deadline: Instant) {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let cap = (deadline - now).min(Duration::from_millis(50));
-            let guard = self.fired.lock().unwrap();
-            let _unused = self
-                .cond
-                .wait_timeout_while(guard, cap, |fired| !*fired)
-                .unwrap();
-        }
-    }
-
     struct Inner<T> {
         queue: VecDeque<T>,
         cap: Option<usize>,
         senders: usize,
         receivers: usize,
-        waiters: Vec<Weak<SelectSignal>>,
-    }
-
-    impl<T> Inner<T> {
-        /// Wakes every registered `select` waiter; stale entries are pruned.
-        fn notify_waiters(&mut self) {
-            for w in self.waiters.drain(..) {
-                if let Some(signal) = w.upgrade() {
-                    signal.notify();
-                }
-            }
-        }
     }
 
     struct Shared<T> {
@@ -240,7 +147,6 @@ pub mod channel {
                 cap,
                 senders: 1,
                 receivers: 1,
-                waiters: Vec::new(),
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -269,7 +175,6 @@ pub mod channel {
                 inner = self.shared.not_full.wait(inner).unwrap();
             }
             inner.queue.push_back(value);
-            inner.notify_waiters();
             self.shared.not_empty.notify_one();
             Ok(())
         }
@@ -285,37 +190,6 @@ pub mod channel {
                 return Err(TrySendError::Full(value));
             }
             inner.queue.push_back(value);
-            inner.notify_waiters();
-            self.shared.not_empty.notify_one();
-            Ok(())
-        }
-
-        /// Like [`Sender::send`], but gives up once `timeout` elapses with
-        /// the channel still full, returning the message either way.
-        pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-            let deadline = Instant::now() + timeout;
-            let mut inner = self.shared.inner.lock().unwrap();
-            loop {
-                if inner.receivers == 0 {
-                    return Err(SendTimeoutError::Disconnected(value));
-                }
-                let full = inner.cap.is_some_and(|c| inner.queue.len() >= c);
-                if !full {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(SendTimeoutError::Timeout(value));
-                }
-                let (guard, _timed_out) = self
-                    .shared
-                    .not_full
-                    .wait_timeout(inner, deadline - now)
-                    .unwrap();
-                inner = guard;
-            }
-            inner.queue.push_back(value);
-            inner.notify_waiters();
             self.shared.not_empty.notify_one();
             Ok(())
         }
@@ -335,7 +209,6 @@ pub mod channel {
             let mut inner = self.shared.inner.lock().unwrap();
             inner.senders -= 1;
             if inner.senders == 0 {
-                inner.notify_waiters();
                 self.shared.not_empty.notify_all();
             }
         }
@@ -396,22 +269,6 @@ pub mod channel {
                 None => Err(TryRecvError::Empty),
             }
         }
-
-        /// True when `recv` would return without blocking (message queued or
-        /// channel disconnected).
-        fn is_ready(&self) -> bool {
-            let inner = self.shared.inner.lock().unwrap();
-            !inner.queue.is_empty() || inner.senders == 0
-        }
-
-        fn register_waiter(&self, signal: &Arc<SelectSignal>) {
-            self.shared
-                .inner
-                .lock()
-                .unwrap()
-                .waiters
-                .push(Arc::downgrade(signal));
-        }
     }
 
     impl<T> Clone for Receiver<T> {
@@ -432,114 +289,12 @@ pub mod channel {
             }
         }
     }
-
-    /// Which arm of a two-channel `select!` fired, carrying the `recv`
-    /// result for that channel.
-    pub enum Select2<A, B> {
-        /// The first channel produced a result.
-        First(Result<A, RecvError>),
-        /// The second channel produced a result.
-        Second(Result<B, RecvError>),
-    }
-
-    thread_local! {
-        /// Reusable per-thread wakeup latch for [`select2`]. A stale
-        /// registration from an earlier call can only cause a spurious
-        /// notify, which the re-polling loop absorbs — so reuse is safe and
-        /// keeps the fast path (message already queued) allocation-free.
-        static SELECT_SIGNAL: Arc<SelectSignal> = Arc::new(SelectSignal::new());
-    }
-
-    /// Blocks until either channel has a message or is disconnected, then
-    /// receives from it. The first channel is polled first, matching the
-    /// priority the pipeline wants (gradients before activations).
-    pub fn select2<A, B>(a: &Receiver<A>, b: &Receiver<B>) -> Select2<A, B> {
-        let mut signal = None;
-        loop {
-            match a.try_recv() {
-                Ok(v) => return Select2::First(Ok(v)),
-                Err(TryRecvError::Disconnected) => return Select2::First(Err(RecvError)),
-                Err(TryRecvError::Empty) => {}
-            }
-            match b.try_recv() {
-                Ok(v) => return Select2::Second(Ok(v)),
-                Err(TryRecvError::Disconnected) => return Select2::Second(Err(RecvError)),
-                Err(TryRecvError::Empty) => {}
-            }
-            let signal = signal.get_or_insert_with(|| SELECT_SIGNAL.with(Arc::clone));
-            signal.reset();
-            a.register_waiter(signal);
-            b.register_waiter(signal);
-            // Re-check after registering so a send that raced ahead of the
-            // registration cannot leave us sleeping on a ready channel.
-            if a.is_ready() || b.is_ready() {
-                continue;
-            }
-            signal.wait();
-        }
-    }
-
-    /// [`select2`] with a deadline: returns `None` once `timeout` elapses
-    /// with neither channel ready. Same gradient-first polling order.
-    pub fn select2_timeout<A, B>(
-        a: &Receiver<A>,
-        b: &Receiver<B>,
-        timeout: Duration,
-    ) -> Option<Select2<A, B>> {
-        let deadline = Instant::now() + timeout;
-        let mut signal = None;
-        loop {
-            match a.try_recv() {
-                Ok(v) => return Some(Select2::First(Ok(v))),
-                Err(TryRecvError::Disconnected) => return Some(Select2::First(Err(RecvError))),
-                Err(TryRecvError::Empty) => {}
-            }
-            match b.try_recv() {
-                Ok(v) => return Some(Select2::Second(Ok(v))),
-                Err(TryRecvError::Disconnected) => return Some(Select2::Second(Err(RecvError))),
-                Err(TryRecvError::Empty) => {}
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            let signal = signal.get_or_insert_with(|| SELECT_SIGNAL.with(Arc::clone));
-            signal.reset();
-            a.register_waiter(signal);
-            b.register_waiter(signal);
-            // Re-check after registering so a send that raced ahead of the
-            // registration cannot leave us sleeping on a ready channel.
-            if a.is_ready() || b.is_ready() {
-                continue;
-            }
-            signal.wait_until(deadline);
-        }
-    }
-}
-
-/// Two-arm `select!` over `recv` operations, mirroring the call syntax of
-/// `crossbeam_channel::select!` for the cases this workspace uses. Each arm
-/// binds the `Result<T, RecvError>` of a receive on its channel.
-#[macro_export]
-macro_rules! select {
-    (recv($r1:expr) -> $m1:pat => $b1:block recv($r2:expr) -> $m2:pat => $b2:block $(,)?) => {
-        $crate::select!(recv($r1) -> $m1 => $b1, recv($r2) -> $m2 => $b2,)
-    };
-    (recv($r1:expr) -> $m1:pat => $b1:block recv($r2:expr) -> $m2:pat => $b2:expr $(,)?) => {
-        $crate::select!(recv($r1) -> $m1 => $b1, recv($r2) -> $m2 => $b2,)
-    };
-    (recv($r1:expr) -> $m1:pat => $b1:expr, recv($r2:expr) -> $m2:pat => $b2:expr $(,)?) => {
-        match $crate::channel::select2(&$r1, &$r2) {
-            $crate::channel::Select2::First($m1) => $b1,
-            $crate::channel::Select2::Second($m2) => $b2,
-        }
-    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::channel::{
-        bounded, select2_timeout, unbounded, RecvError, RecvTimeoutError, Select2, SendError,
-        SendTimeoutError, TryRecvError, TrySendError,
+        bounded, unbounded, RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError,
     };
     use std::thread;
     use std::time::{Duration, Instant};
@@ -601,41 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn select_takes_whichever_side_is_ready() {
-        let (tx_a, rx_a) = unbounded::<u32>();
-        let (tx_b, rx_b) = unbounded::<u32>();
-
-        tx_b.send(5).unwrap();
-        let hit = crate::select! {
-            recv(rx_a) -> msg => { let _ = msg; "a" },
-            recv(rx_b) -> msg => { assert_eq!(msg, Ok(5)); "b" },
-        };
-        assert_eq!(hit, "b");
-
-        tx_a.send(9).unwrap();
-        let hit = crate::select! {
-            recv(rx_a) -> msg => { assert_eq!(msg, Ok(9)); "a" },
-            recv(rx_b) -> msg => { let _ = msg; "b" },
-        };
-        assert_eq!(hit, "a");
-    }
-
-    #[test]
-    fn select_wakes_on_cross_thread_send() {
-        let (tx_a, rx_a) = unbounded::<u32>();
-        let (_tx_b, rx_b) = unbounded::<u32>();
-        let handle = thread::spawn(move || {
-            crate::select! {
-                recv(rx_a) -> msg => msg.unwrap(),
-                recv(rx_b) -> msg => { let _ = msg; unreachable!("b never sends") },
-            }
-        });
-        thread::sleep(Duration::from_millis(20));
-        tx_a.send(11).unwrap();
-        assert_eq!(handle.join().unwrap(), 11);
-    }
-
-    #[test]
     fn recv_timeout_returns_timeout_then_message() {
         let (tx, rx) = unbounded::<u32>();
         let start = Instant::now();
@@ -679,53 +399,5 @@ mod tests {
         }
         drop(rx);
         assert_eq!(tx.try_send(100), Err(TrySendError::Disconnected(100)));
-    }
-
-    #[test]
-    fn send_timeout_on_full_bounded_channel() {
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        assert_eq!(
-            tx.send_timeout(2, Duration::from_millis(20)),
-            Err(SendTimeoutError::Timeout(2))
-        );
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(tx.send_timeout(3, Duration::from_millis(20)), Ok(()));
-        drop(rx);
-        assert_eq!(
-            tx.send_timeout(4, Duration::from_millis(20)),
-            Err(SendTimeoutError::Disconnected(4))
-        );
-    }
-
-    #[test]
-    fn select2_timeout_times_out_and_sees_messages() {
-        let (tx_a, rx_a) = unbounded::<u32>();
-        let (tx_b, rx_b) = unbounded::<u32>();
-        assert!(select2_timeout(&rx_a, &rx_b, Duration::from_millis(20)).is_none());
-        tx_b.send(6).unwrap();
-        match select2_timeout(&rx_a, &rx_b, Duration::from_millis(20)) {
-            Some(Select2::Second(Ok(6))) => {}
-            other => panic!("expected second-arm message, got {:?}", other.is_some()),
-        }
-        drop(tx_a);
-        match select2_timeout(&rx_a, &rx_b, Duration::from_millis(20)) {
-            Some(Select2::First(Err(RecvError))) => {}
-            other => panic!("expected first-arm disconnect, got {:?}", other.is_some()),
-        }
-        drop(tx_b);
-    }
-
-    #[test]
-    fn select_sees_disconnect() {
-        let (tx_a, rx_a) = unbounded::<u32>();
-        let (tx_b, rx_b) = unbounded::<u32>();
-        drop(tx_b);
-        let hit = crate::select! {
-            recv(rx_b) -> msg => { assert_eq!(msg, Err(RecvError)); "closed" },
-            recv(rx_a) -> msg => { let _ = msg; "open" },
-        };
-        assert_eq!(hit, "closed");
-        drop(tx_a);
     }
 }
