@@ -14,9 +14,10 @@
 //!    both directions; the session layer reconnects and replays the
 //!    unacked window.
 //! 3. **Single-rank kill** — this binary re-executes itself under the
-//!    fine-grained supervisor (`pbp_dist::launch`), crashes one rank
-//!    mid-run (`rank:2:crash@30`), and verifies the
-//!    respawn-one/rewind-survivors arc from the final rank snapshots.
+//!    stage-group supervisor (`pbp_dist::launch`), crashes one rank
+//!    mid-run (`rank:2:crash@30`), and verifies the restart of all four
+//!    ranks from their newest common snapshot through the final rank
+//!    snapshots.
 
 use pbp_data::{spirals, Dataset};
 use pbp_dist::{
@@ -120,8 +121,6 @@ fn run_faulted(plan: MicrobatchSchedule, faults: &FaultPlan, tag: &str) -> Vec<R
                     deadline: Duration::from_secs(5),
                     backoff: Duration::from_millis(10),
                 }),
-                rewind: None,
-                generation: 0,
             },
         };
         let transport = transport.clone();
@@ -215,8 +214,8 @@ fn partition_plan() -> FaultPlan {
         .at_link(1, LinkDir::Up, dark(43))
 }
 
-/// Scenario 3: re-execute this binary under the fine-grained
-/// supervisor, abort rank 2 mid-run, and verify the final snapshots.
+/// Scenario 3: re-execute this binary under the stage-group supervisor,
+/// abort rank 2 mid-run, and verify the final snapshots.
 fn kill_scenario(base: &Baseline) {
     let dir = scratch("kill");
     let program = std::env::current_exe().expect("own executable path");
@@ -232,22 +231,21 @@ fn kill_scenario(base: &Baseline) {
         max_restarts: 3,
         backoff: Duration::from_millis(100),
         attempt_timeout: Some(Duration::from_secs(120)),
-        fine_grained: true,
     };
     // The supervisor hands the respawn the plan minus the spent crash.
     std::env::set_var("PBP_NET_FAULTS", "rank:2:crash@30");
-    let report = launch(&spec).expect("fine-grained launch must recover");
+    let report = launch(&spec).expect("the group restart must recover");
     std::env::remove_var("PBP_NET_FAULTS");
     for event in &report.events {
         eprintln!("  [kill] supervisor: {event}");
     }
-    let respawned_rank_2_alone = |e: &SupervisionEvent<String>| {
+    let respawned_group = |e: &SupervisionEvent<String>| {
         matches!(e, SupervisionEvent::Restart { from_snapshot: Some(from), .. }
-            if from.ends_with("(rank 2 only)"))
+            if from.ends_with("(all ranks)"))
     };
     assert!(
-        report.events.iter().any(respawned_rank_2_alone),
-        "the injected crash must have forced a fine-grained restart: {:?}",
+        report.events.iter().any(respawned_group),
+        "the injected crash must have forced a group restart: {:?}",
         report.events
     );
 
@@ -259,7 +257,7 @@ fn kill_scenario(base: &Baseline) {
                 .unwrap_or_else(|e| panic!("rank {rank}'s final snapshot: {e}"))
         })
         .collect();
-    assert_matches_baseline(outcomes, base, "[kill] fine-grained recovery");
+    assert_matches_baseline(outcomes, base, "[kill] group restart");
     let _ = std::fs::remove_dir_all(&dir);
     eprintln!("  [kill] bit-identical: weights, loss sums, delay histograms");
 }
@@ -278,8 +276,7 @@ fn kill_spec(rank: usize, snap_dir: &Path) -> RankSpec {
         seed: ORDER_SEED,
         total_microbatches: EPOCHS * dataset().len(),
         stall,
-        // Every rewind point must stay on disk for the survivors' rollback.
-        snapshots: Some(SnapshotPolicy::new(snap_dir, 24).with_keep(usize::MAX)),
+        snapshots: Some(SnapshotPolicy::new(snap_dir, 24)),
         resume_at: 0,
         abort_after: None,
         recovery: RankRecovery {
@@ -288,8 +285,6 @@ fn kill_spec(rank: usize, snap_dir: &Path) -> RankSpec {
                 deadline: stall,
                 backoff: Duration::from_millis(10),
             }),
-            rewind: Some(Duration::from_secs(30)),
-            generation: 0,
         },
     }
 }
@@ -299,7 +294,6 @@ fn kill_spec(rank: usize, snap_dir: &Path) -> RankSpec {
 fn run_child(argv: &[String]) -> Result<(), DistError> {
     let mut rank = None;
     let mut resume_at = 0usize;
-    let mut generation = 0u64;
     let mut snap_dir = None;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -312,7 +306,6 @@ fn run_child(argv: &[String]) -> Result<(), DistError> {
             "--chaos-child" => {}
             "--rank" => rank = Some(parse_num(&value(flag)?)?),
             "--resume-at" => resume_at = parse_num(&value(flag)?)?,
-            "--generation" => generation = parse_num(&value(flag)?)? as u64,
             "--snap-dir" => snap_dir = Some(PathBuf::from(value(flag)?)),
             other => return Err(DistError::Spec(format!("unknown child flag {other}"))),
         }
@@ -321,7 +314,6 @@ fn run_child(argv: &[String]) -> Result<(), DistError> {
     let snap_dir = snap_dir.ok_or_else(|| DistError::Spec("child needs --snap-dir".into()))?;
     let mut spec = kill_spec(rank, &snap_dir);
     spec.resume_at = resume_at;
-    spec.recovery.generation = generation;
     // A plan this process cannot honour is refused by `run_rank`.
     spec.recovery.net_faults = env_net_faults();
     let faults = spec.recovery.net_faults.as_ref();
@@ -424,7 +416,7 @@ fn parent(base_dir: &Path) -> usize {
     );
     runs += 1;
 
-    // Scenario 3: single-rank kill under the fine-grained supervisor.
+    // Scenario 3: single-rank kill, recovered by a group restart.
     kill_scenario(&pb);
     runs += 1;
     runs

@@ -25,13 +25,11 @@
 //! Fault injection for tests: `PBP_NET_FAULTS` holds the one fault
 //! script (`pbp_pipeline::fault`) — `1:down:drop@7` scripts wire chaos,
 //! `rank:<r>:crash@<k>` makes rank `r` abort as it turns to backward `k`
-//! (once: the parent hands a respawn the plan minus that clause). With
-//! `--fine-grained` the supervisor respawns only the dead rank and
-//! survivors rewind in place instead of being killed.
+//! (once: the parent hands a respawn the plan minus that clause).
 
 use pbp_dist::{
-    env_net_faults, env_rank, env_world, launch, DistError, LaunchSpec, LinkEndpoint, RankRecovery,
-    RankSpec, ReconnectPolicy, Topology, Transport,
+    env_net_faults, launch, DistError, LaunchSpec, LinkEndpoint, RankRecovery, RankSpec,
+    ReconnectPolicy, Topology, Transport,
 };
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{MicrobatchSchedule, SnapshotPolicy};
@@ -60,8 +58,6 @@ struct Args {
     stall_ms: u64,
     max_restarts: usize,
     attempt_timeout_ms: u64,
-    fine_grained: bool,
-    generation: u64,
 }
 
 impl Default for Args {
@@ -86,8 +82,6 @@ impl Default for Args {
             stall_ms: 10_000,
             max_restarts: 3,
             attempt_timeout_ms: 120_000,
-            fine_grained: false,
-            generation: 0,
         }
     }
 }
@@ -126,8 +120,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--attempt-timeout-ms" => {
                 args.attempt_timeout_ms = parse(&value(&mut it, flag)?, flag)?
             }
-            "--fine-grained" => args.fine_grained = true,
-            "--generation" => args.generation = parse(&value(&mut it, flag)?, flag)?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -191,11 +183,7 @@ fn parse_mitigation(raw: &str) -> Result<Mitigation, String> {
     }
 }
 
-fn run_child(args: &Args, rank: usize) -> Result<(), DistError> {
-    let world = args
-        .world
-        .or_else(env_world)
-        .ok_or_else(|| DistError::Spec("child needs --world or PBP_WORLD".into()))?;
+fn run_child(args: &Args, world: usize, rank: usize) -> Result<(), DistError> {
     let layer_stages = args.layers.len() - 1;
     let topology = Topology::contiguous(layer_stages, world)?;
     let data = parse_data(&args.data).map_err(DistError::Spec)?;
@@ -217,9 +205,7 @@ fn run_child(args: &Args, rank: usize) -> Result<(), DistError> {
         every_updates: args
             .snap_every
             .unwrap_or(total.div_ceil(plan.microbatches_per_update()).max(1)),
-        // Fine-grained mode needs every rewind point on disk, so pruning
-        // is off.
-        keep: if args.fine_grained { usize::MAX } else { 3 },
+        keep: 3,
     };
     let spec = RankSpec {
         rank,
@@ -240,8 +226,6 @@ fn run_child(args: &Args, rank: usize) -> Result<(), DistError> {
                 deadline: stall.min(Duration::from_secs(5)),
                 backoff: Duration::from_millis(10),
             }),
-            rewind: args.fine_grained.then(|| Duration::from_secs(30)),
-            generation: args.generation,
         },
     };
 
@@ -269,11 +253,7 @@ fn run_child(args: &Args, rank: usize) -> Result<(), DistError> {
     Ok(())
 }
 
-fn run_parent(args: &Args, argv: Vec<String>) -> Result<(), DistError> {
-    let world = args
-        .world
-        .or_else(env_world)
-        .ok_or_else(|| DistError::Spec("parent needs --world or PBP_WORLD".into()))?;
+fn run_parent(args: &Args, world: usize, argv: Vec<String>) -> Result<(), DistError> {
     let program = std::env::current_exe()?;
     let spec = LaunchSpec {
         program,
@@ -283,7 +263,6 @@ fn run_parent(args: &Args, argv: Vec<String>) -> Result<(), DistError> {
         max_restarts: args.max_restarts,
         backoff: Duration::from_millis(100),
         attempt_timeout: Some(Duration::from_millis(args.attempt_timeout_ms)),
-        fine_grained: args.fine_grained,
     };
     let report = launch(&spec)?;
     for event in &report.events {
@@ -309,12 +288,15 @@ fn main() {
         eprintln!("pbp-launch: --layers needs at least an input and an output size");
         std::process::exit(2);
     }
-    // Satellite hardening: an explicit --rank wins; otherwise a child can
-    // be addressed via PBP_RANK (invalid values warn once and fall back
-    // to parent mode).
-    let result = match args.rank.or_else(env_rank) {
-        Some(rank) => run_child(&args, rank),
-        None => run_parent(&args, argv),
+    let Some(world) = args.world else {
+        eprintln!("pbp-launch: --world is required");
+        std::process::exit(2);
+    };
+    // The parent appends `--rank` for each child; nothing else makes a
+    // process a child.
+    let result = match args.rank {
+        Some(rank) => run_child(&args, world, rank),
+        None => run_parent(&args, world, argv),
     };
     if let Err(e) = result {
         eprintln!("pbp-launch: {e}");

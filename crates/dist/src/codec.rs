@@ -44,9 +44,8 @@ pub enum Frame {
     /// Connection handshake: who is talking and which run this is.
     /// `digest` commits to the topology, schedule, and seeds; a
     /// mismatch means two processes from different launches met.
-    /// `epoch` is the link session epoch (high 32 bits: the supervisor's
-    /// rewind generation, low 32 bits: the reconnect attempt within it)
-    /// and `last_seq` the highest data-frame sequence number this side
+    /// `epoch` is the link session epoch (the reconnect attempt, 0 at
+    /// first establishment) and `last_seq` the highest data-frame sequence number this side
     /// has delivered — together they let a re-established connection
     /// resume mid-schedule by replaying exactly the frames the peer
     /// never saw (DESIGN §14).

@@ -27,15 +27,6 @@ pub enum DistError {
     /// The peers disagree about who they are or what run this is
     /// (rank, world size, or topology/run digest mismatch).
     Handshake(String),
-    /// The peer's hello carries a newer rewind generation: the group
-    /// rolled back while this rank was partitioned, and its in-flight
-    /// state is unusable — it must rewind before rejoining.
-    StaleGeneration {
-        /// This rank's rewind generation.
-        ours: u64,
-        /// The generation the peer announced.
-        peer: u64,
-    },
     /// A snapshot operation failed while saving or restoring rank state.
     Snapshot(SnapshotError),
     /// A launched rank process failed (exit status, or died to a signal).
@@ -55,10 +46,6 @@ impl std::fmt::Display for DistError {
                 write!(f, "peer sent nothing for {} ms", window.as_millis())
             }
             DistError::Handshake(msg) => write!(f, "handshake failed: {msg}"),
-            DistError::StaleGeneration { ours, peer } => write!(
-                f,
-                "stale rewind generation: ours {ours}, peer announced {peer}"
-            ),
             DistError::Snapshot(e) => write!(f, "snapshot error: {e}"),
             DistError::Rank { rank, detail } => write!(f, "rank {rank} failed: {detail}"),
             DistError::Spec(msg) => write!(f, "invalid spec: {msg}"),

@@ -18,20 +18,8 @@
 //! failures — and the restart converges to bit-identical final weights
 //! because resume is bit-identical per rank.
 //!
-//! ## Fine-grained mode
-//!
-//! With [`LaunchSpec::fine_grained`] the attempt keeps surviving ranks
-//! alive across a single-rank death: it bumps the group's *rewind
-//! generation*, writes a [`rewind token`](rewind_token_path) naming the
-//! newest common snapshot counter, and respawns only the dead rank at
-//! that counter and generation. Survivors notice their links failing,
-//! park at the rewind barrier (polling the token), roll back to the
-//! common counter from their own snapshots, and re-establish links at
-//! the new generation — see `crate::runner`. The whole-group kill
-//! remains the fallback: restart-budget exhaustion or an attempt
-//! timeout still tears everything down. Whatever way `launch` returns,
-//! every child it spawned has been killed and reaped: the group is owned
-//! by a guard that does so on drop.
+//! Whatever way `launch` returns, every child it spawned has been killed
+//! and reaped: the group is owned by a guard that does so on drop.
 //!
 //! Fault injection (`PBP_NET_FAULTS`) reaches the children through the
 //! environment. A crashed process cannot carry a one-shot charge over, so
@@ -41,7 +29,7 @@
 use crate::env::env_net_faults;
 use crate::error::DistError;
 use pbp_pipeline::{supervise_retries, SupervisionEvent};
-use pbp_snapshot::{SnapshotArchive, SnapshotBuilder, SnapshotFamily, StateReader, StateWriter};
+use pbp_snapshot::SnapshotFamily;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -62,12 +50,8 @@ pub struct LaunchSpec {
     /// Backoff before the first restart; doubles per restart, capped at
     /// 64× ([`pbp_pipeline::backoff_delay`]).
     pub backoff: Duration,
-    /// Kill the whole attempt if it runs longer than this (fine-grained:
-    /// the whole launch — one attempt spans every single-rank respawn).
+    /// Kill the whole attempt if it runs longer than this.
     pub attempt_timeout: Option<Duration>,
-    /// Surviving-rank recovery: respawn a dead rank alone and rewind
-    /// the survivors in place instead of killing the whole group.
-    pub fine_grained: bool,
 }
 
 /// What the supervision loop did.
@@ -95,49 +79,12 @@ pub fn common_resume_point(dir: &Path, world: usize) -> usize {
         .unwrap_or(0)
 }
 
-/// Where the group's rewind token lives. The name belongs to no
-/// [`SnapshotFamily`], so resume scans never mistake it for a snapshot.
-pub fn rewind_token_path(dir: &Path) -> PathBuf {
-    dir.join("rewind.token")
-}
-
-/// Section name inside the rewind token file.
-const SECTION_REWIND: &str = "rewind";
-
-/// Atomically publishes the rewind barrier: surviving ranks that poll
-/// the token roll back to snapshot counter `resume_at` and rejoin at
-/// `generation`.
-pub fn write_rewind_token(dir: &Path, generation: u64, resume_at: usize) -> Result<(), DistError> {
-    std::fs::create_dir_all(dir)?;
-    let mut w = StateWriter::new();
-    w.put_u64(generation);
-    w.put_usize(resume_at);
-    let mut b = SnapshotBuilder::new();
-    b.add_section(SECTION_REWIND, w.into_bytes());
-    b.save_atomic(&rewind_token_path(dir))?;
-    Ok(())
-}
-
-/// Reads the rewind token, if a valid one is present:
-/// `(generation, resume_at)`. A missing, partial, or corrupt token
-/// reads as `None` — pollers just keep waiting.
-pub fn read_rewind_token(dir: &Path) -> Option<(u64, usize)> {
-    let archive = SnapshotArchive::load(&rewind_token_path(dir)).ok()?;
-    let mut r = StateReader::new(archive.section(SECTION_REWIND).ok()?);
-    let generation = r.take_u64().ok()?;
-    let resume_at = r.take_usize().ok()?;
-    r.finish().ok()?;
-    Some((generation, resume_at))
-}
-
-/// Spawns one rank process. `generation` is appended only in
-/// fine-grained mode; a `respawn` runs under the fault plan minus its
-/// spent rank clauses.
+/// Spawns one rank process; a `respawn` runs under the fault plan minus
+/// its spent rank clauses.
 fn spawn_rank(
     spec: &LaunchSpec,
     rank: usize,
     resume: usize,
-    generation: Option<u64>,
     respawn: bool,
 ) -> Result<std::process::Child, DistError> {
     let mut cmd = std::process::Command::new(&spec.program);
@@ -146,9 +93,6 @@ fn spawn_rank(
         .arg(rank.to_string())
         .arg("--resume-at")
         .arg(resume.to_string());
-    if let Some(generation) = generation {
-        cmd.arg("--generation").arg(generation.to_string());
-    }
     if let Some(plan) = respawn.then(env_net_faults).flatten() {
         // One-shot fault injection: a child that crashed once must not
         // crash again after the supervised restart.
@@ -185,117 +129,61 @@ impl Drop for Group {
 }
 
 /// Polls the children until all have exited cleanly (`None`) or a fault
-/// is observed, returned with its description: the first rank found dead
-/// or unwaitable, or — against rank `children.len()`, the group —
-/// `timeout` passing since `started`. Exited children are reaped as they
-/// are polled.
-fn poll(
-    children: &mut [std::process::Child],
-    started: Instant,
-    timeout: Option<Duration>,
-) -> Option<(usize, String)> {
+/// is observed, returned as its description: the first rank found dead
+/// or unwaitable, or `timeout` passing. Exited children are reaped as
+/// they are polled.
+fn poll(children: &mut [std::process::Child], timeout: Option<Duration>) -> Option<String> {
+    let started = Instant::now();
     loop {
         let mut running = false;
         for (rank, child) in children.iter_mut().enumerate() {
             match child.try_wait() {
                 Ok(Some(status)) if status.success() => {}
-                Ok(Some(status)) => {
-                    return Some((rank, format!("rank {rank} exited with {status}")))
-                }
+                Ok(Some(status)) => return Some(format!("rank {rank} exited with {status}")),
                 Ok(None) => running = true,
-                Err(e) => return Some((rank, format!("rank {rank} unwaitable: {e}"))),
+                Err(e) => return Some(format!("rank {rank} unwaitable: {e}")),
             }
         }
         if !running {
             return None;
         }
         if let Some(t) = timeout.filter(|&t| started.elapsed() > t) {
-            let detail = format!("attempt exceeded {} ms", t.as_millis());
-            return Some((children.len(), detail));
+            return Some(format!("attempt exceeded {} ms", t.as_millis()));
         }
         std::thread::sleep(Duration::from_millis(20));
     }
 }
 
-/// Spawns the stage group and supervises it to completion. In classic
-/// mode any child failure kills and respawns the whole group from the
-/// newest common snapshot; in [fine-grained](LaunchSpec::fine_grained)
-/// mode only the dead rank respawns while survivors rewind in place.
-/// Either way it is one [`supervise_retries`] loop, and no child
-/// outlives the call.
+/// Spawns the stage group and supervises it to completion: any child
+/// failure kills the whole group and respawns it from the newest common
+/// snapshot, under one [`supervise_retries`] loop. No child outlives the
+/// call.
 pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, DistError> {
     if spec.world == 0 {
         return Err(DistError::Spec("world size must be at least 1".into()));
     }
-    // A rewind token from an earlier launch in the same directory must
-    // not stampede this run's ranks into a rewind.
-    match std::fs::remove_file(rewind_token_path(&spec.snapshot_dir)) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e.into()),
-    }
     let mut group = Group(Vec::with_capacity(spec.world));
     let mut events = Vec::new();
     let mut resume_points = Vec::new();
-    let mut generation = 0u64;
-    let mut started = Instant::now();
-    // What the previous attempt's fault left to do: the rank that died
-    // and the common counter the restart resumes at.
-    let mut pending: Option<(usize, usize)> = None;
-    let outcome = supervise_retries(
+    let outcome = supervise_retries::<_, _, _, DistError>(
         &mut group,
         spec.max_restarts,
         spec.backoff,
         |_, event| events.push(event),
         |group, restart| {
-            let (dead, resume) = match pending.take() {
-                Some((dead, resume)) => (Some(dead), resume),
-                None => (None, common_resume_point(&spec.snapshot_dir, spec.world)),
-            };
+            let resume = common_resume_point(&spec.snapshot_dir, spec.world);
             resume_points.push(resume);
-            match dead.filter(|_| spec.fine_grained) {
-                Some(rank) => {
-                    generation += 1;
-                    write_rewind_token(&spec.snapshot_dir, generation, resume)?;
-                    let respawned = spawn_rank(spec, rank, resume, Some(generation), true)?;
-                    // Already reaped unless it was unwaitable.
-                    let mut dead = std::mem::replace(&mut group.0[rank], respawned);
-                    let _ = (dead.kill(), dead.wait());
-                }
-                None => {
-                    let generation = spec.fine_grained.then_some(generation);
-                    for rank in 0..spec.world {
-                        let child = spawn_rank(spec, rank, resume, generation, restart > 0)?;
-                        group.0.push(child);
-                    }
-                    started = Instant::now();
-                }
+            for rank in 0..spec.world {
+                group.0.push(spawn_rank(spec, rank, resume, restart > 0)?);
             }
-            let Some((rank, fault)) = poll(&mut group.0, started, spec.attempt_timeout) else {
+            let Some(fault) = poll(&mut group.0, spec.attempt_timeout) else {
                 return Ok(Ok(()));
             };
-            if !spec.fine_grained {
-                // A chain cannot run with a hole in it, and no rank may be
-                // mid-write when the common counter is read.
-                group.kill();
-            } else if rank == spec.world {
-                // One attempt spans every single-rank respawn: its
-                // timeout ends the launch.
-                return Err(DistError::Rank {
-                    rank,
-                    detail: fault,
-                });
-            }
+            // A chain cannot run with a hole in it, and no rank may be
+            // mid-write when the common counter is read.
+            group.kill();
             let resume = common_resume_point(&spec.snapshot_dir, spec.world);
-            pending = Some((rank, resume));
-            let from = match spec.fine_grained {
-                true => format!(
-                    "counter {resume} at generation {} (rank {rank} only)",
-                    generation + 1
-                ),
-                false => format!("counter {resume} (all ranks)"),
-            };
-            Ok(Err((fault, Some(from))))
+            Ok(Err((fault, Some(format!("counter {resume} (all ranks)")))))
         },
     )?;
     match outcome {
@@ -314,6 +202,7 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, DistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbp_snapshot::SnapshotBuilder;
 
     fn write_snap(dir: &Path, rank: usize, counter: usize) {
         let mut b = SnapshotBuilder::new();
@@ -363,59 +252,35 @@ mod tests {
         assert_eq!(common_resume_point(&dir, 4), 0);
     }
 
+    /// Every exit path tears the group down: a launch whose restart
+    /// budget runs out returns `Err` with the surviving rank killed and
+    /// reaped, not orphaned.
     #[test]
-    fn rewind_token_round_trips_and_rejects_corruption() {
-        let dir = std::env::temp_dir().join(format!("pbp_launch_token_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(read_rewind_token(&dir), None, "no token yet");
-        write_rewind_token(&dir, 3, 48).unwrap();
-        assert_eq!(read_rewind_token(&dir), Some((3, 48)));
-        // A newer token atomically replaces the old one.
-        write_rewind_token(&dir, 4, 96).unwrap();
-        assert_eq!(read_rewind_token(&dir), Some((4, 96)));
-        // Bit damage makes the token unreadable, not garbage.
-        let path = rewind_token_path(&dir);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&path, bytes).unwrap();
-        assert_eq!(read_rewind_token(&dir), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    /// Every exit path tears the group down: a fine-grained recovery arc
-    /// that fails half-way (the rewind token cannot be written) returns
-    /// `Err` with the surviving rank killed and reaped, not orphaned.
-    #[test]
-    fn failed_fine_grained_recovery_leaves_no_orphans() {
+    fn failed_launch_leaves_no_orphans() {
         let dir = std::env::temp_dir().join(format!("pbp_launch_orphan_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let snaps = dir.join("snaps");
-        std::fs::create_dir_all(&snaps).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
         // Every rank records its pid. Rank 0 then outlives the test unless
-        // killed; rank 1 waits for rank 0's record, replaces the snapshot
-        // directory with a plain file — so the token write of its own
-        // recovery fails — and dies.
+        // killed; rank 1 waits for rank 0's record and dies.
         let script = r#"
             dir=$0
             while [ $# -gt 0 ]; do [ "$1" = --rank ] && rank=$2; shift; done
             echo $$ > "$dir/pid.$rank.tmp" && mv "$dir/pid.$rank.tmp" "$dir/pid.$rank"
             [ "$rank" = 0 ] && exec sleep 60
             until [ -f "$dir/pid.0" ]; do sleep 0.02; done
-            rm -rf "$dir/snaps" && : > "$dir/snaps"
             exit 1
         "#;
         let spec = LaunchSpec {
             program: "/bin/sh".into(),
             args: vec!["-c".into(), script.into(), dir.display().to_string()],
             world: 2,
-            snapshot_dir: snaps,
-            max_restarts: 3,
+            snapshot_dir: dir.join("snaps"),
+            max_restarts: 0,
             backoff: Duration::ZERO,
             attempt_timeout: Some(Duration::from_secs(30)),
-            fine_grained: true,
         };
-        let err = launch(&spec).expect_err("the recovery arc cannot succeed");
-        assert!(matches!(err, DistError::Io(_)), "{err}");
+        let err = launch(&spec).expect_err("rank 1 always fails");
+        assert!(matches!(err, DistError::Rank { rank: 2, .. }), "{err}");
         for rank in 0..2 {
             let pid = std::fs::read_to_string(dir.join(format!("pid.{rank}"))).unwrap();
             let proc_dir = Path::new("/proc").join(pid.trim());

@@ -17,27 +17,25 @@
 //! * [`runner`] — one rank: the [`RankLoop`](pbp_pipeline::RankLoop) a
 //!   `pbp-pipeline` worker thread steps between two channels, here over
 //!   the rank's stages between two reliable links, plus rank 0's data
-//!   feed and what happens between steps (snapshot drain barriers, the
-//!   rewind barrier). Bit-identical to the sequential
+//!   feed and what happens between steps (snapshot drain barriers).
+//!   Bit-identical to the sequential
 //!   [`ScheduledTrainer`](pbp_pipeline::ScheduledTrainer) by
 //!   construction (see DESIGN §12).
 //! * [`launch`] — the `pbp-launch` supervisor: spawns one process per
 //!   rank, watches for typed faults (peer death, stalls, nonzero
-//!   exits), and restarts the whole stage group — or, fine-grained,
-//!   only the dead rank — from the newest snapshot counter *all* ranks
-//!   hold, under the workspace's one retry loop
+//!   exits), and restarts the whole stage group from the newest
+//!   snapshot counter *all* ranks hold, under the workspace's one retry loop
 //!   ([`pbp_pipeline::supervise_retries`]).
 //! * [`reliable`] — the session layer chaos is aimed at: sequence
 //!   numbers, cumulative acks, a bounded replay window, and
-//!   reconnect-with-replay behind the same [`Connection`] trait, plus
-//!   rewind-generation epochs for surviving-rank recovery. A
+//!   reconnect-with-replay behind the same [`Connection`] trait. A
 //!   [`ReliableConn`] is the rank loop's socket
 //!   [`Link`](pbp_pipeline::Link), and its receive path is the one
 //!   place the link clauses of a [`FaultPlan`](pbp_pipeline::FaultPlan)
 //!   — the workspace's one fault script, `PBP_NET_FAULTS` — are applied.
-//! * [`env`] — hardened `PBP_RANK` / `PBP_WORLD` / `PBP_NET_FAULTS`
-//!   parsing (invalid values warn once and fall back, like
-//!   `PBP_THREADS` / `PBP_SIMD`).
+//! * [`env`] — hardened `PBP_NET_FAULTS` parsing, the fault script the
+//!   launcher hands its children (an invalid one warns once and the run
+//!   proceeds un-faulted, like `PBP_THREADS` / `PBP_SIMD`).
 
 pub mod codec;
 pub mod env;
@@ -49,10 +47,9 @@ pub mod topology;
 pub mod transport;
 
 pub use codec::{Frame, MAX_FRAME_BYTES};
-pub use env::{env_net_faults, env_rank, env_world};
+pub use env::env_net_faults;
 pub use error::DistError;
 pub use launch::{launch, LaunchReport, LaunchSpec};
-pub use launch::{read_rewind_token, rewind_token_path, write_rewind_token};
 pub use reliable::{LinkEndpoint, LinkIdentity, LinkOptions, ReconnectPolicy, ReliableConn};
 pub use runner::{
     load_rank_snapshot, run_rank, splice_owned_stages, RankOutcome, RankRecovery, RankSpec,

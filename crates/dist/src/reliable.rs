@@ -17,17 +17,12 @@
 //!   mismatch, peer EOF, stall — the link tears down and re-establishes
 //!   through its original endpoint (re-dial or re-accept) with
 //!   deadline + backoff from [`ReconnectPolicy`]. The `Hello` exchange
-//!   carries each side's session epoch and `last_seq`; after the
+//!   carries each side's session epoch — its reconnect attempt — and
+//!   `last_seq`; after the
 //!   handshake the sender replays everything past the peer's ack
 //!   horizon. The runner above observes none of this beyond latency:
 //!   delivery is exactly-once and in order, so the Eq. 5 delay contract
 //!   (and therefore bit-identity with the sequential engine) survives.
-//! * **Rewind generations.** The epoch's high 32 bits are the group
-//!   rewind generation. A peer announcing a *newer* generation means
-//!   the group rolled back while this rank was out; establishment
-//!   surfaces [`DistError::StaleGeneration`] so the runner rewinds to
-//!   the common snapshot instead of resuming doomed in-flight state.
-//!   [`ReliableConn::begin_generation`] resets the session afterwards.
 //!
 //! The accept side's establishment loop is hardened: a peer that
 //! connects but never sends `Hello` burns one accept iteration and a
@@ -102,8 +97,6 @@ pub struct LinkOptions {
     /// Maximum unacked data frames held for replay before the sender
     /// blocks draining acks.
     pub window: usize,
-    /// Starting rewind generation (epoch high bits).
-    pub generation: u64,
 }
 
 impl Default for LinkOptions {
@@ -113,7 +106,6 @@ impl Default for LinkOptions {
             injector: FaultInjector::default(),
             stall: Duration::from_secs(5),
             window: DEFAULT_WINDOW,
-            generation: 0,
         }
     }
 }
@@ -140,7 +132,6 @@ pub struct ReliableConn {
     fault_pending: VecDeque<Frame>,
     stall: Duration,
     window: usize,
-    generation: u64,
     attempt: u64,
     next_send_seq: u64,
     replay: VecDeque<Frame>,
@@ -168,7 +159,6 @@ impl ReliableConn {
             fault_pending: VecDeque::new(),
             stall: opts.stall,
             window: opts.window.max(1),
-            generation: opts.generation,
             attempt: 0,
             next_send_seq: 1,
             replay: VecDeque::new(),
@@ -179,14 +169,10 @@ impl ReliableConn {
         }
     }
 
-    /// This side's session epoch: `(generation << 32) | attempt`.
+    /// This side's session epoch: the reconnect attempt, 0 for the
+    /// first establishment.
     pub fn epoch(&self) -> u64 {
-        (self.generation << 32) | (self.attempt & 0xffff_ffff)
-    }
-
-    /// The rewind generation this link is running in.
-    pub fn generation(&self) -> u64 {
-        self.generation
+        self.attempt
     }
 
     /// How many times the link tore down and re-established.
@@ -197,14 +183,6 @@ impl ReliableConn {
     /// Unacked frames currently held for replay (test observability).
     pub fn replay_len(&self) -> usize {
         self.replay.len()
-    }
-
-    /// Drops the live connection without touching session state. The
-    /// runner calls this when parking at the rewind barrier so neighbors
-    /// observe EOF immediately instead of waiting out their stall
-    /// windows.
-    pub fn disconnect(&mut self) {
-        self.inner = None;
     }
 
     /// Second half of the courteous shutdown: after sending our own
@@ -240,28 +218,10 @@ impl ReliableConn {
         self.inner = None;
     }
 
-    /// Resets the session for a new rewind generation: sequence space,
-    /// replay window, and any live connection are discarded. The runner
-    /// calls this after rolling its model state back, then
-    /// [`Self::establish`]s again.
-    pub fn begin_generation(&mut self, generation: u64) {
-        self.generation = generation;
-        self.attempt = 0;
-        self.next_send_seq = 1;
-        self.replay.clear();
-        self.last_delivered = 0;
-        self.peer_acked = 0;
-        self.inbox.clear();
-        self.fault_pending.clear();
-        self.inner = None;
-    }
-
     /// Connects (or reconnects) and runs the `Hello` exchange,
     /// replaying unacked frames past the peer's ack horizon. Loops over
-    /// bad peers (wrong digest on a shared port, silent connectors,
-    /// stale-generation stragglers) until the deadline; a peer
-    /// announcing a *newer* generation is surfaced immediately as
-    /// [`DistError::StaleGeneration`].
+    /// bad peers (wrong digest on a shared port, silent connectors) until
+    /// the deadline.
     pub fn establish(&mut self) -> Result<(), DistError> {
         let deadline = self.policy.map(|p| p.deadline).unwrap_or(self.stall);
         self.establish_within(deadline)
@@ -302,26 +262,6 @@ impl ReliableConn {
                         "handshake ok: peer epoch {:#x} acked {}",
                         peer.epoch, peer.last_seq
                     ));
-                    let peer_gen = peer.epoch >> 32;
-                    if peer_gen > self.generation {
-                        return Err(DistError::StaleGeneration {
-                            ours: self.generation,
-                            peer: peer_gen,
-                        });
-                    }
-                    if peer_gen < self.generation {
-                        // A straggler from before the rewind: it will see
-                        // our newer generation, rewind, and come back.
-                        if matches!(self.reattach, Reattach::None) || start.elapsed() >= deadline {
-                            return Err(DistError::Handshake(format!(
-                                "peer stuck at rewind generation {peer_gen} (ours {})",
-                                self.generation
-                            )));
-                        }
-                        drop(conn);
-                        std::thread::sleep(backoff);
-                        continue;
-                    }
                     self.peer_acked = self.peer_acked.max(peer.last_seq);
                     while self
                         .replay
@@ -337,7 +277,6 @@ impl ReliableConn {
                     self.inner = Some(conn);
                     return Ok(());
                 }
-                Err(e @ DistError::StaleGeneration { .. }) => return Err(e),
                 Err(e) => {
                     self.debug_log(&format!("handshake attempt failed: {e}"));
                     // No hello, wrong hello, or a corrupt one: this peer
@@ -366,7 +305,7 @@ impl ReliableConn {
 
     /// Tears the link down and re-establishes it, consuming `err` if
     /// recovery succeeds. Irrecoverable setups (no policy, fixed
-    /// connection) and stale generations propagate immediately.
+    /// connection) propagate immediately.
     fn recover(&mut self, err: DistError) -> Result<(), DistError> {
         if self.policy.is_none()
             || matches!(self.reattach, Reattach::None)
@@ -396,7 +335,6 @@ impl ReliableConn {
                 self.debug_log("re-established");
                 Ok(())
             }
-            Err(e @ DistError::StaleGeneration { .. }) => Err(e),
             // Report the original fault: it names the root cause the
             // reconnect budget could not absorb.
             Err(e) => {
@@ -778,50 +716,6 @@ mod tests {
         let (got, b_reconnects) = b_thread.join().unwrap();
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5], "replay must fill the gap");
         assert!(b_reconnects >= 1, "the drop must have forced a reconnect");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_generation_is_typed_and_clears_after_rewind() {
-        let (transport, dir) = unix_transport("gen");
-        let listener = transport.listen(0).unwrap();
-        let policy = ReconnectPolicy {
-            deadline: Duration::from_secs(5),
-            backoff: Duration::from_millis(5),
-        };
-        let a_thread = std::thread::spawn(move || {
-            let mut a = ReliableConn::new(
-                LinkEndpoint::Listen(listener),
-                identity(0, 1),
-                LinkOptions {
-                    policy: Some(policy),
-                    stall: STALL,
-                    generation: 1,
-                    ..LinkOptions::default()
-                },
-            );
-            a.establish().unwrap();
-            microbatch_of(&a.recv_data(STALL).unwrap())
-        });
-        let mut b = ReliableConn::new(
-            LinkEndpoint::Dial { transport, link: 0 },
-            identity(1, 0),
-            LinkOptions {
-                policy: Some(policy),
-                stall: STALL,
-                generation: 0,
-                ..LinkOptions::default()
-            },
-        );
-        match b.establish() {
-            Err(DistError::StaleGeneration { ours: 0, peer: 1 }) => {}
-            other => panic!("expected stale generation, got {other:?}"),
-        }
-        // After rewinding to the announced generation the link forms.
-        b.begin_generation(1);
-        b.establish().unwrap();
-        b.send(&gradient(9)).unwrap();
-        assert_eq!(a_thread.join().unwrap(), 9);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,8 +7,7 @@
 //! [`ScheduledTrainer`](pbp_pipeline::ScheduledTrainer) however the ranks
 //! interleave (DESIGN §12). This file adds rank 0's feed — the dataset in
 //! the deterministic `(seed, epoch)` order — and what happens between
-//! steps: reconnect trace instants, the injected abort, snapshots, the
-//! rewind barrier.
+//! steps: reconnect trace instants, the injected abort, snapshots.
 //!
 //! ## Drain barriers
 //!
@@ -22,7 +21,6 @@
 
 use crate::codec::Frame;
 use crate::error::DistError;
-use crate::launch::read_rewind_token;
 use crate::reliable::{LinkEndpoint, LinkIdentity, LinkOptions, ReconnectPolicy, ReliableConn};
 use crate::topology::{fold, Topology};
 use crate::transport::Connection;
@@ -37,7 +35,7 @@ use pbp_snapshot::{
     SnapshotArchive, SnapshotBuilder, SnapshotError, SnapshotFamily, StateReader, StateWriter,
 };
 use pbp_trace::{TracePhase, Tracer};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Section of a rank snapshot holding the runner's distributed state:
 /// identity (rank, world, run digest), then the [`RankLoop`]'s: the f64
@@ -47,9 +45,10 @@ use std::time::{Duration, Instant};
 /// `Rank::restore` reads it; nothing else spells its layout.
 const SECTION_DIST: &str = "dist";
 
-/// How a rank behaves when the wire misbehaves. The default is the
-/// classic contract: no injected faults, any link fault is terminal for
-/// the process, and the launcher restarts the whole group.
+/// How a rank behaves when the wire misbehaves. The default: no injected
+/// faults, and any link fault is terminal for the process. Whatever the
+/// recovery, a rank that exits on a fault is restarted with its whole
+/// group by the launcher, from the newest snapshot every rank holds.
 #[derive(Debug, Clone, Default)]
 pub struct RankRecovery {
     /// The fault script (`PBP_NET_FAULTS`): each link end applies its own
@@ -59,14 +58,6 @@ pub struct RankRecovery {
     /// Reconnect-with-replay budget per link fault; `None` keeps wire
     /// faults terminal.
     pub reconnect: Option<ReconnectPolicy>,
-    /// Surviving-rank mode: after an irrecoverable link fault, park at
-    /// the rewind barrier for up to this long waiting for the
-    /// launcher's rewind token, then roll back and rejoin. `None`
-    /// (default) exits instead — the kill-group fallback.
-    pub rewind: Option<Duration>,
-    /// Rewind generation this process starts in (0 for a first launch;
-    /// the launcher's `--generation` after a fine-grained respawn).
-    pub generation: u64,
 }
 
 /// The full specification of one rank's slice of a distributed run.
@@ -104,8 +95,7 @@ pub struct RankSpec {
     /// this many microbatches have completed backward
     /// ([`FaultPlan::process_crash`]: the clause `rank:<r>:crash@<k>`).
     pub abort_after: Option<usize>,
-    /// Chaos-hardening knobs: wire fault injection, reconnect budget,
-    /// and the surviving-rank rewind barrier.
+    /// Chaos-hardening knobs: wire fault injection and reconnect budget.
     pub recovery: RankRecovery,
 }
 
@@ -164,11 +154,6 @@ impl RankSpec {
         }
         if let Some(plan) = &self.recovery.net_faults {
             plan.process_crash(self.rank).map_err(DistError::Spec)?;
-        }
-        if self.recovery.rewind.is_some() && self.snapshots.is_none() {
-            return Err(DistError::Spec(
-                "surviving-rank rewind requires snapshots".into(),
-            ));
         }
         if self.resume_at > 0 {
             let every = self.snap_every().ok_or_else(|| {
@@ -234,18 +219,7 @@ pub fn run_rank(
     if spec.resume_at > 0 {
         rank.restore(spec.resume_at)?;
     }
-    if spec.recovery.rewind.is_some() && spec.resume_at == 0 {
-        // Surviving-rank mode needs a snapshot at the current resume
-        // point so a rewind back to it is always possible, even before
-        // the first cadence boundary; a resumed rank just read one.
-        rank.save_snapshot(0)?;
-    }
-    loop {
-        match rank.run(data) {
-            Ok(()) => break,
-            Err(e) => rank.rewind_or_fail(e)?,
-        }
-    }
+    rank.run(data)?;
     Ok(rank.finish())
 }
 
@@ -271,7 +245,6 @@ struct Rank<'a> {
     /// The owned stages' rank loop: executor, microbatch cursors, loss
     /// sum.
     rank: RankLoop,
-    tracer: Tracer,
     upstream: Option<ReliableConn>,
     downstream: Option<ReliableConn>,
     /// Cached epoch order for rank 0's data feed.
@@ -279,8 +252,6 @@ struct Rank<'a> {
     order_epoch: usize,
     /// Heartbeat counter (monotonic per link pair).
     beat: u64,
-    /// Rewind generation this rank is executing in.
-    generation: u64,
     /// Link reconnects already surfaced as trace instants.
     seen_reconnects: u64,
 }
@@ -293,8 +264,19 @@ impl<'a> Rank<'a> {
         downstream: Option<LinkEndpoint>,
         tracer: Option<&Tracer>,
     ) -> Self {
-        let tracer = tracer.cloned().unwrap_or_default();
-        let rank = fresh_rank(&net, spec, &tracer);
+        // A StageGroup over the stages the topology assigns to this
+        // rank, tracing into `rank{r}/stage-{s}` lanes.
+        let config = ScheduledConfig {
+            plan: spec.plan,
+            mitigation: spec.mitigation,
+            weight_stashing: spec.weight_stashing,
+            schedule: spec.schedule.clone(),
+        };
+        let mut group = StageGroup::new(&net, spec.topology.range(spec.rank), &config);
+        group.set_tracer(
+            &tracer.cloned().unwrap_or_default(),
+            &format!("rank{}/", spec.rank),
+        );
         let digest = spec.digest();
         // Link `i` joins rank `i` and rank `i+1`; each end applies the
         // faults scripted for frames *arriving* at it — activations
@@ -313,7 +295,6 @@ impl<'a> Rank<'a> {
                     .map(|p| p.link_injector(link, dir))
                     .unwrap_or_default(),
                 stall: spec.stall,
-                generation: spec.recovery.generation,
                 ..LinkOptions::default()
             };
             ReliableConn::new(endpoint, identity, opts)
@@ -323,14 +304,12 @@ impl<'a> Rank<'a> {
         Rank {
             spec,
             net,
-            rank,
-            tracer,
+            rank: RankLoop::new(group),
             upstream,
             downstream,
             order: Vec::new(),
             order_epoch: usize::MAX,
             beat: 0,
-            generation: spec.recovery.generation,
             seen_reconnects: 0,
         }
     }
@@ -345,17 +324,6 @@ impl<'a> Rank<'a> {
     /// The rank's links, upstream first.
     fn links(&mut self) -> impl Iterator<Item = &mut ReliableConn> {
         self.upstream.iter_mut().chain(self.downstream.iter_mut())
-    }
-
-    /// Records one of the rank's own events — "rank r {what}" — on its
-    /// first trace lane; faults and restarts also go to stderr.
-    fn instant(&mut self, phase: TracePhase, what: String) {
-        let detail = format!("rank {} {what}", self.spec.rank);
-        if matches!(phase, TracePhase::Fault | TracePhase::Restart) {
-            eprintln!("{detail}");
-        }
-        let first = self.rank.group.range().start;
-        self.rank.group.lane(first).instant(phase, Some(detail));
     }
 
     /// Where forwards stop for now: the end of the run, or the next
@@ -453,10 +421,12 @@ impl<'a> Rank<'a> {
     /// rank's first lane, one per reconnect since the last check.
     fn note_reconnects(&mut self) {
         let total: u64 = self.links().map(|link| link.reconnects()).sum();
+        let (rank, first) = (self.spec.rank, self.rank.group.range().start);
         while self.seen_reconnects < total {
             self.seen_reconnects += 1;
-            let what = format!("link reconnect {}", self.seen_reconnects);
-            self.instant(TracePhase::Reconnect, what);
+            let detail = format!("rank {rank} link reconnect {}", self.seen_reconnects);
+            let lane = self.rank.group.lane(first);
+            lane.instant(TracePhase::Reconnect, Some(detail));
         }
     }
 
@@ -525,72 +495,6 @@ impl<'a> Rank<'a> {
         Ok(())
     }
 
-    /// The surviving-rank rewind barrier. Called when `run` surfaced an
-    /// error: if this rank is configured to survive and the error is a
-    /// link fault, park until the launcher posts a rewind token for a
-    /// newer generation, then roll the whole rank state back to the
-    /// token's resume point and rejoin the group. Anything else — or a
-    /// barrier timeout — propagates the original error so the process
-    /// exits and the launcher's kill-group fallback takes over.
-    fn rewind_or_fail(&mut self, err: DistError) -> Result<(), DistError> {
-        let Some(wait) = self.spec.recovery.rewind else {
-            return Err(err);
-        };
-        let rewindable = matches!(
-            err,
-            DistError::Io(_)
-                | DistError::Corrupt(_)
-                | DistError::ChecksumMismatch
-                | DistError::PeerClosed
-                | DistError::PeerStalled(_)
-                | DistError::StaleGeneration { .. }
-        );
-        if !rewindable {
-            return Err(err);
-        }
-        let dir = &self.spec.snapshots.as_ref().expect("validated").dir;
-        self.instant(TracePhase::Fault, format!("parking for rewind: {err}"));
-        // Drop both links so neighbors observe EOF immediately instead
-        // of waiting out their stall windows, cascading the park down
-        // the chain.
-        self.links().for_each(ReliableConn::disconnect);
-        let what = format!("awaiting rewind token past generation {}", self.generation);
-        self.instant(TracePhase::Backoff, what);
-        let deadline = Instant::now() + wait;
-        let (generation, resume) = loop {
-            if let Some((generation, resume)) = read_rewind_token(dir) {
-                if generation > self.generation {
-                    break (generation, resume);
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(err);
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        let what = format!("rewinding to microbatch {resume} at generation {generation}");
-        self.instant(TracePhase::Restart, what);
-        self.rewind_to(generation, resume)
-    }
-
-    /// Rolls the rank back to `resume` and rejoins the group in
-    /// `generation`: a fresh rank loop (a faulted update window may have
-    /// left deferred gradients behind), state restored from the
-    /// rank's own snapshot, links re-established under the new epoch.
-    fn rewind_to(&mut self, generation: u64, resume: usize) -> Result<(), DistError> {
-        // Forwards that were in flight at the fault stashed activations
-        // in the stages and never got their backward; a replayed
-        // backward must not pop those stale entries.
-        self.net.clear_stash();
-        self.rank = fresh_rank(&self.net, self.spec, &self.tracer);
-        self.generation = generation;
-        self.restore(resume)?;
-        for link in self.links() {
-            link.begin_generation(generation);
-        }
-        self.establish_links()
-    }
-
     fn finish(self) -> RankOutcome {
         let group = self.rank.group;
         let samples_seen = group.completed();
@@ -615,21 +519,6 @@ impl<'a> Rank<'a> {
             metrics,
         }
     }
-}
-
-/// The rank's loop at microbatch zero: a [`StageGroup`] over the stages
-/// `spec.topology` assigns to `spec.rank`, tracing into
-/// `rank{r}/stage-{s}` lanes.
-fn fresh_rank(net: &Network, spec: &RankSpec, tracer: &Tracer) -> RankLoop {
-    let config = ScheduledConfig {
-        plan: spec.plan,
-        mitigation: spec.mitigation,
-        weight_stashing: spec.weight_stashing,
-        schedule: spec.schedule.clone(),
-    };
-    let mut group = StageGroup::new(net, spec.topology.range(spec.rank), &config);
-    group.set_tracer(tracer, &format!("rank{}/", spec.rank));
-    RankLoop::new(group)
 }
 
 /// Splices every rank's owned stages into `target`: stage `s`'s

@@ -374,7 +374,7 @@ impl LinkListener {
 pub struct PeerHello {
     /// The peer's rank (already validated against the expected one).
     pub rank: u32,
-    /// The peer's session epoch: `(rewind generation << 32) | attempt`.
+    /// The peer's session epoch: its reconnect attempt.
     pub epoch: u64,
     /// Highest data-frame sequence number the peer has delivered on
     /// this link — where replay must resume from.

@@ -328,7 +328,7 @@ impl SnapshotFamily {
     /// The counters the family holds a snapshot that loads for, ascending:
     /// the counters it can genuinely resume from. An unreadable directory
     /// holds none. Launchers intersect these lists across ranks to find
-    /// the group's common rewind point.
+    /// the point a restarted group resumes from.
     pub fn valid_counters(&self) -> Vec<usize> {
         let Ok(valid) = self.valid() else {
             return Vec::new();

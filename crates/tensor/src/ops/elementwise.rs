@@ -77,9 +77,11 @@ impl Tensor {
 
 /// `y ← y + alpha * x` over flat data (the BLAS `axpy` primitive).
 ///
-/// Optimizer updates — SGDM, Spike Compensation, Linear Weight Prediction —
-/// are all compositions of axpy steps, so this is the hottest non-layer
-/// kernel in the project.
+/// Optimizer updates do not come through here: every one is a single
+/// `simd::sgdm_sweep`. The callers left are the velocity-form LWP
+/// prediction made outside an update (`pbp_optim`'s `lwp.rs`: the forward
+/// weights of a microbatch that closes no update, SpecTrain's backward
+/// re-prediction) and `Conv2d`'s weight-gradient accumulation.
 ///
 /// # Panics
 ///
@@ -88,20 +90,6 @@ pub fn axpy(alpha: f32, x: &Tensor, y: &mut Tensor) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
     for (yi, xi) in y.as_mut_slice().iter_mut().zip(x.as_slice()) {
         *yi += alpha * xi;
-    }
-}
-
-/// `out ← a * x + b * y`, overwriting `out` (shape taken from `x`).
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn scale_add_into(a: f32, x: &Tensor, b: f32, y: &Tensor, out: &mut Tensor) {
-    assert_eq!(x.len(), y.len(), "scale_add_into length mismatch");
-    assert_eq!(x.len(), out.len(), "scale_add_into output length mismatch");
-    let (xs, ys) = (x.as_slice(), y.as_slice());
-    for (i, o) in out.as_mut_slice().iter_mut().enumerate() {
-        *o = a * xs[i] + b * ys[i];
     }
 }
 
@@ -156,15 +144,6 @@ mod tests {
         let mut y = Tensor::from_slice(&[10.0, 20.0]);
         axpy(0.5, &x, &mut y);
         assert_eq!(y.as_slice(), &[10.5, 21.0]);
-    }
-
-    #[test]
-    fn scale_add_into_matches_manual() {
-        let x = Tensor::from_slice(&[1.0, 2.0]);
-        let y = Tensor::from_slice(&[3.0, 4.0]);
-        let mut out = Tensor::zeros(&[2]);
-        scale_add_into(2.0, &x, -1.0, &y, &mut out);
-        assert_eq!(out.as_slice(), &[-1.0, 0.0]);
     }
 
     #[test]

@@ -92,6 +92,22 @@ if [[ -n $stray ]]; then
   exit 1
 fi
 
+echo "== one restart arc for a stage group (grep lint) =="
+# Every rank fault ends the same way (DESIGN §14): pbp-launch kills the
+# whole group and respawns it from the newest snapshot counter every rank
+# holds. The surviving-rank rewind with its barrier token and rewind
+# generations, and rank identity read from the environment, stay retired:
+# a rank is the --rank flag its parent appends. Bare "fine-grained" is the
+# paper's vocabulary and is not linted. Needles are split so this file
+# does not contain them.
+stray=$(git grep -lE -e '--fine''-grained|--gene''ration|Stale''Generation|begin''_generation|rewind''_token|rewind''_or_fail|env''_rank|env''_world|PBP''_RANK|PBP''_WORLD' \
+  -- . ':(exclude,glob)*.md' || true)
+if [[ -n $stray ]]; then
+  echo "a retired restart arc or rank-identity variable is named again:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+
 echo "== one snapshot family for every host (grep lint) =="
 # Every host's snapshot files — an engine's, each rank's — are one
 # SnapshotFamily (pbp-snapshot's container.rs, DESIGN §8), which alone
