@@ -341,8 +341,7 @@ fn parse_num(raw: &str) -> Result<usize, DistError> {
         .map_err(|_| DistError::Spec(format!("invalid number {raw:?}")))
 }
 
-fn parent(base_dir: &Path) -> usize {
-    let _ = base_dir; // scratch dirs are derived per scenario
+fn parent() -> usize {
     let smoke = std::env::var_os("PBP_BENCH_SMOKE").is_some();
     // PBP_CHAOS_SEEDS narrows the soak to specific plan seeds — handy
     // for replaying a failure the randomized sweep found.
@@ -431,6 +430,6 @@ fn main() {
         }
         return;
     }
-    let runs = parent(&std::env::temp_dir());
+    let runs = parent();
     eprintln!("chaos dist passed: {runs} faulted runs bit-identical to the sequential core.");
 }

@@ -22,7 +22,6 @@
 //! All generation is deterministic given a seed, so each training method in
 //! a comparison sees byte-identical data.
 
-pub mod augment;
 mod images;
 mod spiral;
 

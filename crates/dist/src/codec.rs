@@ -121,8 +121,21 @@ impl Frame {
     }
 }
 
-fn encode_body(frame: &Frame) -> Vec<u8> {
-    let mut w = StateWriter::new();
+/// Bytes a frame's body takes, near enough to size its buffer once: the
+/// scalar header is at most 37 bytes, a tensor's prefix 12 plus 8 a dim.
+fn body_capacity(frame: &Frame) -> usize {
+    let lanes = match frame {
+        Frame::Activation { lanes, .. } | Frame::Gradient { lanes, .. } => lanes.as_slice(),
+        _ => &[],
+    };
+    64 + lanes
+        .iter()
+        .map(|t| 12 + 8 * t.rank() + 4 * t.len())
+        .sum::<usize>()
+}
+
+/// Appends a frame's body to `w`.
+fn encode_body(w: &mut StateWriter, frame: &Frame) {
     match frame {
         Frame::Hello {
             rank,
@@ -181,7 +194,6 @@ fn encode_body(frame: &Frame) -> Vec<u8> {
             w.put_u32(*rank);
         }
     }
-    w.into_bytes()
 }
 
 fn corrupt(e: impl std::fmt::Display) -> DistError {
@@ -232,17 +244,22 @@ fn decode_body(body: &[u8]) -> Result<Frame, DistError> {
     Ok(frame)
 }
 
-/// Serializes a frame into its full wire form: `len ++ body ++ crc`.
+/// Serializes a frame into its full wire form: `len ++ body ++ crc`,
+/// encoded in place in one buffer — the length patched in front of the
+/// body once it is known, the CRC appended behind it.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let body = encode_body(frame);
+    let mut w = StateWriter::with_capacity(body_capacity(frame) + 8);
+    w.put_u32(0);
+    encode_body(&mut w, frame);
+    let mut out = w.into_bytes();
+    let len = out.len() - 4;
     assert!(
-        body.len() <= MAX_FRAME_BYTES as usize,
+        len <= MAX_FRAME_BYTES as usize,
         "frame body exceeds MAX_FRAME_BYTES"
     );
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
+    out[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&out[4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -280,16 +297,15 @@ pub fn read_frame(input: &mut impl Read) -> Result<Frame, DistError> {
             "frame length {len} exceeds {MAX_FRAME_BYTES}"
         )));
     }
-    // Read body + CRC without trusting `len` for pre-allocation beyond
-    // the bound checked above.
-    let mut body = vec![0u8; len as usize];
-    read_exact_or_closed(input, &mut body)?;
-    let mut crc_bytes = [0u8; 4];
-    read_exact_or_closed(input, &mut crc_bytes)?;
-    if crc32(&body) != u32::from_le_bytes(crc_bytes) {
+    // Read body and CRC in one `read_exact`, without trusting `len` for
+    // pre-allocation beyond the bound checked above.
+    let mut rest = vec![0u8; len as usize + 4];
+    read_exact_or_closed(input, &mut rest)?;
+    let (body, crc_bytes) = rest.split_at(len as usize);
+    if crc32(body).to_le_bytes() != crc_bytes {
         return Err(DistError::ChecksumMismatch);
     }
-    decode_body(&body)
+    decode_body(body)
 }
 
 fn read_exact_or_closed(input: &mut impl Read, buf: &mut [u8]) -> Result<(), DistError> {
@@ -401,7 +417,9 @@ mod tests {
         // Payload longer than the header implies: decode_body must see
         // leftover bytes and refuse.
         let frame = Frame::Heartbeat { rank: 1, beat: 2 };
-        let mut body = encode_body(&frame);
+        let mut w = StateWriter::new();
+        encode_body(&mut w, &frame);
+        let mut body = w.into_bytes();
         body.push(0x42);
         let mut wire = Vec::new();
         wire.extend_from_slice(&(body.len() as u32).to_le_bytes());

@@ -11,6 +11,26 @@ use std::collections::VecDeque;
 /// [`crate::layers::Dup`] and merge it back with [`crate::layers::AddLanes`].
 pub type LaneStack = Vec<Tensor>;
 
+/// An optimizer step lent to a stage's backward pass
+/// ([`Layer::backward_input_stepping`]): the pipeline cell implements it
+/// over the stage's optimizer, for an update window the backward completes
+/// on its own.
+pub trait ParamStep {
+    /// Takes the window's update of stage parameter `index` (its
+    /// [`crate::Stage::params`] position), the weight `w` of a layer whose
+    /// whole window gradient is the factored `δ ⊗ x`, and in the same pass
+    /// adds `δ·w` — `w` read before the update, as a `[δ.len(), x.len()]`
+    /// matrix — into the zeroed `gx`.
+    fn step_outer(
+        &mut self,
+        index: usize,
+        w: &mut Tensor,
+        delta: &[f32],
+        x: &[f32],
+        gx: &mut [f32],
+    );
+}
+
 /// A network layer with an explicit backward pass.
 ///
 /// ## Contract
@@ -56,6 +76,25 @@ pub trait Layer: Send + Any {
     /// FIFO order, before the next [`Layer::zero_grads`].
     fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         self.backward(grad_stack);
+    }
+
+    /// [`Layer::backward_input`] for a call whose deferred half is the
+    /// whole of its update window's gradient: the caller zeroed the
+    /// gradients before it, retires it with one [`Layer::backward_weight`]
+    /// and then updates the parameters, with nothing in between. A layer
+    /// whose input gradient reads a weight may then hand that weight's
+    /// update to `step` (as stage parameter `first` plus its position in
+    /// [`Layer::params`]) and take the input gradient from the same pass,
+    /// reading the weight once; the input gradient, and everything the
+    /// layer holds afterwards, are bit for bit what `backward_input` gives.
+    /// Default: `backward_input`, stepping nothing.
+    fn backward_input_stepping(
+        &mut self,
+        grad_stack: &mut LaneStack,
+        _first: usize,
+        _step: &mut dyn ParamStep,
+    ) {
+        self.backward_input(grad_stack);
     }
 
     /// Retires the oldest pending weight-gradient unit deferred by

@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use crate::layer::{LaneStack, Layer, Stash};
+use crate::layer::{LaneStack, Layer, ParamStep, Stash};
 use pbp_tensor::ops::{gemm_tn, matmul_tn_acc};
 use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
@@ -107,6 +107,40 @@ impl Linear {
         self.dense_dirty = true;
     }
 
+    /// [`Layer::backward_input`], handing the weight's update to `step`
+    /// where [`Layer::backward_input_stepping`] allows it.
+    fn backward_input_with(
+        &mut self,
+        grad_stack: &mut LaneStack,
+        step: Option<(usize, &mut dyn ParamStep)>,
+    ) {
+        let g = grad_stack.pop().expect("linear: empty grad stack");
+        let x = self.stash.pop_front().expect("linear: no stashed input");
+        let window_is_this = g.shape()[0] == 1
+            && self.held.is_none()
+            && !self.dense_dirty
+            && self.wgrad_pending.is_empty();
+        // The input gradient reads the *current* weights, so it stays on
+        // the critical path; the weight half depends only on (g, x) and is
+        // deferred.
+        let gx = match step {
+            Some((first, step)) if window_is_this => {
+                let mut gx = Tensor::zeros(&[1, self.in_features]);
+                step.step_outer(
+                    first,
+                    &mut self.weight,
+                    g.as_slice(),
+                    x.as_slice(),
+                    gx.as_mut_slice(),
+                );
+                gx
+            }
+            _ => g.matmul(&self.weight).expect("linear grad shapes"),
+        };
+        grad_stack.push(gx);
+        self.wgrad_pending.push_back((g, x));
+    }
+
     /// Input feature count.
     pub fn in_features(&self) -> usize {
         self.in_features
@@ -157,14 +191,21 @@ impl Layer for Linear {
     }
 
     fn backward_input(&mut self, grad_stack: &mut LaneStack) {
-        let g = grad_stack.pop().expect("linear: empty grad stack");
-        let x = self.stash.pop_front().expect("linear: no stashed input");
-        // The input gradient reads the *current* weights, so it stays on
-        // the critical path; the weight half depends only on (g, x) and is
-        // deferred.
-        let gx = g.matmul(&self.weight).expect("linear grad shapes");
-        grad_stack.push(gx);
-        self.wgrad_pending.push_back((g, x));
+        self.backward_input_with(grad_stack, None);
+    }
+
+    /// At batch one, in a window with nothing accumulated yet, the window's
+    /// weight gradient will be the held pair `δ ⊗ x`: `step` takes the
+    /// weight's update and `gx = δ·W` in one pass over `W`. Otherwise (a
+    /// batch, or a window already holding a contribution) the weight is
+    /// left to the update, as `backward_input` leaves it.
+    fn backward_input_stepping(
+        &mut self,
+        grad_stack: &mut LaneStack,
+        first: usize,
+        step: &mut dyn ParamStep,
+    ) {
+        self.backward_input_with(grad_stack, Some((first, step)));
     }
 
     fn backward_weight(&mut self) {

@@ -1,6 +1,6 @@
 //! Stage-partitioned network container.
 
-use crate::layer::{LaneStack, Layer};
+use crate::layer::{LaneStack, Layer, ParamStep};
 use crate::layers::{GroupNorm, Relu};
 use pbp_tensor::{GradView, Tensor};
 use std::any::Any;
@@ -85,6 +85,22 @@ impl Stage {
     pub fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         for layer in self.layers.iter_mut().rev() {
             layer.backward_input(grad_stack);
+        }
+    }
+
+    /// [`Stage::backward_input`] for a microbatch that is its own update
+    /// window, lending every layer `step` for the parameters it can update
+    /// beside its input gradient ([`Layer::backward_input_stepping`]'s
+    /// contract holds for every layer of the stage).
+    pub fn backward_input_stepping(
+        &mut self,
+        grad_stack: &mut LaneStack,
+        step: &mut dyn ParamStep,
+    ) {
+        let mut first = self.params().len();
+        for layer in self.layers.iter_mut().rev() {
+            first -= layer.params().len();
+            layer.backward_input_stepping(grad_stack, first, step);
         }
     }
 

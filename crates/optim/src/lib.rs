@@ -3,7 +3,8 @@
 //! Optimizers and delay-mitigation methods from *"Pipelined
 //! Backpropagation at Scale"* (Kosson et al., MLSYS 2021):
 //!
-//! * SGD with momentum ([`SgdmState`]) and Nesterov momentum;
+//! * SGD with momentum ([`SgdmState`]); Nesterov momentum is spike
+//!   compensation at `a = m, b = 1` ([`SpikeCoeffs`], Section 3.5);
 //! * **Spike Compensation** (Section 3.2): a modified weight update
 //!   `w ← w − η(a·v + b·g)` whose default coefficients `a = m^D`,
 //!   `b = (1−m^D)/(1−m)` re-apply the updates a delayed gradient missed;

@@ -1,5 +1,5 @@
-//! SGD with (heavy-ball or Nesterov) momentum, and the one sweep every
-//! update in the project is.
+//! SGD with heavy-ball momentum, and the one sweep every update in the
+//! project is.
 
 use crate::Hyperparams;
 use pbp_snapshot::{SnapshotError, Snapshottable, StateReader, StateWriter};
@@ -68,23 +68,6 @@ impl SgdmState {
         self.step_with_spike(params, grads, hp, 1.0, 0.0);
     }
 
-    /// Nesterov update: `v ← m·v + g; w ← w − η·(m·v + g)`.
-    ///
-    /// Note `m·v_{t+1} + g_t` is spike compensation with `a = m, b = 1` —
-    /// for a delay of one, SCD *is* Nesterov momentum (Section 3.5).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor lists disagree with the state layout.
-    pub fn step_nesterov(
-        &mut self,
-        params: &mut [&mut Tensor],
-        grads: &[GradView<'_>],
-        hp: Hyperparams,
-    ) {
-        self.step_with_spike(params, grads, hp, hp.momentum, 1.0);
-    }
-
     /// Generalized spike-compensated update (Eqs. 10-12):
     ///
     /// ```text
@@ -111,14 +94,12 @@ impl SgdmState {
             b,
             grad_scale: 1.0,
         };
-        self.sweep(params, grads, k, None, None);
+        self.sweep(params, grads, k, None, None, &[]);
     }
 
-    /// The update every optimizer entry point is: for each parameter, one
-    /// [`sgdm_sweep`] over its gradient (dense, or factored and read row by
-    /// row), velocity and weights that also writes, when asked, the
-    /// pre-update weights into `prev` and the forward weight version
-    /// `predict` describes into `next`.
+    /// The update every optimizer entry point is: for each parameter not
+    /// marked in `taken` (a prefix of flags; missing ones read `false`),
+    /// one [`SgdmState::sweep_param`].
     ///
     /// # Panics
     ///
@@ -130,25 +111,58 @@ impl SgdmState {
         k: Sweep,
         mut prev: Option<&mut [Tensor]>,
         mut next: Option<(&mut [Tensor], Predict)>,
+        taken: &[bool],
     ) {
         let n = self.velocity.len();
         assert_eq!(params.len(), n, "param/velocity layout mismatch");
         assert_eq!(grads.len(), n, "grad/velocity layout mismatch");
-        for (t, ((p, g), v)) in params
-            .iter_mut()
-            .zip(grads)
-            .zip(&mut self.velocity)
-            .enumerate()
-        {
-            sgdm_sweep(
-                k.scalars(),
+        for (t, (p, g)) in params.iter_mut().zip(grads).enumerate() {
+            if taken.get(t) == Some(&true) {
+                continue;
+            }
+            self.sweep_param(
+                t,
+                p,
                 *g,
-                v.as_mut_slice(),
-                p.as_mut_slice(),
-                prev.as_mut().map(|p| p[t].as_mut_slice()),
-                next.as_mut().map(|(n, f)| (n[t].as_mut_slice(), *f)),
+                k,
+                prev.as_mut().map(|p| &mut p[t]),
+                next.as_mut().map(|(n, f)| (&mut n[t], *f)),
+                None,
             );
         }
+    }
+
+    /// Parameter `t`'s update: one [`sgdm_sweep`] over its gradient (dense,
+    /// or factored and read row by row), velocity and weights `w` that also
+    /// writes, when asked, the pre-update weights into `prev`, the forward
+    /// weight version `predict` describes into `next` and, for a factored
+    /// gradient `δ ⊗ x`, the input gradient `δ·w` of the pre-update weights
+    /// into the zeroed `gx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tensor disagrees with velocity `t`'s shape, or `gx` with
+    /// a factored gradient's `x`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sweep_param(
+        &mut self,
+        t: usize,
+        w: &mut Tensor,
+        g: GradView<'_>,
+        k: Sweep,
+        prev: Option<&mut Tensor>,
+        next: Option<(&mut Tensor, Predict)>,
+        gx: Option<&mut [f32]>,
+    ) {
+        sgdm_sweep(
+            k.scalars(),
+            g,
+            self.velocity[t].as_mut_slice(),
+            w.as_mut_slice(),
+            prev.map(Tensor::as_mut_slice),
+            next.map(|(n, f)| (n.as_mut_slice(), f)),
+            gx,
+        );
     }
 
     /// Resets the velocity to zero.
@@ -208,22 +222,6 @@ mod tests {
             s2.step_with_spike(&mut [&mut w2], &[(&g).into()], hp, 1.0, 0.0);
         }
         assert_eq!(w1.as_slice(), w2.as_slice());
-    }
-
-    #[test]
-    fn nesterov_differs_from_heavy_ball_but_same_fixed_point_drift() {
-        let (w0, g) = setup();
-        let hp = Hyperparams::new(0.1, 0.9);
-        let mut w1 = w0.clone();
-        let mut s1 = SgdmState::new(&[&w1]);
-        let mut w2 = w0.clone();
-        let mut s2 = SgdmState::new(&[&w2]);
-        s1.step(&mut [&mut w1], &[(&g).into()], hp);
-        s2.step_nesterov(&mut [&mut w2], &[(&g).into()], hp);
-        // First step: heavy-ball moves by ηg, Nesterov by η(1+m)g.
-        assert!(
-            (w0.as_slice()[0] - w2.as_slice()[0]) / (w0.as_slice()[0] - w1.as_slice()[0]) > 1.5
-        );
     }
 
     #[test]

@@ -18,7 +18,9 @@ use pbp_tensor::{GradView, Tensor};
 ///    weight version the update implies (Linear Weight Prediction /
 ///    SpecTrain, or the updated weights themselves) into a buffer the
 ///    caller recycles; [`StageOptimizer::step`] is the same sweep with
-///    that output absent;
+///    that output absent, and [`StageOptimizer::step_outer_into`] takes one
+///    factored parameter's share of it ahead of the rest, beside the
+///    layer's input gradient;
 /// 2. [`StageOptimizer::forward_weights`] — the same forward version,
 ///    allocated, for a microbatch that closes no update; `None` when no
 ///    prediction is configured;
@@ -32,6 +34,10 @@ pub struct StageOptimizer {
     prev_weights: Option<Vec<Tensor>>,
     config: StageConfig,
     hp: Hyperparams,
+    /// Parameters whose share of the coming update
+    /// [`StageOptimizer::step_outer_into`] already took, by position; the
+    /// update that follows sweeps the rest and clears the marks.
+    taken: Vec<bool>,
 }
 
 impl StageOptimizer {
@@ -44,6 +50,7 @@ impl StageOptimizer {
             prev_weights: needs_prev.then(|| params.iter().map(|p| (*p).clone()).collect()),
             config,
             hp,
+            taken: vec![false; params.len()],
         }
     }
 
@@ -128,12 +135,46 @@ impl StageOptimizer {
         self.sweep(params, grads, Some(next));
     }
 
-    fn sweep(
+    /// Takes parameter `t`'s share of the next update ahead of the rest,
+    /// for a layer whose window gradient is the one factored contribution
+    /// `δ ⊗ x`: `w` is parameter `t`, `next` its slot of the buffer the
+    /// coming [`StageOptimizer::step_into`] writes, and the same pass adds
+    /// `δ·w` of the pre-update weights into the zeroed `gx` — bit for bit
+    /// `gemm_nn`'s `m = 1` product, and the weights are read once for the
+    /// layer's input gradient and its update. That `step_into` (or
+    /// [`StageOptimizer::step`]) then sweeps only the parameters not yet
+    /// taken: the update as a whole is bit for bit the one sweep it
+    /// replaces, because the parameters' sweeps are independent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is out of range or a shape disagrees with
+    /// construction or with `x`.
+    pub fn step_outer_into(
         &mut self,
-        params: &mut [&mut Tensor],
-        grads: &[GradView<'_>],
-        next: Option<&mut [Tensor]>,
+        t: usize,
+        w: &mut Tensor,
+        delta: &[f32],
+        x: &[f32],
+        next: &mut Tensor,
+        gx: &mut [f32],
     ) {
+        let (k, predict) = self.kernel();
+        let prev = self.prev_weights.as_mut().map(|p| &mut p[t]);
+        self.state.sweep_param(
+            t,
+            w,
+            GradView::Outer { delta, x },
+            k,
+            prev,
+            Some((next, predict)),
+            Some(gx),
+        );
+        self.taken[t] = true;
+    }
+
+    /// The scalars and the forward-version form of this update.
+    fn kernel(&self) -> (Sweep, Predict) {
         let coeffs = if self.config.spike_delay > 0.0 {
             SpikeCoeffs::scd(self.hp.momentum, self.config.spike_delay)
         } else {
@@ -154,13 +195,25 @@ impl StageOptimizer {
         } else {
             Predict::WeightDiff { horizon }
         };
+        (k, predict)
+    }
+
+    fn sweep(
+        &mut self,
+        params: &mut [&mut Tensor],
+        grads: &[GradView<'_>],
+        next: Option<&mut [Tensor]>,
+    ) {
+        let (k, predict) = self.kernel();
         self.state.sweep(
             params,
             grads,
             k,
             self.prev_weights.as_deref_mut(),
             next.map(|next| (next, predict)),
+            &self.taken,
         );
+        self.taken.fill(false);
     }
 }
 
@@ -206,6 +259,7 @@ impl Snapshottable for StageOptimizer {
             )));
         }
         self.hp = Hyperparams { lr, momentum };
+        self.taken.fill(false);
         Ok(())
     }
 }

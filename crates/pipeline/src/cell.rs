@@ -15,6 +15,28 @@
 //! enforced by a grep lint in `scripts/check.sh`), which is what makes
 //! the sequential, threaded and multi-process substrates bit-identical.
 //!
+//! ## One pass over a weight for its backward and its update
+//!
+//! When a microbatch is its own update window — its actions are
+//! `BackwardInput(i), BackwardWeight(i), Update`: PB, and fill&drain, 1F1B
+//! and 2BP at an update size of one — and its backward runs under the live
+//! weights (no weight stashing, no SpecTrain backward re-prediction), the
+//! cell lends the window's optimizer step to the stage's backward
+//! ([`StageCell::backward_input_for`], [`Stage::backward_input_stepping`]).
+//! A batch-1 `Linear` then computes `gx = δ·W` inside its weight's update
+//! sweep, from each row before the sweep rewrites it, so `W` and its
+//! velocity are read once where the split path reads `W` twice back to
+//! back. The bits are the split path's: `gx` is `gemm_nn`'s `m = 1`
+//! chain — rows in order from `+0.0`, one fma each — and the weight's
+//! sweep reads the gradient `δ ⊗ x` its `backward_weight` will hold, under
+//! the hyperparameters `update` would use, writing into the same version
+//! buffer (popped from the spares once, by the backward, and finished by
+//! `update`, which sweeps only the parameters not yet stepped). Every
+//! other window — 1F1B, 2BP and fill&drain at `M > 1`, where one window
+//! sums several gradients; weight stashing and SpecTrain, whose backward
+//! runs under other weights than the live ones — takes the split path:
+//! `backward_input`, then `backward_weight`, then one `update` sweep.
+//!
 //! ## Ordering contract
 //!
 //! For a fixed stage, the cell's methods must be called in the schedule's
@@ -31,13 +53,13 @@
 //! `version_lag` microbatches may be in flight (forwarded but not yet
 //! backwarded) at a stage.
 
-use pbp_nn::{LaneStack, Stage};
+use pbp_nn::{LaneStack, ParamStep, Stage};
 use pbp_optim::{Hyperparams, Mitigation, StageOptimizer};
 use pbp_snapshot::{SnapshotError, Snapshottable, StateReader, StateWriter};
 use pbp_tensor::Tensor;
 use std::collections::VecDeque;
 
-use crate::schedule::MicrobatchSchedule;
+use crate::schedule::{is_own_update_window, Action, MicrobatchSchedule};
 
 /// One pipeline stage's schedule-execution state: optimizer, forward
 /// weight-version FIFO, and weight stash.
@@ -59,9 +81,32 @@ pub struct StageCell {
     /// not yet rewritten: one per in-flight microbatch, none between
     /// drained microbatches.
     spares: Vec<Vec<Tensor>>,
-    /// The next forward version, written by `update` and waiting for this
-    /// microbatch's `push_next_version`.
+    /// The next forward version, written by `update` — begun by a backward
+    /// the step was lent to — and waiting for this microbatch's
+    /// `push_next_version`.
     next: Option<Vec<Tensor>>,
+}
+
+/// The window's optimizer step as [`StageCell::backward_input_for`] lends
+/// it to the stage: each parameter it is offered is swept into its slot of
+/// the version buffer the coming `update` finishes.
+struct LentStep<'a> {
+    opt: &'a mut StageOptimizer,
+    next: &'a mut [Tensor],
+}
+
+impl ParamStep for LentStep<'_> {
+    fn step_outer(
+        &mut self,
+        index: usize,
+        w: &mut Tensor,
+        delta: &[f32],
+        x: &[f32],
+        gx: &mut [f32],
+    ) {
+        self.opt
+            .step_outer_into(index, w, delta, x, &mut self.next[index], gx);
+    }
 }
 
 /// Exchanges the stage's live parameter tensors with `version`'s, in
@@ -165,6 +210,12 @@ impl StageCell {
         }
     }
 
+    /// Whether the backward pass runs under the live weights: no weight
+    /// stashing, no SpecTrain backward re-prediction.
+    fn backward_runs_live(&self) -> bool {
+        !self.weight_stashing && self.opt.config().bwd_horizon == 0.0
+    }
+
     /// The weights the backward pass must run under, when they differ
     /// from the live weights: the stashed forward version (weight
     /// stashing) or SpecTrain's backward re-prediction.
@@ -205,6 +256,39 @@ impl StageCell {
         }
     }
 
+    /// [`StageCell::backward_input`] for a microbatch whose actions at the
+    /// stage are `actions`. When they make the microbatch its own update
+    /// window and the backward runs under the live weights, the pass also
+    /// takes the window's update of every weight a layer can step beside
+    /// its input gradient, into the version buffer `update` then finishes
+    /// (see the module docs); the bits are the split path's either way.
+    pub fn backward_input_for(
+        &mut self,
+        stage: &mut Stage,
+        gstack: &mut LaneStack,
+        zero_grads: bool,
+        actions: &[Action],
+    ) {
+        let lends = zero_grads
+            && self.backward_runs_live()
+            && is_own_update_window(actions)
+            && self.will_update(stage);
+        if !lends {
+            return self.backward_input(stage, gstack, zero_grads);
+        }
+        stage.zero_grads();
+        let mut next = self
+            .spares
+            .pop()
+            .expect("a spent version buffer precedes every update");
+        let mut step = LentStep {
+            opt: &mut self.opt,
+            next: &mut next,
+        };
+        stage.backward_input_stepping(gstack, &mut step);
+        self.next = Some(next);
+    }
+
     /// Retires one pending weight-gradient half (2BP). Weight-gradient
     /// halves read no weights, only values stashed at `backward_input`
     /// time, so no override dance is needed.
@@ -220,8 +304,10 @@ impl StageCell {
 
     /// Applies the optimizer update and, in the same sweep over the
     /// weights, writes the forward version it implies into a spent version
-    /// buffer for [`StageCell::push_next_version`] to enqueue. Returns
-    /// whether a step fired (parameterless stages never update).
+    /// buffer for [`StageCell::push_next_version`] to enqueue — the one a
+    /// [`StageCell::backward_input_for`] that stepped some weights already
+    /// began, sweeping only the rest. Returns whether a step fired
+    /// (parameterless stages never update).
     /// `split_backward` no longer selects anything — by the update
     /// boundary a split schedule's layers hold the same accumulated
     /// gradients a fused one's do — and stays only because the benchmark
@@ -231,10 +317,11 @@ impl StageCell {
         if grads.is_empty() {
             return false;
         }
-        let mut next = self
-            .spares
-            .pop()
-            .expect("a spent version buffer precedes every update");
+        let mut next = self.next.take().unwrap_or_else(|| {
+            self.spares
+                .pop()
+                .expect("a spent version buffer precedes every update")
+        });
         self.opt.step_into(&mut params, &grads, &mut next);
         self.next = Some(next);
         true
@@ -307,8 +394,11 @@ mod tests {
     }
 
     fn cells(net: &Network, weight_stashing: bool) -> Vec<StageCell> {
+        cells_with(net, Mitigation::lwpv_scd(), weight_stashing)
+    }
+
+    fn cells_with(net: &Network, mitigation: Mitigation, weight_stashing: bool) -> Vec<StageCell> {
         let (stages, hp) = (net.pipeline_stage_count(), Hyperparams::new(0.05, 0.9));
-        let mitigation = Mitigation::lwpv_scd();
         (0..net.num_stages())
             .map(|s| {
                 StageCell::new(
@@ -328,6 +418,14 @@ mod tests {
     /// One microbatch through every cell, forward then backward — the
     /// sequential sweep. Returns the loss.
     fn microbatch(net: &mut Network, cells: &mut [StageCell], i: usize) -> f32 {
+        microbatch_by(net, cells, i, false)
+    }
+
+    /// [`microbatch`], its backward through `backward_input_for` with the
+    /// plan's actions when `lend`, else through the split
+    /// `backward_input`. Asserts that a lending backward began the next
+    /// version exactly when the cell's configuration lets it.
+    fn microbatch_by(net: &mut Network, cells: &mut [StageCell], i: usize, lend: bool) -> f32 {
         let mut stack = vec![Tensor::from_fn(&[1, 4], |j| {
             ((i * 4 + j) as f32 * 0.3).sin()
         })];
@@ -337,7 +435,14 @@ mod tests {
         let (loss, grad) = softmax_cross_entropy(&stack.pop().expect("logits"), &[i % 3]);
         let mut gstack = vec![grad];
         for (s, cell) in cells.iter_mut().enumerate().rev() {
-            cell.backward_input(net.stage_mut(s), &mut gstack, true);
+            if lend {
+                let actions = PLAN.stage_actions(i);
+                cell.backward_input_for(net.stage_mut(s), &mut gstack, true, &actions);
+                let lends = cell.backward_runs_live() && cell.will_update(net.stage(s));
+                assert_eq!(cell.next.is_some(), lends);
+            } else {
+                cell.backward_input(net.stage_mut(s), &mut gstack, true);
+            }
             cell.backward_weight(net.stage_mut(s));
             if cell.will_update(net.stage(s)) {
                 cell.update(net.stage_mut(s), false);
@@ -382,6 +487,44 @@ mod tests {
                         pushed[i - period][s],
                         "stage {s} microbatch {i} stashing={weight_stashing}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lent_step_is_the_split_path_bit_for_bit() {
+        let mitigations = [
+            Mitigation::None,
+            Mitigation::scd(),
+            Mitigation::lwpv_scd(),
+            Mitigation::lwpw_scd(),
+            Mitigation::SpecTrain,
+            Mitigation::GradShrink { factor: 0.5 },
+        ];
+        for mitigation in mitigations {
+            for weight_stashing in [false, true] {
+                let (mut net_a, mut net_b) = (net(), net());
+                let mut cells_a = cells_with(&net_a, mitigation, weight_stashing);
+                let mut cells_b = cells_with(&net_b, mitigation, weight_stashing);
+                for i in 0..20 {
+                    let lent = microbatch_by(&mut net_a, &mut cells_a, i, true);
+                    let split = microbatch_by(&mut net_b, &mut cells_b, i, false);
+                    assert_eq!(
+                        lent.to_bits(),
+                        split.to_bits(),
+                        "{mitigation:?} microbatch {i}"
+                    );
+                }
+                for s in 0..net_a.num_stages() {
+                    let (a, b) = (net_a.stage(s), net_b.stage(s));
+                    for (a, b) in a.params().iter().zip(b.params()) {
+                        assert_eq!(a.as_slice(), b.as_slice(), "{mitigation:?} stage {s}");
+                    }
+                    let (a, b) = (cells_a[s].opt.velocity(), cells_b[s].opt.velocity());
+                    for (a, b) in a.iter().zip(b) {
+                        assert_eq!(a.as_slice(), b.as_slice(), "{mitigation:?} stage {s}");
+                    }
                 }
             }
         }

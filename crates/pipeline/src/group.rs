@@ -336,7 +336,7 @@ impl StageGroup {
                     Action::Forward(_) => {}
                     Action::BackwardInput(i) => {
                         lane.begin(TracePhase::BackwardInput, Some(i as u64), Some(version));
-                        cell.backward_input(stage, gstack, first_of_update);
+                        cell.backward_input_for(stage, gstack, first_of_update, &actions);
                         lane.end();
                     }
                     Action::BackwardWeight(j) => {

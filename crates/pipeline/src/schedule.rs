@@ -36,6 +36,19 @@ pub enum Action {
     Update,
 }
 
+/// Whether `actions`, one microbatch's
+/// [`MicrobatchSchedule::stage_actions`], make that microbatch its own
+/// update window: its forward, its backward's two halves and the update,
+/// and nothing else. PB (and `UniformDelay`) always do; fill&drain, 1F1B
+/// and 2BP do at an update size of one.
+pub(crate) fn is_own_update_window(actions: &[Action]) -> bool {
+    matches!(
+        actions,
+        [Action::Forward(f), Action::BackwardInput(i), Action::BackwardWeight(j), Action::Update]
+            if f == i && i == j
+    )
+}
+
 /// A first-class microbatch schedule: which actions every stage performs
 /// per microbatch, and the delay structure those actions induce.
 ///

@@ -12,7 +12,7 @@ use pbp_nn::loss::softmax_cross_entropy;
 use pbp_nn::models::{mlp, vgg_cnn};
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
-use pbp_pipeline::{DelayedConfig, DelayedTrainer, MicrobatchSchedule, StageCell};
+use pbp_pipeline::{Action, DelayedConfig, DelayedTrainer, MicrobatchSchedule, StageCell};
 use pbp_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,6 +80,19 @@ fn microbatch(net: &mut Network, cells: &mut [StageCell], i: usize) {
 }
 
 fn microbatch_of(net: &mut Network, cells: &mut [StageCell], input: Tensor, label: usize) {
+    microbatch_with(net, cells, input, label, None);
+}
+
+/// One microbatch, its backward through [`StageCell::backward_input_for`]
+/// with `actions` when given (the path the stage group takes), else
+/// through the split [`StageCell::backward_input`].
+fn microbatch_with(
+    net: &mut Network,
+    cells: &mut [StageCell],
+    input: Tensor,
+    label: usize,
+    actions: Option<&[Action]>,
+) {
     let mut stack = vec![input];
     for (s, cell) in cells.iter_mut().enumerate() {
         cell.forward(net.stage_mut(s), &mut stack);
@@ -87,7 +100,10 @@ fn microbatch_of(net: &mut Network, cells: &mut [StageCell], input: Tensor, labe
     let (_, grad) = softmax_cross_entropy(&stack.pop().expect("logits"), &[label]);
     let mut gstack = vec![grad];
     for (s, cell) in cells.iter_mut().enumerate().rev() {
-        cell.backward_input(net.stage_mut(s), &mut gstack, true);
+        match actions {
+            Some(actions) => cell.backward_input_for(net.stage_mut(s), &mut gstack, true, actions),
+            None => cell.backward_input(net.stage_mut(s), &mut gstack, true),
+        }
         cell.backward_weight(net.stage_mut(s));
         if cell.will_update(net.stage(s)) {
             cell.update(net.stage_mut(s), false);
@@ -135,6 +151,42 @@ fn a_running_cell_allocates_nothing_weight_sized() {
             let during = LARGE_ALLOCS.with(Cell::get) - before;
             assert_eq!(during, 0, "{mitigation:?} stashing={weight_stashing}");
         }
+    }
+}
+
+/// The backward that takes each batch-1 `Linear`'s update beside its input
+/// gradient — PB's microbatch is its own update window — writes the next
+/// weight version into the one spent buffer the split path writes it into:
+/// nothing weight-sized is allocated on that path either, under each
+/// forward-version form.
+#[test]
+fn the_lent_step_allocates_nothing_weight_sized() {
+    let plan = MicrobatchSchedule::PipelinedBackprop;
+    let hp = Hyperparams::new(0.05, 0.9);
+    for mitigation in [
+        Mitigation::None,
+        Mitigation::lwpv_scd(),
+        Mitigation::lwpw_scd(),
+    ] {
+        let mut net = mlp(&[WIDTH; 4], &mut StdRng::seed_from_u64(3));
+        let stages = net.pipeline_stage_count();
+        let mut cells: Vec<StageCell> = (0..net.num_stages())
+            .map(|s| StageCell::new(net.stage(s), s, stages, &plan, mitigation, false, hp, None))
+            .collect();
+        let mut run = |net: &mut Network, i: usize| {
+            let input = Tensor::from_fn(&[1, WIDTH], |j| ((i + j) as f32).sin());
+            let actions = plan.stage_actions(i);
+            microbatch_with(net, &mut cells, input, i % WIDTH, Some(&actions));
+        };
+        for i in 0..4 {
+            run(&mut net, i);
+        }
+        let before = LARGE_ALLOCS.with(Cell::get);
+        for i in 4..40 {
+            run(&mut net, i);
+        }
+        let during = LARGE_ALLOCS.with(Cell::get) - before;
+        assert_eq!(during, 0, "{mitigation:?}");
     }
 }
 

@@ -22,6 +22,14 @@ impl StateWriter {
         StateWriter::default()
     }
 
+    /// Creates an empty writer with room for `bytes` bytes, for a caller
+    /// that knows roughly how much it will write.
+    pub fn with_capacity(bytes: usize) -> Self {
+        StateWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -88,11 +96,14 @@ impl StateWriter {
         self.put_bytes(s.as_bytes());
     }
 
-    /// Appends a length-prefixed `f32` slice.
+    /// Appends a length-prefixed `f32` slice, the elements in one bulk
+    /// copy of their little-endian bit patterns.
     pub fn put_f32_slice(&mut self, vs: &[f32]) {
         self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.put_f32(v);
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * vs.len(), 0);
+        for (dst, v) in self.buf[start..].chunks_exact_mut(4).zip(vs) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
     }
 
@@ -233,11 +244,11 @@ impl<'a> StateReader<'a> {
                 "f32 slice of {len} elements exceeds payload"
             )));
         }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.take_f32()?);
-        }
-        Ok(out)
+        let bytes = self.take(4 * len)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
     }
 
     /// Reads a tensor written by [`StateWriter::put_tensor`].

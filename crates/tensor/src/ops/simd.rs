@@ -9,7 +9,8 @@
 //! ([`group_moments`]), the one `f64` kernel, written over `Chains`
 //! under the same rule with plain adds, subtractions and products, and
 //! the optimizer's update ([`sgdm_sweep`]), element-wise products, sums
-//! and differences in the scalar loop's order, nothing fused.
+//! and differences in the scalar loop's order, nothing fused — beside it
+//! only the input-gradient side output, `gemm_nn`'s `m = 1` fma chain.
 //! Each is one generic function over a lane type: lanes never interact —
 //! the one cross-lane operation, `Lanes::transpose` in the `A·Bᵀ` row and
 //! the pack, moves data and computes nothing — and
@@ -1419,7 +1420,9 @@ const NEXT_WEIGHT_DIFF: u8 = 3;
 
 /// One contiguous run of an [`sgdm_sweep`]: `n` elements of `v` and `w`,
 /// and of `prev` and `next` unless they are null, from the dense gradient
-/// at `g` or, for a factored row, from `delta` and the `x` at `g`.
+/// at `g` or, for a factored row, from `delta` and the `x` at `g`; a
+/// factored row also adds `delta·w` into the `n` elements of `gx` unless
+/// it is null.
 #[derive(Clone, Copy)]
 struct SweepArgs {
     k: SweepScalars,
@@ -1429,12 +1432,14 @@ struct SweepArgs {
     w: *mut f32,
     prev: *mut f32,
     next: *mut f32,
+    gx: *mut f32,
     predict: Option<Predict>,
     n: usize,
 }
 
 impl SweepArgs {
-    /// The run of `n` elements `at` elements in, reading `g`.
+    /// The run of `n` elements `at` elements in, reading `g`. `gx` is one
+    /// row wide and every row adds into it, so it does not move.
     fn run(self, at: usize, n: usize, g: *const f32, delta: f32) -> SweepArgs {
         // `wrapping_add`: `prev` and `next` may be null, and are then never
         // dereferenced.
@@ -1475,11 +1480,20 @@ struct SweepLanes<V> {
 ///
 /// then stores `v'`, `w'`, `w` to `prev` when `PREV`, and `ŵ` to `next` in
 /// the form `NEXT` names — the scalar loop's operations in the scalar
-/// loop's order. A function and not a closure: a closure does not inherit
-/// the `#[target_feature]` of the wrapper it is inlined into, and the
+/// loop's order. When `GX` (a factored row only) it also stores
+/// `fma(δ, w, gx[j])` to `gx[j]`, from the weight it read before the
+/// update: one link of `gemm_nn`'s `m = 1` chain for the input gradient
+/// `δ·W`. A function and not a closure: a closure does not inherit the
+/// `#[target_feature]` of the wrapper it is inlined into, and the
 /// intrinsics it called would not be inlined.
 #[inline(always)]
-unsafe fn sweep_step<V: Lanes, const ROW: bool, const PREV: bool, const NEXT: u8>(
+unsafe fn sweep_step<
+    V: Lanes,
+    const ROW: bool,
+    const GX: bool,
+    const PREV: bool,
+    const NEXT: u8,
+>(
     a: &SweepArgs,
     c: &SweepLanes<V>,
     j: usize,
@@ -1491,6 +1505,9 @@ unsafe fn sweep_step<V: Lanes, const ROW: bool, const PREV: bool, const NEXT: u8
     };
     let g = V::mul(g, c.s);
     let w_old = V::load(a.w.add(j));
+    if GX {
+        V::fma(c.delta, w_old, V::load(a.gx.add(j))).store(a.gx.add(j));
+    }
     let v = V::add(V::mul(c.m, V::load(a.v.add(j))), g);
     let w = V::sub(w_old, V::mul(c.lr, V::add(V::mul(c.a, v), V::mul(c.b, g))));
     v.store(a.v.add(j));
@@ -1510,7 +1527,13 @@ unsafe fn sweep_step<V: Lanes, const ROW: bool, const PREV: bool, const NEXT: u8
 /// on; returns where they end. One cache line of every stream a step,
 /// each prefetched [`SWEEP_PREFETCH`] floats ahead.
 #[inline(always)]
-unsafe fn sweep_kernel<V: Lanes, const ROW: bool, const PREV: bool, const NEXT: u8>(
+unsafe fn sweep_kernel<
+    V: Lanes,
+    const ROW: bool,
+    const GX: bool,
+    const PREV: bool,
+    const NEXT: u8,
+>(
     a: SweepArgs,
     from: usize,
 ) -> usize {
@@ -1540,12 +1563,12 @@ unsafe fn sweep_kernel<V: Lanes, const ROW: bool, const PREV: bool, const NEXT: 
             V::prefetch_write(a.next.wrapping_add(ahead));
         }
         for q in 0..LINE / V::N {
-            sweep_step::<V, ROW, PREV, NEXT>(&a, &c, j + q * V::N);
+            sweep_step::<V, ROW, GX, PREV, NEXT>(&a, &c, j + q * V::N);
         }
         j += LINE;
     }
     while j + V::N <= a.n {
-        sweep_step::<V, ROW, PREV, NEXT>(&a, &c, j);
+        sweep_step::<V, ROW, GX, PREV, NEXT>(&a, &c, j);
         j += V::N;
     }
     j
@@ -1553,43 +1576,58 @@ unsafe fn sweep_kernel<V: Lanes, const ROW: bool, const PREV: bool, const NEXT: 
 
 /// [`sweep_kernel`] at `V`, then at `f32` for the tail.
 #[inline(always)]
-unsafe fn sweep_whole<V: Lanes, const ROW: bool, const PREV: bool, const NEXT: u8>(a: SweepArgs) {
-    let j = sweep_kernel::<V, ROW, PREV, NEXT>(a, 0);
-    sweep_kernel::<f32, ROW, PREV, NEXT>(a, j);
+unsafe fn sweep_whole<
+    V: Lanes,
+    const ROW: bool,
+    const GX: bool,
+    const PREV: bool,
+    const NEXT: u8,
+>(
+    a: SweepArgs,
+) {
+    let j = sweep_kernel::<V, ROW, GX, PREV, NEXT>(a, 0);
+    sweep_kernel::<f32, ROW, GX, PREV, NEXT>(a, j);
 }
 
-/// [`sweep_whole`] with the side outputs `a` asks for.
+/// [`sweep_whole`] with the side outputs `a` asks for: `prev` when the
+/// whole sweep's `prev` is not null (a run's own pointer is offset from it,
+/// null or not).
 #[inline(always)]
-unsafe fn sweep_sides<V: Lanes, const ROW: bool, const PREV: bool>(a: SweepArgs) {
-    match a.predict {
-        None => sweep_whole::<V, ROW, PREV, NO_NEXT>(a),
-        Some(Predict::Copy) => sweep_whole::<V, ROW, PREV, NEXT_COPY>(a),
-        Some(Predict::Velocity { .. }) => sweep_whole::<V, ROW, PREV, NEXT_VELOCITY>(a),
-        Some(Predict::WeightDiff { .. }) => sweep_whole::<V, ROW, PREV, NEXT_WEIGHT_DIFF>(a),
+unsafe fn sweep_sides<V: Lanes, const ROW: bool, const GX: bool>(a: SweepArgs, prev: bool) {
+    match (a.predict, prev) {
+        (None, false) => sweep_whole::<V, ROW, GX, false, NO_NEXT>(a),
+        (None, true) => sweep_whole::<V, ROW, GX, true, NO_NEXT>(a),
+        (Some(Predict::Copy), false) => sweep_whole::<V, ROW, GX, false, NEXT_COPY>(a),
+        (Some(Predict::Copy), true) => sweep_whole::<V, ROW, GX, true, NEXT_COPY>(a),
+        (Some(Predict::Velocity { .. }), false) => {
+            sweep_whole::<V, ROW, GX, false, NEXT_VELOCITY>(a)
+        }
+        (Some(Predict::Velocity { .. }), true) => sweep_whole::<V, ROW, GX, true, NEXT_VELOCITY>(a),
+        (Some(Predict::WeightDiff { .. }), false) => {
+            sweep_whole::<V, ROW, GX, false, NEXT_WEIGHT_DIFF>(a)
+        }
+        (Some(Predict::WeightDiff { .. }), true) => {
+            sweep_whole::<V, ROW, GX, true, NEXT_WEIGHT_DIFF>(a)
+        }
     }
 }
 
 /// The sweep of one parameter at `V`: its dense gradient as one run, or a
-/// factored one row by row.
+/// factored one row by row, in row order.
 #[inline(always)]
 unsafe fn sweep_any<V: Lanes>(a: SweepArgs, g: GradView<'_>) {
     let prev = !a.prev.is_null();
     match g {
         GradView::Dense(t) => {
-            let a = a.run(0, a.n, t.as_slice().as_ptr(), 0.0);
-            if prev {
-                sweep_sides::<V, false, true>(a)
-            } else {
-                sweep_sides::<V, false, false>(a)
-            }
+            sweep_sides::<V, false, false>(a.run(0, a.n, t.as_slice().as_ptr(), 0.0), prev)
         }
         GradView::Outer { delta, x } => {
             for (r, &d) in delta.iter().enumerate() {
                 let a = a.run(r * x.len(), x.len(), x.as_ptr(), d);
-                if prev {
-                    sweep_sides::<V, true, true>(a)
+                if a.gx.is_null() {
+                    sweep_sides::<V, true, false>(a, prev)
                 } else {
-                    sweep_sides::<V, true, false>(a)
+                    sweep_sides::<V, true, true>(a, prev)
                 }
             }
         }
@@ -1606,9 +1644,17 @@ unsafe fn sweep_any<V: Lanes>(a: SweepArgs, g: GradView<'_>) {
 /// fused multiply-add and in that order, so it is bit for bit the scalar
 /// loop that once stood here, on every tier.
 ///
+/// For a factored gradient `δ ⊗ x` the same pass can also produce the
+/// input gradient `gx = δ·W` of the layer whose weight `w` is, read from
+/// the weights *before* the update: `gx`, `x.len()` wide and zeroed by the
+/// caller, gains `fma(δ_r, w_r[j], gx[j])` row by row, in row order — the
+/// chain `gemm_nn` runs at `m = 1`, so `gx` is bit for bit `δ·W`, and the
+/// weights are read once for both.
+///
 /// # Panics
 ///
-/// Panics if `g`, `w`, `prev` or `next` differs in length from `v`.
+/// Panics if `g`, `w`, `prev` or `next` differs in length from `v`, or if
+/// `gx` is given for a dense gradient or differs in length from `x`.
 pub fn sgdm_sweep(
     k: SweepScalars,
     g: GradView<'_>,
@@ -1616,6 +1662,7 @@ pub fn sgdm_sweep(
     w: &mut [f32],
     prev: Option<&mut [f32]>,
     next: Option<(&mut [f32], Predict)>,
+    gx: Option<&mut [f32]>,
 ) {
     let n = v.len();
     assert_eq!(w.len(), n, "sgdm_sweep: param/velocity shape mismatch");
@@ -1631,6 +1678,15 @@ pub fn sgdm_sweep(
         }
         None => (std::ptr::null_mut(), None),
     };
+    let gx = gx.map_or(std::ptr::null_mut(), |gx| {
+        match g {
+            GradView::Outer { x, .. } => {
+                assert_eq!(gx.len(), x.len(), "sgdm_sweep: gx/x shape mismatch")
+            }
+            GradView::Dense(_) => panic!("sgdm_sweep: gx needs a factored gradient"),
+        }
+        gx.as_mut_ptr()
+    });
     let a = SweepArgs {
         k,
         g: std::ptr::null(),
@@ -1639,14 +1695,15 @@ pub fn sgdm_sweep(
         w: w.as_mut_ptr(),
         prev,
         next,
+        gx,
         predict,
         n,
     };
     // SAFETY: the asserts bound every access: element `j < n` of `v`, `w`
     // and of `prev` / `next` when given, of a dense `g`, and for a factored
-    // row `r` elements `r·cols + j` with `j < cols`, and `x[j]`; a null
-    // side output is never dereferenced; the tier match proves the CPU
-    // feature.
+    // row `r` elements `r·cols + j` with `j < cols`, `x[j]` and `gx[j]`
+    // when given; a null side output is never dereferenced; the tier match
+    // proves the CPU feature.
     unsafe {
         match active_tier() {
             #[cfg(target_arch = "x86_64")]
@@ -2573,7 +2630,7 @@ mod tests {
                         assert_eq!(active_tier(), tier);
                         let got = swept(n, |v, w, prev, next| {
                             let prev = with_prev.then_some(prev);
-                            sgdm_sweep(k, g, v, w, prev, predict.map(|p| (next, p)))
+                            sgdm_sweep(k, g, v, w, prev, predict.map(|p| (next, p)), None)
                         });
                         let context = format!(
                             "{} rows={rows:?} cols={cols} {k:?} prev={with_prev} next={predict:?}",

@@ -196,7 +196,7 @@ fn sweep(gate: &Barrier) -> f64 {
     let mut run = |reps: usize| {
         for r in 0..reps {
             let next = &mut versions[r % VERSIONS];
-            sgdm_sweep(k, grad, &mut v, &mut w, None, Some((next, predict)));
+            sgdm_sweep(k, grad, &mut v, &mut w, None, Some((next, predict)), None);
         }
     };
     run(REPS / 8);

@@ -18,12 +18,14 @@
 //! baseline: the contract says the optimized result is the same bytes at
 //! *any* cap and tier.
 
-use pipelined_backprop::tensor::ops::simd::{detected_tier, group_moments, set_tier, SimdTier};
+use pipelined_backprop::tensor::ops::simd::{
+    detected_tier, group_moments, set_tier, sgdm_sweep, Predict, SimdTier, SweepScalars,
+};
 use pipelined_backprop::tensor::ops::{
     conv2d, conv2d_backward, conv2d_direct, conv2d_direct_backward_input,
     conv2d_direct_backward_weight, gemm_nn, gemm_nt, gemm_tn, reference, Conv2dSpec,
 };
-use pipelined_backprop::tensor::{pool, Tensor};
+use pipelined_backprop::tensor::{pool, GradView, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -507,4 +509,83 @@ fn group_moments_equal_the_per_group_sums_bitwise_on_every_tier() {
         }
     }
     set_tier(detected_tier());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The update sweep with its input-gradient side output — a batch-1
+    /// `Linear`'s backward and update in one pass over `W` — against the
+    /// two passes it replaces: `gemm_nn(δ, W)` at `m = 1`, then the sweep
+    /// without it. `gx`, `w`, `v`, `next` and `prev` bitwise, on the tier
+    /// the process resolved (`PBP_SIMD` picks it), for every forward-version
+    /// form, with and without `prev`, plain SGDM's and SCD's coefficients,
+    /// a gradient scale of one or not, widths on and off every vector
+    /// boundary, and inputs salted with `±0.0` and subnormals.
+    #[test]
+    fn fused_sweep_equals_gemm_then_sweep_bitwise(
+        rows in 1usize..20,
+        cols in 1usize..70,
+        seed in 0u64..10_000,
+        flavour in 0usize..3,
+        form in 0usize..4,
+        flags in 0u32..8,
+    ) {
+        let (with_prev, scd, shrink) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+        let n = rows * cols;
+        let delta = flavoured(rows, seed, flavour);
+        let x = flavoured(cols, seed + 1, flavour);
+        let w0 = flavoured(n, seed + 2, flavour);
+        let v0 = flavoured(n, seed + 3, flavour);
+        let (a, b) = if scd { (0.6561, 3.439) } else { (1.0, 0.0) };
+        let k = SweepScalars {
+            grad_scale: if shrink { 0.3 } else { 1.0 },
+            momentum: 0.9,
+            lr: 0.05,
+            a,
+            b,
+        };
+        let predict = [
+            None,
+            Some(Predict::Copy),
+            Some(Predict::Velocity { alpha: -0.35 }),
+            Some(Predict::WeightDiff { horizon: 2.0 }),
+        ][form];
+        let g = GradView::Outer { delta: &delta, x: &x };
+        // Stale bytes in the outputs the sweep overwrites.
+        let fresh = || (w0.clone(), v0.clone(), vec![7.0f32; n], vec![7.0f32; n]);
+
+        let (mut w, mut v, mut prev, mut next) = fresh();
+        let mut gx_split = vec![1.0f32; cols];
+        gemm_nn(&delta, &w, &mut gx_split, 1, rows, cols, false);
+        sgdm_sweep(
+            k,
+            g,
+            &mut v,
+            &mut w,
+            with_prev.then_some(prev.as_mut_slice()),
+            predict.map(|p| (next.as_mut_slice(), p)),
+            None,
+        );
+        let split = [w, v, prev, next];
+
+        let (mut w, mut v, mut prev, mut next) = fresh();
+        let mut gx_fused = vec![0.0f32; cols];
+        sgdm_sweep(
+            k,
+            g,
+            &mut v,
+            &mut w,
+            with_prev.then_some(prev.as_mut_slice()),
+            predict.map(|p| (next.as_mut_slice(), p)),
+            Some(&mut gx_fused),
+        );
+        let fused = [w, v, prev, next];
+
+        let context = format!("{rows}x{cols} seed {seed} flavour {flavour} {k:?} {predict:?}");
+        assert_bits_eq(&gx_fused, &gx_split, &format!("{context}: gx"));
+        for (name, (f, s)) in ["w", "v", "prev", "next"].iter().zip(fused.iter().zip(&split)) {
+            assert_bits_eq(f, s, &format!("{context}: {name}"));
+        }
+    }
 }
