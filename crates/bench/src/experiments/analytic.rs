@@ -6,7 +6,9 @@
 use super::{all, arg_best, ensure, rising, rows, Claim, Experiment};
 use crate::report::{Cell, Rel::*, Report, Table, View};
 use crate::suite::Scale;
-use pbp_pipeline::{fill_drain_utilization, MemoryModel, ScheduleModel, StageActivity};
+use pbp_pipeline::{
+    fill_drain_utilization, schedule_diagram, MemoryModel, MicrobatchSchedule as Plan,
+};
 use pbp_quadratic::{
     dominant_root_magnitude, min_halflife, root_heatmap, simulate_delayed_quadratic,
     HalflifeSearch, Method, MomentumGrid,
@@ -29,28 +31,25 @@ fn fig2(_: Scale) -> Report {
     let title = "== Figure 2 / Eq. 1: utilization of pipeline-parallel training ==";
     let mut r = Report::titled(title, table);
 
-    // Schedule diagrams (Figure 2's three panels) for a small pipeline.
-    let model = ScheduleModel::new(6);
-    let mut diagram = |title: &str, grid: Vec<Vec<StageActivity>>, steps: usize| {
-        let utilization = 100.0 * ScheduleModel::utilization(&grid);
-        r.line(format!("{title} {utilization:.1}%):"));
-        for stage in 0..6 {
-            let cells = grid.iter().take(steps).map(|row| match row[stage] {
-                StageActivity::Idle => '.',
-                StageActivity::Forward => 'F',
-                StageActivity::Backward => 'B',
-                StageActivity::Both => '#',
-            });
-            r.line(format!("stage {stage}: {}", cells.collect::<String>()));
-        }
-        r.line("");
-    };
-    let fill_drain = |n, batches| model.fill_drain_schedule(n, batches);
-    diagram("Fill & drain, N=1 (utilization", fill_drain(1, 3), 33);
-    diagram("Fill & drain, N=8 (utilization", fill_drain(8, 2), 36);
-    let pb = "Pipelined backpropagation (utilization → 100% after fill; run avg";
-    diagram(pb, model.pb_schedule(36), 36);
-    r.line("Legend: '.' idle, 'F' forward only, 'B' backward only, '#' forward+backward\n");
+    // Figure 2's panels, run on six equal stages, a worker each.
+    for (title, plan, microbatches) in [
+        ("Fill & drain, N=1", Plan::FillDrain { update_size: 1 }, 2),
+        ("Fill & drain, N=8", Plan::FillDrain { update_size: 8 }, 8),
+        ("Pipelined backpropagation", Plan::PipelinedBackprop, 24),
+    ] {
+        let (bubble, rows) = schedule_diagram(plan, 6, microbatches, 96);
+        r.line(format!(
+            "{title} (bubble {:.1}%):\n{rows}\n",
+            100.0 * bubble
+        ));
+    }
+    r.line(
+        "Legend: '.' idle, 'F' forward, 'B' input-gradient backward, 'W' weight-gradient \
+         backward, 'U' update; equal stages, an update costing half a forward, at most 96 \
+         columns\n\n\
+         Eq. 1 counts a stage's forward and backward in one slot; a worker that runs them in \
+         turn has GPipe's bubble (S−1)/(N+S−1) instead.\n",
+    );
     r
 }
 

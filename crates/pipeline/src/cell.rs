@@ -2,13 +2,16 @@
 //!
 //! [`StageCell`] owns what one pipeline stage needs to execute its slice
 //! of a [`MicrobatchSchedule`](crate::MicrobatchSchedule) action stream:
-//! the stage's optimizer (with its delay-mitigation configuration), the
-//! FIFO of forward weight versions whose length is the schedule's version
-//! lag plus one, and the stash of in-flight forward weights under weight
-//! stashing. Version buffers circulate: the one a microbatch's forward
-//! consumed is the one its update writes the next version into, in the
-//! same sweep that applies the update, so a running pipeline allocates no
-//! weight-sized memory. Cells are driven by
+//! the stage's optimizer (with its delay-mitigation configuration) and
+//! the FIFO of forward weight versions — one per update, `⌈D/M⌉ + 1` of
+//! them between microbatches, for a version lag of `D` microbatches and
+//! `M` microbatches per update. Forward `i` reads the version after
+//! `max(0, ⌊(i − D)/M⌋)` updates; under weight stashing its backward reads
+//! the same queued version, so nothing is copied to stash it. Version
+//! buffers circulate: the closing update of a window retires the oldest
+//! version, whose every reader has run, and writes the next one into a
+//! spent buffer in the same sweep that applies the update, so a running
+//! pipeline allocates no weight-sized memory. Cells are driven by
 //! [`StageGroup`](crate::StageGroup), the
 //! one interpreter of the action stream; this file and `group.rs` are
 //! together the only implementation of per-stage semantics (DESIGN §12,
@@ -30,12 +33,12 @@
 //! chain — rows in order from `+0.0`, one fma each — and the weight's
 //! sweep reads the gradient `δ ⊗ x` its `backward_weight` will hold, under
 //! the hyperparameters `update` would use, writing into the same version
-//! buffer (popped from the spares once, by the backward, and finished by
-//! `update`, which sweeps only the parameters not yet stepped). Every
-//! other window — 1F1B, 2BP and fill&drain at `M > 1`, where one window
-//! sums several gradients; weight stashing and SpecTrain, whose backward
-//! runs under other weights than the live ones — takes the split path:
-//! `backward_input`, then `backward_weight`, then one `update` sweep.
+//! buffer (retired from the queue's front once, by the backward, and
+//! finished by `update`, which sweeps only the parameters not yet
+//! stepped). Every other window — 1F1B, 2BP and fill&drain at `M > 1`,
+//! where one window sums several gradients; weight stashing and SpecTrain,
+//! whose backward runs under other weights than the live ones — takes the
+//! split path: `backward_input`, then `backward_weight`, then one `update`.
 //!
 //! ## Ordering contract
 //!
@@ -45,13 +48,15 @@
 //! [`Action`](crate::Action) stream order, and `push_next_version` once
 //! after each microbatch's backward actions. *Across* stages any
 //! interleaving that respects data dependencies yields the same bits:
-//! forwards read only queued versions (popped in push order) and
-//! backwards mutate only this stage's weights, so stage `s` running
+//! forwards read only queued versions, chosen by their microbatch index,
+//! and backwards mutate only this stage's weights, so stage `s` running
 //! microbatch `i+2` while stage `s+1` still works on `i` — the real
 //! pipeline's overlap — cannot change any value. The only structural
-//! constraint is that a forward may not outrun its queue: at most
-//! `version_lag` microbatches may be in flight (forwarded but not yet
-//! backwarded) at a stage.
+//! constraint is that a forward may not outrun its version: it runs once
+//! the version it reads is queued ([`StageCell::version_ready`]), and no
+//! more than the plan's [`in_flight_cap`](crate::MicrobatchSchedule::in_flight_cap)
+//! microbatches are in flight (forwarded but not yet backwarded) at a
+//! stage.
 
 use pbp_nn::{LaneStack, ParamStep, Stage};
 use pbp_optim::{Hyperparams, Mitigation, StageOptimizer};
@@ -61,29 +66,28 @@ use std::collections::VecDeque;
 
 use crate::schedule::{is_own_update_window, Action, MicrobatchSchedule};
 
-/// One pipeline stage's schedule-execution state: optimizer, forward
-/// weight-version FIFO, and weight stash.
+/// One pipeline stage's schedule-execution state: optimizer and forward
+/// weight-version FIFO.
 pub struct StageCell {
     opt: StageOptimizer,
-    /// Forward weight-version lag in microbatches (Eq. 5 `D_s` for PB);
-    /// `fwd_queue` always holds `version_lag + 1` entries between
-    /// microbatches.
+    /// Forward weight-version lag in microbatches (Eq. 5 `D_s` for PB).
     version_lag: usize,
-    /// FIFO of forward weight versions; front is the version the next
-    /// microbatch's forward pass must see.
-    fwd_queue: VecDeque<Vec<Tensor>>,
-    /// Stashed forward weights for in-flight microbatches (weight
-    /// stashing only).
-    stash: VecDeque<Vec<Tensor>>,
+    /// Microbatches per update (`M`).
+    per_update: usize,
+    /// FIFO of forward weight versions, one per update, oldest first:
+    /// `⌈D/M⌉ + 1` entries between microbatches. Version `n` holds the
+    /// weights after `n − ⌈D/M⌉` updates — the first `⌈D/M⌉ + 1` are the
+    /// initial weights, as in a freshly filled pipeline.
+    versions: VecDeque<Vec<Tensor>>,
+    /// The version number of `versions`' front: updates retired so far.
+    front: usize,
+    /// Microbatches forwarded / fully backwarded at this stage.
+    forwarded: usize,
+    completed: usize,
     weight_stashing: bool,
-    /// Version buffers whose contents are spent — popped by a forward
-    /// (or, under weight stashing, by the backward that ran under them) and
-    /// not yet rewritten: one per in-flight microbatch, none between
-    /// drained microbatches.
-    spares: Vec<Vec<Tensor>>,
     /// The next forward version, written by `update` — begun by a backward
-    /// the step was lent to — and waiting for this microbatch's
-    /// `push_next_version`.
+    /// the step was lent to — into the spent front buffer, and waiting for
+    /// this microbatch's `push_next_version`.
     next: Option<Vec<Tensor>>,
 }
 
@@ -109,16 +113,22 @@ impl ParamStep for LentStep<'_> {
     }
 }
 
-/// Exchanges the stage's live parameter tensors with `version`'s, in
-/// [`Stage::params`] order. Called in pairs around a pass that must run
-/// under another weight version: no weight is copied, and after the
-/// second call both sides hold exactly what they held before.
-fn swap_params(stage: &mut Stage, version: &mut [Tensor]) {
-    let params = stage.params_mut();
-    assert_eq!(params.len(), version.len(), "version layout mismatch");
-    for (p, v) in params.into_iter().zip(version) {
-        std::mem::swap(p, v);
-    }
+/// Runs `pass` on `stage` under `version`'s weights: exchanges the live
+/// parameter tensors with the version's, in [`Stage::params`] order, for
+/// the pass. No weight is copied, and afterwards both sides hold exactly
+/// what they held before.
+fn under(stage: &mut Stage, version: &mut [Tensor], pass: impl FnOnce(&mut Stage)) {
+    let swap = |stage: &mut Stage, version: &mut [Tensor]| {
+        let params = stage.params_mut();
+        assert_eq!(params.len(), version.len(), "version layout mismatch");
+        params
+            .into_iter()
+            .zip(version)
+            .for_each(|(p, v)| std::mem::swap(p, v));
+    };
+    swap(stage, version);
+    pass(stage);
+    swap(stage, version);
 }
 
 impl StageCell {
@@ -128,8 +138,8 @@ impl StageCell {
     /// both instead; no engine passes it any more
     /// ([`MicrobatchSchedule::UniformDelay`] expresses the same thing) and
     /// the parameter stays only because the benchmark harness calls this
-    /// signature. The queue starts with `lag + 1` copies of the stage's
-    /// initial weights, exactly like a freshly filled pipeline.
+    /// signature. The queue starts with `⌈lag/M⌉ + 1` copies of the
+    /// stage's initial weights, exactly like a freshly filled pipeline.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         stage: &Stage,
@@ -145,15 +155,20 @@ impl StageCell {
         let delay = delay_override.unwrap_or_else(|| plan.stage_delay(s, pipeline_stages));
         let stage_cfg = mitigation.stage_config(delay, s);
         let opt = StageOptimizer::new(&stage.params(), stage_cfg, hp);
+        let per_update = plan.microbatches_per_update();
         let snapshot = stage.snapshot();
-        let fwd_queue: VecDeque<Vec<Tensor>> = (0..=lag).map(|_| snapshot.clone()).collect();
+        let versions = (0..=lag.div_ceil(per_update))
+            .map(|_| snapshot.clone())
+            .collect();
         StageCell {
             opt,
             version_lag: lag,
-            fwd_queue,
-            stash: VecDeque::new(),
+            per_update,
+            versions,
+            front: 0,
+            forwarded: 0,
+            completed: 0,
             weight_stashing,
-            spares: Vec::new(),
             next: None,
         }
     }
@@ -170,12 +185,21 @@ impl StageCell {
 
     /// Entries currently in the forward version queue.
     pub fn fwd_queue_len(&self) -> usize {
-        self.fwd_queue.len()
+        self.versions.len()
     }
 
-    /// Entries currently stashed (weight stashing only).
-    pub fn stash_len(&self) -> usize {
-        self.stash.len()
+    /// The queue slot of the version microbatch `i`'s forward reads: the
+    /// weights after `max(0, ⌊(i − D)/M⌋)` updates, version
+    /// `⌊(i − D)/M⌋ + ⌈D/M⌉`.
+    fn slot(&self, i: usize) -> usize {
+        let m = self.per_update;
+        let pad = m * self.version_lag.div_ceil(m) - self.version_lag;
+        (i + pad) / m - self.front
+    }
+
+    /// Whether the version the next forward reads has been pushed.
+    pub fn version_ready(&self) -> bool {
+        self.slot(self.forwarded) < self.versions.len()
     }
 
     /// Sets the optimizer's hyperparameters (called at each update
@@ -184,30 +208,25 @@ impl StageCell {
         self.opt.set_hyperparams(hp);
     }
 
-    /// Runs the stage's forward pass under the scheduled weight version:
-    /// pops the queue front, swaps it in for the pass (skipped when the
-    /// queued version is bit-identical to the live weights — no lag, no
-    /// forward prediction, which is how fill&drain falls out of the shared
-    /// machinery at full speed), and stashes the version under weight
-    /// stashing; otherwise its buffer is spent and becomes a spare.
+    /// Runs the stage's forward pass under the scheduled weight version,
+    /// swapped in from its queue slot — skipped when it is bit-identical to
+    /// the live weights (no lag, no forward prediction: fill&drain at full
+    /// speed). The version stays queued for the window's other forwards
+    /// and, under weight stashing, this microbatch's backward.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the forward outran its version ([`StageCell::version_ready`]).
     pub fn forward(&mut self, stage: &mut Stage, stack: &mut LaneStack) {
-        let mut fwd_w = self
-            .fwd_queue
-            .pop_front()
-            .expect("queue maintains lag+1 entries");
+        let slot = self.slot(self.forwarded);
         let live = self.version_lag == 0 && self.opt.config().fwd_horizon == 0.0;
-        if fwd_w.is_empty() || live {
+        let version = self.versions.get_mut(slot).expect("forward version pushed");
+        if live {
             stage.forward(stack);
         } else {
-            swap_params(stage, &mut fwd_w);
-            stage.forward(stack);
-            swap_params(stage, &mut fwd_w);
+            under(stage, version, |stage| stage.forward(stack));
         }
-        if self.weight_stashing {
-            self.stash.push_back(fwd_w);
-        } else {
-            self.spares.push(fwd_w);
-        }
+        self.forwarded += 1;
     }
 
     /// Whether the backward pass runs under the live weights: no weight
@@ -216,43 +235,26 @@ impl StageCell {
         !self.weight_stashing && self.opt.config().bwd_horizon == 0.0
     }
 
-    /// The weights the backward pass must run under, when they differ
-    /// from the live weights: the stashed forward version (weight
-    /// stashing) or SpecTrain's backward re-prediction.
-    fn backward_override(&mut self, stage: &Stage) -> Option<Vec<Tensor>> {
-        if self.weight_stashing {
-            let stashed = self.stash.pop_front().expect("stash in sync");
-            (!stashed.is_empty()).then_some(stashed)
-        } else if self.opt.config().bwd_horizon != 0.0 {
-            let params = stage.params();
-            (!params.is_empty()).then(|| {
-                self.opt
-                    .backward_weights(&params)
-                    .expect("bwd horizon configured")
-            })
-        } else {
-            None
-        }
-    }
-
     /// Runs the stage's input-gradient backward pass, zeroing the
     /// accumulated gradients first when this is the update window's
-    /// first microbatch.
+    /// first microbatch. Under weight stashing it runs under the queued
+    /// version its forward read; under SpecTrain under the re-predicted
+    /// weights.
     pub fn backward_input(&mut self, stage: &mut Stage, gstack: &mut LaneStack, zero_grads: bool) {
-        let bwd_override = self.backward_override(stage);
         if zero_grads {
             stage.zero_grads();
         }
-        match bwd_override {
-            Some(mut bw) => {
-                swap_params(stage, &mut bw);
-                stage.backward_input(gstack);
-                swap_params(stage, &mut bw);
-                if self.weight_stashing {
-                    self.spares.push(bw);
-                }
-            }
-            None => stage.backward_input(gstack),
+        if self.weight_stashing {
+            let slot = self.slot(self.completed);
+            under(stage, &mut self.versions[slot], |stage| {
+                stage.backward_input(gstack)
+            });
+        } else if self.opt.config().bwd_horizon != 0.0 {
+            let predicted = self.opt.backward_weights(&stage.params());
+            let mut bw = predicted.expect("bwd horizon configured");
+            under(stage, &mut bw, |stage| stage.backward_input(gstack));
+        } else {
+            stage.backward_input(gstack);
         }
     }
 
@@ -277,10 +279,7 @@ impl StageCell {
             return self.backward_input(stage, gstack, zero_grads);
         }
         stage.zero_grads();
-        let mut next = self
-            .spares
-            .pop()
-            .expect("a spent version buffer precedes every update");
+        let mut next = self.retire_front();
         let mut step = LentStep {
             opt: &mut self.opt,
             next: &mut next,
@@ -302,11 +301,33 @@ impl StageCell {
         !stage.grads().is_empty()
     }
 
+    /// Retires the oldest queued version and hands out a spent buffer for
+    /// the closing update to rewrite. At an update boundary every forward
+    /// that reads the oldest version, and every backward that ran under it,
+    /// has run: its readers are the window's microbatches `D` back, and the
+    /// window's last is the microbatch closing now. The buffer handed out
+    /// is the newest spent one — read by the latest forward (under weight
+    /// stashing, backward) and likely still in cache — which swaps places
+    /// with the oldest first. With several microbatches in flight,
+    /// rewriting the oldest instead cost the ledger's `cnn.threaded` ≈ 6 %
+    /// of its throughput on a two-vCPU host.
+    fn retire_front(&mut self) -> Vec<Tensor> {
+        let next_reader = match self.weight_stashing {
+            true => self.completed + 1,
+            false => self.forwarded,
+        };
+        self.versions.swap(0, self.slot(next_reader) - 1);
+        self.front += 1;
+        self.versions
+            .pop_front()
+            .expect("the queue holds a version per pending update")
+    }
+
     /// Applies the optimizer update and, in the same sweep over the
-    /// weights, writes the forward version it implies into a spent version
-    /// buffer for [`StageCell::push_next_version`] to enqueue — the one a
-    /// [`StageCell::backward_input_for`] that stepped some weights already
-    /// began, sweeping only the rest. Returns whether a step fired
+    /// weights, writes the forward version it implies into the retired
+    /// front buffer for [`StageCell::push_next_version`] to enqueue — the
+    /// one a [`StageCell::backward_input_for`] that stepped some weights
+    /// already began, sweeping only the rest. Returns whether a step fired
     /// (parameterless stages never update).
     /// `split_backward` no longer selects anything — by the update
     /// boundary a split schedule's layers hold the same accumulated
@@ -317,62 +338,89 @@ impl StageCell {
         if grads.is_empty() {
             return false;
         }
-        let mut next = self.next.take().unwrap_or_else(|| {
-            self.spares
-                .pop()
-                .expect("a spent version buffer precedes every update")
-        });
+        let mut next = match self.next.take() {
+            Some(next) => next,
+            None => self.retire_front(),
+        };
         self.opt.step_into(&mut params, &grads, &mut next);
         self.next = Some(next);
         true
     }
 
-    /// Enqueues the forward weight version a future microbatch will see:
-    /// the one this microbatch's update wrote, else (no update closed)
-    /// the current weights, predicted when LWP is configured.
-    pub fn push_next_version(&mut self, stage: &Stage) {
-        let next_fwd = self.next.take().unwrap_or_else(|| {
-            // This microbatch's spent buffer is not needed: the
-            // allocating prediction serves the rare no-update case.
-            self.spares.pop();
-            let params = stage.params();
-            self.opt
-                .forward_weights(&params)
-                .unwrap_or_else(|| params.into_iter().cloned().collect())
-        });
-        self.fwd_queue.push_back(next_fwd);
+    /// Closes this microbatch at the stage: enqueues the version its
+    /// update wrote, if it closed an update window. A stage that takes no
+    /// step moves its front version to the back unchanged: its weights
+    /// never change. Within a window nothing is pushed: the forward `D`
+    /// microbatches on reads the version the last update wrote, bit for
+    /// bit what re-predicting from the unchanged weights would give
+    /// ([`StageOptimizer::step_into`]'s contract) while the learning rate
+    /// holds. The stage argument is unused and stays because the
+    /// benchmark harness passes it.
+    pub fn push_next_version(&mut self, _stage: &Stage) {
+        let closes = (self.completed + 1).is_multiple_of(self.per_update);
+        let next = match self.next.take() {
+            Some(next) => Some(next),
+            None if closes => Some(self.retire_front()),
+            None => None,
+        };
+        self.versions.extend(next);
+        self.completed += 1;
     }
 
-    /// Serializes the cell's evolving state (optimizer, version queue,
-    /// stash — the lag and configuration are rebuilt from the schedule).
+    /// Serializes the cell's evolving state: optimizer, version queue and
+    /// an empty weight stash (the layout keeps the stash's place; a
+    /// drained stage stashes nothing). The lag and configuration are
+    /// rebuilt from the schedule.
     pub fn write_state(&self, w: &mut StateWriter) {
         self.opt.write_state(w);
-        crate::state::write_version_queue(w, &self.fwd_queue);
-        crate::state::write_version_queue(w, &self.stash);
+        crate::state::write_version_queue(w, &self.versions);
+        crate::state::write_version_queue(w, &VecDeque::new());
     }
 
-    /// Restores state written by [`StageCell::write_state`], enforcing
-    /// the queue-length invariant of the emulation: one forward version
-    /// per possible in-flight microbatch, `lag + 1` entries.
+    /// Restores state written by [`StageCell::write_state`] into a cell
+    /// built for the same stage, `completed` microbatches into the run.
+    /// Refuses, as [`SnapshotError::Mismatch`], a queue whose length is not
+    /// the schedule's `⌈lag/M⌉ + 1`, a version whose tensor count or shapes
+    /// differ from the stage's parameters, and a stashed version: snapshots
+    /// are of drained stages.
     pub fn read_state(
         &mut self,
         r: &mut StateReader<'_>,
         tag: &str,
         s: usize,
+        completed: usize,
     ) -> Result<(), SnapshotError> {
+        let mismatch =
+            |what: String| Err(SnapshotError::Mismatch(format!("{tag} stage {s} {what}")));
         self.opt.read_state(r)?;
         let queue = crate::state::read_version_queue(r)?;
-        let want = self.version_lag + 1;
+        let want = self.versions.len();
         if queue.len() != want {
-            return Err(SnapshotError::Mismatch(format!(
-                "{tag} stage {s} forward queue holds {} versions, schedule requires {want}",
+            return mismatch(format!(
+                "forward queue holds {} versions, schedule requires {want}",
                 queue.len()
-            )));
+            ));
         }
-        self.fwd_queue = queue;
-        self.stash = crate::state::read_version_queue(r)?;
-        // Snapshots are of drained pipelines: nothing is in flight.
-        self.spares.clear();
+        let shapes = |version: &[Tensor]| -> Vec<Vec<usize>> {
+            version.iter().map(|t| t.shape().to_vec()).collect()
+        };
+        let layout = shapes(&self.versions[0]);
+        if let Some(bad) = queue.iter().find(|version| shapes(version) != layout) {
+            return mismatch(format!(
+                "forward version has shapes {:?}, parameters are {layout:?}",
+                shapes(bad)
+            ));
+        }
+        let stash = crate::state::read_version_queue(r)?;
+        if !stash.is_empty() {
+            return mismatch(format!(
+                "stashes {} versions in a drained snapshot",
+                stash.len()
+            ));
+        }
+        self.versions = queue;
+        self.front = completed / self.per_update;
+        (self.forwarded, self.completed) = (completed, completed);
         self.next = None;
         Ok(())
     }
@@ -454,7 +502,7 @@ mod tests {
 
     /// Where the newest queued version's tensors live.
     fn newest_version(cell: &StageCell) -> Vec<*const f32> {
-        let newest = cell.fwd_queue.back().expect("lag + 1 versions");
+        let newest = cell.versions.back().expect("lag + 1 versions");
         newest.iter().map(|t| t.as_slice().as_ptr()).collect()
     }
 
@@ -469,12 +517,11 @@ mod tests {
                 pushed.push(cells.iter().map(newest_version).collect());
                 for cell in &cells {
                     assert_eq!(cell.fwd_queue_len(), cell.version_lag() + 1);
-                    assert!(cell.spares.is_empty() && cell.next.is_none());
-                    assert_eq!(cell.stash_len(), 0);
+                    assert!(cell.next.is_none());
                 }
             }
             // The version a microbatch pushes is written into the buffer
-            // its forward popped — the one pushed `lag + 1` microbatches
+            // its forward read — the one pushed `lag + 1` microbatches
             // earlier: the queue's allocations circulate, none is new.
             for (s, cell) in cells.iter().enumerate() {
                 let period = cell.version_lag() + 1;
@@ -551,7 +598,8 @@ mod tests {
             let mut cells_b = cells(&net_b, weight_stashing);
             let mut r = StateReader::new(&bytes);
             for (s, cell) in cells_b.iter_mut().enumerate() {
-                cell.read_state(&mut r, "test", s).expect("matching layout");
+                cell.read_state(&mut r, "test", s, 9)
+                    .expect("matching layout");
             }
             r.finish().expect("whole state consumed");
 
@@ -566,5 +614,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A snapshot state whose version layout the stage cannot run, or that
+    /// stashes a version although snapshots are of drained stages, is a
+    /// typed mismatch on restore — not a panic at the next forward, nor a
+    /// backward under weights no forward of the resumed run read.
+    #[test]
+    fn a_state_the_stage_cannot_run_is_a_mismatch() {
+        let net = net();
+        let layout = net.stage(0).snapshot();
+        let state = |version: Vec<Tensor>, stash: VecDeque<Vec<Tensor>>| {
+            let fresh = cells(&net, false);
+            let mut w = StateWriter::new();
+            fresh[0].opt.write_state(&mut w);
+            let queue = (0..fresh[0].fwd_queue_len()).map(|_| version.clone());
+            crate::state::write_version_queue(&mut w, &queue.collect());
+            crate::state::write_version_queue(&mut w, &stash);
+            w.into_bytes()
+        };
+        let one_short = layout[..layout.len() - 1].to_vec();
+        let mut shape_off = layout.clone();
+        shape_off[0] = Tensor::zeros(&[shape_off[0].len() + 1]);
+        let stashed = VecDeque::from([layout.clone()]);
+        let cases = [
+            ("one tensor short", state(one_short, VecDeque::new())),
+            ("one shape off", state(shape_off, VecDeque::new())),
+            ("one stashed version", state(layout.clone(), stashed)),
+        ];
+        for (what, bytes) in cases {
+            let mut cell = cells(&net, true).swap_remove(0);
+            let got = cell.read_state(&mut StateReader::new(&bytes), "test", 0, 0);
+            assert!(
+                matches!(got, Err(SnapshotError::Mismatch(_))),
+                "{what}: {got:?}"
+            );
+        }
+        // The well-formed state itself restores.
+        let mut cell = cells(&net, true).swap_remove(0);
+        let bytes = state(layout, VecDeque::new());
+        let got = cell.read_state(&mut StateReader::new(&bytes), "test", 0, 0);
+        assert!(got.is_ok(), "{got:?}");
     }
 }

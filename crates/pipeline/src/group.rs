@@ -15,9 +15,12 @@
 //!
 //! ## The operations
 //!
-//! * [`StageGroup::can_forward`] — the run-ahead rule: a forward may not
-//!   outrun its weight-version queue, so at most `min version_lag`
-//!   microbatches may be in flight (forwarded, not yet backwarded).
+//! * [`StageGroup::can_forward`] — the run-ahead rule: a forward runs
+//!   once every owned stage has queued the weight version it reads, capped
+//!   by the plan's stash budget
+//!   ([`in_flight_cap`](crate::MicrobatchSchedule::in_flight_cap)): `min
+//!   D_s + 1` microbatches in flight (forwarded, not yet backwarded) under
+//!   the pipelined plans, the open update window under fill&drain.
 //! * [`StageGroup::forward`] — every owned stage's forward, first to
 //!   last, each under its scheduled weight version.
 //! * [`StageGroup::loss`] — the loss stage, mean-scaled over the update
@@ -255,18 +258,18 @@ impl StageGroup {
         self.next_bwd
     }
 
-    /// Whether another forward fits before a backward must retire one:
-    /// `in_flight ≤ min version_lag` over the owned stages, whose queues
-    /// hold `lag + 1` versions each. A lag-0 group therefore drains after
-    /// every microbatch by construction.
+    /// The run-ahead rule: the next forward may run once every owned stage
+    /// has queued the version it reads, while fewer than the plan's
+    /// [`in_flight_cap`](crate::MicrobatchSchedule::in_flight_cap) of the
+    /// least-lagged stage are in flight: `min D_s + 1`, or fill&drain's
+    /// open window, which it therefore streams before draining.
     pub fn can_forward(&self) -> bool {
-        let run_ahead = self
-            .cells
-            .iter()
-            .map(StageCell::version_lag)
-            .min()
-            .expect("non-empty group");
-        self.next_fwd - self.next_bwd <= run_ahead
+        let lag = self.cells.iter().map(StageCell::version_lag).min();
+        let cap = self
+            .config
+            .plan
+            .in_flight_cap(lag.expect("non-empty group"));
+        self.next_fwd - self.next_bwd < cap && self.cells.iter().all(StageCell::version_ready)
     }
 
     /// Runs microbatch `mb`'s forward pass through the owned stages.
@@ -473,7 +476,7 @@ impl StageGroup {
         }
         let first = self.first;
         for (local, cell) in self.cells.iter_mut().enumerate() {
-            cell.read_state(r, tag, first + local)?;
+            cell.read_state(r, tag, first + local, completed)?;
         }
         self.next_fwd = completed;
         self.next_bwd = completed;

@@ -99,10 +99,7 @@ pub use rank::{Link, Message, RankError, RankLoop, Step, Upstream};
 pub use resume::{
     resume_training, run_to_crash, run_training_with_snapshots, SnapshotPolicy, SECTION_RUN,
 };
-pub use schedule::{
-    fill_drain_utilization, pb_utilization, stage_delay, Action, MicrobatchSchedule, ScheduleModel,
-    StageActivity,
-};
+pub use schedule::{fill_drain_utilization, stage_delay, Action, MicrobatchSchedule};
 pub use scheduled::{ScheduledConfig, ScheduledTrainer};
 pub use state::SECTION_ENGINE;
 pub use supervisor::{
@@ -110,5 +107,5 @@ pub use supervisor::{
     SupervisedOutcome, SupervisionEvent, Watchdog,
 };
 pub use threaded::{ThreadedConfig, ThreadedPipeline};
-pub use timeline::VirtualHost;
+pub use timeline::{schedule_diagram, VirtualHost};
 pub use trainer::{evaluate, EpochRecord, TrainReport};

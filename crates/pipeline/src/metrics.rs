@@ -3,7 +3,8 @@
 //! All engines record the same per-stage counters while they train —
 //! updates applied, wall-clock time attributed to the stage, and the
 //! *effective* gradient delay of every update — plus run-level totals
-//! (samples, training time, analytic pipeline occupancy where one exists).
+//! (samples, training time, measured pipeline occupancy where the engine
+//! runs a pipeline).
 //! [`TrainEngine::metrics`](crate::engine::TrainEngine::metrics) snapshots
 //! them into an [`EngineMetrics`], and [`EngineMetrics::to_json`] renders
 //! any engine's snapshot in the same machine-readable schema. What
@@ -105,9 +106,11 @@ pub struct EngineMetrics {
     pub samples: usize,
     /// Wall-clock nanoseconds spent inside training calls.
     pub train_ns: u128,
-    /// Analytic pipeline occupancy in `[0, 1]`, where the engine models a
-    /// pipeline (fill&drain: Eq. 1; PB: the Figure 2 schedule model).
-    /// `None` for engines with no pipeline interpretation.
+    /// Measured pipeline occupancy in `[0, 1]`: the stages' summed
+    /// `busy_ns` over workers × `train_ns` (each stage's busy time is
+    /// counted inside its worker's timed steps), where the engine runs a
+    /// pipeline of workers. `None` for engines with no pipeline
+    /// interpretation, and before the first timed step.
     pub occupancy: Option<f64>,
     /// Per-stage counters, indexed by layer-stage number.
     pub stages: Vec<StageCounters>,

@@ -10,8 +10,8 @@
 //! [`VirtualHost`](crate::VirtualHost), which draws the schedule, nothing
 //! at all in the world of one that is [`ScheduledTrainer`](crate::ScheduledTrainer).
 //! Only [`RankLoop::step`] drives a group. Fill&drain, PB, 1F1B and 2BP
-//! differ only in the version lags the plan hands the group, never in this
-//! loop. Waiting policy (bounded waits, heartbeats, abort flags, stall
+//! differ only in the version lags and in-flight caps the plan hands the
+//! group, never in this loop. Waiting policy (bounded waits, heartbeats, abort flags, stall
 //! windows, reconnects) belongs to the link; fault and snapshot hooks
 //! belong to the caller, keyed off the [`Step`] the loop reports.
 

@@ -1,6 +1,5 @@
-//! Analytic pipeline schedule and utilization model (Section 2, Figure 2),
-//! and the first-class [`MicrobatchSchedule`] abstraction the engines
-//! execute.
+//! The first-class [`MicrobatchSchedule`] abstraction the engines execute
+//! (Section 2, Figure 2), and Eq. 1's fill&drain utilization bound.
 //!
 //! A schedule is a deterministic per-stage stream of [`Action`]s — one
 //! short action list per microbatch index. The engines interpret the same
@@ -55,23 +54,26 @@ pub(crate) fn is_own_update_window(actions: &[Action]) -> bool {
 /// Two distinct delay notions fall out of a schedule:
 ///
 /// * [`MicrobatchSchedule::stage_version_lag`] — how many *microbatches*
-///   old the weight version used by a stage's forward pass is (the length
-///   of the emulation core's per-stage weight-version FIFO, minus one);
+///   behind a stage's forward pass runs: forward `i` reads the weights
+///   after `max(0, ⌊(i − D_s)/M⌋)` updates;
 /// * [`MicrobatchSchedule::stage_delay`] — the staleness of an applied
 ///   gradient in *updates*, which is what the mitigation methods
 ///   (Section 3) compensate for and what the delay histograms record.
 ///
 /// At update size one the two coincide (`D_s = 2(S−1−s)`, Eq. 5); with
 /// `M` microbatches per update the version lag stays `D_s` while the
-/// update-staleness contracts to `⌈D_s/M⌉`.
+/// update-staleness contracts to `⌈D_s/M⌉`, and a stage keeps one weight
+/// version per update, `⌈D_s/M⌉ + 1` of them. How far a stage may run
+/// ahead is a third, separate rule: [`MicrobatchSchedule::in_flight_cap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicrobatchSchedule {
     /// Fine-grained pipelined backpropagation: every microbatch runs a
     /// full backward and an immediate update (Figure 2, bottom).
     PipelinedBackprop,
-    /// Fill-and-drain SGD: gradients accumulate over `update_size`
-    /// microbatches with a drained pipeline, so forward and backward
-    /// always see the same weights (version lag 0, delay 0).
+    /// Fill-and-drain SGD: the pipeline streams `update_size` microbatches
+    /// down and back, accumulating their gradients, and drains at each
+    /// update, so forward and backward always see the same weights
+    /// (version lag 0, delay 0) — GPipe's schedule.
     FillDrain {
         /// Microbatches per optimizer update (the batch size `N`).
         update_size: usize,
@@ -182,6 +184,19 @@ impl MicrobatchSchedule {
         }
     }
 
+    /// The most microbatches a stage whose forwards lag `lag` microbatches
+    /// behind may hold in flight (forwarded, not yet backwarded) — its
+    /// activation-stash budget. PB, `UniformDelay`, 1F1B and 2BP run `lag`
+    /// forwards ahead of their oldest backward, `lag + 1` in flight;
+    /// fill&drain streams its whole open window of `N` before draining
+    /// (GPipe), every one of them under the window's one version.
+    pub fn in_flight_cap(&self, lag: usize) -> usize {
+        match self {
+            MicrobatchSchedule::FillDrain { update_size } => *update_size,
+            _ => lag + 1,
+        }
+    }
+
     /// Effective gradient staleness of stage `s` in *updates* — the value
     /// the mitigation methods compensate for and the delay histograms
     /// record. `⌈D_s/M⌉` for the accumulating pipelined schedules: the
@@ -261,144 +276,6 @@ pub fn fill_drain_utilization(n: usize, s: usize) -> f64 {
     n as f64 / (n + 2 * s - 2) as f64
 }
 
-/// Closed-form utilization of the pipelined-backpropagation schedule over
-/// `total_steps` steps (identical to
-/// `ScheduleModel::utilization(&model.pb_schedule(total_steps))` without
-/// materializing the grid): stage `s` runs forwards from step `s` on and
-/// backwards from step `2S−2−s` on, each counting half a slot.
-///
-/// Streaming `n` samples through an `S`-stage pipeline takes
-/// `n + 2S − 2` steps, so engines report `pb_utilization(n + 2S - 2, S)`
-/// as their occupancy.
-///
-/// # Panics
-///
-/// Panics if `num_stages == 0`.
-pub fn pb_utilization(total_steps: usize, num_stages: usize) -> f64 {
-    assert!(num_stages > 0, "pipeline needs at least one stage");
-    if total_steps == 0 {
-        return 0.0;
-    }
-    let s = num_stages;
-    let t = total_steps;
-    let mut busy = 0.0f64;
-    for stage in 0..s {
-        let fwd_steps = t.saturating_sub(stage);
-        let bwd_steps = t.saturating_sub(2 * s - 2 - stage);
-        busy += 0.5 * (fwd_steps + bwd_steps) as f64;
-    }
-    busy / (t * s) as f64
-}
-
-/// What a stage is doing at one pipeline step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageActivity {
-    /// No work (red in Figure 2).
-    Idle,
-    /// Forward transformation only (yellow).
-    Forward,
-    /// Backward transformation only (yellow).
-    Backward,
-    /// Both forward and backward — full utilization (green).
-    Both,
-}
-
-/// Step-by-step occupancy simulation of a pipeline, reproducing the
-/// schedule diagrams of Figure 2 and their utilization numbers. It is the
-/// paper's analytic model: its fill&drain streams a whole update window
-/// before draining, where the executor's (version lag 0) drains after
-/// every microbatch. [`VirtualHost`](crate::VirtualHost) draws what the
-/// executor runs.
-#[derive(Debug, Clone)]
-pub struct ScheduleModel {
-    /// Number of pipeline stages.
-    pub num_stages: usize,
-}
-
-impl ScheduleModel {
-    /// Creates a model for an `S`-stage pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_stages == 0`.
-    pub fn new(num_stages: usize) -> Self {
-        assert!(num_stages > 0, "pipeline needs at least one stage");
-        ScheduleModel { num_stages }
-    }
-
-    /// Simulates fill-and-drain SGD for `batches` updates of size `n`:
-    /// the pipeline fills, streams the batch, drains, updates, repeats.
-    /// Returns the per-step activity grid `[step][stage]`.
-    pub fn fill_drain_schedule(&self, n: usize, batches: usize) -> Vec<Vec<StageActivity>> {
-        let s = self.num_stages;
-        let steps_per_batch = n + 2 * s - 2;
-        let mut grid = Vec::new();
-        for _ in 0..batches {
-            for t in 0..steps_per_batch {
-                let mut row = Vec::with_capacity(s);
-                for stage in 0..s {
-                    // Sample i occupies stage `stage` forward at step i+stage
-                    // and backward at step i + 2s − 1 − stage − ... using the
-                    // convention that fwd of sample i is at t = i + stage and
-                    // bwd at t = i + 2s − 2 − stage.
-                    let fwd = t >= stage && t < stage + n;
-                    let bwd_base = 2 * s - 2 - stage;
-                    let bwd = t >= bwd_base && t < bwd_base + n;
-                    row.push(match (fwd, bwd) {
-                        (true, true) => StageActivity::Both,
-                        (true, false) => StageActivity::Forward,
-                        (false, true) => StageActivity::Backward,
-                        (false, false) => StageActivity::Idle,
-                    });
-                }
-                grid.push(row);
-            }
-        }
-        grid
-    }
-
-    /// Simulates pipelined backpropagation for `total_steps` steps: after
-    /// the initial fill, every stage is busy with both a forward and a
-    /// backward every step (Figure 2, bottom).
-    pub fn pb_schedule(&self, total_steps: usize) -> Vec<Vec<StageActivity>> {
-        let s = self.num_stages;
-        let mut grid = Vec::new();
-        for t in 0..total_steps {
-            let mut row = Vec::with_capacity(s);
-            for stage in 0..s {
-                let fwd = t >= stage;
-                let bwd = t >= 2 * s - 2 - stage;
-                row.push(match (fwd, bwd) {
-                    (true, true) => StageActivity::Both,
-                    (true, false) => StageActivity::Forward,
-                    (false, true) => StageActivity::Backward,
-                    (false, false) => StageActivity::Idle,
-                });
-            }
-            grid.push(row);
-        }
-        grid
-    }
-
-    /// Utilization of an activity grid: fraction of (step, stage) slots
-    /// doing work, counting half for forward-only or backward-only slots.
-    pub fn utilization(grid: &[Vec<StageActivity>]) -> f64 {
-        if grid.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = grid
-            .iter()
-            .flat_map(|row| row.iter())
-            .map(|a| match a {
-                StageActivity::Idle => 0.0,
-                StageActivity::Forward | StageActivity::Backward => 0.5,
-                StageActivity::Both => 1.0,
-            })
-            .sum();
-        total / (grid.len() * grid[0].len()) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,40 +294,6 @@ mod tests {
         // N = 1, S = 34 (ResNet20): 1/67 ≈ 1.5%.
         let u = fill_drain_utilization(1, 34);
         assert!((u - 1.0 / 67.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fill_drain_schedule_utilization_matches_bound() {
-        let model = ScheduleModel::new(6);
-        for n in [1usize, 4, 32] {
-            let grid = model.fill_drain_schedule(n, 1);
-            let u = ScheduleModel::utilization(&grid);
-            let bound = fill_drain_utilization(n, 6);
-            assert!(
-                (u - bound).abs() < 1e-9,
-                "n={n}: simulated {u} vs bound {bound}"
-            );
-        }
-    }
-
-    #[test]
-    fn pb_schedule_reaches_full_utilization_in_steady_state() {
-        let model = ScheduleModel::new(8);
-        let grid = model.pb_schedule(200);
-        // After fill (2S−2 steps) everything is Both.
-        for row in &grid[14..] {
-            assert!(row.iter().all(|a| *a == StageActivity::Both));
-        }
-        let u = ScheduleModel::utilization(&grid);
-        assert!(u > 0.95, "PB long-run utilization {u}");
-    }
-
-    #[test]
-    fn pb_beats_fill_drain_at_small_batch() {
-        let model = ScheduleModel::new(16);
-        let fd = ScheduleModel::utilization(&model.fill_drain_schedule(1, 8));
-        let pb = ScheduleModel::utilization(&model.pb_schedule(8 * (1 + 30)));
-        assert!(pb > 3.0 * fd, "pb {pb} vs fill&drain {fd}");
     }
 
     #[test]
@@ -583,21 +426,5 @@ mod tests {
             .label(),
             "2BP (M=8)"
         );
-    }
-
-    #[test]
-    fn pb_utilization_closed_form_matches_grid() {
-        for s in [1usize, 3, 8] {
-            let model = ScheduleModel::new(s);
-            for t in [1usize, 2, 2 * s, 5 * s + 7] {
-                let grid = ScheduleModel::utilization(&model.pb_schedule(t));
-                let closed = pb_utilization(t, s);
-                assert!(
-                    (grid - closed).abs() < 1e-12,
-                    "S={s} T={t}: grid {grid} vs closed {closed}"
-                );
-            }
-        }
-        assert_eq!(pb_utilization(0, 4), 0.0);
     }
 }

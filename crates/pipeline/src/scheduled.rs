@@ -18,14 +18,15 @@
 //! reaches stage `s` when that stage's weights have received `i − D_s`
 //! updates, with `D_s = 2(S−1−s)` (Eq. 5); its gradient arrives back
 //! after `i` updates and is applied immediately. Because updates at each
-//! stage happen in sample order, holding per stage a FIFO of the last
-//! `L_s + 1` weight versions (`L_s` the schedule's version lag) is
-//! enough: the forward pass of microbatch `i` at stage `s` loads the
-//! version enqueued `L_s` microbatches ago, the backward pass uses the
-//! current weights (or the stashed/re-predicted version under weight
-//! stashing / SpecTrain), updates fire at the schedule's cadence, and a
-//! fresh version — predicted, when LWP is configured (Eqs. 18-19) — is
-//! enqueued after every microbatch. Fill-and-drain is the lag-0 instance:
+//! stage happen in sample order, holding per stage a FIFO of its last
+//! `⌈L_s/M⌉ + 1` weight versions (`L_s` the schedule's version lag, `M`
+//! microbatches per update) is enough: the forward pass of microbatch `i`
+//! at stage `s` loads the version after `max(0, ⌊(i − L_s)/M⌋)` updates,
+//! the backward pass uses the current weights (or the forward's queued
+//! version / the re-predicted one under weight stashing / SpecTrain),
+//! updates fire at the schedule's cadence, and each update enqueues the
+//! fresh version — predicted, when LWP is configured (Eqs. 18-19).
+//! Fill-and-drain is the lag-0 instance:
 //! forward and backward always see the same weights and the result is
 //! mathematically identical to mini-batch SGDM, the only cost being
 //! utilization (Eq. 1). Schedules that split backward defer each
@@ -38,7 +39,7 @@ use crate::engine::TrainEngine;
 use crate::group::StageGroup;
 use crate::metrics::EngineMetrics;
 use crate::rank::{Message, RankLoop, Upstream};
-use crate::schedule::{fill_drain_utilization, pb_utilization, MicrobatchSchedule};
+use crate::schedule::MicrobatchSchedule;
 use crate::threaded::ChannelLink;
 use pbp_data::Dataset;
 use pbp_nn::Network;
@@ -220,6 +221,21 @@ impl ScheduledTrainer {
     pub fn train_epoch(&mut self, data: &Dataset, seed: u64, epoch: usize) -> f64 {
         TrainEngine::train_epoch(self, data, seed, epoch)
     }
+
+    /// The engine's metrics, its occupancy measured over `workers`
+    /// workers: one here, the worker count when the threaded runtime ran
+    /// the same state.
+    pub(crate) fn metrics_over(&self, workers: usize) -> EngineMetrics {
+        let (stages, train_ns) = (self.rank.group.counters().to_vec(), self.rank.train_ns);
+        let busy: u128 = stages.iter().map(|stage| stage.busy_ns).sum();
+        EngineMetrics {
+            engine: self.config.label(),
+            samples: self.rank.group.completed(),
+            train_ns,
+            occupancy: (train_ns > 0).then(|| busy as f64 / (workers as f64 * train_ns as f64)),
+            stages,
+        }
+    }
 }
 
 impl TrainEngine for ScheduledTrainer {
@@ -309,21 +325,7 @@ impl TrainEngine for ScheduledTrainer {
     }
 
     fn metrics(&self) -> EngineMetrics {
-        let s = self.net.pipeline_stage_count();
-        let samples = self.rank.group.completed();
-        let occupancy = (samples > 0).then(|| match self.config.plan {
-            MicrobatchSchedule::FillDrain { update_size } => fill_drain_utilization(update_size, s),
-            // The 1F1B/2BP/PB dataflows keep every stage busy after the
-            // fill, exactly as the Figure 2 schedule model predicts.
-            _ => pb_utilization(samples + 2 * s - 2, s),
-        });
-        EngineMetrics {
-            engine: self.config.label(),
-            samples,
-            train_ns: self.rank.train_ns,
-            occupancy,
-            stages: self.rank.group.counters().to_vec(),
-        }
+        self.metrics_over(1)
     }
 
     fn into_network(self: Box<Self>) -> Network {
@@ -549,15 +551,18 @@ mod tests {
 
     #[test]
     fn weight_stashing_keeps_queue_invariants() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let net = mlp(&[2, 8, 3], &mut rng);
         let data = spirals(3, 12, 0.05, 8);
-        let cfg = ScheduledConfig::pb(schedule()).with_weight_stashing();
-        let mut pb = ScheduledTrainer::new(net, cfg);
-        pb.train_epoch(&data, 1, 0);
-        for (s, cell) in pb.rank.group.cells().iter().enumerate() {
-            assert_eq!(cell.fwd_queue_len(), cell.delay() + 1, "stage {s}");
-            assert_eq!(cell.stash_len(), 0, "stage {s}");
+        // One queued version per update: `⌈D_s/M⌉ + 1`, stashing or not.
+        for cfg in [
+            ScheduledConfig::pb(schedule()),
+            ScheduledConfig::one_f_one_b(4, schedule()),
+        ] {
+            let net = mlp(&[2, 8, 3], &mut StdRng::seed_from_u64(7));
+            let mut engine = ScheduledTrainer::new(net, cfg.with_weight_stashing());
+            engine.train_epoch(&data, 1, 0);
+            for (s, cell) in engine.rank.group.cells().iter().enumerate() {
+                assert_eq!(cell.fwd_queue_len(), cell.delay() + 1, "stage {s}");
+            }
         }
     }
 
@@ -649,15 +654,22 @@ mod tests {
     }
 
     #[test]
-    fn fill_drain_occupancy_is_eq1() {
+    fn fill_drain_occupancy_is_measured() {
         let mut rng = StdRng::seed_from_u64(3);
         let net = mlp(&[2, 8, 3], &mut rng); // 2 layer stages + loss = 3
         let data = spirals(3, 32, 0.05, 1);
         let mut fd = ScheduledTrainer::new(net, ScheduledConfig::fill_drain(8, batch_schedule()));
+        assert_eq!(
+            TrainEngine::metrics(&fd).occupancy,
+            None,
+            "nothing timed yet"
+        );
         fd.train_epoch(&data, 1, 0);
-        let occupancy = TrainEngine::metrics(&fd)
-            .occupancy
-            .expect("fill&drain models a pipeline");
-        assert_eq!(occupancy, fill_drain_utilization(8, 3));
+        let metrics = TrainEngine::metrics(&fd);
+        let busy: u128 = metrics.stages.iter().map(|stage| stage.busy_ns).sum();
+        let occupancy = metrics.occupancy.expect("a timed run");
+        // One worker: the stages' busy share of the engine's own time.
+        assert_eq!(occupancy, busy as f64 / metrics.train_ns as f64);
+        assert!(occupancy > 0.0 && occupancy <= 1.0, "{occupancy}");
     }
 }

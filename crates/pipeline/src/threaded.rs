@@ -419,9 +419,10 @@ impl TrainEngine for ThreadedPipeline {
     }
 
     fn metrics(&self) -> EngineMetrics {
+        let workers = self.worker_bounds().len() - 1;
         EngineMetrics {
             engine: self.config.label(),
-            ..TrainEngine::metrics(self.state())
+            ..self.state().metrics_over(workers)
         }
     }
 
@@ -713,19 +714,24 @@ mod tests {
     }
 
     /// Eq. 1 made physical, read off span order instead of a clock, at
-    /// whatever worker count the thread budget gives: under fill&drain no
-    /// stage begins `Forward(i+1)` before its `BackwardInput(i)` has ended
-    /// (the pipeline drains between samples), while under PB no stage
+    /// whatever worker count the thread budget gives: under fill&drain at
+    /// `N = 4` every stage streams its whole window — four forwards in
+    /// flight, worker 0's first stage included — and never begins a
+    /// window's forward while a microbatch of the previous one is still
+    /// open (the pipeline drains at each update), while under PB no stage
     /// outruns its own weight-version FIFO (`version_lag + 1` forwards in
     /// flight) and each worker's first stage — fed as fast as the worker
     /// above allows — fills the shallowest FIFO of its worker's run, the
     /// run-ahead rule of the group. A lane is recorded by one thread, so
     /// its span order is execution order.
     #[test]
-    fn fill_drain_drains_between_samples_and_pb_fills_its_version_fifo() {
-        // Per stage, the most forwards ever in flight; and the cut the
-        // engine made, which each worker's first lane also records.
-        let max_in_flight = |config: ThreadedConfig| -> (Vec<usize>, Vec<usize>) {
+    fn fill_drain_streams_its_window_and_pb_fills_its_version_fifo() {
+        // Per stage, the most forwards ever in flight, and whether a
+        // forward began while a microbatch of an earlier update window was
+        // open; and the cut the engine made, which each worker's first lane
+        // also records.
+        let max_in_flight = |config: ThreadedConfig| -> (Vec<(usize, bool)>, Vec<usize>) {
+            let m = config.run.plan.microbatches_per_update();
             let mut rng = StdRng::seed_from_u64(2);
             let net = mlp(&[2, 12, 12, 12, 12, 3], &mut rng);
             let stages = net.num_stages();
@@ -753,7 +759,7 @@ mod tests {
                     let lane = trace
                         .lane(PID_WALL, &format!("stage-{s}"))
                         .expect("stage lane");
-                    let (mut in_flight, mut max) = (0usize, 0usize);
+                    let (mut in_flight, mut max, mut crossed) = (0usize, 0usize, false);
                     for span in &lane.spans {
                         match span.phase {
                             TracePhase::Forward => {
@@ -761,25 +767,31 @@ mod tests {
                                 // microbatch order, so `in_flight` open
                                 // forwards are exactly microbatches
                                 // i-in_flight+1..=i.
+                                let i = span.microbatch.expect("tagged") as usize;
                                 in_flight += 1;
                                 max = max.max(in_flight);
+                                crossed |= (i + 1 - in_flight) / m != i / m;
                             }
                             TracePhase::BackwardInput => in_flight -= 1,
                             _ => {}
                         }
                     }
                     assert_eq!(in_flight, 0, "stage {s} ends drained");
-                    max
+                    (max, crossed)
                 })
                 .collect();
             (in_flight, bounds)
         };
-        let (fill_drain, _) = max_in_flight(ThreadedConfig::fill_drain(schedule()));
+        let (fill_drain, _) = max_in_flight(ThreadedConfig::new(ScheduledConfig::fill_drain(
+            4,
+            schedule(),
+        )));
         assert!(
-            fill_drain.iter().all(|&m| m == 1),
-            "fill&drain overlapped samples: {fill_drain:?}"
+            fill_drain.iter().all(|&f| f == (4, false)),
+            "fill&drain streams each window of four, one window at a time: {fill_drain:?}"
         );
         let (pb, bounds) = max_in_flight(ThreadedConfig::pb(schedule()));
+        let pb: Vec<usize> = pb.into_iter().map(|(max, _)| max).collect();
         let lag = |s| MicrobatchSchedule::PipelinedBackprop.stage_version_lag(s, pb.len() + 1);
         for (s, &m) in pb.iter().enumerate() {
             assert!(m <= lag(s) + 1, "stage {s} outran its version FIFO: {pb:?}");

@@ -10,14 +10,17 @@
 //! step's end and its input's arrival — and charges each action its
 //! [`action_cost`] (flop-equivalents, drawn as nanoseconds) as one span on
 //! its stage's lane `sched-stage-{s}`, tagged like the wall-clock span
-//! [`StageGroup`] records for it: Figure 2, drawn by the code that runs it.
+//! [`StageGroup`] records for it: Figure 2, drawn by the code that runs it
+//! ([`schedule_diagram`] runs a plan and draws it as text).
 //! [`VirtualHost::bubble_fraction`] is the idle share of W loops × the
 //! makespan.
 //!
-//! Fill&drain (version lag 0) drains after every microbatch, here as in the
-//! executor: at W = S its bubble is exactly `1 − 1/S`, whatever the update
-//! size. The Eq. 1 grids of [`ScheduleModel`](crate::ScheduleModel), which
-//! stream an update window before draining, stay the analytic model.
+//! Fill&drain streams its update window of `N` down and back before it
+//! drains, here as in the executor: at W = S on stages that each cost `c`
+//! a microbatch and `u` an update, its bubble is GPipe's
+//! `(S−1)(c+u)/((N+S−1)c + S·u)` — `(S−1)/(N+S−1)` when updates are free.
+//! Eq. 1's `N/(N+2S−2)` counts a stage's forward and backward in one slot;
+//! a worker that runs them in turn idles as GPipe does.
 //!
 //! Costs are read once, before the first step: a convolution whose builder
 //! did not say its input size is costed by its parameters for the whole
@@ -26,12 +29,77 @@
 
 use crate::group::{action_cost, partition_bounds, stage_cost, StageGroup, ACTION_PHASES};
 use crate::rank::{Link, Message, RankError, RankLoop, Step, Upstream};
+use crate::schedule::MicrobatchSchedule;
 use crate::scheduled::ScheduledConfig;
-use pbp_nn::{Network, Stage};
-use pbp_trace::{Lane, TracePhase, Tracer, PID_VIRTUAL};
+use pbp_nn::layers::{Conv2d, GlobalAvgPool2d};
+use pbp_nn::{Layer, Network, Stage};
+use pbp_optim::{Hyperparams, LrSchedule};
+use pbp_tensor::Tensor;
+use pbp_trace::{Lane, TraceLane, TracePhase, Tracer, PID_VIRTUAL};
+use rand::{rngs::StdRng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
+
+/// Figure 2's pipeline: `stages` equal 3×3 convolutions of four channels
+/// on a 5×9 map, the last averaged into four logits. On that map an update
+/// (45 flop-equivalents a parameter, [`action_cost`]) costs half a forward
+/// (2 flops a weight a pixel).
+fn equal_conv_stages(stages: usize) -> Network {
+    let stage = |s| {
+        let conv = Conv2d::new(4, 4, 3, 1, 1, false, &mut StdRng::seed_from_u64(s as u64));
+        let mut layers: Vec<Box<dyn Layer>> = vec![Box::new(conv.with_input_size(5, 9))];
+        layers.extend((s + 1 == stages).then(|| Box::new(GlobalAvgPool2d::new()) as _));
+        Stage::new(format!("conv{s}"), layers)
+    };
+    Network::new((0..stages).map(stage).collect())
+}
+
+/// Runs `plan` over `stages` equal stages (Figure 2's pipeline: 3×3
+/// convolutions on a 5×9 map, where an update costs half a forward), a
+/// [`VirtualHost`] loop each, for `microbatches`, and draws what the loops
+/// ran: the host's bubble fraction, and a line `stage {s}: …` per stage of
+/// at most `width` columns, each as long as the shortest span — 'F', 'B',
+/// 'W' or 'U' where the stage ran a forward, an input- or weight-gradient
+/// backward or an update, '.' where it idled. No sample value or
+/// hyperparameter changes a cost.
+pub fn schedule_diagram(
+    plan: MicrobatchSchedule,
+    stages: usize,
+    microbatches: usize,
+    width: usize,
+) -> (f64, String) {
+    let (tracer, x) = (Tracer::new(), Tensor::zeros(&[4, 5, 9]));
+    let config = ScheduledConfig::new(plan, LrSchedule::constant(Hyperparams::new(0.01, 0.9)));
+    let net = equal_conv_stages(stages);
+    let mut host = VirtualHost::new(net, &config, stages, microbatches, &tracer);
+    host.run(&mut |mb| Message::sample(mb, &x, 0));
+    let bubble = host.bubble_fraction();
+    drop(host);
+    let trace = tracer.finish();
+    let lanes: Vec<_> = trace.lanes_of(PID_VIRTUAL).collect();
+    let spans = || lanes.iter().flat_map(|lane| &lane.spans);
+    let unit = spans().map(|span| span.dur_ns).min().unwrap_or(1).max(1);
+    let end = spans().map(|span| span.end_ns() / unit).max().unwrap_or(0);
+    let width = width.min(end as usize);
+    let row = |(s, lane): (usize, &&TraceLane)| {
+        let mut row = vec!['.'; width];
+        for span in &lane.spans {
+            let glyph = match span.phase {
+                TracePhase::Forward => 'F',
+                TracePhase::BackwardInput => 'B',
+                TracePhase::BackwardWeight => 'W',
+                _ => 'U',
+            };
+            let [start, end] =
+                [span.start_ns, span.end_ns()].map(|t| ((t / unit) as usize).min(width));
+            row[start..end].fill(glyph);
+        }
+        format!("stage {s}: {}", row.into_iter().collect::<String>())
+    };
+    let rows: Vec<String> = lanes.iter().enumerate().map(row).collect();
+    (bubble, rows.join("\n"))
+}
 
 /// One direction of a queue link: messages in send order, each with the
 /// virtual time it was sent.
@@ -230,11 +298,11 @@ mod tests {
     use pbp_optim::{Hyperparams, LrSchedule};
     use pbp_tensor::Tensor;
     use pbp_trace::analysis::TraceAnalysis;
-    use pbp_trace::{Span, Trace, TraceLane, PID_WALL};
+    use pbp_trace::{Span, Trace, PID_WALL};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// In descending order of bubble.
+    /// Fill&drain, then the accumulating pipelined plans, then PB.
     const PLANS: [MicrobatchSchedule; 4] = [
         FillDrain { update_size: 8 },
         TwoBP {
@@ -260,13 +328,27 @@ mod tests {
         (bubble, tracer.finish())
     }
 
+    /// GPipe's bubble, run rather than drawn: at W = S on stages that
+    /// each cost `c` per microbatch (forward and both backward halves) and
+    /// `u` per update, fill&drain streams its window of `N` down and back
+    /// and every stage's update holds the gradient it sends up, so each
+    /// window idles `(S−1)(c+u)` of every loop's `(N+S−1)c + S·u` —
+    /// GPipe's `(S−1)/(N+S−1)` when updates are free, `1 − 1/S` at
+    /// `N = 1`. One loop hosting every stage never idles, under any plan.
     #[test]
-    fn fill_drain_on_a_loop_per_stage_idles_all_but_one_and_one_loop_never_idles() {
-        for stages in [4, 8] {
-            let hidden = [2].into_iter().chain([8; 7]).take(stages);
-            let layers: Vec<usize> = hidden.chain([3]).collect();
-            let (bubble, _) = run(&layers, PLANS[0], stages);
-            assert_eq!(bubble, 1.0 - 1.0 / stages as f64, "{stages} stages");
+    fn fill_drain_bubble_is_gpipes_on_equal_stages_and_one_loop_never_idles() {
+        let stage = equal_conv_stages(1).into_stages().remove(0);
+        let [f, b, w, u] = ACTION_PHASES.map(|phase| action_cost(&stage, phase) as f64);
+        let c = f + b + w;
+        for stages in [4usize, 6] {
+            let s = stages as f64;
+            for n in [1usize, 4, 16] {
+                let plan = FillDrain { update_size: n };
+                let (bubble, _) = schedule_diagram(plan, stages, 2 * n, 0);
+                let gpipe = (s - 1.0) * (c + u) / ((n as f64 + s - 1.0) * c + s * u);
+                let what = format!("S={stages} N={n}: {bubble} against {gpipe}");
+                assert!((bubble - gpipe).abs() < 1e-12, "{what}");
+            }
         }
         for plan in PLANS {
             assert_eq!(run(&[2, 8, 8, 8, 3], plan, 1).0, 0.0, "{plan:?}");
@@ -288,7 +370,16 @@ mod tests {
                 bubble
             })
             .collect();
-        assert!(bubbles.windows(2).all(|w| w[0] > w[1]), "{bubbles:?}");
+        // [fill&drain, 2BP, 1F1B, PB] at M = N = 8 read [0.621, 0.656,
+        // 0.580, 0.341]: PB idles least; 2BP, whose weight halves pile up
+        // at the window's close, more than 1F1B; and fill&drain, streaming
+        // its window, less than the `1 − 1/W` of draining every microbatch.
+        let [fill_drain, two_bp, one_f_one_b, pb] = bubbles[..] else {
+            unreachable!("one bubble per plan")
+        };
+        assert!(bubbles[..3].iter().all(|&b| b > pb), "{bubbles:?}");
+        assert!(two_bp > one_f_one_b, "{bubbles:?}");
+        assert!(fill_drain < 1.0 - 1.0 / 4.0, "{bubbles:?}");
     }
 
     /// Each stage's virtual lane is its wall-clock lane on the cost clock:

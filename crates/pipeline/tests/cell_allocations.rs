@@ -12,7 +12,10 @@ use pbp_nn::loss::softmax_cross_entropy;
 use pbp_nn::models::{mlp, vgg_cnn};
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
-use pbp_pipeline::{Action, DelayedConfig, DelayedTrainer, MicrobatchSchedule, StageCell};
+use pbp_pipeline::{
+    Action, DelayedConfig, DelayedTrainer, MicrobatchSchedule, ScheduledConfig, ScheduledTrainer,
+    StageCell,
+};
 use pbp_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -150,6 +153,49 @@ fn a_running_cell_allocates_nothing_weight_sized() {
             }
             let during = LARGE_ALLOCS.with(Cell::get) - before;
             assert_eq!(during, 0, "{mitigation:?} stashing={weight_stashing}");
+        }
+    }
+}
+
+/// The accumulating plans keep one forward version per update, not one per
+/// microbatch: the microbatches of a window that close no update push
+/// nothing, so 1F1B, 2BP and fill&drain at `M = 4` recycle their version
+/// buffers as PB does, under weight prediction and weight stashing too —
+/// stashing reads the queued version its forward read, it keeps no copy.
+#[test]
+fn accumulating_plans_allocate_nothing_weight_sized() {
+    let schedule = || LrSchedule::constant(Hyperparams::new(0.05, 0.9));
+    let plans = [
+        MicrobatchSchedule::OneFOneB {
+            microbatches_per_update: 4,
+        },
+        MicrobatchSchedule::TwoBP {
+            microbatches_per_update: 4,
+        },
+        MicrobatchSchedule::FillDrain { update_size: 4 },
+    ];
+    for plan in plans {
+        for mitigation in [Mitigation::None, Mitigation::lwpv_scd()] {
+            for weight_stashing in [false, true] {
+                let net = mlp(&[WIDTH; 4], &mut StdRng::seed_from_u64(3));
+                let mut config = ScheduledConfig::new(plan, schedule()).with_mitigation(mitigation);
+                config.weight_stashing = weight_stashing;
+                let mut trainer = ScheduledTrainer::new(net, config);
+                let mut sample = |i: usize| {
+                    let x = Tensor::from_fn(&[WIDTH], |j| ((i + j) as f32).sin());
+                    trainer.train_sample(&x, i % WIDTH);
+                };
+                // Warm-up: two windows, past the deepest stage's lag of six
+                // microbatches.
+                (0..8).for_each(&mut sample);
+                let before = LARGE_ALLOCS.with(Cell::get);
+                (8..40).for_each(&mut sample);
+                let during = LARGE_ALLOCS.with(Cell::get) - before;
+                assert_eq!(
+                    during, 0,
+                    "{plan:?} {mitigation:?} stashing={weight_stashing}"
+                );
+            }
         }
     }
 }

@@ -1,16 +1,21 @@
-//! Verifies Eq. 5 directly: under the PB plan, the forward pass of sample
+//! Verifies Eq. 5 directly: under every plan, the forward pass of sample
 //! `i` at stage `s` must see the weights as they were after exactly
-//! `max(0, i − D_s)` updates, with `D_s = 2(S−1−s)`.
+//! `max(0, ⌊(i − D_s)/M⌋)` updates, with `D_s = 2(S−1−s)` for PB, 1F1B and
+//! 2BP, the uniform delay for `UniformDelay`, 0 for fill&drain, and `M`
+//! microbatches per update.
 //!
 //! The probe network is built from custom layers whose single parameter
 //! counts its own updates (gradient ≡ −1, lr = 1, m = 0 ⇒ the weight
 //! increments by exactly 1 per update), and whose forward pass records the
 //! weight value it computed with.
 
+use pbp_data::Dataset;
 use pbp_nn::layer::{LaneStack, Layer};
 use pbp_nn::{Network, Stage};
 use pbp_optim::{Hyperparams, LrSchedule};
-use pbp_pipeline::{ScheduledConfig, ScheduledTrainer};
+use pbp_pipeline::{
+    MicrobatchSchedule, ScheduledConfig, ScheduledTrainer, ThreadedConfig, ThreadedPipeline,
+};
 use pbp_tensor::{GradView, Tensor};
 use std::sync::{Arc, Mutex};
 
@@ -90,42 +95,97 @@ impl Layer for ConstHead {
     }
 }
 
-#[test]
-fn forward_weight_versions_follow_eq5() {
-    let num_probe_stages = 4;
+/// Four probe stages and the head, each probe logging into its own record.
+fn probe_net() -> (Network, Vec<Arc<Mutex<Vec<f32>>>>) {
     let mut stages = Vec::new();
     let mut logs = Vec::new();
-    for _ in 0..num_probe_stages {
+    for _ in 0..PROBE_STAGES {
         let seen = Arc::new(Mutex::new(Vec::new()));
         logs.push(Arc::clone(&seen));
         stages.push(Stage::single(Box::new(ProbeLayer::new(seen))));
     }
     stages.push(Stage::single(Box::new(ConstHead)));
-    let net = Network::new(stages);
-    // S includes probe stages + head + loss stage.
-    let s_total = net.pipeline_stage_count();
-    assert_eq!(s_total, num_probe_stages + 2);
+    (Network::new(stages), logs)
+}
 
-    // lr = 1, m = 0: every update adds exactly +1 to each probe weight.
-    let schedule = LrSchedule::constant(Hyperparams::new(1.0, 0.0));
-    let mut trainer = ScheduledTrainer::new(net, ScheduledConfig::pb(schedule));
+const PROBE_STAGES: usize = 4;
 
+/// Stage `s`'s forward version lag in a pipeline of `S` stages.
+type Lag = fn(usize, usize) -> usize;
+
+/// Every plan the executor runs, with its update size `M` and stage `s`'s
+/// forward weight-version lag `D_s` in microbatches, written out here
+/// rather than asked of the plan, so a plan that lags a stage wrongly
+/// fails instead of agreeing with itself.
+fn plans() -> Vec<(MicrobatchSchedule, usize, Lag)> {
+    let eq5: Lag = |s, stages| 2 * (stages - 1 - s);
+    vec![
+        (MicrobatchSchedule::PipelinedBackprop, 1, eq5),
+        (MicrobatchSchedule::UniformDelay { delay: 3 }, 1, |_, _| 3),
+        (
+            MicrobatchSchedule::FillDrain { update_size: 4 },
+            4,
+            |_, _| 0,
+        ),
+        (
+            MicrobatchSchedule::OneFOneB {
+                microbatches_per_update: 4,
+            },
+            4,
+            eq5,
+        ),
+        (
+            MicrobatchSchedule::TwoBP {
+                microbatches_per_update: 4,
+            },
+            4,
+            eq5,
+        ),
+    ]
+}
+
+/// Eq. 5 and its accumulating forms, on the sequential engine and on the
+/// threaded one at whatever worker count `PBP_THREADS` gives: forward `i`
+/// at stage `s` sees the weights after exactly `max(0, ⌊(i − D_s)/M⌋)`
+/// updates.
+#[test]
+fn forward_weight_versions_follow_eq5() {
     let n_samples = 40usize;
     let x = Tensor::zeros(&[1]);
-    for _ in 0..n_samples {
-        trainer.train_sample(&x, 0);
-    }
-
-    for (s, log) in logs.iter().enumerate() {
-        let d = 2 * (s_total - 1 - s);
-        let seen = log.lock().unwrap();
-        assert_eq!(seen.len(), n_samples);
-        for (i, &w) in seen.iter().enumerate() {
-            let expected = i.saturating_sub(d) as f32;
-            assert_eq!(
-                w, expected,
-                "stage {s} (D={d}): sample {i} saw weight version {w}, expected {expected}"
-            );
+    let data = Dataset::new(vec![x.clone(); n_samples], vec![0; n_samples], 2);
+    let indices: Vec<usize> = (0..n_samples).collect();
+    for (plan, m, lag) in plans() {
+        for threaded in [false, true] {
+            let (net, logs) = probe_net();
+            // S includes probe stages + head + loss stage.
+            let s_total = net.pipeline_stage_count();
+            assert_eq!(s_total, PROBE_STAGES + 2);
+            // lr = 1, m = 0: every update adds exactly +1 to each probe
+            // weight, however many microbatches its window sums.
+            let schedule = LrSchedule::constant(Hyperparams::new(1.0, 0.0));
+            let config = ScheduledConfig::new(plan, schedule);
+            if threaded {
+                let mut engine = ThreadedPipeline::new(net, ThreadedConfig::new(config));
+                engine.stream(&data, &indices).expect("a fault-free run");
+            } else {
+                let mut trainer = ScheduledTrainer::new(net, config);
+                for _ in 0..n_samples {
+                    trainer.train_sample(&x, 0);
+                }
+            }
+            for (s, log) in logs.iter().enumerate() {
+                let d = lag(s, s_total);
+                let seen = log.lock().unwrap();
+                assert_eq!(seen.len(), n_samples);
+                for (i, &w) in seen.iter().enumerate() {
+                    let expected = (i.saturating_sub(d) / m) as f32;
+                    assert_eq!(
+                        w, expected,
+                        "{plan:?} threaded={threaded} stage {s} (D={d}): sample {i} saw weight \
+                         version {w}, expected {expected}"
+                    );
+                }
+            }
         }
     }
 }

@@ -153,7 +153,7 @@ fn threaded_fill_drain_is_bit_identical_to_sgdm_batch_1() {
     run_training(threaded.as_mut(), &train, &val, &config);
     run_training(sgdm.as_mut(), &train, &val, &config);
 
-    // A lag-0 group drains after every sample: effective delay 0.
+    // A lag-0 group drains at every update: effective delay 0.
     let metrics = threaded.metrics();
     assert!(metrics.total_updates() > 0);
     for (s, stage) in metrics.stages.iter().enumerate() {
@@ -353,7 +353,11 @@ fn assert_threaded_matches_scheduled(
     let report_t = run_training(threaded.as_mut(), train, val, &config);
     assert_eq!(report_s.records, report_t.records, "{label}: epoch records");
     let (metrics_s, metrics_t) = (scheduled.metrics(), threaded.metrics());
-    assert_eq!(metrics_s.occupancy, metrics_t.occupancy, "{label}");
+    // Occupancy is each engine's own measurement of its own workers' time.
+    for metrics in [&metrics_s, &metrics_t] {
+        let occupancy = metrics.occupancy.expect("a timed run");
+        assert!(occupancy > 0.0 && occupancy <= 1.0, "{label}: {occupancy}");
+    }
     for (s, (a, b)) in metrics_s.stages.iter().zip(&metrics_t.stages).enumerate() {
         assert_eq!(a.updates, b.updates, "{label}: stage {s} update counts");
         assert_eq!(a.delay_hist, b.delay_hist, "{label}: stage {s} delays");
