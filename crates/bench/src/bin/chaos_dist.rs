@@ -29,8 +29,9 @@ use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
-    EngineMetrics, FaultPlan, FaultSpec, LinkDir, LinkFault, MicrobatchSchedule, ScheduledConfig,
-    ScheduledTrainer, SnapshotPolicy, StageCounters, SupervisionEvent, TrainEngine,
+    EngineMetrics, FaultPlan, FaultSpec, LinkDir, LinkFault, MicrobatchSchedule, RecoveryPolicy,
+    ScheduledConfig, ScheduledTrainer, SnapshotPolicy, StageCounters, SupervisionEvent,
+    TrainEngine,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -228,8 +229,10 @@ fn kill_scenario(base: &Baseline) {
         ],
         world: WORLD,
         snapshot_dir: dir.clone(),
-        max_restarts: 3,
-        backoff: Duration::from_millis(100),
+        recovery: RecoveryPolicy {
+            max_restarts: 3,
+            backoff: Duration::from_millis(100),
+        },
         attempt_timeout: Some(Duration::from_secs(120)),
     };
     // The supervisor hands the respawn the plan minus the spent crash.

@@ -5,7 +5,9 @@
 //! * **Parent** (no `--rank`): spawns `--world` copies of itself, one
 //!   per stage group, and supervises them — any child failure kills the
 //!   group and respawns it from the newest snapshot counter all ranks
-//!   hold, under the workspace's one retry loop (see `pbp_dist::launch`).
+//!   hold, under the workspace's one retry loop and `RecoveryPolicy` (see
+//!   `pbp_dist::launch`); once `--max-restarts` respawns are spent it
+//!   exits with the last fault.
 //! * **Child** (`--rank R`, appended by the parent): binds its
 //!   downstream link, connects upstream (with retry, which doubles as
 //!   the reconnect path after a restart), and runs its stage slice via
@@ -25,14 +27,15 @@
 //! Fault injection for tests: `PBP_NET_FAULTS` holds the one fault
 //! script (`pbp_pipeline::fault`) — `1:down:drop@7` scripts wire chaos,
 //! `rank:<r>:crash@<k>` makes rank `r` abort as it turns to backward `k`
-//! (once: the parent hands a respawn the plan minus that clause).
+//! (once, as every clause fires once: the parent hands a respawn the plan
+//! minus its rank clauses).
 
 use pbp_dist::{
     env_net_faults, launch, DistError, LaunchSpec, LinkEndpoint, RankRecovery, RankSpec,
     ReconnectPolicy, Topology, Transport,
 };
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
-use pbp_pipeline::{MicrobatchSchedule, SnapshotPolicy};
+use pbp_pipeline::{MicrobatchSchedule, RecoveryPolicy, SnapshotPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -260,8 +263,10 @@ fn run_parent(args: &Args, world: usize, argv: Vec<String>) -> Result<(), DistEr
         args: argv,
         world,
         snapshot_dir: args.snap_dir.clone(),
-        max_restarts: args.max_restarts,
-        backoff: Duration::from_millis(100),
+        recovery: RecoveryPolicy {
+            max_restarts: args.max_restarts,
+            backoff: Duration::from_millis(100),
+        },
         attempt_timeout: Some(Duration::from_millis(args.attempt_timeout_ms)),
     };
     let report = launch(&spec)?;

@@ -1,10 +1,10 @@
 //! The stage-group launcher: spawn one process per rank, supervise,
 //! restart from the newest common snapshot.
 //!
-//! This is the thread supervisor lifted to processes, running the same
-//! restart loop ([`supervise_retries`]). The parent spawns `world` children of
-//! the same executable (each told its rank), then polls their exit
-//! statuses. Inside a run, liveness is enforced *between* the children
+//! This is the thread supervisor lifted to processes: the same restart
+//! loop ([`supervise_retries`]) under the same [`RecoveryPolicy`]. The
+//! parent spawns `world` children of the same executable (each told its
+//! rank), then polls their exit statuses. Inside a run, liveness is enforced *between* the children
 //! themselves — every rank watches its socket neighbors with the
 //! [`transport`](crate::transport) stall window, so a killed or hung peer
 //! surfaces as a typed [`DistError`](crate::DistError) and a nonzero exit
@@ -23,12 +23,12 @@
 //!
 //! Fault injection (`PBP_NET_FAULTS`) reaches the children through the
 //! environment. A crashed process cannot carry a one-shot charge over, so
-//! a respawn is handed the plan minus its one-shot rank clauses:
-//! `rank:1:crash@30` kills rank 1 exactly once.
+//! a respawn is handed the plan minus its rank clauses: `rank:1:crash@30`
+//! kills rank 1 exactly once.
 
 use crate::env::env_net_faults;
 use crate::error::DistError;
-use pbp_pipeline::{supervise_retries, SupervisionEvent};
+use pbp_pipeline::{supervise_retries, RecoveryPolicy, SupervisionEvent};
 use pbp_snapshot::SnapshotFamily;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -45,11 +45,8 @@ pub struct LaunchSpec {
     pub world: usize,
     /// Directory holding the rank-prefixed snapshot families.
     pub snapshot_dir: PathBuf,
-    /// Restart budget: the group is respawned at most this many times.
-    pub max_restarts: usize,
-    /// Backoff before the first restart; doubles per restart, capped at
-    /// 64× ([`pbp_pipeline::backoff_delay`]).
-    pub backoff: Duration,
+    /// Restart budget and backoff, as for a supervised threaded run.
+    pub recovery: RecoveryPolicy,
     /// Kill the whole attempt if it runs longer than this.
     pub attempt_timeout: Option<Duration>,
 }
@@ -80,7 +77,7 @@ pub fn common_resume_point(dir: &Path, world: usize) -> usize {
 }
 
 /// Spawns one rank process; a `respawn` runs under the fault plan minus
-/// its spent rank clauses.
+/// its rank clauses.
 fn spawn_rank(
     spec: &LaunchSpec,
     rank: usize,
@@ -94,7 +91,7 @@ fn spawn_rank(
         .arg("--resume-at")
         .arg(resume.to_string());
     if let Some(plan) = respawn.then(env_net_faults).flatten() {
-        // One-shot fault injection: a child that crashed once must not
+        // Every fault is one-shot: a child that crashed once must not
         // crash again after the supervised restart.
         let plan = plan.for_respawn();
         if plan.is_empty() {
@@ -167,8 +164,7 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, DistError> {
     let mut resume_points = Vec::new();
     let outcome = supervise_retries::<_, _, _, DistError>(
         &mut group,
-        spec.max_restarts,
-        spec.backoff,
+        &spec.recovery,
         |_, event| events.push(event),
         |group, restart| {
             let resume = common_resume_point(&spec.snapshot_dir, spec.world);
@@ -275,8 +271,7 @@ mod tests {
             args: vec!["-c".into(), script.into(), dir.display().to_string()],
             world: 2,
             snapshot_dir: dir.join("snaps"),
-            max_restarts: 0,
-            backoff: Duration::ZERO,
+            recovery: RecoveryPolicy::immediate(0),
             attempt_timeout: Some(Duration::from_secs(30)),
         };
         let err = launch(&spec).expect_err("rank 1 always fails");

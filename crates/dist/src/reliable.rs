@@ -249,10 +249,7 @@ impl ReliableConn {
             let hello_stall = self.stall.min(remaining.max(Duration::from_millis(1)));
             match handshake(
                 conn.as_mut(),
-                self.identity.my_rank,
-                self.identity.peer_rank,
-                self.identity.world,
-                self.identity.digest,
+                &self.identity,
                 self.epoch(),
                 self.last_delivered,
                 hello_stall,

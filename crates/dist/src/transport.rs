@@ -26,6 +26,7 @@
 
 use crate::codec::{decode_frame, encode_frame, read_frame, write_frame, Frame};
 use crate::error::DistError;
+use crate::reliable::LinkIdentity;
 use pbp_pipeline::LinkFault;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -298,20 +299,14 @@ impl Transport {
         link: usize,
         deadline: Duration,
     ) -> Result<Box<dyn Connection>, DistError> {
-        let start = Instant::now();
-        loop {
-            let attempt: Result<Box<dyn Connection>, std::io::Error> = match self {
-                Transport::Unix { dir } => UnixStream::connect(Transport::unix_path(dir, link))
-                    .map(|s| Box::new(StreamConn::new(s)) as Box<dyn Connection>),
-                Transport::Tcp { host, base_port } => {
-                    TcpStream::connect(format!("{host}:{}", base_port + link as u16))
-                        .map(|s| Box::new(StreamConn::new(s)) as Box<dyn Connection>)
-                }
-            };
-            match attempt {
-                Ok(conn) => return Ok(conn),
-                Err(_) if start.elapsed() < deadline => std::thread::sleep(RETRY_POLL),
-                Err(e) => return Err(DistError::Io(e)),
+        match self {
+            Transport::Unix { dir } => {
+                let path = Transport::unix_path(dir, link);
+                Ok(Box::new(dial(deadline, || UnixStream::connect(&path))?))
+            }
+            Transport::Tcp { host, base_port } => {
+                let addr = format!("{host}:{}", base_port + link as u16);
+                Ok(Box::new(dial(deadline, || TcpStream::connect(&addr))?))
             }
         }
     }
@@ -326,45 +321,84 @@ pub enum LinkListener {
 impl LinkListener {
     /// Accepts the neighbor's connection, giving up after `deadline`.
     pub fn accept(&self, deadline: Duration) -> Result<Box<dyn Connection>, DistError> {
-        let start = Instant::now();
         match self {
             LinkListener::Unix(listener) => {
                 listener.set_nonblocking(true)?;
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            stream.set_nonblocking(false)?;
-                            return Ok(Box::new(StreamConn::new(stream)));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            if start.elapsed() >= deadline {
-                                return Err(DistError::PeerStalled(deadline));
-                            }
-                            std::thread::sleep(RETRY_POLL);
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
+                Ok(Box::new(accept_within(deadline, || {
+                    Ok(listener.accept()?.0)
+                })?))
             }
             LinkListener::Tcp(listener) => {
                 listener.set_nonblocking(true)?;
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            stream.set_nonblocking(false)?;
-                            stream.set_nodelay(true)?;
-                            return Ok(Box::new(StreamConn::new(stream)));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            if start.elapsed() >= deadline {
-                                return Err(DistError::PeerStalled(deadline));
-                            }
-                            std::thread::sleep(RETRY_POLL);
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
+                Ok(Box::new(accept_within(deadline, || {
+                    Ok(listener.accept()?.0)
+                })?))
             }
+        }
+    }
+}
+
+/// The sockets a [`Transport`] dials and accepts.
+trait LinkSocket: SocketStream + Sized {
+    /// Sets a connected stream up as a link end: blocking (an accepted
+    /// stream inherits its listener's mode), and for TCP with
+    /// `TCP_NODELAY`, so a small frame is not held back by Nagle's
+    /// algorithm waiting for the ack of the one before.
+    fn configure(&self) -> std::io::Result<()>;
+}
+
+impl LinkSocket for UnixStream {
+    fn configure(&self) -> std::io::Result<()> {
+        self.set_nonblocking(false)
+    }
+}
+
+impl LinkSocket for TcpStream {
+    fn configure(&self) -> std::io::Result<()> {
+        self.set_nonblocking(false)?;
+        self.set_nodelay(true)
+    }
+}
+
+/// The one place a link end is made from a connected stream, on the
+/// dialing and the accepting side alike.
+fn link_end<S: LinkSocket>(stream: S) -> std::io::Result<StreamConn<S>> {
+    stream.configure()?;
+    Ok(StreamConn::new(stream))
+}
+
+/// Calls `connect` until it yields a stream or `deadline` passes.
+fn dial<S: LinkSocket>(
+    deadline: Duration,
+    mut connect: impl FnMut() -> std::io::Result<S>,
+) -> Result<StreamConn<S>, DistError> {
+    let start = Instant::now();
+    loop {
+        match connect().and_then(link_end) {
+            Ok(conn) => return Ok(conn),
+            Err(_) if start.elapsed() < deadline => std::thread::sleep(RETRY_POLL),
+            Err(e) => return Err(DistError::Io(e)),
+        }
+    }
+}
+
+/// Calls `accept` on a non-blocking listener until it yields a stream,
+/// or reports [`DistError::PeerStalled`] once `deadline` passes.
+fn accept_within<S: LinkSocket>(
+    deadline: Duration,
+    mut accept: impl FnMut() -> std::io::Result<S>,
+) -> Result<StreamConn<S>, DistError> {
+    let start = Instant::now();
+    loop {
+        match accept() {
+            Ok(stream) => return Ok(link_end(stream)?),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                if start.elapsed() >= deadline {
+                    return Err(DistError::PeerStalled(deadline));
+                }
+                std::thread::sleep(RETRY_POLL);
+            }
+            Err(e) => return Err(e.into()),
         }
     }
 }
@@ -383,20 +417,22 @@ pub struct PeerHello {
 
 /// Exchanges `Hello` frames on a fresh connection and verifies the peer
 /// belongs to this run: same world size, same topology/run digest, and
-/// the expected neighbor rank. `epoch`/`last_seq` advertise this side's
-/// session state for reconnect-with-replay (zero on first contact).
-/// Returns what the peer announced.
-#[allow(clippy::too_many_arguments)]
+/// the expected neighbor rank, as `identity` names them. `epoch`/`last_seq`
+/// advertise this side's session state for reconnect-with-replay (zero on
+/// first contact). Returns what the peer announced.
 pub fn handshake(
     conn: &mut dyn Connection,
-    my_rank: u32,
-    expect_peer: u32,
-    world: u32,
-    digest: u64,
+    identity: &LinkIdentity,
     epoch: u64,
     last_seq: u64,
     stall: Duration,
 ) -> Result<PeerHello, DistError> {
+    let LinkIdentity {
+        my_rank,
+        peer_rank: expect_peer,
+        world,
+        digest,
+    } = *identity;
     conn.send(&Frame::Hello {
         rank: my_rank,
         world,
@@ -540,13 +576,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn identity(my_rank: u32, peer_rank: u32, world: u32, digest: u64) -> LinkIdentity {
+        LinkIdentity {
+            my_rank,
+            peer_rank,
+            world,
+            digest,
+        }
+    }
+
     #[test]
     fn handshake_rejects_wrong_run_and_wrong_neighbor() {
         // Matching digests succeed and surface the peer's session state.
         let (mut a, mut b) = loopback_pair();
-        let server =
-            std::thread::spawn(move || handshake(&mut b, 1, 0, 2, 42, 7, 19, STALL).map(|_| b));
-        let peer = handshake(&mut a, 0, 1, 2, 42, 0, 0, STALL).unwrap();
+        let server = std::thread::spawn(move || {
+            handshake(&mut b, &identity(1, 0, 2, 42), 7, 19, STALL).map(|_| b)
+        });
+        let peer = handshake(&mut a, &identity(0, 1, 2, 42), 0, 0, STALL).unwrap();
         assert_eq!(
             peer,
             PeerHello {
@@ -559,8 +605,9 @@ mod tests {
 
         // Digest mismatch is a typed handshake error.
         let (mut a, mut b) = loopback_pair();
-        let server = std::thread::spawn(move || handshake(&mut b, 1, 0, 2, 43, 0, 0, STALL));
-        let res = handshake(&mut a, 0, 1, 2, 42, 0, 0, STALL);
+        let server =
+            std::thread::spawn(move || handshake(&mut b, &identity(1, 0, 2, 43), 0, 0, STALL));
+        let res = handshake(&mut a, &identity(0, 1, 2, 42), 0, 0, STALL);
         assert!(matches!(res, Err(DistError::Handshake(_))), "{res:?}");
         assert!(matches!(
             server.join().unwrap(),
@@ -569,10 +616,27 @@ mod tests {
 
         // Unexpected neighbor rank on the link.
         let (mut a, mut b) = loopback_pair();
-        let server = std::thread::spawn(move || handshake(&mut b, 3, 0, 4, 42, 0, 0, STALL));
-        let res = handshake(&mut a, 0, 1, 4, 42, 0, 0, STALL);
+        let server =
+            std::thread::spawn(move || handshake(&mut b, &identity(3, 0, 4, 42), 0, 0, STALL));
+        let res = handshake(&mut a, &identity(0, 1, 4, 42), 0, 0, STALL);
         assert!(matches!(res, Err(DistError::Handshake(_))), "{res:?}");
         let _ = server.join().unwrap();
+    }
+
+    /// Both ends of one TCP link send without Nagle's algorithm: the
+    /// dialing side through the connect path, the accepting side through
+    /// the accept path.
+    #[test]
+    fn both_ends_of_a_tcp_link_are_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut dialed = dial(STALL, || TcpStream::connect(addr)).unwrap();
+        let mut accepted = accept_within(STALL, || Ok(listener.accept()?.0)).unwrap();
+        assert!(dialed.stream.nodelay().unwrap(), "the dialing end");
+        assert!(accepted.stream.nodelay().unwrap(), "the accepting end");
+        dialed.send(&beat(0, 1)).unwrap();
+        assert_eq!(accepted.recv_raw(STALL).unwrap(), beat(0, 1));
     }
 
     #[test]

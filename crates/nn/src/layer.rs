@@ -256,64 +256,12 @@ impl<T> Stash<T> {
     }
 }
 
-/// Copies the parameter tensors of a layer into owned snapshots.
-pub fn snapshot_params(layer: &dyn Layer) -> Vec<Tensor> {
-    layer.params().into_iter().cloned().collect()
-}
-
-/// Restores parameter tensors from snapshots taken by [`snapshot_params`].
-///
-/// # Panics
-///
-/// Panics if the snapshot does not match the layer's parameter layout.
-pub fn load_params(layer: &mut dyn Layer, snapshot: &[Tensor]) {
-    let name = layer.name();
-    let mut params = layer.params_mut();
-    assert_eq!(
-        params.len(),
-        snapshot.len(),
-        "snapshot has {} tensors but layer {name} has {} parameters",
-        snapshot.len(),
-        params.len()
-    );
-    for (p, s) in params.iter_mut().zip(snapshot) {
-        assert_eq!(p.shape(), s.shape(), "snapshot shape mismatch");
-        p.as_mut_slice().copy_from_slice(s.as_slice());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::Linear;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn snapshot_and_load_round_trip() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut layer = Linear::new(3, 2, true, &mut rng);
-        let snap = snapshot_params(&layer);
-        assert_eq!(snap.len(), 2); // weight + bias
-                                   // Perturb, then restore.
-        for p in layer.params_mut() {
-            p.map_in_place(|x| x + 1.0);
-        }
-        load_params(&mut layer, &snap);
-        for (p, s) in layer.params().iter().zip(&snap) {
-            assert_eq!(p.as_slice(), s.as_slice());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot has 3 tensors but layer linear(3→2) has 2 parameters")]
-    fn load_params_names_the_layer_on_a_layout_mismatch() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut layer = Linear::new(3, 2, true, &mut rng);
-        let mut snap = snapshot_params(&layer);
-        snap.push(snap[0].clone());
-        load_params(&mut layer, &snap);
-    }
 
     #[test]
     fn param_count_sums_tensors() {

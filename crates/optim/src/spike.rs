@@ -56,13 +56,6 @@ impl SpikeCoeffs {
         }
     }
 
-    /// Overcompensating variant SC_{scale·D} (Appendix E): the effective
-    /// delay is multiplied by `scale` before computing Eq. 14 — `scale = 2`
-    /// gives the paper's SC2D.
-    pub fn scaled_scd(momentum: f32, d: f32, scale: f32) -> Self {
-        SpikeCoeffs::scd(momentum, d * scale)
-    }
-
     /// Total weight displacement per unit gradient over an infinite
     /// horizon, `a/(1−m) + b` — equals `1/(1−m)` for SCD, i.e. the same as
     /// plain momentum: SC redistributes contributions over time without
@@ -125,14 +118,5 @@ mod tests {
         let c = SpikeCoeffs::scd(0.0, 4.0);
         assert_eq!(c.a, 0.0);
         assert_eq!(c.b, 1.0);
-    }
-
-    #[test]
-    fn scaled_doubles_effective_delay() {
-        let m = 0.9f32;
-        let direct = SpikeCoeffs::scd(m, 8.0);
-        let scaled = SpikeCoeffs::scaled_scd(m, 4.0, 2.0);
-        assert!((direct.a - scaled.a).abs() < 1e-6);
-        assert!((direct.b - scaled.b).abs() < 1e-6);
     }
 }

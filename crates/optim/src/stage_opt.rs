@@ -2,11 +2,9 @@
 //! prediction.
 
 use crate::sgdm::{Predict, Sweep};
-use crate::{
-    predict_velocity_form, predict_weight_form, Hyperparams, LwpForm, SgdmState, SpikeCoeffs,
-    StageConfig,
-};
+use crate::{Hyperparams, LwpForm, SgdmState, SpikeCoeffs, StageConfig};
 use pbp_snapshot::{SnapshotError, Snapshottable, StateReader, StateWriter};
+use pbp_tensor::ops::{axpy, lerp_into};
 use pbp_tensor::{GradView, Tensor};
 
 /// Optimizer state for one pipeline stage.
@@ -24,8 +22,8 @@ use pbp_tensor::{GradView, Tensor};
 /// 2. [`StageOptimizer::forward_weights`] — the same forward version,
 ///    allocated, for a microbatch that closes no update; `None` when no
 ///    prediction is configured;
-/// 3. [`StageOptimizer::backward_weights`] — SpecTrain's backward
-///    re-prediction.
+/// 3. [`StageOptimizer::predict_into`] — SpecTrain's backward
+///    re-prediction, into a buffer the caller keeps.
 #[derive(Debug)]
 pub struct StageOptimizer {
     state: SgdmState,
@@ -59,11 +57,6 @@ impl StageOptimizer {
         self.hp = hp;
     }
 
-    /// Current hyperparameters.
-    pub fn hyperparams(&self) -> Hyperparams {
-        self.hp
-    }
-
     /// The stage configuration.
     pub fn config(&self) -> &StageConfig {
         &self.config
@@ -77,21 +70,9 @@ impl StageOptimizer {
     /// Predicts weights `horizon` update steps ahead of `params` using the
     /// configured LWP form.
     pub fn predict(&self, params: &[&Tensor], horizon: f32) -> Vec<Tensor> {
-        if horizon == 0.0 {
-            return params.iter().map(|p| (*p).clone()).collect();
-        }
-        match self.config.lwp_form {
-            LwpForm::Velocity => {
-                predict_velocity_form(params, self.state.velocity(), self.hp.lr, horizon)
-            }
-            LwpForm::WeightDiff => {
-                let prev = self
-                    .prev_weights
-                    .as_ref()
-                    .expect("weight-difference form requires prev_weights");
-                predict_weight_form(params, prev, horizon)
-            }
-        }
+        let mut out: Vec<Tensor> = params.iter().map(|p| Tensor::zeros(p.shape())).collect();
+        self.predict_into(params, horizon, &mut out);
+        out
     }
 
     /// Forward-pass weights: the configured forward prediction, or `None`
@@ -101,9 +82,33 @@ impl StageOptimizer {
         (self.config.fwd_horizon != 0.0).then(|| self.predict(params, self.config.fwd_horizon))
     }
 
-    /// Backward-pass weights (SpecTrain re-prediction), or `None`.
-    pub fn backward_weights(&self, params: &[&Tensor]) -> Option<Vec<Tensor>> {
-        (self.config.bwd_horizon != 0.0).then(|| self.predict(params, self.config.bwd_horizon))
+    /// [`StageOptimizer::predict`] into `out`, tensors of the parameters'
+    /// shapes, with no allocation: the velocity form copies `w` and adds
+    /// `−η·T·v` (Eq. 18), the weight-difference form extrapolates from
+    /// the previous weights (Eq. 19), and horizon zero is a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not match `params` in count or lengths.
+    pub fn predict_into(&self, params: &[&Tensor], horizon: f32, out: &mut [Tensor]) {
+        assert_eq!(params.len(), out.len(), "params/out mismatch");
+        for (t, (w, out)) in params.iter().zip(out).enumerate() {
+            match self.config.lwp_form {
+                LwpForm::WeightDiff if horizon != 0.0 => {
+                    let prev = self
+                        .prev_weights
+                        .as_ref()
+                        .expect("weight-difference form requires prev_weights");
+                    lerp_into(w, &prev[t], horizon, out);
+                }
+                _ => {
+                    out.as_mut_slice().copy_from_slice(w.as_slice());
+                    if horizon != 0.0 {
+                        axpy(-self.hp.lr * horizon, &self.state.velocity()[t], out);
+                    }
+                }
+            }
+        }
     }
 
     /// Applies one update with the arrived gradient: gradient shrinking if
@@ -341,10 +346,42 @@ mod tests {
         let mut opt = StageOptimizer::new(&[&w], Mitigation::SpecTrain.stage_config(4, 2), hp());
         opt.step(&mut [&mut w], &[(&g).into()]);
         let fw = opt.forward_weights(&[&w]).unwrap();
-        let bw = opt.backward_weights(&[&w]).unwrap();
+        let mut bw = [Tensor::zeros(w.shape())];
+        opt.predict_into(&[&w], opt.config().bwd_horizon, &mut bw);
         // fwd horizon 6, bwd horizon 2; both along −η·v from w = 0.9.
         assert!((fw[0].as_slice()[0] - (0.9 - 0.1 * 6.0)).abs() < 1e-6);
         assert!((bw[0].as_slice()[0] - (0.9 - 0.1 * 2.0)).abs() < 1e-6);
+    }
+
+    /// Both prediction forms are the `lwp.rs` reference arithmetic bit for
+    /// bit whatever the output buffer held, and horizon zero is a copy.
+    #[test]
+    fn predict_into_is_the_reference_prediction_bitwise() {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for form in [LwpForm::Velocity, LwpForm::WeightDiff] {
+            let mut w = Tensor::from_fn(&[3, 5], |i| (i as f32 * 0.37).sin());
+            let g = Tensor::from_fn(&[3, 5], |i| (i as f32 * 0.91).cos());
+            let mit = Mitigation::Lwp { form, scale: 1.0 };
+            let mut opt = StageOptimizer::new(&[&w], mit.stage_config(3, 0), hp());
+            for _ in 0..3 {
+                opt.step(&mut [&mut w], &[(&g).into()]);
+            }
+            for horizon in [0.0, 1.5, 4.0] {
+                let want = match form {
+                    _ if horizon == 0.0 => vec![w.clone()],
+                    LwpForm::Velocity => {
+                        crate::predict_velocity_form(&[&w], opt.velocity(), hp().lr, horizon)
+                    }
+                    LwpForm::WeightDiff => {
+                        let prev = opt.prev_weights.as_ref().unwrap();
+                        crate::predict_weight_form(&[&w], prev, horizon)
+                    }
+                };
+                let mut got = [Tensor::from_fn(&[3, 5], |_| f32::NAN)];
+                opt.predict_into(&[&w], horizon, &mut got);
+                assert_eq!(bits(&got[0]), bits(&want[0]), "{form:?} horizon {horizon}");
+            }
+        }
     }
 
     #[test]

@@ -89,6 +89,9 @@ pub struct StageCell {
     /// the step was lent to — into the spent front buffer, and waiting for
     /// this microbatch's `push_next_version`.
     next: Option<Vec<Tensor>>,
+    /// SpecTrain's backward weights, re-predicted into this buffer before
+    /// each backward; empty when no backward prediction is configured.
+    backward_version: Vec<Tensor>,
 }
 
 /// The window's optimizer step as [`StageCell::backward_input_for`] lends
@@ -157,6 +160,10 @@ impl StageCell {
         let opt = StageOptimizer::new(&stage.params(), stage_cfg, hp);
         let per_update = plan.microbatches_per_update();
         let snapshot = stage.snapshot();
+        let backward_version = match opt.config().bwd_horizon != 0.0 {
+            true => snapshot.clone(),
+            false => Vec::new(),
+        };
         let versions = (0..=lag.div_ceil(per_update))
             .map(|_| snapshot.clone())
             .collect();
@@ -170,6 +177,7 @@ impl StageCell {
             completed: 0,
             weight_stashing,
             next: None,
+            backward_version,
         }
     }
 
@@ -250,9 +258,10 @@ impl StageCell {
                 stage.backward_input(gstack)
             });
         } else if self.opt.config().bwd_horizon != 0.0 {
-            let predicted = self.opt.backward_weights(&stage.params());
-            let mut bw = predicted.expect("bwd horizon configured");
-            under(stage, &mut bw, |stage| stage.backward_input(gstack));
+            let horizon = self.opt.config().bwd_horizon;
+            let bw = &mut self.backward_version;
+            self.opt.predict_into(&stage.params(), horizon, bw);
+            under(stage, bw, |stage| stage.backward_input(gstack));
         } else {
             stage.backward_input(gstack);
         }

@@ -22,17 +22,16 @@
 //!
 //! ```text
 //! plan   := clause ("," clause)*
-//! clause := "rank:" r ":" rank-kind "@" k ["!"]
-//!         | l ":" ("down"|"up") ":" link-kind "@" k ["!"]
+//! clause := "rank:" r ":" rank-kind "@" k
+//!         | l ":" ("down"|"up") ":" link-kind "@" k
 //!         | "random:" seed [":" links [":" max-index]]
 //!         | "seed:" seed
 //! ```
 //!
-//! Faults are **one-shot**: the fired flag is shared across clones of the
-//! plan, so an engine rebuilt after the fault, or a link re-made after a
-//! reconnect, does not see it again — a transient fault. A trailing `!`
-//! ([`FaultSpec::recurring`]) marks a hard fault that fires on every
-//! attempt (the graceful-degradation path).
+//! Every fault is **one-shot**: the fired flag is shared across clones of
+//! the plan, so an engine rebuilt after the fault, or a link re-made after
+//! a reconnect, does not see it again. A fault that strikes again on the
+//! next attempt is a second clause at a later index.
 //!
 //! [`PipelineFault`] is what the supervised threaded runtime returns
 //! instead of hanging or propagating a worker panic; [`RunError`] is the
@@ -97,9 +96,7 @@ pub struct FaultSpec<K> {
     pub at: u64,
     /// What happens when it triggers.
     pub kind: K,
-    /// `true`: re-fires on every attempt (hard fault). `false` (default):
-    /// fires once across all clones of the plan (transient fault).
-    pub recurring: bool,
+    /// Set once the fault has fired, shared by every clone of the plan.
     fired: Arc<AtomicBool>,
 }
 
@@ -109,28 +106,21 @@ impl<K> FaultSpec<K> {
         FaultSpec {
             at,
             kind,
-            recurring: false,
             fired: Arc::new(AtomicBool::new(false)),
         }
     }
 
-    /// Makes the fault re-fire on every restart (hard-fault model).
-    pub fn recurring(mut self) -> Self {
-        self.recurring = true;
-        self
-    }
-
     /// Consumes the one-shot charge: `true` the first time across every
-    /// clone of the spec, and every time for a recurring one.
+    /// clone of the spec.
     fn charge(&self) -> bool {
-        !self.fired.swap(true, Ordering::Relaxed) || self.recurring
+        !self.fired.swap(true, Ordering::Relaxed)
     }
 }
 
 /// Clause equality: what the clause says, not whether it has fired.
 impl<K: PartialEq> PartialEq for FaultSpec<K> {
     fn eq(&self, other: &Self) -> bool {
-        (self.at, &self.kind, self.recurring) == (other.at, &other.kind, other.recurring)
+        (self.at, &self.kind) == (other.at, &other.kind)
     }
 }
 
@@ -269,13 +259,14 @@ impl FaultPlan {
         }
     }
 
-    /// The plan a process respawned after a fault runs under: one-shot
-    /// rank clauses have fired (a crashed process cannot carry the fired
-    /// flag over), recurring ones and the link clauses stay.
+    /// The plan a process respawned after a fault runs under: its rank
+    /// clauses count as fired (a crashed process cannot carry the fired
+    /// flag over), its link clauses stay.
     pub fn for_respawn(&self) -> Self {
-        let mut plan = self.clone();
-        plan.ranks.retain(|(_, spec)| spec.recurring);
-        plan
+        FaultPlan {
+            ranks: Vec::new(),
+            ..self.clone()
+        }
     }
 
     /// Whether the plan scripts nothing.
@@ -288,9 +279,6 @@ impl FaultPlan {
     /// clause. Random plans serialize clause by clause, never as
     /// `random:seed`, so what fired is always spelled out in logs.
     pub fn spec_string(&self) -> String {
-        fn index<K>(spec: &FaultSpec<K>) -> String {
-            format!("@{}{}", spec.at, if spec.recurring { "!" } else { "" })
-        }
         let seed = (self.seed != 0).then(|| format!("seed:{}", self.seed));
         let links = self.links.iter().map(|(link, dir, spec)| {
             let kind = match spec.kind {
@@ -305,7 +293,7 @@ impl FaultPlan {
                 LinkDir::Down => "down",
                 LinkDir::Up => "up",
             };
-            format!("{link}:{dir}:{kind}{}", index(spec))
+            format!("{link}:{dir}:{kind}@{}", spec.at)
         });
         let ranks = self.ranks.iter().map(|(rank, spec)| {
             let kind = match spec.kind {
@@ -314,7 +302,7 @@ impl FaultPlan {
                 RankFault::Sever => "sever".to_string(),
                 RankFault::Jitter(d) => format!("jitter:{}", d.as_millis()),
             };
-            format!("rank:{rank}:{kind}{}", index(spec))
+            format!("rank:{rank}:{kind}@{}", spec.at)
         });
         let clauses: Vec<String> = seed.into_iter().chain(links).chain(ranks).collect();
         clauses.join(",")
@@ -354,8 +342,7 @@ impl FaultPlan {
             let (head, index) = clause
                 .rsplit_once('@')
                 .ok_or_else(|| format!("clause {clause:?} needs @<index>"))?;
-            let recurring = index.ends_with('!');
-            let at = num(index.strip_suffix('!').unwrap_or(index))?;
+            let at = num(index)?;
             match head.split(':').collect::<Vec<_>>().as_slice() {
                 ["rank", rank, kind @ ..] => {
                     let kind = match kind {
@@ -367,8 +354,7 @@ impl FaultPlan {
                             return Err(unknown("rank", "crash, stall:<ms>, sever or jitter:<ms>"))
                         }
                     };
-                    let spec = FaultSpec::new(at, kind);
-                    plan = plan.at_rank(num(rank)? as usize, FaultSpec { recurring, ..spec });
+                    plan = plan.at_rank(num(rank)? as usize, FaultSpec::new(at, kind));
                 }
                 [link, dir, kind @ ..] => {
                     let dir = match *dir {
@@ -390,8 +376,7 @@ impl FaultPlan {
                             return Err(unknown("link", kinds));
                         }
                     };
-                    let spec = FaultSpec::new(at, kind);
-                    plan = plan.at_link(num(link)? as usize, dir, FaultSpec { recurring, ..spec });
+                    plan = plan.at_link(num(link)? as usize, dir, FaultSpec::new(at, kind));
                 }
                 _ => return Err(format!("clause {clause:?} names no site and kind")),
             }
@@ -697,12 +682,11 @@ mod tests {
     #[test]
     fn every_clause_form_round_trips() {
         let spec = "seed:9,0:down:drop@3,1:up:flip@10,0:down:partition:4@20,1:down:delay:5@2,\
-                    0:up:dup@7!,1:up:trunc@9,rank:0:crash@5!,rank:1:stall:800@3,rank:2:sever@0,\
+                    0:up:dup@7,1:up:trunc@9,rank:0:crash@5,rank:1:stall:800@3,rank:2:sever@0,\
                     rank:1:jitter:4@6";
         let plan = FaultPlan::parse(&spec.replace(',', " , ")).unwrap();
         assert_eq!(plan.spec_string(), spec);
         assert_eq!((plan.seed, plan.links.len(), plan.ranks.len()), (9, 6, 4));
-        assert!(plan.links[4].2.recurring && plan.ranks[0].1.recurring);
         assert_eq!(plan.ranks[1].1.kind, RankFault::Stall(MS(800)));
         // Outside input is clamped, not trusted.
         let clamped = FaultPlan::parse("0:up:delay:99999@1,0:up:partition:0@2").unwrap();
@@ -738,7 +722,8 @@ mod tests {
             "rank:1:stall:@3",
             "rank:1:crash:5@3",
             "0:down:drop:5@3",
-            "rank:1:crash@3!!",
+            "rank:1:crash@3!", // every clause is one-shot
+            "0:up:dup@7!",
             "seed:x",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} parsed");
@@ -769,17 +754,11 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_faults_fire_once_across_clones_until_reset_and_recurring_ones_always() {
+    fn one_shot_faults_fire_once_across_clones_until_reset() {
         let plan = FaultPlan::new(0)
             .at_rank(1, crash(5))
-            .at_rank(0, crash(3).recurring())
             .at_link(0, LinkDir::Down, FaultSpec::new(2, LinkFault::Drop))
-            .at_link(0, LinkDir::Down, FaultSpec::new(4, LinkFault::Duplicate))
-            .at_link(
-                1,
-                LinkDir::Up,
-                FaultSpec::new(0, LinkFault::BitFlip).recurring(),
-            );
+            .at_link(0, LinkDir::Down, FaultSpec::new(4, LinkFault::Duplicate));
         let rank = plan.rank_injector(1);
         assert_eq!(rank.on_backward(4), None);
         assert_eq!(rank.on_backward(5), Some(RankFault::Crash));
@@ -801,12 +780,6 @@ mod tests {
             (0..3).map(|_| link.on_frame()).last(),
             Some(Some(LinkFault::Drop))
         );
-        // A hard fault survives every restart.
-        for plan in [plan.clone(), plan.clone(), plan] {
-            assert_eq!(plan.rank_injector(0).on_backward(3), Some(RankFault::Crash));
-            let flip = plan.link_injector(1, LinkDir::Up).on_frame();
-            assert_eq!(flip, Some(LinkFault::BitFlip));
-        }
     }
 
     #[test]
@@ -869,8 +842,10 @@ mod tests {
             let err = plan.process_crash(rank).unwrap_err();
             assert!(err.contains("can only crash"), "{err}");
         }
-        let hard = FaultPlan::parse("rank:0:crash@9!,rank:1:crash@2").unwrap();
-        assert_eq!(hard.for_respawn().spec_string(), "rank:0:crash@9!");
+        // A respawn runs under none of the rank clauses, and keeps the
+        // link clauses.
+        let crashes = FaultPlan::parse("rank:0:crash@9,rank:1:crash@2,0:up:drop@4").unwrap();
+        assert_eq!(crashes.for_respawn().spec_string(), "0:up:drop@4");
     }
 
     #[test]

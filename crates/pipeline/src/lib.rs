@@ -54,7 +54,10 @@
 //!   its [`action_cost`], drawn one span per action into the trace's
 //!   virtual process with the run's bubble fraction. It is also the
 //!   harness that steps the loops in arbitrary ready orders in tests.
-//! * [`schedule`] — the analytic utilization model behind Figure 2.
+//! * [`schedule`] — the [`MicrobatchSchedule`] plans the engines execute
+//!   (Section 2, Figure 2), their Eq. 5 stage delays and Eq. 1's
+//!   fill&drain utilization bound; Figure 2 itself is drawn by
+//!   [`VirtualHost`] from what the executor runs.
 //!
 //! All three engines ([`DelayedTrainer`], [`ScheduledTrainer`],
 //! [`ThreadedPipeline`]) implement the [`TrainEngine`] trait and share one
@@ -65,8 +68,8 @@
 //! [`EngineMetrics::to_json`] renders them) and one
 //! [`Tracer`](pbp_trace::Tracer): stage spans from
 //! [`TrainEngine::set_tracer`], and under [`run_supervised`] the
-//! `supervisor` lane of faults, backoffs, restarts, degradation and
-//! snapshot writes. [`EngineSpec`] is a declarative builder used by the benchmark
+//! `supervisor` lane of faults, backoffs, restarts and snapshot
+//! writes. [`EngineSpec`] is a declarative builder used by the benchmark
 //! suite to construct engines uniformly.
 
 pub mod cell;
@@ -103,8 +106,8 @@ pub use schedule::{fill_drain_utilization, stage_delay, Action, MicrobatchSchedu
 pub use scheduled::{ScheduledConfig, ScheduledTrainer};
 pub use state::SECTION_ENGINE;
 pub use supervisor::{
-    backoff_delay, degraded_spec, run_supervised, supervise_retries, Attempt, RecoveryPolicy,
-    SupervisedOutcome, SupervisionEvent, Watchdog,
+    backoff_delay, run_supervised, supervise_retries, Attempt, RecoveryPolicy, SupervisedOutcome,
+    SupervisionEvent, Watchdog,
 };
 pub use threaded::{ThreadedConfig, ThreadedPipeline};
 pub use timeline::{schedule_diagram, VirtualHost};

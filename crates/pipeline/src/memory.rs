@@ -32,12 +32,6 @@ impl MemoryModel {
         }
     }
 
-    /// Activation-slots each *batch-parallel* worker holds: one per layer
-    /// (all layers' activations are needed for its backward pass).
-    pub fn batch_parallel_activations_per_worker(&self) -> usize {
-        self.layers
-    }
-
     /// Total activation slots under batch parallelism: `L · W`.
     pub fn batch_parallel_activations_total(&self) -> usize {
         self.layers * self.workers
@@ -101,12 +95,6 @@ mod tests {
         assert_eq!(first, 32);
         assert_eq!(last, 2);
         assert!(first > 10 * last, "per-worker needs are very uneven");
-    }
-
-    #[test]
-    fn batch_parallel_memory_is_uniform() {
-        let m = MemoryModel::fine_grained(16);
-        assert_eq!(m.batch_parallel_activations_per_worker(), 16);
     }
 
     #[test]

@@ -358,32 +358,31 @@ pub fn resume_training(
     policy: Option<&SnapshotPolicy>,
     snapshot: &Path,
 ) -> Result<TrainReport, RunError> {
-    let from = Some((snapshot.to_path_buf(), engine.label()));
+    let from = Some(snapshot.to_path_buf());
     run_snapshotted(engine, train, val, config, policy, from, &mut unwatched())
 }
 
 /// The runner behind [`run_training_with_snapshots`], [`resume_training`]
-/// and the supervisor: resumes `from` — a snapshot and the label of the
-/// engine whose run it holds — or starts afresh, recording every snapshot
-/// write on `lane`. The label may differ from `engine`'s own, as long as
-/// the engine-state section is one `engine` reads: the supervisor's
-/// degradation path resumes a threaded engine's snapshot into the
-/// sequential engine of the same configuration, which shares its state
-/// layout but not its label.
+/// and the supervisor: resumes the snapshot `from` — written by a run of
+/// `engine`'s own spec, or refused as a [`SnapshotError::Mismatch`] — or
+/// starts afresh, recording every snapshot write on `lane`.
 pub(crate) fn run_snapshotted(
     engine: &mut dyn TrainEngine,
     train: &Dataset,
     val: &Dataset,
     config: &RunConfig,
     policy: Option<&SnapshotPolicy>,
-    from: Option<(PathBuf, String)>,
+    from: Option<PathBuf>,
     lane: &mut Lane,
 ) -> Result<TrainReport, RunError> {
     let mut state = match from {
-        Some((snapshot, written_by)) => {
+        Some(snapshot) => {
             let archive = SnapshotArchive::load(&snapshot)?;
+            // The run section names the engine that wrote it: refuse another
+            // engine's snapshot before any of it is restored.
+            let state = read_runner_state(&archive, &engine.label(), config.seed)?;
             engine.read_state(&archive)?;
-            read_runner_state(&archive, &written_by, config.seed)?
+            state
         }
         None => {
             let every = policy.map_or(0, |p| p.every_updates);

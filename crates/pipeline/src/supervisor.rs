@@ -1,5 +1,5 @@
 //! Supervision of the threaded pipeline runtime: stall watchdog, panic
-//! containment, and recover-or-degrade orchestration.
+//! containment, and resume-from-snapshot recovery.
 //!
 //! Two layers (detection and containment below, retry arithmetic above):
 //!
@@ -13,19 +13,17 @@
 //!   detaches the rest, and surfaces a typed [`PipelineFault`] instead of
 //!   hanging.
 //! * **Run supervision** ([`supervise_retries`]): the one restart loop —
-//!   attempt, and on a fault check the budget, back off, go again —
-//!   generic over the fault type and over how an attempt is made, logging
-//!   typed [`SupervisionEvent`]s. [`run_supervised`] passes it the attempt
-//!   that rebuilds the engine and resumes from the latest *valid*
-//!   snapshot, and when the budget is spent degrades to the sequential
-//!   engine of the same configuration ([`degraded_spec`]), finishing
-//!   training there from the same snapshot; `pbp_dist::launch` passes it
-//!   the attempt that respawns rank processes.
+//!   attempt, and on a fault check the [`RecoveryPolicy`] budget, back
+//!   off, go again — generic over the fault type and over how an attempt
+//!   is made, logging typed [`SupervisionEvent`]s. [`run_supervised`]
+//!   passes it the attempt that rebuilds the engine and resumes from the
+//!   newest *valid* snapshot; `pbp_dist::launch` passes it the attempt
+//!   that respawns the rank processes from their newest common snapshot.
+//!   Either way a spent budget returns the last typed fault.
 //!
 //! A supervised run is watched through one [`Tracer`]: [`run_supervised`]
-//! installs it on every engine it builds, the degraded fallback included,
-//! and records its own events and snapshot writes on the `supervisor`
-//! lane.
+//! installs it on every engine it builds and records its own events and
+//! snapshot writes on the `supervisor` lane.
 
 use crate::engine::{EngineSpec, RunConfig};
 use crate::fault::{PipelineFault, RunError};
@@ -231,7 +229,9 @@ impl StreamSupervisor {
     }
 }
 
-/// Retry-and-degrade policy of [`run_supervised`].
+/// The restart budget and backoff of a supervised run — a threaded
+/// engine under [`run_supervised`], a rank group under
+/// `pbp_dist::launch`.
 #[derive(Debug, Clone)]
 pub struct RecoveryPolicy {
     /// Restart (resume-from-snapshot) attempts after the initial run.
@@ -239,9 +239,6 @@ pub struct RecoveryPolicy {
     /// Backoff before the first restart; doubles per restart
     /// ([`backoff_delay`]).
     pub backoff: Duration,
-    /// After retries are exhausted, fall back to the sequential engine
-    /// ([`degraded_spec`]) instead of failing.
-    pub degrade: bool,
 }
 
 impl Default for RecoveryPolicy {
@@ -249,7 +246,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_restarts: 3,
             backoff: Duration::from_millis(50),
-            degrade: true,
         }
     }
 }
@@ -260,14 +256,7 @@ impl RecoveryPolicy {
         RecoveryPolicy {
             max_restarts,
             backoff: Duration::ZERO,
-            degrade: true,
         }
-    }
-
-    /// Disables the degradation fallback: exhausted retries fail the run.
-    pub fn no_degrade(mut self) -> Self {
-        self.degrade = false;
-        self
     }
 }
 
@@ -298,11 +287,6 @@ pub enum SupervisionEvent<F = PipelineFault> {
         /// Length of the sleep.
         delay: Duration,
     },
-    /// Retries exhausted; the run switched to the sequential engine.
-    Degraded {
-        /// Label of the engine taking over.
-        to: String,
-    },
 }
 
 impl<F: std::fmt::Display> std::fmt::Display for SupervisionEvent<F> {
@@ -321,7 +305,6 @@ impl<F: std::fmt::Display> std::fmt::Display for SupervisionEvent<F> {
             SupervisionEvent::Backoff { attempt, delay } => {
                 write!(f, "backoff before restart {attempt}: {delay:?}")
             }
-            SupervisionEvent::Degraded { to } => write!(f, "degraded to {to}"),
         }
     }
 }
@@ -346,13 +329,12 @@ pub type Attempt<T, F> = Result<T, (F, Option<String>)>;
 /// training run's supervisor lane records its events and its snapshot
 /// writes; the launcher's process group outlives each attempt).
 ///
-/// Returns `Ok(Ok(done))`, `Ok(Err(fault))` once `max_restarts` restarts
-/// are spent (the last fault, already logged), or `Err` as soon as an
-/// attempt fails with something that is not a fault.
+/// Returns `Ok(Ok(done))`, `Ok(Err(fault))` once `policy.max_restarts`
+/// restarts are spent (the last fault, already logged), or `Err` as soon
+/// as an attempt fails with something that is not a fault.
 pub fn supervise_retries<S: ?Sized, T, F: Clone, E>(
     state: &mut S,
-    max_restarts: usize,
-    backoff: Duration,
+    policy: &RecoveryPolicy,
     mut log: impl FnMut(&mut S, SupervisionEvent<F>),
     mut attempt: impl FnMut(&mut S, usize) -> Result<Attempt<T, F>, E>,
 ) -> Result<Result<T, F>, E> {
@@ -367,11 +349,11 @@ pub fn supervise_retries<S: ?Sized, T, F: Clone, E>(
             fault: fault.clone(),
         };
         log(state, event);
-        if restart >= max_restarts {
+        if restart >= policy.max_restarts {
             return Ok(Err(fault));
         }
         restart += 1;
-        let delay = backoff_delay(backoff, restart);
+        let delay = backoff_delay(policy.backoff, restart);
         if !delay.is_zero() {
             let event = SupervisionEvent::Backoff {
                 attempt: restart,
@@ -388,30 +370,15 @@ pub fn supervise_retries<S: ?Sized, T, F: Clone, E>(
     }
 }
 
-/// The result of a supervised run that completed (possibly degraded).
+/// The result of a supervised run that completed.
 #[derive(Debug)]
 pub struct SupervisedOutcome {
     /// The finished training report.
     pub report: TrainReport,
     /// Everything the supervisor did, in order.
     pub events: Vec<SupervisionEvent>,
-    /// Restarts performed before completion (or degradation).
+    /// Restarts performed before completion.
     pub restarts: usize,
-    /// Whether the run finished on the degraded engine.
-    pub degraded: bool,
-}
-
-/// The sequential equivalent of a threaded spec — where a supervised run
-/// lands when the threaded runtime keeps faulting: the
-/// [`ScheduledTrainer`](crate::ScheduledTrainer) of the same
-/// [`ScheduledConfig`](crate::ScheduledConfig), which executes the same
-/// stage groups on one thread and reads the threaded engine's snapshots.
-/// Non-threaded specs have no degraded form.
-pub fn degraded_spec(spec: &EngineSpec) -> Option<EngineSpec> {
-    match spec {
-        EngineSpec::Threaded(cfg) => Some(EngineSpec::Scheduled(cfg.run.clone())),
-        _ => None,
-    }
 }
 
 /// Runs `spec` to completion under snapshot-backed fault recovery.
@@ -419,21 +386,17 @@ pub fn degraded_spec(spec: &EngineSpec) -> Option<EngineSpec> {
 /// The initial attempt (or, when `policy.dir` already holds a valid
 /// snapshot, a resume of it) trains with periodic snapshots. On a
 /// [`RunError::Fault`] the engine is rebuilt from `make_net` and resumed
-/// from the latest valid snapshot, up to `recovery.max_restarts` times
-/// with doubling backoff ([`supervise_retries`]). If the fault keeps
-/// recurring and `recovery.degrade` is set, the run switches to
-/// [`degraded_spec`] — the sequential engine of the same configuration —
-/// restores the full engine state (weights, optimizers, weight-version
-/// FIFOs, counters) and run progress from the last valid snapshot, and
-/// finishes there, snapshotting into `policy.dir/degraded`.
+/// from the newest valid snapshot, up to `recovery.max_restarts` times
+/// with doubling backoff ([`supervise_retries`]); once the budget is
+/// spent the last fault is returned as [`RunError::Fault`].
 ///
 /// Every engine it builds records its stage spans into `tracer`. Every
-/// fault, backoff, restart and degradation is an instant on the
-/// `supervisor` lane (sorted above the stage lanes), every snapshot write
-/// a span there, and each is returned in the outcome's event log.
+/// fault, backoff and restart is an instant on the `supervisor` lane
+/// (sorted above the stage lanes), every snapshot write a span there,
+/// and each is returned in the outcome's event log.
 ///
-/// A faulted-and-resumed run — degraded or not — is bit-identical to an
-/// uninterrupted one (DESIGN.md §9): the same guarantee
+/// A faulted-and-resumed run is bit-identical to an uninterrupted one
+/// (DESIGN.md §9): the same guarantee
 /// [`resume_training`](crate::resume::resume_training) provides, now
 /// applied automatically.
 #[allow(clippy::too_many_arguments)]
@@ -447,24 +410,19 @@ pub fn run_supervised(
     recovery: &RecoveryPolicy,
     tracer: &Tracer,
 ) -> Result<SupervisedOutcome, RunError> {
-    let mut build = |spec: &EngineSpec| {
-        let mut engine = spec.build(make_net());
-        engine.set_tracer(tracer.clone());
-        engine
-    };
     let mut lane = tracer.lane(PID_WALL, "supervisor", -1);
     let mut events: Vec<SupervisionEvent> = Vec::new();
     let mut restarts = 0usize;
     let family = SnapshotFamily::engine(&policy.dir);
     let outcome = supervise_retries(
         &mut lane,
-        recovery.max_restarts,
-        recovery.backoff,
+        recovery,
         |lane, event| log(lane, &mut events, event),
         |lane, restart| {
             restarts = restart;
-            let from = family.latest_valid()?.map(|p| (p, spec.label()));
-            let mut engine = build(spec);
+            let from = family.latest_valid()?;
+            let mut engine = spec.build(make_net());
+            engine.set_tracer(tracer.clone());
             let engine = engine.as_mut();
             match run_snapshotted(engine, train, val, config, Some(policy), from, lane) {
                 Ok(report) => Ok(Ok(report)),
@@ -478,43 +436,11 @@ pub fn run_supervised(
             }
         },
     )?;
-    let fallback = match (outcome, degraded_spec(spec)) {
-        (Ok(report), _) => {
-            return Ok(SupervisedOutcome {
-                report,
-                events,
-                restarts,
-                degraded: false,
-            })
-        }
-        (Err(_), Some(fallback)) if recovery.degrade => fallback,
-        // Nothing (allowed) to fall back to — surface the fault.
-        (Err(fault), _) => return Err(RunError::Fault(fault)),
-    };
-    let to = fallback.label();
-    log(&mut lane, &mut events, SupervisionEvent::Degraded { to });
-    // Degraded snapshots go to a subdirectory: they carry the fallback
-    // engine's label, and a later supervised run of the threaded spec
-    // must keep finding its own snapshots in `policy.dir`.
-    let degraded_policy = SnapshotPolicy {
-        dir: policy.dir.join("degraded"),
-        ..policy.clone()
-    };
-    let from = match SnapshotFamily::engine(&degraded_policy.dir).latest_valid()? {
-        // An earlier degraded attempt got this far — continue it.
-        Some(own) => Some((own, fallback.label())),
-        // Both engines write the same engine-state section; only the run
-        // section's label names the threaded engine.
-        None => family.latest_valid()?.map(|p| (p, spec.label())),
-    };
-    let mut engine = build(&fallback);
-    let policy = Some(&degraded_policy);
-    let report = run_snapshotted(engine.as_mut(), train, val, config, policy, from, &mut lane)?;
+    let report = outcome.map_err(RunError::Fault)?;
     Ok(SupervisedOutcome {
         report,
         events,
         restarts,
-        degraded: true,
     })
 }
 
@@ -525,7 +451,6 @@ fn log(lane: &mut Lane, events: &mut Vec<SupervisionEvent>, event: SupervisionEv
         SupervisionEvent::Fault { .. } => TracePhase::Fault,
         SupervisionEvent::Restart { .. } => TracePhase::Restart,
         SupervisionEvent::Backoff { .. } => TracePhase::Backoff,
-        SupervisionEvent::Degraded { .. } => TracePhase::Degraded,
     };
     lane.instant(phase, Some(event.to_string()));
     events.push(event);
@@ -534,36 +459,6 @@ fn log(lane: &mut Lane, events: &mut Vec<SupervisionEvent>, event: SupervisionEv
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduled::ScheduledConfig;
-    use crate::threaded::ThreadedConfig;
-    use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
-
-    fn schedule() -> LrSchedule {
-        LrSchedule::constant(Hyperparams::new(0.05, 0.9))
-    }
-
-    #[test]
-    fn degraded_specs_map_to_the_sequential_engine() {
-        let fd = degraded_spec(&EngineSpec::Threaded(
-            ThreadedConfig::fill_drain(schedule()),
-        ))
-        .expect("threaded specs degrade");
-        assert_eq!(fd.label(), "Fill&Drain SGDM (N=1)");
-        let pb = degraded_spec(&EngineSpec::Threaded(
-            ThreadedConfig::pb(schedule())
-                .with_mitigation(Mitigation::scd())
-                .with_weight_stashing(),
-        ));
-        match pb {
-            Some(EngineSpec::Scheduled(cfg)) => {
-                assert!(cfg.weight_stashing);
-                assert_eq!(cfg.label(), "PB+SCD+WS");
-            }
-            other => panic!("expected a scheduled spec, got {other:?}"),
-        }
-        let sequential = EngineSpec::Scheduled(ScheduledConfig::pb(schedule()));
-        assert!(degraded_spec(&sequential).is_none());
-    }
 
     /// The retry loop against a scripted attempt (fault, fault, ok) and a
     /// zero base, so nothing sleeps: the exact log, the budget, and the
@@ -575,8 +470,7 @@ mod tests {
             let mut events = Vec::new();
             let outcome = supervise_retries(
                 &mut seen,
-                max_restarts,
-                Duration::ZERO,
+                &RecoveryPolicy::immediate(max_restarts),
                 |seen: &mut Vec<String>, event| {
                     seen.push(event.to_string());
                     events.push(event);
@@ -614,8 +508,7 @@ mod tests {
         // the loop at once, unlogged.
         let fatal = supervise_retries(
             &mut (),
-            5,
-            Duration::ZERO,
+            &RecoveryPolicy::immediate(5),
             |_, event: SupervisionEvent<&str>| panic!("logged {event}"),
             |_, _| Err::<Attempt<(), &str>, _>("disk full"),
         );

@@ -397,8 +397,8 @@ impl TrainEngine for ThreadedPipeline {
     }
 
     /// The same engine-state section a [`ScheduledTrainer`] of the same
-    /// [`ScheduledConfig`] writes: either engine resumes the other's
-    /// snapshots.
+    /// [`ScheduledConfig`] writes. A snapshot's run section names the
+    /// engine that wrote it, so a run resumes only under its own engine.
     fn write_state(&self, snap: &mut pbp_snapshot::SnapshotBuilder) {
         self.state().write_state(snap);
     }

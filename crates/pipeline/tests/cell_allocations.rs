@@ -115,6 +115,9 @@ fn microbatch_with(
     }
 }
 
+/// PB under every mitigation that keeps weight-sized state: forward
+/// predictions are written into recycled version buffers, and SpecTrain's
+/// backward re-prediction into the one buffer the cell keeps for it.
 #[test]
 fn a_running_cell_allocates_nothing_weight_sized() {
     let plan = MicrobatchSchedule::PipelinedBackprop;
@@ -123,6 +126,7 @@ fn a_running_cell_allocates_nothing_weight_sized() {
         Mitigation::None,
         Mitigation::lwpv_scd(),
         Mitigation::lwpw_scd(),
+        Mitigation::SpecTrain,
     ] {
         for weight_stashing in [false, true] {
             let mut net = mlp(&[WIDTH; 4], &mut StdRng::seed_from_u64(3));

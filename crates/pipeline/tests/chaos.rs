@@ -6,9 +6,8 @@
 //! * (b) a kill-at-update-N plus supervisor auto-resume of the
 //!   deterministic threaded fill/drain engine is bit-identical to the
 //!   uninterrupted run;
-//! * (c) a repeatedly-failing stage degrades the run to the sequential
-//!   engine, which completes training bit-identically to an unfaulted
-//!   run, with the switchover recorded in the supervision log.
+//! * (c) a run that faults on every attempt fails with the last typed
+//!   fault once the restart budget is spent.
 
 use pbp_data::{blobs, Dataset};
 use pbp_nn::models::mlp;
@@ -20,7 +19,7 @@ use pbp_pipeline::{
     ThreadedConfig, ThreadedPipeline, Watchdog,
 };
 use pbp_snapshot::{SnapshotArchive, SnapshotFamily};
-use pbp_trace::Tracer;
+use pbp_trace::{TracePhase, Tracer, PID_WALL};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -219,7 +218,6 @@ fn supervised_recovery_is_bit_identical() {
         "both faults must actually have fired (restarts = {})",
         outcome.restarts
     );
-    assert!(!outcome.degraded);
     let faults: Vec<&PipelineFault> = outcome
         .events
         .iter()
@@ -247,89 +245,22 @@ fn supervised_recovery_is_bit_identical() {
     let _ = std::fs::remove_dir_all(&chaos_dir);
 }
 
-/// (c) A hard (recurring) fault exhausts retries and degrades to the
-/// sequential engine, which restores the threaded engine's full state —
-/// optimizers and weight-version FIFOs included — and completes the run
-/// bit-identically to an unfaulted one; the switchover is visible in the
-/// outcome's event log. PB with LWP+SC makes the carried-over state
-/// matter: momentum, the prediction buffers and six in-flight weight
-/// versions at stage 0 all cross the engine switch.
+/// (c) Once the restart budget is spent the run fails with the last
+/// typed fault: two one-shot crashes at stage 0, the second scripted
+/// past the first so that only the restarted attempt reaches it, against
+/// a budget of one restart. The supervisor lane holds the log the `Err`
+/// cannot carry.
 #[test]
-fn repeated_fault_degrades_to_emulator_and_completes() {
-    let data = blobs(3, 8, 0.4, 11);
-    let (train, val) = data.split(0.25);
-    let config = RunConfig::new(2, 23);
-    let threaded = || {
-        ThreadedConfig::pb(schedule())
-            .with_mitigation(pbp_optim::Mitigation::lwpv_scd())
-            .with_watchdog(Watchdog::fast())
-    };
-
-    // Unfaulted reference run with the same snapshot cadence.
-    let clean_dir = tmpdir("degrade_clean");
-    let mut clean_engine = EngineSpec::Threaded(threaded()).build(fresh_net(13));
-    let clean_report = run_training_with_snapshots(
-        clean_engine.as_mut(),
-        &train,
-        &val,
-        &config,
-        &SnapshotPolicy::new(&clean_dir, 2),
-    )
-    .expect("clean run");
-
-    let dir = tmpdir("degrade");
-    let spec = EngineSpec::Threaded(threaded().with_fault_plan(
-        FaultPlan::new(0).at_rank(1, FaultSpec::new(5, RankFault::Crash).recurring()),
-    ));
-    let outcome = run_supervised(
-        &spec,
-        &mut || fresh_net(13),
-        &train,
-        &val,
-        &config,
-        &SnapshotPolicy::new(&dir, 2),
-        &RecoveryPolicy::immediate(1),
-        &Tracer::disabled(),
-    )
-    .expect("degraded run completes");
-
-    assert!(outcome.degraded, "run must have degraded");
-    assert_eq!(outcome.restarts, 1);
-    let degraded_to = outcome.events.iter().find_map(|e| match e {
-        SupervisionEvent::Degraded { to } => Some(to.clone()),
-        _ => None,
-    });
-    assert_eq!(degraded_to.as_deref(), Some("PB+LWPvD+SCD"));
-    // The degraded run is indistinguishable from the unfaulted one:
-    // f64-exact epoch records, byte-identical final weights.
-    assert_eq!(clean_report.records, outcome.report.records);
-    assert_final_snapshots_match(&clean_dir, &dir.join("degraded"));
-
-    // The switchover shows up in the outcome's printed log.
-    let log: Vec<String> = outcome.events.iter().map(|e| e.to_string()).collect();
-    assert!(log.iter().any(|e| e.contains("panicked")), "{log:?}");
-    assert!(
-        log.iter().any(|e| e == "degraded to PB+LWPvD+SCD"),
-        "{log:?}"
-    );
-
-    let _ = std::fs::remove_dir_all(&clean_dir);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// With degradation disabled, exhausted retries surface the last typed
-/// fault instead.
-#[test]
-fn no_degrade_policy_surfaces_fault_after_retries() {
+fn spent_budget_surfaces_the_last_fault() {
     let data = blobs(3, 8, 0.4, 12);
     let (train, val) = data.split(0.25);
     let config = RunConfig::new(1, 29);
-    let dir = tmpdir("nodegrade");
+    let dir = tmpdir("spent");
+    let crash = |at| FaultSpec::new(at, RankFault::Crash);
+    let tracer = Tracer::new();
     let spec = EngineSpec::Threaded(
         ThreadedConfig::fill_drain(schedule())
-            .with_fault_plan(
-                FaultPlan::new(0).at_rank(0, FaultSpec::new(2, RankFault::Crash).recurring()),
-            )
+            .with_fault_plan(FaultPlan::new(0).at_rank(0, crash(2)).at_rank(0, crash(3)))
             .with_watchdog(Watchdog::fast()),
     );
     let err = run_supervised(
@@ -339,13 +270,23 @@ fn no_degrade_policy_surfaces_fault_after_retries() {
         &val,
         &config,
         &SnapshotPolicy::new(&dir, 2),
-        &RecoveryPolicy::immediate(1).no_degrade(),
-        &Tracer::disabled(),
+        &RecoveryPolicy::immediate(1),
+        &tracer,
     )
-    .expect_err("must fail without a degradation path");
+    .expect_err("a crash on every attempt spends a one-restart budget");
     match err {
-        RunError::Fault(PipelineFault::StagePanicked { stage: 0, .. }) => {}
-        other => panic!("expected the recurring stage-0 panic, got {other}"),
+        RunError::Fault(PipelineFault::StagePanicked { stage: 0, message }) => {
+            assert!(
+                message.contains("at update 3"),
+                "the second crash: {message}"
+            )
+        }
+        other => panic!("expected the stage-0 panic, got {other}"),
     }
+    let trace = tracer.finish();
+    let log = trace.lane(PID_WALL, "supervisor").expect("supervisor lane");
+    let phases: Vec<TracePhase> = log.instants.iter().map(|i| i.phase).collect();
+    let want = [TracePhase::Fault, TracePhase::Restart, TracePhase::Fault];
+    assert_eq!(phases, want, "{:?}", log.instants);
     let _ = std::fs::remove_dir_all(&dir);
 }

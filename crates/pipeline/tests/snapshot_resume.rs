@@ -244,6 +244,51 @@ fn resume_rejects_mismatched_engines() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A snapshot resumes only under the engine whose run wrote it. The
+/// sequential engine of a threaded run's configuration reads the same
+/// engine-state layout, but the run section names the threaded engine, so
+/// the resume is refused before anything is restored: the engine still
+/// holds the weights it was built with.
+#[test]
+fn another_engines_snapshot_is_refused_before_it_is_restored() {
+    let data = blobs(3, 24, 0.4, 44);
+    let (train, val) = data.split(0.25);
+    let config = RunConfig::new(1, 31);
+    let dir = tmpdir("foreign");
+    let policy = SnapshotPolicy::new(&dir, 2);
+    let mut threaded = EngineSpec::Threaded(ThreadedConfig::pb(schedule())).build(fresh_net(95));
+    run_training_with_snapshots(threaded.as_mut(), &train, &val, &config, &policy)
+        .expect("snapshotting run");
+    let snap = SnapshotFamily::engine(&dir)
+        .latest_valid()
+        .expect("list")
+        .expect("snapshot");
+
+    let mut sequential =
+        EngineSpec::Scheduled(ScheduledConfig::pb(schedule())).build(fresh_net(95));
+    let err = resume_training(sequential.as_mut(), &train, &val, &config, None, &snap)
+        .expect_err("a threaded run's snapshot resumes only under the threaded engine");
+    assert!(
+        matches!(
+            err,
+            pbp_pipeline::RunError::Snapshot(pbp_snapshot::SnapshotError::Mismatch(_))
+        ),
+        "typed mismatch, got {err:?}"
+    );
+    let bits = |net: &mut Network| -> Vec<u32> {
+        (0..net.num_stages())
+            .flat_map(|s| net.stage(s).params())
+            .flat_map(|p| p.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            .collect()
+    };
+    assert_eq!(
+        bits(sequential.network_mut()),
+        bits(&mut fresh_net(95)),
+        "a refused snapshot restored weights"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The simulator's rows share one engine tag, so its own state section
 /// says which row wrote it: restoring into a row with another `D_max`,
 /// update rule or consistency is a typed mismatch, never a panic or a

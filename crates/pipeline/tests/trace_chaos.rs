@@ -1,18 +1,18 @@
 //! Chaos-trace satellite: a `FaultPlan` run under the supervisor must
-//! leave a coherent trace — the stage panic, supervisor backoff, restart
-//! and degradation switchover all appear as instant events in causal
-//! order, the post-restart stage lanes resume at exactly the sample
-//! cursor named by the restart's snapshot, and a degraded run's tail stays
-//! on the timeline. The tracer reaches the run through `run_supervised`
-//! alone, which installs it on every engine it builds.
+//! leave a coherent trace — the stage panic, supervisor backoff and
+//! restart all appear as instant events in causal order, the post-restart
+//! stage lanes resume at exactly the sample cursor named by the restart's
+//! snapshot, and a run whose restart budget is spent ends at its last
+//! fault. The tracer reaches the run through `run_supervised` alone, which
+//! installs it on every engine it builds.
 
 use pbp_data::blobs;
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
 use pbp_optim::{scale_hyperparams, Hyperparams, LrSchedule};
 use pbp_pipeline::{
-    run_supervised, EngineSpec, FaultPlan, FaultSpec, RankFault, RecoveryPolicy, RunConfig,
-    SnapshotPolicy, ThreadedConfig, Watchdog,
+    run_supervised, EngineSpec, FaultPlan, FaultSpec, PipelineFault, RankFault, RecoveryPolicy,
+    RunConfig, RunError, SnapshotPolicy, ThreadedConfig, Watchdog,
 };
 use pbp_trace::{TraceLane, TracePhase, Tracer, PID_WALL};
 use rand::rngs::StdRng;
@@ -78,7 +78,6 @@ fn trace_orders_fault_backoff_restart_and_resumes_at_cursor() {
         &RecoveryPolicy {
             max_restarts: 3,
             backoff: Duration::from_millis(1),
-            degrade: true,
         },
         &tracer,
     )
@@ -144,25 +143,23 @@ fn trace_orders_fault_backoff_restart_and_resumes_at_cursor() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A recurring fault exhausts the single retry and degrades: the
-/// supervisor lane records exactly fault → backoff → restart → fault →
-/// degraded, in that order, and the fallback engine keeps recording into
-/// the stage lanes to the run's last sample.
+/// A run that crashes on both of its attempts spends its one restart:
+/// the supervisor lane records exactly fault → backoff → restart → fault
+/// and nothing after it, and the last fault is the run's error.
 #[test]
-fn recurring_fault_trace_ends_in_degradation_switchover() {
+fn spent_budget_trace_ends_at_the_last_fault() {
     let data = blobs(3, 8, 0.4, 11);
     let (train, val) = data.split(0.25);
     let config = RunConfig::new(2, 23);
-    let dir = tmpdir("degrade");
+    let dir = tmpdir("spent");
     let tracer = Tracer::new();
+    let crash = |at| FaultSpec::new(at, RankFault::Crash);
     let spec = EngineSpec::Threaded(
         ThreadedConfig::fill_drain(schedule())
-            .with_fault_plan(
-                FaultPlan::new(0).at_rank(1, FaultSpec::new(5, RankFault::Crash).recurring()),
-            )
+            .with_fault_plan(FaultPlan::new(0).at_rank(1, crash(5)).at_rank(1, crash(6)))
             .with_watchdog(Watchdog::fast()),
     );
-    let outcome = run_supervised(
+    let err = run_supervised(
         &spec,
         &mut || fresh_net(13),
         &train,
@@ -172,12 +169,17 @@ fn recurring_fault_trace_ends_in_degradation_switchover() {
         &RecoveryPolicy {
             max_restarts: 1,
             backoff: Duration::from_millis(1),
-            degrade: true,
         },
         &tracer,
     )
-    .expect("degraded run completes");
-    assert!(outcome.degraded, "run must have degraded");
+    .expect_err("a crash on every attempt spends a one-restart budget");
+    assert!(
+        matches!(
+            err,
+            RunError::Fault(PipelineFault::StagePanicked { stage: 1, .. })
+        ),
+        "{err}"
+    );
     let trace = tracer.finish();
 
     let sup = trace
@@ -191,32 +193,17 @@ fn recurring_fault_trace_ends_in_degradation_switchover() {
             TracePhase::Backoff,
             TracePhase::Restart,
             TracePhase::Fault,
-            TracePhase::Degraded,
         ],
         "supervision instants: {:?}",
         sup.instants
     );
-    let degraded = sup.instants.last().unwrap();
-    assert!(
-        degraded
-            .detail
-            .as_deref()
-            .is_some_and(|d| d.contains("Fill&Drain SGDM")),
-        "switchover names the fallback engine: {:?}",
-        degraded.detail
-    );
-
-    // The sequential fallback traces too: stage-0 forwards continue past
-    // the switchover, up to the last sample of the last epoch.
+    // Nothing runs after the last fault: no stage span starts past it.
+    let last_fault = sup.instants.last().unwrap().t_ns;
     let stage0 = trace.lane(PID_WALL, "stage-0").expect("stage-0 lane");
-    let tail = stage0
-        .spans
-        .iter()
-        .filter(|s| s.phase == TracePhase::Forward && s.start_ns >= degraded.t_ns)
-        .max_by_key(|s| s.start_ns)
-        .expect("the degraded engine records forward spans");
-    let last_sample = (config.epochs * train.len() - 1) as u64;
-    assert_eq!(tail.microbatch, Some(last_sample), "{tail:?}");
+    assert!(
+        stage0.spans.iter().all(|s| s.start_ns <= last_fault),
+        "a stage ran after the budget was spent"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

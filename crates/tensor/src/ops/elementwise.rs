@@ -42,19 +42,6 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Elementwise in-place difference.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::TensorError::ShapeMismatch`] if shapes differ.
-    pub fn sub_assign(&mut self, other: &Tensor) -> Result<()> {
-        self.check_same_shape(other, "sub_assign")?;
-        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a -= b;
-        }
-        Ok(())
-    }
-
     /// Elementwise (Hadamard) product, producing a new tensor.
     ///
     /// # Errors

@@ -63,8 +63,6 @@ pub enum TracePhase {
     Backoff,
     /// A rank-to-rank link tore down and re-established with replay.
     Reconnect,
-    /// Switchover to the degraded (sequential) engine.
-    Degraded,
     /// The cut of stages into workers a streaming call ran under, on each
     /// worker's first stage lane.
     Partition,
@@ -84,7 +82,6 @@ impl TracePhase {
             TracePhase::Restart => "restart",
             TracePhase::Backoff => "backoff",
             TracePhase::Reconnect => "reconnect",
-            TracePhase::Degraded => "degraded",
             TracePhase::Partition => "partition",
         }
     }

@@ -104,18 +104,23 @@ if [[ -n $stray ]]; then
   exit 1
 fi
 
-echo "== one restart arc for a stage group (grep lint) =="
+echo "== one restart arc for a stage group and a threaded run (grep lint) =="
 # Every rank fault ends the same way (DESIGN §14): pbp-launch kills the
 # whole group and respawns it from the newest snapshot counter every rank
 # holds. The surviving-rank rewind with its barrier token and rewind
 # generations, and rank identity read from the environment, stay retired:
 # a rank is the --rank flag its parent appends. Bare "fine-grained" is the
-# paper's vocabulary and is not linted. Needles are split so this file
-# does not contain them.
+# paper's vocabulary and is not linted. A supervised threaded run recovers
+# the same way (DESIGN §9): retry from the newest valid snapshot under one
+# RecoveryPolicy, then return the last fault. The fallback to the
+# sequential engine (its spec mapping, its opt-out, its event and trace
+# phase) and the recurring fault that only existed to force it stay
+# retired. Needles are split so this file does not contain them.
 stray=$(git grep -lE -e '--fine''-grained|--gene''ration|Stale''Generation|begin''_generation|rewind''_token|rewind''_or_fail|env''_rank|env''_world|PBP''_RANK|PBP''_WORLD' \
+  -e 'degraded''_spec|no''_degrade|Degra''ded|\.recur''ring\(' \
   -- . ':(exclude,glob)*.md' || true)
 if [[ -n $stray ]]; then
-  echo "a retired restart arc or rank-identity variable is named again:" >&2
+  echo "a retired restart arc, recurring fault or rank-identity variable is named again:" >&2
   echo "$stray" >&2
   exit 1
 fi
