@@ -22,8 +22,8 @@
 use pbp_data::{spirals, Dataset};
 use pbp_dist::{
     env_net_faults, launch, load_rank_snapshot, run_rank, splice_owned_stages, DistError,
-    LaunchSpec, LinkEndpoint, RankOutcome, RankRecovery, RankSpec, ReconnectPolicy, Topology,
-    Transport,
+    LaunchFault, LaunchSpec, LinkEndpoint, RankOutcome, RankRecovery, RankSpec, ReconnectPolicy,
+    Topology, Transport,
 };
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
@@ -242,7 +242,7 @@ fn kill_scenario(base: &Baseline) {
     for event in &report.events {
         eprintln!("  [kill] supervisor: {event}");
     }
-    let respawned_group = |e: &SupervisionEvent<String>| {
+    let respawned_group = |e: &SupervisionEvent<LaunchFault>| {
         matches!(e, SupervisionEvent::Restart { from_snapshot: Some(from), .. }
             if from.ends_with("(all ranks)"))
     };

@@ -286,22 +286,30 @@ pub fn write_frame(out: &mut impl Write, frame: &Frame) -> Result<(), DistError>
     Ok(())
 }
 
-/// Reads one frame from a byte stream, verifying length bound and CRC.
-/// EOF at a frame boundary (or mid-frame) is [`DistError::PeerClosed`].
-pub fn read_frame(input: &mut impl Read) -> Result<Frame, DistError> {
-    let mut len_bytes = [0u8; 4];
-    read_exact_or_closed(input, &mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes);
+/// The whole wire length — prefix, body and CRC — of the frame whose
+/// length prefix is `prefix`, refusing a body longer than
+/// [`MAX_FRAME_BYTES`] before anything is allocated or read for it.
+pub fn wire_len(prefix: [u8; 4]) -> Result<usize, DistError> {
+    let len = u32::from_le_bytes(prefix);
     if len > MAX_FRAME_BYTES {
         return Err(DistError::Corrupt(format!(
             "frame length {len} exceeds {MAX_FRAME_BYTES}"
         )));
     }
+    Ok(len as usize + 8)
+}
+
+/// Reads one frame from a byte stream, verifying length bound and CRC.
+/// EOF at a frame boundary (or mid-frame) is [`DistError::PeerClosed`].
+pub fn read_frame(input: &mut impl Read) -> Result<Frame, DistError> {
+    let mut len_bytes = [0u8; 4];
+    read_exact_or_closed(input, &mut len_bytes)?;
+    let len = wire_len(len_bytes)? - 8;
     // Read body and CRC in one `read_exact`, without trusting `len` for
     // pre-allocation beyond the bound checked above.
-    let mut rest = vec![0u8; len as usize + 4];
+    let mut rest = vec![0u8; len + 4];
     read_exact_or_closed(input, &mut rest)?;
-    let (body, crc_bytes) = rest.split_at(len as usize);
+    let (body, crc_bytes) = rest.split_at(len);
     if crc32(body).to_le_bytes() != crc_bytes {
         return Err(DistError::ChecksumMismatch);
     }
@@ -317,7 +325,9 @@ fn read_exact_or_closed(input: &mut impl Read, buf: &mut [u8]) -> Result<(), Dis
     })
 }
 
-fn map_send_err(e: std::io::Error) -> DistError {
+/// The typed fault of a failed socket read or write: a reset, broken or
+/// ended stream is [`DistError::PeerClosed`].
+pub(crate) fn map_send_err(e: std::io::Error) -> DistError {
     match e.kind() {
         std::io::ErrorKind::ConnectionReset
         | std::io::ErrorKind::BrokenPipe

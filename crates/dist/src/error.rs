@@ -1,5 +1,6 @@
 //! Typed errors for the distributed pipeline layer.
 
+use crate::launch::LaunchFault;
 use pbp_snapshot::SnapshotError;
 use std::time::Duration;
 
@@ -29,8 +30,11 @@ pub enum DistError {
     Handshake(String),
     /// A snapshot operation failed while saving or restoring rank state.
     Snapshot(SnapshotError),
-    /// A launched rank process failed (exit status, or died to a signal).
+    /// A rank process could not be spawned.
     Rank { rank: usize, detail: String },
+    /// A launched stage group spent its restart budget; the fault is the
+    /// last attempt's.
+    Launch(LaunchFault),
     /// The topology or launch specification is unusable.
     Spec(String),
 }
@@ -48,6 +52,7 @@ impl std::fmt::Display for DistError {
             DistError::Handshake(msg) => write!(f, "handshake failed: {msg}"),
             DistError::Snapshot(e) => write!(f, "snapshot error: {e}"),
             DistError::Rank { rank, detail } => write!(f, "rank {rank} failed: {detail}"),
+            DistError::Launch(fault) => write!(f, "restart budget exhausted after: {fault}"),
             DistError::Spec(msg) => write!(f, "invalid spec: {msg}"),
         }
     }

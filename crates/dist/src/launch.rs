@@ -31,7 +31,36 @@ use crate::error::DistError;
 use pbp_pipeline::{supervise_retries, RecoveryPolicy, SupervisionEvent};
 use pbp_snapshot::SnapshotFamily;
 use std::path::{Path, PathBuf};
+use std::process::ExitStatus;
 use std::time::{Duration, Instant};
+
+/// Why one attempt of a launched stage group failed: the first fault the
+/// parent observed, which is what it restarts the group for and, once the
+/// restart budget is spent, what [`launch`] returns
+/// ([`DistError::Launch`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LaunchFault {
+    /// Rank `rank` exited unsuccessfully: a nonzero code, or a signal.
+    Exited { rank: usize, status: ExitStatus },
+    /// Rank `rank`'s exit status could not be read.
+    Unwaitable { rank: usize, detail: String },
+    /// The attempt ran past [`LaunchSpec::attempt_timeout`].
+    Deadline(Duration),
+}
+
+impl std::fmt::Display for LaunchFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LaunchFault::Exited { rank, status } => write!(f, "rank {rank} exited with {status}"),
+            LaunchFault::Unwaitable { rank, detail } => {
+                write!(f, "rank {rank} unwaitable: {detail}")
+            }
+            LaunchFault::Deadline(limit) => {
+                write!(f, "attempt exceeded {} ms", limit.as_millis())
+            }
+        }
+    }
+}
 
 /// How the parent launches and supervises one stage group.
 #[derive(Debug, Clone)]
@@ -56,9 +85,9 @@ pub struct LaunchSpec {
 pub struct LaunchReport {
     /// Spawn rounds (1 = no restart was needed).
     pub attempts: usize,
-    /// The fault/backoff/restart log, in order; a fault reads
+    /// The fault/backoff/restart log, in order; a fault displays as
     /// `rank 1 exited with signal: 6` or `attempt exceeded 120000 ms`.
-    pub events: Vec<SupervisionEvent<String>>,
+    pub events: Vec<SupervisionEvent<LaunchFault>>,
     /// The resume counter each attempt started from.
     pub resume_points: Vec<usize>,
 }
@@ -126,26 +155,28 @@ impl Drop for Group {
 }
 
 /// Polls the children until all have exited cleanly (`None`) or a fault
-/// is observed, returned as its description: the first rank found dead
-/// or unwaitable, or `timeout` passing. Exited children are reaped as
-/// they are polled.
-fn poll(children: &mut [std::process::Child], timeout: Option<Duration>) -> Option<String> {
+/// is observed: the first rank found dead or unwaitable, or `timeout`
+/// passing. Exited children are reaped as they are polled.
+fn poll(children: &mut [std::process::Child], timeout: Option<Duration>) -> Option<LaunchFault> {
     let started = Instant::now();
     loop {
         let mut running = false;
         for (rank, child) in children.iter_mut().enumerate() {
             match child.try_wait() {
                 Ok(Some(status)) if status.success() => {}
-                Ok(Some(status)) => return Some(format!("rank {rank} exited with {status}")),
+                Ok(Some(status)) => return Some(LaunchFault::Exited { rank, status }),
                 Ok(None) => running = true,
-                Err(e) => return Some(format!("rank {rank} unwaitable: {e}")),
+                Err(e) => {
+                    let detail = e.to_string();
+                    return Some(LaunchFault::Unwaitable { rank, detail });
+                }
             }
         }
         if !running {
             return None;
         }
         if let Some(t) = timeout.filter(|&t| started.elapsed() > t) {
-            return Some(format!("attempt exceeded {} ms", t.as_millis()));
+            return Some(LaunchFault::Deadline(t));
         }
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -155,6 +186,12 @@ fn poll(children: &mut [std::process::Child], timeout: Option<Duration>) -> Opti
 /// failure kills the whole group and respawns it from the newest common
 /// snapshot, under one [`supervise_retries`] loop. No child outlives the
 /// call.
+///
+/// # Errors
+///
+/// [`DistError::Launch`] with the last attempt's fault once the restart
+/// budget is spent; [`DistError::Rank`] if a rank cannot be spawned;
+/// [`DistError::Spec`] for an empty world.
 pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, DistError> {
     if spec.world == 0 {
         return Err(DistError::Spec("world size must be at least 1".into()));
@@ -188,10 +225,7 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, DistError> {
             events,
             resume_points,
         }),
-        Err(fault) => Err(DistError::Rank {
-            rank: spec.world, // group-level failure
-            detail: format!("restart budget exhausted after: {fault}"),
-        }),
+        Err(fault) => Err(DistError::Launch(fault)),
     }
 }
 
@@ -275,7 +309,14 @@ mod tests {
             attempt_timeout: Some(Duration::from_secs(30)),
         };
         let err = launch(&spec).expect_err("rank 1 always fails");
-        assert!(matches!(err, DistError::Rank { rank: 2, .. }), "{err}");
+        let DistError::Launch(LaunchFault::Exited { rank: 1, status }) = &err else {
+            panic!("the spent budget returns rank 1's exit: {err}");
+        };
+        assert_eq!(status.code(), Some(1), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "restart budget exhausted after: rank 1 exited with exit status: 1"
+        );
         for rank in 0..2 {
             let pid = std::fs::read_to_string(dir.join(format!("pid.{rank}"))).unwrap();
             let proc_dir = Path::new("/proc").join(pid.trim());

@@ -49,7 +49,7 @@ pub mod transport;
 pub use codec::{Frame, MAX_FRAME_BYTES};
 pub use env::env_net_faults;
 pub use error::DistError;
-pub use launch::{launch, LaunchReport, LaunchSpec};
+pub use launch::{launch, LaunchFault, LaunchReport, LaunchSpec};
 pub use reliable::{LinkEndpoint, LinkIdentity, LinkOptions, ReconnectPolicy, ReliableConn};
 pub use runner::{
     load_rank_snapshot, run_rank, splice_owned_stages, RankOutcome, RankRecovery, RankSpec,

@@ -24,7 +24,7 @@
 //! injected into the *wire bytes*, so they surface through the exact
 //! codec error paths a hostile network would hit.
 
-use crate::codec::{decode_frame, encode_frame, read_frame, write_frame, Frame};
+use crate::codec::{decode_frame, encode_frame, map_send_err, wire_len, write_frame, Frame};
 use crate::error::DistError;
 use crate::reliable::LinkIdentity;
 use pbp_pipeline::LinkFault;
@@ -81,16 +81,32 @@ impl SocketStream for TcpStream {
     }
 }
 
+/// The least a [`StreamConn`] asks one `read` for: a few of the ledger's
+/// conv activations, so a frame, and often the next one behind it, takes
+/// one call.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Framed connection over a socket stream.
 ///
+/// Reads go through one per-link buffer: each `read` asks for as much as
+/// the buffer holds, so a frame costs one call however it is laid out —
+/// its length, body and CRC together, and any frame that arrived behind
+/// it kept for the next receive. The frame's length is checked against
+/// the bound before the buffer grows for it; a stream that ends mid-frame
+/// is [`DistError::PeerClosed`].
+///
 /// The stall window is enforced with the socket's read timeout. A
-/// timeout that fires mid-frame leaves the stream desynchronized —
-/// acceptable because both stall and desync are terminal for the link:
-/// the typed fault reaches the launcher, which restarts the stage group
-/// from the newest common snapshot.
+/// timeout that fires mid-frame ([`DistError::PeerStalled`]) leaves the
+/// link desynchronized — acceptable because both stall and desync are
+/// terminal for the link: the typed fault reaches the launcher, which
+/// restarts the stage group from the newest common snapshot.
 pub struct StreamConn<S: SocketStream> {
     stream: S,
     timeout: Option<Duration>,
+    /// Bytes read and not yet decoded: `inbox[head..filled]`.
+    inbox: Vec<u8>,
+    head: usize,
+    filled: usize,
 }
 
 impl<S: SocketStream> StreamConn<S> {
@@ -99,6 +115,9 @@ impl<S: SocketStream> StreamConn<S> {
         StreamConn {
             stream,
             timeout: None,
+            inbox: Vec::new(),
+            head: 0,
+            filled: 0,
         }
     }
 
@@ -109,6 +128,34 @@ impl<S: SocketStream> StreamConn<S> {
         }
         Ok(())
     }
+
+    /// Moves the undecoded bytes to the front of the buffer and grows it
+    /// to hold `need` of them and at least [`READ_CHUNK`], then reads once
+    /// into what is free.
+    fn read_more(&mut self, need: usize, stall: Duration) -> Result<(), DistError> {
+        self.inbox.copy_within(self.head..self.filled, 0);
+        (self.filled, self.head) = (self.filled - self.head, 0);
+        let size = need.max(READ_CHUNK);
+        if self.inbox.len() < size {
+            self.inbox.resize(size, 0);
+        }
+        loop {
+            match self.stream.read(&mut self.inbox[self.filled..]) {
+                Ok(0) => return Err(DistError::PeerClosed),
+                Ok(n) => {
+                    self.filled += n;
+                    return Ok(());
+                }
+                Err(e) => match e.kind() {
+                    std::io::ErrorKind::Interrupted => continue,
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+                        return Err(DistError::PeerStalled(stall))
+                    }
+                    _ => return Err(map_send_err(e)),
+                },
+            }
+        }
+    }
 }
 
 impl<S: SocketStream> Connection for StreamConn<S> {
@@ -118,16 +165,18 @@ impl<S: SocketStream> Connection for StreamConn<S> {
 
     fn recv_raw(&mut self, stall: Duration) -> Result<Frame, DistError> {
         self.ensure_timeout(stall)?;
-        match read_frame(&mut self.stream) {
-            Err(DistError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                Err(DistError::PeerStalled(stall))
+        loop {
+            let ready = &self.inbox[self.head..self.filled];
+            let need = match ready.first_chunk::<4>() {
+                Some(&prefix) => wire_len(prefix)?,
+                None => 4,
+            };
+            if ready.len() >= need {
+                let frame = decode_frame(&ready[..need]);
+                self.head += need;
+                return frame;
             }
-            other => other,
+            self.read_more(need, stall)?;
         }
     }
 }
@@ -583,6 +632,118 @@ mod tests {
             world,
             digest,
         }
+    }
+
+    /// A Unix stream that counts the `read` calls made on it.
+    struct CountedReads(UnixStream, std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Read for CountedReads {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.read(buf)
+        }
+    }
+
+    impl Write for CountedReads {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.0.flush()
+        }
+    }
+
+    impl SocketStream for CountedReads {
+        fn set_recv_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+            self.0.set_read_timeout(timeout)
+        }
+    }
+
+    /// A receiving link over one end of a socket pair, the raw other end,
+    /// and the receiver's read count.
+    fn counted_link() -> (
+        StreamConn<CountedReads>,
+        UnixStream,
+        std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    ) {
+        let (a, b) = UnixStream::pair().unwrap();
+        let reads = std::sync::Arc::default();
+        (
+            StreamConn::new(CountedReads(a, std::sync::Arc::clone(&reads))),
+            b,
+            reads,
+        )
+    }
+
+    fn activation(seq: u64) -> Frame {
+        let values: Vec<f32> = (0..300).map(|i| i as f32 * 0.5 - seq as f32).collect();
+        Frame::Activation {
+            seq,
+            microbatch: seq,
+            weight_version: 1,
+            label: 3,
+            lanes: vec![pbp_tensor::Tensor::from_vec(values, &[1, 300]).unwrap()],
+        }
+    }
+
+    #[test]
+    fn a_frame_written_a_byte_at_a_time_decodes() {
+        let (mut conn, mut raw, _) = counted_link();
+        let wire = encode_frame(&activation(5));
+        let writer = std::thread::spawn(move || {
+            for byte in wire {
+                raw.write_all(&[byte]).unwrap();
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            raw
+        });
+        assert_eq!(conn.recv_raw(STALL).unwrap(), activation(5));
+        drop(writer.join().unwrap());
+        assert!(matches!(conn.recv_raw(STALL), Err(DistError::PeerClosed)));
+    }
+
+    #[test]
+    fn two_frames_in_one_write_take_one_read() {
+        let (mut conn, mut raw, reads) = counted_link();
+        let mut wire = encode_frame(&activation(1));
+        wire.extend(encode_frame(&beat(1, 2)));
+        raw.write_all(&wire).unwrap();
+        assert_eq!(conn.recv_raw(STALL).unwrap(), activation(1));
+        assert_eq!(conn.recv_raw(STALL).unwrap(), beat(1, 2));
+        let reads = reads.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(reads, 1, "both frames came from one read");
+    }
+
+    #[test]
+    fn buffered_reads_keep_every_typed_fault() {
+        // An oversized length is refused from its prefix alone.
+        let (mut conn, mut raw, _) = counted_link();
+        raw.write_all(&(crate::codec::MAX_FRAME_BYTES + 1).to_le_bytes())
+            .unwrap();
+        assert!(matches!(conn.recv_raw(STALL), Err(DistError::Corrupt(_))));
+        // A stream that ends mid-frame is a closed peer.
+        let (mut conn, mut raw, _) = counted_link();
+        let wire = encode_frame(&activation(2));
+        raw.write_all(&wire[..wire.len() / 2]).unwrap();
+        drop(raw);
+        assert!(matches!(conn.recv_raw(STALL), Err(DistError::PeerClosed)));
+        // A peer that goes silent mid-frame is a stalled one.
+        let (mut conn, mut raw, _) = counted_link();
+        raw.write_all(&wire[..wire.len() - 3]).unwrap();
+        let window = Duration::from_millis(30);
+        assert!(matches!(
+            conn.recv_raw(window),
+            Err(DistError::PeerStalled(w)) if w == window
+        ));
+        // Damage inside a buffered frame is still a checksum mismatch.
+        let (mut conn, mut raw, _) = counted_link();
+        let mut wire = encode_frame(&activation(3));
+        wire[10] ^= 0x10;
+        raw.write_all(&wire).unwrap();
+        assert!(matches!(
+            conn.recv_raw(STALL),
+            Err(DistError::ChecksumMismatch)
+        ));
     }
 
     #[test]

@@ -97,6 +97,18 @@ pub trait Layer: Send + Any {
         self.backward_input(grad_stack);
     }
 
+    /// [`Layer::backward_input`] for a layer whose input gradient has no
+    /// reader — the network's first, under a pipeline engine: pops the
+    /// output gradients and defers the parameter gradients exactly as
+    /// `backward_input` does (one [`Layer::backward_weight`] retires them),
+    /// but pushes nothing for its one input. Default: `backward_input`,
+    /// then drop the gradient it pushed; a layer whose input gradient
+    /// costs something overrides it and never computes that gradient.
+    fn backward_input_unread(&mut self, grad_stack: &mut LaneStack) {
+        self.backward_input(grad_stack);
+        grad_stack.pop();
+    }
+
     /// Retires the oldest pending weight-gradient unit deferred by
     /// [`Layer::backward_input`], accumulating into the parameter-gradient
     /// buffers. The gradients it produces depend only on values stashed at

@@ -42,16 +42,18 @@ impl Layer for Relu {
             stack.push(x);
             return;
         }
+        // The output is the popped tensor rectified in place, `x · mask`.
         let mask = x.map(relu_mask);
-        let y = x.mul(&mask).expect("same shape");
+        x.mul_assign(&mask).expect("same shape");
         self.stash.push_back(mask);
-        stack.push(y);
+        stack.push(x);
     }
 
     fn backward(&mut self, grad_stack: &mut LaneStack) {
-        let g = grad_stack.pop().expect("relu: empty grad stack");
+        let mut g = grad_stack.pop().expect("relu: empty grad stack");
         let mask = self.stash.pop_front().expect("relu: no stashed mask");
-        grad_stack.push(g.mul(&mask).expect("same shape"));
+        g.mul_assign(&mask).expect("same shape");
+        grad_stack.push(g);
     }
 
     fn set_training(&mut self, training: bool) {

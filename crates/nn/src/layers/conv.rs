@@ -2,7 +2,8 @@
 
 use crate::layer::{LaneStack, Layer, Stash};
 use pbp_tensor::ops::{
-    conv2d_direct, conv2d_direct_backward_input, conv2d_direct_backward_weight, Conv2dSpec,
+    conv2d_direct, conv2d_direct_backward_input, conv2d_direct_backward_weight_staged,
+    conv2d_direct_staging, Conv2dSpec, StagedImages,
 };
 use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
@@ -16,14 +17,16 @@ pub struct Conv2d {
     bias: Option<Tensor>,
     grad_weight: Tensor,
     grad_bias: Option<Tensor>,
-    /// Per-in-flight-sample stash: the input activation itself, moved in
-    /// off the lane stack — one activation per sample, the unit the
-    /// paper's Appendix A memory model counts. Both modes run the direct
-    /// kernels; in eval mode no backward will come and nothing is kept.
-    stash: Stash<Tensor>,
+    /// Per-in-flight-sample stash: the input activation as the forward
+    /// staged it for the kernel (zero-padded, phase-split) — one
+    /// activation per sample, the unit the paper's Appendix A memory model
+    /// counts — which the weight half reads without staging it again.
+    /// Both modes run the direct kernels; in eval mode the forward stages
+    /// in scratch, no backward will come and nothing is kept.
+    stash: Stash<StagedImages>,
     /// `(g, x)` pairs deferred by [`Layer::backward_input`], retired in
     /// FIFO order by [`Layer::backward_weight`] (2BP split backward).
-    wgrad_pending: VecDeque<(Tensor, Tensor)>,
+    wgrad_pending: VecDeque<(Tensor, StagedImages)>,
     /// Input spatial size, as the builder declared it
     /// ([`Conv2d::with_input_size`]) or the most recent forward pass saw
     /// it; lets [`Layer::flops_per_sample`] report the spatially-resolved
@@ -75,18 +78,19 @@ impl Conv2d {
 
     /// Input gradient of `g` under the current weights; of the stashed
     /// input only the spatial size is read.
-    fn input_grad(&self, g: &Tensor, x: &Tensor) -> Tensor {
-        let hw = (x.shape()[2], x.shape()[3]);
-        conv2d_direct_backward_input(g, &self.weight, hw, &self.spec).expect("conv2d shapes")
+    fn input_grad(&self, g: &Tensor, x: &StagedImages) -> Tensor {
+        let [_, _, h, w] = x.input_shape();
+        conv2d_direct_backward_input(g, &self.weight, (h, w), &self.spec).expect("conv2d shapes")
     }
 
-    /// Accumulates the weight gradient of `(g, x)` and the bias gradient —
-    /// the weight half shared by the fused backward and
-    /// [`Layer::backward_weight`]. Reads no current weights, so running it
-    /// at the update boundary instead of backward time is exact.
-    fn accumulate_weight_grads(&mut self, g: &Tensor, x: &Tensor) {
-        let gw = conv2d_direct_backward_weight(g, x, &self.spec).expect("conv2d grad shapes");
-        pbp_tensor::ops::axpy(1.0, &gw, &mut self.grad_weight);
+    /// Adds the weight gradient of `(g, x)` straight into the layer's, and
+    /// the bias gradient into its own — the weight half shared by the
+    /// fused backward and [`Layer::backward_weight`]. Reads no current
+    /// weights, so running it at the update boundary instead of backward
+    /// time is exact. Dropping `x` hands its buffer to the next forward.
+    fn accumulate_weight_grads(&mut self, g: &Tensor, x: StagedImages) {
+        conv2d_direct_backward_weight_staged(g, &x, &mut self.grad_weight)
+            .expect("conv2d grad shapes");
         if let Some(gb) = &mut self.grad_bias {
             let [n, oc, oh, ow] = [g.shape()[0], g.shape()[1], g.shape()[2], g.shape()[3]];
             let gs = g.as_slice();
@@ -120,8 +124,15 @@ impl Layer for Conv2d {
     fn forward(&mut self, stack: &mut LaneStack) {
         let x = stack.pop().expect("conv2d: empty stack");
         self.last_hw = Some((x.shape()[2], x.shape()[3]));
-        let mut y = conv2d_direct(&x, &self.weight, &self.spec).expect("conv2d shapes");
-        self.stash.push_back(x);
+        let mut y = match self.stash.training() {
+            true => {
+                let (y, staged) =
+                    conv2d_direct_staging(&x, &self.weight, &self.spec).expect("conv2d shapes");
+                self.stash.push_back(staged);
+                y
+            }
+            false => conv2d_direct(&x, &self.weight, &self.spec).expect("conv2d shapes"),
+        };
         if let Some(b) = &self.bias {
             let [n, oc, oh, ow] = [y.shape()[0], y.shape()[1], y.shape()[2], y.shape()[3]];
             let ys = y.as_mut_slice();
@@ -142,7 +153,7 @@ impl Layer for Conv2d {
         let g = grad_stack.pop().expect("conv2d: empty grad stack");
         let x = self.stash.pop_front().expect("conv2d: no stashed input");
         grad_stack.push(self.input_grad(&g, &x));
-        self.accumulate_weight_grads(&g, &x);
+        self.accumulate_weight_grads(&g, x);
     }
 
     fn backward_input(&mut self, grad_stack: &mut LaneStack) {
@@ -155,12 +166,20 @@ impl Layer for Conv2d {
         self.wgrad_pending.push_back((g, x));
     }
 
+    /// Defers the weight half as `backward_input` does, and runs no input
+    /// gradient: no conv kernel at all until `backward_weight`.
+    fn backward_input_unread(&mut self, grad_stack: &mut LaneStack) {
+        let g = grad_stack.pop().expect("conv2d: empty grad stack");
+        let x = self.stash.pop_front().expect("conv2d: no stashed input");
+        self.wgrad_pending.push_back((g, x));
+    }
+
     fn backward_weight(&mut self) {
         let (g, x) = self
             .wgrad_pending
             .pop_front()
             .expect("conv2d: no deferred weight-gradient work");
-        self.accumulate_weight_grads(&g, &x);
+        self.accumulate_weight_grads(&g, x);
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -325,6 +344,35 @@ mod tests {
             }
         }
         for (a, b) in fused.grads().iter().zip(split.grads()) {
+            for (x, y) in a.dense().as_slice().iter().zip(b.dense().as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
+            }
+        }
+    }
+
+    #[test]
+    fn an_unread_input_gradient_defers_the_same_weight_half() {
+        // The network's first layer under a pipeline engine: no input
+        // gradient is pushed, and the deferred weight half accumulates
+        // exactly what `backward_input` defers.
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut read = Conv2d::new(3, 4, 3, 2, 1, true, &mut rng);
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut unread = Conv2d::new(3, 4, 3, 2, 1, true, &mut rng);
+        let x = pbp_tensor::normal(&[1, 3, 7, 7], 0.0, 1.0, &mut rng);
+        for layer in [&mut read, &mut unread] {
+            layer.forward(&mut vec![x.clone()]);
+        }
+        let g = pbp_tensor::normal(&[1, 4, 4, 4], 0.0, 1.0, &mut rng);
+        let mut gs = vec![g.clone()];
+        read.backward_input(&mut gs);
+        assert_eq!(gs.len(), 1);
+        let mut gs = vec![g];
+        unread.backward_input_unread(&mut gs);
+        assert!(gs.is_empty(), "no input gradient pushed");
+        read.backward_weight();
+        unread.backward_weight();
+        for (a, b) in read.grads().iter().zip(unread.grads()) {
             for (x, y) in a.dense().as_slice().iter().zip(b.dense().as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
             }

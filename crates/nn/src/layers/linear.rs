@@ -208,6 +208,15 @@ impl Layer for Linear {
         self.backward_input_with(grad_stack, Some((first, step)));
     }
 
+    /// Defers `(g, x)` as `backward_input` does and computes no `δ·W`:
+    /// the weight is read once, by its update — the lent step's single
+    /// pass without the input-gradient side output.
+    fn backward_input_unread(&mut self, grad_stack: &mut LaneStack) {
+        let g = grad_stack.pop().expect("linear: empty grad stack");
+        let x = self.stash.pop_front().expect("linear: no stashed input");
+        self.wgrad_pending.push_back((g, x));
+    }
+
     fn backward_weight(&mut self) {
         let (g, x) = self
             .wgrad_pending
@@ -409,6 +418,31 @@ mod tests {
         }
         for (a, b) in fused.grads().iter().zip(split.grads()) {
             for (x, y) in a.dense().as_slice().iter().zip(b.dense().as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
+            }
+        }
+    }
+
+    #[test]
+    fn an_unread_input_gradient_defers_the_same_weight_half() {
+        let mut read = Linear::new(5, 3, true, &mut StdRng::seed_from_u64(13));
+        let mut unread = Linear::new(5, 3, true, &mut StdRng::seed_from_u64(13));
+        let (g, x) = contributions(1).remove(0);
+        for layer in [&mut read, &mut unread] {
+            layer.forward(&mut vec![x.clone()]);
+        }
+        let mut gs = vec![g.clone()];
+        read.backward_input(&mut gs);
+        assert_eq!(gs.len(), 1);
+        let mut gs = vec![g];
+        unread.backward_input_unread(&mut gs);
+        assert!(gs.is_empty(), "no input gradient pushed");
+        read.backward_weight();
+        unread.backward_weight();
+        assert!(matches!(unread.grads()[0], GradView::Outer { .. }));
+        for (a, b) in read.grads().iter().zip(unread.grads()) {
+            let (a, b) = (a.dense(), b.dense());
+            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
             }
         }

@@ -186,34 +186,34 @@ impl Layer for GroupNorm {
     }
 
     fn forward(&mut self, stack: &mut LaneStack) {
-        let x = stack.pop().expect("groupnorm: empty stack");
+        let mut x = stack.pop().expect("groupnorm: empty stack");
         if !self.stash.training() {
             stack.push(self.eval_forward::<false>(x));
             return;
         }
         let (group_len, hw) = self.geometry(&x);
-        let xs = x.as_slice();
-        let stats = group_stats(xs, group_len, self.eps);
-        let mut xh = Vec::with_capacity(xs.len());
-        let mut ys = Vec::with_capacity(xs.len());
-        let mut inv_stds = Vec::with_capacity(xs.len() / group_len);
-        for (j, group) in xs.chunks_exact(group_len).enumerate() {
+        let stats = group_stats(x.as_slice(), group_len, self.eps);
+        let mut xh = Vec::with_capacity(x.len());
+        let mut inv_stds = Vec::with_capacity(x.len() / group_len);
+        // `x̂` into the stash, `y` over the popped `x` in place.
+        for (j, group) in x.as_mut_slice().chunks_exact_mut(group_len).enumerate() {
             let (mean, inv_std) = stats(j);
             inv_stds.push(inv_std);
-            for (chan, (&gam, &bet)) in group.chunks_exact(hw).zip(self.affine(j)) {
+            for (chan, (&gam, &bet)) in group.chunks_exact_mut(hw).zip(self.affine(j)) {
                 let at = xh.len();
                 xh.extend(chan.iter().map(|&v| (v - mean) * inv_std));
-                ys.extend(xh[at..].iter().map(|&xn| gam * xn + bet));
+                for (v, &xn) in chan.iter_mut().zip(&xh[at..]) {
+                    *v = gam * xn + bet;
+                }
             }
         }
         let xhat = Tensor::from_vec(xh, x.shape()).expect("groupnorm: one value per input");
-        let y = Tensor::from_vec(ys, x.shape()).expect("groupnorm: one value per input");
         self.stash.push_back((xhat, inv_stds));
-        stack.push(y);
+        stack.push(x);
     }
 
     fn backward(&mut self, grad_stack: &mut LaneStack) {
-        let g = grad_stack.pop().expect("groupnorm: empty grad stack");
+        let mut g = grad_stack.pop().expect("groupnorm: empty grad stack");
         let (xhat, inv_stds) = self.stash.pop_front().expect("groupnorm: no stash");
         let [_, c, h, w] = [g.shape()[0], g.shape()[1], g.shape()[2], g.shape()[3]];
         let cg = c / self.groups;
@@ -228,7 +228,9 @@ impl Layer for GroupNorm {
         // parameter gradients, and weighted by gamma they give the two group
         // means above — so one pass over the data replaces three.
         let (sum_g, sum_gx) = channel_sums(gs, xh, hw);
-        let mut gxs = Vec::with_capacity(gs.len());
+        // The input gradient over the popped `g` in place, each element
+        // read once before it is rewritten.
+        let gs = g.as_mut_slice();
         let gg = self.grad_gamma.as_mut_slice();
         let gb = self.grad_beta.as_mut_slice();
         for (j, &inv_std) in inv_stds.iter().enumerate() {
@@ -249,16 +251,12 @@ impl Layer for GroupNorm {
             for ci in 0..cg {
                 let scale = inv_std * gam[first + ci];
                 let at = (j * cg + ci) * hw;
-                gxs.extend(
-                    gs[at..at + hw]
-                        .iter()
-                        .zip(&xh[at..at + hw])
-                        .map(|(&gv, &xv)| scale * gv - shift - coeff * xv),
-                );
+                for (gv, &xv) in gs[at..at + hw].iter_mut().zip(&xh[at..at + hw]) {
+                    *gv = scale * *gv - shift - coeff * xv;
+                }
             }
         }
-        let gx = Tensor::from_vec(gxs, g.shape()).expect("groupnorm: one value per gradient");
-        grad_stack.push(gx);
+        grad_stack.push(g);
     }
 
     fn params(&self) -> Vec<&Tensor> {

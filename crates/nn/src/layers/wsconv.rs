@@ -9,17 +9,19 @@
 
 use crate::layer::{LaneStack, Layer, Stash};
 use pbp_tensor::ops::{
-    conv2d_direct, conv2d_direct_backward_input, conv2d_direct_backward_weight, Conv2dSpec,
+    conv2d_direct, conv2d_direct_backward_input, conv2d_direct_backward_weight_staged,
+    conv2d_direct_staging, Conv2dSpec, StagedImages,
 };
 use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
 
-/// Per-sample stash: the input activation, and the standardized weight
-/// with its per-channel inverse stds as the forward pass computed them.
+/// Per-sample stash: the input activation as the forward staged it, and
+/// the standardized weight with its per-channel inverse stds as the
+/// forward pass computed them.
 /// Under pipelined backpropagation the raw weight has taken `D_s` updates
 /// by the time the gradient returns, so the standardization Jacobian must
 /// come from here and not from the layer's current weight.
-type WsStash = (Tensor, Tensor, Vec<f32>);
+type WsStash = (StagedImages, Tensor, Vec<f32>);
 
 /// 2-D convolution whose effective kernel is standardized per output
 /// channel: `ŵ_o = (w_o − μ_o) / (σ_o + ε)`.
@@ -113,19 +115,26 @@ impl Layer for WsConv2d {
         let x = stack.pop().expect("ws_conv: empty stack");
         self.last_hw = Some((x.shape()[2], x.shape()[3]));
         let (what, inv_stds) = self.standardized();
-        let y = conv2d_direct(&x, &what, &self.spec).expect("ws_conv shapes");
-        self.stash.push_back((x, what, inv_stds));
+        let y = match self.stash.training() {
+            true => {
+                let (y, staged) =
+                    conv2d_direct_staging(&x, &what, &self.spec).expect("ws_conv shapes");
+                self.stash.push_back((staged, what, inv_stds));
+                y
+            }
+            false => conv2d_direct(&x, &what, &self.spec).expect("ws_conv shapes"),
+        };
         stack.push(y);
     }
 
     fn backward(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("ws_conv: empty grad stack");
         let (x, what, inv_stds) = self.stash.pop_front().expect("ws_conv: no stash");
-        let hw = (x.shape()[2], x.shape()[3]);
-        let gx =
-            conv2d_direct_backward_input(&g, &what, hw, &self.spec).expect("ws_conv grad shapes");
-        let g_what =
-            conv2d_direct_backward_weight(&g, &x, &self.spec).expect("ws_conv grad shapes");
+        let [_, _, h, w] = x.input_shape();
+        let gx = conv2d_direct_backward_input(&g, &what, (h, w), &self.spec)
+            .expect("ws_conv grad shapes");
+        let mut g_what = Tensor::zeros(&self.spec.weight_shape());
+        conv2d_direct_backward_weight_staged(&g, &x, &mut g_what).expect("ws_conv grad shapes");
         // Back-propagate through ŵ = (w − μ)/(σ + ε), per output channel:
         // dw = inv·(dŵ − mean(dŵ) − ŵ·mean(dŵ ⊙ ŵ)·σ/(σ+ε)). For ε ≪ σ we
         // use the standard normalization backward (σ/(σ+ε) ≈ 1).

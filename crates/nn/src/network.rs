@@ -82,25 +82,48 @@ impl Stage {
     /// propagates gradients through every layer in reverse order while each
     /// layer defers its parameter-gradient work. Pair with exactly one
     /// [`Stage::backward_weight`] per call, in FIFO order.
-    pub fn backward_input(&mut self, grad_stack: &mut LaneStack) {
-        for layer in self.layers.iter_mut().rev() {
-            layer.backward_input(grad_stack);
-        }
+    ///
+    /// Without `input_grad` — the network's first stage under a pipeline
+    /// engine, whose input gradient nobody reads — the first layer runs
+    /// [`Layer::backward_input_unread`] and the stack is left without the
+    /// stage's input gradient.
+    pub fn backward_input(&mut self, grad_stack: &mut LaneStack, input_grad: bool) {
+        self.backward_input_with(grad_stack, None, input_grad);
     }
 
     /// [`Stage::backward_input`] for a microbatch that is its own update
     /// window, lending every layer `step` for the parameters it can update
     /// beside its input gradient ([`Layer::backward_input_stepping`]'s
-    /// contract holds for every layer of the stage).
+    /// contract holds for every layer of the stage). A first layer whose
+    /// input gradient is unread is lent nothing: its parameters are left
+    /// to the update, which reads each once all the same.
     pub fn backward_input_stepping(
         &mut self,
         grad_stack: &mut LaneStack,
         step: &mut dyn ParamStep,
+        input_grad: bool,
     ) {
-        let mut first = self.params().len();
-        for layer in self.layers.iter_mut().rev() {
-            first -= layer.params().len();
-            layer.backward_input_stepping(grad_stack, first, step);
+        self.backward_input_with(grad_stack, Some(step), input_grad);
+    }
+
+    fn backward_input_with(
+        &mut self,
+        grad_stack: &mut LaneStack,
+        mut step: Option<&mut dyn ParamStep>,
+        input_grad: bool,
+    ) {
+        // Stage parameter index of each layer's first parameter: counted
+        // down from the end only when there is a step to lend.
+        let mut first = step.as_ref().map_or(0, |_| self.params().len());
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            match &mut step {
+                _ if i == 0 && !input_grad => layer.backward_input_unread(grad_stack),
+                Some(step) => {
+                    first -= layer.params().len();
+                    layer.backward_input_stepping(grad_stack, first, *step);
+                }
+                None => layer.backward_input(grad_stack),
+            }
         }
     }
 
@@ -331,7 +354,7 @@ impl Network {
     pub fn backward_input(&mut self, grad_logits: &Tensor) -> Tensor {
         let mut stack: LaneStack = vec![grad_logits.clone()];
         for stage in self.stages.iter_mut().rev() {
-            stage.backward_input(&mut stack);
+            stage.backward_input(&mut stack, true);
         }
         assert_eq!(stack.len(), 1, "backward must end with a single lane");
         stack.pop().expect("non-empty stack")

@@ -40,6 +40,18 @@
 //! whose backward runs under other weights than the live ones — takes the
 //! split path: `backward_input`, then `backward_weight`, then one `update`.
 //!
+//! ## No input gradient for the network's first stage
+//!
+//! Stage 0's input gradient is the gradient of the sample itself: on every
+//! host rank 0 feeds itself and sends nothing upstream, so the cell of
+//! stage 0 asks the stage's first layer for its weight half only
+//! ([`Layer::backward_input_unread`](pbp_nn::Layer::backward_input_unread)):
+//! a convolution runs no input-gradient kernel, a `Linear` no `δ·W`, and
+//! the backward leaves the gradient stack empty. Every other stage passes
+//! its input gradient on. Nothing a later step reads changes, so the bits
+//! are those of a backward that computed the gradient and dropped it.
+//! [`pbp_nn::Network::backward`] still returns it.
+//!
 //! ## Ordering contract
 //!
 //! For a fixed stage, the cell's methods must be called in the schedule's
@@ -92,6 +104,10 @@ pub struct StageCell {
     /// SpecTrain's backward weights, re-predicted into this buffer before
     /// each backward; empty when no backward prediction is configured.
     backward_version: Vec<Tensor>,
+    /// Whether the stage's input gradient has a reader: every stage's but
+    /// the network's first, whose input is the sample (see the module
+    /// docs).
+    input_grad: bool,
 }
 
 /// The window's optimizer step as [`StageCell::backward_input_for`] lends
@@ -178,6 +194,7 @@ impl StageCell {
             weight_stashing,
             next: None,
             backward_version,
+            input_grad: s != 0,
         }
     }
 
@@ -247,23 +264,25 @@ impl StageCell {
     /// accumulated gradients first when this is the update window's
     /// first microbatch. Under weight stashing it runs under the queued
     /// version its forward read; under SpecTrain under the re-predicted
-    /// weights.
+    /// weights. At the network's first stage it leaves no input gradient
+    /// on `gstack` (see the module docs).
     pub fn backward_input(&mut self, stage: &mut Stage, gstack: &mut LaneStack, zero_grads: bool) {
         if zero_grads {
             stage.zero_grads();
         }
+        let input_grad = self.input_grad;
         if self.weight_stashing {
             let slot = self.slot(self.completed);
             under(stage, &mut self.versions[slot], |stage| {
-                stage.backward_input(gstack)
+                stage.backward_input(gstack, input_grad)
             });
         } else if self.opt.config().bwd_horizon != 0.0 {
             let horizon = self.opt.config().bwd_horizon;
             let bw = &mut self.backward_version;
             self.opt.predict_into(&stage.params(), horizon, bw);
-            under(stage, bw, |stage| stage.backward_input(gstack));
+            under(stage, bw, |stage| stage.backward_input(gstack, input_grad));
         } else {
-            stage.backward_input(gstack);
+            stage.backward_input(gstack, input_grad);
         }
     }
 
@@ -293,7 +312,7 @@ impl StageCell {
             opt: &mut self.opt,
             next: &mut next,
         };
-        stage.backward_input_stepping(gstack, &mut step);
+        stage.backward_input_stepping(gstack, &mut step, self.input_grad);
         self.next = Some(next);
     }
 
@@ -513,6 +532,49 @@ mod tests {
     fn newest_version(cell: &StageCell) -> Vec<*const f32> {
         let newest = cell.versions.back().expect("lag + 1 versions");
         newest.iter().map(|t| t.as_slice().as_ptr()).collect()
+    }
+
+    /// The network's first stage runs its weight half only: its backward,
+    /// split or lent the update, leaves the gradient stack empty, while
+    /// every other stage passes on its input's gradient — for a first layer
+    /// that is a `Linear` and for one that is a convolution.
+    #[test]
+    fn only_the_first_stage_leaves_no_input_gradient() {
+        let cnn = pbp_nn::models::vgg_cnn(3, 4, 2, 6, 8, 3, &mut StdRng::seed_from_u64(8));
+        for (mut net, input) in [(net(), vec![1, 4]), (cnn, vec![1, 3, 6, 6])] {
+            for lend in [false, true] {
+                let mut cells = cells(&net, false);
+                let mut stack = vec![Tensor::from_fn(&input, |j| (j as f32 * 0.7).sin())];
+                let mut inputs = Vec::new();
+                for (s, cell) in cells.iter_mut().enumerate() {
+                    inputs.push(stack[0].shape().to_vec());
+                    cell.forward(net.stage_mut(s), &mut stack);
+                }
+                let (_, grad) = softmax_cross_entropy(&stack.pop().expect("logits"), &[1]);
+                let mut gstack = vec![grad];
+                for (s, cell) in cells.iter_mut().enumerate().rev() {
+                    let stage = net.stage_mut(s);
+                    match lend {
+                        true => {
+                            let actions = PLAN.stage_actions(0);
+                            cell.backward_input_for(stage, &mut gstack, true, &actions);
+                        }
+                        false => cell.backward_input(stage, &mut gstack, true),
+                    }
+                    let passed: Vec<&[usize]> = gstack.iter().map(|g| g.shape()).collect();
+                    let want: Vec<&[usize]> = match s {
+                        0 => vec![],
+                        _ => vec![&inputs[s]],
+                    };
+                    assert_eq!(passed, want, "stage {s} lend={lend}");
+                    cell.backward_weight(net.stage_mut(s));
+                    if cell.will_update(net.stage(s)) {
+                        cell.update(net.stage_mut(s), false);
+                    }
+                    cell.push_next_version(net.stage(s));
+                }
+            }
+        }
     }
 
     #[test]

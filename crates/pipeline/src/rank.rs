@@ -205,6 +205,8 @@ impl RankLoop {
                 self.loss_sum += loss as f64;
                 self.last_loss = loss;
                 self.group.backward(stages, &mut lanes, mb);
+                // Under `Upstream::Feed` the group owns stage 0, whose cell
+                // leaves no input gradient: nothing goes upstream.
                 if let Upstream::Link(link) = up {
                     let msg = Message::Gradient { mb, loss, lanes };
                     link.send(msg).map_err(RankError::Link)?;

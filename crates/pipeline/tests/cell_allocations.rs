@@ -6,7 +6,9 @@
 //! to the system one. The same allocator records the largest single
 //! request, which is how the conv row shows that a training conv stage
 //! never holds a column matrix, and the bytes the thread holds, which is
-//! how the eval row shows that an eval-mode forward keeps nothing.
+//! how the eval row shows that an eval-mode forward keeps nothing. With
+//! its threshold lowered, the count shows that a training conv stage
+//! recycles the staged images it stashes.
 
 use pbp_nn::loss::softmax_cross_entropy;
 use pbp_nn::models::{mlp, vgg_cnn};
@@ -357,4 +359,61 @@ fn an_eval_forward_allocates_its_outputs_and_keeps_nothing() {
         );
     }
     pbp_tensor::pool::set_max_threads(configured);
+}
+
+/// Allocations a PB training step of the ledger's cnn trunk made, of any
+/// size, when the weight half staged its image again (and allocated the
+/// per-sample weight gradient it added): 5568 in 24 samples.
+const ALLOCS_PER_CNN_SAMPLE: usize = 232;
+
+/// Allocations of at least `from` bytes that `samples` PB training steps
+/// of the ledger's cnn trunk make on this thread, once the pipeline is
+/// full.
+fn steady_conv_allocs(from: usize, samples: usize) -> usize {
+    let net = vgg_cnn(3, 16, 4, 16, 32, 4, &mut StdRng::seed_from_u64(9));
+    let schedule = LrSchedule::constant(Hyperparams::new(0.05, 0.9));
+    let mut trainer = ScheduledTrainer::new(net, ScheduledConfig::pb(schedule));
+    let mut sample = |i: usize| {
+        let x = Tensor::from_fn(&[3, 16, 16], |j| ((i * 5 + j) as f32 * 0.1).sin());
+        trainer.train_sample(&x, i % 4);
+    };
+    // Past the deepest stage's lag (twelve microbatches at stage 0): every
+    // stage holds its full stash, and every staged image its stage stashes
+    // has come back once.
+    (0..32).for_each(&mut sample);
+    LARGE_FROM.with(|n| n.set(from));
+    let before = LARGE_ALLOCS.with(Cell::get);
+    (32..32 + samples).for_each(&mut sample);
+    let during = LARGE_ALLOCS.with(Cell::get) - before;
+    LARGE_FROM.with(|n| n.set(WEIGHT_SIZED));
+    during
+}
+
+#[test]
+fn a_training_conv_stage_stashes_staged_images_without_allocating_them() {
+    // The largest staged image of the trunk: a 16-channel 16 × 16 input
+    // at stride 1 (padded 18 × 18) or 2 (four 9 × 9 phase planes), plus
+    // one vector of overhang — larger than every activation and gradient
+    // of the trunk (16 KiB each), smaller than the head's weights, which
+    // are versioned in recycled buffers. Each conv layer stashes the
+    // staged image its forward made, and its weight half hands the buffer
+    // back to the thread for the next forward: in steady state no sample
+    // allocates one, as when each image was staged in the thread's scratch
+    // — once in the forward and once more in the weight half.
+    const STAGED_IMAGE: usize = (16 * 18 * 18 + 16) * 4;
+    const SAMPLES: usize = 24;
+    let staged_sized = steady_conv_allocs(STAGED_IMAGE, SAMPLES);
+    let all = steady_conv_allocs(1, SAMPLES);
+    eprintln!("{staged_sized} staged-image-sized allocations, {all} in all, in {SAMPLES} samples");
+    assert_eq!(
+        staged_sized, 0,
+        "{staged_sized} staged-image-sized allocations in {SAMPLES} samples \
+         ({all} allocations of any size)"
+    );
+    // Both counts, per sample: none staged-image-sized, and no more
+    // allocations of any size than when the weight half staged again.
+    assert!(
+        all <= SAMPLES * ALLOCS_PER_CNN_SAMPLE,
+        "{all} allocations in {SAMPLES} samples, over {ALLOCS_PER_CNN_SAMPLE} a sample"
+    );
 }

@@ -10,7 +10,18 @@
 //! and for `stride > 1` split into `stride²` phase planes so that every tap
 //! of every output pixel is a unit-stride read — which costs one pass over
 //! the image instead of `k²` and turns kernel size, stride and padding into
-//! entries of a tap-offset table rather than cases.
+//! entries of a tap-offset table rather than cases. The staging pass is a
+//! vector kernel ([`simd`]'s `stage_image`): a stride-1 row a vector copy,
+//! a stride-2 row one deinterleave of the image row into its two column
+//! phases, and no pass that zeroes the whole image first.
+//!
+//! A training forward stages each image once: [`conv2d_direct_staging`]
+//! returns the [`StagedImages`] beside the output, the layer stashes them
+//! in place of its input, and [`conv2d_direct_backward_weight_staged`]
+//! reads them and adds the weight gradient straight into the layer's.
+//! Their buffers circulate through a per-thread spare list, so a running
+//! pipeline allocates none. The input half transposes the kernel bank
+//! tap-major once per call, as the forward does.
 //!
 //! The *lowered* path ([`conv2d`], [`conv2d_backward`]) turns each image
 //! into a column matrix and multiplies by the flattened kernel bank,
@@ -42,10 +53,44 @@ thread_local! {
             staged: Vec::new(),
             side: Vec::new(),
             gwt: Vec::new(),
+            gsum: Vec::new(),
             bank: Vec::new(),
             off: Vec::new(),
         })
     };
+
+    /// Buffers of dropped [`StagedImages`], for the thread's next training
+    /// forward to stage into: a running pipeline stashes one per sample in
+    /// flight and hands it back at that sample's weight half, so in steady
+    /// state it allocates none.
+    static SPARE_STAGED: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Most spare staged-image buffers a thread keeps: more than the ledger's
+/// deepest pipeline has in flight on one thread (40 under PB's Eq. 5 lags
+/// for its four conv stages).
+const SPARE_STAGED_MAX: usize = 64;
+
+/// A spare staged-image buffer of `len` floats: the shortest spare that is
+/// long enough, so each conv stage keeps drawing buffers its own size, else
+/// a new one. Its contents are stale; staging overwrites every float.
+fn take_spare(len: usize) -> Vec<f32> {
+    if len == 0 {
+        return Vec::new();
+    }
+    let spare = SPARE_STAGED.with(|spare| {
+        let mut spare = spare.borrow_mut();
+        let fits = spare.iter().enumerate().filter(|(_, b)| b.len() >= len);
+        let best = fits.min_by_key(|(_, b)| b.len()).map(|(i, _)| i);
+        best.map(|i| spare.swap_remove(i))
+    });
+    match spare {
+        Some(mut buf) => {
+            buf.truncate(len);
+            buf
+        }
+        None => vec![0.0; len],
+    }
 }
 
 /// Geometry of a 2-D convolution.
@@ -471,9 +516,12 @@ struct DirectScratch {
     side: Vec<f32>,
     /// The weight gradient as its kernel writes it, `[taps, oc]`.
     gwt: Vec<f32>,
-    /// The forward's kernel bank tap-major, `[taps, oc]`: the calling
+    /// A batch's per-sample weight gradients summed, `[taps, oc]`.
+    gsum: Vec<f32>,
+    /// A kernel bank tap-major: the forward's `[taps, oc]` — the calling
     /// thread's, taken out of the scratch for the call so every chunk of
-    /// the batch reads the one transpose.
+    /// the batch reads the one transpose — or the input gradient's
+    /// `[k·k, oc, c]`.
     bank: Vec<f32>,
     /// Tap-offset table.
     off: Vec<usize>,
@@ -555,76 +603,102 @@ impl DirectGeom {
         }
     }
 
-    /// Calls `f(image index, staged index, n)` for every run of `n` image
-    /// elements `image[i + t·s]` that are consecutive in the staged layout
-    /// (`staged[j + t]`): one run per image row and column phase. Image
-    /// pixels no tap reaches (beyond the cut planes) are in no run.
-    fn for_each_run(&self, mut f: impl FnMut(usize, usize, usize)) {
-        let (s, p, plane) = (self.s, self.p, self.ph * self.pw);
-        for b in 0..s {
-            // First image column whose padded column is in phase `b`.
-            let iw0 = (b + s - p % s) % s;
-            if iw0 >= self.w {
-                continue;
-            }
-            let j0 = (iw0 + p) / s;
-            let n = (self.w - iw0).div_ceil(s).min(self.pw.saturating_sub(j0));
-            if n == 0 {
-                continue;
-            }
-            for ci in 0..self.c {
-                // Padded row `ih + p` is row `i` of row phase `a`.
-                let (mut a, mut i) = (p % s, p / s);
-                for ih in 0..self.h {
-                    if i >= self.ph {
-                        break;
-                    }
-                    f(
-                        (ci * self.h + ih) * self.w + iw0,
-                        ci * self.chan + (a * s + b) * plane + i * self.pw + j0,
-                        n,
-                    );
-                    a += 1;
-                    if a == s {
-                        a = 0;
-                        i += 1;
-                    }
-                }
-            }
+    /// The geometry the staging kernels take.
+    fn staging(&self) -> simd::Staging {
+        simd::Staging {
+            c: self.c,
+            h: self.h,
+            w: self.w,
+            s: self.s,
+            p: self.p,
+            ph: self.ph,
+            pw: self.pw,
+            chan: self.chan,
         }
     }
 
-    /// Stages one image `[C, H, W]`: padding and unreached positions
-    /// `+0.0`, every other position the pixel it holds.
-    fn stage(&self, image: &[f32], staged: &mut Vec<f32>) {
-        staged.clear();
-        staged.resize(self.staged_len(), 0.0);
-        let s = self.s;
-        self.for_each_run(|i, j, n| {
-            if s == 1 {
-                staged[j..j + n].copy_from_slice(&image[i..i + n]);
-            } else {
-                for (d, &v) in staged[j..j + n]
-                    .iter_mut()
-                    .zip(image[i..].iter().step_by(s))
-                {
-                    *d = v;
-                }
-            }
-        });
+    /// Stages one image `[C, H, W]` into the `staged_len` floats of
+    /// `staged`: padding, unreached positions and the overhang `+0.0`,
+    /// every other position the pixel it holds ([`simd::stage_image`]; no
+    /// pass zeroes the whole buffer first).
+    fn stage(&self, image: &[f32], staged: &mut [f32]) {
+        let (body, overhang) = staged.split_at_mut(self.c * self.chan);
+        overhang.fill(0.0);
+        simd::stage_image(self.staging(), image, body);
     }
 
     /// The inverse of [`Self::stage`] for a staged gradient: copies every
     /// staged pixel back to its place in `image`, which the caller hands
     /// in zeroed (pixels no tap reaches have no gradient).
     fn unstage(&self, staged: &[f32], image: &mut [f32]) {
-        let s = self.s;
-        self.for_each_run(|i, j, n| {
-            if s == 1 {
-                image[i..i + n].copy_from_slice(&staged[j..j + n]);
-            } else {
-                for (d, &v) in image[i..].iter_mut().step_by(s).zip(&staged[j..j + n]) {
-                    *d = v;
+        simd::unstage_image(self.staging(), staged, image);
+    }
+}
+
+/// The images of one training forward as the direct kernels stage them
+/// (zero-padded and phase-split): what a training conv
+/// layer stashes for its weight half
+/// ([`conv2d_direct_backward_weight_staged`]), so each image is staged
+/// once per training step. Dropping it hands the buffer back to the
+/// thread's spares, for the thread's next training forward.
+#[derive(Debug)]
+pub struct StagedImages {
+    buf: Vec<f32>,
+    spec: Conv2dSpec,
+    /// `[N, C, H, W]` of the input staged.
+    dims: [usize; 4],
+}
+
+impl StagedImages {
+    /// Stages every image of `input` for `spec`.
+    fn new(input: &Tensor, spec: &Conv2dSpec, op: &'static str) -> Result<Self> {
+        if input.rank() != 4 || input.shape()[1] != spec.in_channels {
+            return Err(TensorError::ShapeMismatch {
+                lhs: input.shape().to_vec(),
+                rhs: spec.weight_shape().to_vec(),
+                op,
+            });
+        }
+        let dims = [
+            input.shape()[0],
+            input.shape()[1],
+            input.shape()[2],
+            input.shape()[3],
+        ];
+        let [n, c, h, w] = dims;
+        let g = DirectGeom::new(spec, h, w);
+        let image_len = c * h * w;
+        let len = if image_len == 0 { 0 } else { g.staged_len() };
+        let mut buf = take_spare(n * len);
+        let images = input.as_slice().chunks_exact(image_len.max(1));
+        for (image, staged) in images.zip(buf.chunks_exact_mut(len.max(1))) {
+            g.stage(image, staged);
+        }
+        Ok(StagedImages {
+            buf,
+            spec: *spec,
+            dims,
+        })
+    }
+
+    /// `[N, C, H, W]` of the input staged.
+    pub fn input_shape(&self) -> [usize; 4] {
+        self.dims
+    }
+}
+
+impl Drop for StagedImages {
+    fn drop(&mut self) {
+        let buf = std::mem::take(&mut self.buf);
+        if buf.is_empty() {
+            return;
+        }
+        // A thread that is exiting, or is inside the list already, drops
+        // the buffer instead.
+        let _ = SPARE_STAGED.try_with(|spare| {
+            if let Ok(mut spare) = spare.try_borrow_mut() {
+                if spare.len() < SPARE_STAGED_MAX {
+                    spare.push(buf);
                 }
             }
         });
@@ -647,6 +721,37 @@ impl DirectGeom {
 ///
 /// Returns a shape error if `input`/`weight` disagree with `spec`.
 pub fn conv2d_direct(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
+    direct_forward(input, weight, spec, None)
+}
+
+/// [`conv2d_direct`] for a training forward: stages the batch once, up
+/// front, runs the kernel over those staged images, and returns them
+/// beside the output for the weight half to read
+/// ([`conv2d_direct_backward_weight_staged`]). Same output bits.
+///
+/// # Errors
+///
+/// Returns a shape error if `input`/`weight` disagree with `spec`.
+pub fn conv2d_direct_staging(
+    input: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+) -> Result<(Tensor, StagedImages)> {
+    input_dims(input, weight, spec, "conv2d_direct")?;
+    let staged = StagedImages::new(input, spec, "conv2d_direct")?;
+    let y = direct_forward(input, weight, spec, Some(&staged.buf))?;
+    Ok((y, staged))
+}
+
+/// The forward of [`conv2d_direct`], over the images `staged` holds
+/// (staged for `spec`, one after another) when given, else staging each
+/// image in the scratch of the thread that runs its chunk.
+fn direct_forward(
+    input: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+    staged: Option<&[f32]>,
+) -> Result<Tensor> {
     let [n, c, h, w] = input_dims(input, weight, spec, "conv2d_direct")?;
     let g = DirectGeom::new(spec, h, w);
     let oc = spec.out_channels;
@@ -666,6 +771,7 @@ pub fn conv2d_direct(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Resu
             *d = row[t];
         }
     }
+    let slen = g.staged_len();
     // Written in place uninitialised, not zero-filled first: a zero pass
     // costs ≈ 20 µs per 1 MiB activation here, and every element is
     // overwritten anyway.
@@ -680,9 +786,16 @@ pub fn conv2d_direct(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Resu
                 // Fully overwritten by the kernel; only the length matters.
                 buf.side.resize(oc * g.qr, 0.0);
                 let images = input.as_slice()[first * image_len..].chunks_exact(image_len);
-                for (image, dst) in images.zip(part.chunks_exact_mut(sample_len)) {
-                    g.stage(image, &mut buf.staged);
-                    simd::conv_forward(&buf.staged, &buf.off, &bank, oc, g.qr, &mut buf.side);
+                for (i, (image, dst)) in images.zip(part.chunks_exact_mut(sample_len)).enumerate() {
+                    let xs: &[f32] = match staged {
+                        Some(all) => &all[(first + i) * slen..][..slen],
+                        None => {
+                            buf.staged.resize(slen, 0.0);
+                            g.stage(image, &mut buf.staged);
+                            &buf.staged
+                        }
+                    };
+                    simd::conv_forward(xs, &buf.off, &bank, oc, g.qr, &mut buf.side);
                     let rows = buf
                         .side
                         .chunks_exact(g.qr)
@@ -712,7 +825,8 @@ pub fn conv2d_direct(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Resu
 
 /// Input-gradient half of the direct backward, the counterpart of
 /// [`conv2d_backward_input`] and bit-identical to it: reads only the
-/// weights and the output gradient.
+/// weights and the output gradient. The bank is transposed tap-major once
+/// per call, as the forward's is.
 ///
 /// # Errors
 ///
@@ -733,11 +847,20 @@ pub fn conv2d_direct_backward_input(
     }
     let (h, w) = input_hw;
     let g = DirectGeom::new(spec, h, w);
-    let (c, oc) = (spec.in_channels, spec.out_channels);
+    let (c, oc, kk) = (spec.in_channels, spec.out_channels, g.k * g.k);
     let mut grad_in = Tensor::zeros(&[n, c, h, w]);
     DIRECT_BUF.with(|buf| {
         let buf = &mut *buf.borrow_mut();
         g.tap_offsets(1, &mut buf.off);
+        // `[oc, c, k·k]` to `[k·k, oc, c]`, written in order.
+        buf.bank.resize(kk * oc * c, 0.0);
+        for (row, dst) in buf.bank.chunks_exact_mut(c).enumerate() {
+            let (t, o) = (row / oc, row % oc);
+            let per_out = &weight.as_slice()[o * c * kk..][..c * kk];
+            for (d, taps) in dst.iter_mut().zip(per_out.chunks_exact(kk)) {
+                *d = taps[t];
+            }
+        }
         let samples = grad_out.as_slice().chunks_exact(oc * g.oh * g.ow);
         let images = grad_in.as_mut_slice().chunks_exact_mut((c * h * w).max(1));
         for (dy, image) in samples.zip(images) {
@@ -757,7 +880,7 @@ pub fn conv2d_direct_backward_input(
             buf.staged.resize(g.staged_len(), 0.0);
             simd::conv_backward_input(
                 &buf.side,
-                weight.as_slice(),
+                &buf.bank,
                 &buf.off,
                 (c, oc),
                 g.chan,
@@ -772,9 +895,11 @@ pub fn conv2d_direct_backward_input(
 
 /// Weight-gradient half of the direct backward, the counterpart of
 /// [`conv2d_backward_weight`] and bit-identical to it: reads only the
-/// output gradient and the layer's input — the one activation a training
-/// layer stashes per in-flight sample — never the weights, which is what
-/// makes deferring it to the update boundary exact.
+/// output gradient and the layer's input, never the weights, which is
+/// what makes deferring it to the update boundary exact. Stages the input
+/// first; a training layer, which staged it in its forward
+/// ([`conv2d_direct_staging`]), runs
+/// [`conv2d_direct_backward_weight_staged`] on that instead.
 ///
 /// # Errors
 ///
@@ -784,68 +909,93 @@ pub fn conv2d_direct_backward_weight(
     input: &Tensor,
     spec: &Conv2dSpec,
 ) -> Result<Tensor> {
+    let staged = StagedImages::new(input, spec, "conv2d_direct_backward")?;
+    let mut grad_w = Tensor::zeros(&spec.weight_shape());
+    conv2d_direct_backward_weight_staged(grad_out, &staged, &mut grad_w)?;
+    Ok(grad_w)
+}
+
+/// Weight-gradient half of the direct backward over the images a training
+/// forward staged: adds the batch's weight gradient into `grad_w`. Each
+/// sample's gradient is a completed subtotal, summed over the batch in
+/// order and then added to `grad_w` once — what adding the tensor
+/// [`conv2d_direct_backward_weight`] returns would add, with no tensor in
+/// between.
+///
+/// # Errors
+///
+/// Returns a shape error if `grad_out` or `grad_w` disagrees with the
+/// staged geometry.
+pub fn conv2d_direct_backward_weight_staged(
+    grad_out: &Tensor,
+    staged: &StagedImages,
+    grad_w: &mut Tensor,
+) -> Result<()> {
     let op = "conv2d_direct_backward";
-    if input.rank() != 4 || input.shape()[1] != spec.in_channels {
+    let (spec, [n, c, h, w]) = (&staged.spec, staged.dims);
+    if grad_w.shape() != spec.weight_shape() {
         return Err(TensorError::ShapeMismatch {
-            lhs: input.shape().to_vec(),
+            lhs: grad_w.shape().to_vec(),
             rhs: spec.weight_shape().to_vec(),
             op,
         });
     }
-    let [n, c, h, w] = [
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    ];
     if grad_batch(grad_out, (h, w), spec, op)? != n {
         return Err(TensorError::ShapeMismatch {
             lhs: grad_out.shape().to_vec(),
-            rhs: input.shape().to_vec(),
+            rhs: staged.dims.to_vec(),
             op,
         });
+    }
+    if n == 0 || c * h * w == 0 {
+        return Ok(());
     }
     let g = DirectGeom::new(spec, h, w);
     let (oc, taps, pixels) = (spec.out_channels, spec.fan_in(), g.oh * g.ow);
     let ocp = oc.next_multiple_of(MAX_LANES);
-    let mut grad_w = Tensor::zeros(&spec.weight_shape());
     DIRECT_BUF.with(|buf| {
         let buf = &mut *buf.borrow_mut();
         g.tap_offsets(c, &mut buf.off);
-        // Fully overwritten by the kernel; only the length matters.
-        buf.gwt.resize(taps * ocp, 0.0);
         let samples = grad_out.as_slice().chunks_exact(oc * pixels);
-        let images = input.as_slice().chunks_exact((c * h * w).max(1));
-        for (ni, (dy, image)) in samples.zip(images).enumerate() {
-            g.stage(image, &mut buf.staged);
+        let images = staged.buf.chunks_exact(g.staged_len());
+        for (ni, (dy, xs)) in samples.zip(images).enumerate() {
             // dY pixel-major, channels in the lanes; lanes past `oc` +0.0.
-            buf.side.clear();
+            if oc < ocp {
+                buf.side.clear();
+            }
             buf.side.resize(pixels * ocp, 0.0);
             for (px, lanes) in buf.side.chunks_exact_mut(ocp).enumerate() {
                 for (o, lane) in lanes[..oc].iter_mut().enumerate() {
                     *lane = dy[o * pixels + px];
                 }
             }
+            // Fully overwritten by the kernel; only the length matters.
+            buf.gwt.resize(taps * ocp, 0.0);
             simd::conv_backward_weight(
                 &buf.side,
-                &buf.staged,
+                xs,
                 &buf.off,
                 (g.oh, g.ow, g.pw),
                 ocp,
                 &mut buf.gwt,
             );
-            // Per-sample completed subtotals, as in `conv2d_backward_weight`:
-            // the first sample's chains are the gradient, later samples' are
-            // added to it.
-            for (o, gw) in grad_w.as_mut_slice().chunks_exact_mut(taps).enumerate() {
-                for (t, gw) in gw.iter_mut().enumerate() {
-                    let v = buf.gwt[t * ocp + o];
-                    *gw = if ni == 0 { v } else { *gw + v };
+            // The first sample's chains are the batch's sum so far, later
+            // samples' are added to it.
+            if ni == 0 {
+                std::mem::swap(&mut buf.gwt, &mut buf.gsum);
+            } else {
+                for (sum, &v) in buf.gsum.iter_mut().zip(&buf.gwt) {
+                    *sum += v;
                 }
             }
         }
+        for (o, gw) in grad_w.as_mut_slice().chunks_exact_mut(taps).enumerate() {
+            for (t, gw) in gw.iter_mut().enumerate() {
+                *gw += buf.gsum[t * ocp + o];
+            }
+        }
     });
-    Ok(grad_w)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -50,10 +50,21 @@ impl Tensor {
     pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
         self.check_same_shape(other, "mul")?;
         let mut out = self.clone();
-        for (a, b) in out.as_mut_slice().iter_mut().zip(other.as_slice()) {
+        out.mul_assign(other)?;
+        Ok(out)
+    }
+
+    /// Elementwise in-place (Hadamard) product.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::TensorError::ShapeMismatch`] if shapes differ.
+    pub fn mul_assign(&mut self, other: &Tensor) -> Result<()> {
+        self.check_same_shape(other, "mul_assign")?;
+        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a *= b;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Multiplies every element by a scalar, producing a new tensor.

@@ -15,7 +15,8 @@ pub mod simd;
 
 pub use conv::{
     col2im, conv2d, conv2d_backward, conv2d_backward_input, conv2d_backward_weight, conv2d_batched,
-    conv2d_direct, conv2d_direct_backward_input, conv2d_direct_backward_weight, im2col, Conv2dSpec,
+    conv2d_direct, conv2d_direct_backward_input, conv2d_direct_backward_weight,
+    conv2d_direct_backward_weight_staged, conv2d_direct_staging, im2col, Conv2dSpec, StagedImages,
 };
 pub use elementwise::{axpy, lerp_into};
 pub use gemm::{gemm_nn, gemm_nt, gemm_tn};

@@ -10,10 +10,15 @@
 //! under the same rule with plain adds, subtractions and products, and
 //! the optimizer's update ([`sgdm_sweep`]), element-wise products, sums
 //! and differences in the scalar loop's order, nothing fused — beside it
-//! only the input-gradient side output, `gemm_nn`'s `m = 1` fma chain.
+//! only the input-gradient side output, `gemm_nn`'s `m = 1` fma chain —
+//! and the direct convolution's staging pass (`stage_image` and its
+//! inverse), which like the pack moves data and computes nothing: vector
+//! copies, and for a stride-2 row `Lanes::deinterleave` /
+//! `Lanes::interleave`.
 //! Each is one generic function over a lane type: lanes never interact —
-//! the one cross-lane operation, `Lanes::transpose` in the `A·Bᵀ` row and
-//! the pack, moves data and computes nothing — and
+//! the cross-lane operations, `Lanes::transpose` in the `A·Bᵀ` row and
+//! the pack and the (de)interleave of the staging, move data and compute
+//! nothing — and
 //! the only arithmetic of the GEMM and convolution kernels is
 //! `Lanes::fma` (plus one `Lanes::add` in the input-gradient kernel), so
 //! every output element is one left-to-right chain of fused multiply-adds
@@ -238,6 +243,12 @@ trait Lanes: Copy {
     /// `l` of `rows[p]` and lane `p` of `rows[l]` change places, for
     /// `l, p < N`. Pure data movement; entries past `N` are not touched.
     unsafe fn transpose(rows: &mut [Self; MAX_LANES]);
+    /// Splits the `2N` floats of `a` then `b` into the even-indexed ones
+    /// and the odd-indexed ones, each in order. Pure data movement.
+    unsafe fn deinterleave(a: Self, b: Self) -> (Self, Self);
+    /// The inverse of [`Lanes::deinterleave`]: `even[0], odd[0], even[1],
+    /// …` as two vectors. Pure data movement.
+    unsafe fn interleave(even: Self, odd: Self) -> (Self, Self);
 }
 
 impl Lanes for f32 {
@@ -291,6 +302,15 @@ impl Lanes for f32 {
     /// One lane: the block is its own transpose.
     #[inline(always)]
     unsafe fn transpose(_rows: &mut [Self; MAX_LANES]) {}
+    /// One lane: `a` is the pair's even float, `b` its odd one.
+    #[inline(always)]
+    unsafe fn deinterleave(a: Self, b: Self) -> (Self, Self) {
+        (a, b)
+    }
+    #[inline(always)]
+    unsafe fn interleave(even: Self, odd: Self) -> (Self, Self) {
+        (even, odd)
+    }
 }
 
 /// The portable vector types: `[f32; 16]` is what the scalar tier runs the
@@ -350,6 +370,25 @@ impl<const L: usize> Lanes for [f32; L] {
                 rows[p][l] = upper;
             }
         }
+    }
+    #[inline(always)]
+    unsafe fn deinterleave(a: Self, b: Self) -> (Self, Self) {
+        let at = |i: usize| if i < L { a[i] } else { b[i - L] };
+        (
+            std::array::from_fn(|l| at(2 * l)),
+            std::array::from_fn(|l| at(2 * l + 1)),
+        )
+    }
+    #[inline(always)]
+    unsafe fn interleave(even: Self, odd: Self) -> (Self, Self) {
+        let at = |i: usize| {
+            if i.is_multiple_of(2) {
+                even[i / 2]
+            } else {
+                odd[i / 2]
+            }
+        };
+        (std::array::from_fn(at), std::array::from_fn(|l| at(L + l)))
     }
 }
 
@@ -955,7 +994,10 @@ struct BwdInputArgs<'a> {
 }
 
 /// `R` input channels × one vector of flat output positions of one tap:
-/// a completed `oc`-chain per element, added into the staged gradient.
+/// a completed `oc`-chain per element, added into the staged gradient. The
+/// bank is tap-major, so an output channel's weights for the `R` input
+/// channels sit side by side behind one pointer that steps by `c` a
+/// channel, as the forward's do.
 #[inline(always)]
 unsafe fn bwd_input_block<V: Lanes, const R: usize>(
     a: BwdInputArgs<'_>,
@@ -963,15 +1005,14 @@ unsafe fn bwd_input_block<V: Lanes, const R: usize>(
     t: usize,
     q0: usize,
 ) {
-    let kk = a.off.len();
     let mut s = [V::zero(); R];
     let dq = a.dyp.as_ptr().add(q0);
-    let wt = a.w.as_ptr().add(ci0 * kk + t);
+    let wt = a.w.as_ptr().add(t * a.oc * a.c + ci0);
     for o in 0..a.oc {
         let dv = V::load(dq.add(o * a.qr));
-        let wo = wt.add(o * a.c * kk);
+        let wo = wt.add(o * a.c);
         for r in 0..R {
-            s[r] = V::fma(V::splat(*wo.add(r * kk)), dv, s[r]);
+            s[r] = V::fma(V::splat(*wo.add(r)), dv, s[r]);
         }
     }
     for r in 0..R {
@@ -995,10 +1036,11 @@ unsafe fn bwd_input_kernel<V: Lanes>(a: BwdInputArgs<'_>) {
 /// phase-split) gradient image.
 ///
 /// `dyp` is the output gradient at the staged pitch, `[oc, qr]` with every
-/// position that is not an output pixel `+0.0`; `w` the `[oc, c, k·k]`
-/// kernel bank; `off` the `k·k` per-channel tap offsets in `(ki, kj)`
-/// order; `chan` the floats per staged channel. For every channel, tap and
-/// flat position, `gxs[ci·chan + off[t] + q] += Σ_o w[o, ci, t] · dyp[o, q]`
+/// position that is not an output pixel `+0.0`; `w` the kernel bank
+/// tap-major, `[k·k, oc, c]`; `off` the `k·k` per-channel tap offsets in
+/// `(ki, kj)` order; `chan` the floats per staged channel. For every
+/// channel, tap and flat position,
+/// `gxs[ci·chan + off[t] + q] += Σ_o w[t, o, ci] · dyp[o, q]`
 /// — one completed fma chain over `o` from `+0.0` per addend, addends
 /// arriving at any one element in `(ki, kj)` order: the association
 /// `col2im(Wᵀ·dY)` and [`super::reference::conv2d_backward_ref`] use.
@@ -1036,7 +1078,7 @@ pub(crate) fn conv_backward_input(
         gxs: gxs.as_mut_ptr(),
     };
     // SAFETY: the asserts above bound every access: `dyp[o * qr + q]`,
-    // `w[(o * c + ci) * kk + t]`, `gxs[ci * chan + off[t] + q]` for
+    // `w[(t * oc + o) * c + ci]`, `gxs[ci * chan + off[t] + q]` for
     // `q < qr`; the tier match proves the CPU feature.
     unsafe {
         match active_tier() {
@@ -1147,6 +1189,307 @@ pub(crate) fn conv_backward_weight(
             SimdTier::Avx2Fma => x86::conv_backward_weight_avx2(a),
             _ => bwd_weight_kernel::<f32>(a),
         }
+    }
+}
+
+/// Where one image's rows land in the staged layout of the direct
+/// convolution kernels (`ops::conv`): `c` channels of `h × w` pixels,
+/// stride `s` and padding `p`, each staged channel `chan` floats of `s²`
+/// planes of `ph` rows of `pw` columns. Padded row `r` is row `r div s` of
+/// row phase `r mod s`; image columns `r, r + s, …` — column stream `r` —
+/// are one run of column phase `(r + p) mod s`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Staging {
+    pub c: usize,
+    pub h: usize,
+    pub w: usize,
+    pub s: usize,
+    pub p: usize,
+    pub ph: usize,
+    pub pw: usize,
+    pub chan: usize,
+}
+
+impl Staging {
+    /// Column stream `r` as `(b, j0, n)`: its pixels land in column phase
+    /// `b`, at plane columns `j0..j0 + n`; further pixels of the stream
+    /// reach no tap. Each phase is one stream's, and the streams' `n`
+    /// differ by at most one, longest first, so that together they are the
+    /// row's first `Σ n` pixels.
+    pub(crate) fn stream(&self, r: usize) -> (usize, usize, usize) {
+        let (s, p) = (self.s, self.p);
+        let j0 = ((r + p) / s).min(self.pw);
+        let n = match r < self.w {
+            true => (self.w - r).div_ceil(s).min(self.pw - j0),
+            false => 0,
+        };
+        ((r + p) % s, j0, n)
+    }
+
+    /// Staged floats one image takes, the overhang of the kernels' last
+    /// vector not included.
+    fn len(&self) -> usize {
+        self.c * self.chan
+    }
+}
+
+/// `len` floats of `+0.0` at `p`: whole vectors, the last one moved back
+/// to end at `p + len` (overlapping the one before it) rather than masked;
+/// one float at a time below a vector.
+#[inline(always)]
+unsafe fn zero_run<V: Lanes>(p: *mut f32, len: usize) {
+    if len < V::N {
+        for k in 0..len {
+            *p.add(k) = 0.0;
+        }
+        return;
+    }
+    let mut k = 0;
+    while k + V::N < len {
+        V::zero().store(p.add(k));
+        k += V::N;
+    }
+    V::zero().store(p.add(len - V::N));
+}
+
+/// `len` floats from `src` to `dst`, as [`zero_run`] writes its zeros.
+#[inline(always)]
+unsafe fn copy_run<V: Lanes>(src: *const f32, dst: *mut f32, len: usize) {
+    if len < V::N {
+        for k in 0..len {
+            *dst.add(k) = *src.add(k);
+        }
+        return;
+    }
+    let mut k = 0;
+    while k + V::N < len {
+        V::load(src.add(k)).store(dst.add(k));
+        k += V::N;
+    }
+    V::load(src.add(len - V::N)).store(dst.add(len - V::N));
+}
+
+/// A stride-2 row's pairs `t < n`, split into (`MERGE` false) or merged
+/// from its two column streams, as [`zero_run`] writes its zeros: whole
+/// vectors of pairs, the last moved back to end at pair `n`.
+#[inline(always)]
+unsafe fn pair_run<V: Lanes, const MERGE: bool>(a: PairArgs) {
+    if a.n < V::N {
+        for t in 0..a.n {
+            pair_block::<f32, MERGE>(a, t);
+        }
+        return;
+    }
+    let mut t = 0;
+    while t + V::N < a.n {
+        pair_block::<V, MERGE>(a, t);
+        t += V::N;
+    }
+    pair_block::<V, MERGE>(a, a.n - V::N);
+}
+
+/// The staging pass at `V` (`MERGE` false: image to staged) or its inverse
+/// (`MERGE`: staged to image, only the pixels some tap reaches written),
+/// row by row with no call and no masked store: a staged row is a vector
+/// of zeros at each end — the only zeros it has beside its run, padding
+/// aside — with the run on top, a vector copy at stride 1 and a vector
+/// (de)interleave of the image row's two column streams at stride 2.
+/// Wider strides take [`staging_any`].
+#[inline(always)]
+unsafe fn staging_kernel<V: Lanes, const S: usize, const MERGE: bool>(
+    g: Staging,
+    image: *mut f32,
+    staged: *mut f32,
+) {
+    let (pw, plane) = (g.pw, g.ph * g.pw);
+    let near = [g.stream(0), g.stream(S - 1)];
+    // Each end's zeros: at least a vector, when the row is one.
+    let edge = V::N.min(pw);
+    let zero_ends = |row: *mut f32, (_, j0, n): (usize, usize, usize)| {
+        let end = (j0 + n).min(pw - edge);
+        zero_run::<V>(row, j0.max(edge));
+        zero_run::<V>(row.add(end), pw - end);
+    };
+    for ci in 0..g.c {
+        let chan = staged.add(ci * g.chan);
+        let pixels = image.add(ci * g.h * g.w);
+        for a in 0..S {
+            for i in 0..g.ph {
+                // Row `i` of planes `(a, 0)` and, at stride 2, `(a, 1)`.
+                let rows = chan.add(a * S * plane + i * pw);
+                let ih = (i * S + a).wrapping_sub(g.p);
+                if ih >= g.h {
+                    if !MERGE {
+                        for b in 0..S {
+                            zero_run::<V>(rows.add(b * plane), pw);
+                        }
+                    }
+                    continue;
+                }
+                let px = pixels.add(ih * g.w);
+                if S == 1 {
+                    let (_, j0, n) = near[0];
+                    if MERGE {
+                        copy_run::<V>(rows.add(j0), px, n);
+                    } else {
+                        zero_ends(rows, near[0]);
+                        copy_run::<V>(px, rows.add(j0), n);
+                    }
+                    continue;
+                }
+                let ((b0, j0, n0), (b1, j1, n1)) = (near[0], near[1]);
+                let (even, odd) = (rows.add(b0 * plane + j0), rows.add(b1 * plane + j1));
+                if !MERGE {
+                    zero_ends(rows.add(b0 * plane), near[0]);
+                    zero_ends(rows.add(b1 * plane), near[1]);
+                }
+                pair_run::<V, MERGE>(PairArgs {
+                    pairs: px,
+                    even,
+                    odd,
+                    n: n1,
+                });
+                if n0 > n1 {
+                    if MERGE {
+                        *px.add(2 * n1) = *even.add(n1);
+                    } else {
+                        *even.add(n1) = *px.add(2 * n1);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`staging_kernel`] for any stride, a float at a time.
+unsafe fn staging_any<const MERGE: bool>(g: Staging, image: *mut f32, staged: *mut f32) {
+    let (s, pw, plane) = (g.s, g.pw, g.ph * g.pw);
+    if !MERGE {
+        std::slice::from_raw_parts_mut(staged, g.len()).fill(0.0);
+    }
+    for ci in 0..g.c {
+        for ih in 0..g.h {
+            let (a, i) = ((ih + g.p) % s, (ih + g.p) / s);
+            if i >= g.ph {
+                break;
+            }
+            let px = image.add((ci * g.h + ih) * g.w);
+            for r in 0..s {
+                let (b, j0, n) = g.stream(r);
+                let run = staged.add(ci * g.chan + (a * s + b) * plane + i * pw + j0);
+                for t in 0..n {
+                    if MERGE {
+                        *px.add(r + t * s) = *run.add(t);
+                    } else {
+                        *run.add(t) = *px.add(r + t * s);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Stages one image `[C, H, W]` into `staged` for the direct convolution
+/// kernels: padding and the positions no pixel reaches `+0.0`, every
+/// other position the pixel it holds. No pass zeroes the whole image
+/// first: a row holding pixels gets at most two vectors of zeros.
+///
+/// # Panics
+///
+/// Panics unless `image` holds `c·h·w` floats and `staged` at least
+/// `c·chan`, with the planes wide enough for their streams.
+pub(crate) fn stage_image(g: Staging, image: &[f32], staged: &mut [f32]) {
+    let (image_len, staged_len) = (image.len(), staged.len());
+    let (image, staged) = (image.as_ptr().cast_mut(), staged.as_mut_ptr());
+    // SAFETY: `image` is only read when staging.
+    unsafe { staging::<false>(g, image, image_len, staged, staged_len) }
+}
+
+/// The inverse of [`stage_image`] for a staged gradient: copies every
+/// staged pixel to its place in `image` and leaves the pixels no tap
+/// reaches as they are.
+///
+/// # Panics
+///
+/// As [`stage_image`].
+pub(crate) fn unstage_image(g: Staging, staged: &[f32], image: &mut [f32]) {
+    let (image_len, staged_len) = (image.len(), staged.len());
+    let (image, staged) = (image.as_mut_ptr(), staged.as_ptr().cast_mut());
+    // SAFETY: `staged` is only read when merging.
+    unsafe { staging::<true>(g, image, image_len, staged, staged_len) }
+}
+
+/// [`stage_image`] or, `MERGE`, [`unstage_image`] on the active tier.
+///
+/// # Safety
+///
+/// `image` and `staged` must be valid for `image_len` and `staged_len`
+/// floats, the one written (`staged` unless `MERGE`) writable.
+unsafe fn staging<const MERGE: bool>(
+    g: Staging,
+    image: *mut f32,
+    image_len: usize,
+    staged: *mut f32,
+    staged_len: usize,
+) {
+    assert_eq!(image_len, g.c * g.h * g.w, "staging: image");
+    assert!(staged_len >= g.len(), "staging: staged image");
+    assert!(
+        g.s > 0 && g.chan >= g.s * g.s * g.ph * g.pw,
+        "staging: geometry"
+    );
+    for r in 0..g.s {
+        let (b, j0, n) = g.stream(r);
+        assert!(b < g.s && j0 + n <= g.pw, "staging: stream {r}");
+        assert!(n == 0 || r + (n - 1) * g.s < g.w, "staging: stream {r}");
+    }
+    // SAFETY: the asserts bound every access: image row `ih < h` of
+    // channel `ci < c` and its pixels `r + t·s < w` for `t < n` of stream
+    // `r`; plane rows `i < ph` of the `s²` planes of each channel's `chan`
+    // floats, columns `j0 + t < pw`; a stride-2 row's vectors cover pairs
+    // `t < n` of its second stream only, and `2t + 1 < w` for those. The
+    // tier match proves the CPU feature.
+    unsafe {
+        match (g.s, active_tier()) {
+            #[cfg(target_arch = "x86_64")]
+            (1, SimdTier::Avx512Fma | SimdTier::Avx2Fma) => {
+                x86::staging_avx2::<1, MERGE>(g, image, staged)
+            }
+            #[cfg(target_arch = "x86_64")]
+            (2, SimdTier::Avx512Fma | SimdTier::Avx2Fma) => {
+                x86::staging_avx2::<2, MERGE>(g, image, staged)
+            }
+            (1, _) => staging_kernel::<f32, 1, MERGE>(g, image, staged),
+            (2, _) => staging_kernel::<f32, 2, MERGE>(g, image, staged),
+            _ => staging_any::<MERGE>(g, image, staged),
+        }
+    }
+}
+
+/// Operands of a stride-2 split or merge of a row's two column streams:
+/// `pairs` is the interleaved side, `even` its even-indexed floats, `odd`
+/// its odd-indexed ones; the vectors move pairs `t < n`.
+#[derive(Clone, Copy)]
+struct PairArgs {
+    pairs: *mut f32,
+    even: *mut f32,
+    odd: *mut f32,
+    /// Whole pairs: `odd`'s length.
+    n: usize,
+}
+
+/// Pairs `t..t + V::N`, split (`MERGE` false) or merged.
+#[inline(always)]
+unsafe fn pair_block<V: Lanes, const MERGE: bool>(a: PairArgs, t: usize) {
+    let pairs = a.pairs.add(2 * t);
+    if MERGE {
+        let (lo, hi) = V::interleave(V::load(a.even.add(t)), V::load(a.odd.add(t)));
+        lo.store(pairs);
+        hi.store(pairs.add(V::N));
+    } else {
+        let (even, odd) = V::deinterleave(V::load(pairs), V::load(pairs.add(V::N)));
+        even.store(a.even.add(t));
+        odd.store(a.odd.add(t));
     }
 }
 
@@ -1720,7 +2063,7 @@ pub fn sgdm_sweep(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        BwdInputArgs, BwdWeightArgs, Chains, FwdArgs, Lanes, MomentArgs, NtArgs, PackArgs,
+        BwdInputArgs, BwdWeightArgs, Chains, FwdArgs, Lanes, MomentArgs, NtArgs, PackArgs, Staging,
         SweepArgs, Tile, MAX_LANES,
     };
     use crate::GradView;
@@ -1825,6 +2168,26 @@ mod x86 {
                 rows[4 + c] = _mm256_permute2f128_ps::<0x31>(cols[c], cols[4 + c]);
             }
         }
+        /// Pairs picked inside each 128-bit half (`a`'s two, then `b`'s),
+        /// then the 64-bit quarters put in order: 0, 2, 1, 3.
+        #[inline(always)]
+        unsafe fn deinterleave(a: Self, b: Self) -> (Self, Self) {
+            let order =
+                |v: Self| _mm256_castpd_ps(_mm256_permute4x64_pd::<0xD8>(_mm256_castps_pd(v)));
+            (
+                order(_mm256_shuffle_ps::<0x88>(a, b)),
+                order(_mm256_shuffle_ps::<0xDD>(a, b)),
+            )
+        }
+        /// Unpacked inside each 128-bit half, then the halves regrouped.
+        #[inline(always)]
+        unsafe fn interleave(even: Self, odd: Self) -> (Self, Self) {
+            let (lo, hi) = (_mm256_unpacklo_ps(even, odd), _mm256_unpackhi_ps(even, odd));
+            (
+                _mm256_permute2f128_ps::<0x20>(lo, hi),
+                _mm256_permute2f128_ps::<0x31>(lo, hi),
+            )
+        }
     }
 
     impl Lanes for __m512 {
@@ -1914,6 +2277,33 @@ mod x86 {
                 rows[12 + c] = _mm512_shuffle_f32x4::<0xDD>(odd_lo, odd_hi);
             }
         }
+        /// One two-source permute per output.
+        #[inline(always)]
+        unsafe fn deinterleave(a: Self, b: Self) -> (Self, Self) {
+            (
+                _mm512_permutex2var_ps(a, pick(&EVENS), b),
+                _mm512_permutex2var_ps(a, pick(&ODDS), b),
+            )
+        }
+        #[inline(always)]
+        unsafe fn interleave(even: Self, odd: Self) -> (Self, Self) {
+            (
+                _mm512_permutex2var_ps(even, pick(&ZIP_LO), odd),
+                _mm512_permutex2var_ps(even, pick(&ZIP_HI), odd),
+            )
+        }
+    }
+
+    /// Two-source permute indices: `0..16` name the first operand's lanes,
+    /// `16..32` the second's.
+    const EVENS: [i32; 16] = [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30];
+    const ODDS: [i32; 16] = [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31];
+    const ZIP_LO: [i32; 16] = [0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23];
+    const ZIP_HI: [i32; 16] = [8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31];
+
+    #[inline(always)]
+    unsafe fn pick(index: &[i32; 16]) -> __m512i {
+        _mm512_loadu_si512(index.as_ptr().cast())
     }
 
     /// Eight chains in one vector.
@@ -2026,6 +2416,18 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn conv_backward_weight_avx512(a: BwdWeightArgs<'_>) {
         super::bwd_weight_kernel::<__m512>(a)
+    }
+
+    /// See [`conv_forward_avx2`]. At `__m256` on the AVX-512 tier too: a
+    /// staged row is a few vectors long, and a stride-2 row's streams are
+    /// rarely sixteen pixels.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn staging_avx2<const S: usize, const MERGE: bool>(
+        g: Staging,
+        image: *mut f32,
+        staged: *mut f32,
+    ) {
+        super::staging_kernel::<__m256, S, MERGE>(g, image, staged)
     }
 
     /// See [`conv_forward_avx2`]. Outputs sixteen at a time while a whole
@@ -2212,6 +2614,36 @@ mod tests {
     #[test]
     fn load_first_and_store_first_touch_exactly_w_lanes() {
         on_every_lane_type!(masked_pair_stays_inside_w);
+    }
+
+    /// The stride-2 staging shuffles at `V`: a deinterleave of two vectors
+    /// is their even- and odd-indexed floats in order, and an interleave
+    /// puts them back.
+    fn pairs_split_and_merge<V: Lanes, const VR: usize>(ty: &str) {
+        let n = V::N;
+        let src = rand_vec(2 * n, 3);
+        let (mut even, mut odd) = (vec![SENTINEL; n], vec![SENTINEL; n]);
+        let mut back = vec![SENTINEL; 2 * n];
+        // SAFETY: `src` and `back` hold two vectors, `even` and `odd` one
+        // each; the macro proved the CPU feature.
+        unsafe {
+            let (e, o) = V::deinterleave(V::load(src.as_ptr()), V::load(src.as_ptr().add(n)));
+            e.store(even.as_mut_ptr());
+            o.store(odd.as_mut_ptr());
+            let (lo, hi) = V::interleave(e, o);
+            lo.store(back.as_mut_ptr());
+            hi.store(back.as_mut_ptr().add(n));
+        }
+        let want_even: Vec<f32> = src.iter().step_by(2).copied().collect();
+        let want_odd: Vec<f32> = src.iter().skip(1).step_by(2).copied().collect();
+        assert_bits_eq(&even, &want_even, &format!("{ty} deinterleave: evens"));
+        assert_bits_eq(&odd, &want_odd, &format!("{ty} deinterleave: odds"));
+        assert_bits_eq(&back, &src, &format!("{ty} interleave"));
+    }
+
+    #[test]
+    fn deinterleave_and_interleave_are_inverse_at_every_lane_type() {
+        on_every_lane_type!(pairs_split_and_merge);
     }
 
     /// The transposing block load at `V` against a one-lane gather of the

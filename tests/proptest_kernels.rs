@@ -23,7 +23,8 @@ use pipelined_backprop::tensor::ops::simd::{
 };
 use pipelined_backprop::tensor::ops::{
     conv2d, conv2d_backward, conv2d_direct, conv2d_direct_backward_input,
-    conv2d_direct_backward_weight, gemm_nn, gemm_nt, gemm_tn, reference, Conv2dSpec,
+    conv2d_direct_backward_weight, conv2d_direct_backward_weight_staged, conv2d_direct_staging,
+    gemm_nn, gemm_nt, gemm_tn, reference, Conv2dSpec,
 };
 use pipelined_backprop::tensor::{pool, GradView, Tensor};
 use proptest::prelude::*;
@@ -161,11 +162,12 @@ proptest! {
     }
 
     /// Conv forward over random geometry (kernel, stride, padding, spatial
-    /// size, channels): GEMM-lowered im2col path vs the six-loop direct
-    /// reference, at every thread count.
+    /// size, channels 1/2/3/16, batches 1–2): GEMM-lowered im2col path,
+    /// the direct kernel and the training forward that keeps its staged
+    /// images vs the six-loop direct reference, at every thread count.
     #[test]
     fn conv2d_forward_matches_reference_bitwise(
-        cin in 1usize..4,
+        cin_pick in 0usize..4,
         cout in 1usize..5,
         kernel in 1usize..5,
         stride in 1usize..4,
@@ -175,6 +177,7 @@ proptest! {
         batch in 1usize..3,
         seed in 0u64..10_000,
     ) {
+        let cin = [1, 2, 3, 16][cin_pick];
         let (h, w) = (kernel + extra_h, kernel + extra_w);
         let spec = Conv2dSpec::new(cin, cout, kernel, stride, padding).unwrap();
         let x = Tensor::from_vec(rand_vec(batch * cin * h * w, seed), &[batch, cin, h, w]).unwrap();
@@ -183,46 +186,71 @@ proptest! {
         let want = reference::conv2d_ref(&x, &wt, &spec);
         for &threads in &THREAD_SWEEP {
             pool::set_max_threads(threads);
+            let ctx = format!("conv fwd {cin}ch k={kernel} s={stride} p={padding} {h}x{w} t={threads}");
             let (got, _) = conv2d(&x, &wt, &spec).unwrap();
             prop_assert_eq!(got.shape(), want.shape());
-            assert_bits_eq(
-                got.as_slice(),
-                want.as_slice(),
-                &format!("conv fwd k={kernel} s={stride} p={padding} {h}x{w} t={threads}"),
-            );
+            assert_bits_eq(got.as_slice(), want.as_slice(), &format!("{ctx}: lowered"));
+            let direct = conv2d_direct(&x, &wt, &spec).unwrap();
+            assert_bits_eq(direct.as_slice(), want.as_slice(), &format!("{ctx}: direct"));
+            let (staging, staged) = conv2d_direct_staging(&x, &wt, &spec).unwrap();
+            prop_assert_eq!(staged.input_shape(), [batch, cin, h, w]);
+            assert_bits_eq(staging.as_slice(), want.as_slice(), &format!("{ctx}: staging"));
         }
         pool::set_max_threads(1);
     }
 
     /// Conv backward (input gradient AND weight gradient) over random
-    /// geometry: GEMM-lowered path vs the direct reference, bitwise, at
-    /// every thread count.
+    /// geometry — channels 1/2/3/16, batches 1–3: the GEMM-lowered path,
+    /// the direct input half (its stride-2 unstaging an interleave) and
+    /// the direct weight half on the images a training forward staged,
+    /// added into a gradient that already holds a sum, vs the direct
+    /// reference, bitwise, at every thread count.
     #[test]
     fn conv2d_backward_matches_reference_bitwise(
-        cin in 1usize..4,
+        cin_pick in 0usize..4,
         cout in 1usize..5,
         kernel in 1usize..4,
         stride in 1usize..4,
         padding in 0usize..3,
         extra_h in 0usize..5,
         extra_w in 0usize..5,
+        batch in 1usize..4,
         seed in 0u64..10_000,
     ) {
+        let cin = [1, 2, 3, 16][cin_pick];
         let (h, w) = (kernel + extra_h, kernel + extra_w);
         let spec = Conv2dSpec::new(cin, cout, kernel, stride, padding).unwrap();
-        let x = Tensor::from_vec(rand_vec(cin * h * w, seed), &[1, cin, h, w]).unwrap();
+        let x = Tensor::from_vec(rand_vec(batch * cin * h * w, seed), &[batch, cin, h, w]).unwrap();
         let wt = Tensor::from_vec(rand_vec(cout * spec.fan_in(), seed ^ 1), &spec.weight_shape())
             .unwrap();
         let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-        let g = Tensor::from_vec(rand_vec(cout * oh * ow, seed ^ 2), &[1, cout, oh, ow]).unwrap();
+        let g = Tensor::from_vec(
+            rand_vec(batch * cout * oh * ow, seed ^ 2),
+            &[batch, cout, oh, ow],
+        )
+        .unwrap();
         let (want_gx, want_gw) = reference::conv2d_backward_ref(&g, &x, &wt, &spec);
+        let held = rand_vec(want_gw.len(), seed ^ 3);
+        let want_sum: Vec<f32> = held.iter().zip(want_gw.as_slice()).map(|(a, b)| a + b).collect();
         for &threads in &THREAD_SWEEP {
             pool::set_max_threads(threads);
+            let ctx = format!(
+                "conv bwd {cin}ch n={batch} k={kernel} s={stride} p={padding} {h}x{w} t={threads}"
+            );
             let (_, cols) = conv2d(&x, &wt, &spec).unwrap();
             let (gx, gw) = conv2d_backward(&g, &wt, &cols, (h, w), &spec).unwrap();
-            let ctx = format!("conv bwd k={kernel} s={stride} p={padding} {h}x{w} t={threads}");
             assert_bits_eq(gx.as_slice(), want_gx.as_slice(), &format!("{ctx}: grad_in"));
             assert_bits_eq(gw.as_slice(), want_gw.as_slice(), &format!("{ctx}: grad_w"));
+            let direct_gx = conv2d_direct_backward_input(&g, &wt, (h, w), &spec).unwrap();
+            assert_bits_eq(
+                direct_gx.as_slice(),
+                want_gx.as_slice(),
+                &format!("{ctx}: direct grad_in"),
+            );
+            let (_, staged) = conv2d_direct_staging(&x, &wt, &spec).unwrap();
+            let mut sum = Tensor::from_vec(held.clone(), &spec.weight_shape()).unwrap();
+            conv2d_direct_backward_weight_staged(&g, &staged, &mut sum).unwrap();
+            assert_bits_eq(sum.as_slice(), &want_sum, &format!("{ctx}: staged grad_w added"));
         }
         pool::set_max_threads(1);
     }
@@ -347,10 +375,13 @@ fn flavoured(len: usize, seed: u64, flavour: usize) -> Vec<f32> {
 /// both sides of every block height and vector width (1, 3, 5, 16, 17;
 /// output channels also 12 = 8 + 4 and 29 = 16 + 8 + 4 + 1, which reach
 /// the forward's eight- and four-row blocks of the tap-major bank on every
-/// tier), kernels 1/3/5, strides 1/2, paddings 0/1/2, non-square images,
-/// two samples (the weight gradient adds the second as a completed
-/// subtotal) or, every fourth case, nine: two whole four-sample chunks of
-/// the batch-parallel forward and a ragged one.
+/// tier), kernels 1/3/5, strides 1/2/3 (the staging kernels' stride-1
+/// copy, stride-2 (de)interleave and strided path), paddings 0/1/2,
+/// non-square images, two samples (the weight gradient adds the second as
+/// a completed subtotal) or, every fourth case, nine: two whole
+/// four-sample chunks of the batch-parallel forward and a ragged one. The
+/// training forward's staged images feed the staged weight half, which
+/// must add the same gradient into a zeroed tensor.
 #[test]
 fn direct_conv_matches_reference_and_lowered_bitwise_on_every_tier() {
     let _tier = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -359,7 +390,7 @@ fn direct_conv_matches_reference_and_lowered_bitwise_on_every_tier() {
     for &cin in &[1usize, 3, 5, 16, 17] {
         for &cout in &[1usize, 3, 5, 12, 16, 17, 29] {
             for &kernel in &[1usize, 3, 5] {
-                for &stride in &[1usize, 2] {
+                for &stride in &[1usize, 2, 3] {
                     for &padding in &[0usize, 1, 2] {
                         case += 1;
                         let flavour = (case % 3) as usize;
@@ -397,13 +428,20 @@ fn direct_conv_matches_reference_and_lowered_bitwise_on_every_tier() {
                             let y = conv2d_direct(&x, &wt, &spec).unwrap();
                             let gx = conv2d_direct_backward_input(&g, &wt, (h, w), &spec).unwrap();
                             let gw = conv2d_direct_backward_weight(&g, &x, &spec).unwrap();
+                            let (y_staging, staged) =
+                                conv2d_direct_staging(&x, &wt, &spec).unwrap();
+                            let mut gw_staged = Tensor::zeros(&spec.weight_shape());
+                            conv2d_direct_backward_weight_staged(&g, &staged, &mut gw_staged)
+                                .unwrap();
                             assert_eq!(y.shape(), want_y.shape(), "{ctx}");
                             assert_eq!(gx.shape(), want_gx.shape(), "{ctx}");
                             assert_eq!(gw.shape(), want_gw.shape(), "{ctx}");
                             for (got, want, low, what) in [
                                 (&y, &want_y, &low_y, "forward"),
+                                (&y_staging, &want_y, &low_y, "staging forward"),
                                 (&gx, &want_gx, &low_gx, "grad_in"),
                                 (&gw, &want_gw, &low_gw, "grad_w"),
+                                (&gw_staged, &want_gw, &low_gw, "staged grad_w"),
                             ] {
                                 assert_bits_eq(
                                     got.as_slice(),
