@@ -22,8 +22,8 @@
 use pbp_data::{spirals, Dataset};
 use pbp_dist::{
     env_net_faults, launch, load_rank_snapshot, run_rank, splice_owned_stages, DistError,
-    LaunchFault, LaunchSpec, LinkEndpoint, RankOutcome, RankRecovery, RankSpec, ReconnectPolicy,
-    Topology, Transport,
+    LaunchSpec, LinkEndpoint, RankOutcome, RankRecovery, RankSpec, ReconnectPolicy, Topology,
+    Transport,
 };
 use pbp_nn::models::mlp;
 use pbp_nn::Network;
@@ -216,7 +216,7 @@ fn partition_plan() -> FaultPlan {
 }
 
 /// Scenario 3: re-execute this binary under the stage-group supervisor,
-/// abort rank 2 mid-run, and verify the final snapshots.
+/// crash rank 2 mid-run, and verify the final snapshots.
 fn kill_scenario(base: &Baseline) {
     let dir = scratch("kill");
     let program = std::env::current_exe().expect("own executable path");
@@ -242,7 +242,7 @@ fn kill_scenario(base: &Baseline) {
     for event in &report.events {
         eprintln!("  [kill] supervisor: {event}");
     }
-    let respawned_group = |e: &SupervisionEvent<LaunchFault>| {
+    let respawned_group = |e: &SupervisionEvent| {
         matches!(e, SupervisionEvent::Restart { from_snapshot: Some(from), .. }
             if from.ends_with("(all ranks)"))
     };

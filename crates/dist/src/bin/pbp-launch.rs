@@ -26,7 +26,7 @@
 //!
 //! Fault injection for tests: `PBP_NET_FAULTS` holds the one fault
 //! script (`pbp_pipeline::fault`) — `1:down:drop@7` scripts wire chaos,
-//! `rank:<r>:crash@<k>` makes rank `r` abort as it turns to backward `k`
+//! `rank:<r>:crash@<k>` makes rank `r` panic as it turns to backward `k`
 //! (once, as every clause fires once: the parent hands a respawn the plan
 //! minus its rank clauses).
 

@@ -1,6 +1,6 @@
 //! Typed errors for the distributed pipeline layer.
 
-use crate::launch::LaunchFault;
+use pbp_pipeline::PipelineFault;
 use pbp_snapshot::SnapshotError;
 use std::time::Duration;
 
@@ -34,7 +34,7 @@ pub enum DistError {
     Rank { rank: usize, detail: String },
     /// A launched stage group spent its restart budget; the fault is the
     /// last attempt's.
-    Launch(LaunchFault),
+    Launch(PipelineFault),
     /// The topology or launch specification is unusable.
     Spec(String),
 }

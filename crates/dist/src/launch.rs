@@ -2,21 +2,24 @@
 //! restart from the newest common snapshot.
 //!
 //! This is the thread supervisor lifted to processes: the same restart
-//! loop ([`supervise_retries`]) under the same [`RecoveryPolicy`]. The
-//! parent spawns `world` children of the same executable (each told its
-//! rank), then polls their exit statuses. Inside a run, liveness is enforced *between* the children
-//! themselves — every rank watches its socket neighbors with the
-//! [`transport`](crate::transport) stall window, so a killed or hung peer
-//! surfaces as a typed [`DistError`](crate::DistError) and a nonzero exit
-//! in the rank that observed it. The parent's job is the recovery arc,
-//! the loop's attempt closure: when any child fails, kill the whole stage
-//! group (a pipeline chain cannot run with a hole in it), compute the
-//! newest snapshot counter *every* rank holds a valid snapshot for, back
-//! off, and respawn the group with `--resume-at` pointing there. Ranks
-//! that had advanced further simply discard the work past the common
-//! point — the price of not coordinating snapshot barriers across
-//! failures — and the restart converges to bit-identical final weights
-//! because resume is bit-identical per rank.
+//! loop ([`supervise_retries`]) under the same [`RecoveryPolicy`],
+//! reporting the same fault type ([`PipelineFault`]). The parent spawns
+//! `world` children of the same executable (each told its rank), then
+//! polls their exit statuses. Inside a run, liveness is enforced
+//! *between* the children themselves — every rank watches its socket
+//! neighbors with the [`transport`](crate::transport) stall window, so a
+//! killed or hung peer surfaces as a typed [`DistError`]
+//! and a nonzero exit in the rank that observed it; a rank that panics —
+//! an injected crash is a panic on every host — exits nonzero by itself.
+//! The parent's job is the recovery arc, the loop's attempt closure: when
+//! any child fails ([`PipelineFault::Exited`]), kill the whole stage group
+//! (a pipeline chain cannot run with a hole in it), compute the newest
+//! snapshot counter *every* rank holds a valid snapshot for, back off, and
+//! respawn the group with `--resume-at` pointing there. Ranks that had
+//! advanced further simply discard the work past the common point — the
+//! price of not coordinating snapshot barriers across failures — and the
+//! restart converges to bit-identical final weights because resume is
+//! bit-identical per rank.
 //!
 //! Whatever way `launch` returns, every child it spawned has been killed
 //! and reaped: the group is owned by a guard that does so on drop.
@@ -24,43 +27,14 @@
 //! Fault injection (`PBP_NET_FAULTS`) reaches the children through the
 //! environment. A crashed process cannot carry a one-shot charge over, so
 //! a respawn is handed the plan minus its rank clauses: `rank:1:crash@30`
-//! kills rank 1 exactly once.
+//! crashes rank 1 exactly once.
 
 use crate::env::env_net_faults;
 use crate::error::DistError;
-use pbp_pipeline::{supervise_retries, RecoveryPolicy, SupervisionEvent};
+use pbp_pipeline::{supervise_retries, PipelineFault, RecoveryPolicy, SupervisionEvent};
 use pbp_snapshot::SnapshotFamily;
 use std::path::{Path, PathBuf};
-use std::process::ExitStatus;
 use std::time::{Duration, Instant};
-
-/// Why one attempt of a launched stage group failed: the first fault the
-/// parent observed, which is what it restarts the group for and, once the
-/// restart budget is spent, what [`launch`] returns
-/// ([`DistError::Launch`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LaunchFault {
-    /// Rank `rank` exited unsuccessfully: a nonzero code, or a signal.
-    Exited { rank: usize, status: ExitStatus },
-    /// Rank `rank`'s exit status could not be read.
-    Unwaitable { rank: usize, detail: String },
-    /// The attempt ran past [`LaunchSpec::attempt_timeout`].
-    Deadline(Duration),
-}
-
-impl std::fmt::Display for LaunchFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LaunchFault::Exited { rank, status } => write!(f, "rank {rank} exited with {status}"),
-            LaunchFault::Unwaitable { rank, detail } => {
-                write!(f, "rank {rank} unwaitable: {detail}")
-            }
-            LaunchFault::Deadline(limit) => {
-                write!(f, "attempt exceeded {} ms", limit.as_millis())
-            }
-        }
-    }
-}
 
 /// How the parent launches and supervises one stage group.
 #[derive(Debug, Clone)]
@@ -86,8 +60,9 @@ pub struct LaunchReport {
     /// Spawn rounds (1 = no restart was needed).
     pub attempts: usize,
     /// The fault/backoff/restart log, in order; a fault displays as
-    /// `rank 1 exited with signal: 6` or `attempt exceeded 120000 ms`.
-    pub events: Vec<SupervisionEvent<LaunchFault>>,
+    /// `rank 1 exited with exit status: 101` or `attempt exceeded 120000
+    /// ms`.
+    pub events: Vec<SupervisionEvent>,
     /// The resume counter each attempt started from.
     pub resume_points: Vec<usize>,
 }
@@ -157,18 +132,18 @@ impl Drop for Group {
 /// Polls the children until all have exited cleanly (`None`) or a fault
 /// is observed: the first rank found dead or unwaitable, or `timeout`
 /// passing. Exited children are reaped as they are polled.
-fn poll(children: &mut [std::process::Child], timeout: Option<Duration>) -> Option<LaunchFault> {
+fn poll(children: &mut [std::process::Child], timeout: Option<Duration>) -> Option<PipelineFault> {
     let started = Instant::now();
     loop {
         let mut running = false;
         for (rank, child) in children.iter_mut().enumerate() {
             match child.try_wait() {
                 Ok(Some(status)) if status.success() => {}
-                Ok(Some(status)) => return Some(LaunchFault::Exited { rank, status }),
+                Ok(Some(status)) => return Some(PipelineFault::Exited { rank, status }),
                 Ok(None) => running = true,
                 Err(e) => {
                     let detail = e.to_string();
-                    return Some(LaunchFault::Unwaitable { rank, detail });
+                    return Some(PipelineFault::Unwaitable { rank, detail });
                 }
             }
         }
@@ -176,7 +151,7 @@ fn poll(children: &mut [std::process::Child], timeout: Option<Duration>) -> Opti
             return None;
         }
         if let Some(t) = timeout.filter(|&t| started.elapsed() > t) {
-            return Some(LaunchFault::Deadline(t));
+            return Some(PipelineFault::Deadline(t));
         }
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -199,7 +174,7 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, DistError> {
     let mut group = Group(Vec::with_capacity(spec.world));
     let mut events = Vec::new();
     let mut resume_points = Vec::new();
-    let outcome = supervise_retries::<_, _, _, DistError>(
+    let outcome = supervise_retries::<_, _, DistError>(
         &mut group,
         &spec.recovery,
         |_, event| events.push(event),
@@ -309,7 +284,7 @@ mod tests {
             attempt_timeout: Some(Duration::from_secs(30)),
         };
         let err = launch(&spec).expect_err("rank 1 always fails");
-        let DistError::Launch(LaunchFault::Exited { rank: 1, status }) = &err else {
+        let DistError::Launch(PipelineFault::Exited { rank: 1, status }) = &err else {
             panic!("the spent budget returns rank 1's exit: {err}");
         };
         assert_eq!(status.code(), Some(1), "{err}");

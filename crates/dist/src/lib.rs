@@ -14,17 +14,17 @@
 //!   fault typing and deadline-based reconnect.
 //! * [`topology`] — the contiguous stage partition and its digest,
 //!   which the [`transport::handshake`] uses to refuse cross-run links.
-//! * [`runner`] — one rank: the [`RankLoop`](pbp_pipeline::RankLoop) a
-//!   `pbp-pipeline` worker thread steps between two channels, here over
-//!   the rank's stages between two reliable links, plus rank 0's data
-//!   feed and what happens between steps (snapshot drain barriers).
+//! * [`runner`] — one rank: the [`RankHost`](pbp_pipeline::RankHost) a
+//!   `pbp-pipeline` worker thread is between two channels, here over the
+//!   rank's stages between two reliable links, plus what happens between
+//!   steps (snapshot drain barriers).
 //!   Bit-identical to the sequential
 //!   [`ScheduledTrainer`](pbp_pipeline::ScheduledTrainer) by
 //!   construction (see DESIGN §12).
 //! * [`launch`] — the `pbp-launch` supervisor: spawns one process per
-//!   rank, watches for typed faults (peer death, stalls, nonzero
-//!   exits), and restarts the whole stage group from the newest
-//!   snapshot counter *all* ranks hold, under the workspace's one retry loop
+//!   rank, watches for typed faults (a nonzero exit is a [`PipelineFault`](pbp_pipeline::PipelineFault)),
+//!   and restarts the whole stage group from the newest snapshot counter
+//!   *all* ranks hold, under the workspace's one retry loop
 //!   ([`pbp_pipeline::supervise_retries`]).
 //! * [`reliable`] — the session layer chaos is aimed at: sequence
 //!   numbers, cumulative acks, a bounded replay window, and
@@ -49,7 +49,7 @@ pub mod transport;
 pub use codec::{Frame, MAX_FRAME_BYTES};
 pub use env::env_net_faults;
 pub use error::DistError;
-pub use launch::{launch, LaunchFault, LaunchReport, LaunchSpec};
+pub use launch::{launch, LaunchReport, LaunchSpec};
 pub use reliable::{LinkEndpoint, LinkIdentity, LinkOptions, ReconnectPolicy, ReliableConn};
 pub use runner::{
     load_rank_snapshot, run_rank, splice_owned_stages, RankOutcome, RankRecovery, RankSpec,

@@ -1,13 +1,16 @@
 //! The distributed stage runner: one process executes its stage group's
 //! slice of a [`MicrobatchSchedule`] against socket neighbors.
 //!
-//! A rank is a [`RankLoop`] over `topology.range(rank)` between two
-//! [`ReliableConn`]s — the rank loop a `pbp-pipeline` worker thread steps
-//! between two channels, and so bit-identical to the sequential
+//! A rank is the [`RankHost`] a `pbp-pipeline` worker thread steps between
+//! two channels, here over `topology.range(rank)` between two
+//! [`ReliableConn`]s, and so bit-identical to the sequential
 //! [`ScheduledTrainer`](pbp_pipeline::ScheduledTrainer) however the ranks
-//! interleave (DESIGN §12). This file adds rank 0's feed — the dataset in
-//! the deterministic `(seed, epoch)` order — and what happens between
-//! steps: reconnect trace instants, the injected abort, snapshots.
+//! interleave (DESIGN §12). The host owns rank 0's feed — the dataset in
+//! the deterministic `(seed, epoch)` order — and the injected crash, a
+//! panic on every host: the process exits nonzero and its launcher
+//! restarts the group. This file adds what happens between steps: the
+//! drain-barrier forward limit, reconnect trace instants, snapshots and
+//! the shutdown drain.
 //!
 //! ## Drain barriers
 //!
@@ -28,8 +31,8 @@ use pbp_data::Dataset;
 use pbp_nn::Network;
 use pbp_optim::{LrSchedule, Mitigation};
 use pbp_pipeline::{
-    FaultPlan, LinkDir, Message, MicrobatchSchedule, RankError, RankLoop, ScheduledConfig,
-    SnapshotPolicy, StageCounters, StageGroup, Step, Upstream,
+    FaultPlan, FaultSpec, LinkDir, Message, MicrobatchSchedule, RankError, RankFault, RankHost,
+    RankLoop, ScheduledConfig, SnapshotPolicy, StageCounters, StageGroup, Step,
 };
 use pbp_snapshot::{
     SnapshotArchive, SnapshotBuilder, SnapshotError, SnapshotFamily, StateReader, StateWriter,
@@ -91,8 +94,8 @@ pub struct RankSpec {
     /// Microbatch counter to resume from (0 = fresh start). Must name an
     /// existing snapshot of this rank's family.
     pub resume_at: usize,
-    /// Fault injection: abort the process (as a crash would) right after
-    /// this many microbatches have completed backward
+    /// Fault injection: panic, as a crash would, as the rank turns to
+    /// backward `k` — once `k` microbatches have completed backward
     /// ([`FaultPlan::process_crash`]: the clause `rank:<r>:crash@<k>`).
     pub abort_after: Option<usize>,
     /// Chaos-hardening knobs: wire fault injection and reconnect budget.
@@ -214,12 +217,14 @@ pub fn run_rank(
             "exactly the last rank must run without a downstream link".into(),
         ));
     }
-    let mut rank = Rank::new(net, spec, upstream, downstream, tracer);
-    rank.establish_links()?;
+    let mut rank = Rank::new(net, spec, upstream, downstream, tracer, Some(data));
+    // Dialing upstream before accepting downstream lets the chain come up
+    // from rank 0 without deadlock.
+    rank.host.links().try_for_each(ReliableConn::establish)?;
     if spec.resume_at > 0 {
         rank.restore(spec.resume_at)?;
     }
-    rank.run(data)?;
+    rank.run()?;
     Ok(rank.finish())
 }
 
@@ -233,7 +238,7 @@ pub fn load_rank_snapshot(
     counter: usize,
 ) -> Result<RankOutcome, DistError> {
     spec.validate(&net)?;
-    let mut rank = Rank::new(net, spec, None, None, None);
+    let mut rank = Rank::new(net, spec, None, None, None, None);
     rank.restore(counter)?;
     Ok(rank.finish())
 }
@@ -242,27 +247,22 @@ pub fn load_rank_snapshot(
 struct Rank<'a> {
     spec: &'a RankSpec,
     net: Network,
-    /// The owned stages' rank loop: executor, microbatch cursors, loss
-    /// sum.
-    rank: RankLoop,
-    upstream: Option<ReliableConn>,
-    downstream: Option<ReliableConn>,
-    /// Cached epoch order for rank 0's data feed.
-    order: Vec<usize>,
-    order_epoch: usize,
-    /// Heartbeat counter (monotonic per link pair).
-    beat: u64,
+    /// The owned stages' host: rank loop, rank 0's feed, both links, the
+    /// injected crash.
+    host: RankHost<'a, ReliableConn>,
     /// Link reconnects already surfaced as trace instants.
     seen_reconnects: u64,
 }
 
 impl<'a> Rank<'a> {
+    /// The rank `spec` names, fed from `data` if it is rank 0.
     fn new(
         net: Network,
         spec: &'a RankSpec,
         upstream: Option<LinkEndpoint>,
         downstream: Option<LinkEndpoint>,
         tracer: Option<&Tracer>,
+        data: Option<&'a Dataset>,
     ) -> Self {
         // A StageGroup over the stages the topology assigns to this
         // rank, tracing into `rank{r}/stage-{s}` lanes.
@@ -272,7 +272,8 @@ impl<'a> Rank<'a> {
             weight_stashing: spec.weight_stashing,
             schedule: spec.schedule.clone(),
         };
-        let mut group = StageGroup::new(&net, spec.topology.range(spec.rank), &config);
+        let owned = spec.topology.range(spec.rank);
+        let mut group = StageGroup::new(&net, owned.clone(), &config);
         group.set_tracer(
             &tracer.cloned().unwrap_or_default(),
             &format!("rank{}/", spec.rank),
@@ -301,29 +302,32 @@ impl<'a> Rank<'a> {
         };
         let upstream = upstream.map(|ep| conn(ep, spec.rank - 1, spec.rank - 1, LinkDir::Down));
         let downstream = downstream.map(|ep| conn(ep, spec.rank + 1, spec.rank, LinkDir::Up));
+        let mut host = RankHost::new(RankLoop::new(group), upstream, downstream);
+        if let Some(data) = data.filter(|_| spec.rank == 0) {
+            // Rank 0 feeds from the dataset in the deterministic
+            // (seed, epoch) order the sequential core uses.
+            let mut order = (usize::MAX, Vec::new());
+            host.set_feed(move |mb| {
+                let epoch = mb / data.len();
+                if order.0 != epoch {
+                    order = (epoch, data.epoch_order(spec.seed, epoch));
+                }
+                let (x, label) = data.sample(order.1[mb % data.len()]);
+                Message::sample(mb, x, label)
+            });
+        }
+        if let Some(k) = spec.abort_after {
+            // The crash strikes the rank's first stage.
+            let crash = FaultSpec::new(k as u64, RankFault::Crash);
+            let plan = FaultPlan::new(0).at_rank(owned.start, crash);
+            host.set_faults(vec![plan.rank_injector(owned.start)], |_| {});
+        }
         Rank {
             spec,
             net,
-            rank: RankLoop::new(group),
-            upstream,
-            downstream,
-            order: Vec::new(),
-            order_epoch: usize::MAX,
-            beat: 0,
+            host,
             seen_reconnects: 0,
         }
-    }
-
-    /// Connects and handshakes both links. Dialing upstream before
-    /// accepting downstream lets the chain come up from rank 0 without
-    /// deadlock.
-    fn establish_links(&mut self) -> Result<(), DistError> {
-        self.links().try_for_each(ReliableConn::establish)
-    }
-
-    /// The rank's links, upstream first.
-    fn links(&mut self) -> impl Iterator<Item = &mut ReliableConn> {
-        self.upstream.iter_mut().chain(self.downstream.iter_mut())
     }
 
     /// Where forwards stop for now: the end of the run, or the next
@@ -331,36 +335,18 @@ impl<'a> Rank<'a> {
     fn fwd_limit(&self) -> usize {
         let total = self.spec.total_microbatches;
         match self.spec.snap_every() {
-            Some(every) => total.min((self.rank.group.completed() / every + 1) * every),
+            Some(every) => total.min((self.host.rank.group.completed() / every + 1) * every),
             None => total,
         }
     }
 
-    fn run(&mut self, data: &Dataset) -> Result<(), DistError> {
-        let total = self.spec.total_microbatches;
-        let range = self.rank.group.range();
+    fn run(&mut self) -> Result<(), DistError> {
+        let (total, every) = (self.spec.total_microbatches, self.spec.snap_every());
+        let range = self.host.rank.group.range();
         loop {
             let limit = self.fwd_limit();
-            let (seed, order, order_epoch) =
-                (self.spec.seed, &mut self.order, &mut self.order_epoch);
-            // Rank 0 feeds from the dataset in the deterministic
-            // (seed, epoch) order the sequential core uses.
-            let mut feed = |mb: usize| {
-                let epoch = mb / data.len();
-                if epoch != *order_epoch {
-                    *order = data.epoch_order(seed, epoch);
-                    *order_epoch = epoch;
-                }
-                let (x, label) = data.sample(order[mb % data.len()]);
-                Message::sample(mb, x, label)
-            };
-            let up = match self.upstream.as_mut() {
-                Some(link) => Upstream::Link(link),
-                None => Upstream::Feed(&mut feed),
-            };
             let stages = &mut self.net.stages_mut()[range.clone()];
-            let step = self.rank.step(stages, up, self.downstream.as_mut(), limit);
-            let Some(step) = step.map_err(|e| match e {
+            let Some(step) = self.host.step(stages, limit).map_err(|e| match e {
                 RankError::Link(e) => e,
                 desync => DistError::Corrupt(format!("link desynchronized: {desync:?}")),
             })?
@@ -368,11 +354,15 @@ impl<'a> Rank<'a> {
                 break;
             };
             self.note_reconnects();
-            if let Step::Backward(mb) = step {
-                self.after_backward(mb + 1)?;
+            // A snapshot at every drain barrier passed.
+            if let (Step::Backward(mb), Some(every)) = (step, every) {
+                let done = mb + 1;
+                if done.is_multiple_of(every) && done > self.spec.resume_at && done < total {
+                    self.save_snapshot(done)?;
+                }
             }
         }
-        self.rank.group.flush_trace();
+        self.host.rank.group.flush_trace();
         // Final snapshot (unconditional): the launcher assembles the full
         // network from every rank's state at the end of the run.
         if self.spec.snapshots.is_some() {
@@ -386,33 +376,12 @@ impl<'a> Rank<'a> {
         let bye = Frame::Shutdown {
             rank: self.spec.rank as u32,
         };
-        for link in self.links() {
+        for link in self.host.links() {
             let _ = link.send(&bye);
         }
         let stall = self.spec.stall;
-        for link in self.links() {
+        for link in self.host.links() {
             link.drain_shutdown(stall);
-        }
-        Ok(())
-    }
-
-    /// The hooks that follow a backward, `done` microbatches in: the
-    /// injected abort, and a snapshot when `done` is a drain barrier.
-    fn after_backward(&mut self, done: usize) -> Result<(), DistError> {
-        if self.spec.abort_after == Some(done) {
-            eprintln!(
-                "rank {}: injected abort after {done} microbatches",
-                self.spec.rank
-            );
-            std::process::abort();
-        }
-        if let Some(every) = self.spec.snap_every() {
-            if done.is_multiple_of(every)
-                && done > self.spec.resume_at
-                && done < self.spec.total_microbatches
-            {
-                self.save_snapshot(done)?;
-            }
         }
         Ok(())
     }
@@ -420,40 +389,37 @@ impl<'a> Rank<'a> {
     /// Surfaces link reconnects as `Reconnect` trace instants on the
     /// rank's first lane, one per reconnect since the last check.
     fn note_reconnects(&mut self) {
-        let total: u64 = self.links().map(|link| link.reconnects()).sum();
-        let (rank, first) = (self.spec.rank, self.rank.group.range().start);
+        let total: u64 = self.host.links().map(|link| link.reconnects()).sum();
+        let (rank, first) = (self.spec.rank, self.host.rank.group.range().start);
         while self.seen_reconnects < total {
             self.seen_reconnects += 1;
             let detail = format!("rank {rank} link reconnect {}", self.seen_reconnects);
-            let lane = self.rank.group.lane(first);
+            let lane = self.host.rank.group.lane(first);
             lane.instant(TracePhase::Reconnect, Some(detail));
         }
     }
 
-    /// Sends a heartbeat on both links — called before slow local work
-    /// (snapshot writes) so peers' stall watchdogs keep quiet.
-    fn heartbeat(&mut self) {
-        self.beat += 1;
-        let frame = Frame::Heartbeat {
-            rank: self.spec.rank as u32,
-            beat: self.beat,
-        };
-        for link in self.links() {
-            let _ = link.send(&frame);
-        }
-    }
-
     fn save_snapshot(&mut self, counter: usize) -> Result<(), DistError> {
-        self.heartbeat();
+        // A heartbeat on both links first, so the slow write never trips a
+        // peer's stall watchdog.
+        let rank = self.spec.rank as u32;
+        let beat = Frame::Heartbeat {
+            rank,
+            beat: counter as u64,
+        };
+        for link in self.host.links() {
+            let _ = link.send(&beat);
+        }
         let mut snap = SnapshotBuilder::new();
         pbp_nn::snapshot::write_network(&self.net, &mut snap);
         let mut w = StateWriter::new();
-        w.put_u32(self.spec.rank as u32);
+        w.put_u32(rank);
         w.put_u32(self.spec.topology.world() as u32);
         w.put_u64(self.spec.digest());
-        w.put_f64(self.rank.loss_sum);
-        self.rank.group.write_state(&mut w);
-        w.put_u128(self.rank.train_ns);
+        let rank = &self.host.rank;
+        w.put_f64(rank.loss_sum);
+        rank.group.write_state(&mut w);
+        w.put_u128(rank.train_ns);
         snap.add_section(SECTION_DIST, w.into_bytes());
         let keep = self.spec.snapshots.as_ref().expect("caller checked").keep;
         self.spec.family().save(&snap, counter, keep)?;
@@ -481,11 +447,12 @@ impl<'a> Rank<'a> {
             ))
             .into());
         }
-        self.rank.loss_sum = r.take_f64()?;
-        self.rank.group.read_state(&mut r, "dist")?;
-        self.rank.train_ns = r.take_u128()?;
+        let rank = &mut self.host.rank;
+        rank.loss_sum = r.take_f64()?;
+        rank.group.read_state(&mut r, "dist")?;
+        rank.train_ns = r.take_u128()?;
         r.finish()?;
-        let samples = self.rank.group.completed();
+        let samples = rank.group.completed();
         if samples != counter {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot {path:?} covers {samples} microbatches, file name says {counter}"
@@ -496,7 +463,12 @@ impl<'a> Rank<'a> {
     }
 
     fn finish(self) -> RankOutcome {
-        let group = self.rank.group;
+        let RankLoop {
+            group,
+            loss_sum,
+            train_ns,
+            ..
+        } = self.host.rank;
         let samples_seen = group.completed();
         let mut stages = vec![StageCounters::default(); self.net.num_stages()];
         stages[group.range()].clone_from_slice(group.counters());
@@ -508,14 +480,14 @@ impl<'a> Rank<'a> {
                 self.spec.plan.label()
             ),
             samples: samples_seen,
-            train_ns: self.rank.train_ns,
+            train_ns,
             occupancy: None,
             stages,
         };
         RankOutcome {
             net: self.net,
             samples_seen,
-            loss_sum: self.rank.loss_sum,
+            loss_sum,
             metrics,
         }
     }

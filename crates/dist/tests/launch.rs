@@ -175,7 +175,7 @@ fn stray_rank_variable_does_not_make_the_launcher_a_child() {
 #[test]
 fn killed_rank_restarts_from_common_snapshot_and_converges() {
     let dir = scratch_dir("abort");
-    // Rank 1 crashes (process abort) after its 30th microbatch; with a
+    // Rank 1 crashes (a panic) as it turns to its 30th backward; with a
     // snapshot cadence of 24 the newest counter both ranks hold is 24.
     // The supervisor must detect the death (the peer sees PeerClosed and
     // exits nonzero; the parent sees both exits), restart the group at
@@ -193,7 +193,7 @@ fn killed_rank_restarts_from_common_snapshot_and_converges() {
         output.status
     );
     assert!(
-        stderr.contains("injected abort"),
+        stderr.contains("injected fault"),
         "fault injection must have fired:\n{stderr}"
     );
     assert!(

@@ -9,7 +9,7 @@
 //!   it) at `@k`, the backward the rank is turning to — the
 //!   `Step::Backward(k)` its [`RankLoop`](crate::RankLoop) reports:
 //!   [`RankFault`] `crash`
-//!   (a panic under threads, `process::abort` under processes),
+//!   (a panic on every host: a rank process then exits non-zero),
 //!   `stall:<ms>`, `sever` (drop every outgoing link end) or
 //!   `jitter:<ms>` (every backward from `k` on sleeps a seeded draw in
 //!   `[0, ms]`);
@@ -33,10 +33,12 @@
 //! a reconnect, does not see it again. A fault that strikes again on the
 //! next attempt is a second clause at a later index.
 //!
-//! [`PipelineFault`] is what the supervised threaded runtime returns
-//! instead of hanging or propagating a worker panic; [`RunError`] is the
-//! combined error type of the snapshot-driven runners.
+//! [`PipelineFault`] is the one fault type of both supervisors: what the
+//! supervised threaded runtime returns instead of hanging or propagating a
+//! worker panic, and what the process launcher observes of a rank's exit;
+//! [`RunError`] is the combined error type of the snapshot-driven runners.
 
+use std::process::ExitStatus;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,7 +59,7 @@ pub enum LinkDir {
 /// backward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankFault {
-    /// A panic in a worker thread, `process::abort` in a rank process.
+    /// A panic, in a worker thread and a rank process alike.
     Crash,
     /// The rank sleeps this long first.
     Stall(Duration),
@@ -470,9 +472,9 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A detected failure of the threaded pipeline runtime. The supervised
-/// runtime always terminates with either a result or one of these —
-/// never a hang, never a propagated worker panic.
+/// A detected failure of a pipeline's worker threads or rank processes:
+/// a supervised run always terminates with either a result or one of
+/// these — never a hang, never a propagated worker panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineFault {
     /// A worker panicked; the payload message is preserved.
@@ -499,6 +501,13 @@ pub enum PipelineFault {
         /// Microbatches worker 0 retired.
         completed: usize,
     },
+    /// Rank process `rank` exited unsuccessfully: a nonzero code (a panic,
+    /// an injected crash among them, or a typed link fault), or a signal.
+    Exited { rank: usize, status: ExitStatus },
+    /// Rank process `rank`'s exit status could not be read.
+    Unwaitable { rank: usize, detail: String },
+    /// A launched group's attempt ran past its deadline.
+    Deadline(Duration),
 }
 
 impl std::fmt::Display for PipelineFault {
@@ -518,6 +527,13 @@ impl std::fmt::Display for PipelineFault {
                     f,
                     "pipeline completed {completed} of {expected} samples before all stages exited"
                 )
+            }
+            PipelineFault::Exited { rank, status } => write!(f, "rank {rank} exited with {status}"),
+            PipelineFault::Unwaitable { rank, detail } => {
+                write!(f, "rank {rank} unwaitable: {detail}")
+            }
+            PipelineFault::Deadline(limit) => {
+                write!(f, "attempt exceeded {} ms", limit.as_millis())
             }
         }
     }
@@ -857,5 +873,100 @@ mod tests {
         assert_eq!(fault.to_string(), "stage 2 panicked: boom");
         let err: RunError = fault.into();
         assert!(err.to_string().contains("stage 2"));
+    }
+
+    /// Byte-level fuzz of the grammar, on a fixed seed and no clock: token
+    /// soup over its alphabet and byte mutations of valid specs. Every
+    /// input parses to a plan or a message, never a panic, and every plan
+    /// survives its own spec string.
+    #[test]
+    fn fuzzed_specs_parse_or_refuse_and_every_plan_round_trips() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const TOKENS: &[&str] = &[
+            "rank",
+            "random",
+            "seed",
+            "crash",
+            "stall",
+            "sever",
+            "jitter",
+            "down",
+            "up",
+            "drop",
+            "trunc",
+            "flip",
+            "dup",
+            "delay",
+            "partition",
+            ":",
+            ":",
+            ":",
+            "@",
+            ",",
+            " ",
+            "0",
+            "1",
+            "2",
+            "7",
+            "9",
+            "64",
+            "1000",
+            "18446744073709551615",
+            "18446744073709551616",
+        ];
+        const VALID: &[&str] = &[
+            "rank:1:crash@30",
+            "seed:7,rank:0:jitter:5@3,rank:2:stall:50@1",
+            "0:down:drop@7,1:up:partition:3@2,rank:1:sever@4",
+            "2:up:delay:20@9,0:down:flip@0,1:down:trunc@5,1:up:dup@6",
+            "random:42:3:16",
+        ];
+        let mut rng = StdRng::seed_from_u64(0xF422);
+        let (mut plans, mut refusals) = (0, 0);
+        for case in 0..20_000 {
+            let input = if case % 2 == 0 {
+                let tokens = rng.gen_range(0..24usize);
+                (0..tokens)
+                    .map(|_| TOKENS[rng.gen_range(0..TOKENS.len())])
+                    .collect::<String>()
+            } else {
+                let mut bytes = VALID[rng.gen_range(0..VALID.len())].as_bytes().to_vec();
+                for _ in 0..rng.gen_range(1..=3usize) {
+                    let at = rng.gen_range(0..=bytes.len());
+                    let byte = if rng.gen_bool(0.5) {
+                        b":@, 0123456789"[rng.gen_range(0..14usize)]
+                    } else {
+                        rng.gen::<u8>()
+                    };
+                    match rng.gen_range(0..3u32) {
+                        0 if at < bytes.len() => bytes[at] = byte,
+                        1 if at < bytes.len() => {
+                            bytes.remove(at);
+                        }
+                        _ => bytes.insert(at, byte),
+                    }
+                }
+                String::from_utf8_lossy(&bytes).into_owned()
+            };
+            let parsed = std::panic::catch_unwind(|| FaultPlan::parse(&input))
+                .unwrap_or_else(|_| panic!("parse panicked on {input:?}"));
+            match parsed {
+                Ok(plan) => {
+                    plans += 1;
+                    let spec = plan.spec_string();
+                    assert_eq!(FaultPlan::parse(&spec), Ok(plan), "{input:?} -> {spec:?}");
+                }
+                Err(message) => {
+                    refusals += 1;
+                    assert!(!message.is_empty(), "{input:?} refused without a word");
+                }
+            }
+        }
+        // Both outcomes are common, so neither half of the check is vacuous.
+        assert!(
+            plans > 500 && refusals > 500,
+            "{plans} plans, {refusals} refusals"
+        );
     }
 }

@@ -12,11 +12,11 @@
 //! * [`RankLoop`] — the one rank loop above the executor: forward while
 //!   the group allows, otherwise retire a backward, between two [`Link`]s
 //!   that move an `Activation` downstream and a `Gradient` (with the
-//!   loss) upstream. The threaded workers step it between channel
-//!   links, the `pbp-dist` ranks between sockets, the sequential engine
-//!   with no link at all; rank 0 of every host feeds itself through
-//!   [`Upstream::Feed`]; [`partition_bounds`] is the one rule that
-//!   cuts the stages into their contiguous groups — by [`stage_cost`]
+//!   loss) upstream. The threaded workers step it between channel links,
+//!   the `pbp-dist` ranks between sockets — each through one [`RankHost`]
+//!   — the sequential engine with no link at all; rank 0 of every host
+//!   feeds itself through [`Upstream::Feed`]; [`partition_bounds`] is the
+//!   one rule that cuts the stages into their contiguous groups — by [`stage_cost`]
 //!   for the threaded workers, by count ([`contiguous_bounds`], its
 //!   uniform case) for the `pbp-dist` ranks.
 //! * [`ScheduledTrainer`] — the sequential substrate, the world of one:
@@ -48,8 +48,8 @@
 //!   compared against), `consistent` / `inconsistent` (Figure 10, with
 //!   mitigations Figures 13 and 14), `asgd` (`D` a random variable) and
 //!   `adam` (the Discussion's delay-tolerance ablation).
-//! * [`VirtualHost`] — the fourth host of [`RankLoop`]s, and the Figure 2
-//!   diagram: W loops on one thread joined by in-memory queue links,
+//! * [`VirtualHost`] — W [`RankHost`]s on one thread, and the Figure 2
+//!   diagram: their loops joined by in-memory queue links,
 //!   stepped earliest-first on a virtual clock that charges each action
 //!   its [`action_cost`], drawn one span per action into the trace's
 //!   virtual process with the run's bubble fraction. It is also the
@@ -77,6 +77,7 @@ pub mod delayed;
 pub mod engine;
 pub mod fault;
 pub mod group;
+pub mod host;
 pub mod memory;
 pub mod metrics;
 pub mod rank;
@@ -96,6 +97,7 @@ pub use fault::{
     FaultInjector, FaultPlan, FaultSpec, LinkDir, LinkFault, PipelineFault, RankFault, RunError,
 };
 pub use group::{action_cost, contiguous_bounds, partition_bounds, stage_cost, StageGroup};
+pub use host::RankHost;
 pub use memory::MemoryModel;
 pub use metrics::{EngineMetrics, StageCounters};
 pub use rank::{Link, Message, RankError, RankLoop, Step, Upstream};

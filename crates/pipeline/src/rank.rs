@@ -11,9 +11,11 @@
 //! at all in the world of one that is [`ScheduledTrainer`](crate::ScheduledTrainer).
 //! Only [`RankLoop::step`] drives a group. Fill&drain, PB, 1F1B and 2BP
 //! differ only in the version lags and in-flight caps the plan hands the
-//! group, never in this loop. Waiting policy (bounded waits, heartbeats, abort flags, stall
-//! windows, reconnects) belongs to the link; fault and snapshot hooks
-//! belong to the caller, keyed off the [`Step`] the loop reports.
+//! group, never in this loop. Waiting policy (bounded waits, heartbeats,
+//! abort flags, stall windows, reconnects) belongs to the link; rank 0's
+//! feed and the injected faults to the [`RankHost`](crate::RankHost) every
+//! host but the world of one steps the loop through; snapshots and
+//! supervision to the host's caller, keyed off the [`Step`] it reports.
 
 use crate::engine::batch_of_one;
 use crate::group::StageGroup;
@@ -71,6 +73,10 @@ pub trait Link {
 
     /// Waits for the peer's next message.
     fn recv(&mut self) -> Result<Message, Self::Error>;
+
+    /// Drops this end's sending half (an injected `sever`): the peer hears
+    /// a hang-up. Only an in-process link severs.
+    fn sever(&mut self) {}
 }
 
 /// Where a rank's activations come from.
@@ -231,7 +237,7 @@ mod tests {
     use crate::engine::TrainEngine;
     use crate::metrics::StageCounters;
     use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
-    use crate::timeline::VirtualHost;
+    use crate::timeline::{QueueLink, VirtualHost};
     use pbp_data::{spirals, Dataset};
     use pbp_nn::models::mlp;
     use pbp_nn::Network;
@@ -267,17 +273,21 @@ mod tests {
         ]
     }
 
-    /// `workers` loops over a fresh network, to run `SAMPLES` microbatches.
-    fn host(config: &ScheduledConfig, workers: usize) -> VirtualHost {
-        VirtualHost::new(fresh_net(), config, workers, SAMPLES, &Tracer::disabled())
-    }
-
-    /// Loop 0's feed: microbatch `mb` is sample `mb` of `data`, cyclically.
-    fn feed(data: &Dataset) -> impl FnMut(usize) -> Message + '_ {
-        |mb| {
+    /// `workers` loops over a fresh network, to run `SAMPLES` microbatches,
+    /// loop 0 fed sample `mb` of `data`, cyclically, as microbatch `mb`.
+    fn host<'a>(config: &ScheduledConfig, workers: usize, data: &'a Dataset) -> VirtualHost<'a> {
+        let feed = move |mb| {
             let (x, label) = data.sample(mb % data.len());
             Message::sample(mb, x, label)
-        }
+        };
+        VirtualHost::new(
+            fresh_net(),
+            config,
+            workers,
+            SAMPLES,
+            &Tracer::disabled(),
+            feed,
+        )
     }
 
     /// What `SAMPLES` microbatches must come to, computed without
@@ -337,7 +347,7 @@ mod tests {
     fn assert_finished(host: &VirtualHost, config: &ScheduledConfig, context: &str) {
         let reference = Reference::run(config);
         let want_sum: f64 = reference.losses.iter().map(|&l| l as f64).sum();
-        for (r, rank) in host.loops.iter().enumerate() {
+        for (r, rank) in host.hosts.iter().map(|h| &h.rank).enumerate() {
             assert_eq!(rank.next_step(SAMPLES), None, "{context}: rank {r} stuck");
             assert_eq!(rank.group.completed(), SAMPLES, "{context}: rank {r}");
             assert_eq!(
@@ -346,9 +356,9 @@ mod tests {
                 "{context}: rank {r} loss sum"
             );
         }
-        let counters = host.loops.iter().flat_map(|rank| rank.group.counters());
+        let counters = host.hosts.iter().flat_map(|h| h.rank.group.counters());
         let stages = host.stages.iter().flatten();
-        reference.assert_matches(context, &host.losses, counters, stages);
+        reference.assert_matches(context, &host.hosts[0].losses, counters, stages);
     }
 
     proptest! {
@@ -368,7 +378,7 @@ mod tests {
             let data = data();
             for config in configs() {
                 let context = format!("{} world {world} prefer {prefer:?}", config.label());
-                let mut host = host(&config, world);
+                let mut host = host(&config, world, &data);
                 for turn in 0.. {
                     let ready: Vec<(usize, Step)> =
                         (0..world).filter_map(|r| Some((r, host.ready(r)?.0))).collect();
@@ -383,7 +393,7 @@ mod tests {
                         break;
                     }
                     let (r, step) = pool[picks[turn % picks.len()] % pool.len()];
-                    assert_eq!(host.step(r, &mut feed(&data)), Ok(Some(step)), "{context}");
+                    assert_eq!(host.step(r), Ok(Some(step)), "{context}");
                 }
                 assert_finished(&host, &config, &context);
             }
@@ -397,8 +407,8 @@ mod tests {
         let data = data();
         for config in configs() {
             for world in [1, 2, LAYERS.len() - 1] {
-                let mut host = host(&config, world);
-                host.run(&mut feed(&data));
+                let mut host = host(&config, world, &data);
+                host.run();
                 let context = format!("{} on the clock, world {world}", config.label());
                 assert_finished(&host, &config, &context);
             }
@@ -432,10 +442,13 @@ mod tests {
         let data = data();
         let (x, label) = data.sample(0);
         // The feed hands rank 0 the wrong microbatch.
-        let mut host = host(&config, 2);
+        let mut host = host(&config, 2, &data);
         let mut wrong = |mb: usize| Message::sample(mb + 5, x, label);
+        let up = Upstream::<QueueLink>::Feed(&mut wrong);
         assert_eq!(
-            host.step(0, &mut wrong),
+            host.hosts[0]
+                .rank
+                .step(&mut host.stages[0], up, None, SAMPLES),
             Err(RankError::Desync {
                 expected: Step::Forward(0),
                 got: Step::Forward(5),
@@ -443,11 +456,10 @@ mod tests {
         );
         // The link hands rank 1 a later activation, then a gradient where
         // an activation is due.
-        let mut unused = |_: usize| unreachable!("rank 1 has an upstream link");
         let later = Message::sample(3, x, label);
         host.acts[0].borrow_mut().push_back((0, later));
         assert_eq!(
-            host.step(1, &mut unused),
+            host.step(1),
             Err(RankError::Desync {
                 expected: Step::Forward(0),
                 got: Step::Forward(3),
@@ -460,18 +472,15 @@ mod tests {
         };
         host.acts[0].borrow_mut().push_back((0, gradient));
         assert_eq!(
-            host.step(1, &mut unused),
+            host.step(1),
             Err(RankError::Desync {
                 expected: Step::Forward(0),
                 got: Step::Backward(0),
             })
         );
         // Nothing ran: the group's cursors have not moved.
-        assert_eq!(host.loops[1].group.forwarded(), 0);
+        assert_eq!(host.hosts[1].rank.group.forwarded(), 0);
         // A link failure passes through untouched.
-        assert_eq!(
-            host.step(1, &mut unused),
-            Err(RankError::Link("empty wire"))
-        );
+        assert_eq!(host.step(1), Err(RankError::Link("empty wire")));
     }
 }

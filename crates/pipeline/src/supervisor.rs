@@ -14,12 +14,13 @@
 //!   hanging.
 //! * **Run supervision** ([`supervise_retries`]): the one restart loop —
 //!   attempt, and on a fault check the [`RecoveryPolicy`] budget, back
-//!   off, go again — generic over the fault type and over how an attempt
-//!   is made, logging typed [`SupervisionEvent`]s. [`run_supervised`]
-//!   passes it the attempt that rebuilds the engine and resumes from the
-//!   newest *valid* snapshot; `pbp_dist::launch` passes it the attempt
-//!   that respawns the rank processes from their newest common snapshot.
-//!   Either way a spent budget returns the last typed fault.
+//!   off, go again — generic over how an attempt is made, logging typed
+//!   [`SupervisionEvent`]s. [`run_supervised`] passes it the attempt that
+//!   rebuilds the engine and resumes from the newest *valid* snapshot;
+//!   `pbp_dist::launch` passes it the attempt that respawns the rank
+//!   processes from their newest common snapshot. Either way a spent
+//!   budget returns the last [`PipelineFault`], the one fault type of
+//!   worker threads and rank processes alike.
 //!
 //! A supervised run is watched through one [`Tracer`]: [`run_supervised`]
 //! installs it on every engine it builds and records its own events and
@@ -27,14 +28,17 @@
 
 use crate::engine::{EngineSpec, RunConfig};
 use crate::fault::{PipelineFault, RunError};
-use crate::rank::RankLoop;
+use crate::host::RankHost;
 use crate::resume::{run_snapshotted, SnapshotPolicy};
+use crate::threaded::ChannelLink;
 use crate::trainer::TrainReport;
+use crossbeam::channel::Receiver;
 use pbp_nn::{Network, Stage};
 use pbp_snapshot::SnapshotFamily;
 use pbp_trace::{Lane, TracePhase, Tracer, PID_WALL};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Liveness policy of a supervised streaming run.
@@ -79,55 +83,52 @@ impl Watchdog {
     }
 }
 
-/// A worker's final report: its stages and their rank (cells, counters,
-/// trace lanes, step time) travel back to the supervisor by value, so a
-/// clean run reassembles the engine state without joining on thread
-/// results.
-pub(crate) struct StageDone {
-    /// The stage the report speaks for: the one an injected fault struck,
-    /// otherwise the worker's first.
-    pub stage_idx: usize,
-    pub stages: Vec<Stage>,
-    pub rank: RankLoop,
-    /// The loss of each microbatch the worker retired, in order; worker 0
-    /// records them, the others leave this empty.
-    pub losses: Vec<f32>,
-    /// The message of the panic that ended the worker's loop, if one did
-    /// (caught by `catch_unwind`).
-    pub panic: Option<String>,
-}
+/// A worker thread's host: worker 0 feeds itself, the others read the
+/// channel link above.
+pub(crate) type WorkerHost = RankHost<'static, ChannelLink>;
+
+/// A worker's final report: its host and its stages.
+type Report = (Box<WorkerHost>, Vec<Stage>);
 
 /// Worker → supervisor control-plane traffic.
 pub(crate) enum StageEvent {
     /// Liveness signal from the worker hosting `stage`.
     Beat { stage: usize },
-    /// Final report; boxed because it carries the worker's stages.
-    Done(Box<StageDone>),
+    /// Final report: the worker's host and stages travel back by value, so
+    /// a clean run reassembles the engine without joining on threads;
+    /// `panic` is what `catch_unwind` caught, if anything.
+    Done {
+        host: Box<WorkerHost>,
+        stages: Vec<Stage>,
+        panic: Option<String>,
+    },
 }
 
 /// The control-plane state machine the calling thread runs while workers
 /// stream. Tracks heartbeats and collects final reports per worker,
-/// decides when the run has failed and owns the abort/grace protocol.
+/// decides when the run has failed and owns the abort/grace protocol. It
+/// reads no clock: every call that judges liveness is handed the instant
+/// it judges by.
 pub(crate) struct StreamSupervisor {
     watchdog: Watchdog,
     /// Worker `w` hosts stages `bounds[w]..bounds[w + 1]`.
     bounds: Vec<usize>,
     /// Per worker: when it was last heard from, and from which stage.
     last_beat: Vec<(Instant, usize)>,
-    done: Vec<Option<StageDone>>,
+    /// Per worker: its final report's host and stages.
+    done: Vec<Option<Report>>,
     fault: Option<PipelineFault>,
-    abort: Arc<AtomicBool>,
+    /// The abort flag shared with every worker.
+    pub(crate) abort: Arc<AtomicBool>,
     grace_deadline: Option<Instant>,
 }
 
 impl StreamSupervisor {
-    pub(crate) fn new(bounds: Vec<usize>, watchdog: Watchdog) -> Self {
+    /// Supervises workers over `bounds`, each heard from at `now`.
+    pub(crate) fn new(bounds: Vec<usize>, watchdog: Watchdog, now: Instant) -> Self {
         StreamSupervisor {
             watchdog,
-            last_beat: bounds
-                .windows(2)
-                .map(|run| (Instant::now(), run[0]))
-                .collect(),
+            last_beat: bounds.windows(2).map(|run| (now, run[0])).collect(),
             done: bounds.windows(2).map(|_| None).collect(),
             bounds,
             fault: None,
@@ -136,44 +137,65 @@ impl StreamSupervisor {
         }
     }
 
-    /// The abort flag shared with every worker.
-    pub(crate) fn abort_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.abort)
-    }
-
-    pub(crate) fn on_event(&mut self, event: StageEvent) {
-        let host = |stage: usize| self.bounds.partition_point(|&b| b <= stage) - 1;
+    /// Takes in `event`, received at `now`.
+    pub(crate) fn on_event(&mut self, event: StageEvent, now: Instant) {
+        let worker = |stage: usize| self.bounds.partition_point(|&b| b <= stage) - 1;
         match event {
-            StageEvent::Beat { stage } => self.last_beat[host(stage)] = (Instant::now(), stage),
-            StageEvent::Done(done) => {
-                let w = host(done.stage_idx);
-                if let Some(message) = &done.panic {
-                    self.flag(PipelineFault::StagePanicked {
-                        stage: done.stage_idx,
-                        message: message.clone(),
-                    });
+            StageEvent::Beat { stage } => self.last_beat[worker(stage)] = (now, stage),
+            StageEvent::Done {
+                host,
+                stages,
+                panic,
+            } => {
+                let (w, stage) = (worker(host.struck), host.struck);
+                if let Some(message) = panic {
+                    self.flag(PipelineFault::StagePanicked { stage, message }, now);
                 }
-                self.done[w] = Some(*done);
+                self.done[w] = Some((host, stages));
             }
         }
     }
 
-    /// True once every worker has reported in.
-    pub(crate) fn all_done(&self) -> bool {
-        self.done.iter().all(Option::is_some)
+    /// The control plane, on the calling thread: takes in `events`,
+    /// waiting at most `poll` for each, and checks the watchdog until every
+    /// worker has reported in or the shutdown grace after a fault runs out.
+    /// Joins the `workers` that reported in (non-blocking by construction);
+    /// the rest are detached and exit on their own once their blocked
+    /// operation observes the abort flag or a disconnect. Returns the fault
+    /// if one was flagged, otherwise the per-worker reports in stage order.
+    pub(crate) fn run(
+        mut self,
+        events: &Receiver<StageEvent>,
+        poll: Duration,
+        workers: Vec<JoinHandle<()>>,
+    ) -> Result<Vec<Report>, PipelineFault> {
+        let expired = |deadline: Option<Instant>| deadline.is_some_and(|d| Instant::now() >= d);
+        while self.done.iter().any(Option::is_none) && !expired(self.grace_deadline) {
+            if let Ok(event) = events.recv_timeout(poll) {
+                self.on_event(event, Instant::now());
+            }
+            self.check_watchdog(Instant::now());
+        }
+        for (worker, done) in workers.into_iter().zip(&self.done) {
+            if done.is_some() {
+                let _ = worker.join();
+            }
+        }
+        match self.fault {
+            Some(fault) => Err(fault),
+            None => Ok(self
+                .done
+                .into_iter()
+                .map(|d| d.expect("no fault implies every worker reported"))
+                .collect()),
+        }
     }
 
-    /// Whether worker `w` has reported in (and can be joined without
-    /// blocking).
-    pub(crate) fn is_done(&self, w: usize) -> bool {
-        self.done[w].is_some()
-    }
-
-    /// Records `fault` and starts the abort protocol. The root cause beats
-    /// its symptom: a stage panic reported *after* a stall replaces it (the
-    /// watchdog can hear a failing worker's silence before its report).
-    /// Otherwise the first fault wins.
-    pub(crate) fn flag(&mut self, fault: PipelineFault) {
+    /// Records `fault`, flagged at `now`, and starts the abort protocol.
+    /// The root cause beats its symptom: a stage panic reported *after* a
+    /// stall replaces it (the watchdog can hear a failing worker's silence
+    /// before its report). Otherwise the first fault wins.
+    pub(crate) fn flag(&mut self, fault: PipelineFault, now: Instant) {
         let panicked = |f: &PipelineFault| matches!(f, PipelineFault::StagePanicked { .. });
         if self
             .fault
@@ -184,18 +206,15 @@ impl StreamSupervisor {
         }
         self.abort.store(true, Ordering::Relaxed);
         if self.grace_deadline.is_none() {
-            self.grace_deadline = Some(Instant::now() + self.watchdog.shutdown_grace);
+            self.grace_deadline = Some(now + self.watchdog.shutdown_grace);
         }
     }
 
-    pub(crate) fn grace_expired(&self) -> bool {
-        self.grace_deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Stall detection: flags the live worker with the oldest heartbeat,
-    /// at the stage it came from, once it exceeds the stall timeout.
-    /// Returns `true` if a fault was (or already had been) flagged.
-    pub(crate) fn check_watchdog(&mut self) -> bool {
+    /// Stall detection at `now`: flags the live worker with the oldest
+    /// heartbeat, at the stage it came from, once it exceeds the stall
+    /// timeout. Returns `true` if a fault was (or already had been)
+    /// flagged.
+    pub(crate) fn check_watchdog(&mut self, now: Instant) -> bool {
         if self.fault.is_some() {
             return true;
         }
@@ -204,28 +223,13 @@ impl StreamSupervisor {
             .map(|w| self.last_beat[w])
             .min();
         if let Some((heard, stage)) = oldest {
-            let silent = heard.elapsed();
-            if silent > self.watchdog.stall_timeout {
-                self.flag(PipelineFault::StageStalled {
-                    stage,
-                    stalled_for: silent,
-                });
+            let stalled_for = now.saturating_duration_since(heard);
+            if stalled_for > self.watchdog.stall_timeout {
+                self.flag(PipelineFault::StageStalled { stage, stalled_for }, now);
                 return true;
             }
         }
         false
-    }
-
-    /// Consumes the supervisor: the fault if one was flagged, otherwise
-    /// the per-worker reports in stage order.
-    pub(crate) fn into_result(self) -> Result<Vec<StageDone>, PipelineFault> {
-        if let Some(fault) = self.fault {
-            return Err(fault);
-        }
-        let done = self.done.into_iter();
-        Ok(done
-            .map(|d| d.expect("no fault implies every worker reported"))
-            .collect())
     }
 }
 
@@ -260,17 +264,16 @@ impl RecoveryPolicy {
     }
 }
 
-/// One entry in the supervision log of a run whose attempts end in
-/// faults of type `F`: a [`PipelineFault`] under [`run_supervised`], the
-/// launcher's rank-exit error under `pbp_dist::launch`.
+/// One entry in the supervision log of a supervised run: a threaded
+/// engine under [`run_supervised`], a rank group under `pbp_dist::launch`.
 #[derive(Debug, Clone)]
-pub enum SupervisionEvent<F = PipelineFault> {
+pub enum SupervisionEvent {
     /// An attempt ended in a fault.
     Fault {
         /// 0 = the initial run, n = the n-th restart.
         attempt: usize,
         /// The typed fault.
-        fault: F,
+        fault: PipelineFault,
     },
     /// A restart is beginning.
     Restart {
@@ -289,7 +292,7 @@ pub enum SupervisionEvent<F = PipelineFault> {
     },
 }
 
-impl<F: std::fmt::Display> std::fmt::Display for SupervisionEvent<F> {
+impl std::fmt::Display for SupervisionEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SupervisionEvent::Fault { attempt, fault } => {
@@ -317,7 +320,7 @@ pub fn backoff_delay(base: Duration, restart: usize) -> Duration {
 
 /// What one attempt of a supervised run came to: done, or a fault plus
 /// where a restart would resume from (the `Restart` event's label).
-pub type Attempt<T, F> = Result<T, (F, Option<String>)>;
+pub type Attempt<T> = Result<T, (PipelineFault, Option<String>)>;
 
 /// The one supervised-retry loop: attempt, and on a fault check the
 /// budget, back off, go again. It owns the restart budget, the backoff
@@ -332,12 +335,12 @@ pub type Attempt<T, F> = Result<T, (F, Option<String>)>;
 /// Returns `Ok(Ok(done))`, `Ok(Err(fault))` once `policy.max_restarts`
 /// restarts are spent (the last fault, already logged), or `Err` as soon
 /// as an attempt fails with something that is not a fault.
-pub fn supervise_retries<S: ?Sized, T, F: Clone, E>(
+pub fn supervise_retries<S: ?Sized, T, E>(
     state: &mut S,
     policy: &RecoveryPolicy,
-    mut log: impl FnMut(&mut S, SupervisionEvent<F>),
-    mut attempt: impl FnMut(&mut S, usize) -> Result<Attempt<T, F>, E>,
-) -> Result<Result<T, F>, E> {
+    mut log: impl FnMut(&mut S, SupervisionEvent),
+    mut attempt: impl FnMut(&mut S, usize) -> Result<Attempt<T>, E>,
+) -> Result<Result<T, PipelineFault>, E> {
     let mut restart = 0usize;
     loop {
         let (fault, from_snapshot) = match attempt(state, restart)? {
@@ -465,6 +468,10 @@ mod tests {
     /// one doubling rule.
     #[test]
     fn retry_loop_logs_fault_restart_pairs_and_spends_its_budget() {
+        let fault = |message: &str| PipelineFault::StagePanicked {
+            stage: 0,
+            message: message.into(),
+        };
         let run = |max_restarts: usize| {
             let mut seen = Vec::new();
             let mut events = Vec::new();
@@ -478,8 +485,8 @@ mod tests {
                 |seen, restart| {
                     seen.push(format!("attempt {restart}"));
                     Ok::<_, ()>(match restart {
-                        0 => Err(("flaky", None)),
-                        1 => Err(("flaky again", Some("snap-4".to_string()))),
+                        0 => Err((fault("flaky"), None)),
+                        1 => Err((fault("flaky again"), Some("snap-4".to_string()))),
                         n => Ok(n),
                     })
                 },
@@ -490,10 +497,10 @@ mod tests {
         assert_eq!(outcome, Ok(Ok(2)));
         let want = [
             "attempt 0",
-            "attempt 0 faulted: flaky",
+            "attempt 0 faulted: stage 0 panicked: flaky",
             "restart 1 from scratch",
             "attempt 1",
-            "attempt 1 faulted: flaky again",
+            "attempt 1 faulted: stage 0 panicked: flaky again",
             "restart 2 from snap-4",
             "attempt 2",
         ];
@@ -502,15 +509,15 @@ mod tests {
 
         // One restart allowed: the second fault is logged, then returned.
         let (outcome, _, events) = run(1);
-        assert_eq!((outcome, events.len()), (Ok(Err("flaky again")), 3));
+        assert_eq!((outcome, events.len()), (Ok(Err(fault("flaky again"))), 3));
 
         // An attempt that fails with something other than a fault ends
         // the loop at once, unlogged.
         let fatal = supervise_retries(
             &mut (),
             &RecoveryPolicy::immediate(5),
-            |_, event: SupervisionEvent<&str>| panic!("logged {event}"),
-            |_, _| Err::<Attempt<(), &str>, _>("disk full"),
+            |_, event| panic!("logged {event}"),
+            |_, _| Err::<Attempt<()>, _>("disk full"),
         );
         assert_eq!(fatal, Err("disk full"));
 
@@ -523,9 +530,10 @@ mod tests {
 
     /// Liveness is per worker, attribution per stage: of three workers
     /// over five stages, the silent one is flagged at the stage it was
-    /// last heard from.
+    /// last heard from. The clock is a value the test advances.
     #[test]
     fn watchdog_flags_oldest_silent_worker_at_its_last_stage() {
+        let start = Instant::now();
         let mut sup = StreamSupervisor::new(
             vec![0, 2, 4, 5],
             Watchdog {
@@ -533,50 +541,61 @@ mod tests {
                 poll: Duration::from_millis(1),
                 shutdown_grace: Duration::from_millis(10),
             },
+            start,
         );
-        assert!(!sup.check_watchdog());
-        sup.on_event(StageEvent::Beat { stage: 1 });
-        std::thread::sleep(Duration::from_millis(15));
-        sup.on_event(StageEvent::Beat { stage: 3 });
-        sup.on_event(StageEvent::Beat { stage: 4 });
-        assert!(sup.check_watchdog());
+        assert!(!sup.check_watchdog(start));
+        sup.on_event(StageEvent::Beat { stage: 1 }, start);
+        let later = start + Duration::from_millis(15);
+        sup.on_event(StageEvent::Beat { stage: 3 }, later);
+        sup.on_event(StageEvent::Beat { stage: 4 }, later);
+        assert!(sup.check_watchdog(later));
         match &sup.fault {
             Some(PipelineFault::StageStalled { stage: 1, .. }) => {}
             other => panic!("expected a stall at stage 1, got {other:?}"),
         }
         assert!(sup.grace_deadline.is_some());
-        assert!(sup.abort_flag().load(Ordering::Relaxed));
+        assert!(sup.abort.load(Ordering::Relaxed));
     }
 
     #[test]
     fn root_cause_faults_beat_symptoms() {
-        let mut sup = StreamSupervisor::new(vec![0, 1], Watchdog::fast());
+        let now = Instant::now();
+        let mut sup = StreamSupervisor::new(vec![0, 1], Watchdog::fast(), now);
         let stalled = PipelineFault::StageStalled {
             stage: 0,
             stalled_for: Duration::from_millis(300),
         };
-        sup.flag(stalled.clone());
+        sup.flag(stalled.clone(), now);
         // A later stall cannot displace it...
-        sup.flag(PipelineFault::StageStalled {
-            stage: 1,
-            stalled_for: Duration::from_millis(400),
-        });
+        sup.flag(
+            PipelineFault::StageStalled {
+                stage: 1,
+                stalled_for: Duration::from_millis(400),
+            },
+            now,
+        );
         assert_eq!(sup.fault, Some(stalled));
         // ...but the late-arriving root cause (a worker's panic report)
         // upgrades the recorded fault.
-        sup.flag(PipelineFault::StagePanicked {
-            stage: 2,
-            message: "boom".into(),
-        });
+        sup.flag(
+            PipelineFault::StagePanicked {
+                stage: 2,
+                message: "boom".into(),
+            },
+            now,
+        );
         assert!(matches!(
             sup.fault,
             Some(PipelineFault::StagePanicked { stage: 2, .. })
         ));
         // Equal priority: first wins.
-        sup.flag(PipelineFault::StagePanicked {
-            stage: 0,
-            message: "late".into(),
-        });
+        sup.flag(
+            PipelineFault::StagePanicked {
+                stage: 0,
+                message: "late".into(),
+            },
+            now,
+        );
         assert!(matches!(
             sup.fault,
             Some(PipelineFault::StagePanicked { stage: 2, .. })

@@ -4,11 +4,12 @@
 //!
 //! This is the systems half of the paper's claim: pipelined
 //! backpropagation keeps all workers busy after the initial fill, while
-//! fill-and-drain training idles them (Eq. 1). Each worker is a
-//! [`RankLoop`] over its run of [`partition_bounds`] — cut by
-//! [`stage_cost`], so the workers carry like loads — between two
-//! in-process [`Link`]s — the rank loop a `pbp-dist` process steps
-//! between two sockets (DESIGN §12) — so a threaded run of any
+//! fill-and-drain training idles them (Eq. 1). Each worker thread is the
+//! [`RankHost`] a `pbp-dist` rank process is (DESIGN §12): a [`RankLoop`]
+//! over its run of [`partition_bounds`] — cut by [`stage_cost`], so the
+//! workers carry like loads — between two in-process [`Link`]s, worker 0
+//! fed from the call's slice of the [`Dataset`] (a clone, which shares the
+//! samples). So a threaded run of any
 //! [`MicrobatchSchedule`](crate::MicrobatchSchedule) is bit-identical
 //! (weights, f64 loss sum, Eq. 5 delay histograms) to the sequential run
 //! of the same configuration at every `W`, a thread per stage or a single
@@ -20,25 +21,24 @@
 //!   channels (the in-flight bound is the weight-version FIFO); every
 //!   wait is bounded by the watchdog's poll tick, emits a rate-limited
 //!   heartbeat and honours the shared abort flag;
-//! * worker 0's feed, as on every host: [`Upstream::Feed`] over the call's
-//!   slice of the [`Dataset`] (a clone, which shares the samples), so each
-//!   sample is materialized by the worker whose forward takes it, and
-//!   worker 0 records the loss of each microbatch it retires;
-//! * **supervision** (DESIGN.md §9): workers run under `catch_unwind` on
-//!   owned (detachable) threads and the calling thread is the watchdog —
-//!   it feeds nothing, only supervises and collects — so a panicking,
-//!   stalling or link-severing stage surfaces as a typed [`PipelineFault`]
-//!   within the watchdog timeout instead of hanging the run. A
-//!   [`FaultPlan`]'s rank clauses script such faults for tests: stage `s`
-//!   is rank `s` of the plan, whichever worker hosts it.
+//! * what a worker thread does between its host's steps — **supervision**
+//!   (DESIGN.md §9): it watches the abort flag, beats to the calling
+//!   thread, which feeds nothing and only supervises and collects, and
+//!   runs under `catch_unwind` on an owned (detachable) thread, reporting
+//!   its host back at the end. So a panicking, stalling or link-severing
+//!   stage surfaces as a typed [`PipelineFault`] within the watchdog
+//!   timeout instead of hanging the run. A [`FaultPlan`]'s rank clauses
+//!   script such faults for tests: stage `s` is rank `s` of the plan,
+//!   whichever worker hosts it.
 
 use crate::engine::TrainEngine;
-use crate::fault::{FaultInjector, FaultPlan, PipelineFault, RankFault};
+use crate::fault::{FaultPlan, PipelineFault};
 use crate::group::{partition_bounds, stage_cost, StageGroup};
+use crate::host::RankHost;
 use crate::metrics::EngineMetrics;
-use crate::rank::{Link, Message, RankError, RankLoop, Step, Upstream};
+use crate::rank::{Link, Message, RankError, RankLoop};
 use crate::scheduled::{ScheduledConfig, ScheduledTrainer};
-use crate::supervisor::{StageDone, StageEvent, StreamSupervisor, Watchdog};
+use crate::supervisor::{StageEvent, StreamSupervisor, Watchdog, WorkerHost};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pbp_data::Dataset;
 use pbp_nn::{Network, Stage};
@@ -230,12 +230,13 @@ fn worker_bounds(net: &Network) -> Vec<usize> {
 }
 
 /// Core supervised runtime: splits `state` into one owned worker thread
-/// per run of [`worker_bounds`] — worker 0 feeding itself `indices` — then
-/// runs the control plane on the calling thread: draining heartbeats and
-/// final reports, checking the watchdog, and on any fault aborting,
-/// draining within the shutdown grace and detaching whatever will not die.
-/// Payloads, worker 0's losses among them, travel back by value over the
-/// events channel, so joins never block on an unresponsive worker.
+/// per run of [`worker_bounds`], each a [`RankHost`] over channel links —
+/// worker 0 fed `indices` — then runs the control plane on the calling
+/// thread: draining heartbeats and final reports, checking the watchdog,
+/// and on any fault aborting, draining within the shutdown grace and
+/// detaching whatever will not die. The hosts, worker 0's losses among
+/// their records, travel back by value over the events channel, so joins
+/// never block on an unresponsive worker.
 fn run_stream(
     state: ScheduledTrainer,
     data: &Dataset,
@@ -258,12 +259,12 @@ fn run_stream(
     // wall-clock only).
     let cores = pool::reserve(workers.saturating_sub(1));
     let poll = config.watchdog.poll.max(BEAT_INTERVAL);
-    let mut sup = StreamSupervisor::new(bounds.clone(), config.watchdog.clone());
-    let abort = sup.abort_flag();
+    let sup = StreamSupervisor::new(bounds.clone(), config.watchdog.clone(), Instant::now());
+    let abort = Arc::clone(&sup.abort);
 
     // Control plane: heartbeats and final worker reports.
     let (events_tx, events_rx) = unbounded::<StageEvent>();
-    let link = |(tx, rx): LinkEnd, stage: usize| ChannelLink {
+    let link = |tx, rx, stage| ChannelLink {
         tx: Some(tx),
         rx,
         stage,
@@ -271,15 +272,8 @@ fn run_stream(
         abort: Arc::clone(&abort),
         events: events_tx.clone(),
     };
-    // Worker 0 feeds itself the call's samples, each materialized when a
-    // forward takes it.
-    let (data, order) = (data.clone(), indices.to_vec());
-    let mut up = Source::Feed(Box::new(move |mb| {
-        let (x, label) = data.sample(order[mb - base]);
-        Message::sample(mb, x, label)
-    }));
-
     let plan = config.fault_plan.as_ref();
+    let mut up = None;
     let mut handles = Vec::with_capacity(workers);
     for (w, mut group) in rank.group.split(&bounds).into_iter().enumerate() {
         let owned = group.range();
@@ -287,26 +281,33 @@ fn run_stream(
         let cut = format!("worker {w} of bounds {bounds:?}");
         let lane = group.lane(owned.start);
         lane.instant(pbp_trace::TracePhase::Partition, Some(cut));
-        let (upper, lower) = link_ends();
-        let worker = StageWorker {
-            stages: stages.by_ref().take(owned.len()).collect(),
-            rank: RankLoop::new(group),
-            end,
-            up: std::mem::replace(&mut up, Source::Link(link(lower, owned.end))),
-            // The last worker owns the loss: no link below it.
-            down: (w + 1 < workers).then(|| link(upper, owned.start)),
-            losses: Vec::new(),
-            struck: owned.start,
-            injectors: plan
-                .map(|p| owned.map(|s| p.rank_injector(s)).collect())
-                .unwrap_or_default(),
-            abort: Arc::clone(&abort),
-            events: events_tx.clone(),
-        };
+        // Activations travel down one unbounded channel, gradients up
+        // another; the last worker owns the loss: no link below it.
+        let ((act_tx, act_rx), (grad_tx, grad_rx)) = (unbounded(), unbounded());
+        let down = (w + 1 < workers).then(|| link(act_tx, grad_rx, owned.start));
+        let below = link(grad_tx, act_rx, owned.end);
+        let mut host = RankHost::new(RankLoop::new(group), up.replace(below), down);
+        if w == 0 {
+            let (data, order) = (data.clone(), indices.to_vec());
+            host.set_feed(move |mb| {
+                let (x, label) = data.sample(order[mb - base]);
+                Message::sample(mb, x, label)
+            });
+        }
+        if let Some(plan) = plan {
+            // Plan rank `s` is stage `s`, whichever worker hosts it.
+            let events = events_tx.clone();
+            let injectors = owned.clone().map(|s| plan.rank_injector(s)).collect();
+            host.set_faults(injectors, move |stage| {
+                let _ = events.send(StageEvent::Beat { stage });
+            });
+        }
+        let stages = stages.by_ref().take(owned.len()).collect();
+        let (abort, events) = (Arc::clone(&abort), events_tx.clone());
         handles.push(
             std::thread::Builder::new()
                 .name(format!("pbp-worker-{w}"))
-                .spawn(move || worker.run_supervised())
+                .spawn(move || work(host, stages, end, &abort, &events))
                 .expect("spawn pipeline worker"),
         );
     }
@@ -314,37 +315,23 @@ fn run_stream(
     // sender, so nothing outlives the workers but their reports.
     drop((up, events_tx));
 
-    // ---- Control plane (this thread): watchdog + collector.
-    while !sup.all_done() && !sup.grace_expired() {
-        if let Ok(event) = events_rx.recv_timeout(poll) {
-            sup.on_event(event);
-        }
-        sup.check_watchdog();
-    }
-
-    // Join only workers that already reported in (non-blocking by
-    // construction); the rest are detached and exit on their own once
-    // their blocked operation observes the abort flag or a disconnect.
-    for (w, handle) in handles.into_iter().enumerate() {
-        if sup.is_done(w) {
-            let _ = handle.join();
-        }
-    }
+    let done = sup.run(&events_rx, poll, handles);
     drop(cores);
-
-    let mut done = sup.into_result()?;
+    let mut done = done?;
     // Worker 0 retires backwards in microbatch order, last of all the
     // workers: its losses are the call's, in input order, and a short
     // record means the call did not complete.
-    let losses = std::mem::take(&mut done[0].losses);
+    let losses = std::mem::take(&mut done[0].0.losses);
     if losses.len() < indices.len() {
         return Err(PipelineFault::Incomplete {
             expected: indices.len(),
             completed: losses.len(),
         });
     }
-    let (stages, ranks): (Vec<Vec<Stage>>, Vec<RankLoop>) =
-        done.into_iter().map(|d| (d.stages, d.rank)).unzip();
+    let (ranks, stages): (Vec<RankLoop>, Vec<Vec<Stage>>) = done
+        .into_iter()
+        .map(|(host, stages)| (host.rank, stages))
+        .unzip();
     // Worker 0 steps from the first sample to the last backward: the
     // longest rank's step time is the call's wall time. Every rank summed
     // the same losses.
@@ -442,18 +429,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One end of an in-process link: the sender towards the peer and the
-/// receiver from it.
-type LinkEnd = (Sender<Message>, Receiver<Message>);
-
-/// The two ends of an in-process link, `(upper, lower)`: activations
-/// travel down one unbounded channel, gradients up another.
-fn link_ends() -> (LinkEnd, LinkEnd) {
-    let (act_tx, act_rx) = unbounded();
-    let (grad_tx, grad_rx) = unbounded();
-    ((act_tx, grad_rx), (grad_tx, act_rx))
-}
-
 /// The peer hung up, or the supervisor raised the abort flag.
 #[derive(Debug)]
 pub(crate) struct Hangup;
@@ -476,6 +451,10 @@ pub(crate) struct ChannelLink {
 
 impl Link for ChannelLink {
     type Error = Hangup;
+
+    fn sever(&mut self) {
+        self.tx = None;
+    }
 
     /// A severed link, or a peer that already exited, silently loses the
     /// message: the workers left waiting for it notice the hang-up.
@@ -503,146 +482,57 @@ impl Link for ChannelLink {
     }
 }
 
-/// Where a worker's activations come from: the owned form of the
-/// [`Upstream`] a step borrows.
-enum Source {
-    /// Worker 0: yields microbatch `mb`'s [`Message::sample`].
-    Feed(Box<dyn FnMut(usize) -> Message + Send>),
-    /// Every other worker: the link to the worker above.
-    Link(ChannelLink),
-}
-
-/// Everything one worker thread owns — what a `pbp-dist` rank holds: a
-/// [`RankLoop`] and its run of stages, between its feed or the link above
-/// and the link below.
-struct StageWorker {
-    stages: Vec<Stage>,
-    rank: RankLoop,
-    /// Global index one past the last microbatch of this streaming call.
+/// A worker thread: steps `host` on `stages` under `catch_unwind` until
+/// every microbatch of the call has completed, a neighbour hangs up or the
+/// supervisor raises the abort flag, then severs its links — so neighbours
+/// unblock even if it panicked mid-message — and reports to the
+/// supervisor. A stepping worker beats in its first stage's name, at its
+/// first step and then at most once per [`BEAT_INTERVAL`]: alive whether
+/// or not it has a link to wait on.
+fn work(
+    mut host: WorkerHost,
+    mut stages: Vec<Stage>,
     end: usize,
-    up: Source,
-    /// `None` on the last worker.
-    down: Option<ChannelLink>,
-    /// The loss of each microbatch retired, in order (worker 0 only).
-    losses: Vec<f32>,
-    /// The stage a panic report names: the one an injected crash struck,
-    /// otherwise the first owned.
-    struck: usize,
-    /// One per owned stage, none without a plan: plan rank `s` is stage `s`.
-    injectors: Vec<FaultInjector<RankFault>>,
-    abort: Arc<AtomicBool>,
-    events: Sender<StageEvent>,
-}
-
-impl StageWorker {
-    /// Runs the rank loop under `catch_unwind`, then ships the stages,
-    /// their rank and the outcome back to the supervisor over the events
-    /// channel. Links are dropped *before* the final report so neighbours
-    /// unblock even if the body panicked mid-message.
-    fn run_supervised(mut self) {
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run()))
-            .err()
-            .map(|payload| panic_message(payload.as_ref()));
-        let StageWorker {
-            stages,
-            mut rank,
-            up,
-            down,
-            losses,
-            struck,
-            events,
-            ..
-        } = self;
-        if panic.is_some() {
-            let lane = rank.group.lane(struck);
-            lane.instant(pbp_trace::TracePhase::Fault, panic.clone());
-        }
-        rank.group.flush_trace();
-        drop((up, down));
-        let _ = events.send(StageEvent::Done(Box::new(StageDone {
-            stage_idx: struck,
-            stages,
-            rank,
-            losses,
-            panic,
-        })));
-    }
-
-    /// Steps the rank until every microbatch of the call has completed, a
-    /// neighbour hangs up, or the supervisor raises the abort flag. A
-    /// stepping worker beats in its first stage's name, at its first step
-    /// and then at most once per [`BEAT_INTERVAL`]: alive whether or not it
-    /// has a link to wait on.
-    fn run(&mut self) {
+    abort: &AtomicBool,
+    events: &Sender<StageEvent>,
+) {
+    let run = || {
         let mut beat: Option<Instant> = None;
-        while let Some(next) = self.rank.next_step(self.end) {
-            if self.abort.load(Ordering::Relaxed) {
-                return;
-            }
+        while host.rank.next_step(end).is_some() && !abort.load(Ordering::Relaxed) {
             if beat.is_none_or(|at| at.elapsed() >= BEAT_INTERVAL) {
-                let stage = self.rank.group.range().start;
-                let _ = self.events.send(StageEvent::Beat { stage });
+                let stage = host.rank.group.range().start;
+                let _ = events.send(StageEvent::Beat { stage });
                 beat = Some(Instant::now());
             }
-            if let Step::Backward(update) = next {
-                self.inject(update);
-            }
-            let up = match &mut self.up {
-                Source::Feed(feed) => Upstream::Feed(feed.as_mut()),
-                Source::Link(link) => Upstream::Link(link),
-            };
-            match self
-                .rank
-                .step(&mut self.stages, up, self.down.as_mut(), self.end)
-            {
-                Ok(Some(Step::Backward(_))) if matches!(self.up, Source::Feed(_)) => {
-                    self.losses.push(self.rank.last_loss)
-                }
+            match host.step(&mut stages, end) {
                 Ok(_) => {}
                 Err(RankError::Link(Hangup)) => return,
-                Err(desync) => panic!("stage {}: {desync:?}", self.struck),
+                Err(desync) => panic!("stage {}: {desync:?}", host.struck),
             }
         }
+    };
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .err()
+        .map(|payload| panic_message(payload.as_ref()));
+    if panic.is_some() {
+        let lane = host.rank.group.lane(host.struck);
+        lane.instant(pbp_trace::TracePhase::Fault, panic.clone());
     }
-
-    /// Fault-injection point: an `@N` rank fault strikes as the worker
-    /// hosting its stage — rank `stage` of the plan — turns to backward N,
-    /// exactly where a real stage dies; the owned stages are consulted in
-    /// backward order, last to first.
-    fn inject(&mut self, update: usize) {
-        for (stage, injector) in self.rank.group.range().zip(&self.injectors).rev() {
-            match injector.on_backward(update as u64) {
-                None => {}
-                Some(RankFault::Crash) => {
-                    self.struck = stage;
-                    panic!("injected fault: stage {stage} panics at update {update}")
-                }
-                Some(RankFault::Stall(d) | RankFault::Jitter(d)) => {
-                    // The silence that follows is this stage's.
-                    let _ = self.events.send(StageEvent::Beat { stage });
-                    let lane = self.rank.group.lane(stage);
-                    lane.begin(pbp_trace::TracePhase::Stall, None, None);
-                    std::thread::sleep(d);
-                    lane.end();
-                }
-                Some(RankFault::Sever) => {
-                    if let Source::Link(up) = &mut self.up {
-                        up.tx = None;
-                    }
-                    if let Some(down) = &mut self.down {
-                        down.tx = None;
-                    }
-                }
-            }
-        }
-    }
+    host.rank.group.flush_trace();
+    host.links().for_each(Link::sever);
+    let host = Box::new(host);
+    let _ = events.send(StageEvent::Done {
+        host,
+        stages,
+        panic,
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::delayed::{DelayedConfig, DelayedTrainer};
-    use crate::fault::FaultSpec;
+    use crate::fault::{FaultSpec, RankFault};
     use crate::schedule::MicrobatchSchedule;
     use crate::trainer::evaluate;
     use pbp_data::{spirals, DatasetSpec, SyntheticImages};
@@ -853,27 +743,20 @@ mod tests {
             let config = ScheduledConfig::pb(schedule());
             let group = StageGroup::new(&net, 0..net.num_stages(), &config);
             let x = Tensor::from_vec(vec![0.5, -1.0], &[2]).expect("a sample");
-            let (events, beats) = unbounded();
-            let mut worker = StageWorker {
-                stages: net.into_stages(),
-                rank: RankLoop::new(group),
-                end: 3,
-                up: Source::Feed(Box::new(move |mb| Message::sample(mb, &x, 1))),
-                down: None,
-                losses: Vec::new(),
-                struck: 0,
-                injectors: Vec::new(),
-                abort: Arc::new(AtomicBool::new(abort)),
-                events,
+            let feed = move |mb| Message::sample(mb, &x, 1);
+            let mut host = RankHost::new(RankLoop::new(group), None, None);
+            host.set_feed(feed);
+            let (events, reports) = unbounded();
+            work(host, net.into_stages(), 3, &AtomicBool::new(abort), &events);
+            let reports: Vec<StageEvent> = std::iter::from_fn(|| reports.try_recv().ok()).collect();
+            let beats = reports
+                .iter()
+                .filter(|e| matches!(e, StageEvent::Beat { stage: 0 }));
+            let beats = beats.count();
+            let Some(StageEvent::Done { host, .. }) = reports.last() else {
+                panic!("a worker's last word is its report");
             };
-            worker.run();
-            let events = std::iter::from_fn(|| beats.try_recv().ok());
-            let beats = events.filter(|e| matches!(e, StageEvent::Beat { stage: 0 }));
-            (
-                worker.rank.group.completed(),
-                worker.losses.len(),
-                beats.count(),
-            )
+            (host.rank.group.completed(), host.losses.len(), beats)
         };
         let (completed, losses, beats) = lone(false);
         assert_eq!((completed, losses), (3, 3));

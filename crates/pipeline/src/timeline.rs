@@ -4,8 +4,8 @@
 //!
 //! A wall-clock trace cannot show the bubbles a schedule costs W workers.
 //! The host runs them: W loops over [`partition_bounds`] of the
-//! [`stage_cost`]s, joined by in-memory queue links whose every message
-//! carries the virtual time it was sent. It always steps the loop whose
+//! [`stage_cost`]s, each a [`RankHost`], joined by in-memory queue links
+//! whose every message carries the virtual time it was sent. It always steps the loop whose
 //! [`RankLoop::next_step`] can start earliest — the later of its previous
 //! step's end and its input's arrival — and charges each action its
 //! [`action_cost`] (flop-equivalents, drawn as nanoseconds) as one span on
@@ -28,7 +28,8 @@
 //! same host in whatever ready order it picks.
 
 use crate::group::{action_cost, partition_bounds, stage_cost, StageGroup, ACTION_PHASES};
-use crate::rank::{Link, Message, RankError, RankLoop, Step, Upstream};
+use crate::host::RankHost;
+use crate::rank::{Link, Message, RankError, RankLoop, Step};
 use crate::schedule::MicrobatchSchedule;
 use crate::scheduled::ScheduledConfig;
 use pbp_nn::layers::{Conv2d, GlobalAvgPool2d};
@@ -37,7 +38,7 @@ use pbp_optim::{Hyperparams, LrSchedule};
 use pbp_tensor::Tensor;
 use pbp_trace::{Lane, TraceLane, TracePhase, Tracer, PID_VIRTUAL};
 use rand::{rngs::StdRng, SeedableRng};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -72,8 +73,9 @@ pub fn schedule_diagram(
     let (tracer, x) = (Tracer::new(), Tensor::zeros(&[4, 5, 9]));
     let config = ScheduledConfig::new(plan, LrSchedule::constant(Hyperparams::new(0.01, 0.9)));
     let net = equal_conv_stages(stages);
-    let mut host = VirtualHost::new(net, &config, stages, microbatches, &tracer);
-    host.run(&mut |mb| Message::sample(mb, &x, 0));
+    let feed = |mb| Message::sample(mb, &x, 0);
+    let mut host = VirtualHost::new(net, &config, stages, microbatches, &tracer, feed);
+    host.run();
     let bubble = host.bubble_fraction();
     drop(host);
     let trace = tracer.finish();
@@ -105,20 +107,20 @@ pub fn schedule_diagram(
 /// virtual time it was sent.
 pub(crate) type Wire = Rc<RefCell<VecDeque<(u64, Message)>>>;
 
-/// A loop's end of a queue link for one step, stamping what it sends with
-/// the step's end. An empty wire is an error, so a loop stepped before its
-/// input arrived fails instead of hanging.
-struct QueueLink {
+/// A loop's end of a queue link, stamping what it sends with the end of
+/// the step being run. An empty wire is an error, so a loop stepped before
+/// its input arrived fails instead of hanging.
+pub(crate) struct QueueLink {
     tx: Wire,
     rx: Wire,
-    sent: u64,
+    sent: Rc<Cell<u64>>,
 }
 
 impl Link for QueueLink {
     type Error = &'static str;
 
     fn send(&mut self, msg: Message) -> Result<(), Self::Error> {
-        self.tx.borrow_mut().push_back((self.sent, msg));
+        self.tx.borrow_mut().push_back((self.sent.get(), msg));
         Ok(())
     }
 
@@ -128,14 +130,17 @@ impl Link for QueueLink {
     }
 }
 
-/// W rank loops on a virtual cost clock (see the module docs).
-pub struct VirtualHost {
-    /// The loops, first to last; loop `r` runs `stages[r]`.
-    pub(crate) loops: Vec<RankLoop>,
+/// W rank loops on a virtual cost clock (see the module docs), each the
+/// [`RankHost`] a worker thread or a rank process is.
+pub struct VirtualHost<'a> {
+    /// The loops' hosts, first to last; host `r` runs `stages[r]`.
+    pub(crate) hosts: Vec<RankHost<'a, QueueLink>>,
     pub(crate) stages: Vec<Vec<Stage>>,
     /// `acts[r]` / `grads[r]` join loop `r` and loop `r + 1`.
     pub(crate) acts: Vec<Wire>,
     pub(crate) grads: Vec<Wire>,
+    /// When the step being run ends: the stamp its links send with.
+    clock: Rc<Cell<u64>>,
     /// Every (stage, action phase)'s [`action_cost`], read before the
     /// first step.
     costs: BTreeMap<(usize, TracePhase), u64>,
@@ -146,15 +151,14 @@ pub struct VirtualHost {
     busy: Vec<u64>,
     /// Microbatches the run forwards.
     end: usize,
-    /// Each microbatch's loss, as loop 0 retires it.
-    pub(crate) losses: Vec<f32>,
 }
 
-impl VirtualHost {
+impl<'a> VirtualHost<'a> {
     /// `workers` loops over `net`'s stages under `config`, cut by
     /// [`partition_bounds`] of their [`stage_cost`]s, to run
-    /// `microbatches` microbatches. `tracer` receives the virtual lanes
-    /// and each loop group's wall-clock ones.
+    /// `microbatches` microbatches, loop 0 taking microbatch `mb` as
+    /// `feed(mb)`. `tracer` receives the virtual lanes and each loop
+    /// group's wall-clock ones.
     ///
     /// # Panics
     ///
@@ -165,35 +169,46 @@ impl VirtualHost {
         workers: usize,
         microbatches: usize,
         tracer: &Tracer,
+        feed: impl FnMut(usize) -> Message + Send + 'a,
     ) -> Self {
         let bounds = partition_bounds(&net.stages().map(stage_cost).collect::<Vec<_>>(), workers);
-        let loops = bounds.windows(2).map(|run| {
+        let wires = || (1..workers).map(|_| Wire::default()).collect::<Vec<_>>();
+        let (acts, grads, clock) = (wires(), wires(), Rc::new(Cell::new(0)));
+        let link = |tx: &Wire, rx: &Wire| QueueLink {
+            tx: Rc::clone(tx),
+            rx: Rc::clone(rx),
+            sent: Rc::clone(&clock),
+        };
+        let hosts = bounds.windows(2).enumerate().map(|(r, run)| {
             let mut group = StageGroup::new(&net, run[0]..run[1], config);
             group.set_tracer(tracer, "");
-            RankLoop::new(group)
+            let up = (r > 0).then(|| link(&grads[r - 1], &acts[r - 1]));
+            let down = (r + 1 < workers).then(|| link(&acts[r], &grads[r]));
+            RankHost::new(RankLoop::new(group), up, down)
         });
+        let mut hosts: Vec<_> = hosts.collect();
+        hosts[0].set_feed(feed);
         let costs = net.stages().enumerate().flat_map(|(s, stage)| {
             ACTION_PHASES.map(|phase| ((s, phase), action_cost(stage, phase)))
         });
         let lanes = (0..net.num_stages())
             .map(|s| tracer.lane(PID_VIRTUAL, format!("sched-stage-{s}"), s as i64))
             .collect();
-        let (loops, costs) = (loops.collect(), costs.collect());
+        let costs = costs.collect();
         let mut rest = net.into_stages().into_iter();
         let run = |w: &[usize]| rest.by_ref().take(w[1] - w[0]).collect();
         let stages = bounds.windows(2).map(run).collect();
-        let wires = || (1..workers).map(|_| Wire::default()).collect();
         VirtualHost {
-            loops,
+            hosts,
             stages,
-            acts: wires(),
-            grads: wires(),
+            acts,
+            grads,
+            clock,
             costs,
             lanes,
             free: vec![0; workers],
             busy: vec![0; workers],
             end: microbatches,
-            losses: Vec::new(),
         }
     }
 
@@ -204,7 +219,7 @@ impl VirtualHost {
     fn arrival(&self, r: usize, step: Step) -> Option<u64> {
         let wire = match step {
             Step::Forward(_) if r > 0 => &self.acts[r - 1],
-            Step::Backward(_) if r + 1 < self.loops.len() => &self.grads[r],
+            Step::Backward(_) if r + 1 < self.hosts.len() => &self.grads[r],
             _ => return Some(0),
         };
         wire.borrow().front().map(|&(sent, _)| sent)
@@ -213,37 +228,22 @@ impl VirtualHost {
     /// The step loop `r` takes next and the virtual time it can start, or
     /// `None` while its input has not arrived and once it is done.
     pub(crate) fn ready(&self, r: usize) -> Option<(Step, u64)> {
-        let step = self.loops[r].next_step(self.end)?;
+        let step = self.hosts[r].rank.next_step(self.end)?;
         Some((step, self.arrival(r, step)?.max(self.free[r])))
     }
 
-    /// Runs loop `r`'s [`RankLoop::step`] — loop 0 takes microbatch `mb`
-    /// as `feed(mb)` — at the virtual time it can start, then draws each
-    /// action it ran at that action's cost.
-    pub(crate) fn step(
-        &mut self,
-        r: usize,
-        feed: &mut dyn FnMut(usize) -> Message,
-    ) -> Result<Option<Step>, RankError<&'static str>> {
-        let Some(next) = self.loops[r].next_step(self.end) else {
+    /// Runs loop `r`'s [`RankHost::step`] at the virtual time it can
+    /// start, then draws each action it ran at that action's cost.
+    pub(crate) fn step(&mut self, r: usize) -> Result<Option<Step>, RankError<&'static str>> {
+        let Some(next) = self.hosts[r].rank.next_step(self.end) else {
             return Ok(None);
         };
         let start = self.arrival(r, next).unwrap_or(0).max(self.free[r]);
-        let spans = self.loops[r].group.spans(&self.stages[r], next);
+        let spans = self.hosts[r].rank.group.spans(&self.stages[r], next);
         let cost = |&(s, phase, ..): &(usize, TracePhase, usize, u64)| self.costs[&(s, phase)];
         let end = start + spans.iter().map(cost).sum::<u64>();
-        let link = |tx: &Wire, rx: &Wire| QueueLink {
-            tx: Rc::clone(tx),
-            rx: Rc::clone(rx),
-            sent: end,
-        };
-        let mut up = (r > 0).then(|| link(&self.grads[r - 1], &self.acts[r - 1]));
-        let mut down = (r + 1 < self.loops.len()).then(|| link(&self.acts[r], &self.grads[r]));
-        let up = match up.as_mut() {
-            Some(link) => Upstream::Link(link),
-            None => Upstream::Feed(feed),
-        };
-        let ran = self.loops[r].step(&mut self.stages[r], up, down.as_mut(), self.end)?;
+        self.clock.set(end);
+        let ran = self.hosts[r].step(&mut self.stages[r], self.end)?;
         let mut t = start;
         for (s, phase, mb, version) in spans {
             let cost = self.costs[&(s, phase)];
@@ -252,9 +252,6 @@ impl VirtualHost {
         }
         self.free[r] = end;
         self.busy[r] += end - start;
-        if r == 0 && matches!(next, Step::Backward(_)) {
-            self.losses.push(self.loops[0].last_loss);
-        }
         Ok(ran)
     }
 
@@ -264,15 +261,18 @@ impl VirtualHost {
     /// # Panics
     ///
     /// Panics if a loop fails, or none is ready before all are done.
-    pub fn run(&mut self, feed: &mut dyn FnMut(usize) -> Message) {
+    pub fn run(&mut self) {
         let earliest = |host: &Self| {
-            let ready = (0..host.loops.len()).filter_map(|r| Some((host.ready(r)?.1, r)));
+            let ready = (0..host.hosts.len()).filter_map(|r| Some((host.ready(r)?.1, r)));
             ready.min().map(|(_, r)| r)
         };
         while let Some(r) = earliest(self) {
-            self.step(r, feed).expect("a ready loop steps");
+            self.step(r).expect("a ready loop steps");
         }
-        let done = self.loops.iter().all(|l| l.next_step(self.end).is_none());
+        let done = self
+            .hosts
+            .iter()
+            .all(|h| h.rank.next_step(self.end).is_none());
         assert!(done, "no loop is ready, yet not every loop is done");
     }
 
@@ -280,7 +280,7 @@ impl VirtualHost {
     /// the first step).
     pub fn bubble_fraction(&self) -> f64 {
         let makespan = self.free.iter().copied().max().unwrap_or(0);
-        let area = self.loops.len() as f64 * makespan as f64;
+        let area = self.hosts.len() as f64 * makespan as f64;
         if area == 0.0 {
             return 0.0;
         }
@@ -320,9 +320,10 @@ mod tests {
         let tracer = Tracer::new();
         let net = mlp(layers, &mut StdRng::seed_from_u64(3));
         let config = ScheduledConfig::new(plan, LrSchedule::constant(Hyperparams::new(0.01, 0.9)));
-        let mut host = VirtualHost::new(net, &config, workers, 64, &tracer);
         let x = Tensor::from_vec(vec![0.5, -1.0], &[2]).expect("a sample");
-        host.run(&mut |mb| Message::sample(mb, &x, mb % 3));
+        let feed = |mb| Message::sample(mb, &x, mb % 3);
+        let mut host = VirtualHost::new(net, &config, workers, 64, &tracer, feed);
+        host.run();
         let bubble = host.bubble_fraction();
         drop(host);
         (bubble, tracer.finish())

@@ -30,6 +30,16 @@ lint_only_in() {
     exit 1
   fi
 }
+# The same gate for a regular expression.
+lint_re_only_in() {
+  local pattern=$1 allowed=$2 stray
+  stray=$(grep -rlE "$pattern" crates/*/src | grep -Ev "/($allowed)\.rs$" || true)
+  if [[ -n $stray ]]; then
+    echo "/$pattern/ outside {$allowed}.rs:" >&2
+    echo "$stray" >&2
+    exit 1
+  fi
+}
 lint_only_in 'push_next_version(' 'cell|group'
 lint_only_in 'Action::BackwardInput' 'schedule|group'
 lint_only_in 'can_forward(' 'group|rank'
@@ -55,11 +65,22 @@ if [[ -n $stray ]]; then
 fi
 # One way into rank 0: every host — the sequential engine, a threaded
 # worker 0, a dist rank 0, the virtual host — feeds it through
-# Upstream::Feed, a closure the rank's own thread calls. The threaded
-# engine's calling thread only supervises and collects: a feeder handing
-# samples to worker 0 over a channel, with its timed sends, stays retired
-# (the channel shim has no timed send: see the one-queue lint below).
+# Upstream::Feed, a closure the rank's own thread calls: its RankHost's
+# feed, written where the host is built (in the sequential engine, the
+# sample train_sample was handed). The threaded engine's calling thread
+# only supervises and collects: a feeder handing samples to worker 0 over
+# a channel, with its timed sends, stays retired (the channel shim has no
+# timed send: see the one-queue lint below).
 lint_only_in 'Message::sample(' 'rank|scheduled|threaded|runner|timeline'
+# One host of a rank: a worker thread, a rank process and each loop of the
+# virtual host step their RankLoop through RankHost::step (host.rs), which
+# alone holds rank 0's feed, consults the injected faults and records rank
+# 0's losses. Only the sequential engine — a world of one, with no link
+# and no fault — calls RankLoop::step itself (and rank.rs's tests, which
+# check its contract); a call, or an Upstream built, anywhere else is a
+# second host.
+lint_re_only_in '\.step\([^;]*, up,' 'rank|host|scheduled'
+lint_re_only_in 'Upstream::(<[^>]*>::)?(Feed|Link)\(' 'rank|host|scheduled'
 # One host shape: a threaded worker is a rank over its run of
 # partition_bounds, as many as the thread budget holds. The FLOP
 # heuristic that guessed which of S stage threads deserved a core stays
@@ -100,6 +121,19 @@ stray=$(git grep -lE 'PBP_DIST_''ABORT_AT|NetFault''Plan|PBP''CKPT1' -- . \
   ':!ISSUE.md' ':!CHANGES.md' ':!ROADMAP.md' || true)
 if [[ -n $stray ]]; then
   echo "a retired fault/checkpoint vocabulary is back:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+# One rank host and one fault type (DESIGN §9, §12): a worker thread and a
+# rank process are the same RankHost, and both supervisors report a
+# PipelineFault. The threaded worker shell with its report type, the
+# launcher's own fault enum and the process abort that stood in for an
+# injected crash (a panic on every host now) stay retired. Needles are
+# split so this file does not contain them.
+stray=$(git grep -lE 'Stage''Worker|Stage''Done|Launch''Fault|process::''abort' -- . \
+  ':(exclude,glob)*.md' || true)
+if [[ -n $stray ]]; then
+  echo "a retired rank shell or second fault type is back:" >&2
   echo "$stray" >&2
   exit 1
 fi
