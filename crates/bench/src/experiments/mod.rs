@@ -5,7 +5,7 @@
 //!
 //! A predicate is the paper's ordering with a stated margin, never fitted
 //! to our numbers: one pooled standard deviation between `mean±std`
-//! cells, [`POINT`] between seed means printed without a `±`, exact
+//! cells, `POINT` between seed means printed without a `±`, exact
 //! between analytic values (see [`Cell`]). Where the full-scale record
 //! fails its predicate the row says `reproduced: false`, and
 //! `tests/paper_claims.rs` pins every verdict in both directions, the

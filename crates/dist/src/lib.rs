@@ -21,7 +21,7 @@
 //!   Bit-identical to the sequential
 //!   [`ScheduledTrainer`](pbp_pipeline::ScheduledTrainer) by
 //!   construction (see DESIGN §12).
-//! * [`launch`] — the `pbp-launch` supervisor: spawns one process per
+//! * [`launch`](mod@launch) — the `pbp-launch` supervisor: spawns one process per
 //!   rank, watches for typed faults (a nonzero exit is a [`PipelineFault`](pbp_pipeline::PipelineFault)),
 //!   and restarts the whole stage group from the newest snapshot counter
 //!   *all* ranks hold, under the workspace's one retry loop
@@ -33,7 +33,7 @@
 //!   [`Link`](pbp_pipeline::Link), and its receive path is the one
 //!   place the link clauses of a [`FaultPlan`](pbp_pipeline::FaultPlan)
 //!   — the workspace's one fault script, `PBP_NET_FAULTS` — are applied.
-//! * [`env`] — hardened `PBP_NET_FAULTS` parsing, the fault script the
+//! * [`env`](mod@env) — hardened `PBP_NET_FAULTS` parsing, the fault script the
 //!   launcher hands its children (an invalid one warns once and the run
 //!   proceeds un-faulted, like `PBP_THREADS` / `PBP_SIMD`).
 

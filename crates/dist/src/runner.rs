@@ -32,7 +32,7 @@ use pbp_nn::Network;
 use pbp_optim::{LrSchedule, Mitigation};
 use pbp_pipeline::{
     FaultPlan, FaultSpec, LinkDir, Message, MicrobatchSchedule, RankError, RankFault, RankHost,
-    RankLoop, ScheduledConfig, SnapshotPolicy, StageCounters, StageGroup, Step,
+    RankLoop, ScheduledConfig, SnapshotPolicy, StageCounters, StageGroup,
 };
 use pbp_snapshot::{
     SnapshotArchive, SnapshotBuilder, SnapshotError, SnapshotFamily, StateReader, StateWriter,
@@ -355,7 +355,7 @@ impl<'a> Rank<'a> {
             };
             self.note_reconnects();
             // A snapshot at every drain barrier passed.
-            if let (Step::Backward(mb), Some(every)) = (step, every) {
+            if let (Some(mb), Some(every)) = (step.retires().last(), every) {
                 let done = mb + 1;
                 if done.is_multiple_of(every) && done > self.spec.resume_at && done < total {
                     self.save_snapshot(done)?;

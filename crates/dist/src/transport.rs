@@ -19,7 +19,7 @@
 //! waits for its neighbor to bind the link again.
 //!
 //! Chaos: `apply_net_fault` turns one scripted
-//! [`LinkFault`](pbp_pipeline::LinkFault) into what a receiver sees, for
+//! [`LinkFault`] into what a receiver sees, for
 //! the session layer's receive path (`crate::reliable`). Corruptions are
 //! injected into the *wire bytes*, so they surface through the exact
 //! codec error paths a hostile network would hit.

@@ -31,6 +31,25 @@ pub trait ParamStep {
     );
 }
 
+/// Two consecutive updates lent to a stage's backward pass over two
+/// microbatches ([`Layer::backward_input_pair`]): the pipeline cell
+/// implements it over the stage's optimizer when each microbatch is its own
+/// update window and both are ready to retire.
+pub trait PairStep {
+    /// Takes both windows' updates of stage parameter `index`, the weight
+    /// `w` of a layer whose window gradients are the factored `δ₀ ⊗ x₀` and
+    /// `δ₁ ⊗ x₁` (`g[u] = (δ_u, x_u)`), in one pass over `w`, adding
+    /// `δ₀·w` of the weights before the first update into the zeroed
+    /// `gx[0]` and `δ₁·w` of the weights between the two into `gx[1]`.
+    fn step_outer_pair(
+        &mut self,
+        index: usize,
+        w: &mut Tensor,
+        g: [(&[f32], &[f32]); 2],
+        gx: [&mut [f32]; 2],
+    );
+}
+
 /// A network layer with an explicit backward pass.
 ///
 /// ## Contract
@@ -95,6 +114,38 @@ pub trait Layer: Send + Any {
         _step: &mut dyn ParamStep,
     ) {
         self.backward_input(grad_stack);
+    }
+
+    /// Whether [`Layer::backward_input_pair`] can run the second
+    /// microbatch's input half before the first microbatch's update: true
+    /// for a layer whose input gradient reads no parameter (the default:
+    /// one without parameters), or one that takes both updates from a
+    /// [`PairStep`] in the same pass.
+    fn pairs_backward(&self) -> bool {
+        self.params().is_empty()
+    }
+
+    /// [`Layer::backward_input_stepping`] for two consecutive microbatches,
+    /// each its own update window, whose output gradients are `grads[0]`
+    /// and `grads[1]`: the caller zeroed the gradients, retires the first
+    /// with one [`Layer::backward_weight`], updates, zeroes, retires the
+    /// second and updates again. A layer that
+    /// [pairs](Layer::pairs_backward) by stepping hands both updates of a
+    /// weight to `step` and takes both input gradients from the same pass;
+    /// the input gradients, and everything the layer holds afterwards, are
+    /// bit for bit what `backward_input` on the first, the first update,
+    /// then `backward_input` on the second would give. Default:
+    /// `backward_input` on each in turn, for layers whose input gradient
+    /// reads no parameter.
+    fn backward_input_pair(
+        &mut self,
+        grads: [&mut LaneStack; 2],
+        _first: usize,
+        _step: &mut dyn PairStep,
+    ) {
+        let [g0, g1] = grads;
+        self.backward_input(g0);
+        self.backward_input(g1);
     }
 
     /// [`Layer::backward_input`] for a layer whose input gradient has no

@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use crate::layer::{LaneStack, Layer, ParamStep, Stash};
+use crate::layer::{LaneStack, Layer, PairStep, ParamStep, Stash};
 use pbp_tensor::ops::{gemm_tn, matmul_tn_acc};
 use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
@@ -206,6 +206,55 @@ impl Layer for Linear {
         step: &mut dyn ParamStep,
     ) {
         self.backward_input_with(grad_stack, Some((first, step)));
+    }
+
+    /// A `Linear` pairs by stepping: both updates of its weight come from
+    /// one pass ([`Layer::backward_input_pair`]).
+    fn pairs_backward(&self) -> bool {
+        true
+    }
+
+    /// Both microbatches' `(δ, x)` are single rows, and the window holds
+    /// nothing else: `step` takes both updates of the weight and both
+    /// `gx = δ·W` — the second from the weights the first update wrote — in
+    /// one pass over `W`, and both pairs are deferred for
+    /// [`Layer::backward_weight`] in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both microbatches are one sample and the layer holds
+    /// no gradient contribution: a pipeline pairs single-sample microbatches
+    /// at the start of their windows.
+    fn backward_input_pair(
+        &mut self,
+        grads: [&mut LaneStack; 2],
+        first: usize,
+        step: &mut dyn PairStep,
+    ) {
+        let [s0, s1] = grads;
+        let g = [&mut *s0, &mut *s1].map(|s| s.pop().expect("linear: empty grad stack"));
+        let x = [(); 2].map(|_| self.stash.pop_front().expect("linear: no stashed input"));
+        let single = g.iter().chain(&x).all(|t| t.shape()[0] == 1);
+        let empty = self.held.is_none() && !self.dense_dirty && self.wgrad_pending.is_empty();
+        assert!(
+            single && empty,
+            "linear: a pair needs two fresh single-row windows"
+        );
+        let mut gx = [(); 2].map(|_| Tensor::zeros(&[1, self.in_features]));
+        let [gx0, gx1] = &mut gx;
+        step.step_outer_pair(
+            first,
+            &mut self.weight,
+            [
+                (g[0].as_slice(), x[0].as_slice()),
+                (g[1].as_slice(), x[1].as_slice()),
+            ],
+            [gx0.as_mut_slice(), gx1.as_mut_slice()],
+        );
+        let [gx0, gx1] = gx;
+        s0.push(gx0);
+        s1.push(gx1);
+        self.wgrad_pending.extend(g.into_iter().zip(x));
     }
 
     /// Defers `(g, x)` as `backward_input` does and computes no `δ·W`:

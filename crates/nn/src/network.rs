@@ -1,6 +1,6 @@
 //! Stage-partitioned network container.
 
-use crate::layer::{LaneStack, Layer, ParamStep};
+use crate::layer::{LaneStack, Layer, PairStep, ParamStep};
 use crate::layers::{GroupNorm, Relu};
 use pbp_tensor::{GradView, Tensor};
 use std::any::Any;
@@ -123,6 +123,40 @@ impl Stage {
                     layer.backward_input_stepping(grad_stack, first, *step);
                 }
                 None => layer.backward_input(grad_stack),
+            }
+        }
+    }
+
+    /// Whether every layer [pairs its backward](Layer::pairs_backward):
+    /// [`Stage::backward_input_pair`] can run.
+    pub fn pairs_backward(&self) -> bool {
+        self.layers.iter().all(|l| l.pairs_backward())
+    }
+
+    /// [`Stage::backward_input_stepping`] for two consecutive microbatches
+    /// of a stage that [pairs](Stage::pairs_backward), their gradients on
+    /// `grads[0]` and `grads[1]`: every layer, last to first, runs
+    /// [`Layer::backward_input_pair`], so layers after a stepping one
+    /// retire the first microbatch then the second, the stepping one makes
+    /// one pass over its weight for both updates, and layers before it
+    /// retire the first then the second. A first layer whose input gradient
+    /// is unread runs [`Layer::backward_input_unread`] on each, stepping
+    /// nothing.
+    pub fn backward_input_pair(
+        &mut self,
+        grads: [&mut LaneStack; 2],
+        step: &mut dyn PairStep,
+        input_grad: bool,
+    ) {
+        let [g0, g1] = grads;
+        let mut first = self.params().len();
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            first -= layer.params().len();
+            if i == 0 && !input_grad {
+                layer.backward_input_unread(g0);
+                layer.backward_input_unread(g1);
+            } else {
+                layer.backward_input_pair([&mut *g0, &mut *g1], first, step);
             }
         }
     }

@@ -3,7 +3,7 @@
 
 use crate::Hyperparams;
 use pbp_snapshot::{SnapshotError, Snapshottable, StateReader, StateWriter};
-use pbp_tensor::ops::simd::{sgdm_sweep, SweepScalars};
+use pbp_tensor::ops::simd::{sgdm_sweep, sgdm_sweep_pair, SweepScalars};
 use pbp_tensor::{GradView, Tensor};
 
 /// The forward weight version a sweep writes beside the update.
@@ -98,8 +98,8 @@ impl SgdmState {
     }
 
     /// The update every optimizer entry point is: for each parameter not
-    /// marked in `taken` (a prefix of flags; missing ones read `false`),
-    /// one [`SgdmState::sweep_param`].
+    /// marked in `taken` (a prefix of counts of updates already taken;
+    /// missing ones read 0), one [`SgdmState::sweep_param`].
     ///
     /// # Panics
     ///
@@ -111,13 +111,13 @@ impl SgdmState {
         k: Sweep,
         mut prev: Option<&mut [Tensor]>,
         mut next: Option<(&mut [Tensor], Predict)>,
-        taken: &[bool],
+        taken: &[u8],
     ) {
         let n = self.velocity.len();
         assert_eq!(params.len(), n, "param/velocity layout mismatch");
         assert_eq!(grads.len(), n, "grad/velocity layout mismatch");
         for (t, (p, g)) in params.iter_mut().zip(grads).enumerate() {
-            if taken.get(t) == Some(&true) {
+            if taken.get(t).is_some_and(|&n| n > 0) {
                 continue;
             }
             self.sweep_param(
@@ -161,6 +161,40 @@ impl SgdmState {
             w.as_mut_slice(),
             prev.map(Tensor::as_mut_slice),
             next.map(|(n, f)| (n.as_mut_slice(), f)),
+            gx,
+        );
+    }
+
+    /// Parameter `t`'s next two updates in one pass ([`sgdm_sweep_pair`]):
+    /// update `u` under `k[u]` and the factored gradient `g[u] = (δ, x)`,
+    /// writing its forward version into `next[u]` and, when asked, `δ·w` of
+    /// its pre-update weights into the zeroed `gx[u]`; `prev` ends as the
+    /// second update's pre-update weights. Bit for bit two
+    /// [`SgdmState::sweep_param`]s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tensor disagrees with velocity `t`'s shape or the
+    /// gradients with each other.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sweep_param_pair(
+        &mut self,
+        t: usize,
+        w: &mut Tensor,
+        g: [(&[f32], &[f32]); 2],
+        k: [Sweep; 2],
+        prev: Option<&mut Tensor>,
+        next: ([&mut Tensor; 2], [Predict; 2]),
+        gx: Option<[&mut [f32]; 2]>,
+    ) {
+        let ([n0, n1], predict) = next;
+        sgdm_sweep_pair(
+            k.map(Sweep::scalars),
+            g,
+            self.velocity[t].as_mut_slice(),
+            w.as_mut_slice(),
+            prev.map(Tensor::as_mut_slice),
+            Some(([n0.as_mut_slice(), n1.as_mut_slice()], predict)),
             gx,
         );
     }

@@ -32,10 +32,11 @@ pub struct StageOptimizer {
     prev_weights: Option<Vec<Tensor>>,
     config: StageConfig,
     hp: Hyperparams,
-    /// Parameters whose share of the coming update
-    /// [`StageOptimizer::step_outer_into`] already took, by position; the
-    /// update that follows sweeps the rest and clears the marks.
-    taken: Vec<bool>,
+    /// How many of the coming updates [`StageOptimizer::step_outer_into`]
+    /// (one) or [`StageOptimizer::step_outer_pair_into`] (two) already
+    /// applied to each parameter, by position; each update that follows
+    /// sweeps the parameters at zero and counts the others down.
+    taken: Vec<u8>,
 }
 
 impl StageOptimizer {
@@ -48,7 +49,7 @@ impl StageOptimizer {
             prev_weights: needs_prev.then(|| params.iter().map(|p| (*p).clone()).collect()),
             config,
             hp,
-            taken: vec![false; params.len()],
+            taken: vec![0; params.len()],
         }
     }
 
@@ -175,18 +176,56 @@ impl StageOptimizer {
             Some((next, predict)),
             Some(gx),
         );
-        self.taken[t] = true;
+        self.taken[t] = 1;
+    }
+
+    /// [`StageOptimizer::step_outer_into`] for the next two updates at
+    /// once, the first under the current hyperparameters and the second
+    /// under `hp`, for a layer whose two windows' gradients are the
+    /// factored `δ₀ ⊗ x₀` and `δ₁ ⊗ x₁`: one pass over `w` and its velocity
+    /// applies both ([`sgdm_sweep_pair`](pbp_tensor::ops::simd::sgdm_sweep_pair)),
+    /// writing update `u`'s forward version into `next[u]` and `δ_u·w` of
+    /// its pre-update weights into the zeroed `gx[u]`. The two
+    /// [`StageOptimizer::step_into`] calls that follow — the second after
+    /// [`StageOptimizer::set_hyperparams`]`(hp)` — sweep only the other
+    /// parameters: bit for bit the two updates, taken one at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is out of range or a shape disagrees with
+    /// construction or with an `x`.
+    pub fn step_outer_pair_into(
+        &mut self,
+        t: usize,
+        w: &mut Tensor,
+        g: [(&[f32], &[f32]); 2],
+        hp: Hyperparams,
+        next: [&mut Tensor; 2],
+        gx: [&mut [f32]; 2],
+    ) {
+        let (k0, p0) = self.kernel_at(self.hp);
+        let (k1, p1) = self.kernel_at(hp);
+        let prev = self.prev_weights.as_mut().map(|p| &mut p[t]);
+        let next = (next, [p0, p1]);
+        self.state
+            .sweep_param_pair(t, w, g, [k0, k1], prev, next, Some(gx));
+        self.taken[t] = 2;
     }
 
     /// The scalars and the forward-version form of this update.
     fn kernel(&self) -> (Sweep, Predict) {
+        self.kernel_at(self.hp)
+    }
+
+    /// The scalars and the forward-version form of an update under `hp`.
+    fn kernel_at(&self, hp: Hyperparams) -> (Sweep, Predict) {
         let coeffs = if self.config.spike_delay > 0.0 {
-            SpikeCoeffs::scd(self.hp.momentum, self.config.spike_delay)
+            SpikeCoeffs::scd(hp.momentum, self.config.spike_delay)
         } else {
             SpikeCoeffs::identity()
         };
         let k = Sweep {
-            hp: self.hp,
+            hp,
             a: coeffs.a,
             b: coeffs.b,
             grad_scale: self.config.grad_scale,
@@ -195,7 +234,7 @@ impl StageOptimizer {
         let predict = if horizon == 0.0 {
             Predict::Copy
         } else if self.config.lwp_form == LwpForm::Velocity {
-            let alpha = -self.hp.lr * horizon;
+            let alpha = -hp.lr * horizon;
             Predict::Velocity { alpha }
         } else {
             Predict::WeightDiff { horizon }
@@ -218,7 +257,7 @@ impl StageOptimizer {
             next.map(|next| (next, predict)),
             &self.taken,
         );
-        self.taken.fill(false);
+        self.taken.iter_mut().for_each(|n| *n = n.saturating_sub(1));
     }
 }
 
@@ -264,7 +303,7 @@ impl Snapshottable for StageOptimizer {
             )));
         }
         self.hp = Hyperparams { lr, momentum };
-        self.taken.fill(false);
+        self.taken.fill(0);
         Ok(())
     }
 }
@@ -381,6 +420,78 @@ mod tests {
                 opt.predict_into(&[&w], horizon, &mut got);
                 assert_eq!(bits(&got[0]), bits(&want[0]), "{form:?} horizon {horizon}");
             }
+        }
+    }
+
+    /// A lent pair — both updates of the factored weight in one sweep, then
+    /// two `step_into`s for the bias — is two lent steps bit for bit, under
+    /// different hyperparameters per update, for every forward-version form.
+    #[test]
+    fn a_lent_pair_is_two_lent_steps_bitwise() {
+        let bits = |t: &[f32]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let hps = [Hyperparams::new(0.1, 0.9), Hyperparams::new(0.07, 0.85)];
+        let mits = [
+            Mitigation::None,
+            Mitigation::lwpv_scd(),
+            Mitigation::lwpw_scd(),
+            Mitigation::GradShrink { factor: 0.5 },
+        ];
+        for mit in mits {
+            let w0 = Tensor::from_fn(&[3, 5], |i| (i as f32 * 0.37).sin());
+            let b0 = Tensor::from_fn(&[3], |i| (i as f32 * 0.5).cos());
+            let delta: [Vec<f32>; 2] = [vec![0.3, -0.2, 0.5], vec![-0.1, 0.4, 0.25]];
+            let x: [Vec<f32>; 2] = [
+                (0..5).map(|i| (i as f32 * 0.9).cos()).collect(),
+                (0..5).map(|i| (i as f32 * 1.3).sin()).collect(),
+            ];
+            let run = |pair: bool| {
+                let (mut w, mut b) = (w0.clone(), b0.clone());
+                let mut opt = StageOptimizer::new(&[&w, &b], mit.stage_config(3, 0), hps[0]);
+                let mut next = [
+                    [Tensor::zeros(&[3, 5]), Tensor::zeros(&[3])],
+                    [Tensor::zeros(&[3, 5]), Tensor::zeros(&[3])],
+                ];
+                let mut gx = [vec![0.0f32; 5], vec![0.0f32; 5]];
+                for _ in 0..3 {
+                    opt.set_hyperparams(hps[0]);
+                    let [n0, n1] = &mut next;
+                    let [g0, g1] = &mut gx;
+                    g0.fill(0.0);
+                    g1.fill(0.0);
+                    let g = [(&*delta[0], &*x[0]), (&*delta[1], &*x[1])];
+                    if pair {
+                        let next = [&mut n0[0], &mut n1[0]];
+                        opt.step_outer_pair_into(0, &mut w, g, hps[1], next, [g0, g1]);
+                    } else {
+                        opt.step_outer_into(0, &mut w, g[0].0, g[0].1, &mut n0[0], g0);
+                    }
+                    let db = Tensor::from_slice(&delta[0]);
+                    opt.step_into(
+                        &mut [&mut w, &mut b],
+                        &[GradView::Dense(&w0), (&db).into()],
+                        n0,
+                    );
+                    opt.set_hyperparams(hps[1]);
+                    if !pair {
+                        opt.step_outer_into(0, &mut w, g[1].0, g[1].1, &mut n1[0], g1);
+                    }
+                    let db = Tensor::from_slice(&delta[1]);
+                    opt.step_into(
+                        &mut [&mut w, &mut b],
+                        &[GradView::Dense(&w0), (&db).into()],
+                        n1,
+                    );
+                }
+                let mut out = vec![bits(w.as_slice()), bits(b.as_slice())];
+                out.extend(opt.velocity().iter().map(|v| bits(v.as_slice())));
+                out.extend(next.iter().flatten().map(|t| bits(t.as_slice())));
+                out.extend(gx.iter().map(|g| bits(g)));
+                if let Some(prev) = &opt.prev_weights {
+                    out.extend(prev.iter().map(|p| bits(p.as_slice())));
+                }
+                out
+            };
+            assert_eq!(run(true), run(false), "{mit:?}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The per-stage schedule-execution state every substrate shares.
 //!
 //! [`StageCell`] owns what one pipeline stage needs to execute its slice
-//! of a [`MicrobatchSchedule`](crate::MicrobatchSchedule) action stream:
+//! of a [`MicrobatchSchedule`] action stream:
 //! the stage's optimizer (with its delay-mitigation configuration) and
 //! the FIFO of forward weight versions — one per update, `⌈D/M⌉ + 1` of
 //! them between microbatches, for a version lag of `D` microbatches and
@@ -40,6 +40,22 @@
 //! whose backward runs under other weights than the live ones — takes the
 //! split path: `backward_input`, then `backward_weight`, then one `update`.
 //!
+//! ## One pass over a weight for two updates
+//!
+//! When the loss-owning rank holds two forwarded microbatches that are each
+//! their own update window, it retires them as one step
+//! ([`StageGroup::backward_pair`](crate::StageGroup::backward_pair)). A
+//! stage that [lends pairs](StageCell::lends_pair) — it has parameters,
+//! every layer pairs, and its backward runs under the live weights — then
+//! takes both input halves in one pass ([`StageCell::backward_input_pair`]):
+//! it retires the two oldest versions, and each batch-1 `Linear` sweeps
+//! its weight once for both updates, the second from the row the first
+//! just wrote. The rest of both microbatches' actions follow in order, the
+//! second's `backward_input_for` only zeroing the gradients. The bits are
+//! two single steps': the layers after a `Linear` in a pairing stage read
+//! no parameter, and the ordering contract below allows the stages to run
+//! one microbatch after the other or both in turn.
+//!
 //! ## No input gradient for the network's first stage
 //!
 //! Stage 0's input gradient is the gradient of the sample itself: on every
@@ -57,7 +73,7 @@
 //! For a fixed stage, the cell's methods must be called in the schedule's
 //! per-stage order: `forward` for microbatch `i` before `forward` for
 //! `i+1`, `backward_input`/`backward_weight`/`update` in the exact
-//! [`Action`](crate::Action) stream order, and `push_next_version` once
+//! [`Action`] stream order, and `push_next_version` once
 //! after each microbatch's backward actions. *Across* stages any
 //! interleaving that respects data dependencies yields the same bits:
 //! forwards read only queued versions, chosen by their microbatch index,
@@ -70,7 +86,7 @@
 //! microbatches are in flight (forwarded but not yet backwarded) at a
 //! stage.
 
-use pbp_nn::{LaneStack, ParamStep, Stage};
+use pbp_nn::{LaneStack, PairStep, ParamStep, Stage};
 use pbp_optim::{Hyperparams, Mitigation, StageOptimizer};
 use pbp_snapshot::{SnapshotError, Snapshottable, StateReader, StateWriter};
 use pbp_tensor::Tensor;
@@ -108,6 +124,12 @@ pub struct StageCell {
     /// the network's first, whose input is the sample (see the module
     /// docs).
     input_grad: bool,
+    /// Whether two consecutive own-window microbatches can share one
+    /// backward pass here ([`StageCell::lends_pair`]).
+    pairs: bool,
+    /// The second version a pair's backward began, waiting for the second
+    /// microbatch's `backward_input_for`.
+    pair_next: Option<Vec<Tensor>>,
 }
 
 /// The window's optimizer step as [`StageCell::backward_input_for`] lends
@@ -129,6 +151,30 @@ impl ParamStep for LentStep<'_> {
     ) {
         self.opt
             .step_outer_into(index, w, delta, x, &mut self.next[index], gx);
+    }
+}
+
+/// Two windows' optimizer steps as [`StageCell::backward_input_pair`] lends
+/// them to the stage: each parameter it is offered is swept into its slots
+/// of both version buffers, the second update under `hp`.
+struct LentPair<'a> {
+    opt: &'a mut StageOptimizer,
+    next: [&'a mut [Tensor]; 2],
+    hp: Hyperparams,
+}
+
+impl PairStep for LentPair<'_> {
+    fn step_outer_pair(
+        &mut self,
+        index: usize,
+        w: &mut Tensor,
+        g: [(&[f32], &[f32]); 2],
+        gx: [&mut [f32]; 2],
+    ) {
+        let [n0, n1] = &mut self.next;
+        let next = [&mut n0[index], &mut n1[index]];
+        self.opt
+            .step_outer_pair_into(index, w, g, self.hp, next, gx);
     }
 }
 
@@ -195,6 +241,8 @@ impl StageCell {
             next: None,
             backward_version,
             input_grad: s != 0,
+            pairs: stage.pairs_backward() && !stage.params().is_empty(),
+            pair_next: None,
         }
     }
 
@@ -299,6 +347,13 @@ impl StageCell {
         zero_grads: bool,
         actions: &[Action],
     ) {
+        if let Some(next) = self.pair_next.take() {
+            // The pair's first microbatch already ran this input half.
+            assert!(zero_grads, "a pair's second microbatch opens its window");
+            stage.zero_grads();
+            self.next = Some(next);
+            return;
+        }
         let lends = zero_grads
             && self.backward_runs_live()
             && is_own_update_window(actions)
@@ -314,6 +369,49 @@ impl StageCell {
         };
         stage.backward_input_stepping(gstack, &mut step, self.input_grad);
         self.next = Some(next);
+    }
+
+    /// Whether two consecutive microbatches that are each their own update
+    /// window can share one backward pass at this stage
+    /// ([`StageCell::backward_input_pair`]): the stage has parameters, every
+    /// layer [pairs](Stage::pairs_backward), and the backward runs under the
+    /// live weights.
+    pub fn lends_pair(&self) -> bool {
+        self.pairs && self.backward_runs_live()
+    }
+
+    /// The input halves of microbatches `i` and `i + 1`, each its own update
+    /// window, their gradients on `grads[0]` and `grads[1]`, in one pass, at
+    /// a stage that [lends pairs](StageCell::lends_pair): the two oldest
+    /// versions are retired, and each layer that steps takes both updates of
+    /// its weight — the second under `hp`, the hyperparameters of `i + 1`'s
+    /// window — into them ([`Stage::backward_input_pair`]). The rest of
+    /// `i`'s actions and `push_next_version` follow as for any microbatch,
+    /// then `i + 1`'s, whose `backward_input_for` only zeroes the gradients
+    /// and hands its `update` the second version. Every value is the one
+    /// the two microbatches' backwards, taken one after the other, give:
+    /// layers after a stepping one read no parameter, and the stepping one
+    /// computes `i + 1`'s input gradient from the weights `i`'s update
+    /// wrote.
+    pub fn backward_input_pair(
+        &mut self,
+        stage: &mut Stage,
+        grads: [&mut LaneStack; 2],
+        hp: Hyperparams,
+    ) {
+        assert!(self.lends_pair(), "the stage cannot pair its backward");
+        stage.zero_grads();
+        let mut next = [self.retire_front(), self.retire_front()];
+        let [n0, n1] = &mut next;
+        let mut step = LentPair {
+            opt: &mut self.opt,
+            next: [n0, n1],
+            hp,
+        };
+        stage.backward_input_pair(grads, &mut step, self.input_grad);
+        let [n0, n1] = next;
+        self.next = Some(n0);
+        self.pair_next = Some(n1);
     }
 
     /// Retires one pending weight-gradient half (2BP). Weight-gradient
@@ -450,6 +548,7 @@ impl StageCell {
         self.front = completed / self.per_update;
         (self.forwarded, self.completed) = (completed, completed);
         self.next = None;
+        self.pair_next = None;
         Ok(())
     }
 }

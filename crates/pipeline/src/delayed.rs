@@ -3,7 +3,7 @@
 //!
 //! "The modified optimizer has a buffer of old parameter values; to apply
 //! a delay D, the model is loaded with parameters from D time steps ago, a
-//! forward and backward pass is performed [and] the resulting gradients
+//! forward and backward pass is performed \[and\] the resulting gradients
 //! are then used to update a master copy of the weights. Weight
 //! inconsistency is simulated by … doing the forward pass then loading the
 //! model with the master weights before doing the backwards pass. … This

@@ -7,7 +7,8 @@
 //!
 //! * **rank `r`** (under threads, *stage* `r`, whichever worker hosts
 //!   it) at `@k`, the backward the rank is turning to — the
-//!   `Step::Backward(k)` its [`RankLoop`](crate::RankLoop) reports:
+//!   `Step::Backward(k)` its [`RankLoop`](crate::RankLoop) reports, or
+//!   either half of a `Step::BackwardPair`, which turns to both at once:
 //!   [`RankFault`] `crash`
 //!   (a panic on every host: a rank process then exits non-zero),
 //!   `stall:<ms>`, `sever` (drop every outgoing link end) or

@@ -31,11 +31,16 @@
 //!   they only affect backward-phase operations (updates, SpecTrain's
 //!   re-prediction, the pushed version), so binding at the backward
 //!   boundary matches a sequential sweep even when forwards ran ahead.
+//! * [`StageGroup::backward_pair`] — two consecutive own-window
+//!   microbatches' backwards as one step, where [`StageGroup::pairs`]
+//!   allows (the loss rank only): a stage that lends pairs takes both
+//!   input halves in one pass over its `Linear` weights, every other stage
+//!   runs the two backwards in turn.
 
 use crate::cell::StageCell;
 use crate::metrics::StageCounters;
 use crate::rank::Step;
-use crate::schedule::Action;
+use crate::schedule::{is_own_update_window, Action};
 use crate::scheduled::ScheduledConfig;
 use pbp_nn::loss::softmax_cross_entropy;
 use pbp_nn::{LaneStack, Network, Stage};
@@ -316,82 +321,156 @@ impl StageGroup {
     /// Panics if `mb` is not the next microbatch in backward order, has
     /// not been forwarded, or `stages` is not the owned slice.
     pub fn backward(&mut self, stages: &mut [Stage], gstack: &mut LaneStack, mb: usize) {
-        assert_eq!(mb, self.next_bwd, "backwards run in microbatch order");
-        assert!(mb < self.next_fwd, "backward of an unforwarded microbatch");
-        assert_eq!(stages.len(), self.cells.len(), "one stage per cell");
-        let plan = self.config.plan;
-        let first_of_update = mb.is_multiple_of(plan.microbatches_per_update());
-        if first_of_update {
-            let hp = self.config.schedule.at(mb);
-            for cell in &mut self.cells {
-                cell.set_hyperparams(hp);
-            }
-        }
-        let actions = plan.stage_actions(mb);
+        self.check_backward(stages, mb, 1);
         for (local, stage) in stages.iter_mut().enumerate().rev() {
-            let t0 = Instant::now();
-            let cell = &mut self.cells[local];
-            let lane = &mut self.lanes[local];
-            let version = self.counters[local].updates;
-            let mut updated = false;
-            for action in &actions {
-                match *action {
-                    Action::Forward(_) => {}
-                    Action::BackwardInput(i) => {
-                        lane.begin(TracePhase::BackwardInput, Some(i as u64), Some(version));
-                        cell.backward_input_for(stage, gstack, first_of_update, &actions);
-                        lane.end();
-                    }
-                    Action::BackwardWeight(j) => {
-                        lane.begin(TracePhase::BackwardWeight, Some(j as u64), Some(version));
-                        cell.backward_weight(stage);
-                        lane.end();
-                    }
-                    Action::Update => {
-                        if cell.will_update(stage) {
-                            lane.begin(TracePhase::Update, Some(mb as u64), Some(version + 1));
-                            cell.update(stage, plan.splits_backward());
-                            lane.end();
-                            updated = true;
-                        }
-                    }
-                }
-            }
-            cell.push_next_version(stage);
-            let busy = t0.elapsed().as_nanos();
-            if updated {
-                self.counters[local].record_update(cell.delay(), busy);
-            } else {
-                self.counters[local].add_busy_ns(busy);
-            }
+            self.backward_stage(local, stage, gstack, mb, None);
         }
         self.next_bwd += 1;
     }
 
+    /// Whether microbatches `mb` and `mb + 1` can retire as one
+    /// [`StageGroup::backward_pair`] that saves a pass: each is its own
+    /// update window, and an owned stage [lends pairs](StageCell::lends_pair).
+    pub fn pairs(&self, mb: usize) -> bool {
+        let own = |mb| is_own_update_window(&self.config.plan.stage_actions(mb));
+        own(mb) && own(mb + 1) && self.cells.iter().any(StageCell::lends_pair)
+    }
+
+    /// Runs the backward actions of microbatches `mb` and `mb + 1`, their
+    /// gradients on `grads[0]` and `grads[1]`, through the owned stages,
+    /// last to first: a stage that [lends pairs](StageCell::lends_pair)
+    /// takes both input halves in one pass
+    /// ([`StageCell::backward_input_pair`]), inside `mb`'s
+    /// `BackwardInput` span, and `mb + 1`'s span is empty; every other
+    /// stage runs `mb`'s actions, then `mb + 1`'s. The cell's ordering
+    /// contract makes the bits those of [`StageGroup::backward`] on `mb`,
+    /// then on `mb + 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`StageGroup::pairs`]`(mb)` and both microbatches are
+    /// the next two in backward order, forwarded, and `stages` is the owned
+    /// slice.
+    pub fn backward_pair(&mut self, stages: &mut [Stage], grads: [&mut LaneStack; 2], mb: usize) {
+        self.check_backward(stages, mb, 2);
+        assert!(
+            self.pairs(mb),
+            "microbatches {mb} and {} do not pair",
+            mb + 1
+        );
+        let [g0, g1] = grads;
+        for (local, stage) in stages.iter_mut().enumerate().rev() {
+            let pair = self.cells[local].lends_pair().then_some(&mut *g1);
+            self.backward_stage(local, stage, g0, mb, pair);
+            self.backward_stage(local, stage, g1, mb + 1, None);
+        }
+        self.next_bwd += 2;
+    }
+
+    fn check_backward(&self, stages: &[Stage], mb: usize, n: usize) {
+        assert_eq!(mb, self.next_bwd, "backwards run in microbatch order");
+        assert!(
+            mb + n <= self.next_fwd,
+            "backward of an unforwarded microbatch"
+        );
+        assert_eq!(stages.len(), self.cells.len(), "one stage per cell");
+    }
+
+    /// Microbatch `mb`'s backward actions at owned stage `local`, then its
+    /// `push_next_version`; with `pair`, the next microbatch's gradients,
+    /// its input half runs the pair's pass.
+    fn backward_stage(
+        &mut self,
+        local: usize,
+        stage: &mut Stage,
+        gstack: &mut LaneStack,
+        mb: usize,
+        mut pair: Option<&mut LaneStack>,
+    ) {
+        let plan = self.config.plan;
+        let first_of_update = mb.is_multiple_of(plan.microbatches_per_update());
+        let t0 = Instant::now();
+        let cell = &mut self.cells[local];
+        if first_of_update {
+            cell.set_hyperparams(self.config.schedule.at(mb));
+        }
+        let lane = &mut self.lanes[local];
+        let version = self.counters[local].updates;
+        let actions = plan.stage_actions(mb);
+        let mut updated = false;
+        for action in &actions {
+            match *action {
+                Action::Forward(_) => {}
+                Action::BackwardInput(i) => {
+                    lane.begin(TracePhase::BackwardInput, Some(i as u64), Some(version));
+                    match pair.take() {
+                        Some(next) => {
+                            let hp = self.config.schedule.at(mb + 1);
+                            cell.backward_input_pair(stage, [&mut *gstack, next], hp)
+                        }
+                        None => cell.backward_input_for(stage, gstack, first_of_update, &actions),
+                    }
+                    lane.end();
+                }
+                Action::BackwardWeight(j) => {
+                    lane.begin(TracePhase::BackwardWeight, Some(j as u64), Some(version));
+                    cell.backward_weight(stage);
+                    lane.end();
+                }
+                Action::Update => {
+                    if cell.will_update(stage) {
+                        lane.begin(TracePhase::Update, Some(mb as u64), Some(version + 1));
+                        cell.update(stage, plan.splits_backward());
+                        lane.end();
+                        updated = true;
+                    }
+                }
+            }
+        }
+        cell.push_next_version(stage);
+        let busy = t0.elapsed().as_nanos();
+        if updated {
+            self.counters[local].record_update(cell.delay(), busy);
+        } else {
+            self.counters[local].add_busy_ns(busy);
+        }
+    }
+
     /// The spans `step` records, in the order it runs them, as (global
     /// stage, phase, microbatch, weight version): what
-    /// [`StageGroup::forward`] or [`StageGroup::backward`] would run on
-    /// `stages`, read without running it.
+    /// [`StageGroup::forward`], [`StageGroup::backward`] or
+    /// [`StageGroup::backward_pair`] would run on `stages`, read without
+    /// running it.
     pub(crate) fn spans(
         &self,
         stages: &[Stage],
         step: Step,
     ) -> Vec<(usize, TracePhase, usize, u64)> {
-        let (Step::Forward(mb) | Step::Backward(mb)) = step;
-        let fwd = step == Step::Forward(mb);
-        let actions = self.config.plan.stage_actions(mb);
+        let (fwd, mbs) = match step {
+            Step::Forward(mb) => (true, mb..mb + 1),
+            Step::Backward(mb) => (false, mb..mb + 1),
+            Step::BackwardPair(mb) => (false, mb..mb + 2),
+        };
         let (n, mut spans) = (self.cells.len(), Vec::new());
         for k in 0..n {
             let local = if fwd { k } else { n - 1 - k };
-            let (s, v) = (self.first + local, self.counters[local].updates);
+            let (s, mut v) = (self.first + local, self.counters[local].updates);
             let updates = self.cells[local].will_update(&stages[local]);
-            spans.extend(actions.iter().filter_map(|&action| match action {
-                Action::Forward(i) if fwd => Some((s, TracePhase::Forward, i, v)),
-                Action::BackwardInput(i) if !fwd => Some((s, TracePhase::BackwardInput, i, v)),
-                Action::BackwardWeight(j) if !fwd => Some((s, TracePhase::BackwardWeight, j, v)),
-                Action::Update if !fwd && updates => Some((s, TracePhase::Update, mb, v + 1)),
-                _ => None,
-            }));
+            for mb in mbs.clone() {
+                let actions = self.config.plan.stage_actions(mb);
+                spans.extend(actions.iter().filter_map(|&action| match action {
+                    Action::Forward(i) if fwd => Some((s, TracePhase::Forward, i, v)),
+                    Action::BackwardInput(i) if !fwd => Some((s, TracePhase::BackwardInput, i, v)),
+                    Action::BackwardWeight(j) if !fwd => {
+                        Some((s, TracePhase::BackwardWeight, j, v))
+                    }
+                    Action::Update if !fwd && updates => Some((s, TracePhase::Update, mb, v + 1)),
+                    _ => None,
+                }));
+                if !fwd && updates && actions.contains(&Action::Update) {
+                    v += 1;
+                }
+            }
         }
         spans
     }

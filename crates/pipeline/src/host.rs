@@ -89,9 +89,10 @@ impl<'a, L: Link> RankHost<'a, L> {
         fwd_limit: usize,
     ) -> Result<Option<Step>, RankError<L::Error>> {
         // Without a plan there is nothing to consult, nor a step to look at.
+        // A pair turns to both its backwards at once.
         if !self.injectors.is_empty() {
-            if let Some(Step::Backward(k)) = self.rank.next_step(fwd_limit) {
-                self.inject(k);
+            if let Some(step) = self.rank.next_step(fwd_limit) {
+                step.retires().for_each(|k| self.inject(k));
             }
         }
         let up = match self.up.as_mut() {
@@ -99,15 +100,16 @@ impl<'a, L: Link> RankHost<'a, L> {
             None => Upstream::Feed(self.feed.as_mut().expect("rank 0 is fed").as_mut()),
         };
         let step = self.rank.step(stages, up, self.down.as_mut(), fwd_limit)?;
-        if self.feed.is_some() && matches!(step, Some(Step::Backward(_))) {
-            self.losses.push(self.rank.last_loss);
+        if self.feed.is_some() && step.is_some_and(|step| !step.retires().is_empty()) {
+            self.losses.extend_from_slice(self.rank.last_losses());
         }
         Ok(step)
     }
 
     /// Fault-injection point: an `@k` rank fault strikes as the rank turns
-    /// to backward `k`, exactly where a real stage dies; the owned stages
-    /// are consulted in backward order, last to first.
+    /// to backward `k`, exactly where a real stage dies — for a pair, before
+    /// either of its backwards; the owned stages are consulted in backward
+    /// order, last to first.
     fn inject(&mut self, k: usize) {
         let owned = self.rank.group.range().zip(&self.injectors).rev();
         for (stage, injector) in owned {

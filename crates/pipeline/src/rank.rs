@@ -94,6 +94,22 @@ pub enum Upstream<'a, L> {
 pub enum Step {
     Forward(usize),
     Backward(usize),
+    /// The backwards of microbatches `mb` and `mb + 1` as one step
+    /// ([`StageGroup::backward_pair`]): only the loss-owning rank, holding
+    /// both loss gradients, takes it.
+    BackwardPair(usize),
+}
+
+impl Step {
+    /// The microbatches a backward step retires, in order; none for a
+    /// forward.
+    pub fn retires(self) -> std::ops::Range<usize> {
+        match self {
+            Step::Forward(mb) => mb..mb,
+            Step::Backward(mb) => mb..mb + 1,
+            Step::BackwardPair(mb) => mb..mb + 2,
+        }
+    }
 }
 
 /// Why [`RankLoop::step`] did not run.
@@ -117,8 +133,10 @@ pub struct RankLoop {
     /// Sum of the losses of every completed microbatch, in microbatch
     /// order.
     pub loss_sum: f64,
-    /// The loss of the microbatch the latest backward retired.
-    pub last_loss: f32,
+    /// The losses of the microbatches the latest backward step retired,
+    /// oldest first: the first `retired` entries.
+    last: [f32; 2],
+    retired: usize,
     /// Wall-clock nanoseconds spent in successful [`RankLoop::step`]s,
     /// link waits included.
     pub train_ns: u128,
@@ -131,19 +149,35 @@ impl RankLoop {
             group,
             pending: VecDeque::new(),
             loss_sum: 0.0,
-            last_loss: 0.0,
+            last: [0.0; 2],
+            retired: 0,
             train_ns: 0,
         }
+    }
+
+    /// The losses of the microbatches the latest backward step retired,
+    /// oldest first.
+    pub fn last_losses(&self) -> &[f32] {
+        &self.last[..self.retired]
+    }
+
+    /// The loss of the microbatch the latest backward step retired last.
+    pub fn last_loss(&self) -> f32 {
+        self.last_losses().last().copied().unwrap_or(0.0)
     }
 
     /// The scheduling decision: forward microbatch `forwarded()` while it
     /// is below `fwd_limit` — the end of the call, or an earlier drain
     /// barrier — and the group's run-ahead rule allows; otherwise retire
-    /// backward `completed()`; `None` once nothing is in flight either.
+    /// backward `completed()`, together with the next one when the rank
+    /// holds both loss gradients and the group [pairs](StageGroup::pairs)
+    /// them; `None` once nothing is in flight either.
     pub fn next_step(&self, fwd_limit: usize) -> Option<Step> {
         let (fwd, bwd) = (self.group.forwarded(), self.group.completed());
         if fwd < fwd_limit && self.group.can_forward() {
             Some(Step::Forward(fwd))
+        } else if self.pending.len() >= 2 && self.group.pairs(bwd) {
+            Some(Step::BackwardPair(bwd))
         } else if bwd < fwd {
             Some(Step::Backward(bwd))
         } else {
@@ -208,8 +242,7 @@ impl RankLoop {
                         (loss, vec![grad])
                     }
                 };
-                self.loss_sum += loss as f64;
-                self.last_loss = loss;
+                self.retire(&[loss]);
                 self.group.backward(stages, &mut lanes, mb);
                 // Under `Upstream::Feed` the group owns stage 0, whose cell
                 // leaves no input gradient: nothing goes upstream.
@@ -218,9 +251,34 @@ impl RankLoop {
                     link.send(msg).map_err(RankError::Link)?;
                 }
             }
+            Step::BackwardPair(mb) => {
+                assert!(down.is_none(), "only the loss rank pairs backwards");
+                let mut pop = || self.pending.pop_front().expect("two queued gradients");
+                let ((g0, l0), (g1, l1)) = (pop(), pop());
+                self.retire(&[l0, l1]);
+                let (mut lanes0, mut lanes1) = (vec![g0], vec![g1]);
+                self.group
+                    .backward_pair(stages, [&mut lanes0, &mut lanes1], mb);
+                if let Upstream::Link(link) = up {
+                    for (mb, loss, lanes) in [(mb, l0, lanes0), (mb + 1, l1, lanes1)] {
+                        let msg = Message::Gradient { mb, loss, lanes };
+                        link.send(msg).map_err(RankError::Link)?;
+                    }
+                }
+            }
         }
         self.train_ns += start.elapsed().as_nanos();
         Ok(Some(step))
+    }
+
+    /// Adds the losses of the microbatches a backward step retires, in
+    /// order, to the sum and the record of the latest step.
+    fn retire(&mut self, losses: &[f32]) {
+        for &loss in losses {
+            self.loss_sum += loss as f64;
+        }
+        self.last[..losses.len()].copy_from_slice(losses);
+        self.retired = losses.len();
     }
 }
 
@@ -266,6 +324,7 @@ mod tests {
         vec![
             ScheduledConfig::pb(schedule()),
             ScheduledConfig::pb(schedule()).with_mitigation(Mitigation::lwpv_scd()),
+            ScheduledConfig::pb(schedule()).with_mitigation(Mitigation::lwpw_scd()),
             ScheduledConfig::pb(schedule()).with_weight_stashing(),
             ScheduledConfig::one_f_one_b(4, schedule()),
             ScheduledConfig::two_bp(4, schedule()),

@@ -213,7 +213,7 @@ impl ScheduledTrainer {
             let step = self.rank.step(self.net.stages_mut(), up, None, fwd_limit);
             step.expect("a world of one has no link to fail");
         }
-        self.rank.last_loss
+        self.rank.last_loss()
     }
 
     /// Trains one epoch in the deterministic order for `(seed, epoch)`;
@@ -244,12 +244,31 @@ impl TrainEngine for ScheduledTrainer {
     }
 
     /// All pipeline state (weight version queues, stashes, partially
-    /// accumulated updates) carries across slices.
+    /// accumulated updates) carries across slices. Steps the rank with two
+    /// microbatches in flight, so a pair of own-window microbatches retires
+    /// as one [`Step::BackwardPair`](crate::Step::BackwardPair) wherever the
+    /// group [pairs](StageGroup::pairs) them; an odd tail retires alone.
+    /// The call ends drained.
     fn train_range(&mut self, data: &Dataset, indices: &[usize]) -> (f64, usize) {
+        let base = self.rank.group.completed();
+        let end = base + indices.len();
+        let mut feed = |mb: usize| {
+            let (x, label) = data.sample(indices[mb - base]);
+            Message::sample(mb, x, label)
+        };
         let mut total = 0.0f64;
-        for &i in indices {
-            let (x, label) = data.sample(i);
-            total += self.train_sample(x, label) as f64;
+        while self.rank.group.completed() < end {
+            let fwd_limit = end.min(self.rank.group.completed() + 2);
+            let up = Upstream::<ChannelLink>::Feed(&mut feed);
+            let step = self.rank.step(self.net.stages_mut(), up, None, fwd_limit);
+            let step = step.expect("a world of one has no link to fail");
+            if step.is_some_and(|step| !step.retires().is_empty()) {
+                // One loss at a time, in order: the f64 sum a sample-by-sample
+                // loop adds up.
+                for &loss in self.rank.last_losses() {
+                    total += loss as f64;
+                }
+            }
         }
         self.rank.group.flush_trace();
         (total, indices.len())

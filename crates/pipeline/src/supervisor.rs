@@ -3,7 +3,7 @@
 //!
 //! Two layers (detection and containment below, retry arithmetic above):
 //!
-//! * **Stream supervision** ([`Watchdog`], [`StreamSupervisor`]): while a
+//! * **Stream supervision** ([`Watchdog`], `StreamSupervisor`): while a
 //!   threaded run is streaming, the calling thread is its supervisor and
 //!   nothing else (worker 0 feeds itself). Workers emit rate-limited
 //!   heartbeats and a final completion report over an events channel;

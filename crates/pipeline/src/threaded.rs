@@ -337,7 +337,6 @@ fn run_stream(
     // the same losses.
     rank.train_ns += ranks.iter().map(|part| part.train_ns).max().unwrap_or(0);
     rank.loss_sum += ranks[0].loss_sum;
-    rank.last_loss = ranks[0].last_loss;
     rank.group = StageGroup::join(ranks.into_iter().map(|part| part.group).collect());
     let state = ScheduledTrainer {
         net: Network::new(stages.into_iter().flatten().collect()),

@@ -16,7 +16,7 @@ use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, Mitigation};
 use pbp_pipeline::{
     Action, DelayedConfig, DelayedTrainer, MicrobatchSchedule, ScheduledConfig, ScheduledTrainer,
-    StageCell,
+    StageCell, TrainEngine,
 };
 use pbp_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -236,6 +236,35 @@ fn the_lent_step_allocates_nothing_weight_sized() {
         let before = LARGE_ALLOCS.with(Cell::get);
         for i in 4..40 {
             run(&mut net, i);
+        }
+        let during = LARGE_ALLOCS.with(Cell::get) - before;
+        assert_eq!(during, 0, "{mitigation:?}");
+    }
+}
+
+/// Paired backwards — `train_range` retires PB's microbatches two at a
+/// time, each `Linear` taking both updates in one sweep — retire the two
+/// oldest versions and write both updates' versions into them: nothing
+/// weight-sized is allocated there either, under each forward-version
+/// form, odd tails included.
+#[test]
+fn paired_backwards_allocate_nothing_weight_sized() {
+    let data = pbp_data::spirals(3, 16, 0.05, 1);
+    let order: Vec<usize> = (0..data.len()).collect();
+    for mitigation in [
+        Mitigation::None,
+        Mitigation::lwpv_scd(),
+        Mitigation::lwpw_scd(),
+    ] {
+        let net = mlp(&[2, WIDTH, WIDTH, WIDTH, 3], &mut StdRng::seed_from_u64(3));
+        let schedule = LrSchedule::constant(Hyperparams::new(0.05, 0.9));
+        let config = ScheduledConfig::pb(schedule).with_mitigation(mitigation);
+        let mut trainer = ScheduledTrainer::new(net, config);
+        // Warm-up: past the deepest stage's lag of six microbatches.
+        TrainEngine::train_range(&mut trainer, &data, &order[..8]);
+        let before = LARGE_ALLOCS.with(Cell::get);
+        for chunk in order[8..].chunks(7) {
+            TrainEngine::train_range(&mut trainer, &data, chunk);
         }
         let during = LARGE_ALLOCS.with(Cell::get) - before;
         assert_eq!(during, 0, "{mitigation:?}");

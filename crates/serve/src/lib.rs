@@ -3,7 +3,7 @@
 //! The paper's premise is that utilization comes from restructuring
 //! execution, not from growing batch sizes at the expense of semantics.
 //! This crate applies the same idea to inference: a [`Server`] owns one or
-//! more trained [`Network`]s and an ingress queue of single-sample
+//! more trained [`Network`](pbp_nn::Network)s and an ingress queue of single-sample
 //! requests; a batcher thread coalesces queued requests into batches — up
 //! to a batch budget or a latency deadline, whichever comes first — and a
 //! pool of worker threads runs each batch through one forward pass in eval

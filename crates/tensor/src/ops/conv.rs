@@ -389,7 +389,7 @@ pub fn conv2d_backward(
 /// Reads only the forward weights and the output gradient — no stashed
 /// activations — so it can run on the critical path while the weight half
 /// waits for the update boundary. The `k = out_channels` transpose-A GEMM
-/// is the short-reduction axpy path of [`super::gemm`].
+/// is the short-reduction axpy path of the `gemm` module.
 ///
 /// # Errors
 ///

@@ -1,7 +1,7 @@
 //! Retained naive reference kernels.
 //!
 //! These are the *definitional* implementations the optimized kernels in
-//! [`super::gemm`] and [`super::conv`] are differentially tested against
+//! `ops::gemm` and `ops::conv` are differentially tested against
 //! (`tests/proptest_kernels.rs`): plain loops with one explicit `f32`
 //! *fused* multiply-add chain (`f32::mul_add`) per output element, in
 //! increasing reduction order. An IEEE 754 fma rounds once, so these
@@ -9,7 +9,7 @@
 //! They are deliberately slow — scalar, no blocking, no packing: a
 //! correctness oracle, not a baseline anything is timed against.
 //!
-//! The accumulation convention (documented in [`super::gemm`]) is what
+//! The accumulation convention (documented in `ops::gemm`) is what
 //! makes bit-identity between these references and the tiled/parallel
 //! kernels a meaningful, testable property rather than a tolerance check.
 

@@ -1812,6 +1812,27 @@ struct SweepLanes<V> {
     delta: V,
 }
 
+impl<V: Lanes> SweepLanes<V> {
+    /// The lanes of `a`'s scalars.
+    #[inline(always)]
+    unsafe fn of(a: &SweepArgs) -> Self {
+        let t = match a.predict {
+            Some(Predict::Velocity { alpha }) => alpha,
+            Some(Predict::WeightDiff { horizon }) => horizon,
+            _ => 0.0,
+        };
+        SweepLanes {
+            s: V::splat(a.k.grad_scale),
+            m: V::splat(a.k.momentum),
+            lr: V::splat(a.k.lr),
+            a: V::splat(a.k.a),
+            b: V::splat(a.k.b),
+            t: V::splat(t),
+            delta: V::splat(a.delta),
+        }
+    }
+}
+
 /// One vector of the run at element `j`. Every lane computes, each
 /// operation rounded on its own and none fused,
 ///
@@ -1841,29 +1862,51 @@ unsafe fn sweep_step<
     c: &SweepLanes<V>,
     j: usize,
 ) {
-    let g = if ROW {
-        V::fma(c.delta, V::load(a.g.add(j)), V::zero())
-    } else {
-        V::load(a.g.add(j))
-    };
-    let g = V::mul(g, c.s);
     let w_old = V::load(a.w.add(j));
-    if GX {
-        V::fma(c.delta, w_old, V::load(a.gx.add(j))).store(a.gx.add(j));
-    }
-    let v = V::add(V::mul(c.m, V::load(a.v.add(j))), g);
-    let w = V::sub(w_old, V::mul(c.lr, V::add(V::mul(c.a, v), V::mul(c.b, g))));
+    let g = sweep_grad::<V, ROW>(a, c, j);
+    let (v, w) = sweep_update::<V, GX, NEXT>(a, c, j, g, V::load(a.v.add(j)), w_old);
     v.store(a.v.add(j));
     w.store(a.w.add(j));
     if PREV {
         w_old.store(a.prev.add(j));
     }
+}
+
+/// [`sweep_step`]'s `g = s·∇` at element `j`.
+#[inline(always)]
+unsafe fn sweep_grad<V: Lanes, const ROW: bool>(a: &SweepArgs, c: &SweepLanes<V>, j: usize) -> V {
+    let g = if ROW {
+        V::fma(c.delta, V::load(a.g.add(j)), V::zero())
+    } else {
+        V::load(a.g.add(j))
+    };
+    V::mul(g, c.s)
+}
+
+/// [`sweep_step`]'s update of `v_old`, `w_old` at element `j` under the
+/// scaled gradient `g`: adds to `gx` when `GX`, stores `ŵ` when `NEXT`
+/// asks, and returns `(v', w')` for the caller to store.
+#[inline(always)]
+unsafe fn sweep_update<V: Lanes, const GX: bool, const NEXT: u8>(
+    a: &SweepArgs,
+    c: &SweepLanes<V>,
+    j: usize,
+    g: V,
+    v_old: V,
+    w_old: V,
+) -> (V, V) {
+    if GX {
+        V::fma(c.delta, w_old, V::load(a.gx.add(j))).store(a.gx.add(j));
+    }
+    let v = V::add(V::mul(c.m, v_old), g);
+    let w = V::sub(w_old, V::mul(c.lr, V::add(V::mul(c.a, v), V::mul(c.b, g))));
     match NEXT {
         NEXT_COPY => w.store(a.next.add(j)),
         NEXT_VELOCITY => V::add(w, V::mul(c.t, v)).store(a.next.add(j)),
         NEXT_WEIGHT_DIFF => V::add(w, V::mul(c.t, V::sub(w, w_old))).store(a.next.add(j)),
         _ => {}
     }
+    (v, w)
 }
 
 /// [`sweep_step`] over the whole vectors of the run from element `from`
@@ -1880,20 +1923,7 @@ unsafe fn sweep_kernel<
     a: SweepArgs,
     from: usize,
 ) -> usize {
-    let t = match a.predict {
-        Some(Predict::Velocity { alpha }) => alpha,
-        Some(Predict::WeightDiff { horizon }) => horizon,
-        _ => 0.0,
-    };
-    let c = SweepLanes {
-        s: V::splat(a.k.grad_scale),
-        m: V::splat(a.k.momentum),
-        lr: V::splat(a.k.lr),
-        a: V::splat(a.k.a),
-        b: V::splat(a.k.b),
-        t: V::splat(t),
-        delta: V::splat(a.delta),
-    };
+    let c = SweepLanes::of(&a);
     let mut j = from;
     while j + LINE <= a.n {
         let ahead = j + SWEEP_PREFETCH;
@@ -2056,6 +2086,213 @@ pub fn sgdm_sweep(
             // One lane per step, as the axpy sweep: the form the compiler
             // vectorizes.
             _ => sweep_any::<f32>(a, g),
+        }
+    }
+}
+
+/// Two consecutive updates of one element vector: [`sweep_step`] under
+/// `a[0]` from the stored `v`, `w`, then under `a[1]` from what the first
+/// computed, kept in registers rather than stored and reloaded — the same
+/// operations on the same values, so the same bits as two sweeps. `v`, `w`
+/// and `prev` are `a[0]`'s; `prev` receives the second update's
+/// pre-update weights, the value two sweeps leave in it.
+#[inline(always)]
+unsafe fn sweep_pair_step<V: Lanes, const GX: bool, const PREV: bool, const NEXT: u8>(
+    a: &[SweepArgs; 2],
+    c: &[SweepLanes<V>; 2],
+    j: usize,
+) {
+    let w_old = V::load(a[0].w.add(j));
+    let g = sweep_grad::<V, true>(&a[0], &c[0], j);
+    let (v, w) = sweep_update::<V, GX, NEXT>(&a[0], &c[0], j, g, V::load(a[0].v.add(j)), w_old);
+    let g = sweep_grad::<V, true>(&a[1], &c[1], j);
+    let (v2, w2) = sweep_update::<V, GX, NEXT>(&a[1], &c[1], j, g, v, w);
+    v2.store(a[0].v.add(j));
+    w2.store(a[0].w.add(j));
+    if PREV {
+        w.store(a[0].prev.add(j));
+    }
+}
+
+/// [`sweep_kernel`] for a pair of runs: [`sweep_pair_step`] over the whole
+/// vectors from element `from` on, every weight-sized stream prefetched
+/// [`SWEEP_PREFETCH`] floats ahead; returns where they end.
+#[inline(always)]
+unsafe fn sweep_pair_kernel<V: Lanes, const GX: bool, const PREV: bool, const NEXT: u8>(
+    a: [SweepArgs; 2],
+    from: usize,
+) -> usize {
+    let c = [SweepLanes::of(&a[0]), SweepLanes::of(&a[1])];
+    let mut j = from;
+    while j + LINE <= a[0].n {
+        let ahead = j + SWEEP_PREFETCH;
+        V::prefetch(a[0].v.wrapping_add(ahead));
+        V::prefetch(a[0].w.wrapping_add(ahead));
+        if PREV {
+            V::prefetch_write(a[0].prev.wrapping_add(ahead));
+        }
+        if NEXT != NO_NEXT {
+            V::prefetch_write(a[0].next.wrapping_add(ahead));
+            V::prefetch_write(a[1].next.wrapping_add(ahead));
+        }
+        for q in 0..LINE / V::N {
+            sweep_pair_step::<V, GX, PREV, NEXT>(&a, &c, j + q * V::N);
+        }
+        j += LINE;
+    }
+    while j + V::N <= a[0].n {
+        sweep_pair_step::<V, GX, PREV, NEXT>(&a, &c, j);
+        j += V::N;
+    }
+    j
+}
+
+/// [`sweep_pair_kernel`] at `V`, then at `f32` for the tail.
+#[inline(always)]
+unsafe fn sweep_pair_whole<V: Lanes, const GX: bool, const PREV: bool, const NEXT: u8>(
+    a: [SweepArgs; 2],
+) {
+    let j = sweep_pair_kernel::<V, GX, PREV, NEXT>(a, 0);
+    sweep_pair_kernel::<f32, GX, PREV, NEXT>(a, j);
+}
+
+/// [`sweep_pair_whole`] with the side outputs `a` asks for, as
+/// [`sweep_sides`].
+#[inline(always)]
+unsafe fn sweep_pair_sides<V: Lanes, const GX: bool>(a: [SweepArgs; 2], prev: bool) {
+    match (a[0].predict, prev) {
+        (None, false) => sweep_pair_whole::<V, GX, false, NO_NEXT>(a),
+        (None, true) => sweep_pair_whole::<V, GX, true, NO_NEXT>(a),
+        (Some(Predict::Copy), false) => sweep_pair_whole::<V, GX, false, NEXT_COPY>(a),
+        (Some(Predict::Copy), true) => sweep_pair_whole::<V, GX, true, NEXT_COPY>(a),
+        (Some(Predict::Velocity { .. }), false) => {
+            sweep_pair_whole::<V, GX, false, NEXT_VELOCITY>(a)
+        }
+        (Some(Predict::Velocity { .. }), true) => sweep_pair_whole::<V, GX, true, NEXT_VELOCITY>(a),
+        (Some(Predict::WeightDiff { .. }), false) => {
+            sweep_pair_whole::<V, GX, false, NEXT_WEIGHT_DIFF>(a)
+        }
+        (Some(Predict::WeightDiff { .. }), true) => {
+            sweep_pair_whole::<V, GX, true, NEXT_WEIGHT_DIFF>(a)
+        }
+    }
+}
+
+/// The pair sweep at `V`: row by row, in row order, each row's two
+/// updates from that row's `δ` of each.
+#[inline(always)]
+unsafe fn sweep_pair_any<V: Lanes>(a: [SweepArgs; 2], x: [&[f32]; 2], delta: [&[f32]; 2]) {
+    let prev = !a[0].prev.is_null();
+    let cols = x[0].len();
+    for r in 0..delta[0].len() {
+        let at = r * cols;
+        let run = [
+            a[0].run(at, cols, x[0].as_ptr(), delta[0][r]),
+            a[1].run(at, cols, x[1].as_ptr(), delta[1][r]),
+        ];
+        if a[0].gx.is_null() {
+            sweep_pair_sides::<V, false>(run, prev)
+        } else {
+            sweep_pair_sides::<V, true>(run, prev)
+        }
+    }
+}
+
+/// Two consecutive [`sgdm_sweep`]s of one parameter, each under its own
+/// factored gradient `δ ⊗ x` and scalars, in one pass over `v` and `w`:
+/// row by row, update 0 from the stored row (adding `δ₀·w` to `gx₀` and
+/// writing its `ŵ` to `next₀`), then update 1 from the row update 0 just
+/// computed (`δ₁·w'` to `gx₁`, `ŵ` to `next₁`), and only the second
+/// update's `v` and `w` are stored; `prev` receives the second update's
+/// pre-update weights. Every element runs the operations the two sweeps
+/// would, in their order, on the same values, and each `gx` gains its
+/// rows in row order, so every output is bit for bit what
+/// `sgdm_sweep(k[0], …)` followed by `sgdm_sweep(k[1], …)` leaves, on
+/// every tier, while `v` and `w` cross the memory system once.
+///
+/// # Panics
+///
+/// Panics if the two gradients' shapes differ or do not cover `v`, if
+/// `w`, `prev` or a `next` differs in length from `v`, if the two `next`
+/// forms differ, or if a `gx` differs in length from `x`.
+pub fn sgdm_sweep_pair(
+    k: [SweepScalars; 2],
+    g: [(&[f32], &[f32]); 2],
+    v: &mut [f32],
+    w: &mut [f32],
+    prev: Option<&mut [f32]>,
+    next: Option<([&mut [f32]; 2], [Predict; 2])>,
+    gx: Option<[&mut [f32]; 2]>,
+) {
+    let n = v.len();
+    let [(delta0, x0), (delta1, x1)] = g;
+    assert_eq!(w.len(), n, "sgdm_sweep_pair: param/velocity shape mismatch");
+    assert_eq!(
+        delta0.len(),
+        delta1.len(),
+        "sgdm_sweep_pair: row counts differ"
+    );
+    assert_eq!(x0.len(), x1.len(), "sgdm_sweep_pair: column counts differ");
+    assert_eq!(
+        delta0.len() * x0.len(),
+        n,
+        "sgdm_sweep_pair: grad/velocity shape mismatch"
+    );
+    let prev = prev.map_or(std::ptr::null_mut(), |p| {
+        assert_eq!(p.len(), n, "sgdm_sweep_pair: prev shape mismatch");
+        p.as_mut_ptr()
+    });
+    let (next, predict) = match next {
+        Some(([n0, n1], [p0, p1])) => {
+            assert_eq!(
+                (n0.len(), n1.len()),
+                (n, n),
+                "sgdm_sweep_pair: next shape mismatch"
+            );
+            assert_eq!(
+                std::mem::discriminant(&p0),
+                std::mem::discriminant(&p1),
+                "sgdm_sweep_pair: next forms differ"
+            );
+            ([n0.as_mut_ptr(), n1.as_mut_ptr()], [Some(p0), Some(p1)])
+        }
+        None => ([std::ptr::null_mut(); 2], [None; 2]),
+    };
+    let gx = gx.map_or([std::ptr::null_mut(); 2], |[g0, g1]| {
+        assert_eq!(
+            (g0.len(), g1.len()),
+            (x0.len(), x0.len()),
+            "sgdm_sweep_pair: gx/x shape mismatch"
+        );
+        [g0.as_mut_ptr(), g1.as_mut_ptr()]
+    });
+    let (v, w) = (v.as_mut_ptr(), w.as_mut_ptr());
+    let args = |u: usize| SweepArgs {
+        k: k[u],
+        g: std::ptr::null(),
+        delta: 0.0,
+        v,
+        w,
+        prev,
+        next: next[u],
+        gx: gx[u],
+        predict: predict[u],
+        n,
+    };
+    let a = [args(0), args(1)];
+    let (x, delta) = ([x0, x1], [delta0, delta1]);
+    // SAFETY: as `sgdm_sweep`'s: the asserts bound every access — element
+    // `r·cols + j` of `v`, `w` and of `prev` / each `next` when given, for
+    // row `r < rows` and `j < cols`, `x[u][j]` and `gx[u][j]` when given;
+    // a null side output is never dereferenced; the tier match proves the
+    // CPU feature.
+    unsafe {
+        match active_tier() {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512Fma => x86::sweep_pair_avx512(a, x, delta),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2Fma => x86::sweep_pair_avx2(a, x, delta),
+            _ => sweep_pair_any::<f32>(a, x, delta),
         }
     }
 }
@@ -2510,6 +2747,18 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn sweep_avx512(a: SweepArgs, g: GradView<'_>) {
         super::sweep_any::<__m512>(a, g)
+    }
+
+    /// See [`conv_forward_avx2`]. Two `__m256` a cache line.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn sweep_pair_avx2(a: [SweepArgs; 2], x: [&[f32]; 2], delta: [&[f32]; 2]) {
+        super::sweep_pair_any::<__m256>(a, x, delta)
+    }
+
+    /// See [`conv_forward_avx2`]. One `__m512` a cache line.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn sweep_pair_avx512(a: [SweepArgs; 2], x: [&[f32]; 2], delta: [&[f32]; 2]) {
+        super::sweep_pair_any::<__m512>(a, x, delta)
     }
 }
 
@@ -3072,6 +3321,105 @@ mod tests {
                             ["v", "w", "prev", "next"].iter().zip(got.iter().zip(&want))
                         {
                             assert_bits_eq(got, want, &format!("{context}: {buf}"));
+                        }
+                    }
+                }
+            }
+        }
+        set_tier(detected_tier());
+    }
+
+    /// [`sgdm_sweep_pair`] on every tier the CPU has, through `set_tier`,
+    /// against two [`sgdm_sweep`]s on the same tier: every side output with
+    /// and without `prev` and `gx`, different scalars and `ŵ` parameters per
+    /// update, rows of every width to past two `__m512` cache lines and one
+    /// reaching the prefetch distance, edge-case inputs.
+    #[test]
+    fn sgdm_sweep_pair_is_two_sweeps_on_every_tier() {
+        let _g = tier_lock();
+        let tiers: Vec<SimdTier> = [SimdTier::Scalar, SimdTier::Avx2Fma, SimdTier::Avx512Fma]
+            .into_iter()
+            .filter(|&t| t <= detected_tier())
+            .collect();
+        let predicts = [
+            None,
+            Some([Predict::Copy; 2]),
+            Some([
+                Predict::Velocity { alpha: -0.35 },
+                Predict::Velocity { alpha: -0.2 },
+            ]),
+            Some([
+                Predict::WeightDiff { horizon: 2.0 },
+                Predict::WeightDiff { horizon: 2.0 },
+            ]),
+        ];
+        let k = [
+            SweepScalars {
+                grad_scale: 1.0,
+                momentum: 0.9,
+                lr: 0.05,
+                a: 0.6561,
+                b: 3.439,
+            },
+            SweepScalars {
+                grad_scale: 0.3,
+                momentum: 0.8,
+                lr: 0.04,
+                a: 1.0,
+                b: 0.0,
+            },
+        ];
+        for cols in (1..=40).chain([1031]) {
+            let rows = 3;
+            let n = rows * cols;
+            let delta = [with_edges(rows, 1), with_edges(rows, 7)];
+            let x = [with_edges(cols, 2), with_edges(cols, 8)];
+            for with_prev in [false, true] {
+                for with_gx in [false, true] {
+                    for predict in predicts {
+                        let run = |pair: bool| {
+                            let mut v = with_edges(n, 4);
+                            let mut w = with_edges(n, 5);
+                            let mut prev = vec![7.0; n];
+                            let mut next = [vec![7.0; n], vec![7.0; n]];
+                            let mut gx = [vec![0.0; cols], vec![0.0; cols]];
+                            let prev_out = with_prev.then_some(prev.as_mut_slice());
+                            let [n0, n1] = &mut next;
+                            let [g0, g1] = &mut gx;
+                            if pair {
+                                let next = predict.map(|p| ([n0.as_mut_slice(), n1], p));
+                                let gx = with_gx.then_some([g0.as_mut_slice(), g1]);
+                                let g = [(&*delta[0], &*x[0]), (&*delta[1], &*x[1])];
+                                sgdm_sweep_pair(k, g, &mut v, &mut w, prev_out, next, gx);
+                            } else {
+                                let mut prev_out = prev_out;
+                                for (u, (next, gx)) in [(n0, g0), (n1, g1)].into_iter().enumerate()
+                                {
+                                    let g = GradView::Outer {
+                                        delta: &delta[u],
+                                        x: &x[u],
+                                    };
+                                    let next = predict.map(|p| (next.as_mut_slice(), p[u]));
+                                    let gx = with_gx.then_some(gx.as_mut_slice());
+                                    let prev = prev_out.as_deref_mut();
+                                    sgdm_sweep(k[u], g, &mut v, &mut w, prev, next, gx);
+                                }
+                            }
+                            let [n0, n1] = next;
+                            let [g0, g1] = gx;
+                            [v, w, prev, n0, n1, g0, g1]
+                        };
+                        for &tier in &tiers {
+                            set_tier(tier);
+                            let (got, want) = (run(true), run(false));
+                            let context = format!(
+                                "{} cols={cols} prev={with_prev} gx={with_gx} next={predict:?}",
+                                tier.name()
+                            );
+                            let names = ["v", "w", "prev", "next0", "next1", "gx0", "gx1"];
+                            for (buf, (got, want)) in names.iter().zip(got.iter().zip(&want)) {
+                                assert_bits_eq(got, want, &format!("{context}: {buf}"));
+                            }
                         }
                     }
                 }

@@ -313,7 +313,7 @@ pub fn parallel_for(chunks: usize, body: &(dyn Fn(usize) + Sync)) {
 }
 
 /// Runs `body(first, part)` over `data` cut into parts of
-/// [`SAMPLES_PER_CHUNK`] consecutive samples of `sample_len` elements (the
+/// `SAMPLES_PER_CHUNK` consecutive samples of `sample_len` elements (the
 /// last part may hold fewer), `first` being the index of the part's first
 /// sample, the parts spread over the pool by [`parallel_for`]. Each part
 /// is a disjoint `&mut` slice of `data`, handed to exactly one chunk: a

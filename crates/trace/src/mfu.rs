@@ -26,7 +26,7 @@ const PEAK_PROBE_REPS: usize = 4;
 
 /// Estimates this machine's achievable single-core-pool peak in GFLOP/s
 /// by timing the repo's GEMM on a 256³ multiply (one warmup rep, then the
-/// best of [`PEAK_PROBE_REPS`] timed reps).
+/// best of `PEAK_PROBE_REPS` timed reps).
 pub fn measure_peak_gflops() -> f64 {
     let n = PEAK_PROBE_DIM;
     let a = vec![0.5f32; n * n];

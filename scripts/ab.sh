@@ -11,15 +11,21 @@
 # Each side is copied into its own temporary directory and built there with
 # its own CARGO_TARGET_DIR, so neither build touches the other or this
 # checkout's target/. For each workload in turn, the pairs then run
-# `benchmark/run.sh --workload <w> --trace 0` on the two sides in turn,
-# changing which side goes first each pair. Printed per workload: every
+# `benchmark/run.sh --workload <w> --trace 0` on the two sides in turn, in
+# ABBA / BAAB blocks of four runs (parent = A): pairs 1-2 run A B, B A,
+# pairs 3-4 run B A, A B, and so on, so each side runs first equally often
+# and neither owns a position in the sitting. Printed per workload: every
 # pair's samples_per_s, each side's median and quartiles, the change's win
 # count (ties count for neither side) and the gap between the medians beside
 # the parent's quartile distance — the reading rule of a claimed gain: at
-# least nine wins in ten and a gap wider than the parent's spread — then
-# each side's median of the other end-to-end metrics the benchmark check
-# bounds (cpu_us_per_sample, setup_s, peak_rss_mb, loss_mean). A run with
-# failed operations stops the script.
+# least nine wins in ten and a gap wider than the parent's spread — the wins
+# split by which side ran first, then for samples_per_s and
+# cpu_us_per_sample the median paired log-ratio ln(change/parent) with its
+# distribution-free interval (order statistics of the sign test, the
+# widest-coverage pair of them at or above 95 %, or the extremes when too
+# few pairs reach it), then each side's median of the other end-to-end
+# metrics the benchmark check bounds (setup_s, peak_rss_mb, loss_mean). A
+# run with failed operations stops the script.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
@@ -89,8 +95,11 @@ for workload in "${workload_list[@]}"; do
   echo "parent $parent_commit vs the current checkout: $workload, $pairs pairs" \
     "${*:+(ledger args: $*)}"
   printf '%-5s %-7s %14s %14s %8s\n' pair first parent change ratio
+  : >"$work/first"
   for ((p = 1; p <= pairs; p++)); do
-    if ((p % 2)); then first=parent; else first=change; fi
+    # ABBA, BAAB, ABBA, ...: the parent runs first in pairs 1, 4, 5, 8, ...
+    if (((p - 1) / 2 % 2 == (p - 1) % 2)); then first=parent; else first=change; fi
+    echo "$first" >>"$work/first"
     if [[ $first == parent ]]; then
       a=$(run parent "$workload" "$@") b=$(run change "$workload" "$@")
     else
@@ -108,6 +117,31 @@ for workload in "${workload_list[@]}"; do
   awk -v pm="$pmed" -v cm="$cmed" -v pq1="$pq1" -v pq3="$pq3" -v w="$wins" -v l="$losses" -v n="$pairs" \
     'BEGIN { printf "change wins %d of %d pairs (%d losses); median %+.1f%%, gap %.1f vs parent quartile distance %.1f\n",
              w, n, l, 100 * (cm - pm) / pm, cm - pm, pq3 - pq1 }'
+  paste "$work/first" "$work/parent.samples_per_s" "$work/change.samples_per_s" | awk '
+    { n[$1]++; if ($3 > $2) w[$1]++ }
+    END { printf "wins by first runner: parent first %d of %d, change first %d of %d\n",
+          w["parent"], n["parent"], w["change"], n["change"] }'
+  for m in samples_per_s cpu_us_per_sample; do
+    paste "$work/parent.$m" "$work/change.$m" | awk '$1 > 0 && $2 > 0 { print log($2 / $1) }' \
+      | sort -g | awk -v m="$m" '{ x[NR] = $1 }
+      END {
+        n = NR
+        if (n == 0) { printf "%-18s no paired values\n", m; exit }
+        med = n % 2 ? x[(n + 1) / 2] : (x[n / 2] + x[n / 2 + 1]) / 2
+        # Sign-test interval [x_k, x_(n+1-k)]: the largest k whose two
+        # tails, P(Bin(n, 1/2) <= k - 1) each, leave at least 95 % (k = 1,
+        # the extremes, when even they leave less).
+        p = 0.5 ^ n; cdf = p; k = 1
+        for (j = 1; j < n / 2; j++) {
+          p = p * (n - j + 1) / j
+          if (2 * (cdf + p) > 0.05) break
+          cdf += p; k = j + 1
+        }
+        cover = 1 - 2 * cdf
+        printf "%-18s median log-ratio %+.4f (%+.1f%%), interval [%+.4f, %+.4f] at %.1f%% sign-test coverage\n",
+          m, med, 100 * (exp(med) - 1), x[k], x[n + 1 - k], 100 * cover
+      }'
+  done
   for m in "${metrics[@]:1}"; do
     read -r _ pm _ < <(quartiles "$work/parent.$m")
     read -r _ cm _ < <(quartiles "$work/change.$m")

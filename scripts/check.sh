@@ -11,6 +11,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (warnings are errors: no broken, private or ambiguous links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
 echo "== one executor of stage semantics, one rank loop, three engines (grep lint) =="
 # Per-stage schedule semantics live in crates/pipeline/src/{cell,group}.rs
 # and nowhere else (DESIGN §12): a second interpreter of the action stream
@@ -45,6 +48,7 @@ lint_only_in 'Action::BackwardInput' 'schedule|group'
 lint_only_in 'can_forward(' 'group|rank'
 lint_only_in 'group.forward(' 'rank'
 lint_only_in 'group.backward(' 'rank'
+lint_only_in '.backward_pair(' 'rank'
 lint_only_in '.loss(&' 'rank'
 # Only the virtual host (timeline.rs) writes virtual spans, each for an
 # action a RankLoop::step it just ran executed: a second scheduler drawing

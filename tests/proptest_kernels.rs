@@ -19,7 +19,8 @@
 //! *any* cap and tier.
 
 use pipelined_backprop::tensor::ops::simd::{
-    detected_tier, group_moments, set_tier, sgdm_sweep, Predict, SimdTier, SweepScalars,
+    detected_tier, group_moments, set_tier, sgdm_sweep, sgdm_sweep_pair, Predict, SimdTier,
+    SweepScalars,
 };
 use pipelined_backprop::tensor::ops::{
     conv2d, conv2d_backward, conv2d_direct, conv2d_direct_backward_input,
@@ -624,6 +625,91 @@ proptest! {
         assert_bits_eq(&gx_fused, &gx_split, &format!("{context}: gx"));
         for (name, (f, s)) in ["w", "v", "prev", "next"].iter().zip(fused.iter().zip(&split)) {
             assert_bits_eq(f, s, &format!("{context}: {name}"));
+        }
+    }
+
+    /// The two-update sweep — one pass over `w` and `v` for a `Linear`'s
+    /// two consecutive updates, the second from the row the first just
+    /// wrote — is two sequential [`sgdm_sweep`]s bit for bit, on the tier
+    /// the process resolved: random row and column counts (tails off every
+    /// vector width), every forward-version form, with and without `prev`
+    /// and `gx`, and scalars drawn per update (SCD's or SGDM's `a`, `b`,
+    /// gradient scale, momentum, learning rate, the form's parameter).
+    #[test]
+    fn pair_sweep_equals_two_sweeps_bitwise(
+        rows in 1usize..12,
+        cols in 1usize..70,
+        seed in 0u64..10_000,
+        flavour in 0usize..3,
+        form in 0usize..4,
+        flags in 0u32..4,
+    ) {
+        let (with_prev, with_gx) = (flags & 1 != 0, flags & 2 != 0);
+        let n = rows * cols;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let delta = [flavoured(rows, seed, flavour), flavoured(rows, seed + 4, flavour)];
+        let x = [flavoured(cols, seed + 1, flavour), flavoured(cols, seed + 5, flavour)];
+        let w0 = flavoured(n, seed + 2, flavour);
+        let v0 = flavoured(n, seed + 3, flavour);
+        let mut scalars = || {
+            let (a, b) = if rng.gen() { (0.6561, 3.439) } else { (1.0, 0.0) };
+            let k = SweepScalars {
+                grad_scale: if rng.gen() { 0.3 } else { 1.0 },
+                momentum: rng.gen_range(0.5f32..0.95),
+                lr: rng.gen_range(0.001f32..0.1),
+                a,
+                b,
+            };
+            let t = rng.gen_range(0.5f32..4.0);
+            let predict = [
+                None,
+                Some(Predict::Copy),
+                Some(Predict::Velocity { alpha: -k.lr * t }),
+                Some(Predict::WeightDiff { horizon: t }),
+            ][form];
+            (k, predict)
+        };
+        let ((k0, p0), (k1, p1)) = (scalars(), scalars());
+        // Stale bytes in the outputs the sweeps overwrite.
+        let fresh = || {
+            let stale = || vec![7.0f32; n];
+            (w0.clone(), v0.clone(), stale(), [stale(), stale()], [vec![0.0f32; cols], vec![0.0f32; cols]])
+        };
+
+        let (mut w, mut v, mut prev, mut next, mut gx) = fresh();
+        for (u, (k, p)) in [(k0, p0), (k1, p1)].into_iter().enumerate() {
+            sgdm_sweep(
+                k,
+                GradView::Outer { delta: &delta[u], x: &x[u] },
+                &mut v,
+                &mut w,
+                with_prev.then_some(prev.as_mut_slice()),
+                p.map(|p| (next[u].as_mut_slice(), p)),
+                with_gx.then_some(gx[u].as_mut_slice()),
+            );
+        }
+        let two = [w, v, prev, next[0].clone(), next[1].clone(), gx[0].clone(), gx[1].clone()];
+
+        let (mut w, mut v, mut prev, mut next, mut gx) = fresh();
+        let [n0, n1] = &mut next;
+        let [g0, g1] = &mut gx;
+        sgdm_sweep_pair(
+            [k0, k1],
+            [(&delta[0], &x[0]), (&delta[1], &x[1])],
+            &mut v,
+            &mut w,
+            with_prev.then_some(prev.as_mut_slice()),
+            p0.zip(p1).map(|(p0, p1)| ([n0.as_mut_slice(), n1.as_mut_slice()], [p0, p1])),
+            with_gx.then_some([g0.as_mut_slice(), g1.as_mut_slice()]),
+        );
+        let [n0, n1] = next;
+        let [g0, g1] = gx;
+        let pair = [w, v, prev, n0, n1, g0, g1];
+
+        let context = format!("{rows}x{cols} seed {seed} flavour {flavour} {k0:?} {k1:?} {p0:?} {p1:?}");
+        let names = ["w", "v", "prev", "next0", "next1", "gx0", "gx1"];
+        for (name, (p, t)) in names.iter().zip(pair.iter().zip(&two)) {
+            assert_bits_eq(p, t, &format!("{context}: {name}"));
         }
     }
 }
