@@ -2,22 +2,26 @@
 //!
 //! Where the loss-owning rank holds two forwarded microbatches that are
 //! each their own update window (PB at update size one), it retires them
-//! as one `Step::BackwardPair`: every `Linear` of a pairing stage makes one
+//! as one two-microbatch `Step::Backward`: every `Linear` of a pairing stage makes one
 //! pass over its weight and velocity for both updates. Every substrate that
 //! takes such steps — the sequential engine's `train_range` (whole, split
 //! over several calls, resumed from a snapshot), the threaded runtime with
 //! two workers and with one per stage, and two `run_rank` threads over a
 //! loopback link — must leave the weights, the f64 loss sums and the Eq. 5
 //! delay histograms that `train_sample`, one microbatch at a time, leaves.
-//! The net mixes stages that pair (`fc0`, `fc1`) with ones that do not (the
-//! convolutions), and the learning rate warms up, so the two updates of a
-//! pair run under different hyperparameters.
+//! The conv net mixes stages that pair (`fc0`, `fc1`) with ones that do not
+//! (the convolutions), and the learning rate warms up, so the two updates
+//! of a pair run under different hyperparameters. Three cases must lend
+//! nothing at either count and still match: SpecTrain and weight stashing,
+//! whose backward runs under other weights than the live ones, and the
+//! first `Linear` of an all-`Linear` net, whose input gradient has no
+//! reader.
 
 use pbp_data::{Dataset, DatasetSpec, SyntheticImages};
 use pbp_dist::{
     loopback_pair, run_rank, splice_owned_stages, LinkEndpoint, RankRecovery, RankSpec, Topology,
 };
-use pbp_nn::models::vgg_cnn;
+use pbp_nn::models::{mlp, vgg_cnn};
 use pbp_nn::Network;
 use pbp_optim::{Hyperparams, LrSchedule, LwpForm, Mitigation};
 use pbp_pipeline::{
@@ -39,9 +43,55 @@ const ORDER_SEED: u64 = 3;
 /// threaded runtime reads for its worker count.
 static THREADS: Mutex<()> = Mutex::new(());
 
-/// Two conv stages, then `fc0` (flatten, linear, relu) and `fc1`.
-fn net() -> Network {
-    vgg_cnn(3, 4, 2, IMAGE, 24, 10, &mut StdRng::seed_from_u64(9))
+/// A net and its PB configuration.
+#[derive(Debug, Clone, Copy)]
+struct Case {
+    /// The all-`Linear` net rather than the conv net.
+    mlp: bool,
+    mitigation: Mitigation,
+    weight_stashing: bool,
+}
+
+impl Case {
+    /// Two conv stages, then `fc0` (flatten, linear, relu) and `fc1`; or
+    /// four `Linear` stages, the first reading the flattened image.
+    fn net(self) -> Network {
+        let rng = &mut StdRng::seed_from_u64(9);
+        match self.mlp {
+            true => mlp(&[3 * IMAGE * IMAGE, 32, 24, 16, 10], rng),
+            false => vgg_cnn(3, 4, 2, IMAGE, 24, 10, rng),
+        }
+    }
+
+    fn config(self) -> ScheduledConfig {
+        let config = ScheduledConfig::pb(schedule()).with_mitigation(self.mitigation);
+        match self.weight_stashing {
+            true => config.with_weight_stashing(),
+            false => config,
+        }
+    }
+}
+
+/// On the conv net, PB + LWPvD + SCD and PB + LWPwD, which pair, and
+/// SpecTrain and PB + LWPvD + SCD with weight stashing, which lend nothing;
+/// on the all-`Linear` net, PB + LWPvD + SCD.
+fn cases() -> [Case; 5] {
+    let lwpw = Mitigation::Lwp {
+        form: LwpForm::WeightDiff,
+        scale: 1.0,
+    };
+    let case = |mlp, mitigation, weight_stashing| Case {
+        mlp,
+        mitigation,
+        weight_stashing,
+    };
+    [
+        case(false, Mitigation::lwpv_scd(), false),
+        case(false, lwpw, false),
+        case(false, Mitigation::SpecTrain, false),
+        case(false, Mitigation::lwpv_scd(), true),
+        case(true, Mitigation::lwpv_scd(), false),
+    ]
 }
 
 fn data() -> Dataset {
@@ -50,19 +100,6 @@ fn data() -> Dataset {
 
 fn schedule() -> LrSchedule {
     LrSchedule::constant(Hyperparams::new(0.02, 0.9)).with_warmup(9)
-}
-
-/// PB + LWPvD + SCD and PB + LWPwD.
-fn mitigations() -> [Mitigation; 2] {
-    let lwpw = Mitigation::Lwp {
-        form: LwpForm::WeightDiff,
-        scale: 1.0,
-    };
-    [Mitigation::lwpv_scd(), lwpw]
-}
-
-fn config(mitigation: Mitigation) -> ScheduledConfig {
-    ScheduledConfig::pb(schedule()).with_mitigation(mitigation)
 }
 
 /// The first `n` samples of epoch 0's order (every run here fits one
@@ -108,8 +145,8 @@ struct Outcome {
 
 /// The reference: `train_sample`, one microbatch in flight, the f64 sum
 /// restarting at each of `calls`' boundaries.
-fn one_at_a_time(mitigation: Mitigation, calls: &[usize]) -> Outcome {
-    let (data, mut engine) = (data(), ScheduledTrainer::new(net(), config(mitigation)));
+fn one_at_a_time(case: Case, calls: &[usize]) -> Outcome {
+    let (data, mut engine) = (data(), ScheduledTrainer::new(case.net(), case.config()));
     let order = order(calls.iter().sum());
     let mut loss_sums = Vec::new();
     let mut at = 0;
@@ -166,15 +203,13 @@ fn ranges(
     }
 }
 
-fn sequential(mitigation: Mitigation) -> Box<dyn TrainEngine> {
-    Box::new(ScheduledTrainer::new(net(), config(mitigation)))
+fn sequential(case: Case) -> Box<dyn TrainEngine> {
+    Box::new(ScheduledTrainer::new(case.net(), case.config()))
 }
 
-fn threaded(mitigation: Mitigation) -> Box<dyn TrainEngine> {
-    Box::new(ThreadedPipeline::new(
-        net(),
-        ThreadedConfig::new(config(mitigation)),
-    ))
+fn threaded(case: Case) -> Box<dyn TrainEngine> {
+    let config = ThreadedConfig::new(case.config());
+    Box::new(ThreadedPipeline::new(case.net(), config))
 }
 
 /// Odd and even lengths, one call and several, with and without a resume.
@@ -188,16 +223,11 @@ const STREAMS: [(&[usize], Option<usize>); 5] = [
 
 #[test]
 fn the_sequential_engine_pairs_bit_for_bit() {
-    for mitigation in mitigations() {
+    for case in cases() {
         for (calls, resume) in STREAMS {
-            let want = one_at_a_time(mitigation, calls);
-            let got = ranges(sequential(mitigation), calls, resume, || {
-                sequential(mitigation)
-            });
-            assert_eq!(
-                got, want,
-                "{mitigation:?} calls {calls:?} resume {resume:?}"
-            );
+            let want = one_at_a_time(case, calls);
+            let got = ranges(sequential(case), calls, resume, || sequential(case));
+            assert_eq!(got, want, "{case:?} calls {calls:?} resume {resume:?}");
         }
     }
 }
@@ -205,15 +235,15 @@ fn the_sequential_engine_pairs_bit_for_bit() {
 #[test]
 fn the_threaded_runtime_pairs_bit_for_bit_at_two_workers_and_one_per_stage() {
     let _threads = THREADS.lock().unwrap_or_else(|e| e.into_inner());
-    for workers in [2, net().num_stages()] {
+    for workers in [2, cases()[0].net().num_stages()] {
         pool::set_max_threads(workers);
-        let engine = ThreadedPipeline::new(net(), ThreadedConfig::new(config(mitigations()[0])));
-        assert_eq!(engine.worker_bounds().len() - 1, workers);
-        for mitigation in mitigations() {
+        for case in cases() {
+            let engine = ThreadedPipeline::new(case.net(), ThreadedConfig::new(case.config()));
+            assert_eq!(engine.worker_bounds().len() - 1, workers, "{case:?}");
             for (calls, resume) in STREAMS {
-                let want = one_at_a_time(mitigation, calls);
-                let got = ranges(threaded(mitigation), calls, resume, || threaded(mitigation));
-                let context = format!("W={workers} {mitigation:?} calls {calls:?}");
+                let want = one_at_a_time(case, calls);
+                let got = ranges(threaded(case), calls, resume, || threaded(case));
+                let context = format!("W={workers} {case:?} calls {calls:?}");
                 assert_eq!(got, want, "{context} resume {resume:?}");
             }
         }
@@ -222,8 +252,8 @@ fn the_threaded_runtime_pairs_bit_for_bit_at_two_workers_and_one_per_stage() {
 
 #[test]
 fn two_ranks_pair_bit_for_bit() {
-    let stages = net().num_stages();
-    for mitigation in mitigations() {
+    for case in cases() {
+        let stages = case.net().num_stages();
         for total in [11, 12] {
             let topology = Topology::contiguous(stages, 2).expect("two ranks");
             let (down_end, up_end) = loopback_pair();
@@ -238,8 +268,8 @@ fn two_ranks_pair_bit_for_bit() {
                         rank,
                         topology: topology.clone(),
                         plan: MicrobatchSchedule::PipelinedBackprop,
-                        mitigation,
-                        weight_stashing: false,
+                        mitigation: case.mitigation,
+                        weight_stashing: case.weight_stashing,
                         schedule: schedule(),
                         seed: ORDER_SEED,
                         total_microbatches: total,
@@ -250,13 +280,13 @@ fn two_ranks_pair_bit_for_bit() {
                         recovery: RankRecovery::default(),
                     };
                     std::thread::spawn(move || {
-                        run_rank(net(), &data(), &spec, up, down, None).expect("rank runs")
+                        run_rank(case.net(), &data(), &spec, up, down, None).expect("rank runs")
                     })
                 })
                 .collect();
             let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            let want = one_at_a_time(mitigation, &[total]);
-            let context = format!("{mitigation:?} {total} microbatches");
+            let want = one_at_a_time(case, &[total]);
+            let context = format!("{case:?} {total} microbatches");
             for outcome in &outcomes {
                 assert_eq!(outcome.loss_sum.to_bits(), want.loss_sums[0], "{context}");
             }
@@ -265,7 +295,7 @@ fn two_ranks_pair_bit_for_bit() {
                 .map(|counters| (counters.updates, counters.delay_hist.clone()))
                 .collect();
             assert_eq!(delays, want.delays, "{context}");
-            let mut whole = net();
+            let mut whole = case.net();
             let nets: Vec<Network> = outcomes.into_iter().map(|o| o.net).collect();
             splice_owned_stages(&mut whole, &topology, &nets);
             assert_eq!(fingerprint(&whole), want.weights, "{context}");
@@ -296,8 +326,7 @@ impl Link for NoLink {
 fn the_loss_rank_takes_pairs_and_records_both_updates() {
     for total in [11usize, 12] {
         let (data, order) = (data(), order(total));
-        let mut net = net();
-        let config = config(mitigations()[0]);
+        let (mut net, config) = (cases()[0].net(), cases()[0].config());
         let mut rank = RankLoop::new(StageGroup::new(&net, 0..net.num_stages(), &config));
         let mut feed = |mb: usize| {
             let (x, label) = data.sample(order[mb]);
@@ -310,9 +339,13 @@ fn the_loss_rank_takes_pairs_and_records_both_updates() {
             let step = rank.step(net.stages_mut(), up, None, limit);
             steps.extend(step.ok().flatten().filter(|s| !s.retires().is_empty()));
         }
-        let mut want: Vec<Step> = (0..total / 2).map(|p| Step::BackwardPair(2 * p)).collect();
+        let pair = |mb| Step::Backward { mb, n: 2 };
+        let mut want: Vec<Step> = (0..total / 2).map(|p| pair(2 * p)).collect();
         if total % 2 == 1 {
-            want.push(Step::Backward(total - 1));
+            want.push(Step::Backward {
+                mb: total - 1,
+                n: 1,
+            });
         }
         assert_eq!(steps, want, "{total} microbatches");
         let stages = net.pipeline_stage_count();

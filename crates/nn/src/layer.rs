@@ -11,42 +11,22 @@ use std::collections::VecDeque;
 /// [`crate::layers::Dup`] and merge it back with [`crate::layers::AddLanes`].
 pub type LaneStack = Vec<Tensor>;
 
-/// An optimizer step lent to a stage's backward pass
+/// The optimizer steps lent to a stage's backward pass
 /// ([`Layer::backward_input_stepping`]): the pipeline cell implements it
-/// over the stage's optimizer, for an update window the backward completes
-/// on its own.
+/// over the stage's optimizer, for consecutive microbatches that are each
+/// an update window the backward completes on its own.
 pub trait ParamStep {
-    /// Takes the window's update of stage parameter `index` (its
+    /// Takes the next `rows.len()` updates of stage parameter `index` (its
     /// [`crate::Stage::params`] position), the weight `w` of a layer whose
-    /// whole window gradient is the factored `δ ⊗ x`, and in the same pass
-    /// adds `δ·w` — `w` read before the update, as a `[δ.len(), x.len()]`
-    /// matrix — into the zeroed `gx`.
+    /// window gradients are the factored `δ_u ⊗ x_u` (`rows[u] = (δ_u, x_u)`),
+    /// in one pass over `w`, adding `δ_u·w` — `w` read before update `u`,
+    /// as a `[δ_u.len(), x_u.len()]` matrix — into the zeroed `gx[u]`.
     fn step_outer(
         &mut self,
         index: usize,
         w: &mut Tensor,
-        delta: &[f32],
-        x: &[f32],
-        gx: &mut [f32],
-    );
-}
-
-/// Two consecutive updates lent to a stage's backward pass over two
-/// microbatches ([`Layer::backward_input_pair`]): the pipeline cell
-/// implements it over the stage's optimizer when each microbatch is its own
-/// update window and both are ready to retire.
-pub trait PairStep {
-    /// Takes both windows' updates of stage parameter `index`, the weight
-    /// `w` of a layer whose window gradients are the factored `δ₀ ⊗ x₀` and
-    /// `δ₁ ⊗ x₁` (`g[u] = (δ_u, x_u)`), in one pass over `w`, adding
-    /// `δ₀·w` of the weights before the first update into the zeroed
-    /// `gx[0]` and `δ₁·w` of the weights between the two into `gx[1]`.
-    fn step_outer_pair(
-        &mut self,
-        index: usize,
-        w: &mut Tensor,
-        g: [(&[f32], &[f32]); 2],
-        gx: [&mut [f32]; 2],
+        rows: &[(&[f32], &[f32])],
+        gx: &mut [&mut [f32]],
     );
 }
 
@@ -97,55 +77,38 @@ pub trait Layer: Send + Any {
         self.backward(grad_stack);
     }
 
-    /// [`Layer::backward_input`] for a call whose deferred half is the
-    /// whole of its update window's gradient: the caller zeroed the
-    /// gradients before it, retires it with one [`Layer::backward_weight`]
-    /// and then updates the parameters, with nothing in between. A layer
-    /// whose input gradient reads a weight may then hand that weight's
-    /// update to `step` (as stage parameter `first` plus its position in
-    /// [`Layer::params`]) and take the input gradient from the same pass,
-    /// reading the weight once; the input gradient, and everything the
-    /// layer holds afterwards, are bit for bit what `backward_input` gives.
-    /// Default: `backward_input`, stepping nothing.
+    /// [`Layer::backward_input`] for consecutive microbatches, each its own
+    /// update window, whose output gradients are on `grads` in order: the
+    /// caller zeroed the gradients before the first, and after each
+    /// microbatch's input half retires it with one
+    /// [`Layer::backward_weight`] and updates the parameters, zeroing them
+    /// again before the next — so each call's deferred half is the whole of
+    /// its window's gradient. A layer whose input gradient reads a weight
+    /// may then hand that weight's updates to `step` (as stage parameter
+    /// `first` plus its position in [`Layer::params`]) and take the input
+    /// gradients from the same pass, reading the weight once for all of
+    /// them; the input gradients, and everything the layer holds afterwards,
+    /// are bit for bit what `backward_input` on each microbatch, with its
+    /// update in between, gives. More than one stack is offered only to a
+    /// layer that [pairs](Layer::pairs_backward). Default:
+    /// `backward_input` on each stack in turn, stepping nothing.
     fn backward_input_stepping(
         &mut self,
-        grad_stack: &mut LaneStack,
+        grads: &mut [LaneStack],
         _first: usize,
         _step: &mut dyn ParamStep,
     ) {
-        self.backward_input(grad_stack);
+        for grad_stack in grads {
+            self.backward_input(grad_stack);
+        }
     }
 
-    /// Whether [`Layer::backward_input_pair`] can run the second
-    /// microbatch's input half before the first microbatch's update: true
-    /// for a layer whose input gradient reads no parameter (the default:
-    /// one without parameters), or one that takes both updates from a
-    /// [`PairStep`] in the same pass.
+    /// Whether [`Layer::backward_input_stepping`] can take two
+    /// microbatches: true for a layer whose input gradient reads no
+    /// parameter (the default: one without parameters), or one that takes
+    /// both updates from its [`ParamStep`] in the same pass.
     fn pairs_backward(&self) -> bool {
         self.params().is_empty()
-    }
-
-    /// [`Layer::backward_input_stepping`] for two consecutive microbatches,
-    /// each its own update window, whose output gradients are `grads[0]`
-    /// and `grads[1]`: the caller zeroed the gradients, retires the first
-    /// with one [`Layer::backward_weight`], updates, zeroes, retires the
-    /// second and updates again. A layer that
-    /// [pairs](Layer::pairs_backward) by stepping hands both updates of a
-    /// weight to `step` and takes both input gradients from the same pass;
-    /// the input gradients, and everything the layer holds afterwards, are
-    /// bit for bit what `backward_input` on the first, the first update,
-    /// then `backward_input` on the second would give. Default:
-    /// `backward_input` on each in turn, for layers whose input gradient
-    /// reads no parameter.
-    fn backward_input_pair(
-        &mut self,
-        grads: [&mut LaneStack; 2],
-        _first: usize,
-        _step: &mut dyn PairStep,
-    ) {
-        let [g0, g1] = grads;
-        self.backward_input(g0);
-        self.backward_input(g1);
     }
 
     /// [`Layer::backward_input`] for a layer whose input gradient has no

@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use crate::layer::{LaneStack, Layer, PairStep, ParamStep, Stash};
+use crate::layer::{LaneStack, Layer, ParamStep, Stash};
 use pbp_tensor::ops::{gemm_tn, matmul_tn_acc};
 use pbp_tensor::{he_normal, GradView, Tensor};
 use rand::Rng;
@@ -107,40 +107,6 @@ impl Linear {
         self.dense_dirty = true;
     }
 
-    /// [`Layer::backward_input`], handing the weight's update to `step`
-    /// where [`Layer::backward_input_stepping`] allows it.
-    fn backward_input_with(
-        &mut self,
-        grad_stack: &mut LaneStack,
-        step: Option<(usize, &mut dyn ParamStep)>,
-    ) {
-        let g = grad_stack.pop().expect("linear: empty grad stack");
-        let x = self.stash.pop_front().expect("linear: no stashed input");
-        let window_is_this = g.shape()[0] == 1
-            && self.held.is_none()
-            && !self.dense_dirty
-            && self.wgrad_pending.is_empty();
-        // The input gradient reads the *current* weights, so it stays on
-        // the critical path; the weight half depends only on (g, x) and is
-        // deferred.
-        let gx = match step {
-            Some((first, step)) if window_is_this => {
-                let mut gx = Tensor::zeros(&[1, self.in_features]);
-                step.step_outer(
-                    first,
-                    &mut self.weight,
-                    g.as_slice(),
-                    x.as_slice(),
-                    gx.as_mut_slice(),
-                );
-                gx
-            }
-            _ => g.matmul(&self.weight).expect("linear grad shapes"),
-        };
-        grad_stack.push(gx);
-        self.wgrad_pending.push_back((g, x));
-    }
-
     /// Input feature count.
     pub fn in_features(&self) -> usize {
         self.in_features
@@ -191,70 +157,69 @@ impl Layer for Linear {
     }
 
     fn backward_input(&mut self, grad_stack: &mut LaneStack) {
-        self.backward_input_with(grad_stack, None);
+        let g = grad_stack.pop().expect("linear: empty grad stack");
+        let x = self.stash.pop_front().expect("linear: no stashed input");
+        // The input gradient reads the *current* weights, so it stays on
+        // the critical path; the weight half depends only on (g, x) and is
+        // deferred.
+        grad_stack.push(g.matmul(&self.weight).expect("linear grad shapes"));
+        self.wgrad_pending.push_back((g, x));
     }
 
-    /// At batch one, in a window with nothing accumulated yet, the window's
-    /// weight gradient will be the held pair `δ ⊗ x`: `step` takes the
-    /// weight's update and `gx = δ·W` in one pass over `W`. Otherwise (a
+    /// At batch one, in windows with nothing accumulated yet, each window's
+    /// weight gradient will be its held pair `δ ⊗ x`: `step` takes the
+    /// weight's updates and every `gx = δ·W` — each from the weights the
+    /// update before it wrote — in one pass over `W`, and the pairs are
+    /// deferred for [`Layer::backward_weight`] in order. Otherwise (a
     /// batch, or a window already holding a contribution) the weight is
     /// left to the update, as `backward_input` leaves it.
-    fn backward_input_stepping(
-        &mut self,
-        grad_stack: &mut LaneStack,
-        first: usize,
-        step: &mut dyn ParamStep,
-    ) {
-        self.backward_input_with(grad_stack, Some((first, step)));
-    }
-
-    /// A `Linear` pairs by stepping: both updates of its weight come from
-    /// one pass ([`Layer::backward_input_pair`]).
-    fn pairs_backward(&self) -> bool {
-        true
-    }
-
-    /// Both microbatches' `(δ, x)` are single rows, and the window holds
-    /// nothing else: `step` takes both updates of the weight and both
-    /// `gx = δ·W` — the second from the weights the first update wrote — in
-    /// one pass over `W`, and both pairs are deferred for
-    /// [`Layer::backward_weight`] in order.
     ///
     /// # Panics
     ///
-    /// Panics unless both microbatches are one sample and the layer holds
-    /// no gradient contribution: a pipeline pairs single-sample microbatches
+    /// Panics if several microbatches are offered and they are not all
+    /// single samples opening empty windows: a pipeline offers several only
     /// at the start of their windows.
-    fn backward_input_pair(
+    fn backward_input_stepping(
         &mut self,
-        grads: [&mut LaneStack; 2],
+        grads: &mut [LaneStack],
         first: usize,
-        step: &mut dyn PairStep,
+        step: &mut dyn ParamStep,
     ) {
-        let [s0, s1] = grads;
-        let g = [&mut *s0, &mut *s1].map(|s| s.pop().expect("linear: empty grad stack"));
-        let x = [(); 2].map(|_| self.stash.pop_front().expect("linear: no stashed input"));
-        let single = g.iter().chain(&x).all(|t| t.shape()[0] == 1);
+        let single = grads
+            .iter()
+            .all(|s| s.last().is_some_and(|g| g.shape()[0] == 1));
         let empty = self.held.is_none() && !self.dense_dirty && self.wgrad_pending.is_empty();
-        assert!(
-            single && empty,
-            "linear: a pair needs two fresh single-row windows"
-        );
-        let mut gx = [(); 2].map(|_| Tensor::zeros(&[1, self.in_features]));
-        let [gx0, gx1] = &mut gx;
-        step.step_outer_pair(
-            first,
-            &mut self.weight,
-            [
-                (g[0].as_slice(), x[0].as_slice()),
-                (g[1].as_slice(), x[1].as_slice()),
-            ],
-            [gx0.as_mut_slice(), gx1.as_mut_slice()],
-        );
-        let [gx0, gx1] = gx;
-        s0.push(gx0);
-        s1.push(gx1);
-        self.wgrad_pending.extend(g.into_iter().zip(x));
+        if !(single && empty) {
+            assert_eq!(
+                grads.len(),
+                1,
+                "linear: a pair needs two fresh single-row windows"
+            );
+            return self.backward_input(&mut grads[0]);
+        }
+        for grad_stack in grads.iter_mut() {
+            let g = grad_stack.pop().expect("linear: empty grad stack");
+            let x = self.stash.pop_front().expect("linear: no stashed input");
+            self.wgrad_pending.push_back((g, x));
+        }
+        // The pending pairs are exactly this call's, oldest first.
+        let rows: Vec<(&[f32], &[f32])> = (self.wgrad_pending.iter())
+            .map(|(g, x)| (g.as_slice(), x.as_slice()))
+            .collect();
+        let mut gx: Vec<Tensor> = (grads.iter())
+            .map(|_| Tensor::zeros(&[1, self.in_features]))
+            .collect();
+        let mut out: Vec<&mut [f32]> = gx.iter_mut().map(Tensor::as_mut_slice).collect();
+        step.step_outer(first, &mut self.weight, &rows, &mut out);
+        for (grad_stack, gx) in grads.iter_mut().zip(gx) {
+            grad_stack.push(gx);
+        }
+    }
+
+    /// A `Linear` pairs by stepping: both updates of its weight come from
+    /// one pass ([`Layer::backward_input_stepping`]).
+    fn pairs_backward(&self) -> bool {
+        true
     }
 
     /// Defers `(g, x)` as `backward_input` does and computes no `δ·W`:

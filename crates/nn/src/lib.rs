@@ -55,5 +55,5 @@ pub mod models;
 pub mod network;
 pub mod snapshot;
 
-pub use layer::{LaneStack, Layer, PairStep, ParamStep};
+pub use layer::{LaneStack, Layer, ParamStep};
 pub use network::{Network, Stage};

@@ -1,6 +1,6 @@
 //! Stage-partitioned network container.
 
-use crate::layer::{LaneStack, Layer, PairStep, ParamStep};
+use crate::layer::{LaneStack, Layer, ParamStep};
 use crate::layers::{GroupNorm, Relu};
 use pbp_tensor::{GradView, Tensor};
 use std::any::Any;
@@ -88,27 +88,33 @@ impl Stage {
     /// [`Layer::backward_input_unread`] and the stack is left without the
     /// stage's input gradient.
     pub fn backward_input(&mut self, grad_stack: &mut LaneStack, input_grad: bool) {
-        self.backward_input_with(grad_stack, None, input_grad);
+        self.backward_input_with(std::slice::from_mut(grad_stack), None, input_grad);
     }
 
-    /// [`Stage::backward_input`] for a microbatch that is its own update
-    /// window, lending every layer `step` for the parameters it can update
-    /// beside its input gradient ([`Layer::backward_input_stepping`]'s
-    /// contract holds for every layer of the stage). A first layer whose
-    /// input gradient is unread is lent nothing: its parameters are left
-    /// to the update, which reads each once all the same.
+    /// [`Stage::backward_input`] for consecutive microbatches, each its own
+    /// update window, their gradients on `grads` in order — more than one
+    /// only at a stage that [pairs](Stage::pairs_backward) — lending every
+    /// layer `step` for the parameters it can update beside its input
+    /// gradients ([`Layer::backward_input_stepping`]'s contract holds for
+    /// every layer of the stage). Every layer, last to first, takes every
+    /// microbatch: layers after a stepping one retire the first then the
+    /// next, the stepping one makes one pass over its weight for all their
+    /// updates, and layers before it retire the first then the next. A
+    /// first layer whose input gradient is unread is lent nothing: it runs
+    /// [`Layer::backward_input_unread`] on each, and its parameters are
+    /// left to the update, which reads each once all the same.
     pub fn backward_input_stepping(
         &mut self,
-        grad_stack: &mut LaneStack,
+        grads: &mut [LaneStack],
         step: &mut dyn ParamStep,
         input_grad: bool,
     ) {
-        self.backward_input_with(grad_stack, Some(step), input_grad);
+        self.backward_input_with(grads, Some(step), input_grad);
     }
 
     fn backward_input_with(
         &mut self,
-        grad_stack: &mut LaneStack,
+        grads: &mut [LaneStack],
         mut step: Option<&mut dyn ParamStep>,
         input_grad: bool,
     ) {
@@ -117,48 +123,22 @@ impl Stage {
         let mut first = step.as_ref().map_or(0, |_| self.params().len());
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             match &mut step {
-                _ if i == 0 && !input_grad => layer.backward_input_unread(grad_stack),
+                _ if i == 0 && !input_grad => grads
+                    .iter_mut()
+                    .for_each(|g| layer.backward_input_unread(g)),
                 Some(step) => {
                     first -= layer.params().len();
-                    layer.backward_input_stepping(grad_stack, first, *step);
+                    layer.backward_input_stepping(grads, first, *step);
                 }
-                None => layer.backward_input(grad_stack),
+                None => grads.iter_mut().for_each(|g| layer.backward_input(g)),
             }
         }
     }
 
     /// Whether every layer [pairs its backward](Layer::pairs_backward):
-    /// [`Stage::backward_input_pair`] can run.
+    /// [`Stage::backward_input_stepping`] can take two microbatches.
     pub fn pairs_backward(&self) -> bool {
         self.layers.iter().all(|l| l.pairs_backward())
-    }
-
-    /// [`Stage::backward_input_stepping`] for two consecutive microbatches
-    /// of a stage that [pairs](Stage::pairs_backward), their gradients on
-    /// `grads[0]` and `grads[1]`: every layer, last to first, runs
-    /// [`Layer::backward_input_pair`], so layers after a stepping one
-    /// retire the first microbatch then the second, the stepping one makes
-    /// one pass over its weight for both updates, and layers before it
-    /// retire the first then the second. A first layer whose input gradient
-    /// is unread runs [`Layer::backward_input_unread`] on each, stepping
-    /// nothing.
-    pub fn backward_input_pair(
-        &mut self,
-        grads: [&mut LaneStack; 2],
-        step: &mut dyn PairStep,
-        input_grad: bool,
-    ) {
-        let [g0, g1] = grads;
-        let mut first = self.params().len();
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            first -= layer.params().len();
-            if i == 0 && !input_grad {
-                layer.backward_input_unread(g0);
-                layer.backward_input_unread(g1);
-            } else {
-                layer.backward_input_pair([&mut *g0, &mut *g1], first, step);
-            }
-        }
     }
 
     /// Retires one deferred weight-gradient unit per layer (the oldest).

@@ -99,7 +99,10 @@ impl SgdmState {
 
     /// The update every optimizer entry point is: for each parameter not
     /// marked in `taken` (a prefix of counts of updates already taken;
-    /// missing ones read 0), one [`SgdmState::sweep_param`].
+    /// missing ones read 0), one [`sgdm_sweep`] over its gradient (dense,
+    /// or factored and read row by row), velocity and weights that also
+    /// writes, when asked, the pre-update weights into `prev` and the
+    /// forward weight version `predict` describes into `next`.
     ///
     /// # Panics
     ///
@@ -120,83 +123,57 @@ impl SgdmState {
             if taken.get(t).is_some_and(|&n| n > 0) {
                 continue;
             }
-            self.sweep_param(
-                t,
-                p,
+            sgdm_sweep(
+                k.scalars(),
                 *g,
-                k,
-                prev.as_mut().map(|p| &mut p[t]),
-                next.as_mut().map(|(n, f)| (&mut n[t], *f)),
+                self.velocity[t].as_mut_slice(),
+                p.as_mut_slice(),
+                prev.as_mut().map(|p| p[t].as_mut_slice()),
+                next.as_mut().map(|(n, f)| (n[t].as_mut_slice(), *f)),
                 None,
             );
         }
     }
 
-    /// Parameter `t`'s update: one [`sgdm_sweep`] over its gradient (dense,
-    /// or factored and read row by row), velocity and weights `w` that also
-    /// writes, when asked, the pre-update weights into `prev`, the forward
-    /// weight version `predict` describes into `next` and, for a factored
-    /// gradient `δ ⊗ x`, the input gradient `δ·w` of the pre-update weights
-    /// into the zeroed `gx`.
+    /// Parameter `t`'s next `rows.len()` updates — one ([`sgdm_sweep`]) or
+    /// two ([`sgdm_sweep_pair`]) — in one pass over its velocity and
+    /// weights `w`: update `u` under the scalars of `k[u]` and the factored
+    /// gradient `rows[u] = (δ, x)`, writing its forward version, in the
+    /// form `k[u]` names, into `next[u][t]` and `δ·w` of its pre-update
+    /// weights into the zeroed `gx[u]`; `prev`, when given, ends as the last
+    /// update's pre-update weights. Bit for bit one sweep per update.
     ///
     /// # Panics
     ///
-    /// Panics if a tensor disagrees with velocity `t`'s shape, or `gx` with
-    /// a factored gradient's `x`.
+    /// Panics unless there are one or two updates, each with its scalars, a
+    /// version and a `gx`, or if a tensor disagrees with velocity `t`'s
+    /// shape or the gradients with each other.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sweep_param(
         &mut self,
         t: usize,
         w: &mut Tensor,
-        g: GradView<'_>,
-        k: Sweep,
+        rows: &[(&[f32], &[f32])],
+        k: &[(Sweep, Predict)],
         prev: Option<&mut Tensor>,
-        next: Option<(&mut Tensor, Predict)>,
-        gx: Option<&mut [f32]>,
+        next: &mut [Vec<Tensor>],
+        gx: &mut [&mut [f32]],
     ) {
-        sgdm_sweep(
-            k.scalars(),
-            g,
-            self.velocity[t].as_mut_slice(),
-            w.as_mut_slice(),
-            prev.map(Tensor::as_mut_slice),
-            next.map(|(n, f)| (n.as_mut_slice(), f)),
-            gx,
-        );
-    }
-
-    /// Parameter `t`'s next two updates in one pass ([`sgdm_sweep_pair`]):
-    /// update `u` under `k[u]` and the factored gradient `g[u] = (δ, x)`,
-    /// writing its forward version into `next[u]` and, when asked, `δ·w` of
-    /// its pre-update weights into the zeroed `gx[u]`; `prev` ends as the
-    /// second update's pre-update weights. Bit for bit two
-    /// [`SgdmState::sweep_param`]s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a tensor disagrees with velocity `t`'s shape or the
-    /// gradients with each other.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sweep_param_pair(
-        &mut self,
-        t: usize,
-        w: &mut Tensor,
-        g: [(&[f32], &[f32]); 2],
-        k: [Sweep; 2],
-        prev: Option<&mut Tensor>,
-        next: ([&mut Tensor; 2], [Predict; 2]),
-        gx: Option<[&mut [f32]; 2]>,
-    ) {
-        let ([n0, n1], predict) = next;
-        sgdm_sweep_pair(
-            k.map(Sweep::scalars),
-            g,
-            self.velocity[t].as_mut_slice(),
-            w.as_mut_slice(),
-            prev.map(Tensor::as_mut_slice),
-            Some(([n0.as_mut_slice(), n1.as_mut_slice()], predict)),
-            gx,
-        );
+        let (v, w) = (self.velocity[t].as_mut_slice(), w.as_mut_slice());
+        let prev = prev.map(Tensor::as_mut_slice);
+        match (rows, k, next, gx) {
+            (&[(delta, x)], &[(k, f)], [next], [gx]) => {
+                let (g, next) = (GradView::Outer { delta, x }, next[t].as_mut_slice());
+                sgdm_sweep(k.scalars(), g, v, w, prev, Some((next, f)), Some(gx));
+            }
+            (&[r0, r1], &[(k0, f0), (k1, f1)], [n0, n1], [g0, g1]) => {
+                let next = [n0[t].as_mut_slice(), n1[t].as_mut_slice()];
+                let k = [k0.scalars(), k1.scalars()];
+                let (next, gx) = (Some((next, [f0, f1])), Some([&mut **g0, &mut **g1]));
+                sgdm_sweep_pair(k, [r0, r1], v, w, prev, next, gx);
+            }
+            _ => panic!("sweep_param: one or two updates, each with scalars, a version and a gx"),
+        }
     }
 
     /// Resets the velocity to zero.

@@ -17,8 +17,8 @@ use pbp_tensor::{GradView, Tensor};
 ///    SpecTrain, or the updated weights themselves) into a buffer the
 ///    caller recycles; [`StageOptimizer::step`] is the same sweep with
 ///    that output absent, and [`StageOptimizer::step_outer_into`] takes one
-///    factored parameter's share of it ahead of the rest, beside the
-///    layer's input gradient;
+///    factored parameter's share of it — or of it and the next — ahead of
+///    the rest, beside the layer's input gradient;
 /// 2. [`StageOptimizer::forward_weights`] — the same forward version,
 ///    allocated, for a microbatch that closes no update; `None` when no
 ///    prediction is configured;
@@ -33,9 +33,8 @@ pub struct StageOptimizer {
     config: StageConfig,
     hp: Hyperparams,
     /// How many of the coming updates [`StageOptimizer::step_outer_into`]
-    /// (one) or [`StageOptimizer::step_outer_pair_into`] (two) already
-    /// applied to each parameter, by position; each update that follows
-    /// sweeps the parameters at zero and counts the others down.
+    /// already applied to each parameter, by position; each update that
+    /// follows sweeps the parameters at zero and counts the others down.
     taken: Vec<u8>,
 }
 
@@ -141,84 +140,44 @@ impl StageOptimizer {
         self.sweep(params, grads, Some(next));
     }
 
-    /// Takes parameter `t`'s share of the next update ahead of the rest,
-    /// for a layer whose window gradient is the one factored contribution
-    /// `δ ⊗ x`: `w` is parameter `t`, `next` its slot of the buffer the
-    /// coming [`StageOptimizer::step_into`] writes, and the same pass adds
-    /// `δ·w` of the pre-update weights into the zeroed `gx` — bit for bit
-    /// `gemm_nn`'s `m = 1` product, and the weights are read once for the
-    /// layer's input gradient and its update. That `step_into` (or
-    /// [`StageOptimizer::step`]) then sweeps only the parameters not yet
-    /// taken: the update as a whole is bit for bit the one sweep it
-    /// replaces, because the parameters' sweeps are independent.
+    /// Takes parameter `t`'s share of the next `rows.len()` updates — one or
+    /// two — ahead of the rest, for a layer whose window gradients are each
+    /// the one factored contribution `δ_u ⊗ x_u` (`rows[u] = (δ_u, x_u)`):
+    /// `w` is parameter `t`, update `u` runs under `hps[u]` and writes its
+    /// forward version into slot `t` of `next[u]`, the buffer the coming
+    /// [`StageOptimizer::step_into`] of that update writes, and the same
+    /// pass adds `δ_u·w` of that update's pre-update weights into the zeroed
+    /// `gx[u]` — bit for bit `gemm_nn`'s `m = 1` product. One pass over `w`
+    /// and its velocity serves every update's input gradient and the update
+    /// itself. The `step_into` (or [`StageOptimizer::step`]) calls that
+    /// follow, update `u`'s after
+    /// [`StageOptimizer::set_hyperparams`]`(hps[u])`, sweep only the
+    /// parameters not yet taken: the updates as a whole are bit for bit the
+    /// sweeps they replace, taken one at a time, because the parameters'
+    /// sweeps are independent.
     ///
     /// # Panics
     ///
-    /// Panics if `t` is out of range or a shape disagrees with
-    /// construction or with `x`.
+    /// Panics unless there are one or two rows with a hyperparameter set,
+    /// a buffer and a `gx` each, if `t` is out of range, or if a shape
+    /// disagrees with construction or with an `x`.
     pub fn step_outer_into(
         &mut self,
         t: usize,
         w: &mut Tensor,
-        delta: &[f32],
-        x: &[f32],
-        next: &mut Tensor,
-        gx: &mut [f32],
+        rows: &[(&[f32], &[f32])],
+        hps: &[Hyperparams],
+        next: &mut [Vec<Tensor>],
+        gx: &mut [&mut [f32]],
     ) {
-        let (k, predict) = self.kernel();
+        let k: Vec<(Sweep, Predict)> = hps.iter().map(|&hp| self.kernel(hp)).collect();
         let prev = self.prev_weights.as_mut().map(|p| &mut p[t]);
-        self.state.sweep_param(
-            t,
-            w,
-            GradView::Outer { delta, x },
-            k,
-            prev,
-            Some((next, predict)),
-            Some(gx),
-        );
-        self.taken[t] = 1;
-    }
-
-    /// [`StageOptimizer::step_outer_into`] for the next two updates at
-    /// once, the first under the current hyperparameters and the second
-    /// under `hp`, for a layer whose two windows' gradients are the
-    /// factored `δ₀ ⊗ x₀` and `δ₁ ⊗ x₁`: one pass over `w` and its velocity
-    /// applies both ([`sgdm_sweep_pair`](pbp_tensor::ops::simd::sgdm_sweep_pair)),
-    /// writing update `u`'s forward version into `next[u]` and `δ_u·w` of
-    /// its pre-update weights into the zeroed `gx[u]`. The two
-    /// [`StageOptimizer::step_into`] calls that follow — the second after
-    /// [`StageOptimizer::set_hyperparams`]`(hp)` — sweep only the other
-    /// parameters: bit for bit the two updates, taken one at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of range or a shape disagrees with
-    /// construction or with an `x`.
-    pub fn step_outer_pair_into(
-        &mut self,
-        t: usize,
-        w: &mut Tensor,
-        g: [(&[f32], &[f32]); 2],
-        hp: Hyperparams,
-        next: [&mut Tensor; 2],
-        gx: [&mut [f32]; 2],
-    ) {
-        let (k0, p0) = self.kernel_at(self.hp);
-        let (k1, p1) = self.kernel_at(hp);
-        let prev = self.prev_weights.as_mut().map(|p| &mut p[t]);
-        let next = (next, [p0, p1]);
-        self.state
-            .sweep_param_pair(t, w, g, [k0, k1], prev, next, Some(gx));
-        self.taken[t] = 2;
-    }
-
-    /// The scalars and the forward-version form of this update.
-    fn kernel(&self) -> (Sweep, Predict) {
-        self.kernel_at(self.hp)
+        self.state.sweep_param(t, w, rows, &k, prev, next, gx);
+        self.taken[t] = rows.len() as u8;
     }
 
     /// The scalars and the forward-version form of an update under `hp`.
-    fn kernel_at(&self, hp: Hyperparams) -> (Sweep, Predict) {
+    fn kernel(&self, hp: Hyperparams) -> (Sweep, Predict) {
         let coeffs = if self.config.spike_delay > 0.0 {
             SpikeCoeffs::scd(hp.momentum, self.config.spike_delay)
         } else {
@@ -248,7 +207,7 @@ impl StageOptimizer {
         grads: &[GradView<'_>],
         next: Option<&mut [Tensor]>,
     ) {
-        let (k, predict) = self.kernel();
+        let (k, predict) = self.kernel(self.hp);
         self.state.sweep(
             params,
             grads,
@@ -447,39 +406,37 @@ mod tests {
             let run = |pair: bool| {
                 let (mut w, mut b) = (w0.clone(), b0.clone());
                 let mut opt = StageOptimizer::new(&[&w, &b], mit.stage_config(3, 0), hps[0]);
-                let mut next = [
-                    [Tensor::zeros(&[3, 5]), Tensor::zeros(&[3])],
-                    [Tensor::zeros(&[3, 5]), Tensor::zeros(&[3])],
-                ];
+                let mut next = [0, 1].map(|_| vec![Tensor::zeros(&[3, 5]), Tensor::zeros(&[3])]);
                 let mut gx = [vec![0.0f32; 5], vec![0.0f32; 5]];
                 for _ in 0..3 {
                     opt.set_hyperparams(hps[0]);
-                    let [n0, n1] = &mut next;
                     let [g0, g1] = &mut gx;
                     g0.fill(0.0);
                     g1.fill(0.0);
                     let g = [(&*delta[0], &*x[0]), (&*delta[1], &*x[1])];
                     if pair {
-                        let next = [&mut n0[0], &mut n1[0]];
-                        opt.step_outer_pair_into(0, &mut w, g, hps[1], next, [g0, g1]);
+                        let gx = &mut [g0.as_mut_slice(), g1.as_mut_slice()];
+                        opt.step_outer_into(0, &mut w, &g, &hps, &mut next, gx);
                     } else {
-                        opt.step_outer_into(0, &mut w, g[0].0, g[0].1, &mut n0[0], g0);
+                        let (g, next) = (&g[..1], &mut next[..1]);
+                        opt.step_outer_into(0, &mut w, g, &hps[..1], next, &mut [g0]);
                     }
                     let db = Tensor::from_slice(&delta[0]);
                     opt.step_into(
                         &mut [&mut w, &mut b],
                         &[GradView::Dense(&w0), (&db).into()],
-                        n0,
+                        &mut next[0],
                     );
                     opt.set_hyperparams(hps[1]);
                     if !pair {
-                        opt.step_outer_into(0, &mut w, g[1].0, g[1].1, &mut n1[0], g1);
+                        let (g, next) = (&g[1..], &mut next[1..]);
+                        opt.step_outer_into(0, &mut w, g, &hps[1..], next, &mut [g1]);
                     }
                     let db = Tensor::from_slice(&delta[1]);
                     opt.step_into(
                         &mut [&mut w, &mut b],
                         &[GradView::Dense(&w0), (&db).into()],
-                        n1,
+                        &mut next[1],
                     );
                 }
                 let mut out = vec![bits(w.as_slice()), bits(b.as_slice())];

@@ -18,7 +18,7 @@
 //! enforced by a grep lint in `scripts/check.sh`), which is what makes
 //! the sequential, threaded and multi-process substrates bit-identical.
 //!
-//! ## One pass over a weight for its backward and its update
+//! ## One pass over a weight for its backward and its updates
 //!
 //! When a microbatch is its own update window — its actions are
 //! `BackwardInput(i), BackwardWeight(i), Update`: PB, and fill&drain, 1F1B
@@ -40,21 +40,18 @@
 //! whose backward runs under other weights than the live ones — takes the
 //! split path: `backward_input`, then `backward_weight`, then one `update`.
 //!
-//! ## One pass over a weight for two updates
-//!
-//! When the loss-owning rank holds two forwarded microbatches that are each
-//! their own update window, it retires them as one step
-//! ([`StageGroup::backward_pair`](crate::StageGroup::backward_pair)). A
-//! stage that [lends pairs](StageCell::lends_pair) — it has parameters,
-//! every layer pairs, and its backward runs under the live weights — then
-//! takes both input halves in one pass ([`StageCell::backward_input_pair`]):
-//! it retires the two oldest versions, and each batch-1 `Linear` sweeps
-//! its weight once for both updates, the second from the row the first
-//! just wrote. The rest of both microbatches' actions follow in order, the
-//! second's `backward_input_for` only zeroing the gradients. The bits are
-//! two single steps': the layers after a `Linear` in a pairing stage read
-//! no parameter, and the ordering contract below allows the stages to run
-//! one microbatch after the other or both in turn.
+//! The loss-owning rank may hold the next microbatch's loss gradient too,
+//! and when both are their own update windows it offers both to one step
+//! ([`StageGroup::backward`](crate::StageGroup::backward) over two gradient
+//! stacks). A stage whose every layer [pairs](Stage::pairs_backward) and
+//! that lends at all takes both input halves in the first microbatch's
+//! pass: it begins the two oldest versions, and each batch-1 `Linear`
+//! sweeps its weight once for both updates, the second from the row the
+//! first just wrote. The rest of both microbatches' actions follow in
+//! order, the second's `backward_input_for` only zeroing the gradients.
+//! The bits are two single steps': the layers after a `Linear` in a
+//! pairing stage read no parameter, and the ordering contract below allows
+//! the stages to run one microbatch after the other or both in turn.
 //!
 //! ## No input gradient for the network's first stage
 //!
@@ -86,7 +83,7 @@
 //! microbatches are in flight (forwarded but not yet backwarded) at a
 //! stage.
 
-use pbp_nn::{LaneStack, PairStep, ParamStep, Stage};
+use pbp_nn::{LaneStack, ParamStep, Stage};
 use pbp_optim::{Hyperparams, Mitigation, StageOptimizer};
 use pbp_snapshot::{SnapshotError, Snapshottable, StateReader, StateWriter};
 use pbp_tensor::Tensor;
@@ -113,10 +110,12 @@ pub struct StageCell {
     forwarded: usize,
     completed: usize,
     weight_stashing: bool,
-    /// The next forward version, written by `update` — begun by a backward
-    /// the step was lent to — into the spent front buffer, and waiting for
-    /// this microbatch's `push_next_version`.
-    next: Option<Vec<Tensor>>,
+    /// The next forward versions, oldest first: written by `update` —
+    /// begun by a backward the step was lent to — into the spent front
+    /// buffer, each waiting for its microbatch's `push_next_version`. A
+    /// backward that took two microbatches' updates leaves the second's
+    /// here for that microbatch.
+    next: VecDeque<Vec<Tensor>>,
     /// SpecTrain's backward weights, re-predicted into this buffer before
     /// each backward; empty when no backward prediction is configured.
     backward_version: Vec<Tensor>,
@@ -124,20 +123,21 @@ pub struct StageCell {
     /// the network's first, whose input is the sample (see the module
     /// docs).
     input_grad: bool,
-    /// Whether two consecutive own-window microbatches can share one
-    /// backward pass here ([`StageCell::lends_pair`]).
-    pairs: bool,
-    /// The second version a pair's backward began, waiting for the second
-    /// microbatch's `backward_input_for`.
-    pair_next: Option<Vec<Tensor>>,
+    /// Whether two consecutive own-window microbatches share one backward
+    /// pass here: the stage has parameters, every layer
+    /// [pairs](Stage::pairs_backward), and the backward runs under the live
+    /// weights.
+    pub(crate) pairs: bool,
 }
 
-/// The window's optimizer step as [`StageCell::backward_input_for`] lends
-/// it to the stage: each parameter it is offered is swept into its slot of
-/// the version buffer the coming `update` finishes.
+/// The windows' optimizer steps as [`StageCell::backward_input_for`] lends
+/// them to the stage: each parameter it is offered is swept, update `u`
+/// under `hps[u]`, into its slot of version buffer `next[u]`, which that
+/// update's `update` finishes.
 struct LentStep<'a> {
     opt: &'a mut StageOptimizer,
-    next: &'a mut [Tensor],
+    next: &'a mut [Vec<Tensor>],
+    hps: &'a [Hyperparams],
 }
 
 impl ParamStep for LentStep<'_> {
@@ -145,36 +145,11 @@ impl ParamStep for LentStep<'_> {
         &mut self,
         index: usize,
         w: &mut Tensor,
-        delta: &[f32],
-        x: &[f32],
-        gx: &mut [f32],
+        rows: &[(&[f32], &[f32])],
+        gx: &mut [&mut [f32]],
     ) {
         self.opt
-            .step_outer_into(index, w, delta, x, &mut self.next[index], gx);
-    }
-}
-
-/// Two windows' optimizer steps as [`StageCell::backward_input_pair`] lends
-/// them to the stage: each parameter it is offered is swept into its slots
-/// of both version buffers, the second update under `hp`.
-struct LentPair<'a> {
-    opt: &'a mut StageOptimizer,
-    next: [&'a mut [Tensor]; 2],
-    hp: Hyperparams,
-}
-
-impl PairStep for LentPair<'_> {
-    fn step_outer_pair(
-        &mut self,
-        index: usize,
-        w: &mut Tensor,
-        g: [(&[f32], &[f32]); 2],
-        gx: [&mut [f32]; 2],
-    ) {
-        let [n0, n1] = &mut self.next;
-        let next = [&mut n0[index], &mut n1[index]];
-        self.opt
-            .step_outer_pair_into(index, w, g, self.hp, next, gx);
+            .step_outer_into(index, w, rows, self.hps, self.next, gx);
     }
 }
 
@@ -229,6 +204,7 @@ impl StageCell {
         let versions = (0..=lag.div_ceil(per_update))
             .map(|_| snapshot.clone())
             .collect();
+        let live = !weight_stashing && opt.config().bwd_horizon == 0.0;
         StageCell {
             opt,
             version_lag: lag,
@@ -238,11 +214,10 @@ impl StageCell {
             forwarded: 0,
             completed: 0,
             weight_stashing,
-            next: None,
+            next: VecDeque::new(),
             backward_version,
             input_grad: s != 0,
-            pairs: stage.pairs_backward() && !stage.params().is_empty(),
-            pair_next: None,
+            pairs: stage.pairs_backward() && !stage.params().is_empty() && live,
         }
     }
 
@@ -334,84 +309,50 @@ impl StageCell {
         }
     }
 
-    /// [`StageCell::backward_input`] for a microbatch whose actions at the
-    /// stage are `actions`. When they make the microbatch its own update
+    /// [`StageCell::backward_input`] for the microbatch whose actions at the
+    /// stage are `actions` and whose gradients are on `grads[0]`;
+    /// `grads[1..]` hold the next microbatches', offered only when each is
+    /// its own update window too, and `hps[u]` is microbatch `u`'s
+    /// hyperparameters. When `actions` make the microbatch its own update
     /// window and the backward runs under the live weights, the pass also
     /// takes the window's update of every weight a layer can step beside
     /// its input gradient, into the version buffer `update` then finishes
-    /// (see the module docs); the bits are the split path's either way.
+    /// — at a stage that [pairs](Stage::pairs_backward), the updates and
+    /// input halves of every offered microbatch, each into its own buffer;
+    /// the later microbatches' own calls then only zero the gradients (see
+    /// the module docs). The bits are the split path's either way.
     pub fn backward_input_for(
         &mut self,
         stage: &mut Stage,
-        gstack: &mut LaneStack,
+        grads: &mut [LaneStack],
         zero_grads: bool,
         actions: &[Action],
+        hps: &[Hyperparams],
     ) {
-        if let Some(next) = self.pair_next.take() {
-            // The pair's first microbatch already ran this input half.
-            assert!(zero_grads, "a pair's second microbatch opens its window");
-            stage.zero_grads();
-            self.next = Some(next);
-            return;
+        if !self.next.is_empty() {
+            // An earlier microbatch's pass already ran this input half.
+            assert!(zero_grads, "a lent microbatch opens its window");
+            return stage.zero_grads();
         }
         let lends = zero_grads
             && self.backward_runs_live()
             && is_own_update_window(actions)
             && self.will_update(stage);
         if !lends {
-            return self.backward_input(stage, gstack, zero_grads);
+            return self.backward_input(stage, &mut grads[0], zero_grads);
         }
+        let n = if self.pairs { grads.len() } else { 1 };
         stage.zero_grads();
-        let mut next = self.retire_front();
+        for _ in 0..n {
+            let version = self.retire_front();
+            self.next.push_back(version);
+        }
         let mut step = LentStep {
             opt: &mut self.opt,
-            next: &mut next,
+            next: self.next.make_contiguous(),
+            hps: &hps[..n],
         };
-        stage.backward_input_stepping(gstack, &mut step, self.input_grad);
-        self.next = Some(next);
-    }
-
-    /// Whether two consecutive microbatches that are each their own update
-    /// window can share one backward pass at this stage
-    /// ([`StageCell::backward_input_pair`]): the stage has parameters, every
-    /// layer [pairs](Stage::pairs_backward), and the backward runs under the
-    /// live weights.
-    pub fn lends_pair(&self) -> bool {
-        self.pairs && self.backward_runs_live()
-    }
-
-    /// The input halves of microbatches `i` and `i + 1`, each its own update
-    /// window, their gradients on `grads[0]` and `grads[1]`, in one pass, at
-    /// a stage that [lends pairs](StageCell::lends_pair): the two oldest
-    /// versions are retired, and each layer that steps takes both updates of
-    /// its weight — the second under `hp`, the hyperparameters of `i + 1`'s
-    /// window — into them ([`Stage::backward_input_pair`]). The rest of
-    /// `i`'s actions and `push_next_version` follow as for any microbatch,
-    /// then `i + 1`'s, whose `backward_input_for` only zeroes the gradients
-    /// and hands its `update` the second version. Every value is the one
-    /// the two microbatches' backwards, taken one after the other, give:
-    /// layers after a stepping one read no parameter, and the stepping one
-    /// computes `i + 1`'s input gradient from the weights `i`'s update
-    /// wrote.
-    pub fn backward_input_pair(
-        &mut self,
-        stage: &mut Stage,
-        grads: [&mut LaneStack; 2],
-        hp: Hyperparams,
-    ) {
-        assert!(self.lends_pair(), "the stage cannot pair its backward");
-        stage.zero_grads();
-        let mut next = [self.retire_front(), self.retire_front()];
-        let [n0, n1] = &mut next;
-        let mut step = LentPair {
-            opt: &mut self.opt,
-            next: [n0, n1],
-            hp,
-        };
-        stage.backward_input_pair(grads, &mut step, self.input_grad);
-        let [n0, n1] = next;
-        self.next = Some(n0);
-        self.pair_next = Some(n1);
+        stage.backward_input_stepping(&mut grads[..n], &mut step, self.input_grad);
     }
 
     /// Retires one pending weight-gradient half (2BP). Weight-gradient
@@ -464,12 +405,12 @@ impl StageCell {
         if grads.is_empty() {
             return false;
         }
-        let mut next = match self.next.take() {
+        let mut next = match self.next.pop_front() {
             Some(next) => next,
             None => self.retire_front(),
         };
         self.opt.step_into(&mut params, &grads, &mut next);
-        self.next = Some(next);
+        self.next.push_front(next);
         true
     }
 
@@ -484,7 +425,7 @@ impl StageCell {
     /// benchmark harness passes it.
     pub fn push_next_version(&mut self, _stage: &Stage) {
         let closes = (self.completed + 1).is_multiple_of(self.per_update);
-        let next = match self.next.take() {
+        let next = match self.next.pop_front() {
             Some(next) => Some(next),
             None if closes => Some(self.retire_front()),
             None => None,
@@ -547,8 +488,7 @@ impl StageCell {
         self.versions = queue;
         self.front = completed / self.per_update;
         (self.forwarded, self.completed) = (completed, completed);
-        self.next = None;
-        self.pair_next = None;
+        self.next.clear();
         Ok(())
     }
 }
@@ -572,8 +512,13 @@ mod tests {
         cells_with(net, Mitigation::lwpv_scd(), weight_stashing)
     }
 
+    /// The hyperparameters every test cell runs under.
+    fn hp() -> Hyperparams {
+        Hyperparams::new(0.05, 0.9)
+    }
+
     fn cells_with(net: &Network, mitigation: Mitigation, weight_stashing: bool) -> Vec<StageCell> {
-        let (stages, hp) = (net.pipeline_stage_count(), Hyperparams::new(0.05, 0.9));
+        let (stages, hp) = (net.pipeline_stage_count(), hp());
         (0..net.num_stages())
             .map(|s| {
                 StageCell::new(
@@ -612,9 +557,10 @@ mod tests {
         for (s, cell) in cells.iter_mut().enumerate().rev() {
             if lend {
                 let actions = PLAN.stage_actions(i);
-                cell.backward_input_for(net.stage_mut(s), &mut gstack, true, &actions);
+                let (grads, hp) = (std::slice::from_mut(&mut gstack), [hp()]);
+                cell.backward_input_for(net.stage_mut(s), grads, true, &actions, &hp);
                 let lends = cell.backward_runs_live() && cell.will_update(net.stage(s));
-                assert_eq!(cell.next.is_some(), lends);
+                assert_eq!(!cell.next.is_empty(), lends);
             } else {
                 cell.backward_input(net.stage_mut(s), &mut gstack, true);
             }
@@ -656,7 +602,8 @@ mod tests {
                     match lend {
                         true => {
                             let actions = PLAN.stage_actions(0);
-                            cell.backward_input_for(stage, &mut gstack, true, &actions);
+                            let (grads, hp) = (std::slice::from_mut(&mut gstack), [hp()]);
+                            cell.backward_input_for(stage, grads, true, &actions, &hp);
                         }
                         false => cell.backward_input(stage, &mut gstack, true),
                     }
@@ -687,7 +634,7 @@ mod tests {
                 pushed.push(cells.iter().map(newest_version).collect());
                 for cell in &cells {
                     assert_eq!(cell.fwd_queue_len(), cell.version_lag() + 1);
-                    assert!(cell.next.is_none());
+                    assert!(cell.next.is_empty());
                 }
             }
             // The version a microbatch pushes is written into the buffer

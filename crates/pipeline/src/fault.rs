@@ -6,9 +6,9 @@
 //! type:
 //!
 //! * **rank `r`** (under threads, *stage* `r`, whichever worker hosts
-//!   it) at `@k`, the backward the rank is turning to — the
-//!   `Step::Backward(k)` its [`RankLoop`](crate::RankLoop) reports, or
-//!   either half of a `Step::BackwardPair`, which turns to both at once:
+//!   it) at `@k`, the backward the rank is turning to — microbatch `k`
+//!   of the `Step::Backward` its [`RankLoop`](crate::RankLoop) reports,
+//!   which turns to both microbatches of a pair at once:
 //!   [`RankFault`] `crash`
 //!   (a panic on every host: a rank process then exits non-zero),
 //!   `stall:<ms>`, `sever` (drop every outgoing link end) or

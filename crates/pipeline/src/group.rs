@@ -31,11 +31,10 @@
 //!   they only affect backward-phase operations (updates, SpecTrain's
 //!   re-prediction, the pushed version), so binding at the backward
 //!   boundary matches a sequential sweep even when forwards ran ahead.
-//! * [`StageGroup::backward_pair`] — two consecutive own-window
-//!   microbatches' backwards as one step, where [`StageGroup::pairs`]
-//!   allows (the loss rank only): a stage that lends pairs takes both
-//!   input halves in one pass over its `Linear` weights, every other stage
-//!   runs the two backwards in turn.
+//!   Where [`StageGroup::pairs`] allows (the loss rank only), one call
+//!   takes two consecutive own-window microbatches: a stage that pairs
+//!   takes both input halves in one pass over its `Linear` weights, every
+//!   other stage runs the two backwards in turn.
 
 use crate::cell::StageCell;
 use crate::metrics::StageCounters;
@@ -313,79 +312,57 @@ impl StageGroup {
         (loss, grad)
     }
 
-    /// Runs microbatch `mb`'s backward actions through the owned stages,
-    /// last to first, and enqueues each stage's next forward version.
+    /// Runs the backward actions of microbatches `mb..mb + grads.len()` —
+    /// one, or two that [pair](StageGroup::pairs) — their gradients on
+    /// `grads`, through the owned stages, last to first: at each stage
+    /// every microbatch's actions and then its `push_next_version`, in
+    /// order. A stage that [pairs](Stage::pairs_backward) takes both input
+    /// halves in one pass inside the first's `BackwardInput` span
+    /// ([`StageCell::backward_input_for`]), and the second's span is empty.
+    /// The cell's ordering contract makes the bits those of one microbatch
+    /// at a time.
     ///
     /// # Panics
     ///
-    /// Panics if `mb` is not the next microbatch in backward order, has
-    /// not been forwarded, or `stages` is not the owned slice.
-    pub fn backward(&mut self, stages: &mut [Stage], gstack: &mut LaneStack, mb: usize) {
-        self.check_backward(stages, mb, 1);
-        for (local, stage) in stages.iter_mut().enumerate().rev() {
-            self.backward_stage(local, stage, gstack, mb, None);
-        }
-        self.next_bwd += 1;
-    }
-
-    /// Whether microbatches `mb` and `mb + 1` can retire as one
-    /// [`StageGroup::backward_pair`] that saves a pass: each is its own
-    /// update window, and an owned stage [lends pairs](StageCell::lends_pair).
-    pub fn pairs(&self, mb: usize) -> bool {
-        let own = |mb| is_own_update_window(&self.config.plan.stage_actions(mb));
-        own(mb) && own(mb + 1) && self.cells.iter().any(StageCell::lends_pair)
-    }
-
-    /// Runs the backward actions of microbatches `mb` and `mb + 1`, their
-    /// gradients on `grads[0]` and `grads[1]`, through the owned stages,
-    /// last to first: a stage that [lends pairs](StageCell::lends_pair)
-    /// takes both input halves in one pass
-    /// ([`StageCell::backward_input_pair`]), inside `mb`'s
-    /// `BackwardInput` span, and `mb + 1`'s span is empty; every other
-    /// stage runs `mb`'s actions, then `mb + 1`'s. The cell's ordering
-    /// contract makes the bits those of [`StageGroup::backward`] on `mb`,
-    /// then on `mb + 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`StageGroup::pairs`]`(mb)` and both microbatches are
-    /// the next two in backward order, forwarded, and `stages` is the owned
-    /// slice.
-    pub fn backward_pair(&mut self, stages: &mut [Stage], grads: [&mut LaneStack; 2], mb: usize) {
-        self.check_backward(stages, mb, 2);
-        assert!(
-            self.pairs(mb),
-            "microbatches {mb} and {} do not pair",
-            mb + 1
-        );
-        let [g0, g1] = grads;
-        for (local, stage) in stages.iter_mut().enumerate().rev() {
-            let pair = self.cells[local].lends_pair().then_some(&mut *g1);
-            self.backward_stage(local, stage, g0, mb, pair);
-            self.backward_stage(local, stage, g1, mb + 1, None);
-        }
-        self.next_bwd += 2;
-    }
-
-    fn check_backward(&self, stages: &[Stage], mb: usize, n: usize) {
+    /// Panics if the microbatches are not the next in backward order,
+    /// forwarded, and one or a pair, or `stages` is not the owned slice.
+    pub fn backward(&mut self, stages: &mut [Stage], grads: &mut [LaneStack], mb: usize) {
+        let n = grads.len();
         assert_eq!(mb, self.next_bwd, "backwards run in microbatch order");
         assert!(
             mb + n <= self.next_fwd,
             "backward of an unforwarded microbatch"
         );
         assert_eq!(stages.len(), self.cells.len(), "one stage per cell");
+        assert!(
+            n == 1 || (n == 2 && self.pairs(mb)),
+            "{n} backwards from {mb} do not pair"
+        );
+        for (local, stage) in stages.iter_mut().enumerate().rev() {
+            for u in 0..n {
+                self.backward_stage(local, stage, &mut grads[u..], mb + u);
+            }
+        }
+        self.next_bwd += n;
     }
 
-    /// Microbatch `mb`'s backward actions at owned stage `local`, then its
-    /// `push_next_version`; with `pair`, the next microbatch's gradients,
-    /// its input half runs the pair's pass.
+    /// Whether microbatches `mb` and `mb + 1` can retire as one
+    /// [`StageGroup::backward`] that saves a pass: each is its own update
+    /// window, and an owned stage pairs.
+    pub fn pairs(&self, mb: usize) -> bool {
+        let own = |mb| is_own_update_window(&self.config.plan.stage_actions(mb));
+        own(mb) && own(mb + 1) && self.cells.iter().any(|cell| cell.pairs)
+    }
+
+    /// Microbatch `mb`'s backward actions at owned stage `local`, its
+    /// gradients on `grads[0]`, then its `push_next_version`; `grads[1..]`
+    /// are the next microbatches', offered to its input half.
     fn backward_stage(
         &mut self,
         local: usize,
         stage: &mut Stage,
-        gstack: &mut LaneStack,
+        grads: &mut [LaneStack],
         mb: usize,
-        mut pair: Option<&mut LaneStack>,
     ) {
         let plan = self.config.plan;
         let first_of_update = mb.is_multiple_of(plan.microbatches_per_update());
@@ -403,13 +380,9 @@ impl StageGroup {
                 Action::Forward(_) => {}
                 Action::BackwardInput(i) => {
                     lane.begin(TracePhase::BackwardInput, Some(i as u64), Some(version));
-                    match pair.take() {
-                        Some(next) => {
-                            let hp = self.config.schedule.at(mb + 1);
-                            cell.backward_input_pair(stage, [&mut *gstack, next], hp)
-                        }
-                        None => cell.backward_input_for(stage, gstack, first_of_update, &actions),
-                    }
+                    let hps = [mb, mb + 1].map(|mb| self.config.schedule.at(mb));
+                    let hps = &hps[..grads.len()];
+                    cell.backward_input_for(stage, grads, first_of_update, &actions, hps);
                     lane.end();
                 }
                 Action::BackwardWeight(j) => {
@@ -438,9 +411,8 @@ impl StageGroup {
 
     /// The spans `step` records, in the order it runs them, as (global
     /// stage, phase, microbatch, weight version): what
-    /// [`StageGroup::forward`], [`StageGroup::backward`] or
-    /// [`StageGroup::backward_pair`] would run on `stages`, read without
-    /// running it.
+    /// [`StageGroup::forward`] or [`StageGroup::backward`] would run on
+    /// `stages`, read without running it.
     pub(crate) fn spans(
         &self,
         stages: &[Stage],
@@ -448,8 +420,7 @@ impl StageGroup {
     ) -> Vec<(usize, TracePhase, usize, u64)> {
         let (fwd, mbs) = match step {
             Step::Forward(mb) => (true, mb..mb + 1),
-            Step::Backward(mb) => (false, mb..mb + 1),
-            Step::BackwardPair(mb) => (false, mb..mb + 2),
+            Step::Backward { .. } => (false, step.retires()),
         };
         let (n, mut spans) = (self.cells.len(), Vec::new());
         for k in 0..n {

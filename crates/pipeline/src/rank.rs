@@ -58,7 +58,7 @@ impl Message {
     pub fn step(&self) -> Step {
         match *self {
             Message::Activation { mb, .. } => Step::Forward(mb),
-            Message::Gradient { mb, .. } => Step::Backward(mb),
+            Message::Gradient { mb, .. } => Step::Backward { mb, n: 1 },
         }
     }
 }
@@ -93,11 +93,13 @@ pub enum Upstream<'a, L> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
     Forward(usize),
-    Backward(usize),
-    /// The backwards of microbatches `mb` and `mb + 1` as one step
-    /// ([`StageGroup::backward_pair`]): only the loss-owning rank, holding
-    /// both loss gradients, takes it.
-    BackwardPair(usize),
+    /// The backwards of microbatches `mb..mb + n` as one step
+    /// ([`StageGroup::backward`]): one, or — only on the loss-owning rank,
+    /// holding both loss gradients — a pair.
+    Backward {
+        mb: usize,
+        n: usize,
+    },
 }
 
 impl Step {
@@ -106,8 +108,7 @@ impl Step {
     pub fn retires(self) -> std::ops::Range<usize> {
         match self {
             Step::Forward(mb) => mb..mb,
-            Step::Backward(mb) => mb..mb + 1,
-            Step::BackwardPair(mb) => mb..mb + 2,
+            Step::Backward { mb, n } => mb..mb + n,
         }
     }
 }
@@ -176,10 +177,12 @@ impl RankLoop {
         let (fwd, bwd) = (self.group.forwarded(), self.group.completed());
         if fwd < fwd_limit && self.group.can_forward() {
             Some(Step::Forward(fwd))
-        } else if self.pending.len() >= 2 && self.group.pairs(bwd) {
-            Some(Step::BackwardPair(bwd))
         } else if bwd < fwd {
-            Some(Step::Backward(bwd))
+            let pair = self.pending.len() >= 2 && self.group.pairs(bwd);
+            Some(Step::Backward {
+                mb: bwd,
+                n: if pair { 2 } else { 1 },
+            })
         } else {
             None
         }
@@ -195,7 +198,7 @@ impl RankLoop {
         &mut self,
         stages: &mut [Stage],
         up: Upstream<'_, L>,
-        down: Option<&mut L>,
+        mut down: Option<&mut L>,
         fwd_limit: usize,
     ) -> Result<Option<Step>, RankError<L::Error>> {
         let Some(step) = self.next_step(fwd_limit) else {
@@ -230,37 +233,30 @@ impl RankLoop {
                     self.pending.push_back((grad, loss));
                 }
             }
-            Step::Backward(mb) => {
-                let (loss, mut lanes) = match down {
-                    Some(link) => match link.recv().map_err(RankError::Link)? {
-                        Message::Gradient { mb: m, loss, lanes } if m == mb => (loss, lanes),
-                        msg => return Err(desync(msg)),
-                    },
-                    None => {
-                        let queued = self.pending.pop_front();
-                        let (grad, loss) = queued.expect("one queued gradient per microbatch");
-                        (loss, vec![grad])
-                    }
-                };
-                self.retire(&[loss]);
-                self.group.backward(stages, &mut lanes, mb);
+            Step::Backward { mb, n } => {
+                let (mut losses, mut grads) = ([0.0; 2], Vec::with_capacity(n));
+                for (u, mb) in (mb..mb + n).enumerate() {
+                    let (loss, lanes) = match down.as_deref_mut() {
+                        Some(link) => match link.recv().map_err(RankError::Link)? {
+                            Message::Gradient { mb: m, loss, lanes } if m == mb => (loss, lanes),
+                            msg => return Err(desync(msg)),
+                        },
+                        None => {
+                            let queued = self.pending.pop_front();
+                            let (grad, loss) = queued.expect("one queued gradient per microbatch");
+                            (loss, vec![grad])
+                        }
+                    };
+                    losses[u] = loss;
+                    grads.push(lanes);
+                }
+                self.retire(&losses[..n]);
+                self.group.backward(stages, &mut grads, mb);
                 // Under `Upstream::Feed` the group owns stage 0, whose cell
                 // leaves no input gradient: nothing goes upstream.
                 if let Upstream::Link(link) = up {
-                    let msg = Message::Gradient { mb, loss, lanes };
-                    link.send(msg).map_err(RankError::Link)?;
-                }
-            }
-            Step::BackwardPair(mb) => {
-                assert!(down.is_none(), "only the loss rank pairs backwards");
-                let mut pop = || self.pending.pop_front().expect("two queued gradients");
-                let ((g0, l0), (g1, l1)) = (pop(), pop());
-                self.retire(&[l0, l1]);
-                let (mut lanes0, mut lanes1) = (vec![g0], vec![g1]);
-                self.group
-                    .backward_pair(stages, [&mut lanes0, &mut lanes1], mb);
-                if let Upstream::Link(link) = up {
-                    for (mb, loss, lanes) in [(mb, l0, lanes0), (mb + 1, l1, lanes1)] {
+                    for (u, lanes) in grads.into_iter().enumerate() {
+                        let (mb, loss) = (mb + u, losses[u]);
                         let msg = Message::Gradient { mb, loss, lanes };
                         link.send(msg).map_err(RankError::Link)?;
                     }
@@ -369,7 +365,7 @@ mod tests {
                 let mut stack = vec![batch_of_one(x)];
                 group.forward(net.stages_mut(), &mut stack, mb);
                 let (loss, grad) = group.loss(&stack[0], label);
-                group.backward(net.stages_mut(), &mut vec![grad], mb);
+                group.backward(net.stages_mut(), &mut [vec![grad]], mb);
                 losses.push(loss);
             }
             Reference { losses, net, group }
@@ -534,7 +530,7 @@ mod tests {
             host.step(1),
             Err(RankError::Desync {
                 expected: Step::Forward(0),
-                got: Step::Backward(0),
+                got: Step::Backward { mb: 0, n: 1 },
             })
         );
         // Nothing ran: the group's cursors have not moved.

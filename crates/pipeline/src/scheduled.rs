@@ -246,8 +246,9 @@ impl TrainEngine for ScheduledTrainer {
     /// All pipeline state (weight version queues, stashes, partially
     /// accumulated updates) carries across slices. Steps the rank with two
     /// microbatches in flight, so a pair of own-window microbatches retires
-    /// as one [`Step::BackwardPair`](crate::Step::BackwardPair) wherever the
-    /// group [pairs](StageGroup::pairs) them; an odd tail retires alone.
+    /// as one two-microbatch [`Step::Backward`](crate::Step::Backward)
+    /// wherever the group [pairs](StageGroup::pairs) them; an odd tail
+    /// retires alone.
     /// The call ends drained.
     fn train_range(&mut self, data: &Dataset, indices: &[usize]) -> (f64, usize) {
         let base = self.rank.group.completed();

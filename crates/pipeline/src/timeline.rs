@@ -219,7 +219,7 @@ impl<'a> VirtualHost<'a> {
     fn arrival(&self, r: usize, step: Step) -> Option<u64> {
         let wire = match step {
             Step::Forward(_) if r > 0 => &self.acts[r - 1],
-            Step::Backward(_) if r + 1 < self.hosts.len() => &self.grads[r],
+            Step::Backward { .. } if r + 1 < self.hosts.len() => &self.grads[r],
             _ => return Some(0),
         };
         wire.borrow().front().map(|&(sent, _)| sent)

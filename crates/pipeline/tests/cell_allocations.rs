@@ -89,14 +89,14 @@ fn microbatch_of(net: &mut Network, cells: &mut [StageCell], input: Tensor, labe
 }
 
 /// One microbatch, its backward through [`StageCell::backward_input_for`]
-/// with `actions` when given (the path the stage group takes), else
-/// through the split [`StageCell::backward_input`].
+/// with `actions` and the hyperparameters `hp` when given (the path the
+/// stage group takes), else through the split [`StageCell::backward_input`].
 fn microbatch_with(
     net: &mut Network,
     cells: &mut [StageCell],
     input: Tensor,
     label: usize,
-    actions: Option<&[Action]>,
+    lend: Option<(&[Action], Hyperparams)>,
 ) {
     let mut stack = vec![input];
     for (s, cell) in cells.iter_mut().enumerate() {
@@ -105,8 +105,11 @@ fn microbatch_with(
     let (_, grad) = softmax_cross_entropy(&stack.pop().expect("logits"), &[label]);
     let mut gstack = vec![grad];
     for (s, cell) in cells.iter_mut().enumerate().rev() {
-        match actions {
-            Some(actions) => cell.backward_input_for(net.stage_mut(s), &mut gstack, true, actions),
+        match lend {
+            Some((actions, hp)) => {
+                let grads = std::slice::from_mut(&mut gstack);
+                cell.backward_input_for(net.stage_mut(s), grads, true, actions, &[hp])
+            }
             None => cell.backward_input(net.stage_mut(s), &mut gstack, true),
         }
         cell.backward_weight(net.stage_mut(s));
@@ -228,7 +231,7 @@ fn the_lent_step_allocates_nothing_weight_sized() {
         let mut run = |net: &mut Network, i: usize| {
             let input = Tensor::from_fn(&[1, WIDTH], |j| ((i + j) as f32).sin());
             let actions = plan.stage_actions(i);
-            microbatch_with(net, &mut cells, input, i % WIDTH, Some(&actions));
+            microbatch_with(net, &mut cells, input, i % WIDTH, Some((&actions, hp)));
         };
         for i in 0..4 {
             run(&mut net, i);

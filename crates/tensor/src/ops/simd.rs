@@ -1833,8 +1833,9 @@ impl<V: Lanes> SweepLanes<V> {
     }
 }
 
-/// One vector of the run at element `j`. Every lane computes, each
-/// operation rounded on its own and none fused,
+/// One vector of the runs `a` at element `j`: `K` consecutive updates of
+/// `a[0]`'s `v` and `w`. Every lane computes, for update `u` under `a[u]`'s
+/// scalars, each operation rounded on its own and none fused,
 ///
 /// ```text
 /// g  = s·∇            ∇ = run[j], or fma(δ, x[j], +0.0) when ROW
@@ -1842,106 +1843,103 @@ impl<V: Lanes> SweepLanes<V> {
 /// w' = w − η·(a·v' + b·g)
 /// ```
 ///
-/// then stores `v'`, `w'`, `w` to `prev` when `PREV`, and `ŵ` to `next` in
-/// the form `NEXT` names — the scalar loop's operations in the scalar
-/// loop's order. When `GX` (a factored row only) it also stores
-/// `fma(δ, w, gx[j])` to `gx[j]`, from the weight it read before the
-/// update: one link of `gemm_nn`'s `m = 1` chain for the input gradient
-/// `δ·W`. A function and not a closure: a closure does not inherit the
+/// storing `ŵ` to `a[u]`'s `next` in the form `NEXT` names and, when `GX`
+/// (factored rows only), `fma(δ, w, gx[j])` to its `gx[j]` from the weight
+/// the update read: one link of `gemm_nn`'s `m = 1` chain for the input
+/// gradient `δ·W`. Update `u + 1` starts from update `u`'s `v'` and `w'`,
+/// kept in registers rather than stored and reloaded; the last ones are
+/// stored, and its `w` to `prev` when `PREV` — the scalar loop's operations
+/// in the scalar loop's order on the same values, so `K` updates are bit
+/// for bit `K` sweeps. `K` is a type-level count so that the loop over it
+/// unrolls. A function and not a closure: a closure does not inherit the
 /// `#[target_feature]` of the wrapper it is inlined into, and the
 /// intrinsics it called would not be inlined.
 #[inline(always)]
 unsafe fn sweep_step<
     V: Lanes,
+    const K: usize,
     const ROW: bool,
     const GX: bool,
     const PREV: bool,
     const NEXT: u8,
 >(
-    a: &SweepArgs,
-    c: &SweepLanes<V>,
+    a: &[SweepArgs; K],
+    c: &[SweepLanes<V>; K],
     j: usize,
 ) {
-    let w_old = V::load(a.w.add(j));
-    let g = sweep_grad::<V, ROW>(a, c, j);
-    let (v, w) = sweep_update::<V, GX, NEXT>(a, c, j, g, V::load(a.v.add(j)), w_old);
-    v.store(a.v.add(j));
-    w.store(a.w.add(j));
+    let (mut v, mut w) = (V::load(a[0].v.add(j)), V::load(a[0].w.add(j)));
+    let mut w_old = w;
+    for u in 0..K {
+        let (a, c) = (&a[u], &c[u]);
+        w_old = w;
+        let g = if ROW {
+            V::fma(c.delta, V::load(a.g.add(j)), V::zero())
+        } else {
+            V::load(a.g.add(j))
+        };
+        let g = V::mul(g, c.s);
+        if GX {
+            V::fma(c.delta, w_old, V::load(a.gx.add(j))).store(a.gx.add(j));
+        }
+        v = V::add(V::mul(c.m, v), g);
+        w = V::sub(w_old, V::mul(c.lr, V::add(V::mul(c.a, v), V::mul(c.b, g))));
+        match NEXT {
+            NEXT_COPY => w.store(a.next.add(j)),
+            NEXT_VELOCITY => V::add(w, V::mul(c.t, v)).store(a.next.add(j)),
+            NEXT_WEIGHT_DIFF => V::add(w, V::mul(c.t, V::sub(w, w_old))).store(a.next.add(j)),
+            _ => {}
+        }
+    }
+    v.store(a[0].v.add(j));
+    w.store(a[0].w.add(j));
     if PREV {
-        w_old.store(a.prev.add(j));
+        w_old.store(a[0].prev.add(j));
     }
 }
 
-/// [`sweep_step`]'s `g = s·∇` at element `j`.
-#[inline(always)]
-unsafe fn sweep_grad<V: Lanes, const ROW: bool>(a: &SweepArgs, c: &SweepLanes<V>, j: usize) -> V {
-    let g = if ROW {
-        V::fma(c.delta, V::load(a.g.add(j)), V::zero())
-    } else {
-        V::load(a.g.add(j))
-    };
-    V::mul(g, c.s)
-}
-
-/// [`sweep_step`]'s update of `v_old`, `w_old` at element `j` under the
-/// scaled gradient `g`: adds to `gx` when `GX`, stores `ŵ` when `NEXT`
-/// asks, and returns `(v', w')` for the caller to store.
-#[inline(always)]
-unsafe fn sweep_update<V: Lanes, const GX: bool, const NEXT: u8>(
-    a: &SweepArgs,
-    c: &SweepLanes<V>,
-    j: usize,
-    g: V,
-    v_old: V,
-    w_old: V,
-) -> (V, V) {
-    if GX {
-        V::fma(c.delta, w_old, V::load(a.gx.add(j))).store(a.gx.add(j));
-    }
-    let v = V::add(V::mul(c.m, v_old), g);
-    let w = V::sub(w_old, V::mul(c.lr, V::add(V::mul(c.a, v), V::mul(c.b, g))));
-    match NEXT {
-        NEXT_COPY => w.store(a.next.add(j)),
-        NEXT_VELOCITY => V::add(w, V::mul(c.t, v)).store(a.next.add(j)),
-        NEXT_WEIGHT_DIFF => V::add(w, V::mul(c.t, V::sub(w, w_old))).store(a.next.add(j)),
-        _ => {}
-    }
-    (v, w)
-}
-
-/// [`sweep_step`] over the whole vectors of the run from element `from`
+/// [`sweep_step`] over the whole vectors of the runs from element `from`
 /// on; returns where they end. One cache line of every stream a step,
 /// each prefetched [`SWEEP_PREFETCH`] floats ahead.
 #[inline(always)]
 unsafe fn sweep_kernel<
     V: Lanes,
+    const K: usize,
     const ROW: bool,
     const GX: bool,
     const PREV: bool,
     const NEXT: u8,
 >(
-    a: SweepArgs,
+    a: [SweepArgs; K],
     from: usize,
 ) -> usize {
-    let c = SweepLanes::of(&a);
+    // An index loop, not an iterator: with it LLVM keeps every update's
+    // lanes in registers; a zipped iterator here left them on the stack,
+    // one memory operand per use in the step.
+    let mut c = [SweepLanes::of(&a[0]); K];
+    #[allow(clippy::needless_range_loop)]
+    for u in 1..K {
+        c[u] = SweepLanes::of(&a[u]);
+    }
     let mut j = from;
-    while j + LINE <= a.n {
+    while j + LINE <= a[0].n {
         let ahead = j + SWEEP_PREFETCH;
-        V::prefetch(a.v.wrapping_add(ahead));
-        V::prefetch(a.w.wrapping_add(ahead));
+        V::prefetch(a[0].v.wrapping_add(ahead));
+        V::prefetch(a[0].w.wrapping_add(ahead));
         if PREV {
-            V::prefetch_write(a.prev.wrapping_add(ahead));
+            V::prefetch_write(a[0].prev.wrapping_add(ahead));
         }
         if NEXT != NO_NEXT {
-            V::prefetch_write(a.next.wrapping_add(ahead));
+            for a in &a {
+                V::prefetch_write(a.next.wrapping_add(ahead));
+            }
         }
         for q in 0..LINE / V::N {
-            sweep_step::<V, ROW, GX, PREV, NEXT>(&a, &c, j + q * V::N);
+            sweep_step::<V, K, ROW, GX, PREV, NEXT>(&a, &c, j + q * V::N);
         }
         j += LINE;
     }
-    while j + V::N <= a.n {
-        sweep_step::<V, ROW, GX, PREV, NEXT>(&a, &c, j);
+    while j + V::N <= a[0].n {
+        sweep_step::<V, K, ROW, GX, PREV, NEXT>(&a, &c, j);
         j += V::N;
     }
     j
@@ -1951,58 +1949,65 @@ unsafe fn sweep_kernel<
 #[inline(always)]
 unsafe fn sweep_whole<
     V: Lanes,
+    const K: usize,
     const ROW: bool,
     const GX: bool,
     const PREV: bool,
     const NEXT: u8,
 >(
-    a: SweepArgs,
+    a: [SweepArgs; K],
 ) {
-    let j = sweep_kernel::<V, ROW, GX, PREV, NEXT>(a, 0);
-    sweep_kernel::<f32, ROW, GX, PREV, NEXT>(a, j);
+    let j = sweep_kernel::<V, K, ROW, GX, PREV, NEXT>(a, 0);
+    sweep_kernel::<f32, K, ROW, GX, PREV, NEXT>(a, j);
 }
 
 /// [`sweep_whole`] with the side outputs `a` asks for: `prev` when the
 /// whole sweep's `prev` is not null (a run's own pointer is offset from it,
 /// null or not).
 #[inline(always)]
-unsafe fn sweep_sides<V: Lanes, const ROW: bool, const GX: bool>(a: SweepArgs, prev: bool) {
-    match (a.predict, prev) {
-        (None, false) => sweep_whole::<V, ROW, GX, false, NO_NEXT>(a),
-        (None, true) => sweep_whole::<V, ROW, GX, true, NO_NEXT>(a),
-        (Some(Predict::Copy), false) => sweep_whole::<V, ROW, GX, false, NEXT_COPY>(a),
-        (Some(Predict::Copy), true) => sweep_whole::<V, ROW, GX, true, NEXT_COPY>(a),
+unsafe fn sweep_sides<V: Lanes, const K: usize, const ROW: bool, const GX: bool>(
+    a: [SweepArgs; K],
+    prev: bool,
+) {
+    match (a[0].predict, prev) {
+        (None, false) => sweep_whole::<V, K, ROW, GX, false, NO_NEXT>(a),
+        (None, true) => sweep_whole::<V, K, ROW, GX, true, NO_NEXT>(a),
+        (Some(Predict::Copy), false) => sweep_whole::<V, K, ROW, GX, false, NEXT_COPY>(a),
+        (Some(Predict::Copy), true) => sweep_whole::<V, K, ROW, GX, true, NEXT_COPY>(a),
         (Some(Predict::Velocity { .. }), false) => {
-            sweep_whole::<V, ROW, GX, false, NEXT_VELOCITY>(a)
+            sweep_whole::<V, K, ROW, GX, false, NEXT_VELOCITY>(a)
         }
-        (Some(Predict::Velocity { .. }), true) => sweep_whole::<V, ROW, GX, true, NEXT_VELOCITY>(a),
+        (Some(Predict::Velocity { .. }), true) => {
+            sweep_whole::<V, K, ROW, GX, true, NEXT_VELOCITY>(a)
+        }
         (Some(Predict::WeightDiff { .. }), false) => {
-            sweep_whole::<V, ROW, GX, false, NEXT_WEIGHT_DIFF>(a)
+            sweep_whole::<V, K, ROW, GX, false, NEXT_WEIGHT_DIFF>(a)
         }
         (Some(Predict::WeightDiff { .. }), true) => {
-            sweep_whole::<V, ROW, GX, true, NEXT_WEIGHT_DIFF>(a)
+            sweep_whole::<V, K, ROW, GX, true, NEXT_WEIGHT_DIFF>(a)
         }
     }
 }
 
-/// The sweep of one parameter at `V`: its dense gradient as one run, or a
-/// factored one row by row, in row order.
+/// `K` consecutive updates of one parameter at `V`, update `u` under
+/// gradient `g[u]`: dense, as one run, or factored, row by row in row
+/// order, each row's `K` updates before the next row's.
 #[inline(always)]
-unsafe fn sweep_any<V: Lanes>(a: SweepArgs, g: GradView<'_>) {
-    let prev = !a.prev.is_null();
-    match g {
-        GradView::Dense(t) => {
-            sweep_sides::<V, false, false>(a.run(0, a.n, t.as_slice().as_ptr(), 0.0), prev)
-        }
-        GradView::Outer { delta, x } => {
-            for (r, &d) in delta.iter().enumerate() {
-                let a = a.run(r * x.len(), x.len(), x.as_ptr(), d);
-                if a.gx.is_null() {
-                    sweep_sides::<V, true, false>(a, prev)
-                } else {
-                    sweep_sides::<V, true, true>(a, prev)
-                }
-            }
+unsafe fn sweep_any<V: Lanes, const K: usize>(a: [SweepArgs; K], g: [GradView<'_>; K]) {
+    let (prev, gx) = (!a[0].prev.is_null(), !a[0].gx.is_null());
+    let row = matches!(g[0], GradView::Outer { .. });
+    // A dense gradient is one row of `n` columns, its `δ` unread.
+    let g = g.map(|g| match g {
+        GradView::Dense(t) => (&[0.0][..], t.as_slice()),
+        GradView::Outer { delta, x } => (delta, x),
+    });
+    let cols = g[0].1.len();
+    for r in 0..g[0].0.len() {
+        let run = std::array::from_fn(|u| a[u].run(r * cols, cols, g[u].1.as_ptr(), g[u].0[r]));
+        match (row, gx) {
+            (false, _) => sweep_sides::<V, K, false, false>(run, prev),
+            (true, false) => sweep_sides::<V, K, true, false>(run, prev),
+            (true, true) => sweep_sides::<V, K, true, true>(run, prev),
         }
     }
 }
@@ -2037,165 +2042,8 @@ pub fn sgdm_sweep(
     next: Option<(&mut [f32], Predict)>,
     gx: Option<&mut [f32]>,
 ) {
-    let n = v.len();
-    assert_eq!(w.len(), n, "sgdm_sweep: param/velocity shape mismatch");
-    assert_eq!(g.len(), n, "sgdm_sweep: grad/velocity shape mismatch");
-    let prev = prev.map_or(std::ptr::null_mut(), |p| {
-        assert_eq!(p.len(), n, "sgdm_sweep: prev shape mismatch");
-        p.as_mut_ptr()
-    });
-    let (next, predict) = match next {
-        Some((next, predict)) => {
-            assert_eq!(next.len(), n, "sgdm_sweep: next shape mismatch");
-            (next.as_mut_ptr(), Some(predict))
-        }
-        None => (std::ptr::null_mut(), None),
-    };
-    let gx = gx.map_or(std::ptr::null_mut(), |gx| {
-        match g {
-            GradView::Outer { x, .. } => {
-                assert_eq!(gx.len(), x.len(), "sgdm_sweep: gx/x shape mismatch")
-            }
-            GradView::Dense(_) => panic!("sgdm_sweep: gx needs a factored gradient"),
-        }
-        gx.as_mut_ptr()
-    });
-    let a = SweepArgs {
-        k,
-        g: std::ptr::null(),
-        delta: 0.0,
-        v: v.as_mut_ptr(),
-        w: w.as_mut_ptr(),
-        prev,
-        next,
-        gx,
-        predict,
-        n,
-    };
-    // SAFETY: the asserts bound every access: element `j < n` of `v`, `w`
-    // and of `prev` / `next` when given, of a dense `g`, and for a factored
-    // row `r` elements `r·cols + j` with `j < cols`, `x[j]` and `gx[j]`
-    // when given; a null side output is never dereferenced; the tier match
-    // proves the CPU feature.
-    unsafe {
-        match active_tier() {
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx512Fma => x86::sweep_avx512(a, g),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2Fma => x86::sweep_avx2(a, g),
-            // One lane per step, as the axpy sweep: the form the compiler
-            // vectorizes.
-            _ => sweep_any::<f32>(a, g),
-        }
-    }
-}
-
-/// Two consecutive updates of one element vector: [`sweep_step`] under
-/// `a[0]` from the stored `v`, `w`, then under `a[1]` from what the first
-/// computed, kept in registers rather than stored and reloaded — the same
-/// operations on the same values, so the same bits as two sweeps. `v`, `w`
-/// and `prev` are `a[0]`'s; `prev` receives the second update's
-/// pre-update weights, the value two sweeps leave in it.
-#[inline(always)]
-unsafe fn sweep_pair_step<V: Lanes, const GX: bool, const PREV: bool, const NEXT: u8>(
-    a: &[SweepArgs; 2],
-    c: &[SweepLanes<V>; 2],
-    j: usize,
-) {
-    let w_old = V::load(a[0].w.add(j));
-    let g = sweep_grad::<V, true>(&a[0], &c[0], j);
-    let (v, w) = sweep_update::<V, GX, NEXT>(&a[0], &c[0], j, g, V::load(a[0].v.add(j)), w_old);
-    let g = sweep_grad::<V, true>(&a[1], &c[1], j);
-    let (v2, w2) = sweep_update::<V, GX, NEXT>(&a[1], &c[1], j, g, v, w);
-    v2.store(a[0].v.add(j));
-    w2.store(a[0].w.add(j));
-    if PREV {
-        w.store(a[0].prev.add(j));
-    }
-}
-
-/// [`sweep_kernel`] for a pair of runs: [`sweep_pair_step`] over the whole
-/// vectors from element `from` on, every weight-sized stream prefetched
-/// [`SWEEP_PREFETCH`] floats ahead; returns where they end.
-#[inline(always)]
-unsafe fn sweep_pair_kernel<V: Lanes, const GX: bool, const PREV: bool, const NEXT: u8>(
-    a: [SweepArgs; 2],
-    from: usize,
-) -> usize {
-    let c = [SweepLanes::of(&a[0]), SweepLanes::of(&a[1])];
-    let mut j = from;
-    while j + LINE <= a[0].n {
-        let ahead = j + SWEEP_PREFETCH;
-        V::prefetch(a[0].v.wrapping_add(ahead));
-        V::prefetch(a[0].w.wrapping_add(ahead));
-        if PREV {
-            V::prefetch_write(a[0].prev.wrapping_add(ahead));
-        }
-        if NEXT != NO_NEXT {
-            V::prefetch_write(a[0].next.wrapping_add(ahead));
-            V::prefetch_write(a[1].next.wrapping_add(ahead));
-        }
-        for q in 0..LINE / V::N {
-            sweep_pair_step::<V, GX, PREV, NEXT>(&a, &c, j + q * V::N);
-        }
-        j += LINE;
-    }
-    while j + V::N <= a[0].n {
-        sweep_pair_step::<V, GX, PREV, NEXT>(&a, &c, j);
-        j += V::N;
-    }
-    j
-}
-
-/// [`sweep_pair_kernel`] at `V`, then at `f32` for the tail.
-#[inline(always)]
-unsafe fn sweep_pair_whole<V: Lanes, const GX: bool, const PREV: bool, const NEXT: u8>(
-    a: [SweepArgs; 2],
-) {
-    let j = sweep_pair_kernel::<V, GX, PREV, NEXT>(a, 0);
-    sweep_pair_kernel::<f32, GX, PREV, NEXT>(a, j);
-}
-
-/// [`sweep_pair_whole`] with the side outputs `a` asks for, as
-/// [`sweep_sides`].
-#[inline(always)]
-unsafe fn sweep_pair_sides<V: Lanes, const GX: bool>(a: [SweepArgs; 2], prev: bool) {
-    match (a[0].predict, prev) {
-        (None, false) => sweep_pair_whole::<V, GX, false, NO_NEXT>(a),
-        (None, true) => sweep_pair_whole::<V, GX, true, NO_NEXT>(a),
-        (Some(Predict::Copy), false) => sweep_pair_whole::<V, GX, false, NEXT_COPY>(a),
-        (Some(Predict::Copy), true) => sweep_pair_whole::<V, GX, true, NEXT_COPY>(a),
-        (Some(Predict::Velocity { .. }), false) => {
-            sweep_pair_whole::<V, GX, false, NEXT_VELOCITY>(a)
-        }
-        (Some(Predict::Velocity { .. }), true) => sweep_pair_whole::<V, GX, true, NEXT_VELOCITY>(a),
-        (Some(Predict::WeightDiff { .. }), false) => {
-            sweep_pair_whole::<V, GX, false, NEXT_WEIGHT_DIFF>(a)
-        }
-        (Some(Predict::WeightDiff { .. }), true) => {
-            sweep_pair_whole::<V, GX, true, NEXT_WEIGHT_DIFF>(a)
-        }
-    }
-}
-
-/// The pair sweep at `V`: row by row, in row order, each row's two
-/// updates from that row's `δ` of each.
-#[inline(always)]
-unsafe fn sweep_pair_any<V: Lanes>(a: [SweepArgs; 2], x: [&[f32]; 2], delta: [&[f32]; 2]) {
-    let prev = !a[0].prev.is_null();
-    let cols = x[0].len();
-    for r in 0..delta[0].len() {
-        let at = r * cols;
-        let run = [
-            a[0].run(at, cols, x[0].as_ptr(), delta[0][r]),
-            a[1].run(at, cols, x[1].as_ptr(), delta[1][r]),
-        ];
-        if a[0].gx.is_null() {
-            sweep_pair_sides::<V, false>(run, prev)
-        } else {
-            sweep_pair_sides::<V, true>(run, prev)
-        }
-    }
+    let next = next.map(|(next, predict)| ([next], [predict]));
+    sweeps([k], [g], v, w, prev, next, gx.map(|gx| [gx]));
 }
 
 /// Two consecutive [`sgdm_sweep`]s of one parameter, each under its own
@@ -2224,50 +2072,66 @@ pub fn sgdm_sweep_pair(
     next: Option<([&mut [f32]; 2], [Predict; 2])>,
     gx: Option<[&mut [f32]; 2]>,
 ) {
+    let g = g.map(|(delta, x)| GradView::Outer { delta, x });
+    sweeps(k, g, v, w, prev, next, gx);
+}
+
+/// `K` consecutive [`sgdm_sweep`]s of one parameter in one pass, update
+/// `u` under `k[u]` and `g[u]`, writing `next[u]` and adding into `gx[u]`;
+/// `prev` receives the last update's pre-update weights. The body of both
+/// public fronts.
+fn sweeps<const K: usize>(
+    k: [SweepScalars; K],
+    g: [GradView<'_>; K],
+    v: &mut [f32],
+    w: &mut [f32],
+    prev: Option<&mut [f32]>,
+    next: Option<([&mut [f32]; K], [Predict; K])>,
+    gx: Option<[&mut [f32]; K]>,
+) {
     let n = v.len();
-    let [(delta0, x0), (delta1, x1)] = g;
-    assert_eq!(w.len(), n, "sgdm_sweep_pair: param/velocity shape mismatch");
-    assert_eq!(
-        delta0.len(),
-        delta1.len(),
-        "sgdm_sweep_pair: row counts differ"
-    );
-    assert_eq!(x0.len(), x1.len(), "sgdm_sweep_pair: column counts differ");
-    assert_eq!(
-        delta0.len() * x0.len(),
-        n,
-        "sgdm_sweep_pair: grad/velocity shape mismatch"
-    );
+    assert_eq!(w.len(), n, "sgdm_sweep: param/velocity shape mismatch");
+    let shape = |g: &GradView| match *g {
+        GradView::Dense(t) => (None, t.len()),
+        GradView::Outer { delta, x } => (Some(delta.len()), x.len()),
+    };
+    for gu in &g {
+        assert_eq!(gu.len(), n, "sgdm_sweep: grad/velocity shape mismatch");
+        assert_eq!(
+            shape(gu),
+            shape(&g[0]),
+            "sgdm_sweep: gradient shapes differ"
+        );
+    }
     let prev = prev.map_or(std::ptr::null_mut(), |p| {
-        assert_eq!(p.len(), n, "sgdm_sweep_pair: prev shape mismatch");
+        assert_eq!(p.len(), n, "sgdm_sweep: prev shape mismatch");
         p.as_mut_ptr()
     });
     let (next, predict) = match next {
-        Some(([n0, n1], [p0, p1])) => {
-            assert_eq!(
-                (n0.len(), n1.len()),
-                (n, n),
-                "sgdm_sweep_pair: next shape mismatch"
-            );
-            assert_eq!(
-                std::mem::discriminant(&p0),
-                std::mem::discriminant(&p1),
-                "sgdm_sweep_pair: next forms differ"
-            );
-            ([n0.as_mut_ptr(), n1.as_mut_ptr()], [Some(p0), Some(p1)])
+        Some((next, predict)) => {
+            for next in &next {
+                assert_eq!(next.len(), n, "sgdm_sweep: next shape mismatch");
+            }
+            let form = |p: &Predict| std::mem::discriminant(p);
+            let same = predict.iter().all(|p| form(p) == form(&predict[0]));
+            assert!(same, "sgdm_sweep: next forms differ");
+            (next.map(|next| next.as_mut_ptr()), predict.map(Some))
         }
-        None => ([std::ptr::null_mut(); 2], [None; 2]),
+        None => ([std::ptr::null_mut(); K], [None; K]),
     };
-    let gx = gx.map_or([std::ptr::null_mut(); 2], |[g0, g1]| {
-        assert_eq!(
-            (g0.len(), g1.len()),
-            (x0.len(), x0.len()),
-            "sgdm_sweep_pair: gx/x shape mismatch"
-        );
-        [g0.as_mut_ptr(), g1.as_mut_ptr()]
+    let gx = gx.map_or([std::ptr::null_mut(); K], |gx| {
+        for (gx, g) in gx.iter().zip(&g) {
+            match *g {
+                GradView::Outer { x, .. } => {
+                    assert_eq!(gx.len(), x.len(), "sgdm_sweep: gx/x shape mismatch")
+                }
+                GradView::Dense(_) => panic!("sgdm_sweep: gx needs a factored gradient"),
+            }
+        }
+        gx.map(|gx| gx.as_mut_ptr())
     });
     let (v, w) = (v.as_mut_ptr(), w.as_mut_ptr());
-    let args = |u: usize| SweepArgs {
+    let a = std::array::from_fn(|u| SweepArgs {
         k: k[u],
         g: std::ptr::null(),
         delta: 0.0,
@@ -2278,21 +2142,22 @@ pub fn sgdm_sweep_pair(
         gx: gx[u],
         predict: predict[u],
         n,
-    };
-    let a = [args(0), args(1)];
-    let (x, delta) = ([x0, x1], [delta0, delta1]);
-    // SAFETY: as `sgdm_sweep`'s: the asserts bound every access — element
-    // `r·cols + j` of `v`, `w` and of `prev` / each `next` when given, for
-    // row `r < rows` and `j < cols`, `x[u][j]` and `gx[u][j]` when given;
+    });
+    // SAFETY: the asserts bound every access: element `j < n` of `v`, `w`
+    // and of `prev` / each `next` when given, of a dense `g`, and for a
+    // factored row `r` — every update's gradient has the first's shape —
+    // elements `r·cols + j` with `j < cols`, `x[j]` and `gx[j]` when given;
     // a null side output is never dereferenced; the tier match proves the
     // CPU feature.
     unsafe {
         match active_tier() {
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx512Fma => x86::sweep_pair_avx512(a, x, delta),
+            SimdTier::Avx512Fma => x86::sweep_avx512(a, g),
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2Fma => x86::sweep_pair_avx2(a, x, delta),
-            _ => sweep_pair_any::<f32>(a, x, delta),
+            SimdTier::Avx2Fma => x86::sweep_avx2(a, g),
+            // One lane per step, as the axpy sweep: the form the compiler
+            // vectorizes.
+            _ => sweep_any::<f32, K>(a, g),
         }
     }
 }
@@ -2739,26 +2604,14 @@ mod x86 {
 
     /// See [`conv_forward_avx2`]. Two `__m256` a cache line.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn sweep_avx2(a: SweepArgs, g: GradView<'_>) {
-        super::sweep_any::<__m256>(a, g)
+    pub(super) unsafe fn sweep_avx2<const K: usize>(a: [SweepArgs; K], g: [GradView<'_>; K]) {
+        super::sweep_any::<__m256, K>(a, g)
     }
 
     /// See [`conv_forward_avx2`]. One `__m512` a cache line.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn sweep_avx512(a: SweepArgs, g: GradView<'_>) {
-        super::sweep_any::<__m512>(a, g)
-    }
-
-    /// See [`conv_forward_avx2`]. Two `__m256` a cache line.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn sweep_pair_avx2(a: [SweepArgs; 2], x: [&[f32]; 2], delta: [&[f32]; 2]) {
-        super::sweep_pair_any::<__m256>(a, x, delta)
-    }
-
-    /// See [`conv_forward_avx2`]. One `__m512` a cache line.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn sweep_pair_avx512(a: [SweepArgs; 2], x: [&[f32]; 2], delta: [&[f32]; 2]) {
-        super::sweep_pair_any::<__m512>(a, x, delta)
+    pub(super) unsafe fn sweep_avx512<const K: usize>(a: [SweepArgs; K], g: [GradView<'_>; K]) {
+        super::sweep_any::<__m512, K>(a, g)
     }
 }
 
@@ -3335,7 +3188,7 @@ mod tests {
     /// update, rows of every width to past two `__m512` cache lines and one
     /// reaching the prefetch distance, edge-case inputs.
     #[test]
-    fn sgdm_sweep_pair_is_two_sweeps_on_every_tier() {
+    fn a_pair_sweep_is_two_sweeps_on_every_tier() {
         let _g = tier_lock();
         let tiers: Vec<SimdTier> = [SimdTier::Scalar, SimdTier::Avx2Fma, SimdTier::Avx512Fma]
             .into_iter()

@@ -48,8 +48,20 @@ lint_only_in 'Action::BackwardInput' 'schedule|group'
 lint_only_in 'can_forward(' 'group|rank'
 lint_only_in 'group.forward(' 'rank'
 lint_only_in 'group.backward(' 'rank'
-lint_only_in '.backward_pair(' 'rank'
 lint_only_in '.loss(&' 'rank'
+# One lent backward (DESIGN §15): a backward that takes one own-window
+# microbatch's update, or two consecutive ones', runs one path at every
+# layer — one ParamStep, one StageOptimizer::step_outer_into, one sweep
+# family generic over the count, one backward step carrying its count.
+# The pair-only copies of each stay retired. Needles are split so this
+# file does not contain them.
+stray=$(git grep -lE 'Pair''Step|Lent''Pair|backward_input''_pair|step_outer_pair''_into|sweep_param''_pair|sweep_pair''_|Backward''Pair' \
+  -- . ':!*.md' || true)
+if [[ -n $stray ]]; then
+  echo "a retired pair-only lent backward is named again:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
 # Only the virtual host (timeline.rs) writes virtual spans, each for an
 # action a RankLoop::step it just ran executed: a second scheduler drawing
 # the schedule from its own rules must not reappear. pbp-trace's lib.rs and
@@ -279,11 +291,13 @@ if [[ -n $stray ]]; then
 fi
 
 echo "== one source for the update sweep (grep lint) =="
-# Every optimizer step is one per-tier kernel, simd::sgdm_sweep (DESIGN
-# §15), reached only through SgdmState::sweep in sgdm.rs: a second update
-# loop beside it would be a second rounding of SGDM + SC + LWP. Prefetch
+# Every optimizer step is one per-tier kernel family, simd::sgdm_sweep and
+# its two-update front sgdm_sweep_pair (DESIGN §15), reached only through
+# SgdmState in sgdm.rs: a second update loop beside it would be a second
+# rounding of SGDM + SC + LWP. Prefetch
 # hints are the kernels' business, issued through `Lanes` in simd.rs.
 lint_only_in 'sgdm_sweep(' 'simd|sgdm'
+lint_only_in 'sgdm_sweep_pair(' 'simd|sgdm'
 lint_only_in '_mm_prefetch' 'simd'
 
 echo "== one source for the GroupNorm statistics (grep lint) =="
@@ -377,6 +391,7 @@ echo "== env escape hatches (PBP_SIMD / PBP_THREADS read from the environment, n
 # suite and the engines' bit-identity run on each tier too.
 for tier in 0 avx2; do
   PBP_SIMD=$tier cargo test -q --test proptest_kernels
+  PBP_SIMD=$tier cargo test -q -p pbp-dist --test pair_equivalence
   PBP_SIMD=$tier cargo test -q -p pbp-optim
   PBP_SIMD=$tier cargo test -q --test engine_equivalence
   PBP_SIMD=$tier cargo test -q -p pbp-nn --test eval_equivalence
