@@ -30,7 +30,7 @@ pub trait ParamStep {
     );
 }
 
-/// A network layer with an explicit backward pass.
+/// A network layer with an explicit backward pass in two halves.
 ///
 /// ## Contract
 ///
@@ -38,19 +38,31 @@ pub trait ParamStep {
 ///   its outputs, and — in training mode, see [`Layer::set_training`] —
 ///   **stashes** whatever it needs for the corresponding backward pass in
 ///   an internal FIFO.
-/// * [`Layer::backward`] pops the gradients for its forward *outputs* from
-///   the gradient stack (same positions), pushes the gradients for its
-///   forward *inputs*, pops the oldest stashed activation, and accumulates
-///   parameter gradients internally.
+/// * The backward is two halves, 2BP's `∂L/∂z` and `∂L/∂w` passes.
+///   [`Layer::backward_input`] pops the gradients for its forward
+///   *outputs* from the gradient stack (same positions), pushes the
+///   gradients for its forward *inputs* and pops the oldest stashed
+///   activation. [`Layer::backward_weight`] then accumulates that
+///   backward's parameter gradients inside the layer. A layer may do the
+///   second half inside the first (its `backward_weight` is then the
+///   default no-op); one that defers it must read no current weight in
+///   it, so that deferring it to the update boundary changes no bit.
+///   Every whole backward — [`crate::Stage::backward`],
+///   [`crate::Network::backward`] — is `backward_input` immediately
+///   followed by `backward_weight`.
 /// * Calls must be FIFO-consistent: the `k`-th backward call consumes the
-///   stash of the `k`-th outstanding forward call. This is exactly the
-///   discipline pipelined backpropagation imposes — several samples may be
-///   in flight through a stage at once, and gradients return in order.
+///   stash of the `k`-th outstanding forward call, and the `k`-th
+///   `backward_weight` retires the `k`-th `backward_input`'s half. This is
+///   exactly the discipline pipelined backpropagation imposes — several
+///   samples may be in flight through a stage at once, and gradients
+///   return in order.
 ///
-/// Parameter access ([`Layer::params`]/[`Layer::params_mut`]) is positional
-/// and stable, which the pipeline engines rely on to snapshot, predict and
-/// restore weight versions. `Any` lets a [`crate::Stage`] recognise the
-/// layer pairs it runs as one pass in eval mode ([`crate::Stage::forward`]).
+/// Parameters are read through [`Layer::params`] and written, beside
+/// their gradients, through [`Layer::params_and_grads`]; both are
+/// positional and stable, which the pipeline engines rely on to snapshot,
+/// predict and restore weight versions. `Any` lets a [`crate::Stage`]
+/// recognise the layer pairs it runs as one pass in eval mode
+/// ([`crate::Stage::forward`]).
 pub trait Layer: Send + Any {
     /// Human-readable layer name (used in stage listings and diagnostics).
     fn name(&self) -> String;
@@ -58,24 +70,14 @@ pub trait Layer: Send + Any {
     /// Runs the forward transformation in place on the lane stack.
     fn forward(&mut self, stack: &mut LaneStack);
 
-    /// Runs the backward transformation in place on the gradient stack.
-    fn backward(&mut self, grad_stack: &mut LaneStack);
-
-    /// Input-gradient half of the backward pass, for schedules that split
-    /// backward into grad-input and grad-weight (2BP): pops the output
-    /// gradients, pushes the input gradients, and *defers* the parameter
-    /// gradients — each call enqueues one unit of pending weight-gradient
-    /// work that a later [`Layer::backward_weight`] call retires.
-    ///
-    /// The default runs the fused [`Layer::backward`] (parameter gradients
-    /// accumulate immediately), leaving nothing deferred — correct for
-    /// parameterless layers and for layers whose parameter gradients depend
-    /// on intermediate values the fused pass computes anyway. Callers must
-    /// pair every `backward_input` with exactly one `backward_weight`, in
-    /// FIFO order, before the next [`Layer::zero_grads`].
-    fn backward_input(&mut self, grad_stack: &mut LaneStack) {
-        self.backward(grad_stack);
-    }
+    /// Input-gradient half of the backward pass: pops the output
+    /// gradients, pushes the input gradients, and either accumulates the
+    /// parameter gradients at once or *defers* them — enqueues one unit of
+    /// pending weight-gradient work that a later [`Layer::backward_weight`]
+    /// call retires. Callers pair every `backward_input` with exactly one
+    /// `backward_weight`, in FIFO order, before the next
+    /// [`Layer::zero_grads`].
+    fn backward_input(&mut self, grad_stack: &mut LaneStack);
 
     /// [`Layer::backward_input`] for consecutive microbatches, each its own
     /// update window, whose output gradients are on `grads` in order: the
@@ -127,8 +129,9 @@ pub trait Layer: Send + Any {
     /// [`Layer::backward_input`], accumulating into the parameter-gradient
     /// buffers. The gradients it produces depend only on values stashed at
     /// `backward_input` time (never on the current weights), which is what
-    /// makes deferring them to the update boundary exact. Default: no-op
-    /// (the fused default of `backward_input` left nothing pending).
+    /// makes deferring them to the update boundary exact. Default: no-op,
+    /// for layers without parameters and for layers whose parameter
+    /// gradients `backward_input` accumulates itself.
     fn backward_weight(&mut self) {}
 
     /// Borrows the trainable parameters (possibly empty).
@@ -136,29 +139,19 @@ pub trait Layer: Send + Any {
         Vec::new()
     }
 
-    /// Mutably borrows the trainable parameters (possibly empty).
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
-
-    /// Views of the accumulated parameter gradients, aligned with
-    /// [`Layer::params`]. A layer may hand out a factored
-    /// [`GradView::Outer`] only while it stands, bit for bit, for the dense
-    /// gradient the layer would otherwise have accumulated since
-    /// [`Layer::zero_grads`]; with no contribution since then every view
-    /// reads as zeros.
-    fn grads(&self) -> Vec<GradView<'_>> {
-        Vec::new()
-    }
-
-    /// Simultaneously borrows every parameter mutably together with its
-    /// accumulated gradient, in [`Layer::params`] order.
+    /// Simultaneously borrows every parameter mutably together with a view
+    /// of its accumulated gradient, in [`Layer::params`] order: the one
+    /// write path to the parameters, and the one read path to the
+    /// gradients.
     ///
-    /// This is the optimizer-facing access path: it lets an engine step the
-    /// weights of a stage directly against the freshly accumulated gradients
-    /// without cloning them first. The split borrow across a layer's
-    /// parameter and gradient fields is only expressible inside the layer,
-    /// so every layer with parameters must override this.
+    /// It lets an engine step the weights of a stage directly against the
+    /// freshly accumulated gradients without cloning them first. The split
+    /// borrow across a layer's parameter and gradient fields is only
+    /// expressible inside the layer, so every layer with parameters must
+    /// override this. A layer may hand out a factored [`GradView::Outer`]
+    /// only while it stands, bit for bit, for the dense gradient the layer
+    /// would otherwise have accumulated since [`Layer::zero_grads`]; with
+    /// no contribution since then every view reads as zeros.
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
         assert!(
             self.params().is_empty(),
@@ -179,11 +172,11 @@ pub trait Layer: Send + Any {
     /// nothing else: it may consume the tensor it popped (normalize or
     /// rectify it in place, move its buffer on) and stashes no activation,
     /// so an eval-mode forward leaves nothing behind for
-    /// [`Layer::clear_stash`] to drop, and a [`Layer::backward`] after it
-    /// meets the layer's "no stash" panic. The output is bit for bit the
-    /// training-mode one wherever the two modes compute the same function.
-    /// Layers get the stash half of this by keeping their operands in a
-    /// `Stash`, which drops what it is handed in eval mode.
+    /// [`Layer::clear_stash`] to drop, and a [`Layer::backward_input`]
+    /// after it meets the layer's "no stash" panic. The output is bit for
+    /// bit the training-mode one wherever the two modes compute the same
+    /// function. Layers get the stash half of this by keeping their
+    /// operands in a `Stash`, which drops what it is handed in eval mode.
     fn set_training(&mut self, _training: bool) {}
 
     /// Drops all stashed activations: when a pipeline is flushed, or after
@@ -283,11 +276,24 @@ impl<T> Stash<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::layers::Linear;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A whole backward: the two halves back to back.
+    pub(crate) fn full_backward(layer: &mut dyn Layer, grad_stack: &mut LaneStack) {
+        layer.backward_input(grad_stack);
+        layer.backward_weight();
+    }
+
+    /// The views of `layer`'s accumulated parameter gradients, in
+    /// [`Layer::params`] order.
+    pub(crate) fn grad_views(layer: &mut dyn Layer) -> Vec<GradView<'_>> {
+        let pairs = layer.params_and_grads();
+        pairs.into_iter().map(|(_, g)| g).collect()
+    }
 
     #[test]
     fn param_count_sums_tensors() {

@@ -49,7 +49,7 @@ impl Layer for Relu {
         stack.push(x);
     }
 
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
+    fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         let mut g = grad_stack.pop().expect("relu: empty grad stack");
         let mask = self.stash.pop_front().expect("relu: no stashed mask");
         g.mul_assign(&mask).expect("same shape");
@@ -123,7 +123,7 @@ impl Layer for Dropout {
         stack.push(y);
     }
 
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
+    fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("dropout: empty grad stack");
         match self.stash.pop_front().expect("dropout: no stashed mask") {
             Some(mask) => grad_stack.push(g.mul(&mask).expect("same shape")),
@@ -177,7 +177,7 @@ mod tests {
         relu.forward(&mut s);
         assert_eq!(s[0].as_slice(), &[0.0, 2.0, 0.0, 4.0]);
         let mut g = vec![Tensor::from_slice(&[1.0, 1.0, 1.0, 1.0])];
-        relu.backward(&mut g);
+        relu.backward_input(&mut g);
         assert_eq!(g[0].as_slice(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -187,7 +187,7 @@ mod tests {
         let mut s = vec![Tensor::from_slice(&[0.0])];
         relu.forward(&mut s);
         let mut g = vec![Tensor::from_slice(&[5.0])];
-        relu.backward(&mut g);
+        relu.backward_input(&mut g);
         assert_eq!(g[0].as_slice(), &[0.0]);
     }
 
@@ -201,7 +201,7 @@ mod tests {
         d.forward(&mut s);
         assert_eq!(s[0].as_slice(), x.as_slice());
         let mut g = vec![Tensor::ones(&[3])];
-        d.backward(&mut g);
+        d.backward_input(&mut g);
     }
 
     #[test]
@@ -221,7 +221,7 @@ mod tests {
         d.forward(&mut s);
         let y = s.pop().unwrap();
         let mut g = vec![Tensor::ones(&[64])];
-        d.backward(&mut g);
+        d.backward_input(&mut g);
         // Gradient must be zero exactly where the output was zeroed.
         for (yv, gv) in y.as_slice().iter().zip(g[0].as_slice()) {
             assert_eq!(*yv == 0.0, *gv == 0.0);

@@ -75,38 +75,6 @@ impl Conv2d {
     pub fn spec(&self) -> &Conv2dSpec {
         &self.spec
     }
-
-    /// Input gradient of `g` under the current weights; of the stashed
-    /// input only the spatial size is read.
-    fn input_grad(&self, g: &Tensor, x: &StagedImages) -> Tensor {
-        let [_, _, h, w] = x.input_shape();
-        conv2d_direct_backward_input(g, &self.weight, (h, w), &self.spec).expect("conv2d shapes")
-    }
-
-    /// Adds the weight gradient of `(g, x)` straight into the layer's, and
-    /// the bias gradient into its own — the weight half shared by the
-    /// fused backward and [`Layer::backward_weight`]. Reads no current
-    /// weights, so running it at the update boundary instead of backward
-    /// time is exact. Dropping `x` hands its buffer to the next forward.
-    fn accumulate_weight_grads(&mut self, g: &Tensor, x: StagedImages) {
-        conv2d_direct_backward_weight_staged(g, &x, &mut self.grad_weight)
-            .expect("conv2d grad shapes");
-        if let Some(gb) = &mut self.grad_bias {
-            let [n, oc, oh, ow] = [g.shape()[0], g.shape()[1], g.shape()[2], g.shape()[3]];
-            let gs = g.as_slice();
-            let gbs = gb.as_mut_slice();
-            for ni in 0..n {
-                for c in 0..oc {
-                    let base = (ni * oc + c) * oh * ow;
-                    let mut acc = 0.0f32;
-                    for p in 0..oh * ow {
-                        acc += gs[base + p];
-                    }
-                    gbs[c] += acc;
-                }
-            }
-        }
-    }
 }
 
 impl Layer for Conv2d {
@@ -149,20 +117,17 @@ impl Layer for Conv2d {
         stack.push(y);
     }
 
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
-        let g = grad_stack.pop().expect("conv2d: empty grad stack");
-        let x = self.stash.pop_front().expect("conv2d: no stashed input");
-        grad_stack.push(self.input_grad(&g, &x));
-        self.accumulate_weight_grads(&g, x);
-    }
-
     fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("conv2d: empty grad stack");
         let x = self.stash.pop_front().expect("conv2d: no stashed input");
         // The input gradient reads the *current* weights, so it stays on
         // the critical path; the weight half depends only on (g, x) and is
         // deferred.
-        grad_stack.push(self.input_grad(&g, &x));
+        let [_, _, h, w] = x.input_shape();
+        grad_stack.push(
+            conv2d_direct_backward_input(&g, &self.weight, (h, w), &self.spec)
+                .expect("conv2d shapes"),
+        );
         self.wgrad_pending.push_back((g, x));
     }
 
@@ -174,32 +139,39 @@ impl Layer for Conv2d {
         self.wgrad_pending.push_back((g, x));
     }
 
+    /// Adds the oldest deferred backward's weight gradient straight into
+    /// the layer's, and its bias gradient into its own. Reads no current
+    /// weights, so running it at the update boundary instead of backward
+    /// time is exact. Dropping the staged input hands its buffer to the
+    /// next forward.
     fn backward_weight(&mut self) {
         let (g, x) = self
             .wgrad_pending
             .pop_front()
             .expect("conv2d: no deferred weight-gradient work");
-        self.accumulate_weight_grads(&g, x);
+        conv2d_direct_backward_weight_staged(&g, &x, &mut self.grad_weight)
+            .expect("conv2d grad shapes");
+        if let Some(gb) = &mut self.grad_bias {
+            let [n, oc, oh, ow] = [g.shape()[0], g.shape()[1], g.shape()[2], g.shape()[3]];
+            let gs = g.as_slice();
+            let gbs = gb.as_mut_slice();
+            for ni in 0..n {
+                for c in 0..oc {
+                    let base = (ni * oc + c) * oh * ow;
+                    let mut acc = 0.0f32;
+                    for p in 0..oh * ow {
+                        acc += gs[base + p];
+                    }
+                    gbs[c] += acc;
+                }
+            }
+        }
     }
 
     fn params(&self) -> Vec<&Tensor> {
         match &self.bias {
             Some(b) => vec![&self.weight, b],
             None => vec![&self.weight],
-        }
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        match &mut self.bias {
-            Some(b) => vec![&mut self.weight, b],
-            None => vec![&mut self.weight],
-        }
-    }
-
-    fn grads(&self) -> Vec<GradView<'_>> {
-        match &self.grad_bias {
-            Some(gb) => vec![(&self.grad_weight).into(), gb.into()],
-            None => vec![(&self.grad_weight).into()],
         }
     }
 
@@ -253,6 +225,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{full_backward, grad_views};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -274,10 +247,10 @@ mod tests {
         layer.forward(&mut s);
         let y = s.pop().unwrap();
         let mut g = vec![Tensor::ones(y.shape())];
-        layer.backward(&mut g);
+        full_backward(&mut layer, &mut g);
         let gx = g.pop().unwrap();
-        let gw = layer.grads()[0].dense().into_owned();
-        let gb = layer.grads()[1].dense().into_owned();
+        let gw = grad_views(&mut layer)[0].dense().into_owned();
+        let gb = grad_views(&mut layer)[1].dense().into_owned();
 
         let eps = 1e-2f32;
         for idx in [0usize, 9, 31] {
@@ -326,11 +299,13 @@ mod tests {
             let mut s = vec![x.clone()];
             split.forward(&mut s);
         }
-        // Two samples in flight: backward_input twice, then retire both
-        // deferred weight-gradient units — the 2BP call pattern.
+        // Two samples in flight. Fused: each backward_input straight
+        // followed by its backward_weight. Split: backward_input twice,
+        // then retire both deferred weight-gradient units — the 2BP call
+        // pattern.
         for g in &gs {
             let mut gs1 = vec![g.clone()];
-            fused.backward(&mut gs1);
+            full_backward(&mut fused, &mut gs1);
             fused_gx.push(gs1.pop().unwrap());
             let mut gs2 = vec![g.clone()];
             split.backward_input(&mut gs2);
@@ -343,7 +318,7 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "input grads differ");
             }
         }
-        for (a, b) in fused.grads().iter().zip(split.grads()) {
+        for (a, b) in grad_views(&mut fused).iter().zip(grad_views(&mut split)) {
             for (x, y) in a.dense().as_slice().iter().zip(b.dense().as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
             }
@@ -372,7 +347,7 @@ mod tests {
         assert!(gs.is_empty(), "no input gradient pushed");
         read.backward_weight();
         unread.backward_weight();
-        for (a, b) in read.grads().iter().zip(unread.grads()) {
+        for (a, b) in grad_views(&mut read).iter().zip(grad_views(&mut unread)) {
             for (x, y) in a.dense().as_slice().iter().zip(b.dense().as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
             }
@@ -396,7 +371,7 @@ mod tests {
         let y = s.pop().unwrap();
         let g = pbp_tensor::normal(y.shape(), 0.0, 1.0, &mut rng);
         let mut gs = vec![g.clone()];
-        batched.backward(&mut gs);
+        full_backward(&mut batched, &mut gs);
         let gx = gs.pop().unwrap();
 
         let rows = |t: &Tensor, i: usize| {
@@ -412,13 +387,13 @@ mod tests {
         }
         for i in 0..n {
             let mut gs = vec![rows(&g, i)];
-            single.backward(&mut gs);
+            full_backward(&mut single, &mut gs);
             gxs.extend_from_slice(gs[0].as_slice());
         }
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(y.as_slice()), bits(&ys), "outputs");
         assert_eq!(bits(gx.as_slice()), bits(&gxs), "input gradients");
-        for (a, b) in batched.grads().iter().zip(single.grads()) {
+        for (a, b) in grad_views(&mut batched).iter().zip(grad_views(&mut single)) {
             assert_eq!(
                 bits(a.dense().as_slice()),
                 bits(b.dense().as_slice()),
@@ -440,12 +415,12 @@ mod tests {
         layer.forward(&mut s2);
         // First backward consumes x1's stash: weight grad must be nonzero.
         let mut g = vec![Tensor::ones(&y1_shape)];
-        layer.backward(&mut g);
-        assert!(layer.grads()[0].dense().norm() > 0.0);
+        full_backward(&mut layer, &mut g);
+        assert!(grad_views(&mut layer)[0].dense().norm() > 0.0);
         layer.zero_grads();
         // Second backward consumes x2 (zeros): weight grad stays zero.
         let mut g2 = vec![Tensor::ones(&y1_shape)];
-        layer.backward(&mut g2);
-        assert_eq!(layer.grads()[0].dense().norm(), 0.0);
+        full_backward(&mut layer, &mut g2);
+        assert_eq!(grad_views(&mut layer)[0].dense().norm(), 0.0);
     }
 }

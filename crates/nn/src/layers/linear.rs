@@ -45,19 +45,6 @@ pub struct Linear {
     out_features: usize,
 }
 
-/// The weight gradient as the layer holds it: the held pair, else the
-/// dense accumulator. A free function so `params_and_grads` can borrow the
-/// weight mutably beside it.
-fn weight_grad<'a>(held: &'a Option<(Tensor, Tensor)>, dense: &'a Tensor) -> GradView<'a> {
-    match held {
-        Some((g, x)) => GradView::Outer {
-            delta: g.as_slice(),
-            x: x.as_slice(),
-        },
-        None => GradView::Dense(dense),
-    }
-}
-
 impl Linear {
     /// Creates a He-initialized linear layer.
     pub fn new(in_features: usize, out_features: usize, bias: bool, rng: &mut impl Rng) -> Self {
@@ -73,38 +60,6 @@ impl Linear {
             in_features,
             out_features,
         }
-    }
-
-    /// Adds one backward pass's `gᵀ·x` to the weight gradient (held
-    /// factored or accumulated densely, see the type docs) and its column
-    /// sums to the bias gradient — the weight half shared by the fused
-    /// backward and [`Layer::backward_weight`]. Reads no current weights,
-    /// so running it at the update boundary instead of backward time is
-    /// exact.
-    fn accumulate_weight_grads(&mut self, g: Tensor, x: Tensor) {
-        if let Some(gb) = &mut self.grad_bias {
-            let (n, o) = (g.shape()[0], self.out_features);
-            let gs = g.as_slice();
-            let gbs = gb.as_mut_slice();
-            for ni in 0..n {
-                for oi in 0..o {
-                    gbs[oi] += gs[ni * o + oi];
-                }
-            }
-        }
-        if !self.dense_dirty && self.held.is_none() && g.shape()[0] == 1 {
-            self.held = Some((g, x));
-            return;
-        }
-        if let Some((g0, x0)) = self.held.take() {
-            let (m, n) = (self.out_features, self.in_features);
-            let gw = self.grad_weight.as_mut_slice();
-            gemm_tn(g0.as_slice(), x0.as_slice(), gw, m, 1, n, false);
-        }
-        // grad_weight += gᵀ · x  ([out,N]ᵀ·[N,in] → [out,in]), accumulated
-        // in place by the tiled transpose-A GEMM — no temporary.
-        matmul_tn_acc(&g, &x, &mut self.grad_weight).expect("linear grad shapes");
-        self.dense_dirty = true;
     }
 
     /// Input feature count.
@@ -146,14 +101,6 @@ impl Layer for Linear {
         }
         self.stash.push_back(x2);
         stack.push(y);
-    }
-
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
-        let g = grad_stack.pop().expect("linear: empty grad stack");
-        let x = self.stash.pop_front().expect("linear: no stashed input");
-        let gx = g.matmul(&self.weight).expect("linear grad shapes");
-        grad_stack.push(gx);
-        self.accumulate_weight_grads(g, x);
     }
 
     fn backward_input(&mut self, grad_stack: &mut LaneStack) {
@@ -231,12 +178,38 @@ impl Layer for Linear {
         self.wgrad_pending.push_back((g, x));
     }
 
+    /// Adds the oldest deferred backward's `gᵀ·x` to the weight gradient
+    /// (held factored or accumulated densely, see the type docs) and its
+    /// column sums to the bias gradient. Reads no current weights, so
+    /// running it at the update boundary instead of backward time is exact.
     fn backward_weight(&mut self) {
         let (g, x) = self
             .wgrad_pending
             .pop_front()
             .expect("linear: no deferred weight-gradient work");
-        self.accumulate_weight_grads(g, x);
+        if let Some(gb) = &mut self.grad_bias {
+            let (n, o) = (g.shape()[0], self.out_features);
+            let gs = g.as_slice();
+            let gbs = gb.as_mut_slice();
+            for ni in 0..n {
+                for oi in 0..o {
+                    gbs[oi] += gs[ni * o + oi];
+                }
+            }
+        }
+        if !self.dense_dirty && self.held.is_none() && g.shape()[0] == 1 {
+            self.held = Some((g, x));
+            return;
+        }
+        if let Some((g0, x0)) = self.held.take() {
+            let (m, n) = (self.out_features, self.in_features);
+            let gw = self.grad_weight.as_mut_slice();
+            gemm_tn(g0.as_slice(), x0.as_slice(), gw, m, 1, n, false);
+        }
+        // grad_weight += gᵀ · x  ([out,N]ᵀ·[N,in] → [out,in]), accumulated
+        // in place by the tiled transpose-A GEMM — no temporary.
+        matmul_tn_acc(&g, &x, &mut self.grad_weight).expect("linear grad shapes");
+        self.dense_dirty = true;
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -246,23 +219,16 @@ impl Layer for Linear {
         }
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        match &mut self.bias {
-            Some(b) => vec![&mut self.weight, b],
-            None => vec![&mut self.weight],
-        }
-    }
-
-    fn grads(&self) -> Vec<GradView<'_>> {
-        let gw = weight_grad(&self.held, &self.grad_weight);
-        match &self.grad_bias {
-            Some(gb) => vec![gw, gb.into()],
-            None => vec![gw],
-        }
-    }
-
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
-        let gw = weight_grad(&self.held, &self.grad_weight);
+        // The weight gradient as the layer holds it: the held pair, else
+        // the dense accumulator.
+        let gw = match &self.held {
+            Some((g, x)) => GradView::Outer {
+                delta: g.as_slice(),
+                x: x.as_slice(),
+            },
+            None => GradView::Dense(&self.grad_weight),
+        };
         match (&mut self.bias, &self.grad_bias) {
             (Some(b), Some(gb)) => vec![(&mut self.weight, gw), (b, gb.into())],
             _ => vec![(&mut self.weight, gw)],
@@ -308,6 +274,7 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{full_backward, grad_views};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -320,7 +287,7 @@ mod tests {
         layer.forward(&mut stack);
         let y = stack.pop().unwrap();
         let mut gstack = vec![Tensor::ones(y.shape())];
-        layer.backward(&mut gstack);
+        full_backward(&mut layer, &mut gstack);
         let gx = gstack.pop().unwrap();
 
         let eps = 1e-2f32;
@@ -345,7 +312,7 @@ mod tests {
             );
         }
         // Weight gradient.
-        let gw = layer.grads()[0].dense().into_owned();
+        let gw = grad_views(&mut layer)[0].dense().into_owned();
         for idx in [0usize, 7, 11] {
             let orig = layer.weight.as_slice()[idx];
             layer.weight.as_mut_slice()[idx] = orig + eps;
@@ -384,13 +351,13 @@ mod tests {
         layer.forward(&mut s2);
         // Backward in FIFO order: first backward must use x1's stash.
         let mut g = vec![Tensor::ones(&[1, 2])];
-        layer.backward(&mut g);
-        let gw_after_first = layer.grads()[0].dense().into_owned();
+        full_backward(&mut layer, &mut g);
+        let gw_after_first = grad_views(&mut layer)[0].dense().into_owned();
         // dW from sample 1 alone: gᵀ·x1 puts mass only in column 0.
         assert!(gw_after_first.as_slice()[0] != 0.0);
         assert_eq!(gw_after_first.as_slice()[1], 0.0);
         let mut g2 = vec![Tensor::ones(&[1, 2])];
-        layer.backward(&mut g2);
+        full_backward(&mut layer, &mut g2);
     }
 
     #[test]
@@ -399,8 +366,10 @@ mod tests {
         let mut fused = Linear::new(5, 3, true, &mut rng);
         let mut rng = StdRng::seed_from_u64(4);
         let mut split = Linear::new(5, 3, true, &mut rng);
-        // Two samples in flight: backward_input twice, then retire both
-        // deferred weight-gradient units — the 2BP call pattern.
+        // Two samples in flight. Fused: each backward_input straight
+        // followed by its backward_weight. Split: backward_input twice,
+        // then retire both deferred weight-gradient units — the 2BP call
+        // pattern.
         let xs: Vec<Tensor> = (0..2)
             .map(|i| pbp_tensor::normal(&[1, 5], 0.0, 1.0, &mut StdRng::seed_from_u64(10 + i)))
             .collect();
@@ -417,7 +386,7 @@ mod tests {
         }
         for g in &gs {
             let mut gs1 = vec![g.clone()];
-            fused.backward(&mut gs1);
+            full_backward(&mut fused, &mut gs1);
             fused_gx.push(gs1.pop().unwrap());
             let mut gs2 = vec![g.clone()];
             split.backward_input(&mut gs2);
@@ -430,7 +399,7 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "input grads differ");
             }
         }
-        for (a, b) in fused.grads().iter().zip(split.grads()) {
+        for (a, b) in grad_views(&mut fused).iter().zip(grad_views(&mut split)) {
             for (x, y) in a.dense().as_slice().iter().zip(b.dense().as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
             }
@@ -453,8 +422,8 @@ mod tests {
         assert!(gs.is_empty(), "no input gradient pushed");
         read.backward_weight();
         unread.backward_weight();
-        assert!(matches!(unread.grads()[0], GradView::Outer { .. }));
-        for (a, b) in read.grads().iter().zip(unread.grads()) {
+        assert!(matches!(grad_views(&mut unread)[0], GradView::Outer { .. }));
+        for (a, b) in grad_views(&mut read).iter().zip(grad_views(&mut unread)) {
             let (a, b) = (a.dense(), b.dense());
             for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
@@ -469,11 +438,11 @@ mod tests {
         let mut s = vec![Tensor::ones(&[1, 2])];
         layer.forward(&mut s);
         let mut g = vec![Tensor::ones(&[1, 2])];
-        layer.backward(&mut g);
-        assert!(layer.grads()[0].dense().norm() > 0.0);
+        full_backward(&mut layer, &mut g);
+        assert!(grad_views(&mut layer)[0].dense().norm() > 0.0);
         layer.zero_grads();
-        assert_eq!(layer.grads()[0].dense().norm(), 0.0);
-        assert_eq!(layer.grads()[1].dense().norm(), 0.0);
+        assert_eq!(grad_views(&mut layer)[0].dense().norm(), 0.0);
+        assert_eq!(grad_views(&mut layer)[1].dense().norm(), 0.0);
     }
 
     /// Single-row `(g, x)` contributions with signed zeros and a subnormal
@@ -503,16 +472,17 @@ mod tests {
         want
     }
 
-    fn assert_weight_grad_bits(layer: &Linear, want: &Tensor, context: &str) {
-        let got = layer.grads()[0].dense().into_owned();
+    fn assert_weight_grad_bits(layer: &mut Linear, want: &Tensor, context: &str) {
+        let got = grad_views(layer)[0].dense().into_owned();
         assert_eq!(got.shape(), want.shape(), "{context}");
         for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits(), "{context}");
         }
     }
 
-    /// Runs `contribs` through forward + `backward` (fused) or
-    /// `backward_input` … `backward_weight` (split) in one update window.
+    /// Runs `contribs` through forward + each `backward_input` straight
+    /// followed by its `backward_weight` (fused) or every `backward_input`,
+    /// then every `backward_weight` (split) in one update window.
     fn run_window(layer: &mut Linear, contribs: &[(Tensor, Tensor)], split: bool) {
         layer.zero_grads();
         for (_, x) in contribs {
@@ -523,7 +493,7 @@ mod tests {
             if split {
                 layer.backward_input(&mut gstack);
             } else {
-                layer.backward(&mut gstack);
+                full_backward(layer, &mut gstack);
             }
         }
         if split {
@@ -537,7 +507,7 @@ mod tests {
         for split in [false, true] {
             let contribs = contributions(1);
             run_window(&mut layer, &contribs, split);
-            assert!(matches!(layer.grads()[0], GradView::Outer { .. }));
+            assert!(matches!(grad_views(&mut layer)[0], GradView::Outer { .. }));
             assert!(
                 layer
                     .grad_weight
@@ -546,7 +516,7 @@ mod tests {
                     .all(|v| v.to_bits() == 0),
                 "a factored window leaves the dense accumulator untouched"
             );
-            assert_weight_grad_bits(&layer, &dense_reference(&contribs), "one contribution");
+            assert_weight_grad_bits(&mut layer, &dense_reference(&contribs), "one contribution");
         }
     }
 
@@ -557,8 +527,8 @@ mod tests {
             for n in [2, 3] {
                 let contribs = contributions(n);
                 run_window(&mut layer, &contribs, split);
-                assert!(matches!(layer.grads()[0], GradView::Dense(_)));
-                assert_weight_grad_bits(&layer, &dense_reference(&contribs), "n contributions");
+                assert!(matches!(grad_views(&mut layer)[0], GradView::Dense(_)));
+                assert_weight_grad_bits(&mut layer, &dense_reference(&contribs), "n contributions");
             }
         }
     }
@@ -569,8 +539,8 @@ mod tests {
         let x = pbp_tensor::normal(&[2, 5], 0.0, 1.0, &mut StdRng::seed_from_u64(8));
         let g = pbp_tensor::normal(&[2, 3], 0.0, 1.0, &mut StdRng::seed_from_u64(9));
         run_window(&mut layer, &[(g.clone(), x.clone())], false);
-        assert!(matches!(layer.grads()[0], GradView::Dense(_)));
-        assert_weight_grad_bits(&layer, &dense_reference(&[(g, x)]), "batch of two");
+        assert!(matches!(grad_views(&mut layer)[0], GradView::Dense(_)));
+        assert_weight_grad_bits(&mut layer, &dense_reference(&[(g, x)]), "batch of two");
     }
 
     #[test]
@@ -585,7 +555,7 @@ mod tests {
             let x = contributions(1).remove(0).1;
             layer.forward(&mut vec![x]);
             layer.backward_input(&mut vec![Tensor::ones(&[1, 3])]);
-            for g in layer.grads() {
+            for g in grad_views(&mut layer) {
                 assert!(g.dense().as_slice().iter().all(|v| v.to_bits() == 0));
             }
             layer.backward_weight();

@@ -212,7 +212,7 @@ impl Layer for GroupNorm {
         stack.push(x);
     }
 
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
+    fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         let mut g = grad_stack.pop().expect("groupnorm: empty grad stack");
         let (xhat, inv_stds) = self.stash.pop_front().expect("groupnorm: no stash");
         let [_, c, h, w] = [g.shape()[0], g.shape()[1], g.shape()[2], g.shape()[3]];
@@ -263,14 +263,6 @@ impl Layer for GroupNorm {
         vec![&self.gamma, &self.beta]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.gamma, &mut self.beta]
-    }
-
-    fn grads(&self) -> Vec<GradView<'_>> {
-        vec![(&self.grad_gamma).into(), (&self.grad_beta).into()]
-    }
-
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
         vec![
             (&mut self.gamma, (&self.grad_gamma).into()),
@@ -295,6 +287,7 @@ impl Layer for GroupNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::grad_views;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -343,7 +336,7 @@ mod tests {
         gn.forward(&mut s);
         let _ = s.pop();
         let mut g = vec![k.clone()];
-        gn.backward(&mut g);
+        gn.backward_input(&mut g);
         let gx = g.pop().unwrap();
         let eps = 1e-2f32;
         for idx in [0usize, 5, 10, 15] {
@@ -359,8 +352,8 @@ mod tests {
             );
         }
         // gamma / beta gradients.
-        let gg = gn.grads()[0].dense().into_owned();
-        let gb = gn.grads()[1].dense().into_owned();
+        let gg = grad_views(&mut gn)[0].dense().into_owned();
+        let gb = grad_views(&mut gn)[1].dense().into_owned();
         for ch in 0..4 {
             let orig = gn.gamma.as_slice()[ch];
             gn.gamma.as_mut_slice()[ch] = orig + eps;
@@ -520,7 +513,7 @@ mod tests {
             );
             assert_eq!(bits(inv), bits(&want_inv), "{ctx}: inv_std");
             let mut gstack = vec![g];
-            gn.backward(&mut gstack);
+            gn.backward_input(&mut gstack);
             assert_eq!(
                 bits(gstack[0].as_slice()),
                 bits(want_gx.as_slice()),

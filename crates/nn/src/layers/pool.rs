@@ -37,7 +37,7 @@ impl Layer for MaxPool2d {
         stack.push(y);
     }
 
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
+    fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("maxpool: empty grad stack");
         let (argmax, shape) = self.stash.pop_front().expect("maxpool: no stash");
         grad_stack.push(max_pool2d_backward(&g, &argmax, &shape).expect("maxpool grad shapes"));
@@ -85,7 +85,7 @@ impl Layer for AvgPool2d {
         stack.push(y);
     }
 
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
+    fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("avgpool: empty grad stack");
         let shape = self.stash.pop_front().expect("avgpool: no stash");
         grad_stack.push(avg_pool2d_backward(&g, &self.spec, &shape).expect("avgpool grad shapes"));
@@ -135,7 +135,7 @@ impl Layer for GlobalAvgPool2d {
         stack.push(y);
     }
 
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
+    fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("gap: empty grad stack");
         let shape = self.stash.pop_front().expect("gap: no stash");
         let [n, c, h, w] = [shape[0], shape[1], shape[2], shape[3]];
@@ -176,7 +176,7 @@ mod tests {
         p.forward(&mut s);
         assert_eq!(s[0].as_slice(), &[4.0]);
         let mut g = vec![Tensor::from_vec(vec![2.0], &[1, 1, 1, 1]).unwrap()];
-        p.backward(&mut g);
+        p.backward_input(&mut g);
         assert_eq!(g[0].as_slice(), &[0.0, 0.0, 0.0, 2.0]);
     }
 
@@ -193,7 +193,7 @@ mod tests {
         assert_eq!(s[0].shape(), &[1, 2]);
         assert_eq!(s[0].as_slice(), &[2.5, 25.0]);
         let mut g = vec![Tensor::from_vec(vec![4.0, 8.0], &[1, 2]).unwrap()];
-        p.backward(&mut g);
+        p.backward_input(&mut g);
         assert_eq!(g[0].as_slice(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 
@@ -205,7 +205,7 @@ mod tests {
         p.forward(&mut s);
         assert_eq!(s[0].shape(), &[1, 1, 2, 2]);
         let mut g = vec![Tensor::ones(&[1, 1, 2, 2])];
-        p.backward(&mut g);
+        p.backward_input(&mut g);
         assert_eq!(g[0].shape(), &[1, 1, 4, 4]);
     }
 }

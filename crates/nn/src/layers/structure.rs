@@ -31,7 +31,7 @@ impl Layer for Dup {
         stack.push(x);
     }
 
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
+    fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         let g_top = grad_stack.pop().expect("dup: empty grad stack");
         let g_below = grad_stack.last_mut().expect("dup: grad stack underflow");
         g_below
@@ -65,7 +65,7 @@ impl Layer for AddLanes {
         stack.push(a.add(&b).expect("add lanes must be same shape"));
     }
 
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
+    fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("add: empty grad stack");
         grad_stack.push(g.clone());
         grad_stack.push(g);
@@ -76,7 +76,8 @@ impl Layer for AddLanes {
 /// (`depth == 0` is the top lane).
 ///
 /// Used for projection shortcuts: the skip lane of a down-sampling residual
-/// block passes through a 1×1 strided convolution.
+/// block passes through a 1×1 strided convolution. Both backward halves,
+/// the parameters and the FLOP count are the inner layer's.
 pub struct MapLane {
     depth: usize,
     inner: Box<dyn Layer>,
@@ -116,27 +117,23 @@ impl Layer for MapLane {
         stack.insert(idx, sub.pop().expect("inner layer must produce output"));
     }
 
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
+    fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         let idx = grad_stack
             .len()
             .checked_sub(1 + self.depth)
             .expect("maplane: underflow");
         let g = grad_stack.remove(idx);
         let mut sub = vec![g];
-        self.inner.backward(&mut sub);
+        self.inner.backward_input(&mut sub);
         grad_stack.insert(idx, sub.pop().expect("inner layer must produce gradient"));
+    }
+
+    fn backward_weight(&mut self) {
+        self.inner.backward_weight();
     }
 
     fn params(&self) -> Vec<&Tensor> {
         self.inner.params()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.inner.params_mut()
-    }
-
-    fn grads(&self) -> Vec<GradView<'_>> {
-        self.inner.grads()
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
@@ -153,6 +150,10 @@ impl Layer for MapLane {
 
     fn clear_stash(&mut self) {
         self.inner.clear_stash();
+    }
+
+    fn flops_per_sample(&self) -> u64 {
+        self.inner.flops_per_sample()
     }
 }
 
@@ -183,7 +184,7 @@ impl Layer for Flatten {
         stack.push(x.into_shape(&[n, rest]).expect("same volume"));
     }
 
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
+    fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("flatten: empty grad stack");
         let shape = self.stash.pop_front().expect("flatten: no stash");
         grad_stack.push(g.into_shape(&shape).expect("same volume"));
@@ -214,7 +215,7 @@ mod tests {
             Tensor::from_slice(&[1.0, 1.0]),
             Tensor::from_slice(&[2.0, 3.0]),
         ];
-        dup.backward(&mut g);
+        dup.backward_input(&mut g);
         assert_eq!(g.len(), 1);
         assert_eq!(g[0].as_slice(), &[3.0, 4.0]);
     }
@@ -227,7 +228,7 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].as_slice(), &[3.0]);
         let mut g = vec![Tensor::from_slice(&[5.0])];
-        add.backward(&mut g);
+        add.backward_input(&mut g);
         assert_eq!(g.len(), 2);
         assert_eq!(g[0].as_slice(), &[5.0]);
         assert_eq!(g[1].as_slice(), &[5.0]);
@@ -243,8 +244,8 @@ mod tests {
         add.forward(&mut s);
         assert_eq!(s[0].as_slice(), &[6.0]);
         let mut g = vec![Tensor::from_slice(&[1.0])];
-        add.backward(&mut g);
-        dup.backward(&mut g);
+        add.backward_input(&mut g);
+        dup.backward_input(&mut g);
         assert_eq!(g[0].as_slice(), &[2.0]);
     }
 
@@ -263,7 +264,7 @@ mod tests {
             Tensor::from_slice(&[1.0, 1.0]),
             Tensor::from_slice(&[1.0, 1.0]),
         ];
-        map.backward(&mut g);
+        map.backward_input(&mut g);
         assert_eq!(g[0].as_slice(), &[0.0, 1.0]);
         assert_eq!(g[1].as_slice(), &[1.0, 1.0]);
     }
@@ -275,7 +276,7 @@ mod tests {
         f.forward(&mut s);
         assert_eq!(s[0].shape(), &[2, 12]);
         let mut g = vec![Tensor::ones(&[2, 12])];
-        f.backward(&mut g);
+        f.backward_input(&mut g);
         assert_eq!(g[0].shape(), &[2, 3, 2, 2]);
     }
 }

@@ -127,7 +127,7 @@ impl Layer for WsConv2d {
         stack.push(y);
     }
 
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
+    fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         let g = grad_stack.pop().expect("ws_conv: empty grad stack");
         let (x, what, inv_stds) = self.stash.pop_front().expect("ws_conv: no stash");
         let [_, _, h, w] = x.input_shape();
@@ -166,14 +166,6 @@ impl Layer for WsConv2d {
         vec![&self.weight]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weight]
-    }
-
-    fn grads(&self) -> Vec<GradView<'_>> {
-        vec![(&self.grad_weight).into()]
-    }
-
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
         vec![(&mut self.weight, (&self.grad_weight).into())]
     }
@@ -209,6 +201,7 @@ impl Layer for WsConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{full_backward, grad_views};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -250,9 +243,9 @@ mod tests {
         layer.forward(&mut s);
         let _ = s.pop();
         let mut g = vec![k.clone()];
-        layer.backward(&mut g);
+        full_backward(&mut layer, &mut g);
         let gx = g.pop().unwrap();
-        let gw = layer.grads()[0].dense().into_owned();
+        let gw = grad_views(&mut layer)[0].dense().into_owned();
 
         let eps = 1e-2f32;
         for idx in [0usize, 9, 21, 31] {
@@ -298,12 +291,15 @@ mod tests {
         layer.forward(&mut vec![x]);
         layer.weight.map_in_place(|v| 0.5 * v * v - 0.3);
         let (mut a, mut b) = (vec![g.clone()], vec![g]);
-        twin.backward(&mut a);
-        layer.backward(&mut b);
+        full_backward(&mut twin, &mut a);
+        full_backward(&mut layer, &mut b);
         for (x, y) in a[0].as_slice().iter().zip(b[0].as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits(), "input grads differ");
         }
-        let (a, b) = (twin.grads()[0].dense(), layer.grads()[0].dense());
+        let (a, b) = (
+            grad_views(&mut twin)[0].dense(),
+            grad_views(&mut layer)[0].dense(),
+        );
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
         }
@@ -311,8 +307,9 @@ mod tests {
 
     #[test]
     fn split_backward_is_bit_identical_to_fused() {
-        // Two samples in flight, the 2BP call pattern: `backward_input`
-        // twice, then both deferred weight halves.
+        // Two samples in flight. Fused: each `backward_input` straight
+        // followed by its `backward_weight`. Split, the 2BP call pattern:
+        // `backward_input` twice, then both weight halves.
         let mut rng = StdRng::seed_from_u64(6);
         let mut fused = WsConv2d::new(2, 3, 3, 1, 1, &mut rng);
         let mut rng = StdRng::seed_from_u64(6);
@@ -329,7 +326,7 @@ mod tests {
         }
         for g in &gs {
             let (mut a, mut b) = (vec![g.clone()], vec![g.clone()]);
-            fused.backward(&mut a);
+            full_backward(&mut fused, &mut a);
             split.backward_input(&mut b);
             for (x, y) in a[0].as_slice().iter().zip(b[0].as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "input grads differ");
@@ -337,7 +334,10 @@ mod tests {
         }
         split.backward_weight();
         split.backward_weight();
-        let (a, b) = (fused.grads()[0].dense(), split.grads()[0].dense());
+        let (a, b) = (
+            grad_views(&mut fused)[0].dense(),
+            grad_views(&mut split)[0].dense(),
+        );
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits(), "weight grads differ");
         }

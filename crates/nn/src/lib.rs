@@ -14,9 +14,10 @@
 //! to run its forward and backward transformations *independently*, against
 //! *different weight versions*, with multiple samples in flight. A taped
 //! autograd hides exactly the state this needs to expose, so layers here
-//! implement [`Layer::forward`]/[`Layer::backward`] explicitly and stash
-//! per-sample activations in an internal FIFO — mirroring how the paper's
-//! GProp framework stores activations per in-flight input.
+//! implement [`Layer::forward`] and the two backward halves
+//! ([`Layer::backward_input`], [`Layer::backward_weight`]) explicitly and
+//! stash per-sample activations in an internal FIFO — mirroring how the
+//! paper's GProp framework stores activations per in-flight input.
 //!
 //! ## Multi-lane activations
 //!

@@ -227,14 +227,9 @@ mod tests {
             let (loss, grad) = softmax_cross_entropy(&logits, &[1]);
             net.backward(&grad);
             for s in 0..net.num_stages() {
-                let stage = net.stage_mut(s);
-                let grads: Vec<Tensor> = stage
-                    .grads()
-                    .iter()
-                    .map(|g| g.dense().into_owned())
-                    .collect();
-                for (p, g) in stage.params_mut().into_iter().zip(&grads) {
-                    pbp_tensor::ops::axpy(-0.2, g, p);
+                let (params, grads) = net.stage_mut(s).params_and_grads();
+                for (p, g) in params.into_iter().zip(grads) {
+                    pbp_tensor::ops::axpy(-0.2, &g.dense(), p);
                 }
             }
             losses.push(loss);

@@ -71,11 +71,12 @@ impl Stage {
         }
     }
 
-    /// Runs the stage's backward transformation on the gradient stack.
+    /// Runs the stage's whole backward on the gradient stack: its two
+    /// halves back to back, [`Stage::backward_input`] with the input
+    /// gradient, then [`Stage::backward_weight`].
     pub fn backward(&mut self, grad_stack: &mut LaneStack) {
-        for layer in self.layers.iter_mut().rev() {
-            layer.backward(grad_stack);
-        }
+        self.backward_input(grad_stack, true);
+        self.backward_weight();
     }
 
     /// Input-gradient half of the backward pass (2BP split backward):
@@ -156,17 +157,11 @@ impl Stage {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
-    /// Mutably borrows all trainable parameters of the stage.
+    /// Mutably borrows all trainable parameters of the stage, in
+    /// [`Stage::params`] order: the parameter half of
+    /// [`Stage::params_and_grads`].
     pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
-    /// Views of the accumulated gradients, aligned with [`Stage::params`].
-    pub fn grads(&self) -> Vec<GradView<'_>> {
-        self.layers.iter().flat_map(|l| l.grads()).collect()
+        self.params_and_grads().0
     }
 
     /// Simultaneously borrows the parameters mutably and their gradients,
@@ -342,7 +337,8 @@ impl Network {
         stack.pop().expect("non-empty stack")
     }
 
-    /// Full backward pass from the loss gradient; parameter gradients
+    /// Full backward pass from the loss gradient, last stage first, each
+    /// stage's [whole backward](Stage::backward): parameter gradients
     /// accumulate inside the layers.
     ///
     /// # Panics
@@ -355,33 +351,6 @@ impl Network {
         }
         assert_eq!(stack.len(), 1, "backward must end with a single lane");
         stack.pop().expect("non-empty stack")
-    }
-
-    /// Input-gradient half of the backward pass (2BP split): propagates
-    /// the loss gradient through every stage via
-    /// [`Stage::backward_input`], leaving each layer's weight-gradient
-    /// work pending until [`Network::backward_weight`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if backward does not reduce back to a single input gradient.
-    pub fn backward_input(&mut self, grad_logits: &Tensor) -> Tensor {
-        let mut stack: LaneStack = vec![grad_logits.clone()];
-        for stage in self.stages.iter_mut().rev() {
-            stage.backward_input(&mut stack, true);
-        }
-        assert_eq!(stack.len(), 1, "backward must end with a single lane");
-        stack.pop().expect("non-empty stack")
-    }
-
-    /// Weight-gradient half of the backward pass (2BP split): retires the
-    /// oldest pending weight-gradient computation in every stage,
-    /// accumulating parameter gradients inside the layers. Must be called
-    /// once per preceding [`Network::backward_input`], in FIFO order.
-    pub fn backward_weight(&mut self) {
-        for stage in self.stages.iter_mut().rev() {
-            stage.backward_weight();
-        }
     }
 
     /// Zeroes all accumulated gradients.
@@ -524,14 +493,9 @@ mod tests {
             let (loss, grad) = softmax_cross_entropy(&logits, &labels);
             net.backward(&grad);
             for s in 0..net.num_stages() {
-                let stage = net.stage_mut(s);
-                let grads: Vec<Tensor> = stage
-                    .grads()
-                    .iter()
-                    .map(|g| g.dense().into_owned())
-                    .collect();
-                for (p, g) in stage.params_mut().into_iter().zip(&grads) {
-                    pbp_tensor::ops::axpy(-0.1, g, p);
+                let (params, grads) = net.stage_mut(s).params_and_grads();
+                for (p, g) in params.into_iter().zip(grads) {
+                    pbp_tensor::ops::axpy(-0.1, &g.dense(), p);
                 }
             }
             first_loss.get_or_insert(loss);

@@ -114,7 +114,7 @@ fn assert_eval_is_training_forward(what: &str, layer: &mut dyn Layer, sample: &[
             let got = forward(layer, &x);
             assert_same_bits(&got, &want, &format!("{context}, eval mode"));
             let mut grads = vec![Tensor::ones(got.shape())];
-            let backward = catch_unwind(AssertUnwindSafe(|| layer.backward(&mut grads)));
+            let backward = catch_unwind(AssertUnwindSafe(|| layer.backward_input(&mut grads)));
             assert!(
                 backward.is_err(),
                 "{context}: an eval-mode forward left a stash behind"
@@ -128,7 +128,7 @@ fn assert_eval_is_training_forward(what: &str, layer: &mut dyn Layer, sample: &[
 /// Moves every parameter off its initial value (γ = 1, β = 0, zero biases
 /// would hide a dropped or reordered affine term).
 fn perturb_params(layer: &mut dyn Layer) {
-    for (k, p) in layer.params_mut().into_iter().enumerate() {
+    for (k, (p, _)) in layer.params_and_grads().into_iter().enumerate() {
         for (i, v) in p.as_mut_slice().iter_mut().enumerate() {
             *v += 0.25 * ((i + 3 * k) as f32 * 0.7).sin() - 0.1;
         }
@@ -270,9 +270,9 @@ fn assert_stage_eval_is_training_forward(what: &str, stage: &mut Stage, sample: 
 fn group_norm_with_a_signed_zero_channel(groups: usize, channels: usize) -> GroupNorm {
     let mut norm = GroupNorm::new(groups, channels);
     perturb_params(&mut norm);
-    let mut params = norm.params_mut();
-    params[0].as_mut_slice()[0] = 0.0;
-    params[1].as_mut_slice()[0] = -0.0;
+    let mut params = norm.params_and_grads();
+    params[0].0.as_mut_slice()[0] = 0.0;
+    params[1].0.as_mut_slice()[0] = -0.0;
     norm
 }
 

@@ -2,7 +2,8 @@
 //! backpropagation: with fixed weights, processing k samples with all
 //! forwards first and all backwards after (k in flight) produces exactly
 //! the same input gradients and accumulated parameter gradients as strict
-//! sequential forward/backward pairs.
+//! sequential forward/backward pairs. Each backward is the layer's two
+//! halves back to back: `backward_input`, then `backward_weight`.
 
 use pbp_nn::layer::Layer;
 use pbp_nn::layers::{
@@ -20,6 +21,12 @@ fn inputs(k: usize, shape: &[usize], seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
+/// A whole backward: the two halves back to back.
+fn backward(layer: &mut dyn Layer, grad_stack: &mut Vec<Tensor>) {
+    layer.backward_input(grad_stack);
+    layer.backward_weight();
+}
+
 /// Runs the invariant check for one layer builder.
 fn check_fifo(name: &str, mut make: impl FnMut() -> Box<dyn Layer>, in_shape: &[usize]) {
     let k = 3;
@@ -33,7 +40,7 @@ fn check_fifo(name: &str, mut make: impl FnMut() -> Box<dyn Layer>, in_shape: &[
         layer_a.forward(&mut s);
         let y = s.pop().unwrap();
         let mut g = vec![Tensor::ones(y.shape())];
-        layer_a.backward(&mut g);
+        backward(&mut *layer_a, &mut g);
         grads_in_a.push(g.pop().unwrap());
     }
 
@@ -48,7 +55,7 @@ fn check_fifo(name: &str, mut make: impl FnMut() -> Box<dyn Layer>, in_shape: &[
     let mut grads_in_b = Vec::new();
     for shape in &out_shapes {
         let mut g = vec![Tensor::ones(shape)];
-        layer_b.backward(&mut g);
+        backward(&mut *layer_b, &mut g);
         grads_in_b.push(g.pop().unwrap());
     }
 
@@ -59,7 +66,8 @@ fn check_fifo(name: &str, mut make: impl FnMut() -> Box<dyn Layer>, in_shape: &[
             "{name}: input gradient differs for in-flight sample {i}"
         );
     }
-    for (pa, pb) in layer_a.grads().iter().zip(layer_b.grads()) {
+    let (ga, gb) = (layer_a.params_and_grads(), layer_b.params_and_grads());
+    for ((_, pa), (_, pb)) in ga.iter().zip(&gb) {
         assert_eq!(
             pa.dense().as_slice(),
             pb.dense().as_slice(),

@@ -3,7 +3,7 @@
 //! of stages into workers. Each expected value is derived from the
 //! layer's arithmetic, not from the implementation.
 
-use pbp_nn::layers::{Conv2d, Linear, WsConv2d};
+use pbp_nn::layers::{Conv2d, Linear, MapLane, WsConv2d};
 use pbp_nn::models::vgg_cnn;
 use pbp_nn::Layer;
 use pbp_tensor::Tensor;
@@ -64,6 +64,21 @@ fn strided_conv_counts_the_reduced_output_grid() {
     let mut stack = vec![x];
     conv.forward(&mut stack);
     assert_eq!(conv.flops_per_sample(), 576);
+}
+
+#[test]
+fn a_projection_shortcut_counts_its_inner_conv() {
+    let mut rng = StdRng::seed_from_u64(5);
+    // `resnet_cifar`'s down-sampling shortcut: a 1×1 stride-2 conv, 4→8
+    // channels with bias, on the skip lane below the top. On 8×8 the out
+    // size is ⌊(8 − 1)/2⌋ + 1 = 4, so 16 output pixels; the weight has
+    // 8·4 = 32 entries: 2·32·16 + 8·16 = 1024 + 128 = 1152 — not the
+    // parameter-based 2·(32 + 8) = 80.
+    let conv = Conv2d::new(4, 8, 1, 2, 0, true, &mut rng);
+    let mut lane = MapLane::new(1, Box::new(conv));
+    let mut stack = vec![Tensor::zeros(&[1, 4, 8, 8]), Tensor::zeros(&[1, 8, 4, 4])];
+    lane.forward(&mut stack);
+    assert_eq!(lane.flops_per_sample(), 1152);
 }
 
 #[test]

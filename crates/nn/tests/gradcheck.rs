@@ -2,10 +2,13 @@
 //!
 //! For every layer kind, random geometry and random inputs: the analytic
 //! input gradient and parameter gradients must match central finite
-//! differences of a random linear functional of the output.
+//! differences of a random linear functional of the output. The analytic
+//! gradients come through the backward's two halves, `backward_input`
+//! then `backward_weight`, and are read through `params_and_grads`: a
+//! layer that drops either half fails here.
 
 use pbp_nn::layer::Layer;
-use pbp_nn::layers::{Conv2d, GroupNorm, Linear, Relu, WsConv2d};
+use pbp_nn::layers::{Conv2d, GroupNorm, Linear, MapLane, Relu, WsConv2d};
 use pbp_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -41,12 +44,11 @@ fn gradcheck(layer: &mut dyn Layer, x: &Tensor, seed: u64, tol: f64) -> Result<(
     layer.forward(&mut s);
     let _ = s.pop();
     let mut g = vec![probe.clone()];
-    layer.backward(&mut g);
+    layer.backward_input(&mut g);
+    layer.backward_weight();
     let gx = g.pop().expect("input grad");
-    let param_grads: Vec<Tensor> = layer
-        .grads()
-        .iter()
-        .map(|g| g.dense().into_owned())
+    let param_grads: Vec<Tensor> = (layer.params_and_grads().into_iter())
+        .map(|(_, g)| g.dense().into_owned())
         .collect();
 
     let eps = 1e-2f32;
@@ -73,11 +75,14 @@ fn gradcheck(layer: &mut dyn Layer, x: &Tensor, seed: u64, tol: f64) -> Result<(
         }
         let idx = (rng.next_u64() as usize) % param_grad.len();
         let orig = layer.params()[p_i].as_slice()[idx];
-        layer.params_mut()[p_i].as_mut_slice()[idx] = orig + eps;
+        let set = |layer: &mut dyn Layer, v: f32| {
+            layer.params_and_grads()[p_i].0.as_mut_slice()[idx] = v;
+        };
+        set(layer, orig + eps);
         let lp = loss_of(layer, x, &probe);
-        layer.params_mut()[p_i].as_mut_slice()[idx] = orig - eps;
+        set(layer, orig - eps);
         let lm = loss_of(layer, x, &probe);
-        layer.params_mut()[p_i].as_mut_slice()[idx] = orig;
+        set(layer, orig);
         let num = (lp - lm) / (2.0 * eps as f64);
         let ana = param_grad.as_slice()[idx] as f64;
         if (num - ana).abs() > tol * (1.0 + ana.abs()) {
@@ -178,6 +183,34 @@ proptest! {
     ) {
         let channels = groups * 2;
         let mut layer = GroupNorm::new(groups, channels);
+        let x = rand_input(&[1, channels, 3, 3], seed ^ 1);
+        gradcheck(&mut layer, &x, seed ^ 2, 0.08).map_err(TestCaseError::fail)?;
+    }
+
+    /// A ResNet projection shortcut: the 1×1 stride-2 convolution behind a
+    /// `MapLane`, whose weight half must reach the inner layer.
+    #[test]
+    fn maplane_projection_conv_gradcheck(
+        in_c in 1usize..4,
+        out_c in 1usize..4,
+        seed in 0u64..500,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let conv = Conv2d::new(in_c, out_c, 1, 2, 0, true, &mut rng);
+        let mut layer = MapLane::new(0, Box::new(conv));
+        let x = rand_input(&[1, in_c, 6, 6], seed ^ 1);
+        gradcheck(&mut layer, &x, seed ^ 2, 0.05).map_err(TestCaseError::fail)?;
+    }
+
+    /// A layer that accumulates its parameter gradients in its input half,
+    /// behind a `MapLane`.
+    #[test]
+    fn maplane_groupnorm_gradcheck(
+        groups in 1usize..3,
+        seed in 0u64..500,
+    ) {
+        let channels = groups * 2;
+        let mut layer = MapLane::new(0, Box::new(GroupNorm::new(groups, channels)));
         let x = rand_input(&[1, channels, 3, 3], seed ^ 1);
         gradcheck(&mut layer, &x, seed ^ 2, 0.08).map_err(TestCaseError::fail)?;
     }

@@ -355,17 +355,10 @@ impl StageCell {
         stage.backward_input_stepping(&mut grads[..n], &mut step, self.input_grad);
     }
 
-    /// Retires one pending weight-gradient half (2BP). Weight-gradient
-    /// halves read no weights, only values stashed at `backward_input`
-    /// time, so no override dance is needed.
-    pub fn backward_weight(&self, stage: &mut Stage) {
-        stage.backward_weight();
-    }
-
     /// True if an `update` call would apply an optimizer step (the stage
-    /// has parameters carrying gradients).
+    /// has parameters).
     pub fn will_update(&self, stage: &Stage) -> bool {
-        !stage.grads().is_empty()
+        !stage.params().is_empty()
     }
 
     /// Retires the oldest queued version and hands out a spent buffer for
@@ -397,8 +390,8 @@ impl StageCell {
     /// already began, sweeping only the rest. Returns whether a step fired
     /// (parameterless stages never update).
     /// `split_backward` no longer selects anything — by the update
-    /// boundary a split schedule's layers hold the same accumulated
-    /// gradients a fused one's do — and stays only because the benchmark
+    /// boundary every schedule's layers have retired the same backward
+    /// halves in the same order — and stays only because the benchmark
     /// harness calls this signature.
     pub fn update(&mut self, stage: &mut Stage, _split_backward: bool) -> bool {
         let (mut params, grads) = stage.params_and_grads();
@@ -564,7 +557,7 @@ mod tests {
             } else {
                 cell.backward_input(net.stage_mut(s), &mut gstack, true);
             }
-            cell.backward_weight(net.stage_mut(s));
+            net.stage_mut(s).backward_weight();
             if cell.will_update(net.stage(s)) {
                 cell.update(net.stage_mut(s), false);
             }
@@ -613,7 +606,7 @@ mod tests {
                         _ => vec![&inputs[s]],
                     };
                     assert_eq!(passed, want, "stage {s} lend={lend}");
-                    cell.backward_weight(net.stage_mut(s));
+                    net.stage_mut(s).backward_weight();
                     if cell.will_update(net.stage(s)) {
                         cell.update(net.stage_mut(s), false);
                     }

@@ -387,7 +387,7 @@ impl StageGroup {
                 }
                 Action::BackwardWeight(j) => {
                     lane.begin(TracePhase::BackwardWeight, Some(j as u64), Some(version));
-                    cell.backward_weight(stage);
+                    stage.backward_weight();
                     lane.end();
                 }
                 Action::Update => {

@@ -32,8 +32,9 @@
 //! utilization (Eq. 1). Schedules that split backward defer each
 //! microbatch's weight-gradient half as pending work inside the layers
 //! ([`Layer::backward_input`](pbp_nn::Layer::backward_input)) and retire
-//! it at the update boundary, where the summed gradients meet the same
-//! optimizer sweep a fused schedule's do.
+//! it at the update boundary ([`Layer::backward_weight`](pbp_nn::Layer::backward_weight)),
+//! where the summed gradients meet the same optimizer sweep every other
+//! schedule's do.
 
 use crate::engine::TrainEngine;
 use crate::group::StageGroup;

@@ -219,11 +219,12 @@ impl ThreadedPipeline {
 /// so the costliest worker's [`stage_cost`] sum is the least possible.
 /// Each call derives the cut afresh from its stages' costs, and a
 /// convolution whose builder did not state its input size is costed by
-/// its parameters until its first forward. Such a net is cut differently
-/// by its first call than by later ones: `resnet_cifar` at depth 20 and
-/// width 4 cuts `[0, 24, 33]` on two workers fresh, `[0, 20, 33]` after
-/// one call on 8×8 images. Builders that state it — `vgg_cnn`, `vgg` —
-/// are cut the same by every call and every host.
+/// its parameters until its first forward — a projection shortcut's too,
+/// which `MapLane` costs as its inner convolution. Such a net is cut
+/// differently by its first call than by later ones: `resnet_cifar` at
+/// depth 20 and width 4 cuts `[0, 24, 33]` on two workers fresh,
+/// `[0, 20, 33]` after one call on 8×8 images. Builders that state it —
+/// `vgg_cnn`, `vgg` — are cut the same by every call and every host.
 fn worker_bounds(net: &Network) -> Vec<usize> {
     let costs: Vec<u64> = net.stages().map(stage_cost).collect();
     partition_bounds(&costs, costs.len().min(pool::configured_threads()))

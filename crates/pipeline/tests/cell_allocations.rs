@@ -112,7 +112,7 @@ fn microbatch_with(
             }
             None => cell.backward_input(net.stage_mut(s), &mut gstack, true),
         }
-        cell.backward_weight(net.stage_mut(s));
+        net.stage_mut(s).backward_weight();
         if cell.will_update(net.stage(s)) {
             cell.update(net.stage_mut(s), false);
         }

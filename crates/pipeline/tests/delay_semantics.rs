@@ -49,7 +49,7 @@ impl Layer for ProbeLayer {
         stack.push(x);
     }
 
-    fn backward(&mut self, _grad_stack: &mut LaneStack) {
+    fn backward_input(&mut self, _grad_stack: &mut LaneStack) {
         // Gradient −1 every time: with lr = 1, m = 0 the update is
         // w ← w − 1·(−1) = w + 1.
         self.grad.as_mut_slice()[0] = -1.0;
@@ -57,14 +57,6 @@ impl Layer for ProbeLayer {
 
     fn params(&self) -> Vec<&Tensor> {
         vec![&self.weight]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weight]
-    }
-
-    fn grads(&self) -> Vec<GradView<'_>> {
-        vec![(&self.grad).into()]
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, GradView<'_>)> {
@@ -89,7 +81,7 @@ impl Layer for ConstHead {
         stack.push(Tensor::zeros(&[1, 2]));
     }
 
-    fn backward(&mut self, grad_stack: &mut LaneStack) {
+    fn backward_input(&mut self, grad_stack: &mut LaneStack) {
         grad_stack.pop();
         grad_stack.push(Tensor::zeros(&[1, 1]));
     }

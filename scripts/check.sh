@@ -62,6 +62,22 @@ if [[ -n $stray ]]; then
   echo "$stray" >&2
   exit 1
 fi
+# One backward and one parameter view per layer (DESIGN §10, §15): a
+# layer's backward is its two halves, Layer::backward_input then
+# Layer::backward_weight, composed into a whole only by Stage::backward and
+# Network::backward (network.rs); group.rs's is the executor's
+# StageGroup::backward. Parameters are read through Layer::params and
+# written beside their gradients through Layer::params_and_grads, whose
+# parameter half is derived once, as Stage::params_mut. The fused layer
+# backward and the per-layer params_mut / grads copies stay retired.
+# Needles are split so this file does not contain them.
+lint_only_in 'fn back''ward(' 'network|group'
+stray=$(grep -rlE 'fn (params''_mut|gr''ads)\(' crates/*/src | grep -vx 'crates/nn/src/network\.rs' || true)
+if [[ -n $stray || $(grep -cE 'fn (params''_mut|gr''ads)\(' crates/nn/src/network.rs) != 1 ]]; then
+  echo "a second parameter or gradient accessor is defined (only Stage's params_mut may be):" >&2
+  grep -rnE 'fn (params''_mut|gr''ads)\(' crates/*/src >&2
+  exit 1
+fi
 # Only the virtual host (timeline.rs) writes virtual spans, each for an
 # action a RankLoop::step it just ran executed: a second scheduler drawing
 # the schedule from its own rules must not reappear. pbp-trace's lib.rs and
@@ -147,7 +163,7 @@ fi
 # injected crash (a panic on every host now) stay retired. Needles are
 # split so this file does not contain them.
 stray=$(git grep -lE 'Stage''Worker|Stage''Done|Launch''Fault|process::''abort' -- . \
-  ':(exclude,glob)*.md' || true)
+  ':!*.md' || true)
 if [[ -n $stray ]]; then
   echo "a retired rank shell or second fault type is back:" >&2
   echo "$stray" >&2
@@ -168,7 +184,7 @@ echo "== one restart arc for a stage group and a threaded run (grep lint) =="
 # retired. Needles are split so this file does not contain them.
 stray=$(git grep -lE -e '--fine''-grained|--gene''ration|Stale''Generation|begin''_generation|rewind''_token|rewind''_or_fail|env''_rank|env''_world|PBP''_RANK|PBP''_WORLD' \
   -e 'degraded''_spec|no''_degrade|Degra''ded|\.recur''ring\(' \
-  -- . ':(exclude,glob)*.md' || true)
+  -- . ':!*.md' || true)
 if [[ -n $stray ]]; then
   echo "a retired restart arc, recurring fault or rank-identity variable is named again:" >&2
   echo "$stray" >&2
@@ -184,7 +200,7 @@ echo "== one snapshot family for every host (grep lint) =="
 # so this file does not contain them.
 lint_only_in '.pbps' 'container'
 stray=$(git grep -lE 'RankSnap''shots|rank_snapshot''_path|latest_snapshot''_with_prefix|latest_valid_snapshot''_with_prefix' \
-  -- . ':(exclude,glob)*.md' || true)
+  -- . ':!*.md' || true)
 if [[ -n $stray ]]; then
   echo "a retired snapshot helper is named again:" >&2
   echo "$stray" >&2
